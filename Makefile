@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet bench-smoke bench-cancel bench-agg bench-overload bench-repl bench-plancache bench-pager race-cancel race-plancache race-pager joinfuzz chaos replchaos replchaos-one clean
+.PHONY: check build test race vet fuzz-wire bench-smoke bench-cancel bench-agg bench-overload bench-repl bench-plancache bench-pager race-cancel race-plancache race-pager joinfuzz chaos replchaos replchaos-one clean
 
 check: build vet test race
 
@@ -19,6 +19,13 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# The wire codec's byte decoders against encoding/xml as the oracle: must
+# never panic, never reach outside the input, and agree on accept/reject
+# and on the decoded value. go test -fuzz takes one target per run.
+fuzz-wire:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime 30s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 30s ./internal/wire
 
 # One iteration per benchmark: exercises every benchmark code path without
 # paying for full measurement runs.

@@ -253,10 +253,20 @@ func TestStartdSurvivesFlakyWire(t *testing.T) {
 		t.Fatalf("%d jobs stuck in the queue after the run", left)
 	}
 	var completed, doubled int
-	r.cas.Pool.QueryRow(`SELECT count(DISTINCT job_id) FROM job_history WHERE outcome = 'completed'`).Scan(&completed)
-	r.cas.Pool.QueryRow(`SELECT count(*) FROM (
-		SELECT job_id FROM job_history WHERE outcome = 'completed' GROUP BY job_id HAVING count(*) > 1
-	)`).Scan(&doubled)
+	if err := r.cas.Pool.QueryRow(`SELECT count(DISTINCT job_id) FROM job_history WHERE outcome = 'completed'`).Scan(&completed); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := r.cas.Pool.Query(`SELECT job_id FROM job_history WHERE outcome = 'completed' GROUP BY job_id HAVING count(*) > 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	for rows.Next() {
+		doubled++
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
 	if completed != jobs || doubled != 0 {
 		t.Fatalf("completed %d/%d jobs, %d doubled (faults %+v)", completed, jobs, doubled, ft.Stats())
 	}

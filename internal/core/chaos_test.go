@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"database/sql"
 	"fmt"
 	mrand "math/rand"
 	"os"
@@ -341,11 +342,7 @@ func TestChaosTortureExactlyOnce(t *testing.T) {
 
 	// Exactly once: every job has one completed history row, no job was
 	// double-completed, the queue drained, and accounting agrees.
-	var doubled int
-	cas.Pool.QueryRow(`SELECT count(*) FROM (
-		SELECT job_id FROM job_history WHERE outcome = 'completed' GROUP BY job_id HAVING count(*) > 1
-	)`).Scan(&doubled)
-	if doubled != 0 {
+	if doubled := doubledCompletions(t, cas.Pool); doubled != 0 {
 		t.Fatalf("seed=%d: %d jobs completed more than once", seed, doubled)
 	}
 	if got := completedCount(); got != jobs {
@@ -385,4 +382,23 @@ func TestChaosTortureExactlyOnce(t *testing.T) {
 
 	cas.Close()
 	eng.Close()
+}
+
+// doubledCompletions counts the jobs with more than one 'completed'
+// history row: the exactly-once violation the chaos suites exist to catch.
+func doubledCompletions(t *testing.T, db *sql.DB) int {
+	t.Helper()
+	rows, err := db.Query(`SELECT job_id FROM job_history WHERE outcome = 'completed' GROUP BY job_id HAVING count(*) > 1`)
+	if err != nil {
+		t.Fatalf("counting doubled completions: %v", err)
+	}
+	defer rows.Close()
+	n := 0
+	for rows.Next() {
+		n++
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatalf("counting doubled completions: %v", err)
+	}
+	return n
 }

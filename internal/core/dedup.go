@@ -69,25 +69,19 @@ func (s *Service) lookupReply(ctx context.Context, key string) ([]byte, bool, er
 }
 
 // keyedHandler wraps a typed service method with idempotency-key dedup.
-// Unkeyed envelopes dispatch exactly like wire.Typed.
+// Unkeyed envelopes dispatch exactly like wire.Typed, which also compiles
+// both message types' codecs when the handler is built.
 func keyedHandler[Req any, Resp any](s *Service, fn func(context.Context, *Req) (*Resp, error)) wire.Handler {
+	typed := wire.Typed(fn)
 	return func(ctx context.Context, env *wire.Envelope) (any, error) {
 		if env.Key == "" {
-			req := new(Req)
-			if err := wire.DecodePayload(env, req); err != nil {
-				return nil, err
-			}
-			return fn(ctx, req)
+			return typed(ctx, env)
 		}
 		if payload, hit, err := s.lookupReply(ctx, env.Key); err == nil && hit {
 			s.replays.Add(1)
 			return wire.RawPayload(payload), nil
 		}
-		req := new(Req)
-		if err := wire.DecodePayload(env, req); err != nil {
-			return nil, err
-		}
-		resp, err := fn(withPendingReply(ctx, env.Key, env.Action), req)
+		resp, err := typed(withPendingReply(ctx, env.Key, env.Action), env)
 		if err != nil {
 			// A concurrent or prior execution of this key may have won the
 			// reply row's unique constraint, rolling this execution back:

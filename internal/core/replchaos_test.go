@@ -192,11 +192,7 @@ func TestReplChaosLeaderKillPromote(t *testing.T) {
 
 	// Exactly once on the surviving timeline: every job completed, none
 	// twice, the queue drained, and accounting agrees.
-	var doubled int
-	primary.cas.Pool.QueryRow(`SELECT count(*) FROM (
-		SELECT job_id FROM job_history WHERE outcome = 'completed' GROUP BY job_id HAVING count(*) > 1
-	)`).Scan(&doubled)
-	if doubled != 0 {
+	if doubled := doubledCompletions(t, primary.cas.Pool); doubled != 0 {
 		t.Fatalf("seed=%d: %d jobs completed more than once after failover", seed, doubled)
 	}
 	if got := completedCount(); got != jobs {

@@ -377,7 +377,15 @@ func (q *query) chooseAccess(i int, usable []Expr, canEval func(Expr) bool) acce
 			}
 		}
 	}
-	if len(eqByCol) == 0 && len(loByCol) == 0 && len(hiByCol) == 0 {
+	// An index that serves no predicate can still be worth scanning for
+	// its order: under a LIMIT the top-K early stop in runPlain then reads
+	// K rows (plus filtered-out ones) where a seq scan materialises and
+	// sorts the table. That holds for lock-free snapshot reads only — a
+	// locked read would trade one table S lock for a row lock per visited
+	// row — so the index loop below runs for both, and a locked read whose
+	// best path turns out order-only falls back to the seq scan.
+	orderOnly := q.orderable && q.stmt.Limit != nil
+	if len(eqByCol) == 0 && len(loByCol) == 0 && len(hiByCol) == 0 && !orderOnly {
 		return accessPlan{}
 	}
 	var best accessPlan
@@ -422,11 +430,11 @@ func (q *query) chooseAccess(i int, usable []Expr, canEval func(Expr) bool) acce
 		// Order-providing scans: when the ORDER BY's leading items name this
 		// table's index columns immediately after the equality prefix, all in
 		// one direction, the index emits rows in (reverse) ORDER BY order.
-		// Only considered when this index also serves a predicate (eq prefix
-		// or range bound): a pure ordered scan would trade one table S lock
-		// for a row lock per visited row, and order is worth only a tie-break
-		// in the score — it must never beat a more selective index.
-		if q.orderable && (len(plan.eqExprs) > 0 || plan.loExpr != nil || plan.hiExpr != nil) {
+		// Considered when this index also serves a predicate (eq prefix or
+		// range bound), or when the statement's shape makes order alone worth
+		// having; either way order is only a tie-break in the score — it
+		// must never beat a more selective index.
+		if q.orderable && (len(plan.eqExprs) > 0 || plan.loExpr != nil || plan.hiExpr != nil || orderOnly) {
 			dir := false
 			for oi, item := range q.stmt.OrderBy {
 				pos := len(plan.eqExprs) + oi
@@ -472,6 +480,14 @@ func (q *query) chooseAccess(i int, usable []Expr, canEval func(Expr) bool) acce
 	}
 	if bestScore == 0 {
 		return accessPlan{}
+	}
+	if len(best.eqExprs) == 0 && best.loExpr == nil && best.hiExpr == nil {
+		// Order-only: the one access choice that depends on the read mode,
+		// which a cached plan must therefore remember (checkPlan).
+		q.modeSplit, q.forSnap = true, q.snapRead
+		if !q.snapRead {
+			return accessPlan{}
+		}
 	}
 	return best
 }

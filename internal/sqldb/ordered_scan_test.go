@@ -1,6 +1,8 @@
 package sqldb
 
 import (
+	"context"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -232,6 +234,102 @@ func TestExplainOrderedScan(t *testing.T) {
 	access = rows.Data[0][1].Text()
 	if !strings.Contains(access, "jobs_sp") || !strings.Contains(access, " ORDER") || strings.Contains(access, "REVERSE") {
 		t.Fatalf("access = %q, want forward ordered jobs_sp scan", access)
+	}
+}
+
+// TestExplainOrderOnlyScan: ORDER BY … LIMIT with no predicate any index
+// serves — the queue-status shapes — rides the index that provides the
+// order, but only as a snapshot read. A locked read of the same statement
+// keeps its seq scan (one table S lock, not a row lock per visited row),
+// whichever of the two planned first and holds the statement's plan slot.
+func TestExplainOrderOnlyScan(t *testing.T) {
+	shapes := []struct{ sql, snapshot string }{
+		{`SELECT id FROM jobs ORDER BY id LIMIT ?`, "INDEX SCAN USING pk_jobs () ORDER"},
+		{`SELECT id FROM jobs ORDER BY id DESC LIMIT ?`, "INDEX SCAN USING pk_jobs () ORDER REVERSE"},
+		{`SELECT id FROM jobs WHERE priority = 0.3 ORDER BY id LIMIT ?`, "INDEX SCAN USING pk_jobs () ORDER"},
+		{`SELECT id FROM jobs WHERE priority = 0.3 ORDER BY id DESC LIMIT ?`, "INDEX SCAN USING pk_jobs () ORDER REVERSE"},
+	}
+	for _, lockedFirst := range []bool{false, true} {
+		db, _ := orderedScanFixture(t)
+		explain := func(readOnly bool, sql string) string {
+			t.Helper()
+			tx, err := db.BeginTx(context.Background(), TxOptions{ReadOnly: readOnly})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tx.Rollback()
+			rows, err := tx.Query("EXPLAIN "+sql, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return strings.TrimSuffix(rows.Data[0][1].Text(), " [CACHED]")
+		}
+		for _, sh := range shapes {
+			for round := 0; round < 2; round++ { // the second round plans through the cache
+				for _, readOnly := range []bool{!lockedFirst, lockedFirst} {
+					want := "SEQ SCAN"
+					if readOnly {
+						want = sh.snapshot
+					}
+					if got := explain(readOnly, sh.sql); got != want {
+						t.Errorf("%s (read-only %v, locked first %v, round %d): access %q, want %q",
+							sh.sql, readOnly, lockedFirst, round, got, want)
+					}
+				}
+			}
+		}
+		// Without a LIMIT there is no early stop to pay for the index walk.
+		if got := explain(true, `SELECT id FROM jobs ORDER BY id`); got != "SEQ SCAN" {
+			t.Errorf("no LIMIT: access %q, want SEQ SCAN", got)
+		}
+		db.Close()
+	}
+}
+
+// TestOrderOnlyScanMatchesSeqScan: the ordered snapshot plan and the
+// locked seq-scan-and-sort plan return the same rows — through OFFSET,
+// ties the index order does not break, reverse and mixed directions, and
+// limits past the table.
+func TestOrderOnlyScanMatchesSeqScan(t *testing.T) {
+	db, _ := orderedScanFixture(t)
+	defer db.Close()
+	queries := []struct {
+		sql  string
+		args []any
+	}{
+		{`SELECT id, state FROM jobs ORDER BY id LIMIT ?`, []any{7}},
+		{`SELECT id, state FROM jobs ORDER BY id DESC LIMIT ? OFFSET ?`, []any{7, 5}},
+		{`SELECT id FROM jobs WHERE priority = 0.3 ORDER BY id LIMIT ? OFFSET ?`, []any{4, 3}},
+		{`SELECT id FROM jobs WHERE priority = 0.3 ORDER BY id DESC LIMIT ?`, []any{1000}},
+		{`SELECT id FROM jobs WHERE priority = 9.9 ORDER BY id LIMIT ?`, []any{3}},
+		{`SELECT id, state FROM jobs ORDER BY state, id LIMIT ? OFFSET ?`, []any{9, 130}},
+		{`SELECT id FROM jobs ORDER BY state, priority DESC, id LIMIT ? OFFSET ?`, []any{20, 60}},
+		{`SELECT id FROM jobs ORDER BY state DESC, priority DESC, id DESC LIMIT ?`, []any{15}},
+		{`SELECT id FROM jobs ORDER BY id LIMIT ?`, []any{0}},
+		{`SELECT id FROM jobs ORDER BY id LIMIT ?`, []any{1000}},
+	}
+	for _, qu := range queries {
+		var got [2]*Rows
+		for i, readOnly := range []bool{true, false} {
+			tx, err := db.BeginTx(context.Background(), TxOptions{ReadOnly: readOnly})
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := tx.Query("EXPLAIN "+qu.sql, qu.args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if indexed := strings.HasPrefix(plan.Data[0][1].Text(), "INDEX SCAN"); indexed != readOnly {
+				t.Fatalf("%s (read-only %v): access %q", qu.sql, readOnly, plan.Data[0][1].Text())
+			}
+			if got[i], err = tx.Query(qu.sql, qu.args...); err != nil {
+				t.Fatal(err)
+			}
+			tx.Rollback()
+		}
+		if !reflect.DeepEqual(got[0].Data, got[1].Data) {
+			t.Errorf("%s %v:\n ordered scan %v\n     seq scan %v", qu.sql, qu.args, got[0].Data, got[1].Data)
+		}
 	}
 }
 

@@ -146,6 +146,10 @@ type selectPlan struct {
 	// maxIndexTS is the newest createdTS among the plan's chosen
 	// indexes; snapshots older than it must not execute this plan.
 	maxIndexTS uint64
+	// modeSplit marks a statement whose access path differs between
+	// snapshot and locked reads (an order-only index scan, chooseAccess);
+	// forSnap says which of the two this plan is.
+	modeSplit, forSnap bool
 	// cacheable is false when the plan embeds a decision private to one
 	// execution — today, skipping an index invisible to the planning
 	// snapshot (sawInvisible). Such plans are used once and discarded.
@@ -193,6 +197,14 @@ func (db *DB) checkPlan(p *selectPlan, snapRead bool, snapTS uint64) planCheckRe
 		}
 	}
 	if snapRead && snapTS < p.maxIndexTS {
+		return planBypass
+	}
+	if p.modeSplit && p.forSnap != snapRead {
+		// The slot goes to the snapshot plan — the monitoring read the
+		// ordered scan exists for; locked reads plan past it.
+		if snapRead {
+			return planStale
+		}
 		return planBypass
 	}
 	return planHit

@@ -15,13 +15,15 @@ package wire
 import (
 	"bytes"
 	"context"
-	"encoding/xml"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -32,8 +34,13 @@ import (
 // response instead of re-executing the action. Sent is the client's send
 // timestamp (Unix milliseconds); admission control uses it to shed
 // requests that aged out in flight rather than queue them.
+//
+// A decoded Envelope's Payload aliases the bytes it was decoded from. On
+// the server those are a pooled request buffer: the envelope and its
+// payload are valid until the handler returns, and a handler that keeps
+// either copies it.
 type Envelope struct {
-	XMLName xml.Name `xml:"Envelope"`
+	XMLName struct{} `xml:"Envelope"`
 	Action  string   `xml:"action,attr"`
 	Key     string   `xml:"idem,attr,omitempty"`
 	Sent    int64    `xml:"sent,attr,omitempty"`
@@ -48,7 +55,7 @@ type Envelope struct {
 // should redirect writes to (empty when the rejecting follower does not
 // currently know a leader).
 type Fault struct {
-	XMLName      xml.Name `xml:"Fault"`
+	XMLName      struct{} `xml:"Fault"`
 	Code         string   `xml:"Code"`
 	Message      string   `xml:"Message"`
 	RetryAfterMs int64    `xml:"RetryAfterMs,omitempty"`
@@ -76,24 +83,124 @@ func AsFault(err error) (*Fault, bool) {
 // the response envelope verbatim instead of being re-marshalled.
 type RawPayload []byte
 
-// Encode marshals an action and payload into envelope bytes.
-func Encode(action string, payload any) ([]byte, error) {
-	return encodeEnvelope(action, "", 0, payload)
+// maxBody bounds an envelope in either direction. A larger body is
+// refused whole (HTTP 413) rather than cut short and mis-decoded.
+const maxBody = 16 << 20
+
+// A buffer is a pooled byte buffer that envelopes are encoded into and
+// bodies read into. Whoever takes one releases it once nothing — no
+// decoded Envelope, no HTTP transport — can still be looking at its bytes.
+type buffer struct {
+	b    []byte
+	env  Envelope     // frame header scratch, so encoding one allocates nothing
+	refs atomic.Int32 // holders; the last release pools the buffer
 }
 
-// encodeEnvelope marshals the full frame, including the optional
-// idempotency key and send timestamp.
-func encodeEnvelope(action, key string, sent int64, payload any) ([]byte, error) {
-	inner, err := MarshalPayload(payload)
-	if err != nil {
-		return nil, fmt.Errorf("wire: marshal payload for %s: %w", action, err)
+var buffers = sync.Pool{New: func() any { return new(buffer) }}
+
+// maxPooledBuffer keeps the odd huge envelope from pinning its buffer.
+const maxPooledBuffer = 1 << 20
+
+func newBuffer() *buffer {
+	b := buffers.Get().(*buffer)
+	b.refs.Store(1)
+	return b
+}
+
+func (b *buffer) release() {
+	if b.refs.Add(-1) == 0 && cap(b.b) <= maxPooledBuffer {
+		b.b = b.b[:0]
+		buffers.Put(b)
 	}
-	env := Envelope{Action: action, Key: key, Sent: sent, Payload: inner}
-	out, err := xml.Marshal(env)
-	if err != nil {
-		return nil, fmt.Errorf("wire: marshal envelope for %s: %w", action, err)
+}
+
+// encode appends the envelope framing payload.
+func (b *buffer) encode(action, key string, sent int64, payload any) error {
+	b.env = Envelope{Action: action, Key: key, Sent: sent}
+	b.b = envelopeCodec.appendStart(b.b, envelopeCodec.name, reflect.ValueOf(&b.env).Elem())
+	b.env = Envelope{}
+	var err error
+	if b.b, err = appendPayload(b.b, payload); err != nil {
+		return fmt.Errorf("wire: encode %s: %w", action, err)
 	}
-	return out, nil
+	b.b = appendTag(b.b, "</", envelopeCodec.name)
+	return nil
+}
+
+// encodeFault appends a Fault envelope.
+func (b *buffer) encodeFault(f *Fault) {
+	_ = b.encode("Fault", "", 0, f) // cannot fail: Fault's codec compiled when the package loaded
+}
+
+// read replaces the buffer's contents with r's: exactly n bytes when the
+// length is known, everything up to EOF when n is negative.
+func (b *buffer) read(r io.Reader, n int64) error {
+	if n >= 0 {
+		b.b = slices.Grow(b.b[:0], int(n))[:n]
+		_, err := io.ReadFull(r, b.b)
+		return err
+	}
+	b.b = b.b[:0]
+	for {
+		b.b = slices.Grow(b.b, 512)
+		m, err := r.Read(b.b[len(b.b):cap(b.b)])
+		b.b = b.b[:len(b.b)+m]
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// body returns an HTTP request body reading the buffer, and holding it
+// until closed: net/http promises only that the transport closes a
+// request body when it is done with it, which can be after Do returns.
+func (b *buffer) body() io.ReadCloser {
+	b.refs.Add(1)
+	rb := &requestBody{buf: b}
+	rb.Reset(b.b)
+	return rb
+}
+
+type requestBody struct {
+	bytes.Reader
+	buf    *buffer
+	closed atomic.Bool
+}
+
+func (r *requestBody) Close() error {
+	if !r.closed.Swap(true) {
+		r.buf.release()
+	}
+	return nil
+}
+
+var (
+	envelopeCodec = mustCodec(reflect.TypeFor[Envelope]())
+	_             = mustCodec(reflect.TypeFor[Fault]())
+)
+
+// mustCodec compiles t's codec, panicking when its tags are outside the
+// codec's vocabulary — a programming error that should stop the process
+// at start-up, not surface per request.
+func mustCodec(t reflect.Type) *codec {
+	c, err := codecFor(t)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// Encode marshals an action and payload into envelope bytes.
+func Encode(action string, payload any) ([]byte, error) {
+	b := newBuffer()
+	defer b.release()
+	if err := b.encode(action, "", 0, payload); err != nil {
+		return nil, err
+	}
+	return bytes.Clone(b.b), nil
 }
 
 // MarshalPayload encodes a payload value exactly as it would appear
@@ -103,13 +210,19 @@ func MarshalPayload(payload any) ([]byte, error) {
 	if raw, ok := payload.(RawPayload); ok {
 		return raw, nil
 	}
-	return xml.Marshal(payload)
+	b := newBuffer()
+	defer b.release()
+	var err error
+	if b.b, err = appendPayload(b.b, payload); err != nil {
+		return nil, err
+	}
+	return bytes.Clone(b.b), nil
 }
 
-// Decode unmarshals envelope bytes.
+// Decode unmarshals envelope bytes. The envelope's Payload aliases data.
 func Decode(data []byte) (*Envelope, error) {
 	var env Envelope
-	if err := xml.Unmarshal(data, &env); err != nil {
+	if err := decodeElement(data, &env); err != nil {
 		return nil, fmt.Errorf("wire: bad envelope: %w", err)
 	}
 	if env.Action == "" {
@@ -118,9 +231,11 @@ func Decode(data []byte) (*Envelope, error) {
 	return &env, nil
 }
 
-// DecodePayload unmarshals an envelope's payload into out.
+// DecodePayload unmarshals an envelope's payload into out, a pointer to
+// a message struct. Decoded strings are copies; nothing in out refers to
+// the envelope afterwards.
 func DecodePayload(env *Envelope, out any) error {
-	if err := xml.Unmarshal(env.Payload, out); err != nil {
+	if err := decodeElement(env.Payload, out); err != nil {
 		return fmt.Errorf("wire: bad %s payload: %w", env.Action, err)
 	}
 	return nil
@@ -175,40 +290,55 @@ func (m *Mux) Actions() []string {
 // on error). Cancellation and deadline faults carry their own codes so
 // clients can tell a timed-out call from a failed one.
 func (m *Mux) Dispatch(ctx context.Context, data []byte) []byte {
+	out := newBuffer()
+	defer out.release()
+	m.dispatch(ctx, data, out)
+	return bytes.Clone(out.b)
+}
+
+// dispatch is Dispatch with the response envelope appended to out. The
+// request envelope aliases data, which must stay untouched until
+// dispatch returns.
+func (m *Mux) dispatch(ctx context.Context, data []byte, out *buffer) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	env, err := Decode(data)
 	if err != nil {
-		return mustEncodeFault("BadEnvelope", err)
+		out.encodeFault(&Fault{Code: "BadEnvelope", Message: err.Error()})
+		return
 	}
 	m.mu.RLock()
 	h, ok := m.handlers[env.Action]
 	g := m.gate
 	m.mu.RUnlock()
 	if !ok {
-		return mustEncodeFault("UnknownAction", fmt.Errorf("wire: no handler for action %q", env.Action))
+		out.encodeFault(&Fault{Code: "UnknownAction", Message: fmt.Sprintf("wire: no handler for action %q", env.Action)})
+		return
 	}
 	if g != nil {
 		release, fault := g.enter(ctx, env)
 		if fault != nil {
-			return encodeFault(fault)
+			out.encodeFault(fault)
+			return
 		}
 		defer release()
 	}
 	resp, err := h(ctx, env)
-	if err != nil {
-		var f *Fault
-		if errors.As(err, &f) {
-			return encodeFault(f)
+	if err == nil {
+		mark := len(out.b)
+		if err = out.encode(env.Action+"Response", "", 0, resp); err == nil {
+			return
 		}
-		return mustEncodeFault(faultCode(err), err)
+		out.b = out.b[:mark]
+		out.encodeFault(&Fault{Code: "EncodeError", Message: err.Error()})
+		return
 	}
-	out, err := Encode(env.Action+"Response", resp)
-	if err != nil {
-		return mustEncodeFault("EncodeError", err)
+	var f *Fault
+	if !errors.As(err, &f) {
+		f = &Fault{Code: faultCode(err), Message: err.Error()}
 	}
-	return out
+	out.encodeFault(f)
 }
 
 // faultCode classifies a handler error for the fault envelope.
@@ -222,25 +352,12 @@ func faultCode(err error) string {
 	return "ServiceError"
 }
 
-func mustEncodeFault(code string, err error) []byte {
-	return encodeFault(&Fault{Code: code, Message: err.Error()})
-}
-
-func encodeFault(f *Fault) []byte {
-	out, encErr := Encode("Fault", f)
-	if encErr != nil {
-		// A Fault always marshals; this is unreachable, but never panic in
-		// a network-facing path.
-		return []byte(`<Envelope action="Fault"><Fault><Code>EncodeError</Code></Fault></Envelope>`)
-	}
-	return out
-}
-
 // ServeHTTP implements http.Handler: POST an envelope, receive an
 // envelope. The handler context is the request's, narrowed by the
 // caller's deadline header when present — the server honors whichever
 // budget the client declared, so in-flight statements are cancelled the
-// moment the caller stops waiting.
+// moment the caller stops waiting. A body over maxBody is refused with
+// 413 before it is read.
 func (m *Mux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "wire endpoint accepts POST only", http.StatusMethodNotAllowed)
@@ -254,21 +371,43 @@ func (m *Mux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			defer cancel()
 		}
 	}
-	data, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if r.ContentLength > maxBody {
+		http.Error(w, errBodyTooLarge.Error(), http.StatusRequestEntityTooLarge)
 		return
 	}
-	resp := m.Dispatch(ctx, data)
+	req := newBuffer()
+	defer req.release()
+	body := io.Reader(r.Body)
+	if r.ContentLength < 0 { // chunked: the length shows only as it arrives
+		body = http.MaxBytesReader(w, r.Body, maxBody)
+	}
+	if err := req.read(body, r.ContentLength); err != nil {
+		status := http.StatusBadRequest
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), status)
+		return
+	}
+	resp := newBuffer()
+	defer resp.release()
+	m.dispatch(ctx, req.b, resp)
 	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
-	w.Write(resp)
+	w.Header().Set("Content-Length", strconv.Itoa(len(resp.b)))
+	w.Write(resp.b)
 }
+
+var errBodyTooLarge = fmt.Errorf("wire: body exceeds %d bytes", maxBody)
 
 // Typed adapts a strongly typed handler function to a Handler. Req is
 // decoded from the payload; the response is marshalled by the mux. The
 // exchange context flows through to the service method, which threads it
-// into its container transaction.
+// into its container transaction. Both message types are compiled here,
+// so one with a tag the codec does not support panics when the handler
+// is registered, not when the first request arrives.
 func Typed[Req any, Resp any](fn func(context.Context, *Req) (*Resp, error)) Handler {
+	mustCodec(reflect.TypeFor[Req]())
+	mustCodec(reflect.TypeFor[Resp]())
 	return func(ctx context.Context, env *Envelope) (any, error) {
 		req := new(Req)
 		if err := DecodePayload(env, req); err != nil {
@@ -288,7 +427,8 @@ type Caller interface {
 	Call(ctx context.Context, action string, req, resp any) error
 }
 
-// decodeResponse handles the shared fault/response branching.
+// decodeResponse handles the shared fault/response branching. Nothing it
+// returns or fills in refers to data afterwards.
 func decodeResponse(action string, data []byte, resp any) error {
 	env, err := Decode(data)
 	if err != nil {
@@ -340,13 +480,15 @@ type Client struct {
 
 // Call implements Caller over HTTP POST. Non-2xx statuses surface as
 // typed *Fault values (code "HTTP<status>") rather than opaque errors,
-// so callers branch on them exactly like service faults.
+// so callers branch on them exactly like service faults; so does a reply
+// over maxBody ("ReplyTooLarge"), which is not retried.
 func (c *Client) Call(ctx context.Context, action string, req, resp any) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	data, err := encodeEnvelope(action, IdempotencyKeyFromContext(ctx), time.Now().UnixMilli(), req)
-	if err != nil {
+	out := newBuffer()
+	defer out.release()
+	if err := out.encode(action, IdempotencyKeyFromContext(ctx), time.Now().UnixMilli(), req); err != nil {
 		return err
 	}
 	if _, has := ctx.Deadline(); !has && c.Timeout > 0 {
@@ -354,10 +496,13 @@ func (c *Client) Call(ctx context.Context, action string, req, resp any) error {
 		ctx, cancel = context.WithTimeout(ctx, c.Timeout)
 		defer cancel()
 	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.URL, bytes.NewReader(data))
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.URL, nil)
 	if err != nil {
 		return fmt.Errorf("wire: POST %s: %w", c.URL, err)
 	}
+	httpReq.Body = out.body()
+	httpReq.GetBody = func() (io.ReadCloser, error) { return out.body(), nil }
+	httpReq.ContentLength = int64(len(out.b))
 	httpReq.Header.Set("Content-Type", "text/xml; charset=utf-8")
 	if dl, has := ctx.Deadline(); has {
 		if ms := time.Until(dl).Milliseconds(); ms > 0 {
@@ -373,21 +518,31 @@ func (c *Client) Call(ctx context.Context, action string, req, resp any) error {
 		return fmt.Errorf("wire: POST %s: %w", c.URL, err)
 	}
 	defer httpResp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(httpResp.Body, 16<<20))
-	if err != nil {
-		return err
-	}
+	in := newBuffer()
+	defer in.release()
 	if httpResp.StatusCode < 200 || httpResp.StatusCode > 299 {
-		msg := string(body)
-		if len(msg) > 512 {
-			msg = msg[:512]
-		}
+		in.read(io.LimitReader(httpResp.Body, 512), -1) // best effort: whatever arrived words the fault
 		return &Fault{
 			Code:    fmt.Sprintf("HTTP%d", httpResp.StatusCode),
-			Message: fmt.Sprintf("POST %s: %s: %s", c.URL, httpResp.Status, msg),
+			Message: fmt.Sprintf("POST %s: %s: %s", c.URL, httpResp.Status, in.b),
 		}
 	}
-	return decodeResponse(action, body, resp)
+	n := httpResp.ContentLength
+	tooLarge := n > maxBody
+	if !tooLarge {
+		body := io.Reader(httpResp.Body)
+		if n < 0 { // chunked: one byte past the bound tells too large from just fits
+			body = io.LimitReader(body, maxBody+1)
+		}
+		if err := in.read(body, n); err != nil {
+			return fmt.Errorf("wire: POST %s: reading reply: %w", c.URL, err)
+		}
+		tooLarge = len(in.b) > maxBody
+	}
+	if tooLarge {
+		return &Fault{Code: "ReplyTooLarge", Message: fmt.Sprintf("POST %s: reply: %v", c.URL, errBodyTooLarge)}
+	}
+	return decodeResponse(action, in.b, resp)
 }
 
 // Local is an in-process Caller that still round-trips every message
@@ -405,13 +560,16 @@ type Local struct {
 
 // Call implements Caller.
 func (l *Local) Call(ctx context.Context, action string, req, resp any) error {
-	data, err := encodeEnvelope(action, IdempotencyKeyFromContext(ctx), time.Now().UnixMilli(), req)
-	if err != nil {
+	out := newBuffer()
+	defer out.release()
+	if err := out.encode(action, IdempotencyKeyFromContext(ctx), time.Now().UnixMilli(), req); err != nil {
 		return err
 	}
-	out := l.Mux.Dispatch(ctx, data)
+	in := newBuffer()
+	defer in.release()
+	l.Mux.dispatch(ctx, out.b, in)
 	if l.OnCall != nil {
-		l.OnCall(action, len(data), len(out))
+		l.OnCall(action, len(out.b), len(in.b))
 	}
-	return decodeResponse(action, out, resp)
+	return decodeResponse(action, in.b, resp)
 }

@@ -3,6 +3,8 @@ package wire
 import (
 	"context"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -181,5 +183,69 @@ func TestPropertyEnvelopeRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An envelope over maxBody is refused whole, in either direction, with a
+// typed fault that is not retried — not cut to size and mis-decoded.
+func TestOversizeRequestRejected(t *testing.T) {
+	mux := NewMux()
+	mux.Handle("ping", Typed(func(_ context.Context, req *pingReq) (*pingResp, error) {
+		return &pingResp{Doubled: len(req.Name)}, nil
+	}))
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	client := &Client{URL: srv.URL}
+	big := strings.Repeat("x", maxBody+1)
+
+	err := client.Call(context.Background(), "ping", &pingReq{Name: big}, &pingResp{})
+	if f, ok := AsFault(err); !ok || f.Code != "HTTP413" || Retryable(err) {
+		t.Fatalf("oversize request: err = %.200v, want a terminal HTTP413 fault", err)
+	}
+
+	// Chunked: no Content-Length to refuse by, so the read itself is bounded.
+	body := io.MultiReader(strings.NewReader(`<Envelope action="ping"><pingReq><Name>`), strings.NewReader(big))
+	resp, err := srv.Client().Post(srv.URL, "text/xml", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize chunked request: status %d, want 413", resp.StatusCode)
+	}
+
+	// The bound is inclusive: an envelope of exactly maxBody goes through.
+	frame, _ := Encode("ping", &pingReq{})
+	fits := maxBody - len(frame) - len(` sent="1234567890123"`)
+	var got pingResp
+	if err := client.Call(context.Background(), "ping", &pingReq{Name: big[:fits]}, &got); err != nil || got.Doubled != fits {
+		t.Fatalf("request of exactly maxBody: err = %.200v, server saw a %d-byte name, want %d", err, got.Doubled, fits)
+	}
+	if err := client.Call(context.Background(), "ping", &pingReq{Name: big[:fits+1]}, &got); err == nil {
+		t.Fatal("request one byte over maxBody went through")
+	}
+}
+
+func TestOversizeReplyRejected(t *testing.T) {
+	mux := NewMux()
+	mux.Handle("ping", Typed(func(_ context.Context, req *pingReq) (*pingResp, error) {
+		return &pingResp{Greeting: strings.Repeat("y", maxBody)}, nil
+	}))
+	for name, h := range map[string]http.Handler{
+		"content-length": mux,
+		"chunked": http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, r)
+			w.Write(rec.Body.Bytes()[:1<<20])
+			w.(http.Flusher).Flush() // commits to chunked encoding
+			w.Write(rec.Body.Bytes()[1<<20:])
+		}),
+	} {
+		srv := httptest.NewServer(h)
+		err := (&Client{URL: srv.URL}).Call(context.Background(), "ping", &pingReq{}, &pingResp{})
+		if f, ok := AsFault(err); !ok || f.Code != "ReplyTooLarge" || Retryable(err) {
+			t.Errorf("%s: oversize reply: err = %.200v, want a terminal ReplyTooLarge fault", name, err)
+		}
+		srv.Close()
 	}
 }
