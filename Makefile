@@ -1,12 +1,13 @@
 # CI entry points. `make check` is the default gate: build, vet, full test
-# suite, then a race-detector pass over the concurrency-critical packages
-# (the storage engine's lock manager and the CAS service layer).
+# suite, the allocation budgets, then a race-detector pass over the
+# concurrency-critical packages (the storage engine's lock manager and the
+# CAS service layer).
 
 GO ?= go
 
-.PHONY: check build test race vet fuzz-wire bench-smoke bench-cancel bench-agg bench-overload bench-repl bench-plancache bench-pager race-cancel race-plancache race-pager joinfuzz chaos replchaos replchaos-one clean
+.PHONY: check build test alloc race vet fuzz-wire bench-smoke bench-cancel bench-agg bench-overload bench-repl bench-plancache bench-pager race-cancel race-plancache race-pager joinfuzz chaos replchaos replchaos-one clean
 
-check: build vet test race
+check: build vet test alloc race
 
 build:
 	$(GO) build ./...
@@ -14,6 +15,17 @@ build:
 test:
 	$(GO) test ./...
 
+# The allocation budgets, level by level: a wire round trip, a bare
+# statement, a bean call, a steady Service.Heartbeat. They are compiled out
+# under -race (sync.Pool sheds there), so they get their own uncached run.
+alloc:
+	$(GO) test -count=1 -run Allocs ./internal/sqldb ./internal/beans ./internal/core ./internal/wire
+
+# Whole packages, so the statement path's borrowed-memory suites ride
+# along: results never alias the executor scratch (TestRowsDoNotAliasScratch,
+# TestSQLRowsDoNotAliasScratch) and the lock table is empty, its freelists
+# capped, after a stress of cancels, timeouts and deadlock victims
+# (TestLockTableHygieneUnderStress).
 race:
 	$(GO) test -race -count=1 ./internal/sqldb ./internal/core ./internal/vtime
 

@@ -40,14 +40,100 @@ type field struct {
 	index int    // struct field index
 	pk    bool
 	auto  bool
+	kind  scanKind
+	slot  int // position among the entity's fields of the same kind
 }
 
-// Meta is the mapping of one entity type.
+// scanKind is how a field is read back from a result row: through the
+// sql.Null wrapper of its kind (a NULL column loads as the zero value), or
+// — for any other type — straight into the field.
+type scanKind uint8
+
+const (
+	scanInt scanKind = iota
+	scanFloat
+	scanString
+	scanBool
+	scanTime
+	scanDirect
+	numScanKinds
+)
+
+var timeType = reflect.TypeOf(time.Time{})
+
+func scanKindOf(t reflect.Type) scanKind {
+	switch t.Kind() {
+	case reflect.Int64, reflect.Int, reflect.Int32:
+		return scanInt
+	case reflect.Float64:
+		return scanFloat
+	case reflect.String:
+		return scanString
+	case reflect.Bool:
+		return scanBool
+	}
+	if t == timeType {
+		return scanTime
+	}
+	return scanDirect
+}
+
+// Meta is the mapping of one entity type, with the statement texts every
+// bean operation on it sends compiled once: the paper's "efficient
+// transformations" between bean instances and tuples start with not
+// re-deriving the SQL per call.
 type Meta struct {
+	// Table is the mapped table. It is fixed once the Meta is built (the
+	// statement texts name it); WithTable gives a Meta for another table.
 	Table  string
 	typ    reflect.Type
 	fields []field
 	pks    []field
+	// kinds counts the fields of each scanKind: the size of a scanBuf.
+	kinds [numScanKinds]int
+
+	findSQL, updateSQL, deleteSQL string
+	// selectSQL is "SELECT cols FROM table " — Select appends its suffix.
+	selectSQL string
+	// insertSQL[0] names every column, insertSQL[1] leaves the auto
+	// columns to the database (their fields are zero).
+	insertSQL [2]string
+}
+
+// compile derives the statement texts from the mapping and m.Table.
+func (m *Meta) compile() {
+	var cols, sets, where []string
+	for _, f := range m.fields {
+		cols = append(cols, f.name)
+		if f.pk {
+			where = append(where, f.name+" = ?")
+		} else {
+			sets = append(sets, f.name+" = ?")
+		}
+	}
+	pk := strings.Join(where, " AND ")
+	m.selectSQL = "SELECT " + strings.Join(cols, ", ") + " FROM " + m.Table + " "
+	m.findSQL = m.selectSQL + "WHERE " + pk
+	m.updateSQL = ""
+	if len(sets) > 0 {
+		m.updateSQL = "UPDATE " + m.Table + " SET " + strings.Join(sets, ", ") + " WHERE " + pk
+	}
+	m.deleteSQL = "DELETE FROM " + m.Table + " WHERE " + pk
+	m.insertSQL[0] = m.insertText(func(*field) bool { return false })
+	m.insertSQL[1] = m.insertText(func(f *field) bool { return f.auto })
+}
+
+// insertText renders the INSERT naming every column skip does not leave to
+// the database.
+func (m *Meta) insertText(skip func(*field) bool) string {
+	var cols, marks []string
+	for i := range m.fields {
+		if f := &m.fields[i]; !skip(f) {
+			cols = append(cols, f.name)
+			marks = append(marks, "?")
+		}
+	}
+	return "INSERT INTO " + m.Table + " (" + strings.Join(cols, ", ") + ") VALUES (" + strings.Join(marks, ", ") + ")"
 }
 
 var (
@@ -88,7 +174,9 @@ func MetaOf(sample any) (*Meta, error) {
 		if tag == "-" || !sf.IsExported() {
 			continue
 		}
-		f := field{name: snakeCase(sf.Name), index: i}
+		f := field{name: snakeCase(sf.Name), index: i, kind: scanKindOf(sf.Type)}
+		f.slot = m.kinds[f.kind]
+		m.kinds[f.kind]++
 		if tag != "" {
 			parts := strings.Split(tag, ",")
 			if parts[0] != "" {
@@ -116,6 +204,7 @@ func MetaOf(sample any) (*Meta, error) {
 	if len(m.pks) == 0 {
 		return nil, fmt.Errorf("beans: %s has no primary key field (tag a field with `bean:\"col,pk\"`)", t)
 	}
+	m.compile()
 	metaMu.Lock()
 	metaCache[t] = m
 	metaMu.Unlock()
@@ -126,6 +215,7 @@ func MetaOf(sample any) (*Meta, error) {
 func (m *Meta) WithTable(table string) *Meta {
 	c := *m
 	c.Table = table
+	c.compile()
 	return &c
 }
 
@@ -162,23 +252,34 @@ func Insert(q Querier, entity any) error {
 	if err != nil {
 		return err
 	}
-	var cols []string
-	var marks []string
-	var args []any
+	// An auto field left zero is the database's to assign.
+	unset := func(f *field) bool {
+		fv := v.Field(f.index)
+		return f.auto && fv.Kind() == reflect.Int64 && fv.Int() == 0
+	}
+	args := make([]any, 0, len(m.fields))
 	var autoField *field
+	autos := 0
 	for i := range m.fields {
 		f := &m.fields[i]
-		fv := v.Field(f.index)
-		if f.auto && fv.Kind() == reflect.Int64 && fv.Int() == 0 {
-			autoField = f
-			continue // let the database assign it
+		if f.auto {
+			autos++
 		}
-		cols = append(cols, f.name)
-		marks = append(marks, "?")
-		args = append(args, fv.Interface())
+		if unset(f) {
+			autoField = f
+			continue
+		}
+		args = append(args, v.Field(f.index).Interface())
 	}
-	query := fmt.Sprintf("INSERT INTO %s (%s) VALUES (%s)",
-		m.Table, strings.Join(cols, ", "), strings.Join(marks, ", "))
+	var query string
+	switch len(m.fields) - len(args) {
+	case 0:
+		query = m.insertSQL[0]
+	case autos:
+		query = m.insertSQL[1]
+	default: // several auto fields, only some of them set
+		query = m.insertText(unset)
+	}
 	res, err := q.Exec(query, args...)
 	if err != nil {
 		return err
@@ -198,26 +299,16 @@ func Find(q Querier, entity any) error {
 	if err != nil {
 		return err
 	}
-	var cols []string
-	var dest []any
-	for i := range m.fields {
-		f := &m.fields[i]
-		cols = append(cols, f.name)
-		dest = append(dest, scanTarget(v.Field(f.index)))
-	}
-	where, args := pkWhere(m, v)
-	query := fmt.Sprintf("SELECT %s FROM %s WHERE %s",
-		strings.Join(cols, ", "), m.Table, where)
-	row := q.QueryRow(query, args...)
-	if err := row.Scan(dest...); err != nil {
+	buf := m.newScanBuf()
+	buf.aim(m, v)
+	row := q.QueryRow(m.findSQL, m.pkArgs(make([]any, 0, len(m.pks)), v)...)
+	if err := row.Scan(buf.dest...); err != nil {
 		if errors.Is(err, sql.ErrNoRows) {
 			return ErrNotFound
 		}
 		return err
 	}
-	for i := range m.fields {
-		assignScanned(v.Field(m.fields[i].index), dest[i])
-	}
+	buf.assign(m, v)
 	return nil
 }
 
@@ -227,22 +318,16 @@ func Update(q Querier, entity any) error {
 	if err != nil {
 		return err
 	}
-	var sets []string
-	var args []any
+	if m.updateSQL == "" {
+		return nil // nothing but key fields
+	}
+	args := make([]any, 0, len(m.fields))
 	for i := range m.fields {
-		f := &m.fields[i]
-		if f.pk {
-			continue
+		if f := &m.fields[i]; !f.pk {
+			args = append(args, v.Field(f.index).Interface())
 		}
-		sets = append(sets, f.name+" = ?")
-		args = append(args, v.Field(f.index).Interface())
 	}
-	if len(sets) == 0 {
-		return nil
-	}
-	where, whereArgs := pkWhere(m, v)
-	args = append(args, whereArgs...)
-	res, err := q.Exec(fmt.Sprintf("UPDATE %s SET %s WHERE %s", m.Table, strings.Join(sets, ", "), where), args...)
+	res, err := q.Exec(m.updateSQL, m.pkArgs(args, v)...)
 	if err != nil {
 		return err
 	}
@@ -258,8 +343,7 @@ func Delete(q Querier, entity any) error {
 	if err != nil {
 		return err
 	}
-	where, args := pkWhere(m, v)
-	res, err := q.Exec(fmt.Sprintf("DELETE FROM %s WHERE %s", m.Table, where), args...)
+	res, err := q.Exec(m.deleteSQL, m.pkArgs(make([]any, 0, len(m.pks)), v)...)
 	if err != nil {
 		return err
 	}
@@ -277,30 +361,23 @@ func Select[T any](q Querier, suffix string, args ...any) ([]T, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cols []string
-	for i := range m.fields {
-		cols = append(cols, m.fields[i].name)
-	}
-	query := fmt.Sprintf("SELECT %s FROM %s %s", strings.Join(cols, ", "), m.Table, suffix)
-	rows, err := q.Query(query, args...)
+	rows, err := q.Query(m.selectSQL+suffix, args...)
 	if err != nil {
 		return nil, err
 	}
 	defer rows.Close()
 	var out []T
+	// One set of scan targets serves every row: Scan overwrites them and
+	// assign copies them into the row's own item.
+	buf := m.newScanBuf()
 	for rows.Next() {
 		var item T
 		v := reflect.ValueOf(&item).Elem()
-		dest := make([]any, len(m.fields))
-		for i := range m.fields {
-			dest[i] = scanTarget(v.Field(m.fields[i].index))
-		}
-		if err := rows.Scan(dest...); err != nil {
+		buf.aim(m, v)
+		if err := rows.Scan(buf.dest...); err != nil {
 			return nil, err
 		}
-		for i := range m.fields {
-			assignScanned(v.Field(m.fields[i].index), dest[i])
-		}
+		buf.assign(m, v)
 		out = append(out, item)
 	}
 	return out, rows.Err()
@@ -318,48 +395,92 @@ func metaAndValue(entity any) (*Meta, reflect.Value, error) {
 	return m, v.Elem(), nil
 }
 
-func pkWhere(m *Meta, v reflect.Value) (string, []any) {
-	var parts []string
-	var args []any
-	for _, f := range m.pks {
-		parts = append(parts, f.name+" = ?")
-		args = append(args, v.Field(f.index).Interface())
+// pkArgs appends the entity's primary key values, in the order the
+// compiled WHERE clauses name them.
+func (m *Meta) pkArgs(args []any, v reflect.Value) []any {
+	for i := range m.pks {
+		args = append(args, v.Field(m.pks[i].index).Interface())
 	}
-	return strings.Join(parts, " AND "), args
+	return args
 }
 
-// scanTarget returns a pointer suitable for sql.Rows.Scan given a struct
-// field; nullable kinds go through sql.Null wrappers.
-func scanTarget(fv reflect.Value) any {
-	switch fv.Kind() {
-	case reflect.Int64, reflect.Int, reflect.Int32:
-		return &sql.NullInt64{}
-	case reflect.Float64:
-		return &sql.NullFloat64{}
-	case reflect.String:
-		return &sql.NullString{}
-	case reflect.Bool:
-		return &sql.NullBool{}
-	default:
-		if fv.Type() == reflect.TypeOf(time.Time{}) {
-			return &sql.NullTime{}
+// scanBuf is one call's set of sql.Rows.Scan targets: a sql.Null wrapper
+// per mapped field, grouped by kind so a call allocates one array per kind
+// the entity uses rather than one box per cell per row.
+type scanBuf struct {
+	dest    []any
+	ints    []sql.NullInt64
+	floats  []sql.NullFloat64
+	strings []sql.NullString
+	bools   []sql.NullBool
+	times   []sql.NullTime
+}
+
+func (m *Meta) newScanBuf() *scanBuf {
+	b := &scanBuf{dest: make([]any, len(m.fields))}
+	if n := m.kinds[scanInt]; n > 0 {
+		b.ints = make([]sql.NullInt64, n)
+	}
+	if n := m.kinds[scanFloat]; n > 0 {
+		b.floats = make([]sql.NullFloat64, n)
+	}
+	if n := m.kinds[scanString]; n > 0 {
+		b.strings = make([]sql.NullString, n)
+	}
+	if n := m.kinds[scanBool]; n > 0 {
+		b.bools = make([]sql.NullBool, n)
+	}
+	if n := m.kinds[scanTime]; n > 0 {
+		b.times = make([]sql.NullTime, n)
+	}
+	for i := range m.fields {
+		f := &m.fields[i]
+		switch f.kind {
+		case scanInt:
+			b.dest[i] = &b.ints[f.slot]
+		case scanFloat:
+			b.dest[i] = &b.floats[f.slot]
+		case scanString:
+			b.dest[i] = &b.strings[f.slot]
+		case scanBool:
+			b.dest[i] = &b.bools[f.slot]
+		case scanTime:
+			b.dest[i] = &b.times[f.slot]
 		}
-		return fv.Addr().Interface()
+	}
+	return b
+}
+
+// aim points the targets of fields scanned in place at entity v.
+func (b *scanBuf) aim(m *Meta, v reflect.Value) {
+	if m.kinds[scanDirect] == 0 {
+		return
+	}
+	for i := range m.fields {
+		if f := &m.fields[i]; f.kind == scanDirect {
+			b.dest[i] = v.Field(f.index).Addr().Interface()
+		}
 	}
 }
 
-func assignScanned(fv reflect.Value, src any) {
-	switch s := src.(type) {
-	case *sql.NullInt64:
-		fv.SetInt(s.Int64)
-	case *sql.NullFloat64:
-		fv.SetFloat(s.Float64)
-	case *sql.NullString:
-		fv.SetString(s.String)
-	case *sql.NullBool:
-		fv.SetBool(s.Bool)
-	case *sql.NullTime:
-		fv.Set(reflect.ValueOf(s.Time))
+// assign copies the scanned row into entity v; a NULL column leaves the
+// wrapper, and so the field, zero.
+func (b *scanBuf) assign(m *Meta, v reflect.Value) {
+	for i := range m.fields {
+		f := &m.fields[i]
+		fv := v.Field(f.index)
+		switch f.kind {
+		case scanInt:
+			fv.SetInt(b.ints[f.slot].Int64)
+		case scanFloat:
+			fv.SetFloat(b.floats[f.slot].Float64)
+		case scanString:
+			fv.SetString(b.strings[f.slot].String)
+		case scanBool:
+			fv.SetBool(b.bools[f.slot].Bool)
+		case scanTime:
+			*fv.Addr().Interface().(*time.Time) = b.times[f.slot].Time
+		}
 	}
 }
 

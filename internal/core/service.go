@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"condorj2/internal/beans"
+	"condorj2/internal/sqldb"
 	"condorj2/internal/vtime"
 )
 
@@ -656,24 +657,42 @@ func (s *Service) dropJob(tx *sql.Tx, m *Machine, vm *VM, st VMStatus, now time.
 	return vm.Release(tx)
 }
 
+// credit adds one finished (or dropped) job to its owner's accounting
+// tuple. It is one UPDATE ... SET x = x + ?: an UPDATE's scan takes the
+// tuple's exclusive lock first, where reading the tuple and writing it
+// back would take a shared lock and upgrade it — and two completions for
+// one owner, each holding the shared lock and waiting for the other's,
+// deadlock every time.
 func (s *Service) credit(tx *sql.Tx, owner string, runtimeSec int64, dropped bool) error {
 	acct := &Accounting{Owner: owner}
-	err := beans.Find(tx, acct)
-	if errors.Is(err, beans.ErrNotFound) {
-		acct = &Accounting{Owner: owner}
-		if err := beans.Insert(tx, acct); err != nil {
-			return err
+	if dropped {
+		acct.DroppedJobs = 1
+	} else {
+		acct.CompletedJobs = 1
+		acct.TotalRuntimeSec = runtimeSec
+	}
+	add := func() (bool, error) {
+		res, err := tx.Exec(`UPDATE accounting SET completed_jobs = completed_jobs + ?,
+			dropped_jobs = dropped_jobs + ?, total_runtime_sec = total_runtime_sec + ?
+			WHERE owner = ?`, acct.CompletedJobs, acct.DroppedJobs, acct.TotalRuntimeSec, owner)
+		if err != nil {
+			return false, err
 		}
-	} else if err != nil {
+		n, err := res.RowsAffected()
+		return n > 0, err
+	}
+	if done, err := add(); done || err != nil {
 		return err
 	}
-	if dropped {
-		acct.DroppedJobs++
-	} else {
-		acct.CompletedJobs++
-		acct.TotalRuntimeSec += runtimeSec
+	// The owner's first job: the tuple starts at this credit.
+	err := beans.Insert(tx, acct)
+	var taken *sqldb.UniqueViolationError
+	if errors.As(err, &taken) {
+		// Another completion created the tuple between the two statements;
+		// it is there to add to now.
+		_, err = add()
 	}
-	return beans.Update(tx, acct)
+	return err
 }
 
 // AcceptMatch commits a match: Table 2 step 10 — "CAS deletes match tuple,

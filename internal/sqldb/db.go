@@ -115,7 +115,10 @@ type DB struct {
 	stmtClock []*cachedStmt
 	stmtHand  int
 	closed    atomic.Bool
-	txLive sync.WaitGroup
+	txLive    sync.WaitGroup
+	// scratchPool lends each transaction its statements' working memory
+	// (scratch.go).
+	scratchPool sync.Pool
 
 	// MVCC state. clock is the global commit timestamp generator; commitMu
 	// serializes version stamping with the clock publication so snapshots
@@ -690,6 +693,7 @@ type Rows struct {
 	// Data holds the result rows.
 	Data [][]Value
 	pos  int
+	drv  driverRows // the database/sql cursor over this result (driver.go)
 }
 
 // Next advances the cursor, reporting whether a row is available.
@@ -791,7 +795,7 @@ func (tx *Tx) ExecContext(ctx context.Context, sql string, args ...any) (Result,
 	if err != nil {
 		return Result{}, err
 	}
-	params, err := toValues(args)
+	params, err := tx.toValues(args)
 	if err != nil {
 		return Result{}, err
 	}
@@ -820,7 +824,7 @@ func (tx *Tx) QueryContext(ctx context.Context, sql string, args ...any) (*Rows,
 	default:
 		return nil, fmt.Errorf("sqldb: Query requires a SELECT or EXPLAIN statement")
 	}
-	params, err := toValues(args)
+	params, err := tx.toValues(args)
 	if err != nil {
 		return nil, err
 	}
@@ -865,8 +869,10 @@ func (tx *Tx) execStmtCtx(ctx context.Context, stmt Statement, params []Value) (
 	return res, rows, err
 }
 
-func toValues(args []any) ([]Value, error) {
-	vals := make([]Value, len(args))
+// toValues binds a statement's arguments in the scratch's parameter
+// buffer: valid until the transaction's next statement.
+func (tx *Tx) toValues(args []any) ([]Value, error) {
+	vals := tx.bindParams(len(args))
 	for i, a := range args {
 		v, err := FromGo(a)
 		if err != nil {
@@ -1089,11 +1095,7 @@ func (db *DB) Checkpoint() error {
 	}
 	sort.Strings(names)
 	db.mu.Unlock()
-	want := make(map[string]lockMode, len(names))
-	for _, n := range names {
-		want[n] = lockShared
-	}
-	if err := tx.lockAll(want); err != nil {
+	if err := tx.lockTables(names, lockShared); err != nil {
 		return err
 	}
 	var buf bytes.Buffer

@@ -127,7 +127,7 @@ func (c *conn) BeginTx(ctx context.Context, opts driver.TxOptions) (driver.Tx, e
 		return nil, err
 	}
 	c.tx = tx
-	return &connTx{conn: c}, nil
+	return (*connTx)(c), nil
 }
 
 // IsValid implements driver.Validator so pooled connections are reused.
@@ -208,7 +208,7 @@ func (c *conn) ExecContext(ctx context.Context, query string, args []driver.Name
 	if err != nil {
 		return nil, err
 	}
-	params, err := namedToValues(args)
+	params, err := c.bind(args)
 	if err != nil {
 		return nil, err
 	}
@@ -230,7 +230,7 @@ func (c *conn) QueryContext(ctx context.Context, query string, args []driver.Nam
 	default:
 		return nil, fmt.Errorf("sqldb: Query requires a SELECT or EXPLAIN statement")
 	}
-	params, err := namedToValues(args)
+	params, err := c.bind(args)
 	if err != nil {
 		return nil, err
 	}
@@ -238,26 +238,28 @@ func (c *conn) QueryContext(ctx context.Context, query string, args []driver.Nam
 	if err != nil {
 		return nil, err
 	}
-	return &driverRows{rows: rows}, nil
+	return rows.driver(), nil
 }
 
-type connTx struct{ conn *conn }
+// connTx is the connection seen as its open transaction's driver.Tx: the
+// same value under a second method set, so BeginTx allocates nothing.
+type connTx conn
 
 func (t *connTx) Commit() error {
-	if t.conn.tx == nil {
+	if t.tx == nil {
 		return ErrTxDone
 	}
-	err := t.conn.tx.Commit()
-	t.conn.tx = nil
+	err := t.tx.Commit()
+	t.tx = nil
 	return err
 }
 
 func (t *connTx) Rollback() error {
-	if t.conn.tx == nil {
+	if t.tx == nil {
 		return ErrTxDone
 	}
-	err := t.conn.tx.Rollback()
-	t.conn.tx = nil
+	err := t.tx.Rollback()
+	t.tx = nil
 	return err
 }
 
@@ -296,7 +298,7 @@ func (s *stmt) Query(args []driver.Value) (driver.Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &driverRows{rows: rows}, nil
+	return rows.driver(), nil
 }
 
 type sqlResult struct{ res Result }
@@ -304,9 +306,18 @@ type sqlResult struct{ res Result }
 func (r sqlResult) LastInsertId() (int64, error) { return r.res.LastInsertID, nil }
 func (r sqlResult) RowsAffected() (int64, error) { return r.res.RowsAffected, nil }
 
+// driverRows is the driver.Rows cursor over a materialized result. It
+// lives inside the Rows it reads (Rows.drv), so handing a result to
+// database/sql allocates nothing beyond the result.
 type driverRows struct {
 	rows *Rows
 	pos  int
+}
+
+// driver returns the result's driver.Rows cursor, rewound.
+func (r *Rows) driver() *driverRows {
+	r.drv = driverRows{rows: r}
+	return &r.drv
 }
 
 func (r *driverRows) Columns() []string { return r.rows.Columns }
@@ -349,8 +360,16 @@ func driverToValues(args []driver.Value) ([]Value, error) {
 	return params, nil
 }
 
-func namedToValues(args []driver.NamedValue) ([]Value, error) {
-	params := make([]Value, len(args))
+// bind converts a statement's arguments, borrowing the open transaction's
+// parameter buffer when there is one (an autocommit statement's
+// transaction does not exist yet).
+func (c *conn) bind(args []driver.NamedValue) ([]Value, error) {
+	var params []Value
+	if c.tx != nil {
+		params = c.tx.bindParams(len(args))
+	} else {
+		params = make([]Value, len(args))
+	}
 	for _, a := range args {
 		v, err := FromGo(a.Value)
 		if err != nil {

@@ -54,6 +54,9 @@ type query struct {
 	params []Value
 	env    *evalEnv
 	stats  *StmtStats
+	// sc is the transaction's scratch this execution borrows its buffers
+	// from (scratch.go); nil for the throwaway planning query.
+	sc *txScratch
 	// rowLock is the lock mode taken on each row visited through an index
 	// access path: S for SELECT, X for UPDATE/DELETE targets. Full scans
 	// rely on the table-granularity lock instead and take no row locks.
@@ -93,9 +96,9 @@ type query struct {
 var errStopScan = fmt.Errorf("sqldb: internal: stop scan")
 
 func (tx *Tx) execSelect(s *SelectStmt, params []Value) (*Rows, error) {
-	stats := StmtStats{Kind: "SELECT"}
-	q := &query{tx: tx, params: params, stats: &stats, rowLock: lockShared,
-		snapRead: tx.readOnly, snapTS: tx.snap, cancel: cancelCheck{ctx: tx.ctx}}
+	q := tx.scratch().beginQuery(tx, params, "SELECT", lockShared)
+	q.snapRead, q.snapTS = tx.readOnly, tx.snap
+	stats := q.stats
 	// Deferred so failing statements still report: a grace-degraded build
 	// on a query that later errors is exactly what an operator wants to see.
 	defer func() {
@@ -111,7 +114,7 @@ func (tx *Tx) execSelect(s *SelectStmt, params []Value) (*Rows, error) {
 			tx.db.execAggGroups.Add(q.aggGroups)
 			tx.db.execAggBatches.Add(q.aggBatches)
 		}
-		tx.db.emit(stats)
+		tx.db.emit(*stats)
 	}()
 	if q.snapRead {
 		tx.db.snapshotReads.Add(1)
@@ -123,33 +126,24 @@ func (tx *Tx) execSelect(s *SelectStmt, params []Value) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	q.selectPlan = plan
+	q.bind(plan)
 	stats.UsedIndex = plan.usedIndex
-	q.env = &evalEnv{params: params, now: tx.db.nowFn()}
-	q.env.bindings = make([]binding, len(plan.bindings))
-	for i, b := range plan.bindings {
-		q.env.bindings[i] = binding{alias: b.alias, schema: &b.tbl.schema}
-	}
 
 	// Lock after planning: an index access path only needs intention-shared
 	// on the table (row S locks are taken per visited row), while a full
-	// scan keeps the whole-table shared lock for phantom-free reads.
-	// Snapshot reads take nothing at all — visibility is by timestamp.
-	if len(q.bindings) > 0 && !q.snapRead {
-		want := make(map[string]lockMode, len(q.bindings))
-		for i, b := range q.bindings {
-			name := strings.ToLower(b.tbl.schema.Name)
+	// scan keeps the whole-table shared lock for phantom-free reads. The
+	// footprint was merged and sorted at plan time (consistent acquisition
+	// order across transactions). Snapshot reads take nothing at all —
+	// visibility is by timestamp.
+	if !q.snapRead {
+		for _, pl := range plan.locks {
 			mode := lockShared
-			if q.access[i].index != nil {
+			if pl.indexed {
 				mode = lockIntentShared
 			}
-			if cur, ok := want[name]; ok {
-				mode = mergeMode(cur, mode)
+			if err := tx.lock(pl.table, mode); err != nil {
+				return nil, err
 			}
-			want[name] = mode
-		}
-		if err := tx.lockAll(want); err != nil {
-			return nil, err
 		}
 	}
 
@@ -556,7 +550,7 @@ func (q *query) scanAccess(i int, visit func(rid int64, row []Value) error) erro
 // so push-model consumers (the join pipeline, UPDATE/DELETE target
 // matching) and pull-model ones (hash builds) share one scan operator.
 func (q *query) scanPlan(i int, ap accessPlan, visit func(rid int64, row []Value) error) error {
-	op := scanOp{q: q, bind: i, ap: ap}
+	op := q.scanFor(i, ap)
 	if err := op.Init(); err != nil {
 		return err
 	}
@@ -584,7 +578,6 @@ func (q *query) scanPlan(i int, ap accessPlan, visit func(rid int64, row []Value
 		}
 	}
 }
-
 
 // join runs the single-table scan loop (multi-table statements execute
 // through the planned steps in join.go; see joinLoop).
@@ -702,10 +695,16 @@ func (q *query) orderKeys(outs []Expr) ([]Expr, []int) {
 	return exprs, aliasPos
 }
 
-// runPlain executes a non-aggregated SELECT.
+// runPlain executes a non-aggregated SELECT. Output rows are allocated —
+// they are the result; the collection they are sorted and cut in, and
+// their ORDER BY keys, are the scratch's.
 func (q *query) runPlain(outs []Expr) ([][]Value, error) {
-	var rows []sortableRow
-	orderExprs, aliasPos := q.orderKeys(outs)
+	sc := q.sc
+	rows, keyArena := sc.collected, sc.sortKeys
+	defer func() {
+		sc.collected, sc.sortKeys = reuse(rows), reuse(keyArena)
+	}()
+	orderExprs, aliasPos := q.orderExprs, q.orderAlias
 
 	// Early-exit optimization for ORDER-BY-less LIMIT queries.
 	earlyStop := -1
@@ -761,18 +760,21 @@ func (q *query) runPlain(outs []Expr) ([][]Value, error) {
 		}
 		sr := sortableRow{out: out}
 		if len(orderExprs) > 0 {
-			sr.keys = make([]Value, len(orderExprs))
+			// Keys are carved from one growing arena; a regrow leaves
+			// earlier rows' keys on the old array, which they keep alive.
+			base := len(keyArena)
 			for i, e := range orderExprs {
 				if aliasPos[i] >= 0 {
-					sr.keys[i] = out[aliasPos[i]]
+					keyArena = append(keyArena, out[aliasPos[i]])
 					continue
 				}
 				v, err := q.env.eval(e)
 				if err != nil {
 					return err
 				}
-				sr.keys[i] = v
+				keyArena = append(keyArena, v)
 			}
+			sr.keys = keyArena[base:len(keyArena):len(keyArena)]
 		}
 		rows = append(rows, sr)
 		if earlyStop >= 0 && len(rows) >= earlyStop {
@@ -1171,8 +1173,10 @@ func (tx *Tx) execInsert(s *InsertStmt, params []Value) (Result, error) {
 	if tx.readOnly {
 		return Result{}, ErrReadOnly
 	}
-	stats := StmtStats{Kind: "INSERT", Table: s.Table}
-	defer func() { tx.db.emit(stats) }()
+	sc := tx.scratch()
+	stats := &sc.stats
+	*stats = StmtStats{Kind: "INSERT", Table: s.Table}
+	defer func() { tx.db.emit(*stats) }()
 	// Inserts touch only their own fresh rows: intention-exclusive on the
 	// table plus an X lock per inserted rid (taken inside tx.insertRow,
 	// before the row becomes visible to index scans).
@@ -1183,39 +1187,47 @@ func (tx *Tx) execInsert(s *InsertStmt, params []Value) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	cols := s.Columns
-	if len(cols) == 0 {
-		cols = make([]string, len(tbl.schema.Columns))
-		for i, c := range tbl.schema.Columns {
-			cols[i] = c.Name
+	ncol := len(tbl.schema.Columns)
+	// colIdx maps each VALUES position to its column; with no column list
+	// that is the identity.
+	colIdx := sc.setIdx[:0]
+	if len(s.Columns) == 0 {
+		for i := 0; i < ncol; i++ {
+			colIdx = append(colIdx, i)
 		}
 	}
-	colIdx := make([]int, len(cols))
-	for i, c := range cols {
+	for _, c := range s.Columns {
 		ci := tbl.schema.ColumnIndex(c)
 		if ci < 0 {
 			return Result{}, fmt.Errorf("sqldb: table %s has no column %s", s.Table, c)
 		}
-		colIdx[i] = ci
+		colIdx = append(colIdx, ci)
 	}
+	sc.setIdx = colIdx
 	autoCol := -1
 	for i := range tbl.schema.Columns {
 		if tbl.schema.Columns[i].AutoIncrement {
 			autoCol = i
 		}
 	}
-	env := &evalEnv{params: params, now: tx.db.nowFn()}
+	sc.env = evalEnv{params: params, now: tx.db.nowFn()}
+	env := &sc.env
 	check := cancelCheck{ctx: tx.ctx}
 	var res Result
 	for _, exprRow := range s.Rows {
 		if err := check.check(); err != nil {
 			return res, err
 		}
-		if len(exprRow) != len(cols) {
-			return res, fmt.Errorf("sqldb: INSERT has %d values for %d columns", len(exprRow), len(cols))
+		if len(exprRow) != len(colIdx) {
+			return res, fmt.Errorf("sqldb: INSERT has %d values for %d columns", len(exprRow), len(colIdx))
 		}
-		provided := make([]Value, len(tbl.schema.Columns))
-		has := make([]bool, len(tbl.schema.Columns))
+		// provided[i] is column i's supplied value (has[i] set); buildRow
+		// copies them into the row image the table keeps.
+		if cap(sc.provided) < ncol {
+			sc.provided, sc.has = make([]Value, ncol), make([]bool, ncol)
+		}
+		sc.provided, sc.has = reuse(sc.provided)[:ncol], reuse(sc.has)[:ncol]
+		provided, has := sc.provided, sc.has
 		for i, e := range exprRow {
 			v, err := env.eval(e)
 			if err != nil {
@@ -1245,36 +1257,29 @@ func (tx *Tx) execInsert(s *InsertStmt, params []Value) (Result, error) {
 // lock the chosen access path calls for: intention-exclusive (with row X
 // locks during matchTarget) when an index narrows the statement to
 // individual rows, whole-table exclusive for a full scan.
-func (tx *Tx) planTarget(tableName string, where Expr, slot *planSlot, params []Value, stats *StmtStats) (*query, *table, error) {
+func (tx *Tx) planTarget(kind, tableName string, where Expr, slot *planSlot, params []Value) (*query, *table, error) {
+	q := tx.scratch().beginQuery(tx, params, kind, lockExclusive)
+	q.stats.Table = tableName
 	plan, _, err := tx.planTargetPlan(tableName, where, slot)
 	if err != nil {
-		return nil, nil, err
+		return q, nil, err
 	}
-	tbl := plan.bindings[0].tbl
-	q := &query{
-		tx:         tx,
-		selectPlan: plan,
-		params:     params,
-		stats:      stats,
-		rowLock:    lockExclusive,
-		cancel:     cancelCheck{ctx: tx.ctx},
-	}
-	q.env = &evalEnv{params: params, now: tx.db.nowFn()}
-	q.env.bindings = []binding{{alias: plan.bindings[0].alias, schema: &tbl.schema}}
+	q.bind(plan)
+	q.stats.UsedIndex = plan.usedIndex
 	mode := lockExclusive
-	if plan.access[0].index != nil {
+	if plan.locks[0].indexed {
 		mode = lockIntentExclusive
 	}
-	if err := tx.lock(strings.ToLower(tableName), mode); err != nil {
-		return nil, nil, err
+	if err := tx.lock(plan.locks[0].table, mode); err != nil {
+		return q, nil, err
 	}
-	return q, tbl, nil
+	return q, plan.bindings[0].tbl, nil
 }
 
-// matchTarget collects row ids matching WHERE (materialized up front so
-// mutation does not disturb the scan).
-func (q *query) matchTarget(tbl *table) ([]int64, error) {
-	var rids []int64
+// matchTarget collects row ids matching WHERE into the scratch's rid list
+// (materialized up front so mutation does not disturb the scan).
+func (q *query) matchTarget() ([]int64, error) {
+	rids := q.sc.rids[:0]
 	err := q.scanAccess(0, func(rid int64, row []Value) error {
 		q.env.bindings[0].row = row
 		for _, c := range q.filters[0] {
@@ -1289,6 +1294,7 @@ func (q *query) matchTarget(tbl *table) ([]int64, error) {
 		rids = append(rids, rid)
 		return nil
 	})
+	q.sc.rids = rids
 	return rids, err
 }
 
@@ -1296,22 +1302,22 @@ func (tx *Tx) execUpdate(s *UpdateStmt, params []Value) (Result, error) {
 	if tx.readOnly {
 		return Result{}, ErrReadOnly
 	}
-	stats := StmtStats{Kind: "UPDATE", Table: s.Table}
-	defer func() { tx.db.emit(stats) }()
-	q, tbl, err := tx.planTarget(s.Table, s.Where, &s.plan, params, &stats)
+	q, tbl, err := tx.planTarget("UPDATE", s.Table, s.Where, &s.plan, params)
+	stats := q.stats
+	defer func() { tx.db.emit(*stats) }()
 	if err != nil {
 		return Result{}, err
 	}
-	stats.UsedIndex = q.usedIndex
-	setIdx := make([]int, len(s.Sets))
-	for i, set := range s.Sets {
+	setIdx := q.sc.setIdx[:0]
+	for _, set := range s.Sets {
 		ci := tbl.schema.ColumnIndex(set.Column)
 		if ci < 0 {
 			return Result{}, fmt.Errorf("sqldb: table %s has no column %s", s.Table, set.Column)
 		}
-		setIdx[i] = ci
+		setIdx = append(setIdx, ci)
 	}
-	rids, err := q.matchTarget(tbl)
+	q.sc.setIdx = setIdx
+	rids, err := q.matchTarget()
 	if err != nil {
 		return Result{}, err
 	}
@@ -1356,14 +1362,13 @@ func (tx *Tx) execDelete(s *DeleteStmt, params []Value) (Result, error) {
 	if tx.readOnly {
 		return Result{}, ErrReadOnly
 	}
-	stats := StmtStats{Kind: "DELETE", Table: s.Table}
-	defer func() { tx.db.emit(stats) }()
-	q, tbl, err := tx.planTarget(s.Table, s.Where, &s.plan, params, &stats)
+	q, tbl, err := tx.planTarget("DELETE", s.Table, s.Where, &s.plan, params)
+	stats := q.stats
+	defer func() { tx.db.emit(*stats) }()
 	if err != nil {
 		return Result{}, err
 	}
-	stats.UsedIndex = q.usedIndex
-	rids, err := q.matchTarget(tbl)
+	rids, err := q.matchTarget()
 	if err != nil {
 		return Result{}, err
 	}

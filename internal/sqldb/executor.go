@@ -499,7 +499,7 @@ func (op *hashAggOp) accumRow() error {
 				st.sumF += float64(v.i)
 			case Float:
 				st.isFloat = true
-				st.sumF += v.f
+				st.sumF += v.float()
 			default:
 				return fmt.Errorf("sqldb: %s requires numeric input", strings.ToUpper(in.fc.Name))
 			}

@@ -758,7 +758,7 @@ func (q *query) buildHashInner(k int, st *stepPlan, budget int) (*hashState, err
 	// Pull scan batches directly rather than through the scanPlan push
 	// adapter: the build side is the one consumer with no early-out, so it
 	// takes whole batches as the scan produces them.
-	op := scanOp{q: q, bind: st.bind, ap: st.access}
+	op := q.scanFor(st.bind, st.access)
 	if err := op.Init(); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"sort"
 	"strings"
 	"sync/atomic"
 )
@@ -136,8 +137,18 @@ type selectPlan struct {
 	cols       []string
 	aggregated bool
 	agg        *aggPlan
+	// orderExprs/orderAlias are the resolved ORDER BY items of a
+	// non-aggregated SELECT (orderKeys): the expression per item, and the
+	// output position it sorts by when it names an alias or an ordinal.
+	orderExprs []Expr
+	orderAlias []int
 	// usedIndex mirrors into StmtStats.UsedIndex per execution.
 	usedIndex bool
+	// locks is the statement's table-lock footprint: one entry per
+	// distinct table, sorted by name so every transaction acquires in the
+	// same order. The mode follows from the entry and the statement kind
+	// at execution (IS/S for a read, IX/X for an UPDATE/DELETE target).
+	locks []planLock
 
 	// Cache-validation state.
 	db     *DB
@@ -155,6 +166,35 @@ type selectPlan struct {
 	// snapshot (sawInvisible). Such plans are used once and discarded.
 	cacheable    bool
 	sawInvisible bool
+}
+
+// planLock is one table of a plan's lock footprint. indexed says every
+// scan of the table in this plan goes through an index, so an intention
+// lock on the table plus row locks suffice; one full scan of it and the
+// whole-table mode is needed.
+type planLock struct {
+	table   string
+	indexed bool
+}
+
+// lockFootprint merges the plan's bindings into its sorted table-lock
+// footprint. Runs once per compiled plan, after access paths are chosen.
+func (p *selectPlan) lockFootprint() []planLock {
+	locks := make([]planLock, 0, len(p.bindings))
+bindings:
+	for i, b := range p.bindings {
+		name := strings.ToLower(b.tbl.schema.Name)
+		indexed := p.access[i].index != nil
+		for j := range locks {
+			if locks[j].table == name {
+				locks[j].indexed = locks[j].indexed && indexed
+				continue bindings
+			}
+		}
+		locks = append(locks, planLock{table: name, indexed: indexed})
+	}
+	sort.Slice(locks, func(i, j int) bool { return locks[i].table < locks[j].table })
+	return locks
 }
 
 // planCheckResult classifies a cached plan against the current schema,
@@ -321,12 +361,14 @@ func (tx *Tx) buildSelectPlan(s *SelectStmt, snapRead bool, snapTS uint64) (*sel
 	if err := pq.plan(); err != nil {
 		return nil, err
 	}
+	p.locks = p.lockFootprint()
 	if len(p.bindings) > 0 {
 		outs, cols, err := pq.expandOutputs()
 		if err != nil {
 			return nil, err
 		}
 		p.outs, p.cols = outs, cols
+		p.orderExprs, p.orderAlias = pq.orderKeys(outs)
 		p.aggregated = len(s.GroupBy) > 0 || s.Having != nil
 		for _, o := range outs {
 			if hasAggregate(o) {

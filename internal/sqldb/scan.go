@@ -27,11 +27,10 @@ type scanOp struct {
 	// the cursor ran off the end.
 	done bool
 
-	// Index-scan cursor. prefix is the evaluated equality prefix; the
-	// optional range bound applies to index column kpos. Forward scans
-	// resume from the last collected key (unique thanks to the rid
-	// tiebreaker); reverse scans start at revStart and walk down.
-	prefix         Key
+	// Index-scan cursor. The optional range bound applies to index column
+	// kpos. Forward scans resume from the last collected key (unique
+	// thanks to the rid tiebreaker); reverse scans start at revStart and
+	// walk down.
 	rangeCol       int
 	kpos           int
 	loVal, hiVal   Value
@@ -40,17 +39,60 @@ type scanOp struct {
 	resume         Key
 	skipResume     bool
 	revStart       Key
+	lastIdx        int // which of last[] the current round builds in
 
 	// Full-scan cursor: next slot window base.
 	base int64
 
-	// Per-batch buffers, reused across Next calls: the returned rowBatch
-	// is valid only until the next Next call.
+	batch rowBatch
+	scanBufs
+}
+
+// scanBufs are a scan operator's buffers: the one part of it that
+// outlives a pass, kept by scanFor for the binding's next one.
+type scanBufs struct {
+	// prefix is the evaluated equality prefix; bound backs the seek key
+	// (prefix + range bound). last holds the round's last collected key
+	// while resume still points at the previous round's, so the two
+	// alternate.
+	prefix Key
+	bound  Key
+	last   [2]Key
+	// Per-batch buffers, refilled by every Next call: the returned
+	// rowBatch is valid only until the next one.
 	rids    []int64
 	keys    []Key
 	outRows [][]Value
 	outRids []int64
-	batch   rowBatch
+}
+
+// empty zeroes and truncates every buffer: they point at no row, index
+// key or parameter afterwards.
+func (b *scanBufs) empty() {
+	b.prefix, b.bound = reuse(b.prefix), reuse(b.bound)
+	b.last[0], b.last[1] = reuse(b.last[0]), reuse(b.last[1])
+	b.rids, b.outRids = b.rids[:0], b.outRids[:0]
+	b.keys, b.outRows = reuse(b.keys), reuse(b.outRows)
+}
+
+// scanFor returns binding i's scan operator, reset for one pass over ap.
+// At most one scan per binding is open at a time — a join step re-opens
+// its own per outer row, never a second beside it — so each binding owns
+// one operator, and its buffers, for the whole transaction.
+func (q *query) scanFor(i int, ap accessPlan) *scanOp {
+	op := &q.sc.scans[i]
+	op.empty() // a pass whose Init failed was never Closed
+	*op = scanOp{q: q, bind: i, ap: ap, scanBufs: op.scanBufs}
+	return op
+}
+
+// release empties the operator for the pool, dropping buffers grown past
+// what a pooled scratch may keep.
+func (op *scanOp) release() {
+	*op = scanOp{scanBufs: scanBufs{
+		prefix: keep(op.prefix), bound: keep(op.bound), last: [2]Key{keep(op.last[0]), keep(op.last[1])},
+		rids: keep(op.rids), keys: keep(op.keys), outRows: keep(op.outRows), outRids: keep(op.outRids),
+	}}
 }
 
 // Init evaluates the access path's key expressions against the current
@@ -74,7 +116,7 @@ func (op *scanOp) Init() error {
 		return nil
 	}
 	op.tableName = strings.ToLower(op.tbl.schema.Name)
-	op.prefix = make(Key, len(ap.eqExprs))
+	op.prefix = op.prefix[:0]
 	for j, e := range ap.eqExprs {
 		v, err := q.env.eval(e)
 		if err != nil {
@@ -90,7 +132,7 @@ func (op *scanOp) Init() error {
 			op.done = true // incomparable constant: no matches
 			return nil
 		}
-		op.prefix[j] = cv
+		op.prefix = append(op.prefix, cv)
 	}
 	// Resolve the optional range bounds on the next index column.
 	op.rangeCol = -1
@@ -137,8 +179,7 @@ func (op *scanOp) Init() error {
 	// record-locked only (no next-key locking). Snapshot reads need no
 	// guard: they re-read the same timestamp no matter who writes.
 	if !q.snapRead && ap.index.schema.Unique && len(ap.eqExprs) == len(ap.index.cols) {
-		kt := keyLockTarget(op.tbl.schema.Name, ap.index.schema.Name, op.prefix)
-		if err := q.tx.db.locks.acquire(q.tx.ctx, q.tx, kt, q.rowLock); err != nil {
+		if err := q.tx.db.locks.acquire(q.tx.ctx, q.tx, ap.index.keyLockTarget(op.prefix), q.rowLock); err != nil {
 			return err
 		}
 	}
@@ -154,13 +195,15 @@ func (op *scanOp) Init() error {
 	// Forward scans seek to prefix (+ low bound); reverse scans seek to the
 	// last key under prefix (+ high bound) and walk backward.
 	if !ap.reverse && op.haveLo {
-		op.resume = append(append(Key{}, op.prefix...), op.loVal)
+		op.bound = append(append(op.bound[:0], op.prefix...), op.loVal)
+		op.resume = op.bound
 	} else if !ap.reverse {
 		op.resume = op.prefix
 	}
 	if ap.reverse {
 		if op.haveHi {
-			op.revStart = append(append(Key{}, op.prefix...), op.hiVal)
+			op.bound = append(append(op.bound[:0], op.prefix...), op.hiVal)
+			op.revStart = op.bound
 		} else {
 			op.revStart = op.prefix
 		}
@@ -178,10 +221,15 @@ func (op *scanOp) Next() (*rowBatch, error) {
 	return op.nextIndex()
 }
 
-// Close releases operator state. Scans hold nothing beyond their
-// buffers (locks belong to the transaction), so this is a no-op kept
-// for the batchOp contract.
-func (op *scanOp) Close() {}
+// Close ends the pass. Locks belong to the transaction; what the scan
+// holds is its buffers, which go back empty — pointing at no row, index
+// key or parameter — for the binding's next pass.
+func (op *scanOp) Close() {
+	op.empty()
+	op.resume, op.revStart = nil, nil
+	op.loVal, op.hiVal = Value{}, Value{}
+	op.batch = rowBatch{}
+}
 
 // nextFull produces one batch from the slot-order full scan: rows are
 // materialized under the shared latch in windows of at most
@@ -197,7 +245,7 @@ func (op *scanOp) nextFull() (*rowBatch, error) {
 		if op.done {
 			return nil, nil
 		}
-		op.outRows = op.outRows[:0]
+		op.outRows = reuse(op.outRows)
 		op.outRids = op.outRids[:0]
 		tbl.latch.RLock()
 		n := int64(len(tbl.rows))
@@ -260,8 +308,8 @@ func (op *scanOp) nextIndex() (*rowBatch, error) {
 			return nil, nil
 		}
 		op.rids = op.rids[:0]
-		op.keys = op.keys[:0]
-		var lastKey Key
+		op.keys = reuse(op.keys)
+		lastKey := reuse(op.last[op.lastIdx])
 		exhausted := true
 		collect := func(k Key, rid int64) bool {
 			if op.skipResume && compareKeys(k, op.resume) == 0 {
@@ -322,10 +370,14 @@ func (op *scanOp) nextIndex() (*rowBatch, error) {
 		tbl.latch.RUnlock()
 		// Advance the cursor before resolving rows, so an error mid-batch
 		// leaves the operator consistent.
+		op.last[op.lastIdx] = lastKey
 		if exhausted {
 			op.done = true
 		} else {
-			op.resume = lastKey // freshly built per round: never aliased
+			// The next round builds its last key in the other buffer while
+			// comparing against this one.
+			op.resume = lastKey
+			op.lastIdx ^= 1
 			op.skipResume = true
 			if op.scanBatch < maxScanBatch {
 				op.scanBatch *= 2
@@ -334,7 +386,7 @@ func (op *scanOp) nextIndex() (*rowBatch, error) {
 				}
 			}
 		}
-		op.outRows = op.outRows[:0]
+		op.outRows = reuse(op.outRows)
 		op.outRids = op.outRids[:0]
 		for bi, rid := range op.rids {
 			if err := q.cancel.check(); err != nil {

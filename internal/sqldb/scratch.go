@@ -1,0 +1,179 @@
+package sqldb
+
+import "bytes"
+
+// Borrowed working memory for the statement path.
+//
+// The rule: a statement allocates what it hands back — the *Rows and its
+// rows, an inserted or updated row image (the version store keeps it), the
+// WAL bytes a flush publishes — and borrows everything else. The lender is
+// txScratch: one per transaction, taken from a pool on the DB at the
+// transaction's first statement and returned in Tx.finish, the one place a
+// transaction becomes done. It carries the per-statement state (the query,
+// its evaluation environment, one scan operator per plan step with its
+// batch buffers, the DML rid list, the bound parameters, the key-lock and
+// WAL encode buffers) and the per-transaction footprint (locks taken, undo,
+// redo, versions to stamp).
+//
+// Lifetimes: statement state is valid until the next statement on the same
+// Tx — a Tx runs one statement at a time, so nothing else can be reading
+// it; transaction state until finish. Nothing reachable from a *Rows or a
+// Result may point into a scratch: result rows are fresh slices, column
+// names belong to the immutable plan. Values are copied by value; the
+// strings and version rows they reference are immutable and owned
+// elsewhere.
+
+// scratchKeep bounds, in elements, the buffers a scratch takes back to the
+// pool. A statement that scanned or returned far more than the usual
+// handful of rows grows its buffers for itself; keeping them would park
+// that one statement's high-water mark on the heap behind every pooled
+// scratch (heap_live_mb is a gated cost).
+const scratchKeep = 1024
+
+type txScratch struct {
+	// Statement state, reset by beginQuery.
+	q          query
+	env        evalEnv
+	stats      StmtStats
+	bindings   []binding
+	params     []Value
+	scans      []scanOp
+	collected  []sortableRow // runPlain's rows awaiting sort and limit
+	sortKeys   []Value       // arena behind collected[i].keys
+	rids       []int64       // matchTarget's materialized targets
+	setIdx     []int         // UPDATE's SET / INSERT's VALUES column positions
+	provided   []Value       // INSERT: the supplied value per column...
+	has        []bool        // ...and whether one was supplied
+	keyTargets []lockTarget  // unique-key locks of the row being written
+	walBuf     bytes.Buffer  // the commit's encoded redo records
+
+	// Transaction state. The Tx's own slices point here while the scratch
+	// is attached and are handed back, emptied, at finish.
+	locked   []lockTarget
+	undo     []undoRecord
+	redo     []walRecord
+	versions []stampEntry
+	gcPend   []gcRecord
+}
+
+// scratch returns the transaction's working memory, attaching one from
+// the pool on first use.
+func (tx *Tx) scratch() *txScratch {
+	if tx.sc != nil {
+		return tx.sc
+	}
+	sc, _ := tx.db.scratchPool.Get().(*txScratch)
+	if sc == nil {
+		sc = new(txScratch)
+	}
+	tx.sc = sc
+	// What the transaction recorded before its first statement
+	// (Checkpoint's quiesce locks, a DDL's log record) moves over.
+	tx.locked = append(sc.locked[:0], tx.locked...)
+	tx.undo = append(sc.undo[:0], tx.undo...)
+	tx.redo = append(sc.redo[:0], tx.redo...)
+	tx.versions = append(sc.versions[:0], tx.versions...)
+	tx.gcPend = append(sc.gcPend[:0], tx.gcPend...)
+	return sc
+}
+
+// releaseScratch empties the transaction's working memory and returns it
+// to the pool. Called only from Tx.finish.
+func (tx *Tx) releaseScratch() {
+	sc := tx.sc
+	if sc == nil {
+		return
+	}
+	tx.sc = nil
+	sc.locked = keep(tx.locked)
+	sc.undo = keep(tx.undo)
+	sc.redo = keep(tx.redo)
+	sc.versions = keep(tx.versions)
+	sc.gcPend = keep(tx.gcPend)
+	tx.locked, tx.undo, tx.redo, tx.versions, tx.gcPend = nil, nil, nil, nil, nil
+
+	sc.q = query{}
+	sc.env = evalEnv{}
+	sc.bindings = keep(sc.bindings)
+	sc.params = keep(sc.params)
+	sc.scans = sc.scans[:cap(sc.scans)] // an earlier statement may have used more
+	for i := range sc.scans {
+		sc.scans[i].release()
+	}
+	sc.collected = keep(sc.collected)
+	sc.sortKeys = keep(sc.sortKeys)
+	sc.rids = keep(sc.rids)
+	sc.setIdx = keep(sc.setIdx)
+	sc.provided, sc.has = keep(sc.provided), keep(sc.has)
+	sc.keyTargets = keep(sc.keyTargets)
+	if sc.walBuf.Cap() > 64*scratchKeep {
+		sc.walBuf = bytes.Buffer{}
+	}
+	tx.db.scratchPool.Put(sc)
+}
+
+// reuse empties a scratch buffer for its next use, zeroing what was in
+// use. Every truncation of a pointer-bearing scratch buffer goes through
+// here, so nothing beyond a buffer's length ever pins a row, a version or
+// a string, and clearing costs what filling did.
+func reuse[T any](s []T) []T {
+	clear(s)
+	return s[:0]
+}
+
+// keep is reuse for a buffer going back to the pool: one grown past
+// scratchKeep is dropped instead.
+func keep[T any](s []T) []T {
+	if cap(s) > scratchKeep {
+		return nil
+	}
+	return reuse(s)
+}
+
+// beginQuery resets the scratch's statement state and returns its query,
+// not yet bound to a plan (planning may fail, and the statement's stats
+// are emitted either way). params must stay valid for the statement:
+// bindParams' buffer, or the caller's own slice.
+func (sc *txScratch) beginQuery(tx *Tx, params []Value, kind string, rowLock lockMode) *query {
+	sc.stats = StmtStats{Kind: kind}
+	sc.env = evalEnv{params: params, now: tx.db.nowFn()}
+	sc.q = query{
+		tx:      tx,
+		params:  params,
+		env:     &sc.env,
+		stats:   &sc.stats,
+		rowLock: rowLock,
+		cancel:  cancelCheck{ctx: tx.ctx},
+		sc:      sc,
+	}
+	return &sc.q
+}
+
+// bind attaches the compiled plan: the evaluation environment gets one
+// binding per FROM table, and each gets its reusable scan operator.
+func (q *query) bind(plan *selectPlan) {
+	q.selectPlan = plan
+	sc := q.sc
+	n := len(plan.bindings)
+	sc.bindings = reuse(sc.bindings)
+	for _, b := range plan.bindings {
+		sc.bindings = append(sc.bindings, binding{alias: b.alias, schema: &b.tbl.schema})
+	}
+	q.env.bindings = sc.bindings
+	if cap(sc.scans) < n {
+		// No scan is open between statements, so regrowing moves nothing
+		// anyone points at.
+		sc.scans = append(sc.scans[:cap(sc.scans)], make([]scanOp, n-cap(sc.scans))...)
+	}
+	sc.scans = sc.scans[:n]
+}
+
+// bindParams returns the scratch's parameter buffer sized for n values.
+func (tx *Tx) bindParams(n int) []Value {
+	sc := tx.scratch()
+	if cap(sc.params) < n {
+		sc.params = make([]Value, n)
+	}
+	sc.params = reuse(sc.params)[:n]
+	return sc.params
+}

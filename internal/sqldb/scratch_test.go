@@ -1,0 +1,551 @@
+package sqldb
+
+import (
+	"bytes"
+	"context"
+	"database/sql"
+	"errors"
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+)
+
+// Borrowed working memory must never leak: not into a result (a *Rows is
+// the caller's for good), not into the next statement's view of the world,
+// and not — through the lock table's recycled entries — across owners.
+
+// scratchFixture is the heartbeat's schema in miniature: machines read by
+// unique key, vms four to a machine behind a secondary index, matches
+// joined to both.
+func scratchFixture(t *testing.T, db *DB) {
+	t.Helper()
+	for _, ddl := range []string{
+		`CREATE TABLE machines (name TEXT PRIMARY KEY, state TEXT NOT NULL, beats INTEGER NOT NULL)`,
+		`CREATE TABLE vms (id INTEGER PRIMARY KEY AUTOINCREMENT, machine TEXT NOT NULL, seq INTEGER NOT NULL,
+			state TEXT NOT NULL, UNIQUE (machine, seq))`,
+		`CREATE TABLE matches (id INTEGER PRIMARY KEY AUTOINCREMENT, vm_id INTEGER NOT NULL, job TEXT NOT NULL, UNIQUE (vm_id))`,
+	} {
+		if _, err := db.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for m := 0; m < 6; m++ {
+		name := fmt.Sprintf("node-%d", m)
+		if _, err := db.Exec(`INSERT INTO machines (name, state, beats) VALUES (?, 'up', 0)`, name); err != nil {
+			t.Fatal(err)
+		}
+		for seq := 0; seq < 4; seq++ {
+			res, err := db.Exec(`INSERT INTO vms (machine, seq, state) VALUES (?, ?, 'idle')`, name, seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Exec(`INSERT INTO matches (vm_id, job) VALUES (?, ?)`, res.LastInsertID, fmt.Sprintf("job-%d-%d", m, seq)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// The statements: a small index-range read, and a larger, differently
+// shaped follow-up — a three-table join probing two indexes per outer row,
+// ordered (so it fills the sort buffers too), then an UPDATE through the
+// DML path's rid list.
+const (
+	scratchSmall  = `SELECT id, machine, seq, state FROM vms WHERE machine = ?`
+	scratchJoin   = `SELECT m.name, v.seq, x.job FROM machines m JOIN vms v ON v.machine = m.name JOIN matches x ON x.vm_id = v.id WHERE m.beats >= ? ORDER BY x.job DESC`
+	scratchUpdate = `UPDATE vms SET state = 'claimed' WHERE machine = ?`
+)
+
+func copyRows(data [][]Value) [][]Value {
+	out := make([][]Value, len(data))
+	for i, row := range data {
+		out[i] = append([]Value(nil), row...)
+	}
+	return out
+}
+
+// TestRowsDoNotAliasScratch keeps statement A's *Rows while the same
+// transaction runs B and C through the same scratch — and again after the
+// transaction has finished and another has taken its scratch from the pool
+// — and requires A's rows, columns and cursor untouched.
+func TestRowsDoNotAliasScratch(t *testing.T) {
+	db := New()
+	scratchFixture(t, db)
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := tx.Query(scratchSmall, "node-2")
+	if err != nil || a.Len() != 4 {
+		t.Fatalf("A: %v rows, err %v", a, err)
+	}
+	want, wantCols := copyRows(a.Data), append([]string(nil), a.Columns...)
+
+	check := func(when string) {
+		t.Helper()
+		if !reflect.DeepEqual(a.Data, want) || !reflect.DeepEqual(a.Columns, wantCols) {
+			t.Fatalf("%s: A's result changed:\n got %v %v\nwant %v %v", when, a.Columns, a.Data, wantCols, want)
+		}
+	}
+	b, err := tx.Query(scratchJoin, 0)
+	if err != nil || b.Len() != 24 {
+		t.Fatalf("B: %v rows, err %v", b, err)
+	}
+	check("after the join on the same Tx")
+	wantB := copyRows(b.Data)
+	if res, err := tx.Exec(scratchUpdate, "node-4"); err != nil || res.RowsAffected != 4 {
+		t.Fatalf("C: %+v, err %v", res, err)
+	}
+	check("after the UPDATE on the same Tx")
+	// A again, now with different parameters: the first result must not be
+	// the buffer the second is built in.
+	a2, err := tx.Query(scratchSmall, "node-5")
+	if err != nil || a2.Len() != 4 {
+		t.Fatalf("A2: %v rows, err %v", a2, err)
+	}
+	check("after re-running A's own statement")
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The scratch is back in the pool; the next transaction borrows it.
+	tx2, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx2.Query(scratchJoin, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx2.Exec(scratchUpdate, "node-2"); err != nil {
+		t.Fatal(err)
+	}
+	check("after another transaction reused the scratch")
+	if !reflect.DeepEqual(b.Data, wantB) {
+		t.Fatal("B's result changed after another transaction reused the scratch")
+	}
+	if err := tx2.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for a.Next() {
+		if !reflect.DeepEqual(a.Row(), want[n]) {
+			t.Fatalf("row %d through the cursor = %v, want %v", n, a.Row(), want[n])
+		}
+		n++
+	}
+	if n != 4 {
+		t.Fatalf("cursor yielded %d rows, want 4", n)
+	}
+}
+
+// TestSQLRowsDoNotAliasScratch is the same through database/sql on one
+// pooled connection: A's open *sql.Rows is read on while B and C run on
+// the same sql.Tx, and what a first transaction scanned out stays intact
+// while a second one reuses the connection and the scratch.
+func TestSQLRowsDoNotAliasScratch(t *testing.T) {
+	pool, engine := openSQL(t)
+	pool.SetMaxOpenConns(1)
+	scratchFixture(t, engine)
+
+	type vm struct {
+		id            int64
+		machine, stat string
+		seq           int64
+	}
+	want := []vm{{9, "node-2", "idle", 0}, {10, "node-2", "idle", 1}, {11, "node-2", "idle", 2}, {12, "node-2", "idle", 3}}
+	scan := func(rows *sql.Rows) vm {
+		t.Helper()
+		var v vm
+		if err := rows.Scan(&v.id, &v.machine, &v.seq, &v.stat); err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	tx, err := pool.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsA, err := tx.Query(scratchSmall, "node-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []vm
+	if !rowsA.Next() {
+		t.Fatal("A: no first row")
+	}
+	got = append(got, scan(rowsA))
+	rowsB, err := tx.Query(scratchJoin, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb := 0
+	for rowsB.Next() {
+		nb++
+	}
+	if err := rowsB.Close(); err != nil || nb != 24 {
+		t.Fatalf("B: %d rows, err %v", nb, err)
+	}
+	if _, err := tx.Exec(scratchUpdate, "node-4"); err != nil {
+		t.Fatal(err)
+	}
+	for rowsA.Next() {
+		got = append(got, scan(rowsA))
+	}
+	if err := rowsA.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("A read around B and C = %v, want %v", got, want)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	tx2, err := pool.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsB, err = tx2.Query(scratchJoin, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rowsB.Next() {
+	}
+	rowsB.Close()
+	if _, err := tx2.Exec(scratchUpdate, "node-2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx2.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("A's scanned values after the second transaction = %v, want %v", got, want)
+	}
+}
+
+// TestPooledScratchPinsNothing looks at a scratch after its transaction
+// has finished — it is in the pool, possibly for a long time — and
+// requires every buffer empty, zeroed to its capacity (no row, version,
+// index key or parameter string stays reachable through it) and no larger
+// than a pooled scratch may keep, even after a statement that scanned and
+// returned far more than that.
+func TestPooledScratchPinsNothing(t *testing.T) {
+	db, err := Open(Options{VFS: NewMemVFS(), Path: "pin.wal", Sync: SyncGroup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	scratchFixture(t, db)
+	mustExec(t, db, `CREATE TABLE big (id INTEGER PRIMARY KEY, tag TEXT NOT NULL)`)
+	for i := 0; i < 3*scratchKeep; i++ {
+		mustExec(t, db, `INSERT INTO big VALUES (?, ?)`, i, fmt.Sprintf("tag-%d", i))
+	}
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stmt := range []struct {
+		sql  string
+		args []any
+	}{
+		{scratchJoin, []any{0}},
+		{scratchSmall, []any{"node-1"}},
+		{`SELECT id, tag FROM big WHERE id >= ? ORDER BY tag`, []any{0}},
+		{`INSERT INTO machines (name, state, beats) VALUES (?, ?, ?)`, []any{"node-x", "up", 1}},
+		{scratchUpdate, []any{"node-3"}},
+		{`DELETE FROM matches WHERE vm_id = ?`, []any{5}},
+		{`UPDATE big SET tag = 'x' WHERE id >= ?`, []any{0}},
+	} {
+		if _, _, err := tx.execStmtCtx(context.Background(), mustParse(t, db, stmt.sql), mustValues(t, tx, stmt.args)); err != nil {
+			t.Fatalf("%s: %v", stmt.sql, err)
+		}
+	}
+	sc := tx.sc
+	if sc == nil {
+		t.Fatal("no scratch attached after statements")
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if tx.sc != nil {
+		t.Fatal("scratch still attached after Commit")
+	}
+	if !reflect.DeepEqual(sc.q, query{}) || !reflect.DeepEqual(sc.env, evalEnv{}) {
+		t.Error("pooled scratch still holds its last statement's query or environment")
+	}
+	checkEmpty(t, "bindings", sc.bindings)
+	checkEmpty(t, "params", sc.params)
+	checkEmpty(t, "collected", sc.collected)
+	checkEmpty(t, "sortKeys", sc.sortKeys)
+	checkPooled(t, "rids", sc.rids, false)
+	checkEmpty(t, "provided", sc.provided)
+	checkEmpty(t, "keyTargets", sc.keyTargets)
+	checkEmpty(t, "locked", sc.locked)
+	checkEmpty(t, "undo", sc.undo)
+	checkEmpty(t, "redo", sc.redo)
+	checkEmpty(t, "versions", sc.versions)
+	checkEmpty(t, "gcPend", sc.gcPend)
+	for i := range sc.scans[:cap(sc.scans)] {
+		op := &sc.scans[:cap(sc.scans)][i]
+		if op.q != nil || op.tbl != nil || op.ap.index != nil || op.resume != nil || op.revStart != nil || op.batch.rows != nil {
+			t.Errorf("scans[%d] still points at its last pass", i)
+		}
+		name := fmt.Sprintf("scans[%d].", i)
+		checkEmpty(t, name+"prefix", op.prefix)
+		checkEmpty(t, name+"bound", op.bound)
+		checkEmpty(t, name+"last[0]", op.last[0])
+		checkEmpty(t, name+"last[1]", op.last[1])
+		checkPooled(t, name+"rids", op.rids, false)
+		checkEmpty(t, name+"keys", op.keys)
+		checkEmpty(t, name+"outRows", op.outRows)
+		checkPooled(t, name+"outRids", op.outRids, false)
+	}
+	if c := sc.walBuf.Cap(); c > 64*scratchKeep {
+		t.Errorf("walBuf kept %d bytes", c)
+	}
+}
+
+// checkEmpty requires a pooled, pointer-bearing scratch buffer to be
+// empty, zero out to its capacity, and within what a pooled scratch may
+// keep.
+func checkEmpty[T any](t *testing.T, name string, s []T) {
+	t.Helper()
+	checkPooled(t, name, s, true)
+}
+
+// checkPooled is checkEmpty; a buffer of plain numbers (zeroed false) pins
+// nothing and only has to be empty and small.
+func checkPooled[T any](t *testing.T, name string, s []T, zeroed bool) {
+	t.Helper()
+	if len(s) != 0 {
+		t.Errorf("%s: length %d in the pool", name, len(s))
+	}
+	if cap(s) > scratchKeep {
+		t.Errorf("%s: kept capacity %d, cap %d", name, cap(s), scratchKeep)
+	}
+	if !zeroed {
+		return
+	}
+	var zero T
+	for i, v := range s[:cap(s)] {
+		if !reflect.DeepEqual(v, zero) {
+			t.Errorf("%s[%d] = %v: not zeroed", name, i, v)
+			return
+		}
+	}
+}
+
+func mustParse(t *testing.T, db *DB, sql string) Statement {
+	t.Helper()
+	stmt, err := db.parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stmt
+}
+
+func mustValues(t *testing.T, tx *Tx, args []any) []Value {
+	t.Helper()
+	vals, err := tx.toValues(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vals
+}
+
+// TestKeyLockHashMatchesEncoding pins hashValue to the bytes writeValue
+// emits: a scan's key lock (hashed from its coerced equality prefix) and a
+// writer's (hashed straight from the row) must name the same resource, and
+// both must keep naming the one the buffer-encoding hash did.
+func TestKeyLockHashMatchesEncoding(t *testing.T) {
+	ix := &index{cols: []int{2, 0}, keyLock: "\x00key:t:ix"}
+	rows := [][]Value{
+		{NewInt(7), NewText("skip"), NewText("node-0417")},
+		{NewInt(-1), NullValue(), NewText("")},
+		{NewFloat(2.5), NewBool(true), NewTime(time.Date(2006, 10, 1, 0, 0, 0, 0, time.UTC))},
+		{NewInt(1 << 40), NewText("x"), NewBool(false)},
+		{NullValue(), NewText("x"), NewInt(300)},
+	}
+	for _, row := range rows {
+		key := Key{row[2], row[0]}
+		var buf bytes.Buffer
+		for _, v := range key {
+			writeValue(&buf, v)
+		}
+		h := fnvOffset
+		for _, b := range buf.Bytes() {
+			h = (h ^ uint64(b)) * fnvPrime
+		}
+		want := lockTarget{table: ix.keyLock, rid: int64(h >> 1)}
+		if got := ix.keyLockTarget(key); got != want {
+			t.Errorf("keyLockTarget(%v) = %+v, want %+v", key, got, want)
+		}
+		if got := ix.rowKeyLockTarget(row); got != want {
+			t.Errorf("rowKeyLockTarget(%v) = %+v, want %+v", row, got, want)
+		}
+	}
+}
+
+// TestEntryMatchesInPlace holds the in-place index-entry comparison to the
+// build-a-key-and-compare definition it replaced, including the type-tag
+// fallback for ill-typed keys and the rid tiebreaker.
+func TestEntryMatchesInPlace(t *testing.T) {
+	ix := &index{cols: []int{1, 0}}
+	row := []Value{NewInt(4), NewText("idle"), NewFloat(1)}
+	keys := []Key{
+		ix.entryKey(row, 9),
+		ix.entryKey(row, 10),
+		{NewText("idle"), NewFloat(4), NewInt(9)}, // numerically equal across Int/Float
+		{NewText("idle"), NewInt(5), NewInt(9)},
+		{NewText("idle"), NewInt(4)},
+		{NewText("idle"), NewInt(4), NewInt(9), NewInt(0)},
+		{NewInt(4), NewText("idle"), NewInt(9)}, // ill-typed: falls back to type tags
+		{NullValue(), NewInt(4), NewInt(9)},
+	}
+	for _, k := range keys {
+		want := compareKeys(ix.entryKey(row, 9), k) == 0
+		if got := ix.entryMatches(k, row, 9); got != want {
+			t.Errorf("entryMatches(%v) = %v, want %v", k, got, want)
+		}
+	}
+	other := []Value{NewFloat(4), NewText("idle"), NewFloat(2)}
+	if !ix.sameKey(row, other) {
+		t.Error("sameKey: rows equal on the indexed columns reported different")
+	}
+	other[1] = NewText("busy")
+	if ix.sameKey(row, other) {
+		t.Error("sameKey: rows differing on an indexed column reported same")
+	}
+}
+
+// lockTableIdle reports what is left in the lock table: linked resources,
+// and any shard whose freelist is over its cap or holds an entry that is
+// not empty.
+func lockTableIdle(lm *lockManager) (linked int, err error) {
+	for i := range lm.shards {
+		sh := &lm.shards[i]
+		sh.mu.Lock()
+		linked += len(sh.res)
+		if len(sh.free) > lockFreeMax {
+			err = fmt.Errorf("shard %d: freelist holds %d entries, cap %d", i, len(sh.free), lockFreeMax)
+		}
+		for _, rl := range sh.free {
+			if len(rl.holders) != 0 || len(rl.queue) != 0 {
+				err = fmt.Errorf("shard %d: free entry with %d holders, %d queued", i, len(rl.holders), len(rl.queue))
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return linked, err
+}
+
+// TestLockTableHygieneUnderStress churns the lock table every way an
+// entry can be taken and given back — disjoint-row writers, same-row
+// writers that queue, lock waits ended by cancellation and by the
+// lock-wait timeout, deadlock victims, a scan that row-locks far more
+// than a freelist holds — and requires, at quiescence, nothing held,
+// every shard's table empty, and every freelist within its cap with only
+// empty entries. A recycled entry that surfaced with a holder or a queued
+// request would have panicked where it was reused (lockShard.resource).
+func TestLockTableHygieneUnderStress(t *testing.T) {
+	db := lockFixture(t, 400)
+	db.SetLockTimeout(3 * time.Millisecond)
+	const (
+		workers = 8
+		rounds  = 150
+	)
+	var wg sync.WaitGroup
+	outcomes := make([]map[string]int, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		outcomes[w] = make(map[string]int)
+		go func(w int) {
+			defer wg.Done()
+			note := func(err error) {
+				switch {
+				case err == nil:
+					outcomes[w]["ok"]++
+				case errors.Is(err, ErrDeadlock):
+					outcomes[w]["deadlock"]++
+				case errors.Is(err, ErrLockTimeout):
+					outcomes[w]["timeout"]++
+				case IsCancellation(err):
+					outcomes[w]["canceled"]++
+				default:
+					t.Errorf("worker %d: %v", w, err)
+				}
+			}
+			for r := 0; r < rounds; r++ {
+				ctx, cancel := context.WithCancel(context.Background())
+				if r%5 == 4 {
+					// A wait this short is usually ended by the context.
+					ctx, cancel = context.WithTimeout(context.Background(), time.Millisecond)
+				}
+				tx, err := db.BeginTx(ctx, TxOptions{})
+				if err != nil {
+					cancel()
+					note(err)
+					continue
+				}
+				own := 1 + w*40 + r%40 // this worker's rows: never contended
+				hotA, hotB := 390+(w+r)%4, 390+(w+r+1)%4
+				if w%2 == 1 {
+					hotA, hotB = hotB, hotA // opposite orders: deadlocks
+				}
+				_, err = tx.Exec(`UPDATE kv SET n = n + 1 WHERE id = ?`, own)
+				if err == nil {
+					_, err = tx.Exec(`UPDATE kv SET n = n + 1 WHERE id = ?`, hotA)
+				}
+				if err == nil && r%16 == w {
+					// Sit on a hot row past the lock-wait timeout and the
+					// short contexts, so some waiters give up rather than
+					// being granted or chosen as victims.
+					time.Sleep(2 * db.LockTimeout())
+				}
+				if err == nil {
+					_, err = tx.Exec(`UPDATE kv SET n = n + 1 WHERE id = ?`, hotB)
+				}
+				if err == nil && w == 0 && r%25 == 0 {
+					// Far more row locks than the freelists hold.
+					_, err = tx.Query(`SELECT id, n FROM kv WHERE id >= ? AND id <= ?`, 1, 380)
+				}
+				if err != nil {
+					note(err)
+					tx.Rollback()
+				} else {
+					note(tx.Commit())
+				}
+				cancel()
+			}
+		}(w)
+	}
+	wg.Wait()
+	total := make(map[string]int)
+	for _, o := range outcomes {
+		for k, n := range o {
+			total[k] += n
+		}
+	}
+	t.Logf("outcomes: %v; lock stats: %+v", total, db.LockStats())
+	if total["ok"] == 0 || total["deadlock"] == 0 || total["timeout"]+total["canceled"] == 0 {
+		t.Errorf("stress missed a way of giving a lock entry back: %v", total)
+	}
+	ls := db.LockStats()
+	if ls.HeldRow != 0 || ls.HeldTable != 0 {
+		t.Errorf("at quiescence HeldRow = %d, HeldTable = %d, want 0, 0", ls.HeldRow, ls.HeldTable)
+	}
+	linked, err := lockTableIdle(db.locks)
+	if linked != 0 {
+		t.Errorf("at quiescence %d resources still linked in the lock table", linked)
+	}
+	if err != nil {
+		t.Error(err)
+	}
+	db.locks.wfMu.Lock()
+	if n := len(db.locks.waitsFor); n != 0 {
+		t.Errorf("at quiescence %d waits-for entries remain", n)
+	}
+	db.locks.wfMu.Unlock()
+}

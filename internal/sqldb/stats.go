@@ -29,11 +29,7 @@ func (tx *Tx) execAnalyze(s *AnalyzeStmt) error {
 	} else {
 		names = db.TableNames()
 	}
-	want := make(map[string]lockMode, len(names))
-	for _, n := range names {
-		want[n] = lockShared
-	}
-	if err := tx.lockAll(want); err != nil {
+	if err := tx.lockTables(names, lockShared); err != nil {
 		return err
 	}
 	for _, n := range names {

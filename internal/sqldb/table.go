@@ -1,7 +1,6 @@
 package sqldb
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -66,6 +65,9 @@ type index struct {
 	schema IndexSchema
 	cols   []int // column positions in key order
 	tree   *ordIndex
+	// keyLock names the lock-manager resource family guarding this index's
+	// unique key values (see keyLockTarget); fixed when the index is built.
+	keyLock string
 	// createdTS is the commit clock when the index was built. A snapshot
 	// older than the index must not use it: the build indexed each row's
 	// reachable head (down through its newest committed version), so keys
@@ -155,7 +157,8 @@ func (t *table) addIndexLocked(is IndexSchema, asOf uint64) error {
 		}
 		cols[i] = ci
 	}
-	ix := &index{schema: is, cols: cols, tree: newOrdIndex(), createdTS: asOf}
+	ix := &index{schema: is, cols: cols, tree: newOrdIndex(), createdTS: asOf,
+		keyLock: "\x00key:" + t.schema.Name + ":" + is.Name}
 	// Backfill. A slot's reachable future states are its newest version
 	// (possibly an in-flight writer's, kept if that writer commits) and
 	// its newest committed version (restored if the writer rolls back):
@@ -219,78 +222,128 @@ func (ix *index) entryKey(row []Value, rid int64) Key {
 	return append(k, NewInt(rid))
 }
 
-// logicalKey builds the column-only key and reports whether the unique
-// constraint applies to it (SQL allows multiple NULLs under a unique
-// constraint, so NULL-bearing keys enforce nothing).
-func (ix *index) logicalKey(row []Value) (k Key, enforceUnique bool) {
-	k = make(Key, 0, len(ix.cols))
-	hasNull := false
-	for _, c := range ix.cols {
-		v := row[c]
-		if v.IsNull() {
-			hasNull = true
-		}
-		k = append(k, v)
+// enforces reports whether the unique constraint applies to row's key
+// under ix: SQL allows multiple NULLs under a unique constraint, so a
+// NULL-bearing key enforces nothing.
+func (ix *index) enforces(row []Value) bool {
+	if !ix.schema.Unique {
+		return false
 	}
-	return k, ix.schema.Unique && !hasNull
+	for _, c := range ix.cols {
+		if row[c].IsNull() {
+			return false
+		}
+	}
+	return true
+}
+
+// sameKey reports whether two versions of one row occupy the same entry
+// under ix, comparing the indexed columns in place (the rid tiebreaker is
+// the row's own, so it cannot differ).
+func (ix *index) sameKey(a, b []Value) bool {
+	for _, c := range ix.cols {
+		if compareKeyPart(a[c], b[c]) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// FNV-1a, the hash behind key-lock resource ids.
+const (
+	fnvOffset uint64 = 14695981039346656037
+	fnvPrime  uint64 = 1099511628211
+)
+
+// hashValue folds v's storage encoding (writeValue's bytes: type tag,
+// then uvarint / 8 IEEE bytes / length-prefixed text) into h without
+// materializing it.
+func hashValue(h uint64, v Value) uint64 {
+	h = (h ^ uint64(v.typ)) * fnvPrime
+	switch v.typ {
+	case Int, Bool, Time:
+		h = hashUvarint(h, uint64(v.i))
+	case Float:
+		for u, i := uint64(v.i), 0; i < 8; i++ {
+			h = (h ^ (u & 0xff)) * fnvPrime
+			u >>= 8
+		}
+	case Text:
+		h = hashUvarint(h, uint64(len(v.s)))
+		for i := 0; i < len(v.s); i++ {
+			h = (h ^ uint64(v.s[i])) * fnvPrime
+		}
+	}
+	return h
+}
+
+// hashUvarint folds u's uvarint encoding into h.
+func hashUvarint(h, u uint64) uint64 {
+	for ; u >= 0x80; u >>= 7 {
+		h = (h ^ (u&0x7f | 0x80)) * fnvPrime
+	}
+	return (h ^ u) * fnvPrime
 }
 
 // keyLockTarget names the lock-manager resource guarding one unique key
-// value of one index. Index entries outlive their versions under MVCC, so
-// the entry itself cannot serialize writers of the same key; these
-// logical key locks do. The key is hashed — collisions only over-block (a
-// spurious wait or deadlock retry), never under-block.
-func keyLockTarget(tblName, ixName string, k Key) lockTarget {
-	var buf bytes.Buffer
+// value of ix. Index entries outlive their versions under MVCC, so the
+// entry itself cannot serialize writers of the same key; these logical
+// key locks do. The key is hashed — collisions only over-block (a
+// spurious wait or deadlock retry), never under-block. The shift keeps
+// the rid non-negative, so it can never collide with the tableRID
+// sentinel.
+func (ix *index) keyLockTarget(k Key) lockTarget {
+	h := fnvOffset
 	for _, v := range k {
-		writeValue(&buf, v)
+		h = hashValue(h, v)
 	}
-	h := uint64(14695981039346656037)
-	for _, b := range buf.Bytes() {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	// Shift keeps the rid non-negative, so it can never collide with the
-	// tableRID sentinel.
-	return lockTarget{table: "\x00key:" + tblName + ":" + ixName, rid: int64(h >> 1)}
+	return lockTarget{table: ix.keyLock, rid: int64(h >> 1)}
 }
 
-// uniqueKeyTargets returns the key-lock resources for every enforced
-// unique key value the row occupies.
-func (t *table) uniqueKeyTargets(row []Value) []lockTarget {
+// rowKeyLockTarget is keyLockTarget for the key row occupies under ix,
+// hashed straight from the row's indexed columns.
+func (ix *index) rowKeyLockTarget(row []Value) lockTarget {
+	h := fnvOffset
+	for _, c := range ix.cols {
+		h = hashValue(h, row[c])
+	}
+	return lockTarget{table: ix.keyLock, rid: int64(h >> 1)}
+}
+
+// uniqueKeyTargets appends to dst the key-lock resources for every
+// enforced unique key value the row occupies.
+func (t *table) uniqueKeyTargets(dst []lockTarget, row []Value) []lockTarget {
 	t.latch.RLock()
 	defer t.latch.RUnlock()
-	var targets []lockTarget
 	for _, ix := range t.indexes {
-		k, enforce := ix.logicalKey(row)
-		if !enforce {
+		if ix.enforces(row) {
+			dst = append(dst, ix.rowKeyLockTarget(row))
+		}
+	}
+	return dst
+}
+
+// changedUniqueKeyTargets appends to dst the key-lock resources entering
+// or leaving occupancy when old is replaced by newRow.
+func (t *table) changedUniqueKeyTargets(dst []lockTarget, old, newRow []Value) []lockTarget {
+	t.latch.RLock()
+	defer t.latch.RUnlock()
+	for _, ix := range t.indexes {
+		if !ix.schema.Unique {
 			continue
 		}
-		targets = append(targets, keyLockTarget(t.schema.Name, ix.schema.Name, k))
-	}
-	return targets
-}
-
-// changedUniqueKeyTargets returns the key-lock resources entering or
-// leaving occupancy when old is replaced by newRow.
-func (t *table) changedUniqueKeyTargets(old, newRow []Value) []lockTarget {
-	t.latch.RLock()
-	defer t.latch.RUnlock()
-	var targets []lockTarget
-	for _, ix := range t.indexes {
-		ko, eo := ix.logicalKey(old)
-		kn, en := ix.logicalKey(newRow)
-		if eo && en && compareKeys(ko, kn) == 0 {
+		eo, en := ix.enforces(old), ix.enforces(newRow)
+		if eo && en && ix.sameKey(old, newRow) {
 			continue
 		}
 		if eo {
-			targets = append(targets, keyLockTarget(t.schema.Name, ix.schema.Name, ko))
+			dst = append(dst, ix.rowKeyLockTarget(old))
 		}
 		if en {
-			targets = append(targets, keyLockTarget(t.schema.Name, ix.schema.Name, kn))
+			dst = append(dst, ix.rowKeyLockTarget(newRow))
 		}
 	}
-	return targets
+	return dst
 }
 
 // UniqueViolationError reports a duplicate key under a unique index.
@@ -309,9 +362,15 @@ func (e *UniqueViolationError) Error() string {
 // versions of this key by other transactions; an uncommitted claimant is
 // therefore this transaction's own earlier insert, a genuine duplicate.
 func (t *table) checkUnique(ix *index, row []Value, rid int64) error {
-	lk, enforce := ix.logicalKey(row)
-	if !enforce {
+	if !ix.enforces(row) {
 		return nil
+	}
+	// The probe key lives on the stack for the usual one- or two-column
+	// constraint; only a reported violation copies it out.
+	var buf [4]Value
+	lk := Key(buf[:0])
+	for _, c := range ix.cols {
+		lk = append(lk, row[c])
 	}
 	var conflict bool
 	ix.tree.scanPrefix(lk, func(k Key, rid2 int64) bool {
@@ -322,14 +381,14 @@ func (t *table) checkUnique(ix *index, row []Value, rid int64) error {
 		if headRow == nil {
 			return true // reclaimed slot or tombstoned row: key is free
 		}
-		if k2, ok := ix.logicalKey(headRow); ok && compareKeys(k2, lk) == 0 {
+		if ix.enforces(headRow) && ix.sameKey(headRow, row) {
 			conflict = true
 			return false
 		}
 		return true // newest version moved to a different key
 	})
 	if conflict {
-		return &UniqueViolationError{Index: ix.schema.Name, Key: lk}
+		return &UniqueViolationError{Index: ix.schema.Name, Key: append(Key(nil), lk...)}
 	}
 	return nil
 }
@@ -412,7 +471,16 @@ func (t *table) visibleRow(rid int64, ts uint64) []Value {
 // by a superseded version (each row is emitted exactly once, at its own
 // key's position in the scan).
 func (ix *index) entryMatches(k Key, row []Value, rid int64) bool {
-	return compareKeys(ix.entryKey(row, rid), k) == 0
+	n := len(ix.cols)
+	if len(k) != n+1 {
+		return false
+	}
+	for i, c := range ix.cols {
+		if compareKeyPart(row[c], k[i]) != 0 {
+			return false
+		}
+	}
+	return compareKeyPart(NewInt(rid), k[n]) == 0
 }
 
 // deleteRow pushes a delete tombstone onto rid's chain and returns the
@@ -478,7 +546,7 @@ func (t *table) updateRow(rid int64, newRow []Value, txn uint64, watermark uint6
 	}
 	keysChanged := false
 	for _, ix := range t.indexes {
-		if compareKeys(ix.entryKey(old, rid), ix.entryKey(newRow, rid)) != 0 {
+		if !ix.sameKey(old, newRow) {
 			keysChanged = true
 			break
 		}
@@ -510,20 +578,17 @@ func (t *table) updateRow(rid int64, newRow []Value, txn uint64, watermark uint6
 	}
 	var orphaned []gcEntry
 	for _, ix := range t.indexes {
-		ko := ix.entryKey(old, rid)
-		kn := ix.entryKey(newRow, rid)
-		if compareKeys(ko, kn) == 0 {
+		if ix.sameKey(old, newRow) {
 			continue
 		}
 		if err := t.checkUnique(ix, newRow, rid); err != nil {
 			return nil, nil, nil, err
 		}
-		orphaned = append(orphaned, gcEntry{index: ix.schema.Name, key: ko})
+		orphaned = append(orphaned, gcEntry{index: ix.schema.Name, key: ix.entryKey(old, rid)})
 	}
 	for _, ix := range t.indexes {
-		kn := ix.entryKey(newRow, rid)
-		if compareKeys(ix.entryKey(old, rid), kn) != 0 {
-			ix.tree.insert(kn, rid) // idempotent when re-claiming a pending-GC entry
+		if !ix.sameKey(old, newRow) {
+			ix.tree.insert(ix.entryKey(newRow, rid), rid) // idempotent when re-claiming a pending-GC entry
 		}
 	}
 	v := &rowVersion{data: newRow, txn: txn}
@@ -705,11 +770,9 @@ func (t *table) replayUpdate(rid int64, newRow []Value, ts uint64) error {
 		return fmt.Errorf("sqldb: replay: update of deleted row %d in %s", rid, t.schema.Name)
 	}
 	for _, ix := range t.indexes {
-		ko := ix.entryKey(old, rid)
-		kn := ix.entryKey(newRow, rid)
-		if compareKeys(ko, kn) != 0 {
-			ix.tree.delete(ko)
-			ix.tree.insert(kn, rid)
+		if !ix.sameKey(old, newRow) {
+			ix.tree.delete(ix.entryKey(old, rid))
+			ix.tree.insert(ix.entryKey(newRow, rid), rid)
 		}
 	}
 	v := &rowVersion{data: newRow}
@@ -785,14 +848,11 @@ func (t *table) pagedReplayUpsert(rid int64, row []Value, ts uint64) error {
 	if head := s.head.Load(); head != nil {
 		old := t.resolve(head)
 		for _, ix := range t.indexes {
-			kn := ix.entryKey(row, rid)
-			if old != nil {
-				if ko := ix.entryKey(old, rid); compareKeys(ko, kn) != 0 {
-					ix.tree.delete(ko)
-					ix.tree.insert(kn, rid)
-				}
-			} else {
-				ix.tree.insert(kn, rid)
+			if old == nil {
+				ix.tree.insert(ix.entryKey(row, rid), rid)
+			} else if !ix.sameKey(old, row) {
+				ix.tree.delete(ix.entryKey(old, rid))
+				ix.tree.insert(ix.entryKey(row, rid), rid)
 			}
 		}
 		if head.loc.pid != 0 {
@@ -903,13 +963,11 @@ func (t *table) applyUpdate(rid int64, newRow []Value, watermark uint64) (*rowVe
 	}
 	var orphaned []gcEntry
 	for _, ix := range t.indexes {
-		ko := ix.entryKey(old, rid)
-		kn := ix.entryKey(newRow, rid)
-		if compareKeys(ko, kn) == 0 {
+		if ix.sameKey(old, newRow) {
 			continue
 		}
-		orphaned = append(orphaned, gcEntry{index: ix.schema.Name, key: ko})
-		ix.tree.insert(kn, rid)
+		orphaned = append(orphaned, gcEntry{index: ix.schema.Name, key: ix.entryKey(old, rid)})
+		ix.tree.insert(ix.entryKey(newRow, rid), rid)
 	}
 	v := &rowVersion{data: newRow}
 	v.prev.Store(s.head.Load())

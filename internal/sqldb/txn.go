@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,10 +96,42 @@ type lockRequest struct {
 	grant chan error
 }
 
-// resLock is the lock state of one resource (table or row).
+// lockHolder is one transaction's granted mode on a resource.
+type lockHolder struct {
+	txn  uint64
+	mode lockMode
+}
+
+// resLock is the lock state of one resource (table or row). Holders are a
+// small slice, not a map: a row lock has one holder and a table intention
+// lock a handful, every grant already walks all of them for compatibility,
+// and a slice keeps its backing array when the entry is recycled.
 type resLock struct {
-	holders map[uint64]lockMode
+	holders []lockHolder
 	queue   []*lockRequest
+}
+
+// holder reports txn's granted mode on the resource.
+func (rl *resLock) holder(txn uint64) (lockMode, bool) {
+	for i := range rl.holders {
+		if rl.holders[i].txn == txn {
+			return rl.holders[i].mode, true
+		}
+	}
+	return 0, false
+}
+
+// dropHolder removes txn's grant, reporting whether it had one.
+func (rl *resLock) dropHolder(txn uint64) bool {
+	for i := range rl.holders {
+		if rl.holders[i].txn == txn {
+			last := len(rl.holders) - 1
+			rl.holders[i] = rl.holders[last]
+			rl.holders = rl.holders[:last]
+			return true
+		}
+	}
+	return false
 }
 
 // lockShards is the number of independently latched lock-table partitions.
@@ -109,18 +140,58 @@ type resLock struct {
 // single global lock-manager mutex costing more than the row locks saved).
 const lockShards = 64
 
+// lockFreeMax bounds each shard's freelist of idle resLock entries. A
+// transaction's footprint is a few locks per shard at most, so a short
+// list absorbs the steady take/release churn; the cap is what keeps a
+// one-off burst (a scan that row-locked a whole table) from parking its
+// entries on the heap for the life of the process.
+const lockFreeMax = 16
+
 type lockShard struct {
 	mu  sync.Mutex
 	res map[lockTarget]*resLock
+	// free holds entries unlinked from res with no holder and no queued
+	// request, ready to serve the next new target. Guarded by mu.
+	free []*resLock
 }
 
+// resource returns the target's entry, linking a recycled or fresh one
+// when the target is not in the table. Nothing may hold an entry across
+// an unlock of the shard: once unlinked it serves another target, so
+// every path re-fetches by target after re-locking.
 func (sh *lockShard) resource(t lockTarget) *resLock {
 	rl, ok := sh.res[t]
 	if !ok {
-		rl = &resLock{holders: make(map[uint64]lockMode)}
+		if n := len(sh.free); n > 0 {
+			rl = sh.free[n-1]
+			sh.free[n-1] = nil
+			sh.free = sh.free[:n-1]
+			if len(rl.holders) != 0 || len(rl.queue) != 0 {
+				panic("sqldb: recycled lock entry still has a holder or a queued request")
+			}
+		} else {
+			rl = &resLock{}
+		}
 		sh.res[t] = rl
 	}
 	return rl
+}
+
+// unlinkIfIdle removes the target's entry from the table once nothing
+// holds or waits for it — the table stays proportional to contention —
+// and keeps the entry for reuse while the freelist has room.
+func (sh *lockShard) unlinkIfIdle(t lockTarget, rl *resLock) {
+	if len(rl.holders) != 0 || len(rl.queue) != 0 {
+		return
+	}
+	delete(sh.res, t)
+	if len(sh.free) < lockFreeMax {
+		// A drained queue's backing array still points at its old requests;
+		// only contended resources ever have one, so drop it rather than
+		// let a recycled entry pin them.
+		rl.queue = nil
+		sh.free = append(sh.free, rl)
+	}
 }
 
 // LockStats is a snapshot of lock-manager counters, the raw material for
@@ -174,10 +245,9 @@ func newLockManager() *lockManager {
 // shard picks the partition for a target (FNV-1a over table name, mixed
 // with the rid so a hot table's rows still spread across shards).
 func (lm *lockManager) shard(t lockTarget) *lockShard {
-	h := uint64(14695981039346656037)
+	h := fnvOffset
 	for i := 0; i < len(t.table); i++ {
-		h ^= uint64(t.table[i])
-		h *= 1099511628211
+		h = (h ^ uint64(t.table[i])) * fnvPrime
 	}
 	h ^= uint64(t.rid) * 0x9E3779B97F4A7C15
 	return &lm.shards[h%lockShards]
@@ -197,11 +267,8 @@ func (lm *lockManager) stats() LockStats {
 
 // compatible reports whether txn may hold mode given the other holders.
 func (rl *resLock) compatible(txn uint64, mode lockMode) bool {
-	for holder, hm := range rl.holders {
-		if holder == txn {
-			continue
-		}
-		if !lockCompat[mode][hm] {
+	for _, h := range rl.holders {
+		if h.txn != txn && !lockCompat[mode][h.mode] {
 			return false
 		}
 	}
@@ -211,14 +278,18 @@ func (rl *resLock) compatible(txn uint64, mode lockMode) bool {
 // setHolder grants txn the given mode on target, maintaining the held
 // gauges. Caller holds the target's shard mutex.
 func (lm *lockManager) setHolder(rl *resLock, target lockTarget, txn uint64, mode lockMode) {
-	if _, already := rl.holders[txn]; !already {
-		if target.rid == tableRID {
-			lm.heldTable.Add(1)
-		} else {
-			lm.heldRow.Add(1)
+	for i := range rl.holders {
+		if rl.holders[i].txn == txn {
+			rl.holders[i].mode = mode
+			return
 		}
 	}
-	rl.holders[txn] = mode
+	if target.rid == tableRID {
+		lm.heldTable.Add(1)
+	} else {
+		lm.heldRow.Add(1)
+	}
+	rl.holders = append(rl.holders, lockHolder{txn: txn, mode: mode})
 }
 
 // acquire blocks until the lock is granted, a deadlock is detected, the
@@ -230,7 +301,7 @@ func (lm *lockManager) acquire(ctx context.Context, tx *Tx, target lockTarget, m
 	sh := lm.shard(target)
 	sh.mu.Lock()
 	rl := sh.resource(target)
-	cur, holding := rl.holders[txn]
+	cur, holding := rl.holder(txn)
 	if holding && covers(cur, mode) {
 		sh.mu.Unlock()
 		return nil // already held at sufficient strength
@@ -262,12 +333,9 @@ func (lm *lockManager) acquire(ctx context.Context, tx *Tx, target lockTarget, m
 	// Slow path: record wait edges to every conflicting holder and, unless
 	// upgrading, to earlier queued requests (they'll be granted first).
 	blockers := make(map[uint64]bool)
-	for holder, hm := range rl.holders {
-		if holder == txn {
-			continue
-		}
-		if !lockCompat[want][hm] {
-			blockers[holder] = true
+	for _, h := range rl.holders {
+		if h.txn != txn && !lockCompat[want][h.mode] {
+			blockers[h.txn] = true
 		}
 	}
 	if !holding {
@@ -373,7 +441,7 @@ func (lm *lockManager) abandonWait(tx *Tx, sh *lockShard, target lockTarget, req
 	// request. Inbound edges from waiters still queued here are stale
 	// too — unless this transaction also holds the resource (a retracted
 	// upgrade), in which case they legitimately wait on it as a holder.
-	_, stillHolds := rl.holders[tx.id]
+	_, stillHolds := rl.holder(tx.id)
 	lm.wfMu.Lock()
 	delete(lm.waitsFor, tx.id)
 	if !stillHolds {
@@ -389,9 +457,7 @@ func (lm *lockManager) abandonWait(tx *Tx, sh *lockShard, target lockTarget, req
 	lm.wfMu.Unlock()
 	// The departure may unblock requests that were queued behind ours.
 	lm.grantQueued(rl, target)
-	if len(rl.holders) == 0 && len(rl.queue) == 0 {
-		delete(sh.res, target)
-	}
+	sh.unlinkIfIdle(target, rl)
 	sh.mu.Unlock()
 	counter.Add(1)
 	return reason
@@ -434,8 +500,7 @@ func (lm *lockManager) releaseAll(tx *Tx) {
 			sh.mu.Unlock()
 			continue
 		}
-		if _, held := rl.holders[txn]; held {
-			delete(rl.holders, txn)
+		if rl.dropHolder(txn) {
 			if target.rid == tableRID {
 				lm.heldTable.Add(-1)
 			} else {
@@ -453,12 +518,10 @@ func (lm *lockManager) releaseAll(tx *Tx) {
 		}
 		rl.queue = kept
 		lm.grantQueued(rl, target)
-		if len(rl.holders) == 0 && len(rl.queue) == 0 {
-			delete(sh.res, target) // keep the lock table proportional to contention
-		}
+		sh.unlinkIfIdle(target, rl)
 		sh.mu.Unlock()
 	}
-	tx.locked = nil
+	tx.locked = reuse(tx.locked)
 }
 
 // grantQueued grants queued requests in order while they are compatible.
@@ -467,7 +530,7 @@ func (lm *lockManager) grantQueued(rl *resLock, target lockTarget) {
 	for len(rl.queue) > 0 {
 		q := rl.queue[0]
 		want := q.mode
-		if cur, holding := rl.holders[q.txn]; holding {
+		if cur, holding := rl.holder(q.txn); holding {
 			want = mergeMode(cur, want)
 		}
 		if !rl.compatible(q.txn, want) {
@@ -552,8 +615,12 @@ type Tx struct {
 	redo     []walRecord
 	locked   []lockTarget // resources this txn holds or queues on
 	versions []stampEntry // versions to stamp at commit
-	gcPend   []gcRecord    // reclamation work to queue at commit
-	implicit bool          // autocommit wrapper
+	gcPend   []gcRecord   // reclamation work to queue at commit
+	implicit bool         // autocommit wrapper
+	// sc is the working memory the transaction's statements borrow
+	// (scratch.go): attached at the first statement, returned in finish.
+	// While attached, the five slices above are backed by it.
+	sc *txScratch
 }
 
 // ID reports the engine-assigned transaction id.
@@ -577,16 +644,12 @@ func (tx *Tx) lockRow(table string, rid int64, mode lockMode) error {
 	return tx.db.locks.acquire(tx.ctx, tx, lockTarget{table: table, rid: rid}, mode)
 }
 
-// lockAll acquires locks on several tables in sorted order to keep lock
-// acquisition order consistent across transactions.
-func (tx *Tx) lockAll(tables map[string]lockMode) error {
-	names := make([]string, 0, len(tables))
-	for n := range tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+// lockTables takes mode on each named table. names must be sorted: one
+// acquisition order across transactions keeps multi-table statements from
+// deadlocking each other.
+func (tx *Tx) lockTables(names []string, mode lockMode) error {
 	for _, n := range names {
-		if err := tx.lock(n, tables[n]); err != nil {
+		if err := tx.lock(n, mode); err != nil {
 			return err
 		}
 	}
@@ -595,19 +658,28 @@ func (tx *Tx) lockAll(tables map[string]lockMode) error {
 
 // lockKeyTargets X-locks unique-key resources in sorted order (consistent
 // order keeps same-statement acquisitions from deadlocking each other).
+// targets is the scratch's buffer — a row has a handful of unique keys —
+// and is sorted in place.
 func (tx *Tx) lockKeyTargets(targets []lockTarget, mode lockMode) error {
-	sort.Slice(targets, func(i, j int) bool {
-		if targets[i].table != targets[j].table {
-			return targets[i].table < targets[j].table
+	for i := 1; i < len(targets); i++ {
+		for j := i; j > 0 && targets[j].before(targets[j-1]); j-- {
+			targets[j], targets[j-1] = targets[j-1], targets[j]
 		}
-		return targets[i].rid < targets[j].rid
-	})
+	}
 	for _, t := range targets {
 		if err := tx.db.locks.acquire(tx.ctx, tx, t, mode); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// before orders lock targets by resource name, then rid.
+func (t lockTarget) before(u lockTarget) bool {
+	if t.table != u.table {
+		return t.table < u.table
+	}
+	return t.rid < u.rid
 }
 
 // Commit makes the transaction's effects durable and visible: WAL first
@@ -629,18 +701,18 @@ func (tx *Tx) CommitContext(ctx context.Context) error {
 	if tx.done {
 		return ErrTxDone
 	}
-	tx.done = true
+	db := tx.db
 	var err error
 	var lsn uint64
-	if tx.db.wal != nil && len(tx.redo) > 0 {
-		lsn, err = tx.db.wal.commit(ctx, tx.id, tx.redo)
+	if db.wal != nil && len(tx.redo) > 0 {
+		sc := tx.scratch() // a DDL-only transaction attaches it here
+		lsn, err = db.wal.commit(ctx, tx.id, tx.redo, &sc.walBuf)
 		if err != nil && IsCancellation(err) {
 			// Retracted before any write reached the log: abort cleanly.
 			// lsn is 0 here — nothing was registered in-flight.
-			tx.db.commitRetractions.Add(1)
+			db.commitRetractions.Add(1)
 			tx.popVersions()
-			tx.db.locks.releaseAll(tx)
-			tx.db.finishTx(tx)
+			tx.finish()
 			return fmt.Errorf("sqldb: commit: %w", err)
 		}
 	}
@@ -650,9 +722,9 @@ func (tx *Tx) CommitContext(ctx context.Context) error {
 	// release/acquire on begin publishes loc to every future reader. This
 	// runs even when the WAL sync failed (the engine stamps such commits —
 	// the group may be durable), keeping pages coherent with memory.
-	tx.db.pageWriteThrough(tx.versions)
-	if len(tx.versions) > 0 {
-		db := tx.db
+	db.pageWriteThrough(tx.versions)
+	wrote := len(tx.versions) > 0
+	if wrote {
 		db.commitMu.Lock()
 		ts := db.clock.Load() + 1
 		for _, e := range tx.versions {
@@ -670,15 +742,14 @@ func (tx *Tx) CommitContext(ctx context.Context) error {
 		db.commitMu.Unlock()
 		db.versionsCreated.Add(uint64(len(tx.versions)))
 	}
-	tx.db.locks.releaseAll(tx)
-	tx.db.finishTx(tx)
-	if tx.db.wal != nil {
+	tx.finish()
+	if db.wal != nil {
 		// The commit's effects are applied (or abandoned): release the
 		// in-flight registration so checkpoints may pass this LSN.
-		tx.db.wal.unregisterInflight(lsn)
+		db.wal.unregisterInflight(lsn)
 	}
-	if len(tx.versions) > 0 {
-		tx.db.maybeGC()
+	if wrote {
+		db.maybeGC()
 	}
 	if err != nil {
 		return fmt.Errorf("sqldb: commit: %w", err)
@@ -693,11 +764,19 @@ func (tx *Tx) Rollback() error {
 	if tx.done {
 		return ErrTxDone
 	}
-	tx.done = true
 	tx.popVersions()
+	tx.finish()
+	return nil
+}
+
+// finish resolves the transaction, committed or aborted: its locks are
+// released, its snapshot unregistered, and — the one place done is set —
+// the working memory its statements borrowed goes back to the pool.
+func (tx *Tx) finish() {
+	tx.done = true
 	tx.db.locks.releaseAll(tx)
 	tx.db.finishTx(tx)
-	return nil
+	tx.releaseScratch()
 }
 
 // popVersions reverses the transaction's mutations (the shared abort
@@ -725,6 +804,20 @@ func (tx *Tx) popVersions() {
 // Mutation helpers used by the executor: they perform the table operation
 // and record undo + redo.
 
+// keyTargets collects, in the scratch's buffer, the unique-key lock
+// resources a write must hold: every enforced key row occupies, or — with
+// newRow — only those entering or leaving occupancy when newRow replaces
+// it.
+func (tx *Tx) keyTargets(tbl *table, row, newRow []Value) []lockTarget {
+	sc := tx.scratch()
+	if newRow == nil {
+		sc.keyTargets = tbl.uniqueKeyTargets(reuse(sc.keyTargets), row)
+	} else {
+		sc.keyTargets = tbl.changedUniqueKeyTargets(reuse(sc.keyTargets), row, newRow)
+	}
+	return sc.keyTargets
+}
+
 // insertRow X-locks the row's unique key values, reserves a heap slot,
 // X-locks it, and only then publishes the row. The key locks serialize
 // this insert against uncommitted deletes/updates of the same keys (index
@@ -734,7 +827,7 @@ func (tx *Tx) popVersions() {
 // uncommitted insert. Snapshot readers need no such care — the
 // uncommitted version is unstamped and invisible to them.
 func (tx *Tx) insertRow(tbl *table, row []Value) (int64, error) {
-	if err := tx.lockKeyTargets(tbl.uniqueKeyTargets(row), lockExclusive); err != nil {
+	if err := tx.lockKeyTargets(tx.keyTargets(tbl, row, nil), lockExclusive); err != nil {
 		return 0, err
 	}
 	rid := tbl.allocSlot()
@@ -758,7 +851,7 @@ func (tx *Tx) deleteRow(tbl *table, rid int64) error {
 	// an insert reclaiming one of them must block (a rollback would pop the
 	// tombstone and the key would be occupied again).
 	if cur := tbl.currentRow(rid, tx.id); cur != nil {
-		if err := tx.lockKeyTargets(tbl.uniqueKeyTargets(cur), lockExclusive); err != nil {
+		if err := tx.lockKeyTargets(tx.keyTargets(tbl, cur, nil), lockExclusive); err != nil {
 			return err
 		}
 	}
@@ -777,7 +870,7 @@ func (tx *Tx) updateRow(tbl *table, rid int64, newRow []Value) error {
 	// X-lock unique key values this update vacates or claims, for the same
 	// reason deletes do (the vacated key becomes claimable at commit).
 	if cur := tbl.currentRow(rid, tx.id); cur != nil {
-		if err := tx.lockKeyTargets(tbl.changedUniqueKeyTargets(cur, newRow), lockExclusive); err != nil {
+		if err := tx.lockKeyTargets(tx.keyTargets(tbl, cur, newRow), lockExclusive); err != nil {
 			return err
 		}
 	}

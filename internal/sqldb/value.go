@@ -14,6 +14,7 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -52,11 +53,12 @@ func (t Type) String() string {
 	}
 }
 
-// Value is a single SQL value. The zero Value is SQL NULL.
+// Value is a single SQL value. The zero Value is SQL NULL. It is 32 bytes:
+// every stored row, row copy and result row is a []Value, so a field here
+// is a field on every cell the engine holds.
 type Value struct {
 	typ Type
-	i   int64 // Int; Bool (0/1); Time (microseconds since Unix epoch, UTC)
-	f   float64
+	i   int64 // Int; Bool (0/1); Time (microseconds since Unix epoch, UTC); Float (IEEE 754 bits)
 	s   string
 }
 
@@ -64,7 +66,10 @@ type Value struct {
 func NewInt(v int64) Value { return Value{typ: Int, i: v} }
 
 // NewFloat returns a FLOAT value.
-func NewFloat(v float64) Value { return Value{typ: Float, f: v} }
+func NewFloat(v float64) Value { return Value{typ: Float, i: int64(math.Float64bits(v))} }
+
+// float returns a Float value's payload.
+func (v Value) float() float64 { return math.Float64frombits(uint64(v.i)) }
 
 // NewText returns a TEXT value.
 func NewText(v string) Value { return Value{typ: Text, s: v} }
@@ -92,25 +97,31 @@ func (v Value) Type() Type { return v.typ }
 // IsNull reports whether the value is SQL NULL.
 func (v Value) IsNull() bool { return v.typ == Null }
 
-// Int64 returns the value as an int64 (Int and Bool values).
-func (v Value) Int64() int64 { return v.i }
+// Int64 returns the value as an int64 (Int, Bool and Time values; 0 for
+// a Float, whose bits share the field).
+func (v Value) Int64() int64 {
+	if v.typ == Float {
+		return 0
+	}
+	return v.i
+}
 
 // Float64 returns the numeric value as float64 (Int and Float values).
 func (v Value) Float64() float64 {
 	if v.typ == Int {
 		return float64(v.i)
 	}
-	return v.f
+	return v.float()
 }
 
 // Text returns the TEXT payload.
 func (v Value) Text() string { return v.s }
 
 // Bool returns the BOOLEAN payload.
-func (v Value) Bool() bool { return v.i != 0 }
+func (v Value) Bool() bool { return v.Int64() != 0 }
 
 // TimeValue returns the TIMESTAMP payload in UTC.
-func (v Value) TimeValue() time.Time { return time.UnixMicro(v.i).UTC() }
+func (v Value) TimeValue() time.Time { return time.UnixMicro(v.Int64()).UTC() }
 
 // Go converts to the natural Go representation used by database/sql.
 func (v Value) Go() any {
@@ -120,7 +131,7 @@ func (v Value) Go() any {
 	case Int:
 		return v.i
 	case Float:
-		return v.f
+		return v.float()
 	case Text:
 		return v.s
 	case Bool:
@@ -181,7 +192,7 @@ func (v Value) String() string {
 	case Int:
 		return strconv.FormatInt(v.i, 10)
 	case Float:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case Text:
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
 	case Bool:
@@ -269,8 +280,8 @@ func coerce(v Value, t Type) (Value, error) {
 			return NewFloat(float64(v.i)), nil
 		}
 	case Int:
-		if v.typ == Float && v.f == float64(int64(v.f)) {
-			return NewInt(int64(v.f)), nil
+		if f := v.float(); v.typ == Float && f == float64(int64(f)) {
+			return NewInt(int64(f)), nil
 		}
 		if v.typ == Bool {
 			return NewInt(v.i), nil
@@ -308,15 +319,20 @@ func compareKeys(a, b Key) int {
 		n = len(b)
 	}
 	for i := 0; i < n; i++ {
-		c, err := Compare(a[i], b[i])
-		if err != nil {
-			// Mixed-type keys cannot occur in a well-typed index; order
-			// deterministically by type tag as a safety net.
-			c = int(a[i].typ) - int(b[i].typ)
-		}
-		if c != 0 {
+		if c := compareKeyPart(a[i], b[i]); c != 0 {
 			return c
 		}
 	}
 	return len(a) - len(b)
+}
+
+// compareKeyPart orders one key column the way every index does: Compare,
+// and — mixed-type keys cannot occur in a well-typed index — by type tag
+// as a deterministic safety net.
+func compareKeyPart(a, b Value) int {
+	c, err := Compare(a, b)
+	if err != nil {
+		c = int(a.typ) - int(b.typ)
+	}
+	return c
 }

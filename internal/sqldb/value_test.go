@@ -1,10 +1,110 @@
 package sqldb
 
 import (
+	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
+
+// TestValueSize pins the cell size: every stored row, row copy and result
+// row is a []Value, so a fifth more per cell is a fifth more resident heap.
+func TestValueSize(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Fatalf("sizeof(Value) = %d, want 32", got)
+	}
+}
+
+// TestFloatBitsRoundTrip covers a FLOAT's payload living in the integer
+// field as IEEE 754 bits: accessors, the WAL/page encoding, comparison and
+// coercion must all behave as they did with a dedicated float64 field,
+// including for the values whose bit patterns are easy to get wrong.
+func TestFloatBitsRoundTrip(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, f := range []float64{0, negZero, 1, -1, 2.5, -2.5, 1e300, -1e-300,
+		math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.NaN(),
+		float64(math.MaxInt64), float64(math.MinInt64)} {
+		v := NewFloat(f)
+		if v.Type() != Float {
+			t.Fatalf("NewFloat(%v).Type() = %v", f, v.Type())
+		}
+		same := func(got float64) bool {
+			return math.Float64bits(got) == math.Float64bits(f)
+		}
+		if !same(v.Float64()) {
+			t.Errorf("Float64() = %v, want %v", v.Float64(), f)
+		}
+		if g, ok := v.Go().(float64); !ok || !same(g) {
+			t.Errorf("Go() = %v, want %v", v.Go(), f)
+		}
+		if v.Int64() != 0 {
+			t.Errorf("Int64() on Float %v = %d, want 0", f, v.Int64())
+		}
+		// The encoding is the 8 IEEE bytes, little-endian, after the tag.
+		var buf bytes.Buffer
+		writeValue(&buf, v)
+		if buf.Len() != 9 || buf.Bytes()[0] != byte(Float) {
+			t.Fatalf("encoding of %v = %x", f, buf.Bytes())
+		}
+		back, ok := (&byteReader{b: buf.Bytes()}).value()
+		if !ok || back != v {
+			t.Errorf("decode(encode(%v)) = %v, %v", f, back, ok)
+		}
+		if fv, err := FromGo(f); err != nil || fv != v {
+			t.Errorf("FromGo(%v) = %v, %v", f, fv, err)
+		}
+	}
+
+	cmp := []struct {
+		a, b Value
+		want int
+	}{
+		{NewFloat(negZero), NewFloat(0), 0},
+		{NewFloat(negZero), NewInt(0), 0},
+		{NewFloat(-1), NewFloat(1), -1},
+		{NewFloat(math.Inf(-1)), NewFloat(-math.MaxFloat64), -1},
+		{NewFloat(math.Inf(1)), NewInt(math.MaxInt64), 1},
+		{NewInt(3), NewFloat(2.5), 1},
+		{NewFloat(2.5), NewFloat(2.5), 0},
+		// NaN is unordered: neither side is less, so Compare reports 0.
+		{NewFloat(math.NaN()), NewFloat(1), 0},
+		{NewFloat(1), NewFloat(math.NaN()), 0},
+	}
+	for _, c := range cmp {
+		got, err := Compare(c.a, c.b)
+		if err != nil || got != c.want {
+			t.Errorf("Compare(%v, %v) = %d, %v; want %d", c.a, c.b, got, err, c.want)
+		}
+	}
+
+	coerced := []struct {
+		in   Value
+		to   Type
+		want Value
+		ok   bool
+	}{
+		{NewInt(7), Float, NewFloat(7), true},
+		{NewFloat(7), Int, NewInt(7), true},
+		{NewFloat(negZero), Int, NewInt(0), true},
+		{NewFloat(-3), Int, NewInt(-3), true},
+		{NewFloat(2.5), Int, Value{}, false},
+		{NewFloat(math.NaN()), Int, Value{}, false},
+		{NewFloat(math.Inf(1)), Float, NewFloat(math.Inf(1)), true},
+		{NewFloat(1), Bool, Value{}, false},
+		{NewFloat(1), Text, Value{}, false},
+	}
+	for _, c := range coerced {
+		got, err := coerce(c.in, c.to)
+		if (err == nil) != c.ok || (c.ok && got != c.want) {
+			t.Errorf("coerce(%v, %v) = %v, %v; want %v, ok=%v", c.in, c.to, got, err, c.want, c.ok)
+		}
+	}
+	if s := NewFloat(negZero).String(); s != "-0" {
+		t.Errorf("String(-0) = %q", s)
+	}
+}
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
 	if v := NewInt(42); v.Type() != Int || v.Int64() != 42 {

@@ -619,7 +619,12 @@ func (w *wal) observeGroup(n int) {
 // effects are applied. A nonzero LSN may come back even with an error
 // (the marker reached the file but the sync failed) — the caller
 // unregisters on that path too.
-func (w *wal) commit(ctx context.Context, txn uint64, recs []walRecord) (uint64, error) {
+//
+// buf is the committer's encode buffer (the transaction's scratch): the
+// records are laid out there and it is the committer's again when commit
+// returns — a group flush copies queued batches into its own write
+// buffer, and the unbatched policies publish a copy.
+func (w *wal) commit(ctx context.Context, txn uint64, recs []walRecord, buf *bytes.Buffer) (uint64, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return 0, mapCtxErr(err) // nothing written yet: cancel is free
@@ -629,10 +634,10 @@ func (w *wal) commit(ctx context.Context, txn uint64, recs []walRecord) (uint64,
 	// extend the critical section other committers queue behind. The
 	// commit marker is sealed at write time (under w.mu) so its LSN
 	// matches file order.
-	var buf bytes.Buffer
+	buf.Reset()
 	for i := range recs {
 		recs[i].txn = txn
-		appendRecord(&buf, &recs[i])
+		appendRecord(buf, &recs[i])
 	}
 	if w.policy == SyncGroup {
 		return w.commitGroup(ctx, buf.Bytes(), txn)
@@ -645,7 +650,7 @@ func (w *wal) commit(ctx context.Context, txn uint64, recs []walRecord) (uint64,
 		}
 	}
 	lsn := w.nextLSN + 1
-	appendRecord(&buf, &walRecord{op: walCommit, txn: txn, lsn: lsn})
+	appendRecord(buf, &walRecord{op: walCommit, txn: txn, lsn: lsn})
 	if _, err := w.file.Write(buf.Bytes()); err != nil {
 		w.dirty = true
 		w.mu.Unlock()
@@ -667,7 +672,7 @@ func (w *wal) commit(ctx context.Context, txn uint64, recs []walRecord) (uint64,
 	if err != nil {
 		return lsn, err
 	}
-	w.publishCommitted([]CommittedBatch{{LSN: lsn, Data: buf.Bytes()}})
+	w.publishCommitted([]CommittedBatch{{LSN: lsn, Data: append([]byte(nil), buf.Bytes()...)}})
 	w.commits.Add(1)
 	return lsn, nil
 }
@@ -824,7 +829,14 @@ func (w *wal) flushGroup() {
 	var err error
 	var published []CommittedBatch
 	if werr == nil {
-		var buf bytes.Buffer
+		// The write buffer outlives the flush — the replication ring keeps
+		// each batch's slice of it — so size it to the group, not by
+		// doubling: what the ring pins is then log bytes, not slack.
+		size := 0
+		for i, qb := range group {
+			size += len(qb.data) + markerLen(qb.txn, w.nextLSN+uint64(i)+1)
+		}
+		buf := bytes.NewBuffer(make([]byte, 0, size))
 		published = make([]CommittedBatch, 0, len(group))
 		for _, qb := range group {
 			start := buf.Len()
@@ -832,7 +844,7 @@ func (w *wal) flushGroup() {
 			w.nextLSN++
 			qb.lsn = w.nextLSN
 			w.registerInflight(qb.lsn)
-			appendRecord(&buf, &walRecord{op: walCommit, txn: qb.txn, lsn: w.nextLSN})
+			appendRecord(buf, &walRecord{op: walCommit, txn: qb.txn, lsn: w.nextLSN})
 			published = append(published, CommittedBatch{LSN: w.nextLSN, Data: buf.Bytes()[start:]})
 		}
 		if _, werr = w.file.Write(buf.Bytes()); werr != nil {
@@ -942,34 +954,34 @@ func (w *wal) close() error {
 	return w.file.Close()
 }
 
+// appendRecord frames r onto buf: the payload is encoded in place behind
+// a length placeholder that is patched once its size is known.
 func appendRecord(buf *bytes.Buffer, r *walRecord) {
-	var p bytes.Buffer
-	p.WriteByte(byte(r.op))
-	writeUvarint(&p, r.txn)
+	var word [4]byte
+	start := buf.Len()
+	buf.Write(word[:])
+	buf.WriteByte(byte(r.op))
+	writeUvarint(buf, r.txn)
 	switch r.op {
 	case walInsert, walUpdate:
-		writeString(&p, r.table)
-		writeUvarint(&p, uint64(r.rid))
-		writeUvarint(&p, uint64(len(r.row)))
+		writeString(buf, r.table)
+		writeUvarint(buf, uint64(r.rid))
+		writeUvarint(buf, uint64(len(r.row)))
 		for _, v := range r.row {
-			writeValue(&p, v)
+			writeValue(buf, v)
 		}
 	case walDelete:
-		writeString(&p, r.table)
-		writeUvarint(&p, uint64(r.rid))
+		writeString(buf, r.table)
+		writeUvarint(buf, uint64(r.rid))
 	case walDDL:
-		writeString(&p, r.sql)
+		writeString(buf, r.sql)
 	case walCommit:
-		writeUvarint(&p, r.lsn)
+		writeUvarint(buf, r.lsn)
 	}
-	payload := p.Bytes()
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	buf.Write(hdr[:])
-	buf.Write(payload)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(payload, walCRC))
-	buf.Write(crc[:])
+	payload := buf.Bytes()[start+4:]
+	binary.LittleEndian.PutUint32(buf.Bytes()[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(word[:], crc32.Checksum(payload, walCRC))
+	buf.Write(word[:])
 }
 
 // consistentPrefixLen reports how many leading bytes of a log form whole,
@@ -1114,6 +1126,21 @@ func writeUvarint(buf *bytes.Buffer, v uint64) {
 	buf.Write(tmp[:n])
 }
 
+// markerLen is the framed size of the commit marker appendRecord seals
+// for (txn, lsn): length word, op byte, the two uvarints, CRC.
+func markerLen(txn, lsn uint64) int {
+	return 4 + 1 + uvarintLen(txn) + uvarintLen(lsn) + 4
+}
+
+// uvarintLen is how many bytes writeUvarint emits for v.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
 func writeString(buf *bytes.Buffer, s string) {
 	writeUvarint(buf, uint64(len(s)))
 	buf.WriteString(s)
@@ -1127,7 +1154,7 @@ func writeValue(buf *bytes.Buffer, v Value) {
 		writeUvarint(buf, uint64(v.i))
 	case Float:
 		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v.f))
+		binary.LittleEndian.PutUint64(b[:], uint64(v.i)) // IEEE 754 bits
 		buf.Write(b[:])
 	case Text:
 		writeString(buf, v.s)
