@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build test alloc race vet fuzz-wire bench-smoke bench-cancel bench-agg bench-overload bench-repl bench-plancache bench-pager race-cancel race-plancache race-pager joinfuzz chaos replchaos replchaos-one clean
+.PHONY: check build test alloc race vet fuzz bench-smoke bench-cancel bench-agg bench-overload bench-repl bench-plancache bench-pager race-cancel race-plancache race-pager joinfuzz chaos replchaos replchaos-one clean
 
 check: build vet test alloc race
 
@@ -32,12 +32,16 @@ race:
 vet:
 	$(GO) vet ./...
 
-# The wire codec's byte decoders against encoding/xml as the oracle: must
-# never panic, never reach outside the input, and agree on accept/reject
-# and on the decoded value. go test -fuzz takes one target per run.
-fuzz-wire:
+# The fuzzed decoders of bytes from the network or the disk. The wire
+# codec's two against encoding/xml as the oracle: never panic, never reach
+# outside the input, agree on accept/reject and on the decoded value. The
+# WAL reader and the redo behind it (shipped batches, the node's own log):
+# never panic, allocation bounded by the input, and what is accepted
+# re-encodes to the same bytes. go test -fuzz takes one target per run.
+fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 30s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzLogReader$$' -fuzztime 30s ./internal/sqldb
 
 # One iteration per benchmark: exercises every benchmark code path without
 # paying for full measurement runs.

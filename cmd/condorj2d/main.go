@@ -36,9 +36,6 @@ func main() {
 	data := flag.String("data", "", "WAL file path for durability (empty = in-memory)")
 	pool := flag.Int("pool", 8, "database connection pool size")
 	sync := flag.String("sync", "group", "WAL sync policy: every (fsync per commit), group (one fsync per commit group), never")
-	groupDelay := flag.Duration("group-delay", 0, "sync=group: how long a solo group leader waits for companion commits before fsyncing (0 = rely on natural batching)")
-	groupMaxBytes := flag.Int("group-max-bytes", 0, "sync=group: cap on log bytes per group flush (0 = unlimited)")
-	gcBatch := flag.Int("gc-batch", 0, "MVCC: max version-GC records reclaimed per commit sweep (0 = default 64)")
 	poolPages := flag.Int("pool-pages", 0, "paged storage: buffer-pool capacity in pages; rows live in a page file and restart replays only the WAL tail past the last checkpoint (0 = rows stay in the WAL-replayed heap)")
 	pageSize := flag.Int("page-size", 0, "paged storage: page size in bytes for a newly created page file (0 = pager default; an existing file's own size wins)")
 	ckptEvery := flag.Duration("checkpoint-interval", 0, "paged storage: background fuzzy-checkpoint cadence; flushes dirty pages without quiescing writers and truncates the WAL (0 = checkpoint only at clean shutdown)")
@@ -50,7 +47,6 @@ func main() {
 	queueWait := flag.Duration("queue-wait", 500*time.Millisecond, "admission control: max time a request waits for an in-flight slot before a typed Overloaded fault")
 	retryAfter := flag.Duration("retry-after", 0, "admission control: RetryAfterMs hint on Overloaded faults (0 = queue-wait)")
 	freshFor := flag.Duration("hb-fresh-for", 10*time.Second, "admission control: delta-free heartbeats older than this are shed under load")
-	planCache := flag.Bool("plan-cache", true, "cache compiled plans on parameterized statements, invalidated by schema/stats epochs (false = replan every execution)")
 	follow := flag.String("follow", "", "replication: run as a read-only follower of this leader /services URL (writes answer NotLeader; promotes on lease expiry)")
 	advertise := flag.String("advertise", "", "replication: this node's own /services URL as dialable by peers (required with -follow; on a leader, enables follower shipping)")
 	leaseTTL := flag.Duration("lease-ttl", 3*time.Second, "replication: leader lease TTL; a follower promotes when the replicated lease goes this stale")
@@ -71,9 +67,6 @@ func main() {
 			VFS:                sqldb.OSVFS{},
 			Path:               *data,
 			Sync:               policy,
-			GroupDelay:         *groupDelay,
-			GroupMaxBytes:      *groupMaxBytes,
-			GCBatch:            *gcBatch,
 			StmtTimeout:        *stmtTimeout,
 			LockTimeout:        *lockTimeout,
 			PoolPages:          *poolPages,
@@ -114,9 +107,6 @@ func main() {
 		// In-memory engine: the CAS built it, so the flags apply here.
 		cas.Engine.SetStmtTimeout(*stmtTimeout)
 		cas.Engine.SetLockTimeout(*lockTimeout)
-	}
-	if !*planCache {
-		cas.Engine.SetPlanCacheMode(sqldb.PlanCacheOff)
 	}
 	// Admission control: bound in-flight work and per-action queues so an
 	// overloaded CAS answers typed Overloaded faults (with a RetryAfterMs
@@ -220,18 +210,14 @@ func main() {
 	cs := cas.CancelStats()
 	log.Printf("cancel: %d statements canceled, %d deadlines exceeded, %d lock-wait timeouts, %d lock-wait cancels, %d commit retractions",
 		cs.StatementsCanceled, cs.DeadlinesExceeded, cs.LockWaitTimeouts, cs.LockWaitCancels, cs.CommitRetractions)
-	if *planCache {
-		pc := cas.PlanCacheStats()
-		planTotal := pc.Hits + pc.Misses
-		hitRate := 0.0
-		if planTotal > 0 {
-			hitRate = float64(pc.Hits) / float64(planTotal)
-		}
-		log.Printf("plancache: %d hits, %d misses (%.1f%% hit rate), %d stores, %d invalidations, %d snapshot bypasses",
-			pc.Hits, pc.Misses, 100*hitRate, pc.Stores, pc.Invalidations, pc.Bypasses)
-	} else {
-		log.Printf("plancache: disabled (-plan-cache=false)")
+	pc := cas.PlanCacheStats()
+	planTotal := pc.Hits + pc.Misses
+	planHitRate := 0.0
+	if planTotal > 0 {
+		planHitRate = float64(pc.Hits) / float64(planTotal)
 	}
+	log.Printf("plancache: %d hits, %d misses (%.1f%% hit rate), %d stores, %d invalidations, %d snapshot bypasses",
+		pc.Hits, pc.Misses, 100*planHitRate, pc.Stores, pc.Invalidations, pc.Bypasses)
 	as := cas.AdmissionStats()
 	log.Printf("admission: %d admitted (%d queued first), %d rejected, %d queue timeouts, %d stale heartbeats shed, peak in-flight %d",
 		as.Admitted, as.Queued, as.Rejected, as.QueueTimeouts, as.ShedStale, as.PeakInFlight)

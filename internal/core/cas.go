@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"condorj2/internal/metrics"
 	"condorj2/internal/sqldb"
 	"condorj2/internal/vtime"
 	"condorj2/internal/wire"
@@ -127,20 +126,6 @@ func (c *CAS) SetAdmission(cfg wire.AdmissionConfig) {
 // no gate is installed).
 func (c *CAS) AdmissionStats() wire.AdmissionStats { return c.Mux.AdmissionStats() }
 
-// AdmissionSnapshot converts the gate's counters into the metrics layer's
-// form, ready for metrics.AdmissionMonitor.Observe — the server half of
-// the fault-tolerance picture (clients' RetryStats are the other half).
-func (c *CAS) AdmissionSnapshot() metrics.AdmissionSnapshot {
-	s := c.Mux.AdmissionStats()
-	return metrics.AdmissionSnapshot{
-		Admitted:      s.Admitted,
-		Queued:        s.Queued,
-		Rejected:      s.Rejected,
-		QueueTimeouts: s.QueueTimeouts,
-		ShedStale:     s.ShedStale,
-	}
-}
-
 // Config keys the CAS applies to the embedded engine at assembly and on
 // live ConfigSet calls.
 const (
@@ -214,107 +199,25 @@ func (c *CAS) StopScheduler() {
 // (waits, deadlocks, held table/row locks) for operators and experiments.
 func (c *CAS) LockStats() sqldb.LockStats { return c.Engine.LockStats() }
 
-// LockSnapshot converts the engine's counters into the metrics layer's
-// form, ready for metrics.LockMonitor.Observe — the bridge the experiment
-// harness uses to chart lock contention next to CPU accounting.
-func (c *CAS) LockSnapshot() metrics.LockSnapshot {
-	s := c.Engine.LockStats()
-	return metrics.LockSnapshot{
-		Acquired:  s.Acquired,
-		Waited:    s.Waited,
-		Deadlocks: s.Deadlocks,
-		WaitTime:  s.WaitTime,
-		Held:      s.HeldTable + s.HeldRow,
-	}
-}
-
 // VersionStats snapshots the embedded engine's MVCC counters (snapshot
 // reads served lock-free, version churn, GC backlog) for operators and
 // experiments.
 func (c *CAS) VersionStats() sqldb.VersionStats { return c.Engine.VersionStats() }
-
-// VersionSnapshot converts the engine's MVCC counters into the metrics
-// layer's form, ready for metrics.VersionMonitor.Observe — the bridge the
-// experiment harness uses to chart lock-free read traffic next to lock
-// contention.
-func (c *CAS) VersionSnapshot() metrics.VersionSnapshot {
-	s := c.Engine.VersionStats()
-	return metrics.VersionSnapshot{
-		CommitTS:        s.CommitTS,
-		OldestSnapshot:  s.OldestSnapshot,
-		ActiveSnapshots: s.ActiveSnapshots,
-		SnapshotReads:   s.SnapshotReads,
-		VersionsCreated: s.VersionsCreated,
-		VersionsPruned:  s.VersionsPruned,
-		SlotsReclaimed:  s.SlotsReclaimed,
-		EntriesRemoved:  s.EntriesRemoved,
-		PendingGC:       s.PendingGC,
-	}
-}
 
 // PlannerStats snapshots the embedded engine's join-planner counters
 // (strategy picks, statistics-driven reorders, hash build volumes) for
 // operators and experiments.
 func (c *CAS) PlannerStats() sqldb.PlannerStats { return c.Engine.PlannerStats() }
 
-// PlannerSnapshot converts the engine's planner counters into the metrics
-// layer's form, ready for metrics.PlannerMonitor.Observe — the bridge the
-// experiment harness uses to chart join strategy mix next to lock and
-// version accounting.
-func (c *CAS) PlannerSnapshot() metrics.PlannerSnapshot {
-	s := c.Engine.PlannerStats()
-	return metrics.PlannerSnapshot{
-		JoinQueries:   s.JoinQueries,
-		Reordered:     s.Reordered,
-		HashJoins:     s.HashJoins,
-		IndexNLJoins:  s.IndexNLJoins,
-		NestedLoops:   s.NestedLoops,
-		GraceBuilds:   s.GraceBuilds,
-		HashBuildRows: s.HashBuildRows,
-		HashProbeRows: s.HashProbeRows,
-		AnalyzeRuns:   s.AnalyzeRuns,
-	}
-}
-
 // ExecStats snapshots the embedded engine's batched-executor counters
 // (aggregated statements, keyed fast-path hits, input rows, groups,
 // output batches) for operators and experiments.
 func (c *CAS) ExecStats() sqldb.ExecStats { return c.Engine.ExecStats() }
 
-// ExecSnapshot converts the engine's executor counters into the metrics
-// layer's form, ready for metrics.ExecMonitor.Observe — the bridge that
-// charts the monitoring tier's aggregation traffic next to the join
-// strategy mix.
-func (c *CAS) ExecSnapshot() metrics.ExecSnapshot {
-	s := c.Engine.ExecStats()
-	return metrics.ExecSnapshot{
-		AggQueries:       s.AggQueries,
-		AggFastPaths:     s.AggFastPaths,
-		AggInputRows:     s.AggInputRows,
-		AggGroups:        s.AggGroups,
-		AggOutputBatches: s.AggOutputBatches,
-	}
-}
-
 // PlanCacheStats snapshots the embedded engine's plan-cache counters
 // (hits, misses, epoch invalidations, snapshot bypasses, stores) for
 // operators and experiments.
 func (c *CAS) PlanCacheStats() sqldb.PlanCacheStats { return c.Engine.PlanCacheStats() }
-
-// PlanCacheSnapshot converts the engine's plan-cache counters into the
-// metrics layer's form, ready for metrics.PlanCacheMonitor.Observe — the
-// bridge that charts plan reuse on the scheduler's parameterized
-// statements next to the planner and executor series.
-func (c *CAS) PlanCacheSnapshot() metrics.PlanCacheSnapshot {
-	s := c.Engine.PlanCacheStats()
-	return metrics.PlanCacheSnapshot{
-		Hits:          s.Hits,
-		Misses:        s.Misses,
-		Invalidations: s.Invalidations,
-		Bypasses:      s.Bypasses,
-		Stores:        s.Stores,
-	}
-}
 
 // Analyze refreshes the engine's cardinality statistics (the SQL ANALYZE
 // statement) so the join planner costs the CAS's status queries from
@@ -332,66 +235,15 @@ func (c *CAS) Analyze() error {
 // shutdown alongside WAL stats.
 func (c *CAS) CancelStats() sqldb.CancelStats { return c.Engine.CancelStats() }
 
-// CancelSnapshot converts the engine's cancellation counters into the
-// metrics layer's form, ready for metrics.CancelMonitor.Observe.
-func (c *CAS) CancelSnapshot() metrics.CancelSnapshot {
-	s := c.Engine.CancelStats()
-	return metrics.CancelSnapshot{
-		StatementsCanceled: s.StatementsCanceled,
-		DeadlinesExceeded:  s.DeadlinesExceeded,
-		LockWaitTimeouts:   s.LockWaitTimeouts,
-		LockWaitCancels:    s.LockWaitCancels,
-		CommitRetractions:  s.CommitRetractions,
-	}
-}
-
 // WALStats snapshots the embedded engine's commit-pipeline counters
 // (commits, fsyncs, group sizes, commit wait) for operators and
 // experiments; zeros when the engine runs without a WAL.
 func (c *CAS) WALStats() sqldb.WALStats { return c.Engine.WALStats() }
 
-// WALSnapshot converts the engine's WAL counters into the metrics layer's
-// form, ready for metrics.WALMonitor.Observe — the bridge the experiment
-// harness uses to chart fsync amortization next to lock contention.
-func (c *CAS) WALSnapshot() metrics.WALSnapshot {
-	s := c.Engine.WALStats()
-	return metrics.WALSnapshot{
-		Commits:       s.Commits,
-		Syncs:         s.Syncs,
-		Flushes:       s.Flushes,
-		BytesWritten:  s.BytesWritten,
-		GroupSizeHist: s.GroupSizeHist,
-		MaxGroup:      s.MaxGroup,
-		CommitWait:    s.CommitWait,
-	}
-}
-
 // BufferPoolStats snapshots the embedded engine's paged-storage counters
 // (buffer-pool traffic, pager I/O, checkpoint progress) for operators and
 // experiments; zeros when the engine runs without paged storage.
 func (c *CAS) BufferPoolStats() sqldb.BufferPoolStats { return c.Engine.BufferPoolStats() }
-
-// BufferPoolSnapshot converts the engine's buffer-pool counters into the
-// metrics layer's form, ready for metrics.BufferPoolMonitor.Observe — the
-// bridge the experiment harness uses to chart cache behaviour next to
-// commit throughput when the working set outgrows the pool.
-func (c *CAS) BufferPoolSnapshot() metrics.BufferPoolSnapshot {
-	s := c.Engine.BufferPoolStats()
-	return metrics.BufferPoolSnapshot{
-		Frames:      s.Frames,
-		Resident:    s.Resident,
-		Dirty:       s.Dirty,
-		Pinned:      s.Pinned,
-		Hits:        s.Hits,
-		Misses:      s.Misses,
-		Evictions:   s.Evictions,
-		DirtyWrites: s.DirtyWrites,
-		PageReads:   s.PageReads,
-		PageWrites:  s.PageWrites,
-		Syncs:       s.Syncs,
-		Checkpoints: s.Checkpoints,
-	}
-}
 
 // HTTPHandler serves both external interfaces: the web services endpoint
 // under /services and the pool web site under /.

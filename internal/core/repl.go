@@ -31,7 +31,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"condorj2/internal/metrics"
 	"condorj2/internal/sqldb"
 	"condorj2/internal/wire"
 )
@@ -735,21 +734,4 @@ func (r *Replicator) Stats() ReplStats {
 	}
 	r.mu.Unlock()
 	return s
-}
-
-// Snapshot converts the replicator's counters into the metrics layer's
-// form, ready for metrics.ReplMonitor.Observe — the bridge that charts
-// replication lag next to the WAL commit pipeline feeding it.
-func (r *Replicator) Snapshot() metrics.ReplSnapshot {
-	s := r.Stats()
-	return metrics.ReplSnapshot{
-		ShipCalls:   s.ShipCalls,
-		ShipBatches: s.ShipBatches,
-		ShipErrors:  s.ShipErrors,
-		Fenced:      s.Fenced,
-		Promotions:  s.Promotions,
-		Demotions:   s.Demotions,
-		LagLSN:      s.LagLSN,
-		LagMs:       s.LagMs,
-	}
 }

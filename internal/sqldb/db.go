@@ -47,24 +47,9 @@ type Options struct {
 	Path string
 	// Sync selects the WAL sync policy.
 	Sync SyncPolicy
-	// GroupDelay, under SyncGroup, is how long a group leader with no
-	// companions holds the flush open for near-simultaneous committers to
-	// join before paying the fsync. Zero relies on natural batching alone
-	// (followers accumulate while the leader's fsync is in flight), which
-	// is the right default for concurrent workloads.
-	GroupDelay time.Duration
-	// GroupMaxBytes, under SyncGroup, caps how many queued log bytes one
-	// flush drains (bounding both write size and worst-case commit
-	// latency behind a huge group). Zero means unlimited.
-	GroupMaxBytes int
 	// Now supplies the clock for NOW(); nil means time.Now (live
 	// deployments). Simulations inject the virtual clock.
 	Now func() time.Time
-	// GCBatch caps how many deferred-reclamation records one commit-time
-	// GC sweep processes (0 = default). Larger batches reclaim version
-	// garbage sooner at the cost of longer latched pauses on the
-	// committing transaction's goroutine; Vacuum drains regardless.
-	GCBatch int
 	// StmtTimeout is the default per-statement deadline applied when a
 	// caller's context carries none (0 = none). Runtime-settable with
 	// SetStmtTimeout.
@@ -132,7 +117,6 @@ type DB struct {
 	watermark atomic.Uint64
 	gcMu      sync.Mutex
 	gcQueue   []gcRecord
-	gcBatch   int
 
 	snapshotReads   atomic.Uint64
 	versionsCreated atomic.Uint64
@@ -199,18 +183,14 @@ func New() *DB {
 // Open creates or recovers a database according to opts.
 func Open(opts Options) (*DB, error) {
 	db := &DB{
-		tables:  make(map[string]*table),
-		locks:   newLockManager(),
-		nowFn:   opts.Now,
-		stmts:   make(map[string]*cachedStmt),
-		snaps:   make(map[uint64]int),
-		gcBatch: opts.GCBatch,
+		tables: make(map[string]*table),
+		locks:  newLockManager(),
+		nowFn:  opts.Now,
+		stmts:  make(map[string]*cachedStmt),
+		snaps:  make(map[uint64]int),
 	}
 	if db.nowFn == nil {
 		db.nowFn = time.Now
-	}
-	if db.gcBatch <= 0 {
-		db.gcBatch = 64
 	}
 	db.stmtTimeout.Store(int64(opts.StmtTimeout))
 	db.locks.timeout.Store(int64(opts.LockTimeout))
@@ -222,19 +202,16 @@ func Open(opts Options) (*DB, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sqldb: reading WAL: %w", err)
 		}
-		// Cut the log back to its last committed group boundary before it
-		// is appended to again. This removes both a crash's torn tail
-		// (partial record, record failing its CRC) and any whole records
-		// of a group whose commit marker never made it — recovery would
-		// ignore those anyway, but leaving them in place would strand
-		// every future commit behind garbage and let a later process
-		// reusing the same transaction id adopt them.
-		if good := committedPrefixLen(data); good < len(data) {
-			data = data[:good]
-			if err := repairWALFile(opts.VFS, opts.Path, data); err != nil {
-				return nil, fmt.Errorf("sqldb: repairing torn WAL tail: %w", err)
+		// A failed Open leaves no page store open behind it.
+		fail := func(err error) (*DB, error) {
+			if db.store != nil {
+				db.store.close()
 			}
+			return nil, err
 		}
+		// Redo the log: all of it for a log-only store, the tail above the
+		// checkpoint once the page image is loaded for a paged one.
+		var good int
 		if opts.PoolPages > 0 {
 			rvfs, ok := opts.VFS.(RandomAccessVFS)
 			if !ok {
@@ -245,19 +222,27 @@ func Open(opts Options) (*DB, error) {
 				return nil, err
 			}
 			db.store = st
-			if err := db.recoverPaged(meta, parseWAL(data)); err != nil {
-				st.close()
-				return nil, err
+			if good, err = db.recoverPaged(meta, data); err != nil {
+				return fail(err)
 			}
-		} else if err := db.recover(parseWAL(data)); err != nil {
+		} else if good, err = db.redoLog(data, 0, false); err != nil {
 			return nil, err
 		}
-		w, err := openWAL(opts.VFS, opts.Path, opts.Sync, opts.GroupDelay, opts.GroupMaxBytes)
-		if err != nil {
-			if db.store != nil {
-				db.store.close()
+		// Cut the log back to its last committed group boundary — where the
+		// reader stopped — before it is appended to again. This removes both
+		// a crash's torn tail (partial record, record failing its CRC) and
+		// any whole records of a group whose commit marker never made it:
+		// the redo ignored them, but left in place they would strand every
+		// future commit behind garbage, or be adopted as the head of the
+		// next group appended.
+		if good < len(data) {
+			if err := repairWALFile(opts.VFS, opts.Path, data[:good]); err != nil {
+				return fail(fmt.Errorf("sqldb: repairing torn WAL tail: %w", err))
 			}
-			return nil, err
+		}
+		w, err := openWAL(opts.VFS, opts.Path, opts.Sync)
+		if err != nil {
+			return fail(err)
 		}
 		// Resume the LSN horizon past everything the log already holds,
 		// whether this node wrote those groups itself or applied them as
@@ -313,8 +298,7 @@ func (db *DB) SetNow(now func() time.Time) { db.nowFn = now }
 
 // LockStats snapshots the lock manager's contention counters (requests
 // granted, requests that blocked, deadlocks, cumulative wait time, and
-// currently held table/row locks). The metrics layer polls this to chart
-// lock contention alongside CPU accounting.
+// currently held table/row locks).
 func (db *DB) LockStats() LockStats { return db.locks.stats() }
 
 // WALStats snapshots the write-ahead log's commit-pipeline counters (fsync
@@ -333,85 +317,27 @@ func (db *DB) emit(s StmtStats) {
 	}
 }
 
-// recover replays committed transactions from the WAL. Records are
-// buffered per transaction and applied when that transaction's commit
-// marker is reached, so commit timestamps are assigned in commit-record
-// order (the order its locks allowed it to commit in the pre-crash run)
-// and replayed rows carry the same relative stamps a crash-free history
-// would have. Keying the pending buffer by transaction id and clearing it
-// at each commit also makes transaction-id reuse harmless — every process
-// (and, on a replication follower, every leader epoch) restarts ids at 1,
-// so a long log sees the same id commit many times. The commit clock and
-// the replication LSN horizon both resume past everything replayed.
-func (db *DB) recover(recs []walRecord) error {
-	pending := make(map[uint64][]walRecord)
-	var clock, maxLSN uint64
-	for i := range recs {
-		r := &recs[i]
-		if r.op != walCommit {
-			pending[r.txn] = append(pending[r.txn], *r)
-			continue
+// redoLog redoes the node's own log at Open: every committed group above
+// ckptLSN (0 unless a page image was loaded, which already holds the
+// groups at or below it), in file order, each stamped one tick later than
+// the last — the order their locks let them commit in before the crash.
+// The GC queue is drained group by group, so with no snapshot to pin
+// anything chains stay short and the queue never grows with the log. It
+// returns the length of the log's committed prefix: what Open repairs the
+// file to before the first append.
+func (db *DB) redoLog(data []byte, ckptLSN uint64, mayContain bool) (int, error) {
+	rd := logReader{data: data}
+	for rd.next() {
+		if rd.lsn != 0 && rd.lsn <= ckptLSN {
+			continue // (0 is no LSN: Checkpoint's rewrite of a log nothing had committed to)
 		}
-		clock++
-		for _, pr := range pending[r.txn] {
-			if err := db.recoverApply(&pr, clock); err != nil {
-				return err
-			}
+		if err := db.applyGroup(rd.lsn, rd.recs, mayContain); err != nil {
+			return 0, fmt.Errorf("sqldb: recovery: %w", err)
 		}
-		delete(pending, r.txn)
-		if r.lsn > maxLSN {
-			maxLSN = r.lsn
-		}
+		db.runGC(0)
 	}
-	// Records of transactions whose commit marker never made the log are
-	// dropped, exactly as a pre-crash rollback would have.
-	db.clock.Store(clock)
-	db.watermark.Store(clock)
-	db.replApplied.Store(maxLSN)
-	// Rebuild free lists and autoincrement counters.
-	for _, tbl := range db.tables {
-		tbl.rebuildAfterReplay()
-	}
-	return nil
-}
-
-// recoverApply replays one committed record at commit timestamp ts.
-func (db *DB) recoverApply(r *walRecord, ts uint64) error {
-	switch r.op {
-	case walDDL:
-		stmt, err := Parse(r.sql)
-		if err != nil {
-			return fmt.Errorf("sqldb: recovery: bad DDL %q: %w", r.sql, err)
-		}
-		if err := db.applyDDL(stmt, nil); err != nil {
-			return fmt.Errorf("sqldb: recovery: %w", err)
-		}
-	case walInsert:
-		tbl := db.tables[r.table]
-		if tbl == nil {
-			return fmt.Errorf("sqldb: recovery: insert into unknown table %s", r.table)
-		}
-		if err := tbl.placeRow(r.rid, r.row, ts); err != nil {
-			return fmt.Errorf("sqldb: recovery: %w", err)
-		}
-	case walUpdate:
-		tbl := db.tables[r.table]
-		if tbl == nil {
-			return fmt.Errorf("sqldb: recovery: update of unknown table %s", r.table)
-		}
-		if err := tbl.replayUpdate(r.rid, r.row, ts); err != nil {
-			return fmt.Errorf("sqldb: recovery: %w", err)
-		}
-	case walDelete:
-		tbl := db.tables[r.table]
-		if tbl == nil {
-			return fmt.Errorf("sqldb: recovery: delete from unknown table %s", r.table)
-		}
-		if err := tbl.replayDelete(r.rid); err != nil {
-			return fmt.Errorf("sqldb: recovery: %w", err)
-		}
-	}
-	return nil
+	db.RebuildAfterReplication()
+	return rd.end, nil
 }
 
 // TxOptions configures BeginTx.
@@ -496,8 +422,13 @@ func (db *DB) advanceWatermark() uint64 {
 	return db.watermark.Load()
 }
 
+// gcBatch caps how many deferred-reclamation records one commit-time GC
+// sweep processes: the latched pause a committing transaction's goroutine
+// pays for reclamation. Vacuum drains regardless.
+const gcBatch = 64
+
 // maybeGC runs one bounded reclamation sweep (commit-time piggyback).
-func (db *DB) maybeGC() { db.runGC(db.gcBatch) }
+func (db *DB) maybeGC() { db.runGC(gcBatch) }
 
 // runGC drains up to budget deferred-reclamation records whose
 // superseding commit has passed below the watermark (budget <= 0 means
@@ -546,8 +477,7 @@ func (db *DB) Vacuum() int {
 
 // VersionStats snapshots the MVCC machinery's counters: the commit clock,
 // the oldest active snapshot (the GC watermark), snapshot-read and
-// version-churn counts, and the reclamation backlog. The metrics layer
-// polls this to chart snapshot traffic alongside lock contention.
+// version-churn counts, and the reclamation backlog.
 func (db *DB) VersionStats() VersionStats {
 	db.snapMu.Lock()
 	active := int64(0)

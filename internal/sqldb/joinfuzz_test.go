@@ -239,19 +239,24 @@ func runJoinFuzzCase(t *testing.T, seed int64) PlannerStats {
 	return db.PlannerStats()
 }
 
+// canonValues renders one row (or index key) as a canonical string.
+func canonValues(vs []Value) string {
+	var sb strings.Builder
+	for _, v := range vs {
+		sb.WriteString(v.Type().String())
+		sb.WriteByte(':')
+		sb.WriteString(v.String())
+		sb.WriteByte('|')
+	}
+	return sb.String()
+}
+
 // canonRows renders a result set as sorted canonical strings (joins give
 // no ordering guarantee, so results compare as multisets).
 func canonRows(r *Rows) []string {
 	out := make([]string, 0, len(r.Data))
 	for _, row := range r.Data {
-		var sb strings.Builder
-		for _, v := range row {
-			sb.WriteString(v.Type().String())
-			sb.WriteByte(':')
-			sb.WriteString(v.String())
-			sb.WriteByte('|')
-		}
-		out = append(out, sb.String())
+		out = append(out, canonValues(row))
 	}
 	sort.Strings(out)
 	return out

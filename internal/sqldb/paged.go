@@ -27,8 +27,8 @@ import (
 //     shadowed data-record erasures are already in the pool, so this
 //     flush makes those erasures durable.
 //  3. FlushPages(DirtyPages()) — every page effect of commits ≤ barrier
-//     reaches disk (effects of later commits may leak too; tail replay
-//     is idempotent, so that is harmless).
+//     reaches disk (effects of later commits may leak too; the redo of
+//     the tail converges over them, so that is harmless).
 //  4. Write checkpoint meta (ckptLSN = barrier, catalog snapshot,
 //     counters) to the alternating meta files.
 //  5. wal.truncateThrough(barrier) — drop the covered log prefix.
@@ -37,12 +37,13 @@ import (
 //
 // Crash at any point is safe: before step 4 the old meta governs and
 // the longer WAL tail replays; between 4 and 5 the tail still holds
-// groups ≤ barrier, which replay skips (lsn ≤ ckptLSN).
+// groups ≤ barrier, which the redo skips (lsn ≤ ckptLSN).
 //
 // Recovery scans the page file for the newest record per (table, rid) —
 // strict 2PL made per-rid sequence order equal commit order — places
-// those as base rows, then replays only the WAL tail as idempotent
-// upserts written through to pages.
+// those as base rows, then hands the WAL tail above the checkpoint LSN to
+// the same redo every other log goes through (applyGroup), told that the
+// state it applies onto may already contain the group.
 
 // ckptFlushBatch is how many pages one checkpoint WriteBatch carries.
 const ckptFlushBatch = 32
@@ -545,10 +546,12 @@ func (db *DB) startCheckpointer(interval time.Duration) {
 }
 
 // recoverPaged rebuilds the database from checkpoint meta, the page
-// file, and the WAL tail. meta == nil means no checkpoint ever
-// completed: the page file was cleared at open and the whole WAL
-// replays (with write-through, so the pages repopulate).
-func (db *DB) recoverPaged(meta *pagedMeta, recs []walRecord) error {
+// file, and the WAL tail, and returns the length of the log's committed
+// prefix (see redoLog). meta == nil means no checkpoint ever completed:
+// the page file was cleared at open and the whole WAL is redone (with
+// write-through, so the pages repopulate) exactly as a log-only store
+// redoes it.
+func (db *DB) recoverPaged(meta *pagedMeta, data []byte) (int, error) {
 	st := db.store
 
 	// 1. Catalog from meta. applyDDL runs with st.recovering set so
@@ -562,16 +565,16 @@ func (db *DB) recoverPaged(meta *pagedMeta, recs []walRecord) error {
 			stmt, err := Parse(mt.ddl)
 			if err != nil {
 				st.recovering = false
-				return fmt.Errorf("sqldb: recovery: bad meta DDL %q: %w", mt.ddl, err)
+				return 0, fmt.Errorf("sqldb: recovery: bad meta DDL %q: %w", mt.ddl, err)
 			}
 			cs, ok := stmt.(*CreateTableStmt)
 			if !ok {
 				st.recovering = false
-				return fmt.Errorf("sqldb: recovery: meta DDL %q is not CREATE TABLE", mt.ddl)
+				return 0, fmt.Errorf("sqldb: recovery: meta DDL %q is not CREATE TABLE", mt.ddl)
 			}
 			if err := db.applyDDL(stmt, nil); err != nil {
 				st.recovering = false
-				return fmt.Errorf("sqldb: recovery: %w", err)
+				return 0, fmt.Errorf("sqldb: recovery: %w", err)
 			}
 			tbl := db.tables[strings.ToLower(cs.Schema.Name)]
 			tbl.tableID = mt.tableID
@@ -581,11 +584,11 @@ func (db *DB) recoverPaged(meta *pagedMeta, recs []walRecord) error {
 				istmt, err := Parse(ddl)
 				if err != nil {
 					st.recovering = false
-					return fmt.Errorf("sqldb: recovery: bad meta index DDL %q: %w", ddl, err)
+					return 0, fmt.Errorf("sqldb: recovery: bad meta index DDL %q: %w", ddl, err)
 				}
 				if err := db.applyDDL(istmt, nil); err != nil {
 					st.recovering = false
-					return fmt.Errorf("sqldb: recovery: %w", err)
+					return 0, fmt.Errorf("sqldb: recovery: %w", err)
 				}
 			}
 			if mt.analyzed {
@@ -617,7 +620,7 @@ func (db *DB) recoverPaged(meta *pagedMeta, recs []walRecord) error {
 	for pid := pager.PageID(1); pid <= extent; pid++ {
 		empty, err := st.pager.ReadPage(pid, buf)
 		if err != nil {
-			return fmt.Errorf("sqldb: recovery: %w", err)
+			return 0, fmt.Errorf("sqldb: recovery: %w", err)
 		}
 		if empty {
 			emptyPids = append(emptyPids, pid)
@@ -640,7 +643,7 @@ func (db *DB) recoverPaged(meta *pagedMeta, recs []walRecord) error {
 			}
 			rec, ok := decodeRecordBytes(buf[off : off+n])
 			if !ok {
-				return fmt.Errorf("sqldb: recovery: corrupt record at page %d slot %d", pid, slot)
+				return 0, fmt.Errorf("sqldb: recovery: corrupt record at page %d slot %d", pid, slot)
 			}
 			if rec.seq > maxSeq {
 				maxSeq = rec.seq
@@ -679,7 +682,7 @@ func (db *DB) recoverPaged(meta *pagedMeta, recs []walRecord) error {
 			batch = append(batch, pager.BatchPage{PID: pid, Data: make([]byte, st.pager.PageSize())})
 		}
 		if err := st.pager.WriteBatch(batch); err != nil {
-			return fmt.Errorf("sqldb: recovery: clearing garbage pages: %w", err)
+			return 0, fmt.Errorf("sqldb: recovery: clearing garbage pages: %w", err)
 		}
 	}
 
@@ -692,7 +695,7 @@ func (db *DB) recoverPaged(meta *pagedMeta, recs []walRecord) error {
 		l.tbl.heap.erase(l.loc)
 	}
 	if _, err := st.pool.FlushAll(); err != nil {
-		return fmt.Errorf("sqldb: recovery: %w", err)
+		return 0, fmt.Errorf("sqldb: recovery: %w", err)
 	}
 	for tid, m := range winners {
 		tbl := tableByID[tid]
@@ -704,11 +707,11 @@ func (db *DB) recoverPaged(meta *pagedMeta, recs []walRecord) error {
 		}
 	}
 	if _, err := st.pool.FlushAll(); err != nil {
-		return fmt.Errorf("sqldb: recovery: %w", err)
+		return 0, fmt.Errorf("sqldb: recovery: %w", err)
 	}
 
 	// 4. Base placement: every surviving winner becomes a single paged
-	// version stamped at timestamp 1.
+	// version stamped at timestamp 1, and the commit clock starts there.
 	var clock uint64
 	for tid, m := range winners {
 		tbl := tableByID[tid]
@@ -718,86 +721,34 @@ func (db *DB) recoverPaged(meta *pagedMeta, recs []walRecord) error {
 		}
 	}
 	if err := st.Err(); err != nil {
-		return fmt.Errorf("sqldb: recovery: %w", err)
-	}
-
-	// 5. WAL tail replay: groups at or below the checkpoint LSN are
-	// already in the pages; later groups replay as idempotent upserts
-	// (written through, fresh sequence numbers). The LSN horizon resumes
-	// past everything ever logged — including the truncated prefix — so
-	// new commits never reuse a checkpointed LSN.
-	ckptLSN := st.ckptLSN.Load()
-	maxLSN := ckptLSN
-	pending := make(map[uint64][]walRecord)
-	for i := range recs {
-		r := &recs[i]
-		if r.op != walCommit {
-			pending[r.txn] = append(pending[r.txn], *r)
-			continue
-		}
-		if r.lsn > maxLSN {
-			maxLSN = r.lsn
-		}
-		if r.lsn != 0 && r.lsn <= ckptLSN {
-			delete(pending, r.txn)
-			continue
-		}
-		clock++
-		for _, pr := range pending[r.txn] {
-			if err := db.pagedReplay(&pr, clock); err != nil {
-				return err
-			}
-		}
-		delete(pending, r.txn)
+		return 0, fmt.Errorf("sqldb: recovery: %w", err)
 	}
 	db.clock.Store(clock)
 	db.watermark.Store(clock)
-	db.replApplied.Store(maxLSN)
+
+	// 5. WAL tail: groups at or below the checkpoint LSN are already in
+	// the pages; later ones are redone over them (written through, fresh
+	// sequence numbers). The pages may hold effects of those later groups
+	// too — but only when there was an image to load. The LSN horizon
+	// resumes past everything ever logged — including the truncated
+	// prefix — so new commits never reuse a checkpointed LSN.
+	ckptLSN := st.ckptLSN.Load()
+	db.replApplied.Store(ckptLSN)
+	good, err := db.redoLog(data, ckptLSN, meta != nil)
+	if err != nil {
+		return 0, err
+	}
 	if err := st.Err(); err != nil {
-		return fmt.Errorf("sqldb: recovery: %w", err)
+		return 0, fmt.Errorf("sqldb: recovery: %w", err)
 	}
 
-	// 6. Free lists, then statistics for tables analyzed before the
-	// checkpoint (tail ANALYZE records re-ran themselves during replay).
-	db.mu.Lock()
-	for _, tbl := range db.tables {
-		tbl.rebuildFreeList()
-	}
-	db.mu.Unlock()
+	// 6. Statistics for tables analyzed before the checkpoint (tail
+	// ANALYZE records re-ran themselves during the redo).
 	for _, tbl := range analyzeAfter {
 		tbl.analyze()
 		db.plannerAnalyzeRuns.Add(1)
 	}
-	return nil
-}
-
-// pagedReplay applies one committed WAL-tail record at timestamp ts.
-func (db *DB) pagedReplay(r *walRecord, ts uint64) error {
-	switch r.op {
-	case walDDL:
-		stmt, err := Parse(r.sql)
-		if err != nil {
-			return fmt.Errorf("sqldb: recovery: bad DDL %q: %w", r.sql, err)
-		}
-		if err := db.replayDDLLenient(stmt); err != nil {
-			return fmt.Errorf("sqldb: recovery: %w", err)
-		}
-	case walInsert, walUpdate:
-		tbl := db.tables[r.table]
-		if tbl == nil {
-			return fmt.Errorf("sqldb: recovery: write to unknown table %s", r.table)
-		}
-		if err := tbl.pagedReplayUpsert(r.rid, r.row, ts); err != nil {
-			return fmt.Errorf("sqldb: recovery: %w", err)
-		}
-	case walDelete:
-		tbl := db.tables[r.table]
-		if tbl == nil {
-			return fmt.Errorf("sqldb: recovery: delete from unknown table %s", r.table)
-		}
-		tbl.pagedReplayDelete(r.rid)
-	}
-	return nil
+	return good, nil
 }
 
 // replayDDLLenient applies a WAL-tail DDL record idempotently: the tail

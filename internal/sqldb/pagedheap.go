@@ -94,10 +94,11 @@ func encodeRecord(seq uint64, rid int64, tomb bool, row []Value) []byte {
 	return buf.Bytes()
 }
 
-// decodeRecordBytes parses one record image.
+// decodeRecordBytes parses one record image, with the bounds decodeRecord
+// (wal.go) keeps: the row decoder is the same one.
 func decodeRecordBytes(p []byte) (pageRecord, bool) {
 	var rec pageRecord
-	rd := &byteReader{b: p}
+	rd := byteReader{b: p}
 	var ok bool
 	if rec.seq, ok = rd.uvarint(); !ok {
 		return rec, false
@@ -107,25 +108,15 @@ func decodeRecordBytes(p []byte) (pageRecord, bool) {
 		return rec, false
 	}
 	rec.tomb = flags&recFlagTomb != 0
-	rid, ok := rd.uvarint()
-	if !ok {
+	if rec.rid, ok = rd.rid(); !ok {
 		return rec, false
 	}
-	rec.rid = int64(rid)
-	if rec.tomb {
-		return rec, true
-	}
-	n, ok := rd.uvarint()
-	if !ok {
-		return rec, false
-	}
-	rec.row = make([]Value, n)
-	for i := range rec.row {
-		if rec.row[i], ok = rd.value(); !ok {
+	if !rec.tomb {
+		if rec.row, ok = rd.row(); !ok {
 			return rec, false
 		}
 	}
-	return rec, true
+	return rec, rd.off == len(p)
 }
 
 // Page-image helpers. All take the full page image (checksum header

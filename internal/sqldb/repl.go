@@ -2,9 +2,7 @@ package sqldb
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 )
 
 // Replication treats the WAL as the replication stream (the paper's
@@ -156,7 +154,7 @@ func (w *wal) committedSince(afterLSN uint64, maxBytes int) ([]CommittedBatch, u
 		return out, durable, nil
 	}
 	w.tapMu.Unlock()
-	// Far behind the ring: split batches straight out of the log file.
+	// Far behind the ring: cut batches straight out of the log file.
 	// No lock is needed — appends are sequential, so every byte at or
 	// below the durable LSN is already whole in the file, and anything
 	// past it is filtered out below.
@@ -180,42 +178,22 @@ func (w *wal) noteServed(lsn uint64) {
 	}
 }
 
-// splitBatches walks raw log bytes and cuts out whole committed groups
-// with afterLSN < LSN <= durable, stopping at the first invalid record
-// and honoring maxBytes (always at least one qualifying batch).
+// splitBatches cuts the whole committed groups with afterLSN < LSN <=
+// durable out of raw log bytes, honoring maxBytes (always at least one
+// qualifying batch).
 func splitBatches(data []byte, afterLSN uint64, maxBytes int, durable uint64) []CommittedBatch {
 	var out []CommittedBatch
-	total, off, start := 0, 0, 0
-	for {
-		if off+4 > len(data) {
-			return out
-		}
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		if off+4+n+4 > len(data) {
-			return out
-		}
-		payload := data[off+4 : off+4+n]
-		if crc32.Checksum(payload, walCRC) != binary.LittleEndian.Uint32(data[off+4+n:]) {
-			return out
-		}
-		r, ok := decodeRecord(payload)
-		if !ok {
-			return out
-		}
-		off += 4 + n + 4
-		if r.op != walCommit {
+	total := 0
+	for rd := (logReader{data: data}); rd.next(); {
+		if rd.lsn <= afterLSN || rd.lsn > durable {
 			continue
 		}
-		if r.lsn > afterLSN && r.lsn <= durable {
-			chunk := data[start:off]
-			if maxBytes > 0 && total > 0 && total+len(chunk) > maxBytes {
-				return out
-			}
-			out = append(out, CommittedBatch{LSN: r.lsn, Data: append([]byte(nil), chunk...)})
-			total += len(chunk)
+		if total += rd.end - rd.start; maxBytes > 0 && len(out) > 0 && total > maxBytes {
+			break
 		}
-		start = off
+		out = append(out, CommittedBatch{LSN: rd.lsn, Data: append([]byte(nil), data[rd.start:rd.end]...)})
 	}
+	return out
 }
 
 // appendRaw appends verbatim leader-sealed batch bytes to the follower's
@@ -259,8 +237,8 @@ func (db *DB) FollowerApply(lsn uint64, batch []byte) error {
 
 // ApplyCommitted applies a run of shipped committed groups: validate
 // every batch, append them all to this node's own log with one sync
-// (durability first — the applied LSN must survive a restart), then
-// stamp each group through the MVCC commit clock in order.
+// (durability first — the applied LSN must survive a restart), then redo
+// each group in order.
 func (db *DB) ApplyCommitted(batches []CommittedBatch) error {
 	applied := db.replApplied.Load()
 	todo := batches[:0:0]
@@ -275,6 +253,8 @@ func (db *DB) ApplyCommitted(batches []CommittedBatch) error {
 	if len(todo) == 0 {
 		return nil
 	}
+	// Decode before anything is written: a batch the reader rejects must
+	// never reach this node's log, where every later Open would meet it.
 	groups := make([][]walRecord, len(todo))
 	for i, b := range todo {
 		recs, err := decodeBatch(b)
@@ -302,107 +282,99 @@ func (db *DB) ApplyCommitted(batches []CommittedBatch) error {
 		db.wal.publishCommitted(todo)
 	}
 	for i, b := range todo {
-		if err := db.applyGroup(b.LSN, groups[i]); err != nil {
+		if err := db.applyGroup(b.LSN, groups[i], false); err != nil {
 			// Leave the failed group (and any after it) registered: a
 			// checkpoint wedging below an unapplied durable LSN is safe;
 			// truncating its records away would not be.
 			db.replApplyErrors.Add(1)
-			return err
+			return fmt.Errorf("sqldb: follower apply: %w", err)
 		}
 		if db.wal != nil {
 			db.wal.unregisterInflight(b.LSN)
 		}
+		db.replBatchesApplied.Add(1)
+		db.replRecordsApplied.Add(uint64(len(groups[i])))
 	}
 	db.maybeGC()
 	return nil
 }
 
-// decodeBatch validates one shipped batch: every byte must decode into
-// CRC-valid records, and the batch must be exactly one group ending in a
-// commit marker carrying the batch's LSN. The commit marker is stripped
-// from the returned records.
+// decodeBatch validates one shipped batch and returns its redo records:
+// the bytes must be exactly one whole group — CRC-valid, decodable, nothing
+// before or after it — whose commit marker carries the batch's LSN.
 func decodeBatch(b CommittedBatch) ([]walRecord, error) {
-	if consistentPrefixLen(b.Data) != len(b.Data) {
-		return nil, fmt.Errorf("sqldb: follower apply: corrupt batch at lsn %d", b.LSN)
+	rd := logReader{data: b.Data}
+	if !rd.next() || rd.end != len(b.Data) {
+		return nil, fmt.Errorf("sqldb: follower apply: batch at lsn %d is not one whole committed group", b.LSN)
 	}
-	recs := parseWAL(b.Data)
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("sqldb: follower apply: empty batch at lsn %d", b.LSN)
+	if rd.lsn != b.LSN {
+		return nil, fmt.Errorf("sqldb: follower apply: batch at lsn %d ends in the commit marker of lsn %d", b.LSN, rd.lsn)
 	}
-	last := recs[len(recs)-1]
-	if last.op != walCommit || last.lsn != b.LSN {
-		return nil, fmt.Errorf("sqldb: follower apply: batch at lsn %d does not end in its commit marker", b.LSN)
-	}
-	for i := range recs[:len(recs)-1] {
-		if recs[i].op == walCommit {
-			return nil, fmt.Errorf("sqldb: follower apply: batch at lsn %d spans multiple groups", b.LSN)
-		}
-	}
-	return recs[:len(recs)-1], nil
+	return rd.recs, nil
 }
 
-// applyGroup replays one group's records as unstamped versions, then —
-// under the commit mutex, exactly like a local commit — stamps them all
-// with the next commit timestamp and advances the clock. A concurrent
-// snapshot reader on this follower therefore sees either none or all of
-// the group, never a half-applied prefix. DDL records go through
-// applyDDL, which bumps the affected tables' schema epochs — so cached
-// plans on this follower are invalidated by shipped CREATE/DROP
-// INDEX/TABLE exactly as they are by local DDL (plancache.go).
-func (db *DB) applyGroup(lsn uint64, recs []walRecord) error {
+// applyGroup is the redo: the one place a logged group becomes heap rows,
+// version chains and index entries. Recovery feeds it the groups of the
+// node's own log, ApplyCommitted the groups a leader shipped. Records land
+// as unstamped versions, then — under the commit mutex, exactly like a
+// local commit — all are stamped with the next commit timestamp and the
+// clock advances, so a concurrent snapshot reader sees either none or all
+// of the group, never a half-applied prefix. DDL records go through
+// applyDDL, which bumps the affected tables' schema epochs — cached plans
+// are invalidated by redone CREATE/DROP INDEX/TABLE exactly as they are by
+// local DDL (plancache.go).
+//
+// mayContain says the state being applied onto may already hold some of
+// the group's effects. That is true of exactly one input — a log tail redone
+// over a page image, because a fuzzy checkpoint also flushes pages dirtied
+// by commits above its LSN — and there every record converges: an insert
+// onto a live row or an update of a missing one is an upsert, a delete of a
+// missing row and DDL whose effect is present are no-ops. Everywhere else
+// (a log-only recovery, a follower) the log is the whole history and those
+// same situations are errors.
+func (db *DB) applyGroup(lsn uint64, recs []walRecord, mayContain bool) error {
 	var versions []stampEntry
 	var gcs []gcRecord
 	wm := db.watermark.Load()
 	for i := range recs {
 		r := &recs[i]
+		var tbl *table
+		var v *rowVersion
+		var orphaned []gcEntry
+		var err error
 		switch r.op {
 		case walDDL:
-			stmt, err := Parse(r.sql)
-			if err != nil {
-				return fmt.Errorf("sqldb: follower apply: bad DDL %q: %w", r.sql, err)
+			var stmt Statement
+			if stmt, err = Parse(r.sql); err != nil {
+				return fmt.Errorf("bad DDL %q at lsn %d: %w", r.sql, lsn, err)
 			}
 			db.mu.Lock()
-			err = db.applyDDL(stmt, nil)
+			if mayContain {
+				err = db.replayDDLLenient(stmt)
+			} else {
+				err = db.applyDDL(stmt, nil)
+			}
 			db.mu.Unlock()
-			if err != nil {
-				return fmt.Errorf("sqldb: follower apply: %w", err)
-			}
-		case walInsert:
-			tbl, err := db.lookupTable(r.table)
-			if err != nil {
-				return fmt.Errorf("sqldb: follower apply: %w", err)
-			}
-			v, err := tbl.applyInsert(r.rid, r.row)
-			if err != nil {
-				return fmt.Errorf("sqldb: follower apply: %w", err)
-			}
-			versions = append(versions, stampEntry{v: v, tbl: tbl, rid: r.rid})
-		case walUpdate:
-			tbl, err := db.lookupTable(r.table)
-			if err != nil {
-				return fmt.Errorf("sqldb: follower apply: %w", err)
-			}
-			v, orphaned, err := tbl.applyUpdate(r.rid, r.row, wm)
-			if err != nil {
-				return fmt.Errorf("sqldb: follower apply: %w", err)
-			}
-			versions = append(versions, stampEntry{v: v, tbl: tbl, rid: r.rid})
-			if len(orphaned) > 0 {
-				gcs = append(gcs, gcRecord{table: r.table, rid: r.rid, entries: orphaned})
+		case walInsert, walUpdate:
+			if tbl, err = db.lookupTable(r.table); err == nil {
+				v, orphaned, err = tbl.applyWrite(r.op, r.rid, r.row, wm, mayContain)
 			}
 		case walDelete:
-			tbl, err := db.lookupTable(r.table)
-			if err != nil {
-				return fmt.Errorf("sqldb: follower apply: %w", err)
+			if tbl, err = db.lookupTable(r.table); err == nil {
+				v, orphaned, err = tbl.applyDelete(r.rid, wm, mayContain)
 			}
-			v, orphaned, err := tbl.applyDelete(r.rid, wm)
-			if err != nil {
-				return fmt.Errorf("sqldb: follower apply: %w", err)
-			}
-			versions = append(versions, stampEntry{v: v, tbl: tbl, rid: r.rid})
-			gcs = append(gcs, gcRecord{table: r.table, rid: r.rid, tombstone: true, entries: orphaned})
 		default:
-			return fmt.Errorf("sqldb: follower apply: unexpected record op %d at lsn %d", r.op, lsn)
+			err = fmt.Errorf("unexpected record op %d at lsn %d", r.op, lsn)
+		}
+		if err != nil {
+			return err
+		}
+		if v == nil {
+			continue // DDL, or a delete the state already reflects
+		}
+		versions = append(versions, stampEntry{v: v, tbl: tbl, rid: r.rid})
+		if v.isTomb() || len(orphaned) > 0 {
+			gcs = append(gcs, gcRecord{table: r.table, rid: r.rid, tombstone: v.isTomb(), entries: orphaned})
 		}
 	}
 	// Paged storage: write the group's versions through to heap pages
@@ -423,23 +395,27 @@ func (db *DB) applyGroup(lsn uint64, recs []walRecord) error {
 		db.gcMu.Unlock()
 	}
 	db.clock.Store(ts)
-	db.replApplied.Store(lsn)
+	if lsn > db.replApplied.Load() {
+		db.replApplied.Store(lsn)
+	}
 	db.commitMu.Unlock()
 	db.versionsCreated.Add(uint64(len(versions)))
-	db.replBatchesApplied.Add(1)
-	db.replRecordsApplied.Add(uint64(len(recs)))
 	return nil
 }
 
-// RebuildAfterReplication reconstructs per-table free lists and
-// autoincrement counters from the replicated heap. The apply path leaves
-// both alone (a follower allocates nothing), so a promotion runs this
-// once before accepting writes.
+// RebuildAfterReplication ends a redo — recovery at Open, a follower's
+// apply stream at promotion — by making the engine fit to allocate again:
+// the reclamation queue is drained as far as live snapshots allow (so
+// tombstoned slots are free), then every table flattens its chains and
+// rebuilds its free list and autoincrement counters from the heap. The
+// redo itself leaves both alone, since a replaying node allocates nothing.
 func (db *DB) RebuildAfterReplication() {
+	db.Vacuum()
+	wm := db.watermark.Load()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for _, tbl := range db.tables {
-		tbl.rebuildAfterReplay()
+		tbl.rebuildAfterReplay(wm)
 	}
 }
 

@@ -175,8 +175,7 @@ func (t *table) distinctOfCol(col int) float64 {
 // PlannerStats snapshots the cost-based planner's counters: how many
 // multi-table SELECTs were planned, how often statistics changed the join
 // order, which per-edge strategies were chosen, and the hash-join
-// machinery's volumes. The metrics layer polls this (PlannerMonitor) to
-// chart planner behaviour next to lock and version accounting.
+// machinery's volumes.
 type PlannerStats struct {
 	// JoinQueries counts multi-table SELECT plans built.
 	JoinQueries uint64

@@ -643,8 +643,9 @@ func (t *table) rollbackInsert(rid int64, txn uint64) error {
 	return t.rollbackPopLocked(rid, txn, true)
 }
 
-// rollbackUpdate undoes an uncommitted update the same way (the slot
-// cannot empty: the updated version sat on top of an older one).
+// rollbackUpdate undoes an uncommitted update the same way (the row stays
+// live and the slot cannot empty: the updated version sat on top of an
+// older one).
 func (t *table) rollbackUpdate(rid int64, txn uint64) error {
 	t.latch.Lock()
 	defer t.latch.Unlock()
@@ -666,10 +667,11 @@ func (t *table) rollbackDelete(rid int64, txn uint64) error {
 	return nil
 }
 
-// rollbackPopLocked pops txn's uncommitted head, removes the entries it
-// published, and optionally recycles an emptied slot. Caller holds the
-// exclusive latch.
-func (t *table) rollbackPopLocked(rid int64, txn uint64, mayFree bool) error {
+// rollbackPopLocked pops txn's uncommitted head and removes the entries it
+// published. An undone insert also gives back the row it had counted as
+// live and, when the chain emptied, its slot. Caller holds the exclusive
+// latch.
+func (t *table) rollbackPopLocked(rid int64, txn uint64, insert bool) error {
 	s := t.rows[rid]
 	head := s.head.Load()
 	// An uncommitted non-tombstone version always carries data in memory
@@ -681,9 +683,11 @@ func (t *table) rollbackPopLocked(rid int64, txn uint64, mayFree bool) error {
 	for _, ix := range t.indexes {
 		t.removeEntryIfUnclaimed(ix, ix.entryKey(head.data, rid), rid)
 	}
-	t.liveRows.Add(-1)
-	if mayFree && s.head.Load() == nil {
-		t.free = append(t.free, rid)
+	if insert {
+		t.liveRows.Add(-1)
+		if s.head.Load() == nil {
+			t.free = append(t.free, rid)
+		}
 	}
 	return nil
 }
@@ -732,90 +736,10 @@ func (t *table) gcProcess(rec *gcRecord, watermark uint64) (pruned, entriesRemov
 	return pruned, entriesRemoved, slotsFreed
 }
 
-// placeRow publishes a committed version at a specific row id (WAL replay
-// only; ts is the replayed transaction's commit stamp).
-func (t *table) placeRow(rid int64, row []Value, ts uint64) error {
-	t.latch.Lock()
-	defer t.latch.Unlock()
-	for int64(len(t.rows)) <= rid {
-		t.rows = append(t.rows, &rowSlot{})
-	}
-	s := t.rows[rid]
-	if s.head.Load() != nil {
-		return fmt.Errorf("sqldb: replay: slot %d of %s occupied", rid, t.schema.Name)
-	}
-	v := &rowVersion{data: row}
-	v.begin.Store(ts)
-	s.head.Store(v)
-	t.liveRows.Add(1)
-	for _, ix := range t.indexes {
-		ix.tree.insert(ix.entryKey(row, rid), rid)
-	}
-	return nil
-}
-
-// replayUpdate applies a committed update during WAL replay. Replay is
-// single-threaded with no snapshots, so the chain stays flat: the old
-// version is replaced outright and moved index entries are adjusted in
-// place.
-func (t *table) replayUpdate(rid int64, newRow []Value, ts uint64) error {
-	t.latch.Lock()
-	defer t.latch.Unlock()
-	if rid < 0 || rid >= int64(len(t.rows)) || t.rows[rid].head.Load() == nil {
-		return fmt.Errorf("sqldb: replay: update of missing row %d in %s", rid, t.schema.Name)
-	}
-	s := t.rows[rid]
-	old := s.head.Load().data
-	if old == nil {
-		return fmt.Errorf("sqldb: replay: update of deleted row %d in %s", rid, t.schema.Name)
-	}
-	for _, ix := range t.indexes {
-		if !ix.sameKey(old, newRow) {
-			ix.tree.delete(ix.entryKey(old, rid))
-			ix.tree.insert(ix.entryKey(newRow, rid), rid)
-		}
-	}
-	v := &rowVersion{data: newRow}
-	v.begin.Store(ts)
-	s.head.Store(v)
-	return nil
-}
-
-// replayDelete applies a committed delete during WAL replay: flat removal
-// of the row, its entries, and its slot contents.
-func (t *table) replayDelete(rid int64) error {
-	t.latch.Lock()
-	defer t.latch.Unlock()
-	if rid < 0 || rid >= int64(len(t.rows)) || t.rows[rid].head.Load() == nil {
-		return fmt.Errorf("sqldb: replay: delete of missing row %d in %s", rid, t.schema.Name)
-	}
-	s := t.rows[rid]
-	old := s.head.Load().data
-	if old == nil {
-		return fmt.Errorf("sqldb: replay: delete of deleted row %d in %s", rid, t.schema.Name)
-	}
-	for _, ix := range t.indexes {
-		ix.tree.delete(ix.entryKey(old, rid))
-	}
-	s.head.Store(nil)
-	t.liveRows.Add(-1)
-	return nil
-}
-
-// noteAutoLocked advances the autoincrement counter past row's values.
-// Caller holds the exclusive latch.
-func (t *table) noteAutoLocked(row []Value) {
-	for ci := range t.schema.Columns {
-		if t.schema.Columns[ci].AutoIncrement && !row[ci].IsNull() && row[ci].Int64() >= t.nextAuto {
-			t.nextAuto = row[ci].Int64() + 1
-		}
-	}
-}
-
 // pagedPlace publishes a base row recovered from the page scan: a single
 // committed version whose bytes stay on the page (paged recovery only;
 // single-threaded). Base rows are stamped with ts so the commit clock can
-// start just above them.
+// start just above them. The redo of the log tail then runs over them.
 func (t *table) pagedPlace(rid int64, row []Value, loc pageLoc, ts uint64) {
 	t.latch.Lock()
 	defer t.latch.Unlock()
@@ -829,147 +753,63 @@ func (t *table) pagedPlace(rid int64, row []Value, loc pageLoc, ts uint64) {
 	for _, ix := range t.indexes {
 		ix.tree.insert(ix.entryKey(row, rid), rid)
 	}
-	t.noteAutoLocked(row)
 }
 
-// pagedReplayUpsert applies one WAL-tail insert or update during paged
-// recovery. The tail overlaps the checkpoint (fuzzy checkpoints flush
-// pages dirtied by commits above the barrier too), so replay is an
-// idempotent upsert: an existing record for the rid is superseded — its
-// index entries fixed and its page record erased — and the replayed row
-// is written through to a page with a fresh sequence number.
-func (t *table) pagedReplayUpsert(rid int64, row []Value, ts uint64) error {
+// applyWrite redoes one logged insert or update: the row image becomes an
+// unstamped version on top of rid's chain, which the caller stamps under
+// the commit mutex with the rest of its group. It is MVCC-safe against
+// concurrent snapshot readers — a recycled slot still holding a tombstone
+// chain gets the new version pushed on top, so an old snapshot keeps seeing
+// its tombstoned past — and moved index entries are returned for
+// commit-ordered GC rather than deleted. Unique checks are skipped: the
+// transaction that logged the record already passed them.
+//
+// An insert must find no live row and an update must find one, unless
+// mayContain (see applyGroup): then the record is an upsert, and whichever
+// of the two the slot's state calls for is what happens.
+func (t *table) applyWrite(op walOp, rid int64, row []Value, watermark uint64, mayContain bool) (*rowVersion, []gcEntry, error) {
+	if len(row) != len(t.schema.Columns) {
+		// The index code reads a row by column position, and a shipped
+		// record is input from outside.
+		return nil, nil, fmt.Errorf("redo: row %d of %s has %d values, the table has %d columns", rid, t.schema.Name, len(row), len(t.schema.Columns))
+	}
 	t.latch.Lock()
 	defer t.latch.Unlock()
-	for int64(len(t.rows)) <= rid {
-		t.rows = append(t.rows, &rowSlot{})
+	var cur *rowVersion
+	if rid < int64(len(t.rows)) {
+		cur = t.rows[rid].currentVersion(0)
 	}
-	s := t.rows[rid]
-	if head := s.head.Load(); head != nil {
-		old := t.resolve(head)
-		for _, ix := range t.indexes {
-			if old == nil {
-				ix.tree.insert(ix.entryKey(row, rid), rid)
-			} else if !ix.sameKey(old, row) {
-				ix.tree.delete(ix.entryKey(old, rid))
-				ix.tree.insert(ix.entryKey(row, rid), rid)
-			}
+	live := cur != nil && !cur.isTomb()
+	if live && op == walInsert && !mayContain {
+		return nil, nil, fmt.Errorf("redo: insert into live slot %d of %s", rid, t.schema.Name)
+	}
+	if !live && op == walUpdate && !mayContain {
+		return nil, nil, fmt.Errorf("redo: update of missing row %d in %s", rid, t.schema.Name)
+	}
+	var orphaned []gcEntry
+	if live {
+		old := t.resolve(cur)
+		if old == nil {
+			return nil, nil, fmt.Errorf("redo: update of unreadable row %d in %s", rid, t.schema.Name)
 		}
-		if head.loc.pid != 0 {
-			t.heap.erase(head.loc)
+		for _, ix := range t.indexes {
+			if ix.sameKey(old, row) {
+				continue
+			}
+			orphaned = append(orphaned, gcEntry{index: ix.schema.Name, key: ix.entryKey(old, rid)})
+			ix.tree.insert(ix.entryKey(row, rid), rid)
 		}
 	} else {
+		for int64(len(t.rows)) <= rid {
+			t.rows = append(t.rows, &rowSlot{})
+		}
 		for _, ix := range t.indexes {
 			ix.tree.insert(ix.entryKey(row, rid), rid)
 		}
 		t.liveRows.Add(1)
 	}
-	loc, err := t.heap.writeRow(rid, row, false)
-	if err != nil {
-		return err
-	}
-	v := &rowVersion{loc: loc}
-	v.begin.Store(ts)
-	s.head.Store(v)
-	t.noteAutoLocked(row)
-	return nil
-}
-
-// pagedReplayDelete applies one WAL-tail delete during paged recovery:
-// flat removal of the row, its entries, and its page record. No
-// tombstone is written — after recovery completes, the WAL tail covering
-// this delete is only truncated by a checkpoint, which flushes the
-// erasure first. Idempotent: a missing row (the checkpoint already saw
-// the delete) is a no-op.
-func (t *table) pagedReplayDelete(rid int64) {
-	t.latch.Lock()
-	defer t.latch.Unlock()
-	if rid < 0 || rid >= int64(len(t.rows)) {
-		return
-	}
 	s := t.rows[rid]
-	head := s.head.Load()
-	if head == nil {
-		return
-	}
-	if old := t.resolve(head); old != nil {
-		for _, ix := range t.indexes {
-			ix.tree.delete(ix.entryKey(old, rid))
-		}
-		t.liveRows.Add(-1)
-	}
-	if head.loc.pid != 0 {
-		t.heap.erase(head.loc)
-	}
-	s.head.Store(nil)
-}
-
-// rebuildFreeList reconstructs the slot free list after paged recovery
-// (autoincrement counters were advanced inline as rows were placed).
-func (t *table) rebuildFreeList() {
-	t.latch.Lock()
-	defer t.latch.Unlock()
-	t.free = t.free[:0]
-	for rid := int64(0); rid < int64(len(t.rows)); rid++ {
-		if t.rows[rid].head.Load() == nil {
-			t.free = append(t.free, rid)
-		}
-	}
-}
-
-// applyInsert publishes a replicated insert as an unstamped committed
-// version (follower apply; the caller stamps it under the commit mutex).
-// Unlike placeRow it is MVCC-safe against concurrent snapshot readers: a
-// recycled slot still holding a tombstone chain gets the new version
-// pushed on top, so an old snapshot keeps seeing its tombstoned past.
-// Unique checks are skipped — the leader already enforced them.
-func (t *table) applyInsert(rid int64, row []Value) (*rowVersion, error) {
-	t.latch.Lock()
-	defer t.latch.Unlock()
-	for int64(len(t.rows)) <= rid {
-		t.rows = append(t.rows, &rowSlot{})
-	}
-	s := t.rows[rid]
-	if head := s.head.Load(); head != nil && !head.isTomb() {
-		return nil, fmt.Errorf("sqldb: apply: insert into live slot %d of %s", rid, t.schema.Name)
-	}
 	v := &rowVersion{data: row}
-	v.prev.Store(s.head.Load())
-	for _, ix := range t.indexes {
-		ix.tree.insert(ix.entryKey(row, rid), rid)
-	}
-	s.head.Store(v)
-	t.liveRows.Add(1)
-	return v, nil
-}
-
-// applyUpdate publishes a replicated update: a new unstamped version on
-// top of the newest committed one, index entries moved as needed, the
-// orphaned old entries returned for commit-ordered GC.
-func (t *table) applyUpdate(rid int64, newRow []Value, watermark uint64) (*rowVersion, []gcEntry, error) {
-	t.latch.Lock()
-	defer t.latch.Unlock()
-	if rid < 0 || rid >= int64(len(t.rows)) {
-		return nil, nil, fmt.Errorf("sqldb: apply: update of missing row %d in %s", rid, t.schema.Name)
-	}
-	s := t.rows[rid]
-	cur := s.currentVersion(0)
-	if cur == nil || cur.isTomb() {
-		return nil, nil, fmt.Errorf("sqldb: apply: update of deleted row %d in %s", rid, t.schema.Name)
-	}
-	old := t.resolve(cur)
-	if old == nil {
-		return nil, nil, fmt.Errorf("sqldb: apply: update of unreadable row %d in %s", rid, t.schema.Name)
-	}
-	var orphaned []gcEntry
-	for _, ix := range t.indexes {
-		if ix.sameKey(old, newRow) {
-			continue
-		}
-		orphaned = append(orphaned, gcEntry{index: ix.schema.Name, key: ix.entryKey(old, rid)})
-		ix.tree.insert(ix.entryKey(newRow, rid), rid)
-	}
-	v := &rowVersion{data: newRow}
 	v.prev.Store(s.head.Load())
 	s.head.Store(v)
 	_, freed := s.pruneBelow(watermark)
@@ -977,27 +817,32 @@ func (t *table) applyUpdate(rid int64, newRow []Value, watermark uint64) (*rowVe
 	return v, orphaned, nil
 }
 
-// applyDelete publishes a replicated delete as an unstamped tombstone,
-// returning it plus the orphaned index entries for GC.
-func (t *table) applyDelete(rid int64, watermark uint64) (*rowVersion, []gcEntry, error) {
+// applyDelete redoes one logged delete as an unstamped tombstone, returned
+// with the orphaned index entries for GC. Under mayContain a row that is
+// not there was already deleted in the state applied onto: nothing to do,
+// and a nil version says so.
+func (t *table) applyDelete(rid int64, watermark uint64, mayContain bool) (*rowVersion, []gcEntry, error) {
 	t.latch.Lock()
 	defer t.latch.Unlock()
-	if rid < 0 || rid >= int64(len(t.rows)) {
-		return nil, nil, fmt.Errorf("sqldb: apply: delete of missing row %d in %s", rid, t.schema.Name)
+	var cur *rowVersion
+	if rid < int64(len(t.rows)) {
+		cur = t.rows[rid].currentVersion(0)
 	}
-	s := t.rows[rid]
-	cur := s.currentVersion(0)
 	if cur == nil || cur.isTomb() {
-		return nil, nil, fmt.Errorf("sqldb: apply: delete of deleted row %d in %s", rid, t.schema.Name)
+		if mayContain {
+			return nil, nil, nil
+		}
+		return nil, nil, fmt.Errorf("redo: delete of missing row %d in %s", rid, t.schema.Name)
 	}
 	old := t.resolve(cur)
 	if old == nil {
-		return nil, nil, fmt.Errorf("sqldb: apply: delete of unreadable row %d in %s", rid, t.schema.Name)
+		return nil, nil, fmt.Errorf("redo: delete of unreadable row %d in %s", rid, t.schema.Name)
 	}
 	entries := make([]gcEntry, 0, len(t.indexes))
 	for _, ix := range t.indexes {
 		entries = append(entries, gcEntry{index: ix.schema.Name, key: ix.entryKey(old, rid)})
 	}
+	s := t.rows[rid]
 	tomb := &rowVersion{flags: verTomb}
 	tomb.prev.Store(s.head.Load())
 	s.head.Store(tomb)
@@ -1007,28 +852,35 @@ func (t *table) applyDelete(rid int64, watermark uint64) (*rowVersion, []gcEntry
 	return tomb, entries, nil
 }
 
-// rebuildAfterReplay reconstructs the free list and autoincrement
-// counters from the replayed heap.
-func (t *table) rebuildAfterReplay() {
+// rebuildAfterReplay ends a redo for one table: chains are flattened below
+// the watermark, and the free list and autoincrement counters — which the
+// redo leaves alone — are reconstructed from the heap as it now stands.
+func (t *table) rebuildAfterReplay(watermark uint64) {
 	t.latch.Lock()
 	defer t.latch.Unlock()
-	t.free = t.free[:0]
-	for rid := int64(0); rid < int64(len(t.rows)); rid++ {
-		if t.rows[rid].head.Load() == nil {
-			t.free = append(t.free, rid)
+	var auto []int
+	for ci := range t.schema.Columns {
+		if t.schema.Columns[ci].AutoIncrement {
+			auto = append(auto, ci)
 		}
 	}
-	for ci := range t.schema.Columns {
-		if !t.schema.Columns[ci].AutoIncrement {
+	t.free = t.free[:0]
+	for rid, s := range t.rows {
+		_, freed := s.pruneBelow(watermark)
+		t.eraseLocs(freed)
+		head := s.head.Load()
+		if head == nil {
+			t.free = append(t.free, int64(rid))
 			continue
 		}
-		for _, s := range t.rows {
-			row := t.resolve(s.head.Load())
-			if row == nil {
-				continue
-			}
-			if !row[ci].IsNull() && row[ci].Int64() >= t.nextAuto {
-				t.nextAuto = row[ci].Int64() + 1
+		if len(auto) == 0 {
+			continue // no counter to rebuild: leave paged rows on their pages
+		}
+		if row := t.resolve(head); row != nil {
+			for _, ci := range auto {
+				if !row[ci].IsNull() && row[ci].Int64() >= t.nextAuto {
+					t.nextAuto = row[ci].Int64() + 1
+				}
 			}
 		}
 	}

@@ -194,8 +194,7 @@ func (sh *lockShard) unlinkIfIdle(t lockTarget, rl *resLock) {
 	}
 }
 
-// LockStats is a snapshot of lock-manager counters, the raw material for
-// the metrics layer's lock-contention accounting.
+// LockStats is a snapshot of lock-manager counters.
 type LockStats struct {
 	// Acquired counts lock requests granted (immediately or after waiting).
 	Acquired uint64

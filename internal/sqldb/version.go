@@ -135,8 +135,7 @@ type gcRecord struct {
 	entries   []gcEntry
 }
 
-// VersionStats is a snapshot of the MVCC machinery's counters, the raw
-// material for the metrics layer's version accounting.
+// VersionStats is a snapshot of the MVCC machinery's counters.
 type VersionStats struct {
 	// CommitTS is the current value of the global commit clock.
 	CommitTS uint64

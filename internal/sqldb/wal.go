@@ -398,11 +398,6 @@ type CommittedBatch struct {
 // log file itself.
 const walRingBytes = 4 << 20
 
-// walMarkerSize is the flush-size accounting estimate for one sealed
-// commit marker: 4-byte length + op byte + short txn and LSN uvarints +
-// 4-byte CRC.
-const walMarkerSize = 13
-
 type wal struct {
 	// mu guards the file handle: group flushes, non-group commits,
 	// checkpoint swaps and close all serialize here.
@@ -412,16 +407,12 @@ type wal struct {
 	file   File
 	policy SyncPolicy
 
-	// Group-commit tunables (SyncGroup only).
-	maxDelay time.Duration // how long a solo leader holds the flush open for companions
-	maxBytes int           // flush-size cap; a leader drains at most this many queued bytes
-
 	// dirty (guarded by mu) marks that a failed or partial write may have
 	// left torn bytes at the log's tail. Appending after garbage would
-	// strand every later commit behind the tear — parseWAL stops at the
+	// strand every later commit behind the tear — logReader stops at the
 	// first corrupt record — so the next writer first repairs the file
-	// back to its consistent prefix (atomic tmp+rename, like a
-	// checkpoint swap).
+	// back to its committed prefix (atomic tmp+rename, like a checkpoint
+	// swap).
 	dirty bool
 
 	// Group-commit state: queue of encoded, unflushed batches. gmu is held
@@ -475,12 +466,12 @@ type wal struct {
 	commitWait atomic.Int64
 }
 
-func openWAL(vfs VFS, name string, policy SyncPolicy, maxDelay time.Duration, maxBytes int) (*wal, error) {
+func openWAL(vfs VFS, name string, policy SyncPolicy) (*wal, error) {
 	f, err := vfs.Open(name)
 	if err != nil {
 		return nil, err
 	}
-	return &wal{vfs: vfs, name: name, file: f, policy: policy, maxDelay: maxDelay, maxBytes: maxBytes, inflight: make(map[uint64]struct{})}, nil
+	return &wal{vfs: vfs, name: name, file: f, policy: policy, inflight: make(map[uint64]struct{})}, nil
 }
 
 // registerInflight marks lsn durable-but-unapplied. Called with w.mu
@@ -539,27 +530,8 @@ func (w *wal) truncateThrough(ckptLSN uint64) error {
 		return fmt.Errorf("sqldb: wal truncate: %w", err)
 	}
 	cut, truncated := 0, uint64(0)
-	off := 0
-	for off+4 <= len(data) {
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		if off+4+n+4 > len(data) {
-			break
-		}
-		payload := data[off+4 : off+4+n]
-		if crc32.Checksum(payload, walCRC) != binary.LittleEndian.Uint32(data[off+4+n:]) {
-			break
-		}
-		r, ok := decodeRecord(payload)
-		if !ok {
-			break
-		}
-		off += 4 + n + 4
-		if r.op == walCommit {
-			if r.lsn > ckptLSN {
-				break
-			}
-			cut, truncated = off, r.lsn
-		}
+	for rd := (logReader{data: data}); rd.next() && rd.lsn <= ckptLSN; {
+		cut, truncated = rd.end, rd.lsn
 	}
 	if cut == 0 {
 		return nil
@@ -782,35 +754,13 @@ func (w *wal) retractBatch(b *walBatch, ctx context.Context) error {
 	return mapCtxErr(ctx.Err())
 }
 
-// flushGroup drains one group from the queue, writes it with a single
-// buffered write, issues one fsync, and delivers the outcome to every
-// batch in the group.
+// flushGroup drains the queue, writes the group with a single buffered
+// write, issues one fsync, and delivers the outcome to every batch in the
+// group.
 func (w *wal) flushGroup() {
 	w.gmu.Lock()
-	if w.maxDelay > 0 && len(w.queue) == 1 {
-		// Solo arrival: hold the flush open briefly so near-simultaneous
-		// committers can join the group instead of paying their own fsync.
-		w.gmu.Unlock()
-		time.Sleep(w.maxDelay)
-		w.gmu.Lock()
-	}
-	// Drain a prefix of the queue, capped by maxBytes (always ≥ 1 batch so
-	// an oversized single transaction still progresses). Each batch's
-	// commit marker is sealed at write time, so account for its framed
-	// size here.
-	n := len(w.queue)
-	if w.maxBytes > 0 {
-		total := 0
-		for i, qb := range w.queue {
-			if i > 0 && total+len(qb.data)+walMarkerSize > w.maxBytes {
-				n = i
-				break
-			}
-			total += len(qb.data) + walMarkerSize
-		}
-	}
-	group := w.queue[:n:n]
-	w.queue = w.queue[n:]
+	group := w.queue
+	w.queue = w.queue[len(group):]
 	w.gmu.Unlock()
 	if len(group) == 0 {
 		return // every queued batch was retracted while we acquired gmu
@@ -931,14 +881,17 @@ func repairWALFile(vfs VFS, name string, content []byte) error {
 }
 
 // repairLocked heals a tail torn by a failed or partial append: reread
-// the file, keep the longest consistent record prefix, and atomically
-// swap it into place. Called under w.mu before the next write.
+// the file, keep its whole committed groups, and atomically swap them
+// into place. Called under w.mu before the next write. The cut lands on a
+// group boundary, not merely a record boundary: whole records of the
+// failed batch left behind would be read as the head of whichever group
+// is appended next.
 func (w *wal) repairLocked() error {
 	data, err := w.vfs.ReadFile(w.name)
 	if err != nil {
 		return fmt.Errorf("sqldb: wal repair: %w", err)
 	}
-	good := consistentPrefixLen(data)
+	good := committedLen(data)
 	if good < len(data) {
 		if err := w.replaceLocked(data[:good]); err != nil {
 			return fmt.Errorf("sqldb: wal repair: %w", err)
@@ -984,140 +937,114 @@ func appendRecord(buf *bytes.Buffer, r *walRecord) {
 	buf.Write(word[:])
 }
 
-// consistentPrefixLen reports how many leading bytes of a log form whole,
-// CRC-valid, decodable records — the boundary a torn-tail repair cuts at.
-func consistentPrefixLen(data []byte) int {
-	off := 0
-	for {
-		if off+4 > len(data) {
-			return off
-		}
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		if off+4+n+4 > len(data) {
-			return off
-		}
-		payload := data[off+4 : off+4+n]
-		if crc32.Checksum(payload, walCRC) != binary.LittleEndian.Uint32(data[off+4+n:]) {
-			return off
-		}
-		if _, ok := decodeRecord(payload); !ok {
-			return off
-		}
-		off += 4 + n + 4
-	}
+// logReader walks raw log bytes one committed group at a time. A group is
+// the redo records up to and including a commit marker — one transaction's
+// batch as commit, flushGroup, appendRaw and Checkpoint lay it down, always
+// contiguous — and it is the unit of everything done with the log: repair
+// keeps whole groups, recovery and follower apply redo whole groups,
+// truncation and shipping cut at group boundaries. Every consumer is a loop
+// over next; this is the only place log framing is parsed and the only
+// place a record's CRC is checked.
+type logReader struct {
+	data []byte
+	// recs, lsn, start and end describe the group the last successful next
+	// yielded: its redo records (commit marker stripped; the slice is reused
+	// by the following call, the rows it points to are not), the marker's
+	// LSN, and its verbatim bytes data[start:end]. Once next reports false,
+	// end is the length of the log's committed prefix.
+	recs       []walRecord
+	lsn        uint64
+	start, end int
 }
 
-// committedPrefixLen reports how many leading bytes of a log form whole
-// committed groups: the offset just past the last valid commit marker
-// within the consistent record prefix. This is the boundary recovery
-// repairs to — a corrupt record truncates the log at the last group
-// boundary, and trailing redo records whose commit marker never made it
-// are cut rather than left to stall future appends.
-func committedPrefixLen(data []byte) int {
-	committed := 0
-	off := 0
-	for {
-		if off+4 > len(data) {
-			return committed
+// next advances to the following whole committed group. It reports false
+// at the clean end of the log and equally at the first torn, CRC-failing or
+// undecodable record or marker-less tail: nothing past that point can be
+// trusted, so to every consumer the log ends there.
+func (r *logReader) next() bool {
+	r.recs = r.recs[:0]
+	off := r.end
+	for len(r.data)-off >= 8 {
+		n := int(binary.LittleEndian.Uint32(r.data[off:]))
+		if n > len(r.data)-off-8 {
+			return false
 		}
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		if off+4+n+4 > len(data) {
-			return committed
+		payload := r.data[off+4 : off+4+n]
+		if crc32.Checksum(payload, walCRC) != binary.LittleEndian.Uint32(r.data[off+4+n:]) {
+			return false
 		}
-		payload := data[off+4 : off+4+n]
-		if crc32.Checksum(payload, walCRC) != binary.LittleEndian.Uint32(data[off+4+n:]) {
-			return committed
+		r.recs = append(r.recs, walRecord{})
+		rec := &r.recs[len(r.recs)-1]
+		if !decodeRecord(payload, rec) {
+			return false
 		}
-		r, ok := decodeRecord(payload)
-		if !ok {
-			return committed
-		}
-		off += 4 + n + 4
-		if r.op == walCommit {
-			committed = off
+		off += 8 + n
+		if rec.op == walCommit {
+			r.lsn = rec.lsn
+			r.recs = r.recs[:len(r.recs)-1]
+			r.start, r.end = r.end, off
+			return true
 		}
 	}
+	return false
 }
 
-// parseWAL decodes records, stopping cleanly at the first torn or corrupt
-// record (everything after a crash's partial write is discarded).
-func parseWAL(data []byte) []walRecord {
-	var recs []walRecord
-	off := 0
-	for {
-		if off+4 > len(data) {
-			return recs
-		}
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		if off+4+n+4 > len(data) {
-			return recs
-		}
-		payload := data[off+4 : off+4+n]
-		crc := binary.LittleEndian.Uint32(data[off+4+n:])
-		if crc32.Checksum(payload, walCRC) != crc {
-			return recs
-		}
-		r, ok := decodeRecord(payload)
-		if !ok {
-			return recs
-		}
-		recs = append(recs, r)
-		off += 4 + n + 4
+// committedLen reports how many leading bytes of a log form whole
+// committed groups — the boundary every repair cuts to. A corrupt record
+// truncates the log at the last group boundary, and trailing redo records
+// whose commit marker never made it are cut rather than left to be adopted
+// by the next group appended behind them.
+func committedLen(data []byte) int {
+	rd := logReader{data: data}
+	for rd.next() {
 	}
+	return rd.end
 }
 
-func decodeRecord(p []byte) (walRecord, bool) {
-	var r walRecord
-	rd := &byteReader{b: p}
+// decodeRecord parses one record payload into r. The bytes come from disk
+// or from the network (a shipped batch), so every count and length is
+// bounded by the bytes that remain, and a payload with anything left over
+// is rejected: what decodes is exactly what appendRecord would write.
+func decodeRecord(p []byte, r *walRecord) bool {
+	rd := byteReader{b: p}
 	op, ok := rd.u8()
 	if !ok {
-		return r, false
+		return false
 	}
 	r.op = walOp(op)
 	if r.txn, ok = rd.uvarint(); !ok {
-		return r, false
+		return false
 	}
 	switch r.op {
 	case walInsert, walUpdate:
 		if r.table, ok = rd.str(); !ok {
-			return r, false
+			return false
 		}
-		rid, ok2 := rd.uvarint()
-		if !ok2 {
-			return r, false
+		if r.rid, ok = rd.rid(); !ok {
+			return false
 		}
-		r.rid = int64(rid)
-		n, ok2 := rd.uvarint()
-		if !ok2 {
-			return r, false
-		}
-		r.row = make([]Value, n)
-		for i := range r.row {
-			if r.row[i], ok = rd.value(); !ok {
-				return r, false
-			}
+		if r.row, ok = rd.row(); !ok {
+			return false
 		}
 	case walDelete:
 		if r.table, ok = rd.str(); !ok {
-			return r, false
+			return false
 		}
-		rid, ok2 := rd.uvarint()
-		if !ok2 {
-			return r, false
+		if r.rid, ok = rd.rid(); !ok {
+			return false
 		}
-		r.rid = int64(rid)
 	case walDDL:
 		if r.sql, ok = rd.str(); !ok {
-			return r, false
+			return false
 		}
 	case walCommit:
 		if r.lsn, ok = rd.uvarint(); !ok {
-			return r, false
+			return false
 		}
 	default:
-		return r, false
+		return false
 	}
-	return r, true
+	return rd.off == len(p)
 }
 
 func writeUvarint(buf *bytes.Buffer, v uint64) {
@@ -1175,9 +1102,12 @@ func (r *byteReader) u8() (byte, bool) {
 	return v, true
 }
 
+// uvarint reads one minimally encoded uvarint. A padded encoding (a
+// trailing zero byte) is rejected so that a record has exactly one byte
+// form.
 func (r *byteReader) uvarint() (uint64, bool) {
 	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
+	if n <= 0 || (n > 1 && r.b[r.off+n-1] == 0) {
 		return 0, false
 	}
 	r.off += n
@@ -1186,12 +1116,35 @@ func (r *byteReader) uvarint() (uint64, bool) {
 
 func (r *byteReader) str() (string, bool) {
 	n, ok := r.uvarint()
-	if !ok || r.off+int(n) > len(r.b) {
+	if !ok || n > uint64(len(r.b)-r.off) {
 		return "", false
 	}
 	s := string(r.b[r.off : r.off+int(n)])
 	r.off += int(n)
 	return s, true
+}
+
+// rid reads a row id: a slot position, so a non-negative int64.
+func (r *byteReader) rid() (int64, bool) {
+	u, ok := r.uvarint()
+	return int64(u), ok && u <= math.MaxInt64
+}
+
+// row reads a counted row image (WAL insert/update records and page
+// records share it). Every value takes at least its type byte, which
+// bounds the count — and so the allocation — by the bytes that remain.
+func (r *byteReader) row() ([]Value, bool) {
+	n, ok := r.uvarint()
+	if !ok || n > uint64(len(r.b)-r.off) {
+		return nil, false
+	}
+	row := make([]Value, n)
+	for i := range row {
+		if row[i], ok = r.value(); !ok {
+			return nil, false
+		}
+	}
+	return row, true
 }
 
 func (r *byteReader) value() (Value, bool) {
@@ -1212,9 +1165,9 @@ func (r *byteReader) value() (Value, bool) {
 		if r.off+8 > len(r.b) {
 			return Value{}, false
 		}
-		f := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
+		bits := binary.LittleEndian.Uint64(r.b[r.off:]) // IEEE 754 bits
 		r.off += 8
-		return NewFloat(f), true
+		return Value{typ: Float, i: int64(bits)}, true
 	case Text:
 		s, ok := r.str()
 		if !ok {

@@ -1,7 +1,6 @@
 package sqldb
 
 import (
-	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -121,70 +120,6 @@ func TestGroupCommitSingle(t *testing.T) {
 	db.Close()
 }
 
-// TestGroupCommitMaxBytesSplitsFlushes bounds flush size: with a tiny cap,
-// a burst of commits splits into several flushes, and everything is still
-// durable in order.
-func TestGroupCommitMaxBytesSplitsFlushes(t *testing.T) {
-	mem := NewMemVFS()
-	vfs := &SlowVFS{Inner: mem, SyncDelay: 500 * time.Microsecond}
-	db, err := Open(Options{VFS: vfs, Path: "m.wal", Sync: SyncGroup, GroupMaxBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustExec(t, db, `CREATE TABLE m (x INTEGER)`)
-	const n = 30
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := db.Exec(`INSERT INTO m VALUES (?)`, i); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	stats := db.WALStats()
-	if stats.MaxGroup > 3 { // 64 bytes fit only a couple of insert batches
-		t.Fatalf("max group = %d despite 64-byte cap", stats.MaxGroup)
-	}
-	db.Close()
-	db2, err := Open(Options{VFS: mem, Path: "m.wal"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	rows := mustQuery(t, db2, `SELECT count(*) FROM m`)
-	if got := rows.Data[0][0].Int64(); got != n {
-		t.Fatalf("recovered %d rows, want %d", got, n)
-	}
-}
-
-// TestGroupCommitGroupDelay exercises the solo-leader delay path: commits
-// still succeed and are durable (the delay only trades latency for larger
-// groups).
-func TestGroupCommitGroupDelay(t *testing.T) {
-	mem := NewMemVFS()
-	db, err := Open(Options{VFS: mem, Path: "d.wal", Sync: SyncGroup, GroupDelay: 100 * time.Microsecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustExec(t, db, `CREATE TABLE d (x INTEGER)`)
-	for i := 0; i < 5; i++ {
-		mustExec(t, db, `INSERT INTO d VALUES (?)`, i)
-	}
-	db.Close()
-	db2, err := Open(Options{VFS: mem, Path: "d.wal"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	rows := mustQuery(t, db2, `SELECT count(*) FROM d`)
-	if got := rows.Data[0][0].Int64(); got != 5 {
-		t.Fatalf("recovered %d rows, want 5", got)
-	}
-}
-
 // failSyncVFS makes every File.Sync fail once armed.
 type failSyncVFS struct {
 	*MemVFS
@@ -280,23 +215,9 @@ func TestWALStatsEveryCommit(t *testing.T) {
 // exactly the transactions whose commit markers survive the cut — never a
 // partially-committed one, and never lose a fully-marked one.
 func TestGroupTornTailSweep(t *testing.T) {
-	var log bytes.Buffer
-	w := func(r *walRecord) { appendRecord(&log, r) }
-	// txn 1 creates the table; its marker precedes all dependent inserts,
-	// exactly as group commit preserves enqueue order (a transaction only
-	// sees the table after the DDL committed and released its locks).
-	w(&walRecord{op: walDDL, txn: 1, sql: "CREATE TABLE t (x INTEGER)"})
-	w(&walRecord{op: walCommit, txn: 1})
-	ddlEnd := log.Len()
 	// txns 2..6 form one multi-transaction group batch: insert + marker each.
 	const firstTxn, lastTxn = 2, 6
-	markerEnd := map[uint64]int{}
-	for i := uint64(firstTxn); i <= lastTxn; i++ {
-		w(&walRecord{op: walInsert, txn: i, table: "t", rid: int64(i - firstTxn), row: []Value{NewInt(int64(100 + i))}})
-		w(&walRecord{op: walCommit, txn: i})
-		markerEnd[i] = log.Len()
-	}
-	data := log.Bytes()
+	data, ddlEnd, markerEnd := tornSweepLog(firstTxn, lastTxn)
 
 	for cut := 0; cut <= len(data); cut++ {
 		vfs := NewMemVFS()
@@ -339,9 +260,10 @@ func TestGroupTornTailSweep(t *testing.T) {
 }
 
 // TestGroupTornTailSweepLiveLog repeats the sweep over a log produced by
-// the real group-commit pipeline under concurrency, using parseWAL's view
-// of each truncated prefix as the oracle: the set of recovered rows must
-// equal the set of inserts belonging to commit-marked transactions.
+// the real group-commit pipeline under concurrency, using the groups of
+// the intact log that end before each cut as the oracle: the set of
+// recovered rows must equal the set of inserts belonging to commit-marked
+// transactions.
 func TestGroupTornTailSweepLiveLog(t *testing.T) {
 	mem := NewMemVFS()
 	vfs := &SlowVFS{Inner: mem, SyncDelay: 100 * time.Microsecond}
@@ -372,25 +294,23 @@ func TestGroupTornTailSweepLiveLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The oracle reads the intact log once: a cut keeps exactly the groups
+	// that end at or before it.
+	groups := readGroups(data)
 	for cut := 0; cut <= len(data); cut++ {
-		prefix := parseWAL(data[:cut])
-		committed := map[uint64]bool{}
-		for _, r := range prefix {
-			if r.op == walCommit {
-				committed[r.txn] = true
-			}
-		}
 		wantRows := map[int64]int64{}
 		schemaOK := false
-		for _, r := range prefix {
-			if !committed[r.txn] {
-				continue
+		for _, g := range groups {
+			if g.end > cut {
+				break
 			}
-			switch r.op {
-			case walDDL:
-				schemaOK = true
-			case walInsert:
-				wantRows[r.row[0].Int64()] = r.row[1].Int64()
+			for _, r := range g.recs {
+				switch r.op {
+				case walDDL:
+					schemaOK = true
+				case walInsert:
+					wantRows[r.row[0].Int64()] = r.row[1].Int64()
+				}
 			}
 		}
 		vfs2 := NewMemVFS()
@@ -597,7 +517,7 @@ func TestWALTornTailRepairedAtOpen(t *testing.T) {
 func TestGroupCommitHammer(t *testing.T) {
 	mem := NewMemVFS()
 	vfs := &SlowVFS{Inner: mem, SyncDelay: 50 * time.Microsecond}
-	db, err := Open(Options{VFS: vfs, Path: "h.wal", Sync: SyncGroup, GroupDelay: 50 * time.Microsecond})
+	db, err := Open(Options{VFS: vfs, Path: "h.wal", Sync: SyncGroup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -639,56 +559,40 @@ func TestGroupCommitHammer(t *testing.T) {
 
 // TestGroupFlippedByteSweep corrupts a clean log one bit at a time, at
 // every byte position, and checks recovery truncates at the last valid
-// group boundary: the recovered state must equal the committed prefix
-// before the damage (per the same oracle recovery uses), the file must
-// be physically repaired to that boundary, and the database must accept
-// new commits afterwards. Torn tails lose length; flipped bytes fail the
+// group boundary: the recovered state must equal the clean log's groups
+// that end before the damage, the file must be physically repaired to
+// that boundary, and the database must accept new commits afterwards. Torn tails lose length; flipped bytes fail the
 // per-record CRC32C — both land on a group boundary, never mid-group.
 func TestGroupFlippedByteSweep(t *testing.T) {
-	mem := NewMemVFS()
-	db, err := Open(Options{VFS: mem, Path: "flip.wal"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustExec(t, db, `CREATE TABLE fb (id INTEGER PRIMARY KEY, v INTEGER NOT NULL)`)
-	for i := 1; i <= 12; i++ {
-		mustExec(t, db, `INSERT INTO fb (id, v) VALUES (?, ?)`, i, i*10)
-	}
-	mustExec(t, db, `UPDATE fb SET v = v + 1 WHERE id <= 6`)
-	db.Close()
-	data, err := mem.ReadFile("flip.wal")
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := flipSweepLog(t)
 
+	groups := readGroups(data)
 	for pos := 0; pos < len(data); pos++ {
 		corrupted := append([]byte(nil), data...)
 		corrupted[pos] ^= 0x40
 
-		// Oracle: recovery keeps exactly the committed prefix the repair
-		// helper reports, so compute expected rows from that prefix.
-		keep := committedPrefixLen(corrupted)
-		prefix := parseWAL(corrupted[:keep])
-		committed := map[uint64]bool{}
-		for _, r := range prefix {
-			if r.op == walCommit {
-				committed[r.txn] = true
-			}
-		}
+		// Oracle: a flipped bit fails the CRC of the record it lands in (or
+		// tears the framing from there on), so recovery keeps exactly the
+		// clean log's groups that end at or before the damaged byte.
+		keep := 0
 		wantRows := map[int64]int64{}
 		schemaOK := false
-		for _, r := range prefix {
-			if !committed[r.txn] {
-				continue
+		for _, g := range groups {
+			if g.end > pos {
+				break
 			}
-			switch r.op {
-			case walDDL:
-				schemaOK = true
-			case walInsert:
-				wantRows[r.row[0].Int64()] = r.row[1].Int64()
-			case walUpdate:
-				wantRows[r.row[0].Int64()] = r.row[1].Int64()
+			keep = g.end
+			for _, r := range g.recs {
+				switch r.op {
+				case walDDL:
+					schemaOK = true
+				case walInsert, walUpdate:
+					wantRows[r.row[0].Int64()] = r.row[1].Int64()
+				}
 			}
+		}
+		if got := committedLen(corrupted); got != keep {
+			t.Fatalf("pos %d: reader keeps %d bytes, want %d", pos, got, keep)
 		}
 
 		vfs := NewMemVFS()
