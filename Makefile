@@ -16,10 +16,12 @@ test:
 	$(GO) test ./...
 
 # The allocation budgets, level by level: a wire round trip, a bare
-# statement, a bean call, a steady Service.Heartbeat. They are compiled out
-# under -race (sync.Pool sheds there), so they get their own uncached run.
+# statement (in memory and on resident pages), a page compaction, a dirty
+# eviction and reload, a bean call, a steady Service.Heartbeat. They are
+# compiled out under -race (sync.Pool sheds there), so they get their own
+# uncached run.
 alloc:
-	$(GO) test -count=1 -run Allocs ./internal/sqldb ./internal/beans ./internal/core ./internal/wire
+	$(GO) test -count=1 -run Allocs ./internal/sqldb ./internal/sqldb/pager ./internal/beans ./internal/core ./internal/wire
 
 # Whole packages, so the statement path's borrowed-memory suites ride
 # along: results never alias the executor scratch (TestRowsDoNotAliasScratch,
@@ -37,11 +39,16 @@ vet:
 # outside the input, agree on accept/reject and on the decoded value. The
 # WAL reader and the redo behind it (shipped batches, the node's own log):
 # never panic, allocation bounded by the input, and what is accepted
-# re-encodes to the same bytes. go test -fuzz takes one target per run.
+# re-encodes to the same bytes. Page and checkpoint-meta images (the
+# validator, recovery's page scan, decodeMeta): never panic, allocation
+# bounded by the input, and a page the validator accepts stays valid and
+# in bounds through insert, erase and compaction. go test -fuzz takes one
+# target per run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzLogReader$$' -fuzztime 30s ./internal/sqldb
+	$(GO) test -run '^$$' -fuzz '^FuzzPageImage$$' -fuzztime 30s ./internal/sqldb
 
 # One iteration per benchmark: exercises every benchmark code path without
 # paying for full measurement runs.
@@ -128,7 +135,9 @@ race-plancache:
 
 # The -race paged-storage suite: buffer-pool pin/evict/flush races, the
 # concurrent-churn workload on a 4-frame pool with a 1ms checkpointer,
-# and every crash/recovery scenario including the torn-page sweep.
+# and every crash/recovery scenario including the torn-page sweep. Under
+# -race the pool poisons every page buffer it takes back, so an image
+# still visible to a second owner reads as garbage here, not as a page.
 race-pager:
 	$(GO) test -race -count=1 ./internal/sqldb/pager
 	$(GO) test -race -count=1 -run 'TestPaged' ./internal/sqldb

@@ -216,6 +216,9 @@ func encodeMeta(m *pagedMeta) []byte {
 	return buf.Bytes()
 }
 
+// decodeMeta parses a checkpoint-meta image. Its bytes come from disk, so
+// like decodeRecord it bounds every count by the bytes that remain — a
+// table entry takes at least four, an index DDL at least one.
 func decodeMeta(p []byte) (*pagedMeta, bool) {
 	if len(p) < len(metaMagic)+4 || !bytes.Equal(p[:len(metaMagic)], metaMagic) {
 		return nil, false
@@ -247,7 +250,7 @@ func decodeMeta(p []byte) (*pagedMeta, bool) {
 	}
 	m.pageSize = int(ps)
 	n, ok := rd.uvarint()
-	if !ok || n > 1<<20 {
+	if !ok || n > uint64(len(rd.b)-rd.off) {
 		return nil, false
 	}
 	m.tables = make([]metaTable, n)
@@ -267,7 +270,7 @@ func decodeMeta(p []byte) (*pagedMeta, bool) {
 			return nil, false
 		}
 		ni, ok := rd.uvarint()
-		if !ok || ni > 1<<20 {
+		if !ok || ni > uint64(len(rd.b)-rd.off) {
 			return nil, false
 		}
 		mt.indexes = make([]string, ni)
@@ -635,25 +638,16 @@ func (db *DB) recoverPaged(meta *pagedMeta, data []byte) (int, error) {
 			garbagePids = append(garbagePids, pid)
 			continue
 		}
-		slots := pageSlots(buf)
-		for slot := 0; slot < slots; slot++ {
-			off, n := pageSlotEntry(buf, slot)
-			if n == 0 {
-				continue
-			}
-			rec, ok := decodeRecordBytes(buf[off : off+n])
-			if !ok {
-				return 0, fmt.Errorf("sqldb: recovery: corrupt record at page %d slot %d", pid, slot)
-			}
+		m := winners[tid]
+		if m == nil {
+			m = make(map[int64]diskRec)
+			winners[tid] = m
+		}
+		err = scanPage(buf, func(slot int, rec pageRecord) {
 			if rec.seq > maxSeq {
 				maxSeq = rec.seq
 			}
 			loc := pageLoc{pid: pid, slot: uint16(slot)}
-			m := winners[tid]
-			if m == nil {
-				m = make(map[int64]diskRec)
-				winners[tid] = m
-			}
 			if best, seen := m[rec.rid]; !seen || rec.seq > best.seq {
 				if seen {
 					losers = append(losers, loserRec{tbl: tbl, loc: best.loc})
@@ -662,8 +656,11 @@ func (db *DB) recoverPaged(meta *pagedMeta, data []byte) (int, error) {
 			} else {
 				losers = append(losers, loserRec{tbl: tbl, loc: loc})
 			}
+		})
+		if err != nil {
+			return 0, fmt.Errorf("sqldb: recovery: corrupt page %d: %w", pid, err)
 		}
-		dirEnd := pageHdrSize + slots*slotDirEntry
+		dirEnd := pageHdrSize + pageSlots(buf)*slotDirEntry
 		tbl.heap.adoptPage(pid, pageFreeHigh(buf)-dirEnd >= 64)
 	}
 	st.nextSeq.Store(maxSeq)

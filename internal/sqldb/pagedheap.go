@@ -3,8 +3,9 @@ package sqldb
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -75,23 +76,21 @@ type pageRecord struct {
 	row  []Value
 }
 
-// encodeRecord serializes one record.
-func encodeRecord(seq uint64, rid int64, tomb bool, row []Value) []byte {
-	var buf bytes.Buffer
-	writeUvarint(&buf, seq)
+// encodeRecord serializes one record onto buf.
+func encodeRecord(buf *bytes.Buffer, seq uint64, rid int64, tomb bool, row []Value) {
+	writeUvarint(buf, seq)
 	flags := byte(0)
 	if tomb {
 		flags |= recFlagTomb
 	}
 	buf.WriteByte(flags)
-	writeUvarint(&buf, uint64(rid))
+	writeUvarint(buf, uint64(rid))
 	if !tomb {
-		writeUvarint(&buf, uint64(len(row)))
+		writeUvarint(buf, uint64(len(row)))
 		for _, v := range row {
-			writeValue(&buf, v)
+			writeValue(buf, v)
 		}
 	}
-	return buf.Bytes()
 }
 
 // decodeRecordBytes parses one record image, with the bounds decodeRecord
@@ -120,7 +119,10 @@ func decodeRecordBytes(p []byte) (pageRecord, bool) {
 }
 
 // Page-image helpers. All take the full page image (checksum header
-// included) and must run under the owning frame's latch.
+// included) and must run under the owning frame's latch. Apart from
+// pageValid they index the image by what its header and directory say, so
+// an image read from disk goes through pageValid first; pageInit,
+// pageInsert, pageCompact and pageErase keep a valid image valid.
 
 func pageTableID(img []byte) uint32 { return binary.LittleEndian.Uint32(img[pageHdrTableID:]) }
 func pageSlots(img []byte) int      { return int(binary.LittleEndian.Uint16(img[pageHdrSlots:])) }
@@ -132,6 +134,59 @@ func pageInit(img []byte, tableID uint32) {
 	}
 	binary.LittleEndian.PutUint32(img[pageHdrTableID:], tableID)
 	binary.LittleEndian.PutUint16(img[pageHdrFree:], uint16(len(img)))
+}
+
+// pageValid reports whether img is a well-formed initialized heap page:
+// the slot directory lies inside the page and below freeHigh, and every
+// live record lies inside [freeHigh, len(img)), all of them together no
+// larger than that region (so compaction has room to pack them). A page's
+// CRC says the bytes are the ones written, not that they were ever a
+// page; this is the one place the two header counts and the directory are
+// checked against the page size.
+func pageValid(img []byte) bool {
+	if len(img) < pageHdrSize || len(img) > pager.MaxPageSize {
+		return false
+	}
+	slots, free := pageSlots(img), pageFreeHigh(img)
+	if slots > (len(img)-pageHdrSize)/slotDirEntry {
+		return false
+	}
+	if dirEnd := pageHdrSize + slots*slotDirEntry; free < dirEnd || free > len(img) {
+		return false
+	}
+	live := 0
+	for i := 0; i < slots; i++ {
+		off, n := pageSlotEntry(img, i)
+		if n == 0 {
+			continue
+		}
+		if off < free || off+n > len(img) {
+			return false
+		}
+		live += n
+	}
+	return live <= len(img)-free
+}
+
+// scanPage is how recovery reads one page image from disk: the image must
+// pass pageValid and every live record must decode; each is handed to
+// visit in slot order.
+func scanPage(img []byte, visit func(slot int, rec pageRecord)) error {
+	if !pageValid(img) {
+		return errors.New("malformed header or slot directory")
+	}
+	for slot, slots := 0, pageSlots(img); slot < slots; slot++ {
+		off, n := pageSlotEntry(img, slot)
+		if n == 0 {
+			continue
+		}
+		rec, ok := decodeRecordBytes(img[off : off+n])
+		if !ok {
+			return fmt.Errorf("undecodable record in slot %d", slot)
+		}
+		visit(slot, rec)
+	}
+	return nil
 }
 
 // pageSlotEntry returns slot i's record extent (len 0 = dead).
@@ -146,16 +201,20 @@ func pageSetSlot(img []byte, i, off, n int) {
 	binary.LittleEndian.PutUint16(img[base+2:], uint16(n))
 }
 
-// pageInsert places rec into the page, reusing a dead slot index if one
-// exists, compacting dead record space if needed. Returns the slot
-// index, or ok=false when the record does not fit.
-func pageInsert(img []byte, rec []byte) (slot int, ok bool) {
+// pageInsert places rec (never empty) into the page, reusing the lowest
+// dead slot index if one exists, compacting dead record space — through
+// scratch, as pageCompact does — if that is what makes it fit. Returns
+// the slot index, or ok=false, the page untouched, when the record does
+// not fit even in a compacted page.
+func pageInsert(img, rec, scratch []byte) (slot int, ok bool) {
 	slots := pageSlots(img)
 	slot = -1
+	live := 0
 	for i := 0; i < slots; i++ {
-		if _, n := pageSlotEntry(img, i); n == 0 {
+		if _, n := pageSlotEntry(img, i); n > 0 {
+			live += n
+		} else if slot < 0 {
 			slot = i
-			break
 		}
 	}
 	dirEnd := pageHdrSize + slots*slotDirEntry
@@ -164,10 +223,10 @@ func pageInsert(img []byte, rec []byte) (slot int, ok bool) {
 		need += slotDirEntry
 	}
 	if pageFreeHigh(img)-dirEnd < need {
-		pageCompact(img)
-		if pageFreeHigh(img)-dirEnd < need {
+		if len(img)-dirEnd-live < need {
 			return 0, false
 		}
+		pageCompact(img, scratch)
 	}
 	if slot < 0 {
 		slot = slots
@@ -180,43 +239,72 @@ func pageInsert(img []byte, rec []byte) (slot int, ok bool) {
 	return slot, true
 }
 
-// pageCompact slides live records to the end of the page, reclaiming
-// dead record space. Slot indexes are stable; only offsets move.
-func pageCompact(img []byte) {
+// pageCompact packs the live records against the end of the page,
+// reclaiming dead record space. Slot indexes are stable; only offsets
+// move. The records are gathered in slot order into scratch (at least a
+// page long, contents arbitrary) and copied back in one piece: two
+// memmoves of the live bytes, and nothing has to be put in offset order
+// first.
+func pageCompact(img, scratch []byte) {
 	slots := pageSlots(img)
-	type live struct{ slot, off, n int }
-	recs := make([]live, 0, slots)
+	high := len(img)
 	for i := 0; i < slots; i++ {
 		if off, n := pageSlotEntry(img, i); n > 0 {
-			recs = append(recs, live{i, off, n})
+			high -= n
+			copy(scratch[high:], img[off:off+n])
+			pageSetSlot(img, i, high, n)
 		}
 	}
-	// Move highest-offset records first so each memmove target is
-	// already vacated.
-	sort.Slice(recs, func(a, b int) bool { return recs[a].off > recs[b].off })
-	high := len(img)
-	for _, r := range recs {
-		high -= r.n
-		if high != r.off {
-			copy(img[high:high+r.n], img[r.off:r.off+r.n])
-			pageSetSlot(img, r.slot, high, r.n)
-		}
-	}
+	copy(img[high:], scratch[high:len(img)])
 	binary.LittleEndian.PutUint16(img[pageHdrFree:], uint16(high))
 }
 
-// pageErase kills slot i. Reports whether the page now holds no live
-// records.
-func pageErase(img []byte, i int) (empty bool) {
+// pageErase kills slot i.
+func pageErase(img []byte, i int) {
 	if i < pageSlots(img) {
 		pageSetSlot(img, i, 0, 0)
 	}
-	for s := 0; s < pageSlots(img); s++ {
-		if _, n := pageSlotEntry(img, s); n > 0 {
-			return false
-		}
+}
+
+// pageRows is what a resident heap page carries besides its bytes (it is
+// the frame's pager.Attachment): the verdict of pageValid on the image
+// the frame loaded, and the rows decoded from it so far, by slot. A row
+// is shared by every reader and immutable, as rowVersion.data is. It
+// stays until its slot is erased or written again — compaction moves
+// bytes, not slots — or until the pool resets the whole table because the
+// frame left the page. Read under the frame latch, changed under the
+// exclusive one.
+type pageRows struct {
+	checked bool // pageValid has run on this image
+	bad     bool // ... and refused it
+	rows    [][]Value
+}
+
+// Reset empties the table, keeping its array, for the frame's next page.
+func (r *pageRows) Reset() {
+	clear(r.rows)
+	r.rows = r.rows[:0]
+	r.checked, r.bad = false, false
+}
+
+func (r *pageRows) get(slot int) []Value {
+	if slot < len(r.rows) {
+		return r.rows[slot]
 	}
-	return true
+	return nil
+}
+
+// put makes row — nil for none — what rides slot. The table only grows
+// between resets and Reset clears what was in use, so the array past len
+// is nil already and growing is a reslice.
+func (r *pageRows) put(slot int, row []Value) {
+	if slot >= len(r.rows) {
+		if row == nil {
+			return
+		}
+		r.rows = slices.Grow(r.rows, slot+1-len(r.rows))[:slot+1]
+	}
+	r.rows[slot] = row
 }
 
 // pagedHeap is one table's record space: the set of pages holding its
@@ -231,6 +319,8 @@ type pagedHeap struct {
 	pages   []pager.PageID
 	fill    []pager.PageID
 	inFill  map[pager.PageID]bool
+	enc     bytes.Buffer // writeRow's record, encoded under mu
+	scratch []byte       // pageCompact's page of working space, used under mu
 	dropped atomic.Bool
 }
 
@@ -249,22 +339,68 @@ func (h *pagedHeap) adoptPage(pid pager.PageID, hasSpace bool) {
 	}
 }
 
+// rowsOf returns the frame's decoded-row table, attaching one on the
+// frame's first use and passing the image through pageValid once per
+// load. An uninitialized page (table ID 0) is not judged: it holds no
+// record, and pageInit makes it valid before anything is put there. The
+// caller holds the exclusive frame latch.
+func rowsOf(f *pager.Frame) *pageRows {
+	pr, _ := f.Attachment().(*pageRows)
+	if pr == nil {
+		pr = &pageRows{}
+		f.Attach(pr)
+	}
+	if !pr.checked {
+		img := f.Data()
+		pr.bad = pageTableID(img) != 0 && !pageValid(img)
+		pr.checked = true
+	}
+	return pr
+}
+
+// insert places rec on the latched frame's page if the page is this
+// heap's, is well-formed and has room. row — what rec encodes, nil for a
+// tombstone — takes the place of whatever the frame's table held for the
+// slot: the version that owned it lets go of it once written through, so
+// it rides the frame from here on and the next read decodes nothing.
+func (h *pagedHeap) insert(f *pager.Frame, rec []byte, row []Value) (slot int, ok bool) {
+	img := f.Data()
+	pr := rowsOf(f)
+	if pr.bad || pageTableID(img) != h.tableID {
+		h.store.fail(fmt.Errorf("sqldb: paged heap: corrupt page %d in the fill list of table id %d", f.PID(), h.tableID))
+		return 0, false
+	}
+	if slot, ok = pageInsert(img, rec, h.scratch); ok {
+		pr.put(slot, row)
+	}
+	return slot, ok
+}
+
 // writeRow appends one record for rid (row data, or a tombstone) and
-// returns its location. The heap lock is held across the page search so
-// concurrent committers of the same table serialize on page choice —
-// different tables proceed in parallel.
+// returns its location. The heap lock is held across the encoding and the
+// page search, so concurrent committers of the same table serialize on
+// page choice and share the encode and compaction buffers — different
+// tables proceed in parallel.
 func (h *pagedHeap) writeRow(rid int64, row []Value, tomb bool) (pageLoc, error) {
 	if h.dropped.Load() {
 		return pageLoc{}, nil // table dropped mid-commit: version is unreachable anyway
 	}
-	rec := encodeRecord(h.store.nextSeq.Add(1), rid, tomb, row)
 	ps := h.store.pool
-	maxRec := h.store.pager.PageSize() - pageHdrSize - slotDirEntry
-	if len(rec) > maxRec {
-		return pageLoc{}, fmt.Errorf("sqldb: row %d of table id %d encodes to %d bytes, exceeding the %d-byte page record limit", rid, h.tableID, len(rec), maxRec)
-	}
+	pageSize := h.store.pager.PageSize()
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.enc.Reset()
+	if tomb {
+		row = nil
+	}
+	encodeRecord(&h.enc, h.store.nextSeq.Add(1), rid, tomb, row)
+	rec := h.enc.Bytes()
+	if maxRec := pageSize - pageHdrSize - slotDirEntry; len(rec) > maxRec {
+		return pageLoc{}, fmt.Errorf("sqldb: row %d of table id %d encodes to %d bytes, exceeding the %d-byte page record limit", rid, h.tableID, len(rec), maxRec)
+	}
+	if h.scratch == nil {
+		h.scratch = make([]byte, pageSize)
+	}
 	for len(h.fill) > 0 {
 		pid := h.fill[len(h.fill)-1]
 		f, err := ps.Fetch(pid)
@@ -272,11 +408,10 @@ func (h *pagedHeap) writeRow(rid int64, row []Value, tomb bool) (pageLoc, error)
 			return pageLoc{}, err
 		}
 		f.Lock()
-		img := f.Data()
-		if pageTableID(img) == 0 {
+		if img := f.Data(); pageTableID(img) == 0 {
 			pageInit(img, h.tableID) // recovered empty page, first use
 		}
-		slot, ok := pageInsert(img, rec)
+		slot, ok := h.insert(f, rec, row)
 		f.Unlock()
 		ps.Unpin(f, ok)
 		if ok {
@@ -290,9 +425,8 @@ func (h *pagedHeap) writeRow(rid int64, row []Value, tomb bool) (pageLoc, error)
 		return pageLoc{}, err
 	}
 	f.Lock()
-	img := f.Data()
-	pageInit(img, h.tableID)
-	slot, ok := pageInsert(img, rec)
+	pageInit(f.Data(), h.tableID)
+	slot, ok := h.insert(f, rec, row)
 	f.Unlock()
 	ps.Unpin(f, true)
 	if !ok {
@@ -304,10 +438,25 @@ func (h *pagedHeap) writeRow(rid int64, row []Value, tomb bool) (pageLoc, error)
 	return pageLoc{pid: pid, slot: uint16(slot)}, nil
 }
 
+// liveRecord returns the bytes of the live record at slot of a latched
+// frame's image, pr being rowsOf's verdict on it, or nil: not this heap's
+// page, a corrupt one, no such slot, a dead one.
+func (h *pagedHeap) liveRecord(img []byte, pr *pageRows, slot int) []byte {
+	if pr.bad || pageTableID(img) != h.tableID || slot >= pageSlots(img) {
+		return nil
+	}
+	off, n := pageSlotEntry(img, slot)
+	return img[off : off+n]
+}
+
 // readRow materializes the record at loc. A tombstone or any
-// inconsistency (dropped table, stale page) yields nil — the engine
-// treats it as "no row", and genuine I/O errors are recorded sticky on
-// the store.
+// inconsistency (dropped table, stale or corrupt page) yields nil — the
+// engine treats it as "no row", and it as well as genuine I/O errors are
+// recorded sticky on the store.
+//
+// The row decoded from a resident page rides the page's frame (pageRows),
+// so a read that finds it there allocates nothing; the checks of table
+// ID, slot bound and live length are made on the image either way.
 func (h *pagedHeap) readRow(loc pageLoc) []Value {
 	if loc.pid == 0 || h.dropped.Load() {
 		return nil
@@ -317,17 +466,28 @@ func (h *pagedHeap) readRow(loc pageLoc) []Value {
 		h.store.fail(err)
 		return nil
 	}
-	f.RLock()
-	img := f.Data()
+	slot := int(loc.slot)
 	var row []Value
-	if pageTableID(img) == h.tableID && int(loc.slot) < pageSlots(img) {
-		if off, n := pageSlotEntry(img, int(loc.slot)); n > 0 {
-			if rec, ok := decodeRecordBytes(img[off : off+n]); ok && !rec.tomb {
-				row = rec.row
-			}
-		}
+	f.RLock()
+	if pr, _ := f.Attachment().(*pageRows); pr != nil && pr.checked && len(h.liveRecord(f.Data(), pr, slot)) > 0 {
+		row = pr.get(slot)
 	}
 	f.RUnlock()
+	if row == nil {
+		// First read of this slot since the page was loaded or the slot
+		// written: decode it, under the exclusive latch the table needs.
+		f.Lock()
+		pr := rowsOf(f)
+		if b := h.liveRecord(f.Data(), pr, slot); len(b) > 0 {
+			if row = pr.get(slot); row == nil {
+				if rec, ok := decodeRecordBytes(b); ok && !rec.tomb {
+					row = rec.row
+					pr.put(slot, row)
+				}
+			}
+		}
+		f.Unlock()
+	}
 	h.store.pool.Unpin(f, false)
 	if row == nil {
 		h.store.fail(fmt.Errorf("sqldb: paged heap: no record at page %d slot %d for table id %d", loc.pid, loc.slot, h.tableID))
@@ -346,14 +506,16 @@ func (h *pagedHeap) erase(loc pageLoc) {
 		h.store.fail(err)
 		return
 	}
+	slot := int(loc.slot)
 	f.Lock()
 	img := f.Data()
-	dirty := false
-	if pageTableID(img) == h.tableID && int(loc.slot) < pageSlots(img) {
-		if _, n := pageSlotEntry(img, int(loc.slot)); n > 0 {
-			pageErase(img, int(loc.slot))
-			dirty = true
-		}
+	pr := rowsOf(f)
+	dirty := len(h.liveRecord(img, pr, slot)) > 0
+	if dirty {
+		pageErase(img, slot)
+		pr.put(slot, nil)
+	} else if pr.bad {
+		h.store.fail(fmt.Errorf("sqldb: paged heap: corrupt page %d of table id %d", loc.pid, h.tableID))
 	}
 	f.Unlock()
 	h.store.pool.Unpin(f, dirty)

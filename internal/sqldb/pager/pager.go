@@ -3,13 +3,18 @@
 // double-write buffer (so a torn in-place write can always be repaired
 // from the last complete image), and a buffer-pool manager (pool.go)
 // that caps how many pages are resident, with pin/unpin reference
-// counting and scan-resistant CLOCK eviction.
+// counting and scan-resistant CLOCK eviction. What is resident is a
+// frame's page buffer plus whatever its user attached to the frame
+// (Attachment: the heap's decoded rows), and beside the frames a bounded
+// list of spare page buffers and the double-write image of the largest
+// batch written so far.
 //
 // The pager knows nothing about rows, tables, or the WAL: callers own
-// every byte of a page past the 4-byte checksum header. The sqldb heap
-// layers a slotted-record format on top (pagedheap.go in the parent
-// package) and drives checkpoints; the pager's single crash-safety
-// contract is:
+// every byte of a page past the 4-byte checksum header, and what those
+// bytes mean — a checksum that holds says the bytes are the ones written,
+// no more. The sqldb heap layers a slotted-record format on top
+// (pagedheap.go in the parent package), validates it as images come in,
+// and drives checkpoints; the pager's single crash-safety contract is:
 //
 //	After WriteBatch(pages) returns, every page in the batch is
 //	durably either its new complete image or repairable to it by
@@ -78,7 +83,8 @@ type Pager struct {
 	next    PageID   // next never-allocated page ID
 	free    []PageID // reusable page IDs (from dropped tables)
 
-	wmu sync.Mutex // serializes WriteBatch cycles (shared dwb)
+	wmu    sync.Mutex // serializes WriteBatch cycles (shared dwb)
+	dwbBuf []byte     // the batch's double-write image, reused batch to batch under wmu
 
 	pageWrites atomic.Uint64
 	pageReads  atomic.Uint64
@@ -200,8 +206,14 @@ func (p *Pager) WriteBatch(pages []BatchPage) error {
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
 	// Stamp checksums, then build the double-write image:
-	// [count u32] then per page [pid u64][image PageSize].
-	dwb := make([]byte, 4+len(pages)*(8+p.pageSize))
+	// [count u32] then per page [pid u64][image PageSize]. Batches run one
+	// at a time under wmu, so they share one buffer, grown to the largest
+	// batch seen.
+	size := 4 + len(pages)*(8+p.pageSize)
+	if cap(p.dwbBuf) < size {
+		p.dwbBuf = make([]byte, size)
+	}
+	dwb := p.dwbBuf[:size]
 	binary.LittleEndian.PutUint32(dwb[:4], uint32(len(pages)))
 	off := 4
 	for _, pg := range pages {

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -379,5 +381,356 @@ func TestPoolFlushPersists(t *testing.T) {
 	}
 	if !bytes.HasPrefix(buf[CheckHeader:], []byte("durable")) {
 		t.Fatalf("content lost: %q", buf[CheckHeader:CheckHeader+8])
+	}
+}
+
+// gatedFile is a memFile whose writes each wait for a token from the
+// test, and fail once the test says so: a slow or broken device under the
+// double-write buffer.
+type gatedFile struct {
+	memFile
+	tokens  chan struct{}
+	entered chan struct{}
+	failing atomic.Bool
+}
+
+func (g *gatedFile) WriteAt(p []byte, off int64) (int, error) {
+	g.entered <- struct{}{}
+	<-g.tokens
+	if g.failing.Load() {
+		return 0, errors.New("gatedFile: device failed")
+	}
+	return g.memFile.WriteAt(p, off)
+}
+
+// sameBuffer reports whether two page buffers are one piece of memory.
+func sameBuffer(a, b []byte) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+
+// checkImageOwners holds the pool to its hand-over rule at a quiet moment:
+// every page buffer has exactly one owner — a frame, the spare list, or a
+// parked image somewhere in a write-back chain — and the spare list is
+// within its cap.
+func checkImageOwners(t *testing.T, bp *Pool, tracked ...*writeBack) {
+	t.Helper()
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	type owner struct {
+		what string
+		img  []byte
+	}
+	var owners []owner
+	for i, f := range bp.frames {
+		owners = append(owners, owner{fmt.Sprintf("frame %d", i), f.data})
+	}
+	for i, img := range bp.spare {
+		owners = append(owners, owner{fmt.Sprintf("spare %d", i), img})
+	}
+	seen := map[*writeBack]bool{}
+	addChain := func(what string, wb *writeBack) {
+		for ; wb != nil && !seen[wb]; wb = wb.prev {
+			seen[wb] = true
+			if (wb.holders > 0) != (wb.img != nil) {
+				t.Errorf("%s: %d holders but image %v", what, wb.holders, wb.img != nil)
+			}
+			if wb.img != nil {
+				owners = append(owners, owner{what, wb.img})
+			}
+		}
+	}
+	for pid, wb := range bp.writing {
+		addChain(fmt.Sprintf("write-back chain of page %d", pid), wb)
+	}
+	for i, wb := range tracked {
+		addChain(fmt.Sprintf("tracked write-back %d", i), wb)
+	}
+	for i := range owners {
+		for j := i + 1; j < len(owners); j++ {
+			if sameBuffer(owners[i].img, owners[j].img) {
+				t.Errorf("one page buffer has two owners: %s and %s", owners[i].what, owners[j].what)
+			}
+		}
+	}
+	if len(bp.spare) > spareImages {
+		t.Errorf("spare list holds %d images, cap %d", len(bp.spare), spareImages)
+	}
+}
+
+// TestPoolRefetchAdoptsParkedImage races a reader against the eviction of
+// the page it wants, on a device slow enough to stop the clock at each
+// step — and, the second time round, one that fails the write. The parked
+// image must outlive its writer for as long as the reader holds it (the
+// writer retiring it does not recycle it), the reader must get the page's
+// newest bytes from it without going to disk, and every buffer must end
+// with one owner.
+func TestPoolRefetchAdoptsParkedImage(t *testing.T) {
+	for _, failWrite := range []bool{false, true} {
+		t.Run(fmt.Sprintf("failWrite=%v", failWrite), func(t *testing.T) {
+			main := &memFile{}
+			dwb := &gatedFile{tokens: make(chan struct{}), entered: make(chan struct{}, 8)}
+			p, err := New(main, dwb, 512)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bp := NewPool(p, 2)
+			write := func(f *Frame, s string) {
+				f.Lock()
+				copy(f.Data()[CheckHeader:], s)
+				f.Unlock()
+				bp.Unpin(f, true)
+			}
+			// Two dirty pages fill the pool; A sits under the clock hand.
+			a, fa, err := bp.NewPage()
+			if err != nil {
+				t.Fatal(err)
+			}
+			write(fa, "page A, newest bytes")
+			_, fb, err := bp.NewPage()
+			if err != nil {
+				t.Fatal(err)
+			}
+			write(fb, "page B")
+			reads := p.pageReads.Load()
+
+			// The evictor: a new page claims A's frame and parks A's image
+			// behind a write that does not return yet.
+			evicted := make(chan error, 1)
+			go func() {
+				_, f, err := bp.NewPage()
+				if err == nil {
+					bp.Unpin(f, true)
+				}
+				evicted <- err
+			}()
+			<-dwb.entered
+			bp.mu.Lock()
+			wbA := bp.writing[a]
+			bp.mu.Unlock()
+			if wbA == nil {
+				t.Fatal("no write-back parked for the evicted page")
+			}
+
+			// The reader: re-fetches A while that write is in flight. It
+			// claims B's frame, finds A's parked image and holds it.
+			type fetched struct {
+				got string
+				err error
+			}
+			refetched := make(chan fetched, 1)
+			go func() {
+				f, err := bp.Fetch(a)
+				if err != nil {
+					refetched <- fetched{err: err}
+					return
+				}
+				f.RLock()
+				got := string(f.Data()[CheckHeader : CheckHeader+20])
+				f.RUnlock()
+				bp.Unpin(f, false)
+				refetched <- fetched{got: got}
+			}()
+			for {
+				bp.mu.Lock()
+				held := wbA.holders
+				bp.mu.Unlock()
+				if held == 2 {
+					break
+				}
+				runtime.Gosched()
+			}
+
+			// Let the evictor's write through (or fail it). The evictor
+			// retires the write-back; the reader still holds the image.
+			dwb.failing.Store(failWrite)
+			dwb.tokens <- struct{}{}
+			if err := <-evicted; (err != nil) != failWrite {
+				t.Fatalf("evictor: err = %v, device failing = %v", err, failWrite)
+			}
+			bp.mu.Lock()
+			if wbA.holders != 1 || wbA.img == nil {
+				t.Errorf("after the writer retired: %d holders, image kept = %v; the reader still needs it", wbA.holders, wbA.img != nil)
+			}
+			for _, img := range bp.spare {
+				if sameBuffer(img, wbA.img) {
+					t.Error("the parked image is on the spare list while the reader holds it")
+				}
+			}
+			if wbA.img != nil && string(wbA.img[CheckHeader:CheckHeader+20]) != "page A, newest bytes" {
+				t.Errorf("parked image reads %q", wbA.img[CheckHeader:CheckHeader+20])
+			}
+			bp.mu.Unlock()
+			checkImageOwners(t, bp, wbA)
+
+			// Let the reader's own eviction write (of B) through; it then
+			// adopts A's parked image — authoritative even when the write
+			// of it failed.
+			dwb.failing.Store(false)
+			<-dwb.entered
+			dwb.tokens <- struct{}{}
+			r := <-refetched
+			if r.err != nil {
+				t.Fatalf("re-fetch: %v", r.err)
+			}
+			if r.got != "page A, newest bytes" {
+				t.Errorf("re-fetched page reads %q", r.got)
+			}
+			if n := p.pageReads.Load() - reads; n != 0 {
+				t.Errorf("%d page reads: the re-fetch went to disk instead of adopting the parked image", n)
+			}
+			bp.mu.Lock()
+			if wbA.holders != 0 || wbA.img != nil || len(bp.writing) != 0 {
+				t.Errorf("at rest: %d holders, image kept = %v, %d pages still writing", wbA.holders, wbA.img != nil, len(bp.writing))
+			}
+			if len(bp.spare) != 2 {
+				t.Errorf("spare list holds %d images, want the two evicted frames' buffers", len(bp.spare))
+			}
+			for _, img := range bp.spare {
+				if raceEnabled && !bytes.Equal(img, bytes.Repeat([]byte{0xDB}, len(img))) {
+					t.Error("a released image was not poisoned")
+				}
+			}
+			bp.mu.Unlock()
+			checkImageOwners(t, bp, wbA)
+		})
+	}
+}
+
+// TestPoolCheckpointCopiesIntoSpares runs checkpoint flushes and evictions
+// over the same pages from several goroutines and holds the pool to the
+// hand-over rule at the end: no buffer with two owners, no hold left, and
+// the pages read back as last written.
+func TestPoolCheckpointCopiesIntoSpares(t *testing.T) {
+	p, _, _ := newTestPager(t, 512)
+	bp := NewPool(p, 4)
+	const pages = 12
+	var pids [pages]PageID
+	for i := range pids {
+		pid, f, err := bp.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint64(f.Data()[CheckHeader:], uint64(i)<<32)
+		bp.Unpin(f, true)
+		pids[i] = pid
+	}
+	var wg sync.WaitGroup
+	errCh := make(chan error, 8)
+	var last [pages]uint64 // per page: the counter its one writer wrote last
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 400; i++ {
+				k := g + 3*(i%(pages/3)) // each goroutine owns a third of the pages
+				f, err := bp.Fetch(pids[k])
+				if err != nil {
+					errCh <- err
+					return
+				}
+				f.Lock()
+				v := binary.LittleEndian.Uint64(f.Data()[CheckHeader:])
+				if v>>32 != uint64(k) || v&0xFFFFFFFF != last[k] {
+					errCh <- fmt.Errorf("page %d reads %#x, last wrote counter %d", k, v, last[k])
+					f.Unlock()
+					bp.Unpin(f, false)
+					return
+				}
+				last[k]++
+				binary.LittleEndian.PutUint64(f.Data()[CheckHeader:], uint64(k)<<32|last[k])
+				f.Unlock()
+				bp.Unpin(f, true)
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if _, err := bp.FlushPages(bp.DirtyPages(), 3); err != nil {
+				errCh <- err
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	select {
+	case err := <-errCh:
+		t.Fatal(err)
+	default:
+	}
+	if _, err := bp.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	checkImageOwners(t, bp)
+	bp.mu.Lock()
+	writing := len(bp.writing)
+	bp.mu.Unlock()
+	if writing != 0 {
+		t.Fatalf("%d write-backs still registered at rest", writing)
+	}
+	buf := make([]byte, 512)
+	for k, pid := range pids {
+		if _, err := p.ReadPage(pid, buf); err != nil {
+			t.Fatal(err)
+		}
+		if v := binary.LittleEndian.Uint64(buf[CheckHeader:]); v != uint64(k)<<32|last[k] {
+			t.Errorf("page %d on disk reads %#x, want counter %d", k, v, last[k])
+		}
+	}
+}
+
+// resettable is an Attachment that counts its resets.
+type resettable struct{ resets int }
+
+func (r *resettable) Reset() { r.resets++ }
+
+// TestPoolResetsAttachment: what rides a frame is emptied whenever the
+// frame stops holding the page it was derived from — eviction, Forget,
+// NewPage — and at no other time.
+func TestPoolResetsAttachment(t *testing.T) {
+	p, _, _ := newTestPager(t, 512)
+	bp := NewPool(p, 2)
+	a, fa, err := bp.NewPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	att := &resettable{}
+	fa.Lock()
+	fa.Attach(att)
+	fa.Unlock()
+	bp.Unpin(fa, true)
+	for i := 0; i < 3; i++ { // hits leave it alone
+		f, err := bp.Fetch(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Attachment() != Attachment(att) {
+			t.Fatal("attachment lost on a hit")
+		}
+		bp.Unpin(f, false)
+	}
+	if _, err := bp.FlushAll(); err != nil { // so does a checkpoint
+		t.Fatal(err)
+	}
+	if att.resets != 0 {
+		t.Fatalf("%d resets while the frame kept its page", att.resets)
+	}
+	bp.Forget([]PageID{a})
+	if att.resets != 1 {
+		t.Fatalf("Forget: %d resets, want 1", att.resets)
+	}
+	// The frame is reused for other pages: each claim resets it again, and
+	// it stays attached.
+	for i := 0; i < 4; i++ {
+		_, f, err := bp.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bp.Unpin(f, true)
+	}
+	if att.resets < 2 {
+		t.Fatalf("frame reclaimed for new pages: %d resets", att.resets)
+	}
+	if fa.Attachment() != Attachment(att) {
+		t.Fatal("the pool removed the attachment instead of resetting it")
 	}
 }

@@ -26,6 +26,11 @@ import (
 // Fetch of the same page waits for the write to finish and then adopts
 // the parked image, so page writes for one PageID are totally ordered
 // and a reader never races the disk.
+//
+// Page buffers are handed over, not copied: a dirty victim's buffer
+// becomes the parked image and the frame takes a spare; a checkpoint
+// copies into a spare. A parked image returns to the spare list when its
+// last holder lets go (see writeBack.holders).
 type Pool struct {
 	pager *Pager
 
@@ -33,6 +38,7 @@ type Pool struct {
 	frames  []*Frame
 	table   map[PageID]*Frame
 	writing map[PageID]*writeBack // eviction write-back in flight
+	spare   [][]byte              // page buffers owned by no frame and no write-back
 	hand    int
 
 	hits        atomic.Uint64
@@ -52,6 +58,10 @@ type Pool struct {
 // to release a frame before reporting exhaustion.
 const poolWaitTimeout = 10 * time.Second
 
+// spareImages caps the spare list at one checkpoint batch of page
+// buffers; a buffer released beyond it is left to the collector.
+const spareImages = 32
+
 // writeBack tracks one in-flight page write — an eviction write-back or
 // a checkpoint flush entry: the image being written and a channel closed
 // when the write completes. Writes for one PageID form a chain (prev =
@@ -59,11 +69,27 @@ const poolWaitTimeout = 10 * time.Second
 // waits for its predecessor, so disk images of a page land in
 // registration order. bp.writing[pid] always holds the newest parked
 // image, which is authoritative over the disk for any concurrent Fetch.
+//
+// holders counts who may still read img: the writer, plus every Fetch or
+// NewPage that found this record under bp.mu as its page's newest parked
+// image. It is guarded by bp.mu, and the image is recycled only when it
+// reaches zero — never on retireWrite alone, because an adopting Fetch
+// copies from img after done closes. Once retired the record is in no
+// map, so the count can only fall.
 type writeBack struct {
-	img  []byte
-	done chan struct{}
-	prev *writeBack
+	img     []byte
+	done    chan struct{}
+	prev    *writeBack
+	holders int
 }
+
+// Attachment is state a frame's user derives from the page image and
+// hangs on the frame so that it shares the page's residency (the heap's
+// decoded rows). The pool calls Reset whenever the frame stops holding
+// the image the state was derived from: claimed for another page,
+// dropped by Forget, handed out by NewPage. Everything else about it —
+// including its locking, under the frame latch — is the user's.
+type Attachment interface{ Reset() }
 
 // Frame is one resident page. Contents are guarded by mu (and may only
 // be touched while the frame is pinned); lifecycle — which page the
@@ -72,6 +98,7 @@ type Frame struct {
 	mu   sync.RWMutex
 	pid  PageID
 	data []byte
+	att  Attachment
 
 	pins  atomic.Int32
 	ref   atomic.Bool
@@ -87,6 +114,14 @@ func (f *Frame) Data() []byte { return f.data }
 
 // PID returns the page the frame currently holds.
 func (f *Frame) PID() PageID { return f.pid }
+
+// Attachment returns what Attach last hung on the frame, nil if nothing.
+// Like Data it may be read only while the frame is pinned and latched.
+func (f *Frame) Attachment() Attachment { return f.att }
+
+// Attach hangs a on the frame for good (the pool empties it, it never
+// removes it). The caller holds a pin and the exclusive latch.
+func (f *Frame) Attach(a Attachment) { f.att = a }
 
 // Lock/Unlock and RLock/RUnlock expose the frame content latch.
 func (f *Frame) Lock()    { f.mu.Lock() }
@@ -139,7 +174,7 @@ func (bp *Pool) Fetch(pid PageID) (*Frame, error) {
 		oldPID       PageID
 		oldWB, ownWB *writeBack
 	)
-	deadline := time.Now().Add(poolWaitTimeout)
+	var deadline time.Time // set by the first wait: hits and plain misses read no clock
 	for {
 		bp.mu.Lock()
 		if f, ok := bp.table[pid]; ok {
@@ -164,7 +199,7 @@ func (bp *Pool) Fetch(pid PageID) (*Frame, error) {
 			break
 		}
 		bp.mu.Unlock()
-		if werr := bp.awaitUnpin(deadline, err); werr != nil {
+		if werr := bp.awaitUnpin(&deadline, err); werr != nil {
 			return nil, werr
 		}
 	}
@@ -192,6 +227,9 @@ func (bp *Pool) Fetch(pid PageID) (*Frame, error) {
 	if loadErr == nil {
 		f.ready = nil
 	}
+	if ownWB != nil {
+		bp.releaseLocked(ownWB)
+	}
 	bp.mu.Unlock()
 	close(ready)
 	if loadErr != nil {
@@ -203,8 +241,10 @@ func (bp *Pool) Fetch(pid PageID) (*Frame, error) {
 
 // claimLocked picks a victim frame for pid and configures it pinned and
 // loading. Returns the victim's previous page (0 = none) and its
-// write-back record if the victim was dirty, plus any write-back
-// already in flight for pid itself. Called with bp.mu held.
+// write-back record if the victim was dirty — the record takes the
+// victim's buffer, the frame a spare one — plus any write-back already
+// in flight for pid itself, which the caller now holds and must release.
+// Called with bp.mu held.
 func (bp *Pool) claimLocked(pid PageID) (f *Frame, oldPID PageID, oldWB, ownWB *writeBack, err error) {
 	f = bp.victimLocked()
 	if f == nil {
@@ -214,12 +254,17 @@ func (bp *Pool) claimLocked(pid PageID) (f *Frame, oldPID PageID, oldWB, ownWB *
 	if oldPID != 0 {
 		delete(bp.table, oldPID)
 		if f.dirty.Load() {
-			oldWB = &writeBack{img: append([]byte(nil), f.data...), done: make(chan struct{}), prev: bp.writing[oldPID]}
-			bp.writing[oldPID] = oldWB
+			oldWB = bp.parkLocked(oldPID, f.data)
+			f.data = bp.spareLocked()
 		}
 		bp.evictions.Add(1)
 	}
-	ownWB = bp.writing[pid]
+	if ownWB = bp.writing[pid]; ownWB != nil {
+		ownWB.holders++
+	}
+	if f.att != nil {
+		f.att.Reset()
+	}
 	f.pid = pid
 	f.err = nil
 	f.dirty.Store(false)
@@ -248,14 +293,62 @@ func (bp *Pool) completeEviction(oldPID PageID, wb *writeBack) error {
 }
 
 // retireWrite removes a completed write-back from the chain head (if it
-// still is the head) and signals its completion.
+// still is the head), lets go of the writer's hold on its image and
+// signals its completion.
 func (bp *Pool) retireWrite(pid PageID, wb *writeBack) {
 	bp.mu.Lock()
 	if bp.writing[pid] == wb {
 		delete(bp.writing, pid)
 	}
+	bp.releaseLocked(wb)
 	bp.mu.Unlock()
 	close(wb.done)
+}
+
+// parkLocked registers img as pid's newest parked image, held by the
+// writer that will write it out and retire it.
+func (bp *Pool) parkLocked(pid PageID, img []byte) *writeBack {
+	wb := &writeBack{img: img, done: make(chan struct{}), prev: bp.writing[pid], holders: 1}
+	bp.writing[pid] = wb
+	return wb
+}
+
+// releaseLocked drops one hold on wb's image and recycles the image with
+// the last.
+func (bp *Pool) releaseLocked(wb *writeBack) {
+	if wb.holders--; wb.holders < 0 {
+		panic("pager: parked image released more often than held")
+	}
+	if wb.holders == 0 {
+		bp.recycleLocked(wb.img)
+		wb.img = nil
+	}
+}
+
+// spareLocked returns a page buffer with arbitrary contents.
+func (bp *Pool) spareLocked() []byte {
+	if n := len(bp.spare); n > 0 {
+		img := bp.spare[n-1]
+		bp.spare[n-1] = nil
+		bp.spare = bp.spare[:n-1]
+		return img
+	}
+	return make([]byte, bp.pager.PageSize())
+}
+
+// recycleLocked takes back a page buffer nothing references any more.
+// Under the race detector it is poisoned first, so that a holder the
+// count missed reads bytes that fail every check instead of a plausible
+// page.
+func (bp *Pool) recycleLocked(img []byte) {
+	if raceEnabled {
+		for i := range img {
+			img[i] = 0xDB
+		}
+	}
+	if len(bp.spare) < spareImages {
+		bp.spare = append(bp.spare, img)
+	}
 }
 
 // dropFailed removes a frame whose load failed from the page table once
@@ -275,9 +368,12 @@ func (bp *Pool) dropFailed(f *Frame, pid PageID) {
 
 // awaitUnpin parks a frame claimer until some pin releases (or a short
 // poll interval passes, covering signal races), returning claimErr once
-// the deadline expires with the pool still pinned out.
-func (bp *Pool) awaitUnpin(deadline time.Time, claimErr error) error {
-	if time.Now().After(deadline) {
+// the deadline — poolWaitTimeout from the claimer's first wait — expires
+// with the pool still pinned out.
+func (bp *Pool) awaitUnpin(deadline *time.Time, claimErr error) error {
+	if now := time.Now(); deadline.IsZero() {
+		*deadline = now.Add(poolWaitTimeout)
+	} else if now.After(*deadline) {
 		return claimErr
 	}
 	bp.waiters.Add(1)
@@ -299,7 +395,7 @@ func (bp *Pool) NewPage() (PageID, *Frame, error) {
 		oldPID       PageID
 		oldWB, ownWB *writeBack
 	)
-	deadline := time.Now().Add(poolWaitTimeout)
+	var deadline time.Time
 	for {
 		bp.mu.Lock()
 		var err error
@@ -308,7 +404,7 @@ func (bp *Pool) NewPage() (PageID, *Frame, error) {
 			break
 		}
 		bp.mu.Unlock()
-		if werr := bp.awaitUnpin(deadline, err); werr != nil {
+		if werr := bp.awaitUnpin(&deadline, err); werr != nil {
 			bp.pager.Free(pid)
 			return 0, nil, werr
 		}
@@ -322,6 +418,9 @@ func (bp *Pool) NewPage() (PageID, *Frame, error) {
 	bp.pinCount.Add(1)
 	if ownWB != nil {
 		<-ownWB.done // a freed-and-reused page: order after its old write
+		bp.mu.Lock()
+		bp.releaseLocked(ownWB)
+		bp.mu.Unlock()
 	}
 	if werr := bp.completeEviction(oldPID, oldWB); werr != nil {
 		bp.dropFailed(f, pid)
@@ -404,6 +503,16 @@ func (bp *Pool) FlushPages(pids []PageID, batchSize int) (int, error) {
 	wrote := 0
 	entries := make([]flushEntry, 0, batchSize)
 	batch := make([]BatchPage, 0, batchSize)
+	// img is the spare the next dirty page is copied into, taken while
+	// bp.mu is held anyway and carried over a page that turns out clean.
+	var img []byte
+	defer func() {
+		if img != nil {
+			bp.mu.Lock()
+			bp.recycleLocked(img)
+			bp.mu.Unlock()
+		}
+	}()
 	flush := func() error {
 		if len(entries) == 0 {
 			return nil
@@ -434,15 +543,18 @@ func (bp *Pool) FlushPages(pids []PageID, batchSize int) (int, error) {
 			continue
 		}
 		f.pins.Add(1)
+		if img == nil {
+			img = bp.spareLocked()
+		}
 		bp.mu.Unlock()
 		bp.pinCount.Add(1)
 		f.mu.RLock()
 		if f.dirty.CompareAndSwap(true, false) {
-			img := append([]byte(nil), f.data...)
+			copy(img, f.data)
 			bp.mu.Lock()
-			wb := &writeBack{img: img, done: make(chan struct{}), prev: bp.writing[pid]}
-			bp.writing[pid] = wb
+			wb := bp.parkLocked(pid, img)
 			bp.mu.Unlock()
+			img = nil
 			entries = append(entries, flushEntry{pid: pid, wb: wb})
 		}
 		f.mu.RUnlock()
@@ -473,6 +585,9 @@ func (bp *Pool) Forget(pids []PageID) {
 			f.pid = 0
 			f.dirty.Store(false)
 			f.ref.Store(false)
+			if f.att != nil {
+				f.att.Reset()
+			}
 		}
 	}
 }

@@ -119,15 +119,19 @@ func (t *table) resolve(v *rowVersion) []Value {
 	return nil
 }
 
-// eraseLocs erases pruned versions' page records. Safe to call with the
-// table latch held: the pool layer never acquires table latches, so no
-// lock cycle — just potential page I/O under the latch, which only GC
-// and chain pruning pay.
-func (t *table) eraseLocs(freed []pageLoc) {
-	if t.heap == nil || len(freed) == 0 {
-		return
+// prune clips s's chain below the watermark (rowSlot.pruneBelow) and
+// erases the page records of the versions it unlinked — a chain rarely
+// sheds more than one at a time, so their locations stay on the stack.
+// Safe to call with the table latch held: the pool layer never acquires
+// table latches, so no lock cycle — just potential page I/O under the
+// latch, which only GC and chain pruning pay.
+func (t *table) prune(s *rowSlot, watermark uint64) (pruned uint64) {
+	var buf [2]pageLoc
+	pruned, freed := s.pruneBelow(watermark, buf[:0])
+	if t.heap != nil {
+		t.heap.eraseAll(freed)
 	}
-	t.heap.eraseAll(freed)
+	return pruned
 }
 
 func colNames(s TableSchema, idxs []int) []string {
@@ -510,9 +514,8 @@ func (t *table) deleteRow(rid int64, txn uint64, watermark uint64) ([]Value, *ro
 	tomb := &rowVersion{txn: txn, flags: verTomb}
 	tomb.prev.Store(s.head.Load())
 	s.head.Store(tomb)
-	_, freed := s.pruneBelow(watermark)
+	t.prune(s, watermark)
 	t.liveRows.Add(-1)
-	t.eraseLocs(freed)
 	return old, tomb, entries, nil
 }
 
@@ -555,8 +558,7 @@ func (t *table) updateRow(rid int64, newRow []Value, txn uint64, watermark uint6
 		v := &rowVersion{data: newRow, txn: txn}
 		v.prev.Store(s.head.Load())
 		s.head.Store(v)
-		_, freed := s.pruneBelow(watermark)
-		t.eraseLocs(freed)
+		t.prune(s, watermark)
 		t.latch.RUnlock()
 		return old, v, nil, nil
 	}
@@ -594,8 +596,7 @@ func (t *table) updateRow(rid int64, newRow []Value, txn uint64, watermark uint6
 	v := &rowVersion{data: newRow, txn: txn}
 	v.prev.Store(s.head.Load())
 	s.head.Store(v)
-	_, freed := s.pruneBelow(watermark)
-	t.eraseLocs(freed)
+	t.prune(s, watermark)
 	return old, v, orphaned, nil
 }
 
@@ -703,8 +704,7 @@ func (t *table) gcProcess(rec *gcRecord, watermark uint64) (pruned, entriesRemov
 		return 0, 0, 0
 	}
 	s := t.rows[rec.rid]
-	pruned, freed := s.pruneBelow(watermark)
-	t.eraseLocs(freed)
+	pruned = t.prune(s, watermark)
 	for _, e := range rec.entries {
 		ix := t.findIndex(e.index)
 		if ix == nil {
@@ -812,8 +812,7 @@ func (t *table) applyWrite(op walOp, rid int64, row []Value, watermark uint64, m
 	v := &rowVersion{data: row}
 	v.prev.Store(s.head.Load())
 	s.head.Store(v)
-	_, freed := s.pruneBelow(watermark)
-	t.eraseLocs(freed)
+	t.prune(s, watermark)
 	return v, orphaned, nil
 }
 
@@ -846,8 +845,7 @@ func (t *table) applyDelete(rid int64, watermark uint64, mayContain bool) (*rowV
 	tomb := &rowVersion{flags: verTomb}
 	tomb.prev.Store(s.head.Load())
 	s.head.Store(tomb)
-	_, freed := s.pruneBelow(watermark)
-	t.eraseLocs(freed)
+	t.prune(s, watermark)
 	t.liveRows.Add(-1)
 	return tomb, entries, nil
 }
@@ -866,8 +864,7 @@ func (t *table) rebuildAfterReplay(watermark uint64) {
 	}
 	t.free = t.free[:0]
 	for rid, s := range t.rows {
-		_, freed := s.pruneBelow(watermark)
-		t.eraseLocs(freed)
+		t.prune(s, watermark)
 		head := s.head.Load()
 		if head == nil {
 			t.free = append(t.free, int64(rid))

@@ -94,8 +94,9 @@ func (s *rowSlot) currentVersion(txn uint64) *rowVersion {
 // storage the unlinked versions' page records are dead too (no version
 // references them, and the surviving newer record — on disk or covered
 // by the WAL tail — shadows them at recovery); their locations are
-// returned for the caller to erase.
-func (s *rowSlot) pruneBelow(watermark uint64) (pruned uint64, freed []pageLoc) {
+// appended to freed and returned for the caller to erase (table.prune).
+func (s *rowSlot) pruneBelow(watermark uint64, freed []pageLoc) (uint64, []pageLoc) {
+	var pruned uint64
 	for v := s.head.Load(); v != nil; v = v.prev.Load() {
 		if b := v.begin.Load(); b != 0 && b <= watermark {
 			for old := v.prev.Load(); old != nil; old = old.prev.Load() {
@@ -110,7 +111,7 @@ func (s *rowSlot) pruneBelow(watermark uint64) (pruned uint64, freed []pageLoc) 
 			return pruned, freed
 		}
 	}
-	return 0, nil
+	return 0, freed
 }
 
 // gcEntry names one index entry (full entry key, rid tiebreaker
