@@ -1,13 +1,17 @@
-# CI entry points. `make check` is the default gate: build, vet, full test
-# suite, the allocation budgets, then a race-detector pass over the
-# concurrency-critical packages (the storage engine's lock manager and the
-# CAS service layer).
+# CI entry points. `make check` is the default gate: formatting, build,
+# vet, full test suite, the allocation budgets, then a race-detector pass
+# over the concurrency-critical packages (the storage engine's lock manager
+# and the CAS service layer).
 
 GO ?= go
 
-.PHONY: check build test alloc race vet fuzz bench-smoke bench-cancel bench-agg bench-overload bench-repl bench-plancache bench-pager race-cancel race-plancache race-pager joinfuzz chaos replchaos replchaos-one clean
+.PHONY: check fmt build test alloc race vet fuzz bench-smoke bench-cancel bench-agg bench-overload bench-repl bench-plancache bench-pager race-cancel race-plancache race-pager joinfuzz chaos replchaos replchaos-one clean
 
-check: build vet test alloc race
+check: fmt build vet test alloc race
+
+# gofmt names every file it would rewrite; any name fails the gate.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

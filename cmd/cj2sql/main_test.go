@@ -1,14 +1,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
-	"sync"
-	"time"
-	"context"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"condorj2/internal/sqldb"
 )

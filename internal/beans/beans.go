@@ -91,6 +91,9 @@ type Meta struct {
 	pks    []field
 	// kinds counts the fields of each scanKind: the size of a scanBuf.
 	kinds [numScanKinds]int
+	// bufs lends Find and Each their scan targets (scanBuf). A pointer, so
+	// WithTable's copy of the Meta shares the pool instead of copying one.
+	bufs *sync.Pool
 
 	findSQL, updateSQL, deleteSQL string
 	// selectSQL is "SELECT cols FROM table " — Select appends its suffix.
@@ -167,7 +170,7 @@ func MetaOf(sample any) (*Meta, error) {
 	if tn, ok := reflect.New(t).Interface().(TableNamer); ok {
 		table = tn.TableName()
 	}
-	m = &Meta{Table: table, typ: t}
+	m = &Meta{Table: table, typ: t, bufs: new(sync.Pool)}
 	for i := 0; i < t.NumField(); i++ {
 		sf := t.Field(i)
 		tag := sf.Tag.Get("bean")
@@ -299,7 +302,8 @@ func Find(q Querier, entity any) error {
 	if err != nil {
 		return err
 	}
-	buf := m.newScanBuf()
+	buf := m.borrowScanBuf()
+	defer m.returnScanBuf(buf)
 	buf.aim(m, v)
 	row := q.QueryRow(m.findSQL, m.pkArgs(make([]any, 0, len(m.pks)), v)...)
 	if err := row.Scan(buf.dest...); err != nil {
@@ -356,31 +360,50 @@ func Delete(q Querier, entity any) error {
 // Select loads all entities matching an arbitrary suffix clause (e.g.
 // "WHERE state = ? ORDER BY id LIMIT 10") into a slice of T.
 func Select[T any](q Querier, suffix string, args ...any) ([]T, error) {
-	var sample T
-	m, err := MetaOf(sample)
+	var out []T
+	err := Each(q, func(item *T) error {
+		out = append(out, *item)
+		return nil
+	}, suffix, args...)
 	if err != nil {
 		return nil, err
+	}
+	return out, nil
+}
+
+// Each calls fn for every entity matching the suffix clause, in result
+// order, stopping at the first error. All rows are visited through one
+// entity, loaded afresh for each call: fn may keep a copy of *item, not the
+// pointer.
+func Each[T any](q Querier, fn func(item *T) error, suffix string, args ...any) error {
+	var item T
+	m, err := MetaOf(item)
+	if err != nil {
+		return err
 	}
 	rows, err := q.Query(m.selectSQL+suffix, args...)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer rows.Close()
-	var out []T
 	// One set of scan targets serves every row: Scan overwrites them and
-	// assign copies them into the row's own item.
-	buf := m.newScanBuf()
+	// assign copies them into the entity.
+	buf := m.borrowScanBuf()
+	defer m.returnScanBuf(buf)
+	v := reflect.ValueOf(&item).Elem()
 	for rows.Next() {
-		var item T
-		v := reflect.ValueOf(&item).Elem()
+		var zero T
+		item = zero
 		buf.aim(m, v)
 		if err := rows.Scan(buf.dest...); err != nil {
-			return nil, err
+			return err
 		}
 		buf.assign(m, v)
-		out = append(out, item)
+		if err := fn(&item); err != nil {
+			return err
+		}
 	}
-	return out, rows.Err()
+	return rows.Err()
 }
 
 func metaAndValue(entity any) (*Meta, reflect.Value, error) {
@@ -405,8 +428,9 @@ func (m *Meta) pkArgs(args []any, v reflect.Value) []any {
 }
 
 // scanBuf is one call's set of sql.Rows.Scan targets: a sql.Null wrapper
-// per mapped field, grouped by kind so a call allocates one array per kind
-// the entity uses rather than one box per cell per row.
+// per mapped field, grouped by kind — one array per kind the entity uses
+// rather than one box per cell per row. Calls borrow theirs from the Meta
+// (borrowScanBuf) and return it pointing at nothing of the caller's.
 type scanBuf struct {
 	dest    []any
 	ints    []sql.NullInt64
@@ -414,6 +438,29 @@ type scanBuf struct {
 	strings []sql.NullString
 	bools   []sql.NullBool
 	times   []sql.NullTime
+}
+
+// borrowScanBuf takes a set of scan targets from the Meta's pool, building
+// one when the pool is empty.
+func (m *Meta) borrowScanBuf() *scanBuf {
+	if b, _ := m.bufs.Get().(*scanBuf); b != nil {
+		return b
+	}
+	return m.newScanBuf()
+}
+
+// returnScanBuf gives the targets back: those that were aimed into the
+// caller's entity point nowhere, and no scanned string stays reachable.
+func (m *Meta) returnScanBuf(b *scanBuf) {
+	if m.kinds[scanDirect] > 0 {
+		for i := range m.fields {
+			if m.fields[i].kind == scanDirect {
+				b.dest[i] = nil
+			}
+		}
+	}
+	clear(b.strings)
+	m.bufs.Put(b)
 }
 
 func (m *Meta) newScanBuf() *scanBuf {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"database/sql"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -176,6 +177,78 @@ func TestSelectMany(t *testing.T) {
 	}
 	if len(ws) != 3 || ws[0].Weight != 4 {
 		t.Fatalf("selected = %+v", ws)
+	}
+}
+
+// Blob has a field of no sql.Null kind: it is scanned in place, through a
+// target aimed at the entity.
+type Blob struct {
+	ID   int64  `bean:"id,pk"`
+	Note string `bean:"note"`
+	Body []byte `bean:"body"`
+}
+
+// TestEachVisitsThroughOneEntity: Each hands fn every row, in order,
+// through one entity loaded afresh each time — a NULL column reads zero
+// whatever the row before held — and stops at fn's first error; the scan
+// targets go back to the Meta pointing at nothing of the caller's.
+func TestEachVisitsThroughOneEntity(t *testing.T) {
+	pool := testPool(t)
+	if _, err := pool.Exec(`CREATE TABLE blob (id INTEGER PRIMARY KEY, note TEXT, body TEXT)`); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range [][]any{{1, "first", "one"}, {2, nil, nil}, {3, "third", "three"}} {
+		if _, err := pool.Exec(`INSERT INTO blob VALUES (?, ?, ?)`, row...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var seen []Blob
+	var entity *Blob
+	err := Each(pool, func(b *Blob) error {
+		if entity == nil {
+			entity = b
+		} else if b != entity {
+			t.Error("Each allocated a second entity")
+		}
+		seen = append(seen, *b)
+		return nil
+	}, "ORDER BY id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 3 || seen[0].Note != "first" || string(seen[0].Body) != "one" ||
+		seen[1].Note != "" || seen[1].Body != nil || seen[2].Note != "third" || string(seen[2].Body) != "three" {
+		t.Fatalf("visited %+v", seen)
+	}
+
+	stop := errors.New("enough")
+	n := 0
+	if err := Each(pool, func(*Blob) error { n++; return stop }, "ORDER BY id"); !errors.Is(err, stop) || n != 1 {
+		t.Fatalf("Each after fn failed: err %v after %d rows", err, n)
+	}
+
+	m, err := MetaOf(Blob{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := m.borrowScanBuf()
+	var b Blob
+	buf.aim(m, reflect.ValueOf(&b).Elem())
+	buf.strings[0] = sql.NullString{String: "scanned", Valid: true}
+	m.returnScanBuf(buf)
+	for i, f := range m.fields {
+		if f.kind == scanDirect && buf.dest[i] != nil {
+			t.Errorf("a returned scan target still points into a caller's entity (%s)", f.name)
+		}
+	}
+	for _, s := range buf.strings {
+		if s.String != "" {
+			t.Errorf("a returned scan target still holds a scanned string %q", s.String)
+		}
+	}
+	// WithTable's copy lends from the same pool.
+	if other := m.WithTable("blob_archive"); other.bufs != m.bufs {
+		t.Error("WithTable did not share the scan-target pool")
 	}
 }
 

@@ -256,8 +256,8 @@ func TestMuxShedsStaleHeartbeats(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw, err := xml.Marshal(wire.Envelope{
-		Action: ActionHeartbeat,
-		Sent:   time.Now().Add(-time.Hour).UnixMilli(),
+		Action:  ActionHeartbeat,
+		Sent:    time.Now().Add(-time.Hour).UnixMilli(),
 		Payload: payload,
 	})
 	if err != nil {

@@ -29,7 +29,7 @@ func TestReapDeadMachineReleasesWork(t *testing.T) {
 
 	// The machine goes silent; before the timeout nothing is reaped.
 	clk.advance(2 * time.Minute)
-	stats, err := s.ReapDeadMachines(context.Background(), 5 * time.Minute)
+	stats, err := s.ReapDeadMachines(context.Background(), 5*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestReapDeadMachineReleasesWork(t *testing.T) {
 
 	// Past the timeout the machine is declared dead and its work freed.
 	clk.advance(10 * time.Minute)
-	stats, err = s.ReapDeadMachines(context.Background(), 5 * time.Minute)
+	stats, err = s.ReapDeadMachines(context.Background(), 5*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestReapSparesHealthyMachines(t *testing.T) {
 	beat(t, s, "alive", true, idleVMs(1)...)
 	clk.advance(time.Minute)
 	beat(t, s, "alive", false, idleVMs(1)...) // fresh heartbeat
-	stats, err := s.ReapDeadMachines(context.Background(), 5 * time.Minute)
+	stats, err := s.ReapDeadMachines(context.Background(), 5*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}

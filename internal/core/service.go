@@ -836,29 +836,34 @@ func (s *Service) PoolStatus(ctx context.Context, _ *PoolStatusRequest) (*PoolSt
 	return resp, nil
 }
 
+// Queue listing sizes: what a request that names no Limit gets, and the
+// most any request gets.
+const (
+	queueStatusDefault = 1000
+	queueStatusMax     = 10000
+)
+
 // QueueStatus lists queued jobs, optionally for one owner, from a
 // read-only snapshot.
 func (s *Service) QueueStatus(ctx context.Context, req *QueueStatusRequest) (*QueueStatusResponse, error) {
 	limit := req.Limit
-	if limit <= 0 || limit > 10000 {
-		limit = 1000
+	if limit <= 0 {
+		limit = queueStatusDefault
 	}
+	limit = min(limit, queueStatusMax)
 	resp := &QueueStatusResponse{}
 	err := s.c.InReadTx(ctx, func(tx *sql.Tx) error {
-		var jobs []Job
-		var err error
-		if req.Owner != "" {
-			jobs, err = beans.Select[Job](tx, "WHERE owner = ? ORDER BY id LIMIT ?", req.Owner, limit)
-		} else {
-			jobs, err = beans.Select[Job](tx, "ORDER BY id LIMIT ?", limit)
-		}
-		if err != nil {
-			return err
-		}
-		for _, j := range jobs {
+		// The reply is built row by row through one reused Job, in a slice
+		// sized once for the most the query can return.
+		resp.Jobs = make([]QueueJob, 0, limit)
+		add := func(j *Job) error {
 			resp.Jobs = append(resp.Jobs, QueueJob{ID: j.ID, Owner: j.Owner, State: j.State, LengthSec: j.LengthSec})
+			return nil
 		}
-		return nil
+		if req.Owner != "" {
+			return beans.Each(tx, add, "WHERE owner = ? ORDER BY id LIMIT ?", req.Owner, limit)
+		}
+		return beans.Each(tx, add, "ORDER BY id LIMIT ?", limit)
 	})
 	if err != nil {
 		return nil, err

@@ -464,18 +464,29 @@ func TestStateMachineRejectsInvalidTransitions(t *testing.T) {
 
 func TestQueueStatusHonorsLimit(t *testing.T) {
 	cas, _ := newTestCAS(t)
-	cas.Service.Submit(context.Background(), &SubmitRequest{Owner: "u", Count: 25, LengthSec: 60})
-	resp, err := cas.Service.QueueStatus(context.Background(), &QueueStatusRequest{Owner: "u", Limit: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Jobs) != 10 {
-		t.Fatalf("jobs = %d, want limit 10", len(resp.Jobs))
-	}
-	// Jobs come back in id order.
-	for i := 1; i < len(resp.Jobs); i++ {
-		if resp.Jobs[i].ID <= resp.Jobs[i-1].ID {
-			t.Fatal("queue listing out of id order")
+	cas.Service.Submit(context.Background(), &SubmitRequest{Owner: "u", Count: 1200, LengthSec: 60})
+	for _, c := range []struct {
+		name        string
+		limit, want int
+	}{
+		{"a limit is honored", 10, 10},
+		{"unset: the default", 0, queueStatusDefault},
+		{"negative: the default", -5, queueStatusDefault},
+		{"above the default", 1100, 1100},
+		{"over the cap: clamped to it, not reset to the default", queueStatusMax + 10000, 1200},
+	} {
+		resp, err := cas.Service.QueueStatus(context.Background(), &QueueStatusRequest{Owner: "u", Limit: c.limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Jobs) != c.want {
+			t.Errorf("%s: Limit %d returned %d jobs, want %d", c.name, c.limit, len(resp.Jobs), c.want)
+		}
+		// Jobs come back in id order.
+		for i := 1; i < len(resp.Jobs); i++ {
+			if resp.Jobs[i].ID <= resp.Jobs[i-1].ID {
+				t.Fatalf("%s: queue listing out of id order", c.name)
+			}
 		}
 	}
 }

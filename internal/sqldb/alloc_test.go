@@ -7,6 +7,9 @@ package sqldb
 
 import (
 	"context"
+	"database/sql"
+	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -78,15 +81,16 @@ func statementAllocs(t *testing.T, db *DB, updateBudget float64) {
 	}{
 		// The Tx itself. 1 → 1.
 		{"empty read-write transaction", 1, func(tx *Tx) {}},
-		// Tx, Rows, its one-row Data, the row. 32 → 4.
+		// Tx, Rows, its one row reference, Data, the row's cells. 32 → 4, 5
+		// since the native call fills Data from the references.
 		{"point SELECT by unique key", 8, func(tx *Tx) {
 			rows, err := tx.Query(`SELECT name, state, beats FROM machines WHERE name = ?`, name)
 			if err != nil || rows.Len() != 1 {
 				t.Fatalf("rows %v, err %v", rows, err)
 			}
 		}},
-		// Tx, Rows, Data, four rows (four row locks and a table lock, all
-		// from the freelist). 53 → 7.
+		// Tx, Rows, its four row references, Data, one array of cells (four
+		// row locks and a table lock, all from the freelist). 53 → 7 → 5.
 		{"4-row index-range SELECT", 12, func(tx *Tx) {
 			rows, err := tx.Query(`SELECT id, machine, seq, state, memory_mb FROM vms WHERE machine = ?`, name)
 			if err != nil || rows.Len() != 4 {
@@ -154,5 +158,109 @@ func TestPageCompactAllocs(t *testing.T) {
 	t.Logf("compaction + insert: %.0f allocations", got)
 	if got > 0 {
 		t.Errorf("%.0f allocations, budget 0", got)
+	}
+}
+
+// bytesPerRun is the bytes f allocates, averaged over runs after a warm-up
+// that fills the plan cache and the pools.
+func bytesPerRun(runs int, f func()) float64 {
+	f()
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestOrderedSelectAllocs budgets the read path through database/sql — the
+// driver's cursor included, Scan into plain variables — by what it costs
+// per row it returns and by what it does not cost per row it merely reads.
+//
+// 100 rows, five columns, LIMIT 100 of 5,000 on the path that orders them.
+// In one direction, which stopped at the LIMIT before too: 301 B per
+// returned row when a result row was a copy (the copy, its share of the
+// sort collection's and the result's arrays, the boxed cells) → 140 B as a
+// reference: the reference, and the boxes database/sql's interface needs
+// for two int64s, a float64 and two string headers. In the scheduler's two
+// directions, all 5,000 tied on priority: 33.5 KB per returned row — every
+// tied row read, copied and sorted — → 138 B.
+//
+// The top 10 of N rows all tied on the one key the path orders (the mirror
+// shape: nothing can stop the scan early), N = 500 and 5,000: 94 KB and
+// 3.3 MB per statement → 2.0 KB for both: the bounded heap keeps 11
+// entries, and what a statement allocates no longer depends on how many
+// rows it read.
+func TestOrderedSelectAllocs(t *testing.T) {
+	engine := New()
+	defer engine.Close()
+	Serve("alloc-ordered", engine)
+	defer Unserve("alloc-ordered")
+	pool, err := sql.Open(DriverName, "alloc-ordered")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	for _, ddl := range []string{
+		`CREATE TABLE jobs (id INTEGER PRIMARY KEY, owner TEXT NOT NULL, state TEXT NOT NULL, priority FLOAT NOT NULL, length_sec INTEGER NOT NULL)`,
+		`CREATE INDEX jobs_sp ON jobs (state, priority, id)`,
+	} {
+		if _, err := engine.Exec(ddl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i <= 5500; i++ {
+		state := "idle" // 5,000 of them
+		if i > 5000 {
+			state = "held" // 500
+		}
+		if _, err := engine.Exec(`INSERT INTO jobs VALUES (?, ?, ?, 0.5, ?)`, i+1000, fmt.Sprintf("owner-%d", i%7), state, 60+i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func(sql string, state any, want int) func() {
+		return func() {
+			rows, err := pool.Query(sql, state)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for rows.Next() {
+				var id, length int64
+				var owner, state string
+				var prio float64
+				if err := rows.Scan(&id, &owner, &state, &prio, &length); err != nil {
+					t.Fatal(err)
+				}
+				n++
+			}
+			if err := rows.Err(); err != nil || n != want {
+				t.Fatalf("%d rows, err %v; want %d", n, err, want)
+			}
+		}
+	}
+	const cols = `SELECT id, owner, state, priority, length_sec FROM jobs WHERE state = ? `
+
+	for _, c := range []struct{ name, orderBy string }{
+		{"one direction", `ORDER BY priority, id LIMIT 100`},
+		{"the scheduler's", `ORDER BY priority DESC, id LIMIT 100`},
+	} {
+		perRow := bytesPerRun(200, read(cols+c.orderBy, any("idle"), 100)) / 100
+		t.Logf("100 rows in index order, %s: %.0f bytes per returned row", c.name, perRow)
+		if perRow > 180 {
+			t.Errorf("%s: %.0f bytes per returned row, budget 180", c.name, perRow)
+		}
+	}
+
+	small := bytesPerRun(50, read(cols+`ORDER BY priority, id DESC LIMIT 10`, any("held"), 10))
+	large := bytesPerRun(50, read(cols+`ORDER BY priority, id DESC LIMIT 10`, any("idle"), 10))
+	t.Logf("top 10 of 500 tied rows: %.0f bytes; of 5,000: %.0f bytes", small, large)
+	if large > 4096 {
+		t.Errorf("top 10 of 5,000 tied rows: %.0f bytes, budget 4096", large)
+	}
+	if large > small+512 {
+		t.Errorf("top 10 of 5,000 rows costs %.0f bytes, of 500 rows %.0f: the cost grows with the rows read", large, small)
 	}
 }

@@ -99,8 +99,12 @@ type DB struct {
 	// stmtHand. Both are guarded by stmtMu's write half.
 	stmtClock []*cachedStmt
 	stmtHand  int
-	closed    atomic.Bool
-	txLive    sync.WaitGroup
+	// closeMu makes a transaction's registration in txLive and the closed
+	// test one step: BeginTx holds it shared across both, Close exclusively
+	// while it sets closed — so a BeginTx is either waited for or refused.
+	closeMu sync.RWMutex
+	closed  atomic.Bool
+	txLive  sync.WaitGroup
 	// scratchPool lends each transaction its statements' working memory
 	// (scratch.go).
 	scratchPool sync.Pool
@@ -261,7 +265,10 @@ func Open(opts Options) (*DB, error) {
 // Under paged storage a final fuzzy checkpoint runs first, so a clean
 // shutdown leaves an empty WAL tail and the next open replays nothing.
 func (db *DB) Close() error {
-	if !db.closed.CompareAndSwap(false, true) {
+	db.closeMu.Lock()
+	first := db.closed.CompareAndSwap(false, true)
+	db.closeMu.Unlock()
+	if !first {
 		return nil
 	}
 	db.txLive.Wait()
@@ -365,9 +372,6 @@ func (db *DB) BeginReadOnly() (*Tx, error) {
 // QueryContext; ctx is the fallback (and the bound database/sql applies
 // to statements issued without one).
 func (db *DB) BeginTx(ctx context.Context, opts TxOptions) (*Tx, error) {
-	if db.closed.Load() {
-		return nil, fmt.Errorf("sqldb: database is closed")
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -375,7 +379,13 @@ func (db *DB) BeginTx(ctx context.Context, opts TxOptions) (*Tx, error) {
 		return nil, mapCtxErr(err)
 	}
 	readOnly := opts.ReadOnly
+	db.closeMu.RLock()
+	if db.closed.Load() {
+		db.closeMu.RUnlock()
+		return nil, fmt.Errorf("sqldb: database is closed")
+	}
 	db.txLive.Add(1)
+	db.closeMu.RUnlock()
 	tx := &Tx{db: db, id: db.nextTx.Add(1), readOnly: readOnly, base: ctx, ctx: ctx}
 	if readOnly {
 		// Snapshot capture and registration are one critical section with
@@ -620,10 +630,42 @@ type Result struct {
 type Rows struct {
 	// Columns names the result columns in order.
 	Columns []string
-	// Data holds the result rows.
+	// Data holds the result rows. They are the caller's own: nothing else
+	// reads or writes them.
 	Data [][]Value
 	pos  int
 	drv  driverRows // the database/sql cursor over this result (driver.go)
+
+	// A result whose outputs are all bare columns, as the statement hands
+	// it over: per result row, width references to the rows it read (one
+	// per FROM table, nil for a LEFT JOIN's padded side), and where in them
+	// each output column is. The references are to version rows, never
+	// written after publication, so the result reads what the statement saw
+	// however long it is held; refs is this result's own array. The
+	// database/sql cursor reads through it; the native Query calls fill
+	// Data from it (materialize).
+	refs  [][]Value
+	picks []pick
+	width int
+}
+
+// materialize fills Data from a result of row references: fresh slices.
+func (r *Rows) materialize() {
+	if r.picks == nil {
+		return
+	}
+	if n, ncol := len(r.refs)/r.width, len(r.picks); n > 0 {
+		cells := make([]Value, n*ncol)
+		r.Data = make([][]Value, n)
+		for i := range r.Data {
+			row := cells[i*ncol : (i+1)*ncol : (i+1)*ncol]
+			for c, p := range r.picks {
+				row[c] = p.of(r.refs[i*r.width : (i+1)*r.width])
+			}
+			r.Data[i] = row
+		}
+	}
+	r.refs, r.picks = nil, nil
 }
 
 // Next advances the cursor, reporting whether a row is available.
@@ -759,7 +801,11 @@ func (tx *Tx) QueryContext(ctx context.Context, sql string, args ...any) (*Rows,
 		return nil, err
 	}
 	_, rows, err := tx.execStmtCtx(ctx, stmt, params)
-	return rows, err
+	if err != nil {
+		return nil, err
+	}
+	rows.materialize()
+	return rows, nil
 }
 
 // QueryRow runs a single-row SELECT inside the transaction; nil when empty.

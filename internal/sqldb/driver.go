@@ -308,7 +308,9 @@ func (r sqlResult) RowsAffected() (int64, error) { return r.res.RowsAffected, ni
 
 // driverRows is the driver.Rows cursor over a materialized result. It
 // lives inside the Rows it reads (Rows.drv), so handing a result to
-// database/sql allocates nothing beyond the result.
+// database/sql allocates nothing beyond the result — and a result of row
+// references is read where it lies: Next picks each cell out of the row
+// the statement read straight into database/sql's dest.
 type driverRows struct {
 	rows *Rows
 	pos  int
@@ -324,26 +326,25 @@ func (r *driverRows) Columns() []string { return r.rows.Columns }
 func (r *driverRows) Close() error      { return nil }
 
 func (r *driverRows) Next(dest []driver.Value) error {
-	if r.pos >= len(r.rows.Data) {
+	rows := r.rows
+	if rows.picks != nil {
+		if (r.pos+1)*rows.width > len(rows.refs) {
+			return io.EOF
+		}
+		refs := rows.refs[r.pos*rows.width : (r.pos+1)*rows.width]
+		r.pos++
+		for i, p := range rows.picks {
+			dest[i] = p.of(refs).Go()
+		}
+		return nil
+	}
+	if r.pos >= len(rows.Data) {
 		return io.EOF
 	}
-	row := r.rows.Data[r.pos]
+	row := rows.Data[r.pos]
 	r.pos++
 	for i, v := range row {
-		switch v.Type() {
-		case Null:
-			dest[i] = nil
-		case Int:
-			dest[i] = v.Int64()
-		case Float:
-			dest[i] = v.Float64()
-		case Text:
-			dest[i] = v.Text()
-		case Bool:
-			dest[i] = v.Bool()
-		case Time:
-			dest[i] = v.TimeValue()
-		}
+		dest[i] = v.Go()
 	}
 	return nil
 }

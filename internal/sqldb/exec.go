@@ -32,13 +32,18 @@ type accessPlan struct {
 	hiExpr  Expr   // upper bound on the column after the prefix
 	hiInc   bool
 	// ordered counts the leading ORDER BY items this scan emits rows in
-	// (reverse) order of: the index columns right after the equality prefix
-	// name them, in one direction. runPlain uses it to stop scanning once
-	// LIMIT is satisfied past the last tie, instead of materializing and
-	// sorting every matching row.
+	// order of: the index columns right after the equality prefix name
+	// them, in one direction — or, grouped, the first descending and the
+	// rest ascending. The sort unit (sortLimit) uses it to stop the scan
+	// once LIMIT is satisfied past the last tie, instead of reading every
+	// matching row.
 	ordered int
 	// reverse scans the index backward (ORDER BY ... DESC).
 	reverse bool
+	// grouped walks the values of the column after the equality prefix
+	// downward and the entries under each value upward (scanOp.walkGroups):
+	// ORDER BY a DESC, b [, c] over an index (eq…, a, b, c) in full.
+	grouped bool
 }
 
 // query is the per-execution state of one statement: the compiled plan
@@ -165,30 +170,28 @@ func (tx *Tx) execSelect(s *SelectStmt, params []Value) (*Rows, error) {
 		return &Rows{Columns: cols, Data: [][]Value{row}}, nil
 	}
 
-	// Outputs were star-expanded and named at plan time.
-	outs, cols := plan.outs, plan.cols
-
-	var data [][]Value
+	// Outputs were star-expanded and named at plan time; so was whether
+	// they are all bare columns (plan.picks), and the result then row
+	// references instead of computed rows.
+	rows := &Rows{Columns: plan.cols}
+	sl := &q.sc.sorter
+	defer sl.end()
+	if err := sl.begin(q); err != nil {
+		return nil, err
+	}
+	if sl.limit == 0 {
+		return rows, nil // nothing to return: nothing to read
+	}
 	if plan.aggregated {
-		data, err = q.runAggregate(outs)
+		err = q.runAggregate(plan.outs, sl)
 	} else {
-		data, err = q.runPlain(outs)
+		err = q.runPlain(plan.outs, sl)
 	}
 	if err != nil {
 		return nil, err
 	}
-
-	if s.Distinct {
-		data = dedupeRows(data)
-	}
-	// ORDER BY handled inside runPlain/runAggregate (needs row envs); here
-	// only LIMIT/OFFSET remain.
-	data, err = q.applyLimit(data)
-	if err != nil {
-		return nil, err
-	}
-	stats.RowsReturned = len(data)
-	return &Rows{Columns: cols, Data: data}, nil
+	stats.RowsReturned = sl.result(rows)
+	return rows, nil
 }
 
 // plan splits predicates into conjuncts, assigns them to join positions,
@@ -372,7 +375,7 @@ func (q *query) chooseAccess(i int, usable []Expr, canEval func(Expr) bool) acce
 		}
 	}
 	// An index that serves no predicate can still be worth scanning for
-	// its order: under a LIMIT the top-K early stop in runPlain then reads
+	// its order: under a LIMIT the sort unit's early stop then reads
 	// K rows (plus filtered-out ones) where a seq scan materialises and
 	// sorts the table. That holds for lock-free snapshot reads only — a
 	// locked read would trade one table S lock for a row lock per visited
@@ -424,12 +427,20 @@ func (q *query) chooseAccess(i int, usable []Expr, canEval func(Expr) bool) acce
 		// Order-providing scans: when the ORDER BY's leading items name this
 		// table's index columns immediately after the equality prefix, all in
 		// one direction, the index emits rows in (reverse) ORDER BY order.
+		// One direction change is followed too — the first item descending,
+		// the rest ascending, the scheduler's priority DESC, id — by walking
+		// the first column's values down and each value's entries up; that
+		// costs two seeks per value, so it is taken only where a LIMIT lets
+		// the order stop the scan, and not under a range bound on that column
+		// (the mirror shape, a, b DESC, keeps its one ordered item as well).
 		// Considered when this index also serves a predicate (eq prefix or
 		// range bound), or when the statement's shape makes order alone worth
 		// having; either way order is only a tie-break in the score — it
 		// must never beat a more selective index.
 		if q.orderable && (len(plan.eqExprs) > 0 || plan.loExpr != nil || plan.hiExpr != nil || orderOnly) {
 			dir := false
+			groupable := q.stmt.Limit != nil && plan.loExpr == nil && plan.hiExpr == nil
+		items:
 			for oi, item := range q.stmt.OrderBy {
 				pos := len(plan.eqExprs) + oi
 				if pos >= len(ix.cols) {
@@ -448,10 +459,18 @@ func (q *query) chooseAccess(i int, usable []Expr, canEval func(Expr) bool) acce
 				if tbl.schema.ColumnIndex(cr.Name) != ix.cols[pos] {
 					break
 				}
-				if oi == 0 {
+				switch {
+				case oi == 0:
 					dir = item.Desc
-				} else if item.Desc != dir {
-					break
+				case plan.grouped:
+					if item.Desc {
+						break items
+					}
+				case item.Desc == dir:
+				case oi == 1 && dir && groupable:
+					plan.grouped = true
+				default:
+					break items
 				}
 				plan.ordered++
 			}
@@ -645,30 +664,6 @@ func outputName(se SelectExpr, i int) string {
 	}
 }
 
-// sortableRow pairs an output row with its ORDER BY keys.
-type sortableRow struct {
-	out  []Value
-	keys []Value
-}
-
-func sortRows(rows []sortableRow, items []OrderItem) {
-	sort.SliceStable(rows, func(a, b int) bool {
-		for k := range items {
-			c, err := Compare(rows[a].keys[k], rows[b].keys[k])
-			if err != nil {
-				c = 0
-			}
-			if items[k].Desc {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
-}
-
 // orderKeyExprs resolves ORDER BY items, mapping bare aliases to output
 // columns (returned as negative positions encoded in aliasPos).
 func (q *query) orderKeys(outs []Expr) ([]Expr, []int) {
@@ -695,121 +690,351 @@ func (q *query) orderKeys(outs []Expr) ([]Expr, []int) {
 	return exprs, aliasPos
 }
 
-// runPlain executes a non-aggregated SELECT. Output rows are allocated —
-// they are the result; the collection they are sorted and cut in, and
-// their ORDER BY keys, are the scratch's.
-func (q *query) runPlain(outs []Expr) ([][]Value, error) {
-	sc := q.sc
-	rows, keyArena := sc.collected, sc.sortKeys
-	defer func() {
-		sc.collected, sc.sortKeys = reuse(rows), reuse(keyArena)
-	}()
-	orderExprs, aliasPos := q.orderExprs, q.orderAlias
+// pick locates a bare-column output: column col of the row bound to
+// binding bind.
+type pick struct{ bind, col int }
 
-	// Early-exit optimization for ORDER-BY-less LIMIT queries.
-	earlyStop := -1
-	if q.stmt.Limit != nil && len(q.stmt.OrderBy) == 0 && !q.stmt.Distinct {
-		n, off, err := q.limitOffset()
+// of reads the pick out of one row reference per binding. A LEFT JOIN's
+// padded side is a nil reference and reads NULL.
+func (p pick) of(refs [][]Value) Value {
+	if row := refs[p.bind]; row != nil {
+		return row[p.col]
+	}
+	return Value{}
+}
+
+// compilePicks resolves outs to picks when every one of them is a bare
+// column of some binding, nil otherwise. A reference evaluation would
+// refuse (unknown, ambiguous) is left to evaluation, which reports it for
+// the first row as it always has.
+func (q *query) compilePicks(outs []Expr) []pick {
+	picks := make([]pick, len(outs))
+	for i, e := range outs {
+		cr, ok := e.(*ColRef)
+		if !ok {
+			return nil
+		}
+		pos, err := q.bindingPos(cr)
 		if err != nil {
-			return nil, err
+			return nil
 		}
-		if n >= 0 {
-			earlyStop = n + off
+		ci := q.bindings[pos].tbl.schema.ColumnIndex(cr.Name)
+		if ci < 0 {
+			return nil
 		}
+		picks[i] = pick{bind: pos, col: ci}
 	}
+	return picks
+}
 
-	// Top-N early exit for ordered index scans: rows arrive in order of the
-	// access path's `ordered` leading ORDER BY keys, so once LIMIT+OFFSET
-	// rows are collected the scan only needs to continue through ties on
-	// that ordered prefix — any later row is strictly worse on keys the
-	// collected rows already beat it on. The collected set is still sorted
-	// below (cheap at this size), which also resolves the ORDER BY items
-	// the index does not provide.
-	topK := -1
-	ordered := 0
-	if q.orderable && q.stmt.Limit != nil && len(q.access) > 0 && q.access[0].index != nil {
-		ordered = q.access[0].ordered
+// sortLimit is the one sort / top-K / limit unit, for plain and aggregated
+// SELECTs alike. A producer writes each candidate row into the unit's free
+// slot — its ORDER BY keys, and either one reference per binding to the
+// rows bound when it was produced (a result of picks: nothing is copied)
+// or its one computed row — and offers it. With a LIMIT the unit keeps
+// LIMIT + OFFSET entries in a heap, the slot of a displaced entry becoming
+// the next free one; without, it collects. result sorts what was kept,
+// ties by arrival — the order is exactly a stable sort of every row — cuts
+// OFFSET and LIMIT, and moves the rows into the *Rows. The arenas are the
+// scratch's; what they referenced is let go in end.
+type sortLimit struct {
+	q     *query
+	items []OrderItem
+	nkey  int
+	// width is the row references a slot holds: one per binding for a
+	// result of picks, else 1 — the computed row.
+	width int
+	// limit is -1 for none. bound is how many entries are worth keeping,
+	// LIMIT + OFFSET, or -1: no LIMIT, or a DISTINCT yet to be applied.
+	limit, offset, bound int
+	// ordered is how many leading keys rows arrive sorted by (the access
+	// path's; 0 when it provides no order): once bound entries are kept, a
+	// row that loses on those keys alone ends the scan, and every row does
+	// when they are all the keys there are.
+	ordered  int
+	arrivals int
+	free     int
+	entries  []sortEntry
+	keys     []Value   // nkey per slot
+	rows     [][]Value // width per slot
+}
+
+// sortEntry is one kept row: its arrival number and its arena slot.
+type sortEntry struct{ seq, slot int }
+
+// begin readies the unit for q's statement. LIMIT and OFFSET are evaluated
+// here, once, against the parameters alone.
+func (s *sortLimit) begin(q *query) error {
+	s.q, s.items, s.nkey = q, q.stmt.OrderBy, len(q.stmt.OrderBy)
+	s.width = 1
+	if q.picks != nil {
+		s.width = len(q.bindings)
 	}
-	if ordered > 0 {
-		n, off, err := q.limitOffset()
+	s.limit, s.bound = -1, -1 // end left the rest zero
+	bindings := q.env.bindings
+	q.env.bindings = nil
+	err := q.evalCount(q.stmt.Limit, "LIMIT", &s.limit)
+	if err == nil {
+		err = q.evalCount(q.stmt.Offset, "OFFSET", &s.offset)
+	}
+	q.env.bindings = bindings
+	if err != nil || s.limit < 0 || q.stmt.Distinct {
+		return err
+	}
+	s.bound = s.limit + s.offset
+	if q.orderable && len(q.access) > 0 && q.access[0].index != nil {
+		s.ordered = q.access[0].ordered
+	}
+	if len(q.bindings) == 1 && (s.ordered > 0 || s.nkey == 0) {
+		// The scan is expected to stop at bound rows: size its batches for
+		// that (+1 so the boundary row that proves a stop on ties lands in
+		// the same batch).
+		q.batchHint = s.bound + 1
+	}
+	return nil
+}
+
+// evalCount evaluates a LIMIT or OFFSET expression, when there is one,
+// into *n.
+func (q *query) evalCount(e Expr, name string, n *int) error {
+	if e == nil {
+		return nil
+	}
+	v, err := q.env.eval(e)
+	if err != nil {
+		return err
+	}
+	if v.Type() != Int || v.Int64() < 0 {
+		return fmt.Errorf("sqldb: %s must be a non-negative integer", name)
+	}
+	*n = int(v.Int64())
+	return nil
+}
+
+// end lets go of everything the arenas referenced and detaches the unit
+// from its statement.
+func (s *sortLimit) end() {
+	*s = sortLimit{entries: s.entries[:0], keys: reuse(s.keys), rows: reuse(s.rows)}
+}
+
+// slot returns the free slot's keys and row references for the producer to
+// fill before it calls offer. A computed result's row reference is nil in
+// a fresh slot and, in one a displaced entry left, that entry's row: the
+// producer's to overwrite.
+func (s *sortLimit) slot() (keys []Value, rows [][]Value) {
+	f := s.free
+	s.keys = growTo(s.keys, (f+1)*s.nkey, (s.bound+1)*s.nkey)
+	s.rows = growTo(s.rows, (f+1)*s.width, (s.bound+1)*s.width)
+	return s.keys[f*s.nkey : (f+1)*s.nkey], s.rows[f*s.width : (f+1)*s.width]
+}
+
+// growTo extends an arena to at least n elements, zero beyond what it held
+// (reuse leaves them so). Capacity doubles, but not past most — when
+// positive, the most the statement can use — so a LIMIT's arenas end at
+// their exact size, which a pooled scratch can keep where a doubling past
+// it would be dropped.
+func growTo[T any](s []T, n, most int) []T {
+	if n <= len(s) {
+		return s
+	}
+	if n <= cap(s) {
+		return s[:n]
+	}
+	c := max(n, 2*cap(s))
+	if most > 0 {
+		c = max(n, min(c, most))
+	}
+	return append(make([]T, 0, c), s...)[:n]
+}
+
+// compare orders two slots by the ORDER BY keys, reporting the first key
+// that tells them apart (nkey on a tie).
+func (s *sortLimit) compare(a, b int) (c, at int) {
+	ka, kb := s.keys[a*s.nkey:], s.keys[b*s.nkey:]
+	for k := range s.items {
+		c, err := Compare(ka[k], kb[k])
 		if err != nil {
-			return nil, err
+			c = 0
 		}
-		if n >= 0 {
-			topK = n + off
+		if s.items[k].Desc {
+			c = -c
 		}
-	}
-	if len(q.bindings) == 1 {
-		// Size collection batches for the expected early stop (+1 so the
-		// boundary row that proves the stop lands in the same batch).
-		if topK > 0 {
-			q.batchHint = topK + 1
-		} else if earlyStop > 0 {
-			q.batchHint = earlyStop + 1
+		if c != 0 {
+			return c, k
 		}
 	}
+	return 0, s.nkey
+}
 
-	err := q.joinLoop(func() error {
-		out := make([]Value, len(outs))
-		for i, e := range outs {
-			v, err := q.env.eval(e)
-			if err != nil {
-				return err
+// sort.Interface over the kept entries: ORDER BY keys, then arrival.
+func (s *sortLimit) Len() int      { return len(s.entries) }
+func (s *sortLimit) Swap(i, j int) { s.entries[i], s.entries[j] = s.entries[j], s.entries[i] }
+func (s *sortLimit) Less(i, j int) bool {
+	c, _ := s.compare(s.entries[i].slot, s.entries[j].slot)
+	return c < 0 || c == 0 && s.entries[i].seq < s.entries[j].seq
+}
+
+// siftDown restores the heap — the entry sorting last on top — below i.
+func (s *sortLimit) siftDown(i int) {
+	for n := len(s.entries); ; {
+		top := i
+		for c := 2*i + 1; c <= 2*i+2 && c < n; c++ {
+			if s.Less(top, c) {
+				top = c
 			}
-			out[i] = v
 		}
-		sr := sortableRow{out: out}
-		if len(orderExprs) > 0 {
-			// Keys are carved from one growing arena; a regrow leaves
-			// earlier rows' keys on the old array, which they keep alive.
-			base := len(keyArena)
-			for i, e := range orderExprs {
-				if aliasPos[i] >= 0 {
-					keyArena = append(keyArena, out[aliasPos[i]])
-					continue
-				}
+		if top == i {
+			return
+		}
+		s.Swap(i, top)
+		i = top
+	}
+}
+
+// offer decides the fate of the row in the free slot and reports whether
+// the producer may stop: no later row can enter the result.
+func (s *sortLimit) offer() (stop bool) {
+	e := sortEntry{seq: s.arrivals, slot: s.free}
+	s.arrivals++
+	if n := len(s.entries); s.bound < 0 || n < s.bound {
+		s.entries = growTo(s.entries, n+1, s.bound)
+		s.entries[n], s.free = e, n+1
+		if n+1 != s.bound {
+			return false
+		}
+		if s.ordered == s.nkey {
+			return true // rows arrive in order: the first bound of them are the answer
+		}
+		for i := len(s.entries)/2 - 1; i >= 0; i-- {
+			s.siftDown(i)
+		}
+		return false
+	}
+	// Full: the row must sort before the last kept one, which a tie — the
+	// later arrival — does not.
+	last := s.entries[0]
+	if c, at := s.compare(e.slot, last.slot); c >= 0 {
+		return at < s.ordered
+	}
+	s.entries[0], s.free = e, last.slot
+	s.siftDown(0)
+	return false
+}
+
+// offerComputed offers a row computed elsewhere, with its keys.
+func (s *sortLimit) offerComputed(row, keys []Value) (stop bool) {
+	k, rows := s.slot()
+	copy(k, keys)
+	rows[0] = row
+	return s.offer()
+}
+
+// value is output column col of a kept entry.
+func (s *sortLimit) value(e sortEntry, col int) Value {
+	refs := s.rows[e.slot*s.width : (e.slot+1)*s.width]
+	if s.q.picks != nil {
+		return s.q.picks[col].of(refs)
+	}
+	return refs[0][col]
+}
+
+// result sorts the kept entries, applies DISTINCT, OFFSET and LIMIT, and
+// hands the rows to r: computed rows as Data, row references as one
+// exact-size array r owns with the plan's picks to read them by. It
+// returns their number.
+func (s *sortLimit) result(r *Rows) int {
+	if s.nkey > 0 {
+		sort.Sort(s)
+	}
+	if s.q.stmt.Distinct {
+		s.dedupe(len(r.Columns))
+	}
+	out := s.entries[min(s.offset, len(s.entries)):]
+	if s.limit >= 0 && s.limit < len(out) {
+		out = out[:s.limit]
+	}
+	if s.q.picks == nil {
+		r.Data = make([][]Value, len(out))
+		for i, e := range out {
+			r.Data[i] = s.rows[e.slot]
+		}
+		return len(out)
+	}
+	r.picks, r.width = s.q.picks, s.width
+	r.refs = make([][]Value, 0, len(out)*s.width)
+	for _, e := range out {
+		r.refs = append(r.refs, s.rows[e.slot*s.width:(e.slot+1)*s.width]...)
+	}
+	return len(out)
+}
+
+// dedupe keeps the first of the entries whose output rows are equal, by
+// the canonical encoding so DISTINCT agrees with `=` about Int 1 vs Float
+// 1.0.
+func (s *sortLimit) dedupe(ncol int) {
+	seen := make(map[string]bool, len(s.entries))
+	kept := s.entries[:0]
+	var kb bytes.Buffer
+	for _, e := range s.entries {
+		kb.Reset()
+		for col := 0; col < ncol; col++ {
+			writeHashValue(&kb, s.value(e, col))
+		}
+		if k := kb.String(); !seen[k] {
+			seen[k] = true
+			kept = append(kept, e)
+		}
+	}
+	s.entries = kept
+}
+
+// runPlain executes a non-aggregated SELECT into the sort unit: per joined
+// row the ORDER BY keys and, for a result of picks, a reference to each
+// bound row — version rows are immutable, so nothing is copied; computed
+// outputs are evaluated into a row allocated for the result.
+func (q *query) runPlain(outs []Expr, sl *sortLimit) error {
+	orderExprs, aliasPos := q.orderExprs, q.orderAlias
+	err := q.joinLoop(func() error {
+		keys, rows := sl.slot()
+		if q.picks != nil {
+			for i := range rows {
+				rows[i] = q.env.bindings[i].row
+			}
+		} else {
+			if rows[0] == nil {
+				rows[0] = make([]Value, len(outs))
+			}
+			for i, e := range outs {
 				v, err := q.env.eval(e)
 				if err != nil {
 					return err
 				}
-				keyArena = append(keyArena, v)
+				rows[0][i] = v
 			}
-			sr.keys = keyArena[base:len(keyArena):len(keyArena)]
 		}
-		rows = append(rows, sr)
-		if earlyStop >= 0 && len(rows) >= earlyStop {
-			return errStopScan
-		}
-		if topK > 0 {
-			if ordered == len(q.stmt.OrderBy) && len(rows) >= topK {
-				// Fully ordered: the first K collected rows are the answer.
-				return errStopScan
-			}
-			if len(rows) > topK {
-				// Partially ordered: stop once the ordered key prefix moves
-				// past the K-th row's (all ties must be collected so the
-				// remaining ORDER BY items can break them).
-				boundary := rows[topK-1].keys
-				for k := 0; k < ordered; k++ {
-					if c, err := Compare(sr.keys[k], boundary[k]); err != nil || c != 0 {
-						return errStopScan
-					}
+		for i, e := range orderExprs {
+			switch {
+			case aliasPos[i] < 0:
+				v, err := q.env.eval(e)
+				if err != nil {
+					return err
 				}
+				keys[i] = v
+			case q.picks != nil:
+				keys[i] = q.picks[aliasPos[i]].of(rows)
+			default:
+				keys[i] = rows[0][aliasPos[i]]
 			}
+		}
+		if sl.offer() {
+			return errStopScan
 		}
 		return nil
 	})
-	if err != nil && err != errStopScan {
-		return nil, err
+	if err == errStopScan {
+		err = nil
 	}
-	if len(q.stmt.OrderBy) > 0 {
-		sortRows(rows, q.stmt.OrderBy)
-	}
-	data := make([][]Value, len(rows))
-	for i := range rows {
-		data[i] = rows[i].out
-	}
-	return data, nil
+	return err
 }
 
 // aggState accumulates one aggregate call within one group.
@@ -829,44 +1054,35 @@ type group struct {
 
 // runAggregate executes a grouped / aggregated SELECT through the batched
 // hash-aggregation operator (executor.go), or through the row-at-a-time
-// reference path when the database is in AggReference mode.
-func (q *query) runAggregate(outs []Expr) ([][]Value, error) {
+// reference path when the database is in AggReference mode. Finished
+// groups go to the sort unit as computed rows.
+func (q *query) runAggregate(outs []Expr, sl *sortLimit) error {
 	if AggMode(q.tx.db.aggMode.Load()) == AggReference {
-		return q.runAggregateReference(outs)
+		return q.runAggregateReference(outs, sl)
 	}
 	op, err := newHashAggOp(q, outs)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer op.Close()
 	if err := op.Init(); err != nil {
-		return nil, err
+		return err
 	}
-	var rows []sortableRow
 	for {
 		b, err := op.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
+		if err != nil || b == nil {
+			return err
 		}
 		for i := range b.rows {
-			sr := sortableRow{out: b.rows[i]}
+			var keys []Value
 			if b.keys != nil {
-				sr.keys = b.keys[i]
+				keys = b.keys[i]
 			}
-			rows = append(rows, sr)
+			if sl.offerComputed(b.rows[i], keys) {
+				return nil
+			}
 		}
 	}
-	if len(q.stmt.OrderBy) > 0 {
-		sortRows(rows, q.stmt.OrderBy)
-	}
-	data := make([][]Value, len(rows))
-	for i := range rows {
-		data[i] = rows[i].out
-	}
-	return data, nil
 }
 
 // runAggregateReference is the original row-at-a-time aggregation path,
@@ -876,7 +1092,7 @@ func (q *query) runAggregate(outs []Expr) ([][]Value, error) {
 // corrected semantics: canonical group keys, MIN/MAX type-error
 // propagation, cancellation checkpoints during assembly, and HAVING over
 // output aliases.
-func (q *query) runAggregateReference(outs []Expr) ([][]Value, error) {
+func (q *query) runAggregateReference(outs []Expr, sl *sortLimit) error {
 	aggCalls := q.collectAggCalls(outs)
 
 	groups := make(map[string]*group)
@@ -916,7 +1132,7 @@ func (q *query) runAggregateReference(outs []Expr) ([][]Value, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Global aggregation over zero rows still yields one row.
@@ -936,10 +1152,9 @@ func (q *query) runAggregateReference(outs []Expr) ([][]Value, error) {
 	}
 	orderExprs, aliasPos := q.orderKeys(outs)
 	aliasIdx := q.outputAliasIdx()
-	var rows []sortableRow
 	for _, key := range order {
 		if err := q.cancel.check(); err != nil {
-			return nil, err
+			return err
 		}
 		g := groups[key]
 		genv := &evalEnv{
@@ -959,7 +1174,7 @@ func (q *query) runAggregateReference(outs []Expr) ([][]Value, error) {
 		for i, e := range outs {
 			v, err := genv.eval(e)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			out[i] = v
 		}
@@ -968,37 +1183,32 @@ func (q *query) runAggregateReference(outs []Expr) ([][]Value, error) {
 			ok, err := truthy(genv.eval(q.stmt.Having))
 			genv.aliasIdx, genv.aliasRow = nil, nil
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if !ok {
 				continue
 			}
 		}
-		sr := sortableRow{out: out}
+		var keys []Value
 		if len(orderExprs) > 0 {
-			sr.keys = make([]Value, len(orderExprs))
+			keys = make([]Value, len(orderExprs))
 			for i, e := range orderExprs {
 				if aliasPos[i] >= 0 {
-					sr.keys[i] = out[aliasPos[i]]
+					keys[i] = out[aliasPos[i]]
 					continue
 				}
 				v, err := genv.eval(e)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				sr.keys[i] = v
+				keys[i] = v
 			}
 		}
-		rows = append(rows, sr)
+		if sl.offerComputed(out, keys) {
+			break
+		}
 	}
-	if len(q.stmt.OrderBy) > 0 {
-		sortRows(rows, q.stmt.OrderBy)
-	}
-	data := make([][]Value, len(rows))
-	for i := range rows {
-		data[i] = rows[i].out
-	}
-	return data, nil
+	return nil
 }
 
 func (q *query) accumulate(st *aggState, fc *FuncCall) error {
@@ -1101,70 +1311,6 @@ func finishAgg(fc *FuncCall, st *aggState) Value {
 	default:
 		return NullValue()
 	}
-}
-
-func dedupeRows(data [][]Value) [][]Value {
-	seen := make(map[string]bool, len(data))
-	out := data[:0]
-	var kb bytes.Buffer
-	for _, row := range data {
-		kb.Reset()
-		for _, v := range row {
-			// Canonical encoding so DISTINCT agrees with `=` about
-			// Int 1 vs Float 1.0.
-			writeHashValue(&kb, v)
-		}
-		k := kb.String()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, row)
-	}
-	return out
-}
-
-func (q *query) limitOffset() (limit, offset int, err error) {
-	limit = -1
-	env := &evalEnv{params: q.params, now: q.env.now}
-	if q.stmt.Limit != nil {
-		v, err := env.eval(q.stmt.Limit)
-		if err != nil {
-			return 0, 0, err
-		}
-		if v.Type() != Int || v.Int64() < 0 {
-			return 0, 0, fmt.Errorf("sqldb: LIMIT must be a non-negative integer")
-		}
-		limit = int(v.Int64())
-	}
-	if q.stmt.Offset != nil {
-		v, err := env.eval(q.stmt.Offset)
-		if err != nil {
-			return 0, 0, err
-		}
-		if v.Type() != Int || v.Int64() < 0 {
-			return 0, 0, fmt.Errorf("sqldb: OFFSET must be a non-negative integer")
-		}
-		offset = int(v.Int64())
-	}
-	return limit, offset, nil
-}
-
-func (q *query) applyLimit(data [][]Value) ([][]Value, error) {
-	limit, offset, err := q.limitOffset()
-	if err != nil {
-		return nil, err
-	}
-	if offset > 0 {
-		if offset >= len(data) {
-			return nil, nil
-		}
-		data = data[offset:]
-	}
-	if limit >= 0 && limit < len(data) {
-		data = data[:limit]
-	}
-	return data, nil
 }
 
 // --- INSERT / UPDATE / DELETE ---

@@ -233,6 +233,10 @@ func describeAccess(ap accessPlan, tbl *table) string {
 		if ap.reverse {
 			suffix = " ORDER REVERSE"
 		}
+		if ap.grouped {
+			// Reverse by this column's values, forward under each.
+			suffix += " BY " + tbl.schema.Columns[ap.index.cols[len(ap.eqExprs)]].Name
+		}
 	}
 	return fmt.Sprintf("INDEX SCAN USING %s (%s)%s", ap.index.schema.Name, strings.Join(parts, ", "), suffix)
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 // jobRow mirrors the test table for computing expected orderings in Go.
@@ -208,6 +209,105 @@ func TestOrderedScanSurvivesMutation(t *testing.T) {
 	}
 	if want[0] != 100 {
 		t.Fatalf("test fixture broken: expected id 100 on top, got %d", want[0])
+	}
+}
+
+// TestOrderedScanSurvivesMovesMidWalk: a locking read is stopped inside its
+// first small batch of the grouped walk — on the lock of the batch's first
+// row — while a writer moves rows the walk has collected down below its
+// cursor, deletes one, moves a row from a low group into the cursor's own
+// group ahead of it and shuffles rows between groups further down. The
+// cursor is keys, so the walk resumes where it was: each row comes back
+// once, at the position of the entry it holds after the writer's commit.
+func TestOrderedScanSurvivesMovesMidWalk(t *testing.T) {
+	// Groups by priority, highest first: 0.8 holds ids 8, 17, 26, … (22
+	// rows), 0.7 holds 7, 16, 25, …; ids 64 and 100 start in 0.1.
+	for _, c := range []struct {
+		limit  int
+		moveIn int64 // from 0.1 into the group the first batch ends in, past its last entry
+		moves  map[int64]float64
+	}{
+		// The batch ends at (0.8, 62).
+		{limit: 6, moveIn: 64, moves: map[int64]float64{64: 0.8}},
+		// ... at (0.7, 88), a group on; 16 is a collected row of that group.
+		{limit: 31, moveIn: 100, moves: map[int64]float64{100: 0.7, 16: 0.6}},
+	} {
+		db, all := orderedScanFixture(t)
+		writer, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wexec := func(sql string, args ...any) {
+			t.Helper()
+			if _, err := writer.Exec(sql, args...); err != nil {
+				t.Fatalf("%s: %v", sql, err)
+			}
+		}
+		wexec(`UPDATE jobs SET priority = priority WHERE id = 8`) // the top row: the reader will wait here
+		waited := db.LockStats().Waited
+		type result struct {
+			ids []int64
+			err error
+		}
+		done := make(chan result, 1)
+		go func() {
+			tx, err := db.Begin()
+			if err != nil {
+				done <- result{err: err}
+				return
+			}
+			defer tx.Rollback()
+			rows, err := tx.Query(`SELECT id FROM jobs WHERE state = 'idle' ORDER BY priority DESC, id LIMIT ?`, c.limit)
+			if err != nil {
+				done <- result{err: err}
+				return
+			}
+			var ids []int64
+			for _, r := range rows.Data {
+				ids = append(ids, r[0].Int64())
+			}
+			done <- result{ids: ids}
+		}()
+		for db.LockStats().Waited == waited {
+			select {
+			case r := <-done:
+				t.Fatalf("the reader finished without waiting: %+v", r)
+			default:
+				time.Sleep(time.Millisecond)
+			}
+		}
+		moves := map[int64]float64{17: 0.1, 10: 0.2, 6: 0.4}
+		for id, p := range c.moves {
+			moves[id] = p
+		}
+		for id, p := range moves {
+			wexec(`UPDATE jobs SET priority = ? WHERE id = ?`, p, id)
+		}
+		wexec(`DELETE FROM jobs WHERE id = 26`)
+		if err := writer.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		r := <-done
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		var live []jobRow
+		for _, row := range all {
+			if p, ok := moves[row.id]; ok {
+				row.prio = p
+			}
+			if row.id != 26 {
+				live = append(live, row)
+			}
+		}
+		want := expectTopIdle(live, c.limit)
+		if !reflect.DeepEqual(r.ids, want) {
+			t.Errorf("LIMIT %d:\n got %v\nwant %v", c.limit, r.ids, want)
+		}
+		if last := want[len(want)-1]; last != c.moveIn {
+			t.Fatalf("test fixture broken: the row moved in ahead of the cursor (%d) should close the result, %d does", c.moveIn, last)
+		}
+		db.Close()
 	}
 }
 

@@ -557,7 +557,14 @@ func TestPagedConcurrentChurn(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := seed
-			next := func(n int64) int64 { rng = rng*6364136223846793005 + 1442695040888963407; r := (rng >> 33) % n; if r < 0 { r += n }; return r }
+			next := func(n int64) int64 {
+				rng = rng*6364136223846793005 + 1442695040888963407
+				r := (rng >> 33) % n
+				if r < 0 {
+					r += n
+				}
+				return r
+			}
 			for i := 0; ; i++ {
 				select {
 				case <-stop:

@@ -269,11 +269,14 @@ func pageErase(img []byte, i int) {
 // pageRows is what a resident heap page carries besides its bytes (it is
 // the frame's pager.Attachment): the verdict of pageValid on the image
 // the frame loaded, and the rows decoded from it so far, by slot. A row
-// is shared by every reader and immutable, as rowVersion.data is. It
-// stays until its slot is erased or written again — compaction moves
-// bytes, not slots — or until the pool resets the whole table because the
-// frame left the page. Read under the frame latch, changed under the
-// exclusive one.
+// is shared by every reader and immutable, as rowVersion.data is: erasing
+// or rewriting its slot, or resetting the table, drops the table's
+// reference to the row and never writes the row, which a SELECT's result
+// may still be holding (Rows.refs; its strings are copies, not views of
+// the page buffer). It stays until its slot is erased or written again —
+// compaction moves bytes, not slots — or until the pool resets the whole
+// table because the frame left the page. Read under the frame latch,
+// changed under the exclusive one.
 type pageRows struct {
 	checked bool // pageValid has run on this image
 	bad     bool // ... and refused it

@@ -133,8 +133,12 @@ type selectPlan struct {
 	// outs/cols are the star-expanded output expressions and their
 	// column names; aggregated marks GROUP BY/HAVING/aggregate SELECTs
 	// and agg carries their compiled aggregation program (executor.go).
+	// picks is set when every output of a non-aggregated SELECT is a bare
+	// column: where each is read from, one (binding, column) per output.
+	// The result is then references to the rows read, not computed rows.
 	outs       []Expr
 	cols       []string
+	picks      []pick
 	aggregated bool
 	agg        *aggPlan
 	// orderExprs/orderAlias are the resolved ORDER BY items of a
@@ -381,6 +385,8 @@ func (tx *Tx) buildSelectPlan(s *SelectStmt, snapRead bool, snapTS uint64) (*sel
 				return nil, err
 			}
 			p.agg = ap
+		} else {
+			p.picks = pq.compilePicks(outs)
 		}
 	}
 	for _, ap := range p.access {

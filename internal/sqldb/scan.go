@@ -30,7 +30,9 @@ type scanOp struct {
 	// Index-scan cursor. The optional range bound applies to index column
 	// kpos. Forward scans resume from the last collected key (unique
 	// thanks to the rid tiebreaker); reverse scans start at revStart and
-	// walk down.
+	// walk down; a grouped walk (accessPlan.grouped) is inGroup while the
+	// entries under group remain, and resumes among them as a forward scan
+	// does.
 	rangeCol       int
 	kpos           int
 	loVal, hiVal   Value
@@ -39,6 +41,7 @@ type scanOp struct {
 	resume         Key
 	skipResume     bool
 	revStart       Key
+	inGroup        bool
 	lastIdx        int // which of last[] the current round builds in
 
 	// Full-scan cursor: next slot window base.
@@ -54,10 +57,12 @@ type scanBufs struct {
 	// prefix is the evaluated equality prefix; bound backs the seek key
 	// (prefix + range bound). last holds the round's last collected key
 	// while resume still points at the previous round's, so the two
-	// alternate.
+	// alternate. group is the grouped walk's current group: the prefix plus
+	// one value of the column after it.
 	prefix Key
 	bound  Key
 	last   [2]Key
+	group  Key
 	// Per-batch buffers, refilled by every Next call: the returned
 	// rowBatch is valid only until the next one.
 	rids    []int64
@@ -70,7 +75,7 @@ type scanBufs struct {
 // key or parameter afterwards.
 func (b *scanBufs) empty() {
 	b.prefix, b.bound = reuse(b.prefix), reuse(b.bound)
-	b.last[0], b.last[1] = reuse(b.last[0]), reuse(b.last[1])
+	b.last[0], b.last[1], b.group = reuse(b.last[0]), reuse(b.last[1]), reuse(b.group)
 	b.rids, b.outRids = b.rids[:0], b.outRids[:0]
 	b.keys, b.outRows = reuse(b.keys), reuse(b.outRows)
 }
@@ -90,7 +95,7 @@ func (q *query) scanFor(i int, ap accessPlan) *scanOp {
 // what a pooled scratch may keep.
 func (op *scanOp) release() {
 	*op = scanOp{scanBufs: scanBufs{
-		prefix: keep(op.prefix), bound: keep(op.bound), last: [2]Key{keep(op.last[0]), keep(op.last[1])},
+		prefix: keep(op.prefix), bound: keep(op.bound), last: [2]Key{keep(op.last[0]), keep(op.last[1])}, group: keep(op.group),
 		rids: keep(op.rids), keys: keep(op.keys), outRows: keep(op.outRows), outRids: keep(op.outRids),
 	}}
 }
@@ -293,6 +298,40 @@ func (op *scanOp) nextFull() (*rowBatch, error) {
 	}
 }
 
+// walkGroups is one latched collection round of a grouped walk: the
+// distinct values of the index column after the prefix from the highest
+// down, the entries under each value upward — ORDER BY a DESC, b over an
+// index (eq…, a, b). Each next group is found by seeking, with keys: the
+// one holding the last entry under the prefix, then the one holding the
+// last entry below the group just finished. The cursor between rounds is
+// keys too (group, resume), never a node, so a writer between two batches
+// cannot strand it. collect stops the round when the batch is full.
+func (op *scanOp) walkGroups(collect func(Key, int64) bool) {
+	tree := op.ap.index.tree
+	glen := op.kpos + 1
+	for len(op.rids) < op.scanBatch {
+		if !op.inGroup {
+			var n *slNode
+			if len(op.group) == 0 {
+				n = tree.findLastLE(op.prefix)
+			} else {
+				n = tree.findLastLT(op.group)
+			}
+			if n == nil || len(n.key) < glen || compareKeys(n.key[:op.kpos], op.prefix) != 0 {
+				return // ran off the prefix: the scan is exhausted
+			}
+			op.group = append(op.group[:0], n.key[:glen]...)
+			op.resume, op.skipResume, op.inGroup = op.group, false, true
+		}
+		tree.scanRange(op.resume, nil, func(k Key, rid int64) bool {
+			return comparePrefix(k, op.group) == 0 && collect(k, rid)
+		})
+		if len(op.rids) < op.scanBatch {
+			op.inGroup = false // the walk left the group, or the index
+		}
+	}
+}
+
 // nextIndex produces one batch from the index range walk: candidate
 // (key, rid) pairs are collected under the table latch, then each row
 // is locked (2PL reads) or resolved at the snapshot timestamp, and
@@ -360,6 +399,8 @@ func (op *scanOp) nextIndex() (*rowBatch, error) {
 		}
 		tbl.latch.RLock()
 		switch {
+		case ap.grouped:
+			op.walkGroups(collect)
 		case !ap.reverse:
 			ap.index.tree.scanRange(op.resume, nil, collect)
 		case op.skipResume:

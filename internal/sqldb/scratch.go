@@ -5,23 +5,29 @@ import "bytes"
 // Borrowed working memory for the statement path.
 //
 // The rule: a statement allocates what it hands back — the *Rows and its
-// rows, an inserted or updated row image (the version store keeps it), the
-// WAL bytes a flush publishes — and borrows everything else. The lender is
-// txScratch: one per transaction, taken from a pool on the DB at the
-// transaction's first statement and returned in Tx.finish, the one place a
-// transaction becomes done. It carries the per-statement state (the query,
-// its evaluation environment, one scan operator per plan step with its
-// batch buffers, the DML rid list, the bound parameters, the key-lock and
-// WAL encode buffers) and the per-transaction footprint (locks taken, undo,
+// rows or its references to them, an inserted or updated row image (the
+// version store keeps it), the WAL bytes a flush publishes — and borrows
+// everything else. The lender is txScratch: one per transaction, taken from
+// a pool on the DB at the transaction's first statement and returned in
+// Tx.finish, the one place a transaction becomes done. It carries the
+// per-statement state (the query, its evaluation environment, one scan
+// operator per plan step with its batch buffers, the sort unit's entries
+// and arenas, the DML rid list, the bound parameters, the key-lock and WAL
+// encode buffers) and the per-transaction footprint (locks taken, undo,
 // redo, versions to stamp).
 //
 // Lifetimes: statement state is valid until the next statement on the same
 // Tx — a Tx runs one statement at a time, so nothing else can be reading
 // it; transaction state until finish. Nothing reachable from a *Rows or a
-// Result may point into a scratch: result rows are fresh slices, column
-// names belong to the immutable plan. Values are copied by value; the
-// strings and version rows they reference are immutable and owned
-// elsewhere.
+// Result may point into a scratch. A result whose outputs are all bare
+// columns is an array the *Rows owns of references to the rows the
+// statement read — version rows (rowVersion.data) and the rows riding
+// resident pages (pageRows), neither ever written after publication — read
+// through the plan's picks; computed output rows are allocated for the
+// result; Rows.Data, which the native Query calls fill from the
+// references, is fresh slices and the caller's own. Column names and picks
+// belong to the immutable plan. Values are copied by value; the strings
+// they reference are immutable and owned elsewhere.
 
 // scratchKeep bounds, in elements, the buffers a scratch takes back to the
 // pool. A statement that scanned or returned far more than the usual
@@ -38,14 +44,13 @@ type txScratch struct {
 	bindings   []binding
 	params     []Value
 	scans      []scanOp
-	collected  []sortableRow // runPlain's rows awaiting sort and limit
-	sortKeys   []Value       // arena behind collected[i].keys
-	rids       []int64       // matchTarget's materialized targets
-	setIdx     []int         // UPDATE's SET / INSERT's VALUES column positions
-	provided   []Value       // INSERT: the supplied value per column...
-	has        []bool        // ...and whether one was supplied
-	keyTargets []lockTarget  // unique-key locks of the row being written
-	walBuf     bytes.Buffer  // the commit's encoded redo records
+	sorter     sortLimit    // SELECT's rows awaiting sort and limit, and their arenas
+	rids       []int64      // matchTarget's materialized targets
+	setIdx     []int        // UPDATE's SET / INSERT's VALUES column positions
+	provided   []Value      // INSERT: the supplied value per column...
+	has        []bool       // ...and whether one was supplied
+	keyTargets []lockTarget // unique-key locks of the row being written
+	walBuf     bytes.Buffer // the commit's encoded redo records
 
 	// Transaction state. The Tx's own slices point here while the scratch
 	// is attached and are handed back, emptied, at finish.
@@ -100,8 +105,7 @@ func (tx *Tx) releaseScratch() {
 	for i := range sc.scans {
 		sc.scans[i].release()
 	}
-	sc.collected = keep(sc.collected)
-	sc.sortKeys = keep(sc.sortKeys)
+	sc.sorter = sortLimit{entries: keep(sc.sorter.entries), keys: keep(sc.sorter.keys), rows: keep(sc.sorter.rows)}
 	sc.rids = keep(sc.rids)
 	sc.setIdx = keep(sc.setIdx)
 	sc.provided, sc.has = keep(sc.provided), keep(sc.has)

@@ -277,8 +277,12 @@ func TestPooledScratchPinsNothing(t *testing.T) {
 	}
 	checkEmpty(t, "bindings", sc.bindings)
 	checkEmpty(t, "params", sc.params)
-	checkEmpty(t, "collected", sc.collected)
-	checkEmpty(t, "sortKeys", sc.sortKeys)
+	if sl := &sc.sorter; sl.q != nil || sl.items != nil {
+		t.Error("pooled scratch's sort unit still points at its last statement")
+	}
+	checkPooled(t, "sorter.entries", sc.sorter.entries, false)
+	checkEmpty(t, "sorter.keys", sc.sorter.keys)
+	checkEmpty(t, "sorter.rows", sc.sorter.rows)
 	checkPooled(t, "rids", sc.rids, false)
 	checkEmpty(t, "provided", sc.provided)
 	checkEmpty(t, "keyTargets", sc.keyTargets)
@@ -297,6 +301,7 @@ func TestPooledScratchPinsNothing(t *testing.T) {
 		checkEmpty(t, name+"bound", op.bound)
 		checkEmpty(t, name+"last[0]", op.last[0])
 		checkEmpty(t, name+"last[1]", op.last[1])
+		checkEmpty(t, name+"group", op.group)
 		checkPooled(t, name+"rids", op.rids, false)
 		checkEmpty(t, name+"keys", op.keys)
 		checkEmpty(t, name+"outRows", op.outRows)
@@ -548,4 +553,130 @@ func TestLockTableHygieneUnderStress(t *testing.T) {
 		t.Errorf("at quiescence %d waits-for entries remain", n)
 	}
 	db.locks.wfMu.Unlock()
+}
+
+// TestResultOutlivesItsRows: a result of row references — held raw, as the
+// statement hands it to the database/sql cursor; held open in a *sql.Rows;
+// and materialized into Rows.Data — keeps reading what its statement saw
+// after everything that can happen to the rows it references: its own
+// transaction's uncommitted write rolled back, every row updated, half of
+// them deleted, the versions and slots reclaimed past the watermark and
+// reused by new rows, and (paged, on a 2-frame pool) every page evicted.
+// Version rows and the rows riding resident pages are never written after
+// publication; this is the test of that rule.
+func TestResultOutlivesItsRows(t *testing.T) {
+	engines := map[string]Options{
+		"memory":  {},
+		"paged-2": {VFS: NewMemVFS(), Path: "outlive.db", PoolPages: 2, PageSize: 1024},
+	}
+	const sel = `SELECT id, tag, n FROM r WHERE id <= ? ORDER BY id`
+	for name, opts := range engines {
+		db, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dsn := "outlive-" + name
+		Serve(dsn, db)
+		pool, err := sql.Open(DriverName, dsn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, db, `CREATE TABLE r (id INTEGER PRIMARY KEY, tag TEXT NOT NULL, n INTEGER NOT NULL)`)
+		mustExec(t, db, `CREATE TABLE filler (id INTEGER PRIMARY KEY, pad TEXT NOT NULL)`)
+		for i := 1; i <= 40; i++ {
+			mustExec(t, db, `INSERT INTO r VALUES (?, ?, ?)`, i, fmt.Sprintf("tag-%d", i), i*10)
+		}
+		for i := 1; i <= 200; i++ {
+			mustExec(t, db, `INSERT INTO filler VALUES (?, ?)`, i, fmt.Sprintf("pad-%040d", i))
+		}
+		want := func(mine bool) [][]Value {
+			var rows [][]Value
+			for i := int64(1); i <= 20; i++ {
+				tag := fmt.Sprintf("tag-%d", i)
+				if mine && i == 3 {
+					tag = "mine"
+				}
+				rows = append(rows, []Value{NewInt(i), NewText(tag), NewInt(i * 10)})
+			}
+			return rows
+		}
+
+		// Through database/sql, unread: the cursor holds the references.
+		sqlRows, err := pool.Query(sel, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Natively, raw and materialized, in a transaction that sees its own
+		// uncommitted write and then rolls it back.
+		tx, err := db.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Exec(`UPDATE r SET tag = 'mine' WHERE id = 3`); err != nil {
+			t.Fatal(err)
+		}
+		_, raw, err := tx.execStmtCtx(context.Background(), mustParse(t, db, sel), mustValues(t, tx, []any{20}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raw.picks == nil || raw.Data != nil || len(raw.refs) != 20 {
+			t.Fatalf("%s: the column-only result is not row references: %d refs, picks %v, data %v", name, len(raw.refs), raw.picks, raw.Data)
+		}
+		native, err := tx.Query(sel, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+
+		mustExec(t, db, `UPDATE r SET tag = 'new', n = n + 1000`)
+		mustExec(t, db, `DELETE FROM r WHERE id < 30 AND id >= 2`)
+		db.Vacuum()
+		for i := 100; i < 140; i++ { // into the reclaimed slots and page space
+			mustExec(t, db, `INSERT INTO r VALUES (?, 'reuse', -1)`, i)
+		}
+		db.Vacuum()
+		if db.store != nil {
+			before := db.BufferPoolStats().Evictions
+			mustQuery(t, db, `SELECT count(*) FROM filler`)
+			if st := db.BufferPoolStats(); st.Evictions < before+4 || st.Failed != "" {
+				t.Fatalf("%s: the filler scan was meant to evict every page: %+v", name, st)
+			}
+		}
+		if now := mustQuery(t, db, sel, 20); now.Len() != 1 || now.Data[0][1].Text() != "new" {
+			t.Fatalf("%s: the table did not change under the held results: %v", name, now.Data)
+		}
+
+		var got [][]Value
+		for sqlRows.Next() {
+			var id, n int64
+			var tag string
+			if err := sqlRows.Scan(&id, &tag, &n); err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, []Value{NewInt(id), NewText(tag), NewInt(n)})
+		}
+		if err := sqlRows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want(false)) {
+			t.Errorf("%s: through database/sql:\n got %v\nwant %v", name, got, want(false))
+		}
+		raw.materialize()
+		if !reflect.DeepEqual(raw.Data, want(true)) {
+			t.Errorf("%s: the raw references:\n got %v\nwant %v", name, raw.Data, want(true))
+		}
+		if !reflect.DeepEqual(native.Data, want(true)) {
+			t.Errorf("%s: Rows.Data:\n got %v\nwant %v", name, native.Data, want(true))
+		}
+		// Data is the caller's own: writing it reaches no row.
+		raw.Data[0][1] = NewText("scribble")
+		if again := mustQuery(t, db, `SELECT tag FROM r WHERE id = 1`); again.Data[0][0].Text() != "new" {
+			t.Errorf("%s: a write to Rows.Data reached the table: %v", name, again.Data)
+		}
+		pool.Close()
+		Unserve(dsn)
+		db.Close()
+	}
 }

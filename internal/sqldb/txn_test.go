@@ -1,8 +1,12 @@
 package sqldb
 
 import (
+	"context"
 	"errors"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -242,5 +246,52 @@ func TestLockUpgrade(t *testing.T) {
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCloseRacesBegin: goroutines begin and finish transactions while
+// Close runs. A BeginTx is either refused ("database is closed") or waited
+// for: when Close returns, no transaction that began is still open, and —
+// under the race detector — registering in the WaitGroup never runs
+// concurrently with Close waiting on it from zero.
+func TestCloseRacesBegin(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		db := New()
+		mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, n INTEGER NOT NULL)`)
+		mustExec(t, db, `INSERT INTO t VALUES (1, 0)`)
+		var open atomic.Int64
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(readOnly bool) {
+				defer wg.Done()
+				<-start
+				for {
+					tx, err := db.BeginTx(context.Background(), TxOptions{ReadOnly: readOnly})
+					if err != nil {
+						if !strings.Contains(err.Error(), "database is closed") {
+							t.Errorf("BeginTx: %v", err)
+						}
+						return
+					}
+					open.Add(1)
+					if _, err := tx.Query(`SELECT n FROM t WHERE id = 1`); err != nil {
+						t.Errorf("a transaction Close should be waiting for ran against a closing store: %v", err)
+					}
+					open.Add(-1)
+					tx.Rollback()
+				}
+			}(g%2 == 0)
+		}
+		close(start)
+		runtime.Gosched()
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := open.Load(); n != 0 {
+			t.Fatalf("round %d: Close returned with %d transactions open", round, n)
+		}
+		wg.Wait()
 	}
 }

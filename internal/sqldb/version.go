@@ -27,8 +27,13 @@ import (
 const verTomb = 1 << 0
 
 // rowVersion is one version of one row. data is immutable after
-// publication; the verTomb flag marks a delete tombstone (no data,
-// ever). begin is the creator's commit timestamp (0 while uncommitted).
+// publication — the slice is never written again, by an update (which
+// pushes a new version with its own slice), a rollback (which unlinks the
+// version) or GC (which clips the chain) — and readers rely on it past
+// the statement: a SELECT's result holds references to the data it read,
+// not copies (Rows.refs), for as long as the caller holds the result. The
+// verTomb flag marks a delete tombstone (no data, ever). begin is the
+// creator's commit timestamp (0 while uncommitted).
 //
 // Under paged storage (Options.PoolPages > 0) a committed version's row
 // bytes live in a page record named by loc, and data is nil: the commit
