@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt build test alloc race vet fuzz bench-smoke bench-cancel bench-agg bench-overload bench-repl bench-plancache bench-pager race-cancel race-plancache race-pager joinfuzz chaos replchaos replchaos-one clean
+.PHONY: check fmt build test alloc race vet fuzz race-cancel race-plancache race-pager joinfuzz chaos replchaos replchaos-one clean
 
 check: fmt build vet test alloc race
 
@@ -54,38 +54,25 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLogReader$$' -fuzztime 30s ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzPageImage$$' -fuzztime 30s ./internal/sqldb
 
-# One iteration per benchmark: exercises every benchmark code path without
-# paying for full measurement runs.
-bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
 # Differential join-fuzzer acceptance run: 1000 seeded schema/query
 # combinations through the cost-based planner vs the nested-loop reference.
 joinfuzz:
 	JOINFUZZ_CASES=1000 $(GO) test ./internal/sqldb -run TestJoinFuzz -v
 
-# Cancellation checkpoint overhead on the hot scan path (background vs
-# cancellable context); recorded in BENCH_sqldb.json.
-bench-cancel:
-	$(GO) test -run '^$$' -bench 'BenchmarkScanCtxOverhead' -benchtime 200x ./internal/sqldb | tee bench-cancel.txt
-
-# Monitoring-tier aggregation shapes (pool status GROUP BY state, per-owner
-# accounting) through the batched hash operator vs the row-at-a-time
-# reference; recorded in BENCH_sqldb.json.
-bench-agg:
-	$(GO) test -run '^$$' -bench 'BenchmarkPoolStatusAggregation' -benchtime 30x ./internal/sqldb | tee bench-agg.txt
-
-# Chaos-injection torture (seed-reproducible): simulated execute nodes
-# drive jobs through a FaultTransport dropping/duplicating/5xx-faulting
-# 20%+ of wire traffic while the CAS is killed and restarted from its
-# WAL; every job must complete exactly once. Override CHAOS_SEED /
-# CHAOS_CASES to vary the schedule.
+# Chaos-injection torture (seed-reproducible): three execute-node agents
+# (cluster.Startd, what cmd/cj2node runs) drive jobs through a
+# FaultTransport dropping/duplicating/5xx-faulting 20%+ of wire traffic
+# while the CAS is killed and restarted from its WAL; every job must
+# complete exactly once. Override CHAOS_SEED / CHAOS_CASES to vary the
+# schedule. The agent's own suite rides along: one scripted fault per
+# defence (TestStartdProtocol and the TestStartd* beside it), the randomly
+# lossy wire, and cj2node's real-time wiring.
 CHAOS_SEED ?= 1
 CHAOS_CASES ?= 40
 chaos:
 	CHAOS_SEED=$(CHAOS_SEED) CHAOS_CASES=$(CHAOS_CASES) $(GO) test -race -count=1 -v \
-		-run 'TestChaosTortureExactlyOnce|TestStartdSurvivesFlakyWire' \
-		./internal/core ./internal/cluster | tee chaos.txt
+		-run 'TestChaosTortureExactlyOnce|TestStartd|TestRunCompletesAJobInRealTime' \
+		./internal/core ./internal/cluster ./cmd/cj2node | tee chaos.txt
 
 # Replication chaos (seed-reproducible): a leader/follower pair under a
 # 20%+-lossy shipping link; the leader is killed mid-run, the follower
@@ -106,31 +93,10 @@ replchaos-one:
 	CHAOS_SEED=$(CHAOS_SEED) CHAOS_CASES=$(CHAOS_CASES) $(GO) test -race -count=1 -v \
 		-run 'TestReplChaosLeaderKillPromote' ./internal/core | tee replchaos.txt
 
-# Replication benchmarks: steady-state WAL shipping under 16 committers
-# (op = one leader insert applied on the follower) and the failover
-# critical path (recovery replay of a 100k-record log + rebuild; the
-# acceptance bar is <2s per op); recorded in BENCH_sqldb.json.
-bench-repl:
-	$(GO) test -run '^$$' -bench 'BenchmarkReplShipping' -benchtime 2000x ./internal/sqldb | tee bench-repl.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkFailover' -benchtime 10x ./internal/sqldb | tee -a bench-repl.txt
-
-# Admission-gate overload benchmark (2x capacity offered load, shed rate,
-# typed Overloaded faults) and the retry wrapper's happy-path overhead;
-# recorded in BENCH_sqldb.json.
-bench-overload:
-	$(GO) test -run '^$$' -bench 'BenchmarkHeartbeatOverload|BenchmarkRetryHappyPath' \
-		-benchtime 2000x ./internal/core | tee bench-overload.txt
-
 # The -race cancellation suite: lock-wait cancel/timeout, mid-scan and
-# mid-spill cancels, group-commit retraction, snapshot watermark release.
+# mid-join cancels, group-commit retraction, snapshot watermark release.
 race-cancel:
 	$(GO) test -race -count=1 -run 'Cancel|Timeout|Deadline|Fault' ./internal/sqldb ./internal/core ./internal/wire ./cmd/cj2sql
-
-# Plan-cache hot path: cached (atomic slot load + epoch validation) vs
-# uncached (full compile) planning cost on the heartbeat-update and
-# pool-status-join shapes; recorded in BENCH_sqldb.json.
-bench-plancache:
-	$(GO) test -run '^$$' -bench 'BenchmarkPlanCacheHotPath' -benchtime 2s ./internal/sqldb | tee bench-plancache.txt
 
 # The -race plan-cache suite: concurrent hammer on one cached statement,
 # epoch invalidation under DDL/ANALYZE churn, stmt-cache clock sweeps.
@@ -145,14 +111,6 @@ race-plancache:
 race-pager:
 	$(GO) test -race -count=1 ./internal/sqldb/pager
 	$(GO) test -race -count=1 -run 'TestPaged' ./internal/sqldb
-
-# Paged-storage benchmarks: cold-start recovery on a 100k-commit store
-# (full WAL replay vs checkpoint + tail; acceptance bar >=10x less WAL
-# replayed) and point reads against a pool 3x smaller than the heap;
-# recorded in BENCH_sqldb.json.
-bench-pager:
-	$(GO) test -run '^$$' -bench 'BenchmarkColdStart' -benchtime 5x ./internal/sqldb -v | tee bench-pager.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkLargerThanPool' -benchtime 2s ./internal/sqldb | tee -a bench-pager.txt
 
 clean:
 	$(GO) clean ./...

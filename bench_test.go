@@ -7,17 +7,11 @@ package condorj2
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"condorj2/internal/core"
 	"condorj2/internal/experiments"
-	"condorj2/internal/sqldb"
 )
 
 func BenchmarkTable1CondorTrace(b *testing.B) {
@@ -435,493 +429,4 @@ func queueStatusFixture(b *testing.B) *core.CAS {
 		b.Fatal(err)
 	}
 	return cas
-}
-
-// --- Row-level locking ---
-
-// BenchmarkConcurrentDisjointWriters measures multi-writer throughput when
-// every worker transacts against its own row of one table. Under the old
-// table-granularity 2PL all writers serialized on the table's X lock (one
-// lock wait per operation); with row locks under intention locks the
-// workers never conflict: lock-waits/op must report 0 at any -cpu count,
-// and on multi-core hardware throughput scales with goroutine count.
-// Contrast with BenchmarkConcurrentSameRowWriters, where contention is
-// real and waits are expected.
-func BenchmarkConcurrentDisjointWriters(b *testing.B) {
-	db := sqldb.New()
-	defer db.Close()
-	if _, err := db.Exec(`CREATE TABLE bench (id INTEGER PRIMARY KEY, n INTEGER NOT NULL)`); err != nil {
-		b.Fatal(err)
-	}
-	const rows = 512
-	for i := 1; i <= rows; i++ {
-		if _, err := db.Exec(`INSERT INTO bench VALUES (?, 0)`, i); err != nil {
-			b.Fatal(err)
-		}
-	}
-	var next atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		id := next.Add(1) // one private row per worker
-		if id > rows {
-			b.Errorf("more workers than rows (%d)", rows)
-			return
-		}
-		for pb.Next() {
-			tx, err := db.Begin()
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			if _, err := tx.Exec(`UPDATE bench SET n = n + 1 WHERE id = ?`, id); err != nil {
-				tx.Rollback()
-				b.Error(err)
-				return
-			}
-			if err := tx.Commit(); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	stats := db.LockStats()
-	b.ReportMetric(float64(stats.Deadlocks), "deadlocks")
-	b.ReportMetric(float64(stats.Waited)/float64(b.N), "lock-waits/op")
-}
-
-// BenchmarkConcurrentSameRowWriters is the contended baseline: every
-// worker increments the same row, so strict 2PL must serialize them and
-// lock-waits/op approaches one per operation at -cpu > 1. The gap between
-// this and BenchmarkConcurrentDisjointWriters is what row-granularity
-// locking buys the CAS.
-func BenchmarkConcurrentSameRowWriters(b *testing.B) {
-	db := sqldb.New()
-	defer db.Close()
-	if _, err := db.Exec(`CREATE TABLE bench (id INTEGER PRIMARY KEY, n INTEGER NOT NULL)`); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := db.Exec(`INSERT INTO bench VALUES (1, 0)`); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			for {
-				tx, err := db.Begin()
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				_, err = tx.Exec(`UPDATE bench SET n = n + 1 WHERE id = 1`)
-				if err == nil {
-					err = tx.Commit()
-				} else {
-					tx.Rollback()
-				}
-				if err == nil {
-					break
-				}
-				if !errors.Is(err, sqldb.ErrDeadlock) {
-					b.Error(err)
-					return
-				}
-			}
-		}
-	})
-	b.StopTimer()
-	stats := db.LockStats()
-	b.ReportMetric(float64(stats.Waited)/float64(b.N), "lock-waits/op")
-}
-
-// BenchmarkConcurrentSubmitAndMatch drives the CAS hot paths concurrently:
-// parallel schedd-style submitters insert jobs while a negotiator goroutine
-// runs matchmaking cycles against the same tables — the workload mix that
-// table-granularity locking fully serialized.
-func BenchmarkConcurrentSubmitAndMatch(b *testing.B) {
-	cas, err := core.New(core.Options{PoolSize: 32})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cas.Close()
-	vms := make([]core.VMStatus, 8)
-	for i := range vms {
-		vms[i] = core.VMStatus{Seq: int64(i), State: "idle"}
-	}
-	for m := 0; m < 20; m++ {
-		if _, err := cas.Service.Heartbeat(context.Background(), &core.HeartbeatRequest{
-			Machine: nodeName(m), Boot: true, TotalMemoryMB: 2048, VMs: vms,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // the negotiator
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			cas.Service.ScheduleCycle(context.Background()) // container retries deadlock victims
-			time.Sleep(time.Millisecond)
-		}
-	}()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) { // the schedds
-		for pb.Next() {
-			if _, err := cas.Service.Submit(context.Background(), &core.SubmitRequest{Owner: "load", Count: 1, LengthSec: 60}); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	close(stop)
-	wg.Wait()
-	stats := cas.LockStats()
-	b.ReportMetric(float64(stats.Deadlocks), "deadlocks")
-	b.ReportMetric(float64(stats.Waited)/float64(b.N), "lock-waits/op")
-}
-
-// BenchmarkWALSyncEveryCommit vs SyncNever: the durability/throughput
-// trade-off in the storage engine.
-func BenchmarkWALSyncEveryCommit(b *testing.B) { benchWALSync(b, sqldb.SyncEveryCommit) }
-func BenchmarkWALSyncNever(b *testing.B)       { benchWALSync(b, sqldb.SyncNever) }
-
-func benchWALSync(b *testing.B, policy sqldb.SyncPolicy) {
-	dir := b.TempDir()
-	db, err := sqldb.Open(sqldb.Options{VFS: sqldb.OSVFS{}, Path: dir + "/bench.wal", Sync: policy})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	if _, err := db.Exec(`CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)`); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Exec(`INSERT INTO t (v) VALUES ('x')`); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchCommitThroughput drives a fixed pool of committer goroutines
-// issuing durable single-row transactions against a WAL whose fsync costs
-// `fsync` (SlowVFS over memory), and reports the amortized fsync cost per
-// commit from WALStats. This is the tentpole measurement for the
-// group-commit pipeline: same workload, same durability, different sync
-// policy.
-func benchCommitThroughput(b *testing.B, policy sqldb.SyncPolicy, fsync time.Duration, committers int) {
-	vfs := &sqldb.SlowVFS{Inner: sqldb.NewMemVFS(), SyncDelay: fsync}
-	db, err := sqldb.Open(sqldb.Options{VFS: vfs, Path: "bench.wal", Sync: policy})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	if _, err := db.Exec(`CREATE TABLE bench (id INTEGER PRIMARY KEY AUTOINCREMENT, worker INTEGER NOT NULL, n INTEGER NOT NULL)`); err != nil {
-		b.Fatal(err)
-	}
-	base := db.WALStats()
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	var seq atomic.Int64
-	for w := 0; w < committers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				n := seq.Add(1)
-				if n > int64(b.N) {
-					return
-				}
-				if _, err := db.Exec(`INSERT INTO bench (worker, n) VALUES (?, ?)`, w, n); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	b.StopTimer()
-	stats := db.WALStats()
-	commits := stats.Commits - base.Commits
-	syncs := stats.Syncs - base.Syncs
-	if commits > 0 {
-		b.ReportMetric(float64(syncs)/float64(commits), "fsyncs/commit")
-	}
-	b.ReportMetric(float64(stats.MaxGroup), "max-group")
-}
-
-// BenchmarkGroupCommit compares durable-commit throughput under
-// SyncEveryCommit (one fsync per commit, all committers serialized on it)
-// against SyncGroup (one fsync per group) at 16 concurrent committers with
-// 1ms and 5ms simulated fsync latency. The acceptance bar is ≥5× throughput
-// and <0.25 fsyncs/commit for sync-group at 1ms.
-func BenchmarkGroupCommit(b *testing.B) {
-	for _, fsync := range []time.Duration{time.Millisecond, 5 * time.Millisecond} {
-		for _, cfg := range []struct {
-			name   string
-			policy sqldb.SyncPolicy
-		}{
-			{"sync-every", sqldb.SyncEveryCommit},
-			{"sync-group", sqldb.SyncGroup},
-		} {
-			b.Run(fmt.Sprintf("%s/fsync-%v/committers-16", cfg.name, fsync), func(b *testing.B) {
-				benchCommitThroughput(b, cfg.policy, fsync, 16)
-			})
-		}
-	}
-}
-
-// BenchmarkReadersVsWriters is the MVCC acceptance benchmark: 8
-// monitoring transactions (a full-table aggregation over jobs — the pool
-// web site's PoolStatus shape — followed by a few milliseconds of
-// in-transaction report assembly) run against 8 disjoint-row writers (the
-// heartbeat shape). Before MVCC, every monitoring transaction held a
-// whole-table S lock from its scan to its commit, so the table was
-// S-locked nearly continuously — writer throughput collapsed and
-// lock-waits piled up. With snapshot reads the scanners never touch the
-// lock manager: lock-waits/op must report 0 and writers proceed
-// unblocked; the residual ns/op gap on a single-core host is CPU
-// time-slicing against the scan work, not blocking (on multi-core the
-// scans ride other cores). The "locked-readers" variant forces the same
-// transactions through the read-write path (the pre-MVCC behaviour) for
-// contrast.
-func BenchmarkReadersVsWriters(b *testing.B) {
-	const writers, readers, rows = 8, 8, 2000
-	const holdTime = 5 * time.Millisecond // in-tx report assembly per scan
-	run := func(b *testing.B, mode string) {
-		db := sqldb.New()
-		defer db.Close()
-		if _, err := db.Exec(`CREATE TABLE jobs (id INTEGER PRIMARY KEY, state TEXT NOT NULL, heartbeat INTEGER NOT NULL)`); err != nil {
-			b.Fatal(err)
-		}
-		states := []string{"idle", "running", "held", "completed"}
-		for i := 1; i <= rows; i++ {
-			if _, err := db.Exec(`INSERT INTO jobs VALUES (?, ?, 0)`, i, states[i%len(states)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		stop := make(chan struct{})
-		var scans atomic.Int64
-		var readersWG sync.WaitGroup
-		if mode != "no-readers" {
-			for r := 0; r < readers; r++ {
-				readersWG.Add(1)
-				go func() {
-					defer readersWG.Done()
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						var tx *sqldb.Tx
-						var err error
-						if mode == "snapshot-readers" {
-							tx, err = db.BeginReadOnly()
-						} else {
-							tx, err = db.Begin() // pre-MVCC: scan takes the table S lock
-						}
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						if _, err = tx.Query(`SELECT state, count(*) FROM jobs GROUP BY state`); err != nil {
-							tx.Rollback()
-							if errors.Is(err, sqldb.ErrDeadlock) {
-								continue
-							}
-							b.Error(err)
-							return
-						}
-						// Report assembly: the transaction — and, in locked
-						// mode, its table S lock — stays open meanwhile.
-						select {
-						case <-stop:
-							tx.Rollback()
-							return
-						case <-time.After(holdTime):
-						}
-						if err := tx.Commit(); err != nil {
-							b.Error(err)
-							return
-						}
-						scans.Add(1)
-					}
-				}()
-			}
-		}
-		base := db.LockStats()
-		b.ResetTimer()
-		var writersWG sync.WaitGroup
-		var issued atomic.Int64
-		total := int64(b.N)
-		for w := 0; w < writers; w++ {
-			writersWG.Add(1)
-			go func(id int64) {
-				defer writersWG.Done()
-				for issued.Add(1) <= total {
-					if _, err := db.Exec(`UPDATE jobs SET heartbeat = heartbeat + 1 WHERE id = ?`, id); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			}(int64(w + 1))
-		}
-		writersWG.Wait()
-		b.StopTimer()
-		close(stop)
-		readersWG.Wait()
-		stats := db.LockStats()
-		b.ReportMetric(float64(stats.Waited-base.Waited)/float64(b.N), "lock-waits/op")
-		b.ReportMetric(float64(scans.Load())/float64(b.N), "scans/op")
-		vs := db.VersionStats()
-		b.ReportMetric(float64(vs.SnapshotReads), "snapshot-reads")
-	}
-	for _, mode := range []string{"no-readers", "snapshot-readers", "locked-readers"} {
-		b.Run(fmt.Sprintf("%s/writers-%d/readers-%d", mode, writers, readers), func(b *testing.B) {
-			run(b, mode)
-		})
-	}
-}
-
-// joinBenchExec is a small helper batching INSERTs for join benchmarks.
-func joinBenchExec(b *testing.B, db *sqldb.DB, sql string) {
-	b.Helper()
-	if _, err := db.Exec(sql); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkHashJoinVsNestedLoop is the join-planner acceptance benchmark:
-// a 10k×10k equi-join with no usable index on the join column, run
-// through the cost-based planner (hash join) and through the forced
-// nested-loop reference. The acceptance bar is ≥10× for the hash side;
-// in practice the gap is three orders of magnitude (O(n+m) vs O(n·m)).
-func BenchmarkHashJoinVsNestedLoop(b *testing.B) {
-	const rows = 10000
-	db := sqldb.New()
-	defer db.Close()
-	joinBenchExec(b, db, `CREATE TABLE build_side (id INTEGER PRIMARY KEY, k INTEGER)`)
-	joinBenchExec(b, db, `CREATE TABLE probe_side (id INTEGER PRIMARY KEY, k INTEGER)`)
-	for lo := 0; lo < rows; lo += 500 {
-		var vb, pb strings.Builder
-		vb.WriteString(`INSERT INTO build_side VALUES `)
-		pb.WriteString(`INSERT INTO probe_side VALUES `)
-		for i := lo; i < lo+500; i++ {
-			if i > lo {
-				vb.WriteString(",")
-				pb.WriteString(",")
-			}
-			fmt.Fprintf(&vb, "(%d, %d)", i, i)
-			fmt.Fprintf(&pb, "(%d, %d)", i, (i+7)%rows)
-		}
-		joinBenchExec(b, db, vb.String())
-		joinBenchExec(b, db, pb.String())
-	}
-	joinBenchExec(b, db, `ANALYZE`)
-	query := `SELECT count(*) FROM probe_side p JOIN build_side s ON s.k = p.k`
-	for _, cfg := range []struct {
-		name string
-		mode sqldb.PlannerMode
-	}{
-		{"hash", sqldb.PlannerCostBased},
-		{"nested-loop", sqldb.PlannerForceNestedLoop},
-	} {
-		b.Run(fmt.Sprintf("%s/rows-%d", cfg.name, rows), func(b *testing.B) {
-			db.SetPlannerMode(cfg.mode)
-			defer db.SetPlannerMode(sqldb.PlannerCostBased)
-			for i := 0; i < b.N; i++ {
-				res, err := db.Query(query)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got := res.Data[0][0].Int64(); got != rows {
-					b.Fatalf("join count = %d, want %d", got, rows)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkJoinStatusQuery measures the CAS's hot status join (the
-// Service.pendingMatches shape: machine-filtered vms joined to matches
-// and jobs) with statistics in place, against the forced nested-loop
-// reference. The cost-based plan drives from the machine's own VMs and
-// probes the unique indexes; the reference rescans matches and jobs per
-// row.
-func BenchmarkJoinStatusQuery(b *testing.B) {
-	const machines, vmsPer, jobs = 400, 4, 3000
-	db := sqldb.New()
-	defer db.Close()
-	joinBenchExec(b, db, `CREATE TABLE jobs (id INTEGER PRIMARY KEY, owner TEXT, length_sec INTEGER)`)
-	joinBenchExec(b, db, `CREATE TABLE vms (id INTEGER PRIMARY KEY, machine TEXT, seq INTEGER, UNIQUE (machine, seq))`)
-	joinBenchExec(b, db, `CREATE TABLE matches (id INTEGER PRIMARY KEY, job_id INTEGER, vm_id INTEGER, UNIQUE (job_id), UNIQUE (vm_id))`)
-	for lo := 0; lo < jobs; lo += 500 {
-		var sb strings.Builder
-		sb.WriteString(`INSERT INTO jobs VALUES `)
-		for i := lo; i < lo+500; i++ {
-			if i > lo {
-				sb.WriteString(",")
-			}
-			fmt.Fprintf(&sb, "(%d, 'user%d', 60)", i+1, i%7)
-		}
-		joinBenchExec(b, db, sb.String())
-	}
-	vmID := 0
-	for m := 0; m < machines; m++ {
-		var sb strings.Builder
-		sb.WriteString(`INSERT INTO vms VALUES `)
-		for s := 0; s < vmsPer; s++ {
-			if s > 0 {
-				sb.WriteString(",")
-			}
-			vmID++
-			fmt.Fprintf(&sb, "(%d, 'mach%03d', %d)", vmID, m, s)
-		}
-		joinBenchExec(b, db, sb.String())
-	}
-	for lo := 0; lo < machines*vmsPer/2; lo += 400 {
-		var sb strings.Builder
-		sb.WriteString(`INSERT INTO matches VALUES `)
-		for i := lo; i < lo+400; i++ {
-			if i > lo {
-				sb.WriteString(",")
-			}
-			fmt.Fprintf(&sb, "(%d, %d, %d)", i+1, i%jobs+1, i*2+1)
-		}
-		joinBenchExec(b, db, sb.String())
-	}
-	joinBenchExec(b, db, `ANALYZE`)
-	query := `
-		SELECT m.id, m.job_id, v.id, j.owner, j.length_sec
-		FROM vms v
-		JOIN matches m ON m.vm_id = v.id
-		JOIN jobs j ON j.id = m.job_id
-		WHERE v.machine = ?`
-	for _, cfg := range []struct {
-		name string
-		mode sqldb.PlannerMode
-	}{
-		{"cost-based", sqldb.PlannerCostBased},
-		{"nested-loop", sqldb.PlannerForceNestedLoop},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			db.SetPlannerMode(cfg.mode)
-			defer db.SetPlannerMode(sqldb.PlannerCostBased)
-			for i := 0; i < b.N; i++ {
-				res, err := db.Query(query, fmt.Sprintf("mach%03d", i%machines))
-				if err != nil {
-					b.Fatal(err)
-				}
-				_ = res
-			}
-		})
-	}
 }

@@ -1,16 +1,16 @@
 // Command cj2node runs a live execute-node agent (the CondorJ2 startd)
 // against a CAS over HTTP: it registers the machine, heartbeats, pulls
-// matches, "runs" jobs (sleeping for their duration — plug real execution
-// in at the exec callback), and reports completions.
+// matches, "runs" jobs and reports completions.
 //
 //	cj2node -cas http://localhost:8642/services -name node1 -vms 4
 //
-// The wire path is fault tolerant: calls go through a Retryer (exponential
-// backoff + full jitter, honoring server RetryAfterMs hints), acceptMatch
-// and completion-reporting heartbeats carry idempotency keys so a lost
-// reply is replayed rather than re-executed, and a CAS restart is healed
-// by re-registering (Boot=true) on the next beat. A failed heartbeat never
-// clears completion flags — the retried beat re-reports them.
+// The agent is cluster.Startd — the one the simulations and the chaos
+// suites run — on an engine driven by the wall clock; its protocol and
+// its defences against a lossy wire and a restarting CAS are documented
+// there. The node Kernel stands in for the starter: a job takes its setup,
+// its length and its teardown in real time (plug real execution in there).
+// Calls go through a Retryer (exponential backoff + full jitter, honoring
+// the server's RetryAfterMs hints).
 package main
 
 import (
@@ -21,11 +21,10 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strings"
-	"sync"
 	"time"
 
-	"condorj2/internal/core"
+	"condorj2/internal/cluster"
+	"condorj2/internal/sim"
 	"condorj2/internal/wire"
 )
 
@@ -36,59 +35,43 @@ func main() {
 	memory := flag.Int64("memory", 2048, "total memory MB")
 	heartbeat := flag.Duration("heartbeat", 60*time.Second, "periodic heartbeat interval")
 	idlePoll := flag.Duration("poll", 2*time.Second, "idle-VM poll interval")
-	callTimeout := flag.Duration("call-timeout", 30*time.Second, "per-exchange deadline for CAS calls, forwarded to the server (0 = none)")
+	callTimeout := flag.Duration("call-timeout", 30*time.Second, "per-exchange deadline for CAS calls, forwarded to the server (0 = the agent's default)")
 	flag.Parse()
 
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	log.Printf("startd %s with %d VMs reporting to %s", *name, *vms, *casURL)
+	err := run(ctx, *casURL, cluster.NodeConfig{Name: *name, VMs: *vms, MemoryMB: *memory},
+		cluster.StartdConfig{HeartbeatInterval: *heartbeat, IdlePoll: *idlePoll, CallTimeout: *callTimeout})
+	if err != nil && !errors.Is(err, context.Canceled) {
+		log.Fatalf("cj2node: %v", err)
+	}
+	log.Print("shutting down")
+}
+
+// run boots one agent against the CAS at casURL and drives it in real time
+// until ctx is done. Transport trouble at boot does not end it — the agent
+// keeps re-sending the registration; only an explicit refusal does.
+func run(ctx context.Context, casURL string, node cluster.NodeConfig, cfg cluster.StartdConfig) error {
 	retryer := &wire.Retryer{
-		Caller: &wire.Client{URL: *casURL, Timeout: *callTimeout},
+		Caller: &wire.Client{URL: casURL, Timeout: cfg.CallTimeout},
 		Policy: wire.RetryPolicy{
 			MaxAttempts: 5,
 			BaseDelay:   200 * time.Millisecond,
 			MaxDelay:    5 * time.Second,
 		},
-		// acceptMatch mutates pairings; one key per logical accept makes
-		// its retries exactly-once. Heartbeat keys are managed by the
-		// agent itself (only delta-carrying beats are keyed).
-		Keyed: func(action string) bool { return action == core.ActionAcceptMatch },
 		OnRetry: func(action string, attempt int, delay time.Duration, err error) {
 			log.Printf("%s: attempt %d failed (%v); retrying in %s", action, attempt, err, delay.Round(time.Millisecond))
 		},
 	}
-	agent := &agent{
-		client: retryer, name: *name, memory: *memory,
-		callTimeout: *callTimeout,
-		vms:         make([]vmState, *vms),
+	eng := sim.NewAt(time.Now(), 1)
+	agent := cluster.NewStartd(eng, cluster.NewKernel(eng, node), retryer, cfg)
+	agent.OnComplete = func(jobID int64, _ time.Time) { log.Printf("job %d completed", jobID) }
+	agent.OnDrop = func(jobID int64, _ time.Time) { log.Printf("job %d dropped: setup timed out", jobID) }
+	if err := agent.Boot(); err != nil {
+		return fmt.Errorf("registration refused: %w", err)
 	}
-	log.Printf("startd %s with %d VMs reporting to %s", *name, *vms, *casURL)
-	if err := agent.beat(); err != nil {
-		// Transport trouble must not kill the node: the loop below keeps
-		// re-sending the registration until the CAS answers. Only an
-		// explicit refusal is fatal.
-		if !wire.Retryable(err) {
-			log.Fatalf("cj2node: registration refused: %v", err)
-		}
-		log.Printf("cj2node: initial heartbeat failed (%v); retrying on the heartbeat cadence", err)
-	}
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt)
-	hbTick := time.NewTicker(*heartbeat)
-	pollTick := time.NewTicker(*idlePoll)
-	defer hbTick.Stop()
-	defer pollTick.Stop()
-	for {
-		select {
-		case <-stop:
-			log.Print("shutting down")
-			return
-		case <-hbTick.C:
-			agent.beatLogged()
-		case <-pollTick.C:
-			if agent.hasIdleOrDone() {
-				agent.beatLogged()
-			}
-		}
-	}
+	return eng.RunRealtime(ctx)
 }
 
 func hostnameOr(def string) string {
@@ -96,212 +79,4 @@ func hostnameOr(def string) string {
 		return h
 	}
 	return def
-}
-
-type vmState struct {
-	jobID    int64
-	running  bool
-	finished bool
-}
-
-// frozenBeat is a keyed heartbeat retained until acknowledged: the
-// request is captured WITH its idempotency key, because a key promises
-// "same request" — completions that finish while the beat is in flight
-// wait for the next one.
-type frozenBeat struct {
-	key      string
-	req      *core.HeartbeatRequest
-	reported []int
-}
-
-type agent struct {
-	mu          sync.Mutex // guards vms, booted, frozen
-	beatMu      sync.Mutex // serializes heartbeat exchanges
-	client      wire.Caller
-	name        string
-	memory      int64
-	callTimeout time.Duration
-	vms         []vmState
-	booted      bool
-	frozen      *frozenBeat
-}
-
-func (a *agent) hasIdleOrDone() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for i := range a.vms {
-		if !a.vms[i].running || a.vms[i].finished {
-			return true
-		}
-	}
-	return false
-}
-
-func (a *agent) beatLogged() {
-	if err := a.beat(); err != nil {
-		log.Printf("heartbeat: %v", err)
-	}
-}
-
-// beat performs one heartbeat exchange and processes the returned
-// commands. Beats are serialized: completion goroutines and the tickers
-// may all trigger one, but only a single exchange is in flight.
-func (a *agent) beat() error {
-	a.beatMu.Lock()
-	defer a.beatMu.Unlock()
-
-	a.mu.Lock()
-	fb := a.frozen
-	if fb == nil {
-		req := &core.HeartbeatRequest{
-			Machine: a.name, Boot: !a.booted,
-			Arch: "INTEL", OpSys: "LINUX", TotalMemoryMB: a.memory,
-		}
-		// Completions serialized into THIS request: only these may be
-		// cleared after the exchange. A job finishing while the call is in
-		// flight set its flag after the request was built — the server has
-		// not seen it, so clearing it would lose the completion and strand
-		// the job "running" server-side forever.
-		var reported []int
-		for i := range a.vms {
-			vm := &a.vms[i]
-			st := core.VMStatus{Seq: int64(i)}
-			switch {
-			case vm.finished:
-				st.State = "claimed"
-				st.JobID = vm.jobID
-				st.Phase = "completed"
-				reported = append(reported, i)
-			case vm.running:
-				st.State = "claimed"
-				st.JobID = vm.jobID
-				st.Phase = "running"
-			default:
-				st.State = "idle"
-			}
-			req.VMs = append(req.VMs, st)
-		}
-		fb = &frozenBeat{req: req, reported: reported}
-		if req.Boot || len(reported) > 0 {
-			// Registration and completion reports mutate server state:
-			// key them so a retried beat replays instead of re-executing,
-			// and retain the frozen request until the reply lands.
-			fb.key = wire.NewIdempotencyKey()
-			a.frozen = fb
-		}
-	}
-	a.mu.Unlock()
-
-	ctx := context.Background()
-	if a.callTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, a.callTimeout)
-		defer cancel()
-	}
-	if fb.key != "" {
-		ctx = wire.WithIdempotencyKey(ctx, fb.key)
-	}
-	var resp core.HeartbeatResponse
-	if err := a.client.Call(ctx, core.ActionHeartbeat, fb.req, &resp); err != nil {
-		if isUnknownVMFault(err) {
-			// The CAS restarted without our registration (or lost our VM
-			// rows): re-register on the next beat. The frozen request is
-			// rebuilt with Boot=true; its completions are still flagged.
-			a.mu.Lock()
-			a.booted, a.frozen = false, nil
-			a.mu.Unlock()
-		}
-		return err
-	}
-
-	a.mu.Lock()
-	a.booted = true
-	a.frozen = nil
-	for _, i := range fb.reported {
-		if a.vms[i].finished {
-			a.vms[i] = vmState{}
-		}
-	}
-	a.mu.Unlock()
-
-	for _, cmd := range resp.Commands {
-		switch cmd.Command {
-		case core.CmdMatchInfo:
-			if err := a.accept(cmd); err != nil {
-				log.Printf("accept match %d: %v", cmd.MatchID, err)
-			}
-		case core.CmdRelease:
-			a.release(cmd)
-		}
-	}
-	return nil
-}
-
-func isUnknownVMFault(err error) bool {
-	var f *wire.Fault
-	return errors.As(err, &f) && strings.Contains(f.Message, "unknown VM")
-}
-
-// release abandons a slot's job on a server RELEASE command: the CAS has
-// repaired its pairing around us (the job completed, was dropped, or is
-// paired elsewhere) and nothing we report for it will ever be accepted.
-func (a *agent) release(cmd core.VMCommand) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if cmd.Seq < 0 || int(cmd.Seq) >= len(a.vms) {
-		return
-	}
-	vm := &a.vms[cmd.Seq]
-	if !vm.running && !vm.finished {
-		return
-	}
-	if cmd.JobID != 0 && vm.jobID != cmd.JobID {
-		return // stale release for a job this slot no longer runs
-	}
-	log.Printf("vm%d: released job %d by the CAS", cmd.Seq, vm.jobID)
-	*vm = vmState{}
-}
-
-func (a *agent) accept(cmd core.VMCommand) error {
-	a.mu.Lock()
-	if cmd.Seq < 0 || int(cmd.Seq) >= len(a.vms) || a.vms[cmd.Seq].running || a.vms[cmd.Seq].finished {
-		a.mu.Unlock()
-		return nil // busy slot: stale MATCHINFO, the CAS will re-advertise
-	}
-	a.mu.Unlock()
-
-	ctx := context.Background()
-	if a.callTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, a.callTimeout)
-		defer cancel()
-	}
-	var acc core.AcceptMatchResponse
-	err := a.client.Call(ctx, core.ActionAcceptMatch, &core.AcceptMatchRequest{
-		Machine: a.name, Seq: cmd.Seq, MatchID: cmd.MatchID, JobID: cmd.JobID,
-	}, &acc)
-	if err != nil {
-		return err
-	}
-	if !acc.OK {
-		return fmt.Errorf("rejected: %s", acc.Reason)
-	}
-	a.mu.Lock()
-	a.vms[cmd.Seq] = vmState{jobID: cmd.JobID, running: true}
-	a.mu.Unlock()
-	log.Printf("vm%d: starting job %d (%ds)", cmd.Seq, cmd.JobID, cmd.LengthSec)
-	go func() {
-		// The "starter": replace this sleep with real process execution.
-		time.Sleep(time.Duration(cmd.LengthSec) * time.Second)
-		a.mu.Lock()
-		// The slot may have been RELEASEd while we "ran"; only a job we
-		// still own gets a completion report.
-		if a.vms[cmd.Seq].running && a.vms[cmd.Seq].jobID == cmd.JobID {
-			a.vms[cmd.Seq].finished = true
-		}
-		a.mu.Unlock()
-		log.Printf("vm%d: job %d completed", cmd.Seq, cmd.JobID)
-		a.beatLogged()
-	}()
-	return nil
 }

@@ -1,0 +1,65 @@
+package main
+
+import (
+	"context"
+	"errors"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"condorj2/internal/cluster"
+	"condorj2/internal/core"
+)
+
+// TestRunCompletesAJobInRealTime is the smoke test of this command's
+// wiring — HTTP client, Retryer, wall-clock engine, agent: an in-process
+// CAS behind httptest, one 1-second job submitted, matched, run and
+// completed, then the agent cancelled through its context.
+func TestRunCompletesAJobInRealTime(t *testing.T) {
+	cas, err := core.New(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cas.Close()
+	srv := httptest.NewServer(cas.HTTPHandler())
+	defer srv.Close()
+	if _, err := cas.Service.Submit(context.Background(), &core.SubmitRequest{Owner: "smoke", Count: 1, LengthSec: 1}); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	exited := make(chan error, 1)
+	go func() {
+		exited <- run(ctx, srv.URL+"/services",
+			cluster.NodeConfig{Name: "smoke1", VMs: 1, SetupCost: 10 * time.Millisecond},
+			cluster.StartdConfig{HeartbeatInterval: time.Second, IdlePoll: 20 * time.Millisecond, CallTimeout: 5 * time.Second})
+	}()
+
+	completed := func() (n int) {
+		cas.Pool.QueryRow(`SELECT count(*) FROM job_history WHERE outcome = 'completed' AND machine = 'smoke1'`).Scan(&n)
+		return n
+	}
+	for deadline := time.Now().Add(20 * time.Second); completed() == 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the job did not complete")
+		}
+		if _, err := cas.Service.ScheduleCycle(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cancel()
+	select {
+	case err := <-exited:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("run returned %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not return after its context was cancelled")
+	}
+	var left int
+	cas.Pool.QueryRow(`SELECT count(*) FROM jobs`).Scan(&left)
+	if n := completed(); n != 1 || left != 0 {
+		t.Fatalf("%d completed history rows, %d jobs left; want 1 and 0", n, left)
+	}
+}

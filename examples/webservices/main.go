@@ -17,7 +17,9 @@ import (
 	"strings"
 	"time"
 
+	"condorj2/internal/cluster"
 	"condorj2/internal/core"
+	"condorj2/internal/sim"
 	"condorj2/internal/wire"
 )
 
@@ -36,7 +38,7 @@ func main() {
 
 	client := &wire.Client{URL: srv.URL + "/services"}
 
-	// Two execute nodes as goroutine agents (the cj2node logic, inlined).
+	// Two execute nodes as goroutine agents (what cmd/cj2node runs).
 	for n := 0; n < 2; n++ {
 		name := fmt.Sprintf("webnode%d", n)
 		go runAgent(client, name, 2)
@@ -87,64 +89,16 @@ func main() {
 	}
 }
 
-// runAgent is a minimal real-time startd: heartbeat, accept matches, sleep
-// for the job duration, report completion.
+// runAgent is a real-time startd: the agent of the simulations and of
+// cmd/cj2node (cluster.Startd), its engine driven by the wall clock.
 func runAgent(client *wire.Client, name string, vms int) {
-	type vmState struct {
-		jobID    int64
-		running  bool
-		finished bool
+	eng := sim.NewAt(time.Now(), 1)
+	kernel := cluster.NewKernel(eng, cluster.NodeConfig{
+		Name: name, VMs: vms, MemoryMB: 1024, SetupCost: 100 * time.Millisecond,
+	})
+	agent := cluster.NewStartd(eng, kernel, client, cluster.StartdConfig{IdlePoll: 500 * time.Millisecond})
+	if err := agent.Boot(); err != nil {
+		log.Fatalf("%s: %v", name, err)
 	}
-	states := make([]vmState, vms)
-	beat := func(boot bool) {
-		req := &core.HeartbeatRequest{
-			Machine: name, Boot: boot, Arch: "INTEL", OpSys: "LINUX", TotalMemoryMB: 1024,
-		}
-		for i := range states {
-			st := core.VMStatus{Seq: int64(i), State: "idle"}
-			if states[i].running {
-				st.State = "claimed"
-				st.JobID = states[i].jobID
-				st.Phase = "running"
-				if states[i].finished {
-					st.Phase = "completed"
-				}
-			}
-			req.VMs = append(req.VMs, st)
-		}
-		var resp core.HeartbeatResponse
-		if err := client.Call(context.Background(), core.ActionHeartbeat, req, &resp); err != nil {
-			log.Printf("%s: heartbeat: %v", name, err)
-			return
-		}
-		for i := range states {
-			if states[i].finished {
-				states[i] = vmState{}
-			}
-		}
-		for _, cmd := range resp.Commands {
-			if cmd.Command != core.CmdMatchInfo {
-				continue
-			}
-			var acc core.AcceptMatchResponse
-			err := client.Call(context.Background(), core.ActionAcceptMatch, &core.AcceptMatchRequest{
-				Machine: name, Seq: cmd.Seq, MatchID: cmd.MatchID, JobID: cmd.JobID,
-			}, &acc)
-			if err != nil || !acc.OK {
-				continue
-			}
-			seq := cmd.Seq
-			states[seq] = vmState{jobID: cmd.JobID, running: true}
-			length := cmd.LengthSec
-			go func() {
-				time.Sleep(time.Duration(length) * time.Second)
-				states[seq].finished = true
-			}()
-		}
-	}
-	beat(true)
-	for {
-		time.Sleep(500 * time.Millisecond)
-		beat(false)
-	}
+	eng.RunRealtime(context.Background())
 }

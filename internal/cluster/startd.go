@@ -10,8 +10,11 @@ import (
 	"condorj2/internal/wire"
 )
 
-// Startd is the CondorJ2 execute-node agent in simulation: the modified
-// Condor startd of the paper's prototype, speaking the CAS web services.
+// Startd is the CondorJ2 execute-node agent: the modified Condor startd of
+// the paper's prototype, speaking the CAS web services. It is the one
+// implementation of the node side of the protocol — the simulated nodes of
+// the experiments, cmd/cj2node (the same code on an engine driven by the
+// wall clock) and the agents of the chaos suites are all this type.
 // Execute nodes "always initiate any interaction they have with the CAS"
 // (§5.2.1) — the pull model. The startd:
 //
@@ -21,6 +24,32 @@ import (
 //   - invokes acceptMatch when a heartbeat returns MATCHINFO,
 //   - runs jobs through the node Kernel (setup → run → teardown),
 //   - reports completions and drops in event-driven heartbeats.
+//
+// Every exchange may fail, and a failed exchange may have been applied.
+// Each defence below names the test that fails without it:
+//
+//   - A heartbeat that registers the node or reports a completion or a
+//     drop carries an idempotency key and is kept, request and key, until
+//     it is acknowledged: the retry replays the stored reply instead of
+//     registering or completing twice (TestStartdProtocol/lost_completion_reply).
+//   - A reply frees only the slots whose completion or drop the request it
+//     answers reported; a job that finished after that request was built
+//     keeps its flag for the next beat (TestStartdProtocol/finish_behind_a_kept_beat).
+//   - An acceptMatch keeps one key until the CAS answers it, and no
+//     heartbeat goes out before it has: an accept whose reply was lost
+//     starts the job it claimed rather than reporting the slot idle and
+//     having the claim torn down (TestStartdProtocol/lost_accept_reply).
+//   - An UnknownVM fault makes the next beat a registration again; what is
+//     still flagged is reported then (TestStartdReregistersAfterUnknownVM).
+//   - A RELEASE naming a job the slot does not hold is ignored
+//     (TestStartdProtocol/stale_release).
+//   - A setup the node's worker cannot start in time is reported as a drop
+//     so the CAS requeues the job (TestShortJobChurnCausesDropsOnSlowNodes).
+//   - A failed exchange is retried on a chain that doubles from IdlePoll
+//     to HeartbeatInterval, one retry armed at a time
+//     (TestStartdProtocol/completion_retried_on_the_chain, TestStartdBackoffIsBounded).
+//   - At most MaxStartsPerExchange matches are acted on per heartbeat, the
+//     rest once the worker's backlog drains (TestLongJobsDoNotDrop).
 type Startd struct {
 	eng    *sim.Engine
 	kernel *Kernel
@@ -31,15 +60,18 @@ type Startd struct {
 	hbTicker *sim.Ticker
 	pollArm  bool
 	stopped  bool
-	booted   bool // first heartbeat acknowledged
+	booted   bool // a registration has been acknowledged
 	retryArm bool // a backoff retry is already scheduled
-	hbFails  int  // consecutive heartbeat failures (resets on success)
+	hbFails  int  // consecutive failed exchanges (resets on success)
+
+	beat   keyedBeat     // the keyed heartbeat awaiting its acknowledgement (req nil: none)
+	accept *acceptIntent // the acceptMatch awaiting its answer
 
 	// Stats observed by experiments.
 	Completed         int
 	Dropped           int
 	HeartbeatFailures int // heartbeat exchanges that errored (then retried)
-	AcceptFailures    int // acceptMatch exchanges that errored
+	AcceptFailures    int // acceptMatch exchanges that errored (then retried)
 	Released          int // VMs cleared on a server RELEASE command
 	DropsByVM         map[int64]int
 	OnComplete        func(jobID int64, at time.Time)
@@ -67,7 +99,6 @@ type vmPhase int
 
 const (
 	vmIdle vmPhase = iota
-	vmStarting
 	vmRunning
 	vmFinished // completion not yet reported
 	vmDropPending
@@ -76,13 +107,25 @@ const (
 type vmState struct {
 	phase    vmPhase
 	jobID    int64
-	length   time.Duration
 	runTimer *sim.Timer
-	exitCode int64
 }
 
-// NewStartd creates and boots the agent: the boot heartbeat fires
-// immediately, then periodic/poll cadences take over.
+// keyedBeat is a heartbeat held until acknowledged. The request is kept
+// with the key because a key promises "same request": what changes while
+// the beat is in flight waits for the next one.
+type keyedBeat struct {
+	key string
+	req *core.HeartbeatRequest
+}
+
+// acceptIntent is one logical acceptMatch, retried under one key.
+type acceptIntent struct {
+	key    string
+	req    core.AcceptMatchRequest
+	length time.Duration
+}
+
+// NewStartd creates the agent; Boot starts it.
 func NewStartd(eng *sim.Engine, kernel *Kernel, cas wire.Caller, cfg StartdConfig) *Startd {
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = 60 * time.Second
@@ -96,32 +139,26 @@ func NewStartd(eng *sim.Engine, kernel *Kernel, cas wire.Caller, cfg StartdConfi
 	if cfg.CallTimeout <= 0 {
 		cfg.CallTimeout = 10 * time.Second
 	}
-	s := &Startd{
+	return &Startd{
 		eng: eng, kernel: kernel, cas: cas, cfg: cfg,
 		vms:       make([]vmState, kernel.Config().VMs),
 		DropsByVM: make(map[int64]int),
 	}
-	return s
 }
 
 // Boot sends the initial heartbeat and starts the periodic cadence. A
 // transient failure of the boot beat does not kill the agent: the retry
-// chain (and every periodic beat until one lands) re-sends Boot=true.
-// Only a terminal fault — the server actively refusing the registration
-// — is returned to the caller.
+// chain (and every periodic beat until one lands) re-sends it. Only a
+// terminal fault — the server actively refusing the registration — is
+// returned to the caller.
 func (s *Startd) Boot() error {
-	if err := s.heartbeat(true); err != nil {
+	if err := s.heartbeat(); err != nil {
 		if !wire.Retryable(err) {
 			return err
 		}
-		s.HeartbeatFailures++
-		s.scheduleHBRetry()
+		s.scheduleRetry()
 	}
-	s.hbTicker = s.eng.Every(s.cfg.HeartbeatInterval, s.kernel.Config().Name+".hb", func() {
-		if !s.stopped {
-			s.heartbeatLogged(!s.booted)
-		}
-	})
+	s.hbTicker = s.eng.Every(s.cfg.HeartbeatInterval, s.kernel.Config().Name+".hb", s.exchange)
 	s.armPoll()
 	return nil
 }
@@ -139,24 +176,25 @@ func (s *Startd) Stop() {
 	}
 }
 
-func (s *Startd) heartbeatLogged(boot bool) {
-	if err := s.heartbeat(boot); err != nil {
-		// Wire trouble is survivable: completion and drop flags are only
-		// cleared by a successful exchange, so the retried beat re-reports
-		// them and no result is lost. Back off and try again; terminal
-		// faults wait for the next periodic beat.
-		s.HeartbeatFailures++
-		if wire.Retryable(err) {
-			s.scheduleHBRetry()
-		}
+// exchange is one turn of the agent's loop: the pending accept, then a
+// heartbeat. Wire trouble is survivable — completion and drop flags are
+// cleared only by the reply that acknowledges them — so a retryable
+// failure backs off and tries again; a terminal fault waits for the next
+// periodic beat.
+func (s *Startd) exchange() {
+	if s.stopped {
+		return
+	}
+	if err := s.heartbeat(); err != nil && wire.Retryable(err) {
+		s.scheduleRetry()
 	}
 }
 
-// scheduleHBRetry arms one backoff retry of the heartbeat: exponential
-// from the idle-poll cadence, capped at the periodic interval (the
-// steady heartbeat is itself the last-resort retry, so the chain is
-// bounded rather than compounding).
-func (s *Startd) scheduleHBRetry() {
+// scheduleRetry arms one backoff retry of the exchange: exponential from
+// the idle-poll cadence, capped at the periodic interval (the steady
+// heartbeat is itself the last-resort retry, so the chain is bounded
+// rather than compounding).
+func (s *Startd) scheduleRetry() {
 	if s.retryArm || s.stopped {
 		return
 	}
@@ -171,9 +209,7 @@ func (s *Startd) scheduleHBRetry() {
 	s.retryArm = true
 	s.eng.After(delay, s.kernel.Config().Name+".hb-retry", func() {
 		s.retryArm = false
-		if !s.stopped {
-			s.heartbeatLogged(!s.booted)
-		}
+		s.exchange()
 	})
 }
 
@@ -185,79 +221,84 @@ func (s *Startd) armPoll() {
 // armPollAfter schedules the idle-VM poll with a custom delay (used to
 // claim remaining matches quickly, paced by the local worker's backlog).
 func (s *Startd) armPollAfter(d time.Duration) {
-	if s.pollArm || s.stopped {
-		return
-	}
-	idle := false
-	for i := range s.vms {
-		if s.vms[i].phase == vmIdle {
-			idle = true
-			break
-		}
-	}
-	if !idle {
+	if s.pollArm || s.stopped || s.IdleVMs() == 0 {
 		return
 	}
 	s.pollArm = true
 	s.eng.After(d, s.kernel.Config().Name+".poll", func() {
 		s.pollArm = false
-		if !s.stopped {
-			s.heartbeatLogged(false)
-			s.armPoll()
-		}
+		s.exchange()
+		s.armPoll()
 	})
 }
 
-// heartbeat performs one heartbeat web-service exchange and processes the
-// returned commands.
-func (s *Startd) heartbeat(boot bool) error {
-	cfg := s.kernel.Config()
-	req := &core.HeartbeatRequest{
-		Machine: cfg.Name,
-		Boot:    boot,
-		Arch:    cfg.Arch, OpSys: cfg.OpSys,
-		TotalMemoryMB: cfg.MemoryMB,
+// status is what the next heartbeat reports for slot i.
+func (s *Startd) status(i int) core.VMStatus {
+	vm := &s.vms[i]
+	st := core.VMStatus{Seq: int64(i), State: "claimed", JobID: vm.jobID}
+	switch vm.phase {
+	case vmIdle:
+		st.State = "idle"
+	case vmRunning:
+		st.Phase = "running"
+	case vmFinished:
+		st.Phase = "completed"
+	case vmDropPending:
+		st.Phase = "dropped"
 	}
-	for i := range s.vms {
-		vm := &s.vms[i]
-		st := core.VMStatus{Seq: int64(i)}
-		switch vm.phase {
-		case vmIdle:
-			st.State = "idle"
-		case vmStarting:
-			st.State = "claimed"
-			st.JobID = vm.jobID
-			st.Phase = "starting"
-		case vmRunning:
-			st.State = "claimed"
-			st.JobID = vm.jobID
-			st.Phase = "running"
-		case vmFinished:
-			st.State = "claimed"
-			st.JobID = vm.jobID
-			st.Phase = "completed"
-			st.ExitCode = vm.exitCode
-		case vmDropPending:
-			st.State = "claimed"
-			st.JobID = vm.jobID
-			st.Phase = "dropped"
+	return st
+}
+
+// heartbeat performs one heartbeat web-service exchange — after the
+// pending accept, if there is one — and processes the returned commands.
+func (s *Startd) heartbeat() error {
+	if err := s.resolveAccept(); err != nil {
+		return err
+	}
+	kb := s.beat
+	if kb.req == nil {
+		cfg := s.kernel.Config()
+		kb.req = &core.HeartbeatRequest{
+			Machine: cfg.Name,
+			Boot:    !s.booted,
+			Arch:    cfg.Arch, OpSys: cfg.OpSys,
+			TotalMemoryMB: cfg.MemoryMB,
 		}
-		req.VMs = append(req.VMs, st)
+		delta := kb.req.Boot
+		for i := range s.vms {
+			st := s.status(i)
+			delta = delta || st.Phase == "completed" || st.Phase == "dropped"
+			kb.req.VMs = append(kb.req.VMs, st)
+		}
+		if delta {
+			kb.key = wire.NewIdempotencyKey()
+			s.beat = kb
+		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout)
 	defer cancel()
+	if kb.key != "" {
+		ctx = wire.WithIdempotencyKey(ctx, kb.key)
+	}
 	var resp core.HeartbeatResponse
-	if err := s.cas.Call(ctx, core.ActionHeartbeat, req, &resp); err != nil {
+	if err := s.cas.Call(ctx, core.ActionHeartbeat, kb.req, &resp); err != nil {
+		if f, ok := wire.AsFault(err); ok && f.Code == core.FaultUnknownVM && !kb.req.Boot {
+			// The CAS lost this node's VM tuples: register again, now.
+			s.booted, s.beat = false, keyedBeat{}
+			return s.heartbeat()
+		}
+		s.HeartbeatFailures++
 		return err
 	}
 	s.booted = true
 	s.hbFails = 0
-	// Reported completions/drops are now recorded server-side; free VMs.
-	for i := range s.vms {
-		vm := &s.vms[i]
-		if vm.phase == vmFinished || vm.phase == vmDropPending {
-			vm.phase = vmIdle
-			vm.jobID = 0
+	s.beat = keyedBeat{}
+	// The completions and drops this request reported are recorded
+	// server-side; free those slots, and only those.
+	for _, st := range kb.req.VMs {
+		vm := &s.vms[st.Seq]
+		if (st.Phase == "completed" || st.Phase == "dropped") && vm.jobID == st.JobID {
+			*vm = vmState{}
 		}
 	}
 	starts := 0
@@ -303,61 +344,67 @@ func (s *Startd) heartbeat(boot bool) error {
 
 // acceptAndStart commits a match and runs the job through the node kernel.
 func (s *Startd) acceptAndStart(cmd core.VMCommand) error {
-	seq := cmd.Seq
-	if seq < 0 || int(seq) >= len(s.vms) {
-		return fmt.Errorf("cluster: MATCHINFO for unknown vm %d", seq)
+	if cmd.Seq < 0 || int(cmd.Seq) >= len(s.vms) {
+		return fmt.Errorf("cluster: MATCHINFO for unknown vm %d", cmd.Seq)
 	}
-	vm := &s.vms[seq]
-	if vm.phase != vmIdle {
+	if s.vms[cmd.Seq].phase != vmIdle {
 		return nil // stale match info; the CAS will re-advertise
+	}
+	s.accept = &acceptIntent{
+		key: wire.NewIdempotencyKey(),
+		req: core.AcceptMatchRequest{
+			Machine: s.kernel.Config().Name, Seq: cmd.Seq,
+			MatchID: cmd.MatchID, JobID: cmd.JobID,
+		},
+		length: time.Duration(cmd.LengthSec) * time.Second,
+	}
+	return s.resolveAccept()
+}
+
+// resolveAccept sends the pending acceptMatch, if any, under its key. An
+// error leaves the intent in place: the request may have been applied, and
+// only the CAS's answer — replayed from its reply store if need be — says
+// whether this node owns the job.
+func (s *Startd) resolveAccept() error {
+	a := s.accept
+	if a == nil {
+		return nil
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.CallTimeout)
 	defer cancel()
 	var acc core.AcceptMatchResponse
-	err := s.cas.Call(ctx, core.ActionAcceptMatch, &core.AcceptMatchRequest{
-		Machine: s.kernel.Config().Name, Seq: seq,
-		MatchID: cmd.MatchID, JobID: cmd.JobID,
-	}, &acc)
-	if err != nil {
-		// A lost accept is not fatal: if it never reached the CAS the
-		// match is re-offered on the next poll; if the reply was lost the
-		// CAS holds a run this node never started, notices the idle report
-		// and releases the job back to the queue.
+	if err := s.cas.Call(wire.WithIdempotencyKey(ctx, a.key), core.ActionAcceptMatch, &a.req, &acc); err != nil {
 		s.AcceptFailures++
-		return nil
+		return err
 	}
-	if !acc.OK {
-		return nil // lost the race; stay idle and keep polling
+	s.accept = nil
+	if acc.OK { // else: lost the race; stay idle and keep polling
+		s.start(a.req.Seq, a.req.JobID, a.length)
 	}
-	vm.phase = vmStarting
-	vm.jobID = cmd.JobID
-	vm.length = time.Duration(cmd.LengthSec) * time.Second
+	return nil
+}
 
-	// The starter sets up the execution environment via the node's
-	// serialized worker; slow nodes under churn time out here (Figure 8).
+// start sets the job's execution environment up via the node's serialized
+// worker and runs it; slow nodes under churn time out here (Figure 8).
+func (s *Startd) start(seq, jobID int64, length time.Duration) {
+	vm := &s.vms[seq]
+	vm.jobID = jobID
 	done, ok := s.kernel.RequestSetup()
 	if !ok {
 		vm.phase = vmDropPending
 		s.Dropped++
 		s.DropsByVM[seq]++
 		if s.OnDrop != nil {
-			s.OnDrop(cmd.JobID, s.eng.Now())
+			s.OnDrop(jobID, s.eng.Now())
 		}
 		// Report the drop promptly so the CAS can requeue the job.
-		s.eng.After(0, s.kernel.Config().Name+".drop", func() {
-			if !s.stopped {
-				s.heartbeatLogged(false)
-			}
-		})
-		return nil
+		s.eng.After(0, s.kernel.Config().Name+".drop", s.exchange)
+		return
 	}
-	startDelay := done.Sub(s.eng.Now())
-	vm.runTimer = s.eng.At(done.Add(vm.length), s.kernel.Config().Name+".job", func() {
+	vm.phase = vmRunning
+	vm.runTimer = s.eng.At(done.Add(length), s.kernel.Config().Name+".job", func() {
 		s.finishJob(seq)
 	})
-	_ = startDelay
-	vm.phase = vmRunning
-	return nil
 }
 
 // releaseVM clears one slot on a server RELEASE command: any local
@@ -375,10 +422,8 @@ func (s *Startd) releaseVM(cmd core.VMCommand) {
 	}
 	if vm.runTimer != nil {
 		vm.runTimer.Stop()
-		vm.runTimer = nil
 	}
-	vm.phase = vmIdle
-	vm.jobID = 0
+	*vm = vmState{}
 	s.Released++
 }
 
@@ -396,8 +441,8 @@ func (s *Startd) finishJob(seq int64) {
 	}
 	end := s.kernel.RequestTeardown()
 	s.eng.At(end, s.kernel.Config().Name+".done", func() {
-		if !s.stopped && vm.phase == vmFinished {
-			s.heartbeatLogged(false)
+		if vm.phase == vmFinished {
+			s.exchange()
 		}
 	})
 }
@@ -417,7 +462,7 @@ func (s *Startd) IdleVMs() int {
 func (s *Startd) RunningVMs() int {
 	n := 0
 	for i := range s.vms {
-		if s.vms[i].phase == vmRunning || s.vms[i].phase == vmStarting {
+		if s.vms[i].phase == vmRunning {
 			n++
 		}
 	}

@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"context"
@@ -11,12 +11,16 @@ import (
 	"testing"
 	"time"
 
+	"condorj2/internal/cluster"
+	. "condorj2/internal/core"
+	"condorj2/internal/sim"
 	"condorj2/internal/sqldb"
 	"condorj2/internal/wire"
 )
 
-// Chaos-injection torture test: a small pool of simulated execute nodes
-// drives jobs to completion through a FaultTransport that drops, delays,
+// Chaos-injection torture test: a small pool of execute nodes — the
+// shipped agent, cluster.Startd, which imports this package: hence the
+// external test package — drives jobs to completion through a FaultTransport that drops, delays,
 // duplicates and 5xx-faults 20%+ of the wire traffic, while the CAS is
 // killed and restarted mid-run from its WAL. The invariant under all of
 // it: every submitted job completes EXACTLY once — never lost, never
@@ -59,133 +63,38 @@ func (s *swapCaller) Call(ctx context.Context, action string, req, resp any) err
 	return l.Call(ctx, action, req, resp)
 }
 
-// chaosVM is one simulated scheduling slot's node-side state.
-type chaosVM struct {
-	seq       int64
-	state     string // "idle" | "claimed"
-	jobID     int64
-	phase     string // "" | "running" | "completed"
-	beatsLeft int
-}
-
-// acceptIntent is a durable client-side intent: the accept is retried
-// with ONE idempotency key until the server answers definitively, so a
-// lost reply can never strand a claim half-made.
-type acceptIntent struct {
-	key string
-	req AcceptMatchRequest
-}
-
-// frozenBeat is a keyed heartbeat held until acknowledged. The request
-// is captured WITH the key: an idempotency key promises "same request",
-// so a retried beat must not fold in state that changed since — later
-// completions wait for the next beat.
-type frozenBeat struct {
-	key string
-	req HeartbeatRequest
-}
-
-// chaosAgent simulates one execute node (cj2node's loop, condensed).
-type chaosAgent struct {
-	name    string
-	caller  wire.Caller
-	vms     []*chaosVM
-	booted  bool
-	pending *acceptIntent
-	hb      *frozenBeat // keyed beat (boot/completions), resent verbatim until acked
-}
-
-func (a *chaosAgent) step() {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-
-	if a.pending != nil {
-		var ar AcceptMatchResponse
-		err := a.caller.Call(wire.WithIdempotencyKey(ctx, a.pending.key),
-			ActionAcceptMatch, &a.pending.req, &ar)
-		if err != nil {
-			return // keep the intent and its key; retry next step
-		}
-		if ar.OK {
-			for _, vm := range a.vms {
-				if vm.seq == a.pending.req.Seq {
-					vm.state, vm.jobID, vm.phase, vm.beatsLeft = "claimed", a.pending.req.JobID, "running", 2
+// startAgents boots n two-VM execute nodes and returns the function that
+// stops them. Each is a cluster.Startd — the agent cmd/cj2node runs — on
+// its own virtual-time engine, stepped by its own goroutine: virtual, so a
+// 60-second job costs no wall time; one engine each, so the nodes really
+// are concurrent clients of the CAS. All of them call through caller.
+func startAgents(t *testing.T, n int, caller wire.Caller) (stop func()) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		eng := sim.New(int64(i))
+		kernel := cluster.NewKernel(eng, cluster.NodeConfig{Name: fmt.Sprintf("node%d", i), VMs: 2})
+		agent := cluster.NewStartd(eng, kernel, caller, cluster.StartdConfig{CallTimeout: 2 * time.Second})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := agent.Boot(); err != nil {
+				t.Errorf("%s: registration refused: %v", kernel.Config().Name, err)
+				return
+			}
+			for eng.Step() { // the heartbeat ticker keeps the queue from draining
+				select {
+				case <-done:
+					return
+				default:
 				}
+				time.Sleep(2 * time.Millisecond)
 			}
-		}
-		a.pending = nil
+		}()
 	}
-
-	var req *HeartbeatRequest
-	hbCtx := ctx
-	if a.hb != nil {
-		req = &a.hb.req
-		hbCtx = wire.WithIdempotencyKey(ctx, a.hb.key)
-	} else {
-		req = &HeartbeatRequest{
-			Machine: a.name, Boot: !a.booted,
-			Arch: "x86", OpSys: "linux", TotalMemoryMB: 2048,
-		}
-		delta := !a.booted
-		for _, vm := range a.vms {
-			st := VMStatus{Seq: vm.seq, State: vm.state, JobID: vm.jobID, Phase: vm.phase}
-			if vm.phase == "completed" {
-				delta = true
-			}
-			req.VMs = append(req.VMs, st)
-		}
-		if delta {
-			a.hb = &frozenBeat{key: wire.NewIdempotencyKey(), req: *req}
-			hbCtx = wire.WithIdempotencyKey(ctx, a.hb.key)
-		}
-	}
-	var resp HeartbeatResponse
-	if err := a.caller.Call(hbCtx, ActionHeartbeat, req, &resp); err != nil {
-		return // the frozen beat (completion flags, key) survives; retry next step
-	}
-	a.booted = true
-	a.hb = nil
-
-	// Interpret the reply against the request it answers: an OK only
-	// acknowledges a completion if THIS request reported it.
-	sent := make(map[int64]VMStatus, len(req.VMs))
-	for _, st := range req.VMs {
-		sent[st.Seq] = st
-	}
-	byseq := make(map[int64]*chaosVM, len(a.vms))
-	for _, vm := range a.vms {
-		byseq[vm.seq] = vm
-	}
-	for _, cmd := range resp.Commands {
-		vm := byseq[cmd.Seq]
-		if vm == nil {
-			continue
-		}
-		switch cmd.Command {
-		case CmdMatchInfo:
-			if vm.state == "idle" && a.pending == nil {
-				a.pending = &acceptIntent{
-					key: wire.NewIdempotencyKey(),
-					req: AcceptMatchRequest{Machine: a.name, Seq: cmd.Seq, MatchID: cmd.MatchID, JobID: cmd.JobID},
-				}
-			}
-		case CmdRelease:
-			if vm.state == "claimed" && vm.jobID == sent[cmd.Seq].JobID {
-				vm.state, vm.jobID, vm.phase, vm.beatsLeft = "idle", 0, "", 0
-			}
-		case CmdOK:
-			if vm.state != "claimed" {
-				continue
-			}
-			if st := sent[cmd.Seq]; st.Phase == "completed" && st.JobID == vm.jobID {
-				// Server acknowledged this completion report; free the slot.
-				vm.state, vm.jobID, vm.phase, vm.beatsLeft = "idle", 0, "", 0
-			} else if vm.phase == "running" {
-				if vm.beatsLeft--; vm.beatsLeft <= 0 {
-					vm.phase = "completed"
-				}
-			}
-		}
+	return func() {
+		close(done)
+		wg.Wait()
 	}
 }
 
@@ -247,28 +156,7 @@ func TestChaosTortureExactlyOnce(t *testing.T) {
 	}
 
 	// Three nodes, two VMs each, stepping concurrently.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for n := 0; n < 3; n++ {
-		agent := &chaosAgent{
-			name:   fmt.Sprintf("node%d", n),
-			caller: retryer,
-			vms:    []*chaosVM{{seq: 0, state: "idle"}, {seq: 1, state: "idle"}},
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				agent.step()
-				time.Sleep(2 * time.Millisecond)
-			}
-		}()
-	}
+	stopAgents := startAgents(t, 3, retryer)
 
 	completedCount := func() int {
 		var n int
@@ -284,8 +172,7 @@ func TestChaosTortureExactlyOnce(t *testing.T) {
 	deadline := time.Now().Add(90 * time.Second)
 	for {
 		if time.Now().After(deadline) {
-			close(stop)
-			wg.Wait()
+			stopAgents()
 			dump := func(q string) string {
 				rows, err := cas.Pool.Query(q)
 				if err != nil {
@@ -337,8 +224,7 @@ func TestChaosTortureExactlyOnce(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	close(stop)
-	wg.Wait()
+	stopAgents()
 
 	// Exactly once: every job has one completed history row, no job was
 	// double-completed, the queue drained, and accounting agrees.

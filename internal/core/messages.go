@@ -122,6 +122,10 @@ type HeartbeatRequest struct {
 	VMs           []VMStatus `xml:"VMs>VM"`
 }
 
+// FaultUnknownVM is the fault code a heartbeat gets when it reports a VM
+// the CAS has no tuple for: the node re-registers (Boot) on its next beat.
+const FaultUnknownVM = "UnknownVM"
+
 // VM command verbs returned by heartbeats.
 const (
 	CmdOK        = "OK"

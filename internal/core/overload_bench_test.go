@@ -7,8 +7,7 @@ package core
 // delta-free (shed when contended) — and verifies the overload contract:
 // concurrency never exceeds MaxInFlight, and every turned-away request
 // gets a typed Overloaded fault carrying RetryAfterMs. The shed and
-// overload rates are reported as benchmark metrics and recorded in
-// BENCH_sqldb.json.
+// overload rates are reported as benchmark metrics.
 //
 // BenchmarkRetryHappyPath measures what the Retryer costs when nothing
 // fails: the same call direct vs wrapped. Acceptance is <2% overhead.

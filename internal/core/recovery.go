@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"database/sql"
-	"errors"
 	"time"
 
 	"condorj2/internal/beans"
@@ -78,7 +77,7 @@ func (s *Service) ReapDeadMachines(ctx context.Context, timeout time.Duration) (
 				if vm.State == VMOffline {
 					continue
 				}
-				released, err := s.releaseVMWork(tx, vm)
+				released, err := s.clearVMPairings(tx, vm, 0)
 				if err != nil {
 					return err
 				}
@@ -106,54 +105,6 @@ func (s *Service) ReapDeadMachines(ctx context.Context, timeout time.Duration) (
 		return nil
 	})
 	return stats, err
-}
-
-// releaseVMWork clears any match or run bound to the VM, returning its job
-// to the queue. It reports how many jobs were released.
-func (s *Service) releaseVMWork(tx *sql.Tx, vm *VM) (int, error) {
-	released := 0
-	free := func(jobID int64) error {
-		job := &Job{ID: jobID}
-		err := beans.Find(tx, job)
-		if errors.Is(err, beans.ErrNotFound) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if job.State == JobMatched || job.State == JobRunning {
-			if err := job.Release(tx); err != nil {
-				return err
-			}
-			released++
-		}
-		return nil
-	}
-	matches, err := beans.Select[Match](tx, "WHERE vm_id = ?", vm.ID)
-	if err != nil {
-		return 0, err
-	}
-	for i := range matches {
-		if err := beans.Delete(tx, &matches[i]); err != nil {
-			return 0, err
-		}
-		if err := free(matches[i].JobID); err != nil {
-			return 0, err
-		}
-	}
-	runs, err := beans.Select[Run](tx, "WHERE vm_id = ?", vm.ID)
-	if err != nil {
-		return 0, err
-	}
-	for i := range runs {
-		if err := beans.Delete(tx, &runs[i]); err != nil {
-			return 0, err
-		}
-		if err := free(runs[i].JobID); err != nil {
-			return 0, err
-		}
-	}
-	return released, nil
 }
 
 // RecoverInFlight performs the restart reconciliation in one transaction.

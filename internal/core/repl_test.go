@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"context"
@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	. "condorj2/internal/core"
 	"condorj2/internal/sqldb"
 	"condorj2/internal/wire"
 )

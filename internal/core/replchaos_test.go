@@ -1,4 +1,4 @@
-package core
+package core_test
 
 // Replication chaos: a leader/follower pair under a lossy shipping
 // link, with the leader killed mid-run. The follower must promote
@@ -20,12 +20,12 @@ package core
 
 import (
 	"context"
-	"fmt"
 	mrand "math/rand"
 	"sync"
 	"testing"
 	"time"
 
+	. "condorj2/internal/core"
 	"condorj2/internal/wire"
 )
 
@@ -118,28 +118,7 @@ func TestReplChaosLeaderKillPromote(t *testing.T) {
 		return follower.eng.AppliedLSN() >= leader.eng.DurableLSN()
 	})
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for n := 0; n < 3; n++ {
-		agent := &chaosAgent{
-			name:   fmt.Sprintf("node%d", n),
-			caller: retryer,
-			vms:    []*chaosVM{{seq: 0, state: "idle"}, {seq: 1, state: "idle"}},
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				agent.step()
-				time.Sleep(2 * time.Millisecond)
-			}
-		}()
-	}
+	stopAgents := startAgents(t, 3, retryer)
 
 	primary := leader
 	completedCount := func() int {
@@ -153,8 +132,7 @@ func TestReplChaosLeaderKillPromote(t *testing.T) {
 	deadline := time.Now().Add(120 * time.Second)
 	for {
 		if time.Now().After(deadline) {
-			close(stop)
-			wg.Wait()
+			stopAgents()
 			t.Fatalf("seed=%d: failover torture did not converge: %d/%d completed, killed=%v (leader repl %+v, follower repl %+v, faults %+v)",
 				seed, completedCount(), jobs, killed, leader.repl.Stats(), follower.repl.Stats(), ft.Stats())
 		}
@@ -183,8 +161,7 @@ func TestReplChaosLeaderKillPromote(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	close(stop)
-	wg.Wait()
+	stopAgents()
 
 	if !killed {
 		t.Fatalf("seed=%d: converged before the kill point — raise CHAOS_CASES", seed)

@@ -12,6 +12,7 @@ import (
 	"condorj2/internal/beans"
 	"condorj2/internal/sqldb"
 	"condorj2/internal/vtime"
+	"condorj2/internal/wire"
 )
 
 // Service is the application logic layer (Figure 4): the coarse-grained
@@ -263,7 +264,7 @@ func (s *Service) Heartbeat(ctx context.Context, req *HeartbeatRequest) (*Heartb
 		for _, st := range req.VMs {
 			vm, ok := bySeq[st.Seq]
 			if !ok {
-				return fmt.Errorf("core: heartbeat from unknown VM %s/%d", m.Name, st.Seq)
+				return &wire.Fault{Code: FaultUnknownVM, Message: fmt.Sprintf("core: heartbeat from unknown VM %s/%d", m.Name, st.Seq)}
 			}
 			cmd, err := s.handleVMStatus(tx, m, vm, pending[vm.ID], running[vm.ID], st, now)
 			if err != nil {
@@ -434,7 +435,7 @@ func (s *Service) handleVMStatus(tx *sql.Tx, m *Machine, vm *VM, pending matchIn
 		// a node restart, or a claim whose reply was lost and given up on.
 		// Tear the pairing down so the job goes back to the idle queue and
 		// the slot rejoins the pool; nothing will ever complete it here.
-		if err := s.clearVMPairings(tx, vm, 0); err != nil {
+		if _, err := s.clearVMPairings(tx, vm, 0); err != nil {
 			return VMCommand{}, err
 		}
 		if err := vm.Release(tx); err != nil {
@@ -466,7 +467,7 @@ func (s *Service) readoptOrRelease(tx *sql.Tx, vm *VM, st VMStatus, now time.Tim
 	// server side of it too — any stale run/match tuples here reference
 	// jobs nothing will ever finish, so put them back in the queue.
 	release := func() (VMCommand, error) {
-		if err := s.clearVMPairings(tx, vm, 0); err != nil {
+		if _, err := s.clearVMPairings(tx, vm, 0); err != nil {
 			return VMCommand{}, err
 		}
 		if err := vm.Release(tx); err != nil {
@@ -488,7 +489,7 @@ func (s *Service) readoptOrRelease(tx *sql.Tx, vm *VM, st VMStatus, now time.Tim
 	}
 	// Clear stale pairings on this VM, releasing any job they reference so
 	// no tuple is left pointing at a run we are about to overwrite.
-	if err := s.clearVMPairings(tx, vm, job.ID); err != nil {
+	if _, err := s.clearVMPairings(tx, vm, job.ID); err != nil {
 		return VMCommand{}, err
 	}
 	if err := job.MarkMatched(tx, now); err != nil {
@@ -506,9 +507,11 @@ func (s *Service) readoptOrRelease(tx *sql.Tx, vm *VM, st VMStatus, now time.Tim
 	return VMCommand{Seq: st.Seq, Command: CmdOK}, nil
 }
 
-// clearVMPairings deletes match and run tuples on one VM, releasing any
-// job they reference (other than keep, the job being re-adopted).
-func (s *Service) clearVMPairings(tx *sql.Tx, vm *VM, keep int64) error {
+// clearVMPairings deletes the match and run tuples on one VM and puts the
+// jobs they reference (other than keep, the job being re-adopted) back in
+// the queue. It reports how many jobs were released.
+func (s *Service) clearVMPairings(tx *sql.Tx, vm *VM, keep int64) (int, error) {
+	released := 0
 	releaseJob := func(jobID int64) error {
 		if jobID == keep {
 			return nil
@@ -521,35 +524,36 @@ func (s *Service) clearVMPairings(tx *sql.Tx, vm *VM, keep int64) error {
 			return err
 		}
 		if other.State == JobMatched || other.State == JobRunning {
+			released++
 			return other.Release(tx)
 		}
 		return nil
 	}
 	matches, err := beans.Select[Match](tx, "WHERE vm_id = ?", vm.ID)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	for i := range matches {
 		if err := releaseJob(matches[i].JobID); err != nil {
-			return err
+			return 0, err
 		}
 		if err := beans.Delete(tx, &matches[i]); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	runs, err := beans.Select[Run](tx, "WHERE vm_id = ?", vm.ID)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	for i := range runs {
 		if err := releaseJob(runs[i].JobID); err != nil {
-			return err
+			return 0, err
 		}
 		if err := beans.Delete(tx, &runs[i]); err != nil {
-			return err
+			return 0, err
 		}
 	}
-	return nil
+	return released, nil
 }
 
 // completeJob is post-execution processing (Table 2 step 15 plus §5.1.1's
@@ -565,7 +569,7 @@ func (s *Service) completeJob(tx *sql.Tx, vm *VM, st VMStatus, now time.Time) er
 		// re-paired while the report was in flight); acknowledge quietly so
 		// the node frees the VM, and release whatever the stale pairings
 		// reference back to the queue rather than stranding it.
-		if err := s.clearVMPairings(tx, vm, 0); err != nil {
+		if _, err := s.clearVMPairings(tx, vm, 0); err != nil {
 			return err
 		}
 		return vm.Release(tx)
@@ -619,24 +623,8 @@ func (s *Service) dropJob(tx *sql.Tx, m *Machine, vm *VM, st VMStatus, now time.
 	}); err != nil {
 		return err
 	}
-	// Remove whichever pairing tuple exists.
-	matches, err := beans.Select[Match](tx, "WHERE vm_id = ?", vm.ID)
-	if err != nil {
+	if _, err := s.clearVMPairings(tx, vm, 0); err != nil {
 		return err
-	}
-	for i := range matches {
-		if err := beans.Delete(tx, &matches[i]); err != nil {
-			return err
-		}
-	}
-	runs, err := beans.Select[Run](tx, "WHERE vm_id = ?", vm.ID)
-	if err != nil {
-		return err
-	}
-	for i := range runs {
-		if err := beans.Delete(tx, &runs[i]); err != nil {
-			return err
-		}
 	}
 	job := &Job{ID: st.JobID}
 	switch err := beans.Find(tx, job); {

@@ -11,6 +11,7 @@ package sim
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -59,7 +60,7 @@ func (h *eventHeap) Pop() any {
 
 // Engine is a single-threaded discrete-event scheduler. It implements
 // vtime.Clock. Engines are not safe for concurrent use: all event handlers
-// run on the goroutine that calls Run/RunUntil/Step.
+// run on the goroutine that calls Run/RunUntil/RunRealtime/Step.
 type Engine struct {
 	now    time.Time
 	queue  eventHeap
@@ -219,6 +220,37 @@ func (e *Engine) RunUntil(deadline time.Time) {
 
 // RunFor is RunUntil(now + d).
 func (e *Engine) RunFor(d time.Duration) { e.RunUntil(e.now.Add(d)) }
+
+// RunRealtime drives the engine on the wall clock (an engine created with
+// NewAt(time.Now(), ...)): it sleeps until the next event is due, then
+// fires it, until the queue is empty (nil) or ctx is done (ctx's error).
+// A handler that blocks — a network call — makes later events late; the
+// clock is brought up to the wall clock before each one fires, so what a
+// late handler schedules is paced from when it ran, not from when it was
+// due, and a long outage is not followed by a burst of catch-up events.
+func (e *Engine) RunRealtime(ctx context.Context) error {
+	for {
+		next := e.peek()
+		if next == nil {
+			return nil
+		}
+		if wait := time.Until(next.at); wait > 0 {
+			t := time.NewTimer(wait)
+			select {
+			case <-ctx.Done():
+				t.Stop()
+				return ctx.Err()
+			case <-t.C:
+			}
+		} else if err := ctx.Err(); err != nil {
+			return err
+		}
+		if now := time.Now(); now.After(e.now) {
+			e.now = now
+		}
+		e.Step()
+	}
+}
 
 // Halt stops Run/RunUntil after the current event handler returns.
 func (e *Engine) Halt() { e.halted = true }

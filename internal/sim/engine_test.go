@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"testing/quick"
 	"time"
@@ -234,5 +236,55 @@ func TestOnEventHookObservesDispatch(t *testing.T) {
 	e.Run()
 	if len(names) != 2 || names[0] != "first" || names[1] != "second" {
 		t.Fatalf("observed = %v", names)
+	}
+}
+
+// RunRealtime fires events no earlier than their wall-clock instants, in
+// order, returns nil on an empty queue and ctx's error when cancelled.
+func TestRunRealtimeFollowsTheWallClock(t *testing.T) {
+	start := time.Now()
+	e := NewAt(start, 1)
+	var fired []time.Duration
+	for _, d := range []time.Duration{30 * time.Millisecond, 10 * time.Millisecond} {
+		e.After(d, "evt", func() { fired = append(fired, time.Since(start)) })
+	}
+	if err := e.RunRealtime(context.Background()); err != nil {
+		t.Fatalf("drained queue returned %v", err)
+	}
+	if len(fired) != 2 || fired[0] < 10*time.Millisecond || fired[1] < 30*time.Millisecond || fired[1] < fired[0] {
+		t.Fatalf("fired at %v, want ≥10ms then ≥30ms", fired)
+	}
+
+	e.After(time.Hour, "never", func() { t.Error("an event an hour away fired") })
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := e.RunRealtime(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("cancelled run returned %v", err)
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("pending = %d, the unfired event must stay queued", e.Pending())
+	}
+}
+
+// A handler that overruns (a blocked network call) must not be followed by
+// a burst: what it schedules is paced from when it ran.
+func TestRunRealtimeDoesNotBurstAfterAnOverrun(t *testing.T) {
+	e := NewAt(time.Now(), 1)
+	ticks := 0
+	var tick func()
+	tick = func() {
+		if ticks++; ticks == 1 {
+			time.Sleep(60 * time.Millisecond) // 12 periods late
+		}
+		e.After(5*time.Millisecond, "tick", tick)
+	}
+	e.After(0, "tick", tick)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	e.RunRealtime(ctx)
+	// 60ms blocked + 40ms at one tick per 5ms: about 9, never the 20 a
+	// catch-up would fire.
+	if ticks > 12 {
+		t.Fatalf("%d ticks in 100ms with a 60ms overrun: the engine replayed the missed periods", ticks)
 	}
 }

@@ -6,8 +6,7 @@ package sqldb
 // machine table) and the per-owner accounting rollup (hundreds of
 // groups, multiple aggregates) — through the batched hash operator and
 // the row-at-a-time reference path. The PR 6 acceptance bar is ≥5× for
-// batched over reference on the 100k-row shapes; `make bench-agg`
-// records both in BENCH_sqldb.json.
+// batched over reference on the 100k-row shapes.
 
 import (
 	"fmt"

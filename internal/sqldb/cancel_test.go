@@ -12,9 +12,8 @@ import (
 
 // The cancellation suite exercises every blocking point the context-first
 // API promises to unwind: lock waits (cancel and timeout, with waits-for
-// hygiene), scans and joins (including grace-spilled hash builds), the
-// group-commit durability wait, and read-only snapshots pinning the GC
-// watermark. Run under -race in CI.
+// hygiene), scans and joins, the group-commit durability wait, and
+// read-only snapshots pinning the GC watermark. Run under -race in CI.
 
 // TestCancelDuringLockWait parks a writer behind a held X lock, cancels
 // its context, and requires a prompt ErrCanceled. It then proves the
@@ -217,25 +216,12 @@ func TestCancelMidScan(t *testing.T) {
 	cancelMidQuery(t, db, `SELECT count(*) FROM a, b WHERE a.k < b.k`)
 }
 
-// TestCancelMidHashJoin cancels a hash equi-join (in-budget build) and a
-// grace-degraded chunked build mid-flight.
+// TestCancelMidHashJoin cancels a hash equi-join mid-flight.
 func TestCancelMidHashJoin(t *testing.T) {
 	db := New()
 	defer db.Close()
 	fillWide(t, db, "a", 20000)
 	fillWide(t, db, "b", 20000)
-	cancelMidQuery(t, db, `SELECT count(*) FROM a JOIN b ON a.k = b.k`)
-
-	// Grace spill: shrink the build budget so the build side chunks. One
-	// uncancelled run proves the plan actually grace-degrades; the
-	// cancelled run then lands inside the chunked build/probe loops.
-	db.SetHashBuildBudget(256)
-	if _, err := db.Query(`SELECT count(*) FROM a JOIN b ON a.k = b.k LIMIT 1`); err != nil {
-		t.Fatal(err)
-	}
-	if ps := db.PlannerStats(); ps.GraceBuilds == 0 {
-		t.Fatalf("grace build not exercised (GraceBuilds = 0)")
-	}
 	cancelMidQuery(t, db, `SELECT count(*) FROM a JOIN b ON a.k = b.k`)
 }
 
@@ -505,9 +491,7 @@ func TestDriverCancellation(t *testing.T) {
 // the uncancelled hot scan path: a full-table aggregate under the
 // background context (checkpoints resolve against an uncancellable ctx)
 // versus a live cancellable context that never fires. The acceptance
-// budget for this PR is ≤2% regression versus the checkpoint-free
-// baseline; both variants are recorded in BENCH_sqldb.json by
-// `make bench-cancel`.
+// budget is ≤2% regression versus the checkpoint-free baseline.
 func BenchmarkScanCtxOverhead(b *testing.B) {
 	db := New()
 	defer db.Close()

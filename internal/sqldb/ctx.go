@@ -9,8 +9,8 @@ import (
 
 // Context-first execution. Every public entry point of the engine accepts
 // a context.Context and every blocking point inside it — lock waits, table
-// and index scans, join probes, grace-spill chunks, group-commit syncs —
-// observes cancellation. The paper's CAS is an always-on application
+// and index scans, join probes, group-commit syncs — observes
+// cancellation. The paper's CAS is an always-on application
 // server: every daemon interaction is a web-service call against the
 // operational store, so a slow or stuck statement must never wedge a
 // heartbeat path or a shutdown. The ctx-less names (Begin, Exec, Query)

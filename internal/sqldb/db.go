@@ -146,13 +146,11 @@ type DB struct {
 
 	// Cost-based join planner state (see stats.go, join.go).
 	plannerMode        atomic.Int32
-	hashBudget         atomic.Int64
 	plannerJoinQueries atomic.Uint64
 	plannerReordered   atomic.Uint64
 	plannerHashJoins   atomic.Uint64
 	plannerIndexNL     atomic.Uint64
 	plannerNestedLoops atomic.Uint64
-	plannerGraceBuilds atomic.Uint64
 	plannerBuildRows   atomic.Uint64
 	plannerProbeRows   atomic.Uint64
 	plannerAnalyzeRuns atomic.Uint64

@@ -82,13 +82,12 @@ type query struct {
 	// stepPlan.
 	hjs []*hashState
 	// cancel is the cooperative cancellation checkpoint (ctx.go): every
-	// scan, probe and spill loop calls cancel.check() per visited row.
+	// scan and probe loop calls cancel.check() per visited row.
 	cancel cancelCheck
 	// Hash-join volume counters, flushed to the DB's planner counters once
 	// per statement (keeps atomics off the per-row hot path).
-	buildRows   uint64
-	probeRows   uint64
-	graceBuilds uint64
+	buildRows uint64
+	probeRows uint64
 	// Batched-executor counters (executor.go), flushed once per statement
 	// like the hash-join volumes above.
 	aggQueries   uint64
@@ -104,13 +103,11 @@ func (tx *Tx) execSelect(s *SelectStmt, params []Value) (*Rows, error) {
 	q := tx.scratch().beginQuery(tx, params, "SELECT", lockShared)
 	q.snapRead, q.snapTS = tx.readOnly, tx.snap
 	stats := q.stats
-	// Deferred so failing statements still report: a grace-degraded build
-	// on a query that later errors is exactly what an operator wants to see.
+	// Deferred so failing statements still report their volumes.
 	defer func() {
-		if q.buildRows > 0 || q.probeRows > 0 || q.graceBuilds > 0 {
+		if q.buildRows > 0 || q.probeRows > 0 {
 			tx.db.plannerBuildRows.Add(q.buildRows)
 			tx.db.plannerProbeRows.Add(q.probeRows)
-			tx.db.plannerGraceBuilds.Add(q.graceBuilds)
 		}
 		if q.aggQueries > 0 {
 			tx.db.execAggQueries.Add(q.aggQueries)

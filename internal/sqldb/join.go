@@ -11,9 +11,8 @@ package sqldb
 //     nested-loop when an index covers the join keys, plain nested loop
 //     otherwise;
 //   - builds hash tables on the estimated-smaller input (the new table or
-//     the accumulated outer stream), grace-degrading to chunked builds
-//     when the build side exceeds the memory budget, with match-bit
-//     tracking so LEFT JOIN NULL-padding stays correct in every mode.
+//     the accumulated outer stream), with match-bit tracking so LEFT JOIN
+//     NULL-padding stays correct in both modes.
 //
 // LEFT JOIN positions are reorder barriers: only runs of consecutive
 // inner-joined tables (segments) are permuted, which keeps outer-join
@@ -87,14 +86,13 @@ type stepPlan struct {
 
 // hashState is the runtime state of one hash-join step.
 type hashState struct {
-	rows    [][]Value // build-side (inner) rows after local conjuncts
-	table   map[string][]int32
-	chunked bool // build exceeded the budget: grace-degrade to chunks
+	rows  [][]Value // build-side (inner) rows after local conjuncts
+	table map[string][]int32
 }
 
 // outerTuple is one materialized outer-prefix row (hash joins that build
-// on the outer side, or probe chunked builds). matched is the match bit
-// that keeps LEFT JOIN padding correct across chunks.
+// on the outer side). matched is the match bit that keeps LEFT JOIN
+// padding correct when the probe scan visits the tuple more than once.
 type outerTuple struct {
 	rows    [][]Value
 	key     string
@@ -678,20 +676,17 @@ func writeHashValue(b *bytes.Buffer, v Value) {
 
 // driveHash executes one hash-join step.
 func (q *query) driveHash(k int, st *stepPlan, emit func() error) error {
-	budget := q.tx.db.hashBuildBudget()
 	if !st.buildOuter {
-		hj, err := q.buildHashInner(k, st, budget)
+		hj, err := q.buildHashInner(k, st)
 		if err != nil {
 			return err
 		}
-		if !hj.chunked {
-			// Streaming probe: one lookup per outer tuple.
-			return q.driveStep(k-1, func() error { return q.probeHashInner(st, hj, emit) })
-		}
+		// Streaming probe: one lookup per outer tuple.
+		return q.driveStep(k-1, func() error { return q.probeHashInner(st, hj, emit) })
 	}
 
-	// Materializing modes: collect the outer stream (with its key and a
-	// match bit per tuple), then run build/probe passes.
+	// Build on the outer side: collect the outer stream (with its key and
+	// a match bit per tuple), hash it, probe it with one scan of st's table.
 	nb := len(q.env.bindings)
 	var outs []outerTuple
 	err := q.driveStep(k-1, func() error {
@@ -716,14 +711,8 @@ func (q *query) driveHash(k int, st *stepPlan, emit func() error) error {
 		}
 	}
 
-	if st.buildOuter {
-		if err := q.probeBuildOuter(st, outs, restore, budget, emit); err != nil {
-			return err
-		}
-	} else {
-		if err := q.probeChunkedInner(st, q.hjs[k], outs, restore, budget, emit); err != nil {
-			return err
-		}
+	if err := q.probeBuildOuter(st, outs, restore, emit); err != nil {
+		return err
 	}
 	if st.leftOuter {
 		for i := range outs {
@@ -743,10 +732,10 @@ func (q *query) driveHash(k int, st *stepPlan, emit func() error) error {
 }
 
 // buildHashInner scans st's table once (local conjuncts applied),
-// materializes the surviving rows, and — when they fit the budget —
-// builds the in-memory hash table. Runs once per query; the result is
-// memoized on q.hjs (never on the shared plan).
-func (q *query) buildHashInner(k int, st *stepPlan, budget int) (*hashState, error) {
+// materializes the surviving rows and builds the in-memory hash table.
+// Runs once per query; the result is memoized on q.hjs (never on the
+// shared plan).
+func (q *query) buildHashInner(k int, st *stepPlan) (*hashState, error) {
 	if q.hjs == nil {
 		q.hjs = make([]*hashState, len(q.steps))
 	}
@@ -784,11 +773,6 @@ func (q *query) buildHashInner(k int, st *stepPlan, budget int) (*hashState, err
 		}
 	}
 	q.buildRows += uint64(len(hj.rows))
-	if len(hj.rows) > budget {
-		hj.chunked = true // grace-degrade: chunk maps built during probing
-		q.graceBuilds++
-		return hj, nil
-	}
 	hj.table = make(map[string][]int32, len(hj.rows))
 	for i, row := range hj.rows {
 		if err := q.cancel.check(); err != nil {
@@ -845,125 +829,52 @@ func (q *query) probeHashInner(st *stepPlan, hj *hashState, emit func() error) e
 	return nil
 }
 
-// probeBuildOuter hashes the materialized outer tuples (chunked by the
-// budget) and probes each chunk with one scan of st's table.
-func (q *query) probeBuildOuter(st *stepPlan, outs []outerTuple, restore func(*outerTuple), budget int, emit func() error) error {
+// probeBuildOuter hashes the materialized outer tuples and probes them
+// with one scan of st's table.
+func (q *query) probeBuildOuter(st *stepPlan, outs []outerTuple, restore func(*outerTuple), emit func() error) error {
 	q.buildRows += uint64(len(outs))
-	if len(outs) > budget {
-		q.graceBuilds++
-	}
-	for lo := 0; lo < len(outs); lo += budget {
-		hi := lo + budget
-		if hi > len(outs) {
-			hi = len(outs)
-		}
-		chunk := make(map[string][]int32, hi-lo)
-		for i := lo; i < hi; i++ {
-			if err := q.cancel.check(); err != nil {
-				return err
-			}
-			if outs[i].hasKey {
-				chunk[outs[i].key] = append(chunk[outs[i].key], int32(i))
-			}
-		}
-		err := q.scanPlan(st.bind, st.access, func(rid int64, row []Value) error {
-			q.probeRows++
-			q.env.bindings[st.bind].row = row
-			if ok, err := q.evalConjs(st.local); err != nil || !ok {
-				return err
-			}
-			key, ok, err := q.evalHashKey(st.hashInner)
-			if err != nil || !ok {
-				return err
-			}
-			for _, oi := range chunk[key] {
-				t := &outs[oi]
-				restore(t)
-				q.env.bindings[st.bind].row = row
-				pass, err := q.evalConjs(st.match)
-				if err != nil {
-					return err
-				}
-				if !pass {
-					continue
-				}
-				t.matched = true
-				pass, err = q.evalConjs(st.post)
-				if err != nil {
-					return err
-				}
-				if !pass {
-					continue
-				}
-				if err := emit(); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
+	table := make(map[string][]int32, len(outs))
+	for i := range outs {
+		if err := q.cancel.check(); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// probeChunkedInner processes a grace-degraded inner build: the
-// materialized inner rows are hashed budget rows at a time, and every
-// chunk is probed by every materialized outer tuple.
-func (q *query) probeChunkedInner(st *stepPlan, hj *hashState, outs []outerTuple, restore func(*outerTuple), budget int, emit func() error) error {
-	rows := hj.rows
-	for lo := 0; lo < len(rows); lo += budget {
-		hi := lo + budget
-		if hi > len(rows) {
-			hi = len(rows)
+		if outs[i].hasKey {
+			table[outs[i].key] = append(table[outs[i].key], int32(i))
 		}
-		chunk := make(map[string][]int32, hi-lo)
-		for i := lo; i < hi; i++ {
-			if err := q.cancel.check(); err != nil {
-				return err
-			}
-			q.env.bindings[st.bind].row = rows[i]
-			key, ok, err := q.evalHashKey(st.hashInner)
+	}
+	return q.scanPlan(st.bind, st.access, func(rid int64, row []Value) error {
+		q.probeRows++
+		q.env.bindings[st.bind].row = row
+		if ok, err := q.evalConjs(st.local); err != nil || !ok {
+			return err
+		}
+		key, ok, err := q.evalHashKey(st.hashInner)
+		if err != nil || !ok {
+			return err
+		}
+		for _, oi := range table[key] {
+			t := &outs[oi]
+			restore(t)
+			q.env.bindings[st.bind].row = row
+			pass, err := q.evalConjs(st.match)
 			if err != nil {
 				return err
 			}
-			if ok {
-				chunk[key] = append(chunk[key], int32(i))
-			}
-		}
-		for oi := range outs {
-			t := &outs[oi]
-			q.probeRows++
-			if err := q.cancel.check(); err != nil {
-				return err
-			}
-			if !t.hasKey {
+			if !pass {
 				continue
 			}
-			for _, ri := range chunk[t.key] {
-				restore(t)
-				q.env.bindings[st.bind].row = rows[ri]
-				pass, err := q.evalConjs(st.match)
-				if err != nil {
-					return err
-				}
-				if !pass {
-					continue
-				}
-				t.matched = true
-				pass, err = q.evalConjs(st.post)
-				if err != nil {
-					return err
-				}
-				if !pass {
-					continue
-				}
-				if err := emit(); err != nil {
-					return err
-				}
+			t.matched = true
+			pass, err = q.evalConjs(st.post)
+			if err != nil {
+				return err
+			}
+			if !pass {
+				continue
+			}
+			if err := emit(); err != nil {
+				return err
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }

@@ -2,9 +2,9 @@ package sqldb
 
 // Tests for the cost-based join layer: LEFT JOIN edge semantics through
 // hash joins (NULL padding, ON-vs-WHERE placement, duplicate build keys,
-// empty build/probe inputs), grace-degraded chunked builds, statistics-
-// driven reordering, and the extended EXPLAIN output. Everything result-
-// shaped is cross-checked against the forced nested-loop reference path.
+// empty build/probe inputs), statistics-driven reordering, and the
+// extended EXPLAIN output. Everything result-shaped is cross-checked
+// against the forced nested-loop reference path.
 
 import (
 	"fmt"
@@ -206,25 +206,6 @@ func TestHashJoinEmptyProbeInput(t *testing.T) {
 		`SELECT o.id, i.id FROM outer_t o LEFT JOIN inner_t i ON i.k = o.k WHERE o.tag = 'absent'`)
 	if rows.Len() != 0 {
 		t.Fatalf("LEFT JOIN with empty preserved side returned %d rows", rows.Len())
-	}
-}
-
-func TestGraceChunkedBuild(t *testing.T) {
-	db := hashJoinFixture(t)
-	db.SetHashBuildBudget(7) // far below the 90-row build side
-	before := db.PlannerStats().GraceBuilds
-	rows := crossCheck(t, db, `SELECT o.id, o.k, i.v FROM outer_t o LEFT JOIN inner_t i ON i.k = o.k`)
-	padded := 0
-	for _, r := range rows.Data {
-		if r[2].IsNull() {
-			padded++
-		}
-	}
-	if padded != 30 {
-		t.Fatalf("chunked LEFT JOIN padded %d rows, want 30 (match bits must span chunks)", padded)
-	}
-	if after := db.PlannerStats().GraceBuilds; after == before {
-		t.Fatal("budget of 7 rows must trigger a grace-degraded chunked build")
 	}
 }
 

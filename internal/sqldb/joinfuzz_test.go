@@ -55,16 +55,14 @@ func TestJoinFuzz(t *testing.T) {
 		agg.HashJoins += s.HashJoins
 		agg.IndexNLJoins += s.IndexNLJoins
 		agg.NestedLoops += s.NestedLoops
-		agg.GraceBuilds += s.GraceBuilds
 		agg.Reordered += s.Reordered
 	}
-	t.Logf("joinfuzz coverage over %d cases: hash=%d indexNL=%d nestedLoop=%d grace=%d reordered=%d",
-		cases, agg.HashJoins, agg.IndexNLJoins, agg.NestedLoops, agg.GraceBuilds, agg.Reordered)
+	t.Logf("joinfuzz coverage over %d cases: hash=%d indexNL=%d nestedLoop=%d reordered=%d",
+		cases, agg.HashJoins, agg.IndexNLJoins, agg.NestedLoops, agg.Reordered)
 	// The corpus must actually exercise every strategy — a fuzzer that
 	// only ever plans nested loops proves nothing about hash joins.
 	if cases >= 100 {
-		if agg.HashJoins == 0 || agg.IndexNLJoins == 0 || agg.NestedLoops == 0 ||
-			agg.GraceBuilds == 0 || agg.Reordered == 0 {
+		if agg.HashJoins == 0 || agg.IndexNLJoins == 0 || agg.NestedLoops == 0 || agg.Reordered == 0 {
 			t.Fatalf("joinfuzz corpus missed a strategy: %+v", agg)
 		}
 	}
@@ -120,11 +118,6 @@ func runJoinFuzzCase(t *testing.T, seed int64) PlannerStats {
 		if _, err := db.Exec(sql); err != nil {
 			t.Fatalf("joinfuzz seed %d: setup %q: %v", seed, sql, err)
 		}
-	}
-
-	// Tiny hash budgets exercise grace-degraded chunked builds.
-	if rng.Intn(2) == 0 {
-		db.SetHashBuildBudget(1 + rng.Intn(8))
 	}
 
 	nt := 2 + rng.Intn(3)

@@ -20,7 +20,6 @@ package sqldb
 //	explain               (like query, but runs EXPLAIN <statement>)
 //	error                 (statement until ----, then an error substring)
 //	mode nl|cost          (switch planner mode)
-//	budget N              (hash build budget)
 //
 // Regenerate expectations with:
 //
@@ -29,7 +28,6 @@ package sqldb
 import (
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -98,7 +96,7 @@ func parseLogicFile(t *testing.T, path string) []*logicBlock {
 				b.expect = append(b.expect, lines[i])
 				i++
 			}
-		case "mode", "budget":
+		case "mode":
 			// directive-only block
 		default:
 			t.Fatalf("%s: unknown directive %q", path, b.directive)
@@ -147,12 +145,6 @@ func runLogicFile(t *testing.T, path string) {
 			default:
 				t.Fatalf("%s: mode %q", path, b.arg)
 			}
-		case "budget":
-			n, err := strconv.Atoi(b.arg)
-			if err != nil {
-				t.Fatalf("%s: budget %q", path, b.arg)
-			}
-			db.SetHashBuildBudget(n)
 		case "query", "explain":
 			q := sql
 			if b.directive == "explain" {

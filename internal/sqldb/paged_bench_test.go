@@ -98,8 +98,6 @@ func buildColdStartStore(b *testing.B, checkpoint bool) map[string][]byte {
 // checkpoint plus a 1k-commit tail, so Open loads the page-file image
 // and replays only the tail. The wal_bytes metric is the log volume
 // recovery had to read; the acceptance bar is a >=10x reduction.
-//
-//	make bench-pager
 func BenchmarkColdStart(b *testing.B) {
 	full := buildColdStartStore(b, false)
 	tail := buildColdStartStore(b, true)
@@ -143,8 +141,6 @@ func BenchmarkColdStart(b *testing.B) {
 // spans far more pages than the buffer pool holds (64 4KiB frames over
 // a ~3x larger heap), so the scan-resistant CLOCK policy is evicting
 // continuously. An op is one indexed point SELECT at a rotating key.
-//
-//	make bench-pager
 func BenchmarkLargerThanPool(b *testing.B) {
 	vfs := NewMemVFS()
 	db, err := Open(Options{VFS: vfs, Path: "test.db", PoolPages: 64, PageSize: 4096})

@@ -11,8 +11,6 @@ import (
 // load plus epoch checks) and off (full compile every time). The cached
 // path must be allocation-free: it is on every statement's critical
 // path.
-//
-//	make bench-plancache
 func BenchmarkPlanCacheHotPath(b *testing.B) {
 	newPoolDB := func(b *testing.B) *DB {
 		b.Helper()

@@ -1,6 +1,6 @@
 package sqldb
 
-// Replication benchmarks for the PR 8 record in BENCH_sqldb.json.
+// Replication benchmarks.
 //
 // BenchmarkReplShipping measures steady-state log shipping: 16
 // concurrent committers on the leader while a pump drains

@@ -185,9 +185,6 @@ type PlannerStats struct {
 	HashJoins    uint64
 	IndexNLJoins uint64
 	NestedLoops  uint64
-	// GraceBuilds counts hash builds that exceeded the memory budget and
-	// degraded to chunked (grace) processing.
-	GraceBuilds uint64
 	// HashBuildRows / HashProbeRows count rows hashed and probed.
 	HashBuildRows uint64
 	HashProbeRows uint64
@@ -204,7 +201,6 @@ func (db *DB) PlannerStats() PlannerStats {
 		HashJoins:     db.plannerHashJoins.Load(),
 		IndexNLJoins:  db.plannerIndexNL.Load(),
 		NestedLoops:   db.plannerNestedLoops.Load(),
-		GraceBuilds:   db.plannerGraceBuilds.Load(),
 		HashBuildRows: db.plannerBuildRows.Load(),
 		HashProbeRows: db.plannerProbeRows.Load(),
 		AnalyzeRuns:   db.plannerAnalyzeRuns.Load(),
@@ -229,23 +225,3 @@ const (
 // and the forced nested-loop reference path. Single-table statements are
 // unaffected.
 func (db *DB) SetPlannerMode(m PlannerMode) { db.plannerMode.Store(int32(m)) }
-
-// SetHashBuildBudget caps how many rows a hash-join build keeps in one
-// in-memory hash table before grace-degrading to chunked builds; n <= 0
-// restores the default.
-func (db *DB) SetHashBuildBudget(n int) {
-	if n <= 0 {
-		n = defaultHashBuildBudget
-	}
-	db.hashBudget.Store(int64(n))
-}
-
-// defaultHashBuildBudget is the default hash-build memory budget in rows.
-const defaultHashBuildBudget = 1 << 16
-
-func (db *DB) hashBuildBudget() int {
-	if n := db.hashBudget.Load(); n > 0 {
-		return int(n)
-	}
-	return defaultHashBuildBudget
-}

@@ -1,7 +1,6 @@
 -- LEFT JOIN edge semantics under the hash-join planner: ON-clause
 -- filters keep unmatched outer rows (padded), WHERE filters run after
--- padding, duplicate build keys fan out, and a tiny hash budget forces
--- grace-degraded chunked builds without changing any result.
+-- padding, and duplicate build keys fan out.
 
 exec
 CREATE TABLE l (id INTEGER PRIMARY KEY, k INTEGER)
@@ -67,33 +66,4 @@ SELECT l.id FROM l LEFT JOIN r ON r.k = l.k WHERE r.id IS NULL ORDER BY l.id
 ----
 7
 8
-
--- Grace-degrade: a 2-row hash budget chunks the build; results identical.
-budget 2
-
-query
-SELECT l.id, r.id FROM l LEFT JOIN r ON r.k = l.k ORDER BY l.id, r.id
-----
-1|1
-1|2
-2|3
-2|4
-3|5
-3|6
-4|1
-4|2
-5|3
-5|4
-6|5
-6|6
-7|NULL
-8|NULL
-
-query
-SELECT l.id FROM l LEFT JOIN r ON r.k = l.k WHERE r.id IS NULL ORDER BY l.id
-----
-7
-8
-
-budget 0
 
