@@ -1,7 +1,8 @@
 # CI entry points. `make check` is the default gate: formatting, build,
 # vet, full test suite, the allocation budgets, then a race-detector pass
 # over the concurrency-critical packages (the storage engine's lock manager
-# and the CAS service layer).
+# and the CAS service layer, plus the wire, the node agent and the event
+# engine).
 
 GO ?= go
 
@@ -31,9 +32,11 @@ alloc:
 # along: results never alias the executor scratch (TestRowsDoNotAliasScratch,
 # TestSQLRowsDoNotAliasScratch) and the lock table is empty, its freelists
 # capped, after a stress of cancels, timeouts and deadlock victims
-# (TestLockTableHygieneUnderStress).
+# (TestLockTableHygieneUnderStress). The wire codec and transports, the
+# execute-node agent and the event engine ride along: the packages where
+# goroutines share state (internal/vtime keeps no concurrent code).
 race:
-	$(GO) test -race -count=1 ./internal/sqldb ./internal/core ./internal/vtime
+	$(GO) test -race -count=1 ./internal/sqldb ./internal/core ./internal/wire ./internal/cluster ./internal/sim
 
 vet:
 	$(GO) vet ./...
@@ -104,7 +107,7 @@ race-plancache:
 	$(GO) test -race -count=1 -run 'PlanCache|StmtCache|ExplainCached' ./internal/sqldb
 
 # The -race paged-storage suite: buffer-pool pin/evict/flush races, the
-# concurrent-churn workload on a 4-frame pool with a 1ms checkpointer,
+# concurrent-churn workload on a 4-frame pool checkpointed every 1ms,
 # and every crash/recovery scenario including the torn-page sweep. Under
 # -race the pool poisons every page buffer it takes back, so an image
 # still visible to a second owner reads as garbage here, not as a page.

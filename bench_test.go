@@ -296,17 +296,9 @@ func nodeName(i int) string {
 	return "bench-node-" + string(rune('a'+i/26)) + string(rune('a'+i%26))
 }
 
-// BenchmarkAblationSetScheduler vs RowAtATime: one set-oriented selection
-// per cycle against a per-match query loop.
+// BenchmarkAblationSetScheduler: one set-oriented selection per cycle
+// pairing 200 jobs with 200 VMs.
 func BenchmarkAblationSetScheduler(b *testing.B) {
-	benchScheduler(b, false)
-}
-
-func BenchmarkAblationRowAtATimeScheduler(b *testing.B) {
-	benchScheduler(b, true)
-}
-
-func benchScheduler(b *testing.B, rowAtATime bool) {
 	cas, err := core.New(core.Options{})
 	if err != nil {
 		b.Fatal(err)
@@ -340,12 +332,7 @@ func benchScheduler(b *testing.B, rowAtATime bool) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		var stats core.ScheduleStats
-		if rowAtATime {
-			stats, err = cas.Service.ScheduleCycleRowAtATime(context.Background())
-		} else {
-			stats, err = cas.Service.ScheduleCycle(context.Background())
-		}
+		stats, err := cas.Service.ScheduleCycle(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

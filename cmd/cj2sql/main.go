@@ -29,7 +29,7 @@ import (
 
 func main() {
 	data := flag.String("data", "", "WAL file to open (empty = scratch in-memory database)")
-	sync := flag.String("sync", "every", "WAL sync policy: every, group, never")
+	sync := flag.String("sync", "group", "WAL sync policy: group (commits wait for their group's fsync) or never (same pipeline, no fsync)")
 	poolPages := flag.Int("pool-pages", 0, "open a paged store: buffer-pool capacity in pages, matching the daemon's -pool-pages (0 = plain WAL store; required to inspect a store the daemon ran paged)")
 	pageSize := flag.Int("page-size", 0, "paged store: page size for a newly created page file (0 = pager default; an existing file's own size wins)")
 	flag.Parse()

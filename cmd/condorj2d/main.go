@@ -1,7 +1,8 @@
 // Command condorj2d runs a live CondorJ2 Application Server: the embedded
 // database (optionally WAL-backed for durability), the web services
 // endpoint under /services, the pool web site under /, and the periodic
-// scheduling cycle.
+// housekeeping tick (matchmaking cycle, dead-machine sweep, dedup-reply GC,
+// and on a paged store the fuzzy checkpoint).
 //
 //	condorj2d -listen :8642 -data /var/lib/condorj2/cas.wal
 //
@@ -35,10 +36,9 @@ func main() {
 	listen := flag.String("listen", ":8642", "HTTP listen address")
 	data := flag.String("data", "", "WAL file path for durability (empty = in-memory)")
 	pool := flag.Int("pool", 8, "database connection pool size")
-	sync := flag.String("sync", "group", "WAL sync policy: every (fsync per commit), group (one fsync per commit group), never")
-	poolPages := flag.Int("pool-pages", 0, "paged storage: buffer-pool capacity in pages; rows live in a page file and restart replays only the WAL tail past the last checkpoint (0 = rows stay in the WAL-replayed heap)")
+	sync := flag.String("sync", "group", "WAL sync policy: group (commits wait for their group's fsync) or never (same pipeline, no fsync)")
+	poolPages := flag.Int("pool-pages", 0, "paged storage: buffer-pool capacity in pages; rows live in a page file, the housekeeping tick checkpoints it, and restart replays only the WAL tail past the last checkpoint (0 = rows stay in the WAL-replayed heap)")
 	pageSize := flag.Int("page-size", 0, "paged storage: page size in bytes for a newly created page file (0 = pager default; an existing file's own size wins)")
-	ckptEvery := flag.Duration("checkpoint-interval", 0, "paged storage: background fuzzy-checkpoint cadence; flushes dirty pages without quiescing writers and truncates the WAL (0 = checkpoint only at clean shutdown)")
 	stmtTimeout := flag.Duration("stmt-timeout", 0, "default per-statement deadline when a request carries none (0 = none; config key stmt_timeout_ms overrides)")
 	lockTimeout := flag.Duration("lock-timeout", 0, "max time one statement may block in a lock wait (0 = forever; config key lock_timeout_ms overrides)")
 	grace := flag.Duration("shutdown-grace", 10*time.Second, "how long shutdown drains in-flight requests before cancelling their statements")
@@ -64,18 +64,24 @@ func main() {
 			log.Fatalf("condorj2d: %v", err)
 		}
 		engine, err = sqldb.Open(sqldb.Options{
-			VFS:                sqldb.OSVFS{},
-			Path:               *data,
-			Sync:               policy,
-			StmtTimeout:        *stmtTimeout,
-			LockTimeout:        *lockTimeout,
-			PoolPages:          *poolPages,
-			PageSize:           *pageSize,
-			CheckpointInterval: *ckptEvery,
+			VFS:         sqldb.OSVFS{},
+			Path:        *data,
+			Sync:        policy,
+			StmtTimeout: *stmtTimeout,
+			LockTimeout: *lockTimeout,
+			PoolPages:   *poolPages,
+			PageSize:    *pageSize,
 		})
 		if err != nil {
 			log.Fatalf("condorj2d: opening database: %v", err)
 		}
+		// Runs after cas.Close below; a paged store takes its final
+		// checkpoint here, so a clean stop leaves an empty WAL tail.
+		defer func() {
+			if err := engine.Close(); err != nil {
+				log.Printf("condorj2d: closing database: %v", err)
+			}
+		}()
 		if *poolPages > 0 {
 			bs := engine.BufferPoolStats()
 			log.Printf("recovered database from %s (sync=%s, paged: %d-page pool, checkpoint LSN %d)",
@@ -120,10 +126,10 @@ func main() {
 		FreshFor:    *freshFor,
 	})
 
-	// Replication: with -follow this node is a read-only replica (no
-	// scheduler, writes answer NotLeader, promotes itself when the
-	// replicated lease expires); with just -advertise it leads, renewing
-	// the lease and shipping committed WAL groups to whoever joins.
+	// Replication: with -follow this node is a read-only replica (writes
+	// answer NotLeader, the tick only checkpoints, and it promotes itself
+	// when the replicated lease expires); with just -advertise it leads,
+	// renewing the lease and shipping committed WAL groups to whoever joins.
 	var repl *core.Replicator
 	if *advertise != "" {
 		repl = core.NewReplicator(cas, core.ReplConfig{
@@ -143,9 +149,9 @@ func main() {
 		}
 		defer repl.Close()
 	}
-	if *follow == "" {
-		cas.StartScheduler()
-	}
+	// The housekeeping tick runs on every node; its leader-only steps skip
+	// themselves while the write gate is down.
+	cas.StartScheduler()
 
 	// Every request context descends from baseCtx; cancelling it reaches
 	// each in-flight statement's lock waits, scans, and commit syncs.
@@ -187,12 +193,12 @@ func main() {
 	}
 
 	if *data != "" {
-		ws := cas.WALStats()
+		ws := cas.Engine.WALStats()
 		log.Printf("wal: %d commits, %d fsyncs (%.3f fsyncs/commit), max group %d",
 			ws.Commits, ws.Syncs, ws.FsyncsPerCommit(), ws.MaxGroup)
 	}
 	if *poolPages > 0 {
-		bs := cas.BufferPoolStats()
+		bs := cas.Engine.BufferPoolStats()
 		fetches := bs.Hits + bs.Misses
 		hitRate := 0.0
 		if fetches > 0 {
@@ -204,13 +210,13 @@ func main() {
 			log.Printf("bufferpool: page storage FAILED: %s", bs.Failed)
 		}
 	}
-	vs := cas.VersionStats()
+	vs := cas.Engine.VersionStats()
 	log.Printf("mvcc: %d snapshot reads (lock-free), %d versions stamped, %d pruned, %d slots + %d entries reclaimed, %d GC pending",
 		vs.SnapshotReads, vs.VersionsCreated, vs.VersionsPruned, vs.SlotsReclaimed, vs.EntriesRemoved, vs.PendingGC)
-	cs := cas.CancelStats()
+	cs := cas.Engine.CancelStats()
 	log.Printf("cancel: %d statements canceled, %d deadlines exceeded, %d lock-wait timeouts, %d lock-wait cancels, %d commit retractions",
 		cs.StatementsCanceled, cs.DeadlinesExceeded, cs.LockWaitTimeouts, cs.LockWaitCancels, cs.CommitRetractions)
-	pc := cas.PlanCacheStats()
+	pc := cas.Engine.PlanCacheStats()
 	planTotal := pc.Hits + pc.Misses
 	planHitRate := 0.0
 	if planTotal > 0 {

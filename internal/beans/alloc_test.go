@@ -24,7 +24,7 @@ type Slot struct {
 }
 
 // TestBeanAllocs budgets what Find, Update, Select and Each cost through
-// database/sql over a mem: DSN, inside one container transaction each —
+// database/sql over an in-memory engine, inside one container transaction each —
 // the engine's statement path included. Each budget records what the call
 // measured before bean SQL was compiled per Meta, args were sized exactly
 // and scan targets were allocated once per call (and before the engine
@@ -35,12 +35,8 @@ type Slot struct {
 // per cell the driver.Value box — so the budgets leave a few allocations
 // for a toolchain whose database/sql differs.
 func TestBeanAllocs(t *testing.T) {
-	pool, err := sql.Open(sqldb.DriverName, "mem:beans-alloc")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := sql.OpenDB(sqldb.New().Connector())
 	defer pool.Close()
-	defer sqldb.Unserve("mem:beans-alloc")
 	if _, err := pool.Exec(`CREATE TABLE slot (id INTEGER PRIMARY KEY AUTOINCREMENT, machine TEXT NOT NULL,
 		seq INTEGER NOT NULL, state TEXT NOT NULL, memory_mb INTEGER NOT NULL, UNIQUE (machine, seq))`); err != nil {
 		t.Fatal(err)

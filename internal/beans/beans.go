@@ -84,15 +84,14 @@ func scanKindOf(t reflect.Type) scanKind {
 // re-deriving the SQL per call.
 type Meta struct {
 	// Table is the mapped table. It is fixed once the Meta is built (the
-	// statement texts name it); WithTable gives a Meta for another table.
+	// statement texts name it).
 	Table  string
 	typ    reflect.Type
 	fields []field
 	pks    []field
 	// kinds counts the fields of each scanKind: the size of a scanBuf.
 	kinds [numScanKinds]int
-	// bufs lends Find and Each their scan targets (scanBuf). A pointer, so
-	// WithTable's copy of the Meta shares the pool instead of copying one.
+	// bufs lends Find and Each their scan targets (scanBuf).
 	bufs *sync.Pool
 
 	findSQL, updateSQL, deleteSQL string
@@ -212,14 +211,6 @@ func MetaOf(sample any) (*Meta, error) {
 	metaCache[t] = m
 	metaMu.Unlock()
 	return m, nil
-}
-
-// WithTable returns a copy of the meta bound to a different table name.
-func (m *Meta) WithTable(table string) *Meta {
-	c := *m
-	c.Table = table
-	c.compile()
-	return &c
 }
 
 func snakeCase(s string) string {

@@ -3,10 +3,9 @@ package core
 import (
 	"context"
 	"database/sql"
-	"fmt"
 	"net/http"
 	"strconv"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"condorj2/internal/sqldb"
@@ -28,15 +27,16 @@ type CAS struct {
 	// Mux is the web services endpoint.
 	Mux *wire.Mux
 
-	clock   vtime.Clock
-	dsn     string
-	ownEng  bool
-	stopSch chan struct{}
-	schedOn atomic.Bool
+	clock  vtime.Clock
+	ownEng bool
 
-	// schedCtx cancels the scheduler's in-flight cycle on StopScheduler,
-	// so shutdown never waits out a long matchmaking transaction.
+	// schedCancel (nil while stopped) stops the housekeeping goroutine and
+	// cancels its tick in flight, so shutdown never waits out a long
+	// matchmaking transaction; schedDone closes when the goroutine has
+	// exited. schedMu guards both.
+	schedMu     sync.Mutex
 	schedCancel context.CancelFunc
+	schedDone   chan struct{}
 }
 
 // Options configures CAS assembly.
@@ -56,8 +56,6 @@ type Options struct {
 	Follower bool
 }
 
-var casSeq atomic.Int64
-
 // New assembles a CAS.
 func New(opts Options) (*CAS, error) {
 	engine := opts.Engine
@@ -71,13 +69,7 @@ func New(opts Options) (*CAS, error) {
 		clock = vtime.Real{}
 	}
 	engine.SetNow(clock.Now)
-	dsn := fmt.Sprintf("cas-%d", casSeq.Add(1))
-	sqldb.Serve(dsn, engine)
-	pool, err := sql.Open(sqldb.DriverName, dsn)
-	if err != nil {
-		sqldb.Unserve(dsn)
-		return nil, err
-	}
+	pool := sql.OpenDB(engine.Connector())
 	size := opts.PoolSize
 	if size <= 0 {
 		size = 8
@@ -87,7 +79,6 @@ func New(opts Options) (*CAS, error) {
 	if !opts.Follower {
 		if err := Bootstrap(pool); err != nil {
 			pool.Close()
-			sqldb.Unserve(dsn)
 			return nil, err
 		}
 	}
@@ -98,7 +89,6 @@ func New(opts Options) (*CAS, error) {
 		Service: svc,
 		Mux:     NewMux(svc),
 		clock:   clock,
-		dsn:     dsn,
 		ownEng:  own,
 	}
 	// Engine timeout knobs follow the config table: applied at assembly
@@ -151,99 +141,90 @@ func (c *CAS) applyEngineConfig(name, value string) {
 	}
 }
 
-// StartScheduler launches the periodic matchmaking cycle on a goroutine
+// StartScheduler launches the CAS's one periodic goroutine: a ticker of
+// schedule_interval_sec (read once, here) whose every tick runs housekeep
 // (live deployments; simulations drive ScheduleCycle from virtual time
 // instead). Stop with StopScheduler.
 func (c *CAS) StartScheduler() {
-	if !c.schedOn.CompareAndSwap(false, true) {
+	c.schedMu.Lock()
+	defer c.schedMu.Unlock()
+	if c.schedCancel != nil {
 		return
 	}
-	c.stopSch = make(chan struct{})
 	ctx, cancel := context.WithCancel(context.Background())
-	c.schedCancel = cancel
-	interval := time.Duration(c.Service.configInt(ctx, "schedule_interval_sec", 1)) * time.Second
+	done := make(chan struct{})
+	c.schedCancel, c.schedDone = cancel, done
+	interval := time.Duration(max(1, c.Service.configInt(ctx, "schedule_interval_sec", 1))) * time.Second
 	go func() {
+		defer close(done)
 		t := time.NewTicker(interval)
 		defer t.Stop()
-		ticks := 0
-		for {
+		for n := 1; ; n++ {
 			select {
-			case <-c.stopSch:
+			case <-ctx.Done():
 				return
 			case <-t.C:
-				c.Service.ScheduleCycle(ctx)
-				// Piggyback housekeeping on the scheduler's cadence: about
-				// once a minute, age out idempotency replies no client will
-				// retry anymore.
-				if ticks++; ticks%60 == 0 {
-					retention := time.Duration(c.Service.configInt(ctx, "reply_retention_sec", 3600)) * time.Second
-					c.Service.GCReplies(ctx, retention)
-				}
+				c.housekeep(ctx, n)
 			}
 		}
 	}()
 }
 
-// StopScheduler halts the scheduling goroutine, cancelling any cycle in
-// flight.
-func (c *CAS) StopScheduler() {
-	if c.schedOn.CompareAndSwap(true, false) {
-		close(c.stopSch)
-		if c.schedCancel != nil {
-			c.schedCancel()
+// Tick cadences of the housekeeping steps that do not follow a config key.
+const (
+	replyGCTicks    = 60
+	checkpointTicks = 30
+	// reapAfterBeats is how many heartbeat intervals a machine may stay
+	// silent before its work is released.
+	reapAfterBeats = 3
+)
+
+// housekeep is tick n (from 1) of the CAS's periodic work, four steps:
+//
+//   - every tick, one matchmaking cycle;
+//   - once per heartbeat_interval_sec, the dead-machine sweep — the paper's
+//     footnote 5: a node that stops reporting has its matched and running
+//     jobs returned to the queue (timeout: reapAfterBeats intervals);
+//   - every replyGCTicks, age out idempotency replies no client will retry
+//     anymore;
+//   - every checkpointTicks, on a paged engine, a fuzzy checkpoint, so the
+//     WAL is truncated while the daemon runs and a crash replays only a tail.
+//
+// The first three write cluster state and are skipped while this node is
+// gated NotLeader; the checkpoint is about this node's own files and runs
+// on a follower too. Errors are dropped: every step is retried by a later
+// tick, and the engine counts failed checkpoints (BufferPoolStats).
+func (c *CAS) housekeep(ctx context.Context, n int) {
+	svc := c.Service
+	if _, gated := svc.NotLeader(); !gated {
+		_, _ = svc.ScheduleCycle(ctx)
+		beat := svc.configInt(ctx, "heartbeat_interval_sec", 60)
+		every := max(1, beat/max(1, svc.configInt(ctx, "schedule_interval_sec", 1)))
+		if n%int(every) == 0 {
+			_, _ = svc.ReapDeadMachines(ctx, reapAfterBeats*time.Duration(beat)*time.Second)
 		}
+		if n%replyGCTicks == 0 {
+			retention := time.Duration(svc.configInt(ctx, "reply_retention_sec", 3600)) * time.Second
+			_, _ = svc.GCReplies(ctx, retention)
+		}
+	}
+	if n%checkpointTicks == 0 && c.Engine.BufferPoolStats().Frames > 0 {
+		_ = c.Engine.Checkpoint()
 	}
 }
 
-// LockStats snapshots the embedded engine's lock-contention counters
-// (waits, deadlocks, held table/row locks) for operators and experiments.
-func (c *CAS) LockStats() sqldb.LockStats { return c.Engine.LockStats() }
-
-// VersionStats snapshots the embedded engine's MVCC counters (snapshot
-// reads served lock-free, version churn, GC backlog) for operators and
-// experiments.
-func (c *CAS) VersionStats() sqldb.VersionStats { return c.Engine.VersionStats() }
-
-// PlannerStats snapshots the embedded engine's join-planner counters
-// (strategy picks, statistics-driven reorders, hash build volumes) for
-// operators and experiments.
-func (c *CAS) PlannerStats() sqldb.PlannerStats { return c.Engine.PlannerStats() }
-
-// ExecStats snapshots the embedded engine's batched-executor counters
-// (aggregated statements, keyed fast-path hits, input rows, groups,
-// output batches) for operators and experiments.
-func (c *CAS) ExecStats() sqldb.ExecStats { return c.Engine.ExecStats() }
-
-// PlanCacheStats snapshots the embedded engine's plan-cache counters
-// (hits, misses, epoch invalidations, snapshot bypasses, stores) for
-// operators and experiments.
-func (c *CAS) PlanCacheStats() sqldb.PlanCacheStats { return c.Engine.PlanCacheStats() }
-
-// Analyze refreshes the engine's cardinality statistics (the SQL ANALYZE
-// statement) so the join planner costs the CAS's status queries from
-// current data. Operators run it after bulk loads; the scheduler does not
-// depend on it — estimates scale incrementally with row counts between
-// refreshes.
-func (c *CAS) Analyze() error {
-	_, err := c.Engine.Exec(`ANALYZE`)
-	return err
+// StopScheduler halts the housekeeping goroutine, cancelling any tick in
+// flight, and returns once it has exited.
+func (c *CAS) StopScheduler() {
+	c.schedMu.Lock()
+	cancel, done := c.schedCancel, c.schedDone
+	c.schedCancel = nil
+	c.schedMu.Unlock()
+	if cancel != nil {
+		cancel()
+		<-done
+	}
 }
-
-// CancelStats snapshots the embedded engine's cancellation counters
-// (statements cancelled, deadlines exceeded, lock-wait timeouts, commit
-// retractions) for operators and experiments; condorj2d logs them at
-// shutdown alongside WAL stats.
-func (c *CAS) CancelStats() sqldb.CancelStats { return c.Engine.CancelStats() }
-
-// WALStats snapshots the embedded engine's commit-pipeline counters
-// (commits, fsyncs, group sizes, commit wait) for operators and
-// experiments; zeros when the engine runs without a WAL.
-func (c *CAS) WALStats() sqldb.WALStats { return c.Engine.WALStats() }
-
-// BufferPoolStats snapshots the embedded engine's paged-storage counters
-// (buffer-pool traffic, pager I/O, checkpoint progress) for operators and
-// experiments; zeros when the engine runs without paged storage.
-func (c *CAS) BufferPoolStats() sqldb.BufferPoolStats { return c.Engine.BufferPoolStats() }
 
 // HTTPHandler serves both external interfaces: the web services endpoint
 // under /services and the pool web site under /.
@@ -254,12 +235,11 @@ func (c *CAS) HTTPHandler() http.Handler {
 	return mux
 }
 
-// Close releases the pool and DSN registration (and the engine when the
-// CAS created it).
+// Close stops the housekeeping goroutine and releases the pool (and the
+// engine when the CAS created it).
 func (c *CAS) Close() error {
 	c.StopScheduler()
 	err := c.Pool.Close()
-	sqldb.Unserve(c.dsn)
 	if c.ownEng {
 		if cerr := c.Engine.Close(); err == nil {
 			err = cerr

@@ -26,7 +26,7 @@ func TestCreditConcurrentCompletionsNoDeadlock(t *testing.T) {
 		workers = 8
 		calls   = 200
 	)
-	before := cas.LockStats().Deadlocks
+	before := cas.Engine.LockStats().Deadlocks
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -47,7 +47,7 @@ func TestCreditConcurrentCompletionsNoDeadlock(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if d := cas.LockStats().Deadlocks - before; d != 0 {
+	if d := cas.Engine.LockStats().Deadlocks - before; d != 0 {
 		t.Errorf("%d deadlocks among concurrent credits, want 0", d)
 	}
 	// Per owner: workers*calls/2 credits, a quarter of them drops.

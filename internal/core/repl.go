@@ -370,7 +370,13 @@ func (r *Replicator) shipTo(ctx context.Context, f *replFollower) {
 		acked := f.acked
 		f.mu.Unlock()
 		batches, durable, err := r.cas.Engine.CommittedSince(acked, r.cfg.maxShipBytes())
-		if err != nil || len(batches) == 0 {
+		if err != nil {
+			// Notably ErrLogTruncated: a follower further behind than the
+			// last checkpoint is not shipped a log with a hole.
+			r.shipErrors.Add(1)
+			return
+		}
+		if len(batches) == 0 {
 			return
 		}
 		r.mu.Lock()
@@ -536,12 +542,12 @@ func (r *Replicator) Promote(ctx context.Context) error {
 	r.leading = true
 	r.term = newTerm
 	r.leader = r.cfg.Self
+	r.promotions.Add(1) // with the role, under r.mu: Stats never shows a leader that was not promoted
 	roleCtx := r.startRoleLocked()
 	r.mu.Unlock()
 	r.cas.Service.ClearNotLeader()
 	r.cas.StartScheduler()
 	r.startLeaderLoops(roleCtx)
-	r.promotions.Add(1)
 	return nil
 }
 

@@ -112,50 +112,3 @@ func (s *Service) ScheduleCycle(ctx context.Context) (ScheduleStats, error) {
 	})
 	return stats, err
 }
-
-// ScheduleCycleRowAtATime is the ablation variant benchmarked in
-// DESIGN.md: instead of one set-oriented selection, it issues a separate
-// query pair per match, the way a naive port of Condor's per-job
-// negotiation loop would. Results are identical; cost is not.
-func (s *Service) ScheduleCycleRowAtATime(ctx context.Context) (ScheduleStats, error) {
-	batch := s.configInt(ctx, "schedule_batch", 500)
-	var stats ScheduleStats
-	err := s.c.InTx(ctx, func(tx *sql.Tx) error {
-		stats = ScheduleStats{}
-		now := s.now()
-		for i := int64(0); i < batch; i++ {
-			jobs, err := beans.Select[Job](tx,
-				"WHERE state = ? ORDER BY priority DESC, id LIMIT 1", JobIdle)
-			if err != nil {
-				return err
-			}
-			if len(jobs) == 0 {
-				return nil
-			}
-			job := &jobs[0]
-			stats.IdleJobs++
-			vms, err := beans.Select[VM](tx,
-				"WHERE state = ? AND memory_mb >= ? ORDER BY id LIMIT 1", VMIdle, job.MinMemoryMB)
-			if err != nil {
-				return err
-			}
-			if len(vms) == 0 {
-				return nil
-			}
-			vm := &vms[0]
-			stats.IdleVMs++
-			if err := beans.Insert(tx, &Match{JobID: job.ID, VMID: vm.ID, CreatedAt: now}); err != nil {
-				return err
-			}
-			if err := job.MarkMatched(tx, now); err != nil {
-				return err
-			}
-			if err := vm.MarkMatched(tx); err != nil {
-				return err
-			}
-			stats.Matched++
-		}
-		return nil
-	})
-	return stats, err
-}

@@ -189,12 +189,13 @@ var Schema = []string{
 // DefaultConfig seeds the operational configuration table. Values are kept
 // in the database (not process flags) so administrators change behaviour
 // with an UPDATE — the paper's "configure system behavior from anywhere".
-var DefaultConfig = map[string]string{
-	"schedule_interval_sec":  "1",
-	"schedule_batch":         "500",
-	"heartbeat_interval_sec": "60",
-	"history_retention":      "all",
-	"reply_retention_sec":    "3600",
+// A slice, not a map: Bootstrap seeds the rows in this order on every run,
+// so their rids and log records do not depend on map iteration.
+var DefaultConfig = []struct{ Name, Value string }{
+	{"schedule_interval_sec", "1"},
+	{"schedule_batch", "500"},
+	{"heartbeat_interval_sec", "60"},
+	{"reply_retention_sec", "3600"},
 }
 
 // Bootstrap creates the schema and seeds configuration defaults.
@@ -204,17 +205,17 @@ func Bootstrap(db *sql.DB) error {
 			return fmt.Errorf("core: bootstrap: %w", err)
 		}
 	}
-	for name, value := range DefaultConfig {
+	for _, c := range DefaultConfig {
 		var existing string
-		err := db.QueryRow(`SELECT value FROM config WHERE name = ?`, name).Scan(&existing)
+		err := db.QueryRow(`SELECT value FROM config WHERE name = ?`, c.Name).Scan(&existing)
 		if err == sql.ErrNoRows {
-			if _, err := db.Exec(`INSERT INTO config (name, value) VALUES (?, ?)`, name, value); err != nil {
-				return fmt.Errorf("core: seed config %s: %w", name, err)
+			if _, err := db.Exec(`INSERT INTO config (name, value) VALUES (?, ?)`, c.Name, c.Value); err != nil {
+				return fmt.Errorf("core: seed config %s: %w", c.Name, err)
 			}
 			continue
 		}
 		if err != nil {
-			return fmt.Errorf("core: read config %s: %w", name, err)
+			return fmt.Errorf("core: read config %s: %w", c.Name, err)
 		}
 	}
 	return nil

@@ -346,14 +346,15 @@ func (s *Service) activeRuns(tx *sql.Tx, machine string) (map[int64]runInfo, err
 }
 
 func (s *Service) recordBootHistory(tx *sql.Tx, m *Machine, now time.Time) error {
-	attrs := map[string]string{
-		"arch":            m.Arch,
-		"opsys":           m.OpSys,
-		"total_memory_mb": strconv.FormatInt(m.TotalMemoryMB, 10),
-		"vm_count":        strconv.FormatInt(m.VMCount, 10),
-	}
-	for attr, value := range attrs {
-		rec := &MachineHistory{Machine: m.Name, Attr: attr, Value: value, RecordedAt: now}
+	// A slice, not a map: the rows' rids and log records keep this order on
+	// every run.
+	for _, a := range [...]struct{ attr, value string }{
+		{"arch", m.Arch},
+		{"opsys", m.OpSys},
+		{"total_memory_mb", strconv.FormatInt(m.TotalMemoryMB, 10)},
+		{"vm_count", strconv.FormatInt(m.VMCount, 10)},
+	} {
+		rec := &MachineHistory{Machine: m.Name, Attr: a.attr, Value: a.value, RecordedAt: now}
 		if err := beans.Insert(tx, rec); err != nil {
 			return err
 		}

@@ -256,20 +256,6 @@ func TestSchedulerPriorityOrder(t *testing.T) {
 	}
 }
 
-func TestRowAtATimeSchedulerEquivalent(t *testing.T) {
-	cas, _ := newTestCAS(t)
-	s := cas.Service
-	s.Submit(context.Background(), &SubmitRequest{Owner: "u", Count: 5, LengthSec: 60})
-	beat(t, s, "node1", true, idleVMs(8)...)
-	stats, err := s.ScheduleCycleRowAtATime(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Matched != 5 {
-		t.Fatalf("row-at-a-time matched = %d", stats.Matched)
-	}
-}
-
 func TestDroppedJobReturnsToQueue(t *testing.T) {
 	cas, _ := newTestCAS(t)
 	s := cas.Service

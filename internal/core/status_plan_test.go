@@ -45,8 +45,8 @@ func statusPlanFixture(t *testing.T) *CAS {
 	for j := 1; j <= 50; j++ {
 		exec(`INSERT INTO job_executables (job_id, executable_id) VALUES (?, 1)`, j)
 	}
-	if err := cas.Analyze(); err != nil {
-		t.Fatalf("Analyze: %v", err)
+	if _, err := cas.Engine.Exec(`ANALYZE`); err != nil {
+		t.Fatalf("ANALYZE: %v", err)
 	}
 	return cas
 }
@@ -97,7 +97,7 @@ func TestPendingMatchesJoinPlan(t *testing.T) {
 			t.Fatalf("step %v not a snapshot read", p)
 		}
 	}
-	if s := cas.PlannerStats(); s.JoinQueries == 0 {
+	if s := cas.Engine.PlannerStats(); s.JoinQueries == 0 {
 		t.Fatal("planner stats not wired through CAS")
 	}
 }
@@ -150,11 +150,11 @@ func TestPoolStatusAggregatePlan(t *testing.T) {
 
 	// The executed statement takes the keyed fast path (single TEXT
 	// grouping column), visible through the CAS stats bridge.
-	base := cas.ExecStats()
+	base := cas.Engine.ExecStats()
 	if _, err := cas.Engine.Query(`SELECT state, count(*) FROM machines GROUP BY state ORDER BY state`); err != nil {
 		t.Fatal(err)
 	}
-	s := cas.ExecStats()
+	s := cas.Engine.ExecStats()
 	if s.AggQueries != base.AggQueries+1 || s.AggFastPaths != base.AggFastPaths+1 {
 		t.Fatalf("exec stats after pool-status query = %+v (base %+v), want +1 query on the fast path", s, base)
 	}

@@ -196,12 +196,7 @@ func bytesPerRun(runs int, f func()) float64 {
 func TestOrderedSelectAllocs(t *testing.T) {
 	engine := New()
 	defer engine.Close()
-	Serve("alloc-ordered", engine)
-	defer Unserve("alloc-ordered")
-	pool, err := sql.Open(DriverName, "alloc-ordered")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := sql.OpenDB(engine.Connector())
 	defer pool.Close()
 	for _, ddl := range []string{
 		`CREATE TABLE jobs (id INTEGER PRIMARY KEY, owner TEXT NOT NULL, state TEXT NOT NULL, priority FLOAT NOT NULL, length_sec INTEGER NOT NULL)`,

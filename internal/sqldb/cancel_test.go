@@ -373,12 +373,7 @@ func TestCanceledSnapshotReleasesWatermark(t *testing.T) {
 func TestCanceledSnapshotViaDatabaseSQL(t *testing.T) {
 	db := New()
 	defer db.Close()
-	Serve("cancel-snap-test", db)
-	defer Unserve("cancel-snap-test")
-	pool, err := sql.Open(DriverName, "cancel-snap-test")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := sql.OpenDB(db.Connector())
 	defer pool.Close()
 	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY)`)
 	mustExec(t, db, `INSERT INTO t VALUES (1)`)
@@ -458,12 +453,7 @@ func TestStmtTimeoutInsideTransaction(t *testing.T) {
 func TestDriverCancellation(t *testing.T) {
 	db := New()
 	defer db.Close()
-	Serve("cancel-driver-test", db)
-	defer Unserve("cancel-driver-test")
-	pool, err := sql.Open(DriverName, "cancel-driver-test")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := sql.OpenDB(db.Connector())
 	defer pool.Close()
 	fillWide(t, db, "a", 3000)
 	fillWide(t, db, "b", 3000)
@@ -478,7 +468,7 @@ func TestDriverCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	time.AfterFunc(10*time.Millisecond, cancel)
-	_, err = pool.QueryContext(ctx, `SELECT count(*) FROM a, b WHERE a.k < b.k`)
+	_, err := pool.QueryContext(ctx, `SELECT count(*) FROM a, b WHERE a.k < b.k`)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-scan cancel returned %v, want context.Canceled", err)
 	}

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -60,18 +61,15 @@ type Options struct {
 	LockTimeout time.Duration
 	// PoolPages, when positive, enables page-based durable storage:
 	// committed rows are written through to fixed-size pages behind a
-	// buffer pool of this many frames, fuzzy checkpoints truncate the
-	// WAL, and recovery replays only the tail above the last checkpoint.
+	// buffer pool of this many frames, fuzzy checkpoints (the owner calls
+	// Checkpoint; Close takes a final one) truncate the WAL, and recovery
+	// replays only the tail above the last checkpoint.
 	// Requires a RandomAccessVFS in VFS. Zero keeps the log-only layout.
 	PoolPages int
 	// PageSize is the page size in bytes for a newly created page file
 	// (0 = pager.DefaultPageSize). An existing store's own page size is
 	// authoritative.
 	PageSize int
-	// CheckpointInterval is the background fuzzy-checkpoint period under
-	// paged storage (0 = no background checkpointer; Checkpoint and the
-	// final checkpoint in Close still run).
-	CheckpointInterval time.Duration
 }
 
 // DB is an embedded database engine instance. It is safe for concurrent
@@ -251,10 +249,10 @@ func Open(opts Options) (*DB, error) {
 		// a replication follower — and, under paged storage, past the
 		// truncated prefix the checkpoint LSN covers.
 		w.setRecoveredLSN(db.replApplied.Load())
-		db.wal = w
-		if db.store != nil && opts.CheckpointInterval > 0 {
-			db.startCheckpointer(opts.CheckpointInterval)
+		if db.store != nil {
+			w.truncLSN.Store(db.store.ckptLSN.Load())
 		}
+		db.wal = w
 	}
 	return db, nil
 }
@@ -272,7 +270,6 @@ func (db *DB) Close() error {
 	db.txLive.Wait()
 	var err error
 	if db.store != nil {
-		db.store.stopCheckpointer()
 		if cerr := db.fuzzyCheckpoint(true); cerr != nil {
 			err = cerr
 		}
@@ -686,23 +683,16 @@ func (db *DB) Exec(sql string, args ...any) (Result, error) {
 	return db.ExecContext(context.Background(), sql, args...)
 }
 
-// ExecContext runs a mutating statement in autocommit mode under ctx:
-// lock waits, scans, and the commit's durability wait all observe it,
-// and the default statement timeout applies when ctx has no deadline.
+// ExecContext runs a statement in autocommit mode under ctx: lock waits,
+// scans, and the commit's durability wait all observe it, and the default
+// statement timeout applies when ctx has no deadline.
 func (db *DB) ExecContext(ctx context.Context, sql string, args ...any) (Result, error) {
-	ctx, cancel := db.stmtCtx(ctx)
-	defer cancel()
-	tx, err := db.BeginTx(ctx, TxOptions{})
+	stmt, err := db.parse(sql)
 	if err != nil {
 		return Result{}, err
 	}
-	tx.implicit = true
-	res, err := tx.Exec(sql, args...)
-	if err != nil {
-		tx.Rollback()
-		return Result{}, err
-	}
-	return res, tx.Commit()
+	res, _, err := db.autocommit(ctx, stmt, func(tx *Tx) ([]Value, error) { return tx.toValues(args) })
+	return res, err
 }
 
 // Query runs a SELECT in autocommit mode. The statement reads a snapshot:
@@ -715,20 +705,59 @@ func (db *DB) Query(sql string, args ...any) (*Rows, error) {
 // QueryContext runs a SELECT in autocommit mode under ctx (see
 // ExecContext for the deadline semantics).
 func (db *DB) QueryContext(ctx context.Context, sql string, args ...any) (*Rows, error) {
+	stmt, err := db.parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	if !isQuery(stmt) {
+		return nil, errNotQuery
+	}
+	_, rows, err := db.autocommit(ctx, stmt, func(tx *Tx) ([]Value, error) { return tx.toValues(args) })
+	if err != nil {
+		return nil, err
+	}
+	rows.materialize()
+	return rows, nil
+}
+
+// autocommit runs one statement outside any transaction: the one path
+// behind DB.ExecContext, DB.QueryContext and a database/sql connection with
+// no transaction open. The statement gets an implicit transaction of its own
+// under ctx (default statement timeout applied) — a lock-free snapshot for
+// SELECT/EXPLAIN, read-write otherwise — committed if the statement succeeds
+// and rolled back if not. bind converts the caller's arguments, in the
+// transaction's parameter buffer.
+func (db *DB) autocommit(ctx context.Context, stmt Statement, bind func(*Tx) ([]Value, error)) (Result, *Rows, error) {
 	ctx, cancel := db.stmtCtx(ctx)
 	defer cancel()
-	tx, err := db.BeginTx(ctx, TxOptions{ReadOnly: true})
+	tx, err := db.BeginTx(ctx, TxOptions{ReadOnly: isQuery(stmt)})
 	if err != nil {
-		return nil, err
+		return Result{}, nil, err
 	}
 	tx.implicit = true
-	rows, err := tx.Query(sql, args...)
-	if err != nil {
-		tx.Rollback()
-		return nil, err
+	params, err := bind(tx)
+	if err == nil {
+		var res Result
+		var rows *Rows
+		if res, rows, err = tx.execStmtCtx(ctx, stmt, params); err == nil {
+			return res, rows, tx.Commit()
+		}
 	}
-	return rows, tx.Commit()
+	tx.Rollback()
+	return Result{}, nil, err
 }
+
+// isQuery reports whether stmt only reads: the statements Query accepts and
+// autocommit runs on a snapshot.
+func isQuery(stmt Statement) bool {
+	switch stmt.(type) {
+	case *SelectStmt, *ExplainStmt:
+		return true
+	}
+	return false
+}
+
+var errNotQuery = errors.New("sqldb: Query requires a SELECT or EXPLAIN statement")
 
 // QueryRow runs a SELECT expected to return at most one row; it returns
 // nil when no row matched.
@@ -789,10 +818,8 @@ func (tx *Tx) QueryContext(ctx context.Context, sql string, args ...any) (*Rows,
 	if err != nil {
 		return nil, err
 	}
-	switch stmt.(type) {
-	case *SelectStmt, *ExplainStmt:
-	default:
-		return nil, fmt.Errorf("sqldb: Query requires a SELECT or EXPLAIN statement")
+	if !isQuery(stmt) {
+		return nil, errNotQuery
 	}
 	params, err := tx.toValues(args)
 	if err != nil {
@@ -824,8 +851,8 @@ func (tx *Tx) QueryRow(sql string, args ...any) ([]Value, error) {
 // statement timeout is applied here when neither the statement nor the
 // transaction context carries a deadline, so it bounds transactional
 // statements (the service layer's whole workload), not just autocommit
-// ones. All statement entry points (Tx methods and the database/sql
-// driver) funnel through here.
+// ones. All statement entry points (Tx methods, autocommit and the
+// database/sql driver) funnel through here.
 func (tx *Tx) execStmtCtx(ctx context.Context, stmt Statement, params []Value) (Result, *Rows, error) {
 	eff, cancel := tx.db.stmtCtx(tx.effCtx(ctx))
 	defer cancel()
@@ -901,7 +928,7 @@ func (tx *Tx) execStmt(stmt Statement, params []Value) (Result, *Rows, error) {
 		tx.db.emit(StmtStats{Kind: "DDL"})
 		return Result{}, nil, err
 	case *BeginStmt, *CommitStmt, *RollbackStmt:
-		return Result{}, nil, fmt.Errorf("sqldb: transaction control runs at the session layer (DB.Begin/BeginReadOnly and Tx.Commit/Rollback; the driver and the cj2sql shell accept BEGIN [READ ONLY]/COMMIT/ROLLBACK)")
+		return Result{}, nil, fmt.Errorf("sqldb: transaction control runs at the session layer (DB.BeginTx or sql.DB.BeginTx, then Commit/Rollback; the cj2sql shell accepts BEGIN [READ ONLY]/COMMIT/ROLLBACK)")
 	default:
 		return Result{}, nil, fmt.Errorf("sqldb: unsupported statement %T", stmt)
 	}

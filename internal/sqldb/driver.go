@@ -2,11 +2,9 @@ package sqldb
 
 import (
 	"context"
-	"database/sql"
 	"database/sql/driver"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 )
 
@@ -18,60 +16,19 @@ import (
 // credits with "reduc[ing] the required number of simultaneous open
 // connections to the database".
 
-// DriverName is the name registered with database/sql.
-const DriverName = "condorj2db"
+// Connector returns the driver.Connector for this engine:
+// sql.OpenDB(db.Connector()) is a connection pool whose every connection
+// runs on db.
+func (db *DB) Connector() driver.Connector { return connector{db} }
 
-var (
-	registryMu sync.Mutex
-	registry   = make(map[string]*DB)
-)
+// connector is both halves database/sql asks for: the Connector, and the
+// Driver it must name (whose Open ignores the DSN — the engine is the value
+// itself, not something a name is resolved to).
+type connector struct{ db *DB }
 
-// Serve registers an engine instance under a DSN name so application code
-// can sql.Open(DriverName, name). Registering the same name twice replaces
-// the previous instance.
-func Serve(name string, db *DB) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	registry[name] = db
-}
-
-// Unserve removes a DSN registration.
-func Unserve(name string) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	delete(registry, name)
-}
-
-// Resolve returns the engine registered under a DSN name.
-func Resolve(name string) (*DB, bool) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	db, ok := registry[name]
-	return db, ok
-}
-
-// Driver implements driver.Driver.
-type Driver struct{}
-
-func init() { sql.Register(DriverName, Driver{}) }
-
-// Open implements driver.Driver. The DSN must name an engine registered
-// with Serve, or use the form "mem:<name>" to lazily create and register a
-// fresh in-memory engine shared by all connections to that DSN.
-func (Driver) Open(dsn string) (driver.Conn, error) {
-	registryMu.Lock()
-	db, ok := registry[dsn]
-	if !ok && len(dsn) > 4 && dsn[:4] == "mem:" {
-		db = New()
-		registry[dsn] = db
-		ok = true
-	}
-	registryMu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("sqldb: no engine registered under DSN %q (call sqldb.Serve first)", dsn)
-	}
-	return &conn{db: db}, nil
-}
+func (c connector) Connect(context.Context) (driver.Conn, error) { return &conn{db: c.db}, nil }
+func (c connector) Driver() driver.Driver                        { return c }
+func (c connector) Open(string) (driver.Conn, error)             { return &conn{db: c.db}, nil }
 
 type conn struct {
 	db *DB
@@ -133,73 +90,20 @@ func (c *conn) BeginTx(ctx context.Context, opts driver.TxOptions) (driver.Tx, e
 // IsValid implements driver.Validator so pooled connections are reused.
 func (c *conn) IsValid() bool { return !c.db.closed.Load() }
 
-// run executes a statement on the connection's transaction, or in
-// autocommit mode when none is open, under ctx (the caller's real
-// context: ExecContext/QueryContext thread it through unmodified, so
-// cancellation reaches every engine blocking point). Autocommit
-// SELECT/EXPLAIN runs as a lock-free snapshot read, matching DB.Query.
-// Transaction-control statements (BEGIN [READ ONLY] / COMMIT / ROLLBACK)
-// manage the connection's transaction, so SQL-level `BEGIN READ ONLY`
-// opens the same snapshot transaction sql.TxOptions{ReadOnly: true} does
-// — note that statement-level transactions bind to one connection (use
-// sql.Conn or sql.Tx, not a pooled sql.DB, to keep subsequent statements
-// on it).
-func (c *conn) run(ctx context.Context, ast Statement, params []Value) (Result, *Rows, error) {
-	switch s := ast.(type) {
-	case *BeginStmt:
-		if c.tx != nil {
-			return Result{}, nil, fmt.Errorf("sqldb: connection already has an open transaction")
-		}
-		// The statement's ctx ends with the BEGIN exchange; the session
-		// transaction it opens must not die with it.
-		tx, err := c.db.BeginTx(context.Background(), TxOptions{ReadOnly: s.ReadOnly})
-		if err != nil {
-			return Result{}, nil, err
-		}
-		c.tx = tx
-		return Result{}, nil, nil
-	case *CommitStmt:
-		if c.tx == nil {
-			return Result{}, nil, fmt.Errorf("sqldb: COMMIT with no open transaction")
-		}
-		err := c.tx.CommitContext(ctx)
-		c.tx = nil
-		return Result{}, nil, err
-	case *RollbackStmt:
-		if c.tx == nil {
-			return Result{}, nil, fmt.Errorf("sqldb: ROLLBACK with no open transaction")
-		}
-		err := c.tx.Rollback()
-		c.tx = nil
-		return Result{}, nil, err
+// run executes a statement on the connection's transaction, or through
+// DB.autocommit when none is open, under ctx (the caller's real context:
+// ExecContext/QueryContext thread it through unmodified, so cancellation
+// reaches every engine blocking point). Transactions open and resolve
+// through BeginTx and the driver.Tx it returns, never through SQL text.
+func (c *conn) run(ctx context.Context, ast Statement, bind func(*Tx) ([]Value, error)) (Result, *Rows, error) {
+	if c.tx == nil {
+		return c.db.autocommit(ctx, ast, bind)
 	}
-	if c.tx != nil {
-		return c.tx.execStmtCtx(ctx, ast, params)
-	}
-	var tx *Tx
-	var err error
-	ctx, cancel := c.db.stmtCtx(ctx)
-	defer cancel()
-	switch ast.(type) {
-	case *SelectStmt, *ExplainStmt:
-		tx, err = c.db.BeginTx(ctx, TxOptions{ReadOnly: true})
-	default:
-		tx, err = c.db.BeginTx(ctx, TxOptions{})
-	}
+	params, err := bind(c.tx)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	tx.implicit = true
-	res, rows, err := tx.execStmt(ast, params)
-	if err != nil {
-		tx.db.noteStmtErr(err)
-		tx.Rollback()
-		return Result{}, nil, err
-	}
-	if err := tx.Commit(); err != nil {
-		return Result{}, nil, err
-	}
-	return res, rows, nil
+	return c.tx.execStmtCtx(ctx, ast, params)
 }
 
 // ExecContext implements driver.ExecerContext.
@@ -208,11 +112,7 @@ func (c *conn) ExecContext(ctx context.Context, query string, args []driver.Name
 	if err != nil {
 		return nil, err
 	}
-	params, err := c.bind(args)
-	if err != nil {
-		return nil, err
-	}
-	res, _, err := c.run(ctx, ast, params)
+	res, _, err := c.run(ctx, ast, func(tx *Tx) ([]Value, error) { return bindNamed(tx, args) })
 	if err != nil {
 		return nil, err
 	}
@@ -225,16 +125,10 @@ func (c *conn) QueryContext(ctx context.Context, query string, args []driver.Nam
 	if err != nil {
 		return nil, err
 	}
-	switch ast.(type) {
-	case *SelectStmt, *ExplainStmt:
-	default:
-		return nil, fmt.Errorf("sqldb: Query requires a SELECT or EXPLAIN statement")
+	if !isQuery(ast) {
+		return nil, errNotQuery
 	}
-	params, err := c.bind(args)
-	if err != nil {
-		return nil, err
-	}
-	_, rows, err := c.run(ctx, ast, params)
+	_, rows, err := c.run(ctx, ast, func(tx *Tx) ([]Value, error) { return bindNamed(tx, args) })
 	if err != nil {
 		return nil, err
 	}
@@ -273,11 +167,7 @@ func (s *stmt) Close() error  { return nil }
 func (s *stmt) NumInput() int { return s.numInput }
 
 func (s *stmt) Exec(args []driver.Value) (driver.Result, error) {
-	params, err := driverToValues(args)
-	if err != nil {
-		return nil, err
-	}
-	res, _, err := s.conn.run(context.Background(), s.ast, params)
+	res, _, err := s.conn.run(context.Background(), s.ast, func(tx *Tx) ([]Value, error) { return bindValues(tx, args) })
 	if err != nil {
 		return nil, err
 	}
@@ -285,16 +175,10 @@ func (s *stmt) Exec(args []driver.Value) (driver.Result, error) {
 }
 
 func (s *stmt) Query(args []driver.Value) (driver.Rows, error) {
-	switch s.ast.(type) {
-	case *SelectStmt, *ExplainStmt:
-	default:
-		return nil, fmt.Errorf("sqldb: Query requires a SELECT or EXPLAIN statement")
+	if !isQuery(s.ast) {
+		return nil, errNotQuery
 	}
-	params, err := driverToValues(args)
-	if err != nil {
-		return nil, err
-	}
-	_, rows, err := s.conn.run(context.Background(), s.ast, params)
+	_, rows, err := s.conn.run(context.Background(), s.ast, func(tx *Tx) ([]Value, error) { return bindValues(tx, args) })
 	if err != nil {
 		return nil, err
 	}
@@ -349,8 +233,10 @@ func (r *driverRows) Next(dest []driver.Value) error {
 	return nil
 }
 
-func driverToValues(args []driver.Value) ([]Value, error) {
-	params := make([]Value, len(args))
+// bindValues binds a prepared statement's positional arguments in tx's
+// parameter buffer.
+func bindValues(tx *Tx, args []driver.Value) ([]Value, error) {
+	params := tx.bindParams(len(args))
 	for i, a := range args {
 		v, err := FromGo(a)
 		if err != nil {
@@ -361,16 +247,9 @@ func driverToValues(args []driver.Value) ([]Value, error) {
 	return params, nil
 }
 
-// bind converts a statement's arguments, borrowing the open transaction's
-// parameter buffer when there is one (an autocommit statement's
-// transaction does not exist yet).
-func (c *conn) bind(args []driver.NamedValue) ([]Value, error) {
-	var params []Value
-	if c.tx != nil {
-		params = c.tx.bindParams(len(args))
-	} else {
-		params = make([]Value, len(args))
-	}
+// bindNamed binds a statement's ordinal arguments in tx's parameter buffer.
+func bindNamed(tx *Tx, args []driver.NamedValue) ([]Value, error) {
+	params := tx.bindParams(len(args))
 	for _, a := range args {
 		v, err := FromGo(a.Value)
 		if err != nil {

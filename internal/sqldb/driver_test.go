@@ -1,7 +1,10 @@
 package sqldb
 
 import (
+	"context"
 	"database/sql"
+	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -10,13 +13,7 @@ import (
 func openSQL(t *testing.T) (*sql.DB, *DB) {
 	t.Helper()
 	engine := New()
-	name := "test-" + t.Name()
-	Serve(name, engine)
-	t.Cleanup(func() { Unserve(name) })
-	pool, err := sql.Open(DriverName, name)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := sql.OpenDB(engine.Connector())
 	t.Cleanup(func() { pool.Close() })
 	return pool, engine
 }
@@ -152,28 +149,26 @@ func TestDriverConnectionPoolConcurrency(t *testing.T) {
 	}
 }
 
-func TestDriverMemDSN(t *testing.T) {
-	pool, err := sql.Open(DriverName, "mem:"+t.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	// The mem: registry outlives the test binary's first run under
-	// -count>1; start from a clean slate.
-	if _, err := pool.Exec(`DROP TABLE IF EXISTS t`); err != nil {
-		t.Fatal(err)
-	}
+// TestDriverTwoPoolsShareTheEngine: a pool is a view of the engine whose
+// Connector opened it, not a copy — and the Driver a pool reports opens
+// connections onto that same engine whatever name it is given.
+func TestDriverTwoPoolsShareTheEngine(t *testing.T) {
+	pool, engine := openSQL(t)
 	if _, err := pool.Exec(`CREATE TABLE t (x INTEGER)`); err != nil {
 		t.Fatal(err)
 	}
-	// A second pool on the same DSN shares the engine.
-	pool2, err := sql.Open(DriverName, "mem:"+t.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool2 := sql.OpenDB(engine.Connector())
 	defer pool2.Close()
 	if _, err := pool2.Exec(`INSERT INTO t VALUES (1)`); err != nil {
 		t.Fatal(err)
+	}
+	c, err := pool.Driver().Open("ignored")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if c.(*conn).db != engine {
+		t.Fatal("Driver().Open connected to another engine")
 	}
 	var n int
 	if err := pool.QueryRow(`SELECT count(*) FROM t`).Scan(&n); err != nil {
@@ -182,14 +177,6 @@ func TestDriverMemDSN(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("shared engine count = %d", n)
 	}
-}
-
-func TestDriverUnknownDSN(t *testing.T) {
-	pool, _ := sql.Open(DriverName, "no-such-engine")
-	if err := pool.Ping(); err == nil {
-		t.Fatal("ping of unregistered DSN succeeded")
-	}
-	pool.Close()
 }
 
 func TestDriverRowsIteration(t *testing.T) {
@@ -216,5 +203,111 @@ func TestDriverRowsIteration(t *testing.T) {
 	}
 	if sum != 15 {
 		t.Fatalf("sum = %d", sum)
+	}
+}
+
+// TestAutocommitIsOnePath: a statement outside a transaction behaves the
+// same through DB.QueryContext, DB.ExecContext and a database/sql pool. A
+// SELECT reads a snapshot — it takes no lock, so a writer holding the row
+// exclusively neither blocks it nor shows it the uncommitted value — and is
+// bound by the default statement timeout; a write is exactly one commit;
+// transaction-control text is refused (sessions use BeginTx).
+func TestAutocommitIsOnePath(t *testing.T) {
+	engine, err := Open(Options{VFS: NewMemVFS(), Path: "auto.wal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer engine.Close()
+	pool := sql.OpenDB(engine.Connector())
+	defer pool.Close()
+	mustExec(t, engine, `CREATE TABLE kv (id INTEGER PRIMARY KEY, n INTEGER NOT NULL)`)
+	mustExec(t, engine, `INSERT INTO kv VALUES (1, 10)`)
+
+	const sel = `SELECT n FROM kv WHERE id = ?`
+	selects := map[string]func(ctx context.Context) (int64, error){
+		"DB.QueryContext": func(ctx context.Context) (int64, error) {
+			rows, err := engine.QueryContext(ctx, sel, 1)
+			if err != nil {
+				return 0, err
+			}
+			return rows.Data[0][0].Int64(), nil
+		},
+		"DB.ExecContext": func(ctx context.Context) (int64, error) {
+			_, err := engine.ExecContext(ctx, sel, 1)
+			return 10, err // Exec hands back no rows
+		},
+		"sql.DB": func(ctx context.Context) (n int64, err error) {
+			err = pool.QueryRowContext(ctx, sel, 1).Scan(&n)
+			return n, err
+		},
+	}
+
+	writer, err := engine.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := writer.Exec(`UPDATE kv SET n = 99 WHERE id = 1`); err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range selects {
+		before, reads := engine.LockStats(), engine.VersionStats().SnapshotReads
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		n, err := run(ctx)
+		cancel()
+		if err != nil || n != 10 {
+			t.Errorf("%s beside a writer: n = %d, err = %v; want the committed 10", name, n, err)
+		}
+		after := engine.LockStats()
+		if after.Acquired != before.Acquired || after.Waited != before.Waited {
+			t.Errorf("%s took locks: acquired %d → %d, waited %d → %d", name, before.Acquired, after.Acquired, before.Waited, after.Waited)
+		}
+		if got := engine.VersionStats().SnapshotReads - reads; got != 1 {
+			t.Errorf("%s: %d snapshot reads, want 1", name, got)
+		}
+	}
+	if err := writer.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if ls := engine.LockStats(); ls.HeldRow != 0 || ls.HeldTable != 0 {
+		t.Errorf("locks left held: %d row, %d table", ls.HeldRow, ls.HeldTable)
+	}
+
+	engine.SetStmtTimeout(time.Nanosecond)
+	for name, run := range selects {
+		if _, err := run(context.Background()); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s under a 1ns default statement timeout: err = %v, want deadline exceeded", name, err)
+		}
+	}
+	engine.SetStmtTimeout(0)
+
+	writes := map[string]func() error{
+		"DB.ExecContext": func() error {
+			_, err := engine.ExecContext(context.Background(), `UPDATE kv SET n = n + 1 WHERE id = 1`)
+			return err
+		},
+		"sql.DB": func() error {
+			_, err := pool.Exec(`UPDATE kv SET n = n + 1 WHERE id = 1`)
+			return err
+		},
+	}
+	for name, run := range writes {
+		before := engine.WALStats().Commits
+		if err := run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := engine.WALStats().Commits - before; got != 1 {
+			t.Errorf("%s: %d commits, want 1", name, got)
+		}
+	}
+	if _, err := engine.QueryContext(context.Background(), `UPDATE kv SET n = 0`); err == nil {
+		t.Error("DB.QueryContext ran a write")
+	}
+	for _, text := range []string{`BEGIN`, `BEGIN READ ONLY`, `COMMIT`, `ROLLBACK`} {
+		if _, err := pool.Exec(text); err == nil || !strings.Contains(err.Error(), "session layer") {
+			t.Errorf("%s through the driver: err = %v, want the session-layer refusal", text, err)
+		}
+	}
+	if got := mustQuery(t, engine, sel, 1).Data[0][0].Int64(); got != 12 {
+		t.Errorf("n = %d after two autocommit increments, want 12", got)
 	}
 }

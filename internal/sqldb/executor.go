@@ -59,15 +59,6 @@ type rowBatch struct {
 	rids []int64
 }
 
-// batchOp is the executor's iterator contract. Init must be called once
-// before Next; Next returns nil when the operator is exhausted; Close
-// releases operator state.
-type batchOp interface {
-	Init() error
-	Next() (*rowBatch, error)
-	Close()
-}
-
 // AggMode selects how aggregated SELECTs execute.
 type AggMode int32
 

@@ -295,7 +295,7 @@ func TestSnapshotScanNoDuplicatesAcrossKeyChange(t *testing.T) {
 // clock resumes past the replayed history.
 func TestRecoveryCommitStamps(t *testing.T) {
 	vfs := NewMemVFS()
-	db, err := Open(Options{VFS: vfs, Path: "wal", Sync: SyncEveryCommit})
+	db, err := Open(Options{VFS: vfs, Path: "wal", Sync: SyncGroup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestRecoveryCommitStamps(t *testing.T) {
 	}
 	// tx never commits: simulate the crash with its write in flight.
 
-	db2, err := Open(Options{VFS: vfs, Path: "wal", Sync: SyncEveryCommit})
+	db2, err := Open(Options{VFS: vfs, Path: "wal", Sync: SyncGroup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,12 +391,7 @@ func TestParseBeginReadOnly(t *testing.T) {
 // snapshot transaction with repeatable reads and rejected writes.
 func TestDriverReadOnlyTxOptions(t *testing.T) {
 	engine := kvFixture(t, 2)
-	Serve("mvcc-driver-test", engine)
-	defer Unserve("mvcc-driver-test")
-	pool, err := sql.Open(DriverName, "mvcc-driver-test")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := sql.OpenDB(engine.Connector())
 	defer pool.Close()
 	tx, err := pool.BeginTx(t.Context(), &sql.TxOptions{ReadOnly: true})
 	if err != nil {
@@ -499,69 +494,5 @@ func TestCreateIndexWithInFlightWriter(t *testing.T) {
 		if got := rows.Len() == 1; got != want3 {
 			t.Fatalf("commit=%v: in-flight insert visibility via new index = %v, want %v", commit, got, want3)
 		}
-	}
-}
-
-// SQL-level transaction control on a pinned connection: BEGIN READ ONLY
-// must open the same lock-free snapshot transaction that
-// sql.TxOptions{ReadOnly: true} does.
-func TestDriverBeginReadOnlyStatement(t *testing.T) {
-	engine := kvFixture(t, 2)
-	Serve("mvcc-begin-stmt-test", engine)
-	defer Unserve("mvcc-begin-stmt-test")
-	pool, err := sql.Open(DriverName, "mvcc-begin-stmt-test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	ctx := t.Context()
-	conn, err := pool.Conn(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.ExecContext(ctx, `BEGIN READ ONLY`); err != nil {
-		t.Fatalf("BEGIN READ ONLY: %v", err)
-	}
-	var n int64
-	if err := conn.QueryRowContext(ctx, `SELECT n FROM kv WHERE id = 1`).Scan(&n); err != nil {
-		t.Fatal(err)
-	}
-	mustExec(t, engine, `UPDATE kv SET n = 55 WHERE id = 1`)
-	var again int64
-	if err := conn.QueryRowContext(ctx, `SELECT n FROM kv WHERE id = 1`).Scan(&again); err != nil {
-		t.Fatal(err)
-	}
-	if again != n {
-		t.Fatalf("BEGIN READ ONLY session not repeatable: %d then %d", n, again)
-	}
-	if _, err := conn.ExecContext(ctx, `UPDATE kv SET n = 1`); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("write in BEGIN READ ONLY session: err = %v, want ErrReadOnly", err)
-	}
-	if _, err := conn.ExecContext(ctx, `ROLLBACK`); err != nil {
-		t.Fatalf("ROLLBACK: %v", err)
-	}
-	// After ROLLBACK the connection is back in autocommit: fresh snapshot.
-	if err := conn.QueryRowContext(ctx, `SELECT n FROM kv WHERE id = 1`).Scan(&n); err != nil {
-		t.Fatal(err)
-	}
-	if n != 55 {
-		t.Fatalf("post-rollback autocommit read = %d, want 55", n)
-	}
-	// And a read-write BEGIN/COMMIT round-trip works too.
-	if _, err := conn.ExecContext(ctx, `BEGIN`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.ExecContext(ctx, `UPDATE kv SET n = 56 WHERE id = 1`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.ExecContext(ctx, `COMMIT`); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.QueryRowContext(ctx, `SELECT n FROM kv WHERE id = 1`).Scan(&n); err != nil {
-		t.Fatal(err)
-	}
-	if n != 56 {
-		t.Fatalf("committed SQL-level txn read = %d, want 56", n)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"condorj2/internal/sqldb/pager"
 )
@@ -79,8 +78,8 @@ type pageStore struct {
 	checkpoints atomic.Uint64
 	ckptErrors  atomic.Uint64
 
-	// ckptMu serializes checkpoints (background timer, explicit
-	// Checkpoint calls, and the final one in Close).
+	// ckptMu serializes checkpoints (Checkpoint calls and the final one
+	// in Close).
 	ckptMu sync.Mutex
 
 	// tombQ holds slot-freeing tombstone erasures deferred past the next
@@ -95,9 +94,6 @@ type pageStore struct {
 	// keeps everything recoverable).
 	errMu sync.Mutex
 	err   error
-
-	stop chan struct{}
-	done chan struct{}
 
 	// recovering gates applyDDL's table-ID auto-assignment while the
 	// catalog is rebuilt from checkpoint meta (IDs come from the meta).
@@ -149,14 +145,6 @@ func (st *pageStore) drainTomb(cut int) {
 	st.tombMu.Unlock()
 	for _, te := range batch {
 		te.heap.erase(te.loc)
-	}
-}
-
-func (st *pageStore) stopCheckpointer() {
-	if st.stop != nil {
-		close(st.stop)
-		<-st.done
-		st.stop, st.done = nil, nil
 	}
 }
 
@@ -526,26 +514,6 @@ func (db *DB) fuzzyCheckpoint(final bool) error {
 	st.drainTomb(cut)
 	st.checkpoints.Add(1)
 	return nil
-}
-
-// startCheckpointer launches the background fuzzy checkpointer.
-func (db *DB) startCheckpointer(interval time.Duration) {
-	st := db.store
-	st.stop = make(chan struct{})
-	st.done = make(chan struct{})
-	go func() {
-		defer close(st.done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-st.stop:
-				return
-			case <-t.C:
-				_ = db.fuzzyCheckpoint(false) // failures are counted and sticky failures latch
-			}
-		}
-	}()
 }
 
 // recoverPaged rebuilds the database from checkpoint meta, the page

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -511,6 +512,38 @@ func TestPagedFollowerApply(t *testing.T) {
 	}
 }
 
+// TestPagedTruncatedLogRefusesFarBehindFollower: a checkpoint cuts the log's
+// head off, so a follower resuming from below the cut cannot be served from
+// the file — it is refused with ErrLogTruncated rather than shipped the tail
+// as if nothing came before it. One resuming at or above the cut is served.
+func TestPagedTruncatedLogRefusesFarBehindFollower(t *testing.T) {
+	vfs := NewMemVFS()
+	leader := openPaged(t, vfs)
+	mustExec(t, leader, `CREATE TABLE t (k INTEGER PRIMARY KEY)`)
+	for i := 0; i < 10; i++ {
+		mustExec(t, leader, `INSERT INTO t VALUES (?)`, i)
+	}
+	if err := leader.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	cut := leader.BufferPoolStats().CheckpointLSN
+	// Everything this process committed is still in its ring: no hole yet.
+	if got, _, err := leader.CommittedSince(0, 0); err != nil || len(got) != 11 {
+		t.Fatalf("from the ring: %d batches, err %v; want all 11", len(got), err)
+	}
+	// A restarted leader has only the file, and the file starts after the cut.
+	leader = openPaged(t, vfs)
+	defer leader.Close()
+	mustExec(t, leader, `INSERT INTO t VALUES (100)`)
+	if _, _, err := leader.CommittedSince(cut-1, 0); !errors.Is(err, ErrLogTruncated) {
+		t.Fatalf("resume below the cut: err = %v, want ErrLogTruncated", err)
+	}
+	got, _, err := leader.CommittedSince(cut, 0)
+	if err != nil || len(got) != 1 || got[0].LSN <= cut {
+		t.Fatalf("resume at the cut: %d batches, err %v; want the one commit after it", len(got), err)
+	}
+}
+
 // TestPagedConcurrentChurn runs writers, snapshot readers, vacuum, and
 // fuzzy checkpoints against a pool far smaller than the working set, so
 // eviction constantly races commit write-through, snapshot resolution of
@@ -520,13 +553,7 @@ func TestPagedFollowerApply(t *testing.T) {
 // between rows, preserving the sum) no matter which pages are resident.
 func TestPagedConcurrentChurn(t *testing.T) {
 	vfs := NewMemVFS()
-	db, err := Open(Options{
-		VFS: vfs, Path: "test.db", PoolPages: 4, PageSize: 512,
-		CheckpointInterval: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := openPagedOpts(t, vfs, 4, 512)
 	mustExec(t, db, `CREATE TABLE accts (id INTEGER PRIMARY KEY, bal INTEGER)`)
 	const rows, total = 256, 256 * 100
 	tx, err := db.Begin()
@@ -625,6 +652,25 @@ func TestPagedConcurrentChurn(t *testing.T) {
 				return
 			default:
 				db.Vacuum()
+			}
+		}
+	}()
+	// The checkpointer: the engine owns no timer, so the test is the owner
+	// that calls Checkpoint — every millisecond.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				if err := db.Checkpoint(); err != nil {
+					report("Checkpoint: %v", err)
+					return
+				}
 			}
 		}
 	}()

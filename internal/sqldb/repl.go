@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 )
 
@@ -25,6 +26,11 @@ import (
 
 // ErrNoWAL reports a replication call on a database without a log.
 var ErrNoWAL = fmt.Errorf("sqldb: replication requires a WAL-backed database")
+
+// ErrLogTruncated reports a CommittedSince from an LSN a checkpoint has
+// already cut out of the log: what remains would ship with a hole, so the
+// follower that far behind must be re-seeded instead.
+var ErrLogTruncated = errors.New("sqldb: replication: the log no longer reaches back that far")
 
 // ReplicationTap notifies a shipping loop that new committed batches are
 // available. The channel carries no data — consume it, then drain new
@@ -161,6 +167,11 @@ func (w *wal) committedSince(afterLSN uint64, maxBytes int) ([]CommittedBatch, u
 	data, err := w.vfs.ReadFile(w.name)
 	if err != nil {
 		return nil, durable, fmt.Errorf("sqldb: replication read: %w", err)
+	}
+	// Loaded after the read: truncateThrough publishes its cut before it
+	// swaps the file, so a file read that saw the cut sees it here.
+	if trunc := w.truncLSN.Load(); afterLSN < trunc {
+		return nil, durable, fmt.Errorf("%w (asked after LSN %d, checkpointed through %d)", ErrLogTruncated, afterLSN, trunc)
 	}
 	out := splitBatches(data, afterLSN, maxBytes, durable)
 	if n := len(out); n > 0 {

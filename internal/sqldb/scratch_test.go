@@ -575,12 +575,7 @@ func TestResultOutlivesItsRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dsn := "outlive-" + name
-		Serve(dsn, db)
-		pool, err := sql.Open(DriverName, dsn)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pool := sql.OpenDB(db.Connector())
 		mustExec(t, db, `CREATE TABLE r (id INTEGER PRIMARY KEY, tag TEXT NOT NULL, n INTEGER NOT NULL)`)
 		mustExec(t, db, `CREATE TABLE filler (id INTEGER PRIMARY KEY, pad TEXT NOT NULL)`)
 		for i := 1; i <= 40; i++ {
@@ -676,7 +671,6 @@ func TestResultOutlivesItsRows(t *testing.T) {
 			t.Errorf("%s: a write to Rows.Data reached the table: %v", name, again.Data)
 		}
 		pool.Close()
-		Unserve(dsn)
 		db.Close()
 	}
 }

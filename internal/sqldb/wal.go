@@ -294,39 +294,38 @@ func (OSVFS) Remove(name string) error {
 	return err
 }
 
-// SyncPolicy controls when the WAL reaches stable storage.
+// SyncPolicy controls whether the WAL waits for stable storage. There is
+// one commit pipeline (commit → flushGroup); the policy only decides
+// whether a flush ends in an fsync.
 type SyncPolicy int
 
 const (
-	// SyncEveryCommit syncs on each commit (safest, slowest): every
-	// committer pays a dedicated fsync and all committers serialize on it.
-	SyncEveryCommit SyncPolicy = iota
-	// SyncNever leaves syncing to the file system (fastest; a crash may
-	// lose recent commits but never corrupts recovered state).
+	// SyncGroup, the zero value, makes every commit durable before it
+	// returns: committers enqueue their record batches and block; the first
+	// unserved committer becomes the group leader, drains the queue, writes
+	// all pending batches with one buffered write, issues a single fsync,
+	// and wakes the whole group. N concurrent commits cost ~1 fsync instead
+	// of N; a lone committer leads its own flush — one write, one fsync.
+	// Each transaction holds its locks until its own commit record is
+	// durable.
+	SyncGroup SyncPolicy = iota
+	// SyncNever is the same pipeline with the fsync skipped, leaving syncing
+	// to the file system (fastest; a crash may lose recent commits but never
+	// corrupts recovered state).
 	SyncNever
-	// SyncGroup gives every commit the durability of SyncEveryCommit at a
-	// fraction of the fsync cost: committers enqueue their record batches
-	// and block; the first unserved committer becomes the group leader,
-	// drains the queue, writes all pending batches with one buffered write,
-	// issues a single fsync, and wakes the whole group. N concurrent
-	// commits cost ~1 fsync instead of N. Each transaction still holds its
-	// locks until its own commit record is durable, so recovery and
-	// isolation semantics are identical to SyncEveryCommit.
-	SyncGroup
 )
 
-// ParseSyncPolicy maps the flag spellings the cmd daemons accept ("every",
-// "never", "group") to a SyncPolicy.
+// ParseSyncPolicy maps the flag spellings the cmd daemons accept to a
+// SyncPolicy: "group" (or its older names "every" and "commit" — there is
+// one durable policy) and "never".
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
-	case "every", "commit":
-		return SyncEveryCommit, nil
+	case "group", "every", "commit":
+		return SyncGroup, nil
 	case "never":
 		return SyncNever, nil
-	case "group":
-		return SyncGroup, nil
 	}
-	return 0, fmt.Errorf("sqldb: unknown sync policy %q (want every, never or group)", s)
+	return 0, fmt.Errorf("sqldb: unknown sync policy %q (want group or never)", s)
 }
 
 // walGroupBuckets is the number of group-size histogram buckets: sizes
@@ -335,17 +334,16 @@ const walGroupBuckets = 8
 
 // WALStats is a snapshot of the write-ahead log's commit-pipeline counters.
 // Syncs/Commits is the amortization the group-commit pipeline exists to
-// deliver: 1.0 under SyncEveryCommit, approaching 1/concurrency under
-// SyncGroup.
+// deliver: 1.0 for sequential commits, approaching 1/concurrency for
+// concurrent ones.
 type WALStats struct {
 	// Commits counts transactions whose commit record was successfully
-	// logged (and, under the syncing policies, made durable).
+	// logged (and, under SyncGroup, made durable).
 	Commits uint64
 	// Syncs counts fsync calls issued on the log file.
 	Syncs uint64
 	// Flushes counts batched writes that reached the log file; equals
-	// Syncs under the syncing policies, and counts unsynced writes under
-	// SyncNever.
+	// Syncs under SyncGroup, and counts unsynced writes under SyncNever.
 	Flushes uint64
 	// BytesWritten is the total log bytes appended.
 	BytesWritten uint64
@@ -356,7 +354,7 @@ type WALStats struct {
 	// single flush.
 	MaxGroup uint64
 	// CommitWait is cumulative wall-clock time commits spent between
-	// enqueueing their batch and learning it was durable (SyncGroup only).
+	// enqueueing their batch and learning its flush's outcome.
 	CommitWait time.Duration
 }
 
@@ -399,7 +397,7 @@ type CommittedBatch struct {
 const walRingBytes = 4 << 20
 
 type wal struct {
-	// mu guards the file handle: group flushes, non-group commits,
+	// mu guards the file handle: group flushes, follower appends,
 	// checkpoint swaps and close all serialize here.
 	mu     sync.Mutex
 	vfs    VFS
@@ -452,8 +450,9 @@ type wal struct {
 	inflight map[uint64]struct{}
 
 	// truncLSN is the newest LSN removed from the log file by a fuzzy
-	// checkpoint's tail truncation. Followers this far behind can no
-	// longer be served from the file and must re-seed.
+	// checkpoint's tail truncation (at open: the checkpoint LSN). Followers
+	// this far behind can no longer be served from the file and must
+	// re-seed: committedSince refuses them with ErrLogTruncated.
 	truncLSN atomic.Uint64
 
 	// Pipeline counters (see WALStats).
@@ -536,14 +535,13 @@ func (w *wal) truncateThrough(ckptLSN uint64) error {
 	if cut == 0 {
 		return nil
 	}
+	// Published before the swap (see committedSince); only this function,
+	// under w.mu, and Open write it.
+	if truncated > w.truncLSN.Load() {
+		w.truncLSN.Store(truncated)
+	}
 	if err := w.replaceLocked(append([]byte(nil), data[cut:]...)); err != nil {
 		return fmt.Errorf("sqldb: wal truncate: %w", err)
-	}
-	for {
-		cur := w.truncLSN.Load()
-		if truncated <= cur || w.truncLSN.CompareAndSwap(cur, truncated) {
-			break
-		}
 	}
 	return nil
 }
@@ -580,22 +578,28 @@ func (w *wal) observeGroup(n int) {
 	}
 }
 
-// commit appends the transaction's records plus a commit marker and, per
-// the sync policy, makes them durable before returning. ctx bounds the
-// group-commit wait: a batch still queued when ctx fires is retracted
-// (nothing written) and the mapped context error returned; a batch
+// commit enqueues the transaction's records on the group pipeline and
+// blocks until a flush containing them has been written and, per the sync
+// policy, made durable — or the batch is retracted by ctx, or leadership is
+// handed to this committer. The first committer to find no flush in progress
+// leads a flush (normally the one carrying its own batch); followers
+// arriving while that flush's fsync is in flight accumulate in the queue and
+// ride the next flush together — that overlap is what amortizes the fsync
+// across concurrent transactions. Leadership passes batch to batch: a
+// finishing leader appoints the head of the remaining queue, whose committer
+// wakes and flushes the next group. A batch still queued when ctx fires is
+// retracted (nothing written) and the mapped context error returned; a batch
 // already drained into a flush rides it to the real outcome.
 //
 // On success the group's LSN is returned, registered in the in-flight
 // registry; the caller MUST unregisterInflight it once the commit's
 // effects are applied. A nonzero LSN may come back even with an error
-// (the marker reached the file but the sync failed) — the caller
-// unregisters on that path too.
+// (the marker may have reached the file but the write or sync failed) —
+// the caller unregisters on that path too.
 //
 // buf is the committer's encode buffer (the transaction's scratch): the
 // records are laid out there and it is the committer's again when commit
-// returns — a group flush copies queued batches into its own write
-// buffer, and the unbatched policies publish a copy.
+// returns — a flush copies queued batches into its own write buffer.
 func (w *wal) commit(ctx context.Context, txn uint64, recs []walRecord, buf *bytes.Buffer) (uint64, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -611,56 +615,8 @@ func (w *wal) commit(ctx context.Context, txn uint64, recs []walRecord, buf *byt
 		recs[i].txn = txn
 		appendRecord(buf, &recs[i])
 	}
-	if w.policy == SyncGroup {
-		return w.commitGroup(ctx, buf.Bytes(), txn)
-	}
-	w.mu.Lock()
-	if w.dirty {
-		if err := w.repairLocked(); err != nil {
-			w.mu.Unlock()
-			return 0, err
-		}
-	}
-	lsn := w.nextLSN + 1
-	appendRecord(buf, &walRecord{op: walCommit, txn: txn, lsn: lsn})
-	if _, err := w.file.Write(buf.Bytes()); err != nil {
-		w.dirty = true
-		w.mu.Unlock()
-		return 0, err
-	}
-	w.nextLSN = lsn
-	w.registerInflight(lsn)
-	w.bytes.Add(uint64(buf.Len()))
-	var err error
-	if w.policy == SyncEveryCommit {
-		w.syncs.Add(1)
-		err = w.file.Sync()
-	}
-	if err == nil {
-		w.durableLSN.Store(lsn)
-	}
-	w.mu.Unlock()
-	w.observeGroup(1)
-	if err != nil {
-		return lsn, err
-	}
-	w.publishCommitted([]CommittedBatch{{LSN: lsn, Data: append([]byte(nil), buf.Bytes()...)}})
-	w.commits.Add(1)
-	return lsn, nil
-}
-
-// commitGroup enqueues one transaction's batch and blocks until a group
-// flush containing it is durable, the batch is retracted by ctx, or
-// leadership is handed to this committer. The first committer to find no
-// flush in progress leads a flush (normally the one carrying its own
-// batch); followers arriving while that flush's fsync is in flight
-// accumulate in the queue and ride the next flush together — that overlap
-// is what amortizes the fsync across concurrent transactions. Leadership
-// passes batch to batch: a finishing leader appoints the head of the
-// remaining queue, whose committer wakes and flushes the next group.
-func (w *wal) commitGroup(ctx context.Context, data []byte, txn uint64) (uint64, error) {
 	start := time.Now()
-	b := &walBatch{data: data, txn: txn, done: make(chan error, 1), lead: make(chan struct{}, 1)}
+	b := &walBatch{data: buf.Bytes(), txn: txn, done: make(chan error, 1), lead: make(chan struct{}, 1)}
 	w.gmu.Lock()
 	w.queue = append(w.queue, b)
 	leader := !w.flushing
@@ -755,8 +711,9 @@ func (w *wal) retractBatch(b *walBatch, ctx context.Context) error {
 }
 
 // flushGroup drains the queue, writes the group with a single buffered
-// write, issues one fsync, and delivers the outcome to every batch in the
-// group.
+// write, issues one fsync (unless the policy is SyncNever), and delivers the
+// outcome to every batch in the group. It holds the only write of this
+// node's own commits to the log.
 func (w *wal) flushGroup() {
 	w.gmu.Lock()
 	group := w.queue
@@ -803,8 +760,10 @@ func (w *wal) flushGroup() {
 		err = werr
 		if werr == nil {
 			w.bytes.Add(uint64(buf.Len()))
-			w.syncs.Add(1)
-			err = w.file.Sync()
+			if w.policy != SyncNever {
+				w.syncs.Add(1)
+				err = w.file.Sync()
+			}
 		}
 		if err == nil {
 			w.durableLSN.Store(w.nextLSN)
@@ -939,7 +898,7 @@ func appendRecord(buf *bytes.Buffer, r *walRecord) {
 
 // logReader walks raw log bytes one committed group at a time. A group is
 // the redo records up to and including a commit marker — one transaction's
-// batch as commit, flushGroup, appendRaw and Checkpoint lay it down, always
+// batch as flushGroup, appendRaw and Checkpoint lay it down, always
 // contiguous — and it is the unit of everything done with the log: repair
 // keeps whole groups, recovery and follower apply redo whole groups,
 // truncation and shipping cut at group boundaries. Every consumer is a loop

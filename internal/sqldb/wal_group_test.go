@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -171,10 +172,10 @@ func TestParseSyncPolicy(t *testing.T) {
 		want SyncPolicy
 		ok   bool
 	}{
-		{"every", SyncEveryCommit, true},
-		{"commit", SyncEveryCommit, true},
-		{"never", SyncNever, true},
 		{"group", SyncGroup, true},
+		{"every", SyncGroup, true}, // older spellings of the one durable policy
+		{"commit", SyncGroup, true},
+		{"never", SyncNever, true},
 		{"bogus", 0, false},
 	}
 	for _, c := range cases {
@@ -188,10 +189,11 @@ func TestParseSyncPolicy(t *testing.T) {
 	}
 }
 
-// TestWALStatsEveryCommit: under SyncEveryCommit the ratio is exactly one
-// fsync per commit — the baseline SyncGroup amortizes away.
+// TestWALStatsEveryCommit: with no policy named, every sequential commit
+// leads its own flush — one write, one fsync, a group of one — the baseline
+// concurrent committers amortize away.
 func TestWALStatsEveryCommit(t *testing.T) {
-	db, err := Open(Options{VFS: NewMemVFS(), Path: "e.wal", Sync: SyncEveryCommit})
+	db, err := Open(Options{VFS: NewMemVFS(), Path: "e.wal"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +203,162 @@ func TestWALStatsEveryCommit(t *testing.T) {
 		mustExec(t, db, `INSERT INTO e VALUES (?)`, i)
 	}
 	stats := db.WALStats()
-	if stats.Commits != 10 || stats.Syncs != 10 {
-		t.Fatalf("stats = %+v, want 10 commits / 10 syncs", stats)
+	if stats.Commits != 10 || stats.Syncs != 10 || stats.Flushes != 10 || stats.GroupSizeHist[0] != 10 {
+		t.Fatalf("stats = %+v, want 10 commits = 10 syncs = 10 flushes, all groups of one", stats)
 	}
 	if got := stats.FsyncsPerCommit(); got != 1.0 {
 		t.Fatalf("fsyncs/commit = %v, want 1.0", got)
+	}
+}
+
+// gateSyncVFS parks every File.Sync on gate while one is set, announcing
+// each arrival on entered.
+type gateSyncVFS struct {
+	*MemVFS
+	mu      sync.Mutex
+	gate    chan struct{}
+	entered chan struct{}
+}
+
+type gateSyncFile struct {
+	File
+	vfs *gateSyncVFS
+}
+
+func (f gateSyncFile) Sync() error {
+	f.vfs.mu.Lock()
+	gate := f.vfs.gate
+	f.vfs.mu.Unlock()
+	if gate != nil {
+		f.vfs.entered <- struct{}{}
+		<-gate
+	}
+	return f.File.Sync()
+}
+
+func (v *gateSyncVFS) Open(name string) (File, error) {
+	f, err := v.MemVFS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return gateSyncFile{File: f, vfs: v}, nil
+}
+
+// TestZeroValuePolicyCancelRetractsQueuedCommit: an engine opened without
+// naming a policy commits through the group pipeline — a committer arriving
+// while a flush's fsync is in flight waits in the queue, not on the file
+// mutex, and a context that fires there retracts its batch: nothing of it is
+// written.
+func TestZeroValuePolicyCancelRetractsQueuedCommit(t *testing.T) {
+	vfs := &gateSyncVFS{MemVFS: NewMemVFS(), entered: make(chan struct{}, 1)}
+	db, err := Open(Options{VFS: vfs, Path: "z.wal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustExec(t, db, `CREATE TABLE z (id INTEGER PRIMARY KEY)`)
+
+	gate := make(chan struct{})
+	vfs.mu.Lock()
+	vfs.gate = gate
+	vfs.mu.Unlock()
+	leadErr := make(chan error, 1)
+	go func() {
+		_, err := db.Exec(`INSERT INTO z VALUES (1)`)
+		leadErr <- err
+	}()
+	<-vfs.entered // the leader's fsync is in flight
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	folErr := make(chan error, 1)
+	go func() {
+		_, err := db.ExecContext(ctx, `INSERT INTO z VALUES (2)`)
+		folErr <- err
+	}()
+	queued := func() bool {
+		db.wal.gmu.Lock()
+		defer db.wal.gmu.Unlock()
+		return len(db.wal.queue) == 1
+	}
+	for deadline := time.Now().Add(5 * time.Second); !queued(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(gate)
+			t.Fatal("second committer never reached the group-commit queue")
+		}
+	}
+	cancel()
+	select {
+	case err := <-folErr:
+		if !errors.Is(err, ErrCanceled) {
+			t.Errorf("queued commit returned %v, want ErrCanceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("cancelled commit still waiting while the leader's fsync is in flight")
+	}
+	vfs.mu.Lock()
+	vfs.gate = nil
+	vfs.mu.Unlock()
+	close(gate)
+	if err := <-leadErr; err != nil {
+		t.Fatalf("leader commit: %v", err)
+	}
+	if cs := db.CancelStats(); cs.CommitRetractions != 1 {
+		t.Errorf("CommitRetractions = %d, want 1", cs.CommitRetractions)
+	}
+	if ws := db.WALStats(); ws.Commits != 2 || ws.Flushes != 2 {
+		t.Errorf("stats = %+v, want 2 commits in 2 flushes (the retracted batch in neither)", ws)
+	}
+	if rows := mustQuery(t, db, `SELECT id FROM z`); rows.Len() != 1 || rows.Data[0][0].Int64() != 1 {
+		t.Errorf("rows = %v, want only id 1", rows.Data)
+	}
+}
+
+// TestWALSyncNeverSkipsOnlyTheFsync: SyncNever is the same pipeline —
+// batches queue, flushes are counted, groups form — minus the fsync, and
+// what it wrote is what a reopen recovers.
+func TestWALSyncNeverSkipsOnlyTheFsync(t *testing.T) {
+	mem := NewMemVFS()
+	vfs := NewFaultVFS(mem) // no fault armed: it is here to count the file's syncs
+	db, err := Open(Options{VFS: vfs, Path: "n.wal", Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CREATE TABLE n (id INTEGER PRIMARY KEY)`)
+	const workers, each = 4, 10
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if _, err := db.Exec(`INSERT INTO n VALUES (?)`, w*each+i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	ws := db.WALStats()
+	if fileSyncs := vfs.Stats().Syncs; ws.Syncs != 0 || fileSyncs != 0 {
+		t.Errorf("syncs: stats %d, file %d; want none", ws.Syncs, fileSyncs)
+	}
+	var grouped uint64
+	for _, n := range ws.GroupSizeHist {
+		grouped += n
+	}
+	if ws.Commits != workers*each+1 || ws.Flushes == 0 || ws.Flushes > ws.Commits || grouped != ws.Flushes {
+		t.Errorf("stats = %+v, want %d commits in 1..%d counted flushes", ws, workers*each+1, workers*each+1)
+	}
+	// No Close: the reopen sees exactly what the flushes wrote.
+	db2, err := Open(Options{VFS: mem, Path: "n.wal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if got := mustQuery(t, db2, `SELECT count(*) FROM n`).Data[0][0].Int64(); got != workers*each {
+		t.Fatalf("recovered %d rows, want %d", got, workers*each)
 	}
 }
 
@@ -474,7 +627,7 @@ func TestGroupCommitENOSPCMidGroup(t *testing.T) {
 // commits aren't appended behind the tear and lost on the next restart.
 func TestWALTornTailRepairedAtOpen(t *testing.T) {
 	mem := NewMemVFS()
-	db, err := Open(Options{VFS: mem, Path: "tt.wal", Sync: SyncEveryCommit})
+	db, err := Open(Options{VFS: mem, Path: "tt.wal", Sync: SyncGroup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +644,7 @@ func TestWALTornTailRepairedAtOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	db2, err := Open(Options{VFS: mem, Path: "tt.wal", Sync: SyncEveryCommit})
+	db2, err := Open(Options{VFS: mem, Path: "tt.wal", Sync: SyncGroup})
 	if err != nil {
 		t.Fatal(err)
 	}

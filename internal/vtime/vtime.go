@@ -8,13 +8,11 @@
 // way to push past testbed limits. Virtual time is this repository's
 // realization of that technique: an 8-hour experiment runs in seconds while
 // every heartbeat and job transition still flows through the real CAS and
-// SQL code paths.
+// SQL code paths. The virtual clock itself is internal/sim's Engine; this
+// package holds only what both sides agree on.
 package vtime
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Clock supplies the current time. Implementations must be safe for
 // concurrent use.
@@ -32,114 +30,3 @@ func (Real) Now() time.Time { return time.Now() }
 // Epoch is the conventional start instant for simulated experiments. Using
 // a fixed epoch keeps simulation traces reproducible across runs.
 var Epoch = time.Date(2006, time.October, 1, 0, 0, 0, 0, time.UTC)
-
-// Virtual is a concurrency-safe, manually advanced Clock with timer
-// support. It sits between Real (no control) and the sim package's
-// discrete-event engine (full event loop): tests and live components that
-// only need "time stands still until I advance it, and timers fire in
-// deadline order" can use Virtual without adopting the engine.
-type Virtual struct {
-	// advMu serializes whole Advance calls (it is held across timer
-	// callbacks); mu guards the clock state and is never held while a
-	// callback runs. Without the outer mutex, two concurrent Advances
-	// could interleave and the slower one would write a stale, smaller
-	// target into now, moving the clock backwards.
-	advMu  sync.Mutex
-	mu     sync.Mutex
-	now    time.Time
-	seq    uint64
-	timers []*VTimer
-}
-
-// NewVirtual creates a virtual clock reading start.
-func NewVirtual(start time.Time) *Virtual { return &Virtual{now: start} }
-
-// Now implements Clock.
-func (v *Virtual) Now() time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.now
-}
-
-// VTimer is a timer scheduled on a Virtual clock.
-type VTimer struct {
-	v     *Virtual
-	at    time.Time
-	seq   uint64
-	fn    func()
-	fired bool
-}
-
-// AfterFunc schedules fn to run when the clock has advanced d past the
-// current instant. fn runs on the goroutine that calls Advance, without the
-// clock's internal mutex held, so it may read Now and schedule new timers.
-func (v *Virtual) AfterFunc(d time.Duration, fn func()) *VTimer {
-	if fn == nil {
-		panic("vtime: nil timer func")
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.seq++
-	t := &VTimer{v: v, at: v.now.Add(d), seq: v.seq, fn: fn}
-	v.timers = append(v.timers, t)
-	return t
-}
-
-// Stop cancels the timer, reporting whether it had not yet fired.
-func (t *VTimer) Stop() bool {
-	t.v.mu.Lock()
-	defer t.v.mu.Unlock()
-	if t.fired {
-		return false
-	}
-	for i, p := range t.v.timers {
-		if p == t {
-			t.v.timers = append(t.v.timers[:i], t.v.timers[i+1:]...)
-			t.fired = true
-			return true
-		}
-	}
-	return false
-}
-
-// Advance moves the clock forward by d, firing every due timer in deadline
-// order (ties fire in scheduling order). The clock reads each timer's
-// deadline while its function runs, so a handler scheduling a follow-up
-// within the remaining window sees it fire during the same Advance.
-// Concurrent Advance calls serialize, each covering its full window before
-// the next begins; timer functions must not call Advance themselves.
-func (v *Virtual) Advance(d time.Duration) {
-	if d < 0 {
-		panic("vtime: negative advance")
-	}
-	v.advMu.Lock()
-	defer v.advMu.Unlock()
-	v.mu.Lock()
-	target := v.now.Add(d)
-	for {
-		idx := -1
-		for i, t := range v.timers {
-			if t.at.After(target) {
-				continue
-			}
-			if idx < 0 || t.at.Before(v.timers[idx].at) ||
-				(t.at.Equal(v.timers[idx].at) && t.seq < v.timers[idx].seq) {
-				idx = i
-			}
-		}
-		if idx < 0 {
-			break
-		}
-		t := v.timers[idx]
-		v.timers = append(v.timers[:idx], v.timers[idx+1:]...)
-		t.fired = true
-		v.now = t.at
-		v.mu.Unlock()
-		t.fn()
-		v.mu.Lock()
-		// Re-read target: handlers advance nothing, but new timers may now
-		// be due within the original window.
-	}
-	v.now = target
-	v.mu.Unlock()
-}

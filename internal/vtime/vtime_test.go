@@ -1,9 +1,6 @@
 package vtime
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestRealClockMonotonicEnough(t *testing.T) {
 	var c Clock = Real{}
@@ -11,123 +8,5 @@ func TestRealClockMonotonicEnough(t *testing.T) {
 	b := c.Now()
 	if b.Before(a) {
 		t.Fatalf("Real clock went backwards: %v then %v", a, b)
-	}
-}
-
-func TestVirtualAdvance(t *testing.T) {
-	v := NewVirtual(Epoch)
-	if !v.Now().Equal(Epoch) {
-		t.Fatalf("new clock reads %v, want Epoch", v.Now())
-	}
-	v.Advance(5 * time.Minute)
-	if got := v.Now(); !got.Equal(Epoch.Add(5 * time.Minute)) {
-		t.Fatalf("after advance clock reads %v", got)
-	}
-	// Zero advance is a no-op.
-	v.Advance(0)
-	if got := v.Now(); !got.Equal(Epoch.Add(5 * time.Minute)) {
-		t.Fatalf("zero advance moved clock to %v", got)
-	}
-}
-
-func TestTimersFireInDeadlineOrder(t *testing.T) {
-	v := NewVirtual(Epoch)
-	var order []string
-	var instants []time.Time
-	rec := func(name string) func() {
-		return func() {
-			order = append(order, name)
-			instants = append(instants, v.Now())
-		}
-	}
-	// Register out of order; they must fire by deadline.
-	v.AfterFunc(3*time.Minute, rec("c"))
-	v.AfterFunc(1*time.Minute, rec("a"))
-	v.AfterFunc(2*time.Minute, rec("b"))
-	v.Advance(10 * time.Minute)
-	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
-		t.Fatalf("firing order = %v, want [a b c]", order)
-	}
-	// Each handler observed the clock standing at its own deadline.
-	for i, want := range []time.Duration{time.Minute, 2 * time.Minute, 3 * time.Minute} {
-		if !instants[i].Equal(Epoch.Add(want)) {
-			t.Fatalf("timer %d saw clock %v, want %v", i, instants[i], Epoch.Add(want))
-		}
-	}
-	if !v.Now().Equal(Epoch.Add(10 * time.Minute)) {
-		t.Fatalf("clock stopped at %v, want full advance", v.Now())
-	}
-}
-
-func TestSameDeadlineFiresInSchedulingOrder(t *testing.T) {
-	v := NewVirtual(Epoch)
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		v.AfterFunc(time.Second, func() { order = append(order, i) })
-	}
-	v.Advance(time.Second)
-	for i, got := range order {
-		if got != i {
-			t.Fatalf("same-instant firing order = %v, want ascending", order)
-		}
-	}
-	if len(order) != 5 {
-		t.Fatalf("fired %d of 5 timers", len(order))
-	}
-}
-
-func TestTimerOnlyFiresWhenDue(t *testing.T) {
-	v := NewVirtual(Epoch)
-	fired := false
-	v.AfterFunc(time.Hour, func() { fired = true })
-	v.Advance(59 * time.Minute)
-	if fired {
-		t.Fatal("timer fired before its deadline")
-	}
-	v.Advance(time.Minute)
-	if !fired {
-		t.Fatal("timer did not fire at its deadline")
-	}
-}
-
-func TestStopPreventsFiring(t *testing.T) {
-	v := NewVirtual(Epoch)
-	fired := false
-	timer := v.AfterFunc(time.Minute, func() { fired = true })
-	if !timer.Stop() {
-		t.Fatal("Stop before firing should report true")
-	}
-	v.Advance(time.Hour)
-	if fired {
-		t.Fatal("stopped timer fired")
-	}
-	if timer.Stop() {
-		t.Fatal("second Stop should report false")
-	}
-	// Stopping an already-fired timer reports false.
-	done := v.AfterFunc(time.Minute, func() {})
-	v.Advance(time.Minute)
-	if done.Stop() {
-		t.Fatal("Stop after firing should report false")
-	}
-}
-
-func TestHandlerSchedulingFollowUpInWindow(t *testing.T) {
-	v := NewVirtual(Epoch)
-	var fires []time.Time
-	v.AfterFunc(time.Minute, func() {
-		fires = append(fires, v.Now())
-		// Chained timer still inside the original Advance window.
-		v.AfterFunc(time.Minute, func() {
-			fires = append(fires, v.Now())
-		})
-	})
-	v.Advance(5 * time.Minute)
-	if len(fires) != 2 {
-		t.Fatalf("fired %d timers, want the chained pair", len(fires))
-	}
-	if !fires[1].Equal(Epoch.Add(2 * time.Minute)) {
-		t.Fatalf("chained timer fired at %v, want +2m", fires[1])
 	}
 }

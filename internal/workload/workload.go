@@ -1,8 +1,8 @@
 // Package workload generates the job mixes used in the paper's evaluation:
 // uniform fixed-length batches (Figure 7's throughput sweeps), the
 // two-to-one mixed workload of §5.1.3 and §5.2.3 (Figures 11, 12, 15, 16),
-// dependency-constrained workflows (§5.1.3's pipeline example), and pulsed
-// submission schedules (§5.2.2's twenty batches at five-minute intervals).
+// and pulsed submission schedules (§5.2.2's twenty batches at five-minute
+// intervals). internal/experiments sizes them to the paper's figures.
 package workload
 
 import (
@@ -37,15 +37,6 @@ func Uniform(owner string, count int, length time.Duration) []Batch {
 	return []Batch{{Owner: owner, Count: count, Length: length}}
 }
 
-// SupplyFor sizes a uniform batch so that vms virtual machines stay busy
-// for at least horizon — the paper "pre-loaded the system with a number of
-// identical, fixed-length jobs sufficient to maintain the desired
-// throughput rate for at least twenty minutes" (§5.2.1).
-func SupplyFor(owner string, vms int, length, horizon time.Duration) []Batch {
-	perVM := int(horizon/length) + 2 // +2 covers ramp and rounding
-	return Uniform(owner, vms*perVM, length)
-}
-
 // Mixed is the §5.2.3 workload shape: shortCount jobs of shortLen plus
 // longCount jobs of longLen, no dependencies ("the system can schedule
 // jobs in any order").
@@ -53,29 +44,6 @@ func Mixed(owner string, shortCount int, shortLen time.Duration, longCount int, 
 	return []Batch{
 		{Owner: owner, Count: shortCount, Length: shortLen},
 		{Owner: owner, Count: longCount, Length: longLen},
-	}
-}
-
-// PaperMixed540 is the exact Figure 11/12 workload: 6,480 one-minute jobs
-// and 1,620 six-minute jobs — 16,200 minutes of work for 8,100 jobs, an
-// average of two minutes per job, optimally 30 minutes on 540 VMs.
-func PaperMixed540(owner string) []Batch {
-	return Mixed(owner, 6480, time.Minute, 1620, 6*time.Minute)
-}
-
-// PaperMixed180 is the Figure 15/16 workload: 2,160 one-minute jobs and
-// 540 six-minute jobs — optimally 30 minutes on 180 VMs at 1.5 jobs/sec.
-func PaperMixed180(owner string) []Batch {
-	return Mixed(owner, 2160, time.Minute, 540, 6*time.Minute)
-}
-
-// DependentPipeline is §5.1.3's constrained example: shortCount short jobs
-// whose outputs feed longCount long jobs (the long batch cannot start
-// until the short batch completes).
-func DependentPipeline(owner string, shortCount int, shortLen time.Duration, longCount int, longLen time.Duration) []Batch {
-	return []Batch{
-		{Owner: owner, Count: shortCount, Length: shortLen},
-		{Owner: owner, Count: longCount, Length: longLen, DependsOnPrev: true},
 	}
 }
 
@@ -106,11 +74,4 @@ func Pulsed(owner string, total, batches int, length, interval time.Duration) []
 		remaining -= n
 	}
 	return out
-}
-
-// Paper10K is the Figure 10 schedule: 50,000 jobs of 150 minutes in 20
-// batches of 2,500 at 5-minute intervals, filling 10,000 VMs in ~100
-// minutes.
-func Paper10K(owner string) []Pulse {
-	return Pulsed(owner, 50000, 20, 150*time.Minute, 5*time.Minute)
 }

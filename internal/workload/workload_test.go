@@ -5,8 +5,10 @@ import (
 	"time"
 )
 
+// The Figure 11/12 mix as internal/experiments builds it: 6,480 one-minute
+// and 1,620 six-minute jobs.
 func TestPaperMixed540Arithmetic(t *testing.T) {
-	bs := PaperMixed540("u")
+	bs := Mixed("u", 6480, time.Minute, 1620, 6*time.Minute)
 	var jobs int
 	var totalSec int64
 	for _, b := range bs {
@@ -25,8 +27,9 @@ func TestPaperMixed540Arithmetic(t *testing.T) {
 	}
 }
 
+// The Figure 15/16 mix: 2,160 one-minute and 540 six-minute jobs.
 func TestPaperMixed180Arithmetic(t *testing.T) {
-	bs := PaperMixed180("u")
+	bs := Mixed("u", 2160, time.Minute, 540, 6*time.Minute)
 	var jobs int
 	var totalSec int64
 	for _, b := range bs {
@@ -39,17 +42,6 @@ func TestPaperMixed180Arithmetic(t *testing.T) {
 	// 5,400 minutes over 180 VMs = 30 minutes optimal.
 	if opt := totalSec / 60 / 180; opt != 30 {
 		t.Fatalf("optimal = %d min", opt)
-	}
-}
-
-func TestSupplyForCoversHorizon(t *testing.T) {
-	bs := SupplyFor("u", 180, 6*time.Second, 20*time.Minute)
-	if len(bs) != 1 {
-		t.Fatal("want one batch")
-	}
-	// 180 VMs for 20 min of 6-second jobs = 36,000 jobs minimum.
-	if bs[0].Count < 36000 {
-		t.Fatalf("count = %d, want >= 36000", bs[0].Count)
 	}
 }
 
@@ -78,17 +70,5 @@ func TestPulsedUnevenRemainder(t *testing.T) {
 	}
 	if total != 10 {
 		t.Fatalf("total = %d, want all jobs submitted", total)
-	}
-}
-
-func TestDependentPipeline(t *testing.T) {
-	bs := DependentPipeline("u", 960, time.Minute, 240, 6*time.Minute)
-	if len(bs) != 2 || bs[0].DependsOnPrev || !bs[1].DependsOnPrev {
-		t.Fatalf("pipeline = %+v", bs)
-	}
-	// §5.1.3's arithmetic: 2,400 total minutes, average two minutes.
-	total := bs[0].TotalSeconds() + bs[1].TotalSeconds()
-	if total != 2400*60 {
-		t.Fatalf("total = %d", total)
 	}
 }
