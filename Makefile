@@ -1,14 +1,15 @@
 # CI entry points. `make check` is the default gate: formatting, build,
-# vet, full test suite, the allocation budgets, then a race-detector pass
+# vet, README's flag tables, full test suite, the allocation budgets, then a
+# race-detector pass
 # over the concurrency-critical packages (the storage engine's lock manager
 # and the CAS service layer, plus the wire, the node agent and the event
 # engine).
 
 GO ?= go
 
-.PHONY: check fmt build test alloc race vet fuzz race-cancel race-plancache race-pager joinfuzz chaos replchaos replchaos-one clean
+.PHONY: check fmt build test alloc race vet flagdoc fuzz race-cancel race-plancache race-pager joinfuzz chaos replchaos replchaos-one clean
 
-check: fmt build vet test alloc race
+check: fmt build vet flagdoc test alloc race
 
 # gofmt names every file it would rewrite; any name fails the gate.
 fmt:
@@ -40,6 +41,33 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# README's "Command-line flags" section against the programs themselves.
+# Each deployed binary's table there (first column) must name exactly the
+# flags its -h prints; and any -flag in inline code anywhere in README must
+# be one some program under cmd/ defines, or one of the go tool's listed
+# here — a deleted flag fails the gate until the prose that names it goes.
+FLAGDOC_CMDS = condorj2d cj2sql cj2node cj2sub
+FLAGDOC_GOTOOL = -race -bench -run -count
+flagdoc:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && fail=0; \
+	for c in $(FLAGDOC_CMDS) cj2loc repro; do \
+		$(GO) run ./cmd/$$c -h 2>&1 | sed -n 's/^  \(-[a-z][a-z0-9-]*\).*/\1/p' | sort -u > "$$tmp/$$c.have"; \
+	done; \
+	for c in $(FLAGDOC_CMDS); do \
+		awk -v h="### \`$$c\`" '/^##/ { on = ($$0 == h) } on' README.md \
+			| sed -n 's/^| `\(-[a-z][a-z0-9-]*\)` |.*/\1/p' | sort -u > "$$tmp/$$c.doc"; \
+		if ! diff "$$tmp/$$c.doc" "$$tmp/$$c.have" > "$$tmp/diff"; then \
+			echo "flagdoc: README's table for $$c (<) and $$c -h (>) differ:"; cat "$$tmp/diff"; fail=1; \
+		fi; \
+	done; \
+	{ cat "$$tmp"/*.have; printf '%s\n' $(FLAGDOC_GOTOOL); } | sort -u > "$$tmp/known"; \
+	grep -o '`[^`]*`' README.md | grep -oE '(^`|[ [])-[a-z][a-z0-9-]*' | sed 's/^[^-]*//' | sort -u > "$$tmp/named"; \
+	stale=$$(comm -23 "$$tmp/named" "$$tmp/known"); \
+	if [ -n "$$stale" ]; then \
+		echo "flagdoc: README names flags no program has (or add a go tool flag to FLAGDOC_GOTOOL):" $$stale; fail=1; \
+	fi; \
+	exit $$fail
 
 # The fuzzed decoders of bytes from the network or the disk. The wire
 # codec's two against encoding/xml as the oracle: never panic, never reach

@@ -1,7 +1,8 @@
 // Command cj2sql is an interactive SQL shell for the embedded database
 // engine — the administrator's "expressive query language over the
-// operational data". Point it at a CAS WAL file (offline inspection) or an
-// empty path for a scratch database.
+// operational data". Point it at a CAS WAL file (offline inspection; a
+// store the daemon ran paged opens paged — the layout is read from its
+// files) or an empty path for a scratch database.
 //
 //	cj2sql -data /var/lib/condorj2/cas.wal
 //	> SELECT state, count(*) FROM jobs GROUP BY state;
@@ -30,23 +31,15 @@ import (
 func main() {
 	data := flag.String("data", "", "WAL file to open (empty = scratch in-memory database)")
 	sync := flag.String("sync", "group", "WAL sync policy: group (commits wait for their group's fsync) or never (same pipeline, no fsync)")
-	poolPages := flag.Int("pool-pages", 0, "open a paged store: buffer-pool capacity in pages, matching the daemon's -pool-pages (0 = plain WAL store; required to inspect a store the daemon ran paged)")
-	pageSize := flag.Int("page-size", 0, "paged store: page size for a newly created page file (0 = pager default; an existing file's own size wins)")
 	flag.Parse()
 
-	var db *sqldb.DB
+	db, err := openStore(*data, *sync)
+	if err != nil {
+		log.Fatalf("cj2sql: %v", err)
+	}
 	if *data != "" {
-		policy, err := sqldb.ParseSyncPolicy(*sync)
-		if err != nil {
-			log.Fatalf("cj2sql: %v", err)
-		}
-		db, err = sqldb.Open(sqldb.Options{VFS: sqldb.OSVFS{}, Path: *data, Sync: policy, PoolPages: *poolPages, PageSize: *pageSize})
-		if err != nil {
-			log.Fatalf("cj2sql: %v", err)
-		}
 		fmt.Printf("opened %s (%d tables)\n", *data, len(db.TableNames()))
 	} else {
-		db = sqldb.New()
 		fmt.Println("scratch in-memory database")
 	}
 	defer db.Close()
@@ -54,6 +47,19 @@ func main() {
 	signal.Notify(interrupts, os.Interrupt)
 	defer signal.Stop(interrupts)
 	runShellInterruptible(db, os.Stdin, os.Stdout, interrupts)
+}
+
+// openStore opens the store whose WAL is at data — log-only or paged, as
+// its files say — or a scratch in-memory database for an empty path.
+func openStore(data, sync string) (*sqldb.DB, error) {
+	if data == "" {
+		return sqldb.New(), nil
+	}
+	policy, err := sqldb.ParseSyncPolicy(sync)
+	if err != nil {
+		return nil, err
+	}
+	return sqldb.Open(sqldb.Options{VFS: sqldb.OSVFS{}, Path: data, Sync: policy})
 }
 
 // shellSession is the REPL's statement executor: statements run in

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"condorj2/internal/core"
 	"condorj2/internal/sqldb"
 )
 
@@ -54,6 +55,46 @@ func TestShellParseExecuteRoundTrip(t *testing.T) {
 	}
 	if rows.Data[0][0].Int64() != 2 {
 		t.Fatalf("jobs table has %v rows, want 2", rows.Data[0][0])
+	}
+}
+
+// Pointed at a store the daemon ran paged — a CAS on a paged engine,
+// stopped cleanly, so the WAL file itself is empty — the shell needs no
+// layout flag: the store says it is paged, and \tables and a SELECT see the
+// daemon's data.
+func TestShellOpensAPagedStoreWithoutBeingTold(t *testing.T) {
+	path := t.TempDir() + "/cas.wal"
+	engine, err := sqldb.Open(sqldb.Options{VFS: sqldb.OSVFS{}, Path: path, Sync: sqldb.SyncNever, PoolPages: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cas, err := core.New(core.Options{Engine: engine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cas.Service.Submit(context.Background(), &core.SubmitRequest{Owner: "alice", Count: 7, LengthSec: 60}); err != nil {
+		t.Fatal(err)
+	}
+	cas.Close()
+	if err := engine.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if wal, err := os.ReadFile(path); err != nil || len(wal) != 0 {
+		t.Fatalf("WAL after the daemon's clean stop: %d bytes, err %v; want an empty file", len(wal), err)
+	}
+
+	db, err := openStore(path, "never")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	var out strings.Builder
+	runShell(db, strings.NewReader("\\tables\nSELECT owner, count(*) FROM jobs GROUP BY owner;\n\\q\n"), &out)
+	got := out.String()
+	for _, want := range []string{"jobs", "machines", "config", "alice", "7", "(1 rows)"} {
+		if !strings.Contains(got, want) {
+			t.Fatalf("shell output missing %q:\n%s", want, got)
+		}
 	}
 }
 

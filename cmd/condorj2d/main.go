@@ -37,20 +37,14 @@ func main() {
 	data := flag.String("data", "", "WAL file path for durability (empty = in-memory)")
 	pool := flag.Int("pool", 8, "database connection pool size")
 	sync := flag.String("sync", "group", "WAL sync policy: group (commits wait for their group's fsync) or never (same pipeline, no fsync)")
-	poolPages := flag.Int("pool-pages", 0, "paged storage: buffer-pool capacity in pages; rows live in a page file, the housekeeping tick checkpoints it, and restart replays only the WAL tail past the last checkpoint (0 = rows stay in the WAL-replayed heap)")
-	pageSize := flag.Int("page-size", 0, "paged storage: page size in bytes for a newly created page file (0 = pager default; an existing file's own size wins)")
-	stmtTimeout := flag.Duration("stmt-timeout", 0, "default per-statement deadline when a request carries none (0 = none; config key stmt_timeout_ms overrides)")
-	lockTimeout := flag.Duration("lock-timeout", 0, "max time one statement may block in a lock wait (0 = forever; config key lock_timeout_ms overrides)")
+	poolPages := flag.Int("pool-pages", 0, "paged storage: buffer-pool capacity in pages; rows live in a page file, the housekeeping tick checkpoints it, and restart replays only the WAL tail past the last checkpoint. A store that has checkpointed is paged whatever this says (0 = the engine's default pool); on a new or log-only store 0 keeps rows in the WAL-replayed heap")
 	grace := flag.Duration("shutdown-grace", 10*time.Second, "how long shutdown drains in-flight requests before cancelling their statements")
 	maxInFlight := flag.Int("max-inflight", 256, "admission control: max concurrently dispatched requests")
-	maxQueued := flag.Int("max-queued", 0, "admission control: max waiters per action (0 = 2x max-inflight)")
 	queueWait := flag.Duration("queue-wait", 500*time.Millisecond, "admission control: max time a request waits for an in-flight slot before a typed Overloaded fault")
-	retryAfter := flag.Duration("retry-after", 0, "admission control: RetryAfterMs hint on Overloaded faults (0 = queue-wait)")
 	freshFor := flag.Duration("hb-fresh-for", 10*time.Second, "admission control: delta-free heartbeats older than this are shed under load")
 	follow := flag.String("follow", "", "replication: run as a read-only follower of this leader /services URL (writes answer NotLeader; promotes on lease expiry)")
 	advertise := flag.String("advertise", "", "replication: this node's own /services URL as dialable by peers (required with -follow; on a leader, enables follower shipping)")
 	leaseTTL := flag.Duration("lease-ttl", 3*time.Second, "replication: leader lease TTL; a follower promotes when the replicated lease goes this stale")
-	replInterval := flag.Duration("repl-interval", 0, "replication: lease renewal / join heartbeat cadence (0 = lease-ttl/3)")
 	flag.Parse()
 
 	if *follow != "" && *advertise == "" {
@@ -64,13 +58,10 @@ func main() {
 			log.Fatalf("condorj2d: %v", err)
 		}
 		engine, err = sqldb.Open(sqldb.Options{
-			VFS:         sqldb.OSVFS{},
-			Path:        *data,
-			Sync:        policy,
-			StmtTimeout: *stmtTimeout,
-			LockTimeout: *lockTimeout,
-			PoolPages:   *poolPages,
-			PageSize:    *pageSize,
+			VFS:       sqldb.OSVFS{},
+			Path:      *data,
+			Sync:      policy,
+			PoolPages: *poolPages,
 		})
 		if err != nil {
 			log.Fatalf("condorj2d: opening database: %v", err)
@@ -82,8 +73,7 @@ func main() {
 				log.Printf("condorj2d: closing database: %v", err)
 			}
 		}()
-		if *poolPages > 0 {
-			bs := engine.BufferPoolStats()
+		if bs := engine.BufferPoolStats(); bs.Frames > 0 {
 			log.Printf("recovered database from %s (sync=%s, paged: %d-page pool, checkpoint LSN %d)",
 				*data, *sync, bs.Frames, bs.CheckpointLSN)
 		} else {
@@ -109,20 +99,14 @@ func main() {
 				rs.RunsPreserved, rs.MatchesPreserved, rs.VMsParked, rs.MachinesOffline)
 		}
 	}
-	if *data == "" {
-		// In-memory engine: the CAS built it, so the flags apply here.
-		cas.Engine.SetStmtTimeout(*stmtTimeout)
-		cas.Engine.SetLockTimeout(*lockTimeout)
-	}
 	// Admission control: bound in-flight work and per-action queues so an
 	// overloaded CAS answers typed Overloaded faults (with a RetryAfterMs
 	// the clients honor) instead of queueing without limit; stale
-	// delta-free heartbeats are shed outright under load.
+	// delta-free heartbeats are shed outright under load. The per-action
+	// queue bound and the RetryAfterMs hint derive from these three.
 	cas.SetAdmission(wire.AdmissionConfig{
 		MaxInFlight: *maxInFlight,
-		MaxQueued:   *maxQueued,
 		QueueWait:   *queueWait,
-		RetryAfter:  *retryAfter,
 		FreshFor:    *freshFor,
 	})
 
@@ -135,7 +119,6 @@ func main() {
 		repl = core.NewReplicator(cas, core.ReplConfig{
 			Self:     *advertise,
 			LeaseTTL: *leaseTTL,
-			Interval: *replInterval,
 			Dial:     func(addr string) wire.Caller { return &wire.Client{URL: addr} },
 		})
 		if *follow != "" {
@@ -197,8 +180,7 @@ func main() {
 		log.Printf("wal: %d commits, %d fsyncs (%.3f fsyncs/commit), max group %d",
 			ws.Commits, ws.Syncs, ws.FsyncsPerCommit(), ws.MaxGroup)
 	}
-	if *poolPages > 0 {
-		bs := cas.Engine.BufferPoolStats()
+	if bs := cas.Engine.BufferPoolStats(); bs.Frames > 0 {
 		fetches := bs.Hits + bs.Misses
 		hitRate := 0.0
 		if fetches > 0 {

@@ -29,6 +29,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"condorj2/internal/sqldb"
 )
 
 // ErrNotFound is returned by Find when no tuple matches the key.
@@ -562,16 +564,14 @@ func (c *Container) InTx(ctx context.Context, fn func(tx *sql.Tx) error) error {
 		} else {
 			tx.Rollback()
 		}
-		if ctx.Err() != nil || !isDeadlock(err) {
+		// The driver hands the engine's errors through database/sql as they
+		// are, so the victim is known by its type, not by its text.
+		if ctx.Err() != nil || !errors.Is(err, sqldb.ErrDeadlock) {
 			return err
 		}
 		lastErr = err
 	}
 	return fmt.Errorf("beans: transaction retries exhausted: %w", lastErr)
-}
-
-func isDeadlock(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "deadlock")
 }
 
 // InReadTx runs fn inside a read-only snapshot transaction under ctx:

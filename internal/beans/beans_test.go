@@ -4,7 +4,11 @@ import (
 	"context"
 	"database/sql"
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -278,12 +282,82 @@ func TestInTxRetriesDeadlocks(t *testing.T) {
 	err := c.InTx(context.Background(), func(tx *sql.Tx) error {
 		attempts++
 		if attempts < 3 {
-			return errors.New("sqldb: deadlock detected")
+			return fmt.Errorf("credit alice: %w", sqldb.ErrDeadlock)
 		}
 		return nil
 	})
 	if err != nil || attempts != 3 {
 		t.Fatalf("err = %v, attempts = %d", err, attempts)
+	}
+}
+
+// A victim is known by its type: an error that merely says "deadlock" — a
+// unique violation on something of that name — is the caller's to see, once.
+func TestInTxDoesNotRetryOnTheWordDeadlock(t *testing.T) {
+	pool := testPool(t)
+	if _, err := pool.Exec(`CREATE TABLE deadlock_test (id INTEGER PRIMARY KEY)`); err != nil {
+		t.Fatal(err)
+	}
+	c := &Container{DB: pool}
+	attempts := 0
+	err := c.InTx(context.Background(), func(tx *sql.Tx) error {
+		attempts++
+		_, err := tx.Exec(`INSERT INTO deadlock_test VALUES (1), (1)`)
+		return err
+	})
+	var uv *sqldb.UniqueViolationError
+	if !errors.As(err, &uv) || !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("err = %v, want a unique violation naming pk_deadlock_test", err)
+	}
+	if attempts != 1 {
+		t.Fatalf("fn ran %d times on a non-deadlock error, want once", attempts)
+	}
+}
+
+// The engine's own victim, through database/sql: two transactions take the
+// same two rows in opposite orders; the one chosen to break the cycle is
+// rerun, and both updates land.
+func TestInTxRetriesAnEngineVictim(t *testing.T) {
+	pool := testPool(t)
+	for _, name := range []string{"a", "b"} {
+		if err := Insert(pool, &Widget{Name: name, Made: time.Unix(0, 0).UTC()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := &Container{DB: pool}
+	var attempts atomic.Int32
+	var holding sync.WaitGroup // both first attempts hold their first row
+	holding.Add(2)
+	run := func(first, second int64) error {
+		met := false
+		return c.InTx(context.Background(), func(tx *sql.Tx) error {
+			attempts.Add(1)
+			if _, err := tx.Exec(`UPDATE widget SET weight = weight + 1 WHERE id = ?`, first); err != nil {
+				return err
+			}
+			if !met {
+				met = true
+				holding.Done()
+				holding.Wait()
+			}
+			_, err := tx.Exec(`UPDATE widget SET weight = weight + 1 WHERE id = ?`, second)
+			return err
+		})
+	}
+	errs := make(chan error, 2)
+	go func() { errs <- run(1, 2) }()
+	go func() { errs <- run(2, 1) }()
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("InTx: %v", err)
+		}
+	}
+	if n := attempts.Load(); n != 3 {
+		t.Fatalf("attempts = %d, want 3 (one victim, rerun once)", n)
+	}
+	ws, err := Select[Widget](pool, "")
+	if err != nil || len(ws) != 2 || ws[0].Weight != 2 || ws[1].Weight != 2 {
+		t.Fatalf("widgets = %+v, %v; want both weights 2", ws, err)
 	}
 }
 

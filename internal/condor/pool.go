@@ -67,15 +67,6 @@ func (p *Pool) RunningJobs() int {
 	return n
 }
 
-// QueuedJobs totals queue lengths across schedds.
-func (p *Pool) QueuedJobs() int {
-	n := 0
-	for _, s := range p.Schedds {
-		n += s.QueueLen()
-	}
-	return n
-}
-
 // Close releases schedd job logs and stops tickers.
 func (p *Pool) Close() {
 	p.Negotiator.Stop()

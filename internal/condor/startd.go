@@ -108,17 +108,6 @@ func (s *Startd) Activate(seq int, jobID int64, length time.Duration, shadow *Sh
 	return true
 }
 
-// BusyVMs counts executing VMs.
-func (s *Startd) BusyVMs() int {
-	n := 0
-	for i := range s.vms {
-		if s.vms[i].busy {
-			n++
-		}
-	}
-	return n
-}
-
 // Stop halts periodic updates.
 func (s *Startd) Stop() {
 	if s.updTicker != nil {

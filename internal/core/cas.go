@@ -91,15 +91,23 @@ func New(opts Options) (*CAS, error) {
 		clock:   clock,
 		ownEng:  own,
 	}
-	// Engine timeout knobs follow the config table: applied at assembly
-	// from any persisted values, and re-applied live on every ConfigSet.
+	// Engine timeout knobs follow the config table and nothing else:
+	// applied at assembly from any persisted values, and re-applied live on
+	// every ConfigSet.
 	svc.SetConfigHook(c.applyEngineConfig)
+	c.applyStoredEngineConfig(context.Background())
+	return c, nil
+}
+
+// applyStoredEngineConfig applies the engine knobs the config table holds:
+// at assembly, and at a follower's promotion, when the table it was shipped
+// becomes this node's own to obey.
+func (c *CAS) applyStoredEngineConfig(ctx context.Context) {
 	for _, name := range []string{ConfigStmtTimeoutMs, ConfigLockTimeoutMs} {
-		if resp, err := svc.ConfigGet(context.Background(), &ConfigGetRequest{Name: name}); err == nil {
+		if resp, err := c.Service.ConfigGet(ctx, &ConfigGetRequest{Name: name}); err == nil {
 			c.applyEngineConfig(name, resp.Value)
 		}
 	}
-	return c, nil
 }
 
 // SetAdmission installs overload protection on the web services endpoint:
@@ -187,8 +195,9 @@ const (
 //     jobs returned to the queue (timeout: reapAfterBeats intervals);
 //   - every replyGCTicks, age out idempotency replies no client will retry
 //     anymore;
-//   - every checkpointTicks, on a paged engine, a fuzzy checkpoint, so the
-//     WAL is truncated while the daemon runs and a crash replays only a tail.
+//   - every checkpointTicks, a checkpoint: on a paged engine the WAL is
+//     truncated while the daemon runs and a crash replays only a tail; on
+//     any other engine Checkpoint does nothing.
 //
 // The first three write cluster state and are skipped while this node is
 // gated NotLeader; the checkpoint is about this node's own files and runs
@@ -208,7 +217,7 @@ func (c *CAS) housekeep(ctx context.Context, n int) {
 			_, _ = svc.GCReplies(ctx, retention)
 		}
 	}
-	if n%checkpointTicks == 0 && c.Engine.BufferPoolStats().Frames > 0 {
+	if n%checkpointTicks == 0 {
 		_ = c.Engine.Checkpoint()
 	}
 }

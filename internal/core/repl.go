@@ -502,7 +502,8 @@ func (r *Replicator) leaseExpired(ctx context.Context) bool {
 
 // Promote turns this follower into the leader: wait out any in-flight
 // shipped apply, rebuild the engine's allocator state from the
-// replicated heap, claim the lease at a bumped term (fencing the old
+// replicated heap, take the engine timeouts the replicated config table
+// names, claim the lease at a bumped term (fencing the old
 // leader), reconcile in-flight cluster state exactly like a restart
 // (the PR 7 heartbeat reconciliation then re-adopts or re-runs whatever
 // the old leader had in the air), age out replicated dedup replies, and
@@ -519,6 +520,7 @@ func (r *Replicator) Promote(ctx context.Context) error {
 	r.mu.Unlock()
 
 	r.cas.Engine.RebuildAfterReplication()
+	r.cas.applyStoredEngineConfig(ctx)
 	if lease, ok := r.readLease(ctx); ok && lease.term > knownTerm {
 		knownTerm = lease.term
 	}

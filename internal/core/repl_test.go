@@ -353,6 +353,40 @@ func TestReplPromotionRunsReplyGC(t *testing.T) {
 	}
 }
 
+// TestReplPromotionAppliesReplicatedEngineConfig: the config table is the
+// one setter of the engine's timeouts, and a follower has it only as shipped
+// rows — no ConfigSet ever ran here — so promotion is where they take hold.
+func TestReplPromotionAppliesReplicatedEngineConfig(t *testing.T) {
+	net := newReplNet()
+	leader := newReplNode(t, net, "a", false, ReplConfig{})
+	follower := newReplNode(t, net, "b", true, ReplConfig{LeaseTTL: time.Hour})
+	defer follower.close()
+
+	if err := leader.repl.StartLeader(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	follower.repl.StartFollower(context.Background(), "a")
+	for name, value := range map[string]string{ConfigStmtTimeoutMs: "1500", ConfigLockTimeoutMs: "250"} {
+		if err := net.dial("a").Call(context.Background(), ActionConfigSet,
+			&ConfigSetRequest{Name: name, Value: value}, &ConfigSetResponse{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 5*time.Second, "replication", func() bool {
+		return follower.eng.AppliedLSN() >= leader.eng.DurableLSN()
+	})
+	if got := follower.eng.StmtTimeout(); got != 0 {
+		t.Fatalf("follower's statement timeout before promotion = %s, want unset", got)
+	}
+	leader.kill()
+	if err := follower.repl.Promote(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if stmt, lock := follower.eng.StmtTimeout(), follower.eng.LockTimeout(); stmt != 1500*time.Millisecond || lock != 250*time.Millisecond {
+		t.Fatalf("promoted node's timeouts = %s / %s, want the replicated 1.5s / 250ms", stmt, lock)
+	}
+}
+
 // TestReplLeasePromotionOnLeaderDeath runs the full detector: a live
 // pair with a short lease; the leader dies silently; the follower's
 // local copy of the lease goes stale past its TTL and the follower

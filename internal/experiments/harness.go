@@ -210,23 +210,11 @@ func (h *J2Harness) Completions() *metrics.Counter { return h.completions }
 // match-to-start lag is seconds, invisible at minute resolution).
 func (h *J2Harness) RunningGauge() *metrics.Gauge { return h.running }
 
-// Elapsed reports virtual time since harness creation.
-func (h *J2Harness) Elapsed() time.Duration { return h.Eng.Now().Sub(h.start) }
-
 // TotalCompleted counts jobs finished so far.
 func (h *J2Harness) TotalCompleted() int {
 	n := 0
 	for _, sd := range h.Startds {
 		n += sd.Completed
-	}
-	return n
-}
-
-// TotalDropped counts drops so far.
-func (h *J2Harness) TotalDropped() int {
-	n := 0
-	for _, sd := range h.Startds {
-		n += sd.Dropped
 	}
 	return n
 }

@@ -73,9 +73,6 @@ func NewCPUAccount(start time.Time, interval time.Duration, cores int) *CPUAccou
 	}
 }
 
-// Cores reports the core count used for capacity calculations.
-func (a *CPUAccount) Cores() int { return a.cores }
-
 // Charge records that d of CPU time of the given kind was consumed at
 // instant at. Work longer than one interval is spread across consecutive
 // buckets so a long burst shows up as sustained utilization rather than an

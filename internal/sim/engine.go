@@ -66,7 +66,6 @@ type Engine struct {
 	queue  eventHeap
 	seq    uint64
 	rng    *rand.Rand
-	fired  uint64
 	halted bool
 
 	// OnEvent, when set, observes every dispatched event (used by the
@@ -92,9 +91,6 @@ func (e *Engine) Now() time.Time { return e.now }
 
 // Rand exposes the engine's deterministic random source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
-
-// Fired reports how many events have been dispatched so far.
-func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are scheduled and not yet fired.
 func (e *Engine) Pending() int { return len(e.queue) }
@@ -184,7 +180,6 @@ func (e *Engine) Step() bool {
 		if ev.at.After(e.now) {
 			e.now = ev.at
 		}
-		e.fired++
 		if e.OnEvent != nil {
 			e.OnEvent(e.now, ev.name)
 		}

@@ -10,6 +10,7 @@ import (
 	"database/sql"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -162,8 +163,12 @@ func TestPageCompactAllocs(t *testing.T) {
 }
 
 // bytesPerRun is the bytes f allocates, averaged over runs after a warm-up
-// that fills the plan cache and the pools.
+// that fills the plan cache and the pools. The collector is held off while
+// it measures: a cycle empties the sync.Pools, and the refill (one
+// transaction scratch, ~44 KB) would be counted against whichever
+// measurement it happened to land in.
 func bytesPerRun(runs int, f func()) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	f()
 	f()
 	var before, after runtime.MemStats

@@ -1,7 +1,6 @@
 package sqldb
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -48,23 +47,16 @@ type Options struct {
 	Path string
 	// Sync selects the WAL sync policy.
 	Sync SyncPolicy
-	// Now supplies the clock for NOW(); nil means time.Now (live
-	// deployments). Simulations inject the virtual clock.
-	Now func() time.Time
-	// StmtTimeout is the default per-statement deadline applied when a
-	// caller's context carries none (0 = none). Runtime-settable with
-	// SetStmtTimeout.
-	StmtTimeout time.Duration
-	// LockTimeout bounds one lock wait; a statement blocked longer fails
-	// with ErrLockTimeout (0 = wait forever). Runtime-settable with
-	// SetLockTimeout.
-	LockTimeout time.Duration
-	// PoolPages, when positive, enables page-based durable storage:
-	// committed rows are written through to fixed-size pages behind a
-	// buffer pool of this many frames, fuzzy checkpoints (the owner calls
-	// Checkpoint; Close takes a final one) truncate the WAL, and recovery
-	// replays only the tail above the last checkpoint.
-	// Requires a RandomAccessVFS in VFS. Zero keeps the log-only layout.
+	// PoolPages is the buffer-pool capacity in frames of a paged store:
+	// committed rows are written through to fixed-size pages behind the
+	// pool, fuzzy checkpoints (the owner calls Checkpoint; Close takes a
+	// final one) truncate the WAL, and recovery replays only the tail above
+	// the last checkpoint. Whether a store is paged is read from its files —
+	// one that has checkpointed opens paged whatever this says, 0 then
+	// meaning defaultPoolPages. A positive value on a store that has never
+	// checkpointed (a new one, or a log-only one, whose whole log is redone
+	// onto pages) makes it paged; zero there keeps the log-only layout.
+	// A paged store requires a RandomAccessVFS in VFS.
 	PoolPages int
 	// PageSize is the page size in bytes for a newly created page file
 	// (0 = pager.DefaultPageSize). An existing store's own page size is
@@ -84,8 +76,9 @@ type DB struct {
 	tables map[string]*table
 	locks  *lockManager
 	wal    *wal
-	// store is the paged-storage engine (nil unless Options.PoolPages > 0):
-	// pager, buffer pool, and fuzzy-checkpoint state (see paged.go).
+	// store is the paged-storage engine (nil on a log-only or in-memory
+	// database): pager, buffer pool, and fuzzy-checkpoint state (see
+	// paged.go).
 	store  *pageStore
 	nextTx atomic.Uint64
 	nowFn  func() time.Time
@@ -185,15 +178,10 @@ func Open(opts Options) (*DB, error) {
 	db := &DB{
 		tables: make(map[string]*table),
 		locks:  newLockManager(),
-		nowFn:  opts.Now,
+		nowFn:  time.Now,
 		stmts:  make(map[string]*cachedStmt),
 		snaps:  make(map[uint64]int),
 	}
-	if db.nowFn == nil {
-		db.nowFn = time.Now
-	}
-	db.stmtTimeout.Store(int64(opts.StmtTimeout))
-	db.locks.timeout.Store(int64(opts.LockTimeout))
 	if opts.VFS != nil {
 		if opts.Path == "" {
 			return nil, fmt.Errorf("sqldb: Options.Path required with a VFS")
@@ -209,15 +197,31 @@ func Open(opts Options) (*DB, error) {
 			}
 			return nil, err
 		}
+		// The store says which layout it has. Checkpoint meta exists exactly
+		// when a checkpoint may have truncated the log, and then the pages
+		// hold what the log no longer does: such a store opens paged, or
+		// not at all. Without meta the log is whole, and Options.PoolPages
+		// chooses.
+		meta, err := readPagedMeta(opts.VFS, opts.Path)
+		if err != nil {
+			return nil, err
+		}
 		// Redo the log: all of it for a log-only store, the tail above the
 		// checkpoint once the page image is loaded for a paged one.
 		var good int
-		if opts.PoolPages > 0 {
+		if meta != nil || opts.PoolPages > 0 {
 			rvfs, ok := opts.VFS.(RandomAccessVFS)
 			if !ok {
+				if meta != nil {
+					return nil, fmt.Errorf("sqldb: %s is a paged store (it has checkpointed, so its log alone is not its state) and cannot be opened on a VFS without random access", opts.Path)
+				}
 				return nil, fmt.Errorf("sqldb: Options.PoolPages requires a RandomAccessVFS")
 			}
-			st, meta, err := openPageStore(rvfs, opts.Path, opts.PageSize, opts.PoolPages)
+			poolPages := opts.PoolPages
+			if poolPages <= 0 {
+				poolPages = defaultPoolPages
+			}
+			st, err := openPageStore(rvfs, opts.Path, meta, opts.PageSize, poolPages)
 			if err != nil {
 				return nil, err
 			}
@@ -330,8 +334,8 @@ func (db *DB) emit(s StmtStats) {
 func (db *DB) redoLog(data []byte, ckptLSN uint64, mayContain bool) (int, error) {
 	rd := logReader{data: data}
 	for rd.next() {
-		if rd.lsn != 0 && rd.lsn <= ckptLSN {
-			continue // (0 is no LSN: Checkpoint's rewrite of a log nothing had committed to)
+		if rd.lsn <= ckptLSN {
+			continue
 		}
 		if err := db.applyGroup(rd.lsn, rd.recs, mayContain); err != nil {
 			return 0, fmt.Errorf("sqldb: recovery: %w", err)
@@ -1069,75 +1073,9 @@ func (db *DB) Schema(name string) (TableSchema, bool) {
 	return tbl.schema, true
 }
 
-// Checkpoint bounds recovery time. Under paged storage it runs one fuzzy
-// checkpoint — dirty pages flushed, meta written, WAL truncated — without
-// quiescing writers. Otherwise it rewrites the WAL as a snapshot of
-// current committed state, briefly locking out writers.
-func (db *DB) Checkpoint() error {
-	if db.store != nil {
-		return db.fuzzyCheckpoint(false)
-	}
-	if db.wal == nil {
-		return nil
-	}
-	tx, err := db.Begin()
-	if err != nil {
-		return err
-	}
-	defer tx.Rollback()
-	// Quiesce: exclusive catalog lock plus shared locks on every table.
-	if err := tx.lock(catalogTable, lockExclusive); err != nil {
-		return err
-	}
-	db.mu.Lock()
-	names := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	db.mu.Unlock()
-	if err := tx.lockTables(names, lockShared); err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	db.mu.Lock()
-	for _, n := range names {
-		tbl := db.tables[n]
-		if tbl == nil {
-			continue
-		}
-		appendRecord(&buf, &walRecord{op: walDDL, txn: 0, sql: tbl.schema.DDL()})
-		for _, ix := range tbl.indexes {
-			if strings.HasPrefix(ix.schema.Name, "pk_") || strings.HasPrefix(ix.schema.Name, "uq_") {
-				continue // implied by the table DDL
-			}
-			appendRecord(&buf, &walRecord{op: walDDL, txn: 0, sql: ix.schema.DDL()})
-		}
-	}
-	for _, n := range names {
-		tbl := db.tables[n]
-		if tbl == nil {
-			continue
-		}
-		tbl.scanLatest(0, func(rid int64, row []Value) bool {
-			appendRecord(&buf, &walRecord{op: walInsert, txn: 0, table: n, rid: rid, row: row})
-			return true
-		})
-	}
-	// ANALYZE records ride after the data they describe, so replaying the
-	// checkpoint recomputes the same planner statistics.
-	for _, n := range names {
-		tbl := db.tables[n]
-		if tbl != nil && tbl.analyzed.Load() {
-			appendRecord(&buf, &walRecord{op: walDDL, txn: 0, sql: "ANALYZE " + n})
-		}
-	}
-	db.mu.Unlock()
-	// The snapshot group carries the current durable LSN (no new number:
-	// it re-describes state already covered by that LSN), so the horizon
-	// survives the swap and post-checkpoint commits continue past it.
-	// Followers still behind this LSN can no longer be served from the
-	// rewritten log and must be re-seeded (see repl.go).
-	appendRecord(&buf, &walRecord{op: walCommit, txn: 0, lsn: db.wal.durableLSN.Load()})
-	return db.wal.replaceWith(buf.Bytes())
-}
+// Checkpoint bounds recovery time on a paged store: one fuzzy checkpoint
+// — dirty pages flushed, meta written, WAL truncated through the
+// checkpoint LSN — without quiescing writers. A log-only or in-memory
+// database has no pages to checkpoint onto: there it does nothing and
+// returns nil, and a log-only store's log is never truncated.
+func (db *DB) Checkpoint() error { return db.fuzzyCheckpoint(false) }

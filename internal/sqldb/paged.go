@@ -13,10 +13,12 @@ import (
 	"condorj2/internal/sqldb/pager"
 )
 
-// Paged durable storage (Options.PoolPages > 0): committed row versions
-// live on fixed-size pages behind a buffer pool, and recovery starts
-// from the pages plus the WAL tail above the last fuzzy checkpoint
-// instead of replaying the whole log.
+// Paged durable storage: committed row versions live on fixed-size pages
+// behind a buffer pool, and recovery starts from the pages plus the WAL
+// tail above the last fuzzy checkpoint instead of replaying the whole log.
+// A store is paged from the open that names a pool (Options.PoolPages > 0)
+// and stays so: once it has checkpointed, its meta files say it is, and
+// Open reads the layout from them.
 //
 // The fuzzy checkpoint protocol (no writer quiesce):
 //
@@ -46,6 +48,12 @@ import (
 
 // ckptFlushBatch is how many pages one checkpoint WriteBatch carries.
 const ckptFlushBatch = 32
+
+// defaultPoolPages is the buffer-pool capacity of a paged store opened
+// without one (Options.PoolPages == 0): 2 MiB of frames at the default page
+// size — enough for a shell or a restarted daemon to serve from; a
+// deployment sizes its pool to its working set.
+const defaultPoolPages = 256
 
 // tombErase is one deferred tombstone-record erasure (see
 // pageStore.queueTombErase).
@@ -278,20 +286,21 @@ func metaPaths(path string) (a, b string) {
 // readPagedMeta loads the newest valid checkpoint meta, or nil when none
 // exists (fresh store, or a crash before the first checkpoint completed
 // its meta write — in either case the WAL is complete, so full replay
-// covers everything).
-func readPagedMeta(vfs VFS, path string) *pagedMeta {
+// covers everything). A meta file that cannot be read is an error, not an
+// absent one: Open decides the layout on this answer.
+func readPagedMeta(vfs VFS, path string) (*pagedMeta, error) {
 	a, b := metaPaths(path)
 	var best *pagedMeta
 	for _, name := range []string{a, b} {
 		data, err := vfs.ReadFile(name)
-		if err != nil || len(data) == 0 {
-			continue
+		if err != nil {
+			return nil, fmt.Errorf("sqldb: reading checkpoint meta: %w", err)
 		}
 		if m, ok := decodeMeta(data); ok && (best == nil || m.gen > best.gen) {
 			best = m
 		}
 	}
-	return best
+	return best, nil
 }
 
 // writeMeta durably writes a new meta generation to the alternating meta
@@ -322,15 +331,14 @@ func (st *pageStore) writeMeta(m *pagedMeta) error {
 	return nil
 }
 
-// openPageStore opens (or creates) the page file, double-write buffer,
-// and checkpoint meta for path, repairs torn page writes, and seeds the
-// allocator from the file extent. Returns the store and the meta image
-// recovery should start from (nil = full WAL replay).
-func openPageStore(vfs RandomAccessVFS, path string, pageSize, poolPages int) (*pageStore, *pagedMeta, error) {
+// openPageStore opens (or creates) the page file and double-write buffer
+// for path, repairs torn page writes, and seeds the allocator from the
+// file extent and the counters from meta, the checkpoint image recovery
+// starts from (nil = full WAL replay).
+func openPageStore(vfs RandomAccessVFS, path string, meta *pagedMeta, pageSize, poolPages int) (*pageStore, error) {
 	if pageSize == 0 {
 		pageSize = pager.DefaultPageSize
 	}
-	meta := readPagedMeta(vfs, path)
 	pagesName, dwbName := path+".pages", path+".dwb"
 	if meta == nil {
 		// No checkpoint ever completed, so the WAL is complete and any
@@ -338,10 +346,10 @@ func openPageStore(vfs RandomAccessVFS, path string, pageSize, poolPages int) (*
 		// redundant — and dangerous: without meta their table IDs would
 		// collide with the IDs a full replay reassigns. Start clean.
 		if err := vfs.Remove(pagesName); err != nil {
-			return nil, nil, fmt.Errorf("sqldb: clearing stale page file: %w", err)
+			return nil, fmt.Errorf("sqldb: clearing stale page file: %w", err)
 		}
 		if err := vfs.Remove(dwbName); err != nil {
-			return nil, nil, fmt.Errorf("sqldb: clearing stale double-write buffer: %w", err)
+			return nil, fmt.Errorf("sqldb: clearing stale double-write buffer: %w", err)
 		}
 	} else if meta.pageSize > 0 {
 		// The file's own page size is authoritative over Options.PageSize.
@@ -349,29 +357,29 @@ func openPageStore(vfs RandomAccessVFS, path string, pageSize, poolPages int) (*
 	}
 	pageFile, err := vfs.OpenRandom(pagesName)
 	if err != nil {
-		return nil, nil, fmt.Errorf("sqldb: opening page file: %w", err)
+		return nil, fmt.Errorf("sqldb: opening page file: %w", err)
 	}
 	dwbFile, err := vfs.OpenRandom(dwbName)
 	if err != nil {
 		pageFile.Close()
-		return nil, nil, fmt.Errorf("sqldb: opening double-write buffer: %w", err)
+		return nil, fmt.Errorf("sqldb: opening double-write buffer: %w", err)
 	}
 	pgr, err := pager.New(pageFile, dwbFile, pageSize)
 	if err != nil {
 		pageFile.Close()
 		dwbFile.Close()
-		return nil, nil, err
+		return nil, err
 	}
 	if _, err := pgr.RecoverTorn(); err != nil {
 		pgr.Close()
-		return nil, nil, fmt.Errorf("sqldb: repairing torn pages: %w", err)
+		return nil, fmt.Errorf("sqldb: repairing torn pages: %w", err)
 	}
 	// The allocated extent comes from the file length, not from meta:
 	// evictions after the last checkpoint may have grown the file.
 	data, err := vfs.ReadFile(pagesName)
 	if err != nil {
 		pgr.Close()
-		return nil, nil, fmt.Errorf("sqldb: sizing page file: %w", err)
+		return nil, fmt.Errorf("sqldb: sizing page file: %w", err)
 	}
 	extent := pager.PageID((len(data) + pageSize - 1) / pageSize)
 	pgr.SetAllocState(extent+1, nil)
@@ -387,7 +395,7 @@ func openPageStore(vfs RandomAccessVFS, path string, pageSize, poolPages int) (*
 		st.ckptLSN.Store(meta.ckptLSN)
 		st.metaGen = meta.gen
 	}
-	return st, meta, nil
+	return st, nil
 }
 
 // pageWriteThrough writes each to-be-stamped version's row (or

@@ -1,8 +1,10 @@
 package sqldb
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -128,6 +130,260 @@ func TestPagedCheckpointTruncatesWAL(t *testing.T) {
 	if rows.Data[0][0].Int64() != 220 {
 		t.Fatalf("after second crash count = %v, want 220", rows.Data[0][0])
 	}
+}
+
+// TestOpenReadsLayoutFromStore: whether a store is paged is what its files
+// say, not what the opener passes. Once a checkpoint has written meta — the
+// one condition under which the log may have been truncated — an open that
+// names no pool is still a paged open and sees every row; a store that
+// never checkpointed has its whole log and opens log-only.
+func TestOpenReadsLayoutFromStore(t *testing.T) {
+	reopen := func(t *testing.T, vfs VFS) *DB {
+		t.Helper()
+		db, err := Open(Options{VFS: vfs, Path: "test.db"})
+		if err != nil {
+			t.Fatalf("Open with no layout option: %v", err)
+		}
+		t.Cleanup(func() { db.Close() })
+		return db
+	}
+	fill := func(t *testing.T, db *DB, from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			mustExec(t, db, `INSERT INTO t VALUES (?, ?)`, i, fmt.Sprintf("v%d", i))
+		}
+	}
+	// paged40 is a paged store, still open, holding table t with rows 0..39.
+	paged40 := func(t *testing.T) (*MemVFS, *DB) {
+		t.Helper()
+		vfs := NewMemVFS()
+		db := openPaged(t, vfs)
+		mustExec(t, db, `CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT)`)
+		fill(t, db, 0, 40)
+		return vfs, db
+	}
+	check := func(t *testing.T, db *DB, rows int64, paged bool) {
+		t.Helper()
+		if names := db.TableNames(); len(names) != 1 || names[0] != "t" {
+			t.Fatalf("tables = %v, want [t]", names)
+		}
+		got := mustQuery(t, db, `SELECT count(*), sum(k) FROM t`)
+		if got.Data[0][0].Int64() != rows || got.Data[0][1].Int64() != rows*(rows-1)/2 {
+			t.Fatalf("rows = %v, want %d of them", got.Data, rows)
+		}
+		if frames := db.BufferPoolStats().Frames; (frames > 0) != paged {
+			t.Fatalf("pool frames = %d, want paged = %v", frames, paged)
+		}
+	}
+
+	t.Run("clean close", func(t *testing.T) {
+		vfs, db := paged40(t)
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		db2 := reopen(t, vfs)
+		check(t, db2, 40, true)
+		if frames := db2.BufferPoolStats().Frames; frames != defaultPoolPages {
+			t.Fatalf("pool frames = %d, want the default %d", frames, defaultPoolPages)
+		}
+		// It is the same store to write to, checkpoint and reopen again.
+		fill(t, db2, 40, 50)
+		if err := db2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		check(t, reopen(t, vfs), 50, true)
+	})
+	t.Run("crash after a checkpoint", func(t *testing.T) {
+		vfs, db := paged40(t)
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		fill(t, db, 40, 60) // the tail the reopen redoes over the image
+		check(t, reopen(t, vfs), 60, true)
+	})
+	t.Run("never checkpointed", func(t *testing.T) {
+		vfs, _ := paged40(t)
+		// Crash before any checkpoint: no meta, the log is whole.
+		check(t, reopen(t, vfs), 40, false)
+	})
+	t.Run("unreadable meta", func(t *testing.T) {
+		vfs, db := paged40(t)
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// "Could not read the meta" is not "there is no meta".
+		if _, err := Open(Options{VFS: unreadableMeta{vfs}, Path: "test.db"}); err == nil || !strings.Contains(err.Error(), "checkpoint meta") {
+			t.Fatalf("Open with an unreadable meta file: err = %v, want it refused", err)
+		}
+	})
+	t.Run("no random access", func(t *testing.T) {
+		vfs, db := paged40(t)
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Its log is empty now; opening it log-only would be an empty database.
+		_, err := Open(Options{VFS: struct{ VFS }{vfs}, Path: "test.db"})
+		if err == nil || !strings.Contains(err.Error(), "paged store") || !strings.Contains(err.Error(), "random access") {
+			t.Fatalf("paged store on a VFS without OpenRandom: err = %v, want a refusal naming the reason", err)
+		}
+	})
+}
+
+// unreadableMeta fails every read of a checkpoint-meta file.
+type unreadableMeta struct{ *MemVFS }
+
+func (v unreadableMeta) ReadFile(name string) ([]byte, error) {
+	if strings.Contains(name, ".meta.") {
+		return nil, errors.New("input/output error")
+	}
+	return v.MemVFS.ReadFile(name)
+}
+
+// TestCheckpointWithoutPagesIsANoOp: there is one checkpoint algorithm, and
+// it needs pages. On a log-only or in-memory database Checkpoint succeeds
+// and changes nothing — the log is never rewritten or truncated.
+func TestCheckpointWithoutPagesIsANoOp(t *testing.T) {
+	vfs := NewMemVFS()
+	db := openVFS(t, vfs)
+	defer db.Close()
+	mustExec(t, db, `CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT)`)
+	for i := 0; i < 20; i++ {
+		mustExec(t, db, `INSERT INTO t VALUES (?, 'x')`, i)
+		mustExec(t, db, `UPDATE t SET v = 'y' WHERE k = ?`, i)
+	}
+	before, _ := vfs.ReadFile("test.wal")
+	if err := db.Checkpoint(); err != nil {
+		t.Fatalf("log-only Checkpoint: %v", err)
+	}
+	if after, _ := vfs.ReadFile("test.wal"); !bytes.Equal(before, after) {
+		t.Fatalf("log-only Checkpoint changed the log: %d → %d bytes", len(before), len(after))
+	}
+	if st := db.BufferPoolStats(); st.Checkpoints != 0 {
+		t.Fatalf("log-only Checkpoint counted: %+v", st)
+	}
+	if got, _, err := db.CommittedSince(0, 0); err != nil || len(got) != 41 {
+		t.Fatalf("log after Checkpoint ships %d groups, err %v; want all 41", len(got), err)
+	}
+	mem := New()
+	defer mem.Close()
+	mustExec(t, mem, `CREATE TABLE t (k INTEGER PRIMARY KEY)`)
+	if err := mem.Checkpoint(); err != nil {
+		t.Fatalf("in-memory Checkpoint: %v", err)
+	}
+}
+
+// TestCheckpointShrinksAndPreserves: a checkpoint shortens the log, commits
+// after it append to what is left, and a crash recovers the rows — and the
+// secondary index, which the checkpoint's catalog image carries — from the
+// pages plus that tail.
+func TestCheckpointShrinksAndPreserves(t *testing.T) {
+	vfs := NewMemVFS()
+	db := openPaged(t, vfs)
+	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)`)
+	mustExec(t, db, `CREATE INDEX t_v ON t (v)`)
+	for i := 0; i < 50; i++ {
+		mustExec(t, db, `INSERT INTO t VALUES (?, 'x')`, i)
+		mustExec(t, db, `UPDATE t SET v = 'y' WHERE id = ?`, i)
+	}
+	before := walLen(t, vfs)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if after := walLen(t, vfs); after >= before {
+		t.Fatalf("checkpoint did not shrink WAL: %d → %d", before, after)
+	}
+	// Post-checkpoint writes append to the shortened log.
+	mustExec(t, db, `INSERT INTO t VALUES (100, 'z')`)
+
+	db2 := openPaged(t, vfs) // crash: no Close
+	defer db2.Close()
+	rows := mustQuery(t, db2, `SELECT count(*) FROM t`)
+	if rows.Data[0][0].Int64() != 51 {
+		t.Fatalf("count after checkpoint+recovery = %v", rows.Data[0][0])
+	}
+	var stats StmtStats
+	db2.SetStatsHook(func(s StmtStats) {
+		if s.Kind == "SELECT" {
+			stats = s
+		}
+	})
+	rows = mustQuery(t, db2, `SELECT count(*) FROM t WHERE v = 'y'`)
+	if rows.Data[0][0].Int64() != 50 {
+		t.Fatalf("indexed query = %v", rows.Data[0][0])
+	}
+	if !stats.UsedIndex {
+		t.Fatal("index not restored by checkpoint")
+	}
+}
+
+// TestAnalyzeSurvivesRecoveryAndCheckpoint is the stats-lifecycle audit:
+// ANALYZE logs a WAL record, recovery replays it after the data it
+// describes, and a checkpoint's catalog image carries it once the record
+// itself is truncated away — so a recovered database plans joins with the
+// same statistics (and the same EXPLAIN plan) as the pre-crash one, through
+// a log-only restart, the conversion to pages, and a checkpointed restart.
+func TestAnalyzeSurvivesRecoveryAndCheckpoint(t *testing.T) {
+	vfs := NewMemVFS()
+	db := openVFS(t, vfs)
+	mustExec(t, db, `CREATE TABLE big (id INTEGER PRIMARY KEY, k INTEGER)`)
+	mustExec(t, db, `CREATE TABLE sml (id INTEGER PRIMARY KEY, k INTEGER)`)
+	for i := 1; i <= 200; i++ {
+		mustExec(t, db, `INSERT INTO big VALUES (?, ?)`, i, i%20)
+	}
+	for i := 1; i <= 10; i++ {
+		mustExec(t, db, `INSERT INTO sml VALUES (?, ?)`, i, i)
+	}
+	mustExec(t, db, `ANALYZE`)
+	explainJoin := func(d *DB) string {
+		t.Helper()
+		rows := mustQuery(t, d, `EXPLAIN SELECT b.id FROM big b JOIN sml s ON s.k = b.k`)
+		var sb []string
+		for _, r := range rows.Data {
+			sb = append(sb, r[0].Text()+"/"+r[3].Text())
+		}
+		return strings.Join(sb, " -> ")
+	}
+	wantPlan := explainJoin(db)
+	db.Close()
+	audit := func(d *DB, after string) {
+		t.Helper()
+		tbl, err := d.lookupTable("big")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tbl.analyzed.Load() {
+			t.Fatalf("%s dropped the ANALYZE state", after)
+		}
+		if st := tbl.findIndex("pk_big").stats.Load(); st == nil || st.distinct[0] != 200 {
+			t.Fatalf("pk stats after %s = %+v, want distinct 200", after, st)
+		}
+		if got := explainJoin(d); got != wantPlan {
+			t.Fatalf("plan after %s = %q, want %q", after, got, wantPlan)
+		}
+	}
+
+	// Plain WAL replay restores the statistics.
+	db2 := openVFS(t, vfs)
+	audit(db2, "log-only recovery")
+	db2.Close()
+
+	// Naming a pool converts the store — the whole log redone onto pages,
+	// ANALYZE record included — and a checkpoint then truncates that record
+	// away; the stats must ride along in the catalog image.
+	db3, err := Open(Options{VFS: vfs, Path: "test.wal", PoolPages: 16, PageSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	audit(db3, "conversion to pages")
+	if err := db3.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if data, _ := vfs.ReadFile("test.wal"); len(data) != 0 {
+		t.Fatalf("log after the checkpoint = %d bytes, want 0", len(data))
+	}
+	db4 := openVFS(t, vfs) // crash: no Close; the layout is read from the store
+	defer db4.Close()
+	audit(db4, "checkpoint")
 }
 
 func TestPagedCrashWithMixedTail(t *testing.T) {
@@ -519,6 +775,12 @@ func TestPagedFollowerApply(t *testing.T) {
 func TestPagedTruncatedLogRefusesFarBehindFollower(t *testing.T) {
 	vfs := NewMemVFS()
 	leader := openPaged(t, vfs)
+	// A shipping leader: its tap is what keeps committed batches in memory.
+	tap, err := leader.ReplicationTap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tap.Close()
 	mustExec(t, leader, `CREATE TABLE t (k INTEGER PRIMARY KEY)`)
 	for i := 0; i < 10; i++ {
 		mustExec(t, leader, `INSERT INTO t VALUES (?)`, i)

@@ -11,7 +11,8 @@ import (
 // schedd's failover story is a database failover story). A leader's
 // committed groups are addressable by the LSN on their commit markers;
 // CommittedSince reads them back (from an in-memory ring of recent
-// batches, or the log file for a follower further behind), and
+// batches, kept while a ReplicationTap is registered, or the log file for
+// a follower further behind), and
 // FollowerApply replays them on a follower, re-stamping every version
 // through the follower's own MVCC commit clock so its snapshot readers
 // are always transactionally consistent — a group is invisible until the
@@ -83,8 +84,9 @@ func (db *DB) AppliedLSN() uint64 { return db.replApplied.Load() }
 // CommittedSince returns committed groups with LSN > afterLSN in log
 // order, plus the current durable LSN. maxBytes caps the returned batch
 // bytes (0 = unlimited; at least one batch is always returned when any
-// qualifies). Recent batches are served from memory; a reader further
-// behind is served from the log file itself.
+// qualifies). Batches committed while a ReplicationTap was registered are
+// served from memory; a reader further behind is served from the log file
+// itself.
 func (db *DB) CommittedSince(afterLSN uint64, maxBytes int) ([]CommittedBatch, uint64, error) {
 	if db.wal == nil {
 		return nil, 0, ErrNoWAL
@@ -105,13 +107,22 @@ func (w *wal) setRecoveredLSN(lsn uint64) {
 	w.tapMu.Unlock()
 }
 
-// publishCommitted appends freshly durable batches to the tap ring,
-// trims it to walRingBytes, and signals every registered tap.
+// publishCommitted hands freshly durable batches to the shipping side: with
+// a tap registered they join the ring, trimmed to walRingBytes, and every
+// tap is signaled. With none, nobody can ship them, so nothing is kept —
+// the ring is dropped and ringBase moves to the last LSN, which sends a
+// later joiner to the log file exactly as after a restart.
 func (w *wal) publishCommitted(batches []CommittedBatch) {
 	if len(batches) == 0 {
 		return
 	}
 	w.tapMu.Lock()
+	defer w.tapMu.Unlock()
+	if len(w.taps) == 0 {
+		w.ring, w.ringSize = nil, 0
+		w.ringBase = batches[len(batches)-1].LSN
+		return
+	}
 	for _, b := range batches {
 		w.ring = append(w.ring, b)
 		w.ringSize += len(b.Data)
@@ -131,7 +142,6 @@ func (w *wal) publishCommitted(batches []CommittedBatch) {
 		default:
 		}
 	}
-	w.tapMu.Unlock()
 }
 
 func (w *wal) committedSince(afterLSN uint64, maxBytes int) ([]CommittedBatch, uint64, error) {

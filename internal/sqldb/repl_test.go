@@ -320,35 +320,85 @@ func TestReplApplyRejectsCorruptBatch(t *testing.T) {
 	}
 }
 
-// TestReplRingAndFileFallback ships once from the in-memory ring and
-// once from a cold start (LSN 0, before the ring's base) — both paths
-// must produce byte-identical batches.
+// TestReplRingAndFileFallback: committed batches stay in memory only while
+// someone can ship them. With a tap registered CommittedSince is served
+// from the ring; with none the ring stays empty and the same call is served
+// from the log file — both paths must produce byte-identical batches. A tap
+// registered late keeps what commits after it and leaves the rest to the
+// file.
 func TestReplRingAndFileFallback(t *testing.T) {
-	leader, _ := Open(Options{VFS: NewMemVFS(), Path: "l.wal"})
-	defer leader.Close()
-	mustExec(t, leader, `CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER NOT NULL)`)
-	for i := 1; i <= 25; i++ {
-		mustExec(t, leader, `INSERT INTO t (id, v) VALUES (?, ?)`, i, i)
+	ring := func(db *DB) (n int, base uint64) {
+		db.wal.tapMu.Lock()
+		defer db.wal.tapMu.Unlock()
+		return len(db.wal.ring), db.wal.ringBase
 	}
-	fromRing, _, err := leader.CommittedSince(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Force the file path by asking a second, file-backed leader copy.
-	// (Simplest honest cold reader: reopen the same log elsewhere is not
-	// possible with a live writer, so compare against splitBatches over
-	// the raw file instead.)
-	data, err := leader.wal.vfs.ReadFile("l.wal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromFile := splitBatches(data, 0, 0, leader.DurableLSN())
-	if len(fromRing) != len(fromFile) {
-		t.Fatalf("ring %d batches, file %d", len(fromRing), len(fromFile))
-	}
-	for i := range fromRing {
-		if fromRing[i].LSN != fromFile[i].LSN || !bytes.Equal(fromRing[i].Data, fromFile[i].Data) {
-			t.Fatalf("batch %d differs between ring and file", i)
+	load := func(tapped bool) (*DB, []CommittedBatch) {
+		db, err := Open(Options{VFS: NewMemVFS(), Path: "l.wal"})
+		if err != nil {
+			t.Fatal(err)
 		}
+		t.Cleanup(func() { db.Close() })
+		if tapped {
+			tap, err := db.ReplicationTap()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(tap.Close)
+		}
+		mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER NOT NULL)`)
+		for i := 1; i <= 25; i++ {
+			mustExec(t, db, `INSERT INTO t (id, v) VALUES (?, ?)`, i, i)
+		}
+		got, _, err := db.CommittedSince(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db, got
+	}
+	same := func(what string, a, b []CommittedBatch) {
+		t.Helper()
+		if len(a) != len(b) {
+			t.Fatalf("%s: %d batches against %d", what, len(a), len(b))
+		}
+		for i := range a {
+			if a[i].LSN != b[i].LSN || !bytes.Equal(a[i].Data, b[i].Data) {
+				t.Fatalf("%s: batch %d differs", what, i)
+			}
+		}
+	}
+
+	tapped, fromRing := load(true)
+	if n, base := ring(tapped); n != 26 || base != 0 {
+		t.Fatalf("tapped leader's ring holds %d batches above LSN %d, want all 26 above 0", n, base)
+	}
+	data, err := tapped.wal.vfs.ReadFile("l.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("ring against its own file", fromRing, splitBatches(data, 0, 0, tapped.DurableLSN()))
+
+	untapped, fromFile := load(false)
+	if n, base := ring(untapped); n != 0 || base != untapped.DurableLSN() {
+		t.Fatalf("untapped leader's ring holds %d batches above LSN %d, want none above %d", n, base, untapped.DurableLSN())
+	}
+	same("file of an untapped leader against the ring of a tapped one", fromFile, fromRing)
+
+	// A tap registered now: what commits from here on is kept, what came
+	// before is still the file's to serve.
+	joined := untapped.DurableLSN()
+	tap, err := untapped.ReplicationTap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tap.Close()
+	mustExec(t, untapped, `INSERT INTO t (id, v) VALUES (26, 26)`)
+	if n, base := ring(untapped); n != 1 || base != joined {
+		t.Fatalf("after a late tap the ring holds %d batches above LSN %d, want 1 above %d", n, base, joined)
+	}
+	if got, _, err := untapped.CommittedSince(joined, 0); err != nil || len(got) != 1 || got[0].LSN != joined+1 {
+		t.Fatalf("from the ring after the late tap: %v, err %v", got, err)
+	}
+	if got, _, err := untapped.CommittedSince(0, 0); err != nil || len(got) != 27 {
+		t.Fatalf("from the file after the late tap: %d batches, err %v; want 27", len(got), err)
 	}
 }

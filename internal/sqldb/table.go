@@ -34,10 +34,10 @@ type table struct {
 	nextAuto int64
 	indexes  []*index
 
-	// Paged storage (Options.PoolPages > 0): committed versions' row bytes
-	// live in heap page records and versions carry only a pageLoc. heap is
-	// nil in the default in-memory mode. tableID is the table's permanent,
-	// never-reused page-ownership ID.
+	// Paged storage: committed versions' row bytes live in heap page
+	// records and versions carry only a pageLoc. heap is nil in the default
+	// in-memory mode. tableID is the table's permanent, never-reused
+	// page-ownership ID.
 	heap    *pagedHeap
 	tableID uint32
 
@@ -600,25 +600,6 @@ func (t *table) updateRow(rid int64, newRow []Value, txn uint64, watermark uint6
 	return old, v, orphaned, nil
 }
 
-// popVersion unlinks txn's own uncommitted head version from rid's chain
-// (rollback). It returns the popped version and whether the chain is now
-// empty.
-func (t *table) popVersion(rid int64, txn uint64) (*rowVersion, bool, error) {
-	t.latch.Lock()
-	defer t.latch.Unlock()
-	if rid < 0 || rid >= int64(len(t.rows)) {
-		return nil, false, fmt.Errorf("sqldb: rollback: no slot %d in %s", rid, t.schema.Name)
-	}
-	s := t.rows[rid]
-	head := s.head.Load()
-	if head == nil || head.begin.Load() != 0 || head.txn != txn {
-		return nil, false, fmt.Errorf("sqldb: rollback: slot %d of %s has no uncommitted version of txn %d", rid, t.schema.Name, txn)
-	}
-	rest := head.prev.Load()
-	s.head.Store(rest)
-	return head, rest == nil, nil
-}
-
 // removeEntryIfUnclaimed deletes index entry k for rid unless some
 // surviving version in rid's chain (committed or uncommitted) still
 // carries that exact key — which happens when a key changed away and back
@@ -894,14 +875,6 @@ const fullScanBatch = 512
 func (t *table) scanLatest(txn uint64, fn func(rid int64, row []Value) bool) {
 	t.scanSlots(func(rid int64, s *rowSlot) []Value {
 		return t.resolve(s.currentVersion(txn))
-	}, fn)
-}
-
-// scanSnapshot calls fn for every row visible at commit timestamp ts, in
-// slot order, without touching the lock manager.
-func (t *table) scanSnapshot(ts uint64, fn func(rid int64, row []Value) bool) {
-	t.scanSlots(func(rid int64, s *rowSlot) []Value {
-		return t.resolve(s.visibleVersion(ts))
 	}, fn)
 }
 

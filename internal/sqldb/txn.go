@@ -622,13 +622,6 @@ type Tx struct {
 	sc *txScratch
 }
 
-// ID reports the engine-assigned transaction id.
-func (tx *Tx) ID() uint64 { return tx.id }
-
-// ReadOnly reports whether the transaction reads from a snapshot and
-// rejects writes.
-func (tx *Tx) ReadOnly() bool { return tx.readOnly }
-
 // Snapshot reports the commit timestamp this transaction's snapshot reads
 // observe.
 func (tx *Tx) Snapshot() uint64 { return tx.snap }

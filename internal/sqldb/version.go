@@ -35,8 +35,8 @@ const verTomb = 1 << 0
 // verTomb flag marks a delete tombstone (no data, ever). begin is the
 // creator's commit timestamp (0 while uncommitted).
 //
-// Under paged storage (Options.PoolPages > 0) a committed version's row
-// bytes live in a page record named by loc, and data is nil: the commit
+// Under paged storage a committed version's row bytes live in a page
+// record named by loc, and data is nil: the commit
 // path writes the record and clears data before stamping begin, so the
 // release/acquire pair on begin orders the loc publication for every
 // snapshot reader (a reader only dereferences a version it observed

@@ -93,8 +93,8 @@ type RandomFile interface {
 }
 
 // RandomAccessVFS is implemented by VFSes that can open random-access
-// files. Paged storage (Options.PoolPages > 0) requires one; the
-// built-in MemVFS, OSVFS, FaultVFS, and SlowVFS all qualify.
+// files. A paged store requires one; the built-in MemVFS, OSVFS,
+// FaultVFS, and SlowVFS all qualify.
 type RandomAccessVFS interface {
 	VFS
 	// OpenRandom opens name for random-access reads and writes,
@@ -392,13 +392,13 @@ type CommittedBatch struct {
 }
 
 // walRingBytes bounds the in-memory ring of recently committed batches
-// kept for replication taps; followers further behind are served from the
-// log file itself.
+// kept while a replication tap is registered; followers further behind are
+// served from the log file itself.
 const walRingBytes = 4 << 20
 
 type wal struct {
 	// mu guards the file handle: group flushes, follower appends,
-	// checkpoint swaps and close all serialize here.
+	// checkpoint truncations and close all serialize here.
 	mu     sync.Mutex
 	vfs    VFS
 	name   string
@@ -410,7 +410,7 @@ type wal struct {
 	// strand every later commit behind the tear — logReader stops at the
 	// first corrupt record — so the next writer first repairs the file
 	// back to its committed prefix (atomic tmp+rename, like a checkpoint
-	// swap).
+	// truncation).
 	dirty bool
 
 	// Group-commit state: queue of encoded, unflushed batches. gmu is held
@@ -428,8 +428,9 @@ type wal struct {
 
 	// Replication tap state: a bounded ring of recently committed batches
 	// plus notification channels. ringBase is the newest LSN NOT covered
-	// by the ring (evicted, or written before this process opened the
-	// log); readers behind it fall back to the file.
+	// by the ring (evicted, committed with no tap registered, or written
+	// before this process opened the log); readers behind it fall back to
+	// the file.
 	tapMu     sync.Mutex
 	ring      []CommittedBatch
 	ringSize  int
@@ -736,9 +737,10 @@ func (w *wal) flushGroup() {
 	var err error
 	var published []CommittedBatch
 	if werr == nil {
-		// The write buffer outlives the flush — the replication ring keeps
-		// each batch's slice of it — so size it to the group, not by
-		// doubling: what the ring pins is then log bytes, not slack.
+		// The write buffer may outlive the flush — with a tap registered
+		// the replication ring keeps each batch's slice of it — so size it
+		// to the group, not by doubling: what the ring pins is then log
+		// bytes, not slack.
 		size := 0
 		for i, qb := range group {
 			size += len(qb.data) + markerLen(qb.txn, w.nextLSN+uint64(i)+1)
@@ -782,13 +784,6 @@ func (w *wal) flushGroup() {
 	for _, qb := range group {
 		qb.done <- err
 	}
-}
-
-// replaceWith atomically swaps the log content (checkpointing).
-func (w *wal) replaceWith(content []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.replaceLocked(content)
 }
 
 // replaceLocked swaps the log content under w.mu via the crash-safe
@@ -898,7 +893,7 @@ func appendRecord(buf *bytes.Buffer, r *walRecord) {
 
 // logReader walks raw log bytes one committed group at a time. A group is
 // the redo records up to and including a commit marker — one transaction's
-// batch as flushGroup, appendRaw and Checkpoint lay it down, always
+// batch as flushGroup and appendRaw lay it down, always
 // contiguous — and it is the unit of everything done with the log: repair
 // keeps whole groups, recovery and follower apply redo whole groups,
 // truncation and shipping cut at group boundaries. Every consumer is a loop

@@ -1,7 +1,6 @@
 package sqldb
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -90,48 +89,6 @@ func TestWALCorruptMiddleStopsReplay(t *testing.T) {
 	}
 }
 
-func TestCheckpointShrinksAndPreserves(t *testing.T) {
-	vfs := NewMemVFS()
-	db := openVFS(t, vfs)
-	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)`)
-	mustExec(t, db, `CREATE INDEX t_v ON t (v)`)
-	for i := 0; i < 50; i++ {
-		mustExec(t, db, `INSERT INTO t VALUES (?, 'x')`, i)
-		mustExec(t, db, `UPDATE t SET v = 'y' WHERE id = ?`, i)
-	}
-	before, _ := vfs.ReadFile("test.wal")
-	if err := db.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-	after, _ := vfs.ReadFile("test.wal")
-	if len(after) >= len(before) {
-		t.Fatalf("checkpoint did not shrink WAL: %d → %d", len(before), len(after))
-	}
-	// Post-checkpoint writes append to the new log.
-	mustExec(t, db, `INSERT INTO t VALUES (100, 'z')`)
-	db.Close()
-
-	db2 := openVFS(t, vfs)
-	rows := mustQuery(t, db2, `SELECT count(*) FROM t`)
-	if rows.Data[0][0].Int64() != 51 {
-		t.Fatalf("count after checkpoint+recovery = %v", rows.Data[0][0])
-	}
-	// Secondary index must be recreated by checkpointed DDL.
-	var stats StmtStats
-	db2.SetStatsHook(func(s StmtStats) {
-		if s.Kind == "SELECT" {
-			stats = s
-		}
-	})
-	rows = mustQuery(t, db2, `SELECT count(*) FROM t WHERE v = 'y'`)
-	if rows.Data[0][0].Int64() != 50 {
-		t.Fatalf("indexed query = %v", rows.Data[0][0])
-	}
-	if !stats.UsedIndex {
-		t.Fatal("index not restored by checkpoint")
-	}
-}
-
 func TestRecoveryPreservesRowIDsAndFreeList(t *testing.T) {
 	vfs := NewMemVFS()
 	db := openVFS(t, vfs)
@@ -165,71 +122,6 @@ func TestWALValueRoundTrip(t *testing.T) {
 		if !v.IsNull() {
 			t.Fatalf("NULL row = %v", rows.Data[1])
 		}
-	}
-}
-
-// TestAnalyzeSurvivesRecoveryAndCheckpoint is the stats-lifecycle audit:
-// ANALYZE logs a WAL record, recovery replays it after the data it
-// describes, and Checkpoint re-emits it — so a recovered database plans
-// joins with the same statistics (and the same EXPLAIN plan) as the
-// pre-crash one, across repeated checkpoint/recovery round-trips.
-func TestAnalyzeSurvivesRecoveryAndCheckpoint(t *testing.T) {
-	vfs := NewMemVFS()
-	db := openVFS(t, vfs)
-	mustExec(t, db, `CREATE TABLE big (id INTEGER PRIMARY KEY, k INTEGER)`)
-	mustExec(t, db, `CREATE TABLE sml (id INTEGER PRIMARY KEY, k INTEGER)`)
-	for i := 1; i <= 200; i++ {
-		mustExec(t, db, `INSERT INTO big VALUES (?, ?)`, i, i%20)
-	}
-	for i := 1; i <= 10; i++ {
-		mustExec(t, db, `INSERT INTO sml VALUES (?, ?)`, i, i)
-	}
-	mustExec(t, db, `ANALYZE`)
-	explainJoin := func(d *DB) string {
-		t.Helper()
-		rows := mustQuery(t, d, `EXPLAIN SELECT b.id FROM big b JOIN sml s ON s.k = b.k`)
-		var sb []string
-		for _, r := range rows.Data {
-			sb = append(sb, r[0].Text()+"/"+r[3].Text())
-		}
-		return strings.Join(sb, " -> ")
-	}
-	wantPlan := explainJoin(db)
-	db.Close()
-
-	// Plain WAL replay restores the statistics.
-	db2 := openVFS(t, vfs)
-	tbl, err := db2.lookupTable("big")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tbl.analyzed.Load() {
-		t.Fatal("recovery dropped the ANALYZE state")
-	}
-	st := tbl.findIndex("pk_big").stats.Load()
-	if st == nil || st.distinct[0] != 200 {
-		t.Fatalf("recovered pk stats = %+v, want distinct 200", st)
-	}
-	if got := explainJoin(db2); got != wantPlan {
-		t.Fatalf("post-recovery plan = %q, want %q", got, wantPlan)
-	}
-
-	// Checkpoint rewrites the log; the stats must ride along.
-	if err := db2.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-	db2.Close()
-	db3 := openVFS(t, vfs)
-	defer db3.Close()
-	tbl3, _ := db3.lookupTable("big")
-	if !tbl3.analyzed.Load() {
-		t.Fatal("checkpoint dropped the ANALYZE state")
-	}
-	if st := tbl3.findIndex("pk_big").stats.Load(); st == nil || st.distinct[0] != 200 {
-		t.Fatalf("post-checkpoint stats = %+v, want distinct 200", st)
-	}
-	if got := explainJoin(db3); got != wantPlan {
-		t.Fatalf("post-checkpoint plan = %q, want %q", got, wantPlan)
 	}
 }
 
