@@ -86,9 +86,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPageImage$$' -fuzztime 30s ./internal/sqldb
 
 # Differential join-fuzzer acceptance run: 1000 seeded schema/query
-# combinations through the cost-based planner vs the nested-loop reference.
+# combinations through the engine (planner, plan cache, batched operators;
+# snapshot and locked reads) vs the reference evaluator, refQuery, a naive
+# nested-loop interpreter in test code — on both engines, in memory and on
+# a 4-frame paged pool where every case evicts, as CI does.
 joinfuzz:
-	JOINFUZZ_CASES=1000 $(GO) test ./internal/sqldb -run TestJoinFuzz -v
+	JOINFUZZ_CASES=1000 $(GO) test -count=1 ./internal/sqldb -run TestJoinFuzz -v
+	JOINFUZZ_POOL_PAGES=4 JOINFUZZ_CASES=1000 $(GO) test -count=1 ./internal/sqldb -run TestJoinFuzz -v
 
 # Chaos-injection torture (seed-reproducible): three execute-node agents
 # (cluster.Startd, what cmd/cj2node runs) drive jobs through a

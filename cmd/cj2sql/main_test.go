@@ -187,7 +187,6 @@ func TestShellInterruptCancelsStatement(t *testing.T) {
 	if _, err := db.Exec(`INSERT INTO big VALUES ` + sb.String()); err != nil {
 		t.Fatal(err)
 	}
-	db.SetPlannerMode(sqldb.PlannerForceNestedLoop)
 
 	in, inW := io.Pipe()
 	var out syncBuffer

@@ -529,9 +529,10 @@ func (b *scanBuf) assign(m *Meta, v reflect.Value) {
 type Container struct {
 	// DB is the pooled connection source.
 	DB *sql.DB
-	// MaxRetries bounds deadlock retries per transaction (default 10).
-	MaxRetries int
 }
+
+// maxRetries bounds the deadlock retries of one InTx transaction.
+const maxRetries = 10
 
 // InTx runs fn inside a transaction under ctx, committing on success and
 // rolling back on error. The context bounds the whole transaction: the
@@ -545,12 +546,8 @@ func (c *Container) InTx(ctx context.Context, fn func(tx *sql.Tx) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	retries := c.MaxRetries
-	if retries == 0 {
-		retries = 10
-	}
 	var lastErr error
-	for attempt := 0; attempt <= retries; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		tx, err := c.DB.BeginTx(ctx, nil)
 		if err != nil {
 			return err

@@ -277,7 +277,7 @@ func TestInTxCommitAndRollback(t *testing.T) {
 
 func TestInTxRetriesDeadlocks(t *testing.T) {
 	pool := testPool(t)
-	c := &Container{DB: pool, MaxRetries: 3}
+	c := &Container{DB: pool}
 	attempts := 0
 	err := c.InTx(context.Background(), func(tx *sql.Tx) error {
 		attempts++
@@ -288,6 +288,17 @@ func TestInTxRetriesDeadlocks(t *testing.T) {
 	})
 	if err != nil || attempts != 3 {
 		t.Fatalf("err = %v, attempts = %d", err, attempts)
+	}
+
+	// A victim every time: the first run and maxRetries more, then the
+	// deadlock is the caller's.
+	attempts = 0
+	err = c.InTx(context.Background(), func(tx *sql.Tx) error {
+		attempts++
+		return sqldb.ErrDeadlock
+	})
+	if !errors.Is(err, sqldb.ErrDeadlock) || !strings.Contains(err.Error(), "retries exhausted") || attempts != maxRetries+1 {
+		t.Fatalf("err = %v after %d attempts, want retries exhausted after %d", err, attempts, maxRetries+1)
 	}
 }
 

@@ -10,10 +10,11 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
-	"condorj2/internal/sqldb"
+	"condorj2/internal/beans"
 )
 
 // statusPlanFixture loads a realistically-shaped cluster (machines with
@@ -167,30 +168,56 @@ func TestPoolStatusAggregatePlan(t *testing.T) {
 	}
 }
 
+// TestStatusJoinResultsMatchReference checks the heartbeat path's status
+// join row for row against an expectation built with no join at all:
+// single-table reads of the machine's VMs, the matches and the jobs,
+// stitched together here.
 func TestStatusJoinResultsMatchReference(t *testing.T) {
 	cas := statusPlanFixture(t)
-	eng := cas.Engine
-	query := `
+	planned, err := cas.Engine.Query(`
 		SELECT m.id, m.job_id, v.id, j.owner, j.length_sec
 		FROM vms v
 		JOIN matches m ON m.vm_id = v.id
 		JOIN jobs j ON j.id = m.job_id
-		WHERE v.machine = ?`
-	planned, err := eng.Query(query, "mach07")
+		WHERE v.machine = ?`, "mach07")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if planned.Len() == 0 {
-		t.Fatal("status join returned nothing")
+	var got []string
+	for _, r := range planned.Data {
+		got = append(got, fmt.Sprint(r[0].Int64(), r[1].Int64(), r[2].Int64(), r[3].Text(), r[4].Int64()))
 	}
-	// The forced nested-loop reference must agree row for row.
-	eng.SetPlannerMode(sqldb.PlannerForceNestedLoop)
-	ref, err := eng.Query(query, "mach07")
-	eng.SetPlannerMode(sqldb.PlannerCostBased)
+
+	vms, err := beans.Select[VM](cas.Pool, "WHERE machine = ?", "mach07")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if planned.Len() != ref.Len() {
-		t.Fatalf("cost-based %d rows, reference %d rows", planned.Len(), ref.Len())
+	matches, err := beans.Select[Match](cas.Pool, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := beans.Select[Job](cas.Pool, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobByID := make(map[int64]Job, len(jobs))
+	for _, j := range jobs {
+		jobByID[j.ID] = j
+	}
+	var want []string
+	for _, v := range vms {
+		for _, m := range matches {
+			if j, ok := jobByID[m.JobID]; ok && m.VMID == v.ID {
+				want = append(want, fmt.Sprint(m.ID, m.JobID, v.ID, j.Owner, j.LengthSec))
+			}
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("fixture gives mach07 no matched job")
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("status join rows:\n  %s\nwant:\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
 	}
 }

@@ -134,6 +134,64 @@ func TestWebsitePages(t *testing.T) {
 	}
 }
 
+// TestWebsiteWritesAreLeaderGated: the web site's forms write through the
+// same gate as the web services, so a follower (or a demoted leader)
+// answers them 503 naming the leader and writes nothing, while its pages
+// keep serving.
+func TestWebsiteWritesAreLeaderGated(t *testing.T) {
+	cas, _ := newTestCAS(t)
+	srv := httptest.NewServer(cas.HTTPHandler())
+	defer srv.Close()
+	const leader = "http://leader.example:8642/services"
+	cas.Service.SetNotLeader(leader)
+
+	post := func(path string, form url.Values) (int, string) {
+		t.Helper()
+		resp, err := http.PostForm(srv.URL+path, form)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	for i, w := range []struct {
+		path string
+		form url.Values
+	}{
+		{"/submit", url.Values{"owner": {"bob"}, "count": {"1"}, "length_sec": {"120"}}},
+		{"/config", url.Values{"name": {"schedule_batch"}, "value": {"42"}}},
+	} {
+		code, body := post(w.path, w.form)
+		if code != http.StatusServiceUnavailable || !strings.Contains(body, leader) {
+			t.Fatalf("POST %s on a follower = %d %q, want 503 naming %s", w.path, code, body, leader)
+		}
+		if got := cas.Service.notLeaderRejects.Load(); got != uint64(i+1) {
+			t.Fatalf("notLeaderRejects = %d after POST %s, want %d", got, w.path, i+1)
+		}
+	}
+	var jobs, batch int64
+	if err := cas.Pool.QueryRow(`SELECT count(*) FROM jobs`).Scan(&jobs); err != nil {
+		t.Fatal(err)
+	}
+	if err := cas.Pool.QueryRow(`SELECT count(*) FROM config WHERE name = 'schedule_batch' AND value = '42'`).Scan(&batch); err != nil {
+		t.Fatal(err)
+	}
+	if jobs != 0 || batch != 0 {
+		t.Fatalf("a gated form wrote: %d jobs, %d config rows set to 42", jobs, batch)
+	}
+	if resp, err := http.Get(srv.URL + "/"); err != nil || resp.StatusCode != 200 {
+		t.Fatalf("GET / on a follower = %v %v, want 200", resp, err)
+	} else {
+		resp.Body.Close()
+	}
+
+	cas.Service.ClearNotLeader()
+	if code, body := post("/submit", url.Values{"owner": {"bob"}, "count": {"1"}, "length_sec": {"120"}}); code != 200 {
+		t.Fatalf("POST /submit on the leader = %d %q", code, body)
+	}
+}
+
 func TestProvenanceAnswersPaperQuestion(t *testing.T) {
 	cas, _ := newTestCAS(t)
 	s := cas.Service

@@ -7,20 +7,32 @@ import (
 	"condorj2/internal/wire"
 )
 
-// writeGated rejects the wrapped mutating action while the service is a
-// replication follower, answering a typed NotLeader fault that carries
-// the leader's address so clients re-dial instead of retrying blindly.
-// Read-only actions are never wrapped — a follower serves status, queue,
-// accounting and website traffic from its replicated snapshot.
+// writeGate is the one check every mutating entry point — the web-service
+// mux and the web site — makes before it writes: while the service is a
+// replication follower it counts the rejection and returns a typed
+// NotLeader fault carrying the leader's address, so clients re-dial
+// instead of retrying blindly (a write taken here would fork this node's
+// log from the leader's). It returns nil on the leader. Read-only calls
+// never ask — a follower serves status, queue, accounting and website
+// traffic from its replicated snapshot.
+func (s *Service) writeGate(action string) *wire.Fault {
+	leader, gated := s.NotLeader()
+	if !gated {
+		return nil
+	}
+	s.notLeaderRejects.Add(1)
+	return &wire.Fault{
+		Code:    wire.FaultNotLeader,
+		Message: fmt.Sprintf("core: %s is a mutating action and this node is a replication follower", action),
+		Leader:  leader,
+	}
+}
+
+// writeGated wraps a mutating web-service action in the write gate.
 func writeGated(s *Service, h wire.Handler) wire.Handler {
 	return func(ctx context.Context, env *wire.Envelope) (any, error) {
-		if leader, gated := s.NotLeader(); gated {
-			s.notLeaderRejects.Add(1)
-			return nil, &wire.Fault{
-				Code:    wire.FaultNotLeader,
-				Message: fmt.Sprintf("core: %s is a mutating action and this node is a replication follower", env.Action),
-				Leader:  leader,
-			}
+		if f := s.writeGate(env.Action); f != nil {
+			return nil, f
 		}
 		return h(ctx, env)
 	}

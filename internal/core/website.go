@@ -137,8 +137,27 @@ func (w *website) users(rw http.ResponseWriter, r *http.Request) {
 	w.render(rw, pageData{Title: "Users", Tables: []pageTable{t}})
 }
 
+// gated answers a mutating request the write gate refuses — this node is
+// a replication follower — with 503 naming the leader, and reports whether
+// it did.
+func (w *website) gated(rw http.ResponseWriter, r *http.Request) bool {
+	f := w.svc.writeGate(r.Method + " " + r.URL.Path)
+	if f == nil {
+		return false
+	}
+	leader := f.Leader
+	if leader == "" {
+		leader = "unknown"
+	}
+	http.Error(rw, fmt.Sprintf("%s; leader: %s", f.Message, leader), http.StatusServiceUnavailable)
+	return true
+}
+
 func (w *website) config(rw http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodPost {
+		if w.gated(rw, r) {
+			return
+		}
 		name, value := r.FormValue("name"), r.FormValue("value")
 		if name != "" {
 			if _, err := w.svc.ConfigSet(r.Context(), &ConfigSetRequest{Name: name, Value: value}); err != nil {
@@ -172,6 +191,9 @@ func (w *website) config(rw http.ResponseWriter, r *http.Request) {
 func (w *website) submit(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(rw, "POST owner, count, length_sec", http.StatusMethodNotAllowed)
+		return
+	}
+	if w.gated(rw, r) {
 		return
 	}
 	count, _ := strconv.Atoi(r.FormValue("count"))

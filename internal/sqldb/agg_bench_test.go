@@ -4,9 +4,7 @@ package sqldb
 // aggregation shapes from the paper's 3-tier architecture — the pool
 // status rollup (`GROUP BY state`, a handful of groups over the whole
 // machine table) and the per-owner accounting rollup (hundreds of
-// groups, multiple aggregates) — through the batched hash operator and
-// the row-at-a-time reference path. The PR 6 acceptance bar is ≥5× for
-// batched over reference on the 100k-row shapes.
+// groups, multiple aggregates) — through the batched hash operator.
 
 import (
 	"fmt"
@@ -70,28 +68,18 @@ func BenchmarkPoolStatusAggregation(b *testing.B) {
 			query: `SELECT owner, count(*), sum(runtime), avg(priority) FROM jobs GROUP BY owner`,
 		},
 	}
-	modes := []struct {
-		name string
-		mode AggMode
-	}{
-		{"hash-batched", AggHashBatched},
-		{"reference", AggReference},
-	}
 	for _, sh := range shapes {
 		db := New()
 		sh.fill(b, db)
-		for _, m := range modes {
-			b.Run(sh.name+"/"+m.name, func(b *testing.B) {
-				db.SetAggMode(m.mode)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := db.Query(sh.query); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(sh.name+"/hash-batched", func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Query(sh.query); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 		db.Close()
 	}
 }

@@ -1,9 +1,11 @@
 package sqldb
 
 // Aggregate-semantics suite for the batched hash-aggregation operator
-// (executor.go) and the row-at-a-time reference path. Every behavioural
-// test runs under both modes; a differential section cross-checks the
-// two implementations on fixed query shapes. The Int-vs-Float tests are
+// (executor.go) and the oracle, refQuery (refquery_test.go). Every
+// behavioural test runs against both, so the oracle the differential
+// suites trust is held to the same semantics; a differential section
+// cross-checks the engine against the oracle on fixed query shapes. The
+// Int-vs-Float tests are
 // regressions for the canonical-key bugfix: GROUP BY, SELECT DISTINCT
 // and COUNT(DISTINCT x) previously keyed on the WAL encoding, which
 // splits Int 1 and Float 1.0 even though 1 = 1.0 under Compare.
@@ -13,15 +15,29 @@ import (
 	"testing"
 )
 
-// forEachAggMode runs fn once per aggregation mode on a fresh subtest.
-func forEachAggMode(t *testing.T, fn func(t *testing.T, mode AggMode)) {
+// queryFunc runs a SELECT: the engine's (*DB).Query or the oracle.
+type queryFunc func(db *DB, sql string, args ...any) (*Rows, error)
+
+// forEachEvaluator runs fn on a fresh subtest once with the engine
+// ("hash-batched") and once with the oracle ("reference").
+func forEachEvaluator(t *testing.T, fn func(t *testing.T, query queryFunc)) {
 	t.Helper()
 	for _, m := range []struct {
-		name string
-		mode AggMode
-	}{{"hash-batched", AggHashBatched}, {"reference", AggReference}} {
-		t.Run(m.name, func(t *testing.T) { fn(t, m.mode) })
+		name  string
+		query queryFunc
+	}{{"hash-batched", (*DB).Query}, {"reference", refQuery}} {
+		t.Run(m.name, func(t *testing.T) { fn(t, m.query) })
 	}
+}
+
+// mustRun is mustQuery through query.
+func mustRun(t *testing.T, query queryFunc, db *DB, sql string) *Rows {
+	t.Helper()
+	rows, err := query(db, sql)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	return rows
 }
 
 // newMixedDB builds a table where coalesce(i, f) yields Int 1 for some
@@ -41,10 +57,9 @@ func newMixedDB(t *testing.T) *DB {
 }
 
 func TestGroupByIntFloatCanonical(t *testing.T) {
-	forEachAggMode(t, func(t *testing.T, mode AggMode) {
+	forEachEvaluator(t, func(t *testing.T, query queryFunc) {
 		db := newMixedDB(t)
-		db.SetAggMode(mode)
-		rows := mustQuery(t, db, `SELECT coalesce(i, f), count(*) FROM m GROUP BY coalesce(i, f) ORDER BY 2 DESC`)
+		rows := mustRun(t, query, db, `SELECT coalesce(i, f), count(*) FROM m GROUP BY coalesce(i, f) ORDER BY 2 DESC`)
 		if rows.Len() != 2 {
 			t.Fatalf("got %d groups, want 2 (Int 1 and Float 1.0 must share a group): %v", rows.Len(), rows.Data)
 		}
@@ -55,10 +70,9 @@ func TestGroupByIntFloatCanonical(t *testing.T) {
 }
 
 func TestSelectDistinctIntFloatCanonical(t *testing.T) {
-	forEachAggMode(t, func(t *testing.T, mode AggMode) {
+	forEachEvaluator(t, func(t *testing.T, query queryFunc) {
 		db := newMixedDB(t)
-		db.SetAggMode(mode)
-		rows := mustQuery(t, db, `SELECT DISTINCT coalesce(i, f) FROM m`)
+		rows := mustRun(t, query, db, `SELECT DISTINCT coalesce(i, f) FROM m`)
 		if rows.Len() != 2 {
 			t.Fatalf("DISTINCT returned %d rows, want 2: %v", rows.Len(), rows.Data)
 		}
@@ -66,10 +80,9 @@ func TestSelectDistinctIntFloatCanonical(t *testing.T) {
 }
 
 func TestCountDistinctIntFloatCanonical(t *testing.T) {
-	forEachAggMode(t, func(t *testing.T, mode AggMode) {
+	forEachEvaluator(t, func(t *testing.T, query queryFunc) {
 		db := newMixedDB(t)
-		db.SetAggMode(mode)
-		rows := mustQuery(t, db, `SELECT count(DISTINCT coalesce(i, f)) FROM m`)
+		rows := mustRun(t, query, db, `SELECT count(DISTINCT coalesce(i, f)) FROM m`)
 		if got := rows.Data[0][0].Int64(); got != 2 {
 			t.Fatalf("count(DISTINCT) = %d, want 2", got)
 		}
@@ -80,14 +93,13 @@ func TestCountDistinctIntFloatCanonical(t *testing.T) {
 // must surface the Compare error instead of silently keeping whichever
 // value arrived first.
 func TestMinMaxMixedTypeError(t *testing.T) {
-	forEachAggMode(t, func(t *testing.T, mode AggMode) {
+	forEachEvaluator(t, func(t *testing.T, query queryFunc) {
 		db := newMixedDB(t)
-		db.SetAggMode(mode)
 		for _, q := range []string{
 			`SELECT min(coalesce(i, s)) FROM m`,
 			`SELECT max(coalesce(i, s)) FROM m`,
 		} {
-			_, err := db.Query(q)
+			_, err := query(db, q)
 			if err == nil || !strings.Contains(err.Error(), "cannot compare") {
 				t.Fatalf("%s: err = %v, want mixed-type compare error", q, err)
 			}
@@ -96,19 +108,18 @@ func TestMinMaxMixedTypeError(t *testing.T) {
 }
 
 func TestHavingOverOutputAlias(t *testing.T) {
-	forEachAggMode(t, func(t *testing.T, mode AggMode) {
+	forEachEvaluator(t, func(t *testing.T, query queryFunc) {
 		db := newJobsDB(t)
-		db.SetAggMode(mode)
 		mustExec(t, db, `INSERT INTO jobs (owner, state) VALUES
 			('alice', 'running'), ('alice', 'idle'), ('alice', 'idle'),
 			('bob', 'running'), ('carol', 'idle')`)
-		rows := mustQuery(t, db, `SELECT owner, count(*) AS n FROM jobs GROUP BY owner HAVING n >= 2 ORDER BY owner`)
+		rows := mustRun(t, query, db, `SELECT owner, count(*) AS n FROM jobs GROUP BY owner HAVING n >= 2 ORDER BY owner`)
 		if rows.Len() != 1 || rows.Data[0][0].Text() != "alice" || rows.Data[0][1].Int64() != 3 {
 			t.Fatalf("HAVING over alias returned %v, want [alice 3]", rows.Data)
 		}
 		// A table column with the same name as an alias must win: state
 		// aliased onto a column name resolves to the column, not the output.
-		rows = mustQuery(t, db, `SELECT owner, count(*) AS runtime FROM jobs GROUP BY owner HAVING runtime IS NULL ORDER BY owner`)
+		rows = mustRun(t, query, db, `SELECT owner, count(*) AS runtime FROM jobs GROUP BY owner HAVING runtime IS NULL ORDER BY owner`)
 		if rows.Len() != 3 {
 			t.Fatalf("column-vs-alias precedence: got %d rows, want 3 (runtime column is NULL everywhere): %v", rows.Len(), rows.Data)
 		}
@@ -116,15 +127,14 @@ func TestHavingOverOutputAlias(t *testing.T) {
 }
 
 func TestAggregateNullHandling(t *testing.T) {
-	forEachAggMode(t, func(t *testing.T, mode AggMode) {
+	forEachEvaluator(t, func(t *testing.T, query queryFunc) {
 		db := New()
 		defer db.Close()
-		db.SetAggMode(mode)
 		mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, g INTEGER, v INTEGER)`)
 		mustExec(t, db, `INSERT INTO t VALUES (1, 1, 10), (2, 1, NULL), (3, NULL, 7), (4, NULL, NULL), (5, 2, NULL)`)
 
 		// NULL grouping keys form their own group.
-		rows := mustQuery(t, db, `SELECT g, count(*) FROM t GROUP BY g ORDER BY g`)
+		rows := mustRun(t, query, db, `SELECT g, count(*) FROM t GROUP BY g ORDER BY g`)
 		if rows.Len() != 3 {
 			t.Fatalf("got %d groups, want 3 (NULL, 1, 2): %v", rows.Len(), rows.Data)
 		}
@@ -134,7 +144,7 @@ func TestAggregateNullHandling(t *testing.T) {
 
 		// Aggregates ignore NULL inputs: count(v) counts non-NULLs, sum
 		// skips them, and an all-NULL group sums to NULL.
-		rows = mustQuery(t, db, `SELECT g, count(v), sum(v), min(v) FROM t GROUP BY g ORDER BY g`)
+		rows = mustRun(t, query, db, `SELECT g, count(v), sum(v), min(v) FROM t GROUP BY g ORDER BY g`)
 		null := rows.Data[0] // g IS NULL: v values 7, NULL
 		if null[1].Int64() != 1 || null[2].Int64() != 7 || null[3].Int64() != 7 {
 			t.Fatalf("NULL group aggs = %v, want count 1 sum 7 min 7", null)
@@ -147,15 +157,14 @@ func TestAggregateNullHandling(t *testing.T) {
 }
 
 func TestEmptyInputAggregates(t *testing.T) {
-	forEachAggMode(t, func(t *testing.T, mode AggMode) {
+	forEachEvaluator(t, func(t *testing.T, query queryFunc) {
 		db := New()
 		defer db.Close()
-		db.SetAggMode(mode)
 		mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)`)
 
 		// Global aggregate over zero rows: exactly one row, count 0,
 		// SUM/AVG/MIN/MAX NULL.
-		rows := mustQuery(t, db, `SELECT count(*), sum(v), avg(v), min(v), max(v) FROM t`)
+		rows := mustRun(t, query, db, `SELECT count(*), sum(v), avg(v), min(v), max(v) FROM t`)
 		if rows.Len() != 1 {
 			t.Fatalf("global aggregate over empty table returned %d rows, want 1", rows.Len())
 		}
@@ -165,7 +174,7 @@ func TestEmptyInputAggregates(t *testing.T) {
 		}
 
 		// GROUP BY over zero rows: zero groups.
-		rows = mustQuery(t, db, `SELECT v, count(*) FROM t GROUP BY v`)
+		rows = mustRun(t, query, db, `SELECT v, count(*) FROM t GROUP BY v`)
 		if rows.Len() != 0 {
 			t.Fatalf("GROUP BY over empty table returned %d rows, want 0", rows.Len())
 		}
@@ -173,9 +182,9 @@ func TestEmptyInputAggregates(t *testing.T) {
 }
 
 // TestAggModesDifferential cross-checks the batched operator against the
-// reference implementation on fixed query shapes over a deterministic
-// dataset (multisets compare canonically; ORDER BY is deliberately
-// absent so neither path's iteration order leaks in).
+// oracle on fixed query shapes over a deterministic dataset (multisets
+// compare canonically; ORDER BY is deliberately absent so neither path's
+// iteration order leaks in).
 func TestAggModesDifferential(t *testing.T) {
 	db := New()
 	defer db.Close()
@@ -209,18 +218,8 @@ func TestAggModesDifferential(t *testing.T) {
 		`SELECT DISTINCT coalesce(i, f) FROM d`,
 	}
 	for _, q := range queries {
-		db.SetAggMode(AggHashBatched)
-		hashed := mustQuery(t, db, q)
-		db.SetAggMode(AggReference)
-		ref := mustQuery(t, db, q)
-		got, want := canonRows(hashed), canonRows(ref)
-		if len(got) != len(want) {
-			t.Fatalf("%s: row count hash=%d reference=%d\nhash: %v\nreference: %v", q, len(got), len(want), got, want)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s: row %d differs\nhash: %v\nreference: %v", q, i, got, want)
-			}
+		if d := diffRows(mustQuery(t, db, q), mustRun(t, refQuery, db, q), false); d != "" {
+			t.Fatalf("%s: %s", q, d)
 		}
 	}
 }
@@ -268,14 +267,6 @@ func TestExecStatsCounters(t *testing.T) {
 	mustQuery(t, db, `SELECT owner, state, count(*) FROM jobs GROUP BY owner, state`)
 	if s3 := db.ExecStats(); s3.AggFastPaths != s.AggFastPaths+1 {
 		t.Fatalf("compound key took fast path: AggFastPaths = %d", s3.AggFastPaths)
-	}
-
-	// The reference mode bypasses the batched operator entirely.
-	db.SetAggMode(AggReference)
-	before := db.ExecStats()
-	mustQuery(t, db, `SELECT state, count(*) FROM jobs GROUP BY state`)
-	if after := db.ExecStats(); after.AggQueries != before.AggQueries {
-		t.Fatalf("reference mode incremented AggQueries: %d -> %d", before.AggQueries, after.AggQueries)
 	}
 }
 

@@ -212,7 +212,6 @@ func TestCancelMidScan(t *testing.T) {
 	defer db.Close()
 	fillWide(t, db, "a", 3000)
 	fillWide(t, db, "b", 3000)
-	db.SetPlannerMode(PlannerForceNestedLoop)
 	cancelMidQuery(t, db, `SELECT count(*) FROM a, b WHERE a.k < b.k`)
 }
 
@@ -230,30 +229,23 @@ func TestCancelMidHashJoin(t *testing.T) {
 // evaluation) begins, via the deterministic test hook between the two
 // phases. The per-group cooperative checkpoints must surface ErrCanceled;
 // before they existed, assembly ran to completion ignoring the dead
-// context. Both the batched operator and the row-at-a-time reference
-// path are covered.
+// context. The batched hash operator is the only aggregation path.
 func TestCancelMidAggregation(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		m    AggMode
-	}{{"hash-batched", AggHashBatched}, {"reference", AggReference}} {
-		t.Run(mode.name, func(t *testing.T) {
-			db := New()
-			defer db.Close()
-			fillWide(t, db, "t", 5000) // k = i % 97 → 97 groups
-			db.SetAggMode(mode.m)
+	t.Run("hash-batched", func(t *testing.T) {
+		db := New()
+		defer db.Close()
+		fillWide(t, db, "t", 5000) // k = i % 97 → 97 groups
 
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			testHookAggAssembly = cancel
-			defer func() { testHookAggAssembly = nil }()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		testHookAggAssembly = cancel
+		defer func() { testHookAggAssembly = nil }()
 
-			_, err := db.QueryContext(ctx, `SELECT k, count(*), sum(id) FROM t GROUP BY k`)
-			if !errors.Is(err, ErrCanceled) {
-				t.Fatalf("mid-aggregation cancel returned %v, want ErrCanceled", err)
-			}
-		})
-	}
+		_, err := db.QueryContext(ctx, `SELECT k, count(*), sum(id) FROM t GROUP BY k`)
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("mid-aggregation cancel returned %v, want ErrCanceled", err)
+		}
+	})
 }
 
 // TestCancelDuringGroupCommit parks a follower in the group-commit queue
@@ -407,7 +399,6 @@ func TestStmtTimeoutDefault(t *testing.T) {
 	defer db.Close()
 	fillWide(t, db, "a", 3000)
 	fillWide(t, db, "b", 3000)
-	db.SetPlannerMode(PlannerForceNestedLoop)
 	db.SetStmtTimeout(20 * time.Millisecond)
 	_, err := db.Query(`SELECT count(*) FROM a, b WHERE a.k < b.k`)
 	if !errors.Is(err, ErrDeadlineExceeded) {
@@ -431,7 +422,6 @@ func TestStmtTimeoutInsideTransaction(t *testing.T) {
 	defer db.Close()
 	fillWide(t, db, "a", 3000)
 	fillWide(t, db, "b", 3000)
-	db.SetPlannerMode(PlannerForceNestedLoop)
 	db.SetStmtTimeout(20 * time.Millisecond)
 	tx, err := db.Begin()
 	if err != nil {
@@ -457,7 +447,6 @@ func TestDriverCancellation(t *testing.T) {
 	defer pool.Close()
 	fillWide(t, db, "a", 3000)
 	fillWide(t, db, "b", 3000)
-	db.SetPlannerMode(PlannerForceNestedLoop)
 
 	pre, cancelPre := context.WithCancel(context.Background())
 	cancelPre()

@@ -136,7 +136,6 @@ type DB struct {
 	commitRetractions atomic.Uint64
 
 	// Cost-based join planner state (see stats.go, join.go).
-	plannerMode        atomic.Int32
 	plannerJoinQueries atomic.Uint64
 	plannerReordered   atomic.Uint64
 	plannerHashJoins   atomic.Uint64
@@ -147,16 +146,14 @@ type DB struct {
 	plannerAnalyzeRuns atomic.Uint64
 
 	// Batched-executor state (see executor.go).
-	aggMode          atomic.Int32
 	execAggQueries   atomic.Uint64
 	execAggFastPath  atomic.Uint64
 	execAggInputRows atomic.Uint64
 	execAggGroups    atomic.Uint64
 	execAggBatches   atomic.Uint64
 
-	// Plan-cache state (see plancache.go): mode switch plus the
-	// hit/miss/invalidation accounting PlanCacheStats snapshots.
-	planCacheMode     atomic.Int32
+	// Plan-cache state (see plancache.go): the hit/miss/invalidation
+	// accounting PlanCacheStats snapshots.
 	planHits          atomic.Uint64
 	planMisses        atomic.Uint64
 	planInvalidations atomic.Uint64

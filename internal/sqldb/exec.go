@@ -1044,19 +1044,10 @@ type aggState struct {
 	distinct map[string]bool
 }
 
-type group struct {
-	snapshot []binding // first row's bindings (copied)
-	aggs     map[*FuncCall]*aggState
-}
-
 // runAggregate executes a grouped / aggregated SELECT through the batched
-// hash-aggregation operator (executor.go), or through the row-at-a-time
-// reference path when the database is in AggReference mode. Finished
-// groups go to the sort unit as computed rows.
+// hash-aggregation operator (executor.go). Finished groups go to the sort
+// unit as computed rows.
 func (q *query) runAggregate(outs []Expr, sl *sortLimit) error {
-	if AggMode(q.tx.db.aggMode.Load()) == AggReference {
-		return q.runAggregateReference(outs, sl)
-	}
 	op, err := newHashAggOp(q, outs)
 	if err != nil {
 		return err
@@ -1080,148 +1071,6 @@ func (q *query) runAggregate(outs []Expr, sl *sortLimit) error {
 			}
 		}
 	}
-}
-
-// runAggregateReference is the original row-at-a-time aggregation path,
-// kept verbatim in shape (per-row key buffer, deep-copied binding
-// snapshot per group, per-group aggregate map) as the differential oracle
-// and benchmark baseline for the batched operator. It shares the
-// corrected semantics: canonical group keys, MIN/MAX type-error
-// propagation, cancellation checkpoints during assembly, and HAVING over
-// output aliases.
-func (q *query) runAggregateReference(outs []Expr, sl *sortLimit) error {
-	aggCalls := q.collectAggCalls(outs)
-
-	groups := make(map[string]*group)
-	var order []string // deterministic group order of first appearance
-
-	err := q.joinLoop(func() error {
-		var keyBuf bytes.Buffer
-		for _, ge := range q.stmt.GroupBy {
-			v, err := q.env.eval(ge)
-			if err != nil {
-				return err
-			}
-			writeHashValue(&keyBuf, v)
-		}
-		key := keyBuf.String()
-		g, ok := groups[key]
-		if !ok {
-			g = &group{aggs: make(map[*FuncCall]*aggState, len(aggCalls))}
-			g.snapshot = make([]binding, len(q.env.bindings))
-			copy(g.snapshot, q.env.bindings)
-			for i := range g.snapshot {
-				if q.env.bindings[i].row != nil {
-					g.snapshot[i].row = append([]Value(nil), q.env.bindings[i].row...)
-				}
-			}
-			for _, fc := range aggCalls {
-				g.aggs[fc] = &aggState{}
-			}
-			groups[key] = g
-			order = append(order, key)
-		}
-		for _, fc := range aggCalls {
-			if err := q.accumulate(g.aggs[fc], fc); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
-	// Global aggregation over zero rows still yields one row.
-	if len(q.stmt.GroupBy) == 0 && len(groups) == 0 {
-		g := &group{aggs: make(map[*FuncCall]*aggState, len(aggCalls))}
-		g.snapshot = make([]binding, len(q.env.bindings))
-		copy(g.snapshot, q.env.bindings)
-		for i := range g.snapshot {
-			g.snapshot[i].row = nil
-		}
-		groups[""] = g
-		order = append(order, "")
-	}
-
-	if h := testHookAggAssembly; h != nil {
-		h()
-	}
-	orderExprs, aliasPos := q.orderKeys(outs)
-	aliasIdx := q.outputAliasIdx()
-	for _, key := range order {
-		if err := q.cancel.check(); err != nil {
-			return err
-		}
-		g := groups[key]
-		genv := &evalEnv{
-			bindings: g.snapshot,
-			params:   q.params,
-			now:      q.env.now,
-			aggs:     make(map[*FuncCall]Value, len(aggCalls)),
-		}
-		for _, fc := range aggCalls {
-			st := g.aggs[fc]
-			if st == nil {
-				st = &aggState{}
-			}
-			genv.aggs[fc] = finishAgg(fc, st)
-		}
-		out := make([]Value, len(outs))
-		for i, e := range outs {
-			v, err := genv.eval(e)
-			if err != nil {
-				return err
-			}
-			out[i] = v
-		}
-		if q.stmt.Having != nil {
-			genv.aliasIdx, genv.aliasRow = aliasIdx, out
-			ok, err := truthy(genv.eval(q.stmt.Having))
-			genv.aliasIdx, genv.aliasRow = nil, nil
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-		}
-		var keys []Value
-		if len(orderExprs) > 0 {
-			keys = make([]Value, len(orderExprs))
-			for i, e := range orderExprs {
-				if aliasPos[i] >= 0 {
-					keys[i] = out[aliasPos[i]]
-					continue
-				}
-				v, err := genv.eval(e)
-				if err != nil {
-					return err
-				}
-				keys[i] = v
-			}
-		}
-		if sl.offerComputed(out, keys) {
-			break
-		}
-	}
-	return nil
-}
-
-func (q *query) accumulate(st *aggState, fc *FuncCall) error {
-	if fc.Star {
-		st.count++
-		return nil
-	}
-	if len(fc.Args) != 1 {
-		return fmt.Errorf("sqldb: %s expects one argument", strings.ToUpper(fc.Name))
-	}
-	v, err := q.env.eval(fc.Args[0])
-	if err != nil {
-		return err
-	}
-	var kb bytes.Buffer
-	return st.add(fc, v, &kb)
 }
 
 // add folds one input value into the accumulator. DISTINCT sets key

@@ -4,14 +4,10 @@ package sqldb
 // statements — PoolStatus's `SELECT state, count(*) ... GROUP BY state`,
 // the website's per-owner accounting rollups — are aggregations over big
 // scans, and the paper's premise ("cluster monitoring is just SQL") only
-// holds operationally if they run at memory speed. The original
-// runAggregate evaluated row at a time: one heap-escaping key buffer per
-// input row, a full deep-copied binding snapshot per group, and a
-// map[*FuncCall]Value environment allocated per finished group.
-//
-// This file replaces that with an Init()/Next()-style batch operator
-// pipeline (the classic Volcano shape, run over row batches instead of
-// single tuples):
+// holds operationally if they run at memory speed. They run through an
+// Init()/Next()-style batch operator pipeline (the classic Volcano shape,
+// run over row batches instead of single tuples), the only aggregation
+// path there is:
 //
 //   - hashAggOp.Init() is the pipeline breaker: it drains the join/scan
 //     pipeline once, accumulating per-group aggregate states keyed by the
@@ -59,27 +55,7 @@ type rowBatch struct {
 	rids []int64
 }
 
-// AggMode selects how aggregated SELECTs execute.
-type AggMode int32
-
-const (
-	// AggHashBatched (the default) runs the batched hash GROUP BY
-	// operator above.
-	AggHashBatched AggMode = iota
-	// AggReference keeps the original row-at-a-time aggregation path. It
-	// exists as the obviously-correct oracle the differential tests and
-	// the fuzzer compare the batched operator against, and as the
-	// benchmark baseline the 5–10× target is measured from.
-	AggReference
-)
-
-// SetAggMode switches aggregated SELECTs between the batched hash
-// operator and the row-at-a-time reference path.
-func (db *DB) SetAggMode(m AggMode) { db.aggMode.Store(int32(m)) }
-
-// ExecStats snapshots the batched executor's counters. Only statements
-// that ran through the hash-aggregation operator count here; the
-// reference path is instrumentation-free by design.
+// ExecStats snapshots the batched executor's counters.
 type ExecStats struct {
 	// AggQueries counts aggregated SELECTs executed by the batched
 	// hash-aggregation operator.

@@ -16,10 +16,9 @@ package sqldb
 //
 // LEFT JOIN positions are reorder barriers: only runs of consecutive
 // inner-joined tables (segments) are permuted, which keeps outer-join
-// semantics independent of the chosen order. The forced nested-loop
-// reference path (PlannerForceNestedLoop) executes the same conjunct
-// placement in syntactic order with full scans only — the differential
-// join fuzzer holds the cost-based planner to its results.
+// semantics independent of the chosen order. The differential join
+// fuzzer holds every plan to a naive nested-loop evaluator kept in test
+// code (refQuery).
 
 import (
 	"bytes"
@@ -139,7 +138,6 @@ func (q *query) planJoin() error {
 		return fmt.Errorf("sqldb: too many joined tables (max 64)")
 	}
 	db := q.tx.db
-	mode := PlannerMode(db.plannerMode.Load())
 	db.plannerJoinQueries.Add(1)
 
 	// Classify conjuncts: LEFT ON conjuncts are pinned to their step; inner
@@ -182,7 +180,7 @@ func (q *query) planJoin() error {
 		steps := make([]stepPlan, 0, n)
 		for _, b := range order {
 			leftOuter := b > 0 && q.stmt.From[b].Join == JoinLeft
-			st, c := q.makeStep(placed, est, b, leftOuter, pool, leftOn[b], mode)
+			st, c := q.makeStep(placed, est, b, leftOuter, pool, leftOn[b])
 			steps = append(steps, st)
 			cost += c
 			est = st.estOut
@@ -191,13 +189,7 @@ func (q *query) planJoin() error {
 		return steps, cost
 	}
 
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	if mode == PlannerCostBased {
-		order = q.chooseOrder(pool, leftOn)
-	}
+	order := q.chooseOrder(pool, leftOn)
 	reordered := false
 	for i, b := range order {
 		if i != b {
@@ -237,11 +229,11 @@ type orderState struct {
 	cost   float64
 }
 
-// extendOrder advances st by the tables in seq (cost-mode planning).
+// extendOrder advances st by the tables in seq.
 func (q *query) extendOrder(st orderState, seq []int, pool []joinConj, leftOn [][]joinConj) orderState {
 	for _, b := range seq {
 		leftOuter := b > 0 && q.stmt.From[b].Join == JoinLeft
-		sp, c := q.makeStep(st.placed, st.est, b, leftOuter, pool, leftOn[b], PlannerCostBased)
+		sp, c := q.makeStep(st.placed, st.est, b, leftOuter, pool, leftOn[b])
 		st.cost += c
 		st.est = sp.estOut
 		st.placed |= uint64(1) << uint(b)
@@ -345,7 +337,7 @@ func permute(s []int, fn func([]int)) {
 // makeStep plans one join step: consumes the conjuncts that become
 // evaluable when b joins the placed set, estimates cardinalities, and
 // picks the cheapest strategy. Returns the step and its estimated cost.
-func (q *query) makeStep(placed uint64, est float64, b int, leftOuter bool, pool, leftOnB []joinConj, mode PlannerMode) (stepPlan, float64) {
+func (q *query) makeStep(placed uint64, est float64, b int, leftOuter bool, pool, leftOnB []joinConj) (stepPlan, float64) {
 	bbit := uint64(1) << uint(b)
 	tbl := q.bindings[b].tbl
 	rowsB := tbl.estRows()
@@ -477,11 +469,6 @@ func (q *query) makeStep(placed uint64, est float64, b int, leftOuter bool, pool
 		st.match = allEx
 		st.estOut = estBase
 		cost = scanB
-	case mode == PlannerForceNestedLoop:
-		st.strat = stratNL
-		st.access = accessPlan{} // full scan: the obviously-correct reference
-		st.match = allEx
-		cost = costNL
 	case costHash <= costIdx && costHash <= costNL:
 		st.strat = stratHash
 		st.access = accessLocal

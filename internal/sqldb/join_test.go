@@ -4,7 +4,7 @@ package sqldb
 // hash joins (NULL padding, ON-vs-WHERE placement, duplicate build keys,
 // empty build/probe inputs), statistics-driven reordering, and the
 // extended EXPLAIN output. Everything result-shaped is cross-checked
-// against the forced nested-loop reference path.
+// against the oracle, refQuery.
 
 import (
 	"fmt"
@@ -12,30 +12,20 @@ import (
 	"testing"
 )
 
-// crossCheck runs sql under both planner modes and fails on any
-// difference, returning the cost-based result.
+// crossCheck runs sql through the engine and the oracle and fails on any
+// difference, returning the engine's result.
 func crossCheck(t *testing.T, db *DB, sql string, args ...any) *Rows {
 	t.Helper()
-	db.SetPlannerMode(PlannerCostBased)
-	planned, errP := db.Query(sql, args...)
-	db.SetPlannerMode(PlannerForceNestedLoop)
-	ref, errR := db.Query(sql, args...)
-	db.SetPlannerMode(PlannerCostBased)
-	if (errP != nil) != (errR != nil) {
-		t.Fatalf("error mismatch for %q: cost=%v ref=%v", sql, errP, errR)
+	planned, err := db.Query(sql, args...)
+	if err != nil {
+		t.Fatalf("Query(%q): %v", sql, err)
 	}
-	if errP != nil {
-		t.Fatalf("Query(%q): %v", sql, errP)
+	ref, err := refQuery(db, sql, args...)
+	if err != nil {
+		t.Fatalf("refQuery(%q): %v", sql, err)
 	}
-	got, want := canonRows(planned), canonRows(ref)
-	if len(got) != len(want) {
-		t.Fatalf("%q: cost-based %d rows, reference %d rows\ncost: %v\nref: %v",
-			sql, len(got), len(want), got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("%q row %d: cost-based %v, reference %v", sql, i, got[i], want[i])
-		}
+	if d := diffRows(planned, ref, false); d != "" {
+		t.Fatalf("%q: %s", sql, d)
 	}
 	return planned
 }
@@ -271,22 +261,6 @@ func TestJoinReorderUsesStatistics(t *testing.T) {
 	rows := crossCheck(t, db, sql)
 	if rows.Len() != 100 {
 		t.Fatalf("rows = %d, want 100", rows.Len())
-	}
-}
-
-func TestForcedNestedLoopModeKeepsFromOrder(t *testing.T) {
-	db := hashJoinFixture(t)
-	db.SetPlannerMode(PlannerForceNestedLoop)
-	defer db.SetPlannerMode(PlannerCostBased)
-	plan := explainPlan(t, db, `SELECT o.id FROM outer_t o JOIN inner_t i ON i.k = o.k`)
-	if plan[0][0] != "outer_t" || plan[1][0] != "inner_t" {
-		t.Fatalf("forced mode must keep FROM order, plan = %v", plan)
-	}
-	if plan[1][2] != "NESTED LOOP" {
-		t.Fatalf("forced mode strategy = %q, want NESTED LOOP", plan[1][2])
-	}
-	if !strings.Contains(plan[1][1], "SEQ SCAN") {
-		t.Fatalf("forced mode must full-scan, access = %q", plan[1][1])
 	}
 }
 

@@ -1,10 +1,17 @@
 package sqldb
 
 // Differential join fuzzer: random small schemas, data, and 2–4-table
-// INNER/LEFT join queries with mixed ON/WHERE conjuncts are executed
-// twice — through the cost-based planner (hash joins, index nested
-// loops, reordering) and through the forced nested-loop reference path —
-// and the sorted result sets must be identical.
+// INNER/LEFT join queries with mixed ON/WHERE conjuncts run through the
+// engine — the cost-based planner (hash joins, index nested loops,
+// reordering), the plan cache and the batched operators — and through
+// refQuery, the naive evaluator in refquery_test.go, and the result sets
+// must be identical. Each case runs its query as a snapshot read, as a
+// locked read inside a read-write transaction (table and row locks, and
+// the order-only index scans snapshot plans keep away from), and again
+// after each of three rounds of schema and statistics churn. About a
+// quarter of the queries end in ORDER BY over every output and a LIMIT
+// with an OFFSET: the top-K over joins and aggregated rows, compared in
+// order against the oracle's sorted and sliced result.
 //
 // Every case is derived from a seed and fully reproducible; failures log
 // the seed, the schema/data script, and the query. The default run is a
@@ -47,18 +54,22 @@ func TestJoinFuzz(t *testing.T) {
 		cases = 50
 	}
 	var agg PlannerStats
+	ordered := 0
 	for i := 0; i < cases; i++ {
-		s := runJoinFuzzCase(t, base+int64(i))
+		s, o := runJoinFuzzCase(t, base+int64(i))
 		if t.Failed() {
 			return
+		}
+		if o {
+			ordered++
 		}
 		agg.HashJoins += s.HashJoins
 		agg.IndexNLJoins += s.IndexNLJoins
 		agg.NestedLoops += s.NestedLoops
 		agg.Reordered += s.Reordered
 	}
-	t.Logf("joinfuzz coverage over %d cases: hash=%d indexNL=%d nestedLoop=%d reordered=%d",
-		cases, agg.HashJoins, agg.IndexNLJoins, agg.NestedLoops, agg.Reordered)
+	t.Logf("joinfuzz coverage over %d cases: hash=%d indexNL=%d nestedLoop=%d reordered=%d ordered=%d",
+		cases, agg.HashJoins, agg.IndexNLJoins, agg.NestedLoops, agg.Reordered, ordered)
 	// The corpus must actually exercise every strategy — a fuzzer that
 	// only ever plans nested loops proves nothing about hash joins.
 	if cases >= 100 {
@@ -108,7 +119,9 @@ func newJoinFuzzDB(t *testing.T) *DB {
 	return db
 }
 
-func runJoinFuzzCase(t *testing.T, seed int64) PlannerStats {
+// runJoinFuzzCase runs the case of seed, reporting the planner's counters
+// and whether its query was ordered.
+func runJoinFuzzCase(t *testing.T, seed int64) (PlannerStats, bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	db := newJoinFuzzDB(t)
@@ -154,48 +167,38 @@ func runJoinFuzzCase(t *testing.T, seed int64) PlannerStats {
 		run("ANALYZE")
 	}
 
-	query := buildFuzzQuery(rng, tables)
-
-	// The cost-based run also uses the batched hash-aggregation operator;
-	// the reference run pairs forced nested loops with the row-at-a-time
-	// aggregation path, so GROUP BY shapes differentially test both the
-	// join planner and the executor.
-	db.SetPlannerMode(PlannerCostBased)
-	db.SetAggMode(AggHashBatched)
-	planned, errP := db.Query(query)
-	db.SetPlannerMode(PlannerForceNestedLoop)
-	db.SetAggMode(AggReference)
-	reference, errR := db.Query(query)
-
+	query, ordered := buildFuzzQuery(rng, tables)
 	fail := func(format string, args ...any) {
 		t.Fatalf("joinfuzz seed %d\nsetup:\n  %s\nquery: %s\n%s",
 			seed, strings.Join(script, ";\n  "), query, fmt.Sprintf(format, args...))
 	}
-	if (errP != nil) != (errR != nil) {
-		fail("error mismatch: cost-based=%v reference=%v", errP, errR)
-	}
-	if errP != nil {
-		return db.PlannerStats() // both errored identically: fine
-	}
-	got := canonRows(planned)
-	want := canonRows(reference)
-	if len(got) != len(want) {
-		fail("row count mismatch: cost-based=%d reference=%d\ncost-based: %v\nreference: %v",
-			len(got), len(want), got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			fail("row %d mismatch:\ncost-based: %v\nreference: %v", i, got, want)
+	want, errW := refQuery(db, query)
+	check := func(run string, got *Rows, err error) {
+		if (err != nil) != (errW != nil) {
+			fail("%s: error mismatch: engine=%v oracle=%v", run, err, errW)
+		}
+		if err == nil {
+			if d := diffRows(got, want, ordered); d != "" {
+				fail("%s: %s", run, d)
+			}
 		}
 	}
 
-	// Plan-cache differential: re-run the query through cached plans vs a
-	// forced fresh compile, with schema and statistics churn interleaved
-	// between rounds — CREATE INDEX, DROP INDEX, ANALYZE — so stale plans
-	// that survive an epoch bump (or epoch bumps that fail to happen)
-	// surface as result divergence.
-	db.SetPlannerMode(PlannerCostBased)
-	db.SetAggMode(AggHashBatched)
+	rows, err := db.Query(query)
+	check("snapshot read", rows, err)
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err = tx.Query(query)
+	tx.Rollback()
+	check("locked read", rows, err)
+
+	// Schema and statistics churn — CREATE INDEX, DROP INDEX, ANALYZE —
+	// between rounds, each running the query twice: the first replans past
+	// the epoch the churn moved, the second runs the plan it cached. A stale
+	// plan that survives an epoch bump (or an epoch bump that fails to
+	// happen) surfaces as a result that differs from the oracle's.
 	for round := 0; round < 3; round++ {
 		switch rng.Intn(3) {
 		case 0:
@@ -206,30 +209,40 @@ func runJoinFuzzCase(t *testing.T, seed int64) PlannerStats {
 		case 2:
 			run("ANALYZE")
 		}
-		db.SetPlanCacheMode(PlanCacheOn)
-		cached, errC := db.Query(query)
-		db.SetPlanCacheMode(PlanCacheOff)
-		fresh, errF := db.Query(query)
-		db.SetPlanCacheMode(PlanCacheOn)
-		if (errC != nil) != (errF != nil) {
-			fail("plan-cache round %d error mismatch: cached=%v fresh=%v", round, errC, errF)
-		}
-		if errC != nil {
-			continue
-		}
-		gotC, wantF := canonRows(cached), canonRows(fresh)
-		if len(gotC) != len(wantF) {
-			fail("plan-cache round %d row count mismatch: cached=%d fresh=%d",
-				round, len(gotC), len(wantF))
-		}
-		for i := range gotC {
-			if gotC[i] != wantF[i] {
-				fail("plan-cache round %d row %d mismatch:\ncached: %v\nfresh: %v",
-					round, i, gotC, wantF)
-			}
+		for pass := 0; pass < 2; pass++ {
+			rows, err := db.Query(query)
+			check(fmt.Sprintf("plan-cache round %d pass %d", round, pass), rows, err)
 		}
 	}
-	return db.PlannerStats()
+	return db.PlannerStats(), ordered
+}
+
+// diffRows describes how the engine's result got differs from the
+// oracle's want, or returns "" when they agree: row for row when ordered,
+// else as multisets (an unordered result has no order to compare).
+func diffRows(got, want *Rows, ordered bool) string {
+	g, w := canonRows(got), canonRows(want)
+	if ordered {
+		g, w = canonList(got), canonList(want)
+	}
+	if len(g) != len(w) {
+		return fmt.Sprintf("row count engine=%d oracle=%d\nengine: %v\noracle: %v", len(g), len(w), g, w)
+	}
+	for i := range g {
+		if g[i] != w[i] {
+			return fmt.Sprintf("row %d differs\nengine: %v\noracle: %v", i, g, w)
+		}
+	}
+	return ""
+}
+
+// canonList renders a result set as canonical strings in result order.
+func canonList(r *Rows) []string {
+	out := make([]string, 0, len(r.Data))
+	for _, row := range r.Data {
+		out = append(out, canonValues(row))
+	}
+	return out
 }
 
 // canonValues renders one row (or index key) as a canonical string.
@@ -247,10 +260,7 @@ func canonValues(vs []Value) string {
 // canonRows renders a result set as sorted canonical strings (joins give
 // no ordering guarantee, so results compare as multisets).
 func canonRows(r *Rows) []string {
-	out := make([]string, 0, len(r.Data))
-	for _, row := range r.Data {
-		out = append(out, canonValues(row))
-	}
+	out := canonList(r)
 	sort.Strings(out)
 	return out
 }
@@ -319,8 +329,10 @@ func fuzzPredicate(rng *rand.Rand, left, right []string) string {
 }
 
 // buildFuzzQuery assembles a 2–4-table join with mixed ON/WHERE
-// conjuncts over the generated tables.
-func buildFuzzQuery(rng *rand.Rand, tables []fuzzTable) string {
+// conjuncts over the generated tables. ordered reports a query that ends
+// in ORDER BY over every output, LIMIT and OFFSET: its rows compare in
+// order.
+func buildFuzzQuery(rng *rand.Rand, tables []fuzzTable) (query string, ordered bool) {
 	n := len(tables)
 	aliases := make([]string, n)
 	var sb strings.Builder
@@ -331,6 +343,9 @@ func buildFuzzQuery(rng *rand.Rand, tables []fuzzTable) string {
 	// SUM/AVG draw from integer columns only: int sums are exact in
 	// float64, while float addition order differs between plans.
 	var groupKeys []string
+	// sortBy names each output for ORDER BY: its expression or alias, or
+	// "" where only its ordinal names it.
+	var sortBy []string
 	aggregate := rng.Intn(3) == 0
 	if aggregate {
 		nk := 1 + rng.Intn(2)
@@ -358,8 +373,12 @@ func buildFuzzQuery(rng *rand.Rand, tables []fuzzTable) string {
 			}
 		}
 		sb.WriteString(strings.Join(outs, ", "))
+		for _, o := range outs {
+			sortBy = append(sortBy, strings.TrimPrefix(o, "count(*) AS "))
+		}
 	} else if rng.Intn(5) == 0 {
 		sb.WriteString("*")
+		sortBy = make([]string, n*len(fuzzCols))
 	} else {
 		var outs []string
 		for i := 0; i < 2+rng.Intn(3); i++ {
@@ -368,6 +387,7 @@ func buildFuzzQuery(rng *rand.Rand, tables []fuzzTable) string {
 			outs = append(outs, fmt.Sprintf("r%d.%s", ti, c.name))
 		}
 		sb.WriteString(strings.Join(outs, ", "))
+		sortBy = outs
 	}
 	sb.WriteString(" FROM ")
 	for i := 0; i < n; i++ {
@@ -405,5 +425,20 @@ func buildFuzzQuery(rng *rand.Rand, tables []fuzzTable) string {
 			sb.WriteString(" HAVING cnt >= 2") // output alias in HAVING
 		}
 	}
-	return sb.String()
+	if rng.Intn(4) == 0 {
+		// Every output a key, so ties are equal rows and the order is one.
+		items := make([]string, len(sortBy))
+		for i, name := range sortBy {
+			if name == "" || rng.Intn(2) == 0 {
+				name = strconv.Itoa(i + 1)
+			}
+			if rng.Intn(2) == 0 {
+				name += " DESC"
+			}
+			items[i] = name
+		}
+		fmt.Fprintf(&sb, " ORDER BY %s LIMIT %d OFFSET %d", strings.Join(items, ", "), rng.Intn(12), rng.Intn(4))
+		ordered = true
+	}
+	return sb.String(), ordered
 }

@@ -19,7 +19,10 @@ package sqldb
 //
 //	explain               (like query, but runs EXPLAIN <statement>)
 //	error                 (statement until ----, then an error substring)
-//	mode nl|cost          (switch planner mode)
+//
+// Every query block's expected rows are also what refQuery, the oracle in
+// refquery_test.go, must return: a golden the engine and the oracle
+// disagree on fails either way.
 //
 // Regenerate expectations with:
 //
@@ -96,8 +99,6 @@ func parseLogicFile(t *testing.T, path string) []*logicBlock {
 				b.expect = append(b.expect, lines[i])
 				i++
 			}
-		case "mode":
-			// directive-only block
 		default:
 			t.Fatalf("%s: unknown directive %q", path, b.directive)
 		}
@@ -110,16 +111,20 @@ func parseLogicFile(t *testing.T, path string) []*logicBlock {
 	return blocks
 }
 
-func renderLogicRow(row []Value) string {
-	parts := make([]string, len(row))
-	for i, v := range row {
-		if v.Type() == Text {
-			parts[i] = v.Text()
-		} else {
-			parts[i] = v.String()
+func renderLogicRows(rows *Rows) []string {
+	var out []string
+	for _, row := range rows.Data {
+		parts := make([]string, len(row))
+		for i, v := range row {
+			if v.Type() == Text {
+				parts[i] = v.Text()
+			} else {
+				parts[i] = v.String()
+			}
 		}
+		out = append(out, strings.Join(parts, "|"))
 	}
-	return strings.Join(parts, "|")
+	return out
 }
 
 func runLogicFile(t *testing.T, path string) {
@@ -136,15 +141,6 @@ func runLogicFile(t *testing.T, path string) {
 			if _, err := db.Exec(sql); err != nil {
 				t.Fatalf("%s block %d: exec %q: %v", path, bi, sql, err)
 			}
-		case "mode":
-			switch b.arg {
-			case "nl":
-				db.SetPlannerMode(PlannerForceNestedLoop)
-			case "cost":
-				db.SetPlannerMode(PlannerCostBased)
-			default:
-				t.Fatalf("%s: mode %q", path, b.arg)
-			}
 		case "query", "explain":
 			q := sql
 			if b.directive == "explain" {
@@ -154,9 +150,16 @@ func runLogicFile(t *testing.T, path string) {
 			if err != nil {
 				t.Fatalf("%s block %d: query %q: %v", path, bi, q, err)
 			}
-			var got []string
-			for _, r := range rows.Data {
-				got = append(got, renderLogicRow(r))
+			got := renderLogicRows(rows)
+			if b.directive == "query" {
+				ref, err := refQuery(db, q)
+				if err != nil {
+					t.Fatalf("%s block %d: oracle %q: %v", path, bi, q, err)
+				}
+				if want := renderLogicRows(ref); !equalLines(want, got) {
+					t.Errorf("%s block %d: %q\n engine:\n  %s\noracle:\n  %s",
+						path, bi, q, strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+				}
 			}
 			if update {
 				if !equalLines(got, b.expect) {

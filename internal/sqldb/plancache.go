@@ -45,37 +45,17 @@ type planSlot struct {
 	p atomic.Pointer[selectPlan]
 }
 
-// PlanCacheMode switches compiled-plan reuse on or off. Off replans
-// every execution — the differential oracle the join fuzzer compares
-// against, and an escape hatch for operators.
-type PlanCacheMode int32
-
-const (
-	// PlanCacheOn reuses validated compiled plans (the default).
-	PlanCacheOn PlanCacheMode = iota
-	// PlanCacheOff compiles every execution from scratch.
-	PlanCacheOff
-)
-
-// SetPlanCacheMode selects whether statements reuse cached plans.
-// In-flight statements finish under the mode they started with.
-func (db *DB) SetPlanCacheMode(m PlanCacheMode) { db.planCacheMode.Store(int32(m)) }
-
-func (db *DB) planCacheEnabled() bool {
-	return db.planCacheMode.Load() == int32(PlanCacheOn)
-}
-
 // PlanCacheStats is a point-in-time snapshot of the plan-cache counters.
 type PlanCacheStats struct {
 	// Hits counts executions served by a validated cached plan.
 	Hits uint64
-	// Misses counts executions that compiled a plan (first touch of a
-	// statement, post-invalidation replans, and cache-off runs are not
-	// counted — the cache was never consulted for those).
+	// Misses counts executions that compiled a plan: the first touch of a
+	// statement and every replan after an invalidation (snapshot bypasses
+	// are counted under Bypasses instead).
 	Misses uint64
 	// Invalidations counts cached plans discarded by validation: a
-	// schema or stats epoch moved, the planner mode changed, or live
-	// cardinality drifted past the replan threshold.
+	// schema or stats epoch moved, or live cardinality drifted past the
+	// replan threshold.
 	Invalidations uint64
 	// Bypasses counts snapshot reads that planned fresh because their
 	// snapshot predates an index the cached plan uses; the cached plan
@@ -156,7 +136,6 @@ type selectPlan struct {
 
 	// Cache-validation state.
 	db     *DB
-	mode   PlannerMode // join planner mode the plan was built under
 	stamps []planStamp
 	// maxIndexTS is the newest createdTS among the plan's chosen
 	// indexes; snapshots older than it must not execute this plan.
@@ -217,11 +196,6 @@ func (db *DB) checkPlan(p *selectPlan, snapRead bool, snapTS uint64) planCheckRe
 	if p.db != db {
 		return planStale // AST shared across engines (tests); never the hot path
 	}
-	if len(p.bindings) >= 2 && p.mode != PlannerMode(db.plannerMode.Load()) {
-		// Join order and strategy depend on the planner mode;
-		// single-table plans do not.
-		return planStale
-	}
 	for i := range p.stamps {
 		st := &p.stamps[i]
 		if st.tbl.schemaEpoch.Load() != st.schemaEpoch {
@@ -255,29 +229,26 @@ func (db *DB) checkPlan(p *selectPlan, snapRead bool, snapTS uint64) planCheckRe
 }
 
 // planSelect returns the compiled plan for s, serving it from the
-// statement's plan slot when the cache is on and the cached plan
-// validates. The bool result reports a cache hit (EXPLAIN renders it as
-// [CACHED]).
+// statement's plan slot when the cached plan validates. The bool result
+// reports a cache hit (EXPLAIN renders it as [CACHED]).
 func (tx *Tx) planSelect(s *SelectStmt, snapRead bool, snapTS uint64) (*selectPlan, bool, error) {
 	db := tx.db
-	store := db.planCacheEnabled()
+	store := true
+	if p := s.plan.p.Load(); p != nil {
+		switch db.checkPlan(p, snapRead, snapTS) {
+		case planHit:
+			db.planHits.Add(1)
+			return p, true, nil
+		case planBypass:
+			db.planBypasses.Add(1)
+			store = false
+		case planStale:
+			db.planInvalidations.Add(1)
+			s.plan.p.CompareAndSwap(p, nil)
+		}
+	}
 	if store {
-		if p := s.plan.p.Load(); p != nil {
-			switch db.checkPlan(p, snapRead, snapTS) {
-			case planHit:
-				db.planHits.Add(1)
-				return p, true, nil
-			case planBypass:
-				db.planBypasses.Add(1)
-				store = false
-			case planStale:
-				db.planInvalidations.Add(1)
-				s.plan.p.CompareAndSwap(p, nil)
-			}
-		}
-		if store {
-			db.planMisses.Add(1)
-		}
+		db.planMisses.Add(1)
 	}
 	p, err := tx.buildSelectPlan(s, snapRead, snapTS)
 	if err != nil {
@@ -296,18 +267,15 @@ func (tx *Tx) planSelect(s *SelectStmt, snapRead bool, snapTS uint64) (*selectPl
 // under locks, so there is no snapshot bypass case.
 func (tx *Tx) planTargetPlan(tableName string, where Expr, slot *planSlot) (*selectPlan, bool, error) {
 	db := tx.db
-	store := db.planCacheEnabled()
-	if store {
-		if p := slot.p.Load(); p != nil {
-			if db.checkPlan(p, false, 0) == planHit {
-				db.planHits.Add(1)
-				return p, true, nil
-			}
-			db.planInvalidations.Add(1)
-			slot.p.CompareAndSwap(p, nil)
+	if p := slot.p.Load(); p != nil {
+		if db.checkPlan(p, false, 0) == planHit {
+			db.planHits.Add(1)
+			return p, true, nil
 		}
-		db.planMisses.Add(1)
+		db.planInvalidations.Add(1)
+		slot.p.CompareAndSwap(p, nil)
 	}
+	db.planMisses.Add(1)
 	sel := &SelectStmt{
 		From:  []TableRef{{Table: tableName, Alias: tableName}},
 		Where: where,
@@ -316,7 +284,7 @@ func (tx *Tx) planTargetPlan(tableName string, where Expr, slot *planSlot) (*sel
 	if err != nil {
 		return nil, false, err
 	}
-	if store && p.cacheable {
+	if p.cacheable {
 		slot.p.Store(p)
 		db.planStores.Add(1)
 	}
@@ -332,7 +300,6 @@ func (tx *Tx) buildSelectPlan(s *SelectStmt, snapRead bool, snapTS uint64) (*sel
 	p := &selectPlan{
 		stmt:      s,
 		db:        tx.db,
-		mode:      PlannerMode(tx.db.plannerMode.Load()),
 		cacheable: true,
 	}
 	for _, ref := range s.From {

@@ -7,10 +7,11 @@ import (
 
 // BenchmarkPlanCacheHotPath measures the planning cost per execution for
 // the CAS's two hottest statement shapes — the heartbeat-upsert UPDATE
-// target and the pool-status join — with the plan cache on (one atomic
-// load plus epoch checks) and off (full compile every time). The cached
-// path must be allocation-free: it is on every statement's critical
-// path.
+// target and the pool-status join — served from the plan cache (one
+// atomic load plus epoch checks) and compiled from scratch every time
+// (buildSelectPlan for the SELECT; the target's slot cleared before each
+// planning). The cached path must be allocation-free: it is on every
+// statement's critical path.
 func BenchmarkPlanCacheHotPath(b *testing.B) {
 	newPoolDB := func(b *testing.B) *DB {
 		b.Helper()
@@ -42,10 +43,9 @@ func BenchmarkPlanCacheHotPath(b *testing.B) {
 	const joinSQL = `SELECT m.state, count(*) FROM machines m, vms v WHERE v.machine = m.name GROUP BY m.state`
 	const hbSQL = `UPDATE machines SET seen = ?, state = ? WHERE name = ?`
 
-	benchSelect := func(b *testing.B, mode PlanCacheMode) {
+	benchSelect := func(b *testing.B, cached bool) {
 		db := newPoolDB(b)
 		defer db.Close()
-		db.SetPlanCacheMode(mode)
 		stmt, err := db.parse(joinSQL)
 		if err != nil {
 			b.Fatal(err)
@@ -62,16 +62,21 @@ func BenchmarkPlanCacheHotPath(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := tx.planSelect(sel, false, 0); err != nil {
+			var err error
+			if cached {
+				_, _, err = tx.planSelect(sel, false, 0)
+			} else {
+				_, err = tx.buildSelectPlan(sel, false, 0)
+			}
+			if err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 
-	benchTarget := func(b *testing.B, mode PlanCacheMode) {
+	benchTarget := func(b *testing.B, cached bool) {
 		db := newPoolDB(b)
 		defer db.Close()
-		db.SetPlanCacheMode(mode)
 		stmt, err := db.parse(hbSQL)
 		if err != nil {
 			b.Fatal(err)
@@ -88,14 +93,17 @@ func BenchmarkPlanCacheHotPath(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			if !cached {
+				upd.plan.p.Store(nil)
+			}
 			if _, _, err := tx.planTargetPlan(upd.Table, upd.Where, &upd.plan); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 
-	b.Run("pool-status-join/cached", func(b *testing.B) { benchSelect(b, PlanCacheOn) })
-	b.Run("pool-status-join/uncached", func(b *testing.B) { benchSelect(b, PlanCacheOff) })
-	b.Run("heartbeat-update/cached", func(b *testing.B) { benchTarget(b, PlanCacheOn) })
-	b.Run("heartbeat-update/uncached", func(b *testing.B) { benchTarget(b, PlanCacheOff) })
+	b.Run("pool-status-join/cached", func(b *testing.B) { benchSelect(b, true) })
+	b.Run("pool-status-join/uncached", func(b *testing.B) { benchSelect(b, false) })
+	b.Run("heartbeat-update/cached", func(b *testing.B) { benchTarget(b, true) })
+	b.Run("heartbeat-update/uncached", func(b *testing.B) { benchTarget(b, false) })
 }

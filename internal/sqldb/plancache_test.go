@@ -75,23 +75,6 @@ func TestPlanCacheHitReusesPlan(t *testing.T) {
 	}
 }
 
-func TestPlanCacheOffCompilesEveryExecution(t *testing.T) {
-	db := newJobsDB(t)
-	mustExec(t, db, `INSERT INTO jobs (owner) VALUES ('u')`)
-	db.SetPlanCacheMode(PlanCacheOff)
-	const q = `SELECT owner FROM jobs WHERE owner = ?`
-	before := db.PlanCacheStats()
-	mustQuery(t, db, q, "u")
-	mustQuery(t, db, q, "u")
-	if p := cachedPlanOf(t, db, q); p != nil {
-		t.Fatal("cache-off execution stored a plan")
-	}
-	after := db.PlanCacheStats()
-	if after != before {
-		t.Fatalf("cache-off executions moved counters: %+v -> %+v", before, after)
-	}
-}
-
 // TestPlanCacheIndexDDLInvalidates covers the schema-epoch half of
 // invalidation: CREATE INDEX must replan a cached full-scan plan onto
 // the index, and DROP INDEX must replan it off again.

@@ -1,0 +1,330 @@
+package sqldb
+
+// refQuery is the oracle the query-shaped differential suites diff the
+// engine against: the join fuzzer, crossCheck, TestAggModesDifferential and
+// every query block of the logictest goldens. It evaluates a SELECT the
+// naive way and shares nothing with the engine's read path but the
+// expression evaluator and the aggregate accumulators:
+//
+//   - base rows come straight from table.scanLatest (the newest committed
+//     version of every live row), so callers must not race it with writers;
+//   - the FROM list is a nested-loop product in syntactic order, each ON
+//     deciding whether its row joins and, for a LEFT JOIN that matched
+//     nothing, the NULL padding;
+//   - WHERE filters the product;
+//   - groups are keyed by writeHashValue and accumulate through
+//     aggState/finishAgg, the first row of a group standing for it;
+//   - HAVING sees output aliases; ORDER BY is a stable sort by Compare over
+//     every result row, then DISTINCT, OFFSET and LIMIT.
+//
+// No planner, access path, plan cache or batched operator runs here.
+
+import (
+	"bytes"
+	"fmt"
+	"sort"
+	"strings"
+)
+
+// refRow is one result row of the oracle and its ORDER BY keys.
+type refRow struct{ out, keys []Value }
+
+// refGroup is one group of an aggregated SELECT: one row reference per
+// table from its first input row, and one accumulator per aggregate call.
+type refGroup struct {
+	rows [][]Value
+	aggs []aggState
+}
+
+func refQuery(db *DB, sql string, args ...any) (*Rows, error) {
+	stmt, err := Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	s, ok := stmt.(*SelectStmt)
+	if !ok {
+		return nil, fmt.Errorf("refQuery: not a SELECT: %s", sql)
+	}
+	env := &evalEnv{params: make([]Value, len(args)), now: db.nowFn()}
+	for i, a := range args {
+		if env.params[i], err = FromGo(a); err != nil {
+			return nil, err
+		}
+	}
+	limit, err := refCount(env, s.Limit, "LIMIT", -1)
+	if err != nil {
+		return nil, err
+	}
+	offset, err := refCount(env, s.Offset, "OFFSET", 0)
+	if err != nil {
+		return nil, err
+	}
+
+	base := make([][][]Value, len(s.From))
+	for i, ref := range s.From {
+		tbl, err := db.lookupTable(ref.Table)
+		if err != nil {
+			return nil, err
+		}
+		env.bindings = append(env.bindings, binding{alias: strings.ToLower(ref.Alias), schema: &tbl.schema})
+		tbl.scanLatest(0, func(_ int64, row []Value) bool {
+			base[i] = append(base[i], row)
+			return true
+		})
+	}
+	outs, aliases, err := refOutputs(s, env.bindings)
+	if err != nil {
+		return nil, err
+	}
+	// ORDER BY items naming an output — an alias, or an ordinal — sort by
+	// that output; the rest are evaluated.
+	orderPos := make([]int, len(s.OrderBy))
+	for i, item := range s.OrderBy {
+		orderPos[i] = -1
+		if cr, ok := item.Expr.(*ColRef); ok && cr.Table == "" {
+			if p, ok := aliases[strings.ToLower(cr.Name)]; ok {
+				orderPos[i] = p
+			}
+		}
+		if lit, ok := item.Expr.(*Literal); ok && lit.Val.Type() == Int {
+			if n := int(lit.Val.Int64()); n >= 1 && n <= len(outs) {
+				orderPos[i] = n - 1
+			}
+		}
+	}
+	var result []refRow
+	// finish evaluates one result row and its keys in env and keeps it
+	// unless HAVING rejects it.
+	finish := func(env *evalEnv, having Expr) error {
+		r := refRow{out: make([]Value, len(outs)), keys: make([]Value, len(s.OrderBy))}
+		for i, e := range outs {
+			v, err := env.eval(e)
+			if err != nil {
+				return err
+			}
+			r.out[i] = v
+		}
+		if having != nil {
+			env.aliasIdx, env.aliasRow = aliases, r.out
+			ok, err := truthy(env.eval(having))
+			env.aliasIdx, env.aliasRow = nil, nil
+			if err != nil || !ok {
+				return err
+			}
+		}
+		for i, item := range s.OrderBy {
+			if orderPos[i] >= 0 {
+				r.keys[i] = r.out[orderPos[i]]
+				continue
+			}
+			v, err := env.eval(item.Expr)
+			if err != nil {
+				return err
+			}
+			r.keys[i] = v
+		}
+		result = append(result, r)
+		return nil
+	}
+
+	aggregated := len(s.GroupBy) > 0 || s.Having != nil
+	for _, e := range outs {
+		aggregated = aggregated || hasAggregate(e)
+	}
+	emit := func() error { return finish(env, nil) }
+	var calls []*FuncCall
+	groups := map[string]*refGroup{}
+	var order []*refGroup
+	if aggregated {
+		collect := func(e Expr) {
+			walkExpr(e, func(x Expr) {
+				if fc, ok := x.(*FuncCall); ok && isAggregate(fc) {
+					calls = append(calls, fc)
+				}
+			})
+		}
+		for _, e := range outs {
+			collect(e)
+		}
+		collect(s.Having)
+		for _, item := range s.OrderBy {
+			collect(item.Expr)
+		}
+		var key, scratch bytes.Buffer
+		emit = func() error {
+			key.Reset()
+			for _, e := range s.GroupBy {
+				v, err := env.eval(e)
+				if err != nil {
+					return err
+				}
+				writeHashValue(&key, v)
+			}
+			g := groups[key.String()]
+			if g == nil {
+				g = &refGroup{rows: make([][]Value, len(env.bindings)), aggs: make([]aggState, len(calls))}
+				for i := range g.rows {
+					g.rows[i] = env.bindings[i].row
+				}
+				groups[key.String()] = g
+				order = append(order, g)
+			}
+			for i, fc := range calls {
+				if fc.Star {
+					g.aggs[i].count++
+					continue
+				}
+				if len(fc.Args) != 1 {
+					return fmt.Errorf("sqldb: %s expects one argument", strings.ToUpper(fc.Name))
+				}
+				v, err := env.eval(fc.Args[0])
+				if err != nil {
+					return err
+				}
+				if err := g.aggs[i].add(fc, v, &scratch); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+
+	var product func(i int) error
+	product = func(i int) error {
+		if i == len(base) {
+			if s.Where != nil {
+				if ok, err := truthy(env.eval(s.Where)); err != nil || !ok {
+					return err
+				}
+			}
+			return emit()
+		}
+		matched := false
+		for _, row := range base[i] {
+			env.bindings[i].row = row
+			if on := s.From[i].On; i > 0 && on != nil {
+				ok, err := truthy(env.eval(on))
+				if err != nil {
+					return err
+				}
+				if !ok {
+					continue
+				}
+			}
+			matched = true
+			if err := product(i + 1); err != nil {
+				return err
+			}
+		}
+		env.bindings[i].row = nil
+		if !matched && i > 0 && s.From[i].Join == JoinLeft {
+			return product(i + 1)
+		}
+		return nil
+	}
+	if err := product(0); err != nil {
+		return nil, err
+	}
+
+	if aggregated {
+		if len(order) == 0 && len(s.GroupBy) == 0 {
+			// A global aggregate over no rows is still one row.
+			order = append(order, &refGroup{rows: make([][]Value, len(base)), aggs: make([]aggState, len(calls))})
+		}
+		for _, g := range order {
+			genv := &evalEnv{params: env.params, now: env.now, aggs: make(map[*FuncCall]Value, len(calls))}
+			genv.bindings = append([]binding(nil), env.bindings...)
+			for i := range genv.bindings {
+				genv.bindings[i].row = g.rows[i]
+			}
+			for i, fc := range calls {
+				genv.aggs[fc] = finishAgg(fc, &g.aggs[i])
+			}
+			if err := finish(genv, s.Having); err != nil {
+				return nil, err
+			}
+		}
+	}
+
+	sort.SliceStable(result, func(a, b int) bool {
+		for k, item := range s.OrderBy {
+			c, err := Compare(result[a].keys[k], result[b].keys[k])
+			if err != nil {
+				c = 0
+			}
+			if item.Desc {
+				c = -c
+			}
+			if c != 0 {
+				return c < 0
+			}
+		}
+		return false
+	})
+	rows := &Rows{}
+	seen := map[string]bool{}
+	var kb bytes.Buffer
+	for _, r := range result {
+		if s.Distinct {
+			kb.Reset()
+			for _, v := range r.out {
+				writeHashValue(&kb, v)
+			}
+			if seen[kb.String()] {
+				continue
+			}
+			seen[kb.String()] = true
+		}
+		rows.Data = append(rows.Data, r.out)
+	}
+	rows.Data = rows.Data[min(offset, len(rows.Data)):]
+	if limit >= 0 && limit < len(rows.Data) {
+		rows.Data = rows.Data[:limit]
+	}
+	return rows, nil
+}
+
+// refOutputs expands the SELECT list over the FROM bindings — a star to
+// every column of every table, t.* to t's — and maps each output alias to
+// its position.
+func refOutputs(s *SelectStmt, bindings []binding) ([]Expr, map[string]int, error) {
+	var outs []Expr
+	aliases := map[string]int{}
+	for _, se := range s.Exprs {
+		if !se.Star {
+			if se.Alias != "" {
+				aliases[strings.ToLower(se.Alias)] = len(outs)
+			}
+			outs = append(outs, se.Expr)
+			continue
+		}
+		n := len(outs)
+		for _, b := range bindings {
+			if se.Table == "" || strings.EqualFold(se.Table, b.alias) {
+				for _, c := range b.schema.Columns {
+					outs = append(outs, &ColRef{Table: b.alias, Name: c.Name})
+				}
+			}
+		}
+		if len(outs) == n {
+			return nil, nil, fmt.Errorf("sqldb: %s.* matches no table", se.Table)
+		}
+	}
+	return outs, aliases, nil
+}
+
+// refCount evaluates a LIMIT or OFFSET against the parameters, def when
+// the statement has none.
+func refCount(env *evalEnv, e Expr, name string, def int) (int, error) {
+	if e == nil {
+		return def, nil
+	}
+	v, err := env.eval(e)
+	if err != nil {
+		return 0, err
+	}
+	if v.Type() != Int || v.Int64() < 0 {
+		return 0, fmt.Errorf("sqldb: %s must be a non-negative integer", name)
+	}
+	return int(v.Int64()), nil
+}

@@ -206,22 +206,3 @@ func (db *DB) PlannerStats() PlannerStats {
 		AnalyzeRuns:   db.plannerAnalyzeRuns.Load(),
 	}
 }
-
-// PlannerMode selects how multi-table SELECTs are planned.
-type PlannerMode int32
-
-const (
-	// PlannerCostBased (the default) reorders inner joins by estimated
-	// cost and picks hash join / index nested-loop / nested-loop per edge.
-	PlannerCostBased PlannerMode = iota
-	// PlannerForceNestedLoop keeps the syntactic FROM order and executes
-	// every join edge as a plain nested loop over full scans. It exists as
-	// the obviously-correct reference the differential join fuzzer (and
-	// any suspicious operator) compares the cost-based planner against.
-	PlannerForceNestedLoop
-)
-
-// SetPlannerMode switches join planning between the cost-based planner
-// and the forced nested-loop reference path. Single-table statements are
-// unaffected.
-func (db *DB) SetPlannerMode(m PlannerMode) { db.plannerMode.Store(int32(m)) }

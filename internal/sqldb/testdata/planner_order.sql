@@ -58,20 +58,3 @@ query
 SELECT count(*) FROM facts f JOIN other o ON o.k = f.k
 ----
 160
-
--- The forced nested-loop reference path keeps FROM order and full scans.
-mode nl
-
-explain
-SELECT f.id, d.name FROM facts f JOIN dims d ON d.id = f.dim WHERE d.id = 2
-----
-facts|SEQ SCAN|SNAPSHOT READ|DRIVER|40
-dims|SEQ SCAN|SNAPSHOT READ|NESTED LOOP|10
-
-query
-SELECT count(*) FROM facts f JOIN dims d ON d.id = f.dim WHERE d.id = 2
-----
-10
-
-mode cost
-
