@@ -112,11 +112,15 @@ chaos:
 # Replication chaos (seed-reproducible): a leader/follower pair under a
 # 20%+-lossy shipping link; the leader is killed mid-run, the follower
 # promotes on lease expiry and must finish the workload exactly once on
-# its own timeline. The acceptance sweep runs the fixed seed set; run a
-# single schedule with CHAOS_SEED=n make replchaos-one.
+# its own timeline. First, the replication suite twenty times over: it
+# steps its nodes' ticks under a stepped clock, so the promotion-count and
+# stale-term assertions are exact and any flake in them is a bug. The
+# acceptance sweep then runs the fixed seed set; run a single schedule with
+# CHAOS_SEED=n make replchaos-one.
 REPLCHAOS_SEEDS ?= 1 2 3 7 42 1337
 replchaos:
 	@rm -f replchaos.txt
+	$(GO) test -race -count=20 -run TestRepl -skip TestReplChaos ./internal/core | tee replchaos.txt
 	@for seed in $(REPLCHAOS_SEEDS); do \
 		echo "== replchaos seed $$seed =="; \
 		CHAOS_SEED=$$seed CHAOS_CASES=$(CHAOS_CASES) $(GO) test -race -count=1 -v \
@@ -127,6 +131,11 @@ replchaos:
 replchaos-one:
 	CHAOS_SEED=$(CHAOS_SEED) CHAOS_CASES=$(CHAOS_CASES) $(GO) test -race -count=1 -v \
 		-run 'TestReplChaosLeaderKillPromote' ./internal/core | tee replchaos.txt
+
+# The chaos targets tee their logs; pipefail makes a failed test, not tee,
+# decide the exit status.
+chaos replchaos replchaos-one: SHELL := /bin/bash
+chaos replchaos replchaos-one: .SHELLFLAGS := -o pipefail -c
 
 # The -race cancellation suite: lock-wait cancel/timeout, mid-scan and
 # mid-join cancels, group-commit retraction, snapshot watermark release.

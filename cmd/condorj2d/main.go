@@ -44,7 +44,7 @@ func main() {
 	freshFor := flag.Duration("hb-fresh-for", 10*time.Second, "admission control: delta-free heartbeats older than this are shed under load")
 	follow := flag.String("follow", "", "replication: run as a read-only follower of this leader /services URL (writes answer NotLeader; promotes on lease expiry)")
 	advertise := flag.String("advertise", "", "replication: this node's own /services URL as dialable by peers (required with -follow; on a leader, enables follower shipping)")
-	leaseTTL := flag.Duration("lease-ttl", 3*time.Second, "replication: leader lease TTL; a follower promotes when the replicated lease goes this stale")
+	leaseTTL := flag.Duration("lease-ttl", 3*time.Second, "replication: leader lease TTL, at least three housekeeping ticks; the tick renews it on the leader and checks it on a follower, which promotes when the replicated lease goes this stale")
 	flag.Parse()
 
 	if *follow != "" && *advertise == "" {
@@ -111,18 +111,22 @@ func main() {
 	})
 
 	// Replication: with -follow this node is a read-only replica (writes
-	// answer NotLeader, the tick only checkpoints, and it promotes itself
-	// when the replicated lease expires); with just -advertise it leads,
-	// renewing the lease and shipping committed WAL groups to whoever joins.
+	// answer NotLeader, and its tick joins the leader, checkpoints, and
+	// promotes it when the replicated lease expires); with just -advertise
+	// it leads, its tick renewing the lease, shipping committed WAL groups
+	// to whoever joins.
 	var repl *core.Replicator
 	if *advertise != "" {
-		repl = core.NewReplicator(cas, core.ReplConfig{
+		repl, err = core.NewReplicator(cas, core.ReplConfig{
 			Self:     *advertise,
 			LeaseTTL: *leaseTTL,
 			Dial:     func(addr string) wire.Caller { return &wire.Client{URL: addr} },
 		})
+		if err != nil {
+			log.Fatalf("condorj2d: %v", err)
+		}
 		if *follow != "" {
-			repl.StartFollower(context.Background(), *follow)
+			repl.StartFollower(*follow)
 			log.Printf("following %s (read-only; lease TTL %s)", *follow, *leaseTTL)
 		} else {
 			if err := repl.StartLeader(context.Background()); err != nil {
@@ -132,8 +136,8 @@ func main() {
 		}
 		defer repl.Close()
 	}
-	// The housekeeping tick runs on every node; its leader-only steps skip
-	// themselves while the write gate is down.
+	// The housekeeping tick runs on every node, replication first; its
+	// leader-only steps skip themselves while the write gate is down.
 	cas.StartScheduler()
 
 	// Every request context descends from baseCtx; cancelling it reaches
@@ -214,8 +218,8 @@ func main() {
 		ds.Replays, ds.RepliesDeleted)
 	if repl != nil {
 		rs := repl.Stats()
-		log.Printf("repl: role %s term %d, %d followers, %d ships (%d batches, %d errors), %d fenced, %d promotions, %d demotions, lag %d LSNs / %d ms; engine applied %d (%d batches, %d skipped, %d apply errors)",
-			rs.Role, rs.Term, rs.Followers, rs.ShipCalls, rs.ShipBatches, rs.ShipErrors, rs.Fenced, rs.Promotions, rs.Demotions, rs.LagLSN, rs.LagMs,
+		log.Printf("repl: role %s term %d, %d followers, %d ships (%d batches, %d errors, %d truncated), %d fenced, %d promotions, %d demotions, lag %d LSNs / %d ms; engine applied %d (%d batches, %d skipped, %d apply errors)",
+			rs.Role, rs.Term, rs.Followers, rs.ShipCalls, rs.ShipBatches, rs.ShipErrors, rs.ShipTruncated, rs.Fenced, rs.Promotions, rs.Demotions, rs.LagLSN, rs.LagMs,
 			rs.Engine.AppliedLSN, rs.Engine.BatchesApplied, rs.Engine.BatchesSkipped, rs.Engine.ApplyErrors)
 	}
 }

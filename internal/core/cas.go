@@ -29,6 +29,9 @@ type CAS struct {
 
 	clock  vtime.Clock
 	ownEng bool
+	// repl, once NewReplicator attached one (before the tick starts), is
+	// the tick's first step.
+	repl *Replicator
 
 	// schedCancel (nil while stopped) stops the housekeeping goroutine and
 	// cancels its tick in flight, so shutdown never waits out a long
@@ -149,9 +152,15 @@ func (c *CAS) applyEngineConfig(name, value string) {
 	}
 }
 
+// tickPeriod is the housekeeping tick's period: schedule_interval_sec,
+// whole seconds, at least one.
+func (c *CAS) tickPeriod(ctx context.Context) time.Duration {
+	return time.Duration(max(1, c.Service.configInt(ctx, "schedule_interval_sec", 1))) * time.Second
+}
+
 // StartScheduler launches the CAS's one periodic goroutine: a ticker of
-// schedule_interval_sec (read once, here) whose every tick runs housekeep
-// (live deployments; simulations drive ScheduleCycle from virtual time
+// tickPeriod (read once, here) whose every tick runs housekeep (live
+// deployments; simulations drive ScheduleCycle from virtual time
 // instead). Stop with StopScheduler.
 func (c *CAS) StartScheduler() {
 	c.schedMu.Lock()
@@ -162,7 +171,7 @@ func (c *CAS) StartScheduler() {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	c.schedCancel, c.schedDone = cancel, done
-	interval := time.Duration(max(1, c.Service.configInt(ctx, "schedule_interval_sec", 1))) * time.Second
+	interval := c.tickPeriod(ctx)
 	go func() {
 		defer close(done)
 		t := time.NewTicker(interval)
@@ -187,8 +196,11 @@ const (
 	reapAfterBeats = 3
 )
 
-// housekeep is tick n (from 1) of the CAS's periodic work, four steps:
+// housekeep is tick n (from 1) of the CAS's periodic work, five steps:
 //
+//   - every tick first, replication when a Replicator is attached
+//     (Replicator.step: a leader renews its lease, a follower joins and
+//     watches it), so a leader it deposes is gated before the rest;
 //   - every tick, one matchmaking cycle;
 //   - once per heartbeat_interval_sec, the dead-machine sweep — the paper's
 //     footnote 5: a node that stops reporting has its matched and running
@@ -199,18 +211,21 @@ const (
 //     truncated while the daemon runs and a crash replays only a tail; on
 //     any other engine Checkpoint does nothing.
 //
-// The first three write cluster state and are skipped while this node is
-// gated NotLeader; the checkpoint is about this node's own files and runs
-// on a follower too. Errors are dropped: every step is retried by a later
-// tick, and the engine counts failed checkpoints (BufferPoolStats).
+// The cycle, the sweep and the reply GC write cluster state and are
+// skipped while this node is gated NotLeader; the checkpoint is about this
+// node's own files and runs on a follower or a demoted leader too. Errors
+// are dropped: every step is retried by a later tick, and the engine
+// counts failed checkpoints (BufferPoolStats).
 func (c *CAS) housekeep(ctx context.Context, n int) {
+	if c.repl != nil {
+		c.repl.step(ctx)
+	}
 	svc := c.Service
 	if _, gated := svc.NotLeader(); !gated {
 		_, _ = svc.ScheduleCycle(ctx)
-		beat := svc.configInt(ctx, "heartbeat_interval_sec", 60)
-		every := max(1, beat/max(1, svc.configInt(ctx, "schedule_interval_sec", 1)))
-		if n%int(every) == 0 {
-			_, _ = svc.ReapDeadMachines(ctx, reapAfterBeats*time.Duration(beat)*time.Second)
+		beat := time.Duration(svc.configInt(ctx, "heartbeat_interval_sec", 60)) * time.Second
+		if every := max(1, beat/c.tickPeriod(ctx)); n%int(every) == 0 {
+			_, _ = svc.ReapDeadMachines(ctx, reapAfterBeats*beat)
 		}
 		if n%replyGCTicks == 0 {
 			retention := time.Duration(svc.configInt(ctx, "reply_retention_sec", 3600)) * time.Second

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"condorj2/internal/sqldb"
+	"condorj2/internal/wire"
 )
 
 // These tests call CAS.housekeep — the body of StartScheduler's goroutine —
@@ -206,6 +207,55 @@ func TestHousekeepOnGatedNode(t *testing.T) {
 	cas.housekeep(ctx, 120)
 	if got := poolSnapshot(t, cas); got == before {
 		t.Error("the same tick with the gate open changed nothing")
+	}
+}
+
+// TestHousekeepAfterDemotion: the tick's first step is replication, so a
+// leader whose renewal finds another term holding the lease is parked and
+// gated before the tick's cycle — a deposed leader never schedules — and
+// demotion leaves the tick running: it goes on checkpointing the node's own
+// files.
+func TestHousekeepAfterDemotion(t *testing.T) {
+	cas, vfs, _ := pagedCAS(t)
+	s, ctx := cas.Service, context.Background()
+	r, err := NewReplicator(cas, ReplConfig{Self: "a", Dial: func(string) wire.Caller { return &wire.Local{Mux: cas.Mux} }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.StartLeader(ctx); err != nil {
+		t.Fatal(err)
+	}
+	cas.StartScheduler()
+	s.Submit(ctx, &SubmitRequest{Owner: "u", Count: 1, LengthSec: 60})
+	beat(t, s, "node", true, idleVMs(1)...) // an idle job, an idle VM: a cycle would match them
+	if _, err := cas.Engine.Exec(`UPDATE repl_lease SET term = term + 1, holder = 'b' WHERE id = 1`); err != nil {
+		t.Fatal(err)
+	}
+
+	before, grown := poolSnapshot(t, cas), walSize(t, vfs)
+	cas.housekeep(ctx, 1)
+	if got := r.Stats().Role; got != "parked" {
+		t.Fatalf("deposed leader's role after its tick: %s, want parked", got)
+	}
+	if got := poolSnapshot(t, cas); got != before {
+		t.Fatalf("the tick that deposed the leader changed cluster state:\n%s\n→\n%s", before, got)
+	}
+	cas.schedMu.Lock()
+	running := cas.schedCancel != nil
+	cas.schedMu.Unlock()
+	if !running {
+		t.Fatal("demotion stopped the housekeeping tick")
+	}
+	cas.housekeep(ctx, 30)
+	if got := poolSnapshot(t, cas); got != before {
+		t.Errorf("a parked node's tick changed cluster state:\n%s\n→\n%s", before, got)
+	}
+	if bs := cas.Engine.BufferPoolStats(); bs.Checkpoints != 1 {
+		t.Errorf("parked node's tick 30 took %d checkpoints, want 1", bs.Checkpoints)
+	}
+	if got := walSize(t, vfs); got >= grown {
+		t.Errorf("WAL is %d bytes after the parked node's checkpoint tick, was %d", got, grown)
 	}
 }
 

@@ -10,13 +10,13 @@ package core
 // transactionally consistent replicated snapshot.
 //
 // Failure detection is lease-based and rides the replication stream
-// itself: the leader transactionally renews a single repl_lease row at
-// every interval, the renewal ships like any other write, and a follower
-// promotes itself when its local copy of the row goes stale for longer
-// than the TTL. Split brain is prevented by term fencing: a promotion
-// bumps the lease term, and every repl.Ship carries the sender's term —
-// a deposed leader's ship is answered with a StaleTerm fault and the
-// sender demotes itself to read-only.
+// itself: the leader transactionally renews a single repl_lease row on
+// every housekeeping tick, the renewal ships like any other write, and a
+// follower promotes itself when its local copy of the row goes stale for
+// longer than the TTL. Split brain is prevented by term fencing: a
+// promotion bumps the lease term, and every repl.Ship carries the sender's
+// term — a deposed leader's ship is answered with a StaleTerm fault and
+// the sender demotes itself to read-only.
 //
 // Shipping rides the PR 7 wire fault-tolerance stack: each repl.Ship is
 // issued through a Retryer with an idempotency key, and the follower's
@@ -26,7 +26,10 @@ package core
 import (
 	"context"
 	"encoding/base64"
+	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,22 +38,15 @@ import (
 	"condorj2/internal/wire"
 )
 
-// ReplConfig tunes a Replicator. Dial and Self are required; the rest
-// default sensibly.
+// ReplConfig tunes a Replicator. Dial and Self are required. The cadence
+// is the CAS's housekeeping tick.
 type ReplConfig struct {
 	// Self is this node's dialable endpoint, advertised to peers (the
 	// Leader field of NotLeader faults, the Addr of join requests).
 	Self string
 	// LeaseTTL is how stale the replicated lease row may go before a
-	// follower promotes itself (0 = 3s).
+	// follower promotes itself (0 = 3s); at least three tick periods.
 	LeaseTTL time.Duration
-	// Interval paces lease renewal, follower join heartbeats, and the
-	// expiry check (0 = LeaseTTL/3).
-	Interval time.Duration
-	// CallTimeout bounds one replication RPC, retries included (0 = 2s).
-	CallTimeout time.Duration
-	// MaxShipBytes caps the batch bytes per repl.Ship (0 = 1 MiB).
-	MaxShipBytes int
 	// Dial returns a Caller for a peer's endpoint. Tests inject loopback
 	// transports; condorj2d dials wire.Client over HTTP.
 	Dial func(addr string) wire.Caller
@@ -65,26 +61,12 @@ func (c *ReplConfig) leaseTTL() time.Duration {
 	return 3 * time.Second
 }
 
-func (c *ReplConfig) interval() time.Duration {
-	if c.Interval > 0 {
-		return c.Interval
-	}
-	return c.leaseTTL() / 3
-}
-
-func (c *ReplConfig) callTimeout() time.Duration {
-	if c.CallTimeout > 0 {
-		return c.CallTimeout
-	}
-	return 2 * time.Second
-}
-
-func (c *ReplConfig) maxShipBytes() int {
-	if c.MaxShipBytes > 0 {
-		return c.MaxShipBytes
-	}
-	return 1 << 20
-}
+const (
+	// replCallTimeout bounds one replication RPC, retries included.
+	replCallTimeout = 2 * time.Second
+	// replMaxShipBytes caps the batch bytes of one repl.Ship.
+	replMaxShipBytes = 1 << 20
+)
 
 // replFollower is the leader's view of one follower.
 type replFollower struct {
@@ -92,13 +74,26 @@ type replFollower struct {
 	caller wire.Caller // Retryer-wrapped
 
 	mu      sync.Mutex
-	acked   uint64 // follower's durable applied LSN, from join/ship acks
-	ackedAt time.Time
+	acked   uint64    // follower's durable applied LSN, from join/ship acks
+	ackedAt time.Time // the last join or ack
 }
 
-// Replicator runs one node's half of the replication protocol: the ship
-// and lease-renewal loops when leading, the join and lease-watch loops
-// when following, and the promotion/demotion transitions between them.
+// replRole is what a node's tick does for replication. A parked node — not
+// yet started, or a demoted leader whose log may have diverged from the new
+// timeline — neither ships, follows nor promotes.
+type replRole uint8
+
+const (
+	roleParked replRole = iota
+	roleFollower
+	roleLeader
+)
+
+func (r replRole) String() string { return [...]string{"parked", "follower", "leader"}[r] }
+
+// Replicator runs one node's half of the replication protocol: a step of
+// the housekeeping tick in every role, the shipper goroutine while
+// leading, and the promotion/demotion transitions between the roles.
 type Replicator struct {
 	cas *CAS
 	cfg ReplConfig
@@ -109,34 +104,40 @@ type Replicator struct {
 	// node has claimed a new term.
 	applyMu sync.Mutex
 
-	mu         sync.Mutex
-	leading    bool
-	term       uint64
-	leader     string // current known leader endpoint ("" = unknown)
-	followers  map[string]*replFollower
-	roleCancel context.CancelFunc
-	closed     bool
+	mu        sync.Mutex
+	role      replRole
+	term      uint64
+	leader    string // current known leader endpoint ("" = unknown)
+	followers map[string]*replFollower
+	stopShip  context.CancelFunc // the running shipper's; nil when none runs
+	closed    bool
 
 	wg   sync.WaitGroup
-	kick chan struct{} // wakes the ship loop (new follower, new commit)
+	kick chan struct{} // wakes the shipper (a join, the tick)
 
 	// Follower-side lag inputs: the leader's durable horizon and the
 	// local clock at the last accepted ship.
 	leaderLSN  atomic.Uint64
 	lastShipMs atomic.Int64
 
-	shipCalls   atomic.Uint64
-	shipBatches atomic.Uint64
-	shipErrors  atomic.Uint64
-	fenced      atomic.Uint64
-	promotions  atomic.Uint64
-	demotions   atomic.Uint64
+	shipCalls     atomic.Uint64
+	shipBatches   atomic.Uint64
+	shipErrors    atomic.Uint64
+	shipTruncated atomic.Uint64
+	fenced        atomic.Uint64
+	promotions    atomic.Uint64
+	demotions     atomic.Uint64
 }
 
 // NewReplicator attaches replication to a CAS: registers the repl.Ship /
-// repl.Join handlers on its mux and returns the (stopped) replicator.
-// Start a role with StartLeader or StartFollower.
-func NewReplicator(cas *CAS, cfg ReplConfig) *Replicator {
+// repl.Join handlers on its mux and makes the replicator the first step of
+// the CAS's housekeeping tick. It is parked until StartLeader or
+// StartFollower gives it a role. A lease shorter than three tick periods is
+// refused: a follower must not promote past a renewal one slow tick delayed.
+func NewReplicator(cas *CAS, cfg ReplConfig) (*Replicator, error) {
+	if ttl, tick := cfg.leaseTTL(), cas.tickPeriod(context.Background()); ttl < 3*tick {
+		return nil, fmt.Errorf("core: repl: lease TTL %s is shorter than three housekeeping ticks of %s (schedule_interval_sec)", ttl, tick)
+	}
 	r := &Replicator{
 		cas:       cas,
 		cfg:       cfg,
@@ -145,7 +146,8 @@ func NewReplicator(cas *CAS, cfg ReplConfig) *Replicator {
 	}
 	cas.Mux.Handle(ActionReplShip, wire.Typed(r.handleShip))
 	cas.Mux.Handle(ActionReplJoin, wire.Typed(r.handleJoin))
-	return r
+	cas.repl = r
+	return r, nil
 }
 
 func (r *Replicator) now() time.Time { return r.cas.clock.Now() }
@@ -170,21 +172,37 @@ func (r *Replicator) newCaller(addr string) wire.Caller {
 	return ret
 }
 
-// startRole cancels the previous role's loops and installs a fresh
-// context for the next one. Callers hold r.mu.
-func (r *Replicator) startRoleLocked() context.Context {
-	if r.roleCancel != nil {
-		r.roleCancel()
-	}
+// leadLocked makes this node the leader at term: the role, the open write
+// gate and a running shipper together. Callers hold r.mu.
+func (r *Replicator) leadLocked(term uint64) {
+	r.role, r.term, r.leader = roleLeader, term, r.cfg.Self
+	r.cas.Service.ClearNotLeader()
 	ctx, cancel := context.WithCancel(context.Background())
-	r.roleCancel = cancel
-	return ctx
+	r.stopShip = cancel
+	r.wg.Add(1)
+	go r.ship(ctx)
+}
+
+// gateLocked gives this node a role that does not lead — follower or
+// parked — with its write gate redirecting to leader, and stops the
+// shipper if one runs. Callers hold r.mu.
+func (r *Replicator) gateLocked(role replRole, leader string) {
+	r.stopShipperLocked()
+	r.role, r.leader = role, leader
+	r.cas.Service.SetNotLeader(leader)
+}
+
+func (r *Replicator) stopShipperLocked() {
+	if r.stopShip != nil {
+		r.stopShip()
+		r.stopShip = nil
+	}
 }
 
 // StartLeader claims leadership: bump the lease term past anything in
-// this node's own database, write the lease row, and start the renewal
-// and shipping loops. The caller is responsible for the rest of leader
-// assembly (scheduler, recovery) — condorj2d's normal boot path.
+// this node's own database, write the lease row, open the write path and
+// start the shipper. The caller is responsible for the rest of leader
+// assembly (recovery, the tick) — condorj2d's normal boot path.
 func (r *Replicator) StartLeader(ctx context.Context) error {
 	lease, _ := r.readLease(ctx)
 	term := lease.term + 1
@@ -192,49 +210,28 @@ func (r *Replicator) StartLeader(ctx context.Context) error {
 		return fmt.Errorf("core: repl: claim lease: %w", err)
 	}
 	r.mu.Lock()
-	if r.term < term {
-		r.term = term
-	}
-	r.leading = true
-	r.leader = r.cfg.Self
-	roleCtx := r.startRoleLocked()
+	r.leadLocked(max(r.term, term))
 	r.mu.Unlock()
-	r.cas.Service.ClearNotLeader()
-	r.startLeaderLoops(roleCtx)
 	return nil
 }
 
 // StartFollower enters read-only follower mode against leaderAddr: gate
-// the mutating web services, announce this node to the leader, and watch
-// the replicated lease for expiry.
-func (r *Replicator) StartFollower(ctx context.Context, leaderAddr string) {
+// the mutating web services; from the next tick on, this node joins the
+// leader and watches the replicated lease for expiry.
+func (r *Replicator) StartFollower(leaderAddr string) {
 	r.mu.Lock()
-	r.leading = false
-	r.leader = leaderAddr
-	roleCtx := r.startRoleLocked()
+	r.gateLocked(roleFollower, leaderAddr)
 	r.mu.Unlock()
-	r.cas.Service.SetNotLeader(leaderAddr)
-	r.wg.Add(1)
-	go r.followLoop(roleCtx)
 }
 
-// Close stops all loops and waits them out. The node keeps serving
+// Close stops the shipper and waits it out. The node keeps serving
 // whatever its write gate allows; Close does not demote or promote.
 func (r *Replicator) Close() {
 	r.mu.Lock()
 	r.closed = true
-	if r.roleCancel != nil {
-		r.roleCancel()
-		r.roleCancel = nil
-	}
+	r.stopShipperLocked()
 	r.mu.Unlock()
 	r.wg.Wait()
-}
-
-func (r *Replicator) startLeaderLoops(roleCtx context.Context) {
-	r.wg.Add(2)
-	go r.renewLoop(roleCtx)
-	go r.shipLoop(roleCtx)
 }
 
 // ---------------------------------------------------------------------
@@ -298,36 +295,69 @@ func (r *Replicator) renewLease(ctx context.Context, term uint64) (bool, error) 
 }
 
 // ---------------------------------------------------------------------
-// Leader loops.
+// The tick's step.
 
-func (r *Replicator) renewLoop(ctx context.Context) {
-	defer r.wg.Done()
-	t := time.NewTicker(r.cfg.interval())
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-		r.mu.Lock()
-		term, leading := r.term, r.leading
-		r.mu.Unlock()
-		if !leading {
-			return
-		}
-		ok, err := r.renewLease(ctx, term)
-		if err != nil {
-			continue // transient engine error; the TTL absorbs a few misses
-		}
-		if !ok {
+// step is replication's part of the housekeeping tick, and its first
+// step, so a leader this renewal finds deposed is gated before the tick's
+// leader-only steps run. A leader renews its lease (demoting when another
+// term holds it), forgets followers silent for a lease TTL, and kicks the
+// shipper, which retries whatever a failed ship left behind. A follower
+// joins its leader and promotes once the replicated lease has gone stale.
+// A parked node does nothing.
+func (r *Replicator) step(ctx context.Context) {
+	r.mu.Lock()
+	role, term := r.role, r.term
+	r.mu.Unlock()
+	switch role {
+	case roleLeader:
+		// An engine error is let go: the TTL absorbs a few missed renewals.
+		if ok, err := r.renewLease(ctx, term); err == nil && !ok {
 			r.Demote("")
 			return
+		}
+		r.forgetSilentFollowers()
+		r.wake()
+	case roleFollower:
+		r.joinLeader(ctx)
+		if r.leaseExpired(ctx) {
+			_ = r.Promote(ctx) // a failed promotion is retried by the next tick
 		}
 	}
 }
 
-func (r *Replicator) shipLoop(ctx context.Context) {
+// forgetSilentFollowers drops the followers that have neither joined nor
+// acked for a lease TTL, so a partitioned one stops costing every ship
+// its call timeout and stops pinning the lag. A live follower joins every
+// tick; a forgotten one re-registers at its applied LSN on its next join.
+func (r *Replicator) forgetSilentFollowers() {
+	cutoff := r.now().Add(-r.cfg.leaseTTL())
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for addr, f := range r.followers {
+		f.mu.Lock()
+		silent := f.ackedAt.Before(cutoff)
+		f.mu.Unlock()
+		if silent {
+			delete(r.followers, addr)
+		}
+	}
+}
+
+// wake nudges the shipper; a wakeup already pending covers this one.
+func (r *Replicator) wake() {
+	select {
+	case r.kick <- struct{}{}:
+	default:
+	}
+}
+
+// ---------------------------------------------------------------------
+// The shipper.
+
+// ship is the leader's one replication goroutine, from taking the lead to
+// demotion or Close. Woken by a commit (the tap), a join or the tick, it
+// drains the committed log to every follower.
+func (r *Replicator) ship(ctx context.Context) {
 	defer r.wg.Done()
 	tap, err := r.cas.Engine.ReplicationTap()
 	if err != nil {
@@ -336,26 +366,16 @@ func (r *Replicator) shipLoop(ctx context.Context) {
 		return
 	}
 	defer tap.Close()
-	t := time.NewTicker(r.cfg.interval())
-	defer t.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-tap.Notify():
 		case <-r.kick:
-		case <-t.C:
 		}
 		r.mu.Lock()
-		leading := r.leading
-		fs := make([]*replFollower, 0, len(r.followers))
-		for _, f := range r.followers {
-			fs = append(fs, f)
-		}
+		fs := slices.Collect(maps.Values(r.followers))
 		r.mu.Unlock()
-		if !leading {
-			return
-		}
 		for _, f := range fs {
 			r.shipTo(ctx, f)
 		}
@@ -369,10 +389,14 @@ func (r *Replicator) shipTo(ctx context.Context, f *replFollower) {
 		f.mu.Lock()
 		acked := f.acked
 		f.mu.Unlock()
-		batches, durable, err := r.cas.Engine.CommittedSince(acked, r.cfg.maxShipBytes())
+		batches, durable, err := r.cas.Engine.CommittedSince(acked, replMaxShipBytes)
+		if errors.Is(err, sqldb.ErrLogTruncated) {
+			// A follower further behind than the last checkpoint is not
+			// shipped a log with a hole.
+			r.shipTruncated.Add(1)
+			return
+		}
 		if err != nil {
-			// Notably ErrLogTruncated: a follower further behind than the
-			// last checkpoint is not shipped a log with a hole.
 			r.shipErrors.Add(1)
 			return
 		}
@@ -380,11 +404,8 @@ func (r *Replicator) shipTo(ctx context.Context, f *replFollower) {
 			return
 		}
 		r.mu.Lock()
-		term, leading := r.term, r.leading
+		term := r.term // a demotion since has cancelled ctx, and with it the call
 		r.mu.Unlock()
-		if !leading {
-			return
-		}
 		req := &ReplShipRequest{Term: term, Leader: r.cfg.Self, LeaderLSN: durable}
 		for _, b := range batches {
 			req.Batches = append(req.Batches, ReplBatch{
@@ -393,7 +414,7 @@ func (r *Replicator) shipTo(ctx context.Context, f *replFollower) {
 			})
 		}
 		var resp ReplShipResponse
-		cctx, cancel := context.WithTimeout(ctx, r.cfg.callTimeout())
+		cctx, cancel := context.WithTimeout(ctx, replCallTimeout)
 		err = f.caller.Call(cctx, ActionReplShip, req, &resp)
 		cancel()
 		r.shipCalls.Add(1)
@@ -421,29 +442,10 @@ func (r *Replicator) shipTo(ctx context.Context, f *replFollower) {
 }
 
 // ---------------------------------------------------------------------
-// Follower loop: heartbeat a join to the leader (announcing our durable
-// applied LSN — the resume point), and watch the replicated lease row;
-// when it goes stale past its TTL the leader is presumed dead and this
-// node promotes.
-
-func (r *Replicator) followLoop(ctx context.Context) {
-	defer r.wg.Done()
-	t := time.NewTicker(r.cfg.interval())
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-		r.joinLeader(ctx)
-		if r.leaseExpired(ctx) {
-			if err := r.Promote(ctx); err == nil {
-				return
-			}
-		}
-	}
-}
+// Following: every tick, join the leader (announcing our durable applied
+// LSN — the resume point), and watch the replicated lease row; when it
+// goes stale past its TTL the leader is presumed dead and this node
+// promotes.
 
 func (r *Replicator) joinLeader(ctx context.Context) {
 	r.mu.Lock()
@@ -455,7 +457,7 @@ func (r *Replicator) joinLeader(ctx context.Context) {
 	caller := r.cfg.Dial(leader)
 	req := &ReplJoinRequest{Addr: r.cfg.Self, AppliedLSN: r.cas.Engine.AppliedLSN()}
 	var resp ReplJoinResponse
-	cctx, cancel := context.WithTimeout(ctx, r.cfg.callTimeout())
+	cctx, cancel := context.WithTimeout(ctx, replCallTimeout)
 	err := caller.Call(cctx, ActionReplJoin, req, &resp)
 	cancel()
 	if err != nil {
@@ -507,12 +509,12 @@ func (r *Replicator) leaseExpired(ctx context.Context) bool {
 // leader), reconcile in-flight cluster state exactly like a restart
 // (the PR 7 heartbeat reconciliation then re-adopts or re-runs whatever
 // the old leader had in the air), age out replicated dedup replies, and
-// open the write path and scheduler.
+// open the write path — under a tick that already runs.
 func (r *Replicator) Promote(ctx context.Context) error {
 	r.applyMu.Lock()
 	defer r.applyMu.Unlock()
 	r.mu.Lock()
-	if r.leading || r.closed {
+	if r.role == roleLeader || r.closed {
 		r.mu.Unlock()
 		return nil
 	}
@@ -533,47 +535,33 @@ func (r *Replicator) Promote(ctx context.Context) error {
 	}
 	// The dedup reply store replicated along with everything else; GC it
 	// immediately so a long-lived follower doesn't start its leadership
-	// with an unbounded backlog, then let the scheduler's cadence take
-	// over.
+	// with an unbounded backlog, then let the tick's cadence take over.
 	retention := time.Duration(r.cas.Service.configInt(ctx, "reply_retention_sec", 3600)) * time.Second
 	if _, err := r.cas.Service.GCReplies(ctx, retention); err != nil {
 		return fmt.Errorf("core: repl: promote: gc replies: %w", err)
 	}
 
 	r.mu.Lock()
-	r.leading = true
-	r.term = newTerm
-	r.leader = r.cfg.Self
 	r.promotions.Add(1) // with the role, under r.mu: Stats never shows a leader that was not promoted
-	roleCtx := r.startRoleLocked()
+	r.leadLocked(newTerm)
 	r.mu.Unlock()
-	r.cas.Service.ClearNotLeader()
-	r.cas.StartScheduler()
-	r.startLeaderLoops(roleCtx)
 	return nil
 }
 
-// Demote parks a deposed leader read-only: stop the scheduler and the
-// leader loops, and gate writes with a redirect to newLeader when known.
-// A deposed leader's log may have diverged from the new timeline
-// (commits it acknowledged but never shipped), so it does NOT rejoin as
-// a follower — re-seeding from the new leader is an operator action.
+// Demote parks a deposed leader read-only: stop the shipper and gate
+// writes with a redirect to newLeader when known. The tick keeps running
+// and, gated, only checkpoints. A deposed leader's log may have diverged
+// from the new timeline (commits it acknowledged but never shipped), so
+// it does NOT rejoin as a follower — re-seeding from the new leader is an
+// operator action.
 func (r *Replicator) Demote(newLeader string) {
 	r.mu.Lock()
-	if !r.leading {
-		r.mu.Unlock()
+	defer r.mu.Unlock()
+	if r.role != roleLeader {
 		return
 	}
-	r.leading = false
-	r.leader = newLeader
-	if r.roleCancel != nil {
-		r.roleCancel()
-		r.roleCancel = nil
-	}
-	r.mu.Unlock()
 	r.demotions.Add(1)
-	r.cas.StopScheduler()
-	r.cas.Service.SetNotLeader(newLeader)
+	r.gateLocked(roleParked, newLeader)
 }
 
 // ---------------------------------------------------------------------
@@ -587,7 +575,7 @@ func (r *Replicator) handleShip(ctx context.Context, req *ReplShipRequest) (*Rep
 	r.applyMu.Lock()
 	defer r.applyMu.Unlock()
 	r.mu.Lock()
-	term, leading := r.term, r.leading
+	term, leading := r.term, r.role == roleLeader
 	r.mu.Unlock()
 	if req.Term < term || (req.Term == term && leading) {
 		r.fenced.Add(1)
@@ -634,7 +622,7 @@ func (r *Replicator) handleShip(ctx context.Context, req *ReplShipRequest) (*Rep
 // point exactly to what survived.
 func (r *Replicator) handleJoin(ctx context.Context, req *ReplJoinRequest) (*ReplJoinResponse, error) {
 	r.mu.Lock()
-	if !r.leading {
+	if r.role != roleLeader {
 		leader := r.leader
 		r.mu.Unlock()
 		return nil, &wire.Fault{
@@ -654,10 +642,7 @@ func (r *Replicator) handleJoin(ctx context.Context, req *ReplJoinRequest) (*Rep
 	f.acked = req.AppliedLSN
 	f.ackedAt = r.now()
 	f.mu.Unlock()
-	select {
-	case r.kick <- struct{}{}:
-	default:
-	}
+	r.wake()
 	return &ReplJoinResponse{Term: term, Leader: r.cfg.Self, DurableLSN: r.cas.Engine.DurableLSN()}, nil
 }
 
@@ -667,18 +652,23 @@ func (r *Replicator) handleJoin(ctx context.Context, req *ReplJoinRequest) (*Rep
 // ReplStats snapshots one node's replication state: role, term, lag and
 // traffic counters, plus the engine-level apply/ship counters.
 type ReplStats struct {
-	// Role is "leader" or "follower".
+	// Role is "leader", "follower" or "parked" (a demoted leader, or a
+	// node not yet started: it neither ships, follows nor promotes).
 	Role string
 	// Term is the newest lease term this node has seen.
 	Term uint64
 	// Leader is the known leader endpoint ("" = unknown).
 	Leader string
-	// Followers is the leader's registered-follower count.
+	// Followers is the leader's registered-follower count: those that
+	// joined or acked within a lease TTL.
 	Followers int
 	// ShipCalls / ShipBatches / ShipErrors count leader-side shipping.
 	ShipCalls   uint64
 	ShipBatches uint64
 	ShipErrors  uint64
+	// ShipTruncated counts the ships refused because the follower resumes
+	// from below where this node's log now begins (ErrLogTruncated).
+	ShipTruncated uint64
 	// Fenced counts StaleTerm rejections (issued or received).
 	Fenced uint64
 	// Promotions / Demotions count role transitions on this node.
@@ -699,21 +689,22 @@ type ReplStats struct {
 // Stats snapshots the replicator.
 func (r *Replicator) Stats() ReplStats {
 	s := ReplStats{
-		ShipCalls:   r.shipCalls.Load(),
-		ShipBatches: r.shipBatches.Load(),
-		ShipErrors:  r.shipErrors.Load(),
-		Fenced:      r.fenced.Load(),
-		Promotions:  r.promotions.Load(),
-		Demotions:   r.demotions.Load(),
-		Engine:      r.cas.Engine.ReplStats(),
+		ShipCalls:     r.shipCalls.Load(),
+		ShipBatches:   r.shipBatches.Load(),
+		ShipErrors:    r.shipErrors.Load(),
+		ShipTruncated: r.shipTruncated.Load(),
+		Fenced:        r.fenced.Load(),
+		Promotions:    r.promotions.Load(),
+		Demotions:     r.demotions.Load(),
+		Engine:        r.cas.Engine.ReplStats(),
 	}
 	now := r.now()
 	r.mu.Lock()
+	s.Role = r.role.String()
 	s.Term = r.term
 	s.Leader = r.leader
 	s.Followers = len(r.followers)
-	if r.leading {
-		s.Role = "leader"
+	if r.role == roleLeader {
 		durable := r.cas.Engine.DurableLSN()
 		for _, f := range r.followers {
 			f.mu.Lock()
@@ -731,7 +722,6 @@ func (r *Replicator) Stats() ReplStats {
 			}
 		}
 	} else {
-		s.Role = "follower"
 		applied := r.cas.Engine.AppliedLSN()
 		if ll := r.leaderLSN.Load(); ll > applied {
 			s.LagLSN = ll - applied

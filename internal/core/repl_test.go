@@ -11,17 +11,45 @@ import (
 	"condorj2/internal/wire"
 )
 
+// The replication suite runs its nodes' housekeeping ticks itself
+// (CAS.Tick) under one stepped clock: no test waits for a ticker, and a
+// lease goes stale exactly when a test steps the clock past it. What a
+// test does wait for is the leader's shipper, which a commit or a join
+// wakes.
+
+// stepClock stands still until the test steps it.
+type stepClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (c *stepClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *stepClock) step(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
+
 // replNet is an in-process "network" for replication tests: a registry
 // of endpoints resolved at call time (so a killed node fails calls
 // instead of freezing a stale transport), with an optional per-link
-// wrapper for fault injection on the shipping path.
+// wrapper for fault injection on the shipping path, and the clock every
+// node reads (nil: the wall clock).
 type replNet struct {
 	mu    sync.Mutex
 	nodes map[string]*swapCaller
 	wrap  func(addr string, c wire.Caller) wire.Caller
+	clock *stepClock
 }
 
-func newReplNet() *replNet { return &replNet{nodes: make(map[string]*swapCaller)} }
+func newReplNet() *replNet {
+	return &replNet{nodes: make(map[string]*swapCaller), clock: &stepClock{t: time.Unix(1_000_000, 0)}}
+}
 
 func (n *replNet) register(addr string) *swapCaller {
 	n.mu.Lock()
@@ -47,46 +75,51 @@ func (n *replNet) dial(addr string) wire.Caller {
 
 // replNode bundles one CAS with its replication endpoint.
 type replNode struct {
-	addr string
-	vfs  *sqldb.MemVFS
-	eng  *sqldb.DB
-	cas  *CAS
-	repl *Replicator
-	sc   *swapCaller
+	addr  string
+	vfs   *sqldb.MemVFS
+	eng   *sqldb.DB
+	cas   *CAS
+	repl  *Replicator
+	sc    *swapCaller
+	ticks int
 }
 
 func newReplNode(t *testing.T, net *replNet, addr string, follower bool, cfg ReplConfig) *replNode {
 	t.Helper()
-	vfs := sqldb.NewMemVFS()
-	eng, err := sqldb.Open(sqldb.Options{VFS: vfs, Path: addr + ".wal", Sync: sqldb.SyncGroup})
+	return openReplNode(t, net, addr, sqldb.NewMemVFS(), 0, follower, cfg)
+}
+
+// openReplNode assembles a node on the store in vfs, paged with a pool of
+// poolPages frames when that is positive.
+func openReplNode(t *testing.T, net *replNet, addr string, vfs *sqldb.MemVFS, poolPages int, follower bool, cfg ReplConfig) *replNode {
+	t.Helper()
+	eng, err := sqldb.Open(sqldb.Options{VFS: vfs, Path: addr + ".wal", Sync: sqldb.SyncGroup, PoolPages: poolPages})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cas, err := New(Options{Engine: eng, PoolSize: 8, Follower: follower})
+	opts := Options{Engine: eng, PoolSize: 8, Follower: follower}
+	if net.clock != nil {
+		opts.Clock = net.clock
+	}
+	cas, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Self = addr
 	cfg.Dial = net.dial
-	if cfg.LeaseTTL == 0 {
-		cfg.LeaseTTL = 500 * time.Millisecond
+	repl, err := NewReplicator(cas, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cfg.Interval == 0 {
-		cfg.Interval = 25 * time.Millisecond
-	}
-	if cfg.CallTimeout == 0 {
-		cfg.CallTimeout = time.Second
-	}
-	n := &replNode{
-		addr: addr,
-		vfs:  vfs,
-		eng:  eng,
-		cas:  cas,
-		repl: NewReplicator(cas, cfg),
-		sc:   net.register(addr),
-	}
+	n := &replNode{addr: addr, vfs: vfs, eng: eng, cas: cas, repl: repl, sc: net.register(addr)}
 	n.sc.set(&wire.Local{Mux: cas.Mux})
 	return n
+}
+
+// tick runs the node's next housekeeping tick.
+func (n *replNode) tick() {
+	n.ticks++
+	n.cas.Tick(context.Background(), n.ticks)
 }
 
 func (n *replNode) close() {
@@ -102,6 +135,26 @@ func (n *replNode) kill() {
 	n.cas.StopScheduler()
 	n.cas.Close()
 	n.eng.Close()
+}
+
+// startPair makes leader lead and follower follow it, and ticks the
+// follower once: its join is what tells the leader to ship to it.
+func startPair(t *testing.T, leader, follower *replNode) {
+	t.Helper()
+	if err := leader.repl.StartLeader(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	follower.repl.StartFollower(leader.addr)
+	follower.tick()
+}
+
+// drain waits for the leader's shipper to bring the follower level with
+// the leader's log.
+func drain(t *testing.T, leader, follower *replNode) {
+	t.Helper()
+	waitFor(t, 5*time.Second, follower.addr+" to catch up with "+leader.addr, func() bool {
+		return follower.eng.AppliedLSN() >= leader.eng.DurableLSN()
+	})
 }
 
 func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
@@ -125,11 +178,7 @@ func TestReplFollowerServesReadsRejectsWrites(t *testing.T) {
 	defer leader.close()
 	follower := newReplNode(t, net, "follower", true, ReplConfig{})
 	defer follower.close()
-
-	if err := leader.repl.StartLeader(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	follower.repl.StartFollower(context.Background(), "leader")
+	startPair(t, leader, follower)
 
 	client := net.dial("leader")
 	var sr SubmitResponse
@@ -137,9 +186,7 @@ func TestReplFollowerServesReadsRejectsWrites(t *testing.T) {
 		&SubmitRequest{Owner: "alice", Count: 5, LengthSec: 60}, &sr); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, "replication to drain", func() bool {
-		return follower.eng.AppliedLSN() >= leader.eng.DurableLSN()
-	})
+	drain(t, leader, follower)
 
 	// Reads on the follower see the replicated queue.
 	fclient := net.dial("follower")
@@ -186,27 +233,21 @@ func TestReplFollowerServesReadsRejectsWrites(t *testing.T) {
 
 // TestReplStaleTermFencing promotes the follower while the old leader
 // lives on, then lets the old leader commit and ship: the promoted
-// node must reject the stale-term ship, and the old leader must demote
-// itself to read-only rather than split the brain.
+// node must reject the stale-term ship, and the old leader must park
+// itself read-only rather than split the brain.
 func TestReplStaleTermFencing(t *testing.T) {
 	net := newReplNet()
 	leader := newReplNode(t, net, "old", false, ReplConfig{})
 	defer leader.close()
-	follower := newReplNode(t, net, "new", true, ReplConfig{LeaseTTL: time.Hour})
+	follower := newReplNode(t, net, "new", true, ReplConfig{})
 	defer follower.close()
-
-	if err := leader.repl.StartLeader(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	follower.repl.StartFollower(context.Background(), "old")
+	startPair(t, leader, follower)
 	client := net.dial("old")
 	if err := client.Call(context.Background(), ActionSubmitJob,
 		&SubmitRequest{Owner: "u", Count: 3, LengthSec: 60}, &SubmitResponse{}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, "initial replication", func() bool {
-		return follower.eng.AppliedLSN() >= leader.eng.DurableLSN()
-	})
+	drain(t, leader, follower)
 
 	// Simulated partition decision: promote the follower by hand.
 	if err := follower.repl.Promote(context.Background()); err != nil {
@@ -216,17 +257,14 @@ func TestReplStaleTermFencing(t *testing.T) {
 		t.Fatalf("promoted node role %q", got)
 	}
 
-	// The deposed leader keeps writing; its next ship must be fenced. (Its
-	// lease renewals ship too, every 25 ms: one of those may have been
-	// fenced first, and then this write is already refused.)
+	// The deposed leader does not know yet and takes a write; shipping it
+	// is what gets fenced.
 	if err := client.Call(context.Background(), ActionSubmitJob,
 		&SubmitRequest{Owner: "u", Count: 1, LengthSec: 60}, &SubmitResponse{}); err != nil {
-		if flt, ok := wire.AsFault(err); !ok || flt.Code != wire.FaultNotLeader {
-			t.Fatal(err)
-		}
+		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, "old leader to demote on StaleTerm", func() bool {
-		return leader.repl.Stats().Role == "follower"
+	waitFor(t, 5*time.Second, "old leader to park on StaleTerm", func() bool {
+		return leader.repl.Stats().Role == "parked"
 	})
 	if leader.repl.Stats().Demotions != 1 {
 		t.Fatalf("demotions = %d, want 1", leader.repl.Stats().Demotions)
@@ -264,13 +302,9 @@ func TestReplStaleTermFencing(t *testing.T) {
 func TestReplKeyedSubmitAcrossPromotion(t *testing.T) {
 	net := newReplNet()
 	leader := newReplNode(t, net, "a", false, ReplConfig{})
-	follower := newReplNode(t, net, "b", true, ReplConfig{LeaseTTL: time.Hour})
+	follower := newReplNode(t, net, "b", true, ReplConfig{})
 	defer follower.close()
-
-	if err := leader.repl.StartLeader(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	follower.repl.StartFollower(context.Background(), "a")
+	startPair(t, leader, follower)
 
 	key := wire.NewIdempotencyKey()
 	ctx := wire.WithIdempotencyKey(context.Background(), key)
@@ -279,9 +313,7 @@ func TestReplKeyedSubmitAcrossPromotion(t *testing.T) {
 		&SubmitRequest{Owner: "u", Count: 4, LengthSec: 60}, &first); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, "replication", func() bool {
-		return follower.eng.AppliedLSN() >= leader.eng.DurableLSN()
-	})
+	drain(t, leader, follower)
 	leader.kill()
 	if err := follower.repl.Promote(context.Background()); err != nil {
 		t.Fatal(err)
@@ -309,18 +341,14 @@ func TestReplKeyedSubmitAcrossPromotion(t *testing.T) {
 
 // TestReplPromotionRunsReplyGC sets a zero reply retention, then
 // promotes: the promotion itself must age out the replicated dedup rows
-// (the scheduler's GC cadence used to be the only trigger, which a
-// freshly promoted follower had never run).
+// (the tick's GC cadence used to be the only trigger, which a freshly
+// promoted follower had never run).
 func TestReplPromotionRunsReplyGC(t *testing.T) {
 	net := newReplNet()
 	leader := newReplNode(t, net, "a", false, ReplConfig{})
-	follower := newReplNode(t, net, "b", true, ReplConfig{LeaseTTL: time.Hour})
+	follower := newReplNode(t, net, "b", true, ReplConfig{})
 	defer follower.close()
-
-	if err := leader.repl.StartLeader(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	follower.repl.StartFollower(context.Background(), "a")
+	startPair(t, leader, follower)
 	ctx := wire.WithIdempotencyKey(context.Background(), wire.NewIdempotencyKey())
 	if err := net.dial("a").Call(ctx, ActionSubmitJob,
 		&SubmitRequest{Owner: "u", Count: 1, LengthSec: 60}, &SubmitResponse{}); err != nil {
@@ -330,16 +358,14 @@ func TestReplPromotionRunsReplyGC(t *testing.T) {
 		&ConfigSetRequest{Name: "reply_retention_sec", Value: "0"}, &ConfigSetResponse{}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, "replication", func() bool {
-		return follower.eng.AppliedLSN() >= leader.eng.DurableLSN()
-	})
+	drain(t, leader, follower)
 	var replicated int
 	follower.cas.Pool.QueryRow(`SELECT count(*) FROM wire_replies`).Scan(&replicated)
 	if replicated == 0 {
 		t.Fatal("reply row did not replicate")
 	}
 	leader.kill()
-	time.Sleep(10 * time.Millisecond) // let created_at fall behind now()
+	net.clock.step(time.Second) // let created_at fall behind now()
 	if err := follower.repl.Promote(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -359,22 +385,16 @@ func TestReplPromotionRunsReplyGC(t *testing.T) {
 func TestReplPromotionAppliesReplicatedEngineConfig(t *testing.T) {
 	net := newReplNet()
 	leader := newReplNode(t, net, "a", false, ReplConfig{})
-	follower := newReplNode(t, net, "b", true, ReplConfig{LeaseTTL: time.Hour})
+	follower := newReplNode(t, net, "b", true, ReplConfig{})
 	defer follower.close()
-
-	if err := leader.repl.StartLeader(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	follower.repl.StartFollower(context.Background(), "a")
+	startPair(t, leader, follower)
 	for name, value := range map[string]string{ConfigStmtTimeoutMs: "1500", ConfigLockTimeoutMs: "250"} {
 		if err := net.dial("a").Call(context.Background(), ActionConfigSet,
 			&ConfigSetRequest{Name: name, Value: value}, &ConfigSetResponse{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 5*time.Second, "replication", func() bool {
-		return follower.eng.AppliedLSN() >= leader.eng.DurableLSN()
-	})
+	drain(t, leader, follower)
 	if got := follower.eng.StmtTimeout(); got != 0 {
 		t.Fatalf("follower's statement timeout before promotion = %s, want unset", got)
 	}
@@ -387,39 +407,45 @@ func TestReplPromotionAppliesReplicatedEngineConfig(t *testing.T) {
 	}
 }
 
-// TestReplLeasePromotionOnLeaderDeath runs the full detector: a live
-// pair with a short lease; the leader dies silently; the follower's
-// local copy of the lease goes stale past its TTL and the follower
-// promotes itself, opening the write path.
+// TestReplLeasePromotionOnLeaderDeath runs the full detector tick by tick,
+// a second apart, on the default 3 s lease: while the leader renews, the
+// follower never promotes; once the leader dies silently, the follower's
+// copy of the lease ages, and the follower promotes on exactly the first
+// tick that finds it older than the TTL, opening the write path.
 func TestReplLeasePromotionOnLeaderDeath(t *testing.T) {
 	net := newReplNet()
-	cfg := ReplConfig{LeaseTTL: 300 * time.Millisecond, Interval: 30 * time.Millisecond}
-	leader := newReplNode(t, net, "a", false, cfg)
-	follower := newReplNode(t, net, "b", true, cfg)
+	leader := newReplNode(t, net, "a", false, ReplConfig{})
+	follower := newReplNode(t, net, "b", true, ReplConfig{})
 	defer follower.close()
-
-	if err := leader.repl.StartLeader(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	follower.repl.StartFollower(context.Background(), "a")
+	startPair(t, leader, follower)
 	if err := net.dial("a").Call(context.Background(), ActionSubmitJob,
 		&SubmitRequest{Owner: "u", Count: 2, LengthSec: 60}, &SubmitResponse{}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, "replication", func() bool {
-		return follower.eng.AppliedLSN() >= leader.eng.DurableLSN()
-	})
-	// While the leader renews, the follower must not promote.
-	time.Sleep(2 * cfg.LeaseTTL)
-	if follower.repl.Stats().Role != "follower" {
-		t.Fatal("follower promoted under a live lease")
+	drain(t, leader, follower)
+
+	for i := 0; i < 10; i++ { // well past the TTL
+		net.clock.step(time.Second)
+		leader.tick() // renews, and the renewal ships
+		drain(t, leader, follower)
+		follower.tick()
+		if role := follower.repl.Stats().Role; role != "follower" {
+			t.Fatalf("tick %d: follower is %s under a live lease", i+1, role)
+		}
 	}
+
 	leader.kill()
-	waitFor(t, 10*time.Second, "lease-expiry promotion", func() bool {
-		return follower.repl.Stats().Role == "leader"
-	})
-	if follower.repl.Stats().Promotions != 1 {
-		t.Fatalf("promotions = %d, want 1", follower.repl.Stats().Promotions)
+	for age := time.Second; age <= 3*time.Second; age += time.Second {
+		net.clock.step(time.Second)
+		follower.tick()
+		if role := follower.repl.Stats().Role; role != "follower" {
+			t.Fatalf("follower is %s with the lease %s old, inside its 3s TTL", role, age)
+		}
+	}
+	net.clock.step(time.Second)
+	follower.tick()
+	if rs := follower.repl.Stats(); rs.Role != "leader" || rs.Promotions != 1 {
+		t.Fatalf("first tick past the TTL: role %s, %d promotions; want leader, 1", rs.Role, rs.Promotions)
 	}
 	// The promoted node accepts writes and kept the replicated queue.
 	var sr SubmitResponse
@@ -431,5 +457,115 @@ func TestReplLeasePromotionOnLeaderDeath(t *testing.T) {
 	follower.cas.Pool.QueryRow(`SELECT count(*) FROM jobs`).Scan(&jobs)
 	if jobs != 3 {
 		t.Fatalf("%d jobs on promoted node, want 3", jobs)
+	}
+}
+
+// TestReplForgetsSilentFollower: a leader ships to two followers and one
+// dies. The leader keeps the dead one for a lease TTL — a live follower
+// joins every tick, so that is three missed joins — and drops it on the
+// first tick past that; from then on the lag is the survivor's alone, and
+// the survivor still replicates.
+func TestReplForgetsSilentFollower(t *testing.T) {
+	net := newReplNet()
+	// One attempt per ship: the dead link then fails at once, not after
+	// the backoff a flaky one earns.
+	leader := newReplNode(t, net, "a", false, ReplConfig{Retry: &wire.RetryPolicy{MaxAttempts: 1}})
+	defer leader.close()
+	live := newReplNode(t, net, "b", true, ReplConfig{})
+	defer live.close()
+	dead := newReplNode(t, net, "c", true, ReplConfig{})
+	startPair(t, leader, live)
+	dead.repl.StartFollower("a")
+	dead.tick()
+	drain(t, leader, live)
+	drain(t, leader, dead)
+	if n := leader.repl.Stats().Followers; n != 2 {
+		t.Fatalf("%d followers registered, want 2", n)
+	}
+
+	dead.kill()
+	submit := func() {
+		t.Helper()
+		if err := net.dial("a").Call(context.Background(), ActionSubmitJob,
+			&SubmitRequest{Owner: "u", Count: 1, LengthSec: 60}, &SubmitResponse{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit() // the dead follower never gets this
+	for silent := time.Second; silent <= 4*time.Second; silent += time.Second {
+		net.clock.step(time.Second)
+		leader.tick()
+		drain(t, leader, live)
+		live.tick()
+		want := 2
+		if silent > 3*time.Second {
+			want = 1
+		}
+		if n := leader.repl.Stats().Followers; n != want {
+			t.Fatalf("dead follower silent %s: %d followers registered, want %d", silent, n, want)
+		}
+	}
+	waitFor(t, 5*time.Second, "the leader's lag to be the survivor's alone", func() bool {
+		return leader.repl.Stats().LagLSN == 0
+	})
+	submit()
+	drain(t, leader, live)
+	var jobs int
+	live.cas.Pool.QueryRow(`SELECT count(*) FROM jobs`).Scan(&jobs)
+	if jobs != 2 {
+		t.Fatalf("survivor shows %d jobs, want 2", jobs)
+	}
+}
+
+// TestReplTruncatedJoinIsCounted: a paged leader's log reaches back only
+// to its last checkpoint, and after a clean restart (Close checkpoints) it
+// is empty, so an empty follower joining at LSN 0 is refused
+// ErrLogTruncated rather than shipped a log with a hole. The refusal is
+// counted as ShipTruncated, apart from transport errors, and the follower
+// stays empty however long it joins. Rejoin — catching such a follower up
+// from the leader's checkpoint rather than its log — is what turns the
+// AppliedLSN == 0 below into convergence.
+func TestReplTruncatedJoinIsCounted(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cut  func(t *testing.T, net *replNet, leader *replNode) *replNode
+	}{
+		{"after a checkpoint", func(t *testing.T, _ *replNet, leader *replNode) *replNode {
+			if err := leader.eng.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			return leader
+		}},
+		{"after a clean restart", func(t *testing.T, net *replNet, leader *replNode) *replNode {
+			leader.close()
+			return openReplNode(t, net, leader.addr, leader.vfs, 64, false, ReplConfig{})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := newReplNet()
+			leader := openReplNode(t, net, "a", sqldb.NewMemVFS(), 64, false, ReplConfig{})
+			if _, err := leader.cas.Service.Submit(context.Background(), &SubmitRequest{Owner: "u", Count: 20, LengthSec: 60}); err != nil {
+				t.Fatal(err)
+			}
+			leader = tc.cut(t, net, leader)
+			defer leader.close()
+			follower := newReplNode(t, net, "b", true, ReplConfig{})
+			defer follower.close()
+			startPair(t, leader, follower)
+			for i := 0; i < 20; i++ {
+				net.clock.step(time.Second)
+				leader.tick()
+				follower.tick()
+			}
+			waitFor(t, 5*time.Second, "the refusal to be counted", func() bool {
+				return leader.repl.Stats().ShipTruncated > 0
+			})
+			if rs := leader.repl.Stats(); rs.ShipCalls != 0 || rs.ShipErrors != 0 || rs.Followers != 1 {
+				t.Fatalf("leader stats %+v: want no ship sent, no transport error, the follower registered", rs)
+			}
+			if got := follower.eng.AppliedLSN(); got != 0 {
+				t.Fatalf("follower applied through LSN %d from a log that no longer reaches back to it", got)
+			}
+		})
 	}
 }

@@ -38,7 +38,9 @@ func TestReplChaosLeaderKillPromote(t *testing.T) {
 
 	// The shipping link (replShip + replJoin between the nodes) drops a
 	// fifth of everything; the replicator's keyed retries must hide it.
+	// The agents and the links run in real time, and so does the lease.
 	net := newReplNet()
+	net.clock = nil
 	shipFaults := make(map[string]*wire.FaultTransport)
 	var shipMu sync.Mutex
 	net.wrap = func(addr string, c wire.Caller) wire.Caller {
@@ -55,9 +57,9 @@ func TestReplChaosLeaderKillPromote(t *testing.T) {
 		return ft
 	}
 
+	// The default lease, 3 s, is the shortest the 1 s tick period allows,
+	// although the loop below ticks far more often.
 	cfg := ReplConfig{
-		LeaseTTL: 1500 * time.Millisecond,
-		Interval: 100 * time.Millisecond,
 		Retry: &wire.RetryPolicy{
 			MaxAttempts: 8,
 			BaseDelay:   time.Millisecond,
@@ -74,10 +76,16 @@ func TestReplChaosLeaderKillPromote(t *testing.T) {
 			QueueWait: 200 * time.Millisecond, FreshFor: 5 * time.Second,
 		})
 	}
-	if err := leader.repl.StartLeader(context.Background()); err != nil {
-		t.Fatalf("seed=%d: %v", seed, err)
+	startPair(t, leader, follower)
+	// This test's loops are both nodes' housekeeping tick: on the leader
+	// the cycle, the lease renewal and the kick that retries a failed ship;
+	// on the follower the join and the lease watch.
+	ticking := []*replNode{leader, follower}
+	tick := func() {
+		for _, n := range ticking {
+			n.tick()
+		}
 	}
-	follower.repl.StartFollower(context.Background(), "cas-a")
 
 	// Clients reach "the cluster" through a virtual address the test
 	// repoints at the promoted node after the kill, the way a failover DNS
@@ -102,6 +110,7 @@ func TestReplChaosLeaderKillPromote(t *testing.T) {
 
 	submitCtx := wire.WithIdempotencyKey(context.Background(), "replchaos-submit")
 	for {
+		tick()
 		ctx, cancel := context.WithTimeout(submitCtx, 2*time.Second)
 		var sr SubmitResponse
 		err := retryer.Call(ctx, ActionSubmitJob,
@@ -115,6 +124,7 @@ func TestReplChaosLeaderKillPromote(t *testing.T) {
 	// or "complete every job" is unsatisfiable. Real deployments express
 	// the same requirement as a synchronous-ack or max-lag policy.
 	waitFor(t, 15*time.Second, "submit batch to replicate", func() bool {
+		tick()
 		return follower.eng.AppliedLSN() >= leader.eng.DurableLSN()
 	})
 
@@ -136,10 +146,12 @@ func TestReplChaosLeaderKillPromote(t *testing.T) {
 			t.Fatalf("seed=%d: failover torture did not converge: %d/%d completed, killed=%v (leader repl %+v, follower repl %+v, faults %+v)",
 				seed, completedCount(), jobs, killed, leader.repl.Stats(), follower.repl.Stats(), ft.Stats())
 		}
-		primary.cas.Service.ScheduleCycle(context.Background())
+		// Lag is read before the tick: every tick's renewal commits, and the
+		// shipper has had the loop's sleep to ship the previous one.
 		if !killed && follower.eng.AppliedLSN() >= leader.eng.DurableLSN() {
 			caughtUp = true // lag drained to zero under the lossy link
 		}
+		tick()
 		done := completedCount()
 		if !killed && caughtUp && done >= jobs/3 {
 			// The leader vanishes without ceremony: no demotion, no final
@@ -148,7 +160,9 @@ func TestReplChaosLeaderKillPromote(t *testing.T) {
 			vip.set(nil)
 			leader.kill()
 			killed = true
+			ticking = ticking[1:]
 			waitFor(t, 30*time.Second, "lease-expiry promotion", func() bool {
+				tick()
 				return follower.repl.Stats().Role == "leader"
 			})
 			primary = follower
