@@ -254,8 +254,18 @@ func TestOrderedSelectAllocs(t *testing.T) {
 		}
 	}
 
-	small := bytesPerRun(50, read(cols+`ORDER BY priority, id DESC LIMIT 10`, any("held"), 10))
-	large := bytesPerRun(50, read(cols+`ORDER BY priority, id DESC LIMIT 10`, any("idle"), 10))
+	// The least of three measurements per size: a loaded machine can add
+	// a few hundred bytes of runtime noise to any one of them, and the
+	// comparison below is about what the statement costs.
+	least := func(f func()) float64 {
+		b := bytesPerRun(50, f)
+		for i := 0; i < 2; i++ {
+			b = min(b, bytesPerRun(50, f))
+		}
+		return b
+	}
+	small := least(read(cols+`ORDER BY priority, id DESC LIMIT 10`, any("held"), 10))
+	large := least(read(cols+`ORDER BY priority, id DESC LIMIT 10`, any("idle"), 10))
 	t.Logf("top 10 of 500 tied rows: %.0f bytes; of 5,000: %.0f bytes", small, large)
 	if large > 4096 {
 		t.Errorf("top 10 of 5,000 tied rows: %.0f bytes, budget 4096", large)

@@ -892,7 +892,7 @@ func (tx *Tx) execStmt(stmt Statement, params []Value) (Result, *Rows, error) {
 		rows, err := tx.execSelect(s, params)
 		return Result{}, rows, err
 	case *ExplainStmt:
-		rows, err := tx.execExplain(s, params)
+		rows, err := tx.execExplain(s)
 		return Result{}, rows, err
 	case *InsertStmt:
 		res, err := tx.execInsert(s, params)

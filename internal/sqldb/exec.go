@@ -7,8 +7,9 @@ import (
 	"strings"
 )
 
-// The executor implements single-table and left-deep nested-loop join
-// plans. Access paths are chosen per table: an index scan when WHERE/ON
+// The executor runs every SELECT, and every UPDATE/DELETE target, as a
+// plan of join steps (join.go): one step per FROM table, none without a
+// FROM. Access paths are chosen per table: an index scan when WHERE/ON
 // equality conjuncts cover a prefix of some index, otherwise a full scan.
 // This is deliberately the plan shape the CAS's hot statements need — point
 // lookups on machine name and virtual-machine id during heartbeats, short
@@ -149,24 +150,6 @@ func (tx *Tx) execSelect(s *SelectStmt, params []Value) (*Rows, error) {
 		}
 	}
 
-	// Expression-only SELECT (no FROM).
-	if len(q.bindings) == 0 {
-		row := make([]Value, 0, len(s.Exprs))
-		cols := make([]string, 0, len(s.Exprs))
-		for i, se := range s.Exprs {
-			if se.Star {
-				return nil, fmt.Errorf("sqldb: SELECT * requires a FROM clause")
-			}
-			v, err := q.env.eval(se.Expr)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, v)
-			cols = append(cols, outputName(se, i))
-		}
-		return &Rows{Columns: cols, Data: [][]Value{row}}, nil
-	}
-
 	// Outputs were star-expanded and named at plan time; so was whether
 	// they are all bare columns (plan.picks), and the result then row
 	// references instead of computed rows.
@@ -191,21 +174,10 @@ func (tx *Tx) execSelect(s *SelectStmt, params []Value) (*Rows, error) {
 	return rows, nil
 }
 
-// plan splits predicates into conjuncts, assigns them to join positions,
-// and selects access paths. Multi-table SELECTs go through the cost-based
-// join planner (join.go); single-table statements keep the direct
-// access-path selection below.
+// plan decides whether the access path may provide the ORDER BY, which
+// chooseAccess reads, and then plans the steps (planJoin).
 func (q *query) plan() error {
-	n := len(q.bindings)
-	q.filters = make([][]Expr, n)
-	q.access = make([]accessPlan, n)
-	if n == 0 {
-		return nil
-	}
-	if n >= 2 {
-		return q.planJoin()
-	}
-	q.orderable = n == 1 && len(q.stmt.OrderBy) > 0 && !q.stmt.Distinct &&
+	q.orderable = len(q.bindings) == 1 && len(q.stmt.OrderBy) > 0 && !q.stmt.Distinct &&
 		len(q.stmt.GroupBy) == 0 && q.stmt.Having == nil
 	if q.orderable {
 		for _, se := range q.stmt.Exprs {
@@ -227,20 +199,7 @@ func (q *query) plan() error {
 			}
 		}
 	}
-	for _, c := range conjuncts(q.stmt.Where) {
-		pos, err := q.lastBindingPos(c)
-		if err != nil {
-			return err
-		}
-		q.filters[pos] = append(q.filters[pos], c)
-	}
-	// Index-eligible conjuncts for the single table: its WHERE filters.
-	canEval := func(e Expr) bool { return !refsColumns(e) }
-	q.access[0] = q.chooseAccess(0, q.filters[0], canEval)
-	if q.access[0].index != nil {
-		q.usedIndex = true
-	}
-	return nil
+	return q.planJoin()
 }
 
 // conjuncts flattens nested ANDs into a list.
@@ -278,30 +237,6 @@ func (q *query) bindingPos(cr *ColRef) (int, error) {
 		return 0, fmt.Errorf("sqldb: unknown column %q", cr.Name)
 	}
 	return found, nil
-}
-
-// lastBindingPos reports the rightmost join position an expression
-// references; expressions without column refs are position 0.
-func (q *query) lastBindingPos(e Expr) (int, error) {
-	pos := 0
-	var firstErr error
-	walkExpr(e, func(x Expr) {
-		cr, ok := x.(*ColRef)
-		if !ok {
-			return
-		}
-		p, err := q.bindingPos(cr)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			return
-		}
-		if p > pos {
-			pos = p
-		}
-	})
-	return pos, firstErr
 }
 
 // rangeBound is one inequality usable as an index range endpoint.
@@ -548,18 +483,6 @@ func refsColumns(e Expr) bool {
 	return found
 }
 
-// scanBinding visits candidate rows for position i under the current outer
-// env, using the chosen access path.
-func (q *query) scanBinding(i int, visit func(row []Value) error) error {
-	return q.scanAccess(i, func(rid int64, row []Value) error { return visit(row) })
-}
-
-// scanAccess is the shared access-path executor: full scan, equality
-// prefix, or equality prefix + range bound.
-func (q *query) scanAccess(i int, visit func(rid int64, row []Value) error) error {
-	return q.scanPlan(i, q.access[i], visit)
-}
-
 // scanPlan executes one access path over binding i, pushing each
 // surviving row into visit. It is a thin driver over the batched scanOp
 // (scan.go): batches are pulled Init/Next-style and visited row by row,
@@ -595,27 +518,6 @@ func (q *query) scanPlan(i int, ap accessPlan, visit func(rid int64, row []Value
 	}
 }
 
-// join runs the single-table scan loop (multi-table statements execute
-// through the planned steps in join.go; see joinLoop).
-func (q *query) join(i int, emit func() error) error {
-	if i == len(q.bindings) {
-		return emit()
-	}
-	return q.scanBinding(i, func(row []Value) error {
-		q.env.bindings[i].row = row
-		for _, c := range q.filters[i] {
-			ok, err := truthy(q.env.eval(c))
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-		}
-		return q.join(i+1, emit)
-	})
-}
-
 // expandOutputs resolves stars into column refs and names the outputs.
 func (q *query) expandOutputs() ([]Expr, []string, error) {
 	var outs []Expr
@@ -638,6 +540,9 @@ func (q *query) expandOutputs() ([]Expr, []string, error) {
 			expanded = true
 		}
 		if !expanded {
+			if len(q.bindings) == 0 {
+				return nil, nil, fmt.Errorf("sqldb: SELECT * requires a FROM clause")
+			}
 			return nil, nil, fmt.Errorf("sqldb: %s.* matches no table", se.Table)
 		}
 	}
@@ -779,10 +684,10 @@ func (s *sortLimit) begin(q *query) error {
 		return err
 	}
 	s.bound = s.limit + s.offset
-	if q.orderable && len(q.access) > 0 && q.access[0].index != nil {
-		s.ordered = q.access[0].ordered
+	if q.orderable {
+		s.ordered = q.steps[0].access.ordered
 	}
-	if len(q.bindings) == 1 && (s.ordered > 0 || s.nkey == 0) {
+	if len(q.steps) == 1 && (s.ordered > 0 || s.nkey == 0) {
 		// The scan is expected to stop at bound rows: size its batches for
 		// that (+1 so the boundary row that proves a stop on ties lands in
 		// the same batch).
@@ -1269,19 +1174,15 @@ func (tx *Tx) planTarget(kind, tableName string, where Expr, slot *planSlot, par
 }
 
 // matchTarget collects row ids matching WHERE into the scratch's rid list
-// (materialized up front so mutation does not disturb the scan).
+// (materialized up front so mutation does not disturb the scan): the rows
+// the plan's one step reads and its conjuncts keep.
 func (q *query) matchTarget() ([]int64, error) {
+	st := &q.steps[0]
 	rids := q.sc.rids[:0]
-	err := q.scanAccess(0, func(rid int64, row []Value) error {
-		q.env.bindings[0].row = row
-		for _, c := range q.filters[0] {
-			ok, err := truthy(q.env.eval(c))
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
+	err := q.scanPlan(st.bind, st.access, func(rid int64, row []Value) error {
+		q.env.bindings[st.bind].row = row
+		if ok, err := q.evalConjs(st.match); err != nil || !ok {
+			return err
 		}
 		rids = append(rids, rid)
 		return nil

@@ -14,8 +14,8 @@ type ExplainStmt struct {
 
 func (*ExplainStmt) stmtNode() {}
 
-// execExplain plans the wrapped statement and renders one row per table.
-func (tx *Tx) execExplain(s *ExplainStmt, params []Value) (*Rows, error) {
+// execExplain plans the wrapped statement and renders one row per step.
+func (tx *Tx) execExplain(s *ExplainStmt) (*Rows, error) {
 	var sel *SelectStmt
 	switch inner := s.Stmt.(type) {
 	case *SelectStmt:
@@ -27,7 +27,6 @@ func (tx *Tx) execExplain(s *ExplainStmt, params []Value) (*Rows, error) {
 	default:
 		return nil, fmt.Errorf("sqldb: EXPLAIN supports SELECT, UPDATE and DELETE")
 	}
-	stats := StmtStats{Kind: "EXPLAIN"}
 	// A SELECT explained from a read-only transaction will execute as a
 	// snapshot read; plan it the same way so the rendered plan (including
 	// the snapshot-age index guard) is the one that would actually run.
@@ -64,12 +63,6 @@ func (tx *Tx) execExplain(s *ExplainStmt, params []Value) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	q := &query{tx: tx, selectPlan: plan, params: params, stats: &stats, snapRead: snap, snapTS: tx.snap}
-	q.env = &evalEnv{params: params, now: tx.db.nowFn()}
-	q.env.bindings = make([]binding, len(plan.bindings))
-	for i, b := range plan.bindings {
-		q.env.bindings[i] = binding{alias: b.alias, schema: &b.tbl.schema}
-	}
 	// The read column renders the concurrency mode per table: SNAPSHOT
 	// READ never touches the lock manager; LOCKED READ takes the 2PL
 	// shared locks the access path calls for. Plan tests assert monitoring
@@ -83,38 +76,26 @@ func (tx *Tx) execExplain(s *ExplainStmt, params []Value) (*Rows, error) {
 		cached = " [CACHED]"
 	}
 	rows := &Rows{Columns: []string{"table", "access", "read", "join", "rows"}}
+	// One row per step, in the chosen execution order: the row order IS the
+	// join order; the join column is the per-edge strategy (- for a lone
+	// table); the rows column is the estimated cumulative cardinality after
+	// the step.
 	var inputEst float64
-	if len(q.bindings) >= 2 {
-		// One row per step, in the chosen execution order: the row order IS
-		// the join order; the join column is the per-edge strategy; the rows
-		// column is the estimated cumulative cardinality after the step.
-		for i := range q.steps {
-			st := &q.steps[i]
-			b := q.bindings[st.bind]
-			rows.Data = append(rows.Data, []Value{
-				NewText(b.tbl.schema.Name),
-				NewText(describeAccess(st.access, b.tbl) + cached),
-				NewText(readMode),
-				NewText(describeStep(st)),
-				NewInt(int64(math.Round(st.estOut))),
-			})
-			inputEst = st.estOut
+	for i := range plan.steps {
+		st := &plan.steps[i]
+		b := plan.bindings[st.bind]
+		join := "-"
+		if len(plan.steps) > 1 {
+			join = describeStep(st)
 		}
-	} else {
-		for i, b := range q.bindings {
-			est := b.tbl.estRows()
-			for _, c := range q.filters[i] {
-				est *= q.localSelectivity(i, c)
-			}
-			rows.Data = append(rows.Data, []Value{
-				NewText(b.tbl.schema.Name),
-				NewText(describeAccess(q.access[i], b.tbl) + cached),
-				NewText(readMode),
-				NewText("-"),
-				NewInt(int64(math.Round(est))),
-			})
-			inputEst = est
-		}
+		rows.Data = append(rows.Data, []Value{
+			NewText(b.tbl.schema.Name),
+			NewText(describeAccess(st.access, b.tbl) + cached),
+			NewText(readMode),
+			NewText(join),
+			NewInt(int64(math.Round(st.estOut))),
+		})
+		inputEst = st.estOut
 	}
 	// Aggregated SELECTs run through the hash GROUP BY operator
 	// (executor.go); render it as a final pipeline-breaking step with the
@@ -125,7 +106,7 @@ func (tx *Tx) execExplain(s *ExplainStmt, params []Value) (*Rows, error) {
 			NewText(describeAggregate(sel)),
 			NewText("-"),
 			NewText("-"),
-			NewInt(estGroups(q, sel, inputEst)),
+			NewInt(estGroups(&query{selectPlan: plan}, sel, inputEst)),
 		})
 	}
 	return rows, nil

@@ -128,17 +128,22 @@ func (q *query) conjRefs(e Expr) (uint64, error) {
 	return mask, firstErr
 }
 
-// planJoin plans a multi-table SELECT: conjunct classification, join
-// ordering, per-edge strategy selection. It fills q.steps and mirrors the
-// chosen scan paths into q.access so the lock-mode selection and EXPLAIN
-// keep working per table.
+// planJoin plans the statement's steps: conjunct classification, join
+// ordering, per-edge strategy selection. It fills q.steps, one per FROM
+// table: a lone table is one DRIVER step holding every WHERE conjunct, and
+// a statement without FROM has none.
 func (q *query) planJoin() error {
 	n := len(q.bindings)
 	if n > 64 {
 		return fmt.Errorf("sqldb: too many joined tables (max 64)")
 	}
+	if n == 0 {
+		return nil
+	}
 	db := q.tx.db
-	db.plannerJoinQueries.Add(1)
+	if n >= 2 {
+		db.plannerJoinQueries.Add(1)
+	}
 
 	// Classify conjuncts: LEFT ON conjuncts are pinned to their step; inner
 	// ON conjuncts are equivalent to WHERE conjuncts and join the shared
@@ -204,7 +209,6 @@ func (q *query) planJoin() error {
 	q.steps = steps
 	for i := range steps {
 		st := &steps[i]
-		q.access[st.bind] = st.access
 		if st.access.index != nil {
 			q.usedIndex = true
 		}
@@ -304,8 +308,11 @@ func (q *query) chooseOrder(pool []joinConj, leftOn [][]joinConj) []int {
 			}
 			continue
 		}
-		// Advance the prefix state past this segment's final order.
-		state = q.extendOrder(state, chosen[len(chosen)-len(seg):], pool, leftOn)
+		// Advance the prefix state past this segment's final order, when a
+		// segment follows to be costed after it.
+		if si < len(segs)-1 {
+			state = q.extendOrder(state, chosen[len(chosen)-len(seg):], pool, leftOn)
+		}
 	}
 	return chosen
 }
@@ -416,7 +423,8 @@ func (q *query) makeStep(placed uint64, est float64, b int, leftOuter bool, pool
 
 	// Access paths: accessAll may probe on outer-dependent keys (index
 	// NL); accessLocal uses only outer-independent predicates (build scan
-	// and plain scans).
+	// and plain scans). With nothing placed every usable conjunct is local
+	// and only constants are computable, so the two are one call.
 	canEvalOuter := func(e Expr) bool {
 		r, err := q.conjRefs(e)
 		return err == nil && r&^placed == 0
@@ -433,8 +441,11 @@ func (q *query) makeStep(placed uint64, est float64, b int, leftOuter bool, pool
 	for _, c := range local {
 		localEx = append(localEx, c.e)
 	}
-	accessAll := q.chooseAccess(b, usable, canEvalOuter)
 	accessLocal := q.chooseAccess(b, localEx, canEvalConst)
+	accessAll := accessLocal
+	if placed != 0 {
+		accessAll = q.chooseAccess(b, usable, canEvalOuter)
+	}
 
 	// Strategy costs.
 	logB := math.Log2(math.Max(rowsB, 2))
@@ -563,19 +574,23 @@ func (q *query) localSelectivity(b int, e Expr) float64 {
 // --- execution ---
 
 // joinLoop drives the join pipeline, calling emit once per fully joined
-// row bound in q.env. Single-table statements keep the legacy scan path.
+// row bound in q.env.
 func (q *query) joinLoop(emit func() error) error {
-	if len(q.bindings) <= 1 {
-		return q.join(0, emit)
-	}
 	return q.driveStep(len(q.steps)-1, emit)
 }
 
 // driveStep produces every joined tuple of steps[0..k], leaving the rows
 // bound in q.env for emit. Streaming strategies wrap the upstream driver;
-// materializing hash modes collect the outer stream first.
+// materializing hash modes collect the outer stream first. Below the first
+// step is the one empty row every plan starts from: without a FROM it is
+// the whole input, and the WHERE decides it.
 func (q *query) driveStep(k int, emit func() error) error {
 	if k < 0 {
+		if len(q.steps) == 0 && q.stmt.Where != nil {
+			if ok, err := truthy(q.env.eval(q.stmt.Where)); err != nil || !ok {
+				return err
+			}
+		}
 		return emit()
 	}
 	st := &q.steps[k]

@@ -1,17 +1,20 @@
 package sqldb
 
-// Differential join fuzzer: random small schemas, data, and 2–4-table
-// INNER/LEFT join queries with mixed ON/WHERE conjuncts run through the
-// engine — the cost-based planner (hash joins, index nested loops,
-// reordering), the plan cache and the batched operators — and through
-// refQuery, the naive evaluator in refquery_test.go, and the result sets
-// must be identical. Each case runs its query as a snapshot read, as a
-// locked read inside a read-write transaction (table and row locks, and
-// the order-only index scans snapshot plans keep away from), and again
-// after each of three rounds of schema and statistics churn. About a
-// quarter of the queries end in ORDER BY over every output and a LIMIT
-// with an OFFSET: the top-K over joins and aggregated rows, compared in
-// order against the oracle's sorted and sliced result.
+// Differential join fuzzer: random small schemas, data, and 1–4-table
+// queries (a lone table filtered by local predicates, or INNER/LEFT joins
+// with mixed ON/WHERE conjuncts) run through the engine — the cost-based
+// planner (hash joins, index nested loops, reordering, the single table's
+// ordered index scans), the plan cache and the batched operators — and
+// through refQuery, the naive evaluator in refquery_test.go, and the
+// result sets must be identical. Each case runs its query as a snapshot
+// read, as a locked read inside a read-write transaction (table and row
+// locks, and the order-only index scans snapshot plans keep away from),
+// and again after each of three rounds of schema and statistics churn.
+// About a quarter of the queries end in ORDER BY over every output and a
+// LIMIT with an OFFSET: the top-K over joins and aggregated rows, compared
+// in order against the oracle's sorted and sliced result. A one-table
+// case's WHERE also targets an UPDATE, rolled back, whose affected-row
+// count must be the oracle's count(*) under the same WHERE.
 //
 // Every case is derived from a seed and fully reproducible; failures log
 // the seed, the schema/data script, and the query. The default run is a
@@ -54,27 +57,31 @@ func TestJoinFuzz(t *testing.T) {
 		cases = 50
 	}
 	var agg PlannerStats
-	ordered := 0
+	ordered, oneTable := 0, 0
 	for i := 0; i < cases; i++ {
-		s, o := runJoinFuzzCase(t, base+int64(i))
+		s, o, one := runJoinFuzzCase(t, base+int64(i))
 		if t.Failed() {
 			return
 		}
 		if o {
 			ordered++
 		}
+		if one {
+			oneTable++
+		}
 		agg.HashJoins += s.HashJoins
 		agg.IndexNLJoins += s.IndexNLJoins
 		agg.NestedLoops += s.NestedLoops
 		agg.Reordered += s.Reordered
 	}
-	t.Logf("joinfuzz coverage over %d cases: hash=%d indexNL=%d nestedLoop=%d reordered=%d ordered=%d",
-		cases, agg.HashJoins, agg.IndexNLJoins, agg.NestedLoops, agg.Reordered, ordered)
+	t.Logf("joinfuzz coverage over %d cases: hash=%d indexNL=%d nestedLoop=%d reordered=%d ordered=%d oneTable=%d",
+		cases, agg.HashJoins, agg.IndexNLJoins, agg.NestedLoops, agg.Reordered, ordered, oneTable)
 	// The corpus must actually exercise every strategy — a fuzzer that
-	// only ever plans nested loops proves nothing about hash joins.
+	// only ever plans nested loops proves nothing about hash joins — and
+	// the one-step plan single-table statements and DML targets run.
 	if cases >= 100 {
-		if agg.HashJoins == 0 || agg.IndexNLJoins == 0 || agg.NestedLoops == 0 || agg.Reordered == 0 {
-			t.Fatalf("joinfuzz corpus missed a strategy: %+v", agg)
+		if agg.HashJoins == 0 || agg.IndexNLJoins == 0 || agg.NestedLoops == 0 || agg.Reordered == 0 || oneTable == 0 {
+			t.Fatalf("joinfuzz corpus missed a strategy: %+v, %d one-table cases", agg, oneTable)
 		}
 	}
 }
@@ -119,9 +126,9 @@ func newJoinFuzzDB(t *testing.T) *DB {
 	return db
 }
 
-// runJoinFuzzCase runs the case of seed, reporting the planner's counters
-// and whether its query was ordered.
-func runJoinFuzzCase(t *testing.T, seed int64) (PlannerStats, bool) {
+// runJoinFuzzCase runs the case of seed, reporting the planner's counters,
+// whether its query was ordered and whether it read one table.
+func runJoinFuzzCase(t *testing.T, seed int64) (s PlannerStats, ordered, oneTable bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	db := newJoinFuzzDB(t)
@@ -133,7 +140,7 @@ func runJoinFuzzCase(t *testing.T, seed int64) (PlannerStats, bool) {
 		}
 	}
 
-	nt := 2 + rng.Intn(3)
+	nt := 1 + rng.Intn(4)
 	tables := make([]fuzzTable, nt)
 	for ti := 0; ti < nt; ti++ {
 		ft := fuzzTable{name: fmt.Sprintf("t%d", ti), hasPK: rng.Intn(2) == 0, rows: rng.Intn(31)}
@@ -167,7 +174,8 @@ func runJoinFuzzCase(t *testing.T, seed int64) (PlannerStats, bool) {
 		run("ANALYZE")
 	}
 
-	query, ordered := buildFuzzQuery(rng, tables)
+	query, where, ordered := buildFuzzQuery(rng, tables)
+	oneTable = nt == 1
 	fail := func(format string, args ...any) {
 		t.Fatalf("joinfuzz seed %d\nsetup:\n  %s\nquery: %s\n%s",
 			seed, strings.Join(script, ";\n  "), query, fmt.Sprintf(format, args...))
@@ -183,6 +191,30 @@ func runJoinFuzzCase(t *testing.T, seed int64) (PlannerStats, bool) {
 			}
 		}
 	}
+	// A one-table WHERE is also an UPDATE target: the rows it affects are
+	// the rows the oracle counts.
+	checkTarget := func(string) {}
+	if oneTable {
+		update, count := "UPDATE t0 SET b = b", "SELECT count(*) FROM t0"
+		if where != "" {
+			update, count = update+" WHERE "+where, count+" WHERE "+where
+		}
+		wantN, errN := refQuery(db, count)
+		checkTarget = func(run string) {
+			tx, err := db.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := tx.Exec(update)
+			tx.Rollback()
+			switch {
+			case (err != nil) != (errN != nil):
+				fail("%s: %s: error mismatch: engine=%v oracle=%v", run, update, err, errN)
+			case err == nil && res.RowsAffected != wantN.Data[0][0].Int64():
+				fail("%s: %s: %d rows affected, oracle counts %v", run, update, res.RowsAffected, wantN.Data[0][0])
+			}
+		}
+	}
 
 	rows, err := db.Query(query)
 	check("snapshot read", rows, err)
@@ -193,6 +225,7 @@ func runJoinFuzzCase(t *testing.T, seed int64) (PlannerStats, bool) {
 	rows, err = tx.Query(query)
 	tx.Rollback()
 	check("locked read", rows, err)
+	checkTarget("update target")
 
 	// Schema and statistics churn — CREATE INDEX, DROP INDEX, ANALYZE —
 	// between rounds, each running the query twice: the first replans past
@@ -210,11 +243,13 @@ func runJoinFuzzCase(t *testing.T, seed int64) (PlannerStats, bool) {
 			run("ANALYZE")
 		}
 		for pass := 0; pass < 2; pass++ {
+			run := fmt.Sprintf("plan-cache round %d pass %d", round, pass)
 			rows, err := db.Query(query)
-			check(fmt.Sprintf("plan-cache round %d pass %d", round, pass), rows, err)
+			check(run, rows, err)
+			checkTarget(run)
 		}
 	}
-	return db.PlannerStats(), ordered
+	return db.PlannerStats(), ordered, oneTable
 }
 
 // diffRows describes how the engine's result got differs from the
@@ -296,8 +331,7 @@ var (
 
 // fuzzPredicate builds one conjunct. Equality predicates between two
 // tables are weighted up so hash joins and index NL paths get exercised;
-// the rest are column-vs-constant comparisons, IS NULL checks, and
-// non-equi cross-table comparisons.
+// the rest are non-equi cross-table comparisons and local predicates.
 func fuzzPredicate(rng *rand.Rand, left, right []string) string {
 	col := func(aliases []string, pool []string) string {
 		return aliases[rng.Intn(len(aliases))] + "." + pool[rng.Intn(len(pool))]
@@ -312,27 +346,42 @@ func fuzzPredicate(rng *rand.Rand, left, right []string) string {
 	case 5: // cross-table non-equi
 		op := []string{"<", "<=", ">", ">=", "<>"}[rng.Intn(5)]
 		return col(right, fuzzIntCols) + " " + op + " " + col(left, fuzzIntCols)
-	case 6: // local equality against a constant
-		return col(right, fuzzIntCols) + " = " + strconv.Itoa(rng.Intn(8))
-	case 7: // local range
-		op := []string{"<", "<=", ">", ">="}[rng.Intn(4)]
-		return col(right, fuzzIntCols) + " " + op + " " + strconv.Itoa(rng.Intn(8))
-	case 8: // IS [NOT] NULL
+	default:
+		return fuzzLocalPredicate(rng, right[rng.Intn(len(right))]+".")
+	}
+}
+
+// fuzzLocalPredicate builds one conjunct over one table's columns, each
+// prefixed by qual: an equality, a range or a BETWEEN against constants,
+// an IS [NOT] NULL check, or a text equality.
+func fuzzLocalPredicate(rng *rand.Rand, qual string) string {
+	col := func(pool []string) string { return qual + pool[rng.Intn(len(pool))] }
+	switch rng.Intn(5) {
+	case 0:
+		return col(fuzzIntCols) + " = " + strconv.Itoa(rng.Intn(8))
+	case 1:
+		op := []string{"<", "<=", ">", ">=", "<>"}[rng.Intn(5)]
+		return col(fuzzIntCols) + " " + op + " " + strconv.Itoa(rng.Intn(8))
+	case 2:
+		lo := rng.Intn(8)
+		return fmt.Sprintf("%s BETWEEN %d AND %d", col(fuzzIntCols), lo, lo+rng.Intn(4))
+	case 3:
 		not := ""
 		if rng.Intn(2) == 0 {
 			not = "NOT "
 		}
-		return col(right, []string{"a", "b", "s", "f"}) + " IS " + not + "NULL"
-	default: // local text equality
-		return col(right, fuzzTextCols) + " = " + fmt.Sprintf("'x%d'", rng.Intn(6))
+		return col([]string{"a", "b", "s", "f"}) + " IS " + not + "NULL"
+	default:
+		return col(fuzzTextCols) + " = " + fmt.Sprintf("'x%d'", rng.Intn(6))
 	}
 }
 
-// buildFuzzQuery assembles a 2–4-table join with mixed ON/WHERE
-// conjuncts over the generated tables. ordered reports a query that ends
-// in ORDER BY over every output, LIMIT and OFFSET: its rows compare in
-// order.
-func buildFuzzQuery(rng *rand.Rand, tables []fuzzTable) (query string, ordered bool) {
+// buildFuzzQuery assembles a one-table query over local predicates, or a
+// 2–4-table join with mixed ON/WHERE conjuncts, over the generated tables.
+// where is the WHERE clause's text, "" for none. ordered reports a query
+// that ends in ORDER BY over every output, LIMIT and OFFSET: its rows
+// compare in order.
+func buildFuzzQuery(rng *rand.Rand, tables []fuzzTable) (query, where string, ordered bool) {
 	n := len(tables)
 	aliases := make([]string, n)
 	var sb strings.Builder
@@ -411,10 +460,16 @@ func buildFuzzQuery(rng *rand.Rand, tables []fuzzTable) (query string, ordered b
 	if rng.Intn(3) > 0 {
 		var conjs []string
 		for c := 0; c < 1+rng.Intn(2); c++ {
+			if n == 1 {
+				// Bare columns, so the same text can filter an UPDATE.
+				conjs = append(conjs, fuzzLocalPredicate(rng, ""))
+				continue
+			}
 			ti := 1 + rng.Intn(n-1)
 			conjs = append(conjs, fuzzPredicate(rng, aliases[:ti], []string{aliases[ti]}))
 		}
-		sb.WriteString(" WHERE " + strings.Join(conjs, " AND "))
+		where = strings.Join(conjs, " AND ")
+		sb.WriteString(" WHERE " + where)
 	}
 	if aggregate {
 		sb.WriteString(" GROUP BY " + strings.Join(groupKeys, ", "))
@@ -440,5 +495,5 @@ func buildFuzzQuery(rng *rand.Rand, tables []fuzzTable) (query string, ordered b
 		fmt.Fprintf(&sb, " ORDER BY %s LIMIT %d OFFSET %d", strings.Join(items, ", "), rng.Intn(12), rng.Intn(4))
 		ordered = true
 	}
-	return sb.String(), ordered
+	return sb.String(), where, ordered
 }

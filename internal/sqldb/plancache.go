@@ -97,11 +97,10 @@ type planStamp struct {
 type selectPlan struct {
 	stmt     *SelectStmt
 	bindings []tableBinding
-	access   []accessPlan
-	filters  [][]Expr // per ref: WHERE conjuncts first evaluable there
-	// steps is the cost-based join plan for multi-table SELECTs
-	// (join.go): the chosen execution order with per-step strategy and
-	// predicates. Per-step hash tables live on query.hjs, not here.
+	// steps is the plan (join.go): one step per binding in the chosen
+	// execution order, each with its access path, strategy and predicates;
+	// none for a SELECT without FROM. Per-step hash tables live on
+	// query.hjs, not here.
 	steps []stepPlan
 	// orderable marks a single-table, non-aggregated, non-DISTINCT
 	// SELECT whose ORDER BY the access path may (partially) provide.
@@ -160,18 +159,19 @@ type planLock struct {
 	indexed bool
 }
 
-// lockFootprint merges the plan's bindings into its sorted table-lock
+// lockFootprint merges the plan's steps into its sorted table-lock
 // footprint. Runs once per compiled plan, after access paths are chosen.
 func (p *selectPlan) lockFootprint() []planLock {
-	locks := make([]planLock, 0, len(p.bindings))
-bindings:
-	for i, b := range p.bindings {
-		name := strings.ToLower(b.tbl.schema.Name)
-		indexed := p.access[i].index != nil
+	locks := make([]planLock, 0, len(p.steps))
+steps:
+	for i := range p.steps {
+		st := &p.steps[i]
+		name := strings.ToLower(p.bindings[st.bind].tbl.schema.Name)
+		indexed := st.access.index != nil
 		for j := range locks {
 			if locks[j].table == name {
 				locks[j].indexed = locks[j].indexed && indexed
-				continue bindings
+				continue steps
 			}
 		}
 		locks = append(locks, planLock{table: name, indexed: indexed})
@@ -333,32 +333,28 @@ func (tx *Tx) buildSelectPlan(s *SelectStmt, snapRead bool, snapTS uint64) (*sel
 		return nil, err
 	}
 	p.locks = p.lockFootprint()
-	if len(p.bindings) > 0 {
-		outs, cols, err := pq.expandOutputs()
-		if err != nil {
-			return nil, err
-		}
-		p.outs, p.cols = outs, cols
-		p.orderExprs, p.orderAlias = pq.orderKeys(outs)
-		p.aggregated = len(s.GroupBy) > 0 || s.Having != nil
-		for _, o := range outs {
-			if hasAggregate(o) {
-				p.aggregated = true
-			}
-		}
-		if p.aggregated {
-			ap, err := pq.compileAgg(outs)
-			if err != nil {
-				return nil, err
-			}
-			p.agg = ap
-		} else {
-			p.picks = pq.compilePicks(outs)
+	outs, cols, err := pq.expandOutputs()
+	if err != nil {
+		return nil, err
+	}
+	p.outs, p.cols = outs, cols
+	p.orderExprs, p.orderAlias = pq.orderKeys(outs)
+	p.aggregated = len(s.GroupBy) > 0 || s.Having != nil
+	for _, o := range outs {
+		if hasAggregate(o) {
+			p.aggregated = true
 		}
 	}
-	for _, ap := range p.access {
-		if ap.index != nil && ap.index.createdTS > p.maxIndexTS {
-			p.maxIndexTS = ap.index.createdTS
+	if p.aggregated {
+		if p.agg, err = pq.compileAgg(outs); err != nil {
+			return nil, err
+		}
+	} else {
+		p.picks = pq.compilePicks(outs)
+	}
+	for i := range p.steps {
+		if ix := p.steps[i].access.index; ix != nil && ix.createdTS > p.maxIndexTS {
+			p.maxIndexTS = ix.createdTS
 		}
 	}
 	if p.sawInvisible {

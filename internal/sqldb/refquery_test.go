@@ -1,16 +1,17 @@
 package sqldb
 
 // refQuery is the oracle the query-shaped differential suites diff the
-// engine against: the join fuzzer, crossCheck, TestAggModesDifferential and
-// every query block of the logictest goldens. It evaluates a SELECT the
-// naive way and shares nothing with the engine's read path but the
-// expression evaluator and the aggregate accumulators:
+// engine against: the join fuzzer, crossCheck, TestAggModesDifferential,
+// the top-K differential and every query block of the logictest goldens.
+// It evaluates a SELECT the naive way and shares nothing with the engine's
+// read path but the expression evaluator and the aggregate accumulators:
 //
 //   - base rows come straight from table.scanLatest (the newest committed
 //     version of every live row), so callers must not race it with writers;
 //   - the FROM list is a nested-loop product in syntactic order, each ON
 //     deciding whether its row joins and, for a LEFT JOIN that matched
-//     nothing, the NULL padding;
+//     nothing, the NULL padding; no FROM is the product of nothing, one
+//     empty row;
 //   - WHERE filters the product;
 //   - groups are keyed by writeHashValue and accumulate through
 //     aggState/finishAgg, the first row of a group standing for it;

@@ -3,16 +3,14 @@ package sqldb
 import (
 	"context"
 	"fmt"
-	"reflect"
-	"sort"
 	"strings"
 	"testing"
 )
 
 // The read path's two claims — a SELECT reads no more than it returns
 // where an index orders it, and what it returns is exactly what sorting
-// everything would — are held here against an oracle that sorts everything
-// in test code.
+// everything would — are held here, the second against refQuery, the
+// oracle that sorts everything.
 
 // topKEngines opens the engines the differential runs on: in memory, and
 // paged on a 4-frame pool where every statement evicts.
@@ -62,18 +60,11 @@ func topKFixture(t *testing.T, db *DB, indexed bool) {
 	}
 }
 
-// orderKey is one ORDER BY item of a shape, as a position in its output.
-type orderKey struct {
-	col  int
-	desc bool
-}
-
 // topKShape is one statement of the differential: the SELECT up to its
-// ORDER BY, the ORDER BY, and the same order as output positions for the
-// oracle. Every order ends on a unique key, so the answer is one sequence.
+// ORDER BY, and the ORDER BY. Every order ends on a unique key, so the
+// answer is one sequence.
 type topKShape struct {
 	name, sel, orderBy string
-	keys               []orderKey
 	// access, when set, is what EXPLAIN must show on the indexed engine in
 	// a snapshot read, so the shape is known to test the path it is here for.
 	access string
@@ -81,63 +72,28 @@ type topKShape struct {
 
 var topKShapes = []topKShape{
 	{name: "grouped: a DESC, b over (g, a, b), rid ties ascending",
-		sel: `SELECT id, a, b FROM t WHERE g = 'x'`, orderBy: `a DESC, b, id`,
-		keys: []orderKey{{1, true}, {2, false}, {0, false}}, access: "INDEX SCAN USING t_gab (g = 'x') ORDER REVERSE BY a"},
+		sel: `SELECT id, a, b FROM t WHERE g = 'x'`, orderBy: `a DESC, b, id`, access: "INDEX SCAN USING t_gab (g = 'x') ORDER REVERSE BY a"},
 	{name: "grouped in full: b DESC, a, id over (g, b, a, id)",
-		sel: `SELECT id, a, b, c FROM t WHERE g = 'y'`, orderBy: `b DESC, a, id`,
-		keys: []orderKey{{2, true}, {1, false}, {0, false}}, access: "INDEX SCAN USING t_gabi (g = 'y') ORDER REVERSE BY b"},
+		sel: `SELECT id, a, b, c FROM t WHERE g = 'y'`, orderBy: `b DESC, a, id`, access: "INDEX SCAN USING t_gabi (g = 'y') ORDER REVERSE BY b"},
 	{name: "mirror: a, b DESC keeps one ordered item",
-		sel: `SELECT id, a, b FROM t WHERE g = 'x'`, orderBy: `a, b DESC, id`,
-		keys: []orderKey{{1, false}, {2, true}, {0, false}}, access: "INDEX SCAN USING t_gab (g = 'x') ORDER"},
+		sel: `SELECT id, a, b FROM t WHERE g = 'x'`, orderBy: `a, b DESC, id`, access: "INDEX SCAN USING t_gab (g = 'x') ORDER"},
 	{name: "range bound on the grouped column",
-		sel: `SELECT id, a, b FROM t WHERE g = 'x' AND a >= 2 AND a < 7`, orderBy: `a DESC, b, id`,
-		keys: []orderKey{{1, true}, {2, false}, {0, false}}, access: "INDEX SCAN USING t_gab (g = 'x', a >= 2, a < 7) ORDER REVERSE"},
+		sel: `SELECT id, a, b FROM t WHERE g = 'x' AND a >= 2 AND a < 7`, orderBy: `a DESC, b, id`, access: "INDEX SCAN USING t_gab (g = 'x', a >= 2, a < 7) ORDER REVERSE"},
 	{name: "one direction, reverse",
-		sel: `SELECT id, a, b FROM t WHERE g = 'y'`, orderBy: `b DESC, a DESC, id DESC`,
-		keys: []orderKey{{2, true}, {1, true}, {0, true}}, access: "INDEX SCAN USING t_gabi (g = 'y') ORDER REVERSE"},
+		sel: `SELECT id, a, b FROM t WHERE g = 'y'`, orderBy: `b DESC, a DESC, id DESC`, access: "INDEX SCAN USING t_gabi (g = 'y') ORDER REVERSE"},
 	{name: "order-only on the primary key",
-		sel: `SELECT id, c FROM t`, orderBy: `id DESC`,
-		keys: []orderKey{{0, true}}, access: "INDEX SCAN USING pk_t () ORDER REVERSE"},
+		sel: `SELECT id, c FROM t`, orderBy: `id DESC`, access: "INDEX SCAN USING pk_t () ORDER REVERSE"},
 	{name: "no path orders it: the heap alone",
-		sel: `SELECT c, id FROM t WHERE g = 'x'`, orderBy: `c DESC, id`,
-		keys: []orderKey{{0, true}, {1, false}}},
+		sel: `SELECT c, id FROM t WHERE g = 'x'`, orderBy: `c DESC, id`},
 	{name: "expression outputs on the grouped path",
-		sel: `SELECT id, a, b, a + b, b * 2 FROM t WHERE g = 'x'`, orderBy: `a DESC, b, id`,
-		keys: []orderKey{{1, true}, {2, false}, {0, false}}, access: "INDEX SCAN USING t_gab (g = 'x') ORDER REVERSE BY a"},
+		sel: `SELECT id, a, b, a + b, b * 2 FROM t WHERE g = 'x'`, orderBy: `a DESC, b, id`, access: "INDEX SCAN USING t_gab (g = 'x') ORDER REVERSE BY a"},
 	{name: "ordered by an output alias and an ordinal",
-		sel: `SELECT id, b - a AS d FROM t WHERE g = 'y'`, orderBy: `d DESC, 1`,
-		keys: []orderKey{{1, true}, {0, false}}},
+		sel: `SELECT id, b - a AS d FROM t WHERE g = 'y'`, orderBy: `d DESC, 1`},
 	{name: "three-table join",
 		sel:     `SELECT t.id, t.a, u.name, v.w, v.id FROM t JOIN u ON u.k = t.b JOIN v ON v.k = u.k WHERE t.g = 'y'`,
-		orderBy: `t.a DESC, v.w, t.id, v.id`,
-		keys:    []orderKey{{1, true}, {3, false}, {0, false}, {4, false}}},
+		orderBy: `t.a DESC, v.w, t.id, v.id`},
 	{name: "LEFT JOIN ordered by the padded side",
-		sel: `SELECT t.id, u.name, u.k FROM t LEFT JOIN u ON u.k = t.a WHERE t.g = 'x'`, orderBy: `u.name DESC, t.id`,
-		keys: []orderKey{{1, true}, {0, false}}},
-}
-
-// sortEverything is the oracle: all rows, sorted by keys in test code, cut
-// to OFFSET and LIMIT.
-func sortEverything(t *testing.T, all [][]Value, keys []orderKey, limit, offset int) [][]Value {
-	t.Helper()
-	rows := append([][]Value(nil), all...)
-	sort.SliceStable(rows, func(i, j int) bool {
-		for _, k := range keys {
-			c, err := Compare(rows[i][k.col], rows[j][k.col])
-			if err != nil {
-				t.Fatalf("oracle: %v", err)
-			}
-			if k.desc {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
-	rows = rows[min(offset, len(rows)):]
-	return rows[:min(limit, len(rows))]
+		sel: `SELECT t.id, u.name, u.k FROM t LEFT JOIN u ON u.k = t.a WHERE t.g = 'x'`, orderBy: `u.name DESC, t.id`},
 }
 
 // TestTopKOrderedDifferential runs every shape at every LIMIT and OFFSET,
@@ -151,11 +107,20 @@ func TestTopKOrderedDifferential(t *testing.T) {
 			db := open()
 			topKFixture(t, db, indexed)
 			for _, sh := range topKShapes {
-				all := mustQuery(t, db, sh.sel).Data
-				if len(all) < 50 {
-					t.Fatalf("%s: the fixture gives the shape only %d rows", sh.name, len(all))
+				if n := mustQuery(t, db, sh.sel).Len(); n < 50 {
+					t.Fatalf("%s: the fixture gives the shape only %d rows", sh.name, n)
 				}
 				sql := sh.sel + ` ORDER BY ` + sh.orderBy + ` LIMIT ? OFFSET ?`
+				want := make(map[[2]int]*Rows)
+				for _, limit := range limits {
+					for _, offset := range offsets {
+						w, err := refQuery(db, sql, limit, offset)
+						if err != nil {
+							t.Fatalf("%s LIMIT %d OFFSET %d: oracle: %v", sh.name, limit, offset, err)
+						}
+						want[[2]int{limit, offset}] = w
+					}
+				}
 				if indexed && sh.access != "" {
 					plan := mustQuery(t, db, `EXPLAIN `+sql, 5, 0)
 					if got := strings.TrimSuffix(plan.Data[0][1].Text(), " [CACHED]"); got != sh.access {
@@ -173,10 +138,9 @@ func TestTopKOrderedDifferential(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s LIMIT %d OFFSET %d: %v", sh.name, limit, offset, err)
 							}
-							want := sortEverything(t, all, sh.keys, limit, offset)
-							if len(got.Data) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got.Data, want)) {
-								t.Fatalf("%s, indexed %v, locking %v, %s, LIMIT %d OFFSET %d:\n got %v\nwant %v",
-									sh.name, indexed, locking, engine, limit, offset, got.Data, want)
+							if d := diffRows(got, want[[2]int{limit, offset}], true); d != "" {
+								t.Fatalf("%s, indexed %v, locking %v, %s, LIMIT %d OFFSET %d: %s",
+									sh.name, indexed, locking, engine, limit, offset, d)
 							}
 						}
 					}
