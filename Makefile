@@ -72,9 +72,11 @@ flagdoc:
 # The fuzzed decoders of bytes from the network or the disk. The wire
 # codec's two against encoding/xml as the oracle: never panic, never reach
 # outside the input, agree on accept/reject and on the decoded value. The
-# WAL reader and the redo behind it (shipped batches, the node's own log):
-# never panic, allocation bounded by the input, and what is accepted
-# re-encodes to the same bytes. Page and checkpoint-meta images (the
+# WAL reader — one CRC32C frame per committed group, updates as
+# changed-column bitmaps plus values — and the redo behind it (shipped
+# batches, the node's own log): never panic, allocation bounded by the
+# input, and every accepted group re-encodes to the same bytes, frame and
+# CRC included. Page and checkpoint-meta images (the
 # validator, recovery's page scan, decodeMeta): never panic, allocation
 # bounded by the input, and a page the validator accepts stays valid and
 # in bounds through insert, erase and compaction. go test -fuzz takes one

@@ -187,6 +187,11 @@ func Open(opts Options) (*DB, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sqldb: reading WAL: %w", err)
 		}
+		// Redo ends where the reader stops, and Open then cuts the file
+		// there: over a log in another format, that is its first byte.
+		if foreignLog(data) {
+			return nil, fmt.Errorf("%w: %s", ErrLogFormat, opts.Path)
+		}
 		// A failed Open leaves no page store open behind it.
 		fail := func(err error) (*DB, error) {
 			if db.store != nil {
@@ -230,12 +235,10 @@ func Open(opts Options) (*DB, error) {
 			return nil, err
 		}
 		// Cut the log back to its last committed group boundary — where the
-		// reader stopped — before it is appended to again. This removes both
-		// a crash's torn tail (partial record, record failing its CRC) and
-		// any whole records of a group whose commit marker never made it:
-		// the redo ignored them, but left in place they would strand every
-		// future commit behind garbage, or be adopted as the head of the
-		// next group appended.
+		// reader stopped — before it is appended to again. This removes a
+		// crash's torn tail (a partial group, a group failing its CRC): the
+		// redo ignored it, but left in place it would strand every future
+		// commit behind garbage.
 		if good < len(data) {
 			if err := repairWALFile(opts.VFS, opts.Path, data[:good]); err != nil {
 				return fail(fmt.Errorf("sqldb: repairing torn WAL tail: %w", err))

@@ -285,6 +285,10 @@ func (db *DB) ApplyCommitted(batches []CommittedBatch) error {
 		}
 		groups[i] = recs
 	}
+	if err := db.checkRun(groups); err != nil {
+		db.replApplyErrors.Add(1)
+		return fmt.Errorf("sqldb: follower apply: %w", err)
+	}
 	if db.wal != nil {
 		// Register every LSN as in-flight BEFORE appendRaw advances the
 		// durable LSN: a fuzzy checkpoint must not pass an LSN that is
@@ -320,6 +324,52 @@ func (db *DB) ApplyCommitted(batches []CommittedBatch) error {
 	return nil
 }
 
+// checkRun holds a run of shipped groups to the strict redo's row rules
+// before any of it reaches this node's log: an insert must find its slot
+// empty and an update or delete its row live, in the state the records
+// ahead of it in the run leave, and every table must exist. A group the
+// redo would refuse is then refused whole, not appended for every later
+// Open to meet. The first DDL record ends the check — what a statement
+// does to the catalog is applyDDL's to say — and past it the redo's own
+// checks, after the append, are what stand.
+func (db *DB) checkRun(groups [][]walRecord) error {
+	type slot struct {
+		tbl *table
+		rid int64
+	}
+	var live map[slot]bool
+	for _, recs := range groups {
+		for i := range recs {
+			r := &recs[i]
+			if r.op == walDDL {
+				return nil
+			}
+			tbl, err := db.lookupTable(r.table)
+			if err != nil {
+				return err
+			}
+			k := slot{tbl, r.rid}
+			was, seen := live[k]
+			if !seen {
+				was = tbl.isLive(r.rid)
+			}
+			switch {
+			case r.op == walInsert && was:
+				return fmt.Errorf("redo: insert into live slot %d of %s", r.rid, tbl.schema.Name)
+			case r.op == walUpdate && !was:
+				return fmt.Errorf("redo: update of missing row %d in %s", r.rid, tbl.schema.Name)
+			case r.op == walDelete && !was:
+				return fmt.Errorf("redo: delete of missing row %d in %s", r.rid, tbl.schema.Name)
+			}
+			if live == nil {
+				live = make(map[slot]bool)
+			}
+			live[k] = r.op != walDelete
+		}
+	}
+	return nil
+}
+
 // decodeBatch validates one shipped batch and returns its redo records:
 // the bytes must be exactly one whole group — CRC-valid, decodable, nothing
 // before or after it — whose commit marker carries the batch's LSN.
@@ -349,10 +399,22 @@ func decodeBatch(b CommittedBatch) ([]walRecord, error) {
 // the group's effects. That is true of exactly one input — a log tail redone
 // over a page image, because a fuzzy checkpoint also flushes pages dirtied
 // by commits above its LSN — and there every record converges: an insert
-// onto a live row or an update of a missing one is an upsert, a delete of a
-// missing row and DDL whose effect is present are no-ops. Everywhere else
-// (a log-only recovery, a follower) the log is the whole history and those
-// same situations are errors.
+// onto a live row is an upsert; an update or a delete of a missing row and
+// DDL whose effect is present are no-ops. Everywhere else (a log-only
+// recovery, a follower) the log is the whole history and those same
+// situations are errors.
+//
+// An update logs only the columns it changed, so it cannot upsert; why
+// skipping it is right: a delta is a set of blind column writes, so
+// replaying deltas in log order over any image at or after the checkpoint
+// leaves each column with its last logged write — the right value. At redo
+// time a row can be missing from such an image only if a later logged
+// delete removed it: a row inserted before the checkpoint is in every
+// state from the checkpoint on until it is deleted, and if the row's insert
+// came after the checkpoint, that insert is earlier in the log than the
+// update and recreates the row first. Whatever the skipped update would
+// have written, that delete removes. Neither page LSNs nor full row images
+// after the checkpoint are needed.
 func (db *DB) applyGroup(lsn uint64, recs []walRecord, mayContain bool) error {
 	var versions []stampEntry
 	var gcs []gcRecord
@@ -378,7 +440,7 @@ func (db *DB) applyGroup(lsn uint64, recs []walRecord, mayContain bool) error {
 			db.mu.Unlock()
 		case walInsert, walUpdate:
 			if tbl, err = db.lookupTable(r.table); err == nil {
-				v, orphaned, err = tbl.applyWrite(r.op, r.rid, r.row, wm, mayContain)
+				v, orphaned, err = tbl.applyWrite(r, wm, mayContain)
 			}
 		case walDelete:
 			if tbl, err = db.lookupTable(r.table); err == nil {
@@ -391,7 +453,7 @@ func (db *DB) applyGroup(lsn uint64, recs []walRecord, mayContain bool) error {
 			return err
 		}
 		if v == nil {
-			continue // DDL, or a delete the state already reflects
+			continue // DDL, or an update or delete of a row the image no longer holds
 		}
 		versions = append(versions, stampEntry{v: v, tbl: tbl, rid: r.rid})
 		if v.isTomb() || len(orphaned) > 0 {

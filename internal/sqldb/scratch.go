@@ -14,7 +14,7 @@ import "bytes"
 // operator per plan step with its batch buffers, the sort unit's entries
 // and arenas, the DML rid list, the bound parameters, the key-lock and WAL
 // encode buffers) and the per-transaction footprint (locks taken, undo,
-// redo, versions to stamp).
+// redo and the arenas of its update records, versions to stamp).
 //
 // Lifetimes: statement state is valid until the next statement on the same
 // Tx — a Tx runs one statement at a time, so nothing else can be reading
@@ -59,6 +59,10 @@ type txScratch struct {
 	redo     []walRecord
 	versions []stampEntry
 	gcPend   []gcRecord
+	// The arenas redo's update records point into: their changed-column
+	// bitmaps and their changed values.
+	deltaBits []byte
+	deltaVals []Value
 }
 
 // scratch returns the transaction's working memory, attaching one from
@@ -96,6 +100,7 @@ func (tx *Tx) releaseScratch() {
 	sc.versions = keep(tx.versions)
 	sc.gcPend = keep(tx.gcPend)
 	tx.locked, tx.undo, tx.redo, tx.versions, tx.gcPend = nil, nil, nil, nil, nil
+	sc.deltaBits, sc.deltaVals = keep(sc.deltaBits), keep(sc.deltaVals)
 
 	sc.q = query{}
 	sc.env = evalEnv{}
@@ -170,6 +175,25 @@ func (q *query) bind(plan *selectPlan) {
 		sc.scans = append(sc.scans[:cap(sc.scans)], make([]scanOp, n-cap(sc.scans))...)
 	}
 	sc.scans = sc.scans[:n]
+}
+
+// updateRecord is the redo record of an update of rid from old to newRow:
+// the bitmap of the columns whose values differ and those values, laid
+// into the scratch's arenas. Values compare as stored, so an update logs
+// exactly the cells whose bytes would change.
+func (sc *txScratch) updateRecord(table string, rid int64, old, newRow []Value) walRecord {
+	b, v := len(sc.deltaBits), len(sc.deltaVals)
+	for range (len(newRow) + 7) / 8 {
+		sc.deltaBits = append(sc.deltaBits, 0)
+	}
+	for i, val := range newRow {
+		if val != old[i] {
+			sc.deltaBits[b+i/8] |= 1 << (i % 8)
+			sc.deltaVals = append(sc.deltaVals, val)
+		}
+	}
+	bits, vals := sc.deltaBits[b:], sc.deltaVals[v:]
+	return walRecord{op: walUpdate, table: table, rid: rid, row: vals[:len(vals):len(vals)], cols: len(newRow), changed: bits[:len(bits):len(bits)]}
 }
 
 // bindParams returns the scratch's parameter buffer sized for n values.

@@ -289,6 +289,8 @@ func TestPooledScratchPinsNothing(t *testing.T) {
 	checkEmpty(t, "locked", sc.locked)
 	checkEmpty(t, "undo", sc.undo)
 	checkEmpty(t, "redo", sc.redo)
+	checkPooled(t, "deltaBits", sc.deltaBits, false)
+	checkEmpty(t, "deltaVals", sc.deltaVals)
 	checkEmpty(t, "versions", sc.versions)
 	checkEmpty(t, "gcPend", sc.gcPend)
 	for i := range sc.scans[:cap(sc.scans)] {

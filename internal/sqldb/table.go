@@ -461,6 +461,17 @@ func (t *table) currentRow(rid int64, txn uint64) []Value {
 	return t.resolve(s.currentVersion(txn))
 }
 
+// isLive reports whether rid holds a row, committed or in redo: the slot
+// test of the strict redo's rules.
+func (t *table) isLive(rid int64) bool {
+	s := t.slot(rid)
+	if s == nil {
+		return false
+	}
+	v := s.currentVersion(0)
+	return v != nil && !v.isTomb()
+}
+
 // visibleRow is the snapshot read of a row as of commit timestamp ts.
 func (t *table) visibleRow(rid int64, ts uint64) []Value {
 	s := t.slot(rid)
@@ -736,65 +747,93 @@ func (t *table) pagedPlace(rid int64, row []Value, loc pageLoc, ts uint64) {
 	}
 }
 
-// applyWrite redoes one logged insert or update: the row image becomes an
-// unstamped version on top of rid's chain, which the caller stamps under
-// the commit mutex with the rest of its group. It is MVCC-safe against
-// concurrent snapshot readers — a recycled slot still holding a tombstone
-// chain gets the new version pushed on top, so an old snapshot keeps seeing
-// its tombstoned past — and moved index entries are returned for
-// commit-ordered GC rather than deleted. Unique checks are skipped: the
-// transaction that logged the record already passed them.
+// applyWrite redoes one logged insert or update: the row image — an
+// update's is the current row with the record's changed columns laid over
+// it — becomes an unstamped version on top of rid's chain, which the caller
+// stamps under the commit mutex with the rest of its group. It is MVCC-safe
+// against concurrent snapshot readers — a recycled slot still holding a
+// tombstone chain gets the new version pushed on top, so an old snapshot
+// keeps seeing its tombstoned past — and moved index entries (old row
+// against the new image) are returned for commit-ordered GC rather than
+// deleted. Unique checks are skipped: the transaction that logged the
+// record already passed them.
 //
 // An insert must find no live row and an update must find one, unless
-// mayContain (see applyGroup): then the record is an upsert, and whichever
-// of the two the slot's state calls for is what happens.
-func (t *table) applyWrite(op walOp, rid int64, row []Value, watermark uint64, mayContain bool) (*rowVersion, []gcEntry, error) {
-	if len(row) != len(t.schema.Columns) {
+// mayContain (see applyGroup): then an insert onto a live row is an
+// upsert, and an update of a missing row is nothing to do — a nil version
+// says so.
+func (t *table) applyWrite(r *walRecord, watermark uint64, mayContain bool) (*rowVersion, []gcEntry, error) {
+	width := len(r.row)
+	if r.op == walUpdate {
+		width = r.cols
+	}
+	if width != len(t.schema.Columns) {
 		// The index code reads a row by column position, and a shipped
 		// record is input from outside.
-		return nil, nil, fmt.Errorf("redo: row %d of %s has %d values, the table has %d columns", rid, t.schema.Name, len(row), len(t.schema.Columns))
+		return nil, nil, fmt.Errorf("redo: row %d of %s has %d values, the table has %d columns", r.rid, t.schema.Name, width, len(t.schema.Columns))
 	}
 	t.latch.Lock()
 	defer t.latch.Unlock()
 	var cur *rowVersion
-	if rid < int64(len(t.rows)) {
-		cur = t.rows[rid].currentVersion(0)
+	if r.rid < int64(len(t.rows)) {
+		cur = t.rows[r.rid].currentVersion(0)
 	}
 	live := cur != nil && !cur.isTomb()
-	if live && op == walInsert && !mayContain {
-		return nil, nil, fmt.Errorf("redo: insert into live slot %d of %s", rid, t.schema.Name)
+	if live && r.op == walInsert && !mayContain {
+		return nil, nil, fmt.Errorf("redo: insert into live slot %d of %s", r.rid, t.schema.Name)
 	}
-	if !live && op == walUpdate && !mayContain {
-		return nil, nil, fmt.Errorf("redo: update of missing row %d in %s", rid, t.schema.Name)
+	if !live && r.op == walUpdate {
+		if mayContain {
+			return nil, nil, nil
+		}
+		return nil, nil, fmt.Errorf("redo: update of missing row %d in %s", r.rid, t.schema.Name)
 	}
+	row := r.row
 	var orphaned []gcEntry
 	if live {
 		old := t.resolve(cur)
 		if old == nil {
-			return nil, nil, fmt.Errorf("redo: update of unreadable row %d in %s", rid, t.schema.Name)
+			return nil, nil, fmt.Errorf("redo: update of unreadable row %d in %s", r.rid, t.schema.Name)
+		}
+		if r.op == walUpdate {
+			row = applyDelta(old, r)
 		}
 		for _, ix := range t.indexes {
 			if ix.sameKey(old, row) {
 				continue
 			}
-			orphaned = append(orphaned, gcEntry{index: ix.schema.Name, key: ix.entryKey(old, rid)})
-			ix.tree.insert(ix.entryKey(row, rid), rid)
+			orphaned = append(orphaned, gcEntry{index: ix.schema.Name, key: ix.entryKey(old, r.rid)})
+			ix.tree.insert(ix.entryKey(row, r.rid), r.rid)
 		}
 	} else {
-		for int64(len(t.rows)) <= rid {
+		for int64(len(t.rows)) <= r.rid {
 			t.rows = append(t.rows, &rowSlot{})
 		}
 		for _, ix := range t.indexes {
-			ix.tree.insert(ix.entryKey(row, rid), rid)
+			ix.tree.insert(ix.entryKey(row, r.rid), r.rid)
 		}
 		t.liveRows.Add(1)
 	}
-	s := t.rows[rid]
+	s := t.rows[r.rid]
 	v := &rowVersion{data: row}
 	v.prev.Store(s.head.Load())
 	s.head.Store(v)
 	t.prune(s, watermark)
 	return v, orphaned, nil
+}
+
+// applyDelta is the row an update record makes of old: a copy of old with
+// each changed column's value replaced, in column order, by the record's.
+func applyDelta(old []Value, r *walRecord) []Value {
+	row := append([]Value(nil), old...)
+	k := 0
+	for i := range row {
+		if r.changed[i/8]&(1<<(i%8)) != 0 {
+			row[i] = r.row[k]
+			k++
+		}
+	}
+	return row
 }
 
 // applyDelete redoes one logged delete as an unstamped tombstone, returned

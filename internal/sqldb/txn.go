@@ -698,7 +698,7 @@ func (tx *Tx) CommitContext(ctx context.Context) error {
 	var lsn uint64
 	if db.wal != nil && len(tx.redo) > 0 {
 		sc := tx.scratch() // a DDL-only transaction attaches it here
-		lsn, err = db.wal.commit(ctx, tx.id, tx.redo, &sc.walBuf)
+		lsn, err = db.wal.commit(ctx, tx.redo, &sc.walBuf)
 		if err != nil && IsCancellation(err) {
 			// Retracted before any write reached the log: abort cleanly.
 			// lsn is 0 here — nothing was registered in-flight.
@@ -866,7 +866,7 @@ func (tx *Tx) updateRow(tbl *table, rid int64, newRow []Value) error {
 			return err
 		}
 	}
-	_, ver, orphans, err := tbl.updateRow(rid, newRow, tx.id, tx.db.watermark.Load())
+	old, ver, orphans, err := tbl.updateRow(rid, newRow, tx.id, tx.db.watermark.Load())
 	if err != nil {
 		return err
 	}
@@ -875,7 +875,7 @@ func (tx *Tx) updateRow(tbl *table, rid int64, newRow []Value) error {
 		tx.gcPend = append(tx.gcPend, gcRecord{table: tbl.schema.Name, rid: rid, entries: orphans})
 	}
 	tx.undo = append(tx.undo, undoRecord{op: walUpdate, table: tbl.schema.Name, rid: rid})
-	tx.redo = append(tx.redo, walRecord{op: walUpdate, table: tbl.schema.Name, rid: rid, row: newRow})
+	tx.redo = append(tx.redo, tx.scratch().updateRecord(tbl.schema.Name, rid, old, newRow))
 	return nil
 }
 

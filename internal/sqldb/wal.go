@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"sync"
@@ -17,17 +19,21 @@ import (
 
 // The write-ahead log provides the durability and crash-recovery guarantees
 // the paper attributes to the RDBMS tier (§4: "transaction and recovery
-// services"). Each committed transaction's redo records are appended,
-// followed by a commit marker; recovery replays records of committed
-// transactions only, in log order, and truncates at the last committed
-// group boundary (a record failing its CRC, and any complete records of a
-// never-committed trailing group, are cut — never replayed).
+// services"). Each committed transaction's redo records are appended as one
+// group ending in a commit marker; recovery replays committed groups only,
+// in log order, and truncates at the last whole group (a group failing its
+// CRC or torn short, and everything after it, is cut — never replayed).
 //
-// Records are length-prefixed and CRC-protected (CRC32-C/Castagnoli):
+// A group is one length-prefixed, CRC-protected (CRC32-C/Castagnoli) frame:
 //
-//	[4-byte little-endian payload length][payload][4-byte CRC32C of payload]
+//	[4-byte little-endian payload length][records…][walCommit][uvarint LSN][4-byte CRC32C of payload]
 //
-// Commit markers additionally carry a log sequence number (LSN), assigned
+// Records inside it are an op byte and their fields, with no frame of their
+// own. An insert logs its whole row image; an update logs the table's
+// column count, a bitmap of the columns it changed and their new values; a
+// delete logs the row id; DDL its statement text.
+//
+// The commit marker carries a log sequence number (LSN), assigned
 // in file-write order, so the log doubles as a replication stream: every
 // committed group is addressable by the LSN of its commit marker, and a
 // follower resumes shipping from its durable applied LSN (see repl.go).
@@ -51,13 +57,25 @@ const (
 
 type walRecord struct {
 	op    walOp
-	txn   uint64
 	lsn   uint64 // commit markers only: the group's log sequence number
 	table string
 	rid   int64
-	row   []Value
-	sql   string // DDL text
+	// row is an insert's whole row image, and an update's changed values
+	// alone, in column order. cols is the updated table's column count and
+	// changed the update's bitmap of changed columns: ⌈cols/8⌉ bytes, bit
+	// i%8 of byte i/8 for column i, no bit set past cols.
+	row     []Value
+	cols    int
+	changed []byte
+	sql     string // DDL text
 }
+
+// ErrLogFormat reports a log whose first frame is sealed — a non-empty
+// payload its CRC32C matches — but is not a committed group in the format
+// this engine writes: a log from a version whose records each carried
+// their own frame. Open refuses it, leaving the file as it found it,
+// rather than cut it back to the nothing the reader accepts.
+var ErrLogFormat = errors.New("sqldb: the log is not in this engine's format (one frame per committed group)")
 
 // VFS abstracts the file system so tests and simulations can run against
 // memory while deployments use the operating system.
@@ -366,9 +384,10 @@ func (s WALStats) FsyncsPerCommit() float64 {
 	return float64(s.Syncs) / float64(s.Commits)
 }
 
-// walBatch is one transaction's encoded redo records (commit marker not
-// yet sealed — the flusher appends it with the next LSN at write time, so
-// LSN order always equals file order) waiting in the group-commit queue.
+// walBatch is one transaction's encoded redo records and their CRC32C
+// (the group not yet framed — the flusher seals it with the next LSN at
+// write time, so LSN order always equals file order) waiting in the
+// group-commit queue.
 // done delivers the flush outcome; lead (buffered, at most one send ever)
 // appoints the batch's committer as the next group leader. Both are
 // selectable alongside ctx.Done(), so a committer whose context fires
@@ -376,15 +395,15 @@ func (s WALStats) FsyncsPerCommit() float64 {
 // condition variable.
 type walBatch struct {
 	data []byte
-	txn  uint64
+	crc  uint32 // CRC32C of data; the flusher extends it over the marker
 	lsn  uint64 // sealed by the flusher under w.mu, before done is signalled
 	done chan error
 	lead chan struct{}
 }
 
-// CommittedBatch is one committed group as it sits in the log: the
-// transaction's redo records followed by its commit marker, verbatim log
-// bytes. LSN is the commit marker's sequence number. Batches stream to
+// CommittedBatch is one committed group as it sits in the log: the frame
+// holding the transaction's redo records and its commit marker, verbatim
+// log bytes. LSN is the commit marker's sequence number. Batches stream to
 // followers through CommittedSince and apply through FollowerApply.
 type CommittedBatch struct {
 	LSN  uint64
@@ -408,7 +427,7 @@ type wal struct {
 	// dirty (guarded by mu) marks that a failed or partial write may have
 	// left torn bytes at the log's tail. Appending after garbage would
 	// strand every later commit behind the tear — logReader stops at the
-	// first corrupt record — so the next writer first repairs the file
+	// first corrupt frame — so the next writer first repairs the file
 	// back to its committed prefix (atomic tmp+rename, like a checkpoint
 	// truncation).
 	dirty bool
@@ -601,23 +620,22 @@ func (w *wal) observeGroup(n int) {
 // buf is the committer's encode buffer (the transaction's scratch): the
 // records are laid out there and it is the committer's again when commit
 // returns — a flush copies queued batches into its own write buffer.
-func (w *wal) commit(ctx context.Context, txn uint64, recs []walRecord, buf *bytes.Buffer) (uint64, error) {
+func (w *wal) commit(ctx context.Context, recs []walRecord, buf *bytes.Buffer) (uint64, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return 0, mapCtxErr(err) // nothing written yet: cancel is free
 		}
 	}
-	// Encode outside any lock: serialization is pure CPU work and must not
-	// extend the critical section other committers queue behind. The
-	// commit marker is sealed at write time (under w.mu) so its LSN
-	// matches file order.
+	// Encode and checksum outside any lock: it is pure CPU work and must not
+	// extend the critical section other committers queue behind. The group
+	// is framed at write time (under w.mu) so its marker's LSN matches file
+	// order.
 	buf.Reset()
 	for i := range recs {
-		recs[i].txn = txn
 		appendRecord(buf, &recs[i])
 	}
 	start := time.Now()
-	b := &walBatch{data: buf.Bytes(), txn: txn, done: make(chan error, 1), lead: make(chan struct{}, 1)}
+	b := &walBatch{data: buf.Bytes(), crc: crc32.Checksum(buf.Bytes(), walCRC), done: make(chan error, 1), lead: make(chan struct{}, 1)}
 	w.gmu.Lock()
 	w.queue = append(w.queue, b)
 	leader := !w.flushing
@@ -727,8 +745,9 @@ func (w *wal) flushGroup() {
 	// Seal and write under w.mu: each batch's commit marker receives the
 	// next LSN as it is laid into the flush buffer, so LSNs increase in
 	// exactly file order and every committed group is addressable for
-	// replication. The markers are a few bytes each; encoding them here
-	// does not meaningfully extend the critical section.
+	// replication. Framing a batch costs its length word, its few marker
+	// bytes and a CRC extended over just those: nothing here checksums a
+	// record.
 	w.mu.Lock()
 	var werr error
 	if w.dirty {
@@ -743,18 +762,17 @@ func (w *wal) flushGroup() {
 		// bytes, not slack.
 		size := 0
 		for i, qb := range group {
-			size += len(qb.data) + markerLen(qb.txn, w.nextLSN+uint64(i)+1)
+			size += len(qb.data) + markerLen(w.nextLSN+uint64(i)+1)
 		}
 		buf := bytes.NewBuffer(make([]byte, 0, size))
 		published = make([]CommittedBatch, 0, len(group))
 		for _, qb := range group {
 			start := buf.Len()
-			buf.Write(qb.data)
 			w.nextLSN++
 			qb.lsn = w.nextLSN
 			w.registerInflight(qb.lsn)
-			appendRecord(buf, &walRecord{op: walCommit, txn: qb.txn, lsn: w.nextLSN})
-			published = append(published, CommittedBatch{LSN: w.nextLSN, Data: buf.Bytes()[start:]})
+			appendGroup(buf, qb.data, qb.crc, qb.lsn)
+			published = append(published, CommittedBatch{LSN: qb.lsn, Data: buf.Bytes()[start:]})
 		}
 		if _, werr = w.file.Write(buf.Bytes()); werr != nil {
 			w.dirty = true
@@ -836,10 +854,8 @@ func repairWALFile(vfs VFS, name string, content []byte) error {
 
 // repairLocked heals a tail torn by a failed or partial append: reread
 // the file, keep its whole committed groups, and atomically swap them
-// into place. Called under w.mu before the next write. The cut lands on a
-// group boundary, not merely a record boundary: whole records of the
-// failed batch left behind would be read as the head of whichever group
-// is appended next.
+// into place. Called under w.mu before the next write: a torn frame left
+// behind would strand every group appended after it.
 func (w *wal) repairLocked() error {
 	data, err := w.vfs.ReadFile(w.name)
 	if err != nil {
@@ -861,93 +877,144 @@ func (w *wal) close() error {
 	return w.file.Close()
 }
 
-// appendRecord frames r onto buf: the payload is encoded in place behind
-// a length placeholder that is patched once its size is known.
+// appendRecord encodes r onto buf: its op byte and its fields. A record
+// has no frame of its own; appendGroup frames a group.
 func appendRecord(buf *bytes.Buffer, r *walRecord) {
-	var word [4]byte
-	start := buf.Len()
-	buf.Write(word[:])
 	buf.WriteByte(byte(r.op))
-	writeUvarint(buf, r.txn)
 	switch r.op {
-	case walInsert, walUpdate:
+	case walInsert, walUpdate, walDelete:
 		writeString(buf, r.table)
 		writeUvarint(buf, uint64(r.rid))
-		writeUvarint(buf, uint64(len(r.row)))
+		switch r.op {
+		case walInsert:
+			writeUvarint(buf, uint64(len(r.row)))
+		case walUpdate:
+			writeUvarint(buf, uint64(r.cols))
+			buf.Write(r.changed)
+		}
 		for _, v := range r.row {
 			writeValue(buf, v)
 		}
-	case walDelete:
-		writeString(buf, r.table)
-		writeUvarint(buf, uint64(r.rid))
 	case walDDL:
 		writeString(buf, r.sql)
 	case walCommit:
 		writeUvarint(buf, r.lsn)
 	}
-	payload := buf.Bytes()[start+4:]
-	binary.LittleEndian.PutUint32(buf.Bytes()[start:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(word[:], crc32.Checksum(payload, walCRC))
+}
+
+// appendGroup frames one committed group onto buf: the length word, the
+// encoded records recs, the commit marker for lsn, and the CRC32C of
+// records and marker. crc is the records' own CRC32C, which the committer
+// computed outside w.mu; only the marker's bytes are added to it here.
+func appendGroup(buf *bytes.Buffer, recs []byte, crc uint32, lsn uint64) {
+	var word [4]byte
+	binary.LittleEndian.PutUint32(word[:], uint32(len(recs)+1+uvarintLen(lsn)))
+	buf.Write(word[:])
+	buf.Write(recs)
+	marker := buf.Len()
+	appendRecord(buf, &walRecord{op: walCommit, lsn: lsn})
+	binary.LittleEndian.PutUint32(word[:], crc32.Update(crc, walCRC, buf.Bytes()[marker:]))
 	buf.Write(word[:])
 }
 
 // logReader walks raw log bytes one committed group at a time. A group is
-// the redo records up to and including a commit marker — one transaction's
-// batch as flushGroup and appendRaw lay it down, always
-// contiguous — and it is the unit of everything done with the log: repair
-// keeps whole groups, recovery and follower apply redo whole groups,
-// truncation and shipping cut at group boundaries. Every consumer is a loop
-// over next; this is the only place log framing is parsed and the only
-// place a record's CRC is checked.
+// one frame — one transaction's redo records and its commit marker, as
+// flushGroup and appendRaw lay it down — and it is the unit of everything
+// done with the log: repair keeps whole groups, recovery and follower
+// apply redo whole groups, truncation and shipping cut at group
+// boundaries. Every consumer is a loop over next; this is the only place
+// log framing is parsed and the only place a CRC is checked.
 type logReader struct {
 	data []byte
 	// recs, lsn, start and end describe the group the last successful next
 	// yielded: its redo records (commit marker stripped; the slice is reused
-	// by the following call, the rows it points to are not), the marker's
-	// LSN, and its verbatim bytes data[start:end]. Once next reports false,
-	// end is the length of the log's committed prefix.
+	// by the following call, the rows it points to are not, and an update's
+	// changed-column bitmap points into data), the marker's LSN, and its
+	// verbatim bytes data[start:end]. Once next reports false, end is the
+	// length of the log's committed prefix.
 	recs       []walRecord
 	lsn        uint64
 	start, end int
 }
 
 // next advances to the following whole committed group. It reports false
-// at the clean end of the log and equally at the first torn, CRC-failing or
-// undecodable record or marker-less tail: nothing past that point can be
-// trusted, so to every consumer the log ends there.
+// at the clean end of the log and equally at the first torn or CRC-failing
+// frame, and at one whose records do not decode or are not ended by its
+// commit marker: nothing past that point can be trusted, so to every
+// consumer the log ends there.
+//
+// A group is parsed twice: once allocating nothing, to validate it and
+// count its records, then into an array of exactly that many. So what
+// reading a group costs is bounded by its bytes, however small its
+// records.
 func (r *logReader) next() bool {
 	r.recs = r.recs[:0]
-	off := r.end
-	for len(r.data)-off >= 8 {
-		n := int(binary.LittleEndian.Uint32(r.data[off:]))
-		if n > len(r.data)-off-8 {
-			return false
-		}
-		payload := r.data[off+4 : off+4+n]
-		if crc32.Checksum(payload, walCRC) != binary.LittleEndian.Uint32(r.data[off+4+n:]) {
-			return false
-		}
-		r.recs = append(r.recs, walRecord{})
-		rec := &r.recs[len(r.recs)-1]
-		if !decodeRecord(payload, rec) {
-			return false
-		}
-		off += 8 + n
-		if rec.op == walCommit {
-			r.lsn = rec.lsn
-			r.recs = r.recs[:len(r.recs)-1]
-			r.start, r.end = r.end, off
-			return true
-		}
+	payload, ok := frameAt(r.data, r.end)
+	if !ok {
+		return false
 	}
-	return false
+	n, lsn, ok := scanGroup(payload)
+	if !ok {
+		return false
+	}
+	if cap(r.recs) < n {
+		r.recs = make([]walRecord, n)
+	}
+	r.recs = r.recs[:n]
+	rd := byteReader{b: payload}
+	for i := range r.recs {
+		r.recs[i] = walRecord{}
+		decodeRecord(&rd, &r.recs[i]) // cannot fail: scanGroup accepted these bytes
+	}
+	r.lsn = lsn
+	r.start, r.end = r.end, r.end+8+len(payload)
+	return true
+}
+
+// frameAt returns the payload of the frame at data[off:], and whether its
+// length word fits the data and its CRC32C matches.
+func frameAt(data []byte, off int) ([]byte, bool) {
+	if len(data)-off < 8 {
+		return nil, false
+	}
+	n := int(binary.LittleEndian.Uint32(data[off:]))
+	if n > len(data)-off-8 {
+		return nil, false
+	}
+	payload := data[off+4 : off+4+n]
+	return payload, crc32.Checksum(payload, walCRC) == binary.LittleEndian.Uint32(data[off+4+n:])
+}
+
+// scanGroup validates a group's payload without allocating: decodable
+// records, then a commit marker that ends the payload. It reports the
+// records' count and the marker's LSN.
+func scanGroup(payload []byte) (n int, lsn uint64, ok bool) {
+	rd := byteReader{b: payload, skim: true}
+	var rec walRecord
+	for decodeRecord(&rd, &rec) {
+		if rec.op == walCommit {
+			return n, rec.lsn, rd.off == len(payload)
+		}
+		n++
+	}
+	return 0, 0, false
+}
+
+// foreignLog reports whether data's first frame is sealed — a non-empty
+// payload its CRC32C matches — yet not a group: the mark of a log written
+// in another format (ErrLogFormat). An empty payload is not that mark: a
+// zero-filled tail reads as one, and a torn first commit must still open.
+func foreignLog(data []byte) bool {
+	payload, sealed := frameAt(data, 0)
+	if !sealed || len(payload) == 0 {
+		return false
+	}
+	_, _, group := scanGroup(payload)
+	return !group
 }
 
 // committedLen reports how many leading bytes of a log form whole
-// committed groups — the boundary every repair cuts to. A corrupt record
-// truncates the log at the last group boundary, and trailing redo records
-// whose commit marker never made it are cut rather than left to be adopted
-// by the next group appended behind them.
+// committed groups — the boundary every repair cuts to.
 func committedLen(data []byte) int {
 	rd := logReader{data: data}
 	for rd.next() {
@@ -955,50 +1022,39 @@ func committedLen(data []byte) int {
 	return rd.end
 }
 
-// decodeRecord parses one record payload into r. The bytes come from disk
-// or from the network (a shipped batch), so every count and length is
-// bounded by the bytes that remain, and a payload with anything left over
-// is rejected: what decodes is exactly what appendRecord would write.
-func decodeRecord(p []byte, r *walRecord) bool {
-	rd := byteReader{b: p}
+// decodeRecord parses the record at rd into r. The bytes come from disk or
+// from the network (a shipped batch), so every count and length is bounded
+// by the bytes that remain, and a record has one byte form: what decodes
+// is exactly what appendRecord would write.
+func decodeRecord(rd *byteReader, r *walRecord) bool {
 	op, ok := rd.u8()
 	if !ok {
 		return false
 	}
 	r.op = walOp(op)
-	if r.txn, ok = rd.uvarint(); !ok {
-		return false
-	}
 	switch r.op {
-	case walInsert, walUpdate:
+	case walInsert, walUpdate, walDelete:
 		if r.table, ok = rd.str(); !ok {
 			return false
 		}
 		if r.rid, ok = rd.rid(); !ok {
 			return false
 		}
-		if r.row, ok = rd.row(); !ok {
-			return false
+		switch r.op {
+		case walInsert:
+			r.row, ok = rd.row()
+		case walUpdate:
+			r.cols, r.changed, r.row, ok = rd.delta()
 		}
-	case walDelete:
-		if r.table, ok = rd.str(); !ok {
-			return false
-		}
-		if r.rid, ok = rd.rid(); !ok {
-			return false
-		}
+		return ok
 	case walDDL:
-		if r.sql, ok = rd.str(); !ok {
-			return false
-		}
+		r.sql, ok = rd.str()
+		return ok
 	case walCommit:
-		if r.lsn, ok = rd.uvarint(); !ok {
-			return false
-		}
-	default:
-		return false
+		r.lsn, ok = rd.uvarint()
+		return ok
 	}
-	return rd.off == len(p)
+	return false
 }
 
 func writeUvarint(buf *bytes.Buffer, v uint64) {
@@ -1007,10 +1063,10 @@ func writeUvarint(buf *bytes.Buffer, v uint64) {
 	buf.Write(tmp[:n])
 }
 
-// markerLen is the framed size of the commit marker appendRecord seals
-// for (txn, lsn): length word, op byte, the two uvarints, CRC.
-func markerLen(txn, lsn uint64) int {
-	return 4 + 1 + uvarintLen(txn) + uvarintLen(lsn) + 4
+// markerLen is what framing adds to a group's records at lsn: the length
+// word, the commit marker (op byte, LSN) and the CRC.
+func markerLen(lsn uint64) int {
+	return 4 + 1 + uvarintLen(lsn) + 4
 }
 
 // uvarintLen is how many bytes writeUvarint emits for v.
@@ -1045,6 +1101,9 @@ func writeValue(buf *bytes.Buffer, v Value) {
 type byteReader struct {
 	b   []byte
 	off int
+	// skim parses without keeping anything: strings and rows are
+	// bounds-checked and stepped over, never allocated.
+	skim bool
 }
 
 func (r *byteReader) u8() (byte, bool) {
@@ -1073,7 +1132,10 @@ func (r *byteReader) str() (string, bool) {
 	if !ok || n > uint64(len(r.b)-r.off) {
 		return "", false
 	}
-	s := string(r.b[r.off : r.off+int(n)])
+	var s string
+	if !r.skim {
+		s = string(r.b[r.off : r.off+int(n)])
+	}
 	r.off += int(n)
 	return s, true
 }
@@ -1084,18 +1146,56 @@ func (r *byteReader) rid() (int64, bool) {
 	return int64(u), ok && u <= math.MaxInt64
 }
 
-// row reads a counted row image (WAL insert/update records and page
-// records share it). Every value takes at least its type byte, which
-// bounds the count — and so the allocation — by the bytes that remain.
+// row reads a counted row image (WAL insert records and page records share
+// it). Every value takes at least its type byte, which bounds the count —
+// and so the allocation — by the bytes that remain.
 func (r *byteReader) row() ([]Value, bool) {
 	n, ok := r.uvarint()
 	if !ok || n > uint64(len(r.b)-r.off) {
 		return nil, false
 	}
-	row := make([]Value, n)
-	for i := range row {
-		if row[i], ok = r.value(); !ok {
+	return r.values(int(n))
+}
+
+// delta reads an update's column count, its changed-column bitmap (a view
+// of the input) and the changed values. Only the set columns' values are
+// decoded — never a row as wide as the column count, which nothing but the
+// bitmap's own length bounds — and the set bits, like a row's count, are
+// bounded by the bytes that remain.
+func (r *byteReader) delta() (cols int, changed []byte, vals []Value, ok bool) {
+	n, ok := r.uvarint()
+	if !ok || n > 8*uint64(len(r.b)-r.off) {
+		return 0, nil, nil, false
+	}
+	end := r.off + int((n+7)/8)
+	changed, r.off = r.b[r.off:end:end], end
+	set := 0
+	for _, b := range changed {
+		set += bits.OnesCount8(b)
+	}
+	if n%8 != 0 && changed[len(changed)-1]>>(n%8) != 0 {
+		return 0, nil, nil, false // a bit set past the last column
+	}
+	if set > len(r.b)-r.off {
+		return 0, nil, nil, false
+	}
+	vals, ok = r.values(set)
+	return int(n), changed, vals, ok
+}
+
+// values reads n values into a fresh row or, skimming, into nothing.
+func (r *byteReader) values(n int) ([]Value, bool) {
+	var row []Value
+	if !r.skim {
+		row = make([]Value, n)
+	}
+	for i := 0; i < n; i++ {
+		v, ok := r.value()
+		if !ok {
 			return nil, false
+		}
+		if row != nil {
+			row[i] = v
 		}
 	}
 	return row, true

@@ -715,7 +715,7 @@ func TestGroupCommitHammer(t *testing.T) {
 // group boundary: the recovered state must equal the clean log's groups
 // that end before the damage, the file must be physically repaired to
 // that boundary, and the database must accept new commits afterwards. Torn tails lose length; flipped bytes fail the
-// per-record CRC32C — both land on a group boundary, never mid-group.
+// group's CRC32C — both land on a group boundary, never mid-group.
 func TestGroupFlippedByteSweep(t *testing.T) {
 	data := flipSweepLog(t)
 
@@ -724,25 +724,31 @@ func TestGroupFlippedByteSweep(t *testing.T) {
 		corrupted := append([]byte(nil), data...)
 		corrupted[pos] ^= 0x40
 
-		// Oracle: a flipped bit fails the CRC of the record it lands in (or
+		// Oracle: a flipped bit fails the CRC of the group it lands in (or
 		// tears the framing from there on), so recovery keeps exactly the
 		// clean log's groups that end at or before the damaged byte.
 		keep := 0
-		wantRows := map[int64]int64{}
+		byRid := map[int64][]Value{}
 		schemaOK := false
 		for _, g := range groups {
 			if g.end > pos {
 				break
 			}
 			keep = g.end
-			for _, r := range g.recs {
-				switch r.op {
+			for i := range g.recs {
+				switch r := &g.recs[i]; r.op {
 				case walDDL:
 					schemaOK = true
-				case walInsert, walUpdate:
-					wantRows[r.row[0].Int64()] = r.row[1].Int64()
+				case walInsert:
+					byRid[r.rid] = r.row
+				case walUpdate:
+					byRid[r.rid] = applyDelta(byRid[r.rid], r)
 				}
 			}
+		}
+		wantRows := map[int64]int64{}
+		for _, row := range byRid {
+			wantRows[row[0].Int64()] = row[1].Int64()
 		}
 		if got := committedLen(corrupted); got != keep {
 			t.Fatalf("pos %d: reader keeps %d bytes, want %d", pos, got, keep)

@@ -25,20 +25,31 @@ func readGroups(data []byte) []logGroup {
 	return out
 }
 
-// sealRecord frames a raw payload as the log does — length word, payload,
-// CRC32C — without going through appendRecord, so a test can seal bytes
-// the encoder would never produce.
-func sealRecord(payload []byte) []byte {
+// sealFrame frames a raw payload as the log frames a group — length word,
+// payload, CRC32C — without going through appendGroup, so a test can seal
+// bytes the encoder would never produce.
+func sealFrame(payload []byte) []byte {
 	out := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
 	out = append(out, payload...)
 	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, walCRC))
 }
 
-// sealGroup seals payload and a commit marker for (txn 1, lsn) behind it:
-// one whole group.
-func sealGroup(lsn uint64, payload []byte) []byte {
-	marker := binary.AppendUvarint([]byte{byte(walCommit), 1}, lsn)
-	return append(sealRecord(payload), sealRecord(marker)...)
+// sealGroup seals records — raw record bytes — and a commit marker for lsn
+// behind them as one group.
+func sealGroup(lsn uint64, records []byte) []byte {
+	payload := append(append([]byte(nil), records...), byte(walCommit))
+	return sealFrame(binary.AppendUvarint(payload, lsn))
+}
+
+// groupBytes encodes recs as one committed group at lsn, exactly as a
+// flush lays it down.
+func groupBytes(lsn uint64, recs ...walRecord) []byte {
+	var body, out bytes.Buffer
+	for i := range recs {
+		appendRecord(&body, &recs[i])
+	}
+	appendGroup(&out, body.Bytes(), crc32.Checksum(body.Bytes(), walCRC), lsn)
+	return out.Bytes()
 }
 
 // TestRedoRejectsHostileRecords sends three CRC-valid records no encoder
@@ -46,12 +57,11 @@ func sealGroup(lsn uint64, payload []byte) []byte {
 // both doors a log group comes in by. A shipped batch (core's handleShip
 // hands a request's bytes straight to FollowerApply) must be refused before
 // it reaches the follower's own log; a log that already holds one must open,
-// the record treated like any other undecodable tail: cut, never applied.
+// the group treated like any other undecodable tail: cut, never applied.
 // Either way the engine keeps working.
 func TestRedoRejectsHostileRecords(t *testing.T) {
 	insertInto := func(table string) []byte {
-		p := []byte{byte(walInsert), 1}
-		p = binary.AppendUvarint(p, uint64(len(table)))
+		p := binary.AppendUvarint([]byte{byte(walInsert)}, uint64(len(table)))
 		return append(p, table...)
 	}
 	cases := []struct {
@@ -61,10 +71,11 @@ func TestRedoRejectsHostileRecords(t *testing.T) {
 		// make([]Value, 1<<62): "makeslice: len out of range".
 		{"row count 2^62", binary.AppendUvarint(binary.AppendUvarint(insertInto("t"), 0), 1<<62)},
 		// off+int(n) wraps negative, passes the bound, slices out of range.
-		{"string length 2^63", append(binary.AppendUvarint([]byte{byte(walInsert), 1}, 1<<63), "t"...)},
+		{"string length 2^63", append(binary.AppendUvarint([]byte{byte(walInsert)}, 1<<63), "t"...)},
 		// int64(rid) < 0 indexes t.rows[-1] — after the group is durable.
 		{"rid 2^63", append(binary.AppendUvarint(binary.AppendUvarint(insertInto("t"), 1<<63), 1), byte(Int), 7)},
 	}
+	insert7 := walRecord{op: walInsert, table: "t", rid: 0, row: []Value{NewInt(7)}}
 	for _, tc := range cases {
 		t.Run(tc.name+"/FollowerApply", func(t *testing.T) {
 			vfs := NewMemVFS()
@@ -78,10 +89,7 @@ func TestRedoRejectsHostileRecords(t *testing.T) {
 				t.Fatal("rejected batch reached the follower's log")
 			}
 			// The same LSN still applies, and the node still restarts.
-			var good bytes.Buffer
-			appendRecord(&good, &walRecord{op: walInsert, txn: 1, table: "t", rid: 0, row: []Value{NewInt(7)}})
-			appendRecord(&good, &walRecord{op: walCommit, txn: 1, lsn: 2})
-			if err := follower.FollowerApply(2, good.Bytes()); err != nil {
+			if err := follower.FollowerApply(2, groupBytes(2, insert7)); err != nil {
 				t.Fatalf("good batch after the hostile one: %v", err)
 			}
 			follower.Close()
@@ -93,10 +101,8 @@ func TestRedoRejectsHostileRecords(t *testing.T) {
 		})
 		t.Run(tc.name+"/Open", func(t *testing.T) {
 			var log bytes.Buffer
-			appendRecord(&log, &walRecord{op: walDDL, txn: 1, sql: "CREATE TABLE t (x INTEGER)"})
-			appendRecord(&log, &walRecord{op: walCommit, txn: 1, lsn: 1})
-			appendRecord(&log, &walRecord{op: walInsert, txn: 1, table: "t", rid: 0, row: []Value{NewInt(7)}})
-			appendRecord(&log, &walRecord{op: walCommit, txn: 1, lsn: 2})
+			log.Write(groupBytes(1, walRecord{op: walDDL, sql: "CREATE TABLE t (x INTEGER)"}))
+			log.Write(groupBytes(2, insert7))
 			clean := log.Len()
 			log.Write(sealGroup(3, tc.payload))
 			vfs := NewMemVFS()
@@ -121,21 +127,19 @@ func TestRedoRejectsHostileRecords(t *testing.T) {
 }
 
 // tornSweepLog is the hand-built group-committed log TestGroupTornTailSweep
-// cuts at every offset: txn 1 creates the table (its marker ends at ddlEnd),
-// txns firstTxn..lastTxn each insert one row (x = 100+txn at rid
-// txn-firstTxn) behind their own marker, as one flush lays them down.
+// cuts at every offset: the first group creates the table (it ends at
+// ddlEnd), groups firstTxn..lastTxn each insert one row (x = 100+txn at rid
+// txn-firstTxn), as one flush lays them down.
 func tornSweepLog(firstTxn, lastTxn uint64) (data []byte, ddlEnd int, markerEnd map[uint64]int) {
 	var log bytes.Buffer
-	// txn 1's marker precedes all dependent inserts, exactly as group
-	// commit preserves enqueue order (a transaction only sees the table
-	// after the DDL committed and released its locks).
-	appendRecord(&log, &walRecord{op: walDDL, txn: 1, sql: "CREATE TABLE t (x INTEGER)"})
-	appendRecord(&log, &walRecord{op: walCommit, txn: 1, lsn: 1})
+	// The DDL group precedes all dependent inserts, exactly as group commit
+	// preserves enqueue order (a transaction only sees the table after the
+	// DDL committed and released its locks).
+	log.Write(groupBytes(1, walRecord{op: walDDL, sql: "CREATE TABLE t (x INTEGER)"}))
 	ddlEnd = log.Len()
 	markerEnd = map[uint64]int{}
 	for i := firstTxn; i <= lastTxn; i++ {
-		appendRecord(&log, &walRecord{op: walInsert, txn: i, table: "t", rid: int64(i - firstTxn), row: []Value{NewInt(int64(100 + i))}})
-		appendRecord(&log, &walRecord{op: walCommit, txn: i, lsn: i})
+		log.Write(groupBytes(i, walRecord{op: walInsert, table: "t", rid: int64(i - firstTxn), row: []Value{NewInt(int64(100 + i))}}))
 		markerEnd[i] = log.Len()
 	}
 	return log.Bytes(), ddlEnd, markerEnd
@@ -164,8 +168,42 @@ func flipSweepLog(t testing.TB) []byte {
 	return data
 }
 
-// reseal returns data with every record's CRC recomputed, as far as the
-// length words frame whole records: a mutated payload then reaches the
+// wideDDL is the ten-column table deltaSeedLog writes to: an update's
+// changed-column bitmap there takes two bytes.
+const wideDDL = `CREATE TABLE w (c0 INTEGER PRIMARY KEY, c1 INTEGER, c2 TEXT, c3 FLOAT, c4 BOOLEAN,
+	c5 TIMESTAMP, c6 TEXT, c7 INTEGER, c8 FLOAT, c9 INTEGER)`
+
+// deltaSeedLog is an engine-written log of updates of the ten-column table:
+// one changing only its last column (a delta over more than eight
+// columns), one changing no column at all, one changing three, then a
+// delete.
+func deltaSeedLog(t testing.TB) []byte {
+	mem := NewMemVFS()
+	db, err := Open(Options{VFS: mem, Path: "delta.wal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{
+		wideDDL,
+		`INSERT INTO w VALUES (1, 10, 'a', 1.5, TRUE, NULL, 'b', 7, 2.5, 9)`,
+		`INSERT INTO w VALUES (2, 20, 'c', 0.5, FALSE, NULL, NULL, 8, 3.5, 0)`,
+		`UPDATE w SET c9 = 90 WHERE c0 = 1`,
+		`UPDATE w SET c1 = c1 WHERE c0 = 2`,
+		`UPDATE w SET c2 = 'z', c4 = NULL, c8 = 0.25 WHERE c0 = 2`,
+		`DELETE FROM w WHERE c0 = 1`,
+	} {
+		mustExecB(t, db, sql)
+	}
+	db.Close()
+	data, err := mem.ReadFile("delta.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// reseal returns data with every frame's CRC recomputed, as far as the
+// length words frame whole frames: a mutated payload then reaches the
 // decoder and the redo instead of dying at the checksum.
 func reseal(data []byte) []byte {
 	out := append([]byte(nil), data...)
@@ -186,17 +224,17 @@ func reseal(data []byte) []byte {
 // reader's own bound does not cover.
 const fuzzMaxRid = 1 << 12
 
-// FuzzLogReader feeds arbitrary bytes — as given, and with their CRCs
-// resealed so mutated payloads get past the checksum — to the log reader
-// and then, group by group, to FollowerApply on an engine holding the two
-// tables the seed logs write to. Neither may panic; the reader may not
-// allocate more than a small multiple of its input; and what the reader
-// accepts must be exactly what appendRecord writes: re-encoding the
-// decoded groups reproduces the accepted prefix byte for byte.
+// FuzzLogReader feeds arbitrary bytes — as given, and with their frames'
+// CRCs resealed so mutated payloads get past the checksum — to the log
+// reader and then, group by group, to FollowerApply on an engine holding
+// the three tables the seed logs write to. Neither may panic; the reader
+// may not allocate more than a small multiple of its input; and what the
+// reader accepts must be exactly what appendGroup writes: re-encoding the
+// decoded groups reproduces the accepted prefix byte for byte, frames,
+// markers and CRCs included.
 func FuzzLogReader(f *testing.F) {
 	torn, _, _ := tornSweepLog(2, 6)
-	flip := flipSweepLog(f)
-	for _, log := range [][]byte{torn, flip} {
+	for _, log := range [][]byte{torn, flipSweepLog(f), deltaSeedLog(f)} {
 		f.Add(log)
 		for _, cut := range []int{1, len(log) / 3, len(log) / 2, len(log) - 5, len(log) - 1} {
 			f.Add(log[:cut])
@@ -220,56 +258,47 @@ func FuzzLogReader(f *testing.F) {
 func fuzzReader(t *testing.T, data []byte) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	groups := readGroups(data)
+	end := committedLen(data) // the reader, as the engine runs it
 	runtime.ReadMemStats(&after)
-	// A value costs 32 bytes of row for at least one byte of input and a
-	// record 88 bytes of walRecord for at least ten; readGroups' own copy
-	// doubles the latter. TotalAlloc is the whole process's, so the constant
-	// leaves room for what the fuzz worker's other goroutines allocate
-	// meanwhile — a count the decoder believed would overshoot it by orders
-	// of magnitude.
+	// A value costs 32 bytes of row for at least one byte of input, and a
+	// record 112 bytes of walRecord for at least two (a DDL record with no
+	// text); the reader counts a group's records before it sizes their
+	// array, so it allocates no more of them than the group holds. An
+	// update's values are only its set bits', each at least a byte.
+	// TotalAlloc is the whole process's, so the constant leaves room for
+	// what the fuzz worker's other goroutines allocate meanwhile — a count
+	// the decoder believed would overshoot it by orders of magnitude.
 	if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+(64<<10)); alloc > limit {
 		t.Fatalf("reading %d bytes allocated %d, limit %d", len(data), alloc, limit)
 	}
 	var re bytes.Buffer
-	end := 0
-	for _, g := range groups {
-		if g.start != end {
-			t.Fatalf("group at lsn %d starts at %d, the previous one ended at %d", g.lsn, g.start, end)
+	pos := 0
+	for _, g := range readGroups(data) {
+		if g.start != pos {
+			t.Fatalf("group at lsn %d starts at %d, the previous one ended at %d", g.lsn, g.start, pos)
 		}
-		end = g.end
-		for i := range g.recs {
-			appendRecord(&re, &g.recs[i])
-		}
-		// The marker's own txn is not among what the reader yields; read it
-		// back from the group's last record.
-		markerAt := re.Len()
-		var marker walRecord
-		if markerAt+8 > g.end || !decodeRecord(data[markerAt+4:g.end-4], &marker) || marker.op != walCommit || marker.lsn != g.lsn {
-			t.Fatalf("group at lsn %d: its records re-encode to %d bytes, which is not where its marker starts", g.lsn, markerAt-g.start)
-		}
-		appendRecord(&re, &marker)
+		pos = g.end
+		re.Write(groupBytes(g.lsn, g.recs...))
 		if re.Len() != g.end {
 			t.Fatalf("group at lsn %d re-encodes to %d bytes, the reader took %d", g.lsn, re.Len()-g.start, g.end-g.start)
 		}
 	}
+	if pos != end {
+		t.Fatalf("committedLen = %d, groups end at %d", end, pos)
+	}
 	if !bytes.Equal(re.Bytes(), data[:end]) {
 		t.Fatalf("accepted prefix of %d bytes does not re-encode to itself", end)
-	}
-	if got := committedLen(data); got != end {
-		t.Fatalf("committedLen = %d, groups end at %d", got, end)
 	}
 }
 
 // fuzzFollowerApply ships the input to a follower whole and group by
 // group, then restarts the follower from whatever reached its log.
 func fuzzFollowerApply(t *testing.T, data []byte) {
-	// The follower starts from a two-table log whose markers carry LSN 0,
+	// The follower starts from a three-table log whose markers carry LSN 0,
 	// so every LSN the input can name is still ahead of it.
 	var log bytes.Buffer
-	for _, ddl := range []string{"CREATE TABLE t (x INTEGER)", "CREATE TABLE fb (id INTEGER PRIMARY KEY, v INTEGER NOT NULL)"} {
-		appendRecord(&log, &walRecord{op: walDDL, txn: 1, sql: ddl})
-		appendRecord(&log, &walRecord{op: walCommit, txn: 1})
+	for _, ddl := range []string{"CREATE TABLE t (x INTEGER)", "CREATE TABLE fb (id INTEGER PRIMARY KEY, v INTEGER NOT NULL)", wideDDL} {
+		log.Write(groupBytes(0, walRecord{op: walDDL, sql: ddl}))
 	}
 	vfs := NewMemVFS()
 	f, _ := vfs.Create("test.wal")
