@@ -208,8 +208,8 @@ func main() {
 	if planTotal > 0 {
 		planHitRate = float64(pc.Hits) / float64(planTotal)
 	}
-	log.Printf("plancache: %d hits, %d misses (%.1f%% hit rate), %d stores, %d invalidations, %d snapshot bypasses",
-		pc.Hits, pc.Misses, 100*planHitRate, pc.Stores, pc.Invalidations, pc.Bypasses)
+	log.Printf("plancache: %d hits, %d misses (%.1f%% hit rate), %d stores, %d invalidations",
+		pc.Hits, pc.Misses, 100*planHitRate, pc.Stores, pc.Invalidations)
 	as := cas.AdmissionStats()
 	log.Printf("admission: %d admitted (%d queued first), %d rejected, %d queue timeouts, %d stale heartbeats shed, peak in-flight %d",
 		as.Admitted, as.Queued, as.Rejected, as.QueueTimeouts, as.ShedStale, as.PeakInFlight)

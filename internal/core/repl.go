@@ -602,14 +602,18 @@ func (r *Replicator) handleShip(ctx context.Context, req *ReplShipRequest) (*Rep
 		}
 		r.mu.Unlock()
 	}
-	for _, b := range req.Batches {
+	// The ship is one run: decoded whole before any of it is applied, then
+	// checked, appended with one sync and redone by the engine in one call.
+	run := make([]sqldb.CommittedBatch, len(req.Batches))
+	for i, b := range req.Batches {
 		data, err := base64.StdEncoding.DecodeString(b.Data)
 		if err != nil {
 			return nil, fmt.Errorf("core: repl: batch %d: bad base64: %w", b.LSN, err)
 		}
-		if err := r.cas.Engine.FollowerApply(b.LSN, data); err != nil {
-			return nil, err
-		}
+		run[i] = sqldb.CommittedBatch{LSN: b.LSN, Data: data}
+	}
+	if err := r.cas.Engine.ApplyCommitted(run); err != nil {
+		return nil, err
 	}
 	r.leaderLSN.Store(req.LeaderLSN)
 	r.lastShipMs.Store(r.now().UnixMilli())

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"encoding/base64"
 	"sync"
 	"testing"
 	"time"
@@ -567,5 +568,64 @@ func TestReplTruncatedJoinIsCounted(t *testing.T) {
 				t.Fatalf("follower applied through LSN %d from a log that no longer reaches back to it", got)
 			}
 		})
+	}
+}
+
+// TestReplShipAppliesAsOneRun: a ship of several committed groups is one
+// run on the follower — one append to its log and one fsync — not one per
+// group.
+func TestReplShipAppliesAsOneRun(t *testing.T) {
+	net := newReplNet()
+	leader := newReplNode(t, net, "lead", false, ReplConfig{})
+	defer leader.close()
+	follower := newReplNode(t, net, "follow", true, ReplConfig{})
+	defer follower.close()
+	ship := func(batches []sqldb.CommittedBatch) {
+		t.Helper()
+		req := &ReplShipRequest{Term: 1, Leader: "lead", LeaderLSN: leader.eng.DurableLSN()}
+		for _, b := range batches {
+			req.Batches = append(req.Batches, ReplBatch{LSN: b.LSN, Data: base64.StdEncoding.EncodeToString(b.Data)})
+		}
+		if err := net.dial("follow").Call(context.Background(), ActionReplShip, req, &ReplShipResponse{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	since := func(lsn uint64) []sqldb.CommittedBatch {
+		t.Helper()
+		batches, _, err := leader.eng.CommittedSince(lsn, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return batches
+	}
+	ship(since(0)) // the leader's bootstrap
+
+	for _, sql := range []string{
+		`CREATE TABLE probe (id INTEGER PRIMARY KEY)`,
+		`INSERT INTO probe VALUES (1)`,
+		`INSERT INTO probe VALUES (2)`,
+	} {
+		if _, err := leader.eng.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := since(follower.eng.AppliedLSN())
+	if len(run) != 3 {
+		t.Fatalf("leader logged %d groups past the follower, want 3", len(run))
+	}
+	syncs := follower.eng.WALStats().Syncs
+	ship(run)
+	if got := follower.eng.WALStats().Syncs - syncs; got != 1 {
+		t.Fatalf("a 3-group ship cost the follower %d syncs, want 1", got)
+	}
+	if got, want := follower.eng.AppliedLSN(), leader.eng.DurableLSN(); got != want {
+		t.Fatalf("follower applied LSN %d, leader durable %d", got, want)
+	}
+	rows, err := follower.eng.Query(`SELECT count(*) FROM probe`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rows.Data[0][0].Int64(); n != 2 {
+		t.Fatalf("follower holds %d probe rows, want 2", n)
 	}
 }

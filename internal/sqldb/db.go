@@ -157,7 +157,6 @@ type DB struct {
 	planHits          atomic.Uint64
 	planMisses        atomic.Uint64
 	planInvalidations atomic.Uint64
-	planBypasses      atomic.Uint64
 	planStores        atomic.Uint64
 }
 
@@ -926,6 +925,13 @@ func (tx *Tx) execStmt(stmt Statement, params []Value) (Result, *Rows, error) {
 		if err := tx.lock(catalogTable, lockExclusive); err != nil {
 			return Result{}, nil, err
 		}
+		// An index build waits out the table's in-flight writers, so every
+		// version it enters is committed (addIndexLocked).
+		if ci, ok := s.(*CreateIndexStmt); ok {
+			if err := tx.lock(strings.ToLower(ci.Index.Table), lockShared); err != nil {
+				return Result{}, nil, err
+			}
+		}
 		tx.db.mu.Lock()
 		err := tx.db.applyDDL(stmt, tx)
 		tx.db.mu.Unlock()
@@ -973,12 +979,21 @@ func (db *DB) applyDDL(stmt Statement, tx *Tx) error {
 		if tbl.findIndex(s.Index.Name) != nil && s.IfNotExists {
 			return nil
 		}
-		// Stamp the index with the current commit clock: snapshots older
-		// than the build must not plan through it (it indexes only the
-		// newest committed versions).
-		if err := tbl.addIndexLocked(s.Index, db.clock.Load()); err != nil {
+		history, err := tbl.addIndexLocked(s.Index)
+		if err != nil {
 			return err
 		}
+		// Entries only older snapshots can reach are reclaimed once every
+		// snapshot from before the build has ended.
+		db.commitMu.Lock()
+		ts := db.clock.Load()
+		for i := range history {
+			history[i].ts = ts
+		}
+		db.gcMu.Lock()
+		db.gcQueue = append(db.gcQueue, history...)
+		db.gcMu.Unlock()
+		db.commitMu.Unlock()
 		if tx != nil {
 			tx.recordDDL(s.Index.DDL())
 		}

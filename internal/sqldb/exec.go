@@ -47,6 +47,14 @@ type accessPlan struct {
 	grouped bool
 }
 
+// narrows reports whether the path reads a part of the index: an equality
+// prefix or a range bound. One that does not reads every row, only in
+// index order, and locks like the seq scan it stands in for — the table in
+// S (or X), no row locks.
+func (ap *accessPlan) narrows() bool {
+	return len(ap.eqExprs) > 0 || ap.loExpr != nil || ap.hiExpr != nil
+}
+
 // query is the per-execution state of one statement: the compiled plan
 // it runs (embedded, possibly shared with concurrent executions through
 // the plan cache — see plancache.go) plus everything private to this
@@ -64,8 +72,9 @@ type query struct {
 	// from (scratch.go); nil for the throwaway planning query.
 	sc *txScratch
 	// rowLock is the lock mode taken on each row visited through an index
-	// access path: S for SELECT, X for UPDATE/DELETE targets. Full scans
-	// rely on the table-granularity lock instead and take no row locks.
+	// access path that narrows the read: S for SELECT, X for UPDATE/DELETE
+	// targets. Full scans, in slot or index order, rely on the
+	// table-granularity lock instead and take no row locks.
 	rowLock lockMode
 	// snapRead marks a snapshot read: rows visible at snapTS are read from
 	// the version store and the lock manager is never consulted (no table
@@ -125,19 +134,20 @@ func (tx *Tx) execSelect(s *SelectStmt, params []Value) (*Rows, error) {
 	if len(s.From) > 0 {
 		stats.Table = s.From[0].Table
 	}
-	plan, _, err := tx.planSelect(s, q.snapRead, q.snapTS)
+	plan, _, err := tx.planSelect(s)
 	if err != nil {
 		return nil, err
 	}
 	q.bind(plan)
 	stats.UsedIndex = plan.usedIndex
 
-	// Lock after planning: an index access path only needs intention-shared
-	// on the table (row S locks are taken per visited row), while a full
-	// scan keeps the whole-table shared lock for phantom-free reads. The
-	// footprint was merged and sorted at plan time (consistent acquisition
-	// order across transactions). Snapshot reads take nothing at all —
-	// visibility is by timestamp.
+	// Lock after planning: an index access path that narrows the read only
+	// needs intention-shared on the table (row S locks are taken per visited
+	// row), while a full scan — by slot or in index order — keeps the
+	// whole-table shared lock for phantom-free reads. The footprint was
+	// merged and sorted at plan time (consistent acquisition order across
+	// transactions). Snapshot reads take nothing at all — visibility is by
+	// timestamp.
 	if !q.snapRead {
 		for _, pl := range plan.locks {
 			mode := lockShared
@@ -309,10 +319,7 @@ func (q *query) chooseAccess(i int, usable []Expr, canEval func(Expr) bool) acce
 	// An index that serves no predicate can still be worth scanning for
 	// its order: under a LIMIT the sort unit's early stop then reads
 	// K rows (plus filtered-out ones) where a seq scan materialises and
-	// sorts the table. That holds for lock-free snapshot reads only — a
-	// locked read would trade one table S lock for a row lock per visited
-	// row — so the index loop below runs for both, and a locked read whose
-	// best path turns out order-only falls back to the seq scan.
+	// sorts the table. Such a scan locks like the seq scan (narrows).
 	orderOnly := q.orderable && q.stmt.Limit != nil
 	if len(eqByCol) == 0 && len(loByCol) == 0 && len(hiByCol) == 0 && !orderOnly {
 		return accessPlan{}
@@ -328,15 +335,6 @@ func (q *query) chooseAccess(i int, usable []Expr, canEval func(Expr) bool) acce
 	copy(indexes, tbl.indexes)
 	tbl.latch.RUnlock()
 	for _, ix := range indexes {
-		// A snapshot older than an index predates its backfill (which saw
-		// only the then-newest committed versions); such a scan could miss
-		// rows whose visible version carries a since-vacated key.
-		if q.snapRead && ix.createdTS > q.snapTS {
-			// This decision is private to the planning snapshot — a later
-			// snapshot could use the index — so the plan must not be cached.
-			q.sawInvisible = true
-			continue
-		}
 		var plan accessPlan
 		plan.index = ix
 		for _, col := range ix.cols {
@@ -369,7 +367,7 @@ func (q *query) chooseAccess(i int, usable []Expr, canEval func(Expr) bool) acce
 		// range bound), or when the statement's shape makes order alone worth
 		// having; either way order is only a tie-break in the score — it
 		// must never beat a more selective index.
-		if q.orderable && (len(plan.eqExprs) > 0 || plan.loExpr != nil || plan.hiExpr != nil || orderOnly) {
+		if q.orderable && (plan.narrows() || orderOnly) {
 			dir := false
 			groupable := q.stmt.Limit != nil && plan.loExpr == nil && plan.hiExpr == nil
 		items:
@@ -425,14 +423,6 @@ func (q *query) chooseAccess(i int, usable []Expr, canEval func(Expr) bool) acce
 	}
 	if bestScore == 0 {
 		return accessPlan{}
-	}
-	if len(best.eqExprs) == 0 && best.loExpr == nil && best.hiExpr == nil {
-		// Order-only: the one access choice that depends on the read mode,
-		// which a cached plan must therefore remember (checkPlan).
-		q.modeSplit, q.forSnap = true, q.snapRead
-		if !q.snapRead {
-			return accessPlan{}
-		}
 	}
 	return best
 }
@@ -976,66 +966,6 @@ func (q *query) runAggregate(outs []Expr, sl *sortLimit) error {
 			}
 		}
 	}
-}
-
-// add folds one input value into the accumulator. DISTINCT sets key
-// values with the canonical hash encoding (writeHashValue), so
-// COUNT(DISTINCT x) agrees with `=` about Int 1 vs Float 1.0; MIN/MAX
-// propagate Compare errors on mixed-type inputs instead of silently
-// keeping whichever value arrived first. scratch is a caller-owned reused
-// buffer for the DISTINCT key encoding.
-func (st *aggState) add(fc *FuncCall, v Value, scratch *bytes.Buffer) error {
-	if v.IsNull() {
-		return nil // aggregates ignore NULL inputs
-	}
-	if fc.Distinct {
-		if st.distinct == nil {
-			st.distinct = make(map[string]bool)
-		}
-		scratch.Reset()
-		writeHashValue(scratch, v)
-		if st.distinct[string(scratch.Bytes())] {
-			return nil
-		}
-		st.distinct[scratch.String()] = true
-	}
-	st.count++
-	switch fc.Name {
-	case "sum", "avg":
-		if !v.isNumeric() {
-			return fmt.Errorf("sqldb: %s requires numeric input", strings.ToUpper(fc.Name))
-		}
-		if v.Type() == Float {
-			st.isFloat = true
-		}
-		st.sumI += v.Int64()
-		st.sumF += v.Float64()
-	case "min":
-		if st.min.IsNull() {
-			st.min = v
-		} else {
-			c, err := Compare(v, st.min)
-			if err != nil {
-				return err
-			}
-			if c < 0 {
-				st.min = v
-			}
-		}
-	case "max":
-		if st.max.IsNull() {
-			st.max = v
-		} else {
-			c, err := Compare(v, st.max)
-			if err != nil {
-				return err
-			}
-			if c > 0 {
-				st.max = v
-			}
-		}
-	}
-	return nil
 }
 
 func finishAgg(fc *FuncCall, st *aggState) Value {

@@ -23,7 +23,7 @@ package sqldb
 // slice indexed by the statement's deduplicated aggregate calls, and the
 // group's representative row is a slice of *references* into the version
 // store (version data is immutable for the life of the statement, so no
-// copy is needed — see scanSlots).
+// copy is needed — see scanOp.nextFull).
 //
 // Spill-free fast paths cover the shapes the CAS actually runs: a single
 // TEXT or INTEGER grouping column keys groups directly by the column
@@ -179,7 +179,7 @@ func (q *query) outputAliasIdx() map[string]int {
 	return m
 }
 
-// aggPlan is the compiled, cacheable half of the batched hash GROUP BY
+// aggPlan is the compiled, shareable half of the batched hash GROUP BY
 // operator: the deduplicated aggregate calls, the opcode program, the
 // group-keying shape, and the finish-phase ORDER BY/alias resolution.
 // Everything here is immutable after compileAgg returns — cached plans

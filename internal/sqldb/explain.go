@@ -28,9 +28,8 @@ func (tx *Tx) execExplain(s *ExplainStmt) (*Rows, error) {
 		return nil, fmt.Errorf("sqldb: EXPLAIN supports SELECT, UPDATE and DELETE")
 	}
 	// A SELECT explained from a read-only transaction will execute as a
-	// snapshot read; plan it the same way so the rendered plan (including
-	// the snapshot-age index guard) is the one that would actually run.
-	// UPDATE/DELETE targets always read locked.
+	// snapshot read (the plan is the same either way; the read column says
+	// which). UPDATE/DELETE targets always read locked.
 	_, isSelect := s.Stmt.(*SelectStmt)
 	snap := tx.readOnly && isSelect
 	for _, ref := range sel.From {
@@ -54,7 +53,7 @@ func (tx *Tx) execExplain(s *ExplainStmt) (*Rows, error) {
 	)
 	switch inner := s.Stmt.(type) {
 	case *SelectStmt:
-		plan, hit, err = tx.planSelect(inner, snap, tx.snap)
+		plan, hit, err = tx.planSelect(inner)
 	case *UpdateStmt:
 		plan, hit, err = tx.planTargetPlan(inner.Table, inner.Where, &inner.plan)
 	case *DeleteStmt:

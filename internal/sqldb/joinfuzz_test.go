@@ -8,8 +8,9 @@ package sqldb
 // through refQuery, the naive evaluator in refquery_test.go, and the
 // result sets must be identical. Each case runs its query as a snapshot
 // read, as a locked read inside a read-write transaction (table and row
-// locks, and the order-only index scans snapshot plans keep away from),
-// and again after each of three rounds of schema and statistics churn.
+// locks), and again after each of three rounds of writes and schema and
+// statistics churn — once in a snapshot opened before the round, whose
+// rows the oracle reads at that snapshot's timestamp.
 // About a quarter of the queries end in ORDER BY over every output and a
 // LIMIT with an OFFSET: the top-K over joins and aggregated rows, compared
 // in order against the oracle's sorted and sliced result. A one-table
@@ -181,6 +182,9 @@ func runJoinFuzzCase(t *testing.T, seed int64) (s PlannerStats, ordered, oneTabl
 			seed, strings.Join(script, ";\n  "), query, fmt.Sprintf(format, args...))
 	}
 	want, errW := refQuery(db, query)
+	// check diffs one run against want, the oracle's result as of the
+	// snapshot it ran in (expect sets it).
+	expect := func(ts uint64) { want, errW = refQueryAt(db, ts, query) }
 	check := func(run string, got *Rows, err error) {
 		if (err != nil) != (errW != nil) {
 			fail("%s: error mismatch: engine=%v oracle=%v", run, err, errW)
@@ -199,8 +203,8 @@ func runJoinFuzzCase(t *testing.T, seed int64) (s PlannerStats, ordered, oneTabl
 		if where != "" {
 			update, count = update+" WHERE "+where, count+" WHERE "+where
 		}
-		wantN, errN := refQuery(db, count)
 		checkTarget = func(run string) {
+			wantN, errN := refQuery(db, count)
 			tx, err := db.Begin()
 			if err != nil {
 				t.Fatal(err)
@@ -231,8 +235,20 @@ func runJoinFuzzCase(t *testing.T, seed int64) (s PlannerStats, ordered, oneTabl
 	// between rounds, each running the query twice: the first replans past
 	// the epoch the churn moved, the second runs the plan it cached. A stale
 	// plan that survives an epoch bump (or an epoch bump that fails to
-	// happen) surfaces as a result that differs from the oracle's.
+	// happen) surfaces as a result that differs from the oracle's. Each
+	// round first opens a snapshot and then, before its churn, moves
+	// indexed columns of a few rows and deletes a few more: the snapshot,
+	// older than the round's index, must read its own rows through it.
 	for round := 0; round < 3; round++ {
+		snap, err := db.BeginReadOnly()
+		if err != nil {
+			t.Fatal(err)
+		}
+		script = append(script, "-- snapshot opened")
+		ft := tables[rng.Intn(nt)]
+		run(fmt.Sprintf("UPDATE %s SET a = %s, b = %s, s = %s WHERE a = %d",
+			ft.name, fuzzIntLit(rng), fuzzIntLit(rng), fuzzTextLit(rng), rng.Intn(8)))
+		run(fmt.Sprintf("DELETE FROM %s WHERE b = %d", tables[rng.Intn(nt)].name, rng.Intn(8)))
 		switch rng.Intn(3) {
 		case 0:
 			tn := tables[rng.Intn(nt)].name
@@ -242,6 +258,11 @@ func runJoinFuzzCase(t *testing.T, seed int64) (s PlannerStats, ordered, oneTabl
 		case 2:
 			run("ANALYZE")
 		}
+		expect(snap.Snapshot())
+		rows, err := snap.Query(query)
+		snap.Rollback()
+		check(fmt.Sprintf("round %d snapshot older than the churn", round), rows, err)
+		expect(db.clock.Load())
 		for pass := 0; pass < 2; pass++ {
 			run := fmt.Sprintf("plan-cache round %d pass %d", round, pass)
 			rows, err := db.Query(query)

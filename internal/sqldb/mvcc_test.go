@@ -3,6 +3,8 @@ package sqldb
 import (
 	"database/sql"
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -415,43 +417,98 @@ func TestDriverReadOnlyTxOptions(t *testing.T) {
 	}
 }
 
-// An index created after a snapshot began must not serve that snapshot's
-// scans (its backfill cannot see the snapshot's versions); fresh
-// snapshots use it immediately.
-func TestSnapshotOlderThanIndexAvoidsIt(t *testing.T) {
-	db := New()
-	mustExec(t, db, `CREATE TABLE j (id INTEGER PRIMARY KEY, state TEXT)`)
-	mustExec(t, db, `INSERT INTO j VALUES (1, 'idle'), (2, 'busy')`)
-	ro, _ := db.BeginReadOnly()
-	defer ro.Rollback()
-	mustExec(t, db, `UPDATE j SET state = 'busy' WHERE id = 1`)
-	mustExec(t, db, `CREATE INDEX j_state ON j (state)`)
-	// The old snapshot must still see id 1 as idle — via a full scan,
-	// since the new index only knows the post-update key.
-	rows, err := ro.Query(`SELECT id FROM j WHERE state = 'idle'`)
+// assertOneEntryPerLiveRow checks that index ix of tbl holds exactly one
+// entry per live row, each the row's own: what a drained GC must leave.
+func assertOneEntryPerLiveRow(t *testing.T, db *DB, tbl, ix string) {
+	t.Helper()
+	tb, err := db.lookupTable(tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows.Len() != 1 || rows.Data[0][0].Int64() != 1 {
-		t.Fatalf("old snapshot lost the pre-index row: %v", rows.Data)
-	}
-	plan, err := ro.Query(`EXPLAIN SELECT id FROM j WHERE state = 'idle'`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := plan.Data[0][1].Text(); got != "SEQ SCAN" {
-		t.Fatalf("old snapshot planned through a younger index: %s", got)
-	}
-	fresh := mustQuery(t, db, `EXPLAIN SELECT id FROM j WHERE state = 'idle'`)
-	if got := fresh.Data[0][1].Text(); got == "SEQ SCAN" {
-		t.Fatal("fresh snapshot ignored the new index")
+	tb.latch.RLock()
+	defer tb.latch.RUnlock()
+	index := tb.findIndex(ix)
+	entries := 0
+	index.tree.scanRange(nil, nil, func(k Key, rid int64) bool {
+		entries++
+		if row := tb.resolve(tb.rows[rid].currentVersion(0)); row == nil || !index.entryMatches(k, row, rid) {
+			t.Errorf("%s: entry %v names no live row %d", ix, k, rid)
+		}
+		return true
+	})
+	if live := tb.liveRows.Load(); int64(entries) != live {
+		t.Fatalf("%s: %d entries for %d live rows", ix, entries, live)
 	}
 }
 
-// CREATE INDEX while a writer transaction is in flight on the table must
-// end up consistent whichever way the writer resolves: its uncommitted
-// row is indexed (kept on commit), and so is the committed version it
-// shadows (restored on rollback).
+// An index created after a snapshot began serves that snapshot too: the
+// build enters every version, so the old snapshot plans through it, reads
+// its old rows, and shares the current readers' cached plan. Once the
+// snapshot ends, GC leaves the index one entry per live row.
+func TestSnapshotOlderThanIndexUsesIt(t *testing.T) {
+	db := New()
+	defer db.Close()
+	mustExec(t, db, `CREATE TABLE j (id INTEGER PRIMARY KEY, state TEXT)`)
+	mustExec(t, db, `INSERT INTO j VALUES (1, 'idle'), (2, 'idle'), (3, 'idle'), (4, 'busy')`)
+	ro, err := db.BeginReadOnly()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Rollback() // before Close, which waits for it
+	mustExec(t, db, `UPDATE j SET state = 'busy' WHERE id = 1`)
+	mustExec(t, db, `DELETE FROM j WHERE id = 2`)
+	mustExec(t, db, `CREATE INDEX j_state ON j (state)`)
+
+	const q = `SELECT id FROM j WHERE state = ? ORDER BY id`
+	ids := func(rows *Rows) []int64 {
+		var out []int64
+		for _, r := range rows.Data {
+			out = append(out, r[0].Int64())
+		}
+		return out
+	}
+	if got := ids(mustQuery(t, db, q, "idle")); !reflect.DeepEqual(got, []int64{3}) {
+		t.Fatalf("current reader: idle = %v, want [3]", got)
+	}
+	cached := cachedPlanOf(t, db, q)
+	if cached == nil || !cached.usedIndex {
+		t.Fatal("current reader did not cache an index plan")
+	}
+
+	plan, err := ro.Query(`EXPLAIN `+q, "idle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := plan.Data[0][1].Text(); !strings.HasPrefix(got, "INDEX SCAN USING j_state") {
+		t.Fatalf("old snapshot's access = %q, want the new index", got)
+	}
+	before := db.PlanCacheStats()
+	for state, want := range map[string][]int64{"idle": {1, 2, 3}, "busy": {4}} {
+		rows, err := ro.Query(q, state)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ids(rows); !reflect.DeepEqual(got, want) {
+			t.Fatalf("old snapshot: %s = %v, want %v", state, got, want)
+		}
+	}
+	after := db.PlanCacheStats()
+	if after.Hits-before.Hits != 2 || after.Invalidations != before.Invalidations {
+		t.Fatalf("old snapshot: %d hits, %d invalidations; want 2, 0",
+			after.Hits-before.Hits, after.Invalidations-before.Invalidations)
+	}
+	if p := cachedPlanOf(t, db, q); p != cached {
+		t.Fatalf("old snapshot replaced the cached plan: %p -> %p", cached, p)
+	}
+
+	ro.Rollback()
+	db.Vacuum()
+	assertOneEntryPerLiveRow(t, db, "j", "j_state")
+}
+
+// CREATE INDEX beside a writer in flight on its table waits for the
+// writer to resolve, whichever way it does, and then indexes what the
+// writer left: after GC, one entry per live row.
 func TestCreateIndexWithInFlightWriter(t *testing.T) {
 	for _, commit := range []bool{true, false} {
 		db := New()
@@ -464,7 +521,20 @@ func TestCreateIndexWithInFlightWriter(t *testing.T) {
 		if _, err := w.Exec(`INSERT INTO j VALUES (3, 'fresh')`); err != nil {
 			t.Fatal(err)
 		}
-		mustExec(t, db, `CREATE INDEX j_state ON j (state)`)
+		waited := db.LockStats().Waited
+		built := make(chan error, 1)
+		go func() {
+			_, err := db.Exec(`CREATE INDEX j_state ON j (state)`)
+			built <- err
+		}()
+		for db.LockStats().Waited == waited {
+			select {
+			case err := <-built:
+				t.Fatalf("commit=%v: CREATE INDEX finished (%v) beside an in-flight writer", commit, err)
+			default:
+				time.Sleep(time.Millisecond)
+			}
+		}
 		var wantState1 string
 		var want3 bool
 		if commit {
@@ -475,6 +545,9 @@ func TestCreateIndexWithInFlightWriter(t *testing.T) {
 		} else {
 			w.Rollback()
 			wantState1, want3 = "idle", false
+		}
+		if err := <-built; err != nil {
+			t.Fatal(err)
 		}
 		plan := mustQuery(t, db, `EXPLAIN SELECT id FROM j WHERE state = ?`, wantState1)
 		if got := plan.Data[0][1].Text(); got == "SEQ SCAN" {
@@ -494,5 +567,8 @@ func TestCreateIndexWithInFlightWriter(t *testing.T) {
 		if got := rows.Len() == 1; got != want3 {
 			t.Fatalf("commit=%v: in-flight insert visibility via new index = %v, want %v", commit, got, want3)
 		}
+		db.Vacuum()
+		assertOneEntryPerLiveRow(t, db, "j", "j_state")
+		db.Close()
 	}
 }

@@ -339,57 +339,85 @@ func TestExplainOrderedScan(t *testing.T) {
 
 // TestExplainOrderOnlyScan: ORDER BY … LIMIT with no predicate any index
 // serves — the queue-status shapes — rides the index that provides the
-// order, but only as a snapshot read. A locked read of the same statement
-// keeps its seq scan (one table S lock, not a row lock per visited row),
-// whichever of the two planned first and holds the statement's plan slot.
+// order, in a snapshot read and a locked read alike: the plan does not
+// depend on the read mode, so both share the statement's cached plan.
 func TestExplainOrderOnlyScan(t *testing.T) {
-	shapes := []struct{ sql, snapshot string }{
+	shapes := []struct{ sql, access string }{
 		{`SELECT id FROM jobs ORDER BY id LIMIT ?`, "INDEX SCAN USING pk_jobs () ORDER"},
 		{`SELECT id FROM jobs ORDER BY id DESC LIMIT ?`, "INDEX SCAN USING pk_jobs () ORDER REVERSE"},
 		{`SELECT id FROM jobs WHERE priority = 0.3 ORDER BY id LIMIT ?`, "INDEX SCAN USING pk_jobs () ORDER"},
 		{`SELECT id FROM jobs WHERE priority = 0.3 ORDER BY id DESC LIMIT ?`, "INDEX SCAN USING pk_jobs () ORDER REVERSE"},
 	}
-	for _, lockedFirst := range []bool{false, true} {
-		db, _ := orderedScanFixture(t)
-		explain := func(readOnly bool, sql string) string {
-			t.Helper()
-			tx, err := db.BeginTx(context.Background(), TxOptions{ReadOnly: readOnly})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tx.Rollback()
-			rows, err := tx.Query("EXPLAIN "+sql, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return strings.TrimSuffix(rows.Data[0][1].Text(), " [CACHED]")
+	db, _ := orderedScanFixture(t)
+	defer db.Close()
+	explain := func(readOnly bool, sql string) string {
+		t.Helper()
+		tx, err := db.BeginTx(context.Background(), TxOptions{ReadOnly: readOnly})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, sh := range shapes {
-			for round := 0; round < 2; round++ { // the second round plans through the cache
-				for _, readOnly := range []bool{!lockedFirst, lockedFirst} {
-					want := "SEQ SCAN"
-					if readOnly {
-						want = sh.snapshot
-					}
-					if got := explain(readOnly, sh.sql); got != want {
-						t.Errorf("%s (read-only %v, locked first %v, round %d): access %q, want %q",
-							sh.sql, readOnly, lockedFirst, round, got, want)
-					}
-				}
+		defer tx.Rollback()
+		rows, err := tx.Query("EXPLAIN "+sql, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows.Data[0][1].Text()
+	}
+	for _, sh := range shapes {
+		for i, readOnly := range []bool{true, false, true, false} {
+			want := sh.access
+			if i > 0 { // the first EXPLAIN planned it; every later one hits
+				want += " [CACHED]"
+			}
+			if got := explain(readOnly, sh.sql); got != want {
+				t.Errorf("%s (read-only %v, run %d): access %q, want %q", sh.sql, readOnly, i, got, want)
 			}
 		}
-		// Without a LIMIT there is no early stop to pay for the index walk.
-		if got := explain(true, `SELECT id FROM jobs ORDER BY id`); got != "SEQ SCAN" {
-			t.Errorf("no LIMIT: access %q, want SEQ SCAN", got)
-		}
-		db.Close()
+	}
+	// Without a LIMIT there is no early stop to pay for the index walk.
+	if got := explain(true, `SELECT id FROM jobs ORDER BY id`); got != "SEQ SCAN" {
+		t.Errorf("no LIMIT: access %q, want SEQ SCAN", got)
 	}
 }
 
-// TestOrderOnlyScanMatchesSeqScan: the ordered snapshot plan and the
-// locked seq-scan-and-sort plan return the same rows — through OFFSET,
-// ties the index order does not break, reverse and mixed directions, and
-// limits past the table.
+// TestOrderOnlyScanLocksLikeSeqScan: a locked whole-index scan takes the
+// one table S lock a seq scan takes, and no row locks.
+func TestOrderOnlyScanLocksLikeSeqScan(t *testing.T) {
+	db, _ := orderedScanFixture(t)
+	defer db.Close()
+	const q = `SELECT id FROM jobs ORDER BY id DESC LIMIT 3`
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Rollback()
+	plan, err := tx.Query("EXPLAIN " + q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := plan.Data[0][1].Text(), "INDEX SCAN USING pk_jobs () ORDER REVERSE"; got != want {
+		t.Fatalf("locked read's access = %q, want %q", got, want)
+	}
+	before := db.LockStats()
+	rows, err := tx.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := db.LockStats().Acquired - before.Acquired; got != 1 {
+		t.Fatalf("locked whole-index scan acquired %d locks, want 1 (the table's)", got)
+	}
+	if ls := db.LockStats(); ls.HeldRow != 0 {
+		t.Fatalf("locked whole-index scan holds %d row locks", ls.HeldRow)
+	}
+	if rows.Len() != 3 || rows.Data[0][0].Int64() != 200 || rows.Data[2][0].Int64() != 198 {
+		t.Fatalf("rows = %v, want ids 200, 199, 198", rows.Data)
+	}
+}
+
+// TestOrderOnlyScanMatchesSeqScan: the ordered scan returns what the
+// oracle's sort-everything evaluation does, from a snapshot and under
+// locks — through OFFSET, ties the index order does not break, reverse and
+// mixed directions, and limits past the table.
 func TestOrderOnlyScanMatchesSeqScan(t *testing.T) {
 	db, _ := orderedScanFixture(t)
 	defer db.Close()
@@ -409,26 +437,33 @@ func TestOrderOnlyScanMatchesSeqScan(t *testing.T) {
 		{`SELECT id FROM jobs ORDER BY id LIMIT ?`, []any{1000}},
 	}
 	for _, qu := range queries {
-		var got [2]*Rows
-		for i, readOnly := range []bool{true, false} {
-			tx, err := db.BeginTx(context.Background(), TxOptions{ReadOnly: readOnly})
-			if err != nil {
-				t.Fatal(err)
-			}
-			plan, err := tx.Query("EXPLAIN "+qu.sql, qu.args...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if indexed := strings.HasPrefix(plan.Data[0][1].Text(), "INDEX SCAN"); indexed != readOnly {
-				t.Fatalf("%s (read-only %v): access %q", qu.sql, readOnly, plan.Data[0][1].Text())
-			}
-			if got[i], err = tx.Query(qu.sql, qu.args...); err != nil {
-				t.Fatal(err)
-			}
-			tx.Rollback()
+		want, err := refQuery(db, qu.sql, qu.args...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got[0].Data, got[1].Data) {
-			t.Errorf("%s %v:\n ordered scan %v\n     seq scan %v", qu.sql, qu.args, got[0].Data, got[1].Data)
+		for _, readOnly := range []bool{true, false} {
+			got := func() *Rows {
+				tx, err := db.BeginTx(context.Background(), TxOptions{ReadOnly: readOnly})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer tx.Rollback()
+				plan, err := tx.Query("EXPLAIN "+qu.sql, qu.args...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if access := plan.Data[0][1].Text(); !strings.HasPrefix(access, "INDEX SCAN") {
+					t.Fatalf("%s (read-only %v): access %q", qu.sql, readOnly, access)
+				}
+				got, err := tx.Query(qu.sql, qu.args...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return got
+			}()
+			if d := diffRows(got, want, true); d != "" {
+				t.Errorf("%s %v (read-only %v): %s", qu.sql, qu.args, readOnly, d)
+			}
 		}
 	}
 }

@@ -31,13 +31,12 @@ import (
 // ANALYZE and by checkPlan itself when live cardinality drifts past the
 // replan threshold). A plan records both epochs per referenced table at
 // build time; any movement fails validation and the statement replans.
-// Index visibility is revalidated per snapshot: a plan records the
-// newest createdTS among its chosen indexes, and a snapshot older than
-// that bypasses the cache (plans fresh, keeps the cached plan for
-// current readers) so it never scans an index built after its
-// timestamp.
+// Nothing else goes into a plan: not the reader's snapshot (an index
+// serves every snapshot from the moment it exists, addIndexLocked) and
+// not its read mode (an access path locks by what it reads, narrows), so
+// every execution of a statement may share one plan.
 
-// planSlot is the atomic plan anchor embedded in cacheable statement
+// planSlot is the atomic plan anchor embedded in the planned statement
 // ASTs (SelectStmt, UpdateStmt, DeleteStmt). The zero value is ready to
 // use. It is deliberately opaque: readers go through planSelect /
 // planTargetPlan, which validate before sharing.
@@ -50,17 +49,12 @@ type PlanCacheStats struct {
 	// Hits counts executions served by a validated cached plan.
 	Hits uint64
 	// Misses counts executions that compiled a plan: the first touch of a
-	// statement and every replan after an invalidation (snapshot bypasses
-	// are counted under Bypasses instead).
+	// statement and every replan after an invalidation.
 	Misses uint64
 	// Invalidations counts cached plans discarded by validation: a
 	// schema or stats epoch moved, or live cardinality drifted past the
 	// replan threshold.
 	Invalidations uint64
-	// Bypasses counts snapshot reads that planned fresh because their
-	// snapshot predates an index the cached plan uses; the cached plan
-	// stays for current-timestamp callers.
-	Bypasses uint64
 	// Stores counts plans published into statement slots.
 	Stores uint64
 }
@@ -71,7 +65,6 @@ func (db *DB) PlanCacheStats() PlanCacheStats {
 		Hits:          db.planHits.Load(),
 		Misses:        db.planMisses.Load(),
 		Invalidations: db.planInvalidations.Load(),
-		Bypasses:      db.planBypasses.Load(),
 		Stores:        db.planStores.Load(),
 	}
 }
@@ -136,24 +129,12 @@ type selectPlan struct {
 	// Cache-validation state.
 	db     *DB
 	stamps []planStamp
-	// maxIndexTS is the newest createdTS among the plan's chosen
-	// indexes; snapshots older than it must not execute this plan.
-	maxIndexTS uint64
-	// modeSplit marks a statement whose access path differs between
-	// snapshot and locked reads (an order-only index scan, chooseAccess);
-	// forSnap says which of the two this plan is.
-	modeSplit, forSnap bool
-	// cacheable is false when the plan embeds a decision private to one
-	// execution — today, skipping an index invisible to the planning
-	// snapshot (sawInvisible). Such plans are used once and discarded.
-	cacheable    bool
-	sawInvisible bool
 }
 
 // planLock is one table of a plan's lock footprint. indexed says every
-// scan of the table in this plan goes through an index, so an intention
-// lock on the table plus row locks suffice; one full scan of it and the
-// whole-table mode is needed.
+// scan of the table in this plan reads a narrowed part of an index, so an
+// intention lock on the table plus row locks suffice; one full scan of it,
+// in slot or index order, and the whole-table mode is needed.
 type planLock struct {
 	table   string
 	indexed bool
@@ -167,7 +148,7 @@ steps:
 	for i := range p.steps {
 		st := &p.steps[i]
 		name := strings.ToLower(p.bindings[st.bind].tbl.schema.Name)
-		indexed := st.access.index != nil
+		indexed := st.access.narrows()
 		for j := range locks {
 			if locks[j].table == name {
 				locks[j].indexed = locks[j].indexed && indexed
@@ -180,30 +161,21 @@ steps:
 	return locks
 }
 
-// planCheckResult classifies a cached plan against the current schema,
-// statistics, and snapshot.
-type planCheckResult int
-
-const (
-	planHit    planCheckResult = iota
-	planStale                  // discard and replan
-	planBypass                 // plan fresh for this execution, keep cached
-)
-
-// checkPlan validates a cached plan without locks: a handful of atomic
-// loads against the epochs and cardinalities recorded at build time.
-func (db *DB) checkPlan(p *selectPlan, snapRead bool, snapTS uint64) planCheckResult {
+// checkPlan reports whether a cached plan is still valid, without locks: a
+// handful of atomic loads against the epochs and cardinalities recorded at
+// build time.
+func (db *DB) checkPlan(p *selectPlan) bool {
 	if p.db != db {
-		return planStale // AST shared across engines (tests); never the hot path
+		return false // AST shared across engines (tests); never the hot path
 	}
 	for i := range p.stamps {
 		st := &p.stamps[i]
 		if st.tbl.schemaEpoch.Load() != st.schemaEpoch {
-			return planStale
+			return false
 		}
 		se := st.tbl.statsEpoch.Load()
 		if se != st.statsEpoch {
-			return planStale
+			return false
 		}
 		if live := st.tbl.liveRows.Load(); live > 2*st.planRows || live < st.planRows/2 {
 			// Cardinality drifted past the replan threshold. Advance the
@@ -211,83 +183,60 @@ func (db *DB) checkPlan(p *selectPlan, snapRead bool, snapTS uint64) planCheckRe
 			// every plan costed at the old cardinality re-costs, then
 			// replan this one now.
 			st.tbl.statsEpoch.CompareAndSwap(se, se+1)
-			return planStale
+			return false
 		}
 	}
-	if snapRead && snapTS < p.maxIndexTS {
-		return planBypass
-	}
-	if p.modeSplit && p.forSnap != snapRead {
-		// The slot goes to the snapshot plan — the monitoring read the
-		// ordered scan exists for; locked reads plan past it.
-		if snapRead {
-			return planStale
-		}
-		return planBypass
-	}
-	return planHit
+	return true
 }
 
 // planSelect returns the compiled plan for s, serving it from the
 // statement's plan slot when the cached plan validates. The bool result
 // reports a cache hit (EXPLAIN renders it as [CACHED]).
-func (tx *Tx) planSelect(s *SelectStmt, snapRead bool, snapTS uint64) (*selectPlan, bool, error) {
-	db := tx.db
-	store := true
-	if p := s.plan.p.Load(); p != nil {
-		switch db.checkPlan(p, snapRead, snapTS) {
-		case planHit:
-			db.planHits.Add(1)
-			return p, true, nil
-		case planBypass:
-			db.planBypasses.Add(1)
-			store = false
-		case planStale:
-			db.planInvalidations.Add(1)
-			s.plan.p.CompareAndSwap(p, nil)
-		}
+func (tx *Tx) planSelect(s *SelectStmt) (*selectPlan, bool, error) {
+	if p := tx.db.cachedPlan(&s.plan); p != nil {
+		return p, true, nil
 	}
-	if store {
-		db.planMisses.Add(1)
-	}
-	p, err := tx.buildSelectPlan(s, snapRead, snapTS)
-	if err != nil {
-		return nil, false, err
-	}
-	if store && p.cacheable {
-		s.plan.p.Store(p)
-		db.planStores.Add(1)
-	}
-	return p, false, nil
+	return tx.storePlan(&s.plan, s)
 }
 
 // planTargetPlan is planSelect for UPDATE/DELETE targets: the slot lives
 // on the DML statement and the plan compiles a synthesized single-table
-// SELECT over its WHERE clause. Targets always read current versions
-// under locks, so there is no snapshot bypass case.
+// SELECT over its WHERE clause.
 func (tx *Tx) planTargetPlan(tableName string, where Expr, slot *planSlot) (*selectPlan, bool, error) {
-	db := tx.db
-	if p := slot.p.Load(); p != nil {
-		if db.checkPlan(p, false, 0) == planHit {
-			db.planHits.Add(1)
-			return p, true, nil
-		}
-		db.planInvalidations.Add(1)
-		slot.p.CompareAndSwap(p, nil)
+	if p := tx.db.cachedPlan(slot); p != nil {
+		return p, true, nil
 	}
-	db.planMisses.Add(1)
-	sel := &SelectStmt{
+	return tx.storePlan(slot, &SelectStmt{
 		From:  []TableRef{{Table: tableName, Alias: tableName}},
 		Where: where,
+	})
+}
+
+// cachedPlan is the one slot lookup: the slot's plan when it validates,
+// else nil, after dropping the stale plan it found.
+func (db *DB) cachedPlan(slot *planSlot) *selectPlan {
+	p := slot.p.Load()
+	if p == nil {
+		return nil
 	}
-	p, err := tx.buildSelectPlan(sel, false, 0)
+	if db.checkPlan(p) {
+		db.planHits.Add(1)
+		return p
+	}
+	db.planInvalidations.Add(1)
+	slot.p.CompareAndSwap(p, nil)
+	return nil
+}
+
+// storePlan compiles s and publishes the plan in slot.
+func (tx *Tx) storePlan(slot *planSlot, s *SelectStmt) (*selectPlan, bool, error) {
+	tx.db.planMisses.Add(1)
+	p, err := tx.buildSelectPlan(s)
 	if err != nil {
 		return nil, false, err
 	}
-	if p.cacheable {
-		slot.p.Store(p)
-		db.planStores.Add(1)
-	}
+	slot.p.Store(p)
+	tx.db.planStores.Add(1)
 	return p, false, nil
 }
 
@@ -296,12 +245,8 @@ func (tx *Tx) planTargetPlan(tableName string, where Expr, slot *planSlot) (*sel
 // and — for aggregated statements — the opcode-compiled aggregation
 // program. The returned plan is immutable; a throwaway planning query
 // carries the transient state the planner threads through.
-func (tx *Tx) buildSelectPlan(s *SelectStmt, snapRead bool, snapTS uint64) (*selectPlan, error) {
-	p := &selectPlan{
-		stmt:      s,
-		db:        tx.db,
-		cacheable: true,
-	}
+func (tx *Tx) buildSelectPlan(s *SelectStmt) (*selectPlan, error) {
+	p := &selectPlan{stmt: s, db: tx.db}
 	for _, ref := range s.From {
 		tbl, err := tx.db.lookupTable(ref.Table)
 		if err != nil {
@@ -322,8 +267,7 @@ func (tx *Tx) buildSelectPlan(s *SelectStmt, snapRead bool, snapTS uint64) (*sel
 		}
 	}
 	var scratch StmtStats
-	pq := &query{tx: tx, selectPlan: p, stats: &scratch,
-		snapRead: snapRead, snapTS: snapTS, cancel: cancelCheck{ctx: tx.ctx}}
+	pq := &query{tx: tx, selectPlan: p, stats: &scratch, cancel: cancelCheck{ctx: tx.ctx}}
 	pq.env = &evalEnv{now: tx.db.nowFn()}
 	pq.env.bindings = make([]binding, len(p.bindings))
 	for i, b := range p.bindings {
@@ -351,14 +295,6 @@ func (tx *Tx) buildSelectPlan(s *SelectStmt, snapRead bool, snapTS uint64) (*sel
 		}
 	} else {
 		p.picks = pq.compilePicks(outs)
-	}
-	for i := range p.steps {
-		if ix := p.steps[i].access.index; ix != nil && ix.createdTS > p.maxIndexTS {
-			p.maxIndexTS = ix.createdTS
-		}
-	}
-	if p.sawInvisible {
-		p.cacheable = false
 	}
 	return p, nil
 }

@@ -56,7 +56,7 @@ func BenchmarkPlanCacheHotPath(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer tx.Rollback()
-		if _, _, err := tx.planSelect(sel, false, 0); err != nil {
+		if _, _, err := tx.planSelect(sel); err != nil {
 			b.Fatal(err) // warm
 		}
 		b.ReportAllocs()
@@ -64,9 +64,9 @@ func BenchmarkPlanCacheHotPath(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var err error
 			if cached {
-				_, _, err = tx.planSelect(sel, false, 0)
+				_, _, err = tx.planSelect(sel)
 			} else {
-				_, err = tx.buildSelectPlan(sel, false, 0)
+				_, err = tx.buildSelectPlan(sel)
 			}
 			if err != nil {
 				b.Fatal(err)

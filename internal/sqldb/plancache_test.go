@@ -213,58 +213,6 @@ func TestPlanCacheDriftReplanFlipsJoinOrder(t *testing.T) {
 	}
 }
 
-// TestPlanCacheSnapshotBypass: a snapshot older than an index a cached
-// plan scans must plan fresh (never reading an index born after its
-// timestamp) while the cached plan stays put for current readers.
-func TestPlanCacheSnapshotBypass(t *testing.T) {
-	db := New()
-	defer db.Close()
-	mustExec(t, db, `CREATE TABLE kv (id INTEGER, n INTEGER)`)
-	for i := 0; i < 10; i++ {
-		mustExec(t, db, `INSERT INTO kv VALUES (?, ?)`, i, i*10)
-	}
-	const q = `SELECT n FROM kv WHERE id = ?`
-
-	ro, err := db.BeginReadOnly()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ro.Rollback()
-
-	// Advance the commit clock past ro's snapshot, then build the index:
-	// its createdTS lands strictly after ro. The current reader warms a
-	// cached plan that scans it.
-	mustExec(t, db, `INSERT INTO kv VALUES (100, 1000)`)
-	mustExec(t, db, `CREATE INDEX kv_id ON kv (id)`)
-	mustQuery(t, db, q, 3)
-	p1 := cachedPlanOf(t, db, q)
-	if p1 == nil || !p1.usedIndex {
-		t.Fatal("current reader did not cache an index plan")
-	}
-
-	before := db.PlanCacheStats()
-	row, err := ro.QueryRow(q, 3)
-	if err != nil || row[0].Int64() != 30 {
-		t.Fatalf("snapshot read = %v, %v; want 30", row, err)
-	}
-	after := db.PlanCacheStats()
-	if after.Bypasses-before.Bypasses != 1 {
-		t.Fatalf("bypasses = %d, want 1", after.Bypasses-before.Bypasses)
-	}
-	if after.Invalidations != before.Invalidations {
-		t.Fatal("bypass discarded the cached plan")
-	}
-	if p := cachedPlanOf(t, db, q); p != p1 {
-		t.Fatalf("bypass replaced the cached plan: %p -> %p", p1, p)
-	}
-	// The cached plan still serves current readers.
-	before = db.PlanCacheStats()
-	mustQuery(t, db, q, 4)
-	if after := db.PlanCacheStats(); after.Hits-before.Hits != 1 {
-		t.Fatal("cached plan lost for current readers after a bypass")
-	}
-}
-
 // TestPlanCacheTargetPlans: UPDATE and DELETE cache the plan for their
 // synthesized target SELECT on the DML statement's own slot.
 func TestPlanCacheTargetPlans(t *testing.T) {

@@ -354,13 +354,12 @@ func liveNextAuto(db *DB, name string) int64 {
 	tbl := db.tables[name]
 	db.mu.Unlock()
 	next := int64(1)
-	tbl.scanLatest(0, func(_ int64, row []Value) bool {
+	for _, row := range visibleRows(tbl, db.clock.Load()) {
 		for ci, c := range tbl.schema.Columns {
 			if c.AutoIncrement && !row[ci].IsNull() && row[ci].Int64() >= next {
 				next = row[ci].Int64() + 1
 			}
 		}
-		return true
-	})
+	}
 	return next
 }

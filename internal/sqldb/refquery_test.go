@@ -4,17 +4,19 @@ package sqldb
 // engine against: the join fuzzer, crossCheck, TestAggModesDifferential,
 // the top-K differential and every query block of the logictest goldens.
 // It evaluates a SELECT the naive way and shares nothing with the engine's
-// read path but the expression evaluator and the aggregate accumulators:
+// read path but the expression evaluator and finishAgg; its accumulator
+// (aggState.add, at the end of this file) is its own:
 //
-//   - base rows come straight from table.scanLatest (the newest committed
-//     version of every live row), so callers must not race it with writers;
+//   - base rows come straight from each slot's version chain: the version
+//     visible at the snapshot timestamp refQueryAt is given (refQuery's is
+//     the current commit clock), so callers must not race it with writers;
 //   - the FROM list is a nested-loop product in syntactic order, each ON
 //     deciding whether its row joins and, for a LEFT JOIN that matched
 //     nothing, the NULL padding; no FROM is the product of nothing, one
 //     empty row;
 //   - WHERE filters the product;
 //   - groups are keyed by writeHashValue and accumulate through
-//     aggState/finishAgg, the first row of a group standing for it;
+//     aggState.add/finishAgg, the first row of a group standing for it;
 //   - HAVING sees output aliases; ORDER BY is a stable sort by Compare over
 //     every result row, then DISTINCT, OFFSET and LIMIT.
 //
@@ -38,6 +40,12 @@ type refGroup struct {
 }
 
 func refQuery(db *DB, sql string, args ...any) (*Rows, error) {
+	return refQueryAt(db, db.clock.Load(), sql, args...)
+}
+
+// refQueryAt is refQuery as a snapshot taken at commit timestamp ts sees
+// the tables.
+func refQueryAt(db *DB, ts uint64, sql string, args ...any) (*Rows, error) {
 	stmt, err := Parse(sql)
 	if err != nil {
 		return nil, err
@@ -68,10 +76,7 @@ func refQuery(db *DB, sql string, args ...any) (*Rows, error) {
 			return nil, err
 		}
 		env.bindings = append(env.bindings, binding{alias: strings.ToLower(ref.Alias), schema: &tbl.schema})
-		tbl.scanLatest(0, func(_ int64, row []Value) bool {
-			base[i] = append(base[i], row)
-			return true
-		})
+		base[i] = visibleRows(tbl, ts)
 	}
 	outs, aliases, err := refOutputs(s, env.bindings)
 	if err != nil {
@@ -285,6 +290,19 @@ func refQuery(db *DB, sql string, args ...any) (*Rows, error) {
 	return rows, nil
 }
 
+// visibleRows is every row of tbl a snapshot at ts sees, in slot order.
+func visibleRows(tbl *table, ts uint64) [][]Value {
+	tbl.latch.RLock()
+	defer tbl.latch.RUnlock()
+	var rows [][]Value
+	for _, slot := range tbl.rows {
+		if row := tbl.resolve(slot.visibleVersion(ts)); row != nil {
+			rows = append(rows, row)
+		}
+	}
+	return rows
+}
+
 // refOutputs expands the SELECT list over the FROM bindings — a star to
 // every column of every table, t.* to t's — and maps each output alias to
 // its position.
@@ -328,4 +346,65 @@ func refCount(env *evalEnv, e Expr, name string, def int) (int, error) {
 		return 0, fmt.Errorf("sqldb: %s must be a non-negative integer", name)
 	}
 	return int(v.Int64()), nil
+}
+
+// add folds one input value into the oracle's accumulator; the engine
+// accumulates in hashAggOp.accumRow's compiled loop instead. DISTINCT sets key
+// values with the canonical hash encoding (writeHashValue), so
+// COUNT(DISTINCT x) agrees with `=` about Int 1 vs Float 1.0; MIN/MAX
+// propagate Compare errors on mixed-type inputs instead of silently
+// keeping whichever value arrived first. scratch is a caller-owned reused
+// buffer for the DISTINCT key encoding.
+func (st *aggState) add(fc *FuncCall, v Value, scratch *bytes.Buffer) error {
+	if v.IsNull() {
+		return nil // aggregates ignore NULL inputs
+	}
+	if fc.Distinct {
+		if st.distinct == nil {
+			st.distinct = make(map[string]bool)
+		}
+		scratch.Reset()
+		writeHashValue(scratch, v)
+		if st.distinct[string(scratch.Bytes())] {
+			return nil
+		}
+		st.distinct[scratch.String()] = true
+	}
+	st.count++
+	switch fc.Name {
+	case "sum", "avg":
+		if !v.isNumeric() {
+			return fmt.Errorf("sqldb: %s requires numeric input", strings.ToUpper(fc.Name))
+		}
+		if v.Type() == Float {
+			st.isFloat = true
+		}
+		st.sumI += v.Int64()
+		st.sumF += v.Float64()
+	case "min":
+		if st.min.IsNull() {
+			st.min = v
+		} else {
+			c, err := Compare(v, st.min)
+			if err != nil {
+				return err
+			}
+			if c < 0 {
+				st.min = v
+			}
+		}
+	case "max":
+		if st.max.IsNull() {
+			st.max = v
+		} else {
+			c, err := Compare(v, st.max)
+			if err != nil {
+				return err
+			}
+			if c > 0 {
+				st.max = v
+			}
+		}
+	}
+	return nil
 }

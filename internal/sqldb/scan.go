@@ -334,10 +334,11 @@ func (op *scanOp) walkGroups(collect func(Key, int64) bool) {
 
 // nextIndex produces one batch from the index range walk: candidate
 // (key, rid) pairs are collected under the table latch, then each row
-// is locked (2PL reads) or resolved at the snapshot timestamp, and
-// accepted only through its own index entry — entries outlive the
-// versions that created them, so this both deduplicates and keeps
-// ordered scans emitting rows at the right key position.
+// is locked (2PL reads that narrow the index) or resolved at the
+// snapshot timestamp, and accepted only through its own index entry —
+// entries outlive the versions that created them, so this both
+// deduplicates and keeps ordered scans emitting rows at the right key
+// position.
 func (op *scanOp) nextIndex() (*rowBatch, error) {
 	q := op.q
 	ap := op.ap
@@ -437,10 +438,14 @@ func (op *scanOp) nextIndex() (*rowBatch, error) {
 			if q.snapRead {
 				row = tbl.visibleRow(rid, q.snapTS)
 			} else {
-				if err := q.tx.lockRow(op.tableName, rid, q.rowLock); err != nil {
-					return nil, err
+				// A narrowed read locks each row it visits; a whole-index
+				// scan holds the table lock, which no writer shares.
+				if ap.narrows() {
+					if err := q.tx.lockRow(op.tableName, rid, q.rowLock); err != nil {
+						return nil, err
+					}
 				}
-				// Re-fetch after the lock grant: the row may have been
+				// Read after the lock grant: the row may have been
 				// superseded, tombstoned, or its slot reclaimed by a writer
 				// that committed before our lock was granted.
 				row = tbl.currentRow(rid, q.tx.id)

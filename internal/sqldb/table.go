@@ -68,13 +68,6 @@ type index struct {
 	// keyLock names the lock-manager resource family guarding this index's
 	// unique key values (see keyLockTarget); fixed when the index is built.
 	keyLock string
-	// createdTS is the commit clock when the index was built. A snapshot
-	// older than the index must not use it: the build indexed each row's
-	// reachable head (down through its newest committed version), so keys
-	// held only by older, shadowed versions are absent. (Everything a
-	// snapshot at or after createdTS can see IS present: shadowed versions
-	// are invisible to such snapshots.)
-	createdTS uint64
 	// stats is the last ANALYZE result for this index (nil before the
 	// first run); swapped atomically so planners read it lock-free.
 	stats atomic.Pointer[indexStats]
@@ -88,7 +81,7 @@ func newTable(schema TableSchema) *table {
 			Table:   schema.Name,
 			Columns: colNames(schema, schema.PKCols),
 			Unique:  true,
-		}, 0)
+		})
 	}
 	for i, u := range schema.Uniques {
 		t.addIndexLocked(IndexSchema{
@@ -96,7 +89,7 @@ func newTable(schema TableSchema) *table {
 			Table:   schema.Name,
 			Columns: colNames(schema, u),
 			Unique:  true,
-		}, 0)
+		})
 	}
 	return t
 }
@@ -142,52 +135,60 @@ func colNames(s TableSchema, idxs []int) []string {
 	return names
 }
 
-// addIndexLocked builds an index over every row's reachable versions.
-// asOf is the commit clock at build time, recorded so snapshots older
-// than the build never plan through the new index.
-func (t *table) addIndexLocked(is IndexSchema, asOf uint64) error {
+// addIndexLocked builds an index over every version of every row, so a
+// snapshot of any age finds through it what a seq scan would. No writer of
+// the table is in flight (CREATE INDEX holds the table's S lock; redo and
+// table creation have none), so every version is committed. The keys only
+// history holds — a shadowed version's the live row does not share, and
+// every version's of a chain headed by a tombstone — are returned as GC
+// records for the caller to queue, exactly like an update's orphans.
+func (t *table) addIndexLocked(is IndexSchema) ([]gcRecord, error) {
 	t.latch.Lock()
 	defer t.latch.Unlock()
 	for _, ix := range t.indexes {
 		if ix.schema.Name == is.Name {
-			return fmt.Errorf("sqldb: index %s already exists", is.Name)
+			return nil, fmt.Errorf("sqldb: index %s already exists", is.Name)
 		}
 	}
 	cols := make([]int, len(is.Columns))
 	for i, name := range is.Columns {
 		ci := t.schema.ColumnIndex(name)
 		if ci < 0 {
-			return fmt.Errorf("sqldb: index %s: unknown column %s", is.Name, name)
+			return nil, fmt.Errorf("sqldb: index %s: unknown column %s", is.Name, name)
 		}
 		cols[i] = ci
 	}
-	ix := &index{schema: is, cols: cols, tree: newOrdIndex(), createdTS: asOf,
+	ix := &index{schema: is, cols: cols, tree: newOrdIndex(),
 		keyLock: "\x00key:" + t.schema.Name + ":" + is.Name}
-	// Backfill. A slot's reachable future states are its newest version
-	// (possibly an in-flight writer's, kept if that writer commits) and
-	// its newest committed version (restored if the writer rolls back):
-	// index both. Deeper versions are reachable only by snapshots older
-	// than the index, which the createdTS planner guard keeps away.
-	for rid, slot := range t.rows {
-		checkedLive := false
-		for v := slot.head.Load(); v != nil; v = v.prev.Load() {
-			if row := t.resolve(v); row != nil {
-				if !checkedLive {
-					if err := t.checkUnique(ix, row, int64(rid)); err != nil {
-						return err
-					}
-					checkedLive = true
-				}
-				ix.tree.insert(ix.entryKey(row, int64(rid)), int64(rid))
+	var history []gcRecord
+	for i, slot := range t.rows {
+		rid := int64(i)
+		head := slot.head.Load()
+		live := t.resolve(head)
+		if live != nil {
+			if err := t.checkUnique(ix, live, rid); err != nil {
+				return nil, err
 			}
-			if v.begin.Load() != 0 {
-				break // newest committed version reached
+		}
+		var orphans []gcEntry
+		for v := head; v != nil; v = v.prev.Load() {
+			row := t.resolve(v)
+			if row == nil {
+				continue
 			}
+			k := ix.entryKey(row, rid)
+			if v != head && (live == nil || !ix.sameKey(live, row)) {
+				orphans = append(orphans, gcEntry{index: is.Name, key: k})
+			}
+			ix.tree.insert(k, rid)
+		}
+		if len(orphans) > 0 {
+			history = append(history, gcRecord{table: t.schema.Name, rid: rid, entries: orphans})
 		}
 	}
 	t.indexes = append(t.indexes, ix)
 	t.schemaEpoch.Add(1)
-	return nil
+	return history, nil
 }
 
 func (t *table) dropIndex(name string) bool {
@@ -907,51 +908,6 @@ func (t *table) rebuildAfterReplay(watermark uint64) {
 // visits, so a long monitoring scan never stalls writers behind the
 // exclusive latch for the whole table.
 const fullScanBatch = 512
-
-// scanLatest calls fn for every live row in slot order as a 2PL
-// transaction sees it (own uncommitted versions first, else newest
-// committed). fn returning false stops. The latch is taken in batches.
-func (t *table) scanLatest(txn uint64, fn func(rid int64, row []Value) bool) {
-	t.scanSlots(func(rid int64, s *rowSlot) []Value {
-		return t.resolve(s.currentVersion(txn))
-	}, fn)
-}
-
-// scanSlots drives a batched full scan: rows are materialized under the
-// shared latch, but fn runs outside it — fn may recurse into other scans
-// (nested-loop joins) or block on the lock manager, neither of which may
-// happen latch-in-hand. Version data is immutable, so handing rows out of
-// the latched window is safe.
-func (t *table) scanSlots(read func(int64, *rowSlot) []Value, fn func(rid int64, row []Value) bool) {
-	type hit struct {
-		rid int64
-		row []Value
-	}
-	batch := make([]hit, 0, fullScanBatch)
-	for base := int64(0); ; base += fullScanBatch {
-		batch = batch[:0]
-		t.latch.RLock()
-		n := int64(len(t.rows))
-		end := base + fullScanBatch
-		if end > n {
-			end = n
-		}
-		for rid := base; rid < end; rid++ {
-			if row := read(rid, t.rows[rid]); row != nil {
-				batch = append(batch, hit{rid: rid, row: row})
-			}
-		}
-		t.latch.RUnlock()
-		for _, h := range batch {
-			if !fn(h.rid, h.row) {
-				return
-			}
-		}
-		if end >= n {
-			return
-		}
-	}
-}
 
 // buildRow coerces values to column types and checks NOT NULL
 // constraints, applying defaults and autoincrement. input maps column

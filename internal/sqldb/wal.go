@@ -334,11 +334,10 @@ const (
 )
 
 // ParseSyncPolicy maps the flag spellings the cmd daemons accept to a
-// SyncPolicy: "group" (or its older names "every" and "commit" — there is
-// one durable policy) and "never".
+// SyncPolicy: "group" and "never".
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
-	case "group", "every", "commit":
+	case "group":
 		return SyncGroup, nil
 	case "never":
 		return SyncNever, nil

@@ -173,8 +173,6 @@ func TestParseSyncPolicy(t *testing.T) {
 		ok   bool
 	}{
 		{"group", SyncGroup, true},
-		{"every", SyncGroup, true}, // older spellings of the one durable policy
-		{"commit", SyncGroup, true},
 		{"never", SyncNever, true},
 		{"bogus", 0, false},
 	}
