@@ -13,7 +13,7 @@ var pagedStoreFiles = []string{"test.db", "test.db.pages", "test.db.meta.a", "te
 // snapshotVFS copies a paged store's files out of a MemVFS, capturing a
 // crash image that each benchmark iteration can restore into a fresh
 // VFS without the setup cost of regenerating the workload.
-func snapshotVFS(b *testing.B, vfs *MemVFS) map[string][]byte {
+func snapshotVFS(b testing.TB, vfs *MemVFS) map[string][]byte {
 	b.Helper()
 	snap := make(map[string][]byte)
 	for _, name := range pagedStoreFiles {
@@ -29,7 +29,7 @@ func snapshotVFS(b *testing.B, vfs *MemVFS) map[string][]byte {
 }
 
 // restoreVFS materializes a snapshot into a fresh MemVFS.
-func restoreVFS(b *testing.B, snap map[string][]byte) *MemVFS {
+func restoreVFS(b testing.TB, snap map[string][]byte) *MemVFS {
 	b.Helper()
 	vfs := NewMemVFS()
 	for name, data := range snap {

@@ -1,9 +1,9 @@
 package sqldb
 
-// Differential test of the redo against the path it is not. A seeded random
-// history of DML, transactions (committed and rolled back) and DDL runs on a
-// leader — the write path: insertAt/updateRow/deleteRow, unique checks, the
-// lock manager — while its committed groups are collected as a follower
+// Differential test of the redo against the transaction path. A seeded
+// random history of DML, transactions (committed and rolled back) and DDL
+// runs on a leader — statements, unique checks, the lock manager, rollback
+// — while its committed groups are collected as a follower
 // would receive them. Then the same groups go through the redo twice: a
 // reopen from the leader's crash image (Open → redoLog, over a page image
 // when the leader is paged and checkpointed at random points), and an empty

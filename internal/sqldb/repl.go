@@ -324,10 +324,9 @@ func (db *DB) ApplyCommitted(batches []CommittedBatch) error {
 	return nil
 }
 
-// checkRun holds a run of shipped groups to the strict redo's row rules
-// before any of it reaches this node's log: an insert must find its slot
-// empty and an update or delete its row live, in the state the records
-// ahead of it in the run leave, and every table must exist. A group the
+// checkRun holds a run of shipped groups to the strict redo's rowRule
+// before any of it reaches this node's log, in the state the records ahead
+// of it in the run leave, and every table must exist. A group the
 // redo would refuse is then refused whole, not appended for every later
 // Open to meet. The first DDL record ends the check — what a statement
 // does to the catalog is applyDDL's to say — and past it the redo's own
@@ -353,13 +352,8 @@ func (db *DB) checkRun(groups [][]walRecord) error {
 			if !seen {
 				was = tbl.isLive(r.rid)
 			}
-			switch {
-			case r.op == walInsert && was:
-				return fmt.Errorf("redo: insert into live slot %d of %s", r.rid, tbl.schema.Name)
-			case r.op == walUpdate && !was:
-				return fmt.Errorf("redo: update of missing row %d in %s", r.rid, tbl.schema.Name)
-			case r.op == walDelete && !was:
-				return fmt.Errorf("redo: delete of missing row %d in %s", r.rid, tbl.schema.Name)
+			if _, err := rowRule(r.op, was, false); err != nil {
+				return tbl.refused(err, r.rid)
 			}
 			if live == nil {
 				live = make(map[slot]bool)
@@ -387,20 +381,21 @@ func decodeBatch(b CommittedBatch) ([]walRecord, error) {
 // applyGroup is the redo: the one place a logged group becomes heap rows,
 // version chains and index entries. Recovery feeds it the groups of the
 // node's own log, ApplyCommitted the groups a leader shipped. Records land
-// as unstamped versions, then — under the commit mutex, exactly like a
-// local commit — all are stamped with the next commit timestamp and the
-// clock advances, so a concurrent snapshot reader sees either none or all
-// of the group, never a half-applied prefix. DDL records go through
-// applyDDL, which bumps the affected tables' schema epochs — cached plans
-// are invalidated by redone CREATE/DROP INDEX/TABLE exactly as they are by
-// local DDL (plancache.go).
+// through the write and remove a transaction's statements use (with
+// transaction id 0) as unstamped versions, then — under the commit mutex,
+// exactly like a local commit — all are stamped with the next commit
+// timestamp and the clock advances, so a concurrent snapshot reader sees
+// either none or all of the group, never a half-applied prefix. DDL
+// records go through applyDDL, which bumps the affected tables' schema
+// epochs — cached plans are invalidated by redone CREATE/DROP INDEX/TABLE
+// exactly as they are by local DDL (plancache.go).
 //
 // mayContain says the state being applied onto may already hold some of
 // the group's effects. That is true of exactly one input — a log tail redone
 // over a page image, because a fuzzy checkpoint also flushes pages dirtied
-// by commits above its LSN — and there every record converges: an insert
-// onto a live row is an upsert; an update or a delete of a missing row and
-// DDL whose effect is present are no-ops. Everywhere else (a log-only
+// by commits above its LSN — and there every record converges (rowRule): an
+// insert onto a live row is an upsert; an update or a delete of a missing
+// row and DDL whose effect is present are no-ops. Everywhere else (a log-only
 // recovery, a follower) the log is the whole history and those same
 // situations are errors.
 //
@@ -444,7 +439,7 @@ func (db *DB) applyGroup(lsn uint64, recs []walRecord, mayContain bool) error {
 			}
 		case walDelete:
 			if tbl, err = db.lookupTable(r.table); err == nil {
-				v, orphaned, err = tbl.applyDelete(r.rid, wm, mayContain)
+				v, orphaned, err = tbl.remove(r.rid, 0, wm, mayContain)
 			}
 		default:
 			err = fmt.Errorf("unexpected record op %d at lsn %d", r.op, lsn)

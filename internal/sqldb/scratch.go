@@ -13,8 +13,9 @@ import "bytes"
 // per-statement state (the query, its evaluation environment, one scan
 // operator per plan step with its batch buffers, the sort unit's entries
 // and arenas, the DML rid list, the bound parameters, the key-lock and WAL
-// encode buffers) and the per-transaction footprint (locks taken, undo,
-// redo and the arenas of its update records, versions to stamp).
+// encode buffers) and the per-transaction footprint (locks taken, redo —
+// which rollback reads backward — and the arenas of its update records,
+// versions to stamp).
 //
 // Lifetimes: statement state is valid until the next statement on the same
 // Tx — a Tx runs one statement at a time, so nothing else can be reading
@@ -55,7 +56,6 @@ type txScratch struct {
 	// Transaction state. The Tx's own slices point here while the scratch
 	// is attached and are handed back, emptied, at finish.
 	locked   []lockTarget
-	undo     []undoRecord
 	redo     []walRecord
 	versions []stampEntry
 	gcPend   []gcRecord
@@ -79,7 +79,6 @@ func (tx *Tx) scratch() *txScratch {
 	// What the transaction recorded before its first statement
 	// (Checkpoint's quiesce locks, a DDL's log record) moves over.
 	tx.locked = append(sc.locked[:0], tx.locked...)
-	tx.undo = append(sc.undo[:0], tx.undo...)
 	tx.redo = append(sc.redo[:0], tx.redo...)
 	tx.versions = append(sc.versions[:0], tx.versions...)
 	tx.gcPend = append(sc.gcPend[:0], tx.gcPend...)
@@ -95,11 +94,10 @@ func (tx *Tx) releaseScratch() {
 	}
 	tx.sc = nil
 	sc.locked = keep(tx.locked)
-	sc.undo = keep(tx.undo)
 	sc.redo = keep(tx.redo)
 	sc.versions = keep(tx.versions)
 	sc.gcPend = keep(tx.gcPend)
-	tx.locked, tx.undo, tx.redo, tx.versions, tx.gcPend = nil, nil, nil, nil, nil
+	tx.locked, tx.redo, tx.versions, tx.gcPend = nil, nil, nil, nil
 	sc.deltaBits, sc.deltaVals = keep(sc.deltaBits), keep(sc.deltaVals)
 
 	sc.q = query{}

@@ -287,7 +287,6 @@ func TestPooledScratchPinsNothing(t *testing.T) {
 	checkEmpty(t, "provided", sc.provided)
 	checkEmpty(t, "keyTargets", sc.keyTargets)
 	checkEmpty(t, "locked", sc.locked)
-	checkEmpty(t, "undo", sc.undo)
 	checkEmpty(t, "redo", sc.redo)
 	checkPooled(t, "deltaBits", sc.deltaBits, false)
 	checkEmpty(t, "deltaVals", sc.deltaVals)

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -400,7 +401,7 @@ func (t *table) checkUnique(ix *index, row []Value, rid int64) error {
 
 // allocSlot reserves a heap slot (recycled or fresh) without publishing a
 // version into it, so the caller can X-lock the rid before it becomes
-// visible to concurrent index scans. Balance with insertAt or releaseSlot.
+// visible to concurrent index scans. Balance with write or releaseSlot.
 func (t *table) allocSlot() int64 {
 	t.latch.Lock()
 	defer t.latch.Unlock()
@@ -420,25 +421,177 @@ func (t *table) releaseSlot(rid int64) {
 	t.free = append(t.free, rid)
 }
 
-// insertAt publishes a fresh row version into a slot reserved by
-// allocSlot, maintaining all indexes. The row must already be validated
-// and coerced to the schema. The returned version is stamped by the
-// transaction at commit.
-func (t *table) insertAt(rid int64, row []Value, txn uint64) (*rowVersion, error) {
-	t.latch.Lock()
-	defer t.latch.Unlock()
-	for _, ix := range t.indexes {
-		if err := t.checkUnique(ix, row, rid); err != nil {
-			return nil, err
+// The row rules' refusals: what a write found in its slot that the rules
+// forbid.
+var (
+	errInsertLive    = errors.New("insert into live slot")
+	errUpdateMissing = errors.New("update of missing row")
+	errDeleteMissing = errors.New("delete of missing row")
+)
+
+// rowRule is what a write of op may find in its slot, live saying whether
+// a row is there: an insert no row, an update or a delete a live one. A
+// write that finds otherwise is refused, unless mayContain (see applyGroup)
+// says the state may already hold the write's effect: then an insert onto a
+// live row is an upsert, and an update or a delete of a missing row has
+// nothing to do (apply false, no error). For the redo this is the check that
+// the log and the state it is applied onto agree; a transaction only writes
+// rows it found under their X locks, into slots it reserved.
+func rowRule(op walOp, live, mayContain bool) (apply bool, err error) {
+	switch {
+	case mayContain:
+	case op == walInsert && live:
+		return false, errInsertLive
+	case op == walUpdate && !live:
+		return false, errUpdateMissing
+	case op == walDelete && !live:
+		return false, errDeleteMissing
+	}
+	return live || op == walInsert, nil
+}
+
+// refused names the row a rowRule refusal is about.
+func (t *table) refused(err error, rid int64) error {
+	return fmt.Errorf("%w %d of %s", err, rid, t.schema.Name)
+}
+
+// find reads what a write of op finds at rid — txn's own version, else the
+// newest committed one (the redo's txn is 0, the id its versions carry) —
+// and holds it to rowRule. It returns rid's slot (nil past the heap's end)
+// and its live row (nil when there is none); apply false with no error is a
+// write with nothing to do. Caller holds the latch.
+func (t *table) find(op walOp, rid int64, txn uint64, mayContain bool) (s *rowSlot, old []Value, apply bool, err error) {
+	var cur *rowVersion
+	if rid >= 0 && rid < int64(len(t.rows)) {
+		s = t.rows[rid]
+		cur = s.currentVersion(txn)
+	}
+	live := cur != nil && !cur.isTomb()
+	if apply, err = rowRule(op, live, mayContain); !apply {
+		if err != nil {
+			err = t.refused(err, rid)
+		}
+		return s, nil, false, err
+	}
+	if live {
+		if old = t.resolve(cur); old == nil {
+			return s, nil, false, fmt.Errorf("row %d of %s is unreadable", rid, t.schema.Name)
 		}
 	}
-	v := &rowVersion{data: row, txn: txn}
+	return s, old, true, nil
+}
+
+// keysMove reports whether writing row over old moves its entry under
+// some index.
+func (t *table) keysMove(old, row []Value) bool {
 	for _, ix := range t.indexes {
-		ix.tree.insert(ix.entryKey(row, rid), rid)
+		if !ix.sameKey(old, row) {
+			return true
+		}
 	}
-	t.rows[rid].head.Store(v)
-	t.liveRows.Add(1)
-	return v, nil
+	return false
+}
+
+// push puts v on top of s's chain and clips what the watermark shadows.
+func (t *table) push(s *rowSlot, v *rowVersion, watermark uint64) *rowVersion {
+	v.prev.Store(s.head.Load())
+	s.head.Store(v)
+	t.prune(s, watermark)
+	return v
+}
+
+// write puts row at rid as a new unstamped version, for the caller to stamp
+// at commit: a transaction's insert or update (txn its id; an insert's slot
+// comes from allocSlot) or the redo's (txn 0). insert says the row is new,
+// and find holds the write to rowRule. write returns the row it replaced
+// (nil when there was none), the version (nil when there is nothing to
+// do) and the entries it orphans — the replaced row's, under every index
+// whose key moved — for commit-ordered GC, since older snapshots still
+// need them. A transaction's unique checks run here, under the same
+// exclusive latch as the entry inserts; the redo's writer already passed
+// them.
+//
+// On the CAS hot paths (heartbeats and job state transitions flip non-key
+// columns) no entry moves, so the whole update is one version push under
+// the shared latch: the writer holds the row's X lock, or is the redo, so
+// nothing else touches the slot, and the shared latch only has to exclude
+// structural changes (slice growth, index entries and builds), which take
+// it exclusively. Concurrent disjoint-row writers never serialize on the
+// table.
+func (t *table) write(rid int64, row []Value, insert bool, txn, watermark uint64, mayContain bool) ([]Value, *rowVersion, []gcEntry, error) {
+	op := walInsert
+	if !insert {
+		op = walUpdate
+		t.latch.RLock()
+		s, old, apply, err := t.find(op, rid, txn, mayContain)
+		if apply && !t.keysMove(old, row) {
+			v := t.push(s, &rowVersion{data: row, txn: txn}, watermark)
+			t.latch.RUnlock()
+			return old, v, nil, nil
+		}
+		t.latch.RUnlock()
+		if !apply {
+			return nil, nil, nil, err
+		}
+	}
+
+	// Entries go in, so take the latch exclusively (and look again after an
+	// update's first look: an index could have come or gone in between).
+	t.latch.Lock()
+	defer t.latch.Unlock()
+	s, old, apply, err := t.find(op, rid, txn, mayContain)
+	if !apply {
+		return nil, nil, nil, err
+	}
+	var orphaned []gcEntry
+	for _, ix := range t.indexes {
+		if old != nil && ix.sameKey(old, row) {
+			continue
+		}
+		if txn != 0 {
+			if err := t.checkUnique(ix, row, rid); err != nil {
+				return nil, nil, nil, err
+			}
+		}
+		if old != nil {
+			orphaned = append(orphaned, gcEntry{index: ix.schema.Name, key: ix.entryKey(old, rid)})
+		}
+	}
+	for _, ix := range t.indexes {
+		if old == nil || !ix.sameKey(old, row) {
+			ix.tree.insert(ix.entryKey(row, rid), rid) // idempotent when re-claiming a pending-GC entry
+		}
+	}
+	if s == nil {
+		for int64(len(t.rows)) <= rid {
+			t.rows = append(t.rows, &rowSlot{})
+		}
+		s = t.rows[rid]
+	}
+	if old == nil {
+		t.liveRows.Add(1)
+	}
+	return old, t.push(s, &rowVersion{data: row, txn: txn}, watermark), orphaned, nil
+}
+
+// remove pushes a delete tombstone onto rid's chain — a transaction's (txn
+// its id) or the redo's (txn 0) — held to rowRule like write. It returns the
+// tombstone (nil when there is nothing to delete) and the row's entry under
+// every index, for GC once no snapshot can see the row: the entries and the
+// slot stay until then, and a rollback simply pops the tombstone.
+func (t *table) remove(rid int64, txn, watermark uint64, mayContain bool) (*rowVersion, []gcEntry, error) {
+	t.latch.RLock()
+	defer t.latch.RUnlock()
+	s, old, apply, err := t.find(walDelete, rid, txn, mayContain)
+	if !apply {
+		return nil, nil, err
+	}
+	entries := make([]gcEntry, 0, len(t.indexes))
+	for _, ix := range t.indexes {
+		entries = append(entries, gcEntry{index: ix.schema.Name, key: ix.entryKey(old, rid)})
+	}
+	t.liveRows.Add(-1)
+	return t.push(s, &rowVersion{txn: txn, flags: verTomb}, watermark), entries, nil
 }
 
 // slot fetches a heap slot under the shared latch (the slice header may
@@ -499,119 +652,6 @@ func (ix *index) entryMatches(k Key, row []Value, rid int64) bool {
 	return compareKeyPart(NewInt(rid), k[n]) == 0
 }
 
-// deleteRow pushes a delete tombstone onto rid's chain and returns the
-// old row plus the tombstone (stamped at commit) and the index entries
-// the delete orphans (queued for GC at commit). Index entries and the
-// slot itself are untouched: older snapshots still need them, and a
-// rollback simply pops the tombstone.
-func (t *table) deleteRow(rid int64, txn uint64, watermark uint64) ([]Value, *rowVersion, []gcEntry, error) {
-	t.latch.RLock()
-	defer t.latch.RUnlock()
-	if rid < 0 || rid >= int64(len(t.rows)) {
-		return nil, nil, nil, fmt.Errorf("sqldb: delete: no row %d in %s", rid, t.schema.Name)
-	}
-	s := t.rows[rid]
-	cur := s.currentVersion(txn)
-	if cur == nil || cur.isTomb() {
-		return nil, nil, nil, fmt.Errorf("sqldb: delete: no row %d in %s", rid, t.schema.Name)
-	}
-	old := t.resolve(cur)
-	if old == nil {
-		return nil, nil, nil, fmt.Errorf("sqldb: delete: row %d of %s is unreadable", rid, t.schema.Name)
-	}
-	entries := make([]gcEntry, 0, len(t.indexes))
-	for _, ix := range t.indexes {
-		entries = append(entries, gcEntry{index: ix.schema.Name, key: ix.entryKey(old, rid)})
-	}
-	tomb := &rowVersion{txn: txn, flags: verTomb}
-	tomb.prev.Store(s.head.Load())
-	s.head.Store(tomb)
-	t.prune(s, watermark)
-	t.liveRows.Add(-1)
-	return old, tomb, entries, nil
-}
-
-// updateRow pushes a new version of rid, maintaining indexes, and returns
-// the old row, the new version (stamped at commit), and the index entries
-// the update orphans (nil when no index key moved). On the CAS hot paths
-// (heartbeats and job state transitions flip non-key columns) no entry
-// moves, so the whole mutation is one version push under the shared
-// latch — concurrent disjoint-row writers never serialize on the table.
-func (t *table) updateRow(rid int64, newRow []Value, txn uint64, watermark uint64) ([]Value, *rowVersion, []gcEntry, error) {
-	// Fast path under the shared latch: when no index key changes, the
-	// mutation is one chain push. The caller holds the row's X lock, so no
-	// other transaction touches this slot; the shared latch only needs to
-	// exclude structural changes (slice growth, index builds), which take
-	// the latch exclusively.
-	t.latch.RLock()
-	if rid < 0 || rid >= int64(len(t.rows)) {
-		t.latch.RUnlock()
-		return nil, nil, nil, fmt.Errorf("sqldb: update: no row %d in %s", rid, t.schema.Name)
-	}
-	s := t.rows[rid]
-	cur := s.currentVersion(txn)
-	if cur == nil || cur.isTomb() {
-		t.latch.RUnlock()
-		return nil, nil, nil, fmt.Errorf("sqldb: update: no row %d in %s", rid, t.schema.Name)
-	}
-	old := t.resolve(cur)
-	if old == nil {
-		t.latch.RUnlock()
-		return nil, nil, nil, fmt.Errorf("sqldb: update: row %d of %s is unreadable", rid, t.schema.Name)
-	}
-	keysChanged := false
-	for _, ix := range t.indexes {
-		if !ix.sameKey(old, newRow) {
-			keysChanged = true
-			break
-		}
-	}
-	if !keysChanged {
-		v := &rowVersion{data: newRow, txn: txn}
-		v.prev.Store(s.head.Load())
-		s.head.Store(v)
-		t.prune(s, watermark)
-		t.latch.RUnlock()
-		return old, v, nil, nil
-	}
-	t.latch.RUnlock()
-
-	// Slow path: index keys move, so take the latch exclusively and
-	// recompute (an index could have been added in the window between the
-	// two latch acquisitions).
-	t.latch.Lock()
-	defer t.latch.Unlock()
-	s = t.rows[rid]
-	cur = s.currentVersion(txn)
-	if cur == nil || cur.isTomb() {
-		return nil, nil, nil, fmt.Errorf("sqldb: update: no row %d in %s", rid, t.schema.Name)
-	}
-	old = t.resolve(cur)
-	if old == nil {
-		return nil, nil, nil, fmt.Errorf("sqldb: update: row %d of %s is unreadable", rid, t.schema.Name)
-	}
-	var orphaned []gcEntry
-	for _, ix := range t.indexes {
-		if ix.sameKey(old, newRow) {
-			continue
-		}
-		if err := t.checkUnique(ix, newRow, rid); err != nil {
-			return nil, nil, nil, err
-		}
-		orphaned = append(orphaned, gcEntry{index: ix.schema.Name, key: ix.entryKey(old, rid)})
-	}
-	for _, ix := range t.indexes {
-		if !ix.sameKey(old, newRow) {
-			ix.tree.insert(ix.entryKey(newRow, rid), rid) // idempotent when re-claiming a pending-GC entry
-		}
-	}
-	v := &rowVersion{data: newRow, txn: txn}
-	v.prev.Store(s.head.Load())
-	s.head.Store(v)
-	t.prune(s, watermark)
-	return old, v, orphaned, nil
-}
-
 // removeEntryIfUnclaimed deletes index entry k for rid unless some
 // surviving version in rid's chain (committed or uncommitted) still
 // carries that exact key — which happens when a key changed away and back
@@ -628,62 +668,37 @@ func (t *table) removeEntryIfUnclaimed(ix *index, k Key, rid int64) bool {
 	return ix.tree.delete(k)
 }
 
-// rollbackInsert undoes an uncommitted insert: pop the version, drop its
-// index entries (claim-checked — a same-transaction key dance may have
-// re-claimed one), and recycle the slot if the chain emptied.
-func (t *table) rollbackInsert(rid int64, txn uint64) error {
-	t.latch.Lock()
-	defer t.latch.Unlock()
-	return t.rollbackPopLocked(rid, txn, true)
-}
-
-// rollbackUpdate undoes an uncommitted update the same way (the row stays
-// live and the slot cannot empty: the updated version sat on top of an
-// older one).
-func (t *table) rollbackUpdate(rid int64, txn uint64) error {
-	t.latch.Lock()
-	defer t.latch.Unlock()
-	return t.rollbackPopLocked(rid, txn, false)
-}
-
-// rollbackDelete pops an uncommitted tombstone (no index entries to fix:
-// deletes do not touch the trees).
-func (t *table) rollbackDelete(rid int64, txn uint64) error {
+// rollback undoes txn's write of op at rid — one record of its redo list —
+// by popping its uncommitted version: the version it superseded is still
+// linked below, so nothing is re-applied. What the write did beside the
+// push is undone with it: the entries an insert or an update put in go
+// (claim-checked — a same-transaction key dance may have re-claimed one),
+// and the live-row count moves back, an insert whose chain emptied giving
+// back its slot too. A head that is not txn's version of op is left alone.
+func (t *table) rollback(op walOp, rid int64, txn uint64) {
 	t.latch.Lock()
 	defer t.latch.Unlock()
 	s := t.rows[rid]
 	head := s.head.Load()
-	if head == nil || head.begin.Load() != 0 || head.txn != txn || !head.isTomb() {
-		return fmt.Errorf("sqldb: rollback: slot %d of %s holds no uncommitted tombstone", rid, t.schema.Name)
+	if head == nil || head.begin.Load() != 0 || head.txn != txn || head.isTomb() != (op == walDelete) {
+		return
 	}
 	s.head.Store(head.prev.Load())
-	t.liveRows.Add(1)
-	return nil
-}
-
-// rollbackPopLocked pops txn's uncommitted head and removes the entries it
-// published. An undone insert also gives back the row it had counted as
-// live and, when the chain emptied, its slot. Caller holds the exclusive
-// latch.
-func (t *table) rollbackPopLocked(rid int64, txn uint64, insert bool) error {
-	s := t.rows[rid]
-	head := s.head.Load()
-	// An uncommitted non-tombstone version always carries data in memory
-	// (versions are paged out only at commit), so head.data is safe below.
-	if head == nil || head.begin.Load() != 0 || head.txn != txn || head.isTomb() {
-		return fmt.Errorf("sqldb: rollback: slot %d of %s has no uncommitted version of txn %d", rid, t.schema.Name, txn)
-	}
-	s.head.Store(head.prev.Load())
-	for _, ix := range t.indexes {
-		t.removeEntryIfUnclaimed(ix, ix.entryKey(head.data, rid), rid)
-	}
-	if insert {
+	switch op {
+	case walDelete:
+		t.liveRows.Add(1)
+		return // a delete put in no entries
+	case walInsert:
 		t.liveRows.Add(-1)
 		if s.head.Load() == nil {
 			t.free = append(t.free, rid)
 		}
 	}
-	return nil
+	// An uncommitted version always carries its data in memory (versions
+	// are paged out only at commit).
+	for _, ix := range t.indexes {
+		t.removeEntryIfUnclaimed(ix, ix.entryKey(head.data, rid), rid)
+	}
 }
 
 // gcProcess applies one reclamation record: prune the chain against the
@@ -748,21 +763,12 @@ func (t *table) pagedPlace(rid int64, row []Value, loc pageLoc, ts uint64) {
 	}
 }
 
-// applyWrite redoes one logged insert or update: the row image — an
-// update's is the current row with the record's changed columns laid over
-// it — becomes an unstamped version on top of rid's chain, which the caller
-// stamps under the commit mutex with the rest of its group. It is MVCC-safe
-// against concurrent snapshot readers — a recycled slot still holding a
-// tombstone chain gets the new version pushed on top, so an old snapshot
-// keeps seeing its tombstoned past — and moved index entries (old row
-// against the new image) are returned for commit-ordered GC rather than
-// deleted. Unique checks are skipped: the transaction that logged the
-// record already passed them.
-//
-// An insert must find no live row and an update must find one, unless
-// mayContain (see applyGroup): then an insert onto a live row is an
-// upsert, and an update of a missing row is nothing to do — a nil version
-// says so.
+// applyWrite redoes one logged insert or update as write with txn 0. The
+// row image is the record's, or for an update the current row with the
+// record's changed columns laid over it; a missing or unreadable row is for
+// write to judge. A recycled slot still holding a tombstone chain gets the
+// new version pushed on top, so an old snapshot keeps seeing its
+// tombstoned past.
 func (t *table) applyWrite(r *walRecord, watermark uint64, mayContain bool) (*rowVersion, []gcEntry, error) {
 	width := len(r.row)
 	if r.op == walUpdate {
@@ -773,54 +779,15 @@ func (t *table) applyWrite(r *walRecord, watermark uint64, mayContain bool) (*ro
 		// record is input from outside.
 		return nil, nil, fmt.Errorf("redo: row %d of %s has %d values, the table has %d columns", r.rid, t.schema.Name, width, len(t.schema.Columns))
 	}
-	t.latch.Lock()
-	defer t.latch.Unlock()
-	var cur *rowVersion
-	if r.rid < int64(len(t.rows)) {
-		cur = t.rows[r.rid].currentVersion(0)
-	}
-	live := cur != nil && !cur.isTomb()
-	if live && r.op == walInsert && !mayContain {
-		return nil, nil, fmt.Errorf("redo: insert into live slot %d of %s", r.rid, t.schema.Name)
-	}
-	if !live && r.op == walUpdate {
-		if mayContain {
-			return nil, nil, nil
-		}
-		return nil, nil, fmt.Errorf("redo: update of missing row %d in %s", r.rid, t.schema.Name)
-	}
 	row := r.row
-	var orphaned []gcEntry
-	if live {
-		old := t.resolve(cur)
-		if old == nil {
-			return nil, nil, fmt.Errorf("redo: update of unreadable row %d in %s", r.rid, t.schema.Name)
-		}
-		if r.op == walUpdate {
+	if r.op == walUpdate {
+		row = nil
+		if old := t.currentRow(r.rid, 0); old != nil {
 			row = applyDelta(old, r)
 		}
-		for _, ix := range t.indexes {
-			if ix.sameKey(old, row) {
-				continue
-			}
-			orphaned = append(orphaned, gcEntry{index: ix.schema.Name, key: ix.entryKey(old, r.rid)})
-			ix.tree.insert(ix.entryKey(row, r.rid), r.rid)
-		}
-	} else {
-		for int64(len(t.rows)) <= r.rid {
-			t.rows = append(t.rows, &rowSlot{})
-		}
-		for _, ix := range t.indexes {
-			ix.tree.insert(ix.entryKey(row, r.rid), r.rid)
-		}
-		t.liveRows.Add(1)
 	}
-	s := t.rows[r.rid]
-	v := &rowVersion{data: row}
-	v.prev.Store(s.head.Load())
-	s.head.Store(v)
-	t.prune(s, watermark)
-	return v, orphaned, nil
+	_, v, orphaned, err := t.write(r.rid, row, r.op == walInsert, 0, watermark, mayContain)
+	return v, orphaned, err
 }
 
 // applyDelta is the row an update record makes of old: a copy of old with
@@ -835,40 +802,6 @@ func applyDelta(old []Value, r *walRecord) []Value {
 		}
 	}
 	return row
-}
-
-// applyDelete redoes one logged delete as an unstamped tombstone, returned
-// with the orphaned index entries for GC. Under mayContain a row that is
-// not there was already deleted in the state applied onto: nothing to do,
-// and a nil version says so.
-func (t *table) applyDelete(rid int64, watermark uint64, mayContain bool) (*rowVersion, []gcEntry, error) {
-	t.latch.Lock()
-	defer t.latch.Unlock()
-	var cur *rowVersion
-	if rid < int64(len(t.rows)) {
-		cur = t.rows[rid].currentVersion(0)
-	}
-	if cur == nil || cur.isTomb() {
-		if mayContain {
-			return nil, nil, nil
-		}
-		return nil, nil, fmt.Errorf("redo: delete of missing row %d in %s", rid, t.schema.Name)
-	}
-	old := t.resolve(cur)
-	if old == nil {
-		return nil, nil, fmt.Errorf("redo: delete of unreadable row %d in %s", rid, t.schema.Name)
-	}
-	entries := make([]gcEntry, 0, len(t.indexes))
-	for _, ix := range t.indexes {
-		entries = append(entries, gcEntry{index: ix.schema.Name, key: ix.entryKey(old, rid)})
-	}
-	s := t.rows[rid]
-	tomb := &rowVersion{flags: verTomb}
-	tomb.prev.Store(s.head.Load())
-	s.head.Store(tomb)
-	t.prune(s, watermark)
-	t.liveRows.Add(-1)
-	return tomb, entries, nil
 }
 
 // rebuildAfterReplay ends a redo for one table: chains are flattened below

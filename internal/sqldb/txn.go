@@ -582,15 +582,6 @@ func (lm *lockManager) addBlockedEdges(rl *resLock, grantee uint64, granted lock
 	}
 }
 
-// undoRecord names one mutation to reverse on rollback. Pre-images are
-// not needed: the superseded version is still on the chain, so undo is a
-// version pop.
-type undoRecord struct {
-	op    walOp // walInsert / walUpdate / walDelete (the forward op)
-	table string
-	rid   int64
-}
-
 // stampEntry is one version awaiting its commit stamp, with enough
 // context (table, rid) for the paged commit path to write the version's
 // row through to a heap page first.
@@ -610,15 +601,14 @@ type Tx struct {
 	base     context.Context // BeginTx context: bounds the whole transaction
 	ctx      context.Context // effective context of the running statement
 	done     bool
-	undo     []undoRecord
-	redo     []walRecord
+	redo     []walRecord  // the log records of its writes, read backward on rollback
 	locked   []lockTarget // resources this txn holds or queues on
 	versions []stampEntry // versions to stamp at commit
 	gcPend   []gcRecord   // reclamation work to queue at commit
 	implicit bool         // autocommit wrapper
 	// sc is the working memory the transaction's statements borrow
 	// (scratch.go): attached at the first statement, returned in finish.
-	// While attached, the five slices above are backed by it.
+	// While attached, the four slices above are backed by it.
 	sc *txScratch
 }
 
@@ -771,30 +761,24 @@ func (tx *Tx) finish() {
 	tx.releaseScratch()
 }
 
-// popVersions reverses the transaction's mutations (the shared abort
-// path of Rollback and a retracted commit).
+// popVersions reverses the transaction's writes by reading its redo list
+// backward (the shared abort path of Rollback and a retracted commit).
 func (tx *Tx) popVersions() {
 	tx.db.mu.Lock()
-	for i := len(tx.undo) - 1; i >= 0; i-- {
-		u := tx.undo[i]
-		tbl := tx.db.tables[u.table]
-		if tbl == nil {
-			continue // table dropped in this txn: nothing to restore into
+	for i := len(tx.redo) - 1; i >= 0; i-- {
+		r := &tx.redo[i]
+		if r.op == walDDL {
+			continue
 		}
-		switch u.op {
-		case walInsert:
-			_ = tbl.rollbackInsert(u.rid, tx.id)
-		case walDelete:
-			_ = tbl.rollbackDelete(u.rid, tx.id)
-		case walUpdate:
-			_ = tbl.rollbackUpdate(u.rid, tx.id)
+		if tbl := tx.db.tables[r.table]; tbl != nil { // nil: dropped since, nothing to restore into
+			tbl.rollback(r.op, r.rid, tx.id)
 		}
 	}
 	tx.db.mu.Unlock()
 }
 
 // Mutation helpers used by the executor: they perform the table operation
-// and record undo + redo.
+// and record its redo.
 
 // keyTargets collects, in the scratch's buffer, the unique-key lock
 // resources a write must hold: every enforced key row occupies, or — with
@@ -827,13 +811,12 @@ func (tx *Tx) insertRow(tbl *table, row []Value) (int64, error) {
 		tbl.releaseSlot(rid)
 		return 0, err
 	}
-	ver, err := tbl.insertAt(rid, row, tx.id)
+	_, ver, _, err := tbl.write(rid, row, true, tx.id, tx.db.watermark.Load(), false)
 	if err != nil {
 		tbl.releaseSlot(rid)
 		return 0, err
 	}
 	tx.versions = append(tx.versions, stampEntry{v: ver, tbl: tbl, rid: rid})
-	tx.undo = append(tx.undo, undoRecord{op: walInsert, table: tbl.schema.Name, rid: rid})
 	tx.redo = append(tx.redo, walRecord{op: walInsert, table: tbl.schema.Name, rid: rid, row: row})
 	return rid, nil
 }
@@ -847,13 +830,12 @@ func (tx *Tx) deleteRow(tbl *table, rid int64) error {
 			return err
 		}
 	}
-	_, tomb, orphans, err := tbl.deleteRow(rid, tx.id, tx.db.watermark.Load())
+	tomb, orphans, err := tbl.remove(rid, tx.id, tx.db.watermark.Load(), false)
 	if err != nil {
 		return err
 	}
 	tx.versions = append(tx.versions, stampEntry{v: tomb, tbl: tbl, rid: rid})
 	tx.gcPend = append(tx.gcPend, gcRecord{table: tbl.schema.Name, rid: rid, tombstone: true, entries: orphans})
-	tx.undo = append(tx.undo, undoRecord{op: walDelete, table: tbl.schema.Name, rid: rid})
 	tx.redo = append(tx.redo, walRecord{op: walDelete, table: tbl.schema.Name, rid: rid})
 	return nil
 }
@@ -866,7 +848,7 @@ func (tx *Tx) updateRow(tbl *table, rid int64, newRow []Value) error {
 			return err
 		}
 	}
-	old, ver, orphans, err := tbl.updateRow(rid, newRow, tx.id, tx.db.watermark.Load())
+	old, ver, orphans, err := tbl.write(rid, newRow, false, tx.id, tx.db.watermark.Load(), false)
 	if err != nil {
 		return err
 	}
@@ -874,7 +856,6 @@ func (tx *Tx) updateRow(tbl *table, rid int64, newRow []Value) error {
 	if len(orphans) > 0 {
 		tx.gcPend = append(tx.gcPend, gcRecord{table: tbl.schema.Name, rid: rid, entries: orphans})
 	}
-	tx.undo = append(tx.undo, undoRecord{op: walUpdate, table: tbl.schema.Name, rid: rid})
 	tx.redo = append(tx.redo, tx.scratch().updateRecord(tbl.schema.Name, rid, old, newRow))
 	return nil
 }

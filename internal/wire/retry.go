@@ -47,11 +47,7 @@ func IdempotencyKeyFromContext(ctx context.Context) string {
 // NewIdempotencyKey generates a fresh random key (128 bits, hex).
 func NewIdempotencyKey() string {
 	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand never fails on supported platforms; fall back to a
-		// time-derived key rather than panicking in a network path.
-		return "t-" + hex.EncodeToString([]byte(time.Now().String()))[:24]
-	}
+	rand.Read(b[:]) // since Go 1.24 it never returns an error
 	return hex.EncodeToString(b[:])
 }
 
