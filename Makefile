@@ -33,11 +33,13 @@ alloc:
 # along: results never alias the executor scratch (TestRowsDoNotAliasScratch,
 # TestSQLRowsDoNotAliasScratch) and the lock table is empty, its freelists
 # capped, after a stress of cancels, timeouts and deadlock victims
-# (TestLockTableHygieneUnderStress). The wire codec and transports, the
-# execute-node agent and the event engine ride along: the packages where
-# goroutines share state (internal/vtime keeps no concurrent code).
+# (TestLockTableHygieneUnderStress). The bean container's two transports
+# and its one retry loop (an engine deadlock victim on each), the wire
+# codec and transports, the execute-node agent and the event engine ride
+# along: the packages where goroutines share state (internal/vtime keeps
+# no concurrent code).
 race:
-	$(GO) test -race -count=1 ./internal/sqldb ./internal/core ./internal/wire ./internal/cluster ./internal/sim
+	$(GO) test -race -count=1 ./internal/sqldb ./internal/beans ./internal/core ./internal/wire ./internal/cluster ./internal/sim
 
 vet:
 	$(GO) vet ./...

@@ -35,7 +35,6 @@ import (
 func main() {
 	listen := flag.String("listen", ":8642", "HTTP listen address")
 	data := flag.String("data", "", "WAL file path for durability (empty = in-memory)")
-	pool := flag.Int("pool", 8, "database connection pool size")
 	sync := flag.String("sync", "group", "WAL sync policy: group (commits wait for their group's fsync) or never (same pipeline, no fsync)")
 	poolPages := flag.Int("pool-pages", 0, "paged storage: buffer-pool capacity in pages; rows live in a page file, the housekeeping tick checkpoints it, and restart replays only the WAL tail past the last checkpoint. A store that has checkpointed is paged whatever this says (0 = the engine's default pool); on a new or log-only store 0 keeps rows in the WAL-replayed heap")
 	grace := flag.Duration("shutdown-grace", 10*time.Second, "how long shutdown drains in-flight requests before cancelling their statements")
@@ -80,7 +79,7 @@ func main() {
 			log.Printf("recovered database from %s (sync=%s)", *data, *sync)
 		}
 	}
-	cas, err := core.New(core.Options{Engine: engine, PoolSize: *pool, Follower: *follow != ""})
+	cas, err := core.New(core.Options{Engine: engine, Follower: *follow != ""})
 	if err != nil {
 		log.Fatalf("condorj2d: %v", err)
 	}

@@ -1,8 +1,8 @@
 // Package beans is the persistence layer of the CondorJ2 architecture: a
 // container providing the J2EE/EJB services the paper's prototype got from
 // JBoss — container-managed persistence (entity structs mapped 1:1 to
-// tuples), container-managed transaction demarcation with deadlock retry,
-// and pooled database connections via database/sql.
+// tuples) and container-managed transaction demarcation with deadlock
+// retry.
 //
 // An entity is a Go struct whose exported fields carry `bean` tags:
 //
@@ -13,15 +13,25 @@
 //	}
 //
 // The container maps it to a table (snake-cased struct name by default),
-// and provides Find / Insert / Update / Delete against any *sql.Tx or
-// *sql.DB. There is intentionally no caching tier: as in the paper, "the
-// 'live' operational data resides in the database", and the subset of bean
+// and provides Insert / Find / Update / Delete / Select / Each over two
+// transports, with one copy of the mapping between them:
+//
+//   - the engine's own transactions (*sqldb.Tx, under Engine.InTx): what
+//     the application server runs on. Arguments are bound from the entity's
+//     fields straight into engine values, and results are read cell by cell
+//     through the statement's row references into the fields — nothing is
+//     boxed and no row is materialized;
+//   - database/sql (*sql.Tx under Container.InTx, or a *sql.DB): the edge,
+//     for tools and measurements that hold a pooled handle. Values cross
+//     database/sql's interfaces boxed, and are loaded by the same rules.
+//
+// There is intentionally no caching tier: as in the paper, "the 'live'
+// operational data resides in the database", and the subset of bean
 // instances in memory at any instant is just whatever the in-flight
 // requests materialized (§4.1 footnote 1).
 package beans
 
 import (
-	"context"
 	"database/sql"
 	"errors"
 	"fmt"
@@ -33,8 +43,13 @@ import (
 	"condorj2/internal/sqldb"
 )
 
-// ErrNotFound is returned by Find when no tuple matches the key.
+// ErrNotFound is returned by Find when no tuple matches the key, and by
+// Update and Delete when the key names no tuple.
 var ErrNotFound = errors.New("beans: entity not found")
+
+// ErrFieldType is wrapped by the error a load returns when a column's
+// value cannot be stored in its field's type.
+var ErrFieldType = errors.New("beans: column value does not fit the field")
 
 // field is one mapped struct field.
 type field struct {
@@ -42,42 +57,112 @@ type field struct {
 	index int    // struct field index
 	pk    bool
 	auto  bool
-	kind  scanKind
-	slot  int // position among the entity's fields of the same kind
+	kind  kind
+	// exact: the field's type is one sqldb.FromGo names, so it is bound by
+	// kind without boxing; any other type is bound through FromGo itself,
+	// with the same result.
+	exact bool
 }
 
-// scanKind is how a field is read back from a result row: through the
-// sql.Null wrapper of its kind (a NULL column loads as the zero value), or
-// — for any other type — straight into the field.
-type scanKind uint8
+// kind is how a field is bound and loaded, by its type's reflect.Kind.
+type kind uint8
 
 const (
-	scanInt scanKind = iota
-	scanFloat
-	scanString
-	scanBool
-	scanTime
-	scanDirect
-	numScanKinds
+	kindInt kind = iota
+	kindFloat
+	kindString
+	kindBool
+	kindTime
+	kindBytes
+	// kindOther is bound through sqldb.FromGo and loads nothing.
+	kindOther
 )
 
-var timeType = reflect.TypeOf(time.Time{})
+var (
+	timeType = reflect.TypeFor[time.Time]()
+	// exactTypes are the types sqldb.FromGo names that a kind binds.
+	exactTypes = map[reflect.Type]bool{}
+)
 
-func scanKindOf(t reflect.Type) scanKind {
+func init() {
+	for _, t := range []reflect.Type{
+		reflect.TypeFor[int](), reflect.TypeFor[int8](), reflect.TypeFor[int16](), reflect.TypeFor[int32](),
+		reflect.TypeFor[int64](), reflect.TypeFor[float32](), reflect.TypeFor[float64](),
+		reflect.TypeFor[string](), reflect.TypeFor[[]byte](), reflect.TypeFor[bool](), timeType,
+	} {
+		exactTypes[t] = true
+	}
+}
+
+func kindOf(t reflect.Type) kind {
 	switch t.Kind() {
-	case reflect.Int64, reflect.Int, reflect.Int32:
-		return scanInt
-	case reflect.Float64:
-		return scanFloat
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return kindInt
+	case reflect.Float32, reflect.Float64:
+		return kindFloat
 	case reflect.String:
-		return scanString
+		return kindString
 	case reflect.Bool:
-		return scanBool
+		return kindBool
+	case reflect.Slice:
+		if t.Elem().Kind() == reflect.Uint8 {
+			return kindBytes
+		}
 	}
 	if t == timeType {
-		return scanTime
+		return kindTime
 	}
-	return scanDirect
+	return kindOther
+}
+
+// bind converts the field's value fv into its statement argument: the
+// value sqldb.FromGo(fv.Interface()) gives, without the interface.
+func (f *field) bind(fv reflect.Value) (sqldb.Value, error) {
+	if !f.exact {
+		return sqldb.FromGo(fv.Interface())
+	}
+	switch f.kind {
+	case kindInt:
+		return sqldb.NewInt(fv.Int()), nil
+	case kindFloat:
+		return sqldb.NewFloat(fv.Float()), nil
+	case kindString:
+		return sqldb.NewText(fv.String()), nil
+	case kindBool:
+		return sqldb.NewBool(fv.Bool()), nil
+	case kindTime:
+		return sqldb.NewTime(*fv.Addr().Interface().(*time.Time)), nil
+	default: // kindBytes
+		return sqldb.NewText(string(fv.Bytes())), nil
+	}
+}
+
+// load stores column value v in the field fv: NULL as the field's zero
+// value, anything else only where its type fits the field's (an INTEGER
+// fits a float field too, TEXT a []byte one).
+func (f *field) load(fv reflect.Value, v sqldb.Value) error {
+	if v.IsNull() {
+		fv.SetZero()
+		return nil
+	}
+	t := v.Type()
+	switch {
+	case f.kind == kindInt && t == sqldb.Int:
+		fv.SetInt(v.Int64())
+	case f.kind == kindFloat && (t == sqldb.Float || t == sqldb.Int):
+		fv.SetFloat(v.Float64())
+	case f.kind == kindString && t == sqldb.Text:
+		fv.SetString(v.Text())
+	case f.kind == kindBool && t == sqldb.Bool:
+		fv.SetBool(v.Bool())
+	case f.kind == kindTime && t == sqldb.Time:
+		*fv.Addr().Interface().(*time.Time) = v.TimeValue()
+	case f.kind == kindBytes && t == sqldb.Text:
+		fv.SetBytes([]byte(v.Text()))
+	default:
+		return fmt.Errorf("%w: column %s holds %s, field is %s", ErrFieldType, f.name, t, fv.Type())
+	}
+	return nil
 }
 
 // Meta is the mapping of one entity type, with the statement texts every
@@ -91,10 +176,6 @@ type Meta struct {
 	typ    reflect.Type
 	fields []field
 	pks    []field
-	// kinds counts the fields of each scanKind: the size of a scanBuf.
-	kinds [numScanKinds]int
-	// bufs lends Find and Each their scan targets (scanBuf).
-	bufs *sync.Pool
 
 	findSQL, updateSQL, deleteSQL string
 	// selectSQL is "SELECT cols FROM table " — Select appends its suffix.
@@ -171,16 +252,14 @@ func MetaOf(sample any) (*Meta, error) {
 	if tn, ok := reflect.New(t).Interface().(TableNamer); ok {
 		table = tn.TableName()
 	}
-	m = &Meta{Table: table, typ: t, bufs: new(sync.Pool)}
+	m = &Meta{Table: table, typ: t}
 	for i := 0; i < t.NumField(); i++ {
 		sf := t.Field(i)
 		tag := sf.Tag.Get("bean")
 		if tag == "-" || !sf.IsExported() {
 			continue
 		}
-		f := field{name: snakeCase(sf.Name), index: i, kind: scanKindOf(sf.Type)}
-		f.slot = m.kinds[f.kind]
-		m.kinds[f.kind]++
+		f := field{name: snakeCase(sf.Name), index: i, kind: kindOf(sf.Type), exact: exactTypes[sf.Type]}
 		if tag != "" {
 			parts := strings.Split(tag, ",")
 			if parts[0] != "" {
@@ -192,8 +271,6 @@ func MetaOf(sample any) (*Meta, error) {
 					f.pk = true
 				case "auto":
 					f.auto = true
-				case "table":
-					// handled below via separate tag form
 				}
 			}
 		}
@@ -233,17 +310,16 @@ func snakeCase(s string) string {
 	return b.String()
 }
 
-// Querier is the subset of database/sql shared by *sql.DB and *sql.Tx, so
-// bean operations run equally inside or outside container transactions.
+// Querier is what a bean operation runs on: one of the engine's own
+// transactions (the native transport), or a database/sql transaction or
+// pool (the edge). Inside or outside a container transaction alike.
 type Querier interface {
-	Exec(query string, args ...any) (sql.Result, error)
-	Query(query string, args ...any) (*sql.Rows, error)
-	QueryRow(query string, args ...any) *sql.Row
+	*sqldb.Tx | *sql.Tx | *sql.DB
 }
 
 // Insert persists a new entity. Auto fields with zero values receive their
 // generated ids back.
-func Insert(q Querier, entity any) error {
+func Insert[Q Querier](q Q, entity any) error {
 	m, v, err := metaAndValue(entity)
 	if err != nil {
 		return err
@@ -253,7 +329,8 @@ func Insert(q Querier, entity any) error {
 		fv := v.Field(f.index)
 		return f.auto && fv.Kind() == reflect.Int64 && fv.Int() == 0
 	}
-	args := make([]any, 0, len(m.fields))
+	a := borrowArgs()
+	defer a.release()
 	var autoField *field
 	autos := 0
 	for i := range m.fields {
@@ -265,10 +342,12 @@ func Insert(q Querier, entity any) error {
 			autoField = f
 			continue
 		}
-		args = append(args, v.Field(f.index).Interface())
+		if err := a.bind(f, v); err != nil {
+			return err
+		}
 	}
 	var query string
-	switch len(m.fields) - len(args) {
+	switch len(m.fields) - len(a.vals) {
 	case 0:
 		query = m.insertSQL[0]
 	case autos:
@@ -276,41 +355,44 @@ func Insert(q Querier, entity any) error {
 	default: // several auto fields, only some of them set
 		query = m.insertText(unset)
 	}
-	res, err := q.Exec(query, args...)
+	res, err := transportOf(q).exec(query, a.vals)
 	if err != nil {
 		return err
 	}
 	if autoField != nil {
-		id, err := res.LastInsertId()
-		if err == nil {
-			v.Field(autoField.index).SetInt(id)
-		}
+		v.Field(autoField.index).SetInt(res.LastInsertID)
 	}
 	return nil
 }
 
 // Find loads the entity whose primary key fields are already set.
-func Find(q Querier, entity any) error {
+func Find[Q Querier](q Q, entity any) error {
 	m, v, err := metaAndValue(entity)
 	if err != nil {
 		return err
 	}
-	buf := m.borrowScanBuf()
-	defer m.returnScanBuf(buf)
-	buf.aim(m, v)
-	row := q.QueryRow(m.findSQL, m.pkArgs(make([]any, 0, len(m.pks)), v)...)
-	if err := row.Scan(buf.dest...); err != nil {
-		if errors.Is(err, sql.ErrNoRows) {
-			return ErrNotFound
-		}
+	a := borrowArgs()
+	defer a.release()
+	if err := a.bindKey(m, v); err != nil {
 		return err
 	}
-	buf.assign(m, v)
-	return nil
+	cur, err := transportOf(q).query(m.findSQL, a.vals)
+	if err != nil {
+		return err
+	}
+	if cur.next() {
+		err = m.load(cur, v)
+	} else {
+		err = ErrNotFound
+	}
+	if cerr := cur.close(); cerr != nil {
+		return cerr
+	}
+	return err
 }
 
 // Update writes all non-key fields of the entity back to its tuple.
-func Update(q Querier, entity any) error {
+func Update[Q Querier](q Q, entity any) error {
 	m, v, err := metaAndValue(entity)
 	if err != nil {
 		return err
@@ -318,41 +400,46 @@ func Update(q Querier, entity any) error {
 	if m.updateSQL == "" {
 		return nil // nothing but key fields
 	}
-	args := make([]any, 0, len(m.fields))
+	a := borrowArgs()
+	defer a.release()
 	for i := range m.fields {
 		if f := &m.fields[i]; !f.pk {
-			args = append(args, v.Field(f.index).Interface())
+			if err := a.bind(f, v); err != nil {
+				return err
+			}
 		}
 	}
-	res, err := q.Exec(m.updateSQL, m.pkArgs(args, v)...)
-	if err != nil {
+	if err := a.bindKey(m, v); err != nil {
 		return err
 	}
-	if n, err := res.RowsAffected(); err == nil && n == 0 {
-		return ErrNotFound
-	}
-	return nil
+	return affected(transportOf(q).exec(m.updateSQL, a.vals))
 }
 
 // Delete removes the entity's tuple by primary key.
-func Delete(q Querier, entity any) error {
+func Delete[Q Querier](q Q, entity any) error {
 	m, v, err := metaAndValue(entity)
 	if err != nil {
 		return err
 	}
-	res, err := q.Exec(m.deleteSQL, m.pkArgs(make([]any, 0, len(m.pks)), v)...)
-	if err != nil {
+	a := borrowArgs()
+	defer a.release()
+	if err := a.bindKey(m, v); err != nil {
 		return err
 	}
-	if n, err := res.RowsAffected(); err == nil && n == 0 {
+	return affected(transportOf(q).exec(m.deleteSQL, a.vals))
+}
+
+// affected turns a write that matched no tuple into ErrNotFound.
+func affected(res sqldb.Result, err error) error {
+	if err == nil && res.RowsAffected == 0 {
 		return ErrNotFound
 	}
-	return nil
+	return err
 }
 
 // Select loads all entities matching an arbitrary suffix clause (e.g.
 // "WHERE state = ? ORDER BY id LIMIT 10") into a slice of T.
-func Select[T any](q Querier, suffix string, args ...any) ([]T, error) {
+func Select[T any, Q Querier](q Q, suffix string, args ...any) ([]T, error) {
 	var out []T
 	err := Each(q, func(item *T) error {
 		out = append(out, *item)
@@ -368,35 +455,37 @@ func Select[T any](q Querier, suffix string, args ...any) ([]T, error) {
 // order, stopping at the first error. All rows are visited through one
 // entity, loaded afresh for each call: fn may keep a copy of *item, not the
 // pointer.
-func Each[T any](q Querier, fn func(item *T) error, suffix string, args ...any) error {
+func Each[T any, Q Querier](q Q, fn func(item *T) error, suffix string, args ...any) error {
+	m, err := MetaOf((*T)(nil))
+	if err != nil {
+		return err
+	}
+	a := borrowArgs()
+	defer a.release()
+	for _, x := range args {
+		val, err := sqldb.FromGo(x)
+		if err != nil {
+			return err
+		}
+		a.vals = append(a.vals, val)
+	}
+	cur, err := transportOf(q).query(m.selectSQL+suffix, a.vals)
+	if err != nil {
+		return err
+	}
 	var item T
-	m, err := MetaOf(item)
-	if err != nil {
-		return err
-	}
-	rows, err := q.Query(m.selectSQL+suffix, args...)
-	if err != nil {
-		return err
-	}
-	defer rows.Close()
-	// One set of scan targets serves every row: Scan overwrites them and
-	// assign copies them into the entity.
-	buf := m.borrowScanBuf()
-	defer m.returnScanBuf(buf)
 	v := reflect.ValueOf(&item).Elem()
-	for rows.Next() {
+	for err == nil && cur.next() {
 		var zero T
 		item = zero
-		buf.aim(m, v)
-		if err := rows.Scan(buf.dest...); err != nil {
-			return err
-		}
-		buf.assign(m, v)
-		if err := fn(&item); err != nil {
-			return err
+		if err = m.load(cur, v); err == nil {
+			err = fn(&item)
 		}
 	}
-	return rows.Err()
+	if cerr := cur.close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func metaAndValue(entity any) (*Meta, reflect.Value, error) {
@@ -411,181 +500,52 @@ func metaAndValue(entity any) (*Meta, reflect.Value, error) {
 	return m, v.Elem(), nil
 }
 
-// pkArgs appends the entity's primary key values, in the order the
-// compiled WHERE clauses name them.
-func (m *Meta) pkArgs(args []any, v reflect.Value) []any {
-	for i := range m.pks {
-		args = append(args, v.Field(m.pks[i].index).Interface())
-	}
-	return args
-}
-
-// scanBuf is one call's set of sql.Rows.Scan targets: a sql.Null wrapper
-// per mapped field, grouped by kind — one array per kind the entity uses
-// rather than one box per cell per row. Calls borrow theirs from the Meta
-// (borrowScanBuf) and return it pointing at nothing of the caller's.
-type scanBuf struct {
-	dest    []any
-	ints    []sql.NullInt64
-	floats  []sql.NullFloat64
-	strings []sql.NullString
-	bools   []sql.NullBool
-	times   []sql.NullTime
-}
-
-// borrowScanBuf takes a set of scan targets from the Meta's pool, building
-// one when the pool is empty.
-func (m *Meta) borrowScanBuf() *scanBuf {
-	if b, _ := m.bufs.Get().(*scanBuf); b != nil {
-		return b
-	}
-	return m.newScanBuf()
-}
-
-// returnScanBuf gives the targets back: those that were aimed into the
-// caller's entity point nowhere, and no scanned string stays reachable.
-func (m *Meta) returnScanBuf(b *scanBuf) {
-	if m.kinds[scanDirect] > 0 {
-		for i := range m.fields {
-			if m.fields[i].kind == scanDirect {
-				b.dest[i] = nil
-			}
-		}
-	}
-	clear(b.strings)
-	m.bufs.Put(b)
-}
-
-func (m *Meta) newScanBuf() *scanBuf {
-	b := &scanBuf{dest: make([]any, len(m.fields))}
-	if n := m.kinds[scanInt]; n > 0 {
-		b.ints = make([]sql.NullInt64, n)
-	}
-	if n := m.kinds[scanFloat]; n > 0 {
-		b.floats = make([]sql.NullFloat64, n)
-	}
-	if n := m.kinds[scanString]; n > 0 {
-		b.strings = make([]sql.NullString, n)
-	}
-	if n := m.kinds[scanBool]; n > 0 {
-		b.bools = make([]sql.NullBool, n)
-	}
-	if n := m.kinds[scanTime]; n > 0 {
-		b.times = make([]sql.NullTime, n)
-	}
+// load reads the cursor's current row into entity v, column i into field i.
+func (m *Meta) load(cur cursor, v reflect.Value) error {
 	for i := range m.fields {
 		f := &m.fields[i]
-		switch f.kind {
-		case scanInt:
-			b.dest[i] = &b.ints[f.slot]
-		case scanFloat:
-			b.dest[i] = &b.floats[f.slot]
-		case scanString:
-			b.dest[i] = &b.strings[f.slot]
-		case scanBool:
-			b.dest[i] = &b.bools[f.slot]
-		case scanTime:
-			b.dest[i] = &b.times[f.slot]
-		}
-	}
-	return b
-}
-
-// aim points the targets of fields scanned in place at entity v.
-func (b *scanBuf) aim(m *Meta, v reflect.Value) {
-	if m.kinds[scanDirect] == 0 {
-		return
-	}
-	for i := range m.fields {
-		if f := &m.fields[i]; f.kind == scanDirect {
-			b.dest[i] = v.Field(f.index).Addr().Interface()
-		}
-	}
-}
-
-// assign copies the scanned row into entity v; a NULL column leaves the
-// wrapper, and so the field, zero.
-func (b *scanBuf) assign(m *Meta, v reflect.Value) {
-	for i := range m.fields {
-		f := &m.fields[i]
-		fv := v.Field(f.index)
-		switch f.kind {
-		case scanInt:
-			fv.SetInt(b.ints[f.slot].Int64)
-		case scanFloat:
-			fv.SetFloat(b.floats[f.slot].Float64)
-		case scanString:
-			fv.SetString(b.strings[f.slot].String)
-		case scanBool:
-			fv.SetBool(b.bools[f.slot].Bool)
-		case scanTime:
-			*fv.Addr().Interface().(*time.Time) = b.times[f.slot].Time
-		}
-	}
-}
-
-// Container supplies container-managed transactions over a pooled
-// database/sql handle — the application-server tier's hold on the database.
-type Container struct {
-	// DB is the pooled connection source.
-	DB *sql.DB
-}
-
-// maxRetries bounds the deadlock retries of one InTx transaction.
-const maxRetries = 10
-
-// InTx runs fn inside a transaction under ctx, committing on success and
-// rolling back on error. The context bounds the whole transaction: the
-// driver threads it into the engine, so lock waits, scans, and the
-// commit's durability wait are all cancelled when it fires, and
-// database/sql rolls the transaction back. Deadlock victims are retried
-// — the standard container behaviour the paper's entity beans relied on
-// — but a cancelled or timed-out transaction is not: the caller stopped
-// waiting, so rerunning the work would only burn the server.
-func (c *Container) InTx(ctx context.Context, fn func(tx *sql.Tx) error) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var lastErr error
-	for attempt := 0; attempt <= maxRetries; attempt++ {
-		tx, err := c.DB.BeginTx(ctx, nil)
-		if err != nil {
+		if err := f.load(v.Field(f.index), cur.col(i)); err != nil {
 			return err
 		}
-		err = fn(tx)
-		if err == nil {
-			err = tx.Commit()
-			if err == nil {
-				return nil
-			}
-		} else {
-			tx.Rollback()
-		}
-		// The driver hands the engine's errors through database/sql as they
-		// are, so the victim is known by its type, not by its text.
-		if ctx.Err() != nil || !errors.Is(err, sqldb.ErrDeadlock) {
-			return err
-		}
-		lastErr = err
 	}
-	return fmt.Errorf("beans: transaction retries exhausted: %w", lastErr)
+	return nil
 }
 
-// InReadTx runs fn inside a read-only snapshot transaction under ctx:
-// every query fn issues sees one consistent commit timestamp, takes no
-// locks, and never blocks — or is blocked by — concurrent writers.
-// Deadlock retry is unnecessary by construction. Writes inside fn fail.
-func (c *Container) InReadTx(ctx context.Context, fn func(tx *sql.Tx) error) error {
-	if ctx == nil {
-		ctx = context.Background()
+// args is one bean call's statement arguments as engine values, lent by
+// argPool for the call: a transport reads them and keeps nothing.
+type args struct{ vals []sqldb.Value }
+
+var argPool = sync.Pool{New: func() any { return new(args) }}
+
+func borrowArgs() *args { return argPool.Get().(*args) }
+
+// release empties the arguments, so no bound string stays reachable from
+// the pool, and gives them back.
+func (a *args) release() {
+	clear(a.vals)
+	a.vals = a.vals[:0]
+	if cap(a.vals) <= 64 {
+		argPool.Put(a)
 	}
-	tx, err := c.DB.BeginTx(ctx, &sql.TxOptions{ReadOnly: true})
+}
+
+// bind appends field f of entity v.
+func (a *args) bind(f *field, v reflect.Value) error {
+	val, err := f.bind(v.Field(f.index))
 	if err != nil {
 		return err
 	}
-	defer tx.Rollback()
-	if err := fn(tx); err != nil {
-		return err
+	a.vals = append(a.vals, val)
+	return nil
+}
+
+// bindKey appends the entity's primary key values, in the order the
+// compiled WHERE clauses name them.
+func (a *args) bindKey(m *Meta, v reflect.Value) error {
+	for i := range m.pks {
+		if err := a.bind(&m.pks[i], v); err != nil {
+			return err
+		}
 	}
-	return tx.Commit()
+	return nil
 }

@@ -34,7 +34,16 @@ type PairKey struct {
 
 func testPool(t *testing.T) *sql.DB {
 	t.Helper()
-	pool := sql.OpenDB(sqldb.New().Connector())
+	_, pool := testEngine(t)
+	return pool
+}
+
+// testEngine is an in-memory engine holding the test schema, and a
+// database/sql pool on it.
+func testEngine(t *testing.T) (*sqldb.DB, *sql.DB) {
+	t.Helper()
+	engine := sqldb.New()
+	pool := sql.OpenDB(engine.Connector())
 	t.Cleanup(func() { pool.Close() })
 	if _, err := pool.Exec(`CREATE TABLE widget (
 		id INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -50,7 +59,7 @@ func testPool(t *testing.T) *sql.DB {
 	)`); err != nil {
 		t.Fatal(err)
 	}
-	return pool
+	return engine, pool
 }
 
 func TestMetaMapping(t *testing.T) {
@@ -177,8 +186,7 @@ func TestSelectMany(t *testing.T) {
 	}
 }
 
-// Blob has a field of no sql.Null kind: it is scanned in place, through a
-// target aimed at the entity.
+// Blob has a []byte field, loaded from a TEXT column.
 type Blob struct {
 	ID   int64  `bean:"id,pk"`
 	Note string `bean:"note"`
@@ -187,8 +195,8 @@ type Blob struct {
 
 // TestEachVisitsThroughOneEntity: Each hands fn every row, in order,
 // through one entity loaded afresh each time — a NULL column reads zero
-// whatever the row before held — and stops at fn's first error; the scan
-// targets go back to the Meta pointing at nothing of the caller's.
+// whatever the row before held — and stops at fn's first error; the bound
+// arguments go back to their pool holding nothing of the caller's.
 func TestEachVisitsThroughOneEntity(t *testing.T) {
 	pool := testPool(t)
 	if _, err := pool.Exec(`CREATE TABLE blob (id INTEGER PRIMARY KEY, note TEXT, body TEXT)`); err != nil {
@@ -228,148 +236,204 @@ func TestEachVisitsThroughOneEntity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := m.borrowScanBuf()
-	var b Blob
-	buf.aim(m, reflect.ValueOf(&b).Elem())
-	buf.strings[0] = sql.NullString{String: "scanned", Valid: true}
-	m.returnScanBuf(buf)
-	for i, f := range m.fields {
-		if f.kind == scanDirect && buf.dest[i] != nil {
-			t.Errorf("a returned scan target still points into a caller's entity (%s)", f.name)
-		}
+	a := borrowArgs()
+	if err := a.bind(&m.fields[1], reflect.ValueOf(&Blob{Note: "bound"}).Elem()); err != nil {
+		t.Fatal(err)
 	}
-	for _, s := range buf.strings {
-		if s.String != "" {
-			t.Errorf("a returned scan target still holds a scanned string %q", s.String)
-		}
+	vals := a.vals
+	a.release()
+	if len(a.vals) != 0 || vals[0] != (sqldb.Value{}) {
+		t.Errorf("returned arguments still hold a bound value: %v", vals[:1])
 	}
+}
+
+// testTx is what the container tests do inside a transaction, on either
+// transport.
+type testTx interface {
+	insert(entity any) error
+	exec(sql string, args ...any) error
+}
+
+type sqlTestTx struct{ tx *sql.Tx }
+
+func (t sqlTestTx) insert(entity any) error { return Insert(t.tx, entity) }
+func (t sqlTestTx) exec(q string, args ...any) error {
+	_, err := t.tx.Exec(q, args...)
+	return err
+}
+
+type engineTestTx struct{ tx *sqldb.Tx }
+
+func (t engineTestTx) insert(entity any) error { return Insert(t.tx, entity) }
+func (t engineTestTx) exec(q string, args ...any) error {
+	_, err := t.tx.Exec(q, args...)
+	return err
+}
+
+// inTxFunc is a container's InTx, seen through testTx.
+type inTxFunc func(ctx context.Context, fn func(testTx) error) error
+
+// forEachTransport runs f once per transport, each over a fresh engine
+// with the test schema: the engine's own transactions (Engine.InTx) and
+// database/sql's (Container.InTx). pool reads the engine either way.
+func forEachTransport(t *testing.T, f func(t *testing.T, pool *sql.DB, inTx inTxFunc)) {
+	t.Run("engine", func(t *testing.T) {
+		engine, pool := testEngine(t)
+		c := &Engine{DB: engine}
+		f(t, pool, func(ctx context.Context, fn func(testTx) error) error {
+			return c.InTx(ctx, func(tx *sqldb.Tx) error { return fn(engineTestTx{tx}) })
+		})
+	})
+	t.Run("database/sql", func(t *testing.T) {
+		_, pool := testEngine(t)
+		c := &Container{DB: pool}
+		f(t, pool, func(ctx context.Context, fn func(testTx) error) error {
+			return c.InTx(ctx, func(tx *sql.Tx) error { return fn(sqlTestTx{tx}) })
+		})
+	})
 }
 
 func TestInTxCommitAndRollback(t *testing.T) {
-	pool := testPool(t)
-	c := &Container{DB: pool}
-	err := c.InTx(context.Background(), func(tx *sql.Tx) error {
-		return Insert(tx, &Widget{Name: "tx", Made: time.Unix(0, 0).UTC()})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws, _ := Select[Widget](pool, "")
-	if len(ws) != 1 {
-		t.Fatalf("committed rows = %d", len(ws))
-	}
-
-	sentinel := errors.New("abort")
-	err = c.InTx(context.Background(), func(tx *sql.Tx) error {
-		if err := Insert(tx, &Widget{Name: "doomed", Made: time.Unix(0, 0).UTC()}); err != nil {
-			return err
+	forEachTransport(t, func(t *testing.T, pool *sql.DB, inTx inTxFunc) {
+		err := inTx(context.Background(), func(tx testTx) error {
+			return tx.insert(&Widget{Name: "tx", Made: time.Unix(0, 0).UTC()})
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return sentinel
+		ws, _ := Select[Widget](pool, "")
+		if len(ws) != 1 {
+			t.Fatalf("committed rows = %d", len(ws))
+		}
+
+		sentinel := errors.New("abort")
+		err = inTx(context.Background(), func(tx testTx) error {
+			if err := tx.insert(&Widget{Name: "doomed", Made: time.Unix(0, 0).UTC()}); err != nil {
+				return err
+			}
+			return sentinel
+		})
+		if !errors.Is(err, sentinel) {
+			t.Fatalf("err = %v", err)
+		}
+		ws, _ = Select[Widget](pool, "")
+		if len(ws) != 1 {
+			t.Fatalf("rows after rollback = %d", len(ws))
+		}
 	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v", err)
-	}
-	ws, _ = Select[Widget](pool, "")
-	if len(ws) != 1 {
-		t.Fatalf("rows after rollback = %d", len(ws))
-	}
 }
 
 func TestInTxRetriesDeadlocks(t *testing.T) {
-	pool := testPool(t)
-	c := &Container{DB: pool}
-	attempts := 0
-	err := c.InTx(context.Background(), func(tx *sql.Tx) error {
-		attempts++
-		if attempts < 3 {
-			return fmt.Errorf("credit alice: %w", sqldb.ErrDeadlock)
+	forEachTransport(t, func(t *testing.T, pool *sql.DB, inTx inTxFunc) {
+		attempts := 0
+		err := inTx(context.Background(), func(testTx) error {
+			attempts++
+			if attempts < 3 {
+				return fmt.Errorf("credit alice: %w", sqldb.ErrDeadlock)
+			}
+			return nil
+		})
+		if err != nil || attempts != 3 {
+			t.Fatalf("err = %v, attempts = %d", err, attempts)
 		}
-		return nil
-	})
-	if err != nil || attempts != 3 {
-		t.Fatalf("err = %v, attempts = %d", err, attempts)
-	}
 
-	// A victim every time: the first run and maxRetries more, then the
-	// deadlock is the caller's.
-	attempts = 0
-	err = c.InTx(context.Background(), func(tx *sql.Tx) error {
-		attempts++
-		return sqldb.ErrDeadlock
+		// A victim every time: the first run and maxRetries more, then the
+		// deadlock is the caller's.
+		attempts = 0
+		err = inTx(context.Background(), func(testTx) error {
+			attempts++
+			return sqldb.ErrDeadlock
+		})
+		if !errors.Is(err, sqldb.ErrDeadlock) || !strings.Contains(err.Error(), "retries exhausted") || attempts != maxRetries+1 {
+			t.Fatalf("err = %v after %d attempts, want retries exhausted after %d", err, attempts, maxRetries+1)
+		}
 	})
-	if !errors.Is(err, sqldb.ErrDeadlock) || !strings.Contains(err.Error(), "retries exhausted") || attempts != maxRetries+1 {
-		t.Fatalf("err = %v after %d attempts, want retries exhausted after %d", err, attempts, maxRetries+1)
-	}
+}
+
+// TestInTxNoRetryAfterCancel: a victim whose caller has stopped waiting is
+// not rerun — the deadlock is answered once.
+func TestInTxNoRetryAfterCancel(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, pool *sql.DB, inTx inTxFunc) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		attempts := 0
+		err := inTx(ctx, func(testTx) error {
+			attempts++
+			cancel()
+			return sqldb.ErrDeadlock
+		})
+		if !errors.Is(err, sqldb.ErrDeadlock) || attempts != 1 {
+			t.Fatalf("err = %v after %d attempts, want the deadlock after 1", err, attempts)
+		}
+	})
 }
 
 // A victim is known by its type: an error that merely says "deadlock" — a
 // unique violation on something of that name — is the caller's to see, once.
 func TestInTxDoesNotRetryOnTheWordDeadlock(t *testing.T) {
-	pool := testPool(t)
-	if _, err := pool.Exec(`CREATE TABLE deadlock_test (id INTEGER PRIMARY KEY)`); err != nil {
-		t.Fatal(err)
-	}
-	c := &Container{DB: pool}
-	attempts := 0
-	err := c.InTx(context.Background(), func(tx *sql.Tx) error {
-		attempts++
-		_, err := tx.Exec(`INSERT INTO deadlock_test VALUES (1), (1)`)
-		return err
-	})
-	var uv *sqldb.UniqueViolationError
-	if !errors.As(err, &uv) || !strings.Contains(err.Error(), "deadlock") {
-		t.Fatalf("err = %v, want a unique violation naming pk_deadlock_test", err)
-	}
-	if attempts != 1 {
-		t.Fatalf("fn ran %d times on a non-deadlock error, want once", attempts)
-	}
-}
-
-// The engine's own victim, through database/sql: two transactions take the
-// same two rows in opposite orders; the one chosen to break the cycle is
-// rerun, and both updates land.
-func TestInTxRetriesAnEngineVictim(t *testing.T) {
-	pool := testPool(t)
-	for _, name := range []string{"a", "b"} {
-		if err := Insert(pool, &Widget{Name: name, Made: time.Unix(0, 0).UTC()}); err != nil {
+	forEachTransport(t, func(t *testing.T, pool *sql.DB, inTx inTxFunc) {
+		if _, err := pool.Exec(`CREATE TABLE deadlock_test (id INTEGER PRIMARY KEY)`); err != nil {
 			t.Fatal(err)
 		}
-	}
-	c := &Container{DB: pool}
-	var attempts atomic.Int32
-	var holding sync.WaitGroup // both first attempts hold their first row
-	holding.Add(2)
-	run := func(first, second int64) error {
-		met := false
-		return c.InTx(context.Background(), func(tx *sql.Tx) error {
-			attempts.Add(1)
-			if _, err := tx.Exec(`UPDATE widget SET weight = weight + 1 WHERE id = ?`, first); err != nil {
-				return err
-			}
-			if !met {
-				met = true
-				holding.Done()
-				holding.Wait()
-			}
-			_, err := tx.Exec(`UPDATE widget SET weight = weight + 1 WHERE id = ?`, second)
-			return err
+		attempts := 0
+		err := inTx(context.Background(), func(tx testTx) error {
+			attempts++
+			return tx.exec(`INSERT INTO deadlock_test VALUES (1), (1)`)
 		})
-	}
-	errs := make(chan error, 2)
-	go func() { errs <- run(1, 2) }()
-	go func() { errs <- run(2, 1) }()
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("InTx: %v", err)
+		var uv *sqldb.UniqueViolationError
+		if !errors.As(err, &uv) || !strings.Contains(err.Error(), "deadlock") {
+			t.Fatalf("err = %v, want a unique violation naming pk_deadlock_test", err)
 		}
-	}
-	if n := attempts.Load(); n != 3 {
-		t.Fatalf("attempts = %d, want 3 (one victim, rerun once)", n)
-	}
-	ws, err := Select[Widget](pool, "")
-	if err != nil || len(ws) != 2 || ws[0].Weight != 2 || ws[1].Weight != 2 {
-		t.Fatalf("widgets = %+v, %v; want both weights 2", ws, err)
-	}
+		if attempts != 1 {
+			t.Fatalf("fn ran %d times on a non-deadlock error, want once", attempts)
+		}
+	})
+}
+
+// The engine's own victim, through either transport: two transactions take
+// the same two rows in opposite orders; the one chosen to break the cycle is
+// rerun, and both updates land.
+func TestInTxRetriesAnEngineVictim(t *testing.T) {
+	forEachTransport(t, func(t *testing.T, pool *sql.DB, inTx inTxFunc) {
+		for _, name := range []string{"a", "b"} {
+			if err := Insert(pool, &Widget{Name: name, Made: time.Unix(0, 0).UTC()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var attempts atomic.Int32
+		var holding sync.WaitGroup // both first attempts hold their first row
+		holding.Add(2)
+		run := func(first, second int64) error {
+			met := false
+			return inTx(context.Background(), func(tx testTx) error {
+				attempts.Add(1)
+				if err := tx.exec(`UPDATE widget SET weight = weight + 1 WHERE id = ?`, first); err != nil {
+					return err
+				}
+				if !met {
+					met = true
+					holding.Done()
+					holding.Wait()
+				}
+				return tx.exec(`UPDATE widget SET weight = weight + 1 WHERE id = ?`, second)
+			})
+		}
+		errs := make(chan error, 2)
+		go func() { errs <- run(1, 2) }()
+		go func() { errs <- run(2, 1) }()
+		for i := 0; i < 2; i++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("InTx: %v", err)
+			}
+		}
+		if n := attempts.Load(); n != 3 {
+			t.Fatalf("attempts = %d, want 3 (one victim, rerun once)", n)
+		}
+		ws, err := Select[Widget](pool, "")
+		if err != nil || len(ws) != 2 || ws[0].Weight != 2 || ws[1].Weight != 2 {
+			t.Fatalf("widgets = %+v, %v; want both weights 2", ws, err)
+		}
+	})
 }
 
 func TestMetaErrors(t *testing.T) {

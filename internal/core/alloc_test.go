@@ -52,16 +52,24 @@ func steadyPool(t testing.TB, nodes int) (*CAS, []*HeartbeatRequest) {
 // machine Find, the Beat UPDATE, the VM Select, the two pairing joins and
 // the group commit. Measured 332 allocations / 20.5 KB per beat before the
 // statement path borrowed its working memory (executor scratch, lock-table
-// freelist, compiled bean SQL, 32-byte Value), 137 / 8.7 KB after, and
-// 119 / 7.2 KB once the SELECTs' results were row references read
-// by the driver's cursor and the bean scan targets the Meta's to lend;
-// what remains is database/sql's per-statement Rows/NamedValue/context
-// set — the budget's slack is for a toolchain where that differs — and
-// what the beat hands back.
+// freelist, compiled bean SQL, 32-byte Value), 137 / 8.7 KB after, 119 /
+// 7.2 KB once the SELECTs' results were row references read by the
+// driver's cursor and the bean scan targets the Meta's to lend, and 118 /
+// 6.7 KB → 30 / 3.2 KB once the service ran on the engine's own
+// transactions instead of database/sql's (beans' native transport: no
+// per-transaction and per-query context and goroutine, no Rows, NamedValue
+// slice or boxed cell). What remains is the beat's own: the engine's Tx;
+// each SELECT's Rows and, for the two bean reads, its row references; the
+// Machine entity, the VM slice's doublings, the statement text the Select
+// appends and the map by slot; the two pairing maps; the UPDATE's new row
+// image, its version and index entries; the commit's batch, channels and
+// flush; the response and its commands. The budgets keep the slack they
+// had over the measurement before (22 allocations, 2.5 KB), for a
+// toolchain where any of that differs.
 func TestHeartbeatSteadyAllocs(t *testing.T) {
 	const (
-		budgetAllocs = 140
-		budgetBytes  = 9 << 10
+		budgetAllocs = 52
+		budgetBytes  = 5632
 	)
 	cas, reqs := steadyPool(t, 1000)
 	ctx := context.Background()

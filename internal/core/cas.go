@@ -14,13 +14,16 @@ import (
 )
 
 // CAS assembles the CondorJ2 Application Server: the embedded database
-// engine, the pooled database/sql handle, the application logic layer,
-// and the two external interfaces (web services mux and web site).
-// Figure 3's architecture in one value.
+// engine, the application logic layer on the engine's own transactions,
+// the two external interfaces (web services mux and web site), and a
+// pooled database/sql handle for readers at the edge. Figure 3's
+// architecture in one value.
 type CAS struct {
 	// Engine is the embedded database (the DB2 stand-in).
 	Engine *sqldb.DB
-	// Pool is the connection-pooled handle the beans layer uses.
+	// Pool is a connection-pooled database/sql handle on Engine, for tests,
+	// tools and the benchmark to read the CAS through. Nothing the CAS does
+	// itself goes through it.
 	Pool *sql.DB
 	// Service is the application logic layer.
 	Service *Service
@@ -49,8 +52,9 @@ type Options struct {
 	Engine *sqldb.DB
 	// Clock drives timestamps and NOW(); nil means wall-clock time.
 	Clock vtime.Clock
-	// PoolSize caps open connections (the J2EE container's pool size);
-	// 0 means 8, matching a small application-server default.
+	// PoolSize caps Pool's open connections; 0 means 8. It sizes only that
+	// edge handle: the service layer runs on the engine's own transactions,
+	// whose concurrency the web services' admission gate bounds.
 	PoolSize int
 	// Follower skips schema bootstrap: a replication follower's schema
 	// and configuration arrive through shipped WAL groups (the leader's
@@ -72,6 +76,11 @@ func New(opts Options) (*CAS, error) {
 		clock = vtime.Real{}
 	}
 	engine.SetNow(clock.Now)
+	if !opts.Follower {
+		if err := Bootstrap(engine); err != nil {
+			return nil, err
+		}
+	}
 	pool := sql.OpenDB(engine.Connector())
 	size := opts.PoolSize
 	if size <= 0 {
@@ -79,13 +88,7 @@ func New(opts Options) (*CAS, error) {
 	}
 	pool.SetMaxOpenConns(size)
 	pool.SetMaxIdleConns(size)
-	if !opts.Follower {
-		if err := Bootstrap(pool); err != nil {
-			pool.Close()
-			return nil, err
-		}
-	}
-	svc := NewService(pool, clock)
+	svc := NewService(engine, clock)
 	c := &CAS{
 		Engine:  engine,
 		Pool:    pool,
@@ -259,8 +262,8 @@ func (c *CAS) HTTPHandler() http.Handler {
 	return mux
 }
 
-// Close stops the housekeeping goroutine and releases the pool (and the
-// engine when the CAS created it).
+// Close stops the housekeeping goroutine and releases the edge pool (and
+// the engine when the CAS created it).
 func (c *CAS) Close() error {
 	c.StopScheduler()
 	err := c.Pool.Close()

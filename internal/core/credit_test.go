@@ -2,9 +2,10 @@ package core
 
 import (
 	"context"
-	"database/sql"
 	"sync"
 	"testing"
+
+	"condorj2/internal/sqldb"
 )
 
 // TestCreditConcurrentCompletionsNoDeadlock drives the accounting credit
@@ -19,7 +20,7 @@ func TestCreditConcurrentCompletionsNoDeadlock(t *testing.T) {
 	cas, _ := newTestCAS(t)
 	s := cas.Service
 	ctx := context.Background()
-	if err := s.c.InTx(ctx, func(tx *sql.Tx) error { return s.credit(tx, "alice", 5, false) }); err != nil {
+	if err := s.c.InTx(ctx, func(tx *sqldb.Tx) error { return s.credit(tx, "alice", 5, false) }); err != nil {
 		t.Fatal(err)
 	}
 	const (
@@ -38,7 +39,7 @@ func TestCreditConcurrentCompletionsNoDeadlock(t *testing.T) {
 					owner = "carol"
 				}
 				dropped := (w+i)%4 == 0
-				err := s.c.InTx(ctx, func(tx *sql.Tx) error { return s.credit(tx, owner, 7, dropped) })
+				err := s.c.InTx(ctx, func(tx *sqldb.Tx) error { return s.credit(tx, owner, 7, dropped) })
 				if err != nil {
 					t.Errorf("worker %d call %d (%s): %v", w, i, owner, err)
 					return

@@ -2,10 +2,9 @@ package core
 
 import (
 	"context"
-	"database/sql"
-	"errors"
 	"time"
 
+	"condorj2/internal/sqldb"
 	"condorj2/internal/wire"
 )
 
@@ -41,7 +40,7 @@ func withPendingReply(ctx context.Context, key, action string) context.Context {
 // saveReply persists the exchange's response inside the mutation's own
 // transaction. It is a no-op for unkeyed exchanges, so service methods
 // call it unconditionally as their closure's last statement.
-func (s *Service) saveReply(ctx context.Context, tx *sql.Tx, resp any) error {
+func (s *Service) saveReply(ctx context.Context, tx *sqldb.Tx, resp any) error {
 	pr, ok := ctx.Value(pendingReplyCtx{}).(pendingReply)
 	if !ok {
 		return nil
@@ -50,22 +49,22 @@ func (s *Service) saveReply(ctx context.Context, tx *sql.Tx, resp any) error {
 	if err != nil {
 		return err
 	}
-	_, err = tx.Exec(`INSERT INTO wire_replies (key, action, payload, created_at) VALUES (?, ?, ?, ?)`,
-		pr.key, pr.action, string(payload), s.now())
+	_, err = txExec(tx, `INSERT INTO wire_replies (key, action, payload, created_at) VALUES (?, ?, ?, ?)`,
+		sqldb.NewText(pr.key), sqldb.NewText(pr.action), sqldb.NewText(string(payload)), sqldb.NewTime(s.now()))
 	return err
 }
 
-// lookupReply fetches the stored reply for a key ("" action filter: any).
-func (s *Service) lookupReply(ctx context.Context, key string) ([]byte, bool, error) {
-	var payload string
-	err := s.c.DB.QueryRowContext(ctx, `SELECT payload FROM wire_replies WHERE key = ?`, key).Scan(&payload)
-	if errors.Is(err, sql.ErrNoRows) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	return []byte(payload), true, nil
+// lookupReply fetches the stored reply for a key, from a read-only
+// snapshot.
+func (s *Service) lookupReply(ctx context.Context, key string) (payload []byte, hit bool, err error) {
+	err = s.c.InReadTx(ctx, func(tx *sqldb.Tx) error {
+		rows, err := txQuery(tx, `SELECT payload FROM wire_replies WHERE key = ?`, sqldb.NewText(key))
+		if err == nil && rows.Next() {
+			payload, hit = []byte(rows.Col(0).Text()), true
+		}
+		return err
+	})
+	return payload, hit, err
 }
 
 // keyedHandler wraps a typed service method with idempotency-key dedup.
@@ -119,13 +118,10 @@ func (s *Service) DedupStats() DedupStats {
 func (s *Service) GCReplies(ctx context.Context, maxAge time.Duration) (int64, error) {
 	cutoff := s.now().Add(-maxAge)
 	var n int64
-	err := s.c.InTx(ctx, func(tx *sql.Tx) error {
-		res, err := tx.Exec(`DELETE FROM wire_replies WHERE created_at < ?`, cutoff)
-		if err != nil {
-			return err
-		}
-		n, _ = res.RowsAffected()
-		return nil
+	err := s.c.InTx(ctx, func(tx *sqldb.Tx) error {
+		res, err := txExec(tx, `DELETE FROM wire_replies WHERE created_at < ?`, sqldb.NewTime(cutoff))
+		n = res.RowsAffected
+		return err
 	})
 	if err != nil {
 		return 0, err

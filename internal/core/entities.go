@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"condorj2/internal/beans"
+	"condorj2/internal/sqldb"
 )
 
 // Entity beans: one struct per table, with the fine-grained state-machine
@@ -66,44 +67,44 @@ type Job struct {
 }
 
 // MarkMatched transitions idle → matched.
-func (j *Job) MarkMatched(q beans.Querier, now time.Time) error {
+func (j *Job) MarkMatched(tx *sqldb.Tx, now time.Time) error {
 	if j.State != JobIdle {
 		return &StateError{Entity: "job", ID: j.ID, From: j.State, Op: "MarkMatched"}
 	}
 	j.State = JobMatched
 	j.MatchedAt = now
-	return beans.Update(q, j)
+	return beans.Update(tx, j)
 }
 
 // MarkRunning transitions matched → running.
-func (j *Job) MarkRunning(q beans.Querier, now time.Time) error {
+func (j *Job) MarkRunning(tx *sqldb.Tx, now time.Time) error {
 	if j.State != JobMatched {
 		return &StateError{Entity: "job", ID: j.ID, From: j.State, Op: "MarkRunning"}
 	}
 	j.State = JobRunning
 	j.StartedAt = now
-	return beans.Update(q, j)
+	return beans.Update(tx, j)
 }
 
 // Release returns a matched or running job to the idle queue (match
 // rejected, node dropped the job, etc.).
-func (j *Job) Release(q beans.Querier) error {
+func (j *Job) Release(tx *sqldb.Tx) error {
 	if j.State != JobMatched && j.State != JobRunning {
 		return &StateError{Entity: "job", ID: j.ID, From: j.State, Op: "Release"}
 	}
 	j.State = JobIdle
 	j.MatchedAt = time.Time{}
 	j.StartedAt = time.Time{}
-	return beans.Update(q, j)
+	return beans.Update(tx, j)
 }
 
 // Unblock transitions blocked → idle once the dependency completes.
-func (j *Job) Unblock(q beans.Querier) error {
+func (j *Job) Unblock(tx *sqldb.Tx) error {
 	if j.State != JobBlocked {
 		return &StateError{Entity: "job", ID: j.ID, From: j.State, Op: "Unblock"}
 	}
 	j.State = JobIdle
-	return beans.Update(q, j)
+	return beans.Update(tx, j)
 }
 
 // Machine is one physical execute node.
@@ -119,10 +120,10 @@ type Machine struct {
 }
 
 // Beat records a heartbeat timestamp.
-func (m *Machine) Beat(q beans.Querier, now time.Time) error {
+func (m *Machine) Beat(tx *sqldb.Tx, now time.Time) error {
 	m.State = MachineUp
 	m.LastHeartbeat = now
-	return beans.Update(q, m)
+	return beans.Update(tx, m)
 }
 
 // VM is one virtual machine (scheduling slot) on a physical machine.
@@ -138,35 +139,35 @@ type VM struct {
 }
 
 // MarkMatched transitions idle → matched.
-func (v *VM) MarkMatched(q beans.Querier) error {
+func (v *VM) MarkMatched(tx *sqldb.Tx) error {
 	if v.State != VMIdle {
 		return &StateError{Entity: "vm", ID: v.ID, From: v.State, Op: "MarkMatched"}
 	}
 	v.State = VMMatched
-	return beans.Update(q, v)
+	return beans.Update(tx, v)
 }
 
 // MarkClaimed transitions matched → claimed (job accepted and starting).
-func (v *VM) MarkClaimed(q beans.Querier) error {
+func (v *VM) MarkClaimed(tx *sqldb.Tx) error {
 	if v.State != VMMatched {
 		return &StateError{Entity: "vm", ID: v.ID, From: v.State, Op: "MarkClaimed"}
 	}
 	v.State = VMClaimed
-	return beans.Update(q, v)
+	return beans.Update(tx, v)
 }
 
 // Release returns the VM to the idle pool.
-func (v *VM) Release(q beans.Querier) error {
+func (v *VM) Release(tx *sqldb.Tx) error {
 	v.State = VMIdle
-	return beans.Update(q, v)
+	return beans.Update(tx, v)
 }
 
 // Reclaim forces the VM to claimed from any state. Only the heartbeat's
 // run re-adoption path uses it, when the node proves a job is executing
 // on a slot the database had written off (CAS restart, machine reap).
-func (v *VM) Reclaim(q beans.Querier) error {
+func (v *VM) Reclaim(tx *sqldb.Tx) error {
 	v.State = VMClaimed
-	return beans.Update(q, v)
+	return beans.Update(tx, v)
 }
 
 // Match is the scheduler's pairing of a job with a VM, pending acceptance

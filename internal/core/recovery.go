@@ -2,10 +2,10 @@ package core
 
 import (
 	"context"
-	"database/sql"
 	"time"
 
 	"condorj2/internal/beans"
+	"condorj2/internal/sqldb"
 )
 
 // RecoverInFlight reconciles operational state after a CAS restart on a
@@ -58,7 +58,7 @@ type ReapStats struct {
 // changed something, so repeated sweeps stay idempotent.
 func (s *Service) ReapDeadMachines(ctx context.Context, timeout time.Duration) (ReapStats, error) {
 	var stats ReapStats
-	err := s.c.InTx(ctx, func(tx *sql.Tx) error {
+	err := s.c.InTx(ctx, func(tx *sqldb.Tx) error {
 		stats = ReapStats{}
 		cutoff := s.now().Add(-timeout)
 		dead, err := beans.Select[Machine](tx, "WHERE last_heartbeat < ?", cutoff)
@@ -110,30 +110,36 @@ func (s *Service) ReapDeadMachines(ctx context.Context, timeout time.Duration) (
 // RecoverInFlight performs the restart reconciliation in one transaction.
 func (s *Service) RecoverInFlight(ctx context.Context) (RecoveryStats, error) {
 	var stats RecoveryStats
-	err := s.c.InTx(ctx, func(tx *sql.Tx) error {
+	err := s.c.InTx(ctx, func(tx *sqldb.Tx) error {
 		stats = RecoveryStats{}
-		if err := tx.QueryRow(`SELECT count(*) FROM runs`).Scan(&stats.RunsPreserved); err != nil {
+		count := func(sql string) (int64, error) {
+			rows, err := txQuery(tx, sql)
+			if err != nil {
+				return 0, err
+			}
+			rows.Next() // an aggregate: always one row
+			return rows.Col(0).Int64(), nil
+		}
+		var err error
+		if stats.RunsPreserved, err = count(`SELECT count(*) FROM runs`); err != nil {
 			return err
 		}
-		if err := tx.QueryRow(`SELECT count(*) FROM matches`).Scan(&stats.MatchesPreserved); err != nil {
+		if stats.MatchesPreserved, err = count(`SELECT count(*) FROM matches`); err != nil {
 			return err
 		}
 
 		// Only idle VMs park offline: a matched or claimed VM's state is
 		// the coordination record of work the node may still be doing.
-		res, err := tx.Exec(`UPDATE vms SET state = ? WHERE state = ?`, VMOffline, VMIdle)
+		res, err := txExec(tx, `UPDATE vms SET state = ? WHERE state = ?`, sqldb.NewText(VMOffline), sqldb.NewText(VMIdle))
 		if err != nil {
 			return err
 		}
-		stats.VMsParked, _ = res.RowsAffected()
+		stats.VMsParked = res.RowsAffected
 
-		res, err = tx.Exec(`UPDATE machines SET state = ?, last_heartbeat = ? WHERE state = ?`,
-			MachineOffline, s.now(), MachineUp)
-		if err != nil {
-			return err
-		}
-		stats.MachinesOffline, _ = res.RowsAffected()
-		return nil
+		res, err = txExec(tx, `UPDATE machines SET state = ?, last_heartbeat = ? WHERE state = ?`,
+			sqldb.NewText(MachineOffline), sqldb.NewTime(s.now()), sqldb.NewText(MachineUp))
+		stats.MachinesOffline = res.RowsAffected
+		return err
 	})
 	return stats, err
 }

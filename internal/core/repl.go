@@ -235,8 +235,8 @@ func (r *Replicator) Close() {
 }
 
 // ---------------------------------------------------------------------
-// Lease row access. The lease is ordinary replicated data: written
-// through the pooled SQL handle, logged to the WAL, shipped to
+// Lease row access. The lease is ordinary replicated data: written by
+// autocommit statements on the engine, logged to the WAL, shipped to
 // followers. nowMs comes from the service clock so virtual-time tests
 // and production agree on staleness.
 
@@ -248,17 +248,13 @@ type replLease struct {
 }
 
 func (r *Replicator) readLease(ctx context.Context) (replLease, bool) {
-	var l replLease
-	var term int64
-	err := r.cas.Pool.QueryRowContext(ctx,
-		`SELECT term, holder, renewed_at_ms, ttl_ms FROM repl_lease WHERE id = 1`,
-	).Scan(&term, &l.holder, &l.renewedMs, &l.ttlMs)
-	if err != nil {
+	row, err := r.cas.Engine.QueryRowContext(ctx,
+		`SELECT term, holder, renewed_at_ms, ttl_ms FROM repl_lease WHERE id = 1`)
+	if err != nil || row == nil {
 		// No row, or (on a fresh follower) no table yet: no lease known.
 		return replLease{}, false
 	}
-	l.term = uint64(term)
-	return l, true
+	return replLease{term: uint64(row[0].Int64()), holder: row[1].Text(), renewedMs: row[2].Int64(), ttlMs: row[3].Int64()}, true
 }
 
 // writeLease installs this node as lease holder at term (claim or
@@ -266,14 +262,14 @@ func (r *Replicator) readLease(ctx context.Context) (replLease, bool) {
 func (r *Replicator) writeLease(ctx context.Context, term uint64) error {
 	nowMs := r.now().UnixMilli()
 	ttlMs := r.cfg.leaseTTL().Milliseconds()
-	res, err := r.cas.Pool.ExecContext(ctx,
+	res, err := r.cas.Engine.ExecContext(ctx,
 		`UPDATE repl_lease SET term = ?, holder = ?, renewed_at_ms = ?, ttl_ms = ? WHERE id = 1`,
 		int64(term), r.cfg.Self, nowMs, ttlMs)
 	if err != nil {
 		return err
 	}
-	if n, _ := res.RowsAffected(); n == 0 {
-		_, err = r.cas.Pool.ExecContext(ctx,
+	if res.RowsAffected == 0 {
+		_, err = r.cas.Engine.ExecContext(ctx,
 			`INSERT INTO repl_lease (id, term, holder, renewed_at_ms, ttl_ms) VALUES (1, ?, ?, ?, ?)`,
 			int64(term), r.cfg.Self, nowMs, ttlMs)
 	}
@@ -284,14 +280,10 @@ func (r *Replicator) writeLease(ctx context.Context, term uint64) error {
 // still holds it at its own term — losing that condition means the node
 // was deposed and must demote.
 func (r *Replicator) renewLease(ctx context.Context, term uint64) (bool, error) {
-	res, err := r.cas.Pool.ExecContext(ctx,
+	res, err := r.cas.Engine.ExecContext(ctx,
 		`UPDATE repl_lease SET renewed_at_ms = ? WHERE id = 1 AND term = ? AND holder = ?`,
 		r.now().UnixMilli(), int64(term), r.cfg.Self)
-	if err != nil {
-		return false, err
-	}
-	n, _ := res.RowsAffected()
-	return n == 1, nil
+	return res.RowsAffected == 1, err
 }
 
 // ---------------------------------------------------------------------

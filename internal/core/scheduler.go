@@ -2,10 +2,10 @@ package core
 
 import (
 	"context"
-	"database/sql"
 	"sort"
 
 	"condorj2/internal/beans"
+	"condorj2/internal/sqldb"
 )
 
 // The scheduler implements Table 2 steps 5-6: "CAS selects relevant
@@ -73,7 +73,7 @@ func pairJobsToVMs(jobs []Job, vms []VM) []matchPair {
 func (s *Service) ScheduleCycle(ctx context.Context) (ScheduleStats, error) {
 	batch := s.configInt(ctx, "schedule_batch", 500)
 	var stats ScheduleStats
-	err := s.c.InTx(ctx, func(tx *sql.Tx) error {
+	err := s.c.InTx(ctx, func(tx *sqldb.Tx) error {
 		stats = ScheduleStats{}
 		now := s.now()
 		vms, err := beans.Select[VM](tx, "WHERE state = ? ORDER BY id LIMIT ?", VMIdle, batch)

@@ -8,12 +8,13 @@
 //	web site + web services  (website.go, webservice.go)   ← external interfaces
 //	application logic layer  (service.go, scheduler.go)    ← coarse services
 //	persistence layer        (entities.go + internal/beans) ← fine-grained beans
-//	database                 (internal/sqldb via database/sql)
+//	database                 (internal/sqldb, on its own transactions)
 package core
 
 import (
-	"database/sql"
 	"fmt"
+
+	"condorj2/internal/sqldb"
 )
 
 // Schema statements create the operational store. One tuple per entity
@@ -198,24 +199,23 @@ var DefaultConfig = []struct{ Name, Value string }{
 	{"reply_retention_sec", "3600"},
 }
 
-// Bootstrap creates the schema and seeds configuration defaults.
-func Bootstrap(db *sql.DB) error {
+// Bootstrap creates the schema and seeds configuration defaults, one
+// autocommit statement at a time.
+func Bootstrap(db *sqldb.DB) error {
 	for _, stmt := range Schema {
 		if _, err := db.Exec(stmt); err != nil {
 			return fmt.Errorf("core: bootstrap: %w", err)
 		}
 	}
 	for _, c := range DefaultConfig {
-		var existing string
-		err := db.QueryRow(`SELECT value FROM config WHERE name = ?`, c.Name).Scan(&existing)
-		if err == sql.ErrNoRows {
+		row, err := db.QueryRow(`SELECT value FROM config WHERE name = ?`, c.Name)
+		if err != nil {
+			return fmt.Errorf("core: read config %s: %w", c.Name, err)
+		}
+		if row == nil {
 			if _, err := db.Exec(`INSERT INTO config (name, value) VALUES (?, ?)`, c.Name, c.Value); err != nil {
 				return fmt.Errorf("core: seed config %s: %w", c.Name, err)
 			}
-			continue
-		}
-		if err != nil {
-			return fmt.Errorf("core: read config %s: %w", c.Name, err)
 		}
 	}
 	return nil

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"database/sql"
 	"errors"
 	"fmt"
 	"strconv"
@@ -21,7 +20,7 @@ import (
 // layer resolves the paper's "granularity mismatch": remote clients get
 // one round trip per business operation, not one per tuple.
 type Service struct {
-	c     *beans.Container
+	c     *beans.Engine
 	clock vtime.Clock
 	// onConfigSet, when set (by the CAS), observes committed ConfigSet
 	// calls so engine-level knobs (statement/lock timeouts) apply to the
@@ -58,20 +57,29 @@ func (s *Service) NotLeader() (string, bool) {
 // ConfigSet with the new name/value pair.
 func (s *Service) SetConfigHook(fn func(name, value string)) { s.onConfigSet = fn }
 
-// NewService builds the application logic layer over a pooled database
-// handle. clock supplies timestamps (virtual in simulations).
-func NewService(pool *sql.DB, clock vtime.Clock) *Service {
+// NewService builds the application logic layer on the engine's own
+// transactions (beans' native transport). clock supplies timestamps
+// (virtual in simulations).
+func NewService(engine *sqldb.DB, clock vtime.Clock) *Service {
 	if clock == nil {
 		clock = vtime.Real{}
 	}
-	return &Service{c: &beans.Container{DB: pool}, clock: clock}
+	return &Service{c: &beans.Engine{DB: engine}, clock: clock}
 }
 
-// Pool exposes the underlying database handle (for the web site tier and
-// read-only reporting queries).
-func (s *Service) Pool() *sql.DB { return s.c.DB }
-
 func (s *Service) now() time.Time { return s.clock.Now() }
+
+// txExec and txQuery run one of the service layer's own statements in a
+// container transaction, under the transaction's context, with its
+// arguments as engine values; txQuery's result is read through its cursor
+// (Rows.Next, Rows.Col), never materialized.
+func txExec(tx *sqldb.Tx, sql string, args ...sqldb.Value) (sqldb.Result, error) {
+	return tx.ExecValues(context.Background(), sql, args...)
+}
+
+func txQuery(tx *sqldb.Tx, sql string, args ...sqldb.Value) (*sqldb.Rows, error) {
+	return tx.QueryValues(context.Background(), sql, args...)
+}
 
 // Submit enqueues req.Count identical jobs and returns their id range
 // (Table 2 steps 1-2: "CAS inserts a job tuple into database").
@@ -86,7 +94,7 @@ func (s *Service) Submit(ctx context.Context, req *SubmitRequest) (*SubmitRespon
 		return nil, fmt.Errorf("core: submit: LengthSec must be positive")
 	}
 	resp := &SubmitResponse{}
-	err := s.c.InTx(ctx, func(tx *sql.Tx) error {
+	err := s.c.InTx(ctx, func(tx *sqldb.Tx) error {
 		now := s.now()
 		if err := s.ensureUser(tx, req.Owner, now); err != nil {
 			return err
@@ -158,7 +166,7 @@ func (s *Service) Submit(ctx context.Context, req *SubmitRequest) (*SubmitRespon
 	return resp, nil
 }
 
-func (s *Service) ensureUser(tx *sql.Tx, name string, now time.Time) error {
+func (s *Service) ensureUser(tx *sqldb.Tx, name string, now time.Time) error {
 	err := beans.Find(tx, &User{Name: name})
 	if errors.Is(err, beans.ErrNotFound) {
 		return beans.Insert(tx, &User{Name: name, Priority: 0.5, CreatedAt: now})
@@ -166,7 +174,7 @@ func (s *Service) ensureUser(tx *sql.Tx, name string, now time.Time) error {
 	return err
 }
 
-func (s *Service) ensureExecutable(tx *sql.Tx, name, version string) (int64, error) {
+func (s *Service) ensureExecutable(tx *sqldb.Tx, name, version string) (int64, error) {
 	if version == "" {
 		version = "1"
 	}
@@ -184,13 +192,13 @@ func (s *Service) ensureExecutable(tx *sql.Tx, name, version string) (int64, err
 	return e.ID, nil
 }
 
-func (s *Service) registerOutput(tx *sql.Tx, name string, jobID int64, now time.Time) error {
-	var maxVer int64
-	err := tx.QueryRow(`SELECT coalesce(max(version), 0) FROM datasets WHERE name = ?`, name).Scan(&maxVer)
+func (s *Service) registerOutput(tx *sqldb.Tx, name string, jobID int64, now time.Time) error {
+	rows, err := txQuery(tx, `SELECT coalesce(max(version), 0) FROM datasets WHERE name = ?`, sqldb.NewText(name))
 	if err != nil {
 		return err
 	}
-	return beans.Insert(tx, &Dataset{Name: name, Version: maxVer + 1, ProducedBy: jobID, CreatedAt: now})
+	rows.Next() // an aggregate: always one row
+	return beans.Insert(tx, &Dataset{Name: name, Version: rows.Col(0).Int64() + 1, ProducedBy: jobID, CreatedAt: now})
 }
 
 // Heartbeat is the hot path: Table 2 steps 3-4 (plain beat), 7-8 (beat
@@ -199,7 +207,7 @@ func (s *Service) registerOutput(tx *sql.Tx, name string, jobID int64, now time.
 // this one service.
 func (s *Service) Heartbeat(ctx context.Context, req *HeartbeatRequest) (*HeartbeatResponse, error) {
 	resp := &HeartbeatResponse{}
-	err := s.c.InTx(ctx, func(tx *sql.Tx) error {
+	err := s.c.InTx(ctx, func(tx *sqldb.Tx) error {
 		resp.Commands = resp.Commands[:0]
 		now := s.now()
 		m := &Machine{Name: req.Machine}
@@ -290,27 +298,24 @@ type matchInfo struct {
 
 // pendingMatches loads all pending matches for one machine's VMs, keyed by
 // VM id.
-func (s *Service) pendingMatches(tx *sql.Tx, machine string) (map[int64]matchInfo, error) {
-	rows, err := tx.Query(`
+func (s *Service) pendingMatches(tx *sqldb.Tx, machine string) (map[int64]matchInfo, error) {
+	rows, err := txQuery(tx, `
 		SELECT m.id, m.job_id, v.id, j.owner, j.length_sec
 		FROM vms v
 		JOIN matches m ON m.vm_id = v.id
 		JOIN jobs j ON j.id = m.job_id
-		WHERE v.machine = ?`, machine)
+		WHERE v.machine = ?`, sqldb.NewText(machine))
 	if err != nil {
 		return nil, err
 	}
-	defer rows.Close()
 	out := make(map[int64]matchInfo)
 	for rows.Next() {
-		var mi matchInfo
-		var vmID int64
-		if err := rows.Scan(&mi.matchID, &mi.jobID, &vmID, &mi.owner, &mi.lengthSec); err != nil {
-			return nil, err
+		out[rows.Col(2).Int64()] = matchInfo{
+			matchID: rows.Col(0).Int64(), jobID: rows.Col(1).Int64(),
+			owner: rows.Col(3).Text(), lengthSec: rows.Col(4).Int64(),
 		}
-		out[vmID] = mi
 	}
-	return out, rows.Err()
+	return out, nil
 }
 
 // runInfo is an active run joined for one VM (zero runID when none).
@@ -323,29 +328,23 @@ type runInfo struct {
 // heartbeat uses it to reconcile what the node reports executing against
 // what the database says is executing — the two can diverge across CAS
 // restarts and machine reaps.
-func (s *Service) activeRuns(tx *sql.Tx, machine string) (map[int64]runInfo, error) {
-	rows, err := tx.Query(`
+func (s *Service) activeRuns(tx *sqldb.Tx, machine string) (map[int64]runInfo, error) {
+	rows, err := txQuery(tx, `
 		SELECT r.id, r.job_id, v.id
 		FROM vms v
 		JOIN runs r ON r.vm_id = v.id
-		WHERE v.machine = ?`, machine)
+		WHERE v.machine = ?`, sqldb.NewText(machine))
 	if err != nil {
 		return nil, err
 	}
-	defer rows.Close()
 	out := make(map[int64]runInfo)
 	for rows.Next() {
-		var ri runInfo
-		var vmID int64
-		if err := rows.Scan(&ri.runID, &ri.jobID, &vmID); err != nil {
-			return nil, err
-		}
-		out[vmID] = ri
+		out[rows.Col(2).Int64()] = runInfo{runID: rows.Col(0).Int64(), jobID: rows.Col(1).Int64()}
 	}
-	return out, rows.Err()
+	return out, nil
 }
 
-func (s *Service) recordBootHistory(tx *sql.Tx, m *Machine, now time.Time) error {
+func (s *Service) recordBootHistory(tx *sqldb.Tx, m *Machine, now time.Time) error {
 	// A slice, not a map: the rows' rids and log records keep this order on
 	// every run.
 	for _, a := range [...]struct{ attr, value string }{
@@ -362,7 +361,7 @@ func (s *Service) recordBootHistory(tx *sql.Tx, m *Machine, now time.Time) error
 	return nil
 }
 
-func (s *Service) ensureVMs(tx *sql.Tx, m *Machine, req *HeartbeatRequest) error {
+func (s *Service) ensureVMs(tx *sqldb.Tx, m *Machine, req *HeartbeatRequest) error {
 	existing, err := beans.Select[VM](tx, "WHERE machine = ?", m.Name)
 	if err != nil {
 		return err
@@ -389,7 +388,7 @@ func (s *Service) ensureVMs(tx *sql.Tx, m *Machine, req *HeartbeatRequest) error
 // handleVMStatus processes one VM's report and decides its command. vm is
 // preloaded; pending carries the VM's match and run its active run (zero
 // ids when none).
-func (s *Service) handleVMStatus(tx *sql.Tx, m *Machine, vm *VM, pending matchInfo, run runInfo, st VMStatus, now time.Time) (VMCommand, error) {
+func (s *Service) handleVMStatus(tx *sqldb.Tx, m *Machine, vm *VM, pending matchInfo, run runInfo, st VMStatus, now time.Time) (VMCommand, error) {
 	// A heartbeat proves the machine is alive again: offline VMs rejoin
 	// the pool (idle reports free them now; claimed ones resolve through
 	// the completion/drop paths below).
@@ -463,7 +462,7 @@ func (s *Service) handleVMStatus(tx *sql.Tx, m *Machine, vm *VM, pending matchIn
 // the pairing tuples around it (re-adoption). Otherwise the node's work
 // is orphaned — the job completed/was removed, or is paired elsewhere —
 // and the only consistent answer is RELEASE.
-func (s *Service) readoptOrRelease(tx *sql.Tx, vm *VM, st VMStatus, now time.Time) (VMCommand, error) {
+func (s *Service) readoptOrRelease(tx *sqldb.Tx, vm *VM, st VMStatus, now time.Time) (VMCommand, error) {
 	// Answering RELEASE means the node will clear the slot; free the
 	// server side of it too — any stale run/match tuples here reference
 	// jobs nothing will ever finish, so put them back in the queue.
@@ -511,7 +510,7 @@ func (s *Service) readoptOrRelease(tx *sql.Tx, vm *VM, st VMStatus, now time.Tim
 // clearVMPairings deletes the match and run tuples on one VM and puts the
 // jobs they reference (other than keep, the job being re-adopted) back in
 // the queue. It reports how many jobs were released.
-func (s *Service) clearVMPairings(tx *sql.Tx, vm *VM, keep int64) (int, error) {
+func (s *Service) clearVMPairings(tx *sqldb.Tx, vm *VM, keep int64) (int, error) {
 	released := 0
 	releaseJob := func(jobID int64) error {
 		if jobID == keep {
@@ -560,7 +559,7 @@ func (s *Service) clearVMPairings(tx *sql.Tx, vm *VM, keep int64) (int, error) {
 // completeJob is post-execution processing (Table 2 step 15 plus §5.1.1's
 // "recording historical information ... accounting information and
 // removing the job from the queue").
-func (s *Service) completeJob(tx *sql.Tx, vm *VM, st VMStatus, now time.Time) error {
+func (s *Service) completeJob(tx *sqldb.Tx, vm *VM, st VMStatus, now time.Time) error {
 	runs, err := beans.Select[Run](tx, "WHERE vm_id = ?", vm.ID)
 	if err != nil {
 		return err
@@ -617,7 +616,7 @@ func (s *Service) completeJob(tx *sql.Tx, vm *VM, st VMStatus, now time.Time) er
 
 // dropJob handles a node reporting it failed to run a job (Figure 8):
 // release the job back to the queue and free the VM.
-func (s *Service) dropJob(tx *sql.Tx, m *Machine, vm *VM, st VMStatus, now time.Time) error {
+func (s *Service) dropJob(tx *sqldb.Tx, m *Machine, vm *VM, st VMStatus, now time.Time) error {
 	if err := beans.Insert(tx, &Drop{
 		Machine: m.Name, VMSeq: vm.Seq, JobID: st.JobID,
 		Reason: "timeout setting up job environment", At: now,
@@ -652,7 +651,7 @@ func (s *Service) dropJob(tx *sql.Tx, m *Machine, vm *VM, st VMStatus, now time.
 // back would take a shared lock and upgrade it — and two completions for
 // one owner, each holding the shared lock and waiting for the other's,
 // deadlock every time.
-func (s *Service) credit(tx *sql.Tx, owner string, runtimeSec int64, dropped bool) error {
+func (s *Service) credit(tx *sqldb.Tx, owner string, runtimeSec int64, dropped bool) error {
 	acct := &Accounting{Owner: owner}
 	if dropped {
 		acct.DroppedJobs = 1
@@ -661,14 +660,11 @@ func (s *Service) credit(tx *sql.Tx, owner string, runtimeSec int64, dropped boo
 		acct.TotalRuntimeSec = runtimeSec
 	}
 	add := func() (bool, error) {
-		res, err := tx.Exec(`UPDATE accounting SET completed_jobs = completed_jobs + ?,
+		res, err := txExec(tx, `UPDATE accounting SET completed_jobs = completed_jobs + ?,
 			dropped_jobs = dropped_jobs + ?, total_runtime_sec = total_runtime_sec + ?
-			WHERE owner = ?`, acct.CompletedJobs, acct.DroppedJobs, acct.TotalRuntimeSec, owner)
-		if err != nil {
-			return false, err
-		}
-		n, err := res.RowsAffected()
-		return n > 0, err
+			WHERE owner = ?`, sqldb.NewInt(acct.CompletedJobs), sqldb.NewInt(acct.DroppedJobs),
+			sqldb.NewInt(acct.TotalRuntimeSec), sqldb.NewText(owner))
+		return res.RowsAffected > 0, err
 	}
 	if done, err := add(); done || err != nil {
 		return err
@@ -688,7 +684,7 @@ func (s *Service) credit(tx *sql.Tx, owner string, runtimeSec int64, dropped boo
 // inserts run tuple, updates related job tuple, responds OK".
 func (s *Service) AcceptMatch(ctx context.Context, req *AcceptMatchRequest) (*AcceptMatchResponse, error) {
 	resp := &AcceptMatchResponse{}
-	err := s.c.InTx(ctx, func(tx *sql.Tx) error {
+	err := s.c.InTx(ctx, func(tx *sqldb.Tx) error {
 		match := &Match{ID: req.MatchID}
 		err := beans.Find(tx, match)
 		if errors.Is(err, beans.ErrNotFound) {
@@ -742,7 +738,7 @@ func (s *Service) AcceptMatch(ctx context.Context, req *AcceptMatchRequest) (*Ac
 // ReleaseJob removes an idle or blocked job from the queue (user abort).
 func (s *Service) ReleaseJob(ctx context.Context, req *ReleaseJobRequest) (*ReleaseJobResponse, error) {
 	resp := &ReleaseJobResponse{}
-	err := s.c.InTx(ctx, func(tx *sql.Tx) error {
+	err := s.c.InTx(ctx, func(tx *sqldb.Tx) error {
 		job := &Job{ID: req.JobID}
 		err := beans.Find(tx, job)
 		if errors.Is(err, beans.ErrNotFound) {
@@ -784,23 +780,18 @@ func (s *Service) ReleaseJob(ctx context.Context, req *ReleaseJobRequest) (*Rele
 // submit writers.
 func (s *Service) PoolStatus(ctx context.Context, _ *PoolStatusRequest) (*PoolStatusResponse, error) {
 	resp := &PoolStatusResponse{}
-	err := s.c.InReadTx(ctx, func(tx *sql.Tx) error {
+	err := s.c.InReadTx(ctx, func(tx *sqldb.Tx) error {
 		count := func(table string) ([]StateCount, error) {
-			rows, err := tx.Query(fmt.Sprintf(
+			rows, err := txQuery(tx, fmt.Sprintf(
 				`SELECT state, count(*) FROM %s GROUP BY state ORDER BY state`, table))
 			if err != nil {
 				return nil, err
 			}
-			defer rows.Close()
 			var out []StateCount
 			for rows.Next() {
-				var sc StateCount
-				if err := rows.Scan(&sc.State, &sc.Count); err != nil {
-					return nil, err
-				}
-				out = append(out, sc)
+				out = append(out, StateCount{State: rows.Col(0).Text(), Count: rows.Col(1).Int64()})
 			}
-			return out, rows.Err()
+			return out, nil
 		}
 		var err error
 		if resp.Machines, err = count("machines"); err != nil {
@@ -841,7 +832,7 @@ func (s *Service) QueueStatus(ctx context.Context, req *QueueStatusRequest) (*Qu
 	}
 	limit = min(limit, queueStatusMax)
 	resp := &QueueStatusResponse{}
-	err := s.c.InReadTx(ctx, func(tx *sql.Tx) error {
+	err := s.c.InReadTx(ctx, func(tx *sqldb.Tx) error {
 		// The reply is built row by row through one reused Job, in a slice
 		// sized once for the most the query can return.
 		resp.Jobs = make([]QueueJob, 0, limit)
@@ -863,7 +854,7 @@ func (s *Service) QueueStatus(ctx context.Context, req *QueueStatusRequest) (*Qu
 // UserStats returns one owner's accounting record.
 func (s *Service) UserStats(ctx context.Context, req *UserStatsRequest) (*UserStatsResponse, error) {
 	resp := &UserStatsResponse{Owner: req.Owner}
-	err := s.c.InReadTx(ctx, func(tx *sql.Tx) error {
+	err := s.c.InReadTx(ctx, func(tx *sqldb.Tx) error {
 		acct := &Accounting{Owner: req.Owner}
 		err := beans.Find(tx, acct)
 		if errors.Is(err, beans.ErrNotFound) {
@@ -883,33 +874,41 @@ func (s *Service) UserStats(ctx context.Context, req *UserStatsRequest) (*UserSt
 	return resp, nil
 }
 
-// ConfigGet reads an operational configuration value.
+// ConfigGet reads an operational configuration value from a read-only
+// snapshot.
 func (s *Service) ConfigGet(ctx context.Context, req *ConfigGetRequest) (*ConfigGetResponse, error) {
-	var value string
-	err := s.c.DB.QueryRowContext(ctx, `SELECT value FROM config WHERE name = ?`, req.Name).Scan(&value)
-	if errors.Is(err, sql.ErrNoRows) {
-		return nil, fmt.Errorf("core: no config entry %q", req.Name)
-	}
+	var resp *ConfigGetResponse
+	err := s.c.InReadTx(ctx, func(tx *sqldb.Tx) error {
+		rows, err := txQuery(tx, `SELECT value FROM config WHERE name = ?`, sqldb.NewText(req.Name))
+		if err != nil {
+			return err
+		}
+		if !rows.Next() {
+			return fmt.Errorf("core: no config entry %q", req.Name)
+		}
+		resp = &ConfigGetResponse{Name: req.Name, Value: rows.Col(0).Text()}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &ConfigGetResponse{Name: req.Name, Value: value}, nil
+	return resp, nil
 }
 
 // ConfigSet updates a configuration value, keeping history.
 func (s *Service) ConfigSet(ctx context.Context, req *ConfigSetRequest) (*ConfigSetResponse, error) {
-	err := s.c.InTx(ctx, func(tx *sql.Tx) error {
-		now := s.now()
-		res, err := tx.Exec(`UPDATE config SET value = ?, updated_at = ? WHERE name = ?`, req.Value, now, req.Name)
+	err := s.c.InTx(ctx, func(tx *sqldb.Tx) error {
+		name, value, now := sqldb.NewText(req.Name), sqldb.NewText(req.Value), sqldb.NewTime(s.now())
+		res, err := txExec(tx, `UPDATE config SET value = ?, updated_at = ? WHERE name = ?`, value, now, name)
 		if err != nil {
 			return err
 		}
-		if n, _ := res.RowsAffected(); n == 0 {
-			if _, err := tx.Exec(`INSERT INTO config (name, value, updated_at) VALUES (?, ?, ?)`, req.Name, req.Value, now); err != nil {
+		if res.RowsAffected == 0 {
+			if _, err := txExec(tx, `INSERT INTO config (name, value, updated_at) VALUES (?, ?, ?)`, name, value, now); err != nil {
 				return err
 			}
 		}
-		_, err = tx.Exec(`INSERT INTO config_history (name, value, changed_at) VALUES (?, ?, ?)`, req.Name, req.Value, now)
+		_, err = txExec(tx, `INSERT INTO config_history (name, value, changed_at) VALUES (?, ?, ?)`, name, value, now)
 		return err
 	})
 	if err != nil {
@@ -941,7 +940,7 @@ func (s *Service) RegisterDataset(ctx context.Context, req *RegisterDatasetReque
 		ver = 1
 	}
 	ds := &Dataset{Name: req.Name, Version: ver, CreatedAt: s.now()}
-	err := s.c.InTx(ctx, func(tx *sql.Tx) error {
+	err := s.c.InTx(ctx, func(tx *sqldb.Tx) error {
 		ds.ID = 0
 		return beans.Insert(tx, ds)
 	})
@@ -958,7 +957,7 @@ func (s *Service) Provenance(ctx context.Context, req *ProvenanceRequest) (*Prov
 	// its producing job, the executable and the inputs are mutually
 	// consistent, and the walk takes no locks.
 	var resp *ProvenanceResponse
-	err := s.c.InReadTx(ctx, func(tx *sql.Tx) error {
+	err := s.c.InReadTx(ctx, func(tx *sqldb.Tx) error {
 		var ds []Dataset
 		var err error
 		if req.Version > 0 {
@@ -977,42 +976,45 @@ func (s *Service) Provenance(ctx context.Context, req *ProvenanceRequest) (*Prov
 		if d.ProducedBy == 0 {
 			return nil
 		}
-		// The producing job may be live or already in history.
-		rows, err := tx.Query(`SELECT owner FROM job_history WHERE job_id = ?`, d.ProducedBy)
+		// The producing job may be live or already in history. A lookup that
+		// fails fails the answer: an empty Owner means no row named one.
+		job := sqldb.NewInt(d.ProducedBy)
+		rows, err := txQuery(tx, `SELECT owner FROM job_history WHERE job_id = ?`, job)
 		if err != nil {
 			return err
 		}
 		for rows.Next() {
-			rows.Scan(&resp.Owner)
+			resp.Owner = rows.Col(0).Text()
 		}
-		rows.Close()
 		if resp.Owner == "" {
-			tx.QueryRow(`SELECT owner FROM jobs WHERE id = ?`, d.ProducedBy).Scan(&resp.Owner)
+			if rows, err = txQuery(tx, `SELECT owner FROM jobs WHERE id = ?`, job); err != nil {
+				return err
+			}
+			if rows.Next() {
+				resp.Owner = rows.Col(0).Text()
+			}
 		}
-		err = tx.QueryRow(`
+		rows, err = txQuery(tx, `
 			SELECT e.name, e.version FROM job_executables je
 			JOIN executables e ON e.id = je.executable_id
-			WHERE je.job_id = ?`, d.ProducedBy).Scan(&resp.Executable, &resp.ExecutableVersion)
-		if err != nil && !errors.Is(err, sql.ErrNoRows) {
-			return err
-		}
-		inRows, err := tx.Query(`
-			SELECT d.name, d.version FROM job_inputs ji
-			JOIN datasets d ON d.id = ji.dataset_id
-			WHERE ji.job_id = ?`, d.ProducedBy)
+			WHERE je.job_id = ?`, job)
 		if err != nil {
 			return err
 		}
-		defer inRows.Close()
-		for inRows.Next() {
-			var name string
-			var ver int64
-			if err := inRows.Scan(&name, &ver); err != nil {
-				return err
-			}
-			resp.Inputs = append(resp.Inputs, fmt.Sprintf("%s@v%d", name, ver))
+		if rows.Next() {
+			resp.Executable, resp.ExecutableVersion = rows.Col(0).Text(), rows.Col(1).Text()
 		}
-		return inRows.Err()
+		rows, err = txQuery(tx, `
+			SELECT d.name, d.version FROM job_inputs ji
+			JOIN datasets d ON d.id = ji.dataset_id
+			WHERE ji.job_id = ?`, job)
+		if err != nil {
+			return err
+		}
+		for rows.Next() {
+			resp.Inputs = append(resp.Inputs, fmt.Sprintf("%s@v%d", rows.Col(0).Text(), rows.Col(1).Int64()))
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err

@@ -420,7 +420,7 @@ func TestStateMachineRejectsInvalidTransitions(t *testing.T) {
 	// Directly exercising the fine-grained bean service: MarkRunning on an
 	// idle job must fail validation (the paper's "verify that the object is
 	// in a state in which the particular service call is valid").
-	tx, err := cas.Pool.Begin()
+	tx, err := cas.Engine.Begin()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -263,6 +263,28 @@ func TestProvenanceAnswersPaperQuestion(t *testing.T) {
 	}
 }
 
+// TestProvenanceReportsFailedOwnerLookup: the producing job has no history
+// row, so the owner comes from jobs — and when that lookup fails, the
+// answer is the failure, not a success with no owner.
+func TestProvenanceReportsFailedOwnerLookup(t *testing.T) {
+	cas, _ := newTestCAS(t)
+	s := cas.Service
+	ctx := context.Background()
+	if _, err := s.Submit(ctx, &SubmitRequest{Owner: "scientist", Count: 1, LengthSec: 60, Output: "alignment"}); err != nil {
+		t.Fatal(err)
+	}
+	if prov, err := s.Provenance(ctx, &ProvenanceRequest{Dataset: "alignment"}); err != nil || prov.Owner != "scientist" {
+		t.Fatalf("live producer: %+v, %v; want owner scientist", prov, err)
+	}
+	if _, err := cas.Engine.Exec(`DROP TABLE jobs`); err != nil {
+		t.Fatal(err)
+	}
+	prov, err := s.Provenance(ctx, &ProvenanceRequest{Dataset: "alignment"})
+	if err == nil || !strings.Contains(err.Error(), "jobs") {
+		t.Fatalf("owner lookup on a dropped jobs table answered %+v, %v; want its error", prov, err)
+	}
+}
+
 func TestStartStopScheduler(t *testing.T) {
 	cas, _ := newTestCAS(t)
 	cas.StartScheduler()

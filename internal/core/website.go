@@ -1,11 +1,13 @@
 package core
 
 import (
-	"database/sql"
 	"fmt"
 	"html/template"
 	"net/http"
 	"strconv"
+
+	"condorj2/internal/beans"
+	"condorj2/internal/sqldb"
 )
 
 // NewWebsite builds the pool web site — the browser-facing external
@@ -110,29 +112,17 @@ func (w *website) queue(rw http.ResponseWriter, r *http.Request) {
 // transaction: a full scan of the accounting table that takes no locks,
 // so it can run at any frequency without perturbing the job pipeline.
 func (w *website) users(rw http.ResponseWriter, r *http.Request) {
-	tx, err := w.svc.Pool().BeginTx(r.Context(), &sql.TxOptions{ReadOnly: true})
-	if err != nil {
-		http.Error(rw, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	defer tx.Rollback()
-	rows, err := tx.Query(
-		`SELECT owner, completed_jobs, dropped_jobs, total_runtime_sec FROM accounting ORDER BY owner`)
-	if err != nil {
-		http.Error(rw, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	defer rows.Close()
 	t := pageTable{Caption: "Accounting", Header: []string{"owner", "completed", "dropped", "runtime (s)"}}
-	for rows.Next() {
-		var owner string
-		var done, dropped, runtime int64
-		if err := rows.Scan(&owner, &done, &dropped, &runtime); err != nil {
-			http.Error(rw, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		t.Rows = append(t.Rows, []string{owner,
-			strconv.FormatInt(done, 10), strconv.FormatInt(dropped, 10), strconv.FormatInt(runtime, 10)})
+	err := w.svc.c.InReadTx(r.Context(), func(tx *sqldb.Tx) error {
+		return beans.Each(tx, func(a *Accounting) error {
+			t.Rows = append(t.Rows, []string{a.Owner, strconv.FormatInt(a.CompletedJobs, 10),
+				strconv.FormatInt(a.DroppedJobs, 10), strconv.FormatInt(a.TotalRuntimeSec, 10)})
+			return nil
+		}, "ORDER BY owner")
+	})
+	if err != nil {
+		http.Error(rw, err.Error(), http.StatusInternalServerError)
+		return
 	}
 	w.render(rw, pageData{Title: "Users", Tables: []pageTable{t}})
 }
@@ -168,20 +158,17 @@ func (w *website) config(rw http.ResponseWriter, r *http.Request) {
 		http.Redirect(rw, r, "/config", http.StatusSeeOther)
 		return
 	}
-	rows, err := w.svc.Pool().QueryContext(r.Context(), `SELECT name, value FROM config ORDER BY name`)
+	t := pageTable{Caption: "Configuration", Header: []string{"name", "value"}}
+	err := w.svc.c.InReadTx(r.Context(), func(tx *sqldb.Tx) error {
+		rows, err := txQuery(tx, `SELECT name, value FROM config ORDER BY name`)
+		for err == nil && rows.Next() {
+			t.Rows = append(t.Rows, []string{rows.Col(0).Text(), rows.Col(1).Text()})
+		}
+		return err
+	})
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusInternalServerError)
 		return
-	}
-	defer rows.Close()
-	t := pageTable{Caption: "Configuration", Header: []string{"name", "value"}}
-	for rows.Next() {
-		var name, value string
-		if err := rows.Scan(&name, &value); err != nil {
-			http.Error(rw, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		t.Rows = append(t.Rows, []string{name, value})
 	}
 	w.render(rw, pageData{Title: "Configuration", Tables: []pageTable{t}})
 }

@@ -624,12 +624,15 @@ type Result struct {
 	RowsAffected int64
 }
 
-// Rows is a fully materialized query result.
+// Rows is a query result and its cursor: Next steps through the rows and
+// Col reads a cell of the current one.
 type Rows struct {
 	// Columns names the result columns in order.
 	Columns []string
-	// Data holds the result rows. They are the caller's own: nothing else
-	// reads or writes them.
+	// Data holds the result rows of a materialized result (Query,
+	// QueryContext, QueryRow): the caller's own, nothing else reads or
+	// writes them. A result of row references that QueryValues hands over
+	// leaves it nil; read such a result with Next and Col.
 	Data [][]Value
 	pos  int
 	drv  driverRows // the database/sql cursor over this result (driver.go)
@@ -639,9 +642,9 @@ type Rows struct {
 	// per FROM table, nil for a LEFT JOIN's padded side), and where in them
 	// each output column is. The references are to version rows, never
 	// written after publication, so the result reads what the statement saw
-	// however long it is held; refs is this result's own array. The
-	// database/sql cursor reads through it; the native Query calls fill
-	// Data from it (materialize).
+	// however long it is held; refs is this result's own array. Col reads
+	// through it; the materializing Query calls fill Data from it
+	// (materialize).
 	refs  [][]Value
 	picks []pick
 	width int
@@ -668,18 +671,33 @@ func (r *Rows) materialize() {
 
 // Next advances the cursor, reporting whether a row is available.
 func (r *Rows) Next() bool {
-	if r.pos >= len(r.Data) {
+	if r.pos >= r.Len() {
 		return false
 	}
 	r.pos++
 	return true
 }
 
-// Row returns the current row after Next.
+// Col reads column c of the current row (after Next). A result of row
+// references is read where it lies, through the plan's pick: no row is
+// copied and no cell boxed.
+func (r *Rows) Col(c int) Value {
+	if r.picks != nil {
+		return r.picks[c].of(r.refs[(r.pos-1)*r.width : r.pos*r.width])
+	}
+	return r.Data[r.pos-1][c]
+}
+
+// Row returns the current row of a materialized result after Next.
 func (r *Rows) Row() []Value { return r.Data[r.pos-1] }
 
 // Len reports the number of rows.
-func (r *Rows) Len() int { return len(r.Data) }
+func (r *Rows) Len() int {
+	if r.picks != nil {
+		return len(r.refs) / r.width
+	}
+	return len(r.Data)
+}
 
 // Exec runs a mutating statement in autocommit mode.
 func (db *DB) Exec(sql string, args ...any) (Result, error) {
@@ -790,19 +808,46 @@ func (tx *Tx) Exec(sql string, args ...any) (Result, error) {
 // statement's blocking points; when it is not cancellable and carries no
 // deadline, the transaction's BeginTx context applies instead.
 func (tx *Tx) ExecContext(ctx context.Context, sql string, args ...any) (Result, error) {
+	res, _, err := tx.run(ctx, sql, false, func(tx *Tx) ([]Value, error) { return tx.toValues(args) })
+	return res, err
+}
+
+// ExecValues is ExecContext with arguments that already are engine values,
+// as internal/beans binds them from an entity's fields: they are copied
+// into the transaction's parameter buffer, never boxed.
+func (tx *Tx) ExecValues(ctx context.Context, sql string, args ...Value) (Result, error) {
+	res, _, err := tx.run(ctx, sql, false, func(tx *Tx) ([]Value, error) { return tx.copyParams(args), nil })
+	return res, err
+}
+
+// QueryValues is QueryContext with engine-value arguments (see
+// ExecValues), and hands the result over as the statement produced it: a
+// result of row references is read through Next and Col where it lies,
+// never materialized into Data.
+func (tx *Tx) QueryValues(ctx context.Context, sql string, args ...Value) (*Rows, error) {
+	_, rows, err := tx.run(ctx, sql, true, func(tx *Tx) ([]Value, error) { return tx.copyParams(args), nil })
+	return rows, err
+}
+
+// run parses sql and executes it inside the transaction under ctx (see
+// ExecContext), with the arguments bind lays into the transaction's
+// parameter buffer; query admits only what Query accepts.
+func (tx *Tx) run(ctx context.Context, sql string, query bool, bind func(*Tx) ([]Value, error)) (Result, *Rows, error) {
 	if tx.done {
-		return Result{}, ErrTxDone
+		return Result{}, nil, ErrTxDone
 	}
 	stmt, err := tx.db.parse(sql)
 	if err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
-	params, err := tx.toValues(args)
+	if query && !isQuery(stmt) {
+		return Result{}, nil, errNotQuery
+	}
+	params, err := bind(tx)
 	if err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
-	res, _, err := tx.execStmtCtx(ctx, stmt, params)
-	return res, err
+	return tx.execStmtCtx(ctx, stmt, params)
 }
 
 // Query runs a SELECT inside the transaction under the transaction's
@@ -814,21 +859,7 @@ func (tx *Tx) Query(sql string, args ...any) (*Rows, error) {
 // QueryContext runs a SELECT inside the transaction (see ExecContext for
 // the context semantics).
 func (tx *Tx) QueryContext(ctx context.Context, sql string, args ...any) (*Rows, error) {
-	if tx.done {
-		return nil, ErrTxDone
-	}
-	stmt, err := tx.db.parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	if !isQuery(stmt) {
-		return nil, errNotQuery
-	}
-	params, err := tx.toValues(args)
-	if err != nil {
-		return nil, err
-	}
-	_, rows, err := tx.execStmtCtx(ctx, stmt, params)
+	_, rows, err := tx.run(ctx, sql, true, func(tx *Tx) ([]Value, error) { return tx.toValues(args) })
 	if err != nil {
 		return nil, err
 	}
@@ -885,6 +916,14 @@ func (tx *Tx) toValues(args []any) ([]Value, error) {
 		vals[i] = v
 	}
 	return vals, nil
+}
+
+// copyParams binds engine-value arguments in the scratch's parameter
+// buffer (see toValues).
+func (tx *Tx) copyParams(args []Value) []Value {
+	params := tx.bindParams(len(args))
+	copy(params, args)
+	return params
 }
 
 // execStmt dispatches a parsed statement.

@@ -10,11 +10,13 @@ import (
 
 // This file implements a database/sql driver over the engine — the Go
 // analog of the paper's "any data storage application that provides a JDBC
-// interface and is registered with the Application Server". The application
-// server tier (internal/beans, internal/core) talks to the engine purely
-// through database/sql, which supplies the connection pooling the paper
-// credits with "reduc[ing] the required number of simultaneous open
-// connections to the database".
+// interface and is registered with the Application Server". It is the
+// edge: the pooled handle tests and the benchmark read the CAS through
+// (CAS.Pool), and the second transport of internal/beans. The application server itself
+// (internal/core) runs on the engine's own transactions through beans'
+// native transport — Tx.ExecValues, Tx.QueryValues and the Rows cursor —
+// so no statement of its pays database/sql's per-transaction and
+// per-query context, goroutine, argument and per-cell boxing costs.
 
 // Connector returns the driver.Connector for this engine:
 // sql.OpenDB(db.Connector()) is a connection pool whose every connection
@@ -190,18 +192,16 @@ type sqlResult struct{ res Result }
 func (r sqlResult) LastInsertId() (int64, error) { return r.res.LastInsertID, nil }
 func (r sqlResult) RowsAffected() (int64, error) { return r.res.RowsAffected, nil }
 
-// driverRows is the driver.Rows cursor over a materialized result. It
-// lives inside the Rows it reads (Rows.drv), so handing a result to
-// database/sql allocates nothing beyond the result — and a result of row
-// references is read where it lies: Next picks each cell out of the row
-// the statement read straight into database/sql's dest.
-type driverRows struct {
-	rows *Rows
-	pos  int
-}
+// driverRows is the driver.Rows face of a result's own cursor. It lives
+// inside the Rows it reads (Rows.drv), so handing a result to database/sql
+// allocates nothing beyond the result, and Next reads each cell through
+// Rows.Col straight into database/sql's dest — boxing it there, which is
+// what database/sql's interface asks for.
+type driverRows struct{ rows *Rows }
 
 // driver returns the result's driver.Rows cursor, rewound.
 func (r *Rows) driver() *driverRows {
+	r.pos = 0
 	r.drv = driverRows{rows: r}
 	return &r.drv
 }
@@ -210,25 +210,11 @@ func (r *driverRows) Columns() []string { return r.rows.Columns }
 func (r *driverRows) Close() error      { return nil }
 
 func (r *driverRows) Next(dest []driver.Value) error {
-	rows := r.rows
-	if rows.picks != nil {
-		if (r.pos+1)*rows.width > len(rows.refs) {
-			return io.EOF
-		}
-		refs := rows.refs[r.pos*rows.width : (r.pos+1)*rows.width]
-		r.pos++
-		for i, p := range rows.picks {
-			dest[i] = p.of(refs).Go()
-		}
-		return nil
-	}
-	if r.pos >= len(rows.Data) {
+	if !r.rows.Next() {
 		return io.EOF
 	}
-	row := rows.Data[r.pos]
-	r.pos++
-	for i, v := range row {
-		dest[i] = v.Go()
+	for i := range dest {
+		dest[i] = r.rows.Col(i).Go()
 	}
 	return nil
 }
