@@ -10,28 +10,13 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-
-	"condorj2/internal/sqldb"
-	"condorj2/internal/vtime"
 )
 
-// steadyPool assembles a WAL-backed CAS (MemVFS, SyncGroup — the daemon's
-// layout) with nodes × 4 registered, idle VMs and returns the per-node
-// steady heartbeat requests.
+// steadyPool assembles a WAL-backed CAS with nodes × 4 registered, idle
+// VMs and returns the per-node steady heartbeat requests.
 func steadyPool(t testing.TB, nodes int) (*CAS, []*HeartbeatRequest) {
 	t.Helper()
-	eng, err := sqldb.Open(sqldb.Options{VFS: sqldb.NewMemVFS(), Path: "cas.wal", Sync: sqldb.SyncGroup})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cas, err := New(Options{Engine: eng, Clock: &fakeClock{t: vtime.Epoch}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		cas.Close()
-		eng.Close()
-	})
+	cas := walCAS(t)
 	reqs := make([]*HeartbeatRequest, nodes)
 	for i := range reqs {
 		req := &HeartbeatRequest{
@@ -104,5 +89,59 @@ func TestHeartbeatSteadyAllocs(t *testing.T) {
 	}
 	if bytes > budgetBytes {
 		t.Errorf("%.0f bytes per steady heartbeat, budget %d", bytes, budgetBytes)
+	}
+}
+
+// TestKeyedCompletionBeatAllocs guards what a keyed 4-VM completion beat
+// costs the server below the wire: Service.Heartbeat completing four jobs
+// (each a job, run and match teardown, a job_history insert and the
+// owner's credit) and storing its reply under the exchange's key. Measured
+// 220 allocations / 28.5 KB per beat while the reply was stored as its XML
+// (the 271-byte encoding cloned, then converted to a string), 220 /
+// 27.8 KB once it was stored packed (33 bytes, packed into a buffer, then
+// converted). The budgets keep the slack of TestHeartbeatSteadyAllocs.
+func TestKeyedCompletionBeatAllocs(t *testing.T) {
+	const (
+		warm, runs   = 50, 200
+		budgetAllocs = 242
+		budgetBytes  = 30208
+	)
+	cas := walCAS(t)
+	reqs := runningPool(t, cas.Service, warm+1+2*runs)
+	keys := make([]string, len(reqs))
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%032x", i)
+	}
+	ctx := context.Background()
+	next := 0
+	beatOnce := func() {
+		req := reqs[next]
+		resp, err := cas.Service.Heartbeat(withPendingReply(ctx, keys[next], ActionHeartbeat), req)
+		next++
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Commands) != 4 || resp.Commands[3].Command != CmdOK {
+			t.Fatalf("%s: %+v, want four OKs", req.Machine, resp.Commands)
+		}
+	}
+	for next < warm {
+		beatOnce()
+	}
+	allocs := testing.AllocsPerRun(runs, beatOnce)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		beatOnce()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("keyed completion beat: %.0f allocations, %.0f bytes", allocs, bytes)
+	if allocs > budgetAllocs {
+		t.Errorf("%v allocations per keyed completion beat, budget %d", allocs, budgetAllocs)
+	}
+	if bytes > budgetBytes {
+		t.Errorf("%.0f bytes per keyed completion beat, budget %d", bytes, budgetBytes)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"condorj2/internal/sqldb"
@@ -13,16 +14,21 @@ import (
 // may re-present an already-applied mutation. The envelope's idempotency
 // key plus a durable reply store close that window:
 //
-//   - the handler first checks wire_replies for the key; a hit replays
-//     the stored payload verbatim (no re-execution),
+//   - the handler first checks wire_replies for the key; a hit unpacks the
+//     stored reply and answers with it (no re-execution) — the mux encodes
+//     it like a fresh one, and the codec is deterministic, so the replay is
+//     the original reply byte for byte,
 //   - on a miss it runs the service method, whose transaction inserts
-//     the reply row as its LAST statement — mutation and reply commit
-//     atomically, so a crash between "applied" and "recorded" is
-//     impossible and the dedup fact survives restart via the WAL,
+//     the reply row, packed (wire.Pack), as its LAST statement — mutation
+//     and reply commit atomically, so a crash between "applied" and
+//     "recorded" is impossible and the dedup fact survives restart via
+//     the WAL,
 //   - two concurrent retries of one key race on the reply row's PRIMARY
 //     KEY: the loser's whole transaction (duplicate mutation included)
 //     rolls back on the unique violation, and the wrapper answers it by
-//     replaying the winner's stored reply.
+//     replaying the winner's stored reply,
+//   - a key stored for one action and presented with another is refused
+//     with a KeyReused fault: the stored reply is another type's.
 
 // pendingReplyCtx carries the exchange's key through the service method
 // into its transaction, where saveReply persists the response.
@@ -37,15 +43,16 @@ func withPendingReply(ctx context.Context, key, action string) context.Context {
 	return context.WithValue(ctx, pendingReplyCtx{}, pendingReply{key: key, action: action})
 }
 
-// saveReply persists the exchange's response inside the mutation's own
-// transaction. It is a no-op for unkeyed exchanges, so service methods
-// call it unconditionally as their closure's last statement.
+// saveReply persists the exchange's response, packed, inside the
+// mutation's own transaction. It is a no-op for unkeyed exchanges, so
+// service methods call it unconditionally as their closure's last
+// statement.
 func (s *Service) saveReply(ctx context.Context, tx *sqldb.Tx, resp any) error {
 	pr, ok := ctx.Value(pendingReplyCtx{}).(pendingReply)
 	if !ok {
 		return nil
 	}
-	payload, err := wire.MarshalPayload(resp)
+	payload, err := wire.Pack(make([]byte, 0, 128), resp) // a 4-VM completion beat's reply packs into 33 bytes
 	if err != nil {
 		return err
 	}
@@ -54,40 +61,61 @@ func (s *Service) saveReply(ctx context.Context, tx *sqldb.Tx, resp any) error {
 	return err
 }
 
-// lookupReply fetches the stored reply for a key, from a read-only
-// snapshot.
-func (s *Service) lookupReply(ctx context.Context, key string) (payload []byte, hit bool, err error) {
+// lookupReply fetches the action and packed reply stored for a key, from
+// a read-only snapshot.
+func (s *Service) lookupReply(ctx context.Context, key string) (action string, payload []byte, hit bool, err error) {
 	err = s.c.InReadTx(ctx, func(tx *sqldb.Tx) error {
-		rows, err := txQuery(tx, `SELECT payload FROM wire_replies WHERE key = ?`, sqldb.NewText(key))
+		rows, err := txQuery(tx, `SELECT action, payload FROM wire_replies WHERE key = ?`, sqldb.NewText(key))
 		if err == nil && rows.Next() {
-			payload, hit = []byte(rows.Col(0).Text()), true
+			action, payload, hit = rows.Col(0).Text(), []byte(rows.Col(1).Text()), true
 		}
 		return err
 	})
-	return payload, hit, err
+	return action, payload, hit, err
 }
+
+// FaultKeyReused is the fault code a keyed exchange gets when its key is
+// already stored for another action. Terminal: a retry presents the same
+// key again.
+const FaultKeyReused = "KeyReused"
 
 // keyedHandler wraps a typed service method with idempotency-key dedup.
 // Unkeyed envelopes dispatch exactly like wire.Typed, which also compiles
 // both message types' codecs when the handler is built.
 func keyedHandler[Req any, Resp any](s *Service, fn func(context.Context, *Req) (*Resp, error)) wire.Handler {
 	typed := wire.Typed(fn)
+	// replay answers env from the reply store; hit is false when the key
+	// has no reply stored or the store could not be read.
+	replay := func(ctx context.Context, env *wire.Envelope) (reply any, hit bool, err error) {
+		action, payload, hit, err := s.lookupReply(ctx, env.Key)
+		if err != nil || !hit {
+			return nil, false, nil
+		}
+		if action != env.Action {
+			return nil, true, &wire.Fault{Code: FaultKeyReused,
+				Message: fmt.Sprintf("core: idempotency key %q was used for %s, not %s", env.Key, action, env.Action)}
+		}
+		resp := new(Resp)
+		if err := wire.Unpack(payload, resp); err != nil {
+			return nil, true, fmt.Errorf("core: stored %s reply for key %q: %w", action, env.Key, err)
+		}
+		s.replays.Add(1)
+		return resp, true, nil
+	}
 	return func(ctx context.Context, env *wire.Envelope) (any, error) {
 		if env.Key == "" {
 			return typed(ctx, env)
 		}
-		if payload, hit, err := s.lookupReply(ctx, env.Key); err == nil && hit {
-			s.replays.Add(1)
-			return wire.RawPayload(payload), nil
+		if reply, hit, err := replay(ctx, env); hit {
+			return reply, err
 		}
 		resp, err := typed(withPendingReply(ctx, env.Key, env.Action), env)
 		if err != nil {
 			// A concurrent or prior execution of this key may have won the
 			// reply row's unique constraint, rolling this execution back:
 			// its stored answer is the exchange's one true response.
-			if payload, hit, lerr := s.lookupReply(ctx, env.Key); lerr == nil && hit {
-				s.replays.Add(1)
-				return wire.RawPayload(payload), nil
+			if reply, hit, rerr := replay(ctx, env); hit {
+				return reply, rerr
 			}
 			return nil, err
 		}

@@ -1,12 +1,19 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/xml"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
+	"condorj2/internal/sqldb"
+	"condorj2/internal/vtime"
 	"condorj2/internal/wire"
 )
 
@@ -181,9 +188,258 @@ func TestGCRepliesAgesOutOldKeys(t *testing.T) {
 	}
 }
 
+// TestKeyReusedForAnotherActionIsRefused: a key's stored reply answers
+// only the action that stored it. Presented with another action, the key
+// gets a terminal KeyReused fault and nothing runs.
+func TestKeyReusedForAnotherActionIsRefused(t *testing.T) {
+	cas, _ := newTestCAS(t)
+	s := cas.Service
+	refused := func(err error) {
+		t.Helper()
+		f, ok := wire.AsFault(err)
+		if !ok || f.Code != FaultKeyReused {
+			t.Fatalf("err = %v, want a %s fault", err, FaultKeyReused)
+		}
+		if wire.Retryable(err) {
+			t.Fatalf("%s must be terminal for the retry policy", FaultKeyReused)
+		}
+	}
+
+	var sub SubmitResponse
+	if err := call(t, cas, "k-1", ActionSubmitJob, &SubmitRequest{Owner: "alice", Count: 1, LengthSec: 60}, &sub); err != nil {
+		t.Fatal(err)
+	}
+	beat(t, s, "node1", true, idleVMs(1)...)
+	if _, err := s.ScheduleCycle(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	cmd := beat(t, s, "node1", false, idleVMs(1)...).Commands[0]
+	accept := &AcceptMatchRequest{Machine: "node1", Seq: cmd.Seq, MatchID: cmd.MatchID, JobID: cmd.JobID}
+	var acc AcceptMatchResponse
+	refused(call(t, cas, "k-1", ActionAcceptMatch, accept, &acc))
+	if n := count(t, cas, `SELECT count(*) FROM runs`); n != 0 {
+		t.Fatalf("runs = %d after the refused accept, want 0", n)
+	}
+
+	if err := call(t, cas, "k-2", ActionAcceptMatch, accept, &acc); err != nil || !acc.OK {
+		t.Fatalf("accept = %+v, %v", acc, err)
+	}
+	var hb HeartbeatResponse
+	refused(call(t, cas, "k-2", ActionHeartbeat, &HeartbeatRequest{Machine: "node1", VMs: idleVMs(1)}, &hb))
+	if got := s.DedupStats().Replays; got != 0 {
+		t.Fatalf("replays = %d, want 0", got)
+	}
+}
+
+// TestKeyedRegisterDatasetDeduplicates: a retried registration answers
+// with the dataset the first one registered, not a UNIQUE violation.
+func TestKeyedRegisterDatasetDeduplicates(t *testing.T) {
+	cas, _ := newTestCAS(t)
+	req := &RegisterDatasetRequest{Name: "genome", Version: 2}
+	var first, second RegisterDatasetResponse
+	if err := call(t, cas, "k-ds", ActionRegisterData, req, &first); err != nil {
+		t.Fatal(err)
+	}
+	if err := call(t, cas, "k-ds", ActionRegisterData, req, &second); err != nil {
+		t.Fatalf("retried registration: %v", err)
+	}
+	if second != first || first.ID == 0 {
+		t.Fatalf("retry answered %+v, first %+v", second, first)
+	}
+	if n := count(t, cas, `SELECT count(*) FROM datasets WHERE name = 'genome'`); n != 1 {
+		t.Fatalf("datasets = %d, want 1", n)
+	}
+}
+
+// TestKeyedConfigSetDeduplicates: a retried configSet writes one history
+// row, not two.
+func TestKeyedConfigSetDeduplicates(t *testing.T) {
+	cas, _ := newTestCAS(t)
+	req := &ConfigSetRequest{Name: "probe_key", Value: "7"}
+	for i := 0; i < 2; i++ {
+		var resp ConfigSetResponse
+		if err := call(t, cas, "k-cfg", ActionConfigSet, req, &resp); err != nil || !resp.OK {
+			t.Fatalf("call %d: %+v, %v", i, resp, err)
+		}
+	}
+	if n := count(t, cas, `SELECT count(*) FROM config_history WHERE name = 'probe_key'`); n != 1 {
+		t.Fatalf("config_history rows = %d, want 1", n)
+	}
+}
+
+// replyRecorder is an HTTP transport that keeps every reply body.
+type replyRecorder struct {
+	mu     sync.Mutex
+	bodies [][]byte
+}
+
+func (r *replyRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	r.mu.Lock()
+	r.bodies = append(r.bodies, body)
+	r.mu.Unlock()
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	return resp, nil
+}
+
+// TestKeyedReplayIsByteIdentical sends every keyed action twice under one
+// key over HTTP: the replay, unpacked from the reply store and encoded
+// again, must carry the original reply's payload byte for byte.
+func TestKeyedReplayIsByteIdentical(t *testing.T) {
+	cas, _ := newTestCAS(t)
+	srv := httptest.NewServer(cas.HTTPHandler())
+	defer srv.Close()
+	rec := &replyRecorder{}
+	client := &wire.Client{URL: srv.URL + "/services", HTTP: &http.Client{Transport: rec}}
+	twice := func(key, action string, req, resp any) {
+		t.Helper()
+		ctx := wire.WithIdempotencyKey(context.Background(), key)
+		if err := client.Call(ctx, action, req, resp); err != nil {
+			t.Fatalf("%s: %v", action, err)
+		}
+		if err := client.Call(ctx, action, req, nil); err != nil {
+			t.Fatalf("%s replayed: %v", action, err)
+		}
+		n := len(rec.bodies)
+		first, err := wire.Decode(rec.bodies[n-2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		replay, err := wire.Decode(rec.bodies[n-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if replay.Action != action+"Response" || !bytes.Equal(replay.Payload, first.Payload) {
+			t.Fatalf("%s replayed %s %q, first reply %s %q", action, replay.Action, replay.Payload, first.Action, first.Payload)
+		}
+	}
+
+	twice("k-sub", ActionSubmitJob, &SubmitRequest{Owner: "web <&>", Count: 2, LengthSec: 30}, &SubmitResponse{})
+	twice("k-boot", ActionHeartbeat, &HeartbeatRequest{Machine: "n1", Boot: true, TotalMemoryMB: 1024, VMs: idleVMs(2)}, &HeartbeatResponse{})
+	if _, err := cas.Service.ScheduleCycle(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var hb HeartbeatResponse
+	twice("k-beat", ActionHeartbeat, &HeartbeatRequest{Machine: "n1", VMs: idleVMs(2)}, &hb)
+	if len(hb.Commands) != 2 || hb.Commands[0].Command != CmdMatchInfo {
+		t.Fatalf("beat after the cycle = %+v, want MATCHINFO", hb)
+	}
+	cmd := hb.Commands[0]
+	twice("k-acc", ActionAcceptMatch, &AcceptMatchRequest{Machine: "n1", Seq: cmd.Seq, MatchID: cmd.MatchID, JobID: cmd.JobID}, &AcceptMatchResponse{})
+	twice("k-cfg", ActionConfigSet, &ConfigSetRequest{Name: "probe_key", Value: "v"}, &ConfigSetResponse{})
+	twice("k-ds", ActionRegisterData, &RegisterDatasetRequest{Name: "d", Version: 1}, &RegisterDatasetResponse{})
+	if got := cas.Service.DedupStats().Replays; got != 6 {
+		t.Fatalf("replays = %d, want 6", got)
+	}
+}
+
+// walCAS assembles a WAL-backed CAS (MemVFS, SyncGroup — the daemon's
+// layout) on a fake clock.
+func walCAS(t testing.TB) *CAS {
+	t.Helper()
+	eng, err := sqldb.Open(sqldb.Options{VFS: sqldb.NewMemVFS(), Path: "cas.wal", Sync: sqldb.SyncGroup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cas, err := New(Options{Engine: eng, Clock: &fakeClock{t: vtime.Epoch}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cas.Close()
+		eng.Close()
+	})
+	return cas
+}
+
+// runningPool registers nodes × 4 VMs and runs a job on every VM; it
+// returns each node's completion heartbeat.
+func runningPool(t testing.TB, s *Service, nodes int) []*HeartbeatRequest {
+	t.Helper()
+	ctx := context.Background()
+	if _, err := s.Submit(ctx, &SubmitRequest{Owner: "alice", Count: 4 * nodes, LengthSec: 60}); err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]*HeartbeatRequest, nodes)
+	for i := range reqs {
+		reqs[i] = &HeartbeatRequest{Machine: fmt.Sprintf("node-%04d", i), Boot: true, TotalMemoryMB: 2048, VMs: idleVMs(4)}
+		if _, err := s.Heartbeat(ctx, reqs[i]); err != nil {
+			t.Fatal(err)
+		}
+		reqs[i].Boot = false
+	}
+	for {
+		st, err := s.ScheduleCycle(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Matched == 0 {
+			break
+		}
+	}
+	for _, req := range reqs {
+		resp, err := s.Heartbeat(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.VMs = nil
+		for _, cmd := range resp.Commands {
+			if cmd.Command != CmdMatchInfo {
+				t.Fatalf("%s: %+v, want MATCHINFO for every VM", req.Machine, cmd)
+			}
+			acc, err := s.AcceptMatch(ctx, &AcceptMatchRequest{Machine: req.Machine, Seq: cmd.Seq, MatchID: cmd.MatchID, JobID: cmd.JobID})
+			if err != nil || !acc.OK {
+				t.Fatalf("accept: %+v, %v", acc, err)
+			}
+			req.VMs = append(req.VMs, VMStatus{Seq: cmd.Seq, State: "claimed", JobID: cmd.JobID, Phase: "completed"})
+		}
+	}
+	return reqs
+}
+
+// TestKeyedReplyRecordSize: the reply a 4-VM completion beat stores is
+// one insert into wire_replies, logged in the beat's commit group. The
+// same beat, keyed on one CAS and unkeyed on an identical one, commits
+// groups that differ by exactly that record.
+func TestKeyedReplyRecordSize(t *testing.T) {
+	const budget = 110 // bytes, before framing; 345 when the reply was stored as XML
+	group := func(key string) int {
+		cas := walCAS(t)
+		req := runningPool(t, cas.Service, 1)[0]
+		from := cas.Engine.DurableLSN()
+		ctx := context.Background()
+		if key != "" {
+			ctx = withPendingReply(ctx, key, ActionHeartbeat)
+		}
+		resp, err := cas.Service.Heartbeat(ctx, req)
+		if err != nil || len(resp.Commands) != 4 || resp.Commands[3].Command != CmdOK {
+			t.Fatalf("completion beat: %+v, %v", resp, err)
+		}
+		batches, _, err := cas.Engine.CommittedSince(from, 0)
+		if err != nil || len(batches) != 1 {
+			t.Fatalf("%d groups committed by one beat, %v", len(batches), err)
+		}
+		return len(batches[0].Data)
+	}
+	key := wire.NewIdempotencyKey()
+	record := group(key) - group("")
+	t.Logf("wire_replies insert record: %d bytes with a %d-byte key", record, len(key))
+	if record > budget {
+		t.Errorf("a 4-VM completion beat's reply record is %d bytes, budget %d", record, budget)
+	}
+}
+
 func TestHeartbeatSheddableClassifier(t *testing.T) {
 	env := func(key string, req *HeartbeatRequest) *wire.Envelope {
-		payload, err := wire.MarshalPayload(req)
+		payload, err := xml.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +505,7 @@ func TestMuxShedsStaleHeartbeats(t *testing.T) {
 
 	// A delta-free heartbeat whose Sent stamp aged past FreshFor. Local
 	// stamps Sent with the current time, so frame the envelope by hand.
-	payload, err := wire.MarshalPayload(&HeartbeatRequest{
+	payload, err := xml.Marshal(&HeartbeatRequest{
 		Machine: "node1", VMs: []VMStatus{{Seq: 0, State: "idle"}},
 	})
 	if err != nil {

@@ -72,7 +72,7 @@ func BenchmarkHeartbeatOverload(b *testing.B) {
 	// past FreshFor, so a contended gate sheds it instead of queueing.
 	stale := make([][]byte, workers)
 	for i := range stale {
-		payload, err := wire.MarshalPayload(benchHeartbeat(i, vmsPer))
+		payload, err := xml.Marshal(benchHeartbeat(i, vmsPer))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -125,8 +125,9 @@ var Schema = []string{
 	// Durable idempotency-key dedup store (wire-path fault tolerance): a
 	// mutating action's reply is inserted here in the same transaction as
 	// its effects, so "did this key already run?" and "what did it answer?"
-	// are one WAL-recovered fact. A retried key replays the stored payload
-	// instead of re-executing; rows age out via reply_retention_sec.
+	// are one WAL-recovered fact. A retried key replays the stored reply
+	// instead of re-executing; the payload is the reply packed (wire.Pack),
+	// opaque to SQL. Rows age out via reply_retention_sec.
 	`CREATE TABLE IF NOT EXISTS wire_replies (
 		key TEXT PRIMARY KEY,
 		action TEXT NOT NULL,

@@ -897,6 +897,7 @@ func (s *Service) ConfigGet(ctx context.Context, req *ConfigGetRequest) (*Config
 
 // ConfigSet updates a configuration value, keeping history.
 func (s *Service) ConfigSet(ctx context.Context, req *ConfigSetRequest) (*ConfigSetResponse, error) {
+	resp := &ConfigSetResponse{OK: true}
 	err := s.c.InTx(ctx, func(tx *sqldb.Tx) error {
 		name, value, now := sqldb.NewText(req.Name), sqldb.NewText(req.Value), sqldb.NewTime(s.now())
 		res, err := txExec(tx, `UPDATE config SET value = ?, updated_at = ? WHERE name = ?`, value, now, name)
@@ -908,8 +909,10 @@ func (s *Service) ConfigSet(ctx context.Context, req *ConfigSetRequest) (*Config
 				return err
 			}
 		}
-		_, err = txExec(tx, `INSERT INTO config_history (name, value, changed_at) VALUES (?, ?, ?)`, name, value, now)
-		return err
+		if _, err := txExec(tx, `INSERT INTO config_history (name, value, changed_at) VALUES (?, ?, ?)`, name, value, now); err != nil {
+			return err
+		}
+		return s.saveReply(ctx, tx, resp)
 	})
 	if err != nil {
 		return nil, err
@@ -917,7 +920,7 @@ func (s *Service) ConfigSet(ctx context.Context, req *ConfigSetRequest) (*Config
 	if s.onConfigSet != nil {
 		s.onConfigSet(req.Name, req.Value)
 	}
-	return &ConfigSetResponse{OK: true}, nil
+	return resp, nil
 }
 
 // configInt reads an integer config value with a default.
@@ -940,14 +943,19 @@ func (s *Service) RegisterDataset(ctx context.Context, req *RegisterDatasetReque
 		ver = 1
 	}
 	ds := &Dataset{Name: req.Name, Version: ver, CreatedAt: s.now()}
+	resp := &RegisterDatasetResponse{}
 	err := s.c.InTx(ctx, func(tx *sqldb.Tx) error {
 		ds.ID = 0
-		return beans.Insert(tx, ds)
+		if err := beans.Insert(tx, ds); err != nil {
+			return err
+		}
+		resp.ID = ds.ID
+		return s.saveReply(ctx, tx, resp)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &RegisterDatasetResponse{ID: ds.ID}, nil
+	return resp, nil
 }
 
 // Provenance answers "what executable and input data generated this output

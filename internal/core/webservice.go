@@ -48,7 +48,8 @@ func NewMux(s *Service) *wire.Mux {
 	mux := wire.NewMux()
 	// The mutating actions clients retry are wrapped with idempotency-key
 	// dedup (dedup.go): a retried key replays the stored reply instead of
-	// double-submitting, double-claiming or re-processing a completion.
+	// double-submitting, double-claiming, re-processing a completion,
+	// writing a second config history row or registering a dataset twice.
 	// Mutating actions are additionally write-gated: a replication
 	// follower answers them with a NotLeader redirect instead of
 	// diverging from the leader's log.
@@ -60,8 +61,8 @@ func NewMux(s *Service) *wire.Mux {
 	mux.Handle(ActionQueueStatus, wire.Typed(s.QueueStatus))
 	mux.Handle(ActionUserStats, wire.Typed(s.UserStats))
 	mux.Handle(ActionConfigGet, wire.Typed(s.ConfigGet))
-	mux.Handle(ActionConfigSet, writeGated(s, wire.Typed(s.ConfigSet)))
-	mux.Handle(ActionRegisterData, writeGated(s, wire.Typed(s.RegisterDataset)))
+	mux.Handle(ActionConfigSet, writeGated(s, keyedHandler(s, s.ConfigSet)))
+	mux.Handle(ActionRegisterData, writeGated(s, keyedHandler(s, s.RegisterDataset)))
 	mux.Handle(ActionProvenance, wire.Typed(s.Provenance))
 	return mux
 }

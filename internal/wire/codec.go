@@ -16,9 +16,10 @@ import (
 // struct tags, into a codec that appends the element straight into a
 // caller-supplied buffer and decodes it with a pull scanner over the
 // request bytes. The bytes written are those encoding/xml's Marshal
-// writes for the same value — replies persisted in wire_replies are
-// replayed verbatim beside freshly encoded ones, so the two must never
-// differ — and the decoder accepts what encoding/xml's Unmarshal accepts
+// writes for the same value, and depend on the value alone: a stored
+// reply is kept packed (pack.go) and encoded again when it is replayed,
+// and the replay must repeat the first answer byte for byte. The decoder
+// accepts what encoding/xml's Unmarshal accepts
 // for these types: an XML declaration, comments, processing instructions,
 // CDATA, the five named and all numeric entities, self-closing and
 // unknown elements, prefixed names (matched on their local part), and
@@ -50,6 +51,12 @@ type codec struct {
 	attrs  []field // ,attr fields in declaration order
 	elems  []field // element fields in declaration order
 	inner  int     // index of the ,innerxml field, -1 if none
+
+	// packed is every field in declaration order, the ,innerxml one as a
+	// string: the layout of the packed form (pack.go). minPacked is the
+	// fewest bytes a packed value takes.
+	packed    []field
+	minPacked int
 }
 
 // A field is one attribute or child element of a codec's struct.
@@ -211,6 +218,14 @@ func compile(t reflect.Type, outer []reflect.Type) (*codec, error) {
 	if c.inner >= 0 && len(c.elems) > 0 {
 		return bad(",innerxml beside element fields")
 	}
+	c.packed = slices.Concat(c.attrs, c.elems)
+	if c.inner >= 0 {
+		c.packed = append(c.packed, field{index: c.inner, kind: reflect.String})
+	}
+	slices.SortFunc(c.packed, func(a, b field) int { return a.index - b.index })
+	for i := range c.packed {
+		c.minPacked += c.packed[i].minPacked()
+	}
 	return c, nil
 }
 
@@ -247,11 +262,8 @@ func isNameByte(c byte) bool {
 // ---- encoding ----
 
 // appendPayload appends payload's element to dst: a struct or a pointer
-// to one (nil encodes as nothing), or pre-encoded RawPayload bytes.
+// to one (nil encodes as nothing).
 func appendPayload(dst []byte, payload any) ([]byte, error) {
-	if raw, ok := payload.(RawPayload); ok {
-		return append(dst, raw...), nil
-	}
 	v := reflect.ValueOf(payload)
 	for v.Kind() == reflect.Pointer {
 		if v.IsNil() {

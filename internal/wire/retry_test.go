@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -249,18 +250,27 @@ func TestEnvelopeCarriesKeyAndSent(t *testing.T) {
 	}
 }
 
-func TestRawPayloadFramedVerbatim(t *testing.T) {
-	mux := NewMux()
-	stored := []byte(`<pingResp><Greeting>replayed</Greeting><Doubled>42</Doubled></pingResp>`)
-	mux.Handle("ping", func(ctx context.Context, env *Envelope) (any, error) {
-		return RawPayload(stored), nil
-	})
-	var resp pingResp
-	if err := (&Local{Mux: mux}).Call(context.Background(), "ping", &pingReq{}, &resp); err != nil {
+// TestReplayedReplyFramedVerbatim: a reply kept packed and unpacked again
+// frames into the same response envelope, byte for byte, as the original.
+func TestReplayedReplyFramedVerbatim(t *testing.T) {
+	orig := &pingResp{Greeting: "replayed <&> \xff", Doubled: -42}
+	packed, err := Pack(nil, orig)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Greeting != "replayed" || resp.Doubled != 42 {
-		t.Fatalf("resp = %+v", resp)
+	mux := NewMux()
+	mux.Handle("fresh", func(ctx context.Context, env *Envelope) (any, error) { return orig, nil })
+	mux.Handle("replay", func(ctx context.Context, env *Envelope) (any, error) {
+		var resp pingResp
+		return &resp, Unpack(packed, &resp)
+	})
+	fresh, _ := Encode("fresh", &pingReq{})
+	replay, _ := Encode("replay", &pingReq{})
+	want := mux.Dispatch(context.Background(), fresh)
+	got := mux.Dispatch(context.Background(), replay)
+	want = bytes.Replace(want, []byte(`"freshResponse"`), []byte(`"replayResponse"`), 1)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("replayed envelope\n %q\nfresh envelope\n %q", got, want)
 	}
 }
 

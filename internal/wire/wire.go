@@ -78,11 +78,6 @@ func AsFault(err error) (*Fault, bool) {
 	return nil, false
 }
 
-// RawPayload is a pre-encoded response payload. A handler returning one
-// (the dedup layer replaying a stored reply) has its bytes framed into
-// the response envelope verbatim instead of being re-marshalled.
-type RawPayload []byte
-
 // maxBody bounds an envelope in either direction. A larger body is
 // refused whole (HTTP 413) rather than cut short and mis-decoded.
 const maxBody = 16 << 20
@@ -198,22 +193,6 @@ func Encode(action string, payload any) ([]byte, error) {
 	b := newBuffer()
 	defer b.release()
 	if err := b.encode(action, "", 0, payload); err != nil {
-		return nil, err
-	}
-	return bytes.Clone(b.b), nil
-}
-
-// MarshalPayload encodes a payload value exactly as it would appear
-// inside an envelope (RawPayload passes through untouched). The reply
-// store uses it to persist responses in wire form.
-func MarshalPayload(payload any) ([]byte, error) {
-	if raw, ok := payload.(RawPayload); ok {
-		return raw, nil
-	}
-	b := newBuffer()
-	defer b.release()
-	var err error
-	if b.b, err = appendPayload(b.b, payload); err != nil {
 		return nil, err
 	}
 	return bytes.Clone(b.b), nil
