@@ -151,7 +151,7 @@ race-cancel:
 	$(GO) test -race -count=1 -run 'Cancel|Timeout|Deadline|Fault' ./internal/sqldb ./internal/core ./internal/wire ./cmd/cj2sql
 
 # The -race plan-cache suite: concurrent hammer on one cached statement,
-# epoch invalidation under DDL/ANALYZE churn, stmt-cache clock sweeps. A
+# epoch invalidation under DDL and row-count drift, stmt-cache clock sweeps. A
 # quick local subset: `make race` (and so `make check`) runs all of it.
 race-plancache:
 	$(GO) test -race -count=1 -run 'PlanCache|StmtCache|ExplainCached' ./internal/sqldb

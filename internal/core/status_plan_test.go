@@ -1,10 +1,11 @@
 package core
 
 // EXPLAIN-pinned plans for the CAS's hot multi-way join queries (the
-// paper's matchmaking/status/provenance reads). These lock in that, with
-// statistics in place, the cost-based planner drives each join from the
-// selective side and probes the rest through indexes — and that the
-// whole thing runs as a lock-free snapshot read. A schema or planner
+// paper's matchmaking/status/provenance reads). The plans pinned are the
+// ones the daemon runs: costed from the schema's indexes and live row
+// counts alone, the cost-based planner drives each join from the
+// selective side and probes the rest through indexes — and the whole
+// thing runs as a lock-free snapshot read. A schema or planner
 // regression that degrades one of these to a seq-scan nested loop fails
 // here long before it shows up as a throughput cliff.
 
@@ -18,7 +19,7 @@ import (
 )
 
 // statusPlanFixture loads a realistically-shaped cluster (machines with
-// VMs, jobs, matches, provenance records) and refreshes statistics.
+// VMs, jobs, matches, provenance records).
 func statusPlanFixture(t *testing.T) *CAS {
 	t.Helper()
 	cas, _ := newTestCAS(t)
@@ -45,9 +46,6 @@ func statusPlanFixture(t *testing.T) *CAS {
 	exec(`INSERT INTO executables (name, version) VALUES ('sim', 'v1')`)
 	for j := 1; j <= 50; j++ {
 		exec(`INSERT INTO job_executables (job_id, executable_id) VALUES (?, 1)`, j)
-	}
-	if _, err := cas.Engine.Exec(`ANALYZE`); err != nil {
-		t.Fatalf("ANALYZE: %v", err)
 	}
 	return cas
 }

@@ -114,12 +114,6 @@ type DeleteStmt struct {
 	plan planSlot
 }
 
-// AnalyzeStmt is ANALYZE [table]: refresh the cardinality statistics the
-// cost-based join planner runs on. An empty Table analyzes every table.
-type AnalyzeStmt struct {
-	Table string
-}
-
 // BeginStmt, CommitStmt and RollbackStmt control explicit transactions.
 type (
 	// BeginStmt is BEGIN [TRANSACTION] [READ ONLY]. ReadOnly selects a
@@ -136,7 +130,6 @@ func (*CreateIndexStmt) stmtNode() {}
 func (*DropTableStmt) stmtNode()   {}
 func (*DropIndexStmt) stmtNode()   {}
 func (*InsertStmt) stmtNode()      {}
-func (*AnalyzeStmt) stmtNode()     {}
 func (*SelectStmt) stmtNode()      {}
 func (*UpdateStmt) stmtNode()      {}
 func (*DeleteStmt) stmtNode()      {}

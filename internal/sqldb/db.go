@@ -120,7 +120,7 @@ type DB struct {
 	entriesRemoved  atomic.Uint64
 
 	// Replication state (see repl.go): the newest LSN applied through
-	// FollowerApply (or recovered from this node's own log) plus the
+	// ApplyCommitted (or recovered from this node's own log) plus the
 	// follower-apply counters.
 	replApplied        atomic.Uint64
 	replBatchesApplied atomic.Uint64
@@ -143,7 +143,6 @@ type DB struct {
 	plannerNestedLoops atomic.Uint64
 	plannerBuildRows   atomic.Uint64
 	plannerProbeRows   atomic.Uint64
-	plannerAnalyzeRuns atomic.Uint64
 
 	// Batched-executor state (see executor.go).
 	execAggQueries   atomic.Uint64
@@ -944,16 +943,6 @@ func (tx *Tx) execStmt(stmt Statement, params []Value) (Result, *Rows, error) {
 	case *DeleteStmt:
 		res, err := tx.execDelete(s, params)
 		return res, nil, err
-	case *AnalyzeStmt:
-		if tx.readOnly {
-			return Result{}, nil, ErrReadOnly
-		}
-		if !tx.implicit {
-			return Result{}, nil, fmt.Errorf("sqldb: ANALYZE is not allowed inside an explicit transaction")
-		}
-		err := tx.execAnalyze(s)
-		tx.db.emit(StmtStats{Kind: "ANALYZE", Table: s.Table})
-		return Result{}, nil, err
 	case *CreateTableStmt, *CreateIndexStmt, *DropTableStmt, *DropIndexStmt:
 		if tx.readOnly {
 			return Result{}, nil, ErrReadOnly
@@ -1056,23 +1045,6 @@ func (db *DB) applyDDL(stmt Statement, tx *Tx) error {
 		}
 		if tx != nil {
 			tx.recordDDL("DROP TABLE " + name)
-		}
-		return nil
-	case *AnalyzeStmt:
-		// Recovery replay: ANALYZE records are logged after the data they
-		// describe, so recomputing here reproduces the pre-crash statistics.
-		if s.Table != "" {
-			tbl := db.tables[strings.ToLower(s.Table)]
-			if tbl == nil {
-				return fmt.Errorf("sqldb: no table %s", s.Table)
-			}
-			tbl.analyze()
-			db.plannerAnalyzeRuns.Add(1)
-		} else {
-			for _, tbl := range db.tables {
-				tbl.analyze()
-				db.plannerAnalyzeRuns.Add(1)
-			}
 		}
 		return nil
 	case *DropIndexStmt:

@@ -2,7 +2,7 @@ package sqldb
 
 // Tests for the cost-based join layer: LEFT JOIN edge semantics through
 // hash joins (NULL padding, ON-vs-WHERE placement, duplicate build keys,
-// empty build/probe inputs), statistics-driven reordering, and the
+// empty build/probe inputs), row-count-driven reordering, and the
 // extended EXPLAIN output. Everything result-shaped is cross-checked
 // against the oracle, refQuery.
 
@@ -58,7 +58,6 @@ func hashJoinFixture(t *testing.T) *DB {
 	for i := 1; i <= 90; i++ {
 		mustExec(t, db, `INSERT INTO inner_t VALUES (?, ?, ?)`, i, i%30, fmt.Sprintf("v%d", i))
 	}
-	mustExec(t, db, `ANALYZE`)
 	return db
 }
 
@@ -154,7 +153,6 @@ func TestHashJoinDuplicateBuildKeys(t *testing.T) {
 		mustExec(t, db, `INSERT INTO l VALUES (?, ?)`, i%3, i)
 		mustExec(t, db, `INSERT INTO r VALUES (?, ?)`, i%3, i)
 	}
-	mustExec(t, db, `ANALYZE`)
 	rows := crossCheck(t, db, `SELECT l.n, r.m FROM l JOIN r ON l.k = r.k`)
 	if rows.Len() != 3*20*20 {
 		t.Fatalf("duplicate-key join rows = %d, want %d", rows.Len(), 3*20*20)
@@ -209,7 +207,6 @@ func TestHashJoinBuildOuterSide(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		mustExec(t, db, `INSERT INTO big VALUES (?, ?)`, i%16, i)
 	}
-	mustExec(t, db, `ANALYZE`)
 	plan := explainPlan(t, db, `SELECT s.t, b.v FROM small s JOIN big b ON b.k = s.k`)
 	if !strings.Contains(plan[1][2], "BUILD OUTER") {
 		t.Logf("plan = %v (build side is an estimate; correctness checked below)", plan)
@@ -246,7 +243,6 @@ func TestJoinReorderUsesStatistics(t *testing.T) {
 	for i := 1; i <= 5; i++ {
 		mustExec(t, db, `INSERT INTO tiny VALUES (?, ?)`, i, fmt.Sprintf("t%d", i))
 	}
-	mustExec(t, db, `ANALYZE`)
 	// Syntactically huge comes first; the planner should drive from tiny
 	// (filtered to one row by pk) and probe huge.
 	sql := `SELECT h.id, t.name FROM huge h JOIN tiny t ON t.id = h.ref WHERE t.id = 3`
@@ -338,7 +334,6 @@ func TestThreeWaySegmentReorderWithLeftBarrier(t *testing.T) {
 			mustExec(t, db, `INSERT INTO c VALUES (?, ?)`, i, i)
 		}
 	}
-	mustExec(t, db, `ANALYZE`)
 	// LEFT JOIN is a reorder barrier: a/b may swap, c stays last.
 	sql := `SELECT a.id, c.id FROM a JOIN b ON b.aid = a.id LEFT JOIN c ON c.bid = b.id WHERE a.x = 3`
 	plan := explainPlan(t, db, sql)

@@ -8,8 +8,8 @@ package sqldb
 // through refQuery, the naive evaluator in refquery_test.go, and the
 // result sets must be identical. Each case runs its query as a snapshot
 // read, as a locked read inside a read-write transaction (table and row
-// locks), and again after each of three rounds of writes and schema and
-// statistics churn — once in a snapshot opened before the round, whose
+// locks), and again after each of three rounds of writes and schema or
+// cardinality churn — once in a snapshot opened before the round, whose
 // rows the oracle reads at that snapshot's timestamp.
 // About a quarter of the queries end in ORDER BY over every output and a
 // LIMIT with an OFFSET: the top-K over joins and aggregated rows, compared
@@ -58,12 +58,14 @@ func TestJoinFuzz(t *testing.T) {
 		cases = 50
 	}
 	var agg PlannerStats
+	var drifts uint64
 	ordered, oneTable := 0, 0
 	for i := 0; i < cases; i++ {
-		s, o, one := runJoinFuzzCase(t, base+int64(i))
+		s, o, one, d := runJoinFuzzCase(t, base+int64(i))
 		if t.Failed() {
 			return
 		}
+		drifts += d
 		if o {
 			ordered++
 		}
@@ -75,23 +77,27 @@ func TestJoinFuzz(t *testing.T) {
 		agg.NestedLoops += s.NestedLoops
 		agg.Reordered += s.Reordered
 	}
-	t.Logf("joinfuzz coverage over %d cases: hash=%d indexNL=%d nestedLoop=%d reordered=%d ordered=%d oneTable=%d",
-		cases, agg.HashJoins, agg.IndexNLJoins, agg.NestedLoops, agg.Reordered, ordered, oneTable)
+	t.Logf("joinfuzz coverage over %d cases: hash=%d indexNL=%d nestedLoop=%d reordered=%d ordered=%d oneTable=%d drift=%d",
+		cases, agg.HashJoins, agg.IndexNLJoins, agg.NestedLoops, agg.Reordered, ordered, oneTable, drifts)
 	// The corpus must actually exercise every strategy — a fuzzer that
-	// only ever plans nested loops proves nothing about hash joins — and
-	// the one-step plan single-table statements and DML targets run.
+	// only ever plans nested loops proves nothing about hash joins —, the
+	// one-step plan single-table statements and DML targets run, and the
+	// replan of a plan whose row counts drifted.
 	if cases >= 100 {
-		if agg.HashJoins == 0 || agg.IndexNLJoins == 0 || agg.NestedLoops == 0 || agg.Reordered == 0 || oneTable == 0 {
-			t.Fatalf("joinfuzz corpus missed a strategy: %+v, %d one-table cases", agg, oneTable)
+		if agg.HashJoins == 0 || agg.IndexNLJoins == 0 || agg.NestedLoops == 0 || agg.Reordered == 0 || oneTable == 0 || drifts == 0 {
+			t.Fatalf("joinfuzz corpus missed a strategy: %+v, %d one-table cases, %d drift replans", agg, oneTable, drifts)
 		}
 	}
 }
 
-// fuzzTable describes one generated table.
+// fuzzTable describes one generated table. rows is the most rows it has
+// held since it last grew (deletes only lower the count in between), and
+// ids the primary-key values handed out so far.
 type fuzzTable struct {
 	name  string
 	hasPK bool
 	rows  int
+	ids   int
 }
 
 // Column palette shared by every generated table: three INTEGERs (id, a,
@@ -128,8 +134,9 @@ func newJoinFuzzDB(t *testing.T) *DB {
 }
 
 // runJoinFuzzCase runs the case of seed, reporting the planner's counters,
-// whether its query was ordered and whether it read one table.
-func runJoinFuzzCase(t *testing.T, seed int64) (s PlannerStats, ordered, oneTable bool) {
+// whether its query was ordered, whether it read one table, and how many
+// cached plans its growth rounds found drifted.
+func runJoinFuzzCase(t *testing.T, seed int64) (s PlannerStats, ordered, oneTable bool, drifts uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	db := newJoinFuzzDB(t)
@@ -145,6 +152,7 @@ func runJoinFuzzCase(t *testing.T, seed int64) (s PlannerStats, ordered, oneTabl
 	tables := make([]fuzzTable, nt)
 	for ti := 0; ti < nt; ti++ {
 		ft := fuzzTable{name: fmt.Sprintf("t%d", ti), hasPK: rng.Intn(2) == 0, rows: rng.Intn(31)}
+		ft.ids = ft.rows
 		tables[ti] = ft
 		var defs []string
 		for ci, c := range fuzzCols {
@@ -171,10 +179,6 @@ func runJoinFuzzCase(t *testing.T, seed int64) (s PlannerStats, ordered, oneTabl
 				ft.name, id, fuzzIntLit(rng), fuzzIntLit(rng), fuzzTextLit(rng), fuzzFloatLit(rng)))
 		}
 	}
-	if rng.Intn(2) == 0 {
-		run("ANALYZE")
-	}
-
 	query, where, ordered := buildFuzzQuery(rng, tables)
 	oneTable = nt == 1
 	fail := func(format string, args ...any) {
@@ -231,14 +235,16 @@ func runJoinFuzzCase(t *testing.T, seed int64) (s PlannerStats, ordered, oneTabl
 	check("locked read", rows, err)
 	checkTarget("update target")
 
-	// Schema and statistics churn — CREATE INDEX, DROP INDEX, ANALYZE —
-	// between rounds, each running the query twice: the first replans past
-	// the epoch the churn moved, the second runs the plan it cached. A stale
-	// plan that survives an epoch bump (or an epoch bump that fails to
-	// happen) surfaces as a result that differs from the oracle's. Each
+	// Schema and cardinality churn — CREATE INDEX, DROP INDEX, or a bulk
+	// insert growing one table past twice the rows any plan was costed at
+	// — between rounds, each running the query twice: the first replans
+	// past the epoch the churn moved, the second runs the plan it cached. A
+	// stale plan that survives an epoch bump (or an epoch bump that fails
+	// to happen) surfaces as a result that differs from the oracle's. Each
 	// round first opens a snapshot and then, before its churn, moves
 	// indexed columns of a few rows and deletes a few more: the snapshot,
-	// older than the round's index, must read its own rows through it.
+	// older than the round's index or rows, must read its own rows
+	// through it.
 	for round := 0; round < 3; round++ {
 		snap, err := db.BeginReadOnly()
 		if err != nil {
@@ -249,6 +255,7 @@ func runJoinFuzzCase(t *testing.T, seed int64) (s PlannerStats, ordered, oneTabl
 		run(fmt.Sprintf("UPDATE %s SET a = %s, b = %s, s = %s WHERE a = %d",
 			ft.name, fuzzIntLit(rng), fuzzIntLit(rng), fuzzTextLit(rng), rng.Intn(8)))
 		run(fmt.Sprintf("DELETE FROM %s WHERE b = %d", tables[rng.Intn(nt)].name, rng.Intn(8)))
+		grown := false
 		switch rng.Intn(3) {
 		case 0:
 			tn := tables[rng.Intn(nt)].name
@@ -256,8 +263,10 @@ func runJoinFuzzCase(t *testing.T, seed int64) (s PlannerStats, ordered, oneTabl
 		case 1:
 			run(fmt.Sprintf("DROP INDEX IF EXISTS ix_%s_1", tables[rng.Intn(nt)].name))
 		case 2:
-			run("ANALYZE")
+			growFuzzTable(t, db, rng, &tables[rng.Intn(nt)], run)
+			grown = true
 		}
+		before := db.PlanCacheStats().Invalidations
 		expect(snap.Snapshot())
 		rows, err := snap.Query(query)
 		snap.Rollback()
@@ -269,8 +278,36 @@ func runJoinFuzzCase(t *testing.T, seed int64) (s PlannerStats, ordered, oneTabl
 			check(run, rows, err)
 			checkTarget(run)
 		}
+		if grown {
+			drifts += db.PlanCacheStats().Invalidations - before
+		}
 	}
-	return db.PlannerStats(), ordered, oneTable
+	return db.PlannerStats(), ordered, oneTable, drifts
+}
+
+// growFuzzTable inserts, in one statement, enough rows to take ft past
+// twice the most rows it has held since it last grew. A plan is costed at
+// a count no higher than that, so every cached plan reading ft leaves the
+// drift window (plancache.go) and replans.
+func growFuzzTable(t *testing.T, db *DB, rng *rand.Rand, ft *fuzzTable, run func(string)) {
+	t.Helper()
+	rows, err := db.Query("SELECT count(*) FROM " + ft.name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := int(rows.Data[0][0].Int64())
+	var vals []string
+	for n := 2*ft.rows + 1 - live; n > 0; n-- {
+		ft.ids++
+		id := strconv.Itoa(ft.ids)
+		if !ft.hasPK {
+			id = fuzzIntLit(rng)
+		}
+		vals = append(vals, fmt.Sprintf("(%s, %s, %s, %s, %s)",
+			id, fuzzIntLit(rng), fuzzIntLit(rng), fuzzTextLit(rng), fuzzFloatLit(rng)))
+	}
+	run(fmt.Sprintf("INSERT INTO %s VALUES %s", ft.name, strings.Join(vals, ", ")))
+	ft.rows = 2*ft.rows + 1
 }
 
 // diffRows describes how the engine's result got differs from the

@@ -173,14 +173,26 @@ type pagedMeta struct {
 
 // metaTable is one table's catalog entry in checkpoint meta.
 type metaTable struct {
-	tableID  uint32
-	analyzed bool
-	ddl      string
-	indexes  []string // secondary index DDLs (pk_/uq_ implied by table DDL)
+	tableID uint32
+	ddl     string
+	indexes []string // secondary index DDLs (pk_/uq_ implied by table DDL)
 }
 
-var metaMagic = []byte("cj2m")
+// metaMagic names the meta layout. A sealed meta with any other magic —
+// "cj2m" was a layout with a statistics byte per table — is refused.
+var metaMagic = []byte("cj2n")
 var metaCRC = crc32.MakeTable(crc32.Castagnoli)
+
+// metaSealed reports whether p is a whole meta write: long enough for a
+// magic and a checksum, its trailing CRC32C matching the body. A torn
+// write is not sealed.
+func metaSealed(p []byte) bool {
+	if len(p) < len(metaMagic)+4 {
+		return false
+	}
+	body, tail := p[:len(p)-4], p[len(p)-4:]
+	return crc32.Checksum(body, metaCRC) == binary.LittleEndian.Uint32(tail)
+}
 
 func encodeMeta(m *pagedMeta) []byte {
 	var buf bytes.Buffer
@@ -194,11 +206,6 @@ func encodeMeta(m *pagedMeta) []byte {
 	for i := range m.tables {
 		mt := &m.tables[i]
 		writeUvarint(&buf, uint64(mt.tableID))
-		if mt.analyzed {
-			buf.WriteByte(1)
-		} else {
-			buf.WriteByte(0)
-		}
 		writeString(&buf, mt.ddl)
 		writeUvarint(&buf, uint64(len(mt.indexes)))
 		for _, ix := range mt.indexes {
@@ -212,18 +219,15 @@ func encodeMeta(m *pagedMeta) []byte {
 	return buf.Bytes()
 }
 
-// decodeMeta parses a checkpoint-meta image. Its bytes come from disk, so
+// decodeMeta parses a checkpoint-meta image: sealed, this layout's magic,
+// and a body that parses to its last byte. Its bytes come from disk, so
 // like decodeRecord it bounds every count by the bytes that remain — a
-// table entry takes at least four, an index DDL at least one.
+// table entry takes at least three, an index DDL at least one.
 func decodeMeta(p []byte) (*pagedMeta, bool) {
-	if len(p) < len(metaMagic)+4 || !bytes.Equal(p[:len(metaMagic)], metaMagic) {
+	if !metaSealed(p) || !bytes.Equal(p[:len(metaMagic)], metaMagic) {
 		return nil, false
 	}
-	body, tail := p[:len(p)-4], p[len(p)-4:]
-	if crc32.Checksum(body, metaCRC) != binary.LittleEndian.Uint32(tail) {
-		return nil, false
-	}
-	rd := &byteReader{b: body[len(metaMagic):]}
+	rd := &byteReader{b: p[len(metaMagic) : len(p)-4]}
 	m := &pagedMeta{}
 	var ok bool
 	if m.gen, ok = rd.uvarint(); !ok {
@@ -257,11 +261,6 @@ func decodeMeta(p []byte) (*pagedMeta, bool) {
 			return nil, false
 		}
 		mt.tableID = uint32(id)
-		an, ok := rd.u8()
-		if !ok {
-			return nil, false
-		}
-		mt.analyzed = an != 0
 		if mt.ddl, ok = rd.str(); !ok {
 			return nil, false
 		}
@@ -276,6 +275,9 @@ func decodeMeta(p []byte) (*pagedMeta, bool) {
 			}
 		}
 	}
+	if rd.off != len(rd.b) {
+		return nil, false
+	}
 	return m, true
 }
 
@@ -286,8 +288,11 @@ func metaPaths(path string) (a, b string) {
 // readPagedMeta loads the newest valid checkpoint meta, or nil when none
 // exists (fresh store, or a crash before the first checkpoint completed
 // its meta write — in either case the WAL is complete, so full replay
-// covers everything). A meta file that cannot be read is an error, not an
-// absent one: Open decides the layout on this answer.
+// covers everything). A torn meta file is skipped: the other generation
+// stands. A meta file that cannot be read, or one that is sealed but not
+// in this layout (ErrLogFormat), is an error, not an absent one: Open
+// decides the layout on this answer, and a store that did checkpoint has
+// a truncated log.
 func readPagedMeta(vfs VFS, path string) (*pagedMeta, error) {
 	a, b := metaPaths(path)
 	var best *pagedMeta
@@ -296,7 +301,14 @@ func readPagedMeta(vfs VFS, path string) (*pagedMeta, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sqldb: reading checkpoint meta: %w", err)
 		}
-		if m, ok := decodeMeta(data); ok && (best == nil || m.gen > best.gen) {
+		m, ok := decodeMeta(data)
+		if !ok {
+			if metaSealed(data) {
+				return nil, fmt.Errorf("%w: checkpoint meta %s", ErrLogFormat, name)
+			}
+			continue
+		}
+		if best == nil || m.gen > best.gen {
 			best = m
 		}
 	}
@@ -454,7 +466,7 @@ func (db *DB) buildPagedMeta(ckptLSN uint64) *pagedMeta {
 	sort.Strings(names)
 	for _, n := range names {
 		tbl := db.tables[n]
-		mt := metaTable{tableID: tbl.tableID, analyzed: tbl.analyzed.Load(), ddl: tbl.schema.DDL()}
+		mt := metaTable{tableID: tbl.tableID, ddl: tbl.schema.DDL()}
 		for _, ix := range tbl.indexes {
 			if strings.HasPrefix(ix.schema.Name, "pk_") || strings.HasPrefix(ix.schema.Name, "uq_") {
 				continue // implied by the table DDL
@@ -536,7 +548,6 @@ func (db *DB) recoverPaged(meta *pagedMeta, data []byte) (int, error) {
 	// 1. Catalog from meta. applyDDL runs with st.recovering set so
 	// table IDs come from the meta, not the generator.
 	tableByID := make(map[uint32]*table)
-	var analyzeAfter []*table
 	if meta != nil {
 		st.recovering = true
 		for i := range meta.tables {
@@ -569,9 +580,6 @@ func (db *DB) recoverPaged(meta *pagedMeta, data []byte) (int, error) {
 					st.recovering = false
 					return 0, fmt.Errorf("sqldb: recovery: %w", err)
 				}
-			}
-			if mt.analyzed {
-				analyzeAfter = append(analyzeAfter, tbl)
 			}
 		}
 		st.recovering = false
@@ -714,13 +722,6 @@ func (db *DB) recoverPaged(meta *pagedMeta, data []byte) (int, error) {
 	if err := st.Err(); err != nil {
 		return 0, fmt.Errorf("sqldb: recovery: %w", err)
 	}
-
-	// 6. Statistics for tables analyzed before the checkpoint (tail
-	// ANALYZE records re-ran themselves during the redo).
-	for _, tbl := range analyzeAfter {
-		tbl.analyze()
-		db.plannerAnalyzeRuns.Add(1)
-	}
 	return good, nil
 }
 
@@ -753,10 +754,6 @@ func (db *DB) replayDDLLenient(stmt Statement) error {
 			}
 		}
 		if !found {
-			return nil
-		}
-	case *AnalyzeStmt:
-		if s.Table != "" && db.tables[strings.ToLower(s.Table)] == nil {
 			return nil
 		}
 	}

@@ -316,76 +316,6 @@ func TestCheckpointShrinksAndPreserves(t *testing.T) {
 	}
 }
 
-// TestAnalyzeSurvivesRecoveryAndCheckpoint is the stats-lifecycle audit:
-// ANALYZE logs a WAL record, recovery replays it after the data it
-// describes, and a checkpoint's catalog image carries it once the record
-// itself is truncated away — so a recovered database plans joins with the
-// same statistics (and the same EXPLAIN plan) as the pre-crash one, through
-// a log-only restart, the conversion to pages, and a checkpointed restart.
-func TestAnalyzeSurvivesRecoveryAndCheckpoint(t *testing.T) {
-	vfs := NewMemVFS()
-	db := openVFS(t, vfs)
-	mustExec(t, db, `CREATE TABLE big (id INTEGER PRIMARY KEY, k INTEGER)`)
-	mustExec(t, db, `CREATE TABLE sml (id INTEGER PRIMARY KEY, k INTEGER)`)
-	for i := 1; i <= 200; i++ {
-		mustExec(t, db, `INSERT INTO big VALUES (?, ?)`, i, i%20)
-	}
-	for i := 1; i <= 10; i++ {
-		mustExec(t, db, `INSERT INTO sml VALUES (?, ?)`, i, i)
-	}
-	mustExec(t, db, `ANALYZE`)
-	explainJoin := func(d *DB) string {
-		t.Helper()
-		rows := mustQuery(t, d, `EXPLAIN SELECT b.id FROM big b JOIN sml s ON s.k = b.k`)
-		var sb []string
-		for _, r := range rows.Data {
-			sb = append(sb, r[0].Text()+"/"+r[3].Text())
-		}
-		return strings.Join(sb, " -> ")
-	}
-	wantPlan := explainJoin(db)
-	db.Close()
-	audit := func(d *DB, after string) {
-		t.Helper()
-		tbl, err := d.lookupTable("big")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !tbl.analyzed.Load() {
-			t.Fatalf("%s dropped the ANALYZE state", after)
-		}
-		if st := tbl.findIndex("pk_big").stats.Load(); st == nil || st.distinct[0] != 200 {
-			t.Fatalf("pk stats after %s = %+v, want distinct 200", after, st)
-		}
-		if got := explainJoin(d); got != wantPlan {
-			t.Fatalf("plan after %s = %q, want %q", after, got, wantPlan)
-		}
-	}
-
-	// Plain WAL replay restores the statistics.
-	db2 := openVFS(t, vfs)
-	audit(db2, "log-only recovery")
-	db2.Close()
-
-	// Naming a pool converts the store — the whole log redone onto pages,
-	// ANALYZE record included — and a checkpoint then truncates that record
-	// away; the stats must ride along in the catalog image.
-	db3, err := Open(Options{VFS: vfs, Path: "test.wal", PoolPages: 16, PageSize: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	audit(db3, "conversion to pages")
-	if err := db3.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-	if data, _ := vfs.ReadFile("test.wal"); len(data) != 0 {
-		t.Fatalf("log after the checkpoint = %d bytes, want 0", len(data))
-	}
-	db4 := openVFS(t, vfs) // crash: no Close; the layout is read from the store
-	defer db4.Close()
-	audit(db4, "checkpoint")
-}
-
 func TestPagedCrashWithMixedTail(t *testing.T) {
 	vfs := NewMemVFS()
 	db := openPaged(t, vfs)
@@ -737,8 +667,8 @@ func TestPagedFollowerApply(t *testing.T) {
 			t.Fatalf("CommittedSince: %v", err)
 		}
 		for _, b := range batches {
-			if err := f.FollowerApply(b.LSN, b.Data); err != nil {
-				t.Fatalf("FollowerApply(%d): %v", b.LSN, err)
+			if err := f.ApplyCommitted([]CommittedBatch{b}); err != nil {
+				t.Fatalf("ApplyCommitted(%d): %v", b.LSN, err)
 			}
 		}
 	}

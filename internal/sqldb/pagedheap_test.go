@@ -386,10 +386,17 @@ func FuzzPageImage(f *testing.F) {
 	for _, h := range hostilePages(img) {
 		f.Add(h.img)
 	}
-	f.Add(encodeMeta(&pagedMeta{gen: 3, ckptLSN: 41, nextSeq: 900, nextTableID: 2, pageSize: 512, tables: []metaTable{
-		{tableID: 1, analyzed: true, ddl: "CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT)", indexes: []string{"CREATE INDEX byv ON t (v)"}},
+	meta := &pagedMeta{gen: 3, ckptLSN: 41, nextSeq: 900, nextTableID: 2, pageSize: 512, tables: []metaTable{
+		{tableID: 1, ddl: "CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT)", indexes: []string{"CREATE INDEX byv ON t (v)"}},
 		{tableID: 2, ddl: "CREATE TABLE u (x INTEGER)"},
-	}}))
+	}}
+	f.Add(encodeMeta(meta))
+	// The older layout is sealed but foreign: refused, not misread.
+	old := oldLayoutMeta(meta)
+	if _, ok := decodeMeta(old); ok || !metaSealed(old) {
+		f.Fatal("the older meta layout is not a sealed, refused image")
+	}
+	f.Add(old)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -400,7 +407,7 @@ func FuzzPageImage(f *testing.F) {
 		decodeMeta(resealMeta(data))
 		runtime.ReadMemStats(&after)
 		// A decoded value costs 32 bytes for at least one of input, a meta
-		// table entry 56 for at least four; live records cannot add up to
+		// table entry 48 for at least three; live records cannot add up to
 		// more than the page. The constant is room for the fuzz worker's
 		// own goroutines (see fuzzReader).
 		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(128*len(data)+(64<<10)); alloc > limit {

@@ -110,17 +110,6 @@ func (p *parser) parseStatement() (Statement, error) {
 		return p.parseUpdate()
 	case p.atKeyword("delete"):
 		return p.parseDelete()
-	case p.atKeyword("analyze"):
-		p.advance()
-		stmt := &AnalyzeStmt{}
-		if p.cur().kind == tkIdent && !reservedWords[p.cur().text] {
-			name, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			stmt.Table = name
-		}
-		return stmt, nil
 	case p.atKeyword("explain"):
 		p.advance()
 		inner, err := p.parseStatement()

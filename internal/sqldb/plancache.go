@@ -28,9 +28,10 @@ import (
 // by CREATE/DROP INDEX and DROP TABLE, on the leader, on followers
 // applying shipped WAL, and during recovery replay — all paths funnel
 // through applyDDL and the table methods) and a statsEpoch (bumped by
-// ANALYZE and by checkPlan itself when live cardinality drifts past the
-// replan threshold). A plan records both epochs per referenced table at
-// build time; any movement fails validation and the statement replans.
+// checkPlan when a table's live row count drifts past the replan threshold
+// from the count a plan was costed at). A plan records both epochs per
+// referenced table at build time; any movement fails validation and the
+// statement replans.
 // Nothing else goes into a plan: not the reader's snapshot (an index
 // serves every snapshot from the moment it exists, addIndexLocked) and
 // not its read mode (an access path locks by what it reads, narrows), so
@@ -77,8 +78,9 @@ type planStamp struct {
 	statsEpoch  uint64
 	// planRows is the live row count the plan was costed at. Validation
 	// declares the plan stale when the current count leaves
-	// [planRows/2, 2*planRows] — the statScale drift window beyond which
-	// distinct-prefix extrapolation (stats.go) stops being trustworthy.
+	// [planRows/2, 2*planRows]: past that window the row and distinct-key
+	// estimates (stats.go) the plan chose by are off by more than a factor
+	// of two.
 	planRows int64
 }
 

@@ -34,9 +34,6 @@ func BenchmarkPlanCacheHotPath(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if _, err := db.Exec(`ANALYZE`); err != nil {
-			b.Fatal(err)
-		}
 		return db
 	}
 

@@ -146,28 +146,10 @@ func TestPlanCacheDropTableRecreate(t *testing.T) {
 	}
 }
 
-func TestPlanCacheAnalyzeInvalidates(t *testing.T) {
-	db := newJobsDB(t)
-	mustExec(t, db, `INSERT INTO jobs (owner) VALUES ('u')`)
-	const q = `SELECT owner FROM jobs WHERE owner = ?`
-	mustQuery(t, db, q, "u")
-	p0 := cachedPlanOf(t, db, q)
-	mustExec(t, db, `ANALYZE`)
-	before := db.PlanCacheStats()
-	mustQuery(t, db, q, "u")
-	after := db.PlanCacheStats()
-	if after.Invalidations-before.Invalidations != 1 {
-		t.Fatalf("ANALYZE invalidations = %d, want 1", after.Invalidations-before.Invalidations)
-	}
-	if p := cachedPlanOf(t, db, q); p == p0 {
-		t.Fatal("plan survived ANALYZE")
-	}
-}
-
 // TestPlanCacheDriftReplanFlipsJoinOrder is the satellite-3 regression:
 // a table that grows far past what it was planned at must trip the
-// drift threshold in validation — without any ANALYZE — and the replan
-// must pick the other join order once the size relation inverts.
+// drift threshold in validation and the replan must pick the other join
+// order once the size relation inverts.
 func TestPlanCacheDriftReplanFlipsJoinOrder(t *testing.T) {
 	db := New()
 	defer db.Close()
@@ -179,7 +161,6 @@ func TestPlanCacheDriftReplanFlipsJoinOrder(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		mustExec(t, db, `INSERT INTO big VALUES (?)`, i%8)
 	}
-	mustExec(t, db, `ANALYZE`)
 
 	const q = `SELECT count(*) FROM small, big WHERE small.k = big.k AND small.k < ?`
 	want := mustQuery(t, db, q, 100).Data[0][0].Int64()
@@ -189,8 +170,8 @@ func TestPlanCacheDriftReplanFlipsJoinOrder(t *testing.T) {
 	}
 	order0 := drivingTable(t, p0)
 
-	// Grow "small" 100x past the cardinality it was planned at. No
-	// ANALYZE: only the drift check can notice.
+	// Grow "small" 100x past the cardinality it was planned at: only the
+	// drift check can notice.
 	for i := 0; i < 2970; i++ {
 		mustExec(t, db, `INSERT INTO small VALUES (?)`, i%8)
 	}

@@ -13,7 +13,7 @@ import (
 // CommittedSince reads them back (from an in-memory ring of recent
 // batches, kept while a ReplicationTap is registered, or the log file for
 // a follower further behind), and
-// FollowerApply replays them on a follower, re-stamping every version
+// ApplyCommitted replays them on a follower, re-stamping every version
 // through the follower's own MVCC commit clock so its snapshot readers
 // are always transactionally consistent — a group is invisible until the
 // instant its stamp publishes, exactly like a local commit.
@@ -78,7 +78,7 @@ func (db *DB) DurableLSN() uint64 {
 }
 
 // AppliedLSN is the newest LSN this node has applied — through
-// FollowerApply, or recovered from its own log at open.
+// ApplyCommitted, or recovered from its own log at open.
 func (db *DB) AppliedLSN() uint64 { return db.replApplied.Load() }
 
 // CommittedSince returns committed groups with LSN > afterLSN in log
@@ -248,18 +248,13 @@ func (w *wal) appendRaw(data []byte, lastLSN uint64) error {
 	return nil
 }
 
-// FollowerApply applies one committed group shipped from a leader. It is
-// idempotent: a batch at or below the applied horizon is skipped, which
-// is what makes shipping safe to retry. Batches must arrive in LSN order
-// (the shipping loop reads them in log order; LSNs may have gaps).
-func (db *DB) FollowerApply(lsn uint64, batch []byte) error {
-	return db.ApplyCommitted([]CommittedBatch{{LSN: lsn, Data: batch}})
-}
-
-// ApplyCommitted applies a run of shipped committed groups: validate
-// every batch, append them all to this node's own log with one sync
-// (durability first — the applied LSN must survive a restart), then redo
-// each group in order.
+// ApplyCommitted applies a run of committed groups shipped from a leader:
+// validate every batch, append them all to this node's own log with one
+// sync (durability first — the applied LSN must survive a restart), then
+// redo each group in order. It is idempotent: a batch at or below the
+// applied horizon is skipped, which is what makes shipping safe to retry.
+// Batches must arrive in LSN order (the shipping loop reads them in log
+// order; LSNs may have gaps).
 func (db *DB) ApplyCommitted(batches []CommittedBatch) error {
 	applied := db.replApplied.Load()
 	todo := batches[:0:0]
@@ -328,20 +323,35 @@ func (db *DB) ApplyCommitted(batches []CommittedBatch) error {
 // before any of it reaches this node's log, in the state the records ahead
 // of it in the run leave, and every table must exist. A group the
 // redo would refuse is then refused whole, not appended for every later
-// Open to meet. The first DDL record ends the check — what a statement
-// does to the catalog is applyDDL's to say — and past it the redo's own
-// checks, after the append, are what stand.
+// Open to meet. Every DDL record must parse to a statement applyDDL
+// applies; what it does to the catalog is applyDDL's to say, so the first
+// one ends the row checks, and past it the redo's own checks, after the
+// append, are what stand.
 func (db *DB) checkRun(groups [][]walRecord) error {
 	type slot struct {
 		tbl *table
 		rid int64
 	}
 	var live map[slot]bool
+	ddl := false
 	for _, recs := range groups {
 		for i := range recs {
 			r := &recs[i]
 			if r.op == walDDL {
-				return nil
+				stmt, err := Parse(r.sql)
+				if err != nil {
+					return fmt.Errorf("bad DDL %q: %w", r.sql, err)
+				}
+				switch stmt.(type) {
+				case *CreateTableStmt, *CreateIndexStmt, *DropTableStmt, *DropIndexStmt:
+				default:
+					return fmt.Errorf("DDL record %q is not a catalog change", r.sql)
+				}
+				ddl = true
+				continue
+			}
+			if ddl {
+				continue
 			}
 			tbl, err := db.lookupTable(r.table)
 			if err != nil {
@@ -505,7 +515,7 @@ type ReplStats struct {
 	DurableLSN uint64
 	// ServedLSN is the newest LSN handed to a CommittedSince caller.
 	ServedLSN uint64
-	// AppliedLSN is the newest LSN applied through FollowerApply (or
+	// AppliedLSN is the newest LSN applied through ApplyCommitted (or
 	// recovered from the node's own log).
 	AppliedLSN uint64
 	// BatchesApplied / RecordsApplied count follower-apply work.

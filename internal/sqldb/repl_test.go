@@ -23,7 +23,7 @@ func pump(t *testing.T, leader, follower *DB) int {
 			return n
 		}
 		for _, b := range batches {
-			if err := follower.FollowerApply(b.LSN, b.Data); err != nil {
+			if err := follower.ApplyCommitted([]CommittedBatch{b}); err != nil {
 				t.Fatal(err)
 			}
 			n++
@@ -241,7 +241,7 @@ func TestReplSnapshotConsistencyDuringApply(t *testing.T) {
 		}()
 	}
 	for _, b := range batches[seed:] {
-		if err := follower.FollowerApply(b.LSN, b.Data); err != nil {
+		if err := follower.ApplyCommitted([]CommittedBatch{b}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -299,13 +299,13 @@ func TestReplApplyRejectsCorruptBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := follower.FollowerApply(batches[0].LSN, batches[0].Data); err != nil {
+	if err := follower.ApplyCommitted(batches[:1]); err != nil {
 		t.Fatal(err)
 	}
 	mark := follower.AppliedLSN()
 	bad := append([]byte(nil), batches[1].Data...)
 	bad[len(bad)/2] ^= 0x01
-	if err := follower.FollowerApply(batches[1].LSN, bad); err == nil {
+	if err := follower.ApplyCommitted([]CommittedBatch{{LSN: batches[1].LSN, Data: bad}}); err == nil {
 		t.Fatal("corrupt batch accepted")
 	}
 	if follower.AppliedLSN() != mark {
@@ -315,7 +315,7 @@ func TestReplApplyRejectsCorruptBatch(t *testing.T) {
 		t.Fatal("apply error not counted")
 	}
 	// The pristine batch must still apply afterwards.
-	if err := follower.FollowerApply(batches[1].LSN, batches[1].Data); err != nil {
+	if err := follower.ApplyCommitted(batches[1:2]); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,100 +1,20 @@
 package sqldb
 
-// Cardinality statistics for the cost-based join planner. The paper's
+// Cardinality estimates for the cost-based join planner. The paper's
 // thesis — cluster management queries are relational queries — only holds
 // up operationally if the database picks good plans for the CAS's hot
 // multi-way joins (vm→matches→jobs status, job→executable→dataset
-// provenance). Plans are costed from two inputs:
+// provenance). Plans are costed from what the engine already maintains:
 //
-//   - live row counts, maintained incrementally by every insert/delete
+//   - live row counts, kept incrementally by every insert and delete
 //     (table.liveRows — always current, never stale);
-//   - distinct-key estimates per index prefix, computed by ANALYZE in one
-//     ordered walk of each index and scaled between refreshes by the ratio
-//     of the current row count to the row count at analyze time.
+//   - the indexes themselves: a unique index holds one row per full key,
+//     any other key prefix is assumed to take a tenth as many distinct
+//     values as the table has rows.
 //
-// ANALYZE is durable: it logs a WAL record, replays during recovery (after
-// the data it describes), and is re-emitted by Checkpoint, so a recovered
-// database plans with the same statistics the pre-crash one did.
-
-import "strings"
-
-// execAnalyze refreshes cardinality statistics for one table (or all)
-// under shared table locks — a stable count, serialized against writers —
-// and logs one WAL record per table so the refresh survives recovery.
-func (tx *Tx) execAnalyze(s *AnalyzeStmt) error {
-	db := tx.db
-	var names []string
-	if s.Table != "" {
-		names = []string{strings.ToLower(s.Table)}
-	} else {
-		names = db.TableNames()
-	}
-	if err := tx.lockTables(names, lockShared); err != nil {
-		return err
-	}
-	for _, n := range names {
-		tbl, err := db.lookupTable(n)
-		if err != nil {
-			return err
-		}
-		tbl.analyze()
-		tx.recordDDL("ANALYZE " + n)
-	}
-	// Counted per table so recovery (which replays one record per table)
-	// reproduces the same total.
-	db.plannerAnalyzeRuns.Add(uint64(len(names)))
-	return nil
-}
-
-// indexStats is one ANALYZE result for one index. Immutable once
-// published (swapped in atomically), so planners read it without locks.
-type indexStats struct {
-	// entries is the number of physical index entries at analyze time
-	// (includes not-yet-reclaimed entries of dead versions: an estimate).
-	entries int64
-	// distinct[k] is the number of distinct logical keys over the first
-	// k+1 indexed columns (rid tiebreaker excluded).
-	distinct []int64
-}
-
-// analyze recomputes distinct-key statistics for every index of the table
-// and records the live row count they were computed at. Readers of the
-// tree walk under the shared latch; concurrent writers only skew the
-// estimate, never corrupt it.
-func (t *table) analyze() {
-	t.latch.RLock()
-	defer t.latch.RUnlock()
-	for _, ix := range t.indexes {
-		st := &indexStats{distinct: make([]int64, len(ix.cols))}
-		var last Key
-		ix.tree.scanRange(nil, nil, func(k Key, rid int64) bool {
-			st.entries++
-			// Strip the rid tiebreaker: logical key only.
-			lk := k
-			if len(lk) > len(ix.cols) {
-				lk = lk[:len(ix.cols)]
-			}
-			for p := 0; p < len(lk); p++ {
-				if last == nil || len(last) <= p || compareKeys(last[:p+1], lk[:p+1]) != 0 {
-					// A change at prefix length p+1 is a new distinct value
-					// there and at every longer prefix.
-					for q := p; q < len(ix.cols); q++ {
-						st.distinct[q]++
-					}
-					break
-				}
-			}
-			last = lk
-			return true
-		})
-		ix.stats.Store(st)
-	}
-	t.statRows.Store(t.liveRows.Load())
-	t.analyzed.Store(true)
-	// Fresh statistics obsolete every cached plan costed from the old
-	// ones; advancing the epoch makes their next validity check replan.
-	t.statsEpoch.Add(1)
-}
+// A cached plan remembers the row counts it was costed at and replans when
+// they drift past a factor of two (plancache.go), so estimates follow the
+// data with no statistics to refresh or log.
 
 // estRows is the planner's cardinality estimate for the table: the live
 // row count (incrementally maintained, so always current). Empty tables
@@ -108,35 +28,11 @@ func (t *table) estRows() float64 {
 	return float64(n)
 }
 
-// statScale is the ratio current-rows / analyzed-rows used to carry
-// distinct-key estimates forward between ANALYZE runs.
-func (t *table) statScale() float64 {
-	if !t.analyzed.Load() {
-		return 1
-	}
-	base := t.statRows.Load()
-	if base <= 0 {
-		return 1
-	}
-	return float64(t.liveRows.Load()) / float64(base)
-}
-
 // distinctPrefix estimates the number of distinct values over the first
-// k+1 columns of ix. Falls back to structural knowledge (unique index ⇒
-// one row per full key) and then to the classic 1/10 default selectivity
-// when the table has never been analyzed.
+// k+1 columns of ix: one per row for the full key of a unique index,
+// otherwise a tenth of the rows.
 func (t *table) distinctPrefix(ix *index, k int) float64 {
 	rows := t.estRows()
-	if st := ix.stats.Load(); st != nil && k < len(st.distinct) {
-		d := float64(st.distinct[k]) * t.statScale()
-		if d < 1 {
-			d = 1
-		}
-		if d > rows {
-			d = rows
-		}
-		return d
-	}
 	if ix.schema.Unique && k == len(ix.cols)-1 {
 		return rows
 	}
@@ -173,8 +69,8 @@ func (t *table) distinctOfCol(col int) float64 {
 }
 
 // PlannerStats snapshots the cost-based planner's counters: how many
-// multi-table SELECTs were planned, how often statistics changed the join
-// order, which per-edge strategies were chosen, and the hash-join
+// multi-table SELECTs were planned, how often the estimates changed the
+// join order, which per-edge strategies were chosen, and the hash-join
 // machinery's volumes.
 type PlannerStats struct {
 	// JoinQueries counts multi-table SELECT plans built.
@@ -188,9 +84,6 @@ type PlannerStats struct {
 	// HashBuildRows / HashProbeRows count rows hashed and probed.
 	HashBuildRows uint64
 	HashProbeRows uint64
-	// AnalyzeRuns counts tables refreshed by ANALYZE (an ANALYZE with no
-	// table name counts once per table; recovery replay matches).
-	AnalyzeRuns uint64
 }
 
 // PlannerStats snapshots the join planner's counters.
@@ -203,6 +96,5 @@ func (db *DB) PlannerStats() PlannerStats {
 		NestedLoops:   db.plannerNestedLoops.Load(),
 		HashBuildRows: db.plannerBuildRows.Load(),
 		HashProbeRows: db.plannerProbeRows.Load(),
-		AnalyzeRuns:   db.plannerAnalyzeRuns.Load(),
 	}
 }

@@ -1,113 +1,8 @@
 package sqldb
 
-// Tests for the statistics layer: ANALYZE computation, incremental
-// scaling between refreshes, statement-level behaviour, and the planner
-// counters.
+// Tests for the planner's estimates and counters.
 
-import (
-	"strings"
-	"testing"
-)
-
-func TestAnalyzeComputesDistinctPrefixes(t *testing.T) {
-	db := New()
-	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, state TEXT, prio INTEGER)`)
-	mustExec(t, db, `CREATE INDEX t_state_prio ON t (state, prio)`)
-	for i := 1; i <= 100; i++ {
-		mustExec(t, db, `INSERT INTO t VALUES (?, ?, ?)`, i, []string{"idle", "run", "done"}[i%3], i%10)
-	}
-	mustExec(t, db, `ANALYZE t`)
-
-	tbl, err := db.lookupTable("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tbl.analyzed.Load() {
-		t.Fatal("table not marked analyzed")
-	}
-	ix := tbl.findIndex("t_state_prio")
-	st := ix.stats.Load()
-	if st == nil {
-		t.Fatal("index has no stats after ANALYZE")
-	}
-	if st.distinct[0] != 3 {
-		t.Fatalf("distinct(state) = %d, want 3", st.distinct[0])
-	}
-	if st.distinct[1] != 30 {
-		t.Fatalf("distinct(state, prio) = %d, want 30", st.distinct[1])
-	}
-	if st.entries != 100 {
-		t.Fatalf("entries = %d, want 100", st.entries)
-	}
-	// The pk index knows every key is distinct.
-	pk := tbl.findIndex("pk_t")
-	if got := pk.stats.Load().distinct[0]; got != 100 {
-		t.Fatalf("distinct(id) = %d, want 100", got)
-	}
-	if d := tbl.distinctOfCol(1); d != 3 {
-		t.Fatalf("distinctOfCol(state) = %v, want 3", d)
-	}
-}
-
-func TestStatsScaleWithRowCountBetweenAnalyzes(t *testing.T) {
-	db := New()
-	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, grp INTEGER)`)
-	mustExec(t, db, `CREATE INDEX t_grp ON t (grp)`)
-	for i := 1; i <= 50; i++ {
-		mustExec(t, db, `INSERT INTO t VALUES (?, ?)`, i, i%5)
-	}
-	mustExec(t, db, `ANALYZE t`)
-	tbl, _ := db.lookupTable("t")
-	base := tbl.distinctOfCol(1)
-	if base != 5 {
-		t.Fatalf("distinct(grp) = %v, want 5", base)
-	}
-	// Double the table without re-analyzing: the estimate scales up with
-	// the live row count instead of staying frozen.
-	for i := 51; i <= 150; i++ {
-		mustExec(t, db, `INSERT INTO t VALUES (?, ?)`, i, i%50)
-	}
-	scaled := tbl.distinctOfCol(1)
-	if scaled <= base {
-		t.Fatalf("distinct estimate did not scale: base=%v scaled=%v", base, scaled)
-	}
-	if rows := tbl.estRows(); rows != 150 {
-		t.Fatalf("estRows = %v, want 150 (incrementally maintained)", rows)
-	}
-}
-
-func TestAnalyzeStatementForms(t *testing.T) {
-	db := New()
-	mustExec(t, db, `CREATE TABLE a (x INTEGER)`)
-	mustExec(t, db, `CREATE TABLE b (y INTEGER)`)
-	mustExec(t, db, `INSERT INTO a VALUES (1), (2)`)
-	mustExec(t, db, `INSERT INTO b VALUES (3)`)
-	// ANALYZE with no table refreshes everything.
-	mustExec(t, db, `ANALYZE`)
-	ta, _ := db.lookupTable("a")
-	tb, _ := db.lookupTable("b")
-	if !ta.analyzed.Load() || !tb.analyzed.Load() {
-		t.Fatal("ANALYZE (all) missed a table")
-	}
-	if _, err := db.Exec(`ANALYZE missing`); err == nil {
-		t.Fatal("ANALYZE of a missing table should fail")
-	}
-	// Read-only transactions reject it; explicit transactions reject it
-	// like DDL.
-	ro, _ := db.BeginReadOnly()
-	if _, err := ro.Exec(`ANALYZE a`); err != ErrReadOnly {
-		t.Fatalf("read-only ANALYZE err = %v, want ErrReadOnly", err)
-	}
-	ro.Rollback()
-	rw, _ := db.Begin()
-	if _, err := rw.Exec(`ANALYZE a`); err == nil || !strings.Contains(err.Error(), "explicit transaction") {
-		t.Fatalf("explicit-tx ANALYZE err = %v", err)
-	}
-	rw.Rollback()
-	if got := db.PlannerStats().AnalyzeRuns; got == 0 {
-		t.Fatalf("AnalyzeRuns = %d, want > 0", got)
-	}
-}
+import "testing"
 
 func TestExplainRendersEstimatedRows(t *testing.T) {
 	db := New()
@@ -116,15 +11,14 @@ func TestExplainRendersEstimatedRows(t *testing.T) {
 	for i := 1; i <= 90; i++ {
 		mustExec(t, db, `INSERT INTO t VALUES (?, ?)`, i, []string{"a", "b", "c"}[i%3])
 	}
-	mustExec(t, db, `ANALYZE t`)
 	rows := mustQuery(t, db, `EXPLAIN SELECT * FROM t WHERE state = 'a'`)
 	if got := rows.Columns; len(got) != 5 || got[3] != "join" || got[4] != "rows" {
 		t.Fatalf("EXPLAIN columns = %v", got)
 	}
-	est := rows.Data[0][4].Int64()
-	// 90 rows over 3 distinct states → ~30.
-	if est < 20 || est > 40 {
-		t.Fatalf("estimated rows = %d, want ≈30", est)
+	// The estimate is structural: a non-unique index assumes 90/10 = 9
+	// distinct states, so an equality matches 90/9 rows.
+	if est := rows.Data[0][4].Int64(); est != 10 {
+		t.Fatalf("estimated rows = %d, want 10", est)
 	}
 	if rows.Data[0][3].Text() != "-" {
 		t.Fatalf("single-table join column = %q, want -", rows.Data[0][3].Text())

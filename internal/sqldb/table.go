@@ -42,21 +42,14 @@ type table struct {
 	heap    *pagedHeap
 	tableID uint32
 
-	// Planner statistics (see stats.go). statRows is the live row count at
-	// the last ANALYZE; distinct-key estimates scale by the ratio of the
-	// current count to it, so estimates drift with the data between
-	// refreshes instead of going stale.
-	analyzed atomic.Bool
-	statRows atomic.Int64
-
 	// Plan-cache invalidation epochs (see plancache.go). schemaEpoch
 	// advances whenever the set of physical access paths changes (CREATE
 	// INDEX, DROP INDEX, and DROP TABLE of this table — every path funnels
 	// through addIndexLocked/dropIndex/applyDDL, so replication apply and
-	// WAL recovery bump it too). statsEpoch advances on ANALYZE and when a
-	// plan-validity check detects cardinality drift past the replan
-	// threshold. A cached plan records both at build time and is discarded
-	// when either moves.
+	// WAL recovery bump it too). statsEpoch advances when a plan-validity
+	// check finds the live row count has drifted past the replan threshold
+	// from the count a plan was costed at. A cached plan records both at
+	// build time and is discarded when either moves.
 	schemaEpoch atomic.Uint64
 	statsEpoch  atomic.Uint64
 }
@@ -69,9 +62,6 @@ type index struct {
 	// keyLock names the lock-manager resource family guarding this index's
 	// unique key values (see keyLockTarget); fixed when the index is built.
 	keyLock string
-	// stats is the last ANALYZE result for this index (nil before the
-	// first run); swapped atomically so planners read it lock-free.
-	stats atomic.Pointer[indexStats]
 }
 
 func newTable(schema TableSchema) *table {

@@ -20,9 +20,6 @@ INSERT INTO jobs VALUES
 exec
 CREATE INDEX jobs_state ON jobs (state)
 
-exec
-ANALYZE
-
 -- The monitoring-tier shape: single-column hash aggregation.
 query
 SELECT state, count(*) FROM jobs GROUP BY state ORDER BY state
@@ -35,7 +32,7 @@ explain
 SELECT state, count(*) FROM jobs GROUP BY state ORDER BY state
 ----
 jobs|SEQ SCAN|SNAPSHOT READ|-|7
--|HASH AGGREGATE (state)|-|-|3
+-|HASH AGGREGATE (state)|-|-|1
 
 -- Accounting shape: per-owner rollup; NULL owner is its own group, and
 -- sum/avg skip NULL inputs.

@@ -20,9 +20,6 @@ INSERT INTO matches VALUES (10,1,100),(11,2,101),(12,4,102)
 exec
 INSERT INTO vms VALUES (100,'m1'),(101,'m1'),(102,'m2')
 
-exec
-ANALYZE
-
 query
 SELECT j.owner, v.machine FROM matches m
 JOIN jobs j ON j.id = m.job_id

@@ -14,9 +14,6 @@ INSERT INTO l VALUES (1,0),(2,1),(3,2),(4,0),(5,1),(6,2),(7,9),(8,9)
 exec
 INSERT INTO r VALUES (1,0,'a'),(2,0,'b'),(3,1,'a'),(4,1,'b'),(5,2,'a'),(6,2,'c')
 
-exec
-ANALYZE
-
 -- Dup keys on both sides: each l-row with k in 0..2 matches two r-rows.
 query
 SELECT l.id, r.id FROM l LEFT JOIN r ON r.k = l.k ORDER BY l.id, r.id

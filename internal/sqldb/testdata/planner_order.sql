@@ -1,4 +1,4 @@
--- Statistics-driven join ordering: a large unindexed fact table joined
+-- Row-count-driven join ordering: a large unindexed fact table joined
 -- to a small dimension must drive from the filtered dimension, and the
 -- big-vs-big equi-join must pick a hash join. The explain blocks pin the
 -- chosen order (row order IS execution order), per-edge strategy, and
@@ -30,9 +30,6 @@ VALUES (1,0),(2,1),(3,2),(4,3),(5,4),(6,5),(7,6),(8,7),
        (9,0),(10,1),(11,2),(12,3),(13,4),(14,5),(15,6),(16,7),
        (17,0),(18,1),(19,2),(20,3),(21,4),(22,5),(23,6),(24,7),
        (25,0),(26,1),(27,2),(28,3),(29,4),(30,5),(31,6),(32,7)
-
-exec
-ANALYZE
 
 -- Reorder: facts is syntactically first, but the pk-filtered dimension
 -- drives and facts is probed.

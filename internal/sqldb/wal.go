@@ -70,12 +70,14 @@ type walRecord struct {
 	sql     string // DDL text
 }
 
-// ErrLogFormat reports a log whose first frame is sealed — a non-empty
-// payload its CRC32C matches — but is not a committed group in the format
-// this engine writes: a log from a version whose records each carried
-// their own frame. Open refuses it, leaving the file as it found it,
-// rather than cut it back to the nothing the reader accepts.
-var ErrLogFormat = errors.New("sqldb: the log is not in this engine's format (one frame per committed group)")
+// ErrLogFormat reports a store file that is sealed — whole, its CRC32C
+// matches — but not in the layout this engine writes: a log whose first
+// frame is not a committed group (a version whose records each carried
+// their own frame), or a checkpoint meta whose magic or body is another
+// layout's. Open refuses it, leaving every file as it found it, rather
+// than cut the log back to the nothing the reader accepts or open the
+// store as one that never checkpointed.
+var ErrLogFormat = errors.New("sqldb: a store file is not in this engine's format")
 
 // VFS abstracts the file system so tests and simulations can run against
 // memory while deployments use the operating system.
@@ -403,7 +405,7 @@ type walBatch struct {
 // CommittedBatch is one committed group as it sits in the log: the frame
 // holding the transaction's redo records and its commit marker, verbatim
 // log bytes. LSN is the commit marker's sequence number. Batches stream to
-// followers through CommittedSince and apply through FollowerApply.
+// followers through CommittedSince and apply through ApplyCommitted.
 type CommittedBatch struct {
 	LSN  uint64
 	Data []byte

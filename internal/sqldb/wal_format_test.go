@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"reflect"
 	"strings"
 	"testing"
@@ -151,6 +152,144 @@ func TestOpenRefusesForeignLog(t *testing.T) {
 	}
 }
 
+// memFiles copies every file vfs holds, by name.
+func memFiles(vfs *MemVFS) map[string]string {
+	vfs.mu.Lock()
+	defer vfs.mu.Unlock()
+	out := make(map[string]string, len(vfs.files))
+	for name, blob := range vfs.files {
+		out[name] = string(blob.data)
+	}
+	return out
+}
+
+// sealMeta appends the checksum that makes body a whole meta write.
+func sealMeta(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, metaCRC))
+}
+
+// oldLayoutMeta encodes m in the meta layout that carried a statistics
+// byte per table, under that layout's magic: the image a store written
+// before the planner dropped stored statistics holds.
+func oldLayoutMeta(m *pagedMeta) []byte {
+	var buf bytes.Buffer
+	buf.WriteString("cj2m")
+	for _, u := range []uint64{m.gen, m.ckptLSN, m.nextSeq, uint64(m.nextTableID), uint64(m.pageSize), uint64(len(m.tables))} {
+		writeUvarint(&buf, u)
+	}
+	for _, mt := range m.tables {
+		writeUvarint(&buf, uint64(mt.tableID))
+		buf.WriteByte(1) // analyzed
+		writeString(&buf, mt.ddl)
+		writeUvarint(&buf, uint64(len(mt.indexes)))
+		for _, ix := range mt.indexes {
+			writeString(&buf, ix)
+		}
+	}
+	return sealMeta(buf.Bytes())
+}
+
+// TestForeignCheckpointMetaIsRefused: a checkpoint meta that is sealed but
+// not this engine's layout — a garbage body, or the older layout with its
+// own magic — is refused by name on both pool settings, and every file of
+// the store is left as it was. Read as absent, it would open the store as
+// one that never checkpointed: its pages cleared, or its truncated log
+// taken for the whole history.
+func TestForeignCheckpointMetaIsRefused(t *testing.T) {
+	vfs := NewMemVFS()
+	db := openPagedOpts(t, vfs, 16, 1024)
+	mustExec(t, db, `CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT)`)
+	mustExec(t, db, `CREATE INDEX byv ON t (v)`)
+	for i := 0; i < 40; i++ {
+		mustExec(t, db, `INSERT INTO t VALUES (?, 'v')`, i)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `DELETE FROM t WHERE k < 10`)
+	if err := db.Close(); err != nil { // the second generation
+		t.Fatal(err)
+	}
+	store := memFiles(vfs)
+	a, b := metaPaths("test.db")
+	for _, name := range []string{a, b, "test.db.pages"} {
+		if len(store[name]) == 0 {
+			t.Fatalf("the closed store has no %s", name)
+		}
+	}
+	for name, reseal := range map[string]func([]byte) []byte{
+		"garbage body": func([]byte) []byte { return sealMeta([]byte("cj2x: not a checkpoint meta")) },
+		"older layout": func(img []byte) []byte {
+			m, ok := decodeMeta(img)
+			if !ok {
+				t.Fatal("the engine's own meta does not decode")
+			}
+			return oldLayoutMeta(m)
+		},
+	} {
+		for _, pages := range []int{0, 64} {
+			t.Run(fmt.Sprintf("%s/pool=%d", name, pages), func(t *testing.T) {
+				vfs := NewMemVFS()
+				for fname, data := range store {
+					if fname == a || fname == b {
+						data = string(reseal([]byte(data)))
+					}
+					f, _ := vfs.Create(fname)
+					f.Write([]byte(data))
+				}
+				before := memFiles(vfs)
+				db, err := Open(Options{VFS: vfs, Path: "test.db", PoolPages: pages})
+				if !errors.Is(err, ErrLogFormat) {
+					if db != nil {
+						db.Close()
+					}
+					t.Fatalf("Open = %v, want ErrLogFormat", err)
+				}
+				if after := memFiles(vfs); !reflect.DeepEqual(after, before) {
+					t.Fatal("the refused store's files changed")
+				}
+			})
+		}
+	}
+}
+
+// TestShippedBadDDLNeverReachesTheLog: a shipped DDL record must be one of
+// the catalog statements the redo applies. One that does not parse, or
+// parses to something else, is refused before the follower appends its
+// group — appended, it would fail every later Open of the follower.
+func TestShippedBadDDLNeverReachesTheLog(t *testing.T) {
+	ddl := func(sql string) walRecord { return walRecord{op: walDDL, sql: sql} }
+	for _, recs := range [][]walRecord{
+		{ddl("CREATE TABLEX t")},
+		{ddl("ANALYZE t")},
+		{ddl("SELECT x FROM t")},
+		{ddl("CREATE TABLE u (y INTEGER)"), ddl("ANALYZE u")},
+	} {
+		t.Run(recs[len(recs)-1].sql, func(t *testing.T) {
+			vfs := NewMemVFS()
+			follower := openVFS(t, vfs)
+			mustExec(t, follower, `CREATE TABLE t (x INTEGER)`) // lsn 1
+			before, _ := vfs.ReadFile("test.wal")
+			if err := follower.ApplyCommitted([]CommittedBatch{{LSN: 2, Data: groupBytes(2, recs...)}}); err == nil {
+				t.Fatal("the bad DDL was applied")
+			}
+			if after, _ := vfs.ReadFile("test.wal"); !bytes.Equal(before, after) {
+				t.Fatal("the refused group reached the follower's log")
+			}
+			follower.Close()
+			reopened := openVFS(t, vfs)
+			defer reopened.Close()
+			good := walRecord{op: walInsert, table: "t", rid: 0, row: []Value{NewInt(7)}}
+			if err := reopened.ApplyCommitted([]CommittedBatch{{LSN: 2, Data: groupBytes(2, good)}}); err != nil {
+				t.Fatalf("a good group at the same LSN: %v", err)
+			}
+			if rows := mustQuery(t, reopened, `SELECT x FROM t`); rows.Len() != 1 || rows.Data[0][0].Int64() != 7 {
+				t.Fatalf("after the good group: %v", rows.Data)
+			}
+		})
+	}
+}
+
 // TestOpenTornFirstGroup: a crash in the first commit leaves a first group
 // that is short or fails its CRC — or a zero-filled tail, whose empty frame
 // passes a CRC — and the store must open empty, cut the tail and commit
@@ -251,9 +390,9 @@ func TestDeltaRedoLeniency(t *testing.T) {
 		t.Fatal(err)
 	}
 	before, _ := follower.wal.vfs.ReadFile("test.wal")
-	err = follower.FollowerApply(tail[0].LSN, tail[0].Data)
+	err = follower.ApplyCommitted(tail[:1])
 	if err == nil || !strings.Contains(err.Error(), "update of missing row") {
-		t.Fatalf("FollowerApply of an update of a missing row = %v, want it refused", err)
+		t.Fatalf("ApplyCommitted of an update of a missing row = %v, want it refused", err)
 	}
 	if after, _ := follower.wal.vfs.ReadFile("test.wal"); !bytes.Equal(before, after) {
 		t.Fatal("the refused group reached the follower's log")

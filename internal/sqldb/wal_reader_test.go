@@ -55,7 +55,7 @@ func groupBytes(lsn uint64, recs ...walRecord) []byte {
 // TestRedoRejectsHostileRecords sends three CRC-valid records no encoder
 // writes — each of which used to panic the decoder or the redo — through
 // both doors a log group comes in by. A shipped batch (core's handleShip
-// hands a request's bytes straight to FollowerApply) must be refused before
+// hands a request's bytes straight to ApplyCommitted) must be refused before
 // it reaches the follower's own log; a log that already holds one must open,
 // the group treated like any other undecodable tail: cut, never applied.
 // Either way the engine keeps working.
@@ -82,14 +82,14 @@ func TestRedoRejectsHostileRecords(t *testing.T) {
 			follower := openVFS(t, vfs)
 			mustExec(t, follower, `CREATE TABLE t (x INTEGER)`) // lsn 1
 			before, _ := vfs.ReadFile("test.wal")
-			if err := follower.FollowerApply(2, sealGroup(2, tc.payload)); err == nil {
+			if err := follower.ApplyCommitted([]CommittedBatch{{LSN: 2, Data: sealGroup(2, tc.payload)}}); err == nil {
 				t.Fatal("hostile batch accepted")
 			}
 			if after, _ := vfs.ReadFile("test.wal"); !bytes.Equal(before, after) {
 				t.Fatal("rejected batch reached the follower's log")
 			}
 			// The same LSN still applies, and the node still restarts.
-			if err := follower.FollowerApply(2, groupBytes(2, insert7)); err != nil {
+			if err := follower.ApplyCommitted([]CommittedBatch{{LSN: 2, Data: groupBytes(2, insert7)}}); err != nil {
 				t.Fatalf("good batch after the hostile one: %v", err)
 			}
 			follower.Close()
@@ -226,7 +226,7 @@ const fuzzMaxRid = 1 << 12
 
 // FuzzLogReader feeds arbitrary bytes — as given, and with their frames'
 // CRCs resealed so mutated payloads get past the checksum — to the log
-// reader and then, group by group, to FollowerApply on an engine holding
+// reader and then, group by group, to ApplyCommitted on an engine holding
 // the three tables the seed logs write to. Neither may panic; the reader
 // may not allocate more than a small multiple of its input; and what the
 // reader accepts must be exactly what appendGroup writes: re-encoding the
@@ -248,7 +248,7 @@ func FuzzLogReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, in := range [][]byte{data, reseal(data)} {
 			fuzzReader(t, in)
-			fuzzFollowerApply(t, in)
+			fuzzApply(t, in)
 		}
 	})
 }
@@ -291,9 +291,9 @@ func fuzzReader(t *testing.T, data []byte) {
 	}
 }
 
-// fuzzFollowerApply ships the input to a follower whole and group by
+// fuzzApply ships the input to a follower whole and group by
 // group, then restarts the follower from whatever reached its log.
-func fuzzFollowerApply(t *testing.T, data []byte) {
+func fuzzApply(t *testing.T, data []byte) {
 	// The follower starts from a three-table log whose markers carry LSN 0,
 	// so every LSN the input can name is still ahead of it.
 	var log bytes.Buffer
@@ -307,14 +307,14 @@ func fuzzFollowerApply(t *testing.T, data []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = db.FollowerApply(1, data) // almost always refused; must not panic
+	_ = db.ApplyCommitted([]CommittedBatch{{LSN: 1, Data: data}}) // almost always refused; must not panic
 	for _, g := range readGroups(data) {
 		tooSparse := false
 		for _, r := range g.recs {
 			tooSparse = tooSparse || r.rid > fuzzMaxRid
 		}
 		if !tooSparse {
-			_ = db.FollowerApply(g.lsn, data[g.start:g.end])
+			_ = db.ApplyCommitted([]CommittedBatch{{LSN: g.lsn, Data: data[g.start:g.end]}})
 		}
 	}
 	for _, name := range db.TableNames() {
