@@ -22,8 +22,9 @@ test:
 	$(GO) test ./...
 
 # The allocation budgets, level by level: a wire round trip, a bare
-# statement (in memory and on resident pages), a page compaction, a dirty
-# eviction and reload, a bean call, a steady Service.Heartbeat. They are
+# statement (in memory and on resident pages), a hash join's probe, the
+# index entries of an insert, a page compaction, a dirty eviction and
+# reload, a bean call, a steady Service.Heartbeat. They are
 # compiled out under -race (sync.Pool sheds there), so they get their own
 # uncached run.
 alloc:
@@ -84,14 +85,16 @@ flagdoc:
 # CRC included. Page and checkpoint-meta images (the
 # validator, recovery's page scan, decodeMeta): never panic, allocation
 # bounded by the input, and a page the validator accepts stays valid and
-# in bounds through insert, erase and compaction. go test -fuzz takes one
-# target per run.
+# in bounds through insert, erase and compaction. Index keys: two values
+# of one column type encode in the order Compare gives them, neither
+# encoding a prefix of the other. go test -fuzz takes one target per run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzUnpackPayload$$' -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzLogReader$$' -fuzztime 30s ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzPageImage$$' -fuzztime 30s ./internal/sqldb
+	$(GO) test -run '^$$' -fuzz '^FuzzKeyOrder$$' -fuzztime 30s ./internal/sqldb
 
 # Differential join-fuzzer acceptance run: 1000 seeded schema/query
 # combinations through the engine (planner, plan cache, batched operators;

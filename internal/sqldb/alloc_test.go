@@ -11,7 +11,9 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
+	"time"
 )
 
 // allocDB is a WAL-backed engine (MemVFS, group commit — the daemon's
@@ -272,5 +274,117 @@ func TestOrderedSelectAllocs(t *testing.T) {
 	}
 	if large > small+512 {
 		t.Errorf("top 10 of 5,000 rows costs %.0f bytes, of 500 rows %.0f: the cost grows with the rows read", large, small)
+	}
+}
+
+// TestHashJoinProbeAllocs: a hash join's probe looks up its key in the
+// build side's table from the scratch's buffer, so what a statement
+// allocates does not grow with the rows it probes. Before, each probed row
+// allocated a buffer and a string for its key: 2 allocations per row.
+func TestHashJoinProbeAllocs(t *testing.T) {
+	perStatement := func(probed int) float64 {
+		db := New()
+		defer db.Close()
+		for _, s := range []string{
+			`CREATE TABLE vms (id INTEGER PRIMARY KEY, machine TEXT NOT NULL, state TEXT NOT NULL)`,
+			`CREATE TABLE matches (id INTEGER PRIMARY KEY, vm INTEGER NOT NULL, job INTEGER NOT NULL)`,
+		} {
+			if _, err := db.Exec(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 4; i++ {
+			if _, err := db.Exec(`INSERT INTO vms VALUES (?, 'node-a', 'idle')`, 100+i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := int64(0) // half the matches name a VM that exists
+		for i := 0; i < probed; i++ {
+			if _, err := db.Exec(`INSERT INTO matches VALUES (?, ?, ?)`, i, 100+i%8, i); err != nil {
+				t.Fatal(err)
+			}
+			if i%8 < 4 {
+				want++
+			}
+		}
+		const q = `SELECT count(*) FROM matches m JOIN vms v ON m.vm = v.id + 0`
+		plan, err := db.Query(`EXPLAIN ` + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := fmt.Sprint(plan.Data); !strings.Contains(p, "HASH JOIN") {
+			t.Fatalf("%s: plan %s, want a hash join", q, p)
+		}
+		run := func() {
+			rows, err := db.Query(q)
+			if err != nil || rows.Data[0][0].Int64() != want {
+				t.Fatalf("rows %v, err %v", rows, err)
+			}
+		}
+		run()
+		return testing.AllocsPerRun(100, run)
+	}
+	small, large := perStatement(10), perStatement(1000)
+	t.Logf("hash join probing 10 rows: %.0f allocations; 1,000 rows: %.0f", small, large)
+	if large > small+2 {
+		t.Errorf("probing 1,000 rows allocates %.0f, 10 rows %.0f: the cost grows with the rows probed", large, small)
+	}
+}
+
+// TestIndexEntryAllocs inserts 10,000 jobs under the CAS's four jobs
+// indexes (internal/core's schema) and budgets what an insert allocates and
+// what a row keeps live, its index entries included. When a key was a
+// []Value of 32-byte cells and a node held the rid beside it: 1,317 bytes
+// allocated per insert, 1,060–1,095 bytes live per row. One encoded string
+// per entry: 1,013 and 750–800.
+func TestIndexEntryAllocs(t *testing.T) {
+	db := New()
+	defer db.Close()
+	for _, s := range []string{
+		`CREATE TABLE jobs (
+			id INTEGER PRIMARY KEY AUTOINCREMENT,
+			owner TEXT NOT NULL,
+			workflow_id INTEGER,
+			state TEXT NOT NULL DEFAULT 'idle',
+			length_sec INTEGER NOT NULL,
+			min_memory_mb INTEGER NOT NULL DEFAULT 0,
+			priority FLOAT NOT NULL DEFAULT 0.5,
+			depends_on INTEGER,
+			submitted_at TIMESTAMP,
+			matched_at TIMESTAMP,
+			started_at TIMESTAMP
+		)`,
+		`CREATE INDEX jobs_state ON jobs (state, id)`,
+		`CREATE INDEX jobs_state_priority ON jobs (state, priority, id)`,
+		`CREATE INDEX jobs_depends ON jobs (depends_on)`,
+	} {
+		if _, err := db.Exec(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const n = 10000
+	owners := make([]any, 50)
+	for i := range owners {
+		owners[i] = fmt.Sprintf("user-%02d", i)
+	}
+	length, at := any(int64(600)), any(time.Date(2006, 10, 1, 0, 0, 0, 0, time.UTC))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if _, err := db.Exec(`INSERT INTO jobs (owner, length_sec, submitted_at) VALUES (?, ?, ?)`, owners[i%50], length, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perInsert := float64(after.TotalAlloc-before.TotalAlloc) / n
+	live := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+	t.Logf("%.0f bytes allocated per insert, %.0f bytes live per row", perInsert, live)
+	if perInsert > 1100 {
+		t.Errorf("%.0f bytes allocated per insert, budget 1100", perInsert)
+	}
+	if live > 900 {
+		t.Errorf("%.0f bytes live per row, budget 900", live)
 	}
 }

@@ -1,18 +1,24 @@
 package sqldb
 
-import "math/rand"
+import (
+	"math/rand"
+	"strings"
+)
 
 // ordIndex is the ordered structure backing every index in the engine: a
-// skiplist mapping composite keys to row ids. A skiplist gives the same
+// skiplist of entry keys, each an order-preserving byte string ending in
+// its row id (see appendKeyValue). A skiplist gives the same
 // O(log n) point and range operations as a B-tree with a fraction of the
 // rebalancing machinery, which matters for an engine whose hottest path
 // (the CAS heartbeat transaction, paper §4.2.2) does several index point
 // lookups per web-service call.
 //
-// Non-unique indexes append the row id to the key as a final tiebreaker so
-// duplicate user keys occupy distinct index keys; range scans strip the
-// tiebreaker transparently. The per-index random source is seeded
-// deterministically so simulation runs are reproducible.
+// Every entry key ends in the row id, a final tiebreaker, so duplicate
+// user keys occupy distinct entries, and a node stores nothing but its key:
+// the rid is read back from the key's last 8 bytes. Keys compare as bytes;
+// probes are byte strings too — a key, or the leading columns of one. The
+// per-index random source is seeded deterministically so simulation runs
+// are reproducible.
 
 const slMaxLevel = 24
 
@@ -24,8 +30,7 @@ type ordIndex struct {
 }
 
 type slNode struct {
-	key  Key
-	rid  int64
+	key  string
 	fwd  []*slNode
 	prev *slNode // level-0 back pointer (head for the first node): reverse scans
 }
@@ -48,10 +53,10 @@ func (s *ordIndex) randomLevel() int {
 
 // findPredecessors fills update[i] with the rightmost node at level i whose
 // key is < k, and returns the node at level 0 that follows update[0].
-func (s *ordIndex) findPredecessors(k Key, update []*slNode) *slNode {
+func (s *ordIndex) findPredecessors(k string, update []*slNode) *slNode {
 	x := s.head
 	for i := s.level - 1; i >= 0; i-- {
-		for x.fwd[i] != nil && compareKeys(x.fwd[i].key, k) < 0 {
+		for x.fwd[i] != nil && x.fwd[i].key < k {
 			x = x.fwd[i]
 		}
 		if update != nil {
@@ -61,22 +66,22 @@ func (s *ordIndex) findPredecessors(k Key, update []*slNode) *slNode {
 	return x.fwd[0]
 }
 
-// insert adds key k mapping to rid; it reports false if the exact key is
-// already present (unchanged).
-func (s *ordIndex) insert(k Key, rid int64) bool {
-	update := make([]*slNode, slMaxLevel)
+// insert adds entry key k, which the skiplist keeps; it reports false if
+// k is already present (unchanged).
+func (s *ordIndex) insert(k string) bool {
+	var update [slMaxLevel]*slNode
 	for i := s.level; i < slMaxLevel; i++ {
 		update[i] = s.head
 	}
-	next := s.findPredecessors(k, update)
-	if next != nil && compareKeys(next.key, k) == 0 {
+	next := s.findPredecessors(k, update[:])
+	if next != nil && next.key == k {
 		return false
 	}
 	lvl := s.randomLevel()
 	if lvl > s.level {
 		s.level = lvl
 	}
-	n := &slNode{key: k, rid: rid, fwd: make([]*slNode, lvl)}
+	n := &slNode{key: k, fwd: make([]*slNode, lvl)}
 	for i := 0; i < lvl; i++ {
 		n.fwd[i] = update[i].fwd[i]
 		update[i].fwd[i] = n
@@ -89,23 +94,23 @@ func (s *ordIndex) insert(k Key, rid int64) bool {
 	return true
 }
 
-// get returns the row id stored under exactly key k.
-func (s *ordIndex) get(k Key) (int64, bool) {
+// get returns the row id of entry key k, if present.
+func (s *ordIndex) get(k string) (int64, bool) {
 	n := s.findPredecessors(k, nil)
-	if n != nil && compareKeys(n.key, k) == 0 {
-		return n.rid, true
+	if n != nil && n.key == k {
+		return keyRid(k), true
 	}
 	return 0, false
 }
 
 // delete removes exactly key k, reporting whether it was present.
-func (s *ordIndex) delete(k Key) bool {
-	update := make([]*slNode, slMaxLevel)
+func (s *ordIndex) delete(k string) bool {
+	var update [slMaxLevel]*slNode
 	for i := s.level; i < slMaxLevel; i++ {
 		update[i] = s.head
 	}
-	n := s.findPredecessors(k, update)
-	if n == nil || compareKeys(n.key, k) != 0 {
+	n := s.findPredecessors(k, update[:])
+	if n == nil || n.key != k {
 		return false
 	}
 	for i := 0; i < len(n.fwd); i++ {
@@ -124,39 +129,24 @@ func (s *ordIndex) delete(k Key) bool {
 }
 
 // scanRange calls fn for each (key, rid) with lo <= key < hi in key order.
-// A nil lo starts at the smallest key; a nil hi runs through the largest.
-// fn returning false stops the scan.
-func (s *ordIndex) scanRange(lo, hi Key, fn func(Key, int64) bool) {
-	var n *slNode
-	if lo == nil {
-		n = s.head.fwd[0]
-	} else {
-		n = s.findPredecessors(lo, nil)
-	}
-	for n != nil {
-		if hi != nil && compareKeys(n.key, hi) >= 0 {
+// An empty lo starts at the smallest key; an empty hi runs through the
+// largest. fn returning false stops the scan.
+func (s *ordIndex) scanRange(lo, hi string, fn func(string, int64) bool) {
+	for n := s.findPredecessors(lo, nil); n != nil; n = n.fwd[0] {
+		if hi != "" && n.key >= hi {
 			return
 		}
-		if !fn(n.key, n.rid) {
+		if !fn(n.key, keyRid(n.key)) {
 			return
 		}
-		n = n.fwd[0]
 	}
 }
 
-// comparePrefix compares k against p after truncating k to p's length, so
-// any key extending p compares equal. A nil p compares equal to everything.
-func comparePrefix(k, p Key) int {
-	if len(k) > len(p) {
-		k = k[:len(p)]
-	}
-	return compareKeys(k, p)
-}
-
-// findLastLE returns the rightmost node whose key, truncated to len(start)
-// columns, compares <= start — the last entry of start's prefix run. A nil
-// start yields the overall last node. Returns nil when no node qualifies.
-func (s *ordIndex) findLastLE(start Key) *slNode {
+// findLastLE returns the rightmost node whose key, truncated to
+// len(start), compares <= start — the last entry of start's prefix run. An
+// empty start yields the overall last node. Returns nil when no node
+// qualifies.
+func (s *ordIndex) findLastLE(start string) *slNode {
 	x := s.head
 	for i := s.level - 1; i >= 0; i-- {
 		for x.fwd[i] != nil && comparePrefix(x.fwd[i].key, start) <= 0 {
@@ -171,10 +161,10 @@ func (s *ordIndex) findLastLE(start Key) *slNode {
 
 // findLastLT returns the rightmost node whose full key compares strictly
 // below k (reverse-scan resumption point).
-func (s *ordIndex) findLastLT(k Key) *slNode {
+func (s *ordIndex) findLastLT(k string) *slNode {
 	x := s.head
 	for i := s.level - 1; i >= 0; i-- {
-		for x.fwd[i] != nil && compareKeys(x.fwd[i].key, k) < 0 {
+		for x.fwd[i] != nil && x.fwd[i].key < k {
 			x = x.fwd[i]
 		}
 	}
@@ -185,36 +175,30 @@ func (s *ordIndex) findLastLT(k Key) *slNode {
 }
 
 // scanReverseLE visits keys in descending order starting from the largest
-// key whose truncation to len(start) columns is <= start (the whole index
-// when start is nil). fn returning false stops the scan.
-func (s *ordIndex) scanReverseLE(start Key, fn func(Key, int64) bool) {
+// key whose truncation to len(start) is <= start (the whole index when
+// start is empty). fn returning false stops the scan.
+func (s *ordIndex) scanReverseLE(start string, fn func(string, int64) bool) {
 	s.walkBack(s.findLastLE(start), fn)
 }
 
 // scanReverseLT visits keys in descending order starting from the largest
 // key strictly below k (full-key comparison).
-func (s *ordIndex) scanReverseLT(k Key, fn func(Key, int64) bool) {
+func (s *ordIndex) scanReverseLT(k string, fn func(string, int64) bool) {
 	s.walkBack(s.findLastLT(k), fn)
 }
 
-func (s *ordIndex) walkBack(n *slNode, fn func(Key, int64) bool) {
+func (s *ordIndex) walkBack(n *slNode, fn func(string, int64) bool) {
 	for n != nil && n != s.head {
-		if !fn(n.key, n.rid) {
+		if !fn(n.key, keyRid(n.key)) {
 			return
 		}
 		n = n.prev
 	}
 }
 
-// scanPrefix visits all keys whose leading columns equal prefix, in order.
-func (s *ordIndex) scanPrefix(prefix Key, fn func(Key, int64) bool) {
-	s.scanRange(prefix, nil, func(k Key, rid int64) bool {
-		if len(k) < len(prefix) {
-			return true
-		}
-		if compareKeys(k[:len(prefix)], prefix) != 0 {
-			return false // past the prefix range
-		}
-		return fn(k, rid)
+// scanPrefix visits all keys that begin with prefix, in order.
+func (s *ordIndex) scanPrefix(prefix string, fn func(string, int64) bool) {
+	s.scanRange(prefix, "", func(k string, rid int64) bool {
+		return strings.HasPrefix(k, prefix) && fn(k, rid)
 	})
 }

@@ -1,33 +1,54 @@
 package sqldb
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
-func intKey(v int64) Key { return Key{NewInt(v)} }
+// entry builds the entry key of vals at rid, as an index does.
+func entry(rid int64, vals ...Value) string {
+	return string(appendKeyRid([]byte(probe(vals...)), rid))
+}
+
+// probe builds the key of vals alone: a prefix of their entries' keys.
+func probe(vals ...Value) string {
+	var b []byte
+	for _, v := range vals {
+		b = appendKeyValue(b, v)
+	}
+	return string(b)
+}
+
+// intKey is the entry of the one-column key v at rid v.
+func intKey(v int64) string { return entry(v, NewInt(v)) }
+
+// keyInt decodes column i of an entry whose columns are all INTEGER.
+func keyInt(k string, i int) int64 {
+	return int64(binary.BigEndian.Uint64([]byte(k[9*i+1:9*i+9])) ^ 1<<63)
+}
 
 func TestOrdIndexInsertGetDelete(t *testing.T) {
 	ix := newOrdIndex()
-	if !ix.insert(intKey(5), 50) {
+	if !ix.insert(entry(50, NewInt(5))) {
 		t.Fatal("insert failed")
 	}
-	if ix.insert(intKey(5), 51) {
+	if ix.insert(entry(50, NewInt(5))) {
 		t.Fatal("duplicate insert should fail")
 	}
-	rid, ok := ix.get(intKey(5))
+	rid, ok := ix.get(entry(50, NewInt(5)))
 	if !ok || rid != 50 {
 		t.Fatalf("get = %d %v", rid, ok)
 	}
-	if _, ok := ix.get(intKey(6)); ok {
+	if _, ok := ix.get(entry(50, NewInt(6))); ok {
 		t.Fatal("get of absent key succeeded")
 	}
-	if !ix.delete(intKey(5)) {
+	if !ix.delete(entry(50, NewInt(5))) {
 		t.Fatal("delete failed")
 	}
-	if ix.delete(intKey(5)) {
+	if ix.delete(entry(50, NewInt(5))) {
 		t.Fatal("double delete succeeded")
 	}
 	if ix.size != 0 {
@@ -38,10 +59,10 @@ func TestOrdIndexInsertGetDelete(t *testing.T) {
 func TestOrdIndexScanRange(t *testing.T) {
 	ix := newOrdIndex()
 	for i := int64(0); i < 100; i += 2 {
-		ix.insert(intKey(i), i)
+		ix.insert(intKey(i))
 	}
 	var got []int64
-	ix.scanRange(intKey(10), intKey(20), func(k Key, rid int64) bool {
+	ix.scanRange(intKey(10), intKey(20), func(k string, rid int64) bool {
 		got = append(got, rid)
 		return true
 	})
@@ -59,20 +80,20 @@ func TestOrdIndexScanRange(t *testing.T) {
 func TestOrdIndexScanRangeOpenEnds(t *testing.T) {
 	ix := newOrdIndex()
 	for i := int64(0); i < 10; i++ {
-		ix.insert(intKey(i), i)
+		ix.insert(intKey(i))
 	}
 	count := 0
-	ix.scanRange(nil, nil, func(Key, int64) bool { count++; return true })
+	ix.scanRange("", "", func(string, int64) bool { count++; return true })
 	if count != 10 {
 		t.Fatalf("full scan visited %d", count)
 	}
 	count = 0
-	ix.scanRange(intKey(7), nil, func(Key, int64) bool { count++; return true })
+	ix.scanRange(intKey(7), "", func(string, int64) bool { count++; return true })
 	if count != 3 {
 		t.Fatalf("open-high scan visited %d", count)
 	}
 	count = 0
-	ix.scanRange(nil, intKey(3), func(Key, int64) bool { count++; return true })
+	ix.scanRange("", intKey(3), func(string, int64) bool { count++; return true })
 	if count != 3 {
 		t.Fatalf("open-low scan visited %d", count)
 	}
@@ -81,10 +102,10 @@ func TestOrdIndexScanRangeOpenEnds(t *testing.T) {
 func TestOrdIndexScanEarlyStop(t *testing.T) {
 	ix := newOrdIndex()
 	for i := int64(0); i < 10; i++ {
-		ix.insert(intKey(i), i)
+		ix.insert(intKey(i))
 	}
 	count := 0
-	ix.scanRange(nil, nil, func(Key, int64) bool {
+	ix.scanRange("", "", func(string, int64) bool {
 		count++
 		return count < 3
 	})
@@ -98,11 +119,11 @@ func TestOrdIndexScanPrefix(t *testing.T) {
 	// Composite (a, b) keys.
 	for a := int64(0); a < 5; a++ {
 		for b := int64(0); b < 4; b++ {
-			ix.insert(Key{NewInt(a), NewInt(b)}, a*10+b)
+			ix.insert(entry(a*10+b, NewInt(a), NewInt(b)))
 		}
 	}
 	var got []int64
-	ix.scanPrefix(Key{NewInt(2)}, func(k Key, rid int64) bool {
+	ix.scanPrefix(probe(NewInt(2)), func(k string, rid int64) bool {
 		got = append(got, rid)
 		return true
 	})
@@ -121,11 +142,11 @@ func TestOrdIndexTextKeys(t *testing.T) {
 	ix := newOrdIndex()
 	words := []string{"delta", "alpha", "charlie", "bravo"}
 	for i, w := range words {
-		ix.insert(Key{NewText(w)}, int64(i))
+		ix.insert(entry(int64(i), NewText(w)))
 	}
 	var order []string
-	ix.scanRange(nil, nil, func(k Key, _ int64) bool {
-		order = append(order, k[0].Text())
+	ix.scanRange("", "", func(k string, rid int64) bool {
+		order = append(order, words[rid])
 		return true
 	})
 	if !sort.StringsAreSorted(order) {
@@ -143,7 +164,7 @@ func TestPropertyOrdIndexMatchesReference(t *testing.T) {
 	f := func(ops []op) bool {
 		ix := newOrdIndex()
 		ref := make(map[int64]int64)
-		for i, o := range ops {
+		for _, o := range ops {
 			k := int64(o.Key)
 			if o.Delete {
 				_, inRef := ref[k]
@@ -153,11 +174,11 @@ func TestPropertyOrdIndexMatchesReference(t *testing.T) {
 				delete(ref, k)
 			} else {
 				_, inRef := ref[k]
-				if ix.insert(intKey(k), int64(i)) == inRef {
+				if ix.insert(intKey(k)) == inRef {
 					return false // insert must succeed iff absent
 				}
 				if !inRef {
-					ref[k] = int64(i)
+					ref[k] = k
 				}
 			}
 		}
@@ -166,8 +187,8 @@ func TestPropertyOrdIndexMatchesReference(t *testing.T) {
 		}
 		var keys []int64
 		ok := true
-		ix.scanRange(nil, nil, func(k Key, rid int64) bool {
-			kv := k[0].Int64()
+		ix.scanRange("", "", func(k string, rid int64) bool {
+			kv := keyInt(k, 0)
 			keys = append(keys, kv)
 			if ref[kv] != rid {
 				ok = false
@@ -193,7 +214,7 @@ func TestOrdIndexLargeSequential(t *testing.T) {
 	ix := newOrdIndex()
 	const n = 20000
 	for i := int64(0); i < n; i++ {
-		if !ix.insert(intKey(i), i) {
+		if !ix.insert(intKey(i)) {
 			t.Fatalf("insert %d failed", i)
 		}
 	}
@@ -219,14 +240,14 @@ func BenchmarkOrdIndexInsert(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.insert(intKey(rng.Int63()), int64(i))
+		ix.insert(intKey(rng.Int63()))
 	}
 }
 
 func BenchmarkOrdIndexGet(b *testing.B) {
 	ix := newOrdIndex()
 	for i := int64(0); i < 100000; i++ {
-		ix.insert(intKey(i), i)
+		ix.insert(intKey(i))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -234,10 +255,10 @@ func BenchmarkOrdIndexGet(b *testing.B) {
 	}
 }
 
-func collectReverse(scan func(func(Key, int64) bool)) []int64 {
+func collectReverse(scan func(func(string, int64) bool)) []int64 {
 	var got []int64
-	scan(func(k Key, rid int64) bool {
-		got = append(got, k[0].Int64())
+	scan(func(k string, rid int64) bool {
+		got = append(got, keyInt(k, 0))
 		return true
 	})
 	return got
@@ -247,10 +268,10 @@ func TestOrdIndexScanReverse(t *testing.T) {
 	ix := newOrdIndex()
 	perm := rand.New(rand.NewSource(7)).Perm(100)
 	for _, v := range perm {
-		ix.insert(intKey(int64(v)), int64(v))
+		ix.insert(intKey(int64(v)))
 	}
 	// Whole-index reverse walk: 99..0.
-	got := collectReverse(func(fn func(Key, int64) bool) { ix.scanReverseLE(nil, fn) })
+	got := collectReverse(func(fn func(string, int64) bool) { ix.scanReverseLE("", fn) })
 	if len(got) != 100 || got[0] != 99 || got[99] != 0 {
 		t.Fatalf("reverse full scan = %v", got)
 	}
@@ -260,18 +281,18 @@ func TestOrdIndexScanReverse(t *testing.T) {
 		}
 	}
 	// LE start mid-range: begins at the start key itself.
-	got = collectReverse(func(fn func(Key, int64) bool) { ix.scanReverseLE(intKey(50), fn) })
+	got = collectReverse(func(fn func(string, int64) bool) { ix.scanReverseLE(intKey(50), fn) })
 	if got[0] != 50 || got[len(got)-1] != 0 {
 		t.Fatalf("reverse LE 50 = %v...%v", got[0], got[len(got)-1])
 	}
 	// LT start: strictly below.
-	got = collectReverse(func(fn func(Key, int64) bool) { ix.scanReverseLT(intKey(50), fn) })
+	got = collectReverse(func(fn func(string, int64) bool) { ix.scanReverseLT(intKey(50), fn) })
 	if got[0] != 49 {
 		t.Fatalf("reverse LT 50 starts at %v", got[0])
 	}
 	// Early stop.
 	n := 0
-	ix.scanReverseLE(nil, func(Key, int64) bool { n++; return n < 5 })
+	ix.scanReverseLE("", func(string, int64) bool { n++; return n < 5 })
 	if n != 5 {
 		t.Fatalf("early stop visited %d", n)
 	}
@@ -283,15 +304,15 @@ func TestOrdIndexReversePrefixRun(t *testing.T) {
 	ix := newOrdIndex()
 	for g := int64(0); g < 5; g++ {
 		for s := int64(0); s < 10; s++ {
-			ix.insert(Key{NewInt(g), NewInt(s)}, g*100+s)
+			ix.insert(entry(g*100+s, NewInt(g), NewInt(s)))
 		}
 	}
 	var got []int64
-	ix.scanReverseLE(Key{NewInt(2)}, func(k Key, rid int64) bool {
-		if k[0].Int64() != 2 {
+	ix.scanReverseLE(probe(NewInt(2)), func(k string, rid int64) bool {
+		if keyInt(k, 0) != 2 {
 			return false
 		}
-		got = append(got, k[1].Int64())
+		got = append(got, keyInt(k, 1))
 		return true
 	})
 	if len(got) != 10 || got[0] != 9 || got[9] != 0 {
@@ -302,12 +323,12 @@ func TestOrdIndexReversePrefixRun(t *testing.T) {
 func TestOrdIndexPrevPointersSurviveDeletes(t *testing.T) {
 	ix := newOrdIndex()
 	for i := int64(0); i < 50; i++ {
-		ix.insert(intKey(i), i)
+		ix.insert(intKey(i))
 	}
 	for i := int64(0); i < 50; i += 2 {
 		ix.delete(intKey(i))
 	}
-	got := collectReverse(func(fn func(Key, int64) bool) { ix.scanReverseLE(nil, fn) })
+	got := collectReverse(func(fn func(string, int64) bool) { ix.scanReverseLE("", fn) })
 	if len(got) != 25 {
 		t.Fatalf("got %d keys", len(got))
 	}
@@ -318,15 +339,15 @@ func TestOrdIndexPrevPointersSurviveDeletes(t *testing.T) {
 	}
 	// Reinsert into the gaps and re-check full ordering both ways.
 	for i := int64(0); i < 50; i += 2 {
-		ix.insert(intKey(i), i)
+		ix.insert(intKey(i))
 	}
-	got = collectReverse(func(fn func(Key, int64) bool) { ix.scanReverseLE(nil, fn) })
+	got = collectReverse(func(fn func(string, int64) bool) { ix.scanReverseLE("", fn) })
 	if len(got) != 50 || got[0] != 49 || got[49] != 0 {
 		t.Fatalf("reverse after reinsert = %v", got)
 	}
 	var fwd []int64
-	ix.scanRange(nil, nil, func(k Key, rid int64) bool {
-		fwd = append(fwd, k[0].Int64())
+	ix.scanRange("", "", func(k string, rid int64) bool {
+		fwd = append(fwd, keyInt(k, 0))
 		return true
 	})
 	sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })

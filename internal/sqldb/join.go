@@ -644,21 +644,24 @@ func (q *query) padAndEmit(st *stepPlan, emit func() error) error {
 	return emit()
 }
 
-// evalHashKey encodes the join key for the current env. ok is false when
-// any key part is NULL (never matches anything).
-func (q *query) evalHashKey(exprs []Expr) (string, bool, error) {
-	var kb bytes.Buffer
+// evalHashKey encodes the join key for the current env in the scratch's
+// buffer: valid until the next call, so a build side copies it (string(key))
+// and a probe looks up with table[string(key)], which does not. ok is false
+// when any key part is NULL (never matches anything).
+func (q *query) evalHashKey(exprs []Expr) ([]byte, bool, error) {
+	kb := &q.sc.hashKey
+	kb.Reset()
 	for _, e := range exprs {
 		v, err := q.env.eval(e)
 		if err != nil {
-			return "", false, err
+			return nil, false, err
 		}
 		if v.IsNull() {
-			return "", false, nil
+			return nil, false, nil
 		}
-		writeHashValue(&kb, v)
+		writeHashValue(kb, v)
 	}
-	return kb.String(), true, nil
+	return kb.Bytes(), true, nil
 }
 
 // writeHashValue canonicalizes a value so that values equal under SQL `=`
@@ -696,11 +699,11 @@ func (q *query) driveHash(k int, st *stepPlan, emit func() error) error {
 		for i := range q.env.bindings {
 			t.rows[i] = q.env.bindings[i].row
 		}
-		var err error
-		t.key, t.hasKey, err = q.evalHashKey(st.hashOuter)
+		key, ok, err := q.evalHashKey(st.hashOuter)
 		if err != nil {
 			return err
 		}
+		t.key, t.hasKey = string(key), ok
 		outs = append(outs, t)
 		return nil
 	})
@@ -788,7 +791,8 @@ func (q *query) buildHashInner(k int, st *stepPlan) (*hashState, error) {
 		if !ok {
 			continue // NULL key never matches
 		}
-		hj.table[key] = append(hj.table[key], int32(i))
+		ks := string(key)
+		hj.table[ks] = append(hj.table[ks], int32(i))
 	}
 	return hj, nil
 }
@@ -803,7 +807,7 @@ func (q *query) probeHashInner(st *stepPlan, hj *hashState, emit func() error) e
 	}
 	matched := false
 	if ok {
-		for _, ri := range hj.table[key] {
+		for _, ri := range hj.table[string(key)] {
 			q.env.bindings[st.bind].row = hj.rows[ri]
 			pass, err := q.evalConjs(st.match)
 			if err != nil {
@@ -854,7 +858,7 @@ func (q *query) probeBuildOuter(st *stepPlan, outs []outerTuple, restore func(*o
 		if err != nil || !ok {
 			return err
 		}
-		for _, oi := range table[key] {
+		for _, oi := range table[string(key)] {
 			t := &outs[oi]
 			restore(t)
 			q.env.bindings[st.bind].row = row

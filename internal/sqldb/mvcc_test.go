@@ -429,7 +429,7 @@ func assertOneEntryPerLiveRow(t *testing.T, db *DB, tbl, ix string) {
 	defer tb.latch.RUnlock()
 	index := tb.findIndex(ix)
 	entries := 0
-	index.tree.scanRange(nil, nil, func(k Key, rid int64) bool {
+	index.tree.scanRange("", "", func(k string, rid int64) bool {
 		entries++
 		if row := tb.resolve(tb.rows[rid].currentVersion(0)); row == nil || !index.entryMatches(k, row, rid) {
 			t.Errorf("%s: entry %v names no live row %d", ix, k, rid)

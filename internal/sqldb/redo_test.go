@@ -78,9 +78,9 @@ func engineState(t *testing.T, who string, db *DB) map[string]tableState {
 		for _, ix := range tbl.indexes {
 			st.ddl = append(st.ddl, ix.schema.DDL())
 			ents := []string{}
-			ix.tree.scanRange(nil, nil, func(k Key, rid int64) bool {
+			ix.tree.scanRange("", "", func(k string, rid int64) bool {
 				if row := tbl.resolve(tbl.rows[rid].visibleVersion(snap)); row != nil && ix.entryMatches(k, row, rid) {
-					ents = append(ents, canonValues(k))
+					ents = append(ents, canonValues(append(ix.keyValues(row), NewInt(rid))))
 				}
 				return true
 			})

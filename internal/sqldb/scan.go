@@ -27,22 +27,23 @@ type scanOp struct {
 	// the cursor ran off the end.
 	done bool
 
-	// Index-scan cursor. The optional range bound applies to index column
-	// kpos. Forward scans resume from the last collected key (unique
-	// thanks to the rid tiebreaker); reverse scans start at revStart and
-	// walk down; a grouped walk (accessPlan.grouped) is inGroup while the
-	// entries under group remain, and resumes among them as a forward scan
-	// does.
-	rangeCol       int
+	// Index-scan cursor, all in encoded keys. The optional range bounds
+	// (haveLo, haveHi) apply to index column kpos, which starts at byte
+	// len(prefix) of every entry under the prefix. Forward scans resume from the last
+	// collected key (unique thanks to the rid tiebreaker; a node's key is
+	// an immutable string, so holding it costs nothing); reverse scans
+	// start at revStart and walk down; a grouped walk (accessPlan.grouped)
+	// is inGroup while the entries under group — the prefix and one value
+	// of column kpos, a leading part of a node's key — remain, and resumes
+	// among them as a forward scan does.
 	kpos           int
-	loVal, hiVal   Value
 	haveLo, haveHi bool
 	scanBatch      int
-	resume         Key
+	resume         string
 	skipResume     bool
-	revStart       Key
+	revStart       string
+	group          string
 	inGroup        bool
-	lastIdx        int // which of last[] the current round builds in
 
 	// Full-scan cursor: next slot window base.
 	base int64
@@ -54,28 +55,22 @@ type scanOp struct {
 // scanBufs are a scan operator's buffers: the one part of it that
 // outlives a pass, kept by scanFor for the binding's next one.
 type scanBufs struct {
-	// prefix is the evaluated equality prefix; bound backs the seek key
-	// (prefix + range bound). last holds the round's last collected key
-	// while resume still points at the previous round's, so the two
-	// alternate. group is the grouped walk's current group: the prefix plus
-	// one value of the column after it.
-	prefix Key
-	bound  Key
-	last   [2]Key
-	group  Key
+	// prefix is the encoded equality prefix; lo and hi the encoded range
+	// bounds on column kpos; bound backs the seek key (prefix + one range
+	// bound). The cursor's probe keys are views of them.
+	prefix, lo, hi, bound []byte
 	// Per-batch buffers, refilled by every Next call: the returned
 	// rowBatch is valid only until the next one.
 	rids    []int64
-	keys    []Key
+	keys    []string
 	outRows [][]Value
 	outRids []int64
 }
 
-// empty zeroes and truncates every buffer: they point at no row, index
-// key or parameter afterwards.
+// empty truncates every buffer and zeroes those holding references: they
+// point at no row or index key afterwards.
 func (b *scanBufs) empty() {
-	b.prefix, b.bound = reuse(b.prefix), reuse(b.bound)
-	b.last[0], b.last[1], b.group = reuse(b.last[0]), reuse(b.last[1]), reuse(b.group)
+	b.prefix, b.lo, b.hi, b.bound = b.prefix[:0], b.lo[:0], b.hi[:0], b.bound[:0]
 	b.rids, b.outRids = b.rids[:0], b.outRids[:0]
 	b.keys, b.outRows = reuse(b.keys), reuse(b.outRows)
 }
@@ -95,7 +90,7 @@ func (q *query) scanFor(i int, ap accessPlan) *scanOp {
 // what a pooled scratch may keep.
 func (op *scanOp) release() {
 	*op = scanOp{scanBufs: scanBufs{
-		prefix: keep(op.prefix), bound: keep(op.bound), last: [2]Key{keep(op.last[0]), keep(op.last[1])}, group: keep(op.group),
+		prefix: keep(op.prefix), lo: keep(op.lo), hi: keep(op.hi), bound: keep(op.bound),
 		rids: keep(op.rids), keys: keep(op.keys), outRows: keep(op.outRows), outRids: keep(op.outRids),
 	}}
 }
@@ -131,59 +126,34 @@ func (op *scanOp) Init() error {
 			op.done = true // col = NULL never matches
 			return nil
 		}
-		// Coerce to the indexed column's type so Int/Float compare right.
-		cv, err := coerce(v, op.tbl.schema.Columns[ap.index.cols[j]].Type)
+		// Coerce to the indexed column's type: its keys encode that type.
+		cv, err := coerce(v, op.keyType(j))
 		if err != nil {
 			op.done = true // incomparable constant: no matches
 			return nil
 		}
-		op.prefix = append(op.prefix, cv)
+		op.prefix = appendKeyValue(op.prefix, cv)
 	}
+	op.kpos = len(ap.eqExprs)
 	// Resolve the optional range bounds on the next index column.
-	op.rangeCol = -1
-	if ap.loExpr != nil || ap.hiExpr != nil {
-		op.rangeCol = ap.index.cols[len(ap.eqExprs)]
-		if ap.loExpr != nil {
-			v, err := q.env.eval(ap.loExpr)
-			if err != nil {
-				return err
-			}
-			if v.IsNull() {
-				op.done = true // comparison with NULL matches nothing
-				return nil
-			}
-			cv, err := coerce(v, op.tbl.schema.Columns[op.rangeCol].Type)
-			if err != nil {
-				op.done = true
-				return nil
-			}
-			op.loVal, op.haveLo = cv, true
-		}
-		if ap.hiExpr != nil {
-			v, err := q.env.eval(ap.hiExpr)
-			if err != nil {
-				return err
-			}
-			if v.IsNull() {
-				op.done = true
-				return nil
-			}
-			cv, err := coerce(v, op.tbl.schema.Columns[op.rangeCol].Type)
-			if err != nil {
-				op.done = true
-				return nil
-			}
-			op.hiVal, op.haveHi = cv, true
+	var err error
+	if ap.loExpr != nil {
+		if op.lo, op.haveLo, err = op.rangeBound(ap.loExpr, op.lo); err != nil || !op.haveLo {
+			return err
 		}
 	}
-	op.kpos = len(op.prefix)
+	if ap.hiExpr != nil {
+		if op.hi, op.haveHi, err = op.rangeBound(ap.hiExpr, op.hi); err != nil || !op.haveHi {
+			return err
+		}
+	}
 	// Unique-key point lookups take the key-value lock as a predicate
 	// guard: a transaction that read key K — present or absent — blocks
 	// writers of K until it commits, closing the check-then-act phantom for
 	// the engine's hottest access pattern. Broader range scans remain
 	// record-locked only (no next-key locking). Snapshot reads need no
 	// guard: they re-read the same timestamp no matter who writes.
-	if !q.snapRead && ap.index.schema.Unique && len(ap.eqExprs) == len(ap.index.cols) {
+	if !q.snapRead && ap.index.schema.Unique && op.kpos == len(ap.index.cols) {
 		if err := q.tx.db.locks.acquire(q.tx.ctx, q.tx, ap.index.keyLockTarget(op.prefix), q.rowLock); err != nil {
 			return err
 		}
@@ -199,21 +169,41 @@ func (op *scanOp) Init() error {
 	}
 	// Forward scans seek to prefix (+ low bound); reverse scans seek to the
 	// last key under prefix (+ high bound) and walk backward.
-	if !ap.reverse && op.haveLo {
-		op.bound = append(append(op.bound[:0], op.prefix...), op.loVal)
-		op.resume = op.bound
-	} else if !ap.reverse {
-		op.resume = op.prefix
-	}
-	if ap.reverse {
-		if op.haveHi {
-			op.bound = append(append(op.bound[:0], op.prefix...), op.hiVal)
-			op.revStart = op.bound
-		} else {
-			op.revStart = op.prefix
-		}
+	switch {
+	case !ap.reverse && op.haveLo:
+		op.bound = append(append(op.bound[:0], op.prefix...), op.lo...)
+		op.resume = view(op.bound)
+	case !ap.reverse:
+		op.resume = view(op.prefix)
+	case op.haveHi:
+		op.bound = append(append(op.bound[:0], op.prefix...), op.hi...)
+		op.revStart = view(op.bound)
+	default:
+		op.revStart = view(op.prefix)
 	}
 	return nil
+}
+
+// keyType is the type of the index's column j.
+func (op *scanOp) keyType(j int) Type {
+	return op.tbl.schema.Columns[op.ap.index.cols[j]].Type
+}
+
+// rangeBound evaluates a range bound on column kpos and appends its
+// encoding to b[:0]. ok is false when it can match nothing — NULL, or a
+// constant the column's type cannot hold — which finishes the scan.
+func (op *scanOp) rangeBound(e Expr, b []byte) (_ []byte, ok bool, err error) {
+	v, err := op.q.env.eval(e)
+	if err != nil {
+		return b, false, err
+	}
+	if !v.IsNull() {
+		if cv, cerr := coerce(v, op.keyType(op.kpos)); cerr == nil {
+			return appendKeyValue(b[:0], cv), true, nil
+		}
+	}
+	op.done = true // comparison with NULL, or an incomparable constant
+	return b, false, nil
 }
 
 // Next returns the next non-empty batch of visible, matching rows (rows
@@ -231,8 +221,7 @@ func (op *scanOp) Next() (*rowBatch, error) {
 // key or parameter — for the binding's next pass.
 func (op *scanOp) Close() {
 	op.empty()
-	op.resume, op.revStart = nil, nil
-	op.loVal, op.hiVal = Value{}, Value{}
+	op.resume, op.revStart, op.group = "", "", ""
 	op.batch = rowBatch{}
 }
 
@@ -306,25 +295,25 @@ func (op *scanOp) nextFull() (*rowBatch, error) {
 // last entry below the group just finished. The cursor between rounds is
 // keys too (group, resume), never a node, so a writer between two batches
 // cannot strand it. collect stops the round when the batch is full.
-func (op *scanOp) walkGroups(collect func(Key, int64) bool) {
+func (op *scanOp) walkGroups(collect func(string, int64) bool) {
 	tree := op.ap.index.tree
-	glen := op.kpos + 1
+	prefix := view(op.prefix)
 	for len(op.rids) < op.scanBatch {
 		if !op.inGroup {
 			var n *slNode
-			if len(op.group) == 0 {
-				n = tree.findLastLE(op.prefix)
+			if op.group == "" {
+				n = tree.findLastLE(prefix)
 			} else {
 				n = tree.findLastLT(op.group)
 			}
-			if n == nil || len(n.key) < glen || compareKeys(n.key[:op.kpos], op.prefix) != 0 {
+			if n == nil || !strings.HasPrefix(n.key, prefix) {
 				return // ran off the prefix: the scan is exhausted
 			}
-			op.group = append(op.group[:0], n.key[:glen]...)
+			op.group = n.key[:len(prefix)+keyValueLen(n.key[len(prefix):], op.keyType(op.kpos))]
 			op.resume, op.skipResume, op.inGroup = op.group, false, true
 		}
-		tree.scanRange(op.resume, nil, func(k Key, rid int64) bool {
-			return comparePrefix(k, op.group) == 0 && collect(k, rid)
+		tree.scanRange(op.resume, "", func(k string, rid int64) bool {
+			return strings.HasPrefix(k, op.group) && collect(k, rid)
 		})
 		if len(op.rids) < op.scanBatch {
 			op.inGroup = false // the walk left the group, or the index
@@ -349,40 +338,38 @@ func (op *scanOp) nextIndex() (*rowBatch, error) {
 		}
 		op.rids = op.rids[:0]
 		op.keys = reuse(op.keys)
-		lastKey := reuse(op.last[op.lastIdx])
+		lastKey := ""
 		exhausted := true
-		collect := func(k Key, rid int64) bool {
-			if op.skipResume && compareKeys(k, op.resume) == 0 {
+		prefix := view(op.prefix)
+		lo, hi := view(op.lo), view(op.hi)
+		collect := func(k string, rid int64) bool {
+			if op.skipResume && k == op.resume {
 				return true // already visited in the previous batch
 			}
 			// Stay within the equality prefix.
-			if len(k) < len(op.prefix) || compareKeys(k[:len(op.prefix)], op.prefix) != 0 {
+			if !strings.HasPrefix(k, prefix) {
 				return false
 			}
-			if op.rangeCol >= 0 && op.kpos < len(k) {
-				// The strict bound on the near side of the walk is skipped
-				// per entry; the far-side bound terminates the walk.
+			if op.haveLo || op.haveHi {
+				// Column kpos compared in place. The strict bound on the
+				// near side of the walk is skipped per entry; the far-side
+				// bound terminates the walk.
+				col := k[len(prefix):]
 				if !ap.reverse {
-					if op.haveLo && !ap.loInc {
-						if c, cerr := Compare(k[op.kpos], op.loVal); cerr == nil && c == 0 {
-							return true
-						}
+					if op.haveLo && !ap.loInc && comparePrefix(col, lo) == 0 {
+						return true
 					}
 					if op.haveHi {
-						c, cerr := Compare(k[op.kpos], op.hiVal)
-						if cerr != nil || c > 0 || (c == 0 && !ap.hiInc) {
+						if c := comparePrefix(col, hi); c > 0 || (c == 0 && !ap.hiInc) {
 							return false
 						}
 					}
 				} else {
-					if op.haveHi && !ap.hiInc {
-						if c, cerr := Compare(k[op.kpos], op.hiVal); cerr == nil && c == 0 {
-							return true
-						}
+					if op.haveHi && !ap.hiInc && comparePrefix(col, hi) == 0 {
+						return true
 					}
 					if op.haveLo {
-						c, cerr := Compare(k[op.kpos], op.loVal)
-						if cerr != nil || c < 0 || (c == 0 && !ap.loInc) {
+						if c := comparePrefix(col, lo); c < 0 || (c == 0 && !ap.loInc) {
 							return false
 						}
 					}
@@ -391,7 +378,7 @@ func (op *scanOp) nextIndex() (*rowBatch, error) {
 			q.stats.RowsScanned++
 			op.rids = append(op.rids, rid)
 			op.keys = append(op.keys, k) // node keys are immutable: safe to hold
-			lastKey = append(lastKey[:0], k...)
+			lastKey = k
 			if len(op.rids) >= op.scanBatch {
 				exhausted = false
 				return false
@@ -403,7 +390,7 @@ func (op *scanOp) nextIndex() (*rowBatch, error) {
 		case ap.grouped:
 			op.walkGroups(collect)
 		case !ap.reverse:
-			ap.index.tree.scanRange(op.resume, nil, collect)
+			ap.index.tree.scanRange(op.resume, "", collect)
 		case op.skipResume:
 			ap.index.tree.scanReverseLT(op.resume, collect)
 		default:
@@ -412,14 +399,10 @@ func (op *scanOp) nextIndex() (*rowBatch, error) {
 		tbl.latch.RUnlock()
 		// Advance the cursor before resolving rows, so an error mid-batch
 		// leaves the operator consistent.
-		op.last[op.lastIdx] = lastKey
 		if exhausted {
 			op.done = true
 		} else {
-			// The next round builds its last key in the other buffer while
-			// comparing against this one.
 			op.resume = lastKey
-			op.lastIdx ^= 1
 			op.skipResume = true
 			if op.scanBatch < maxScanBatch {
 				op.scanBatch *= 2

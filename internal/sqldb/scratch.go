@@ -52,6 +52,7 @@ type txScratch struct {
 	has        []bool       // ...and whether one was supplied
 	keyTargets []lockTarget // unique-key locks of the row being written
 	walBuf     bytes.Buffer // the commit's encoded redo records
+	hashKey    bytes.Buffer // the hash join's key being built or probed
 
 	// Transaction state. The Tx's own slices point here while the scratch
 	// is attached and are handed back, emptied, at finish.
@@ -115,6 +116,9 @@ func (tx *Tx) releaseScratch() {
 	sc.keyTargets = keep(sc.keyTargets)
 	if sc.walBuf.Cap() > 64*scratchKeep {
 		sc.walBuf = bytes.Buffer{}
+	}
+	if sc.hashKey.Cap() > scratchKeep {
+		sc.hashKey = bytes.Buffer{}
 	}
 	tx.db.scratchPool.Put(sc)
 }

@@ -1,12 +1,13 @@
 package sqldb
 
 import (
-	"bytes"
 	"context"
 	"database/sql"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -294,15 +295,14 @@ func TestPooledScratchPinsNothing(t *testing.T) {
 	checkEmpty(t, "gcPend", sc.gcPend)
 	for i := range sc.scans[:cap(sc.scans)] {
 		op := &sc.scans[:cap(sc.scans)][i]
-		if op.q != nil || op.tbl != nil || op.ap.index != nil || op.resume != nil || op.revStart != nil || op.batch.rows != nil {
+		if op.q != nil || op.tbl != nil || op.ap.index != nil || op.resume != "" || op.revStart != "" || op.group != "" || op.batch.rows != nil {
 			t.Errorf("scans[%d] still points at its last pass", i)
 		}
 		name := fmt.Sprintf("scans[%d].", i)
-		checkEmpty(t, name+"prefix", op.prefix)
-		checkEmpty(t, name+"bound", op.bound)
-		checkEmpty(t, name+"last[0]", op.last[0])
-		checkEmpty(t, name+"last[1]", op.last[1])
-		checkEmpty(t, name+"group", op.group)
+		checkPooled(t, name+"prefix", op.prefix, false)
+		checkPooled(t, name+"lo", op.lo, false)
+		checkPooled(t, name+"hi", op.hi, false)
+		checkPooled(t, name+"bound", op.bound, false)
 		checkPooled(t, name+"rids", op.rids, false)
 		checkEmpty(t, name+"keys", op.keys)
 		checkEmpty(t, name+"outRows", op.outRows)
@@ -310,6 +310,9 @@ func TestPooledScratchPinsNothing(t *testing.T) {
 	}
 	if c := sc.walBuf.Cap(); c > 64*scratchKeep {
 		t.Errorf("walBuf kept %d bytes", c)
+	}
+	if c := sc.hashKey.Cap(); c > scratchKeep {
+		t.Errorf("hashKey kept %d bytes", c)
 	}
 }
 
@@ -361,10 +364,10 @@ func mustValues(t *testing.T, tx *Tx, args []any) []Value {
 	return vals
 }
 
-// TestKeyLockHashMatchesEncoding pins hashValue to the bytes writeValue
-// emits: a scan's key lock (hashed from its coerced equality prefix) and a
-// writer's (hashed straight from the row) must name the same resource, and
-// both must keep naming the one the buffer-encoding hash did.
+// TestKeyLockHashMatchesEncoding pins the key-lock hash to the key's
+// encoded columns: a scan's key lock (hashed from its coerced, encoded
+// equality prefix) and a writer's (hashed from the row) must name the same
+// resource, FNV-1a over appendKeyValue's bytes.
 func TestKeyLockHashMatchesEncoding(t *testing.T) {
 	ix := &index{cols: []int{2, 0}, keyLock: "\x00key:t:ix"}
 	rows := [][]Value{
@@ -373,20 +376,17 @@ func TestKeyLockHashMatchesEncoding(t *testing.T) {
 		{NewFloat(2.5), NewBool(true), NewTime(time.Date(2006, 10, 1, 0, 0, 0, 0, time.UTC))},
 		{NewInt(1 << 40), NewText("x"), NewBool(false)},
 		{NullValue(), NewText("x"), NewInt(300)},
+		{NewInt(0), NewText("x"), NewText(strings.Repeat("long\x00", 40))},
 	}
 	for _, row := range rows {
-		key := Key{row[2], row[0]}
-		var buf bytes.Buffer
-		for _, v := range key {
-			writeValue(&buf, v)
-		}
+		enc := appendKeyValue(appendKeyValue(nil, row[2]), row[0])
 		h := fnvOffset
-		for _, b := range buf.Bytes() {
+		for _, b := range enc {
 			h = (h ^ uint64(b)) * fnvPrime
 		}
 		want := lockTarget{table: ix.keyLock, rid: int64(h >> 1)}
-		if got := ix.keyLockTarget(key); got != want {
-			t.Errorf("keyLockTarget(%v) = %+v, want %+v", key, got, want)
+		if got := ix.keyLockTarget(enc); got != want {
+			t.Errorf("keyLockTarget(%x) = %+v, want %+v", enc, got, want)
 		}
 		if got := ix.rowKeyLockTarget(row); got != want {
 			t.Errorf("rowKeyLockTarget(%v) = %+v, want %+v", row, got, want)
@@ -395,34 +395,39 @@ func TestKeyLockHashMatchesEncoding(t *testing.T) {
 }
 
 // TestEntryMatchesInPlace holds the in-place index-entry comparison to the
-// build-a-key-and-compare definition it replaced, including the type-tag
-// fallback for ill-typed keys and the rid tiebreaker.
+// build-a-key-and-compare definition: the same columns, one type per
+// column, and the rid tiebreaker.
 func TestEntryMatchesInPlace(t *testing.T) {
 	ix := &index{cols: []int{1, 0}}
 	row := []Value{NewInt(4), NewText("idle"), NewFloat(1)}
-	keys := []Key{
+	keys := []string{
 		ix.entryKey(row, 9),
 		ix.entryKey(row, 10),
-		{NewText("idle"), NewFloat(4), NewInt(9)}, // numerically equal across Int/Float
-		{NewText("idle"), NewInt(5), NewInt(9)},
-		{NewText("idle"), NewInt(4)},
-		{NewText("idle"), NewInt(4), NewInt(9), NewInt(0)},
-		{NewInt(4), NewText("idle"), NewInt(9)}, // ill-typed: falls back to type tags
-		{NullValue(), NewInt(4), NewInt(9)},
+		entry(9, NewText("idle"), NewFloat(4)), // another type encodes apart
+		entry(9, NewText("idle"), NewInt(5)),
+		probe(NewText("idle"), NewInt(4)),
+		entry(9, NewText("idle"), NewInt(4)) + "\x00",
+		entry(9, NewInt(4), NewText("idle")),
+		entry(9, NullValue(), NewInt(4)),
+		entry(9, NewText("idle\x00"), NewInt(4)),
 	}
-	for _, k := range keys {
-		want := compareKeys(ix.entryKey(row, 9), k) == 0
+	for i, k := range keys {
+		want := i == 0
 		if got := ix.entryMatches(k, row, 9); got != want {
-			t.Errorf("entryMatches(%v) = %v, want %v", k, got, want)
+			t.Errorf("entryMatches(%x) = %v, want %v", k, got, want)
 		}
 	}
-	other := []Value{NewFloat(4), NewText("idle"), NewFloat(2)}
+	other := []Value{NewInt(4), NewText("idle"), NewFloat(2)}
 	if !ix.sameKey(row, other) {
 		t.Error("sameKey: rows equal on the indexed columns reported different")
 	}
 	other[1] = NewText("busy")
 	if ix.sameKey(row, other) {
 		t.Error("sameKey: rows differing on an indexed column reported same")
+	}
+	fx := &index{cols: []int{0}}
+	if !fx.sameKey([]Value{NewFloat(math.Copysign(0, -1))}, []Value{NewFloat(0)}) {
+		t.Error("sameKey: -0 and +0 share one entry, reported different")
 	}
 }
 

@@ -171,7 +171,7 @@ func (t *table) addIndexLocked(is IndexSchema) ([]gcRecord, error) {
 			if v != head && (live == nil || !ix.sameKey(live, row)) {
 				orphans = append(orphans, gcEntry{index: is.Name, key: k})
 			}
-			ix.tree.insert(k, rid)
+			ix.tree.insert(k)
 		}
 		if len(orphans) > 0 {
 			history = append(history, gcRecord{table: t.schema.Name, rid: rid, entries: orphans})
@@ -204,18 +204,41 @@ func (t *table) findIndex(name string) *index {
 	return nil
 }
 
+// keyBuf is the stack room a key is built in: the CAS's keys fit, and a
+// longer one grows onto the heap.
+type keyBuf [64]byte
+
 // entryKey builds the physical index key for a row: the indexed columns
-// followed by the rowid tiebreaker. Every index — unique ones included —
-// carries the tiebreaker, because under multi-versioning two rids may
-// legitimately hold entries for the same logical key at once (a
+// followed by the rowid tiebreaker, one string. Every index — unique ones
+// included — carries the tiebreaker, because under multi-versioning two
+// rids may legitimately hold entries for the same logical key at once (a
 // committed-deleted row awaiting GC and its replacement). Uniqueness is
 // enforced against live versions by checkUnique, not by key collision.
-func (ix *index) entryKey(row []Value, rid int64) Key {
-	k := make(Key, 0, len(ix.cols)+1)
+func (ix *index) entryKey(row []Value, rid int64) string {
+	var buf keyBuf
+	return string(ix.appendEntry(buf[:0], row, rid))
+}
+
+// appendKey appends the encoding of row's indexed columns to b.
+func (ix *index) appendKey(b []byte, row []Value) []byte {
 	for _, c := range ix.cols {
-		k = append(k, row[c])
+		b = appendKeyValue(b, row[c])
 	}
-	return append(k, NewInt(rid))
+	return b
+}
+
+// appendEntry appends row's entry key at rid to b.
+func (ix *index) appendEntry(b []byte, row []Value, rid int64) []byte {
+	return appendKeyRid(ix.appendKey(b, row), rid)
+}
+
+// keyValues is row's key under ix as values.
+func (ix *index) keyValues(row []Value) []Value {
+	k := make([]Value, len(ix.cols))
+	for i, c := range ix.cols {
+		k[i] = row[c]
+	}
+	return k
 }
 
 // enforces reports whether the unique constraint applies to row's key
@@ -238,7 +261,7 @@ func (ix *index) enforces(row []Value) bool {
 // the row's own, so it cannot differ).
 func (ix *index) sameKey(a, b []Value) bool {
 	for _, c := range ix.cols {
-		if compareKeyPart(a[c], b[c]) != 0 {
+		if !keyValuesEqual(a[c], b[c]) {
 			return false
 		}
 	}
@@ -251,59 +274,25 @@ const (
 	fnvPrime  uint64 = 1099511628211
 )
 
-// hashValue folds v's storage encoding (writeValue's bytes: type tag,
-// then uvarint / 8 IEEE bytes / length-prefixed text) into h without
-// materializing it.
-func hashValue(h uint64, v Value) uint64 {
-	h = (h ^ uint64(v.typ)) * fnvPrime
-	switch v.typ {
-	case Int, Bool, Time:
-		h = hashUvarint(h, uint64(v.i))
-	case Float:
-		for u, i := uint64(v.i), 0; i < 8; i++ {
-			h = (h ^ (u & 0xff)) * fnvPrime
-			u >>= 8
-		}
-	case Text:
-		h = hashUvarint(h, uint64(len(v.s)))
-		for i := 0; i < len(v.s); i++ {
-			h = (h ^ uint64(v.s[i])) * fnvPrime
-		}
-	}
-	return h
-}
-
-// hashUvarint folds u's uvarint encoding into h.
-func hashUvarint(h, u uint64) uint64 {
-	for ; u >= 0x80; u >>= 7 {
-		h = (h ^ (u&0x7f | 0x80)) * fnvPrime
-	}
-	return (h ^ u) * fnvPrime
-}
-
 // keyLockTarget names the lock-manager resource guarding one unique key
-// value of ix. Index entries outlive their versions under MVCC, so the
-// entry itself cannot serialize writers of the same key; these logical
-// key locks do. The key is hashed — collisions only over-block (a
-// spurious wait or deadlock retry), never under-block. The shift keeps
-// the rid non-negative, so it can never collide with the tableRID
-// sentinel.
-func (ix *index) keyLockTarget(k Key) lockTarget {
+// value of ix, given as its encoded columns (appendKey's bytes). Index
+// entries outlive their versions under MVCC, so the entry itself cannot
+// serialize writers of the same key; these logical key locks do. The key
+// is hashed — collisions only over-block (a spurious wait or deadlock
+// retry), never under-block. The shift keeps the rid non-negative, so it
+// can never collide with the tableRID sentinel.
+func (ix *index) keyLockTarget(k []byte) lockTarget {
 	h := fnvOffset
-	for _, v := range k {
-		h = hashValue(h, v)
+	for _, b := range k {
+		h = (h ^ uint64(b)) * fnvPrime
 	}
 	return lockTarget{table: ix.keyLock, rid: int64(h >> 1)}
 }
 
-// rowKeyLockTarget is keyLockTarget for the key row occupies under ix,
-// hashed straight from the row's indexed columns.
+// rowKeyLockTarget is keyLockTarget for the key row occupies under ix.
 func (ix *index) rowKeyLockTarget(row []Value) lockTarget {
-	h := fnvOffset
-	for _, c := range ix.cols {
-		h = hashValue(h, row[c])
-	}
-	return lockTarget{table: ix.keyLock, rid: int64(h >> 1)}
+	var buf keyBuf
+	return ix.keyLockTarget(ix.appendKey(buf[:0], row))
 }
 
 // uniqueKeyTargets appends to dst the key-lock resources for every
@@ -345,7 +334,7 @@ func (t *table) changedUniqueKeyTargets(dst []lockTarget, old, newRow []Value) [
 // UniqueViolationError reports a duplicate key under a unique index.
 type UniqueViolationError struct {
 	Index string
-	Key   Key
+	Key   []Value // the indexed columns' values, in index order
 }
 
 func (e *UniqueViolationError) Error() string {
@@ -361,16 +350,12 @@ func (t *table) checkUnique(ix *index, row []Value, rid int64) error {
 	if !ix.enforces(row) {
 		return nil
 	}
-	// The probe key lives on the stack for the usual one- or two-column
-	// constraint; only a reported violation copies it out.
-	var buf [4]Value
-	lk := Key(buf[:0])
-	for _, c := range ix.cols {
-		lk = append(lk, row[c])
-	}
+	// The probe — the key's columns, a prefix of every entry holding it —
+	// lives on the stack; only a reported violation builds the key's values.
+	var buf keyBuf
 	var conflict bool
-	ix.tree.scanPrefix(lk, func(k Key, rid2 int64) bool {
-		if rid2 == rid || len(k) != len(lk)+1 {
+	ix.tree.scanPrefix(view(ix.appendKey(buf[:0], row)), func(_ string, rid2 int64) bool {
+		if rid2 == rid {
 			return true
 		}
 		headRow := t.resolve(t.rows[rid2].head.Load())
@@ -384,7 +369,7 @@ func (t *table) checkUnique(ix *index, row []Value, rid int64) error {
 		return true // newest version moved to a different key
 	})
 	if conflict {
-		return &UniqueViolationError{Index: ix.schema.Name, Key: append(Key(nil), lk...)}
+		return &UniqueViolationError{Index: ix.schema.Name, Key: ix.keyValues(row)}
 	}
 	return nil
 }
@@ -549,7 +534,7 @@ func (t *table) write(rid int64, row []Value, insert bool, txn, watermark uint64
 	}
 	for _, ix := range t.indexes {
 		if old == nil || !ix.sameKey(old, row) {
-			ix.tree.insert(ix.entryKey(row, rid), rid) // idempotent when re-claiming a pending-GC entry
+			ix.tree.insert(ix.entryKey(row, rid)) // idempotent when re-claiming a pending-GC entry
 		}
 	}
 	if s == nil {
@@ -629,17 +614,9 @@ func (t *table) visibleRow(rid int64, ts uint64) []Value {
 // that keeps a row from surfacing through a stale index entry left behind
 // by a superseded version (each row is emitted exactly once, at its own
 // key's position in the scan).
-func (ix *index) entryMatches(k Key, row []Value, rid int64) bool {
-	n := len(ix.cols)
-	if len(k) != n+1 {
-		return false
-	}
-	for i, c := range ix.cols {
-		if compareKeyPart(row[c], k[i]) != 0 {
-			return false
-		}
-	}
-	return compareKeyPart(NewInt(rid), k[n]) == 0
+func (ix *index) entryMatches(k string, row []Value, rid int64) bool {
+	var buf keyBuf
+	return k == string(ix.appendEntry(buf[:0], row, rid))
 }
 
 // removeEntryIfUnclaimed deletes index entry k for rid unless some
@@ -647,7 +624,7 @@ func (ix *index) entryMatches(k Key, row []Value, rid int64) bool {
 // carries that exact key — which happens when a key changed away and back
 // again before the orphaned entry was reclaimed. Caller holds the
 // exclusive latch.
-func (t *table) removeEntryIfUnclaimed(ix *index, k Key, rid int64) bool {
+func (t *table) removeEntryIfUnclaimed(ix *index, k string, rid int64) bool {
 	if rid >= 0 && rid < int64(len(t.rows)) {
 		for v := t.rows[rid].head.Load(); v != nil; v = v.prev.Load() {
 			if row := t.resolve(v); row != nil && ix.entryMatches(k, row, rid) {
@@ -686,8 +663,9 @@ func (t *table) rollback(op walOp, rid int64, txn uint64) {
 	}
 	// An uncommitted version always carries its data in memory (versions
 	// are paged out only at commit).
+	var buf keyBuf
 	for _, ix := range t.indexes {
-		t.removeEntryIfUnclaimed(ix, ix.entryKey(head.data, rid), rid)
+		t.removeEntryIfUnclaimed(ix, view(ix.appendEntry(buf[:0], head.data, rid)), rid)
 	}
 }
 
@@ -749,7 +727,7 @@ func (t *table) pagedPlace(rid int64, row []Value, loc pageLoc, ts uint64) {
 	t.rows[rid].head.Store(v)
 	t.liveRows.Add(1)
 	for _, ix := range t.indexes {
-		ix.tree.insert(ix.entryKey(row, rid), rid)
+		ix.tree.insert(ix.entryKey(row, rid))
 	}
 }
 

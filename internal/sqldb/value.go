@@ -13,11 +13,13 @@
 package sqldb
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // Type enumerates the engine's column types.
@@ -308,31 +310,121 @@ func coerce(v Value, t Type) (Value, error) {
 	return Value{}, fmt.Errorf("sqldb: cannot store %s value in %s column", v.typ, t)
 }
 
-// Key is a composite index key.
-type Key []Value
+// Index keys are byte strings whose order is the index's order, so the
+// skiplist compares them with a plain byte compare and a paged tree can
+// store them as they are. An entry's key is its indexed columns, each
+// encoded by appendKeyValue, then the rid in 8 bytes (appendKeyRid). An
+// index column holds one type — every stored value is coerced to its
+// column's — so no key compares two types.
+//
+// Every column encoding is self-delimiting: none is a proper prefix of
+// another value's. So a key's leading columns are a byte prefix of it, and
+// truncating a key to a probe's length compares the columns the probe has.
 
-// compareKeys orders composite keys lexicographically; shorter prefixes
-// order before longer keys that extend them.
-func compareKeys(a, b Key) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
+// Key tags: NULL first, as Compare orders it.
+const (
+	keyNull    byte = 0x00
+	keyNotNull byte = 0x01
+)
+
+// appendKeyValue appends v's index-key encoding to b: keyNull, or
+// keyNotNull and then, for Int, Bool and Time, the 8 bytes big-endian with
+// the sign bit flipped; for Float, floatKeyBits big-endian; for Text, the
+// bytes with each 0x00 written 0x00 0xFF, then the terminator 0x00 0x01.
+func appendKeyValue(b []byte, v Value) []byte {
+	if v.typ == Null {
+		return append(b, keyNull)
 	}
-	for i := 0; i < n; i++ {
-		if c := compareKeyPart(a[i], b[i]); c != 0 {
-			return c
+	b = append(b, keyNotNull)
+	switch v.typ {
+	case Float:
+		return binary.BigEndian.AppendUint64(b, floatKeyBits(v.float()))
+	case Text:
+		s := v.s
+		for {
+			i := strings.IndexByte(s, 0)
+			if i < 0 {
+				break
+			}
+			b = append(append(b, s[:i]...), 0x00, 0xFF)
+			s = s[i+1:]
 		}
+		return append(append(b, s...), 0x00, 0x01)
+	default: // Int, Bool, Time
+		return binary.BigEndian.AppendUint64(b, uint64(v.i)^1<<63)
 	}
-	return len(a) - len(b)
 }
 
-// compareKeyPart orders one key column the way every index does: Compare,
-// and — mixed-type keys cannot occur in a well-typed index — by type tag
-// as a deterministic safety net.
-func compareKeyPart(a, b Value) int {
-	c, err := Compare(a, b)
-	if err != nil {
-		c = int(a.typ) - int(b.typ)
+// floatKeyBits maps f's IEEE bits to an unsigned integer in f's order:
+// negatives have every bit flipped, the rest the sign bit set. −0 is +0,
+// as Compare has them equal; every NaN is the one quiet NaN, which sorts
+// above +Inf.
+func floatKeyBits(f float64) uint64 {
+	switch {
+	case f == 0:
+		f = 0
+	case f != f:
+		f = math.NaN()
 	}
-	return c
+	u := math.Float64bits(f)
+	if u>>63 != 0 {
+		return ^u
+	}
+	return u | 1<<63
 }
+
+// appendKeyRid appends an entry key's rid: 8 bytes big-endian, sign bit
+// flipped (rids are never negative, but the order holds regardless).
+func appendKeyRid(b []byte, rid int64) []byte {
+	return binary.BigEndian.AppendUint64(b, uint64(rid)^1<<63)
+}
+
+// keyRid reads the rid back from the last 8 bytes of an entry key.
+func keyRid(k string) int64 {
+	n := len(k) - 8
+	_ = k[n+7]
+	u := uint64(k[n])<<56 | uint64(k[n+1])<<48 | uint64(k[n+2])<<40 | uint64(k[n+3])<<32 |
+		uint64(k[n+4])<<24 | uint64(k[n+5])<<16 | uint64(k[n+6])<<8 | uint64(k[n+7])
+	return int64(u ^ 1<<63)
+}
+
+// keyValueLen is the length of the encoded value of type t that k starts
+// with.
+func keyValueLen(k string, t Type) int {
+	if k[0] == keyNull {
+		return 1
+	}
+	if t != Text {
+		return 9
+	}
+	for i := 1; ; {
+		j := strings.IndexByte(k[i:], 0)
+		if k[i+j+1] == 0x01 {
+			return i + j + 2
+		}
+		i += j + 2
+	}
+}
+
+// keyValuesEqual reports whether a and b, of one column, encode alike.
+func keyValuesEqual(a, b Value) bool {
+	if a.typ != b.typ {
+		return false
+	}
+	if a.typ == Float {
+		return floatKeyBits(a.float()) == floatKeyBits(b.float())
+	}
+	return a == b
+}
+
+// comparePrefix compares k against p after truncating k to p's length, so
+// any key extending p compares equal. An empty p compares equal to
+// everything.
+func comparePrefix(k, p string) int {
+	return strings.Compare(k[:min(len(k), len(p))], p)
+}
+
+// view is b as a string, not copied: a probe key built in a reused buffer.
+// It is valid while b is not written, and nothing may keep it — the
+// skiplist keeps only the keys insert is given, which are owned strings.
+func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }

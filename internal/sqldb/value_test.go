@@ -3,6 +3,7 @@ package sqldb
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -259,9 +260,9 @@ func TestPropertyCompareConsistency(t *testing.T) {
 // Property: composite key comparison is lexicographic and antisymmetric.
 func TestPropertyCompareKeys(t *testing.T) {
 	f := func(a1, a2, b1, b2 int64) bool {
-		ka := Key{NewInt(a1), NewInt(a2)}
-		kb := Key{NewInt(b1), NewInt(b2)}
-		c := compareKeys(ka, kb)
+		ka := probe(NewInt(a1), NewInt(a2))
+		kb := probe(NewInt(b1), NewInt(b2))
+		c := strings.Compare(ka, kb)
 		want := 0
 		switch {
 		case a1 < b1 || (a1 == b1 && a2 < b2):
@@ -269,7 +270,7 @@ func TestPropertyCompareKeys(t *testing.T) {
 		case a1 > b1 || (a1 == b1 && a2 > b2):
 			want = 1
 		}
-		return c == want && compareKeys(kb, ka) == -want
+		return c == want && strings.Compare(kb, ka) == -want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -277,9 +278,9 @@ func TestPropertyCompareKeys(t *testing.T) {
 }
 
 func TestCompareKeysPrefix(t *testing.T) {
-	short := Key{NewInt(1)}
-	long := Key{NewInt(1), NewInt(0)}
-	if compareKeys(short, long) >= 0 {
+	short := probe(NewInt(1))
+	long := probe(NewInt(1), NewInt(0))
+	if short >= long || comparePrefix(long, short) != 0 {
 		t.Fatal("prefix should order before extension")
 	}
 }

@@ -123,7 +123,7 @@ func (s *rowSlot) pruneBelow(watermark uint64, freed []pageLoc) (uint64, []pageL
 // included) that became garbage when its version was superseded.
 type gcEntry struct {
 	index string
-	key   Key
+	key   string
 }
 
 // gcRecord is one unit of deferred reclamation: the index entries
