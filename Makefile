@@ -23,10 +23,10 @@ test:
 
 # The allocation budgets, level by level: a wire round trip, a bare
 # statement (in memory and on resident pages), a hash join's probe, the
-# index entries of an insert, a page compaction, a dirty eviction and
-# reload, a bean call, a steady Service.Heartbeat. They are
-# compiled out under -race (sync.Pool sheds there), so they get their own
-# uncached run.
+# index entries of an insert, a stored row and its update, a page
+# compaction, a dirty eviction and reload, a bean call, a steady
+# Service.Heartbeat. They are compiled out under -race (sync.Pool sheds
+# there), so they get their own uncached run.
 alloc:
 	$(GO) test -count=1 -run Allocs ./internal/sqldb ./internal/sqldb/pager ./internal/beans ./internal/core ./internal/wire
 
@@ -87,7 +87,11 @@ flagdoc:
 # bounded by the input, and a page the validator accepts stays valid and
 # in bounds through insert, erase and compaction. Index keys: two values
 # of one column type encode in the order Compare gives them, neither
-# encoding a prefix of the other. go test -fuzz takes one target per run.
+# encoding a prefix of the other. Row images (a counted row from the log or
+# a page record, as the engine keeps it): never panic, allocation bounded
+# by the input, every column reads what the value decoder reads, and the
+# cells write back to the same bytes. go test -fuzz takes one target per
+# run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 30s ./internal/wire
@@ -95,6 +99,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLogReader$$' -fuzztime 30s ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzPageImage$$' -fuzztime 30s ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyOrder$$' -fuzztime 30s ./internal/sqldb
+	$(GO) test -run '^$$' -fuzz '^FuzzRowImage$$' -fuzztime 30s ./internal/sqldb
 
 # Differential join-fuzzer acceptance run: 1000 seeded schema/query
 # combinations through the engine (planner, plan cache, batched operators;

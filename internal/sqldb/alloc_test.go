@@ -336,7 +336,7 @@ func TestHashJoinProbeAllocs(t *testing.T) {
 // what a row keeps live, its index entries included. When a key was a
 // []Value of 32-byte cells and a node held the rid beside it: 1,317 bytes
 // allocated per insert, 1,060–1,095 bytes live per row. One encoded string
-// per entry: 1,013 and 750–800.
+// per entry: 1,013 and 750–800. The row an image, not values: 725 and 481.
 func TestIndexEntryAllocs(t *testing.T) {
 	db := New()
 	defer db.Close()
@@ -381,10 +381,95 @@ func TestIndexEntryAllocs(t *testing.T) {
 	perInsert := float64(after.TotalAlloc-before.TotalAlloc) / n
 	live := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
 	t.Logf("%.0f bytes allocated per insert, %.0f bytes live per row", perInsert, live)
-	if perInsert > 1100 {
-		t.Errorf("%.0f bytes allocated per insert, budget 1100", perInsert)
+	if perInsert > 800 {
+		t.Errorf("%.0f bytes allocated per insert, budget 800", perInsert)
 	}
 	if live > 900 {
 		t.Errorf("%.0f bytes live per row, budget 900", live)
+	}
+}
+
+// TestRowImageAllocs inserts 20,000 rows of the CAS's jobs shape — half
+// idle, half running, as the harness preloads them — then moves half of
+// them on with one UPDATE, and budgets what a stored row costs. The table
+// has no index, so what stays live is the rows alone: per version its
+// image, the rowVersion and the slot. When a row was a []Value of 32-byte
+// cells: 449 bytes live per version, 680 allocated per insert and 1,452
+// per update (the update's share of one 10,000-row statement). As one
+// image per version: 169, 400 and 867.
+func TestRowImageAllocs(t *testing.T) {
+	db := New()
+	defer db.Close()
+	mustExec(t, db, `CREATE TABLE jobs (
+		id INTEGER NOT NULL,
+		owner TEXT NOT NULL,
+		workflow_id INTEGER,
+		state TEXT NOT NULL DEFAULT 'idle',
+		length_sec INTEGER NOT NULL,
+		min_memory_mb INTEGER NOT NULL DEFAULT 0,
+		priority FLOAT NOT NULL DEFAULT 0.5,
+		depends_on INTEGER,
+		submitted_at TIMESTAMP,
+		matched_at TIMESTAMP,
+		started_at TIMESTAMP
+	)`)
+	const n = 20000
+	owners := make([]any, 50)
+	for i := range owners {
+		owners[i] = fmt.Sprintf("user-%02d", i)
+	}
+	length := any(int64(600))
+	at := any(time.Date(2006, 10, 1, 0, 0, 0, 0, time.UTC))
+	later := any(time.Date(2006, 10, 1, 0, 5, 0, 0, time.UTC))
+	versions := func() int {
+		tbl, _ := db.lookupTable("jobs")
+		count := 0
+		for _, s := range tbl.rows {
+			for v := s.head.Load(); v != nil; v = v.prev.Load() {
+				count++
+			}
+		}
+		return count
+	}
+	var before, inserted, updated runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		var err error
+		if i%2 == 0 {
+			_, err = db.Exec(`INSERT INTO jobs (id, owner, length_sec, submitted_at) VALUES (?, ?, ?, ?)`,
+				int64(i), owners[i%50], length, at)
+		} else {
+			_, err = db.Exec(`INSERT INTO jobs (id, owner, state, length_sec, submitted_at, matched_at, started_at)
+				VALUES (?, ?, 'running', ?, ?, ?, ?)`, int64(i), owners[i%50], length, at, at, at)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&inserted)
+	if _, err := db.Exec(`UPDATE jobs SET state = 'running', matched_at = ?, started_at = ? WHERE id < ?`, later, later, int64(n/2)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&updated)
+	perInsert := float64(inserted.TotalAlloc-before.TotalAlloc) / n
+	perUpdate := float64(updated.TotalAlloc-inserted.TotalAlloc) / (n / 2)
+	liveInserted := (float64(inserted.HeapAlloc) - float64(before.HeapAlloc)) / n
+	nv := versions()
+	liveUpdated := (float64(updated.HeapAlloc) - float64(before.HeapAlloc)) / float64(nv)
+	t.Logf("%.0f bytes allocated per insert, %.0f per update; %.0f bytes live per version after the inserts, %.0f over %d versions after the update",
+		perInsert, perUpdate, liveInserted, liveUpdated, nv)
+	if perInsert > 680 {
+		t.Errorf("%.0f bytes allocated per insert, budget 680", perInsert)
+	}
+	if perUpdate > 1452 {
+		t.Errorf("%.0f bytes allocated per update, budget 1452", perUpdate)
+	}
+	for _, live := range []float64{liveInserted, liveUpdated} {
+		if live > 200 {
+			t.Errorf("%.0f bytes live per row version, budget 200", live)
+		}
 	}
 }

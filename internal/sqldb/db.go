@@ -630,26 +630,26 @@ type Rows struct {
 	Columns []string
 	// Data holds the result rows of a materialized result (Query,
 	// QueryContext, QueryRow): the caller's own, nothing else reads or
-	// writes them. A result of row references that QueryValues hands over
+	// writes them. A result of row images that QueryValues hands over
 	// leaves it nil; read such a result with Next and Col.
 	Data [][]Value
 	pos  int
 	drv  driverRows // the database/sql cursor over this result (driver.go)
 
 	// A result whose outputs are all bare columns, as the statement hands
-	// it over: per result row, width references to the rows it read (one
-	// per FROM table, nil for a LEFT JOIN's padded side), and where in them
-	// each output column is. The references are to version rows, never
-	// written after publication, so the result reads what the statement saw
-	// however long it is held; refs is this result's own array. Col reads
-	// through it; the materializing Query calls fill Data from it
-	// (materialize).
-	refs  [][]Value
+	// it over: per result row, the width images of the rows it read (one
+	// per FROM table, noRow for a LEFT JOIN's padded side), and where in
+	// them each output column is. An image is immutable, so the result
+	// reads what the statement saw however long it is held, whatever
+	// becomes of the version or page slot it came from; refs is this
+	// result's own array. Col reads through it; the materializing Query
+	// calls fill Data from it (materialize).
+	refs  []rowImage
 	picks []pick
 	width int
 }
 
-// materialize fills Data from a result of row references: fresh slices.
+// materialize fills Data from a result of row images: fresh slices.
 func (r *Rows) materialize() {
 	if r.picks == nil {
 		return
@@ -678,8 +678,8 @@ func (r *Rows) Next() bool {
 }
 
 // Col reads column c of the current row (after Next). A result of row
-// references is read where it lies, through the plan's pick: no row is
-// copied and no cell boxed.
+// images is read where it lies, through the plan's pick: no row is copied
+// and no cell boxed.
 func (r *Rows) Col(c int) Value {
 	if r.picks != nil {
 		return r.picks[c].of(r.refs[(r.pos-1)*r.width : r.pos*r.width])
@@ -821,8 +821,8 @@ func (tx *Tx) ExecValues(ctx context.Context, sql string, args ...Value) (Result
 
 // QueryValues is QueryContext with engine-value arguments (see
 // ExecValues), and hands the result over as the statement produced it: a
-// result of row references is read through Next and Col where it lies,
-// never materialized into Data.
+// result of row images is read through Next and Col where it lies, never
+// materialized into Data.
 func (tx *Tx) QueryValues(ctx context.Context, sql string, args ...Value) (*Rows, error) {
 	_, rows, err := tx.run(ctx, sql, true, func(tx *Tx) ([]Value, error) { return tx.copyParams(args), nil })
 	return rows, err

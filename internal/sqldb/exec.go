@@ -478,7 +478,7 @@ func refsColumns(e Expr) bool {
 // (scan.go): batches are pulled Init/Next-style and visited row by row,
 // so push-model consumers (the join pipeline, UPDATE/DELETE target
 // matching) and pull-model ones (hash builds) share one scan operator.
-func (q *query) scanPlan(i int, ap accessPlan, visit func(rid int64, row []Value) error) error {
+func (q *query) scanPlan(i int, ap accessPlan, visit func(rid int64, row rowImage) error) error {
 	op := q.scanFor(i, ap)
 	if err := op.Init(); err != nil {
 		return err
@@ -586,11 +586,11 @@ func (q *query) orderKeys(outs []Expr) ([]Expr, []int) {
 // binding bind.
 type pick struct{ bind, col int }
 
-// of reads the pick out of one row reference per binding. A LEFT JOIN's
-// padded side is a nil reference and reads NULL.
-func (p pick) of(refs [][]Value) Value {
-	if row := refs[p.bind]; row != nil {
-		return row[p.col]
+// of reads the pick out of one row per binding. A LEFT JOIN's padded side
+// is noRow and reads NULL.
+func (p pick) of(refs []rowImage) Value {
+	if row := refs[p.bind]; row != noRow {
+		return row.col(p.col)
 	}
 	return Value{}
 }
@@ -621,9 +621,9 @@ func (q *query) compilePicks(outs []Expr) []pick {
 
 // sortLimit is the one sort / top-K / limit unit, for plain and aggregated
 // SELECTs alike. A producer writes each candidate row into the unit's free
-// slot — its ORDER BY keys, and either one reference per binding to the
-// rows bound when it was produced (a result of picks: nothing is copied)
-// or its one computed row — and offers it. With a LIMIT the unit keeps
+// slot — its ORDER BY keys, and either the image of the row bound to each
+// binding when it was produced (a result of picks: nothing is copied) or
+// its one computed row — and offers it. With a LIMIT the unit keeps
 // LIMIT + OFFSET entries in a heap, the slot of a displaced entry becoming
 // the next free one; without, it collects. result sorts what was kept,
 // ties by arrival — the order is exactly a stable sort of every row — cuts
@@ -633,8 +633,8 @@ type sortLimit struct {
 	q     *query
 	items []OrderItem
 	nkey  int
-	// width is the row references a slot holds: one per binding for a
-	// result of picks, else 1 — the computed row.
+	// width is the row images a slot of a result of picks holds: one per
+	// binding.
 	width int
 	// limit is -1 for none. bound is how many entries are worth keeping,
 	// LIMIT + OFFSET, or -1: no LIMIT, or a DISTINCT yet to be applied.
@@ -647,8 +647,9 @@ type sortLimit struct {
 	arrivals int
 	free     int
 	entries  []sortEntry
-	keys     []Value   // nkey per slot
-	rows     [][]Value // width per slot
+	keys     []Value    // nkey per slot
+	refs     []rowImage // width per slot of a result of picks
+	rows     [][]Value  // one per slot of a computed result
 }
 
 // sortEntry is one kept row: its arrival number and its arena slot.
@@ -658,7 +659,6 @@ type sortEntry struct{ seq, slot int }
 // here, once, against the parameters alone.
 func (s *sortLimit) begin(q *query) error {
 	s.q, s.items, s.nkey = q, q.stmt.OrderBy, len(q.stmt.OrderBy)
-	s.width = 1
 	if q.picks != nil {
 		s.width = len(q.bindings)
 	}
@@ -706,18 +706,23 @@ func (q *query) evalCount(e Expr, name string, n *int) error {
 // end lets go of everything the arenas referenced and detaches the unit
 // from its statement.
 func (s *sortLimit) end() {
-	*s = sortLimit{entries: s.entries[:0], keys: reuse(s.keys), rows: reuse(s.rows)}
+	*s = sortLimit{entries: s.entries[:0], keys: reuse(s.keys), refs: reuse(s.refs), rows: reuse(s.rows)}
 }
 
-// slot returns the free slot's keys and row references for the producer to
-// fill before it calls offer. A computed result's row reference is nil in
-// a fresh slot and, in one a displaced entry left, that entry's row: the
-// producer's to overwrite.
-func (s *sortLimit) slot() (keys []Value, rows [][]Value) {
+// slot returns the free slot's keys and its row for the producer to fill
+// before it calls offer: for a result of picks, the slot's images; else
+// its computed row, nil in a fresh slot and, in one a displaced entry
+// left, that entry's row: the producer's to overwrite.
+func (s *sortLimit) slot() (keys []Value, refs []rowImage, row *[]Value) {
 	f := s.free
 	s.keys = growTo(s.keys, (f+1)*s.nkey, (s.bound+1)*s.nkey)
-	s.rows = growTo(s.rows, (f+1)*s.width, (s.bound+1)*s.width)
-	return s.keys[f*s.nkey : (f+1)*s.nkey], s.rows[f*s.width : (f+1)*s.width]
+	keys = s.keys[f*s.nkey : (f+1)*s.nkey]
+	if s.q.picks != nil {
+		s.refs = growTo(s.refs, (f+1)*s.width, (s.bound+1)*s.width)
+		return keys, s.refs[f*s.width : (f+1)*s.width], nil
+	}
+	s.rows = growTo(s.rows, f+1, s.bound+1)
+	return keys, nil, &s.rows[f]
 }
 
 // growTo extends an arena to at least n elements, zero beyond what it held
@@ -815,24 +820,23 @@ func (s *sortLimit) offer() (stop bool) {
 
 // offerComputed offers a row computed elsewhere, with its keys.
 func (s *sortLimit) offerComputed(row, keys []Value) (stop bool) {
-	k, rows := s.slot()
+	k, _, r := s.slot()
 	copy(k, keys)
-	rows[0] = row
+	*r = row
 	return s.offer()
 }
 
 // value is output column col of a kept entry.
 func (s *sortLimit) value(e sortEntry, col int) Value {
-	refs := s.rows[e.slot*s.width : (e.slot+1)*s.width]
 	if s.q.picks != nil {
-		return s.q.picks[col].of(refs)
+		return s.q.picks[col].of(s.refs[e.slot*s.width : (e.slot+1)*s.width])
 	}
-	return refs[0][col]
+	return s.rows[e.slot][col]
 }
 
 // result sorts the kept entries, applies DISTINCT, OFFSET and LIMIT, and
-// hands the rows to r: computed rows as Data, row references as one
-// exact-size array r owns with the plan's picks to read them by. It
+// hands the rows to r: computed rows as Data, row images as one exact-size
+// array r owns with the plan's picks to read them by. It
 // returns their number.
 func (s *sortLimit) result(r *Rows) int {
 	if s.nkey > 0 {
@@ -853,9 +857,9 @@ func (s *sortLimit) result(r *Rows) int {
 		return len(out)
 	}
 	r.picks, r.width = s.q.picks, s.width
-	r.refs = make([][]Value, 0, len(out)*s.width)
+	r.refs = make([]rowImage, 0, len(out)*s.width)
 	for _, e := range out {
-		r.refs = append(r.refs, s.rows[e.slot*s.width:(e.slot+1)*s.width]...)
+		r.refs = append(r.refs, s.refs[e.slot*s.width:(e.slot+1)*s.width]...)
 	}
 	return len(out)
 }
@@ -881,27 +885,27 @@ func (s *sortLimit) dedupe(ncol int) {
 }
 
 // runPlain executes a non-aggregated SELECT into the sort unit: per joined
-// row the ORDER BY keys and, for a result of picks, a reference to each
-// bound row — version rows are immutable, so nothing is copied; computed
-// outputs are evaluated into a row allocated for the result.
+// row the ORDER BY keys and, for a result of picks, each bound row's image
+// — images are immutable, so nothing is copied; computed outputs are
+// evaluated into a row allocated for the result.
 func (q *query) runPlain(outs []Expr, sl *sortLimit) error {
 	orderExprs, aliasPos := q.orderExprs, q.orderAlias
 	err := q.joinLoop(func() error {
-		keys, rows := sl.slot()
+		keys, refs, row := sl.slot()
 		if q.picks != nil {
-			for i := range rows {
-				rows[i] = q.env.bindings[i].row
+			for i := range refs {
+				refs[i] = q.env.bindings[i].row
 			}
 		} else {
-			if rows[0] == nil {
-				rows[0] = make([]Value, len(outs))
+			if *row == nil {
+				*row = make([]Value, len(outs))
 			}
 			for i, e := range outs {
 				v, err := q.env.eval(e)
 				if err != nil {
 					return err
 				}
-				rows[0][i] = v
+				(*row)[i] = v
 			}
 		}
 		for i, e := range orderExprs {
@@ -913,9 +917,9 @@ func (q *query) runPlain(outs []Expr, sl *sortLimit) error {
 				}
 				keys[i] = v
 			case q.picks != nil:
-				keys[i] = q.picks[aliasPos[i]].of(rows)
+				keys[i] = q.picks[aliasPos[i]].of(refs)
 			default:
-				keys[i] = rows[0][aliasPos[i]]
+				keys[i] = (*row)[aliasPos[i]]
 			}
 		}
 		if sl.offer() {
@@ -1049,8 +1053,9 @@ func (tx *Tx) execInsert(s *InsertStmt, params []Value) (Result, error) {
 			return res, fmt.Errorf("sqldb: INSERT has %d values for %d columns", len(exprRow), len(colIdx))
 		}
 		// provided[i] is column i's supplied value (has[i] set); buildRow
-		// copies them into the row image the table keeps.
-		if cap(sc.provided) < ncol {
+		// lays them out as the row image the table keeps, leaving the row's
+		// values there.
+		if cap(sc.provided) < ncol || cap(sc.has) < ncol {
 			sc.provided, sc.has = make([]Value, ncol), make([]bool, ncol)
 		}
 		sc.provided, sc.has = reuse(sc.provided)[:ncol], reuse(sc.has)[:ncol]
@@ -1063,15 +1068,15 @@ func (tx *Tx) execInsert(s *InsertStmt, params []Value) (Result, error) {
 			provided[colIdx[i]] = v
 			has[colIdx[i]] = true
 		}
-		row, err := tbl.buildRow(provided, has, nil)
+		row, err := tbl.buildRow(provided, has)
 		if err != nil {
 			return res, err
 		}
 		if _, err := tx.insertRow(tbl, row); err != nil {
 			return res, err
 		}
-		if autoCol >= 0 && !row[autoCol].IsNull() {
-			res.LastInsertID = row[autoCol].Int64()
+		if autoCol >= 0 && !provided[autoCol].IsNull() {
+			res.LastInsertID = provided[autoCol].Int64()
 		}
 		res.RowsAffected++
 	}
@@ -1109,7 +1114,7 @@ func (tx *Tx) planTarget(kind, tableName string, where Expr, slot *planSlot, par
 func (q *query) matchTarget() ([]int64, error) {
 	st := &q.steps[0]
 	rids := q.sc.rids[:0]
-	err := q.scanPlan(st.bind, st.access, func(rid int64, row []Value) error {
+	err := q.scanPlan(st.bind, st.access, func(rid int64, row rowImage) error {
 		q.env.bindings[st.bind].row = row
 		if ok, err := q.evalConjs(st.match); err != nil || !ok {
 			return err
@@ -1144,17 +1149,31 @@ func (tx *Tx) execUpdate(s *UpdateStmt, params []Value) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	// Every SET is evaluated against the old row into vals, a later SET of
+	// a column overriding an earlier; the new row is the old one with the
+	// SET columns' cells encoded anew and the rest copied (splice).
+	ncol := len(tbl.schema.Columns)
+	sc := q.sc
+	if cap(sc.provided) < ncol {
+		sc.provided = make([]Value, ncol)
+	}
+	sc.provided = reuse(sc.provided)[:ncol]
+	vals := sc.provided
+	bits := (ncol + 7) / 8
+	sc.set = append(sc.set[:0], make([]byte, bits)...)
+	for _, c := range setIdx {
+		sc.set[c/8] |= 1 << (c % 8)
+	}
 	var res Result
 	for _, rid := range rids {
 		if err := q.cancel.check(); err != nil {
 			return res, err
 		}
 		old := tbl.currentRow(rid, tx.id)
-		if old == nil {
+		if old == noRow {
 			continue
 		}
 		q.env.bindings[0].row = old
-		newRow := append([]Value(nil), old...)
 		for i, set := range s.Sets {
 			v, err := q.env.eval(set.Value)
 			if err != nil {
@@ -1170,8 +1189,15 @@ func (tx *Tx) execUpdate(s *UpdateStmt, params []Value) (Result, error) {
 			} else if col.NotNull {
 				return res, fmt.Errorf("sqldb: column %s.%s is NOT NULL", s.Table, col.Name)
 			}
-			newRow[setIdx[i]] = v
+			vals[setIdx[i]] = v
 		}
+		sc.set = sc.set[:bits]
+		for c := range ncol {
+			if bitSet(sc.set, c) {
+				sc.set = appendValue(sc.set, vals[c])
+			}
+		}
+		newRow := splice(old, sc.set[:bits], sc.set[bits:])
 		if err := tx.updateRow(tbl, rid, newRow); err != nil {
 			return res, err
 		}

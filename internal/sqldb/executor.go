@@ -21,13 +21,13 @@ package sqldb
 //
 // Group state is lean: aggregate accumulators live in one []aggState
 // slice indexed by the statement's deduplicated aggregate calls, and the
-// group's representative row is a slice of *references* into the version
-// store (version data is immutable for the life of the statement, so no
-// copy is needed — see scanOp.nextFull).
+// group's representative row is one row image per binding, the very
+// string the version store holds (images are immutable, so no copy is
+// needed — see scanOp.nextFull).
 //
 // Spill-free fast paths cover the shapes the CAS actually runs: a single
-// TEXT or INTEGER grouping column keys groups directly by the column
-// value (no encoding at all), a global aggregate keeps a single group,
+// TEXT or INTEGER grouping column keys groups directly by the column's
+// cell or value (no key encoding), a global aggregate keeps a single group,
 // and bare-column aggregate arguments read the row by column index
 // instead of walking the expression evaluator.
 
@@ -45,14 +45,12 @@ const execBatchSize = 256
 // fast path before it migrates to a hash map.
 const smallGroupMax = 16
 
-// rowBatch is one unit of flow between batch operators: projected output
-// rows plus their ORDER BY keys (nil when the statement has no ORDER BY).
-// Leaf operators (scanOp) fill rids with the storage row ids instead of
-// keys; interior operators leave it nil.
+// rowBatch is one unit of the aggregation operator's output: projected
+// output rows plus their ORDER BY keys (nil when the statement has no
+// ORDER BY). The scans under it deliver stored rows instead (scanBatch).
 type rowBatch struct {
 	rows [][]Value
 	keys [][]Value
-	rids []int64
 }
 
 // ExecStats snapshots the batched executor's counters.
@@ -94,7 +92,7 @@ var testHookAggAssembly func()
 // for evaluating grouped column references at finish time.
 type aggGroup struct {
 	aggs []aggState
-	rep  [][]Value
+	rep  []rowImage
 }
 
 // aggOp is a compiled aggregate operation code.
@@ -274,9 +272,11 @@ type hashAggOp struct {
 	outs []Expr
 	*aggPlan
 
-	// The TEXT fast path starts with a linear small table (the pool-status
-	// shape has a handful of states, and a few string compares beat a map
-	// hash) and migrates to the map when it outgrows smallGroupMax.
+	// The TEXT fast path keys a group by the column's cell in the row image
+	// (one cell per value, so nothing is decoded) and starts with a linear
+	// small table (the pool-status shape has a handful of states, and a few
+	// string compares beat a map hash), migrating to the map when it
+	// outgrows smallGroupMax.
 	smallKeys  []string
 	smallVals  []*aggGroup
 	textGroups map[string]*aggGroup
@@ -327,11 +327,10 @@ func newHashAggOp(q *query, outs []Expr) (*hashAggOp, error) {
 }
 
 // newGroup materializes one group: a slice of aggregate accumulators plus
-// references to the current row per binding. Version rows are immutable
-// for the statement's lifetime, so holding references is safe and the
-// per-group deep copy of the old path disappears.
+// the current row's image per binding. Images are immutable, so holding
+// them is safe and no row is copied.
 func (op *hashAggOp) newGroup() *aggGroup {
-	g := &aggGroup{aggs: make([]aggState, len(op.aggCalls)), rep: make([][]Value, len(op.scratch))}
+	g := &aggGroup{aggs: make([]aggState, len(op.aggCalls)), rep: make([]rowImage, len(op.scratch))}
 	for i := range op.q.env.bindings {
 		g.rep[i] = op.q.env.bindings[i].row
 	}
@@ -375,14 +374,17 @@ func (op *hashAggOp) accumRow() error {
 		}
 		g = op.single
 	case op.fastBind >= 0:
-		row := env.bindings[op.fastBind].row
-		if row == nil || row[op.fastCol].typ == Null {
+		var c string // the grouping column's cell
+		if row := env.bindings[op.fastBind].row; row != noRow {
+			c = row.cell(op.fastCol)
+		}
+		if c == "" || c[0] == byte(Null) {
 			if op.nullGroup == nil {
 				op.nullGroup = op.newGroup()
 			}
 			g = op.nullGroup
 		} else if op.fastText {
-			k := row[op.fastCol].s
+			k := c
 			if op.textGroups == nil {
 				for j, key := range op.smallKeys {
 					if key == k {
@@ -408,7 +410,7 @@ func (op *hashAggOp) accumRow() error {
 				op.textGroups[k] = g
 			}
 		} else {
-			k := row[op.fastCol].i
+			k := cellValue(c).i
 			if g = op.intGroups[k]; g == nil {
 				g = op.newGroup()
 				op.intGroups[k] = g
@@ -434,8 +436,8 @@ func (op *hashAggOp) accumRow() error {
 		}
 		var v Value
 		if in.bind >= 0 {
-			if row := env.bindings[in.bind].row; row != nil {
-				v = row[in.col]
+			if row := env.bindings[in.bind].row; row != noRow {
+				v = row.col(in.col)
 			}
 		} else {
 			var err error
@@ -514,7 +516,7 @@ func (op *hashAggOp) Init() error {
 	// Global aggregation over zero rows still yields one row (count(*)=0,
 	// sum/avg/min/max NULL) over an all-NULL-padded environment.
 	if op.global && op.single == nil {
-		g := &aggGroup{aggs: make([]aggState, len(op.aggCalls)), rep: make([][]Value, len(op.scratch))}
+		g := &aggGroup{aggs: make([]aggState, len(op.aggCalls)), rep: make([]rowImage, len(op.scratch))}
 		op.order = append(op.order, g)
 		op.single = g
 	}

@@ -32,7 +32,7 @@ type evalEnv struct {
 type binding struct {
 	alias  string
 	schema *TableSchema
-	row    []Value // nil for the padded side of a LEFT JOIN
+	row    rowImage // noRow for the padded side of a LEFT JOIN
 }
 
 // errNotFound distinguishes "column not bound here" during outer-reference
@@ -52,10 +52,10 @@ func (env *evalEnv) resolve(table, name string) (Value, error) {
 				if ci < 0 {
 					return Value{}, &errColumn{fmt.Sprintf("sqldb: no column %s in %s", name, table)}
 				}
-				if b.row == nil {
+				if b.row == noRow {
 					return NullValue(), nil
 				}
-				return b.row[ci], nil
+				return b.row.col(ci), nil
 			}
 		}
 		return Value{}, &errColumn{fmt.Sprintf("sqldb: unknown table or alias %q", table)}
@@ -72,10 +72,10 @@ func (env *evalEnv) resolve(table, name string) (Value, error) {
 			return Value{}, &errColumn{fmt.Sprintf("sqldb: ambiguous column %q", name)}
 		}
 		found = i
-		if b.row == nil {
+		if b.row == noRow {
 			val = NullValue()
 		} else {
-			val = b.row[ci]
+			val = b.row.col(ci)
 		}
 	}
 	if found < 0 {

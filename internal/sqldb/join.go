@@ -85,7 +85,7 @@ type stepPlan struct {
 
 // hashState is the runtime state of one hash-join step.
 type hashState struct {
-	rows  [][]Value // build-side (inner) rows after local conjuncts
+	rows  []rowImage // build-side (inner) rows after local conjuncts
 	table map[string][]int32
 }
 
@@ -93,7 +93,7 @@ type hashState struct {
 // on the outer side). matched is the match bit that keeps LEFT JOIN
 // padding correct when the probe scan visits the tuple more than once.
 type outerTuple struct {
-	rows    [][]Value
+	rows    []rowImage
 	key     string
 	hasKey  bool
 	matched bool
@@ -615,7 +615,7 @@ func (q *query) evalConjs(cs []Expr) (bool, error) {
 // row currently bound in q.env.
 func (q *query) nestedProbe(st *stepPlan, emit func() error) error {
 	matched := false
-	err := q.scanPlan(st.bind, st.access, func(rid int64, row []Value) error {
+	err := q.scanPlan(st.bind, st.access, func(rid int64, row rowImage) error {
 		q.env.bindings[st.bind].row = row
 		if ok, err := q.evalConjs(st.match); err != nil || !ok {
 			return err
@@ -637,7 +637,7 @@ func (q *query) nestedProbe(st *stepPlan, emit func() error) error {
 
 // padAndEmit emits the NULL-padded row of a LEFT JOIN step.
 func (q *query) padAndEmit(st *stepPlan, emit func() error) error {
-	q.env.bindings[st.bind].row = nil
+	q.env.bindings[st.bind].row = noRow
 	if ok, err := q.evalConjs(st.post); err != nil || !ok {
 		return err
 	}
@@ -695,7 +695,7 @@ func (q *query) driveHash(k int, st *stepPlan, emit func() error) error {
 	nb := len(q.env.bindings)
 	var outs []outerTuple
 	err := q.driveStep(k-1, func() error {
-		t := outerTuple{rows: make([][]Value, nb)}
+		t := outerTuple{rows: make([]rowImage, nb)}
 		for i := range q.env.bindings {
 			t.rows[i] = q.env.bindings[i].row
 		}
@@ -848,7 +848,7 @@ func (q *query) probeBuildOuter(st *stepPlan, outs []outerTuple, restore func(*o
 			table[outs[i].key] = append(table[outs[i].key], int32(i))
 		}
 	}
-	return q.scanPlan(st.bind, st.access, func(rid int64, row []Value) error {
+	return q.scanPlan(st.bind, st.access, func(rid int64, row rowImage) error {
 		q.probeRows++
 		q.env.bindings[st.bind].row = row
 		if ok, err := q.evalConjs(st.local); err != nil || !ok {

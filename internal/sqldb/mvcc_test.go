@@ -431,7 +431,7 @@ func assertOneEntryPerLiveRow(t *testing.T, db *DB, tbl, ix string) {
 	entries := 0
 	index.tree.scanRange("", "", func(k string, rid int64) bool {
 		entries++
-		if row := tb.resolve(tb.rows[rid].currentVersion(0)); row == nil || !index.entryMatches(k, row, rid) {
+		if row := tb.resolve(tb.rows[rid].currentVersion(0)); row == noRow || !index.entryMatches(k, row, rid) {
 			t.Errorf("%s: entry %v names no live row %d", ix, k, rid)
 		}
 		return true

@@ -440,9 +440,7 @@ func (db *DB) pageWriteThrough(entries []stampEntry) {
 			continue // table dropped mid-commit
 		}
 		e.v.loc = loc
-		if !tomb {
-			e.v.data = nil
-		}
+		e.v.data = noRow
 	}
 }
 
@@ -592,7 +590,7 @@ func (db *DB) recoverPaged(meta *pagedMeta, data []byte) (int, error) {
 		loc  pageLoc
 		seq  uint64
 		tomb bool
-		row  []Value
+		img  rowImage
 	}
 	type loserRec struct {
 		tbl *table
@@ -636,7 +634,7 @@ func (db *DB) recoverPaged(meta *pagedMeta, data []byte) (int, error) {
 				if seen {
 					losers = append(losers, loserRec{tbl: tbl, loc: best.loc})
 				}
-				m[rec.rid] = diskRec{loc: loc, seq: rec.seq, tomb: rec.tomb, row: rec.row}
+				m[rec.rid] = diskRec{loc: loc, seq: rec.seq, tomb: rec.tomb, img: rec.img}
 			} else {
 				losers = append(losers, loserRec{tbl: tbl, loc: loc})
 			}
@@ -697,7 +695,7 @@ func (db *DB) recoverPaged(meta *pagedMeta, data []byte) (int, error) {
 	for tid, m := range winners {
 		tbl := tableByID[tid]
 		for rid, rec := range m {
-			tbl.pagedPlace(rid, rec.row, rec.loc, 1)
+			tbl.pagedPlace(rid, rec.img, rec.loc, 1)
 			clock = 1
 		}
 	}

@@ -73,11 +73,12 @@ type pageRecord struct {
 	seq  uint64
 	rid  int64
 	tomb bool
-	row  []Value
+	img  rowImage
 }
 
-// encodeRecord serializes one record onto buf.
-func encodeRecord(buf *bytes.Buffer, seq uint64, rid int64, tomb bool, row []Value) {
+// encodeRecord serializes one record onto buf: a row's values are its
+// image's cells, as they are.
+func encodeRecord(buf *bytes.Buffer, seq uint64, rid int64, tomb bool, row rowImage) {
 	writeUvarint(buf, seq)
 	flags := byte(0)
 	if tomb {
@@ -86,10 +87,8 @@ func encodeRecord(buf *bytes.Buffer, seq uint64, rid int64, tomb bool, row []Val
 	buf.WriteByte(flags)
 	writeUvarint(buf, uint64(rid))
 	if !tomb {
-		writeUvarint(buf, uint64(len(row)))
-		for _, v := range row {
-			writeValue(buf, v)
-		}
+		writeUvarint(buf, uint64(row.width()))
+		buf.WriteString(row.cells())
 	}
 }
 
@@ -111,7 +110,7 @@ func decodeRecordBytes(p []byte) (pageRecord, bool) {
 		return rec, false
 	}
 	if !rec.tomb {
-		if rec.row, ok = rd.row(); !ok {
+		if rec.img, ok = rd.image(); !ok {
 			return rec, false
 		}
 	}
@@ -268,19 +267,23 @@ func pageErase(img []byte, i int) {
 
 // pageRows is what a resident heap page carries besides its bytes (it is
 // the frame's pager.Attachment): the verdict of pageValid on the image
-// the frame loaded, and the rows decoded from it so far, by slot. A row
-// is shared by every reader and immutable, as rowVersion.data is: erasing
-// or rewriting its slot, or resetting the table, drops the table's
-// reference to the row and never writes the row, which a SELECT's result
-// may still be holding (Rows.refs; its strings are copies, not views of
-// the page buffer). It stays until its slot is erased or written again —
-// compaction moves bytes, not slots — or until the pool resets the whole
-// table because the frame left the page. Read under the frame latch,
-// changed under the exclusive one.
+// the frame loaded, and the row images read from it so far, by slot. A
+// slot's image is a copy of its live record's row, made once — by the
+// first read since the page was loaded or the slot written, or handed
+// over by the version that wrote it through — so reads after the first
+// allocate nothing and no reader holds a pin: a result keeps the image
+// (Rows.refs), never the frame, which a 256-frame pool could not spare for
+// as long as a caller holds its rows. An image is shared by every reader
+// and immutable, as rowVersion.data is: erasing or rewriting its slot, or
+// resetting the table, drops the table's reference and never writes the
+// image. It stays until its slot is erased or written again — compaction
+// moves bytes, not slots — or until the pool resets the whole table
+// because the frame left the page. Read under the frame latch, changed
+// under the exclusive one.
 type pageRows struct {
 	checked bool // pageValid has run on this image
 	bad     bool // ... and refused it
-	rows    [][]Value
+	rows    []rowImage
 }
 
 // Reset empties the table, keeping its array, for the frame's next page.
@@ -290,19 +293,19 @@ func (r *pageRows) Reset() {
 	r.checked, r.bad = false, false
 }
 
-func (r *pageRows) get(slot int) []Value {
+func (r *pageRows) get(slot int) rowImage {
 	if slot < len(r.rows) {
 		return r.rows[slot]
 	}
-	return nil
+	return noRow
 }
 
-// put makes row — nil for none — what rides slot. The table only grows
+// put makes row — noRow for none — what rides slot. The table only grows
 // between resets and Reset clears what was in use, so the array past len
-// is nil already and growing is a reslice.
-func (r *pageRows) put(slot int, row []Value) {
+// is empty already and growing is a reslice.
+func (r *pageRows) put(slot int, row rowImage) {
 	if slot >= len(r.rows) {
-		if row == nil {
+		if row == noRow {
 			return
 		}
 		r.rows = slices.Grow(r.rows, slot+1-len(r.rows))[:slot+1]
@@ -342,7 +345,7 @@ func (h *pagedHeap) adoptPage(pid pager.PageID, hasSpace bool) {
 	}
 }
 
-// rowsOf returns the frame's decoded-row table, attaching one on the
+// rowsOf returns the frame's row table, attaching one on the
 // frame's first use and passing the image through pageValid once per
 // load. An uninitialized page (table ID 0) is not judged: it holds no
 // record, and pageInit makes it valid before anything is put there. The
@@ -362,11 +365,11 @@ func rowsOf(f *pager.Frame) *pageRows {
 }
 
 // insert places rec on the latched frame's page if the page is this
-// heap's, is well-formed and has room. row — what rec encodes, nil for a
-// tombstone — takes the place of whatever the frame's table held for the
+// heap's, is well-formed and has room. row — what rec encodes, noRow for
+// a tombstone — takes the place of whatever the frame's table held for the
 // slot: the version that owned it lets go of it once written through, so
-// it rides the frame from here on and the next read decodes nothing.
-func (h *pagedHeap) insert(f *pager.Frame, rec []byte, row []Value) (slot int, ok bool) {
+// it rides the frame from here on and the next read copies nothing.
+func (h *pagedHeap) insert(f *pager.Frame, rec []byte, row rowImage) (slot int, ok bool) {
 	img := f.Data()
 	pr := rowsOf(f)
 	if pr.bad || pageTableID(img) != h.tableID {
@@ -384,7 +387,7 @@ func (h *pagedHeap) insert(f *pager.Frame, rec []byte, row []Value) (slot int, o
 // page search, so concurrent committers of the same table serialize on
 // page choice and share the encode and compaction buffers — different
 // tables proceed in parallel.
-func (h *pagedHeap) writeRow(rid int64, row []Value, tomb bool) (pageLoc, error) {
+func (h *pagedHeap) writeRow(rid int64, row rowImage, tomb bool) (pageLoc, error) {
 	if h.dropped.Load() {
 		return pageLoc{}, nil // table dropped mid-commit: version is unreachable anyway
 	}
@@ -394,7 +397,7 @@ func (h *pagedHeap) writeRow(rid int64, row []Value, tomb bool) (pageLoc, error)
 	defer h.mu.Unlock()
 	h.enc.Reset()
 	if tomb {
-		row = nil
+		row = noRow
 	}
 	encodeRecord(&h.enc, h.store.nextSeq.Add(1), rid, tomb, row)
 	rec := h.enc.Bytes()
@@ -453,38 +456,38 @@ func (h *pagedHeap) liveRecord(img []byte, pr *pageRows, slot int) []byte {
 }
 
 // readRow materializes the record at loc. A tombstone or any
-// inconsistency (dropped table, stale or corrupt page) yields nil — the
+// inconsistency (dropped table, stale or corrupt page) yields noRow — the
 // engine treats it as "no row", and it as well as genuine I/O errors are
 // recorded sticky on the store.
 //
-// The row decoded from a resident page rides the page's frame (pageRows),
+// The row copied out of a resident page rides the page's frame (pageRows),
 // so a read that finds it there allocates nothing; the checks of table
-// ID, slot bound and live length are made on the image either way.
-func (h *pagedHeap) readRow(loc pageLoc) []Value {
+// ID, slot bound and live length are made on the page either way.
+func (h *pagedHeap) readRow(loc pageLoc) rowImage {
 	if loc.pid == 0 || h.dropped.Load() {
-		return nil
+		return noRow
 	}
 	f, err := h.store.pool.Fetch(loc.pid)
 	if err != nil {
 		h.store.fail(err)
-		return nil
+		return noRow
 	}
 	slot := int(loc.slot)
-	var row []Value
+	var row rowImage
 	f.RLock()
 	if pr, _ := f.Attachment().(*pageRows); pr != nil && pr.checked && len(h.liveRecord(f.Data(), pr, slot)) > 0 {
 		row = pr.get(slot)
 	}
 	f.RUnlock()
-	if row == nil {
+	if row == noRow {
 		// First read of this slot since the page was loaded or the slot
-		// written: decode it, under the exclusive latch the table needs.
+		// written: copy it out, under the exclusive latch the table needs.
 		f.Lock()
 		pr := rowsOf(f)
 		if b := h.liveRecord(f.Data(), pr, slot); len(b) > 0 {
-			if row = pr.get(slot); row == nil {
+			if row = pr.get(slot); row == noRow {
 				if rec, ok := decodeRecordBytes(b); ok && !rec.tomb {
-					row = rec.row
+					row = rec.img
 					pr.put(slot, row)
 				}
 			}
@@ -492,7 +495,7 @@ func (h *pagedHeap) readRow(loc pageLoc) []Value {
 		f.Unlock()
 	}
 	h.store.pool.Unpin(f, false)
-	if row == nil {
+	if row == noRow {
 		h.store.fail(fmt.Errorf("sqldb: paged heap: no record at page %d slot %d for table id %d", loc.pid, loc.slot, h.tableID))
 	}
 	return row
@@ -516,7 +519,7 @@ func (h *pagedHeap) erase(loc pageLoc) {
 	dirty := len(h.liveRecord(img, pr, slot)) > 0
 	if dirty {
 		pageErase(img, slot)
-		pr.put(slot, nil)
+		pr.put(slot, noRow)
 	} else if pr.bad {
 		h.store.fail(fmt.Errorf("sqldb: paged heap: corrupt page %d of table id %d", loc.pid, h.tableID))
 	}

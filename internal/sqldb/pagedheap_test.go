@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"condorj2/internal/sqldb/pager"
 )
@@ -378,7 +379,7 @@ func FuzzPageImage(f *testing.F) {
 	var rec bytes.Buffer
 	for rid := int64(0); rid < 6; rid++ {
 		rec.Reset()
-		encodeRecord(&rec, uint64(10+rid), rid, rid == 4, []Value{NewInt(rid), NewText("fuzz"), NullValue(), NewFloat(0.5)})
+		encodeRecord(&rec, uint64(10+rid), rid, rid == 4, imageOf([]Value{NewInt(rid), NewText("fuzz"), NullValue(), NewFloat(0.5)}))
 		pageInsert(img, rec.Bytes(), make([]byte, len(img)))
 	}
 	pageErase(img, 2)
@@ -479,16 +480,23 @@ func allTypesRow(i int64) []Value {
 		NewTime(time.Date(2007, 1, 7, 9, 0, int(i), 0, time.UTC)), NullValue(), NewInt(-i), NewText("")}
 }
 
-func equalRows(a, b []Value) bool {
-	if len(a) != len(b) {
+// equalRows reports whether image a holds exactly the values b.
+func equalRows(a rowImage, b []Value) bool {
+	if a.width() != len(b) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	for i := range b {
+		if a.col(i) != b[i] {
 			return false
 		}
 	}
 	return true
+}
+
+// sameImage reports whether a and b are one image — the same bytes in
+// memory, not two copies of them.
+func sameImage(a, b rowImage) bool {
+	return len(a) == len(b) && unsafe.StringData(string(a)) == unsafe.StringData(string(b))
 }
 
 // TestPagedSlotReuseServesNewRow: the row riding a frame for a slot goes
@@ -502,7 +510,7 @@ func TestPagedSlotReuseServesNewRow(t *testing.T) {
 	h := heapOf(t, db, "t")
 	var locs []pageLoc
 	for i := int64(0); i < 3; i++ {
-		loc, err := h.writeRow(i, allTypesRow(i), false)
+		loc, err := h.writeRow(i, imageOf(allTypesRow(i)), false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -512,24 +520,24 @@ func TestPagedSlotReuseServesNewRow(t *testing.T) {
 	if !equalRows(old, allTypesRow(1)) {
 		t.Fatalf("read back %v", old)
 	}
-	if again := h.readRow(locs[1]); &again[0] != &old[0] {
-		t.Fatal("a second read of a resident row decoded it again")
+	if again := h.readRow(locs[1]); !sameImage(again, old) {
+		t.Fatal("a second read of a resident row copied it again")
 	}
 	h.erase(locs[1])
-	if _, pr := frameRows(t, db, locs[1].pid); pr.get(int(locs[1].slot)) != nil {
+	if _, pr := frameRows(t, db, locs[1].pid); pr.get(int(locs[1].slot)) != noRow {
 		t.Fatal("the erased slot's row still rides the frame")
 	}
 	// A tombstone takes the slot next: it must not be served as a row, nor
 	// leave the old one behind.
-	loc, err := h.writeRow(7, nil, true)
+	loc, err := h.writeRow(7, noRow, true)
 	if err != nil || loc != locs[1] {
 		t.Fatalf("tombstone landed at %+v (err %v), want the freed %+v", loc, err, locs[1])
 	}
-	if _, pr := frameRows(t, db, loc.pid); pr.get(int(loc.slot)) != nil {
+	if _, pr := frameRows(t, db, loc.pid); pr.get(int(loc.slot)) != noRow {
 		t.Fatal("a tombstone's slot carries a row")
 	}
 	h.erase(loc)
-	loc, err = h.writeRow(8, allTypesRow(8), false)
+	loc, err = h.writeRow(8, imageOf(allTypesRow(8)), false)
 	if err != nil || loc != locs[1] {
 		t.Fatalf("new row landed at %+v (err %v), want the freed %+v", loc, err, locs[1])
 	}
@@ -548,8 +556,8 @@ func TestPagedSlotReuseServesNewRow(t *testing.T) {
 }
 
 // TestPagedEvictReloadDecodesEqualRow: what rides a frame leaves with the
-// page. After eviction and reload the row is decoded from the page bytes
-// again — a different slice, equal in every value type to the one that
+// page. After eviction and reload the row is copied out of the page bytes
+// again — a different image, equal in every value type to the one that
 // was written through and served from the frame before.
 func TestPagedEvictReloadDecodesEqualRow(t *testing.T) {
 	db := openPagedOpts(t, NewMemVFS(), 2, 512)
@@ -558,9 +566,9 @@ func TestPagedEvictReloadDecodesEqualRow(t *testing.T) {
 	h := heapOf(t, db, "t")
 	const rows = 60 // a dozen pages on a 2-frame pool
 	locs := make([]pageLoc, rows)
-	written := make([][]Value, rows)
+	written := make([]rowImage, rows)
 	for i := range locs {
-		written[i] = allTypesRow(int64(i))
+		written[i] = imageOf(allTypesRow(int64(i)))
 		loc, err := h.writeRow(int64(i), written[i], false)
 		if err != nil {
 			t.Fatal(err)
@@ -568,21 +576,21 @@ func TestPagedEvictReloadDecodesEqualRow(t *testing.T) {
 		locs[i] = loc
 	}
 	last := rows - 1
-	if got := h.readRow(locs[last]); &got[0] != &written[last][0] {
+	if got := h.readRow(locs[last]); !sameImage(got, written[last]) {
 		t.Fatal("the row just written through is not the one riding its frame")
 	}
 	before := db.BufferPoolStats()
 	for pass := 0; pass < 2; pass++ {
 		for i, loc := range locs {
 			got := h.readRow(loc)
-			if !equalRows(got, written[i]) {
-				t.Fatalf("pass %d row %d: decoded %v, wrote %v", pass, i, got, written[i])
+			if got != written[i] {
+				t.Fatalf("pass %d row %d: read %v, wrote %v", pass, i, got.values(), written[i].values())
 			}
-			if i < rows/2 && &got[0] == &written[i][0] {
-				t.Fatalf("pass %d row %d: served the written slice after its page was evicted", pass, i)
+			if i < rows/2 && sameImage(got, written[i]) {
+				t.Fatalf("pass %d row %d: served the written image after its page was evicted", pass, i)
 			}
-			if again := h.readRow(loc); &again[0] != &got[0] {
-				t.Fatalf("pass %d row %d: a resident row was decoded twice", pass, i)
+			if again := h.readRow(loc); !sameImage(again, got) {
+				t.Fatalf("pass %d row %d: a resident row was copied twice", pass, i)
 			}
 		}
 	}
@@ -614,7 +622,7 @@ func TestPagedDropTableForgetsDecodedRows(t *testing.T) {
 			f, pr := frameRows(t, db, pid)
 			frames = append(frames, f)
 			for _, row := range pr.rows {
-				if row != nil {
+				if row != noRow {
 					rows++
 				}
 			}

@@ -109,7 +109,7 @@ type selectPlan struct {
 	// and agg carries their compiled aggregation program (executor.go).
 	// picks is set when every output of a non-aggregated SELECT is a bare
 	// column: where each is read from, one (binding, column) per output.
-	// The result is then references to the rows read, not computed rows.
+	// The result is then the images of the rows read, not computed rows.
 	outs       []Expr
 	cols       []string
 	picks      []pick

@@ -58,8 +58,8 @@ func engineState(t *testing.T, who string, db *DB) map[string]tableState {
 		tbl.latch.RLock()
 		var empty []int64
 		for rid, s := range tbl.rows {
-			if row := tbl.resolve(s.visibleVersion(snap)); row != nil {
-				st.rows[int64(rid)] = canonValues(row)
+			if row := tbl.resolve(s.visibleVersion(snap)); row != noRow {
+				st.rows[int64(rid)] = canonValues(row.values())
 				st.holes = append(st.holes, empty[len(st.holes):]...)
 			} else if s.head.Load() == nil {
 				empty = append(empty, int64(rid))
@@ -79,7 +79,7 @@ func engineState(t *testing.T, who string, db *DB) map[string]tableState {
 			st.ddl = append(st.ddl, ix.schema.DDL())
 			ents := []string{}
 			ix.tree.scanRange("", "", func(k string, rid int64) bool {
-				if row := tbl.resolve(tbl.rows[rid].visibleVersion(snap)); row != nil && ix.entryMatches(k, row, rid) {
+				if row := tbl.resolve(tbl.rows[rid].visibleVersion(snap)); row != noRow && ix.entryMatches(k, row, rid) {
 					ents = append(ents, canonValues(append(ix.keyValues(row), NewInt(rid))))
 				}
 				return true
@@ -352,8 +352,8 @@ func liveNextAuto(db *DB, name string) int64 {
 	next := int64(1)
 	for _, row := range visibleRows(tbl, db.clock.Load()) {
 		for ci, c := range tbl.schema.Columns {
-			if c.AutoIncrement && !row[ci].IsNull() && row[ci].Int64() >= next {
-				next = row[ci].Int64() + 1
+			if v := row.col(ci); c.AutoIncrement && !v.IsNull() && v.Int64() >= next {
+				next = v.Int64() + 1
 			}
 		}
 	}

@@ -35,7 +35,7 @@ type refRow struct{ out, keys []Value }
 // refGroup is one group of an aggregated SELECT: one row reference per
 // table from its first input row, and one accumulator per aggregate call.
 type refGroup struct {
-	rows [][]Value
+	rows []rowImage
 	aggs []aggState
 }
 
@@ -69,7 +69,7 @@ func refQueryAt(db *DB, ts uint64, sql string, args ...any) (*Rows, error) {
 		return nil, err
 	}
 
-	base := make([][][]Value, len(s.From))
+	base := make([][]rowImage, len(s.From))
 	for i, ref := range s.From {
 		tbl, err := db.lookupTable(ref.Table)
 		if err != nil {
@@ -168,7 +168,7 @@ func refQueryAt(db *DB, ts uint64, sql string, args ...any) (*Rows, error) {
 			}
 			g := groups[key.String()]
 			if g == nil {
-				g = &refGroup{rows: make([][]Value, len(env.bindings)), aggs: make([]aggState, len(calls))}
+				g = &refGroup{rows: make([]rowImage, len(env.bindings)), aggs: make([]aggState, len(calls))}
 				for i := range g.rows {
 					g.rows[i] = env.bindings[i].row
 				}
@@ -222,7 +222,7 @@ func refQueryAt(db *DB, ts uint64, sql string, args ...any) (*Rows, error) {
 				return err
 			}
 		}
-		env.bindings[i].row = nil
+		env.bindings[i].row = noRow
 		if !matched && i > 0 && s.From[i].Join == JoinLeft {
 			return product(i + 1)
 		}
@@ -235,7 +235,7 @@ func refQueryAt(db *DB, ts uint64, sql string, args ...any) (*Rows, error) {
 	if aggregated {
 		if len(order) == 0 && len(s.GroupBy) == 0 {
 			// A global aggregate over no rows is still one row.
-			order = append(order, &refGroup{rows: make([][]Value, len(base)), aggs: make([]aggState, len(calls))})
+			order = append(order, &refGroup{rows: make([]rowImage, len(base)), aggs: make([]aggState, len(calls))})
 		}
 		for _, g := range order {
 			genv := &evalEnv{params: env.params, now: env.now, aggs: make(map[*FuncCall]Value, len(calls))}
@@ -291,12 +291,12 @@ func refQueryAt(db *DB, ts uint64, sql string, args ...any) (*Rows, error) {
 }
 
 // visibleRows is every row of tbl a snapshot at ts sees, in slot order.
-func visibleRows(tbl *table, ts uint64) [][]Value {
+func visibleRows(tbl *table, ts uint64) []rowImage {
 	tbl.latch.RLock()
 	defer tbl.latch.RUnlock()
-	var rows [][]Value
+	var rows []rowImage
 	for _, slot := range tbl.rows {
-		if row := tbl.resolve(slot.visibleVersion(ts)); row != nil {
+		if row := tbl.resolve(slot.visibleVersion(ts)); row != noRow {
 			rows = append(rows, row)
 		}
 	}

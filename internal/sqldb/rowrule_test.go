@@ -43,8 +43,8 @@ func TestRedoRowRules(t *testing.T) {
 			rec  walRecord
 			want error
 		}{
-			{"insert onto a live row", walRecord{op: walInsert, table: "r", rid: 0, row: []Value{NewInt(1), NewInt(5)}}, errInsertLive},
-			{"update of a deleted row", walRecord{op: walUpdate, table: "r", rid: 1, cols: 2, changed: []byte{0x02}, row: []Value{NewInt(5)}}, errUpdateMissing},
+			{"insert onto a live row", walRecord{op: walInsert, table: "r", rid: 0, img: imageOf([]Value{NewInt(1), NewInt(5)})}, errInsertLive},
+			{"update of a deleted row", walRecord{op: walUpdate, table: "r", rid: 1, cols: 2, delta: delta([]byte{0x02}, NewInt(5))}, errUpdateMissing},
 			{"delete past the heap", walRecord{op: walDelete, table: "r", rid: 9}, errDeleteMissing},
 		} {
 			group := groupBytes(lsn+1, tc.rec)

@@ -4,7 +4,7 @@ import "strings"
 
 // scanOp is the batched leaf operator of the executor pipeline: one
 // access path over one table binding, pulled Init/Next/Close-style in
-// rowBatch units like the aggregation operator (executor.go). Next
+// batches (scanBatch) like the aggregation operator (executor.go). Next
 // materializes candidate row ids in short latched windows (an index
 // range walk or a slot-order full-scan window), then resolves
 // visibility — MVCC snapshot reads or 2PL row locks — and residual
@@ -48,7 +48,7 @@ type scanOp struct {
 	// Full-scan cursor: next slot window base.
 	base int64
 
-	batch rowBatch
+	batch scanBatch
 	scanBufs
 }
 
@@ -60,10 +60,10 @@ type scanBufs struct {
 	// bound). The cursor's probe keys are views of them.
 	prefix, lo, hi, bound []byte
 	// Per-batch buffers, refilled by every Next call: the returned
-	// rowBatch is valid only until the next one.
+	// scanBatch is valid only until the next one.
 	rids    []int64
 	keys    []string
-	outRows [][]Value
+	outRows []rowImage
 	outRids []int64
 }
 
@@ -206,10 +206,17 @@ func (op *scanOp) rangeBound(e Expr, b []byte) (_ []byte, ok bool, err error) {
 	return b, false, nil
 }
 
-// Next returns the next non-empty batch of visible, matching rows (rows
-// and rids filled; keys nil), or nil when the scan is exhausted. The
-// batch's buffers are reused by the following Next call.
-func (op *scanOp) Next() (*rowBatch, error) {
+// scanBatch is one batch of a scan: the rows it delivers, and their row
+// ids.
+type scanBatch struct {
+	rows []rowImage
+	rids []int64
+}
+
+// Next returns the next non-empty batch of visible, matching rows, or nil
+// when the scan is exhausted. The batch's buffers are reused by the
+// following Next call.
+func (op *scanOp) Next() (*scanBatch, error) {
 	if op.ap.index == nil {
 		return op.nextFull()
 	}
@@ -222,7 +229,7 @@ func (op *scanOp) Next() (*rowBatch, error) {
 func (op *scanOp) Close() {
 	op.empty()
 	op.resume, op.revStart, op.group = "", "", ""
-	op.batch = rowBatch{}
+	op.batch = scanBatch{}
 }
 
 // nextFull produces one batch from the slot-order full scan: rows are
@@ -232,7 +239,7 @@ func (op *scanOp) Close() {
 // lock manager, neither of which may happen latch-in-hand. RowsScanned
 // is NOT bumped here: full-scan rows count when a consumer visits them,
 // so an early-stopping consumer (LIMIT) reports only what it examined.
-func (op *scanOp) nextFull() (*rowBatch, error) {
+func (op *scanOp) nextFull() (*scanBatch, error) {
 	q := op.q
 	tbl := op.tbl
 	for {
@@ -249,13 +256,13 @@ func (op *scanOp) nextFull() (*rowBatch, error) {
 		}
 		rid := op.base
 		for ; rid < end; rid++ {
-			var row []Value
+			var row rowImage
 			if q.snapRead {
 				row = tbl.resolve(tbl.rows[rid].visibleVersion(q.snapTS))
 			} else {
 				row = tbl.resolve(tbl.rows[rid].currentVersion(q.tx.id))
 			}
-			if row != nil {
+			if row != noRow {
 				op.outRids = append(op.outRids, rid)
 				op.outRows = append(op.outRows, row)
 				if len(op.outRows) >= op.scanBatch {
@@ -281,7 +288,7 @@ func (op *scanOp) nextFull() (*rowBatch, error) {
 			}
 		}
 		if len(op.outRows) > 0 {
-			op.batch = rowBatch{rows: op.outRows, rids: op.outRids}
+			op.batch = scanBatch{rows: op.outRows, rids: op.outRids}
 			return &op.batch, nil
 		}
 	}
@@ -328,7 +335,7 @@ func (op *scanOp) walkGroups(collect func(string, int64) bool) {
 // entries outlive the versions that created them, so this both
 // deduplicates and keeps ordered scans emitting rows at the right key
 // position.
-func (op *scanOp) nextIndex() (*rowBatch, error) {
+func (op *scanOp) nextIndex() (*scanBatch, error) {
 	q := op.q
 	ap := op.ap
 	tbl := op.tbl
@@ -417,7 +424,7 @@ func (op *scanOp) nextIndex() (*rowBatch, error) {
 			if err := q.cancel.check(); err != nil {
 				return nil, err
 			}
-			var row []Value
+			var row rowImage
 			if q.snapRead {
 				row = tbl.visibleRow(rid, q.snapTS)
 			} else {
@@ -433,7 +440,7 @@ func (op *scanOp) nextIndex() (*rowBatch, error) {
 				// that committed before our lock was granted.
 				row = tbl.currentRow(rid, q.tx.id)
 			}
-			if row == nil {
+			if row == noRow {
 				continue
 			}
 			if !ap.index.entryMatches(op.keys[bi], row, rid) {
@@ -443,7 +450,7 @@ func (op *scanOp) nextIndex() (*rowBatch, error) {
 			op.outRows = append(op.outRows, row)
 		}
 		if len(op.outRows) > 0 {
-			op.batch = rowBatch{rows: op.outRows, rids: op.outRids}
+			op.batch = scanBatch{rows: op.outRows, rids: op.outRids}
 			return &op.batch, nil
 		}
 	}

@@ -5,30 +5,34 @@ import "bytes"
 // Borrowed working memory for the statement path.
 //
 // The rule: a statement allocates what it hands back — the *Rows and its
-// rows or its references to them, an inserted or updated row image (the
+// rows or its array of row images, an inserted or updated row image (the
 // version store keeps it), the WAL bytes a flush publishes — and borrows
 // everything else. The lender is txScratch: one per transaction, taken from
 // a pool on the DB at the transaction's first statement and returned in
 // Tx.finish, the one place a transaction becomes done. It carries the
 // per-statement state (the query, its evaluation environment, one scan
 // operator per plan step with its batch buffers, the sort unit's entries
-// and arenas, the DML rid list, the bound parameters, the key-lock and WAL
-// encode buffers) and the per-transaction footprint (locks taken, redo —
-// which rollback reads backward — and the arenas of its update records,
-// versions to stamp).
+// and arenas, the DML rid list, an UPDATE's SET cells, the bound
+// parameters, the key-lock and WAL encode buffers) and the per-transaction
+// footprint (locks taken, redo — which rollback reads backward — and the
+// arena of its update records, versions to stamp).
 //
 // Lifetimes: statement state is valid until the next statement on the same
 // Tx — a Tx runs one statement at a time, so nothing else can be reading
 // it; transaction state until finish. Nothing reachable from a *Rows or a
-// Result may point into a scratch. A result whose outputs are all bare
-// columns is an array the *Rows owns of references to the rows the
-// statement read — version rows (rowVersion.data) and the rows riding
-// resident pages (pageRows), neither ever written after publication — read
-// through the plan's picks; computed output rows are allocated for the
-// result; Rows.Data, which the native Query calls fill from the
-// references, is fresh slices and the caller's own. Column names and picks
-// belong to the immutable plan. Values are copied by value; the strings
-// they reference are immutable and owned elsewhere.
+// Result may point into a scratch. A row the statement read is an image
+// (rowimage.go): an immutable string, the version's own (rowVersion.data)
+// or one copied once out of a resident page (pageRows), and never a view
+// of a page buffer or a scratch. A result whose outputs are all bare
+// columns is an array the *Rows owns of the images of the rows the
+// statement read, read through the plan's picks; it holds no pin and no
+// version, and the images stay what the statement saw however the rows
+// change after. Computed output rows are allocated for the result;
+// Rows.Data, which the native Query calls fill from the images, is fresh
+// slices and the caller's own. Column names and picks belong to the
+// immutable plan. Values are copied by value; the strings they reference
+// are immutable and owned elsewhere — a TEXT value read out of a row is a
+// substring of its image.
 
 // scratchKeep bounds, in elements, the buffers a scratch takes back to the
 // pool. A statement that scanned or returned far more than the usual
@@ -48,8 +52,9 @@ type txScratch struct {
 	sorter     sortLimit    // SELECT's rows awaiting sort and limit, and their arenas
 	rids       []int64      // matchTarget's materialized targets
 	setIdx     []int        // UPDATE's SET / INSERT's VALUES column positions
-	provided   []Value      // INSERT: the supplied value per column...
-	has        []bool       // ...and whether one was supplied
+	set        []byte       // UPDATE's SET columns' bitmap, then one row's cells for them (splice)
+	provided   []Value      // INSERT's supplied value per column, UPDATE's SET value...
+	has        []bool       // ...and whether INSERT supplied one
 	keyTargets []lockTarget // unique-key locks of the row being written
 	walBuf     bytes.Buffer // the commit's encoded redo records
 	hashKey    bytes.Buffer // the hash join's key being built or probed
@@ -60,10 +65,9 @@ type txScratch struct {
 	redo     []walRecord
 	versions []stampEntry
 	gcPend   []gcRecord
-	// The arenas redo's update records point into: their changed-column
-	// bitmaps and their changed values.
-	deltaBits []byte
-	deltaVals []Value
+	// The arena redo's update records point into: each one's changed-column
+	// bitmap and changed cells.
+	deltas []byte
 }
 
 // scratch returns the transaction's working memory, attaching one from
@@ -99,7 +103,7 @@ func (tx *Tx) releaseScratch() {
 	sc.versions = keep(tx.versions)
 	sc.gcPend = keep(tx.gcPend)
 	tx.locked, tx.redo, tx.versions, tx.gcPend = nil, nil, nil, nil
-	sc.deltaBits, sc.deltaVals = keep(sc.deltaBits), keep(sc.deltaVals)
+	sc.deltas = keep(sc.deltas)
 
 	sc.q = query{}
 	sc.env = evalEnv{}
@@ -109,9 +113,10 @@ func (tx *Tx) releaseScratch() {
 	for i := range sc.scans {
 		sc.scans[i].release()
 	}
-	sc.sorter = sortLimit{entries: keep(sc.sorter.entries), keys: keep(sc.sorter.keys), rows: keep(sc.sorter.rows)}
+	sc.sorter = sortLimit{entries: keep(sc.sorter.entries), keys: keep(sc.sorter.keys), refs: keep(sc.sorter.refs), rows: keep(sc.sorter.rows)}
 	sc.rids = keep(sc.rids)
 	sc.setIdx = keep(sc.setIdx)
+	sc.set = keep(sc.set)
 	sc.provided, sc.has = keep(sc.provided), keep(sc.has)
 	sc.keyTargets = keep(sc.keyTargets)
 	if sc.walBuf.Cap() > 64*scratchKeep {
@@ -180,22 +185,23 @@ func (q *query) bind(plan *selectPlan) {
 }
 
 // updateRecord is the redo record of an update of rid from old to newRow:
-// the bitmap of the columns whose values differ and those values, laid
-// into the scratch's arenas. Values compare as stored, so an update logs
-// exactly the cells whose bytes would change.
-func (sc *txScratch) updateRecord(table string, rid int64, old, newRow []Value) walRecord {
-	b, v := len(sc.deltaBits), len(sc.deltaVals)
-	for range (len(newRow) + 7) / 8 {
-		sc.deltaBits = append(sc.deltaBits, 0)
+// the bitmap of the columns whose cells differ and those cells, laid into
+// the scratch's delta arena. Cells compare as bytes, so an update logs
+// exactly the cells it changes.
+func (sc *txScratch) updateRecord(table string, rid int64, old, newRow rowImage) walRecord {
+	n := newRow.width()
+	start := len(sc.deltas)
+	for range (n + 7) / 8 {
+		sc.deltas = append(sc.deltas, 0)
 	}
-	for i, val := range newRow {
-		if val != old[i] {
-			sc.deltaBits[b+i/8] |= 1 << (i % 8)
-			sc.deltaVals = append(sc.deltaVals, val)
+	for i := 0; i < n; i++ {
+		if c := newRow.cell(i); c != old.cell(i) {
+			sc.deltas[start+i/8] |= 1 << (i % 8)
+			sc.deltas = append(sc.deltas, c...)
 		}
 	}
-	bits, vals := sc.deltaBits[b:], sc.deltaVals[v:]
-	return walRecord{op: walUpdate, table: table, rid: rid, row: vals[:len(vals):len(vals)], cols: len(newRow), changed: bits[:len(bits):len(bits)]}
+	d := sc.deltas[start:]
+	return walRecord{op: walUpdate, table: table, rid: rid, cols: n, delta: d[:len(d):len(d)]}
 }
 
 // bindParams returns the scratch's parameter buffer sized for n values.

@@ -283,14 +283,15 @@ func TestPooledScratchPinsNothing(t *testing.T) {
 	}
 	checkPooled(t, "sorter.entries", sc.sorter.entries, false)
 	checkEmpty(t, "sorter.keys", sc.sorter.keys)
+	checkEmpty(t, "sorter.refs", sc.sorter.refs)
 	checkEmpty(t, "sorter.rows", sc.sorter.rows)
 	checkPooled(t, "rids", sc.rids, false)
 	checkEmpty(t, "provided", sc.provided)
 	checkEmpty(t, "keyTargets", sc.keyTargets)
 	checkEmpty(t, "locked", sc.locked)
 	checkEmpty(t, "redo", sc.redo)
-	checkPooled(t, "deltaBits", sc.deltaBits, false)
-	checkEmpty(t, "deltaVals", sc.deltaVals)
+	checkPooled(t, "deltas", sc.deltas, false)
+	checkPooled(t, "set", sc.set, false)
 	checkEmpty(t, "versions", sc.versions)
 	checkEmpty(t, "gcPend", sc.gcPend)
 	for i := range sc.scans[:cap(sc.scans)] {
@@ -388,7 +389,7 @@ func TestKeyLockHashMatchesEncoding(t *testing.T) {
 		if got := ix.keyLockTarget(enc); got != want {
 			t.Errorf("keyLockTarget(%x) = %+v, want %+v", enc, got, want)
 		}
-		if got := ix.rowKeyLockTarget(row); got != want {
+		if got := ix.rowKeyLockTarget(imageOf(row)); got != want {
 			t.Errorf("rowKeyLockTarget(%v) = %+v, want %+v", row, got, want)
 		}
 	}
@@ -399,7 +400,7 @@ func TestKeyLockHashMatchesEncoding(t *testing.T) {
 // column, and the rid tiebreaker.
 func TestEntryMatchesInPlace(t *testing.T) {
 	ix := &index{cols: []int{1, 0}}
-	row := []Value{NewInt(4), NewText("idle"), NewFloat(1)}
+	row := imageOf([]Value{NewInt(4), NewText("idle"), NewFloat(1)})
 	keys := []string{
 		ix.entryKey(row, 9),
 		ix.entryKey(row, 10),
@@ -418,15 +419,15 @@ func TestEntryMatchesInPlace(t *testing.T) {
 		}
 	}
 	other := []Value{NewInt(4), NewText("idle"), NewFloat(2)}
-	if !ix.sameKey(row, other) {
+	if !ix.sameKey(row, imageOf(other)) {
 		t.Error("sameKey: rows equal on the indexed columns reported different")
 	}
 	other[1] = NewText("busy")
-	if ix.sameKey(row, other) {
+	if ix.sameKey(row, imageOf(other)) {
 		t.Error("sameKey: rows differing on an indexed column reported same")
 	}
 	fx := &index{cols: []int{0}}
-	if !fx.sameKey([]Value{NewFloat(math.Copysign(0, -1))}, []Value{NewFloat(0)}) {
+	if !fx.sameKey(imageOf([]Value{NewFloat(math.Copysign(0, -1))}), imageOf([]Value{NewFloat(0)})) {
 		t.Error("sameKey: -0 and +0 share one entry, reported different")
 	}
 }

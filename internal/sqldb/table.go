@@ -85,22 +85,22 @@ func newTable(schema TableSchema) *table {
 	return t
 }
 
-// resolve materializes a version's row: nil for "no row" (no version, or
-// a delete tombstone), the in-memory data when present (default mode, and
-// uncommitted versions in paged mode), else the page record named by
-// v.loc. A paged read failure also yields nil — and records a sticky
+// resolve materializes a version's row: noRow for "no row" (no version,
+// or a delete tombstone), the in-memory image when present (default mode,
+// and uncommitted versions in paged mode), else the page record named by
+// v.loc. A paged read failure also yields noRow — and records a sticky
 // error on the store (readRow does both).
-func (t *table) resolve(v *rowVersion) []Value {
+func (t *table) resolve(v *rowVersion) rowImage {
 	if v == nil || v.isTomb() {
-		return nil
+		return noRow
 	}
-	if v.data != nil {
+	if v.data != noRow {
 		return v.data
 	}
 	if t.heap != nil {
 		return t.heap.readRow(v.loc)
 	}
-	return nil
+	return noRow
 }
 
 // prune clips s's chain below the watermark (rowSlot.pruneBelow) and
@@ -156,7 +156,7 @@ func (t *table) addIndexLocked(is IndexSchema) ([]gcRecord, error) {
 		rid := int64(i)
 		head := slot.head.Load()
 		live := t.resolve(head)
-		if live != nil {
+		if live != noRow {
 			if err := t.checkUnique(ix, live, rid); err != nil {
 				return nil, err
 			}
@@ -164,11 +164,11 @@ func (t *table) addIndexLocked(is IndexSchema) ([]gcRecord, error) {
 		var orphans []gcEntry
 		for v := head; v != nil; v = v.prev.Load() {
 			row := t.resolve(v)
-			if row == nil {
+			if row == noRow {
 				continue
 			}
 			k := ix.entryKey(row, rid)
-			if v != head && (live == nil || !ix.sameKey(live, row)) {
+			if v != head && (live == noRow || !ix.sameKey(live, row)) {
 				orphans = append(orphans, gcEntry{index: is.Name, key: k})
 			}
 			ix.tree.insert(k)
@@ -214,29 +214,29 @@ type keyBuf [64]byte
 // rids may legitimately hold entries for the same logical key at once (a
 // committed-deleted row awaiting GC and its replacement). Uniqueness is
 // enforced against live versions by checkUnique, not by key collision.
-func (ix *index) entryKey(row []Value, rid int64) string {
+func (ix *index) entryKey(row rowImage, rid int64) string {
 	var buf keyBuf
 	return string(ix.appendEntry(buf[:0], row, rid))
 }
 
 // appendKey appends the encoding of row's indexed columns to b.
-func (ix *index) appendKey(b []byte, row []Value) []byte {
+func (ix *index) appendKey(b []byte, row rowImage) []byte {
 	for _, c := range ix.cols {
-		b = appendKeyValue(b, row[c])
+		b = appendKeyValue(b, row.col(c))
 	}
 	return b
 }
 
 // appendEntry appends row's entry key at rid to b.
-func (ix *index) appendEntry(b []byte, row []Value, rid int64) []byte {
+func (ix *index) appendEntry(b []byte, row rowImage, rid int64) []byte {
 	return appendKeyRid(ix.appendKey(b, row), rid)
 }
 
 // keyValues is row's key under ix as values.
-func (ix *index) keyValues(row []Value) []Value {
+func (ix *index) keyValues(row rowImage) []Value {
 	k := make([]Value, len(ix.cols))
 	for i, c := range ix.cols {
-		k[i] = row[c]
+		k[i] = row.col(c)
 	}
 	return k
 }
@@ -244,12 +244,12 @@ func (ix *index) keyValues(row []Value) []Value {
 // enforces reports whether the unique constraint applies to row's key
 // under ix: SQL allows multiple NULLs under a unique constraint, so a
 // NULL-bearing key enforces nothing.
-func (ix *index) enforces(row []Value) bool {
+func (ix *index) enforces(row rowImage) bool {
 	if !ix.schema.Unique {
 		return false
 	}
 	for _, c := range ix.cols {
-		if row[c].IsNull() {
+		if row.isNull(c) {
 			return false
 		}
 	}
@@ -257,11 +257,18 @@ func (ix *index) enforces(row []Value) bool {
 }
 
 // sameKey reports whether two versions of one row occupy the same entry
-// under ix, comparing the indexed columns in place (the rid tiebreaker is
-// the row's own, so it cannot differ).
-func (ix *index) sameKey(a, b []Value) bool {
+// under ix, comparing the indexed columns' cells in place (the rid
+// tiebreaker is the row's own, so it cannot differ). Cells that differ
+// still encode one key when they are FLOATs the key has equal: −0 and +0,
+// or two NaNs.
+func (ix *index) sameKey(a, b rowImage) bool {
 	for _, c := range ix.cols {
-		if !keyValuesEqual(a[c], b[c]) {
+		ca, cb := a.cell(c), b.cell(c)
+		if ca == cb {
+			continue
+		}
+		if ca[0] != byte(Float) || cb[0] != byte(Float) ||
+			floatKeyBits(cellValue(ca).float()) != floatKeyBits(cellValue(cb).float()) {
 			return false
 		}
 	}
@@ -290,14 +297,14 @@ func (ix *index) keyLockTarget(k []byte) lockTarget {
 }
 
 // rowKeyLockTarget is keyLockTarget for the key row occupies under ix.
-func (ix *index) rowKeyLockTarget(row []Value) lockTarget {
+func (ix *index) rowKeyLockTarget(row rowImage) lockTarget {
 	var buf keyBuf
 	return ix.keyLockTarget(ix.appendKey(buf[:0], row))
 }
 
 // uniqueKeyTargets appends to dst the key-lock resources for every
 // enforced unique key value the row occupies.
-func (t *table) uniqueKeyTargets(dst []lockTarget, row []Value) []lockTarget {
+func (t *table) uniqueKeyTargets(dst []lockTarget, row rowImage) []lockTarget {
 	t.latch.RLock()
 	defer t.latch.RUnlock()
 	for _, ix := range t.indexes {
@@ -310,7 +317,7 @@ func (t *table) uniqueKeyTargets(dst []lockTarget, row []Value) []lockTarget {
 
 // changedUniqueKeyTargets appends to dst the key-lock resources entering
 // or leaving occupancy when old is replaced by newRow.
-func (t *table) changedUniqueKeyTargets(dst []lockTarget, old, newRow []Value) []lockTarget {
+func (t *table) changedUniqueKeyTargets(dst []lockTarget, old, newRow rowImage) []lockTarget {
 	t.latch.RLock()
 	defer t.latch.RUnlock()
 	for _, ix := range t.indexes {
@@ -346,7 +353,7 @@ func (e *UniqueViolationError) Error() string {
 // on the write path — the key's X lock, which excludes uncommitted
 // versions of this key by other transactions; an uncommitted claimant is
 // therefore this transaction's own earlier insert, a genuine duplicate.
-func (t *table) checkUnique(ix *index, row []Value, rid int64) error {
+func (t *table) checkUnique(ix *index, row rowImage, rid int64) error {
 	if !ix.enforces(row) {
 		return nil
 	}
@@ -359,7 +366,7 @@ func (t *table) checkUnique(ix *index, row []Value, rid int64) error {
 			return true
 		}
 		headRow := t.resolve(t.rows[rid2].head.Load())
-		if headRow == nil {
+		if headRow == noRow {
 			return true // reclaimed slot or tombstoned row: key is free
 		}
 		if ix.enforces(headRow) && ix.sameKey(headRow, row) {
@@ -433,9 +440,9 @@ func (t *table) refused(err error, rid int64) error {
 // find reads what a write of op finds at rid — txn's own version, else the
 // newest committed one (the redo's txn is 0, the id its versions carry) —
 // and holds it to rowRule. It returns rid's slot (nil past the heap's end)
-// and its live row (nil when there is none); apply false with no error is a
-// write with nothing to do. Caller holds the latch.
-func (t *table) find(op walOp, rid int64, txn uint64, mayContain bool) (s *rowSlot, old []Value, apply bool, err error) {
+// and its live row (noRow when there is none); apply false with no error is
+// a write with nothing to do. Caller holds the latch.
+func (t *table) find(op walOp, rid int64, txn uint64, mayContain bool) (s *rowSlot, old rowImage, apply bool, err error) {
 	var cur *rowVersion
 	if rid >= 0 && rid < int64(len(t.rows)) {
 		s = t.rows[rid]
@@ -446,11 +453,11 @@ func (t *table) find(op walOp, rid int64, txn uint64, mayContain bool) (s *rowSl
 		if err != nil {
 			err = t.refused(err, rid)
 		}
-		return s, nil, false, err
+		return s, noRow, false, err
 	}
 	if live {
-		if old = t.resolve(cur); old == nil {
-			return s, nil, false, fmt.Errorf("row %d of %s is unreadable", rid, t.schema.Name)
+		if old = t.resolve(cur); old == noRow {
+			return s, noRow, false, fmt.Errorf("row %d of %s is unreadable", rid, t.schema.Name)
 		}
 	}
 	return s, old, true, nil
@@ -458,7 +465,7 @@ func (t *table) find(op walOp, rid int64, txn uint64, mayContain bool) (s *rowSl
 
 // keysMove reports whether writing row over old moves its entry under
 // some index.
-func (t *table) keysMove(old, row []Value) bool {
+func (t *table) keysMove(old, row rowImage) bool {
 	for _, ix := range t.indexes {
 		if !ix.sameKey(old, row) {
 			return true
@@ -479,7 +486,7 @@ func (t *table) push(s *rowSlot, v *rowVersion, watermark uint64) *rowVersion {
 // at commit: a transaction's insert or update (txn its id; an insert's slot
 // comes from allocSlot) or the redo's (txn 0). insert says the row is new,
 // and find holds the write to rowRule. write returns the row it replaced
-// (nil when there was none), the version (nil when there is nothing to
+// (noRow when there was none), the version (nil when there is nothing to
 // do) and the entries it orphans — the replaced row's, under every index
 // whose key moved — for commit-ordered GC, since older snapshots still
 // need them. A transaction's unique checks run here, under the same
@@ -493,7 +500,7 @@ func (t *table) push(s *rowSlot, v *rowVersion, watermark uint64) *rowVersion {
 // structural changes (slice growth, index entries and builds), which take
 // it exclusively. Concurrent disjoint-row writers never serialize on the
 // table.
-func (t *table) write(rid int64, row []Value, insert bool, txn, watermark uint64, mayContain bool) ([]Value, *rowVersion, []gcEntry, error) {
+func (t *table) write(rid int64, row rowImage, insert bool, txn, watermark uint64, mayContain bool) (rowImage, *rowVersion, []gcEntry, error) {
 	op := walInsert
 	if !insert {
 		op = walUpdate
@@ -506,7 +513,7 @@ func (t *table) write(rid int64, row []Value, insert bool, txn, watermark uint64
 		}
 		t.latch.RUnlock()
 		if !apply {
-			return nil, nil, nil, err
+			return noRow, nil, nil, err
 		}
 	}
 
@@ -516,24 +523,24 @@ func (t *table) write(rid int64, row []Value, insert bool, txn, watermark uint64
 	defer t.latch.Unlock()
 	s, old, apply, err := t.find(op, rid, txn, mayContain)
 	if !apply {
-		return nil, nil, nil, err
+		return noRow, nil, nil, err
 	}
 	var orphaned []gcEntry
 	for _, ix := range t.indexes {
-		if old != nil && ix.sameKey(old, row) {
+		if old != noRow && ix.sameKey(old, row) {
 			continue
 		}
 		if txn != 0 {
 			if err := t.checkUnique(ix, row, rid); err != nil {
-				return nil, nil, nil, err
+				return noRow, nil, nil, err
 			}
 		}
-		if old != nil {
+		if old != noRow {
 			orphaned = append(orphaned, gcEntry{index: ix.schema.Name, key: ix.entryKey(old, rid)})
 		}
 	}
 	for _, ix := range t.indexes {
-		if old == nil || !ix.sameKey(old, row) {
+		if old == noRow || !ix.sameKey(old, row) {
 			ix.tree.insert(ix.entryKey(row, rid)) // idempotent when re-claiming a pending-GC entry
 		}
 	}
@@ -543,7 +550,7 @@ func (t *table) write(rid int64, row []Value, insert bool, txn, watermark uint64
 		}
 		s = t.rows[rid]
 	}
-	if old == nil {
+	if old == noRow {
 		t.liveRows.Add(1)
 	}
 	return old, t.push(s, &rowVersion{data: row, txn: txn}, watermark), orphaned, nil
@@ -581,11 +588,11 @@ func (t *table) slot(rid int64) *rowSlot {
 }
 
 // currentRow is the 2PL read of a row: the transaction's own uncommitted
-// version if any, else the newest committed one; nil when absent.
-func (t *table) currentRow(rid int64, txn uint64) []Value {
+// version if any, else the newest committed one; noRow when absent.
+func (t *table) currentRow(rid int64, txn uint64) rowImage {
 	s := t.slot(rid)
 	if s == nil {
-		return nil
+		return noRow
 	}
 	return t.resolve(s.currentVersion(txn))
 }
@@ -602,10 +609,10 @@ func (t *table) isLive(rid int64) bool {
 }
 
 // visibleRow is the snapshot read of a row as of commit timestamp ts.
-func (t *table) visibleRow(rid int64, ts uint64) []Value {
+func (t *table) visibleRow(rid int64, ts uint64) rowImage {
 	s := t.slot(rid)
 	if s == nil {
-		return nil
+		return noRow
 	}
 	return t.resolve(s.visibleVersion(ts))
 }
@@ -614,7 +621,7 @@ func (t *table) visibleRow(rid int64, ts uint64) []Value {
 // that keeps a row from surfacing through a stale index entry left behind
 // by a superseded version (each row is emitted exactly once, at its own
 // key's position in the scan).
-func (ix *index) entryMatches(k string, row []Value, rid int64) bool {
+func (ix *index) entryMatches(k string, row rowImage, rid int64) bool {
 	var buf keyBuf
 	return k == string(ix.appendEntry(buf[:0], row, rid))
 }
@@ -627,7 +634,7 @@ func (ix *index) entryMatches(k string, row []Value, rid int64) bool {
 func (t *table) removeEntryIfUnclaimed(ix *index, k string, rid int64) bool {
 	if rid >= 0 && rid < int64(len(t.rows)) {
 		for v := t.rows[rid].head.Load(); v != nil; v = v.prev.Load() {
-			if row := t.resolve(v); row != nil && ix.entryMatches(k, row, rid) {
+			if row := t.resolve(v); row != noRow && ix.entryMatches(k, row, rid) {
 				return false
 			}
 		}
@@ -716,7 +723,7 @@ func (t *table) gcProcess(rec *gcRecord, watermark uint64) (pruned, entriesRemov
 // committed version whose bytes stay on the page (paged recovery only;
 // single-threaded). Base rows are stamped with ts so the commit clock can
 // start just above them. The redo of the log tail then runs over them.
-func (t *table) pagedPlace(rid int64, row []Value, loc pageLoc, ts uint64) {
+func (t *table) pagedPlace(rid int64, row rowImage, loc pageLoc, ts uint64) {
 	t.latch.Lock()
 	defer t.latch.Unlock()
 	for int64(len(t.rows)) <= rid {
@@ -738,7 +745,7 @@ func (t *table) pagedPlace(rid int64, row []Value, loc pageLoc, ts uint64) {
 // new version pushed on top, so an old snapshot keeps seeing its
 // tombstoned past.
 func (t *table) applyWrite(r *walRecord, watermark uint64, mayContain bool) (*rowVersion, []gcEntry, error) {
-	width := len(r.row)
+	width := r.img.width()
 	if r.op == walUpdate {
 		width = r.cols
 	}
@@ -747,10 +754,9 @@ func (t *table) applyWrite(r *walRecord, watermark uint64, mayContain bool) (*ro
 		// record is input from outside.
 		return nil, nil, fmt.Errorf("redo: row %d of %s has %d values, the table has %d columns", r.rid, t.schema.Name, width, len(t.schema.Columns))
 	}
-	row := r.row
+	row := r.img
 	if r.op == walUpdate {
-		row = nil
-		if old := t.currentRow(r.rid, 0); old != nil {
+		if old := t.currentRow(r.rid, 0); old != noRow {
 			row = applyDelta(old, r)
 		}
 	}
@@ -758,18 +764,11 @@ func (t *table) applyWrite(r *walRecord, watermark uint64, mayContain bool) (*ro
 	return v, orphaned, err
 }
 
-// applyDelta is the row an update record makes of old: a copy of old with
-// each changed column's value replaced, in column order, by the record's.
-func applyDelta(old []Value, r *walRecord) []Value {
-	row := append([]Value(nil), old...)
-	k := 0
-	for i := range row {
-		if r.changed[i/8]&(1<<(i%8)) != 0 {
-			row[i] = r.row[k]
-			k++
-		}
-	}
-	return row
+// applyDelta is the row an update record makes of old: old with each
+// changed column's cell replaced, in column order, by the record's.
+func applyDelta(old rowImage, r *walRecord) rowImage {
+	n := (r.cols + 7) / 8
+	return splice(old, r.delta[:n], r.delta[n:])
 }
 
 // rebuildAfterReplay ends a redo for one table: chains are flattened below
@@ -795,10 +794,10 @@ func (t *table) rebuildAfterReplay(watermark uint64) {
 		if len(auto) == 0 {
 			continue // no counter to rebuild: leave paged rows on their pages
 		}
-		if row := t.resolve(head); row != nil {
+		if row := t.resolve(head); row != noRow {
 			for _, ci := range auto {
-				if !row[ci].IsNull() && row[ci].Int64() >= t.nextAuto {
-					t.nextAuto = row[ci].Int64() + 1
+				if v := row.col(ci); !v.IsNull() && v.Int64() >= t.nextAuto {
+					t.nextAuto = v.Int64() + 1
 				}
 			}
 		}
@@ -811,11 +810,11 @@ func (t *table) rebuildAfterReplay(watermark uint64) {
 const fullScanBatch = 512
 
 // buildRow coerces values to column types and checks NOT NULL
-// constraints, applying defaults and autoincrement. input maps column
-// position → provided value (missing positions get defaults).
-func (t *table) buildRow(provided []Value, has []bool, now func() Value) ([]Value, error) {
+// constraints, applying defaults and autoincrement, and lays the row out
+// as the image the table keeps. vals holds column i's supplied value where
+// has[i] is set; buildRow leaves the row's final values there.
+func (t *table) buildRow(vals []Value, has []bool) (rowImage, error) {
 	s := &t.schema
-	row := make([]Value, len(s.Columns))
 	hasAuto := false
 	for i := range s.Columns {
 		c := &s.Columns[i]
@@ -825,37 +824,35 @@ func (t *table) buildRow(provided []Value, has []bool, now func() Value) ([]Valu
 		var v Value
 		switch {
 		case has[i]:
-			v = provided[i]
+			v = vals[i]
 		case c.HasDefault:
 			v = c.Default
-		default:
-			v = NullValue()
 		}
 		if !v.IsNull() {
 			cv, err := coerce(v, c.Type)
 			if err != nil {
-				return nil, fmt.Errorf("sqldb: column %s.%s: %v", s.Name, c.Name, err)
+				return noRow, fmt.Errorf("sqldb: column %s.%s: %v", s.Name, c.Name, err)
 			}
 			v = cv
 		}
 		if v.IsNull() && c.NotNull && !c.AutoIncrement {
-			return nil, fmt.Errorf("sqldb: column %s.%s is NOT NULL", s.Name, c.Name)
+			return noRow, fmt.Errorf("sqldb: column %s.%s is NOT NULL", s.Name, c.Name)
 		}
-		row[i] = v
+		vals[i] = v
 	}
 	if hasAuto {
 		// Only the autoincrement counter is shared state; validation and
 		// coercion above run latch-free so concurrent inserts stay parallel.
 		t.latch.Lock()
 		for i := range s.Columns {
-			if s.Columns[i].AutoIncrement && row[i].IsNull() {
-				row[i] = NewInt(t.nextAuto)
+			if s.Columns[i].AutoIncrement && vals[i].IsNull() {
+				vals[i] = NewInt(t.nextAuto)
 			}
 		}
 		// Advance the counter past any assigned or explicit value.
 		for i := range s.Columns {
-			if s.Columns[i].AutoIncrement && !row[i].IsNull() && row[i].Int64() >= t.nextAuto {
-				t.nextAuto = row[i].Int64() + 1
+			if s.Columns[i].AutoIncrement && !vals[i].IsNull() && vals[i].Int64() >= t.nextAuto {
+				t.nextAuto = vals[i].Int64() + 1
 			}
 		}
 		t.latch.Unlock()
@@ -863,10 +860,9 @@ func (t *table) buildRow(provided []Value, has []bool, now func() Value) ([]Valu
 	// NOT NULL on an autoincrement column is satisfied by the assignment.
 	for i := range s.Columns {
 		c := &s.Columns[i]
-		if row[i].IsNull() && c.NotNull {
-			return nil, fmt.Errorf("sqldb: column %s.%s is NOT NULL", s.Name, c.Name)
+		if vals[i].IsNull() && c.NotNull {
+			return noRow, fmt.Errorf("sqldb: column %s.%s is NOT NULL", s.Name, c.Name)
 		}
 	}
-	_ = now
-	return row, nil
+	return imageOf(vals[:len(s.Columns)]), nil
 }

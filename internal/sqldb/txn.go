@@ -784,9 +784,9 @@ func (tx *Tx) popVersions() {
 // resources a write must hold: every enforced key row occupies, or — with
 // newRow — only those entering or leaving occupancy when newRow replaces
 // it.
-func (tx *Tx) keyTargets(tbl *table, row, newRow []Value) []lockTarget {
+func (tx *Tx) keyTargets(tbl *table, row, newRow rowImage) []lockTarget {
 	sc := tx.scratch()
-	if newRow == nil {
+	if newRow == noRow {
 		sc.keyTargets = tbl.uniqueKeyTargets(reuse(sc.keyTargets), row)
 	} else {
 		sc.keyTargets = tbl.changedUniqueKeyTargets(reuse(sc.keyTargets), row, newRow)
@@ -802,8 +802,8 @@ func (tx *Tx) keyTargets(tbl *table, row, newRow []Value) []lockTarget {
 // index scan that finds the new rid blocks instead of reading the
 // uncommitted insert. Snapshot readers need no such care — the
 // uncommitted version is unstamped and invisible to them.
-func (tx *Tx) insertRow(tbl *table, row []Value) (int64, error) {
-	if err := tx.lockKeyTargets(tx.keyTargets(tbl, row, nil), lockExclusive); err != nil {
+func (tx *Tx) insertRow(tbl *table, row rowImage) (int64, error) {
+	if err := tx.lockKeyTargets(tx.keyTargets(tbl, row, noRow), lockExclusive); err != nil {
 		return 0, err
 	}
 	rid := tbl.allocSlot()
@@ -817,7 +817,7 @@ func (tx *Tx) insertRow(tbl *table, row []Value) (int64, error) {
 		return 0, err
 	}
 	tx.versions = append(tx.versions, stampEntry{v: ver, tbl: tbl, rid: rid})
-	tx.redo = append(tx.redo, walRecord{op: walInsert, table: tbl.schema.Name, rid: rid, row: row})
+	tx.redo = append(tx.redo, walRecord{op: walInsert, table: tbl.schema.Name, rid: rid, img: row})
 	return rid, nil
 }
 
@@ -825,8 +825,8 @@ func (tx *Tx) deleteRow(tbl *table, rid int64) error {
 	// X-lock the vacated unique key values first: until this txn commits,
 	// an insert reclaiming one of them must block (a rollback would pop the
 	// tombstone and the key would be occupied again).
-	if cur := tbl.currentRow(rid, tx.id); cur != nil {
-		if err := tx.lockKeyTargets(tx.keyTargets(tbl, cur, nil), lockExclusive); err != nil {
+	if cur := tbl.currentRow(rid, tx.id); cur != noRow {
+		if err := tx.lockKeyTargets(tx.keyTargets(tbl, cur, noRow), lockExclusive); err != nil {
 			return err
 		}
 	}
@@ -840,10 +840,10 @@ func (tx *Tx) deleteRow(tbl *table, rid int64) error {
 	return nil
 }
 
-func (tx *Tx) updateRow(tbl *table, rid int64, newRow []Value) error {
+func (tx *Tx) updateRow(tbl *table, rid int64, newRow rowImage) error {
 	// X-lock unique key values this update vacates or claims, for the same
 	// reason deletes do (the vacated key becomes claimable at commit).
-	if cur := tbl.currentRow(rid, tx.id); cur != nil {
+	if cur := tbl.currentRow(rid, tx.id); cur != noRow {
 		if err := tx.lockKeyTargets(tx.keyTargets(tbl, cur, newRow), lockExclusive); err != nil {
 			return err
 		}

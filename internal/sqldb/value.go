@@ -406,17 +406,6 @@ func keyValueLen(k string, t Type) int {
 	}
 }
 
-// keyValuesEqual reports whether a and b, of one column, encode alike.
-func keyValuesEqual(a, b Value) bool {
-	if a.typ != b.typ {
-		return false
-	}
-	if a.typ == Float {
-		return floatKeyBits(a.float()) == floatKeyBits(b.float())
-	}
-	return a == b
-}
-
 // comparePrefix compares k against p after truncating k to p's length, so
 // any key extending p compares equal. An empty p compares equal to
 // everything.

@@ -26,27 +26,29 @@ import (
 // verTomb marks a delete tombstone version.
 const verTomb = 1 << 0
 
-// rowVersion is one version of one row. data is immutable after
-// publication — the slice is never written again, by an update (which
-// pushes a new version with its own slice), a rollback (which unlinks the
-// version) or GC (which clips the chain) — and readers rely on it past
-// the statement: a SELECT's result holds references to the data it read,
-// not copies (Rows.refs), for as long as the caller holds the result. The
-// verTomb flag marks a delete tombstone (no data, ever). begin is the
-// creator's commit timestamp (0 while uncommitted).
+// rowVersion is one version of one row. data is the row's image
+// (rowimage.go): an immutable string, so a version is never written by an
+// update (which pushes a new version with its own image), a rollback
+// (which unlinks the version) or GC (which clips the chain), and readers
+// rely on it past the statement: a SELECT's result holds the images it
+// read, not copies (Rows.refs), and a value read out of one is a view of
+// it — both keep the image alive for as long as the caller holds them,
+// whatever happens to the version. The verTomb flag marks a delete
+// tombstone (no data, ever). begin is the creator's commit timestamp (0
+// while uncommitted).
 //
 // Under paged storage a committed version's row bytes live in a page
-// record named by loc, and data is nil: the commit
-// path writes the record and clears data before stamping begin, so the
-// release/acquire pair on begin orders the loc publication for every
-// snapshot reader (a reader only dereferences a version it observed
-// stamped, or its own — same goroutine). Readers materialize through
-// table.resolve. In the default in-memory mode loc stays zero and data
-// is authoritative. After publication the only mutable fields are
-// begin, prev (GC may clip it), and the commit path's one-time
-// data/loc handoff described above.
+// record named by loc, and data is empty: the commit path writes the
+// record, hands the image to the page's frame (pageRows) and clears data
+// before stamping begin, so the release/acquire pair on begin orders the
+// loc publication for every snapshot reader (a reader only dereferences a
+// version it observed stamped, or its own — same goroutine). Readers
+// materialize through table.resolve. In the default in-memory mode loc
+// stays zero and data is authoritative. After publication the only
+// mutable fields are begin, prev (GC may clip it), and the commit path's
+// one-time data/loc handoff described above.
 type rowVersion struct {
-	data  []Value
+	data  rowImage
 	loc   pageLoc
 	txn   uint64 // creating transaction (self-visibility before commit)
 	flags uint8

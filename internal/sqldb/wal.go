@@ -60,14 +60,15 @@ type walRecord struct {
 	lsn   uint64 // commit markers only: the group's log sequence number
 	table string
 	rid   int64
-	// row is an insert's whole row image, and an update's changed values
-	// alone, in column order. cols is the updated table's column count and
-	// changed the update's bitmap of changed columns: ⌈cols/8⌉ bytes, bit
-	// i%8 of byte i/8 for column i, no bit set past cols.
-	row     []Value
-	cols    int
-	changed []byte
-	sql     string // DDL text
+	// img is an insert's row, the image its version holds. cols is an
+	// update's table column count, and delta what the log holds of it after
+	// that count: the bitmap of changed columns — ⌈cols/8⌉ bytes, bit i%8 of
+	// byte i/8 for column i, no bit set past cols — then their cells, in
+	// column order.
+	img   rowImage
+	cols  int
+	delta []byte
+	sql   string // DDL text
 }
 
 // ErrLogFormat reports a store file that is sealed — whole, its CRC32C
@@ -888,13 +889,11 @@ func appendRecord(buf *bytes.Buffer, r *walRecord) {
 		writeUvarint(buf, uint64(r.rid))
 		switch r.op {
 		case walInsert:
-			writeUvarint(buf, uint64(len(r.row)))
+			writeUvarint(buf, uint64(r.img.width()))
+			buf.WriteString(r.img.cells())
 		case walUpdate:
 			writeUvarint(buf, uint64(r.cols))
-			buf.Write(r.changed)
-		}
-		for _, v := range r.row {
-			writeValue(buf, v)
+			buf.Write(r.delta)
 		}
 	case walDDL:
 		writeString(buf, r.sql)
@@ -929,8 +928,8 @@ type logReader struct {
 	data []byte
 	// recs, lsn, start and end describe the group the last successful next
 	// yielded: its redo records (commit marker stripped; the slice is reused
-	// by the following call, the rows it points to are not, and an update's
-	// changed-column bitmap points into data), the marker's LSN, and its
+	// by the following call, an insert's image is its own, and an update's
+	// delta points into data), the marker's LSN, and its
 	// verbatim bytes data[start:end]. Once next reports false, end is the
 	// length of the log's committed prefix.
 	recs       []walRecord
@@ -1043,9 +1042,9 @@ func decodeRecord(rd *byteReader, r *walRecord) bool {
 		}
 		switch r.op {
 		case walInsert:
-			r.row, ok = rd.row()
+			r.img, ok = rd.image()
 		case walUpdate:
-			r.cols, r.changed, r.row, ok = rd.delta()
+			r.cols, r.delta, ok = rd.delta()
 		}
 		return ok
 	case walDDL:
@@ -1084,19 +1083,9 @@ func writeString(buf *bytes.Buffer, s string) {
 	buf.WriteString(s)
 }
 
+// writeValue writes v's cell (appendValue) to buf.
 func writeValue(buf *bytes.Buffer, v Value) {
-	buf.WriteByte(byte(v.typ))
-	switch v.typ {
-	case Null:
-	case Int, Bool, Time:
-		writeUvarint(buf, uint64(v.i))
-	case Float:
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(v.i)) // IEEE 754 bits
-		buf.Write(b[:])
-	case Text:
-		writeString(buf, v.s)
-	}
+	buf.Write(appendValue(buf.AvailableBuffer(), v))
 }
 
 type byteReader struct {
@@ -1147,59 +1136,62 @@ func (r *byteReader) rid() (int64, bool) {
 	return int64(u), ok && u <= math.MaxInt64
 }
 
-// row reads a counted row image (WAL insert records and page records share
-// it). Every value takes at least its type byte, which bounds the count —
-// and so the allocation — by the bytes that remain.
-func (r *byteReader) row() ([]Value, bool) {
+// image reads a counted row (WAL insert records and page records share
+// it) into an image, or, skimming, into nothing. Every value takes at least
+// its type byte, which bounds the count — and so the allocation — by the
+// bytes that remain.
+func (r *byteReader) image() (rowImage, bool) {
 	n, ok := r.uvarint()
 	if !ok || n > uint64(len(r.b)-r.off) {
-		return nil, false
+		return noRow, false
 	}
-	return r.values(int(n))
+	cells, ok := r.cells(int(n))
+	if !ok || r.skim {
+		return noRow, ok
+	}
+	return imageFromCells(int(n), cells), true
 }
 
-// delta reads an update's column count, its changed-column bitmap (a view
-// of the input) and the changed values. Only the set columns' values are
-// decoded — never a row as wide as the column count, which nothing but the
-// bitmap's own length bounds — and the set bits, like a row's count, are
-// bounded by the bytes that remain.
-func (r *byteReader) delta() (cols int, changed []byte, vals []Value, ok bool) {
+// delta reads an update's column count and what follows it: the
+// changed-column bitmap and the changed cells, as one view of the input.
+// Only the set columns' cells are read — never a row as wide as the
+// column count, which nothing but the bitmap's own length bounds — and the
+// set bits, like a row's count, are bounded by the bytes that remain.
+func (r *byteReader) delta() (cols int, delta []byte, ok bool) {
 	n, ok := r.uvarint()
 	if !ok || n > 8*uint64(len(r.b)-r.off) {
-		return 0, nil, nil, false
+		return 0, nil, false
 	}
-	end := r.off + int((n+7)/8)
-	changed, r.off = r.b[r.off:end:end], end
+	start, end := r.off, r.off+int((n+7)/8)
+	changed := r.b[start:end]
+	r.off = end
 	set := 0
 	for _, b := range changed {
 		set += bits.OnesCount8(b)
 	}
 	if n%8 != 0 && changed[len(changed)-1]>>(n%8) != 0 {
-		return 0, nil, nil, false // a bit set past the last column
+		return 0, nil, false // a bit set past the last column
 	}
 	if set > len(r.b)-r.off {
-		return 0, nil, nil, false
+		return 0, nil, false
 	}
-	vals, ok = r.values(set)
-	return int(n), changed, vals, ok
+	if _, ok = r.cells(set); !ok {
+		return 0, nil, false
+	}
+	return int(n), r.b[start:r.off:r.off], true
 }
 
-// values reads n values into a fresh row or, skimming, into nothing.
-func (r *byteReader) values(n int) ([]Value, bool) {
-	var row []Value
-	if !r.skim {
-		row = make([]Value, n)
+// cells steps over n well-formed cells, returning their bytes, a view of
+// the input.
+func (r *byteReader) cells(n int) ([]byte, bool) {
+	start, skim := r.off, r.skim
+	r.skim = true
+	ok := true
+	for i := 0; i < n && ok; i++ {
+		_, ok = r.value()
 	}
-	for i := 0; i < n; i++ {
-		v, ok := r.value()
-		if !ok {
-			return nil, false
-		}
-		if row != nil {
-			row[i] = v
-		}
-	}
-	return row, true
+	r.skim = skim
+	return r.b[start:r.off:r.off], ok
 }
 
 func (r *byteReader) value() (Value, bool) {

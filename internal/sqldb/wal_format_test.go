@@ -75,8 +75,8 @@ func TestLogGoldenBytes(t *testing.T) {
 		}
 	}
 	up := groups[2].recs[0]
-	if up.cols != 9 || !bytes.Equal(up.changed, []byte{0, 1}) || !reflect.DeepEqual(up.row, []Value{NewInt(5)}) {
-		t.Errorf("update record: cols %d, bitmap %x, values %v; want 9, 0001, [5]", up.cols, up.changed, up.row)
+	if bitmap, vals := deltaValues(up); up.cols != 9 || !bytes.Equal(bitmap, []byte{0, 1}) || !reflect.DeepEqual(vals, []Value{NewInt(5)}) {
+		t.Errorf("update record: cols %d, bitmap %x, values %v; want 9, 0001, [5]", up.cols, bitmap, vals)
 	}
 
 	// The steady heartbeat's record: one timestamp of the eight-column
@@ -86,7 +86,7 @@ func TestLogGoldenBytes(t *testing.T) {
 	beat := append([]Value(nil), old...)
 	beat[7] = NewTime(time.UnixMicro(1_790_000_102_000_000))
 	var rec bytes.Buffer
-	r := new(txScratch).updateRecord("machines", 999, old, beat)
+	r := new(txScratch).updateRecord("machines", 999, imageOf(old), imageOf(beat))
 	appendRecord(&rec, &r)
 	if rec.Len() > 30 {
 		t.Errorf("a heartbeat's update record is %d bytes before framing, want <= 30", rec.Len())
@@ -279,7 +279,7 @@ func TestShippedBadDDLNeverReachesTheLog(t *testing.T) {
 			follower.Close()
 			reopened := openVFS(t, vfs)
 			defer reopened.Close()
-			good := walRecord{op: walInsert, table: "t", rid: 0, row: []Value{NewInt(7)}}
+			good := walRecord{op: walInsert, table: "t", rid: 0, img: imageOf([]Value{NewInt(7)})}
 			if err := reopened.ApplyCommitted([]CommittedBatch{{LSN: 2, Data: groupBytes(2, good)}}); err != nil {
 				t.Fatalf("a good group at the same LSN: %v", err)
 			}
@@ -375,7 +375,7 @@ func TestDeltaRedoLeniency(t *testing.T) {
 	for _, g := range readGroups(tail[0].Data) {
 		update = g.recs[0]
 	}
-	if update.op != walUpdate || len(update.row) != 1 {
+	if _, vals := deltaValues(update); update.op != walUpdate || len(vals) != 1 {
 		t.Fatalf("the first tail group holds %+v, want a one-column update", update)
 	}
 	reopened := open()

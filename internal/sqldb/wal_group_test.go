@@ -460,7 +460,7 @@ func TestGroupTornTailSweepLiveLog(t *testing.T) {
 				case walDDL:
 					schemaOK = true
 				case walInsert:
-					wantRows[r.row[0].Int64()] = r.row[1].Int64()
+					wantRows[r.img.col(0).Int64()] = r.img.col(1).Int64()
 				}
 			}
 		}
@@ -726,7 +726,7 @@ func TestGroupFlippedByteSweep(t *testing.T) {
 		// tears the framing from there on), so recovery keeps exactly the
 		// clean log's groups that end at or before the damaged byte.
 		keep := 0
-		byRid := map[int64][]Value{}
+		byRid := map[int64]rowImage{}
 		schemaOK := false
 		for _, g := range groups {
 			if g.end > pos {
@@ -738,7 +738,7 @@ func TestGroupFlippedByteSweep(t *testing.T) {
 				case walDDL:
 					schemaOK = true
 				case walInsert:
-					byRid[r.rid] = r.row
+					byRid[r.rid] = r.img
 				case walUpdate:
 					byRid[r.rid] = applyDelta(byRid[r.rid], r)
 				}
@@ -746,7 +746,7 @@ func TestGroupFlippedByteSweep(t *testing.T) {
 		}
 		wantRows := map[int64]int64{}
 		for _, row := range byRid {
-			wantRows[row[0].Int64()] = row[1].Int64()
+			wantRows[row.col(0).Int64()] = row.col(1).Int64()
 		}
 		if got := committedLen(corrupted); got != keep {
 			t.Fatalf("pos %d: reader keeps %d bytes, want %d", pos, got, keep)

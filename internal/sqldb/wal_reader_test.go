@@ -75,7 +75,7 @@ func TestRedoRejectsHostileRecords(t *testing.T) {
 		// int64(rid) < 0 indexes t.rows[-1] — after the group is durable.
 		{"rid 2^63", append(binary.AppendUvarint(binary.AppendUvarint(insertInto("t"), 1<<63), 1), byte(Int), 7)},
 	}
-	insert7 := walRecord{op: walInsert, table: "t", rid: 0, row: []Value{NewInt(7)}}
+	insert7 := walRecord{op: walInsert, table: "t", rid: 0, img: imageOf([]Value{NewInt(7)})}
 	for _, tc := range cases {
 		t.Run(tc.name+"/FollowerApply", func(t *testing.T) {
 			vfs := NewMemVFS()
@@ -139,7 +139,7 @@ func tornSweepLog(firstTxn, lastTxn uint64) (data []byte, ddlEnd int, markerEnd 
 	ddlEnd = log.Len()
 	markerEnd = map[uint64]int{}
 	for i := firstTxn; i <= lastTxn; i++ {
-		log.Write(groupBytes(i, walRecord{op: walInsert, table: "t", rid: int64(i - firstTxn), row: []Value{NewInt(int64(100 + i))}}))
+		log.Write(groupBytes(i, walRecord{op: walInsert, table: "t", rid: int64(i - firstTxn), img: imageOf([]Value{NewInt(int64(100 + i))})}))
 		markerEnd[i] = log.Len()
 	}
 	return log.Bytes(), ddlEnd, markerEnd
@@ -260,11 +260,11 @@ func fuzzReader(t *testing.T, data []byte) {
 	runtime.ReadMemStats(&before)
 	end := committedLen(data) // the reader, as the engine runs it
 	runtime.ReadMemStats(&after)
-	// A value costs 32 bytes of row for at least one byte of input, and a
-	// record 112 bytes of walRecord for at least two (a DDL record with no
-	// text); the reader counts a group's records before it sizes their
-	// array, so it allocates no more of them than the group holds. An
-	// update's values are only its set bits', each at least a byte.
+	// A value costs its cell and at most 4 bytes of image header for at
+	// least one byte of input, and a record 104 bytes of walRecord for at
+	// least two (a DDL record with no text); the reader counts a group's
+	// records before it sizes their array, so it allocates no more of them
+	// than the group holds. An update's cells are views of the input.
 	// TotalAlloc is the whole process's, so the constant leaves room for
 	// what the fuzz worker's other goroutines allocate meanwhile — a count
 	// the decoder believed would overshoot it by orders of magnitude.
