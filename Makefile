@@ -22,11 +22,11 @@ test:
 	$(GO) test ./...
 
 # The allocation budgets, level by level: a wire round trip, a bare
-# statement (in memory and on resident pages), a hash join's probe, the
-# index entries of an insert, a stored row and its update, a page
-# compaction, a dirty eviction and reload, a bean call, a steady
-# Service.Heartbeat. They are compiled out under -race (sync.Pool sheds
-# there), so they get their own uncached run.
+# statement (in memory and on resident pages), a hash join's probe, a
+# grouped aggregation, the index entries of an insert, a stored row and
+# its update, a page compaction, a dirty eviction and reload, a bean call,
+# a steady Service.Heartbeat. They are compiled out under -race (sync.Pool
+# sheds there), so they get their own uncached run.
 alloc:
 	$(GO) test -count=1 -run Allocs ./internal/sqldb ./internal/sqldb/pager ./internal/beans ./internal/core ./internal/wire
 
@@ -158,8 +158,9 @@ chaos replchaos replchaos-one: .SHELLFLAGS := -o pipefail -c
 race-cancel:
 	$(GO) test -race -count=1 -run 'Cancel|Timeout|Deadline|Fault' ./internal/sqldb ./internal/core ./internal/wire ./cmd/cj2sql
 
-# The -race plan-cache suite: concurrent hammer on one cached statement,
-# epoch invalidation under DDL and row-count drift, stmt-cache clock sweeps. A
+# The -race plan-cache suite: concurrent hammer on two cached statements (a
+# point read, an aggregation), epoch invalidation under DDL and row-count
+# drift, stmt-cache clock sweeps. A
 # quick local subset: `make race` (and so `make check`) runs all of it.
 race-plancache:
 	$(GO) test -race -count=1 -run 'PlanCache|StmtCache|ExplainCached' ./internal/sqldb

@@ -134,8 +134,7 @@ func TestProvenanceJoinPlan(t *testing.T) {
 func TestPoolStatusAggregatePlan(t *testing.T) {
 	cas := statusPlanFixture(t)
 	// Service.PoolStatus: the monitoring tier's hot rollup. The plan must
-	// stay a lock-free snapshot scan feeding the batched hash-aggregation
-	// operator.
+	// stay a lock-free snapshot scan feeding the aggregation stage.
 	plan := planRows(t, cas, `SELECT state, count(*) FROM machines GROUP BY state ORDER BY state`)
 	if len(plan) != 2 {
 		t.Fatalf("plan rows = %d: %v", len(plan), plan)
@@ -147,8 +146,8 @@ func TestPoolStatusAggregatePlan(t *testing.T) {
 		t.Fatalf("aggregation step = %v, want HASH AGGREGATE (state)", plan[1])
 	}
 
-	// The executed statement takes the keyed fast path (single TEXT
-	// grouping column), visible through the CAS stats bridge.
+	// The executed statement is keyed by a cell (one TEXT grouping column,
+	// read in place), visible through the CAS stats bridge.
 	base := cas.Engine.ExecStats()
 	if _, err := cas.Engine.Query(`SELECT state, count(*) FROM machines GROUP BY state ORDER BY state`); err != nil {
 		t.Fatal(err)

@@ -4,7 +4,9 @@ package sqldb
 // aggregation shapes from the paper's 3-tier architecture — the pool
 // status rollup (`GROUP BY state`, a handful of groups over the whole
 // machine table) and the per-owner accounting rollup (hundreds of
-// groups, multiple aggregates) — through the batched hash operator.
+// groups, multiple aggregates) — through the aggregation stage: a
+// one-cell group key read in place, the linear group list for the first
+// and its map for the second.
 
 import (
 	"fmt"

@@ -1,16 +1,19 @@
 package sqldb
 
-// Aggregate-semantics suite for the batched hash-aggregation operator
-// (executor.go) and the oracle, refQuery (refquery_test.go). Every
-// behavioural test runs against both, so the oracle the differential
-// suites trust is held to the same semantics; a differential section
-// cross-checks the engine against the oracle on fixed query shapes. The
-// Int-vs-Float tests are
+// Aggregate-semantics suite for the aggregation stage (executor.go) and
+// the oracle, refQuery (refquery_test.go). Every behavioural test runs
+// against both, so the oracle the differential suites trust is held to
+// the same semantics; a differential section cross-checks the engine
+// against the oracle on fixed query shapes. The Int-vs-Float tests are
 // regressions for the canonical-key bugfix: GROUP BY, SELECT DISTINCT
 // and COUNT(DISTINCT x) previously keyed on the WAL encoding, which
-// splits Int 1 and Float 1.0 even though 1 = 1.0 under Compare.
+// splits Int 1 and Float 1.0 even though 1 = 1.0 under Compare; the
+// equality key (appendEqual) writes an integral FLOAT as its INTEGER.
 
 import (
+	"math"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -19,7 +22,8 @@ import (
 type queryFunc func(db *DB, sql string, args ...any) (*Rows, error)
 
 // forEachEvaluator runs fn on a fresh subtest once with the engine
-// ("hash-batched") and once with the oracle ("reference").
+// ("hash-batched", the name it has always run under) and once with the
+// oracle ("reference").
 func forEachEvaluator(t *testing.T, fn func(t *testing.T, query queryFunc)) {
 	t.Helper()
 	for _, m := range []struct {
@@ -181,7 +185,7 @@ func TestEmptyInputAggregates(t *testing.T) {
 	})
 }
 
-// TestAggModesDifferential cross-checks the batched operator against the
+// TestAggModesDifferential cross-checks the aggregation stage against the
 // oracle on fixed query shapes over a deterministic dataset (multisets
 // compare canonically; ORDER BY is deliberately absent so neither path's
 // iteration order leaks in).
@@ -234,10 +238,11 @@ func itoa(n int) string {
 	return itoa(n/10) + string(rune('0'+n%10))
 }
 
-// TestExecStatsCounters checks the batched-executor observability
-// counters: every aggregated statement counts as an AggQueries, the
-// single-column and global shapes take the fast path, and input rows /
-// groups / output batches accumulate.
+// TestExecStatsCounters checks the aggregation observability counters:
+// every aggregated statement counts as an AggQueries, one whose every
+// group key part is a cell (one TEXT column, two, or none — a global
+// aggregate) counts as an AggFastPaths and an expression key does not,
+// and input rows / groups accumulate.
 func TestExecStatsCounters(t *testing.T) {
 	db := newJobsDB(t)
 	mustExec(t, db, `INSERT INTO jobs (owner, state) VALUES
@@ -255,18 +260,21 @@ func TestExecStatsCounters(t *testing.T) {
 	if s.AggInputRows != base.AggInputRows+3 || s.AggGroups != base.AggGroups+2 {
 		t.Fatalf("input/groups = %d/%d, want +3/+2 over %d/%d", s.AggInputRows, s.AggGroups, base.AggInputRows, base.AggGroups)
 	}
-	if s.AggOutputBatches != base.AggOutputBatches+1 {
-		t.Fatalf("AggOutputBatches = %d, want %d", s.AggOutputBatches, base.AggOutputBatches+1)
-	}
 
-	// Global aggregates are also a fast path; compound keys are not.
+	// A global aggregate and a two-column key are cell-keyed too; an
+	// expression key is not.
 	mustQuery(t, db, `SELECT count(*) FROM jobs`)
 	if s2 := db.ExecStats(); s2.AggFastPaths != s.AggFastPaths+1 {
 		t.Fatalf("global AggFastPaths = %d, want %d", s2.AggFastPaths, s.AggFastPaths+1)
 	}
 	mustQuery(t, db, `SELECT owner, state, count(*) FROM jobs GROUP BY owner, state`)
-	if s3 := db.ExecStats(); s3.AggFastPaths != s.AggFastPaths+1 {
-		t.Fatalf("compound key took fast path: AggFastPaths = %d", s3.AggFastPaths)
+	if s3 := db.ExecStats(); s3.AggFastPaths != s.AggFastPaths+2 {
+		t.Fatalf("two-column key: AggFastPaths = %d, want %d", s3.AggFastPaths, s.AggFastPaths+2)
+	}
+	mustQuery(t, db, `SELECT coalesce(owner, state), count(*) FROM jobs GROUP BY coalesce(owner, state)`)
+	if s4 := db.ExecStats(); s4.AggFastPaths != s.AggFastPaths+2 || s4.AggQueries != s.AggQueries+3 {
+		t.Fatalf("expression key: AggFastPaths = %d, want %d (AggQueries %d, want %d)",
+			s4.AggFastPaths, s.AggFastPaths+2, s4.AggQueries, s.AggQueries+3)
 	}
 }
 
@@ -301,4 +309,84 @@ func TestExplainHashAggregate(t *testing.T) {
 			t.Fatalf("non-aggregated EXPLAIN grew an aggregate step: %v", rows.Data)
 		}
 	}
+}
+
+// TestEqualKeyEdgeCases holds the one equality key — hash join, GROUP BY,
+// DISTINCT — to `=` where its encoding could drift: FLOAT 0 and -0 (one
+// group, one join key), an INTEGER column hash-joined to a FLOAT one
+// (1 = 1.0), a key read on the padded side of a LEFT JOIN (one NULL group),
+// more groups than the linear list keeps, and a key of two cells with a
+// NULL in some. Each result must be the expected one, through the engine
+// and through the oracle alike.
+func TestEqualKeyEdgeCases(t *testing.T) {
+	fixture := func(t *testing.T) *DB {
+		db := New()
+		t.Cleanup(func() { db.Close() })
+		mustExec(t, db, `CREATE TABLE fk (id INTEGER PRIMARY KEY, f FLOAT, owner TEXT, state TEXT)`)
+		mustExec(t, db, `INSERT INTO fk VALUES (?, ?, ?, ?)`, 1, 0.0, "alice", "idle")
+		mustExec(t, db, `INSERT INTO fk VALUES (?, ?, ?, ?)`, 2, math.Copysign(0, -1), "alice", "running")
+		mustExec(t, db, `INSERT INTO fk VALUES
+			(3, 1.0, 'bob', 'idle'), (4, 2.5, 'bob', 'idle'), (5, NULL, 'alice', 'idle'),
+			(6, 3.0, NULL, 'idle'), (7, 4.0, NULL, 'idle')`)
+		// it.i is INTEGER 0..59; fl.f is FLOAT, three integral values (0,
+		// -0, 1) then halves that match nothing. No index on either join
+		// column, and both sides big enough that a hash join wins.
+		mustExec(t, db, `CREATE TABLE it (id INTEGER PRIMARY KEY, i INTEGER, g INTEGER, tag TEXT)`)
+		mustExec(t, db, `CREATE TABLE fl (id INTEGER PRIMARY KEY, f FLOAT)`)
+		for id := 1; id <= 60; id++ {
+			mustExec(t, db, `INSERT INTO it VALUES (?, ?, ?, ?)`, id, id-1, id%40, "t"+itoa(id))
+			f := float64(id) + 0.5
+			switch id {
+			case 1:
+				f = 0
+			case 2:
+				f = math.Copysign(0, -1)
+			case 3:
+				f = 1
+			}
+			mustExec(t, db, `INSERT INTO fl VALUES (?, ?)`, id, f)
+		}
+		return db
+	}
+	var wide []string // GROUP BY g over it: g = id % 40, twice for 1..20
+	for g := 0; g < 40; g++ {
+		n := 1
+		if g >= 1 && g <= 20 {
+			n = 2
+		}
+		wide = append(wide, "INTEGER:"+itoa(g)+"|INTEGER:"+itoa(n)+"|")
+	}
+	cases := []struct {
+		name, sql string
+		want      []string // canonRows
+		hashJoin  bool     // EXPLAIN must show a HASH JOIN
+	}{
+		{"zero and minus zero group", `SELECT count(*) FROM fk GROUP BY f`,
+			[]string{"INTEGER:1|", "INTEGER:1|", "INTEGER:1|", "INTEGER:1|", "INTEGER:1|", "INTEGER:2|"}, false},
+		{"zero and minus zero distinct", `SELECT count(DISTINCT f) FROM fk`, []string{"INTEGER:5|"}, false},
+		{"zero and minus zero and 1 = 1.0 join", `SELECT fl.id, it.i FROM fl JOIN it ON it.i = fl.f`,
+			[]string{"INTEGER:1|INTEGER:0|", "INTEGER:2|INTEGER:0|", "INTEGER:3|INTEGER:1|"}, true},
+		{"padded side groups as one NULL", `SELECT it.tag, count(*) FROM fl LEFT JOIN it ON it.i = fl.f GROUP BY it.tag`,
+			[]string{"NULL:NULL|INTEGER:57|", "TEXT:'t1'|INTEGER:2|", "TEXT:'t2'|INTEGER:1|"}, true},
+		{"past the linear list", `SELECT g, count(*) FROM it GROUP BY g`, wide, false},
+		{"two cells", `SELECT owner, state, count(*) FROM fk GROUP BY owner, state`,
+			[]string{"NULL:NULL|TEXT:'idle'|INTEGER:2|", "TEXT:'alice'|TEXT:'idle'|INTEGER:2|",
+				"TEXT:'alice'|TEXT:'running'|INTEGER:1|", "TEXT:'bob'|TEXT:'idle'|INTEGER:2|"}, false},
+	}
+	sort.Strings(wide)
+	forEachEvaluator(t, func(t *testing.T, query queryFunc) {
+		db := fixture(t)
+		for _, c := range cases {
+			got := mustRun(t, query, db, c.sql)
+			if g := canonRows(got); !reflect.DeepEqual(g, c.want) {
+				t.Errorf("%s: %s\n got %v\nwant %v", c.name, c.sql, g, c.want)
+			}
+			if d := diffRows(got, mustRun(t, refQuery, db, c.sql), false); d != "" {
+				t.Errorf("%s: %s: %s", c.name, c.sql, d)
+			}
+			if c.hashJoin && !strings.Contains(canonList(mustQuery(t, db, "EXPLAIN "+c.sql))[1], "HASH JOIN") {
+				t.Errorf("%s: no HASH JOIN in %v", c.name, canonList(mustQuery(t, db, "EXPLAIN "+c.sql)))
+			}
+		}
+	})
 }

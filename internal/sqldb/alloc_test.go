@@ -331,6 +331,44 @@ func TestHashJoinProbeAllocs(t *testing.T) {
 	}
 }
 
+// TestAggregateAllocs runs the pool-status shape — GROUP BY a TEXT column
+// with five groups, count(*) only — over 100 and over 10,000 rows: a
+// folded row must allocate nothing, so the larger run may cost no more
+// than two allocations above the smaller.
+func TestAggregateAllocs(t *testing.T) {
+	states := []string{"Owner", "Unclaimed", "Matched", "Claimed", "Preempting"}
+	perStatement := func(n int) float64 {
+		db := New()
+		defer db.Close()
+		if _, err := db.Exec(`CREATE TABLE machines (id INTEGER PRIMARY KEY, state TEXT NOT NULL)`); err != nil {
+			t.Fatal(err)
+		}
+		var vals []string
+		for i := 0; i < n; i++ {
+			vals = append(vals, fmt.Sprintf("(%d, '%s')", i, states[i%len(states)]))
+			if len(vals) == 500 || i == n-1 {
+				if _, err := db.Exec(`INSERT INTO machines VALUES ` + strings.Join(vals, ", ")); err != nil {
+					t.Fatal(err)
+				}
+				vals = vals[:0]
+			}
+		}
+		run := func() {
+			rows, err := db.Query(`SELECT state, count(*) FROM machines GROUP BY state`)
+			if err != nil || rows.Len() != len(states) || rows.Data[0][1].Int64() != int64(n/len(states)) {
+				t.Fatalf("rows %v, err %v", rows, err)
+			}
+		}
+		run()
+		return testing.AllocsPerRun(100, run)
+	}
+	small, large := perStatement(100), perStatement(10000)
+	t.Logf("status aggregation over 100 rows: %.0f allocations; 10,000 rows: %.0f", small, large)
+	if large > small+2 {
+		t.Errorf("aggregating 10,000 rows allocates %.0f, 100 rows %.0f: the cost grows with the rows folded", large, small)
+	}
+}
+
 // TestIndexEntryAllocs inserts 10,000 jobs under the CAS's four jobs
 // indexes (internal/core's schema) and budgets what an insert allocates and
 // what a row keeps live, its index entries included. When a key was a

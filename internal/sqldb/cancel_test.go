@@ -229,7 +229,7 @@ func TestCancelMidHashJoin(t *testing.T) {
 // evaluation) begins, via the deterministic test hook between the two
 // phases. The per-group cooperative checkpoints must surface ErrCanceled;
 // before they existed, assembly ran to completion ignoring the dead
-// context. The batched hash operator is the only aggregation path.
+// context. Aggregation has one path, the push stage in executor.go.
 func TestCancelMidAggregation(t *testing.T) {
 	t.Run("hash-batched", func(t *testing.T) {
 		db := New()

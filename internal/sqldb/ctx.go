@@ -165,8 +165,8 @@ func (c *cancelCheck) check() error {
 	return c.slow()
 }
 
-// checkN advances the row counter by n at once — for batched operators
-// that visit a whole rowBatch per call — and polls the context whenever
+// checkN advances the row counter by n at once — for a scan that
+// delivers a whole scanBatch per call — and polls the context whenever
 // the jump crossed a ctxCheckRows boundary. Equivalent cancellation
 // latency to n calls of check, at one call per batch.
 func (c *cancelCheck) checkN(n int) error {

@@ -144,12 +144,11 @@ type DB struct {
 	plannerBuildRows   atomic.Uint64
 	plannerProbeRows   atomic.Uint64
 
-	// Batched-executor state (see executor.go).
+	// Aggregation counters (see executor.go).
 	execAggQueries   atomic.Uint64
 	execAggFastPath  atomic.Uint64
 	execAggInputRows atomic.Uint64
 	execAggGroups    atomic.Uint64
-	execAggBatches   atomic.Uint64
 
 	// Plan-cache state (see plancache.go): the hit/miss/invalidation
 	// accounting PlanCacheStats snapshots.

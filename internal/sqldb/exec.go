@@ -1,7 +1,6 @@
 package sqldb
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -98,13 +97,12 @@ type query struct {
 	// per statement (keeps atomics off the per-row hot path).
 	buildRows uint64
 	probeRows uint64
-	// Batched-executor counters (executor.go), flushed once per statement
-	// like the hash-join volumes above.
+	// Aggregation counters (executor.go), flushed once per statement like
+	// the hash-join volumes above.
 	aggQueries   uint64
 	aggFastPath  uint64
 	aggInputRows uint64
 	aggGroups    uint64
-	aggBatches   uint64
 }
 
 var errStopScan = fmt.Errorf("sqldb: internal: stop scan")
@@ -124,7 +122,6 @@ func (tx *Tx) execSelect(s *SelectStmt, params []Value) (*Rows, error) {
 			tx.db.execAggFastPath.Add(q.aggFastPath)
 			tx.db.execAggInputRows.Add(q.aggInputRows)
 			tx.db.execAggGroups.Add(q.aggGroups)
-			tx.db.execAggBatches.Add(q.aggBatches)
 		}
 		tx.db.emit(*stats)
 	}()
@@ -818,14 +815,6 @@ func (s *sortLimit) offer() (stop bool) {
 	return false
 }
 
-// offerComputed offers a row computed elsewhere, with its keys.
-func (s *sortLimit) offerComputed(row, keys []Value) (stop bool) {
-	k, _, r := s.slot()
-	copy(k, keys)
-	*r = row
-	return s.offer()
-}
-
 // value is output column col of a kept entry.
 func (s *sortLimit) value(e sortEntry, col int) Value {
 	if s.q.picks != nil {
@@ -865,72 +854,87 @@ func (s *sortLimit) result(r *Rows) int {
 }
 
 // dedupe keeps the first of the entries whose output rows are equal, by
-// the canonical encoding so DISTINCT agrees with `=` about Int 1 vs Float
+// their equality keys, so DISTINCT agrees with `=` about Int 1 vs Float
 // 1.0.
 func (s *sortLimit) dedupe(ncol int) {
 	seen := make(map[string]bool, len(s.entries))
 	kept := s.entries[:0]
-	var kb bytes.Buffer
+	var kb []byte
 	for _, e := range s.entries {
-		kb.Reset()
+		kb = kb[:0]
 		for col := 0; col < ncol; col++ {
-			writeHashValue(&kb, s.value(e, col))
+			kb = appendEqual(kb, s.value(e, col))
 		}
-		if k := kb.String(); !seen[k] {
-			seen[k] = true
+		if !seen[string(kb)] {
+			seen[string(kb)] = true
 			kept = append(kept, e)
 		}
 	}
 	s.entries = kept
 }
 
-// runPlain executes a non-aggregated SELECT into the sort unit: per joined
-// row the ORDER BY keys and, for a result of picks, each bound row's image
-// — images are immutable, so nothing is copied; computed outputs are
-// evaluated into a row allocated for the result.
+// runPlain executes a non-aggregated SELECT into the sort unit, one
+// offered row per joined row.
 func (q *query) runPlain(outs []Expr, sl *sortLimit) error {
-	orderExprs, aliasPos := q.orderExprs, q.orderAlias
 	err := q.joinLoop(func() error {
-		keys, refs, row := sl.slot()
-		if q.picks != nil {
-			for i := range refs {
-				refs[i] = q.env.bindings[i].row
-			}
-		} else {
-			if *row == nil {
-				*row = make([]Value, len(outs))
-			}
-			for i, e := range outs {
-				v, err := q.env.eval(e)
-				if err != nil {
-					return err
-				}
-				(*row)[i] = v
-			}
-		}
-		for i, e := range orderExprs {
-			switch {
-			case aliasPos[i] < 0:
-				v, err := q.env.eval(e)
-				if err != nil {
-					return err
-				}
-				keys[i] = v
-			case q.picks != nil:
-				keys[i] = q.picks[aliasPos[i]].of(refs)
-			default:
-				keys[i] = (*row)[aliasPos[i]]
-			}
-		}
-		if sl.offer() {
+		stop, err := q.offerRow(outs, sl)
+		if stop {
 			return errStopScan
 		}
-		return nil
+		return err
 	})
 	if err == errStopScan {
 		err = nil
 	}
 	return err
+}
+
+// offerRow writes the row bound in q.env into the sort unit's free slot
+// and offers it, unless HAVING rejects it: for a result of picks each
+// bound row's image — images are immutable, so nothing is copied — else
+// its outputs, evaluated into a row allocated for the result; then its
+// ORDER BY keys. It reports whether the producer may stop.
+func (q *query) offerRow(outs []Expr, sl *sortLimit) (stop bool, err error) {
+	keys, refs, row := sl.slot()
+	if q.picks != nil {
+		for i := range refs {
+			refs[i] = q.env.bindings[i].row
+		}
+	} else {
+		if *row == nil {
+			*row = make([]Value, len(outs))
+		}
+		for i, e := range outs {
+			v, err := q.env.eval(e)
+			if err != nil {
+				return false, err
+			}
+			(*row)[i] = v
+		}
+		if q.stmt.Having != nil {
+			q.env.aliasRow = *row
+			ok, err := truthy(q.env.eval(q.stmt.Having))
+			q.env.aliasRow = nil
+			if err != nil || !ok {
+				return false, err
+			}
+		}
+	}
+	for i, e := range q.orderExprs {
+		switch at := q.orderAlias[i]; {
+		case at < 0:
+			v, err := q.env.eval(e)
+			if err != nil {
+				return false, err
+			}
+			keys[i] = v
+		case q.picks != nil:
+			keys[i] = q.picks[at].of(refs)
+		default:
+			keys[i] = (*row)[at]
+		}
+	}
+	return sl.offer(), nil
 }
 
 // aggState accumulates one aggregate call within one group.
@@ -941,35 +945,6 @@ type aggState struct {
 	isFloat  bool
 	min, max Value
 	distinct map[string]bool
-}
-
-// runAggregate executes a grouped / aggregated SELECT through the batched
-// hash-aggregation operator (executor.go). Finished groups go to the sort
-// unit as computed rows.
-func (q *query) runAggregate(outs []Expr, sl *sortLimit) error {
-	op, err := newHashAggOp(q, outs)
-	if err != nil {
-		return err
-	}
-	defer op.Close()
-	if err := op.Init(); err != nil {
-		return err
-	}
-	for {
-		b, err := op.Next()
-		if err != nil || b == nil {
-			return err
-		}
-		for i := range b.rows {
-			var keys []Value
-			if b.keys != nil {
-				keys = b.keys[i]
-			}
-			if sl.offerComputed(b.rows[i], keys) {
-				return nil
-			}
-		}
-	}
 }
 
 func finishAgg(fc *FuncCall, st *aggState) Value {

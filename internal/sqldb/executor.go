@@ -1,96 +1,73 @@
 package sqldb
 
-// Batched Volcano executor for aggregation. The monitoring tier's hot
-// statements — PoolStatus's `SELECT state, count(*) ... GROUP BY state`,
-// the website's per-owner accounting rollups — are aggregations over big
-// scans, and the paper's premise ("cluster monitoring is just SQL") only
-// holds operationally if they run at memory speed. They run through an
-// Init()/Next()-style batch operator pipeline (the classic Volcano shape,
-// run over row batches instead of single tuples), the only aggregation
-// path there is:
+// Aggregation. The monitoring tier's hot statements — PoolStatus's
+// `SELECT state, count(*) ... GROUP BY state`, the website's per-owner
+// accounting rollups — are aggregations over big scans, and the paper's
+// premise ("cluster monitoring is just SQL") only holds operationally if
+// they run at memory speed. They run as one push stage, like every other:
 //
-//   - hashAggOp.Init() is the pipeline breaker: it drains the join/scan
-//     pipeline once, accumulating per-group aggregate states keyed by the
-//     canonical encoding shared with the hash-join operator
-//     (writeHashValue), so GROUP BY agrees with `=` about Int 1 vs
-//     Float 1.0.
-//   - hashAggOp.Next() streams finished groups out in batches of up to
-//     execBatchSize rows, evaluating HAVING, the projection, and ORDER BY
-//     keys per group with cooperative cancellation checkpoints, writing
-//     output values into one arena allocation per batch.
+//   - runAggregate folds each row joinLoop emits into its group. A group
+//     is keyed by the equality key the hash join uses (equalKey), so
+//     GROUP BY agrees with `=` about Int 1 vs Float 1.0, and NULLs form
+//     one group. A key that is one cell is the cell itself, read in place.
+//   - The groups are one list in first-appearance order, each carrying its
+//     key, searched linearly up to smallGroupMax groups and through a map
+//     past that: the pool-status shape has a handful of states, and a few
+//     string compares beat a map hash.
+//   - Once the input is exhausted, each group is finished — aggregates,
+//     HAVING, projection, ORDER BY keys — straight into the sort unit
+//     (offerRow), with a cancellation checkpoint per group.
 //
 // Group state is lean: aggregate accumulators live in one []aggState
 // slice indexed by the statement's deduplicated aggregate calls, and the
 // group's representative row is one row image per binding, the very
 // string the version store holds (images are immutable, so no copy is
-// needed — see scanOp.nextFull).
-//
-// Spill-free fast paths cover the shapes the CAS actually runs: a single
-// TEXT or INTEGER grouping column keys groups directly by the column's
-// cell or value (no key encoding), a global aggregate keeps a single group,
-// and bare-column aggregate arguments read the row by column index
-// instead of walking the expression evaluator.
+// needed).
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 )
 
-// execBatchSize is how many rows one output batch of the executor
-// pipeline carries.
-const execBatchSize = 256
-
-// smallGroupMax bounds the linear small-table phase of the TEXT keyed
-// fast path before it migrates to a hash map.
+// smallGroupMax bounds the linear phase of the group list's lookup before
+// it builds a map.
 const smallGroupMax = 16
 
-// rowBatch is one unit of the aggregation operator's output: projected
-// output rows plus their ORDER BY keys (nil when the statement has no
-// ORDER BY). The scans under it deliver stored rows instead (scanBatch).
-type rowBatch struct {
-	rows [][]Value
-	keys [][]Value
-}
-
-// ExecStats snapshots the batched executor's counters.
+// ExecStats snapshots the aggregation counters.
 type ExecStats struct {
-	// AggQueries counts aggregated SELECTs executed by the batched
-	// hash-aggregation operator.
+	// AggQueries counts aggregated SELECTs executed.
 	AggQueries uint64
-	// AggFastPaths counts those queries that ran a spill-free keyed fast
-	// path (single TEXT/INTEGER grouping column, or a global aggregate).
+	// AggFastPaths counts those whose every group key part is a cell, read
+	// as stored with nothing evaluated; a global aggregate has none.
 	AggFastPaths uint64
-	// AggInputRows counts rows consumed by the aggregation build phase.
+	// AggInputRows counts rows folded into groups.
 	AggInputRows uint64
-	// AggGroups counts groups materialized in the hash table.
+	// AggGroups counts groups materialized.
 	AggGroups uint64
-	// AggOutputBatches counts finished-group output batches emitted.
-	AggOutputBatches uint64
 }
 
-// ExecStats snapshots the batched executor's counters.
+// ExecStats snapshots the aggregation counters.
 func (db *DB) ExecStats() ExecStats {
 	return ExecStats{
-		AggQueries:       db.execAggQueries.Load(),
-		AggFastPaths:     db.execAggFastPath.Load(),
-		AggInputRows:     db.execAggInputRows.Load(),
-		AggGroups:        db.execAggGroups.Load(),
-		AggOutputBatches: db.execAggBatches.Load(),
+		AggQueries:   db.execAggQueries.Load(),
+		AggFastPaths: db.execAggFastPath.Load(),
+		AggInputRows: db.execAggInputRows.Load(),
+		AggGroups:    db.execAggGroups.Load(),
 	}
 }
 
-// testHookAggAssembly, when set, runs once after the aggregation build
-// phase finishes and before group assembly starts. The cancellation suite
-// uses it to land a context cancellation deterministically between the
-// scan and the HAVING/projection loop.
+// testHookAggAssembly, when set, runs once after the last row is folded
+// and before the first group is finished. The cancellation suite uses it
+// to land a context cancellation deterministically between the scan and
+// the HAVING/projection loop.
 var testHookAggAssembly func()
 
-// aggGroup is one group's accumulated state: aggregate accumulators
-// indexed by the statement's deduplicated aggregate calls, plus one
-// representative row reference per binding (the group's first input row)
-// for evaluating grouped column references at finish time.
+// aggGroup is one group's accumulated state: its key, aggregate
+// accumulators indexed by the statement's deduplicated aggregate calls,
+// plus one representative row reference per binding (the group's first
+// input row) for evaluating grouped column references at finish time.
 type aggGroup struct {
+	key  string
 	aggs []aggState
 	rep  []rowImage
 }
@@ -177,44 +154,33 @@ func (q *query) outputAliasIdx() map[string]int {
 	return m
 }
 
-// aggPlan is the compiled, shareable half of the batched hash GROUP BY
-// operator: the deduplicated aggregate calls, the opcode program, the
-// group-keying shape, and the finish-phase ORDER BY/alias resolution.
-// Everything here is immutable after compileAgg returns — cached plans
-// share one aggPlan across concurrent executions (the maps are read-only
-// after compile); per-execution hash tables and buffers live on
-// hashAggOp.
+// aggPlan is the compiled, shareable half of aggregation: the
+// deduplicated aggregate calls, the opcode program, the group key, and
+// the finish phase's alias resolution. Everything here is immutable after
+// compileAgg returns — cached plans share one aggPlan across concurrent
+// executions (the maps are read-only after compile); the groups of one
+// execution live in runAggregate.
 type aggPlan struct {
 	aggCalls []*FuncCall
 	// instrs is the compiled accumulation program: one instruction per
 	// aggregate call, with the call's name resolved to an opcode and a
 	// bare column-reference argument resolved to a binding/column pair, so
 	// the per-row loop never touches strings or the expression evaluator
-	// on the fast shapes.
+	// on the common shapes.
 	instrs []aggInstr
-
-	// Group keying. Exactly one of the three shapes is active: global (no
-	// GROUP BY, one group), fast (a single bare TEXT/INTEGER grouping
-	// column keyed by its value), or generic (canonical writeHashValue
-	// encoding of all GROUP BY expressions).
-	global   bool
-	fastBind int // -1 = generic path
-	fastCol  int
-	fastText bool
+	// keys is the group key, one part per GROUP BY item; none for a
+	// global aggregate, whose one group has the empty key.
+	keys     []keyPart
 	onlyStar bool // the only aggregate is COUNT(*)
 
-	// Finish phase.
-	orderExprs []Expr
-	aliasPos   []int
-	aliasIdx   map[string]int    // read-only after compile
-	aggIdx     map[*FuncCall]int // read-only after compile
+	aliasIdx map[string]int    // read-only after compile
+	aggIdx   map[*FuncCall]int // read-only after compile
 }
 
 // compileAgg builds the aggregation program for outs. Runs at plan time
 // (buildSelectPlan); q is the throwaway planning query.
 func (q *query) compileAgg(outs []Expr) (*aggPlan, error) {
-	ap := &aggPlan{fastBind: -1}
-	ap.aggCalls = q.collectAggCalls(outs)
+	ap := &aggPlan{aggCalls: q.collectAggCalls(outs)}
 	ap.instrs = make([]aggInstr, len(ap.aggCalls))
 	for i, fc := range ap.aggCalls {
 		in := &ap.instrs[i]
@@ -227,34 +193,16 @@ func (q *query) compileAgg(outs []Expr) (*aggPlan, error) {
 		}
 		if cr, ok := fc.Args[0].(*ColRef); ok {
 			if pos, err := q.bindingPos(cr); err == nil {
-				if ci := q.bindings[pos].tbl.schema.ColumnIndex(strings.ToLower(cr.Name)); ci >= 0 {
+				if ci := q.bindings[pos].tbl.schema.ColumnIndex(cr.Name); ci >= 0 {
 					in.bind, in.col = pos, ci
 				}
 			}
 		}
 	}
-
-	switch {
-	case len(q.stmt.GroupBy) == 0:
-		ap.global = true
-	case len(q.stmt.GroupBy) == 1:
-		if cr, ok := q.stmt.GroupBy[0].(*ColRef); ok {
-			if pos, err := q.bindingPos(cr); err == nil {
-				schema := &q.bindings[pos].tbl.schema
-				if ci := schema.ColumnIndex(strings.ToLower(cr.Name)); ci >= 0 {
-					switch schema.Columns[ci].Type {
-					case Text:
-						ap.fastBind, ap.fastCol, ap.fastText = pos, ci, true
-					case Int:
-						ap.fastBind, ap.fastCol = pos, ci
-					}
-				}
-			}
-		}
+	for _, e := range q.stmt.GroupBy {
+		ap.keys = append(ap.keys, q.keyPart(e))
 	}
 	ap.onlyStar = len(ap.instrs) == 1 && ap.instrs[0].star
-
-	ap.orderExprs, ap.aliasPos = q.orderKeys(outs)
 	ap.aliasIdx = q.outputAliasIdx()
 	ap.aggIdx = make(map[*FuncCall]int, len(ap.aggCalls))
 	for i, fc := range ap.aggCalls {
@@ -263,172 +211,115 @@ func (q *query) compileAgg(outs []Expr) (*aggPlan, error) {
 	return ap, nil
 }
 
-// hashAggOp is the batched hash GROUP BY operator: the per-execution
-// state driving one aggPlan. The embedded plan may be shared with
-// concurrent executions of the same cached statement and is never
-// written here.
-type hashAggOp struct {
-	q    *query
-	outs []Expr
-	*aggPlan
-
-	// The TEXT fast path keys a group by the column's cell in the row image
-	// (one cell per value, so nothing is decoded) and starts with a linear
-	// small table (the pool-status shape has a handful of states, and a few
-	// string compares beat a map hash), migrating to the map when it
-	// outgrows smallGroupMax.
-	smallKeys  []string
-	smallVals  []*aggGroup
-	textGroups map[string]*aggGroup
-	intGroups  map[int64]*aggGroup
-	nullGroup  *aggGroup // fast-path group for a NULL grouping value
-	groups     map[string]*aggGroup
-	single     *aggGroup   // the global aggregate's one group
-	order      []*aggGroup // first-appearance order
-	keyBuf     bytes.Buffer
-
-	// Finish phase.
-	having  Expr
-	genv    *evalEnv
-	scratch []binding
-	pos     int
+// groupList is one execution's groups in first-appearance order, found by
+// key: linearly while there are at most smallGroupMax, then through index.
+type groupList struct {
+	list  []*aggGroup
+	index map[string]*aggGroup
 }
 
-// newHashAggOp prepares the operator for one execution: it reuses the
-// statement's compiled aggregation program (falling back to a fresh
-// compile when the caller has none) and builds the execution-private
-// group tables and group-scope evaluation environment.
-func newHashAggOp(q *query, outs []Expr) (*hashAggOp, error) {
-	ap := q.agg
-	if ap == nil {
-		var err error
-		if ap, err = q.compileAgg(outs); err != nil {
-			return nil, err
+// find is the group keyed key, or nil.
+func (gl *groupList) find(key string) *aggGroup {
+	if gl.index != nil {
+		return gl.index[key]
+	}
+	for _, g := range gl.list {
+		if g.key == key {
+			return g
 		}
 	}
-	op := &hashAggOp{q: q, outs: outs, aggPlan: ap, having: q.stmt.Having}
-	if ap.fastBind >= 0 && !ap.fastText {
-		op.intGroups = make(map[int64]*aggGroup)
-	}
-	if !ap.global && ap.fastBind < 0 {
-		op.groups = make(map[string]*aggGroup)
-	}
-	op.scratch = make([]binding, len(q.env.bindings))
-	copy(op.scratch, q.env.bindings)
-	op.genv = &evalEnv{
-		bindings: op.scratch,
-		params:   q.params,
-		now:      q.env.now,
-		aliasIdx: ap.aliasIdx,
-		aggIdx:   ap.aggIdx,
-		aggVals:  make([]Value, len(ap.aggCalls)),
-	}
-	return op, nil
+	return nil
 }
 
-// newGroup materializes one group: a slice of aggregate accumulators plus
-// the current row's image per binding. Images are immutable, so holding
-// them is safe and no row is copied.
-func (op *hashAggOp) newGroup() *aggGroup {
-	g := &aggGroup{aggs: make([]aggState, len(op.aggCalls)), rep: make([]rowImage, len(op.scratch))}
-	for i := range op.q.env.bindings {
-		g.rep[i] = op.q.env.bindings[i].row
+// add appends a new group: key, one accumulator per aggregate call, and
+// the image of the row bound to each binding in q.env. Images are
+// immutable, so holding them is safe and no row is copied.
+func (gl *groupList) add(q *query, key string) *aggGroup {
+	g := &aggGroup{key: key, aggs: make([]aggState, len(q.agg.aggCalls)), rep: make([]rowImage, len(q.env.bindings))}
+	for i := range q.env.bindings {
+		g.rep[i] = q.env.bindings[i].row
 	}
-	op.order = append(op.order, g)
+	gl.list = append(gl.list, g)
+	switch {
+	case gl.index != nil:
+		gl.index[key] = g
+	case len(gl.list) > smallGroupMax:
+		gl.index = make(map[string]*aggGroup, 2*len(gl.list))
+		for _, h := range gl.list {
+			gl.index[h.key] = h
+		}
+	}
 	return g
 }
 
-// lookupGroupGeneric keys the row currently bound in q.env with the
-// canonical encoding shared with the hash-join operator, so grouping
-// agrees with `=` across Int/Float. NULLs keep their tag byte and form
-// their own group (unlike join keys, which never match on NULL).
-func (op *hashAggOp) lookupGroupGeneric() (*aggGroup, error) {
-	op.keyBuf.Reset()
-	for _, ge := range op.q.stmt.GroupBy {
-		v, err := op.q.env.eval(ge)
+// runAggregate executes a grouped / aggregated SELECT as one push stage:
+// it folds every joined row into its group, then finishes each group into
+// the sort unit.
+func (q *query) runAggregate(outs []Expr, sl *sortLimit) error {
+	ap := q.agg
+	q.aggQueries++
+	if cellsOnly(ap.keys) {
+		q.aggFastPath++
+	}
+	var groups groupList
+	err := q.joinLoop(func() error {
+		q.aggInputRows++
+		key, _, err := q.equalKey(ap.keys, false)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		writeHashValue(&op.keyBuf, v)
+		g := groups.find(key)
+		if g == nil {
+			g = groups.add(q, holdKey(ap.keys, key))
+		}
+		return q.fold(ap, g)
+	})
+	if err != nil {
+		return err
 	}
-	if g, ok := op.groups[string(op.keyBuf.Bytes())]; ok {
-		return g, nil
+	// Global aggregation over zero rows still yields one row (count(*)=0,
+	// sum/avg/min/max NULL) over an all-NULL-padded environment.
+	if len(groups.list) == 0 && len(ap.keys) == 0 {
+		for i := range q.env.bindings {
+			q.env.bindings[i].row = noRow
+		}
+		groups.add(q, "")
 	}
-	g := op.newGroup()
-	op.groups[op.keyBuf.String()] = g
-	return g, nil
-}
+	q.aggGroups += uint64(len(groups.list))
+	if h := testHookAggAssembly; h != nil {
+		h()
+	}
 
-// accumRow folds the row currently bound in q.env into its group. The
-// group lookup fast paths and the compiled instruction loop are inlined
-// here because this runs once per input row.
-func (op *hashAggOp) accumRow() error {
-	op.q.aggInputRows++
-	env := op.q.env
-
-	var g *aggGroup
-	switch {
-	case op.global:
-		if op.single == nil {
-			op.single = op.newGroup()
+	env := q.env
+	env.aliasIdx, env.aggIdx, env.aggVals = ap.aliasIdx, ap.aggIdx, make([]Value, len(ap.aggCalls))
+	for _, g := range groups.list {
+		if err := q.cancel.check(); err != nil {
+			return err
 		}
-		g = op.single
-	case op.fastBind >= 0:
-		var c string // the grouping column's cell
-		if row := env.bindings[op.fastBind].row; row != noRow {
-			c = row.cell(op.fastCol)
+		for i := range env.bindings {
+			env.bindings[i].row = g.rep[i]
 		}
-		if c == "" || c[0] == byte(Null) {
-			if op.nullGroup == nil {
-				op.nullGroup = op.newGroup()
-			}
-			g = op.nullGroup
-		} else if op.fastText {
-			k := c
-			if op.textGroups == nil {
-				for j, key := range op.smallKeys {
-					if key == k {
-						g = op.smallVals[j]
-						break
-					}
-				}
-				if g == nil {
-					g = op.newGroup()
-					if len(op.smallKeys) < smallGroupMax {
-						op.smallKeys = append(op.smallKeys, k)
-						op.smallVals = append(op.smallVals, g)
-					} else {
-						op.textGroups = make(map[string]*aggGroup, 2*smallGroupMax)
-						for j := range op.smallKeys {
-							op.textGroups[op.smallKeys[j]] = op.smallVals[j]
-						}
-						op.textGroups[k] = g
-					}
-				}
-			} else if g = op.textGroups[k]; g == nil {
-				g = op.newGroup()
-				op.textGroups[k] = g
-			}
-		} else {
-			k := cellValue(c).i
-			if g = op.intGroups[k]; g == nil {
-				g = op.newGroup()
-				op.intGroups[k] = g
-			}
+		for i, fc := range ap.aggCalls {
+			env.aggVals[i] = finishAgg(fc, &g.aggs[i])
 		}
-	default:
-		var err error
-		if g, err = op.lookupGroupGeneric(); err != nil {
+		if stop, err := q.offerRow(outs, sl); err != nil || stop {
 			return err
 		}
 	}
+	return nil
+}
 
-	if op.onlyStar {
+// fold accumulates the row bound in q.env into g. It runs once per input
+// row, so the compiled instruction loop reads bare-column arguments by
+// index.
+func (q *query) fold(ap *aggPlan, g *aggGroup) error {
+	if ap.onlyStar {
 		g.aggs[0].count++
 		return nil
 	}
-	for i := range op.instrs {
-		in := &op.instrs[i]
+	env := q.env
+	for i := range ap.instrs {
+		in := &ap.instrs[i]
 		st := &g.aggs[i]
 		if in.star {
 			st.count++
@@ -452,12 +343,11 @@ func (op *hashAggOp) accumRow() error {
 			if st.distinct == nil {
 				st.distinct = make(map[string]bool)
 			}
-			op.keyBuf.Reset()
-			writeHashValue(&op.keyBuf, v)
-			if st.distinct[string(op.keyBuf.Bytes())] {
+			q.sc.eqKey = appendEqual(q.sc.eqKey[:0], v)
+			if st.distinct[string(q.sc.eqKey)] {
 				continue
 			}
-			st.distinct[op.keyBuf.String()] = true
+			st.distinct[string(q.sc.eqKey)] = true
 		}
 		st.count++
 		switch in.op {
@@ -499,116 +389,4 @@ func (op *hashAggOp) accumRow() error {
 		}
 	}
 	return nil
-}
-
-// Init is the pipeline breaker: it drains the scan/join pipeline into the
-// group hash table.
-func (op *hashAggOp) Init() error {
-	q := op.q
-	q.aggQueries++
-	if op.global || op.fastBind >= 0 {
-		q.aggFastPath++
-	}
-	err := q.joinLoop(op.accumRow)
-	if err != nil {
-		return err
-	}
-	// Global aggregation over zero rows still yields one row (count(*)=0,
-	// sum/avg/min/max NULL) over an all-NULL-padded environment.
-	if op.global && op.single == nil {
-		g := &aggGroup{aggs: make([]aggState, len(op.aggCalls)), rep: make([]rowImage, len(op.scratch))}
-		op.order = append(op.order, g)
-		op.single = g
-	}
-	q.aggGroups += uint64(len(op.order))
-	if h := testHookAggAssembly; h != nil {
-		h()
-	}
-	return nil
-}
-
-// Next assembles up to execBatchSize finished groups: aggregate results,
-// HAVING, projection, and ORDER BY keys, with a cooperative cancellation
-// checkpoint per group. Output values for the whole batch share one arena
-// allocation. Returns nil when all groups are consumed; a returned batch
-// may be empty when HAVING filtered every group in it.
-func (op *hashAggOp) Next() (*rowBatch, error) {
-	if op.pos >= len(op.order) {
-		return nil, nil
-	}
-	nOut := len(op.outs)
-	nKey := len(op.orderExprs)
-	n := len(op.order) - op.pos
-	if n > execBatchSize {
-		n = execBatchSize
-	}
-	outArena := make([]Value, n*nOut)
-	var keyArena []Value
-	if nKey > 0 {
-		keyArena = make([]Value, n*nKey)
-	}
-	b := &rowBatch{rows: make([][]Value, 0, n)}
-	if nKey > 0 {
-		b.keys = make([][]Value, 0, n)
-	}
-	for bi := 0; bi < n; bi++ {
-		g := op.order[op.pos]
-		op.pos++
-		if err := op.q.cancel.check(); err != nil {
-			return nil, err
-		}
-		for i := range op.scratch {
-			op.scratch[i].row = g.rep[i]
-		}
-		for i, fc := range op.aggCalls {
-			op.genv.aggVals[i] = finishAgg(fc, &g.aggs[i])
-		}
-		out := outArena[bi*nOut : (bi+1)*nOut : (bi+1)*nOut]
-		for i, e := range op.outs {
-			v, err := op.genv.eval(e)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		if op.having != nil {
-			op.genv.aliasRow = out
-			ok, err := truthy(op.genv.eval(op.having))
-			op.genv.aliasRow = nil
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		b.rows = append(b.rows, out)
-		if nKey > 0 {
-			keys := keyArena[bi*nKey : (bi+1)*nKey : (bi+1)*nKey]
-			for i, e := range op.orderExprs {
-				if op.aliasPos[i] >= 0 {
-					keys[i] = out[op.aliasPos[i]]
-					continue
-				}
-				v, err := op.genv.eval(e)
-				if err != nil {
-					return nil, err
-				}
-				keys[i] = v
-			}
-			b.keys = append(b.keys, keys)
-		}
-	}
-	op.q.aggBatches++
-	return b, nil
-}
-
-// Close releases the operator's hash tables.
-func (op *hashAggOp) Close() {
-	op.groups = nil
-	op.textGroups = nil
-	op.intGroups = nil
-	op.smallKeys = nil
-	op.smallVals = nil
-	op.order = nil
 }

@@ -96,32 +96,18 @@ func (tx *Tx) execExplain(s *ExplainStmt) (*Rows, error) {
 		})
 		inputEst = st.estOut
 	}
-	// Aggregated SELECTs run through the hash GROUP BY operator
-	// (executor.go); render it as a final pipeline-breaking step with the
-	// estimated group count.
-	if isSelect && isAggregated(sel) {
+	// Aggregated SELECTs fold into groups (executor.go); render that as a
+	// final pipeline-breaking step with the estimated group count.
+	if plan.aggregated {
 		rows.Data = append(rows.Data, []Value{
 			NewText("-"),
 			NewText(describeAggregate(sel)),
 			NewText("-"),
 			NewText("-"),
-			NewInt(estGroups(&query{selectPlan: plan}, sel, inputEst)),
+			NewInt(estGroups(plan, inputEst)),
 		})
 	}
 	return rows, nil
-}
-
-// isAggregated mirrors execSelect's dispatch into runAggregate.
-func isAggregated(sel *SelectStmt) bool {
-	if len(sel.GroupBy) > 0 || sel.Having != nil {
-		return true
-	}
-	for _, se := range sel.Exprs {
-		if !se.Star && hasAggregate(se.Expr) {
-			return true
-		}
-	}
-	return false
 }
 
 // describeAggregate renders the hash-aggregation step with its grouping
@@ -139,28 +125,18 @@ func describeAggregate(sel *SelectStmt) string {
 
 // estGroups estimates the number of output groups: 1 for a global
 // aggregate, the column's distinct count (capped at the input estimate)
-// for a single bare column key, and a 1-in-10 reduction otherwise.
-func estGroups(q *query, sel *SelectStmt, inputEst float64) int64 {
-	if len(sel.GroupBy) == 0 {
+// for a key of one cell, and a 1-in-10 reduction otherwise.
+func estGroups(plan *selectPlan, inputEst float64) int64 {
+	keys := plan.agg.keys
+	if len(keys) == 0 {
 		return 1
 	}
 	est := inputEst / 10
-	if len(sel.GroupBy) == 1 {
-		if cr, ok := sel.GroupBy[0].(*ColRef); ok {
-			if bi, err := q.bindingPos(cr); err == nil {
-				if ci := q.bindings[bi].tbl.schema.ColumnIndex(strings.ToLower(cr.Name)); ci >= 0 {
-					est = q.bindings[bi].tbl.distinctOfCol(ci)
-				}
-			}
-		}
+	if oneCell(keys) {
+		est = plan.bindings[keys[0].bind].tbl.distinctOfCol(keys[0].col)
 	}
-	if est > inputEst {
-		est = inputEst
-	}
-	if est < 1 {
-		est = 1
-	}
-	return int64(math.Round(est))
+	est = min(est, inputEst)
+	return int64(math.Round(max(est, 1)))
 }
 
 // describeStep renders one join step's strategy, including hash-join keys
@@ -171,7 +147,7 @@ func describeStep(st *stepPlan) string {
 	}
 	parts := make([]string, len(st.hashOuter))
 	for i := range st.hashOuter {
-		parts[i] = fmt.Sprintf("%s = %s", exprString(st.hashOuter[i]), exprString(st.hashInner[i]))
+		parts[i] = fmt.Sprintf("%s = %s", exprString(st.hashOuter[i].e), exprString(st.hashInner[i].e))
 	}
 	side := ""
 	if st.buildOuter {

@@ -8,17 +8,14 @@ import (
 
 // evalEnv supplies everything an expression needs at evaluation time: the
 // current (possibly joined) row, statement parameters, the clock for NOW(),
-// and — after aggregation — precomputed aggregate results keyed by the
-// aggregate call's identity.
+// and — after aggregation — a group's finished aggregate values.
 type evalEnv struct {
 	bindings []binding
 	params   []Value
 	now      time.Time
-	aggs     map[*FuncCall]Value
 
-	// Batched-aggregation dispatch (executor.go): finished aggregate
-	// values live in a slice indexed by aggIdx instead of a per-group
-	// map, so one env serves every group in a batch.
+	// A group's finished aggregate values (executor.go), one per aggregate
+	// call, at the call's aggIdx position: one env serves every group.
 	aggIdx  map[*FuncCall]int
 	aggVals []Value
 
@@ -113,9 +110,6 @@ func (env *evalEnv) eval(e Expr) (Value, error) {
 			if i, ok := env.aggIdx[x]; ok {
 				return env.aggVals[i], nil
 			}
-		}
-		if v, ok := env.aggs[x]; ok {
-			return v, nil
 		}
 		return env.evalFunc(x)
 	case *InExpr:

@@ -21,9 +21,9 @@ package sqldb
 // code (refQuery).
 
 import (
-	"bytes"
 	"fmt"
 	"math"
+	"strings"
 )
 
 // joinStrategy is the per-step execution strategy.
@@ -68,11 +68,10 @@ type stepPlan struct {
 	// local are match conjuncts referencing only this table; hash builds
 	// apply them while scanning the build input.
 	local []Expr
-	// hashOuter/hashInner are the equi-join key expressions (outer side
-	// evaluated against the accumulated prefix, inner side against this
-	// table's row).
-	hashOuter []Expr
-	hashInner []Expr
+	// hashOuter/hashInner are the equi-join keys (outer side read from the
+	// accumulated prefix, inner side from this table's row).
+	hashOuter []keyPart
+	hashInner []keyPart
 	// buildOuter builds the hash table over the materialized outer stream
 	// (estimated smaller) and probes it with one scan of this table.
 	buildOuter bool
@@ -484,8 +483,8 @@ func (q *query) makeStep(placed uint64, est float64, b int, leftOuter bool, pool
 		st.strat = stratHash
 		st.access = accessLocal
 		for _, ed := range edges {
-			st.hashOuter = append(st.hashOuter, ed.outer)
-			st.hashInner = append(st.hashInner, ed.inner)
+			st.hashOuter = append(st.hashOuter, q.keyPart(ed.outer))
+			st.hashInner = append(st.hashInner, q.keyPart(ed.inner))
 		}
 		// Equi conjuncts stay in match: the hash buckets narrow candidates,
 		// the original predicates still decide (guards the rare cases where
@@ -644,39 +643,112 @@ func (q *query) padAndEmit(st *stepPlan, emit func() error) error {
 	return emit()
 }
 
-// evalHashKey encodes the join key for the current env in the scratch's
-// buffer: valid until the next call, so a build side copies it (string(key))
-// and a probe looks up with table[string(key)], which does not. ok is false
-// when any key part is NULL (never matches anything).
-func (q *query) evalHashKey(exprs []Expr) ([]byte, bool, error) {
-	kb := &q.sc.hashKey
-	kb.Reset()
-	for _, e := range exprs {
-		v, err := q.env.eval(e)
-		if err != nil {
-			return nil, false, err
-		}
-		if v.IsNull() {
-			return nil, false, nil
-		}
-		writeHashValue(kb, v)
-	}
-	return kb.Bytes(), true, nil
+// keyPart is one part of an equality key, a hash join's or a group's: a
+// bare column of a type other than FLOAT (bind >= 0), whose cell already
+// is its key bytes — a column holds its one type, and a cell is
+// appendValue's bytes, which appendEqual leaves alone for every type but
+// FLOAT — or an expression, evaluated and encoded by appendEqual.
+type keyPart struct {
+	e         Expr
+	bind, col int
 }
 
-// writeHashValue canonicalizes a value so that values equal under SQL `=`
-// encode identically: Int and Float compare numerically, so integral
-// floats in int64 range encode as ints. (Out-of-range numerics keep their
-// own encoding; the equi predicates remain in the match list, so hash
-// buckets only ever narrow candidates, never accept wrong ones.)
-func writeHashValue(b *bytes.Buffer, v Value) {
-	if v.Type() == Float {
-		f := v.Float64()
-		if f == math.Trunc(f) && f >= -9.2e18 && f <= 9.2e18 {
+// keyPart compiles e into a key part at plan time. A reference evaluation
+// would refuse (unknown, ambiguous) stays an expression, which reports it
+// for the first row.
+func (q *query) keyPart(e Expr) keyPart {
+	if cr, ok := e.(*ColRef); ok {
+		if pos, err := q.bindingPos(cr); err == nil {
+			schema := &q.bindings[pos].tbl.schema
+			if ci := schema.ColumnIndex(cr.Name); ci >= 0 && schema.Columns[ci].Type != Float {
+				return keyPart{e: e, bind: pos, col: ci}
+			}
+		}
+	}
+	return keyPart{e: e, bind: -1}
+}
+
+// cellsOnly reports whether every part is a cell, read as stored.
+func cellsOnly(parts []keyPart) bool {
+	for _, p := range parts {
+		if p.bind < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// nullCell is the cell of a NULL (byte(Null) is 0): what a key reads on
+// the padded side of a LEFT JOIN, where there is no row.
+const nullCell = "\x00"
+
+// equalKey is the equality key of the row bound in q.env: the parts'
+// bytes, one after another — each part is self-delimiting — so two rows'
+// keys are equal when each part is equal under `=` or NULL in both. null
+// reports a NULL part; a join key, which then matches nothing, stops
+// there. A key of one cell is the cell itself, a substring of an immutable
+// image; any other is the scratch's buffer, valid until the next call,
+// which a holder copies (holdKey).
+func (q *query) equalKey(parts []keyPart, join bool) (key string, null bool, err error) {
+	if oneCell(parts) {
+		c := q.keyCell(parts[0])
+		return c, c[0] == byte(Null), nil
+	}
+	b := q.sc.eqKey[:0]
+	for _, p := range parts {
+		if p.bind >= 0 {
+			c := q.keyCell(p)
+			null = null || c[0] == byte(Null)
+			b = append(b, c...)
+		} else {
+			v, err := q.env.eval(p.e)
+			if err != nil {
+				return "", false, err
+			}
+			null = null || v.typ == Null
+			b = appendEqual(b, v)
+		}
+		if null && join {
+			break
+		}
+	}
+	q.sc.eqKey = b
+	return view(b), null, nil
+}
+
+// keyCell is part p's cell in the row bound in q.env.
+func (q *query) keyCell(p keyPart) string {
+	if row := q.env.bindings[p.bind].row; row != noRow {
+		return row.cell(p.col)
+	}
+	return nullCell
+}
+
+// holdKey is a key equalKey returned, made safe to keep: a cell as it is,
+// the scratch's bytes copied.
+func holdKey(parts []keyPart, key string) string {
+	if oneCell(parts) {
+		return key
+	}
+	return strings.Clone(key)
+}
+
+// oneCell reports whether a key is one cell, read in place.
+func oneCell(parts []keyPart) bool { return len(parts) == 1 && parts[0].bind >= 0 }
+
+// appendEqual appends v's equality-key bytes to b: its cell, except that
+// an integral FLOAT in int64 range is written as the INTEGER it equals,
+// since `=` compares numbers by value (so 1.0 keys as 1, and -0.0 as 0).
+// Out-of-range numerics keep their own encoding; a join's equi predicates
+// remain in its match list, so hash buckets only ever narrow candidates,
+// never accept wrong ones.
+func appendEqual(b []byte, v Value) []byte {
+	if v.typ == Float {
+		if f := v.float(); f == math.Trunc(f) && f >= -9.2e18 && f <= 9.2e18 {
 			v = NewInt(int64(f))
 		}
 	}
-	writeValue(b, v)
+	return appendValue(b, v)
 }
 
 // driveHash executes one hash-join step.
@@ -699,11 +771,11 @@ func (q *query) driveHash(k int, st *stepPlan, emit func() error) error {
 		for i := range q.env.bindings {
 			t.rows[i] = q.env.bindings[i].row
 		}
-		key, ok, err := q.evalHashKey(st.hashOuter)
+		key, null, err := q.equalKey(st.hashOuter, true)
 		if err != nil {
 			return err
 		}
-		t.key, t.hasKey = string(key), ok
+		t.key, t.hasKey = holdKey(st.hashOuter, key), !null
 		outs = append(outs, t)
 		return nil
 	})
@@ -784,15 +856,15 @@ func (q *query) buildHashInner(k int, st *stepPlan) (*hashState, error) {
 			return nil, err
 		}
 		q.env.bindings[st.bind].row = row
-		key, ok, err := q.evalHashKey(st.hashInner)
+		key, null, err := q.equalKey(st.hashInner, true)
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
+		if null {
 			continue // NULL key never matches
 		}
-		ks := string(key)
-		hj.table[ks] = append(hj.table[ks], int32(i))
+		key = holdKey(st.hashInner, key)
+		hj.table[key] = append(hj.table[key], int32(i))
 	}
 	return hj, nil
 }
@@ -801,13 +873,13 @@ func (q *query) buildHashInner(k int, st *stepPlan) (*hashState, error) {
 // bound in q.env (streaming build-inner mode).
 func (q *query) probeHashInner(st *stepPlan, hj *hashState, emit func() error) error {
 	q.probeRows++
-	key, ok, err := q.evalHashKey(st.hashOuter)
+	key, null, err := q.equalKey(st.hashOuter, true)
 	if err != nil {
 		return err
 	}
 	matched := false
-	if ok {
-		for _, ri := range hj.table[string(key)] {
+	if !null {
+		for _, ri := range hj.table[key] {
 			q.env.bindings[st.bind].row = hj.rows[ri]
 			pass, err := q.evalConjs(st.match)
 			if err != nil {
@@ -854,11 +926,11 @@ func (q *query) probeBuildOuter(st *stepPlan, outs []outerTuple, restore func(*o
 		if ok, err := q.evalConjs(st.local); err != nil || !ok {
 			return err
 		}
-		key, ok, err := q.evalHashKey(st.hashInner)
-		if err != nil || !ok {
+		key, null, err := q.equalKey(st.hashInner, true)
+		if err != nil || null {
 			return err
 		}
-		for _, oi := range table[string(key)] {
+		for _, oi := range table[key] {
 			t := &outs[oi]
 			restore(t)
 			q.env.bindings[st.bind].row = row

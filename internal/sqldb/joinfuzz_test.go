@@ -4,13 +4,14 @@ package sqldb
 // queries (a lone table filtered by local predicates, or INNER/LEFT joins
 // with mixed ON/WHERE conjuncts) run through the engine — the cost-based
 // planner (hash joins, index nested loops, reordering, the single table's
-// ordered index scans), the plan cache and the batched operators — and
-// through refQuery, the naive evaluator in refquery_test.go, and the
-// result sets must be identical. Each case runs its query as a snapshot
-// read, as a locked read inside a read-write transaction (table and row
-// locks), and again after each of three rounds of writes and schema or
-// cardinality churn — once in a snapshot opened before the round, whose
-// rows the oracle reads at that snapshot's timestamp.
+// ordered index scans), the plan cache, the batched scans and the
+// aggregation stage — and through refQuery, the naive evaluator in
+// refquery_test.go, and the result sets must be identical. Each case
+// runs its query as a snapshot read, as a locked read inside a read-write
+// transaction (table and row locks), and again after each of three rounds
+// of writes and schema or cardinality churn — once in a snapshot opened
+// before the round, whose rows the oracle reads at that snapshot's
+// timestamp.
 // About a quarter of the queries end in ORDER BY over every output and a
 // LIMIT with an OFFSET: the top-K over joins and aggregated rows, compared
 // in order against the oracle's sorted and sliced result. A one-table

@@ -293,7 +293,8 @@ func TestPlanCacheFollowerApplyInvalidates(t *testing.T) {
 }
 
 // TestPlanCacheConcurrentHammer is the satellite-2 race audit: many
-// goroutines execute one cached parameterized statement concurrently;
+// goroutines execute two cached parameterized statements concurrently, a
+// point read and a GROUP BY … HAVING … ORDER BY … LIMIT aggregation;
 // every execution must see the same immutable plan and correct results,
 // and the run is meaningful under -race (execution state must live on
 // the per-execution query, never on the shared plan).
@@ -310,6 +311,29 @@ func TestPlanCacheConcurrentHammer(t *testing.T) {
 	p0 := cachedPlanOf(t, db, q)
 	if p0 == nil {
 		t.Fatal("no warm plan")
+	}
+	// The aggregated statement shares its aggPlan — the group key's parts,
+	// the aggregate program, the alias maps — across the goroutines.
+	const agg = `SELECT n % 4 AS b, count(*) AS c, sum(n) FROM kv WHERE id < ? GROUP BY n % 4 HAVING c >= 2 ORDER BY b DESC LIMIT 3`
+	mustQuery(t, db, agg, rows) // warm
+	a0 := cachedPlanOf(t, db, agg)
+	if a0 == nil {
+		t.Fatal("no warm aggregated plan")
+	}
+	// aggWant is agg's result over ids below lim, rendered as "b:c:sum".
+	aggWant := func(lim int) string {
+		var c, sum [4]int64
+		for i := 0; i < lim; i++ {
+			c[i*3%4]++
+			sum[i*3%4] += int64(i * 3)
+		}
+		var out []string
+		for b := 3; b >= 0 && len(out) < 3; b-- {
+			if c[b] >= 2 {
+				out = append(out, fmt.Sprintf("%d:%d:%d", b, c[b], sum[b]))
+			}
+		}
+		return strings.Join(out, " ")
 	}
 
 	const goroutines, iters = 8, 300
@@ -330,6 +354,18 @@ func TestPlanCacheConcurrentHammer(t *testing.T) {
 					errs <- fmt.Errorf("id %d: got %v", id, res.Data)
 					return
 				}
+				if res, err = db.Query(agg, id); err != nil {
+					errs <- err
+					return
+				}
+				var got []string
+				for _, r := range res.Data {
+					got = append(got, fmt.Sprintf("%d:%d:%d", r[0].Int64(), r[1].Int64(), r[2].Int64()))
+				}
+				if g, w := strings.Join(got, " "), aggWant(id); g != w {
+					errs <- fmt.Errorf("aggregated, ids below %d: got %q, want %q", id, g, w)
+					return
+				}
 			}
 			errs <- nil
 		}(g)
@@ -343,8 +379,11 @@ func TestPlanCacheConcurrentHammer(t *testing.T) {
 	if p := cachedPlanOf(t, db, q); p != p0 {
 		t.Fatalf("plan pointer changed under concurrent hammer: %p -> %p", p0, p)
 	}
+	if p := cachedPlanOf(t, db, agg); p != a0 {
+		t.Fatalf("aggregated plan pointer changed under concurrent hammer: %p -> %p", a0, p)
+	}
 	stats := db.PlanCacheStats()
-	if stats.Hits < goroutines*iters {
-		t.Fatalf("hits = %d, want >= %d (every hammer execution should hit)", stats.Hits, goroutines*iters)
+	if stats.Hits < 2*goroutines*iters {
+		t.Fatalf("hits = %d, want >= %d (every hammer execution should hit)", stats.Hits, 2*goroutines*iters)
 	}
 }

@@ -4,8 +4,10 @@ package sqldb
 // engine against: the join fuzzer, crossCheck, TestAggModesDifferential,
 // the top-K differential and every query block of the logictest goldens.
 // It evaluates a SELECT the naive way and shares nothing with the engine's
-// read path but the expression evaluator and finishAgg; its accumulator
-// (aggState.add, at the end of this file) is its own:
+// read path but the expression evaluator, the equality-key encoding of a
+// value (appendEqual) and finishAgg; its grouping, taking every key part
+// as an evaluated value, and its accumulator (aggState.add, at the end of
+// this file) are its own:
 //
 //   - base rows come straight from each slot's version chain: the version
 //     visible at the snapshot timestamp refQueryAt is given (refQuery's is
@@ -15,15 +17,15 @@ package sqldb
 //     nothing, the NULL padding; no FROM is the product of nothing, one
 //     empty row;
 //   - WHERE filters the product;
-//   - groups are keyed by writeHashValue and accumulate through
-//     aggState.add/finishAgg, the first row of a group standing for it;
+//   - groups are keyed by appendEqual over the GROUP BY values and
+//     accumulate through aggState.add/finishAgg, the first row of a group
+//     standing for it;
 //   - HAVING sees output aliases; ORDER BY is a stable sort by Compare over
 //     every result row, then DISTINCT, OFFSET and LIMIT.
 //
-// No planner, access path, plan cache or batched operator runs here.
+// No planner, access path, plan cache or aggregation stage runs here.
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -156,23 +158,23 @@ func refQueryAt(db *DB, ts uint64, sql string, args ...any) (*Rows, error) {
 		for _, item := range s.OrderBy {
 			collect(item.Expr)
 		}
-		var key, scratch bytes.Buffer
+		var key, scratch []byte
 		emit = func() error {
-			key.Reset()
+			key = key[:0]
 			for _, e := range s.GroupBy {
 				v, err := env.eval(e)
 				if err != nil {
 					return err
 				}
-				writeHashValue(&key, v)
+				key = appendEqual(key, v)
 			}
-			g := groups[key.String()]
+			g := groups[string(key)]
 			if g == nil {
 				g = &refGroup{rows: make([]rowImage, len(env.bindings)), aggs: make([]aggState, len(calls))}
 				for i := range g.rows {
 					g.rows[i] = env.bindings[i].row
 				}
-				groups[key.String()] = g
+				groups[string(key)] = g
 				order = append(order, g)
 			}
 			for i, fc := range calls {
@@ -237,14 +239,18 @@ func refQueryAt(db *DB, ts uint64, sql string, args ...any) (*Rows, error) {
 			// A global aggregate over no rows is still one row.
 			order = append(order, &refGroup{rows: make([]rowImage, len(base)), aggs: make([]aggState, len(calls))})
 		}
+		aggIdx := make(map[*FuncCall]int, len(calls))
+		for i, fc := range calls {
+			aggIdx[fc] = i
+		}
 		for _, g := range order {
-			genv := &evalEnv{params: env.params, now: env.now, aggs: make(map[*FuncCall]Value, len(calls))}
+			genv := &evalEnv{params: env.params, now: env.now, aggIdx: aggIdx, aggVals: make([]Value, len(calls))}
 			genv.bindings = append([]binding(nil), env.bindings...)
 			for i := range genv.bindings {
 				genv.bindings[i].row = g.rows[i]
 			}
 			for i, fc := range calls {
-				genv.aggs[fc] = finishAgg(fc, &g.aggs[i])
+				genv.aggVals[i] = finishAgg(fc, &g.aggs[i])
 			}
 			if err := finish(genv, s.Having); err != nil {
 				return nil, err
@@ -269,17 +275,17 @@ func refQueryAt(db *DB, ts uint64, sql string, args ...any) (*Rows, error) {
 	})
 	rows := &Rows{}
 	seen := map[string]bool{}
-	var kb bytes.Buffer
+	var kb []byte
 	for _, r := range result {
 		if s.Distinct {
-			kb.Reset()
+			kb = kb[:0]
 			for _, v := range r.out {
-				writeHashValue(&kb, v)
+				kb = appendEqual(kb, v)
 			}
-			if seen[kb.String()] {
+			if seen[string(kb)] {
 				continue
 			}
-			seen[kb.String()] = true
+			seen[string(kb)] = true
 		}
 		rows.Data = append(rows.Data, r.out)
 	}
@@ -349,13 +355,13 @@ func refCount(env *evalEnv, e Expr, name string, def int) (int, error) {
 }
 
 // add folds one input value into the oracle's accumulator; the engine
-// accumulates in hashAggOp.accumRow's compiled loop instead. DISTINCT sets key
-// values with the canonical hash encoding (writeHashValue), so
-// COUNT(DISTINCT x) agrees with `=` about Int 1 vs Float 1.0; MIN/MAX
-// propagate Compare errors on mixed-type inputs instead of silently
-// keeping whichever value arrived first. scratch is a caller-owned reused
-// buffer for the DISTINCT key encoding.
-func (st *aggState) add(fc *FuncCall, v Value, scratch *bytes.Buffer) error {
+// accumulates in fold's compiled loop instead. DISTINCT sets key values
+// with the equality-key encoding (appendEqual), so COUNT(DISTINCT x)
+// agrees with `=` about Int 1 vs Float 1.0; MIN/MAX propagate Compare
+// errors on mixed-type inputs instead of silently keeping whichever value
+// arrived first. scratch is a caller-owned reused buffer for the DISTINCT
+// key encoding.
+func (st *aggState) add(fc *FuncCall, v Value, scratch *[]byte) error {
 	if v.IsNull() {
 		return nil // aggregates ignore NULL inputs
 	}
@@ -363,12 +369,11 @@ func (st *aggState) add(fc *FuncCall, v Value, scratch *bytes.Buffer) error {
 		if st.distinct == nil {
 			st.distinct = make(map[string]bool)
 		}
-		scratch.Reset()
-		writeHashValue(scratch, v)
-		if st.distinct[string(scratch.Bytes())] {
+		*scratch = appendEqual((*scratch)[:0], v)
+		if st.distinct[string(*scratch)] {
 			return nil
 		}
-		st.distinct[scratch.String()] = true
+		st.distinct[string(*scratch)] = true
 	}
 	st.count++
 	switch fc.Name {

@@ -141,6 +141,11 @@ func FuzzRowImage(f *testing.F) {
 			if got := img.col(i); got != v || img.isNull(i) != v.IsNull() {
 				t.Fatalf("column %d reads %#v (null %v), the values decoder %#v", i, got, img.isNull(i), v)
 			}
+			// A key part of a non-FLOAT column is its cell (keyPart): the
+			// cell must be the value's equality key.
+			if key := appendEqual(nil, v); v.Type() != Float && img.cell(i) != string(key) {
+				t.Fatalf("column %d's cell %x, its value's equality key %x", i, img.cell(i), key)
+			}
 		}
 		if got := append(binary.AppendUvarint(nil, uint64(img.width())), img.cells()...); !bytes.Equal(got, data[:rd.off]) {
 			t.Fatalf("cells write back as %x, read from %x", got, data[:rd.off])
@@ -155,7 +160,7 @@ func FuzzRowImage(f *testing.F) {
 		writeUvarint(&fromValues, 3)
 		writeUvarint(&fromValues, uint64(len(vals)))
 		for _, v := range vals {
-			writeValue(&fromValues, v)
+			fromValues.Write(appendValue(nil, v))
 		}
 		if !bytes.Equal(fromImage.Bytes(), fromValues.Bytes()) {
 			t.Fatalf("page record from the image %x, from the values %x", fromImage.Bytes(), fromValues.Bytes())

@@ -57,7 +57,7 @@ type txScratch struct {
 	has        []bool       // ...and whether INSERT supplied one
 	keyTargets []lockTarget // unique-key locks of the row being written
 	walBuf     bytes.Buffer // the commit's encoded redo records
-	hashKey    bytes.Buffer // the hash join's key being built or probed
+	eqKey      []byte       // the equality key being built (equalKey), or a DISTINCT aggregate's
 
 	// Transaction state. The Tx's own slices point here while the scratch
 	// is attached and are handed back, emptied, at finish.
@@ -122,9 +122,7 @@ func (tx *Tx) releaseScratch() {
 	if sc.walBuf.Cap() > 64*scratchKeep {
 		sc.walBuf = bytes.Buffer{}
 	}
-	if sc.hashKey.Cap() > scratchKeep {
-		sc.hashKey = bytes.Buffer{}
-	}
+	sc.eqKey = keep(sc.eqKey)
 	tx.db.scratchPool.Put(sc)
 }
 

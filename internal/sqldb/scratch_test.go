@@ -254,6 +254,7 @@ func TestPooledScratchPinsNothing(t *testing.T) {
 		{scratchJoin, []any{0}},
 		{scratchSmall, []any{"node-1"}},
 		{`SELECT id, tag FROM big WHERE id >= ? ORDER BY tag`, []any{0}},
+		{`SELECT tag, id, count(*) FROM big WHERE id >= ? GROUP BY tag, id`, []any{0}},
 		{`INSERT INTO machines (name, state, beats) VALUES (?, ?, ?)`, []any{"node-x", "up", 1}},
 		{scratchUpdate, []any{"node-3"}},
 		{`DELETE FROM matches WHERE vm_id = ?`, []any{5}},
@@ -312,9 +313,7 @@ func TestPooledScratchPinsNothing(t *testing.T) {
 	if c := sc.walBuf.Cap(); c > 64*scratchKeep {
 		t.Errorf("walBuf kept %d bytes", c)
 	}
-	if c := sc.hashKey.Cap(); c > scratchKeep {
-		t.Errorf("hashKey kept %d bytes", c)
-	}
+	checkPooled(t, "eqKey", sc.eqKey, false)
 }
 
 // checkEmpty requires a pooled, pointer-bearing scratch buffer to be

@@ -1,7 +1,6 @@
 package sqldb
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -44,12 +43,11 @@ func TestFloatBitsRoundTrip(t *testing.T) {
 			t.Errorf("Int64() on Float %v = %d, want 0", f, v.Int64())
 		}
 		// The encoding is the 8 IEEE bytes, little-endian, after the tag.
-		var buf bytes.Buffer
-		writeValue(&buf, v)
-		if buf.Len() != 9 || buf.Bytes()[0] != byte(Float) {
-			t.Fatalf("encoding of %v = %x", f, buf.Bytes())
+		buf := appendValue(nil, v)
+		if len(buf) != 9 || buf[0] != byte(Float) {
+			t.Fatalf("encoding of %v = %x", f, buf)
 		}
-		back, ok := (&byteReader{b: buf.Bytes()}).value()
+		back, ok := (&byteReader{b: buf}).value()
 		if !ok || back != v {
 			t.Errorf("decode(encode(%v)) = %v, %v", f, back, ok)
 		}

@@ -1083,11 +1083,6 @@ func writeString(buf *bytes.Buffer, s string) {
 	buf.WriteString(s)
 }
 
-// writeValue writes v's cell (appendValue) to buf.
-func writeValue(buf *bytes.Buffer, v Value) {
-	buf.Write(appendValue(buf.AvailableBuffer(), v))
-}
-
 type byteReader struct {
 	b   []byte
 	off int
