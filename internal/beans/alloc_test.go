@@ -8,6 +8,7 @@ package beans
 import (
 	"context"
 	"database/sql"
+	"runtime"
 	"testing"
 
 	"condorj2/internal/sqldb"
@@ -118,11 +119,24 @@ type allocCase[Q Querier] struct {
 	run    func(tx Q) error
 }
 
+// runAllocCases measures each case's allocations per call, averaged over
+// 500 calls. Each call waits for the goroutines it started to exit before
+// the next begins. database/sql starts one per transaction and one per Rows
+// (awaitDone) that outlive the call, and whether one allocates — a Done
+// channel made lazily, the context error it stores — depends on whether it
+// runs before or after the call finishes. Without the wait the previous
+// call's goroutines are often still running when the next call starts,
+// which one runs first is then up to the scheduler, and the count varied
+// by a few allocations from one run of the test to the next.
 func runAllocCases[Q Querier](t *testing.T, transport string, cases []allocCase[Q], inTx func(func(Q) error) error) {
 	for _, tc := range cases {
 		once := func() {
+			n := runtime.NumGoroutine()
 			if err := inTx(tc.run); err != nil {
 				t.Fatal(err)
+			}
+			for runtime.NumGoroutine() > n {
+				runtime.Gosched()
 			}
 		}
 		once()

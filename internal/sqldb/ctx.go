@@ -141,9 +141,11 @@ func (db *DB) stmtCtx(ctx context.Context) (context.Context, context.CancelFunc)
 	return context.WithTimeout(ctx, d)
 }
 
-// ctxCheckRows is how many rows a scan/join visits between cooperative
-// cancellation checkpoints. A power of two: the checkpoint test compiles
-// to a mask. 64 keeps worst-case cancellation latency to a handful of
+// ctxCheckRows is how many rows pass between polls of the context. Every
+// row loop calls check once per row: a full scan per row it visits, an
+// index scan per entry it resolves, and the loops past the scans (hash
+// tables, groups, DML targets) per row they handle. A power of two: the
+// checkpoint test compiles to a mask. 64 keeps worst-case cancellation latency to a handful of
 // microseconds while the uncancelled hot path pays ~1/64 of a ctx.Err
 // call per row (BenchmarkScanCtxOverhead holds this under 2%).
 const ctxCheckRows = 64
@@ -160,19 +162,6 @@ type cancelCheck struct {
 func (c *cancelCheck) check() error {
 	c.ticks++
 	if c.ticks&(ctxCheckRows-1) != 0 {
-		return nil
-	}
-	return c.slow()
-}
-
-// checkN advances the row counter by n at once — for a scan that
-// delivers a whole scanBatch per call — and polls the context whenever
-// the jump crossed a ctxCheckRows boundary. Equivalent cancellation
-// latency to n calls of check, at one call per batch.
-func (c *cancelCheck) checkN(n int) error {
-	old := c.ticks
-	c.ticks += uint(n)
-	if old/ctxCheckRows == c.ticks/ctxCheckRows {
 		return nil
 	}
 	return c.slow()

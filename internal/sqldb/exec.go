@@ -80,10 +80,10 @@ type query struct {
 	// IS/S locks, no row S locks, no key predicate locks).
 	snapRead bool
 	snapTS   uint64
-	// batchHint caps how many index entries one latched collection batch
-	// materializes when the caller expects to stop early (LIMIT). Purely a
-	// performance knob: the scan still continues batch by batch for as long
-	// as the visitor accepts rows.
+	// batchHint caps how many candidates a scan's first latched window
+	// collects when the caller expects to stop early (LIMIT). Purely a
+	// performance knob: the scan still continues window by window for as
+	// long as the visitor accepts rows.
 	batchHint int
 	// hjs holds the per-step hash-join build tables, indexed like
 	// selectPlan.steps. They are execution state (built from rows this
@@ -470,39 +470,35 @@ func refsColumns(e Expr) bool {
 	return found
 }
 
-// scanPlan executes one access path over binding i, pushing each
-// surviving row into visit. It is a thin driver over the batched scanOp
-// (scan.go): batches are pulled Init/Next-style and visited row by row,
-// so push-model consumers (the join pipeline, UPDATE/DELETE target
-// matching) and pull-model ones (hash builds) share one scan operator.
+// scanPlan runs one access path over binding i as a push stage, passing
+// each row it keeps to visit in scan order. The scan goes window by window
+// (scan.go): each latched window collects candidates, and visit runs on
+// them after the latch is released. A visit error ends the scan and is
+// returned (errStopScan is how a consumer stops early).
 func (q *query) scanPlan(i int, ap accessPlan, visit func(rid int64, row rowImage) error) error {
 	op := q.scanFor(i, ap)
-	if err := op.Init(); err != nil {
-		return err
+	defer op.empty()
+	most := maxScanBatch
+	if ap.index == nil {
+		most = fullScanBatch
 	}
-	defer op.Close()
-	// Index scans count RowsScanned per collected entry inside the
-	// operator; full-scan rows count here, as the consumer sees them, so
-	// an early stop (errStopScan) leaves delivered-but-unvisited rows
-	// uncounted.
-	countHere := ap.index == nil
-	for {
-		b, err := op.Next()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			return nil
-		}
-		for bi := range b.rows {
-			if countHere {
-				q.stats.RowsScanned++
-			}
-			if err := visit(b.rids[bi], b.rows[bi]); err != nil {
-				return err
-			}
-		}
+	op.window = most
+	if q.batchHint > 0 {
+		op.window = min(q.batchHint, most)
 	}
+	var err error
+	if ap.index != nil {
+		err = op.seek()
+	}
+	for err == nil && !op.done {
+		if ap.index == nil {
+			err = op.fullWindow(visit)
+		} else {
+			err = op.indexWindow(visit)
+		}
+		op.window = min(2*op.window, most)
+	}
+	return err
 }
 
 // expandOutputs resolves stars into column refs and names the outputs.
@@ -675,9 +671,9 @@ func (s *sortLimit) begin(q *query) error {
 		s.ordered = q.steps[0].access.ordered
 	}
 	if len(q.steps) == 1 && (s.ordered > 0 || s.nkey == 0) {
-		// The scan is expected to stop at bound rows: size its batches for
-		// that (+1 so the boundary row that proves a stop on ties lands in
-		// the same batch).
+		// The scan is expected to stop at bound rows: size its first window
+		// for that (+1 so the boundary row that proves a stop on ties lands
+		// in the same window).
 		q.batchHint = s.bound + 1
 	}
 	return nil

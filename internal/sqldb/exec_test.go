@@ -546,3 +546,82 @@ func TestTimestampColumn(t *testing.T) {
 		t.Fatalf("time filter = %v", rows.Data)
 	}
 }
+
+// TestRowsScannedByAccessPath pins StmtStats.RowsScanned and RowsReturned
+// for every way a statement reads a table: a full scan (whole, and cut
+// short by LIMIT), an index range, a hash join building on a full scan, a
+// build-outer probe scan, an index nested-loop probe and the UPDATE and
+// DELETE target scans. Every case reads more than one full-scan window
+// (fullScanBatch slots), so the counts also hold across window boundaries.
+// An index path counts each index entry it collects; a full scan counts
+// each row it visits, so a LIMIT stop counts only what it examined.
+func TestRowsScannedByAccessPath(t *testing.T) {
+	const nBig, nMid = 1300, 700
+	db := New()
+	mustExec(t, db, `CREATE TABLE big (id INTEGER PRIMARY KEY, k INTEGER, tag TEXT)`)
+	mustExec(t, db, `CREATE TABLE mid (id INTEGER PRIMARY KEY, k INTEGER, v INTEGER)`)
+	mustExec(t, db, `CREATE TABLE small (k INTEGER, t TEXT)`)
+	for i := 1; i <= nBig; i++ {
+		mustExec(t, db, `INSERT INTO big VALUES (?, ?, ?)`, i, i%50, fmt.Sprintf("t%d", i%7))
+	}
+	for i := 1; i <= nMid; i++ {
+		mustExec(t, db, `INSERT INTO mid VALUES (?, ?, ?)`, i, i%60, i)
+	}
+	for i := 0; i < 8; i++ {
+		mustExec(t, db, `INSERT INTO small VALUES (?, ?)`, i, fmt.Sprintf("s%d", i))
+	}
+	var got StmtStats
+	db.SetStatsHook(func(s StmtStats) {
+		if s.Kind != "COMMIT" && s.Kind != "BEGIN" {
+			got = s
+		}
+	})
+	for _, c := range []struct {
+		name, sql string
+		plan      string // a fragment the statement's EXPLAIN must show
+		locked    bool   // a SELECT run inside a transaction: a locked read
+		scanned   int
+		returned  int // RowsReturned, or RowsAffected for DML
+	}{
+		{"full scan", `SELECT id FROM big WHERE tag <> 't0'`, "SEQ SCAN", false, nBig, 1115},
+		{"full scan LIMIT", `SELECT id FROM big WHERE tag = 't3' LIMIT 100`, "SEQ SCAN", false, 696, 100},
+		{"locked full scan LIMIT", `SELECT id FROM big WHERE tag = 't3' LIMIT 100`, "SEQ SCAN", true, 696, 100},
+		{"index range", `SELECT id FROM big WHERE id BETWEEN 100 AND 900`, "INDEX SCAN", false, 801, 801},
+		{"locked index range", `SELECT id FROM big WHERE id BETWEEN 100 AND 900`, "INDEX SCAN", true, 801, 801},
+		{"hash build on a full scan", `SELECT b.id, m.v FROM big b LEFT JOIN mid m ON m.k = b.k`, "HASH JOIN (", false, nBig + nMid, 15340},
+		{"build-outer probe scan", `SELECT s.t, b.id FROM small s JOIN big b ON b.k = s.k`, "BUILD OUTER", false, 8 + nBig, 208},
+		{"index-NL probe", `SELECT b.id, m.v FROM big b JOIN mid m ON m.id = b.id WHERE b.tag = 't1'`, "INDEX NL", false, nBig + 100, 100},
+		{"UPDATE target", `UPDATE big SET tag = 'u' WHERE k = 7`, "SEQ SCAN", false, nBig, 26},
+		{"DELETE target", `DELETE FROM big WHERE id > 600`, "INDEX SCAN", false, 700, 700},
+	} {
+		if plan := mustQuery(t, db, "EXPLAIN "+c.sql); !strings.Contains(fmt.Sprint(plan.Data), c.plan) {
+			t.Fatalf("%s: plan %v, want %q in it", c.name, plan.Data, c.plan)
+		}
+		got = StmtStats{}
+		n := 0
+		switch {
+		case !strings.HasPrefix(c.sql, "SELECT"):
+			n = int(mustExec(t, db, c.sql).RowsAffected)
+			got.RowsReturned = got.RowsAffected
+		case c.locked:
+			tx, err := db.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := tx.Query(c.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n = rows.Len()
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			n = mustQuery(t, db, c.sql).Len()
+		}
+		if got.RowsScanned != c.scanned || got.RowsReturned != c.returned || n != c.returned {
+			t.Errorf("%s: scanned %d, returned %d (%d rows), want %d and %d",
+				c.name, got.RowsScanned, got.RowsReturned, n, c.scanned, c.returned)
+		}
+	}
+}

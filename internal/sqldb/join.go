@@ -821,33 +821,16 @@ func (q *query) buildHashInner(k int, st *stepPlan) (*hashState, error) {
 	}
 	hj := &hashState{}
 	q.hjs[k] = hj
-	// Pull scan batches directly rather than through the scanPlan push
-	// adapter: the build side is the one consumer with no early-out, so it
-	// takes whole batches as the scan produces them.
-	op := q.scanFor(st.bind, st.access)
-	if err := op.Init(); err != nil {
+	err := q.scanPlan(st.bind, st.access, func(rid int64, row rowImage) error {
+		q.env.bindings[st.bind].row = row
+		ok, err := q.evalConjs(st.local)
+		if ok {
+			hj.rows = append(hj.rows, row)
+		}
+		return err
+	})
+	if err != nil {
 		return nil, err
-	}
-	defer op.Close()
-	for {
-		b, err := op.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		if st.access.index == nil {
-			q.stats.RowsScanned += len(b.rows) // the build consumes every delivered row
-		}
-		for _, row := range b.rows {
-			q.env.bindings[st.bind].row = row
-			if ok, err := q.evalConjs(st.local); err != nil {
-				return nil, err
-			} else if ok {
-				hj.rows = append(hj.rows, row)
-			}
-		}
 	}
 	q.buildRows += uint64(len(hj.rows))
 	hj.table = make(map[string][]int32, len(hj.rows))

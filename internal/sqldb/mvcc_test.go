@@ -3,8 +3,10 @@ package sqldb
 import (
 	"database/sql"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -570,5 +572,96 @@ func TestCreateIndexWithInFlightWriter(t *testing.T) {
 		db.Vacuum()
 		assertOneEntryPerLiveRow(t, db, "j", "j_state")
 		db.Close()
+	}
+}
+
+// TestFullScanWindowsUnderConcurrentWriters: a snapshot full scan and a
+// hash build each read their table in several latched windows, and a
+// writer inserts, updates and deletes rows between (and during) them. The
+// latch is released between windows, so a window may see slots the writer
+// just filled or emptied; each statement must still return exactly the
+// rows of its snapshot, on both engines.
+func TestFullScanWindowsUnderConcurrentWriters(t *testing.T) {
+	const nRows, rounds = 3*fullScanBatch + 100, 12
+	for engine, open := range topKEngines(t) {
+		t.Run(engine, func(t *testing.T) {
+			db := open()
+			defer db.Close()
+			mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER NOT NULL, v TEXT NOT NULL)`)
+			mustExec(t, db, `CREATE TABLE o (id INTEGER PRIMARY KEY, k INTEGER NOT NULL)`)
+			for i := 1; i <= nRows; i++ {
+				mustExec(t, db, `INSERT INTO t VALUES (?, ?, ?)`, i, i%40, fmt.Sprintf("v%d", i))
+			}
+			for i := 1; i <= nRows+200; i++ {
+				mustExec(t, db, `INSERT INTO o VALUES (?, ?)`, i, i) // k < 40 matches
+			}
+			const scan = `SELECT id, k, v FROM t`
+			const build = `SELECT o.id, t.id, t.v FROM o LEFT JOIN t ON t.k = o.k`
+			if p := fmt.Sprint(mustQuery(t, db, "EXPLAIN "+scan).Data); !strings.Contains(p, "SEQ SCAN") {
+				t.Fatalf("scan plan = %s", p)
+			}
+			if p := fmt.Sprint(mustQuery(t, db, "EXPLAIN "+build).Data); !strings.Contains(p, "'t' 'SEQ SCAN'") || !strings.Contains(p, "HASH JOIN (") {
+				t.Fatalf("build plan = %s, want t as the hash build's full scan", p)
+			}
+			snap, err := db.BeginTx(t.Context(), TxOptions{ReadOnly: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer snap.Rollback()
+			want := map[string]*Rows{}
+			for _, q := range []string{scan, build} {
+				if want[q], err = snap.Query(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// The writer keeps the row count steady (one insert per delete),
+			// so the plans stay put while every slot window changes.
+			stop := make(chan struct{})
+			werr := make(chan error, 1)
+			var writes atomic.Int64
+			go func() {
+				defer close(werr)
+				for i := 1; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					for _, w := range []struct {
+						sql  string
+						args []any
+					}{
+						{`INSERT INTO t VALUES (?, ?, ?)`, []any{nRows + i, i % 40, "new"}},
+						{`UPDATE t SET v = 'changed' WHERE id = ?`, []any{(i*7)%nRows + 1}},
+						{`DELETE FROM t WHERE id = ?`, []any{(i*13)%nRows + 1}},
+					} {
+						if _, err := db.Exec(w.sql, w.args...); err != nil {
+							werr <- err
+							return
+						}
+					}
+					writes.Add(1)
+				}
+			}()
+			for r := 0; r < rounds; r++ {
+				for _, q := range []string{scan, build} {
+					got, err := snap.Query(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if d := diffRows(got, want[q], false); d != "" {
+						t.Fatalf("round %d, %s: %s", r, q, d)
+					}
+				}
+			}
+			close(stop)
+			if err := <-werr; err != nil {
+				t.Fatal(err)
+			}
+			if writes.Load() == 0 {
+				t.Fatal("the writer committed nothing while the scans ran")
+			}
+		})
 	}
 }

@@ -2,30 +2,42 @@ package sqldb
 
 import "strings"
 
-// scanOp is the batched leaf operator of the executor pipeline: one
-// access path over one table binding, pulled Init/Next/Close-style in
-// batches (scanBatch) like the aggregation operator (executor.go). Next
-// materializes candidate row ids in short latched windows (an index
-// range walk or a slot-order full-scan window), then resolves
-// visibility — MVCC snapshot reads or 2PL row locks — and residual
-// index-entry matching outside the latch, exactly as the push-model
-// scan did. Callers either consume batches directly (hash-join builds)
-// or through the scanPlan push adapter (exec.go).
+// scanOp is one access path over one table binding, run by scanPlan
+// (exec.go) as a push stage like every other: window by window it
+// collects candidates under the table's shared latch — (key, rid) pairs
+// from an index range walk, or the row images of a slot-order full-scan
+// window — and after the latch is released resolves each one and hands it
+// to the stage's visitor in order. An index candidate is resolved by the
+// row lock or the snapshot read and kept only through its own index entry;
+// a full-scan row was resolved when it was collected. The visitor never
+// runs latch-in-hand: it may recurse into other scans or block on the lock
+// manager. RowsScanned counts one per index entry collected, or one per
+// full-scan row visited.
 
-// maxScanBatch bounds how many index entries one latched collection
-// round materializes.
+// maxScanBatch bounds how many index entries one latched window collects.
 const maxScanBatch = 256
 
-type scanOp struct {
-	q    *query
-	bind int
-	ap   accessPlan
+// fullScanBatch bounds how many slots one latched window of a full scan
+// visits, so a long monitoring scan never stalls writers behind the
+// exclusive latch for the whole table.
+const fullScanBatch = 512
 
+type scanOp struct {
+	q         *query
+	ap        accessPlan
 	tbl       *table
-	tableName string
+	tableName string // the index path's row-lock target
 	// done marks the scan finished: bounds proved no row can match, or
 	// the cursor ran off the end.
 	done bool
+	// window caps how many candidates the next latched window collects. It
+	// starts at the caller's early-stop hint (LIMIT) when one is set, so a
+	// stopped consumer never pays for a whole window, and doubles after
+	// every window toward maxScanBatch (index) or fullScanBatch (full
+	// scan): residual filters may reject most of what a window collects,
+	// and a hint-sized window would then pay a latch acquisition (and an
+	// O(log n) seek) per handful of rows.
+	window int
 
 	// Index-scan cursor, all in encoded keys. The optional range bounds
 	// (haveLo, haveHi) apply to index column kpos, which starts at byte
@@ -38,7 +50,6 @@ type scanOp struct {
 	// among them as a forward scan does.
 	kpos           int
 	haveLo, haveHi bool
-	scanBatch      int
 	resume         string
 	skipResume     bool
 	revStart       string
@@ -48,7 +59,6 @@ type scanOp struct {
 	// Full-scan cursor: next slot window base.
 	base int64
 
-	batch scanBatch
 	scanBufs
 }
 
@@ -59,20 +69,12 @@ type scanBufs struct {
 	// bounds on column kpos; bound backs the seek key (prefix + one range
 	// bound). The cursor's probe keys are views of them.
 	prefix, lo, hi, bound []byte
-	// Per-batch buffers, refilled by every Next call: the returned
-	// scanBatch is valid only until the next one.
-	rids    []int64
-	keys    []string
-	outRows []rowImage
-	outRids []int64
-}
-
-// empty truncates every buffer and zeroes those holding references: they
-// point at no row or index key afterwards.
-func (b *scanBufs) empty() {
-	b.prefix, b.lo, b.hi, b.bound = b.prefix[:0], b.lo[:0], b.hi[:0], b.bound[:0]
-	b.rids, b.outRids = b.rids[:0], b.outRids[:0]
-	b.keys, b.outRows = reuse(b.keys), reuse(b.outRows)
+	// One window's candidates, refilled by every window: their row ids,
+	// and the index keys (index path) or row images (full scan) beside
+	// them.
+	rids []int64
+	keys []string
+	rows []rowImage
 }
 
 // scanFor returns binding i's scan operator, reset for one pass over ap.
@@ -81,9 +83,18 @@ func (b *scanBufs) empty() {
 // one operator, and its buffers, for the whole transaction.
 func (q *query) scanFor(i int, ap accessPlan) *scanOp {
 	op := &q.sc.scans[i]
-	op.empty() // a pass whose Init failed was never Closed
-	*op = scanOp{q: q, bind: i, ap: ap, scanBufs: op.scanBufs}
+	*op = scanOp{q: q, ap: ap, tbl: q.bindings[i].tbl, scanBufs: op.scanBufs}
 	return op
+}
+
+// empty ends a pass. Locks belong to the transaction; what the scan holds
+// is its buffers and cursor keys, which go back empty — pointing at no
+// row, index key or parameter — for the binding's next pass.
+func (op *scanOp) empty() {
+	op.prefix, op.lo, op.hi, op.bound = op.prefix[:0], op.lo[:0], op.hi[:0], op.bound[:0]
+	op.rids = op.rids[:0]
+	op.keys, op.rows = reuse(op.keys), reuse(op.rows)
+	op.resume, op.revStart, op.group = "", "", ""
 }
 
 // release empties the operator for the pool, dropping buffers grown past
@@ -91,30 +102,18 @@ func (q *query) scanFor(i int, ap accessPlan) *scanOp {
 func (op *scanOp) release() {
 	*op = scanOp{scanBufs: scanBufs{
 		prefix: keep(op.prefix), lo: keep(op.lo), hi: keep(op.hi), bound: keep(op.bound),
-		rids: keep(op.rids), keys: keep(op.keys), outRows: keep(op.outRows), outRids: keep(op.outRids),
+		rids: keep(op.rids), keys: keep(op.keys), rows: keep(op.rows),
 	}}
 }
 
-// Init evaluates the access path's key expressions against the current
+// seek evaluates an index path's key expressions against the current
 // evaluation environment (for index nested-loop probes that means the
 // outer row bound right now), takes the unique-point predicate lock the
-// path calls for, and positions the cursor. A bound that can never
-// match (NULL, incomparable constant) finishes the scan immediately.
-func (op *scanOp) Init() error {
+// path calls for, and positions the cursor. A bound that can never match
+// (NULL, incomparable constant) finishes the scan immediately.
+func (op *scanOp) seek() error {
 	q := op.q
-	op.tbl = q.bindings[op.bind].tbl
 	ap := op.ap
-	if ap.index == nil {
-		// Full scan: cursor starts at slot 0. Batches deliver at most
-		// scanBatch rows — sized down to the caller's early-stop hint
-		// (LIMIT) so a stopped consumer never pays for a whole window —
-		// and grow geometrically back toward the window size.
-		op.scanBatch = fullScanBatch
-		if q.batchHint > 0 && q.batchHint < op.scanBatch {
-			op.scanBatch = q.batchHint
-		}
-		return nil
-	}
 	op.tableName = strings.ToLower(op.tbl.schema.Name)
 	op.prefix = op.prefix[:0]
 	for j, e := range ap.eqExprs {
@@ -158,15 +157,6 @@ func (op *scanOp) Init() error {
 			return err
 		}
 	}
-	// Collection batch size: start at the caller's early-stop hint (LIMIT)
-	// when one is set, but grow geometrically on every continued batch —
-	// residual filters may reject most collected rows, and a hint-sized
-	// batch would then pay a latch acquisition and O(log n) seek per
-	// handful of entries.
-	op.scanBatch = maxScanBatch
-	if q.batchHint > 0 && q.batchHint < op.scanBatch {
-		op.scanBatch = q.batchHint
-	}
 	// Forward scans seek to prefix (+ low bound); reverse scans seek to the
 	// last key under prefix (+ high bound) and walk backward.
 	switch {
@@ -206,106 +196,59 @@ func (op *scanOp) rangeBound(e Expr, b []byte) (_ []byte, ok bool, err error) {
 	return b, false, nil
 }
 
-// scanBatch is one batch of a scan: the rows it delivers, and their row
-// ids.
-type scanBatch struct {
-	rows []rowImage
-	rids []int64
-}
-
-// Next returns the next non-empty batch of visible, matching rows, or nil
-// when the scan is exhausted. The batch's buffers are reused by the
-// following Next call.
-func (op *scanOp) Next() (*scanBatch, error) {
-	if op.ap.index == nil {
-		return op.nextFull()
-	}
-	return op.nextIndex()
-}
-
-// Close ends the pass. Locks belong to the transaction; what the scan
-// holds is its buffers, which go back empty — pointing at no row, index
-// key or parameter — for the binding's next pass.
-func (op *scanOp) Close() {
-	op.empty()
-	op.resume, op.revStart, op.group = "", "", ""
-	op.batch = scanBatch{}
-}
-
-// nextFull produces one batch from the slot-order full scan: rows are
-// materialized under the shared latch in windows of at most
-// fullScanBatch slots, but handed out unlatched — version data is
-// immutable, and consumers may recurse into other scans or block on the
-// lock manager, neither of which may happen latch-in-hand. RowsScanned
-// is NOT bumped here: full-scan rows count when a consumer visits them,
-// so an early-stopping consumer (LIMIT) reports only what it examined.
-func (op *scanOp) nextFull() (*scanBatch, error) {
+// fullWindow runs one window of the slot-order full scan: the rows
+// visible to the statement are collected under the shared latch from at
+// most fullScanBatch slots, then visited unlatched — version data is
+// immutable. Each row counts as scanned when it is visited, so an early
+// stop (LIMIT) counts only what it examined.
+func (op *scanOp) fullWindow(visit func(rid int64, row rowImage) error) error {
 	q := op.q
 	tbl := op.tbl
-	for {
-		if op.done {
-			return nil, nil
+	op.rids = op.rids[:0]
+	op.rows = reuse(op.rows)
+	tbl.latch.RLock()
+	n := int64(len(tbl.rows))
+	end := min(op.base+fullScanBatch, n)
+	rid := op.base
+	for ; rid < end && len(op.rows) < op.window; rid++ {
+		var row rowImage
+		if q.snapRead {
+			row = tbl.resolve(tbl.rows[rid].visibleVersion(q.snapTS))
+		} else {
+			row = tbl.resolve(tbl.rows[rid].currentVersion(q.tx.id))
 		}
-		op.outRows = reuse(op.outRows)
-		op.outRids = op.outRids[:0]
-		tbl.latch.RLock()
-		n := int64(len(tbl.rows))
-		end := op.base + fullScanBatch
-		if end > n {
-			end = n
-		}
-		rid := op.base
-		for ; rid < end; rid++ {
-			var row rowImage
-			if q.snapRead {
-				row = tbl.resolve(tbl.rows[rid].visibleVersion(q.snapTS))
-			} else {
-				row = tbl.resolve(tbl.rows[rid].currentVersion(q.tx.id))
-			}
-			if row != noRow {
-				op.outRids = append(op.outRids, rid)
-				op.outRows = append(op.outRows, row)
-				if len(op.outRows) >= op.scanBatch {
-					rid++
-					break
-				}
-			}
-		}
-		tbl.latch.RUnlock()
-		op.base = rid
-		if rid >= n {
-			op.done = true
-		}
-		// One cooperative tick per delivered row, batched: same
-		// cancellation latency as the per-row push scan had.
-		if err := q.cancel.checkN(len(op.outRows)); err != nil {
-			return nil, err
-		}
-		if op.scanBatch < fullScanBatch {
-			op.scanBatch *= 2
-			if op.scanBatch > fullScanBatch {
-				op.scanBatch = fullScanBatch
-			}
-		}
-		if len(op.outRows) > 0 {
-			op.batch = scanBatch{rows: op.outRows, rids: op.outRids}
-			return &op.batch, nil
+		if row != noRow {
+			op.rids = append(op.rids, rid)
+			op.rows = append(op.rows, row)
 		}
 	}
+	tbl.latch.RUnlock()
+	op.base = rid
+	op.done = rid >= n
+	for j, rid := range op.rids {
+		if err := q.cancel.check(); err != nil {
+			return err
+		}
+		q.stats.RowsScanned++
+		if err := visit(rid, op.rows[j]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// walkGroups is one latched collection round of a grouped walk: the
+// walkGroups collects one latched window of a grouped walk: the
 // distinct values of the index column after the prefix from the highest
 // down, the entries under each value upward — ORDER BY a DESC, b over an
 // index (eq…, a, b). Each next group is found by seeking, with keys: the
 // one holding the last entry under the prefix, then the one holding the
-// last entry below the group just finished. The cursor between rounds is
-// keys too (group, resume), never a node, so a writer between two batches
-// cannot strand it. collect stops the round when the batch is full.
+// last entry below the group just finished. The cursor between windows is
+// keys too (group, resume), never a node, so a writer between two windows
+// cannot strand it. collect stops the walk when the window is full.
 func (op *scanOp) walkGroups(collect func(string, int64) bool) {
 	tree := op.ap.index.tree
 	prefix := view(op.prefix)
-	for len(op.rids) < op.scanBatch {
+	for len(op.rids) < op.window {
 		if !op.inGroup {
 			var n *slNode
 			if op.group == "" {
@@ -322,136 +265,118 @@ func (op *scanOp) walkGroups(collect func(string, int64) bool) {
 		tree.scanRange(op.resume, "", func(k string, rid int64) bool {
 			return strings.HasPrefix(k, op.group) && collect(k, rid)
 		})
-		if len(op.rids) < op.scanBatch {
+		if len(op.rids) < op.window {
 			op.inGroup = false // the walk left the group, or the index
 		}
 	}
 }
 
-// nextIndex produces one batch from the index range walk: candidate
-// (key, rid) pairs are collected under the table latch, then each row
-// is locked (2PL reads that narrow the index) or resolved at the
-// snapshot timestamp, and accepted only through its own index entry —
-// entries outlive the versions that created them, so this both
+// indexWindow runs one window of the index range walk: candidate
+// (key, rid) pairs are collected under the table latch, each counting as
+// scanned; then each row is locked (2PL reads that narrow the index) or
+// read at the snapshot timestamp, and visited only through its own index
+// entry — entries outlive the versions that created them, so this both
 // deduplicates and keeps ordered scans emitting rows at the right key
 // position.
-func (op *scanOp) nextIndex() (*scanBatch, error) {
+func (op *scanOp) indexWindow(visit func(rid int64, row rowImage) error) error {
 	q := op.q
 	ap := op.ap
 	tbl := op.tbl
-	for {
-		if op.done {
-			return nil, nil
+	op.rids = op.rids[:0]
+	op.keys = reuse(op.keys)
+	exhausted := true
+	prefix := view(op.prefix)
+	lo, hi := view(op.lo), view(op.hi)
+	collect := func(k string, rid int64) bool {
+		if op.skipResume && k == op.resume {
+			return true // already visited in the previous window
 		}
-		op.rids = op.rids[:0]
-		op.keys = reuse(op.keys)
-		lastKey := ""
-		exhausted := true
-		prefix := view(op.prefix)
-		lo, hi := view(op.lo), view(op.hi)
-		collect := func(k string, rid int64) bool {
-			if op.skipResume && k == op.resume {
-				return true // already visited in the previous batch
-			}
-			// Stay within the equality prefix.
-			if !strings.HasPrefix(k, prefix) {
-				return false
-			}
-			if op.haveLo || op.haveHi {
-				// Column kpos compared in place. The strict bound on the
-				// near side of the walk is skipped per entry; the far-side
-				// bound terminates the walk.
-				col := k[len(prefix):]
-				if !ap.reverse {
-					if op.haveLo && !ap.loInc && comparePrefix(col, lo) == 0 {
-						return true
-					}
-					if op.haveHi {
-						if c := comparePrefix(col, hi); c > 0 || (c == 0 && !ap.hiInc) {
-							return false
-						}
-					}
-				} else {
-					if op.haveHi && !ap.hiInc && comparePrefix(col, hi) == 0 {
-						return true
-					}
-					if op.haveLo {
-						if c := comparePrefix(col, lo); c < 0 || (c == 0 && !ap.loInc) {
-							return false
-						}
+		// Stay within the equality prefix.
+		if !strings.HasPrefix(k, prefix) {
+			return false
+		}
+		if op.haveLo || op.haveHi {
+			// Column kpos compared in place. The strict bound on the
+			// near side of the walk is skipped per entry; the far-side
+			// bound terminates the walk.
+			col := k[len(prefix):]
+			if !ap.reverse {
+				if op.haveLo && !ap.loInc && comparePrefix(col, lo) == 0 {
+					return true
+				}
+				if op.haveHi {
+					if c := comparePrefix(col, hi); c > 0 || (c == 0 && !ap.hiInc) {
+						return false
 					}
 				}
-			}
-			q.stats.RowsScanned++
-			op.rids = append(op.rids, rid)
-			op.keys = append(op.keys, k) // node keys are immutable: safe to hold
-			lastKey = k
-			if len(op.rids) >= op.scanBatch {
-				exhausted = false
-				return false
-			}
-			return true
-		}
-		tbl.latch.RLock()
-		switch {
-		case ap.grouped:
-			op.walkGroups(collect)
-		case !ap.reverse:
-			ap.index.tree.scanRange(op.resume, "", collect)
-		case op.skipResume:
-			ap.index.tree.scanReverseLT(op.resume, collect)
-		default:
-			ap.index.tree.scanReverseLE(op.revStart, collect)
-		}
-		tbl.latch.RUnlock()
-		// Advance the cursor before resolving rows, so an error mid-batch
-		// leaves the operator consistent.
-		if exhausted {
-			op.done = true
-		} else {
-			op.resume = lastKey
-			op.skipResume = true
-			if op.scanBatch < maxScanBatch {
-				op.scanBatch *= 2
-				if op.scanBatch > maxScanBatch {
-					op.scanBatch = maxScanBatch
-				}
-			}
-		}
-		op.outRows = reuse(op.outRows)
-		op.outRids = op.outRids[:0]
-		for bi, rid := range op.rids {
-			if err := q.cancel.check(); err != nil {
-				return nil, err
-			}
-			var row rowImage
-			if q.snapRead {
-				row = tbl.visibleRow(rid, q.snapTS)
 			} else {
-				// A narrowed read locks each row it visits; a whole-index
-				// scan holds the table lock, which no writer shares.
-				if ap.narrows() {
-					if err := q.tx.lockRow(op.tableName, rid, q.rowLock); err != nil {
-						return nil, err
+				if op.haveHi && !ap.hiInc && comparePrefix(col, hi) == 0 {
+					return true
+				}
+				if op.haveLo {
+					if c := comparePrefix(col, lo); c < 0 || (c == 0 && !ap.loInc) {
+						return false
 					}
 				}
-				// Read after the lock grant: the row may have been
-				// superseded, tombstoned, or its slot reclaimed by a writer
-				// that committed before our lock was granted.
-				row = tbl.currentRow(rid, q.tx.id)
 			}
-			if row == noRow {
-				continue
-			}
-			if !ap.index.entryMatches(op.keys[bi], row, rid) {
-				continue
-			}
-			op.outRids = append(op.outRids, rid)
-			op.outRows = append(op.outRows, row)
 		}
-		if len(op.outRows) > 0 {
-			op.batch = scanBatch{rows: op.outRows, rids: op.outRids}
-			return &op.batch, nil
+		q.stats.RowsScanned++
+		op.rids = append(op.rids, rid)
+		op.keys = append(op.keys, k) // node keys are immutable: safe to hold
+		if len(op.rids) >= op.window {
+			exhausted = false
+			return false
+		}
+		return true
+	}
+	tbl.latch.RLock()
+	switch {
+	case ap.grouped:
+		op.walkGroups(collect)
+	case !ap.reverse:
+		ap.index.tree.scanRange(op.resume, "", collect)
+	case op.skipResume:
+		ap.index.tree.scanReverseLT(op.resume, collect)
+	default:
+		ap.index.tree.scanReverseLE(op.revStart, collect)
+	}
+	tbl.latch.RUnlock()
+	// Advance the cursor before resolving rows, so an error mid-window
+	// leaves the operator consistent.
+	op.done = exhausted
+	if !exhausted {
+		op.resume = op.keys[len(op.keys)-1]
+		op.skipResume = true
+	}
+	// A narrowed locked read locks every entry the window collected before
+	// it visits any (a whole-index scan holds the table lock, which no
+	// writer shares), so the rows it locks are the entries it counts.
+	if !q.snapRead && ap.narrows() {
+		for _, rid := range op.rids {
+			if err := q.tx.lockRow(op.tableName, rid, q.rowLock); err != nil {
+				return err
+			}
 		}
 	}
+	for j, rid := range op.rids {
+		if err := q.cancel.check(); err != nil {
+			return err
+		}
+		// A locked read reads after the lock grant: the row may have been
+		// superseded, tombstoned, or its slot reclaimed by a writer that
+		// committed before our lock was granted.
+		var row rowImage
+		if q.snapRead {
+			row = tbl.visibleRow(rid, q.snapTS)
+		} else {
+			row = tbl.currentRow(rid, q.tx.id)
+		}
+		if row == noRow || !ap.index.entryMatches(op.keys[j], row, rid) {
+			continue
+		}
+		if err := visit(rid, row); err != nil {
+			return err
+		}
+	}
+	return nil
 }

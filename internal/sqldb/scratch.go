@@ -11,7 +11,7 @@ import "bytes"
 // a pool on the DB at the transaction's first statement and returned in
 // Tx.finish, the one place a transaction becomes done. It carries the
 // per-statement state (the query, its evaluation environment, one scan
-// operator per plan step with its batch buffers, the sort unit's entries
+// operator per plan step with its window buffers, the sort unit's entries
 // and arenas, the DML rid list, an UPDATE's SET cells, the bound
 // parameters, the key-lock and WAL encode buffers) and the per-transaction
 // footprint (locks taken, redo — which rollback reads backward — and the

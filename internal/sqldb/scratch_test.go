@@ -297,7 +297,7 @@ func TestPooledScratchPinsNothing(t *testing.T) {
 	checkEmpty(t, "gcPend", sc.gcPend)
 	for i := range sc.scans[:cap(sc.scans)] {
 		op := &sc.scans[:cap(sc.scans)][i]
-		if op.q != nil || op.tbl != nil || op.ap.index != nil || op.resume != "" || op.revStart != "" || op.group != "" || op.batch.rows != nil {
+		if op.q != nil || op.tbl != nil || op.ap.index != nil || op.resume != "" || op.revStart != "" || op.group != "" {
 			t.Errorf("scans[%d] still points at its last pass", i)
 		}
 		name := fmt.Sprintf("scans[%d].", i)
@@ -307,8 +307,7 @@ func TestPooledScratchPinsNothing(t *testing.T) {
 		checkPooled(t, name+"bound", op.bound, false)
 		checkPooled(t, name+"rids", op.rids, false)
 		checkEmpty(t, name+"keys", op.keys)
-		checkEmpty(t, name+"outRows", op.outRows)
-		checkPooled(t, name+"outRids", op.outRids, false)
+		checkEmpty(t, name+"rows", op.rows)
 	}
 	if c := sc.walBuf.Cap(); c > 64*scratchKeep {
 		t.Errorf("walBuf kept %d bytes", c)

@@ -804,11 +804,6 @@ func (t *table) rebuildAfterReplay(watermark uint64) {
 	}
 }
 
-// scanBatch bounds how many slots one latched window of a full scan
-// visits, so a long monitoring scan never stalls writers behind the
-// exclusive latch for the whole table.
-const fullScanBatch = 512
-
 // buildRow coerces values to column types and checks NOT NULL
 // constraints, applying defaults and autoincrement, and lays the row out
 // as the image the table keeps. vals holds column i's supplied value where
