@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // allocDB is a WAL-backed engine (MemVFS, group commit — the daemon's
@@ -509,5 +510,77 @@ func TestRowImageAllocs(t *testing.T) {
 		if live > 200 {
 			t.Errorf("%.0f bytes live per row version, budget 200", live)
 		}
+	}
+}
+
+// TestLogReaderAllocs: a logged group costs its reader one allocation, the
+// record array, and nothing once that array is the reader's to reuse — no
+// record allocates: an update's delta is a view of the log, and its table
+// is an id, never a name to copy out. The redo resolves those ids without
+// db.mu (and so without a lookup by name): applyGroup redoes the group to
+// the end while the test holds db.mu.
+func TestLogReaderAllocs(t *testing.T) {
+	if got := unsafe.Sizeof(walRecord{}); got != 96 {
+		t.Errorf("walRecord is %d bytes; fuzzReader's allocation bound counts 96", got)
+	}
+	db := New()
+	defer db.Close()
+	mustExec(t, db, `CREATE TABLE machines (name TEXT PRIMARY KEY, state TEXT NOT NULL, beats INTEGER NOT NULL)`)
+	const n = 64
+	for i := 0; i < n; i++ {
+		mustExec(t, db, `INSERT INTO machines VALUES (?, 'up', 0)`, fmt.Sprintf("node-%02d", i))
+	}
+	tbl, err := db.lookupTable("machines")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := new(txScratch)
+	recs := make([]walRecord, n)
+	for rid := range recs {
+		old := tbl.currentRow(int64(rid), 0)
+		recs[rid] = sc.updateRecord(tbl.tableID, int64(rid), old, imageOf([]Value{old.col(0), old.col(1), NewInt(1)}))
+	}
+	data := groupBytes(1, recs...)
+
+	if a := testing.AllocsPerRun(100, func() {
+		if rd := (logReader{data: data}); !rd.next() || len(rd.recs) != n {
+			t.Fatal("the group does not decode")
+		}
+	}); a != 1 {
+		t.Errorf("decoding a %d-record group allocates %.0f times, want 1 (the record array)", n, a)
+	}
+	rd := logReader{data: data}
+	if a := testing.AllocsPerRun(100, func() {
+		rd.end = 0
+		if !rd.next() {
+			t.Fatal("the group does not decode")
+		}
+	}); a != 0 {
+		t.Errorf("decoding into a reused reader allocates %.0f times, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		for i := range rd.recs {
+			if db.tableByID(rd.recs[i].tableID) != tbl {
+				t.Fatal("a record's id does not resolve to its table")
+			}
+		}
+	}); a != 0 {
+		t.Errorf("resolving %d table ids allocates %.0f times, want 0", n, a)
+	}
+
+	db.mu.Lock()
+	done := make(chan error, 1)
+	go func() { done <- db.applyGroup(1, rd.recs, false) }()
+	select {
+	case err = <-done:
+	case <-time.After(10 * time.Second):
+		err = fmt.Errorf("applyGroup still waiting after 10s: it takes db.mu")
+	}
+	db.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := mustQuery(t, db, `SELECT count(*) FROM machines WHERE beats = 1`); rows.Data[0][0].Int64() != n {
+		t.Fatalf("%v rows redone, want %d", rows.Data[0][0], n)
 	}
 }

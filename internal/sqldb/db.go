@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -74,8 +75,16 @@ type Options struct {
 type DB struct {
 	mu     sync.Mutex // guards tables map and schema changes
 	tables map[string]*table
-	locks  *lockManager
-	wal    *wal
+	// byID holds the same tables keyed by their permanent ids, the names
+	// the log gives them: rebuilt whole under mu at every CREATE and DROP
+	// TABLE, read without a lock (tableByID). nextTableID, written under
+	// mu, is the last id assigned; ids are never reused, so an id names one
+	// table for the store's whole life — in the log, the checkpoint meta
+	// and the pages.
+	byID        atomic.Pointer[map[uint32]*table]
+	nextTableID atomic.Uint32
+	locks       *lockManager
+	wal         *wal
 	// store is the paged-storage engine (nil on a log-only or in-memory
 	// database): pager, buffer pool, and fuzzy-checkpoint state (see
 	// paged.go).
@@ -176,6 +185,7 @@ func Open(opts Options) (*DB, error) {
 		stmts:  make(map[string]*cachedStmt),
 		snaps:  make(map[uint64]int),
 	}
+	db.byID.Store(&map[uint32]*table{})
 	if opts.VFS != nil {
 		if opts.Path == "" {
 			return nil, fmt.Errorf("sqldb: Options.Path required with a VFS")
@@ -453,11 +463,9 @@ func (db *DB) runGC(budget int) int {
 	db.gcQueue = db.gcQueue[:copy(db.gcQueue, db.gcQueue[n:])]
 	db.gcMu.Unlock()
 	for i := range recs {
-		db.mu.Lock()
-		tbl := db.tables[recs[i].table]
-		db.mu.Unlock()
+		tbl := db.tableByID(uint64(recs[i].tableID))
 		if tbl == nil {
-			continue
+			continue // dropped since
 		}
 		pruned, removed, freed := tbl.gcProcess(&recs[i], wm)
 		db.versionsPruned.Add(pruned)
@@ -960,7 +968,7 @@ func (tx *Tx) execStmt(stmt Statement, params []Value) (Result, *Rows, error) {
 			}
 		}
 		tx.db.mu.Lock()
-		err := tx.db.applyDDL(stmt, tx)
+		err := tx.db.applyDDL(stmt, 0, tx)
 		tx.db.mu.Unlock()
 		tx.db.emit(StmtStats{Kind: "DDL"})
 		return Result{}, nil, err
@@ -972,8 +980,12 @@ func (tx *Tx) execStmt(stmt Statement, params []Value) (Result, *Rows, error) {
 }
 
 // applyDDL mutates the catalog. Caller holds db.mu (or is in recovery).
-// tx, when non-nil, receives WAL records.
-func (db *DB) applyDDL(stmt Statement, tx *Tx) error {
+// id is the table the statement creates or drops, or the one owning its
+// index: 0 on the statement path, where CREATE TABLE assigns the next id;
+// a logged or checkpointed id otherwise, which CREATE TABLE adopts and
+// every other statement must find on the table it names. tx, when non-nil,
+// receives WAL records.
+func (db *DB) applyDDL(stmt Statement, id uint32, tx *Tx) error {
 	switch s := stmt.(type) {
 	case *CreateTableStmt:
 		name := strings.ToLower(s.Schema.Name)
@@ -983,25 +995,29 @@ func (db *DB) applyDDL(stmt Statement, tx *Tx) error {
 			}
 			return fmt.Errorf("sqldb: table %s already exists", name)
 		}
+		if id == 0 {
+			id = db.nextTableID.Load() + 1
+		} else if db.tableByID(uint64(id)) != nil {
+			return fmt.Errorf("sqldb: table id %d is already in use", id)
+		}
+		db.nextTableID.Store(max(db.nextTableID.Load(), id))
 		schema := s.Schema
 		schema.Name = name
 		tbl := newTable(schema)
-		// Paged storage: every table gets a permanent, never-reused ID and
-		// its own page heap. During meta recovery the caller assigns the
-		// checkpointed IDs itself (st.recovering).
-		if db.store != nil && !db.store.recovering {
-			tbl.tableID = db.store.nextTableID.Add(1)
-			tbl.heap = newPagedHeap(db.store, tbl.tableID)
+		tbl.tableID = id
+		if db.store != nil {
+			tbl.heap = newPagedHeap(db.store, id)
 		}
 		db.tables[name] = tbl
+		db.publishIDs()
 		if tx != nil {
-			tx.recordDDL(schema.DDL())
+			tx.recordDDL(id, schema.DDL())
 		}
 		return nil
 	case *CreateIndexStmt:
-		tbl := db.tables[strings.ToLower(s.Index.Table)]
-		if tbl == nil {
-			return fmt.Errorf("sqldb: no table %s", s.Index.Table)
+		tbl, err := db.ddlTarget(s.Index.Table, id)
+		if err != nil {
+			return err
 		}
 		if tbl.findIndex(s.Index.Name) != nil && s.IfNotExists {
 			return nil
@@ -1022,19 +1038,20 @@ func (db *DB) applyDDL(stmt Statement, tx *Tx) error {
 		db.gcMu.Unlock()
 		db.commitMu.Unlock()
 		if tx != nil {
-			tx.recordDDL(s.Index.DDL())
+			tx.recordDDL(tbl.tableID, s.Index.DDL())
 		}
 		return nil
 	case *DropTableStmt:
 		name := strings.ToLower(s.Name)
-		tbl, exists := db.tables[name]
-		if !exists {
-			if s.IfExists {
-				return nil
-			}
-			return fmt.Errorf("sqldb: no table %s", name)
+		if _, exists := db.tables[name]; !exists && s.IfExists {
+			return nil
+		}
+		tbl, err := db.ddlTarget(name, id)
+		if err != nil {
+			return err
 		}
 		delete(db.tables, name)
+		db.publishIDs()
 		// Cached plans hold the *table pointer directly; a recreate under
 		// the same name builds a fresh table, so the only way stale plans
 		// notice the drop is through the dropped table's own epoch.
@@ -1043,14 +1060,14 @@ func (db *DB) applyDDL(stmt Statement, tx *Tx) error {
 			tbl.heap.drop()
 		}
 		if tx != nil {
-			tx.recordDDL("DROP TABLE " + name)
+			tx.recordDDL(tbl.tableID, "DROP TABLE "+name)
 		}
 		return nil
 	case *DropIndexStmt:
 		for _, tbl := range db.tables {
-			if tbl.dropIndex(s.Name) {
+			if (id == 0 || tbl.tableID == id) && tbl.dropIndex(s.Name) {
 				if tx != nil {
-					tx.recordDDL("DROP INDEX " + s.Name)
+					tx.recordDDL(tbl.tableID, "DROP INDEX "+s.Name)
 				}
 				return nil
 			}
@@ -1062,6 +1079,38 @@ func (db *DB) applyDDL(stmt Statement, tx *Tx) error {
 	default:
 		return fmt.Errorf("sqldb: not DDL: %T", stmt)
 	}
+}
+
+// ddlTarget is the table a DDL statement names, which must be id's when id
+// is not 0. Caller holds db.mu.
+func (db *DB) ddlTarget(name string, id uint32) (*table, error) {
+	tbl := db.tables[strings.ToLower(name)]
+	if tbl == nil {
+		return nil, fmt.Errorf("sqldb: no table %s", name)
+	}
+	if id != 0 && tbl.tableID != id {
+		return nil, fmt.Errorf("sqldb: table %s has id %d, not %d", tbl.schema.Name, tbl.tableID, id)
+	}
+	return tbl, nil
+}
+
+// publishIDs rebuilds byID from tables after a CREATE or DROP TABLE.
+// Caller holds db.mu.
+func (db *DB) publishIDs() {
+	m := make(map[uint32]*table, len(db.tables))
+	for _, tbl := range db.tables {
+		m[tbl.tableID] = tbl
+	}
+	db.byID.Store(&m)
+}
+
+// tableByID is the live table with id, or nil. It takes no lock: the redo
+// resolves every record through it.
+func (db *DB) tableByID(id uint64) *table {
+	if id > math.MaxUint32 {
+		return nil
+	}
+	return (*db.byID.Load())[uint32(id)]
 }
 
 // lookupTable fetches a table by name under db.mu.

@@ -63,8 +63,8 @@ type tombErase struct {
 }
 
 // pageStore owns the paged-storage machinery of one DB: the pager, the
-// buffer pool, the record sequence and table-ID generators, checkpoint
-// state, and the deferred tombstone-erasure queue.
+// buffer pool, the record sequence generator, checkpoint state, and the
+// deferred tombstone-erasure queue.
 type pageStore struct {
 	vfs  RandomAccessVFS
 	path string
@@ -72,11 +72,10 @@ type pageStore struct {
 	pager *pager.Pager
 	pool  *pager.Pool
 
-	// nextSeq stamps page records (monotone, store-global). nextTableID
-	// assigns permanent table IDs; IDs are never reused, so recovery can
-	// discard pages of dropped tables.
-	nextSeq     atomic.Uint64
-	nextTableID atomic.Uint32
+	// nextSeq stamps page records (monotone, store-global). A page names
+	// its table by the table's permanent id (DB.nextTableID); ids are never
+	// reused, so recovery can discard pages of dropped tables.
+	nextSeq atomic.Uint64
 
 	// ckptLSN is the newest checkpointed LSN: recovery replays only WAL
 	// groups above it. metaGen counts meta generations (the alternating
@@ -102,10 +101,6 @@ type pageStore struct {
 	// keeps everything recoverable).
 	errMu sync.Mutex
 	err   error
-
-	// recovering gates applyDDL's table-ID auto-assignment while the
-	// catalog is rebuilt from checkpoint meta (IDs come from the meta).
-	recovering bool
 }
 
 // fail records the first unrecoverable page-storage error. The engine
@@ -355,8 +350,9 @@ func openPageStore(vfs RandomAccessVFS, path string, meta *pagedMeta, pageSize, 
 	if meta == nil {
 		// No checkpoint ever completed, so the WAL is complete and any
 		// existing pages (evictions before the first checkpoint) are
-		// redundant — and dangerous: without meta their table IDs would
-		// collide with the IDs a full replay reassigns. Start clean.
+		// redundant: the full redo writes every row through again, and
+		// stale records left beside it would compete with its own. Start
+		// clean.
 		if err := vfs.Remove(pagesName); err != nil {
 			return nil, fmt.Errorf("sqldb: clearing stale page file: %w", err)
 		}
@@ -403,7 +399,6 @@ func openPageStore(vfs RandomAccessVFS, path string, meta *pagedMeta, pageSize, 
 	}
 	if meta != nil {
 		st.nextSeq.Store(meta.nextSeq)
-		st.nextTableID.Store(meta.nextTableID)
 		st.ckptLSN.Store(meta.ckptLSN)
 		st.metaGen = meta.gen
 	}
@@ -450,13 +445,13 @@ func (db *DB) pageWriteThrough(entries []stampEntry) {
 func (db *DB) buildPagedMeta(ckptLSN uint64) *pagedMeta {
 	st := db.store
 	m := &pagedMeta{
-		gen:         st.metaGen + 1,
-		ckptLSN:     ckptLSN,
-		nextSeq:     st.nextSeq.Load(),
-		nextTableID: st.nextTableID.Load(),
-		pageSize:    st.pager.PageSize(),
+		gen:      st.metaGen + 1,
+		ckptLSN:  ckptLSN,
+		nextSeq:  st.nextSeq.Load(),
+		pageSize: st.pager.PageSize(),
 	}
 	db.mu.Lock()
+	m.nextTableID = db.nextTableID.Load()
 	names := make([]string, 0, len(db.tables))
 	for n := range db.tables {
 		names = append(names, n)
@@ -543,44 +538,32 @@ func (db *DB) fuzzyCheckpoint(final bool) error {
 func (db *DB) recoverPaged(meta *pagedMeta, data []byte) (int, error) {
 	st := db.store
 
-	// 1. Catalog from meta. applyDDL runs with st.recovering set so
-	// table IDs come from the meta, not the generator.
-	tableByID := make(map[uint32]*table)
+	// 1. Catalog from meta: every table under its checkpointed id, and
+	// the id counter where the checkpoint left it.
 	if meta != nil {
-		st.recovering = true
+		db.nextTableID.Store(meta.nextTableID)
 		for i := range meta.tables {
 			mt := &meta.tables[i]
 			stmt, err := Parse(mt.ddl)
 			if err != nil {
-				st.recovering = false
 				return 0, fmt.Errorf("sqldb: recovery: bad meta DDL %q: %w", mt.ddl, err)
 			}
-			cs, ok := stmt.(*CreateTableStmt)
-			if !ok {
-				st.recovering = false
-				return 0, fmt.Errorf("sqldb: recovery: meta DDL %q is not CREATE TABLE", mt.ddl)
+			if _, ok := stmt.(*CreateTableStmt); !ok || mt.tableID == 0 {
+				return 0, fmt.Errorf("sqldb: recovery: meta entry %q (table id %d) is not a CREATE TABLE with an id", mt.ddl, mt.tableID)
 			}
-			if err := db.applyDDL(stmt, nil); err != nil {
-				st.recovering = false
+			if err := db.applyDDL(stmt, mt.tableID, nil); err != nil {
 				return 0, fmt.Errorf("sqldb: recovery: %w", err)
 			}
-			tbl := db.tables[strings.ToLower(cs.Schema.Name)]
-			tbl.tableID = mt.tableID
-			tbl.heap = newPagedHeap(st, mt.tableID)
-			tableByID[mt.tableID] = tbl
 			for _, ddl := range mt.indexes {
 				istmt, err := Parse(ddl)
 				if err != nil {
-					st.recovering = false
 					return 0, fmt.Errorf("sqldb: recovery: bad meta index DDL %q: %w", ddl, err)
 				}
-				if err := db.applyDDL(istmt, nil); err != nil {
-					st.recovering = false
+				if err := db.applyDDL(istmt, mt.tableID, nil); err != nil {
 					return 0, fmt.Errorf("sqldb: recovery: %w", err)
 				}
 			}
 		}
-		st.recovering = false
 	}
 
 	// 2. Page scan: newest record per (table, rid) wins (strict 2PL made
@@ -612,11 +595,11 @@ func (db *DB) recoverPaged(meta *pagedMeta, data []byte) (int, error) {
 			continue
 		}
 		tid := pageTableID(buf)
-		tbl := tableByID[tid]
+		tbl := db.tableByID(uint64(tid))
 		if tbl == nil {
 			// A dropped table's page, or one written for a table created
-			// after the checkpoint (the tail recreates it under a fresh
-			// ID). Its stale bytes must not survive under a reusable ID.
+			// after the checkpoint (the tail recreates it under the id it
+			// logged, and writes its rows again).
 			garbagePids = append(garbagePids, pid)
 			continue
 		}
@@ -677,7 +660,7 @@ func (db *DB) recoverPaged(meta *pagedMeta, data []byte) (int, error) {
 		return 0, fmt.Errorf("sqldb: recovery: %w", err)
 	}
 	for tid, m := range winners {
-		tbl := tableByID[tid]
+		tbl := db.tableByID(uint64(tid))
 		for rid, rec := range m {
 			if rec.tomb {
 				tbl.heap.erase(rec.loc)
@@ -693,7 +676,7 @@ func (db *DB) recoverPaged(meta *pagedMeta, data []byte) (int, error) {
 	// version stamped at timestamp 1, and the commit clock starts there.
 	var clock uint64
 	for tid, m := range winners {
-		tbl := tableByID[tid]
+		tbl := db.tableByID(uint64(tid))
 		for rid, rec := range m {
 			tbl.pagedPlace(rid, rec.img, rec.loc, 1)
 			clock = 1
@@ -721,41 +704,6 @@ func (db *DB) recoverPaged(meta *pagedMeta, data []byte) (int, error) {
 		return 0, fmt.Errorf("sqldb: recovery: %w", err)
 	}
 	return good, nil
-}
-
-// replayDDLLenient applies a WAL-tail DDL record idempotently: the tail
-// overlaps the checkpoint (DDL mutates the catalog before its commit
-// record lands, so a checkpoint between the two snapshots the new
-// schema while the record survives truncation), so a replayed statement
-// whose effect is already present is skipped.
-func (db *DB) replayDDLLenient(stmt Statement) error {
-	switch s := stmt.(type) {
-	case *CreateTableStmt:
-		if _, exists := db.tables[strings.ToLower(s.Schema.Name)]; exists {
-			return nil
-		}
-	case *CreateIndexStmt:
-		tbl := db.tables[strings.ToLower(s.Index.Table)]
-		if tbl == nil || tbl.findIndex(s.Index.Name) != nil {
-			return nil
-		}
-	case *DropTableStmt:
-		if _, exists := db.tables[strings.ToLower(s.Name)]; !exists {
-			return nil
-		}
-	case *DropIndexStmt:
-		found := false
-		for _, tbl := range db.tables {
-			if tbl.findIndex(s.Name) != nil {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil
-		}
-	}
-	return db.applyDDL(stmt, nil)
 }
 
 // BufferPoolStats snapshots the paged-storage counters: buffer-pool

@@ -24,6 +24,7 @@ import (
 // tableState is everything about one table that a restart or a promotion
 // must reproduce.
 type tableState struct {
+	id       uint32              // the permanent id the log names the table by
 	ddl      []string            // the table's DDL, then its indexes' in name order
 	rows     map[int64]string    // rid → row
 	entries  map[string][]string // index → the entries a fresh snapshot emits, sorted
@@ -49,6 +50,7 @@ func engineState(t *testing.T, who string, db *DB) map[string]tableState {
 	defer db.mu.Unlock()
 	for name, tbl := range db.tables {
 		st := tableState{
+			id:       tbl.tableID,
 			ddl:      []string{tbl.schema.DDL()},
 			rows:     make(map[int64]string),
 			entries:  make(map[string][]string),
@@ -104,7 +106,8 @@ type redoHistory struct {
 	rng     *rand.Rand
 	db      *DB
 	tables  []string
-	made    int // tables ever created: names are never reused
+	dropped []string // names free for a CREATE TABLE to take again
+	made    int      // names ever made
 	script  []string
 	shipped []CommittedBatch
 }
@@ -147,9 +150,17 @@ func (h *redoHistory) run(on execer, sql string) error {
 
 func (h *redoHistory) table() string { return h.tables[h.rng.Intn(len(h.tables))] }
 
+// createTable creates a table under a new name, or under a dropped one:
+// the log names a table by its id, so the redo must tell the table a name
+// held before from the one holding it now.
 func (h *redoHistory) createTable() {
-	name := fmt.Sprintf("t%d", h.made)
-	h.made++
+	var name string
+	if n := len(h.dropped); n > 0 && h.rng.Intn(2) == 0 {
+		name, h.dropped = h.dropped[n-1], h.dropped[:n-1]
+	} else {
+		name = fmt.Sprintf("t%d", h.made)
+		h.made++
+	}
 	var defs []string
 	for ci, c := range fuzzCols {
 		d := c.name + " " + c.typ
@@ -201,6 +212,7 @@ func (h *redoHistory) ddl() {
 		if len(h.tables) > 1 {
 			i := rng.Intn(len(h.tables))
 			h.run(h.db, "DROP TABLE "+h.tables[i])
+			h.dropped = append(h.dropped, h.tables[i])
 			h.tables = append(h.tables[:i], h.tables[i+1:]...)
 		}
 	case 2, 3:
@@ -358,4 +370,117 @@ func liveNextAuto(db *DB, name string) int64 {
 		}
 	}
 	return next
+}
+
+// TestRedoDropRecreateSameName: a table dropped and created again under its
+// name is a second table with an id of its own, and the log names each by
+// that id. Every redo must give the second t exactly its own rows, never
+// the first one's: a reopen that redoes the whole log, a paged store
+// redoing its tail over a checkpoint taken between the DROP and the second
+// CREATE, and a follower applying the shipped groups.
+func TestRedoDropRecreateSameName(t *testing.T) {
+	const first, second = uint32(1), uint32(2)
+	history := func(t *testing.T, db *DB, between func()) {
+		t.Helper()
+		mustExec(t, db, `CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT)`)
+		for k := 1; k <= 5; k++ {
+			mustExec(t, db, `INSERT INTO t VALUES (?, 'first')`, k)
+		}
+		mustExec(t, db, `DROP TABLE t`)
+		between()
+		mustExec(t, db, `CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT, n INTEGER)`)
+		for k := 3; k <= 4; k++ {
+			mustExec(t, db, `INSERT INTO t VALUES (?, 'second', ?)`, k, 10*k)
+		}
+	}
+	check := func(t *testing.T, who string, db *DB) {
+		t.Helper()
+		rows := mustQuery(t, db, `SELECT k, v, n FROM t ORDER BY k`)
+		if got := fmt.Sprint(rows.Data); got != "[[3 'second' 30] [4 'second' 40]]" {
+			t.Fatalf("%s: t holds %s, want the second table's two rows", who, got)
+		}
+		tbl, err := db.lookupTable("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tbl.tableID != second || db.tableByID(uint64(first)) != nil {
+			t.Fatalf("%s: t has id %d (want %d), and id %d resolves to %v", who, tbl.tableID, second, first, db.tableByID(uint64(first)))
+		}
+		if tbl.heap != nil && tbl.heap.tableID != second {
+			t.Fatalf("%s: t's page heap carries id %d, want %d", who, tbl.heap.tableID, second)
+		}
+	}
+
+	t.Run("whole log", func(t *testing.T) {
+		vfs := NewMemVFS()
+		history(t, openVFS(t, vfs), func() {}) // abandoned: a crash
+		reopened := openVFS(t, vfs)
+		defer reopened.Close()
+		check(t, "reopened", reopened)
+	})
+
+	t.Run("tail over a checkpoint", func(t *testing.T) {
+		vfs := NewMemVFS()
+		db := openPaged(t, vfs)
+		var whole []byte // the log before the checkpoint cut it
+		history(t, db, func() {
+			whole, _ = vfs.ReadFile("test.db")
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}) // abandoned: a crash
+		tail, _ := vfs.ReadFile("test.db")
+		if g := readGroups(tail); len(g) != 3 || g[0].recs[0].op != walDDL || g[0].recs[0].tableID != uint64(second) {
+			t.Fatalf("the tail above the checkpoint is %d groups, want the second CREATE and its two inserts", len(g))
+		}
+		reopened := openPaged(t, vfs)
+		check(t, "reopened", reopened)
+		reopened.Close()
+
+		// A checkpoint snapshots the catalog after it fixes its LSN, so its
+		// meta can be newer than the log it keeps: here the meta holds no t
+		// while the tail still starts with the first t's inserts and DROP.
+		// The redo skips the records of the table id the catalog lost and
+		// puts none of them into the t it creates after.
+		m, err := readPagedMeta(vfs, "test.db")
+		if err != nil || m == nil {
+			t.Fatalf("meta: %v", err)
+		}
+		if len(m.tables) != 1 || m.tables[0].tableID != second {
+			t.Fatalf("the reopened store's meta holds %+v, want t under id %d", m.tables, second)
+		}
+		m.gen++
+		m.tables, m.nextTableID, m.ckptLSN = nil, first, 1 // through the first CREATE
+		a, b := metaPaths("test.db")
+		for _, name := range []string{a, b} {
+			f, _ := vfs.Create(name)
+			f.Write(encodeMeta(m))
+		}
+		for _, name := range []string{"test.db.pages", "test.db.dwb"} {
+			vfs.Remove(name)
+		}
+		f, _ := vfs.Create("test.db")
+		f.Write(whole)
+		f.Write(tail)
+		rewound := openPaged(t, vfs)
+		defer rewound.Close()
+		check(t, "rewound", rewound)
+	})
+
+	t.Run("follower", func(t *testing.T) {
+		leader := openVFS(t, NewMemVFS())
+		defer leader.Close()
+		history(t, leader, func() {})
+		shipped, _, err := leader.CommittedSince(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		follower := openPaged(t, NewMemVFS())
+		defer follower.Close()
+		if err := follower.ApplyCommitted(shipped); err != nil {
+			t.Fatal(err)
+		}
+		check(t, "leader", leader)
+		check(t, "follower", follower)
+	})
 }

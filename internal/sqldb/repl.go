@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Replication treats the WAL as the replication stream (the paper's
@@ -321,12 +322,12 @@ func (db *DB) ApplyCommitted(batches []CommittedBatch) error {
 
 // checkRun holds a run of shipped groups to the strict redo's rowRule
 // before any of it reaches this node's log, in the state the records ahead
-// of it in the run leave, and every table must exist. A group the
-// redo would refuse is then refused whole, not appended for every later
-// Open to meet. Every DDL record must parse to a statement applyDDL
-// applies; what it does to the catalog is applyDDL's to say, so the first
-// one ends the row checks, and past it the redo's own checks, after the
-// append, are what stand.
+// of it in the run leave, and every table id must name a live table. A
+// group the redo would refuse is then refused whole, not appended for
+// every later Open to meet. Every DDL record must carry an id a table can
+// have and parse to a statement applyDDL applies; what it does to the
+// catalog is applyDDL's to say, so the first one ends the row checks, and
+// past it the redo's own checks, after the append, are what stand.
 func (db *DB) checkRun(groups [][]walRecord) error {
 	type slot struct {
 		tbl *table
@@ -338,6 +339,9 @@ func (db *DB) checkRun(groups [][]walRecord) error {
 		for i := range recs {
 			r := &recs[i]
 			if r.op == walDDL {
+				if _, err := ddlID(r); err != nil {
+					return err
+				}
 				stmt, err := Parse(r.sql)
 				if err != nil {
 					return fmt.Errorf("bad DDL %q: %w", r.sql, err)
@@ -353,7 +357,7 @@ func (db *DB) checkRun(groups [][]walRecord) error {
 			if ddl {
 				continue
 			}
-			tbl, err := db.lookupTable(r.table)
+			tbl, err := db.redoTable(r.tableID, false)
 			if err != nil {
 				return err
 			}
@@ -405,9 +409,9 @@ func decodeBatch(b CommittedBatch) ([]walRecord, error) {
 // over a page image, because a fuzzy checkpoint also flushes pages dirtied
 // by commits above its LSN — and there every record converges (rowRule): an
 // insert onto a live row is an upsert; an update or a delete of a missing
-// row and DDL whose effect is present are no-ops. Everywhere else (a log-only
-// recovery, a follower) the log is the whole history and those same
-// situations are errors.
+// row, a record of a table a DROP removed (redoTable) and DDL whose effect
+// is present are no-ops. Everywhere else (a log-only recovery, a follower)
+// the log is the whole history and those same situations are errors.
 //
 // An update logs only the columns it changed, so it cannot upsert; why
 // skipping it is right: a delta is a set of blind column writes, so
@@ -437,18 +441,14 @@ func (db *DB) applyGroup(lsn uint64, recs []walRecord, mayContain bool) error {
 				return fmt.Errorf("bad DDL %q at lsn %d: %w", r.sql, lsn, err)
 			}
 			db.mu.Lock()
-			if mayContain {
-				err = db.replayDDLLenient(stmt)
-			} else {
-				err = db.applyDDL(stmt, nil)
-			}
+			err = db.redoDDL(r, stmt, mayContain)
 			db.mu.Unlock()
 		case walInsert, walUpdate:
-			if tbl, err = db.lookupTable(r.table); err == nil {
+			if tbl, err = db.redoTable(r.tableID, mayContain); tbl != nil {
 				v, orphaned, err = tbl.applyWrite(r, wm, mayContain)
 			}
 		case walDelete:
-			if tbl, err = db.lookupTable(r.table); err == nil {
+			if tbl, err = db.redoTable(r.tableID, mayContain); tbl != nil {
 				v, orphaned, err = tbl.remove(r.rid, 0, wm, mayContain)
 			}
 		default:
@@ -458,11 +458,11 @@ func (db *DB) applyGroup(lsn uint64, recs []walRecord, mayContain bool) error {
 			return err
 		}
 		if v == nil {
-			continue // DDL, or an update or delete of a row the image no longer holds
+			continue // DDL, a dropped table's record, or an update or delete of a row the image no longer holds
 		}
 		versions = append(versions, stampEntry{v: v, tbl: tbl, rid: r.rid})
 		if v.isTomb() || len(orphaned) > 0 {
-			gcs = append(gcs, gcRecord{table: r.table, rid: r.rid, tombstone: v.isTomb(), entries: orphaned})
+			gcs = append(gcs, gcRecord{tableID: tbl.tableID, rid: r.rid, tombstone: v.isTomb(), entries: orphaned})
 		}
 	}
 	// Paged storage: write the group's versions through to heap pages
@@ -489,6 +489,69 @@ func (db *DB) applyGroup(lsn uint64, recs []walRecord, mayContain bool) error {
 	db.commitMu.Unlock()
 	db.versionsCreated.Add(uint64(len(versions)))
 	return nil
+}
+
+// redoTable resolves the table id of a logged insert, update or delete.
+// Under mayContain an id assigned before but gone names a table a DROP
+// removed — in the image, or further down the tail — so the record is
+// skipped (nil, nil); everywhere else the log names only live tables.
+func (db *DB) redoTable(id uint64, mayContain bool) (*table, error) {
+	if tbl := db.tableByID(id); tbl != nil {
+		return tbl, nil
+	}
+	if mayContain && id != 0 && id <= uint64(db.nextTableID.Load()) {
+		return nil, nil
+	}
+	return nil, fmt.Errorf("sqldb: no table with id %d", id)
+}
+
+// ddlID is a DDL record's table id, refused when no table can have it.
+func ddlID(r *walRecord) (uint32, error) {
+	if r.tableID == 0 || r.tableID > math.MaxUint32 {
+		return 0, fmt.Errorf("sqldb: DDL record %q names table id %d", r.sql, r.tableID)
+	}
+	return uint32(r.tableID), nil
+}
+
+// redoDDL applies a logged DDL record, stmt parsed from its text. Caller
+// holds db.mu. The record's table id, never the statement's names, says
+// what is present. Strictly, a CREATE TABLE must bring an id never
+// assigned — ids are assigned in log order — and every statement applies
+// as logged. Under mayContain a statement whose effect is present is
+// skipped: the tail overlaps the checkpoint (DDL mutates the catalog before
+// its commit record lands, so a checkpoint between the two snapshots the
+// new schema while the record survives truncation). There a CREATE TABLE
+// whose id was assigned before has made its table (which may since be
+// dropped), and a statement on a table id that is gone has nothing to act
+// on.
+func (db *DB) redoDDL(r *walRecord, stmt Statement, mayContain bool) error {
+	id, err := ddlID(r)
+	if err != nil {
+		return err
+	}
+	tbl := db.tableByID(uint64(id))
+	switch s := stmt.(type) {
+	case *CreateTableStmt:
+		if id <= db.nextTableID.Load() {
+			if mayContain {
+				return nil
+			}
+			return fmt.Errorf("sqldb: CREATE TABLE reuses table id %d", id)
+		}
+	case *CreateIndexStmt:
+		if mayContain && (tbl == nil || tbl.findIndex(s.Index.Name) != nil) {
+			return nil
+		}
+	case *DropTableStmt:
+		if mayContain && tbl == nil {
+			return nil
+		}
+	case *DropIndexStmt:
+		if mayContain && (tbl == nil || tbl.findIndex(s.Name) == nil) {
+			return nil
+		}
+	}
+	return db.applyDDL(stmt, id, nil)
 }
 
 // RebuildAfterReplication ends a redo — recovery at Open, a follower's

@@ -43,9 +43,9 @@ func TestRedoRowRules(t *testing.T) {
 			rec  walRecord
 			want error
 		}{
-			{"insert onto a live row", walRecord{op: walInsert, table: "r", rid: 0, img: imageOf([]Value{NewInt(1), NewInt(5)})}, errInsertLive},
-			{"update of a deleted row", walRecord{op: walUpdate, table: "r", rid: 1, cols: 2, delta: delta([]byte{0x02}, NewInt(5))}, errUpdateMissing},
-			{"delete past the heap", walRecord{op: walDelete, table: "r", rid: 9}, errDeleteMissing},
+			{"insert onto a live row", walRecord{op: walInsert, tableID: 1, rid: 0, img: imageOf([]Value{NewInt(1), NewInt(5)})}, errInsertLive},
+			{"update of a deleted row", walRecord{op: walUpdate, tableID: 1, rid: 1, cols: 2, delta: delta([]byte{0x02}, NewInt(5))}, errUpdateMissing},
+			{"delete past the heap", walRecord{op: walDelete, tableID: 1, rid: 9}, errDeleteMissing},
 		} {
 			group := groupBytes(lsn+1, tc.rec)
 			t.Run(tc.name+"/ApplyCommitted", func(t *testing.T) {

@@ -186,7 +186,7 @@ func (q *query) bind(plan *selectPlan) {
 // the bitmap of the columns whose cells differ and those cells, laid into
 // the scratch's delta arena. Cells compare as bytes, so an update logs
 // exactly the cells it changes.
-func (sc *txScratch) updateRecord(table string, rid int64, old, newRow rowImage) walRecord {
+func (sc *txScratch) updateRecord(tableID uint32, rid int64, old, newRow rowImage) walRecord {
 	n := newRow.width()
 	start := len(sc.deltas)
 	for range (n + 7) / 8 {
@@ -199,7 +199,7 @@ func (sc *txScratch) updateRecord(table string, rid int64, old, newRow rowImage)
 		}
 	}
 	d := sc.deltas[start:]
-	return walRecord{op: walUpdate, table: table, rid: rid, cols: n, delta: d[:len(d):len(d)]}
+	return walRecord{op: walUpdate, tableID: uint64(tableID), rid: rid, cols: n, delta: d[:len(d):len(d)]}
 }
 
 // bindParams returns the scratch's parameter buffer sized for n values.

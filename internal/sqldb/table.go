@@ -35,12 +35,12 @@ type table struct {
 	nextAuto int64
 	indexes  []*index
 
-	// Paged storage: committed versions' row bytes live in heap page
-	// records and versions carry only a pageLoc. heap is nil in the default
-	// in-memory mode. tableID is the table's permanent, never-reused
-	// page-ownership ID.
-	heap    *pagedHeap
+	// tableID is the table's permanent, never-reused id: what the log, the
+	// checkpoint meta and its pages name it by. Paged storage: committed
+	// versions' row bytes live in heap page records and versions carry only
+	// a pageLoc. heap is nil in the default in-memory mode.
 	tableID uint32
+	heap    *pagedHeap
 
 	// Plan-cache invalidation epochs (see plancache.go). schemaEpoch
 	// advances whenever the set of physical access paths changes (CREATE
@@ -174,7 +174,7 @@ func (t *table) addIndexLocked(is IndexSchema) ([]gcRecord, error) {
 			ix.tree.insert(k)
 		}
 		if len(orphans) > 0 {
-			history = append(history, gcRecord{table: t.schema.Name, rid: rid, entries: orphans})
+			history = append(history, gcRecord{tableID: t.tableID, rid: rid, entries: orphans})
 		}
 	}
 	t.indexes = append(t.indexes, ix)

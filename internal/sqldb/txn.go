@@ -764,17 +764,15 @@ func (tx *Tx) finish() {
 // popVersions reverses the transaction's writes by reading its redo list
 // backward (the shared abort path of Rollback and a retracted commit).
 func (tx *Tx) popVersions() {
-	tx.db.mu.Lock()
 	for i := len(tx.redo) - 1; i >= 0; i-- {
 		r := &tx.redo[i]
 		if r.op == walDDL {
 			continue
 		}
-		if tbl := tx.db.tables[r.table]; tbl != nil { // nil: dropped since, nothing to restore into
+		if tbl := tx.db.tableByID(r.tableID); tbl != nil { // nil: dropped since, nothing to restore into
 			tbl.rollback(r.op, r.rid, tx.id)
 		}
 	}
-	tx.db.mu.Unlock()
 }
 
 // Mutation helpers used by the executor: they perform the table operation
@@ -817,7 +815,7 @@ func (tx *Tx) insertRow(tbl *table, row rowImage) (int64, error) {
 		return 0, err
 	}
 	tx.versions = append(tx.versions, stampEntry{v: ver, tbl: tbl, rid: rid})
-	tx.redo = append(tx.redo, walRecord{op: walInsert, table: tbl.schema.Name, rid: rid, img: row})
+	tx.redo = append(tx.redo, walRecord{op: walInsert, tableID: uint64(tbl.tableID), rid: rid, img: row})
 	return rid, nil
 }
 
@@ -835,8 +833,8 @@ func (tx *Tx) deleteRow(tbl *table, rid int64) error {
 		return err
 	}
 	tx.versions = append(tx.versions, stampEntry{v: tomb, tbl: tbl, rid: rid})
-	tx.gcPend = append(tx.gcPend, gcRecord{table: tbl.schema.Name, rid: rid, tombstone: true, entries: orphans})
-	tx.redo = append(tx.redo, walRecord{op: walDelete, table: tbl.schema.Name, rid: rid})
+	tx.gcPend = append(tx.gcPend, gcRecord{tableID: tbl.tableID, rid: rid, tombstone: true, entries: orphans})
+	tx.redo = append(tx.redo, walRecord{op: walDelete, tableID: uint64(tbl.tableID), rid: rid})
 	return nil
 }
 
@@ -854,12 +852,12 @@ func (tx *Tx) updateRow(tbl *table, rid int64, newRow rowImage) error {
 	}
 	tx.versions = append(tx.versions, stampEntry{v: ver, tbl: tbl, rid: rid})
 	if len(orphans) > 0 {
-		tx.gcPend = append(tx.gcPend, gcRecord{table: tbl.schema.Name, rid: rid, entries: orphans})
+		tx.gcPend = append(tx.gcPend, gcRecord{tableID: tbl.tableID, rid: rid, entries: orphans})
 	}
-	tx.redo = append(tx.redo, tx.scratch().updateRecord(tbl.schema.Name, rid, old, newRow))
+	tx.redo = append(tx.redo, tx.scratch().updateRecord(tbl.tableID, rid, old, newRow))
 	return nil
 }
 
-func (tx *Tx) recordDDL(sql string) {
-	tx.redo = append(tx.redo, walRecord{op: walDDL, sql: sql})
+func (tx *Tx) recordDDL(tableID uint32, sql string) {
+	tx.redo = append(tx.redo, walRecord{op: walDDL, tableID: uint64(tableID), sql: sql})
 }

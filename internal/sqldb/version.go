@@ -136,10 +136,10 @@ type gcEntry struct {
 // records may be processed in any order and entries re-claimed by later
 // writes (a key changed away and back) are never dropped.
 type gcRecord struct {
-	table     string
+	tableID   uint32
+	tombstone bool
 	rid       int64
 	ts        uint64
-	tombstone bool
 	entries   []gcEntry
 }
 

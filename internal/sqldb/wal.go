@@ -29,9 +29,13 @@ import (
 //	[4-byte little-endian payload length][records…][walCommit][uvarint LSN][4-byte CRC32C of payload]
 //
 // Records inside it are an op byte and their fields, with no frame of their
-// own. An insert logs its whole row image; an update logs the table's
-// column count, a bitmap of the columns it changed and their new values; a
-// delete logs the row id; DDL its statement text.
+// own. Every record but the marker names its table by the table's permanent
+// id (table.tableID), a uvarint: one byte for the first 127 tables. An
+// insert then logs the row id and its whole row image; an update the row
+// id, the table's column count, a bitmap of the columns it changed and
+// their new values; a delete the row id; DDL its statement text, the id
+// being the table the statement creates or drops, or the one owning its
+// index.
 //
 // The commit marker carries a log sequence number (LSN), assigned
 // in file-write order, so the log doubles as a replication stream: every
@@ -44,22 +48,28 @@ import (
 // walCRC is the CRC32-C (Castagnoli) table guarding every WAL record.
 var walCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// walOp tags a WAL record.
+// walOp tags a WAL record. Ops 1 to 4 were the records of a format that
+// named tables by name; none is written now, so a log in that format
+// decodes as no group at all and Open refuses it (ErrLogFormat) instead of
+// misreading a name's length as a table id.
 type walOp uint8
 
 const (
-	walInsert walOp = iota + 1
-	walUpdate
-	walDelete
-	walDDL
-	walCommit
+	walCommit walOp = 5
+	walInsert walOp = 6
+	walUpdate walOp = 7
+	walDelete walOp = 8
+	walDDL    walOp = 9
 )
 
 type walRecord struct {
-	op    walOp
-	lsn   uint64 // commit markers only: the group's log sequence number
-	table string
-	rid   int64
+	op  walOp
+	lsn uint64 // commit markers only: the group's log sequence number
+	// tableID is the record's table as the log names it. It is kept as
+	// read, so that an id no table can have — 0, or one past uint32 — reaches
+	// the redo, which refuses it by number (DB.redoTable).
+	tableID uint64
+	rid     int64
 	// img is an insert's row, the image its version holds. cols is an
 	// update's table column count, and delta what the log holds of it after
 	// that count: the bitmap of changed columns — ⌈cols/8⌉ bytes, bit i%8 of
@@ -883,22 +893,23 @@ func (w *wal) close() error {
 // has no frame of its own; appendGroup frames a group.
 func appendRecord(buf *bytes.Buffer, r *walRecord) {
 	buf.WriteByte(byte(r.op))
-	switch r.op {
-	case walInsert, walUpdate, walDelete:
-		writeString(buf, r.table)
-		writeUvarint(buf, uint64(r.rid))
-		switch r.op {
-		case walInsert:
-			writeUvarint(buf, uint64(r.img.width()))
-			buf.WriteString(r.img.cells())
-		case walUpdate:
-			writeUvarint(buf, uint64(r.cols))
-			buf.Write(r.delta)
-		}
-	case walDDL:
-		writeString(buf, r.sql)
-	case walCommit:
+	if r.op == walCommit {
 		writeUvarint(buf, r.lsn)
+		return
+	}
+	writeUvarint(buf, r.tableID)
+	if r.op == walDDL {
+		writeString(buf, r.sql)
+		return
+	}
+	writeUvarint(buf, uint64(r.rid))
+	switch r.op {
+	case walInsert:
+		writeUvarint(buf, uint64(r.img.width()))
+		buf.WriteString(r.img.cells())
+	case walUpdate:
+		writeUvarint(buf, uint64(r.cols))
+		buf.Write(r.delta)
 	}
 }
 
@@ -1033,28 +1044,30 @@ func decodeRecord(rd *byteReader, r *walRecord) bool {
 	}
 	r.op = walOp(op)
 	switch r.op {
-	case walInsert, walUpdate, walDelete:
-		if r.table, ok = rd.str(); !ok {
-			return false
-		}
-		if r.rid, ok = rd.rid(); !ok {
-			return false
-		}
-		switch r.op {
-		case walInsert:
-			r.img, ok = rd.image()
-		case walUpdate:
-			r.cols, r.delta, ok = rd.delta()
-		}
-		return ok
-	case walDDL:
-		r.sql, ok = rd.str()
-		return ok
 	case walCommit:
 		r.lsn, ok = rd.uvarint()
 		return ok
+	case walInsert, walUpdate, walDelete, walDDL:
+		if r.tableID, ok = rd.uvarint(); !ok {
+			return false
+		}
+	default:
+		return false
 	}
-	return false
+	if r.op == walDDL {
+		r.sql, ok = rd.str()
+		return ok
+	}
+	if r.rid, ok = rd.rid(); !ok {
+		return false
+	}
+	switch r.op {
+	case walInsert:
+		r.img, ok = rd.image()
+	case walUpdate:
+		r.cols, r.delta, ok = rd.delta()
+	}
+	return ok
 }
 
 func writeUvarint(buf *bytes.Buffer, v uint64) {

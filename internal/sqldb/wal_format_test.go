@@ -16,9 +16,26 @@ import (
 // goldenLog is the log TestLogGoldenBytes has the engine write: a DDL, an
 // insert of a nine-column row, an update of its last column, a delete. One
 // group each, so one frame each: length word, records, commit marker (05,
-// LSN), CRC32C.
+// LSN), CRC32C. Every record names table g by its id, 01.
 const goldenLog = "" +
-	// CREATE TABLE: op 04, the statement's text (goldenDDL).
+	// CREATE TABLE: op 09, table id 01, the statement's text (goldenDDL).
+	"7e000000" + "0901" + "79" +
+	"435245415445205441424c4520672028696420494e5445474552205052494d415259204b45592c206120494e54454745522c206220544558542c20632" +
+	"0464c4f41542c206420424f4f4c45414e2c20652054494d455354414d502c206620544558542c206820494e54454745522c206920494e544547455229" +
+	"0501" + "608aa79f" +
+	// INSERT: op 06, table id 01, rid 0, nine typed values.
+	"28000000" + "060100" + "09" + "0101" + "01feffffffffffffffff01" + "030178" + "02000000000000e03f" +
+	"0401" + "00" + "00" + "01ac02" + "0104" + "0502" + "652dbe60" +
+	// UPDATE: op 07, table id 01, rid 0, nine columns, bitmap 00 01 (the ninth), the one value.
+	"0a000000" + "070100" + "09" + "0001" + "0105" + "0503" + "0e8105da" +
+	// DELETE: op 08, table id 01, rid 0.
+	"05000000" + "080100" + "0504" + "a8b9e2c7"
+
+// nameFormatLog is goldenLog as the format before table ids wrote it: the
+// same four groups, each record naming its table by its name (ops 01 to
+// 04; a DDL record had no table). Open refuses it (ErrLogFormat).
+const nameFormatLog = "" +
+	// CREATE TABLE: op 04, the statement's text.
 	"7d000000" + "0479" +
 	"435245415445205441424c4520672028696420494e5445474552205052494d415259204b45592c206120494e54454745522c206220544558542c20632" +
 	"0464c4f41542c206420424f4f4c45414e2c20652054494d455354414d502c206620544558542c206820494e54454745522c206920494e544547455229" +
@@ -80,16 +97,16 @@ func TestLogGoldenBytes(t *testing.T) {
 	}
 
 	// The steady heartbeat's record: one timestamp of the eight-column
-	// machines row.
+	// machines row, the CAS schema's fourth table.
 	old := []Value{NewText("node-0042"), NewText("up"), NewText("x86_64"), NewText("linux"),
 		NewInt(16384), NewInt(4), NewTime(time.UnixMicro(1_790_000_000_000_000)), NewTime(time.UnixMicro(1_790_000_100_000_000))}
 	beat := append([]Value(nil), old...)
 	beat[7] = NewTime(time.UnixMicro(1_790_000_102_000_000))
 	var rec bytes.Buffer
-	r := new(txScratch).updateRecord("machines", 999, imageOf(old), imageOf(beat))
+	r := new(txScratch).updateRecord(4, 999, imageOf(old), imageOf(beat))
 	appendRecord(&rec, &r)
-	if rec.Len() > 30 {
-		t.Errorf("a heartbeat's update record is %d bytes before framing, want <= 30", rec.Len())
+	if rec.Len() > 16 {
+		t.Errorf("a heartbeat's update record is %d bytes before framing, want <= 16", rec.Len())
 	}
 }
 
@@ -97,7 +114,7 @@ func TestLogGoldenBytes(t *testing.T) {
 // a bit past its column count is a record no encoder writes.
 func TestReaderRejectsBitsPastColumns(t *testing.T) {
 	update := func(cols int, bitmap ...byte) []byte {
-		p := append([]byte{byte(walUpdate), 1, 't', 0}, byte(cols))
+		p := append([]byte{byte(walUpdate), 1, 0}, byte(cols))
 		p = append(p, bitmap...)
 		for range bitmap {
 			p = append(p, byte(Int), 7)
@@ -128,25 +145,33 @@ func oldFormatLog() []byte {
 }
 
 // TestOpenRefusesForeignLog: a log whose first frame is sealed but is not a
-// group in this format is refused by name, on both layouts, and left byte
-// for byte as it was — cutting it back to where the reader stops would
-// empty it.
+// group in this format — one record per frame, or records naming their
+// tables by name — is refused by name, on both layouts, and left byte for
+// byte as it was: cutting it back to where the reader stops would empty it.
 func TestOpenRefusesForeignLog(t *testing.T) {
+	named, err := hex.DecodeString(nameFormatLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixtures := map[string][]byte{"framed records": oldFormatLog(), "table names": named}
 	for _, pages := range []int{0, 16} {
 		t.Run(fmt.Sprintf("pool=%d", pages), func(t *testing.T) {
-			old := oldFormatLog()
-			vfs := NewMemVFS()
-			f, _ := vfs.Create("old.wal")
-			f.Write(old)
-			db, err := Open(Options{VFS: vfs, Path: "old.wal", PoolPages: pages})
-			if !errors.Is(err, ErrLogFormat) {
-				if db != nil {
-					db.Close()
-				}
-				t.Fatalf("Open = %v, want ErrLogFormat", err)
-			}
-			if after, _ := vfs.ReadFile("old.wal"); !bytes.Equal(after, old) {
-				t.Fatalf("the refused log was rewritten: %d bytes, was %d", len(after), len(old))
+			for name, old := range fixtures {
+				t.Run(name, func(t *testing.T) {
+					vfs := NewMemVFS()
+					f, _ := vfs.Create("old.wal")
+					f.Write(old)
+					db, err := Open(Options{VFS: vfs, Path: "old.wal", PoolPages: pages})
+					if !errors.Is(err, ErrLogFormat) {
+						if db != nil {
+							db.Close()
+						}
+						t.Fatalf("Open = %v, want ErrLogFormat", err)
+					}
+					if after, _ := vfs.ReadFile("old.wal"); !bytes.Equal(after, old) {
+						t.Fatalf("the refused log was rewritten: %d bytes, was %d", len(after), len(old))
+					}
+				})
 			}
 		})
 	}
@@ -258,12 +283,12 @@ func TestForeignCheckpointMetaIsRefused(t *testing.T) {
 // parses to something else, is refused before the follower appends its
 // group — appended, it would fail every later Open of the follower.
 func TestShippedBadDDLNeverReachesTheLog(t *testing.T) {
-	ddl := func(sql string) walRecord { return walRecord{op: walDDL, sql: sql} }
+	ddl := func(id uint64, sql string) walRecord { return walRecord{op: walDDL, tableID: id, sql: sql} }
 	for _, recs := range [][]walRecord{
-		{ddl("CREATE TABLEX t")},
-		{ddl("ANALYZE t")},
-		{ddl("SELECT x FROM t")},
-		{ddl("CREATE TABLE u (y INTEGER)"), ddl("ANALYZE u")},
+		{ddl(2, "CREATE TABLEX t")},
+		{ddl(1, "ANALYZE t")},
+		{ddl(1, "SELECT x FROM t")},
+		{ddl(2, "CREATE TABLE u (y INTEGER)"), ddl(2, "ANALYZE u")},
 	} {
 		t.Run(recs[len(recs)-1].sql, func(t *testing.T) {
 			vfs := NewMemVFS()
@@ -279,7 +304,7 @@ func TestShippedBadDDLNeverReachesTheLog(t *testing.T) {
 			follower.Close()
 			reopened := openVFS(t, vfs)
 			defer reopened.Close()
-			good := walRecord{op: walInsert, table: "t", rid: 0, img: imageOf([]Value{NewInt(7)})}
+			good := walRecord{op: walInsert, tableID: 1, rid: 0, img: imageOf([]Value{NewInt(7)})}
 			if err := reopened.ApplyCommitted([]CommittedBatch{{LSN: 2, Data: groupBytes(2, good)}}); err != nil {
 				t.Fatalf("a good group at the same LSN: %v", err)
 			}
@@ -295,7 +320,7 @@ func TestShippedBadDDLNeverReachesTheLog(t *testing.T) {
 // passes a CRC — and the store must open empty, cut the tail and commit
 // again; it is not a log in another format.
 func TestOpenTornFirstGroup(t *testing.T) {
-	whole := groupBytes(1, walRecord{op: walDDL, sql: "CREATE TABLE t (x INTEGER)"})
+	whole := groupBytes(1, walRecord{op: walDDL, tableID: 1, sql: "CREATE TABLE t (x INTEGER)"})
 	flipped := append([]byte(nil), whole...)
 	flipped[len(flipped)/2] ^= 0x40
 	for name, log := range map[string][]byte{

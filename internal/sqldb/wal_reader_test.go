@@ -3,8 +3,10 @@ package sqldb
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -52,44 +54,68 @@ func groupBytes(lsn uint64, recs ...walRecord) []byte {
 	return out.Bytes()
 }
 
-// TestRedoRejectsHostileRecords sends three CRC-valid records no encoder
-// writes — each of which used to panic the decoder or the redo — through
-// both doors a log group comes in by. A shipped batch (core's handleShip
-// hands a request's bytes straight to ApplyCommitted) must be refused before
-// it reaches the follower's own log; a log that already holds one must open,
-// the group treated like any other undecodable tail: cut, never applied.
-// Either way the engine keeps working.
+// TestRedoRejectsHostileRecords sends CRC-valid records no encoder writes
+// through both doors a log group comes in by. Three of them do not decode —
+// each used to panic the decoder or the redo. A shipped batch (core's
+// handleShip hands a request's bytes straight to ApplyCommitted) must be
+// refused before it reaches the follower's own log; a log that already
+// holds one must open, the group treated like any other undecodable tail:
+// cut, never applied. The others decode but name a table id no live table
+// has — 0, one never assigned, one whose table was dropped, one past
+// uint32 that a truncating cast would turn into t's — and the strict redo
+// refuses them by that id: a shipped batch before it reaches the log, a
+// logged one by failing Open, the log left as it was. Either way the
+// engine keeps working.
 func TestRedoRejectsHostileRecords(t *testing.T) {
-	insertInto := func(table string) []byte {
-		p := binary.AppendUvarint([]byte{byte(walInsert)}, uint64(len(table)))
-		return append(p, table...)
+	insertInto := func(id uint64) []byte { return binary.AppendUvarint([]byte{byte(walInsert)}, id) }
+	record := func(r walRecord) []byte {
+		var b bytes.Buffer
+		appendRecord(&b, &r)
+		return b.Bytes()
+	}
+	insert14 := func(id uint64) []byte {
+		return record(walRecord{op: walInsert, tableID: id, img: imageOf([]Value{NewInt(14)})})
 	}
 	cases := []struct {
 		name    string
 		payload []byte
+		byID    bool   // the group decodes, and the redo refuses it by id
+		id      uint64 // that id
 	}{
 		// make([]Value, 1<<62): "makeslice: len out of range".
-		{"row count 2^62", binary.AppendUvarint(binary.AppendUvarint(insertInto("t"), 0), 1<<62)},
+		{name: "row count 2^62", payload: binary.AppendUvarint(binary.AppendUvarint(insertInto(1), 0), 1<<62)},
 		// off+int(n) wraps negative, passes the bound, slices out of range.
-		{"string length 2^63", append(binary.AppendUvarint([]byte{byte(walInsert)}, 1<<63), "t"...)},
+		{name: "string length 2^63", payload: append(binary.AppendUvarint([]byte{byte(walDDL), 1}, 1<<63), "t"...)},
 		// int64(rid) < 0 indexes t.rows[-1] — after the group is durable.
-		{"rid 2^63", append(binary.AppendUvarint(binary.AppendUvarint(insertInto("t"), 1<<63), 1), byte(Int), 7)},
+		{name: "rid 2^63", payload: append(binary.AppendUvarint(binary.AppendUvarint(insertInto(1), 1<<63), 1), byte(Int), 7)},
+		{name: "table id 0", payload: insert14(0), byID: true, id: 0},
+		{name: "table id never assigned", payload: insert14(9), byID: true, id: 9},
+		{name: "table id dropped", payload: insert14(2), byID: true, id: 2},
+		{name: "table id past uint32", payload: insert14(1<<32 + 1), byID: true, id: 1<<32 + 1},
+		{name: "DDL table id 0", payload: record(walRecord{op: walDDL, sql: "DROP TABLE t"}), byID: true, id: 0},
+		{name: "DDL table id past uint32", payload: record(walRecord{op: walDDL, tableID: 1<<32 + 1, sql: "DROP TABLE t"}), byID: true, id: 1<<32 + 1},
 	}
-	insert7 := walRecord{op: walInsert, table: "t", rid: 0, img: imageOf([]Value{NewInt(7)})}
+	insert7 := walRecord{op: walInsert, tableID: 1, rid: 0, img: imageOf([]Value{NewInt(7)})}
+	refusedByID := func(err error, id uint64) bool {
+		return err != nil && strings.Contains(err.Error(), fmt.Sprintf("id %d", id))
+	}
 	for _, tc := range cases {
 		t.Run(tc.name+"/FollowerApply", func(t *testing.T) {
 			vfs := NewMemVFS()
 			follower := openVFS(t, vfs)
-			mustExec(t, follower, `CREATE TABLE t (x INTEGER)`) // lsn 1
+			mustExec(t, follower, `CREATE TABLE t (x INTEGER)`)    // lsn 1, table id 1
+			mustExec(t, follower, `CREATE TABLE gone (y INTEGER)`) // lsn 2, table id 2
+			mustExec(t, follower, `DROP TABLE gone`)               // lsn 3
 			before, _ := vfs.ReadFile("test.wal")
-			if err := follower.ApplyCommitted([]CommittedBatch{{LSN: 2, Data: sealGroup(2, tc.payload)}}); err == nil {
-				t.Fatal("hostile batch accepted")
+			err := follower.ApplyCommitted([]CommittedBatch{{LSN: 4, Data: sealGroup(4, tc.payload)}})
+			if err == nil || tc.byID && !refusedByID(err, tc.id) {
+				t.Fatalf("hostile batch: ApplyCommitted = %v", err)
 			}
 			if after, _ := vfs.ReadFile("test.wal"); !bytes.Equal(before, after) {
 				t.Fatal("rejected batch reached the follower's log")
 			}
 			// The same LSN still applies, and the node still restarts.
-			if err := follower.ApplyCommitted([]CommittedBatch{{LSN: 2, Data: groupBytes(2, insert7)}}); err != nil {
+			if err := follower.ApplyCommitted([]CommittedBatch{{LSN: 4, Data: groupBytes(4, insert7)}}); err != nil {
 				t.Fatalf("good batch after the hostile one: %v", err)
 			}
 			follower.Close()
@@ -101,13 +127,28 @@ func TestRedoRejectsHostileRecords(t *testing.T) {
 		})
 		t.Run(tc.name+"/Open", func(t *testing.T) {
 			var log bytes.Buffer
-			log.Write(groupBytes(1, walRecord{op: walDDL, sql: "CREATE TABLE t (x INTEGER)"}))
+			log.Write(groupBytes(1, walRecord{op: walDDL, tableID: 1, sql: "CREATE TABLE t (x INTEGER)"}))
 			log.Write(groupBytes(2, insert7))
+			log.Write(groupBytes(3, walRecord{op: walDDL, tableID: 2, sql: "CREATE TABLE gone (y INTEGER)"}))
+			log.Write(groupBytes(4, walRecord{op: walDDL, tableID: 2, sql: "DROP TABLE gone"}))
 			clean := log.Len()
-			log.Write(sealGroup(3, tc.payload))
+			log.Write(sealGroup(5, tc.payload))
 			vfs := NewMemVFS()
 			f, _ := vfs.Create("test.wal")
 			f.Write(log.Bytes())
+			if tc.byID {
+				db, err := Open(Options{VFS: vfs, Path: "test.wal"})
+				if db != nil {
+					db.Close()
+				}
+				if !refusedByID(err, tc.id) {
+					t.Fatalf("Open = %v, want a refusal naming table id %d", err, tc.id)
+				}
+				if onDisk, _ := vfs.ReadFile("test.wal"); !bytes.Equal(onDisk, log.Bytes()) {
+					t.Fatal("the refused log was rewritten")
+				}
+				return
+			}
 			db := openVFS(t, vfs)
 			if rows := mustQuery(t, db, `SELECT x FROM t`); rows.Len() != 1 || rows.Data[0][0].Int64() != 7 {
 				t.Fatalf("groups ahead of the hostile one: %v", rows.Data)
@@ -129,17 +170,18 @@ func TestRedoRejectsHostileRecords(t *testing.T) {
 // tornSweepLog is the hand-built group-committed log TestGroupTornTailSweep
 // cuts at every offset: the first group creates the table (it ends at
 // ddlEnd), groups firstTxn..lastTxn each insert one row (x = 100+txn at rid
-// txn-firstTxn), as one flush lays them down.
+// txn-firstTxn), as one flush lays them down. The table's id is 2, the one
+// FuzzLogReader's follower gives t (fuzzTables).
 func tornSweepLog(firstTxn, lastTxn uint64) (data []byte, ddlEnd int, markerEnd map[uint64]int) {
 	var log bytes.Buffer
 	// The DDL group precedes all dependent inserts, exactly as group commit
 	// preserves enqueue order (a transaction only sees the table after the
 	// DDL committed and released its locks).
-	log.Write(groupBytes(1, walRecord{op: walDDL, sql: "CREATE TABLE t (x INTEGER)"}))
+	log.Write(groupBytes(1, walRecord{op: walDDL, tableID: 2, sql: "CREATE TABLE t (x INTEGER)"}))
 	ddlEnd = log.Len()
 	markerEnd = map[uint64]int{}
 	for i := firstTxn; i <= lastTxn; i++ {
-		log.Write(groupBytes(i, walRecord{op: walInsert, table: "t", rid: int64(i - firstTxn), img: imageOf([]Value{NewInt(int64(100 + i))})}))
+		log.Write(groupBytes(i, walRecord{op: walInsert, tableID: 2, rid: int64(i - firstTxn), img: imageOf([]Value{NewInt(int64(100 + i))})}))
 		markerEnd[i] = log.Len()
 	}
 	return log.Bytes(), ddlEnd, markerEnd
@@ -173,6 +215,12 @@ func flipSweepLog(t testing.TB) []byte {
 const wideDDL = `CREATE TABLE w (c0 INTEGER PRIMARY KEY, c1 INTEGER, c2 TEXT, c3 FLOAT, c4 BOOLEAN,
 	c5 TIMESTAMP, c6 TEXT, c7 INTEGER, c8 FLOAT, c9 INTEGER)`
 
+// fuzzTables are the tables the seed logs write to, in the order that gives
+// each the id its seed log names it by: fb is the first table flipSweepLog
+// creates (id 1), tornSweepLog names t by id 2, and deltaSeedLog creates
+// all three, so w is 3. FuzzLogReader's follower holds all three.
+var fuzzTables = []string{"CREATE TABLE fb (id INTEGER PRIMARY KEY, v INTEGER NOT NULL)", "CREATE TABLE t (x INTEGER)", wideDDL}
+
 // deltaSeedLog is an engine-written log of updates of the ten-column table:
 // one changing only its last column (a delta over more than eight
 // columns), one changing no column at all, one changing three, then a
@@ -183,15 +231,14 @@ func deltaSeedLog(t testing.TB) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sql := range []string{
-		wideDDL,
+	for _, sql := range append(fuzzTables[:len(fuzzTables):len(fuzzTables)],
 		`INSERT INTO w VALUES (1, 10, 'a', 1.5, TRUE, NULL, 'b', 7, 2.5, 9)`,
 		`INSERT INTO w VALUES (2, 20, 'c', 0.5, FALSE, NULL, NULL, 8, 3.5, 0)`,
 		`UPDATE w SET c9 = 90 WHERE c0 = 1`,
 		`UPDATE w SET c1 = c1 WHERE c0 = 2`,
 		`UPDATE w SET c2 = 'z', c4 = NULL, c8 = 0.25 WHERE c0 = 2`,
 		`DELETE FROM w WHERE c0 = 1`,
-	} {
+	) {
 		mustExecB(t, db, sql)
 	}
 	db.Close()
@@ -261,14 +308,15 @@ func fuzzReader(t *testing.T, data []byte) {
 	end := committedLen(data) // the reader, as the engine runs it
 	runtime.ReadMemStats(&after)
 	// A value costs its cell and at most 4 bytes of image header for at
-	// least one byte of input, and a record 104 bytes of walRecord for at
-	// least two (a DDL record with no text); the reader counts a group's
-	// records before it sizes their array, so it allocates no more of them
-	// than the group holds. An update's cells are views of the input.
+	// least one byte of input, and a record 96 bytes of walRecord for at
+	// least three (a delete, or a DDL record with no text: op, table id and
+	// one more byte); the reader counts a group's records before it sizes
+	// their array, so it allocates no more of them than the group holds. An
+	// update's cells are views of the input.
 	// TotalAlloc is the whole process's, so the constant leaves room for
 	// what the fuzz worker's other goroutines allocate meanwhile — a count
 	// the decoder believed would overshoot it by orders of magnitude.
-	if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+(64<<10)); alloc > limit {
+	if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*len(data)+(64<<10)); alloc > limit {
 		t.Fatalf("reading %d bytes allocated %d, limit %d", len(data), alloc, limit)
 	}
 	var re bytes.Buffer
@@ -297,8 +345,8 @@ func fuzzApply(t *testing.T, data []byte) {
 	// The follower starts from a three-table log whose markers carry LSN 0,
 	// so every LSN the input can name is still ahead of it.
 	var log bytes.Buffer
-	for _, ddl := range []string{"CREATE TABLE t (x INTEGER)", "CREATE TABLE fb (id INTEGER PRIMARY KEY, v INTEGER NOT NULL)", wideDDL} {
-		log.Write(groupBytes(0, walRecord{op: walDDL, sql: ddl}))
+	for i, ddl := range fuzzTables {
+		log.Write(groupBytes(0, walRecord{op: walDDL, tableID: uint64(i + 1), sql: ddl}))
 	}
 	vfs := NewMemVFS()
 	f, _ := vfs.Create("test.wal")
