@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // steadyPool assembles a WAL-backed CAS with nodes × 4 registered, idle
@@ -33,62 +34,81 @@ func steadyPool(t testing.TB, nodes int) (*CAS, []*HeartbeatRequest) {
 }
 
 // TestHeartbeatSteadyAllocs guards what one steady 4-VM heartbeat costs
-// the server below the wire: Service.Heartbeat on a 1000-node pool — the
-// machine Find, the Beat UPDATE, the VM Select, the two pairing joins and
-// the group commit. Measured 332 allocations / 20.5 KB per beat before the
+// the server below the wire: Service.Heartbeat on a 1000-node pool, every
+// VM idle. Measured 332 allocations / 20.5 KB per beat before the
 // statement path borrowed its working memory (executor scratch, lock-table
 // freelist, compiled bean SQL, 32-byte Value), 137 / 8.7 KB after, 119 /
 // 7.2 KB once the SELECTs' results were row references read by the
-// driver's cursor and the bean scan targets the Meta's to lend, and 118 /
+// driver's cursor and the bean scan targets the Meta's to lend, 118 /
 // 6.7 KB → 30 / 3.2 KB once the service ran on the engine's own
 // transactions instead of database/sql's (beans' native transport: no
 // per-transaction and per-query context and goroutine, no Rows, NamedValue
-// slice or boxed cell). What remains is the beat's own: the engine's Tx;
-// each SELECT's Rows and, for the two bean reads, its row references; the
-// Machine entity, the VM slice's doublings, the statement text the Select
-// appends and the map by slot; the two pairing maps; the UPDATE's new row
-// image, its version and index entries; the commit's batch, channels and
-// flush; the response and its commands. The budgets keep the slack they
-// had over the measurement before (22 allocations, 2.5 KB), for a
-// toolchain where any of that differs.
+// slice or boxed cell), and 30 / 2.9 KB → 17 / 1.7 KB once a beat inside
+// the heartbeat interval left the machine's stamp alone and an all-idle
+// beat skipped the two pairing joins. That beat is now a pure read: the
+// machine Find and the VM Select in a transaction that commits nothing.
+// What remains is the engine's Tx; each SELECT's Rows and row references;
+// the Machine entity, the VM slice's doublings, the statement text the
+// Select appends and the map by slot; the response and its commands. The
+// budgets keep the slack they had over the measurement before (22
+// allocations, 2.7 KB), for a toolchain where any of that differs.
+//
+// A beat a whole interval after its machine's stamp takes the write path:
+// the Beat UPDATE's new row image, its version and index entries, and the
+// commit's batch, channels and flush: measured 26 / 2.3 KB. It keeps the
+// budgets every beat had while every beat wrote.
 func TestHeartbeatSteadyAllocs(t *testing.T) {
-	const (
-		budgetAllocs = 52
-		budgetBytes  = 5632
-	)
-	cas, reqs := steadyPool(t, 1000)
-	ctx := context.Background()
-	next := 0
-	beatOnce := func() {
-		req := reqs[next%len(reqs)]
-		next++
-		resp, err := cas.Service.Heartbeat(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(resp.Commands) != 4 {
-			t.Fatalf("%d commands, want 4", len(resp.Commands))
-		}
-	}
-	for i := 0; i < 2*len(reqs); i++ {
-		beatOnce() // warm the plan cache, the pools and every node's rows
-	}
-	allocs := testing.AllocsPerRun(2000, beatOnce)
+	for _, tc := range []struct {
+		name                      string
+		advance                   time.Duration // the clock's step before each beat
+		budgetAllocs, budgetBytes float64
+	}{
+		{"inside the interval", 0, 39, 4480},
+		{"past the interval", 60 * time.Second, 52, 5632},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cas, reqs := steadyPool(t, 1000)
+			clk := cas.clock.(*fakeClock)
+			ctx := context.Background()
+			next := 0
+			beatOnce := func() {
+				clk.advance(tc.advance)
+				req := reqs[next%len(reqs)]
+				next++
+				resp, err := cas.Service.Heartbeat(ctx, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(resp.Commands) != 4 {
+					t.Fatalf("%d commands, want 4", len(resp.Commands))
+				}
+			}
+			for i := 0; i < 2*len(reqs); i++ {
+				beatOnce() // warm the plan cache, the pools and every node's rows
+			}
+			commits := cas.Engine.WALStats().Commits
+			allocs := testing.AllocsPerRun(2000, beatOnce)
 
-	const runs = 2000
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		beatOnce()
-	}
-	runtime.ReadMemStats(&after)
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	t.Logf("steady heartbeat: %.0f allocations, %.0f bytes", allocs, bytes)
-	if allocs > budgetAllocs {
-		t.Errorf("%v allocations per steady heartbeat, budget %d", allocs, budgetAllocs)
-	}
-	if bytes > budgetBytes {
-		t.Errorf("%.0f bytes per steady heartbeat, budget %d", bytes, budgetBytes)
+			const runs = 2000
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				beatOnce()
+			}
+			runtime.ReadMemStats(&after)
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+			commits = cas.Engine.WALStats().Commits - commits
+			t.Logf("steady heartbeat %s: %.0f allocations, %.0f bytes, %d commits", tc.name, allocs, bytes, commits)
+			if wantWrites := tc.advance > 0; (commits > 0) != wantWrites {
+				t.Errorf("%d commits over the measured beats; want writes: %v", commits, wantWrites)
+			}
+			if allocs > tc.budgetAllocs {
+				t.Errorf("%v allocations per steady heartbeat, budget %v", allocs, tc.budgetAllocs)
+			}
+			if bytes > tc.budgetBytes {
+				t.Errorf("%.0f bytes per steady heartbeat, budget %v", bytes, tc.budgetBytes)
+			}
+		})
 	}
 }
 

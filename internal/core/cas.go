@@ -194,8 +194,10 @@ func (c *CAS) StartScheduler() {
 const (
 	replyGCTicks    = 60
 	checkpointTicks = 30
-	// reapAfterBeats is how many heartbeat intervals a machine may stay
-	// silent before its work is released.
+	// reapAfterBeats is how many heartbeat intervals a machine's stamp may
+	// age before its work is released. A beat rewrites the stamp once an
+	// interval (Machine.Beat), so that is more than two and at most three
+	// intervals of silence.
 	reapAfterBeats = 3
 )
 
@@ -226,7 +228,7 @@ func (c *CAS) housekeep(ctx context.Context, n int) {
 	svc := c.Service
 	if _, gated := svc.NotLeader(); !gated {
 		_, _ = svc.ScheduleCycle(ctx)
-		beat := time.Duration(svc.configInt(ctx, "heartbeat_interval_sec", 60)) * time.Second
+		beat := svc.loadBeatWindow(ctx)
 		if every := max(1, beat/c.tickPeriod(ctx)); n%int(every) == 0 {
 			_, _ = svc.ReapDeadMachines(ctx, reapAfterBeats*beat)
 		}

@@ -159,9 +159,7 @@ func TestChaosTortureExactlyOnce(t *testing.T) {
 	stopAgents := startAgents(t, 3, retryer)
 
 	completedCount := func() int {
-		var n int
-		cas.Pool.QueryRow(`SELECT count(*) FROM job_history WHERE outcome = 'completed'`).Scan(&n)
-		return n
+		return countOf(t, cas.Pool, `SELECT count(*) FROM job_history WHERE outcome = 'completed'`)
 	}
 
 	// Drive scheduling; kill and restart the CAS mid-run. Replays are
@@ -208,6 +206,9 @@ func TestChaosTortureExactlyOnce(t *testing.T) {
 			// (including the reply store) is in the WAL; nothing else
 			// survives.
 			server.set(nil)
+			if n := strayPairings(t, cas.Pool); n != 0 {
+				t.Fatalf("seed=%d: %d match or run rows on an idle or offline VM before the crash", seed, n)
+			}
 			replays += cas.Service.DedupStats().Replays
 			cas.Close()
 			eng.Close()
@@ -234,10 +235,9 @@ func TestChaosTortureExactlyOnce(t *testing.T) {
 	if got := completedCount(); got != jobs {
 		t.Fatalf("seed=%d: %d completed history rows, want %d", seed, got, jobs)
 	}
-	var left, runs, matches int
-	cas.Pool.QueryRow(`SELECT count(*) FROM jobs`).Scan(&left)
-	cas.Pool.QueryRow(`SELECT count(*) FROM runs`).Scan(&runs)
-	cas.Pool.QueryRow(`SELECT count(*) FROM matches`).Scan(&matches)
+	left := countOf(t, cas.Pool, `SELECT count(*) FROM jobs`)
+	runs := countOf(t, cas.Pool, `SELECT count(*) FROM runs`)
+	matches := countOf(t, cas.Pool, `SELECT count(*) FROM matches`)
 	if left != 0 || runs != 0 {
 		t.Fatalf("seed=%d: residue after convergence: %d jobs, %d runs, %d matches", seed, left, runs, matches)
 	}
@@ -247,6 +247,9 @@ func TestChaosTortureExactlyOnce(t *testing.T) {
 	}
 	if us.CompletedJobs != int64(jobs) {
 		t.Fatalf("seed=%d: accounting CompletedJobs = %d, want %d", seed, us.CompletedJobs, jobs)
+	}
+	if n := strayPairings(t, cas.Pool); n != 0 {
+		t.Fatalf("seed=%d: %d match or run rows on an idle or offline VM", seed, n)
 	}
 
 	// The fault injector really was in the path, and the resilient wire
@@ -268,6 +271,27 @@ func TestChaosTortureExactlyOnce(t *testing.T) {
 
 	cas.Close()
 	eng.Close()
+}
+
+// strayPairings counts the match and run rows on an idle or offline VM.
+// There must be none: the cycle marks a VM matched with its match, every
+// way back to idle or offline deletes the VM's pairings first, and a
+// heartbeat relies on it to skip its pairing joins when every VM is idle.
+func strayPairings(t *testing.T, db *sql.DB) int {
+	t.Helper()
+	const stray = ` p, vms v WHERE p.vm_id = v.id AND (v.state = 'idle' OR v.state = 'offline')`
+	return countOf(t, db, `SELECT count(*) FROM matches`+stray) + countOf(t, db, `SELECT count(*) FROM runs`+stray)
+}
+
+// countOf runs a count(*) query. A failed read fails the test: it must not
+// pass as a count of zero.
+func countOf(t *testing.T, db *sql.DB, q string) int {
+	t.Helper()
+	var n int
+	if err := db.QueryRow(q).Scan(&n); err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	return n
 }
 
 // doubledCompletions counts the jobs with more than one 'completed'

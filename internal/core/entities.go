@@ -119,8 +119,15 @@ type Machine struct {
 	LastHeartbeat time.Time `bean:"last_heartbeat"`
 }
 
-// Beat records a heartbeat timestamp.
-func (m *Machine) Beat(tx *sqldb.Tx, now time.Time) error {
+// Beat records a heartbeat. The liveness stamp is written at most once per
+// window (heartbeat_interval_sec): on a boot beat, on a machine not stored
+// as up (reaped, or parked by RecoverInFlight), or once the stored stamp
+// is a window old. The stamp so trails the last beat by less than one
+// window, and every beat in between writes nothing.
+func (m *Machine) Beat(tx *sqldb.Tx, now time.Time, boot bool, window time.Duration) error {
+	if !boot && m.State == MachineUp && now.Sub(m.LastHeartbeat) < window {
+		return nil
+	}
 	m.State = MachineUp
 	m.LastHeartbeat = now
 	return beans.Update(tx, m)

@@ -496,9 +496,9 @@ func (r *Replicator) leaseExpired(ctx context.Context) bool {
 
 // Promote turns this follower into the leader: wait out any in-flight
 // shipped apply, rebuild the engine's allocator state from the
-// replicated heap, take the engine timeouts the replicated config table
-// names, claim the lease at a bumped term (fencing the old
-// leader), reconcile in-flight cluster state exactly like a restart
+// replicated heap, take the engine timeouts and the beat window the
+// replicated config table names, claim the lease at a bumped term
+// (fencing the old leader), reconcile in-flight cluster state exactly like a restart
 // (the PR 7 heartbeat reconciliation then re-adopts or re-runs whatever
 // the old leader had in the air), age out replicated dedup replies, and
 // open the write path — under a tick that already runs.
@@ -515,6 +515,7 @@ func (r *Replicator) Promote(ctx context.Context) error {
 
 	r.cas.Engine.RebuildAfterReplication()
 	r.cas.applyStoredEngineConfig(ctx)
+	r.cas.Service.loadBeatWindow(ctx)
 	if lease, ok := r.readLease(ctx); ok && lease.term > knownTerm {
 		knownTerm = lease.term
 	}

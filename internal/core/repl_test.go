@@ -330,9 +330,7 @@ func TestReplKeyedSubmitAcrossPromotion(t *testing.T) {
 	if second.FirstJobID != first.FirstJobID || second.LastJobID != first.LastJobID {
 		t.Fatalf("retry re-executed: first %+v, second %+v", first, second)
 	}
-	var jobs int
-	follower.cas.Pool.QueryRow(`SELECT count(*) FROM jobs`).Scan(&jobs)
-	if jobs != 4 {
+	if jobs := countOf(t, follower.cas.Pool, `SELECT count(*) FROM jobs`); jobs != 4 {
 		t.Fatalf("%d jobs after keyed retry across promotion, want 4", jobs)
 	}
 	if follower.cas.Service.DedupStats().Replays == 0 {
@@ -360,9 +358,7 @@ func TestReplPromotionRunsReplyGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	drain(t, leader, follower)
-	var replicated int
-	follower.cas.Pool.QueryRow(`SELECT count(*) FROM wire_replies`).Scan(&replicated)
-	if replicated == 0 {
+	if replicated := countOf(t, follower.cas.Pool, `SELECT count(*) FROM wire_replies`); replicated == 0 {
 		t.Fatal("reply row did not replicate")
 	}
 	leader.kill()
@@ -370,9 +366,7 @@ func TestReplPromotionRunsReplyGC(t *testing.T) {
 	if err := follower.repl.Promote(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	var left int
-	follower.cas.Pool.QueryRow(`SELECT count(*) FROM wire_replies`).Scan(&left)
-	if left != 0 {
+	if left := countOf(t, follower.cas.Pool, `SELECT count(*) FROM wire_replies`); left != 0 {
 		t.Fatalf("%d reply rows survived promotion GC with zero retention", left)
 	}
 	if follower.cas.Service.DedupStats().RepliesDeleted == 0 {
@@ -454,9 +448,7 @@ func TestReplLeasePromotionOnLeaderDeath(t *testing.T) {
 		&SubmitRequest{Owner: "u", Count: 1, LengthSec: 60}, &sr); err != nil {
 		t.Fatalf("promoted node refuses writes: %v", err)
 	}
-	var jobs int
-	follower.cas.Pool.QueryRow(`SELECT count(*) FROM jobs`).Scan(&jobs)
-	if jobs != 3 {
+	if jobs := countOf(t, follower.cas.Pool, `SELECT count(*) FROM jobs`); jobs != 3 {
 		t.Fatalf("%d jobs on promoted node, want 3", jobs)
 	}
 }
@@ -511,9 +503,7 @@ func TestReplForgetsSilentFollower(t *testing.T) {
 	})
 	submit()
 	drain(t, leader, live)
-	var jobs int
-	live.cas.Pool.QueryRow(`SELECT count(*) FROM jobs`).Scan(&jobs)
-	if jobs != 2 {
+	if jobs := countOf(t, live.cas.Pool, `SELECT count(*) FROM jobs`); jobs != 2 {
 		t.Fatalf("survivor shows %d jobs, want 2", jobs)
 	}
 }

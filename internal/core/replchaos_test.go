@@ -132,9 +132,7 @@ func TestReplChaosLeaderKillPromote(t *testing.T) {
 
 	primary := leader
 	completedCount := func() int {
-		var n int
-		primary.cas.Pool.QueryRow(`SELECT count(*) FROM job_history WHERE outcome = 'completed'`).Scan(&n)
-		return n
+		return countOf(t, primary.cas.Pool, `SELECT count(*) FROM job_history WHERE outcome = 'completed'`)
 	}
 
 	killed := false
@@ -158,6 +156,9 @@ func TestReplChaosLeaderKillPromote(t *testing.T) {
 			// ship, clients and follower alike get dead air. Only the
 			// replicated lease going stale tells the follower to take over.
 			vip.set(nil)
+			if n := strayPairings(t, leader.cas.Pool); n != 0 {
+				t.Fatalf("seed=%d: %d match or run rows on an idle or offline VM of the leader", seed, n)
+			}
 			leader.kill()
 			killed = true
 			ticking = ticking[1:]
@@ -166,6 +167,9 @@ func TestReplChaosLeaderKillPromote(t *testing.T) {
 				return follower.repl.Stats().Role == "leader"
 			})
 			primary = follower
+			if n := strayPairings(t, primary.cas.Pool); n != 0 {
+				t.Fatalf("seed=%d: %d match or run rows on an idle or offline VM of the promoted node", seed, n)
+			}
 			vip.set(&wire.Local{Mux: follower.cas.Mux})
 			t.Logf("seed=%d: killed leader at %d/%d completed; follower promoted at term %d",
 				seed, done, jobs, follower.repl.Stats().Term)
@@ -189,9 +193,8 @@ func TestReplChaosLeaderKillPromote(t *testing.T) {
 	if got := completedCount(); got != jobs {
 		t.Fatalf("seed=%d: %d completed history rows, want %d", seed, got, jobs)
 	}
-	var left, runs int
-	primary.cas.Pool.QueryRow(`SELECT count(*) FROM jobs`).Scan(&left)
-	primary.cas.Pool.QueryRow(`SELECT count(*) FROM runs`).Scan(&runs)
+	left := countOf(t, primary.cas.Pool, `SELECT count(*) FROM jobs`)
+	runs := countOf(t, primary.cas.Pool, `SELECT count(*) FROM runs`)
 	if left != 0 || runs != 0 {
 		t.Fatalf("seed=%d: residue after convergence: %d jobs, %d runs", seed, left, runs)
 	}
@@ -201,6 +204,9 @@ func TestReplChaosLeaderKillPromote(t *testing.T) {
 	}
 	if us.CompletedJobs != int64(jobs) {
 		t.Fatalf("seed=%d: accounting CompletedJobs = %d, want %d", seed, us.CompletedJobs, jobs)
+	}
+	if n := strayPairings(t, primary.cas.Pool); n != 0 {
+		t.Fatalf("seed=%d: %d match or run rows on an idle or offline VM of the promoted node", seed, n)
 	}
 
 	// The machinery really was exercised: the shipping link dropped

@@ -36,6 +36,12 @@ type Service struct {
 	notLeader atomic.Pointer[string]
 	// notLeaderRejects counts writes bounced by the gate.
 	notLeaderRejects atomic.Uint64
+	// beatWindow is heartbeat_interval_sec as a time.Duration: how stale a
+	// machine's liveness stamp may get before a beat rewrites it
+	// (Machine.Beat). Set from the config table at assembly, on every
+	// leader tick and at promotion, and after each committed ConfigSet of
+	// the key, so the beat itself reads no config.
+	beatWindow atomic.Int64
 }
 
 // SetNotLeader gates mutating web services with a NotLeader fault
@@ -64,7 +70,35 @@ func NewService(engine *sqldb.DB, clock vtime.Clock) *Service {
 	if clock == nil {
 		clock = vtime.Real{}
 	}
-	return &Service{c: &beans.Engine{DB: engine}, clock: clock}
+	s := &Service{c: &beans.Engine{DB: engine}, clock: clock}
+	s.loadBeatWindow(context.Background())
+	return s
+}
+
+// ConfigHeartbeatIntervalSec is the config key naming the heartbeat
+// interval in seconds: the beat window and the dead-machine sweep's period.
+const ConfigHeartbeatIntervalSec = "heartbeat_interval_sec"
+
+// defaultHeartbeatIntervalSec is the interval when the key is absent (a
+// follower before its first shipped group) or no integer.
+const defaultHeartbeatIntervalSec = 60
+
+// loadBeatWindow reads the heartbeat interval from the config table into
+// the beat window and returns it.
+func (s *Service) loadBeatWindow(ctx context.Context) time.Duration {
+	w := time.Duration(s.configInt(ctx, ConfigHeartbeatIntervalSec, defaultHeartbeatIntervalSec)) * time.Second
+	s.beatWindow.Store(int64(w))
+	return w
+}
+
+// beatWindowOf is the beat window a heartbeat_interval_sec value names,
+// read as configInt reads it.
+func beatWindowOf(value string) time.Duration {
+	sec, err := strconv.ParseInt(value, 10, 64)
+	if err != nil {
+		sec = defaultHeartbeatIntervalSec
+	}
+	return time.Duration(sec) * time.Second
 }
 
 func (s *Service) now() time.Time { return s.clock.Now() }
@@ -244,7 +278,7 @@ func (s *Service) Heartbeat(ctx context.Context, req *HeartbeatRequest) (*Heartb
 					return err
 				}
 			}
-			if err := m.Beat(tx, now); err != nil {
+			if err := m.Beat(tx, now, req.Boot, time.Duration(s.beatWindow.Load())); err != nil {
 				return err
 			}
 		}
@@ -261,13 +295,19 @@ func (s *Service) Heartbeat(ctx context.Context, req *HeartbeatRequest) (*Heartb
 		for i := range vms {
 			bySeq[vms[i].Seq] = &vms[i]
 		}
-		pending, err := s.pendingMatches(tx, m.Name)
-		if err != nil {
-			return err
-		}
-		running, err := s.activeRuns(tx, m.Name)
-		if err != nil {
-			return err
+		// A match or run only ever pairs with a matched or claimed VM: the
+		// cycle marks the VM in the match's transaction, and every way back
+		// to idle or offline deletes the pairings first. A beat finding
+		// every VM idle and reporting only idle slots has nothing to join.
+		var pending map[int64]matchInfo
+		var running map[int64]runInfo
+		if !allIdle(vms, req.VMs) {
+			if pending, err = s.pendingMatches(tx, m.Name); err != nil {
+				return err
+			}
+			if running, err = s.activeRuns(tx, m.Name); err != nil {
+				return err
+			}
 		}
 		for _, st := range req.VMs {
 			vm, ok := bySeq[st.Seq]
@@ -286,6 +326,22 @@ func (s *Service) Heartbeat(ctx context.Context, req *HeartbeatRequest) (*Heartb
 		return nil, err
 	}
 	return resp, nil
+}
+
+// allIdle reports whether every stored VM is idle and every report an idle
+// slot with no phase and no job.
+func allIdle(vms []VM, reports []VMStatus) bool {
+	for i := range vms {
+		if vms[i].State != VMIdle {
+			return false
+		}
+	}
+	for _, st := range reports {
+		if st.State != "idle" || st.Phase != "" || st.JobID != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // matchInfo is a pending match joined with its job's MATCHINFO fields.
@@ -895,11 +951,25 @@ func (s *Service) ConfigGet(ctx context.Context, req *ConfigGetRequest) (*Config
 	return resp, nil
 }
 
-// ConfigSet updates a configuration value, keeping history.
+// ConfigSet updates a configuration value, keeping history. Lowering the
+// heartbeat interval re-stamps, in the same transaction, every up machine
+// that may have beaten within old+new of now without writing its stamp:
+// such a beat lands in the old window after the stamp, so the stamp is
+// younger than old+new, and without the re-stamp the shorter sweep timeout
+// could reap a machine that beat a moment ago.
 func (s *Service) ConfigSet(ctx context.Context, req *ConfigSetRequest) (*ConfigSetResponse, error) {
 	resp := &ConfigSetResponse{OK: true}
 	err := s.c.InTx(ctx, func(tx *sqldb.Tx) error {
-		name, value, now := sqldb.NewText(req.Name), sqldb.NewText(req.Value), sqldb.NewTime(s.now())
+		at := s.now()
+		name, value, now := sqldb.NewText(req.Name), sqldb.NewText(req.Value), sqldb.NewTime(at)
+		if req.Name == ConfigHeartbeatIntervalSec {
+			if old, next := time.Duration(s.beatWindow.Load()), beatWindowOf(req.Value); next < old {
+				cutoff := sqldb.NewTime(at.Add(-old - max(0, next)))
+				if _, err := txExec(tx, `UPDATE machines SET last_heartbeat = ? WHERE state = ? AND last_heartbeat > ?`, now, sqldb.NewText(MachineUp), cutoff); err != nil {
+					return err
+				}
+			}
+		}
 		res, err := txExec(tx, `UPDATE config SET value = ?, updated_at = ? WHERE name = ?`, value, now, name)
 		if err != nil {
 			return err
@@ -916,6 +986,9 @@ func (s *Service) ConfigSet(ctx context.Context, req *ConfigSetRequest) (*Config
 	})
 	if err != nil {
 		return nil, err
+	}
+	if req.Name == ConfigHeartbeatIntervalSec {
+		s.beatWindow.Store(int64(beatWindowOf(req.Value)))
 	}
 	if s.onConfigSet != nil {
 		s.onConfigSet(req.Name, req.Value)
