@@ -90,7 +90,10 @@ flagdoc:
 # encoding a prefix of the other. Row images (a counted row from the log or
 # a page record, as the engine keeps it): never panic, allocation bounded
 # by the input, every column reads what the value decoder reads, and the
-# cells write back to the same bytes. go test -fuzz takes one target per
+# cells write back to the same bytes. SQL text (the parser, up to 4 KiB):
+# never panic, and every column reference of an accepted statement carries
+# its own slot below the statement's count, the same on every parse — the
+# binder resolves names by those slots. go test -fuzz takes one target per
 # run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime 30s ./internal/wire
@@ -100,6 +103,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPageImage$$' -fuzztime 30s ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyOrder$$' -fuzztime 30s ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzRowImage$$' -fuzztime 30s ./internal/sqldb
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/sqldb
 
 # Differential join-fuzzer acceptance run: 1000 seeded schema/query
 # combinations through the engine (planner, plan cache, batched operators;

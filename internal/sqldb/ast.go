@@ -35,6 +35,7 @@ type InsertStmt struct {
 	Table   string
 	Columns []string // empty means all columns in declaration order
 	Rows    [][]Expr
+	Slots   int // column references in Rows (ColRef.Slot); VALUES may name none
 }
 
 // JoinType distinguishes join flavours.
@@ -80,6 +81,9 @@ type SelectStmt struct {
 	OrderBy  []OrderItem
 	Limit    Expr // nil when absent
 	Offset   Expr // nil when absent
+	// Slots is how many column references the statement holds: the parser
+	// numbers them 0..Slots-1 (ColRef.Slot), and a plan resolves each once.
+	Slots int
 
 	// plan is the compiled-plan cache slot (plancache.go). The statement
 	// cache interns one AST per SQL text, so anchoring the plan here keys
@@ -98,6 +102,7 @@ type UpdateStmt struct {
 	Table string
 	Sets  []SetClause
 	Where Expr
+	Slots int // column references in Sets and Where, as on SelectStmt
 
 	// plan caches the compiled target plan (plancache.go): the
 	// synthesized single-table SELECT over Where that finds the rows to
@@ -109,6 +114,7 @@ type UpdateStmt struct {
 type DeleteStmt struct {
 	Table string
 	Where Expr
+	Slots int // column references in Where, as on SelectStmt
 
 	// plan caches the compiled target plan, as on UpdateStmt.
 	plan planSlot
@@ -146,8 +152,14 @@ type Literal struct{ Val Value }
 // Param is a positional '?' placeholder (0-based index).
 type Param struct{ Index int }
 
-// ColRef names a column, optionally qualified by table or alias.
-type ColRef struct{ Table, Name string }
+// ColRef names a column, optionally qualified by table or alias. Slot is
+// its number within its statement, given by the parser: a plan holds what
+// the name resolved to at that position (selectPlan.cols), so evaluation
+// reads a row, never a name.
+type ColRef struct {
+	Table, Name string
+	Slot        int
+}
 
 // Unary is -x or NOT x.
 type Unary struct {

@@ -160,7 +160,7 @@ func (tx *Tx) execSelect(s *SelectStmt, params []Value) (*Rows, error) {
 	// Outputs were star-expanded and named at plan time; so was whether
 	// they are all bare columns (plan.picks), and the result then row
 	// references instead of computed rows.
-	rows := &Rows{Columns: plan.cols}
+	rows := &Rows{Columns: plan.names}
 	sl := &q.sc.sorter
 	defer sl.end()
 	if err := sl.begin(q); err != nil {
@@ -182,29 +182,12 @@ func (tx *Tx) execSelect(s *SelectStmt, params []Value) (*Rows, error) {
 }
 
 // plan decides whether the access path may provide the ORDER BY, which
-// chooseAccess reads, and then plans the steps (planJoin).
+// chooseAccess reads, and then plans the steps (planJoin). The binder has
+// run: q.order holds the resolved ORDER BY keys.
 func (q *query) plan() error {
-	q.orderable = len(q.bindings) == 1 && len(q.stmt.OrderBy) > 0 && !q.stmt.Distinct &&
-		len(q.stmt.GroupBy) == 0 && q.stmt.Having == nil
-	if q.orderable {
-		for _, se := range q.stmt.Exprs {
-			if !se.Star && hasAggregate(se.Expr) {
-				q.orderable = false
-			}
-		}
-		q.orderAliased = make([]bool, len(q.stmt.OrderBy))
-		for oi, item := range q.stmt.OrderBy {
-			if hasAggregate(item.Expr) {
-				q.orderable = false
-			}
-			if cr, ok := item.Expr.(*ColRef); ok && cr.Table == "" {
-				for _, se := range q.stmt.Exprs {
-					if se.Alias != "" && strings.EqualFold(se.Alias, cr.Name) {
-						q.orderAliased[oi] = true
-					}
-				}
-			}
-		}
+	q.orderable = len(q.bindings) == 1 && len(q.order) > 0 && !q.stmt.Distinct && !q.aggregated
+	for _, e := range q.order {
+		q.orderable = q.orderable && !hasAggregate(e)
 	}
 	return q.planJoin()
 }
@@ -220,30 +203,189 @@ func conjuncts(e Expr) []Expr {
 	return []Expr{e}
 }
 
-// bindingPos resolves a column reference to a join position at plan time.
-func (q *query) bindingPos(cr *ColRef) (int, error) {
+// bindNames is the binder: the one place a name is resolved. It fills
+// q.cols, one pick per slot, for every column reference the statement
+// holds — the outputs, each ON and the WHERE, GROUP BY, HAVING and ORDER
+// BY — and lays out the outputs (q.outs, q.names), a star expanded into
+// references of its own, numbered after the statement's. q.order is the
+// ORDER BY keys, an ordinal replaced by the output it numbers. An unknown
+// or ambiguous name, and any name in LIMIT or OFFSET, fails the plan here,
+// before a row is read, whatever the tables hold. Nothing after reads a
+// name: evaluation reads q.cols[slot].
+//
+// The alias rule, one for ORDER BY and HAVING: an output alias is found by
+// its position in the star-expanded output row (the last output, if
+// several carry it). An unqualified name that no FROM table's column
+// carries names the output carrying it as its alias — outside an
+// aggregate's arguments, which read input rows — and an ORDER BY item that
+// is nothing but such a name names the output even when a column carries
+// it too (SQL's sort by output name).
+func (q *query) bindNames() error {
+	s := q.stmt
+	width := s.Slots
+	for _, se := range s.Exprs {
+		if se.Star {
+			for _, b := range q.bindings {
+				width += len(b.tbl.schema.Columns)
+			}
+		}
+	}
+	q.cols = make([]pick, s.Slots, width)
+	var aliases []string // per output: its alias, or ""
+	for i, se := range s.Exprs {
+		if !se.Star {
+			if err := q.bindExpr(se.Expr, nil); err != nil {
+				return err
+			}
+			q.outs, q.names = append(q.outs, se.Expr), append(q.names, outputName(se, i))
+			aliases = append(aliases, se.Alias)
+			continue
+		}
+		n := len(q.outs)
+		for bi, b := range q.bindings {
+			if se.Table != "" && strings.ToLower(se.Table) != b.alias {
+				continue
+			}
+			for ci, c := range b.tbl.schema.Columns {
+				q.outs = append(q.outs, &ColRef{Table: b.alias, Name: c.Name, Slot: len(q.cols)})
+				q.cols = append(q.cols, pick{bind: bi, col: ci})
+				q.names, aliases = append(q.names, c.Name), append(aliases, "")
+			}
+		}
+		if len(q.outs) == n {
+			if len(q.bindings) == 0 {
+				return fmt.Errorf("sqldb: SELECT * requires a FROM clause")
+			}
+			return fmt.Errorf("sqldb: %s.* matches no table", se.Table)
+		}
+	}
+	for _, ref := range s.From {
+		if err := q.bindExpr(ref.On, nil); err != nil {
+			return err
+		}
+	}
+	if err := q.bindExpr(s.Where, nil); err != nil {
+		return err
+	}
+	for _, e := range s.GroupBy {
+		if err := q.bindExpr(e, nil); err != nil {
+			return err
+		}
+	}
+	if err := q.bindExpr(s.Having, aliases); err != nil {
+		return err
+	}
+	q.order = make([]Expr, len(s.OrderBy))
+	for i, item := range s.OrderBy {
+		q.order[i] = item.Expr
+		switch x := item.Expr.(type) {
+		case *ColRef:
+			if at := aliasAt(aliases, x); at >= 0 {
+				q.cols[x.Slot] = q.outputPick(at)
+				continue
+			}
+		case *Literal: // ORDER BY <n>: the n-th output
+			if n := x.Val; n.Type() == Int && n.Int64() >= 1 && n.Int64() <= int64(len(q.outs)) {
+				q.order[i] = q.outs[n.Int64()-1]
+			}
+		}
+		if err := q.bindExpr(item.Expr, aliases); err != nil {
+			return err
+		}
+	}
+	var err error
+	for _, e := range [...]Expr{s.Limit, s.Offset} {
+		walkExpr(e, func(x Expr) {
+			if cr, ok := x.(*ColRef); ok && err == nil {
+				err = fmt.Errorf("sqldb: LIMIT and OFFSET cannot name a column (%s)", cr.Name)
+			}
+		})
+	}
+	return err
+}
+
+// bindExpr resolves the column references in e into q.cols, with the
+// alias rule's fallback to an output when aliases (one per output) is
+// given.
+func (q *query) bindExpr(e Expr, aliases []string) error {
+	var err error
+	walkExpr(e, func(x Expr) {
+		if err != nil {
+			return
+		}
+		switch x := x.(type) {
+		case *ColRef:
+			q.cols[x.Slot], err = q.bindingPos(x, aliases)
+		case *FuncCall:
+			if aliases != nil && isAggregate(x) {
+				// Its arguments read input rows, so they name columns only:
+				// bound first without aliases, a name only an alias carries
+				// fails here, and the walk into them finds the same columns.
+				for _, a := range x.Args {
+					if err == nil {
+						err = q.bindExpr(a, nil)
+					}
+				}
+			}
+		}
+	})
+	return err
+}
+
+// bindingPos resolves a column reference: to the column of the FROM table
+// its qualifier names, or of the one FROM table with a column of its name;
+// failing that, for an unqualified name, to the output aliases gives it.
+// The binder is its one caller.
+func (q *query) bindingPos(cr *ColRef, aliases []string) (pick, error) {
 	if cr.Table != "" {
 		t := strings.ToLower(cr.Table)
 		for i, b := range q.bindings {
-			if b.alias == t {
-				return i, nil
+			if b.alias != t {
+				continue
 			}
+			if ci := b.tbl.schema.ColumnIndex(cr.Name); ci >= 0 {
+				return pick{bind: i, col: ci}, nil
+			}
+			return pick{}, fmt.Errorf("sqldb: no column %s in %s", cr.Name, t)
 		}
-		return 0, fmt.Errorf("sqldb: unknown table or alias %q", cr.Table)
+		return pick{}, fmt.Errorf("sqldb: unknown table or alias %q", cr.Table)
 	}
-	found := -1
+	found := pick{bind: -1}
 	for i, b := range q.bindings {
-		if b.tbl.schema.ColumnIndex(cr.Name) >= 0 {
-			if found >= 0 {
-				return 0, fmt.Errorf("sqldb: ambiguous column %q", cr.Name)
+		if ci := b.tbl.schema.ColumnIndex(cr.Name); ci >= 0 {
+			if found.bind >= 0 {
+				return pick{}, fmt.Errorf("sqldb: ambiguous column %q", cr.Name)
 			}
-			found = i
+			found = pick{bind: i, col: ci}
 		}
 	}
-	if found < 0 {
-		return 0, fmt.Errorf("sqldb: unknown column %q", cr.Name)
+	if found.bind >= 0 {
+		return found, nil
 	}
-	return found, nil
+	if at := aliasAt(aliases, cr); at >= 0 {
+		return q.outputPick(at), nil
+	}
+	return pick{}, fmt.Errorf("sqldb: unknown column %q", cr.Name)
+}
+
+// aliasAt is the position of the last output aliases names cr by, or -1.
+func aliasAt(aliases []string, cr *ColRef) int {
+	at := -1
+	for j, a := range aliases {
+		if cr.Table == "" && a != "" && strings.EqualFold(a, cr.Name) {
+			at = j
+		}
+	}
+	return at
+}
+
+// outputPick is what a reference to output at reads: the output's own
+// pick when it is a bare column, else its place in the output row.
+func (q *query) outputPick(at int) pick {
+	if cr, ok := q.outs[at].(*ColRef); ok {
+		return q.cols[cr.Slot]
+	}
+	return pick{bind: -1, col: at}
 }
 
 // rangeBound is one inequality usable as an index range endpoint.
@@ -262,18 +404,11 @@ func (q *query) chooseAccess(i int, usable []Expr, canEval func(Expr) bool) acce
 	// boundSide classifies `col OP expr` where expr is computable at scan
 	// time; returns the column index or -1.
 	boundSide := func(colSide, otherSide Expr) int {
-		cr, ok := colSide.(*ColRef)
-		if !ok {
+		ci := q.colOn(i, colSide)
+		if ci < 0 || !canEval(otherSide) {
 			return -1
 		}
-		pos, err := q.bindingPos(cr)
-		if err != nil || pos != i {
-			return -1
-		}
-		if !canEval(otherSide) {
-			return -1
-		}
-		return q.bindings[i].tbl.schema.ColumnIndex(cr.Name)
+		return ci
 	}
 
 	eqByCol := make(map[int]Expr)
@@ -370,20 +505,7 @@ func (q *query) chooseAccess(i int, usable []Expr, canEval func(Expr) bool) acce
 		items:
 			for oi, item := range q.stmt.OrderBy {
 				pos := len(plan.eqExprs) + oi
-				if pos >= len(ix.cols) {
-					break
-				}
-				if q.orderAliased[oi] {
-					break // sorts by the output alias, not the table column
-				}
-				cr, ok := item.Expr.(*ColRef)
-				if !ok {
-					break
-				}
-				if p, err := q.bindingPos(cr); err != nil || p != i {
-					break
-				}
-				if tbl.schema.ColumnIndex(cr.Name) != ix.cols[pos] {
+				if pos >= len(ix.cols) || q.colOn(i, q.order[oi]) != ix.cols[pos] {
 					break
 				}
 				switch {
@@ -460,16 +582,6 @@ func flipOp(op string) string {
 	return op
 }
 
-func refsColumns(e Expr) bool {
-	found := false
-	walkExpr(e, func(x Expr) {
-		if _, ok := x.(*ColRef); ok {
-			found = true
-		}
-	})
-	return found
-}
-
 // scanPlan runs one access path over binding i as a push stage, passing
 // each row it keeps to visit in scan order. The scan goes window by window
 // (scan.go): each latched window collects candidates, and visit runs on
@@ -501,37 +613,6 @@ func (q *query) scanPlan(i int, ap accessPlan, visit func(rid int64, row rowImag
 	return err
 }
 
-// expandOutputs resolves stars into column refs and names the outputs.
-func (q *query) expandOutputs() ([]Expr, []string, error) {
-	var outs []Expr
-	var cols []string
-	for i, se := range q.stmt.Exprs {
-		if !se.Star {
-			outs = append(outs, se.Expr)
-			cols = append(cols, outputName(se, i))
-			continue
-		}
-		expanded := false
-		for _, b := range q.bindings {
-			if se.Table != "" && strings.ToLower(se.Table) != b.alias {
-				continue
-			}
-			for _, c := range b.tbl.schema.Columns {
-				outs = append(outs, &ColRef{Table: b.alias, Name: c.Name})
-				cols = append(cols, c.Name)
-			}
-			expanded = true
-		}
-		if !expanded {
-			if len(q.bindings) == 0 {
-				return nil, nil, fmt.Errorf("sqldb: SELECT * requires a FROM clause")
-			}
-			return nil, nil, fmt.Errorf("sqldb: %s.* matches no table", se.Table)
-		}
-	}
-	return outs, cols, nil
-}
-
 func outputName(se SelectExpr, i int) string {
 	if se.Alias != "" {
 		return se.Alias
@@ -549,34 +630,9 @@ func outputName(se SelectExpr, i int) string {
 	}
 }
 
-// orderKeyExprs resolves ORDER BY items, mapping bare aliases to output
-// columns (returned as negative positions encoded in aliasPos).
-func (q *query) orderKeys(outs []Expr) ([]Expr, []int) {
-	exprs := make([]Expr, len(q.stmt.OrderBy))
-	aliasPos := make([]int, len(q.stmt.OrderBy))
-	for i, item := range q.stmt.OrderBy {
-		exprs[i] = item.Expr
-		aliasPos[i] = -1
-		if cr, ok := item.Expr.(*ColRef); ok && cr.Table == "" {
-			for j, se := range q.stmt.Exprs {
-				if se.Alias != "" && strings.EqualFold(se.Alias, cr.Name) {
-					aliasPos[i] = j
-				}
-			}
-		}
-		// ORDER BY <n>: positional reference to the output list.
-		if lit, ok := item.Expr.(*Literal); ok && lit.Val.Type() == Int {
-			n := int(lit.Val.Int64())
-			if n >= 1 && n <= len(outs) {
-				aliasPos[i] = n - 1
-			}
-		}
-	}
-	return exprs, aliasPos
-}
-
-// pick locates a bare-column output: column col of the row bound to
-// binding bind.
+// pick locates a column: column col of the row bound to binding bind, or,
+// with bind -1, output col of the output row being finished (an output
+// alias in ORDER BY or HAVING).
 type pick struct{ bind, col int }
 
 // of reads the pick out of one row per binding. A LEFT JOIN's padded side
@@ -588,10 +644,8 @@ func (p pick) of(refs []rowImage) Value {
 	return Value{}
 }
 
-// compilePicks resolves outs to picks when every one of them is a bare
-// column of some binding, nil otherwise. A reference evaluation would
-// refuse (unknown, ambiguous) is left to evaluation, which reports it for
-// the first row as it always has.
+// compilePicks is outs' picks when every one of them is a bare column of
+// some binding, nil otherwise.
 func (q *query) compilePicks(outs []Expr) []pick {
 	picks := make([]pick, len(outs))
 	for i, e := range outs {
@@ -599,15 +653,7 @@ func (q *query) compilePicks(outs []Expr) []pick {
 		if !ok {
 			return nil
 		}
-		pos, err := q.bindingPos(cr)
-		if err != nil {
-			return nil
-		}
-		ci := q.bindings[pos].tbl.schema.ColumnIndex(cr.Name)
-		if ci < 0 {
-			return nil
-		}
-		picks[i] = pick{bind: pos, col: ci}
+		picks[i] = q.cols[cr.Slot]
 	}
 	return picks
 }
@@ -649,20 +695,18 @@ type sortLimit struct {
 type sortEntry struct{ seq, slot int }
 
 // begin readies the unit for q's statement. LIMIT and OFFSET are evaluated
-// here, once, against the parameters alone.
+// here, once, against the parameters alone (the binder let them name no
+// column).
 func (s *sortLimit) begin(q *query) error {
 	s.q, s.items, s.nkey = q, q.stmt.OrderBy, len(q.stmt.OrderBy)
 	if q.picks != nil {
 		s.width = len(q.bindings)
 	}
 	s.limit, s.bound = -1, -1 // end left the rest zero
-	bindings := q.env.bindings
-	q.env.bindings = nil
 	err := q.evalCount(q.stmt.Limit, "LIMIT", &s.limit)
 	if err == nil {
 		err = q.evalCount(q.stmt.Offset, "OFFSET", &s.offset)
 	}
-	q.env.bindings = bindings
 	if err != nil || s.limit < 0 || q.stmt.Distinct {
 		return err
 	}
@@ -888,46 +932,33 @@ func (q *query) runPlain(outs []Expr, sl *sortLimit) error {
 // offerRow writes the row bound in q.env into the sort unit's free slot
 // and offers it, unless HAVING rejects it: for a result of picks each
 // bound row's image — images are immutable, so nothing is copied — else
-// its outputs, evaluated into a row allocated for the result; then its
-// ORDER BY keys. It reports whether the producer may stop.
+// its outputs, evaluated into a row allocated for the result, which an
+// output alias in HAVING or ORDER BY reads; then its ORDER BY keys. It
+// reports whether the producer may stop.
 func (q *query) offerRow(outs []Expr, sl *sortLimit) (stop bool, err error) {
 	keys, refs, row := sl.slot()
+	env := q.env
 	if q.picks != nil {
-		for i := range refs {
-			refs[i] = q.env.bindings[i].row
-		}
+		copy(refs, env.rows)
 	} else {
 		if *row == nil {
 			*row = make([]Value, len(outs))
 		}
 		for i, e := range outs {
-			v, err := q.env.eval(e)
-			if err != nil {
+			if (*row)[i], err = env.eval(e); err != nil {
 				return false, err
 			}
-			(*row)[i] = v
 		}
+		env.aliasRow = *row
 		if q.stmt.Having != nil {
-			q.env.aliasRow = *row
-			ok, err := truthy(q.env.eval(q.stmt.Having))
-			q.env.aliasRow = nil
-			if err != nil || !ok {
+			if ok, err := truthy(env.eval(q.stmt.Having)); err != nil || !ok {
 				return false, err
 			}
 		}
 	}
-	for i, e := range q.orderExprs {
-		switch at := q.orderAlias[i]; {
-		case at < 0:
-			v, err := q.env.eval(e)
-			if err != nil {
-				return false, err
-			}
-			keys[i] = v
-		case q.picks != nil:
-			keys[i] = q.picks[at].of(refs)
-		default:
-			keys[i] = (*row)[at]
+	for i, e := range q.order {
+		if keys[i], err = env.eval(e); err != nil {
+			return false, err
 		}
 	}
 	return sl.offer(), nil
@@ -1012,6 +1043,9 @@ func (tx *Tx) execInsert(s *InsertStmt, params []Value) (Result, error) {
 			autoCol = i
 		}
 	}
+	if s.Slots > 0 {
+		return Result{}, fmt.Errorf("sqldb: INSERT values cannot name a column")
+	}
 	sc.env = evalEnv{params: params, now: tx.db.nowFn()}
 	env := &sc.env
 	check := cancelCheck{ctx: tx.ctx}
@@ -1060,10 +1094,10 @@ func (tx *Tx) execInsert(s *InsertStmt, params []Value) (Result, error) {
 // lock the chosen access path calls for: intention-exclusive (with row X
 // locks during matchTarget) when an index narrows the statement to
 // individual rows, whole-table exclusive for a full scan.
-func (tx *Tx) planTarget(kind, tableName string, where Expr, slot *planSlot, params []Value) (*query, *table, error) {
+func (tx *Tx) planTarget(kind string, s Statement, tableName string, slot *planSlot, params []Value) (*query, *table, error) {
 	q := tx.scratch().beginQuery(tx, params, kind, lockExclusive)
 	q.stats.Table = tableName
-	plan, _, err := tx.planTargetPlan(tableName, where, slot)
+	plan, _, err := tx.planTargetPlan(s, slot)
 	if err != nil {
 		return q, nil, err
 	}
@@ -1086,7 +1120,7 @@ func (q *query) matchTarget() ([]int64, error) {
 	st := &q.steps[0]
 	rids := q.sc.rids[:0]
 	err := q.scanPlan(st.bind, st.access, func(rid int64, row rowImage) error {
-		q.env.bindings[st.bind].row = row
+		q.env.rows[st.bind] = row
 		if ok, err := q.evalConjs(st.match); err != nil || !ok {
 			return err
 		}
@@ -1101,7 +1135,7 @@ func (tx *Tx) execUpdate(s *UpdateStmt, params []Value) (Result, error) {
 	if tx.readOnly {
 		return Result{}, ErrReadOnly
 	}
-	q, tbl, err := tx.planTarget("UPDATE", s.Table, s.Where, &s.plan, params)
+	q, tbl, err := tx.planTarget("UPDATE", s, s.Table, &s.plan, params)
 	stats := q.stats
 	defer func() { tx.db.emit(*stats) }()
 	if err != nil {
@@ -1144,7 +1178,7 @@ func (tx *Tx) execUpdate(s *UpdateStmt, params []Value) (Result, error) {
 		if old == noRow {
 			continue
 		}
-		q.env.bindings[0].row = old
+		q.env.rows[0] = old
 		for i, set := range s.Sets {
 			v, err := q.env.eval(set.Value)
 			if err != nil {
@@ -1182,7 +1216,7 @@ func (tx *Tx) execDelete(s *DeleteStmt, params []Value) (Result, error) {
 	if tx.readOnly {
 		return Result{}, ErrReadOnly
 	}
-	q, tbl, err := tx.planTarget("DELETE", s.Table, s.Where, &s.plan, params)
+	q, tbl, err := tx.planTarget("DELETE", s, s.Table, &s.plan, params)
 	stats := q.stats
 	defer func() { tx.db.emit(*stats) }()
 	if err != nil {

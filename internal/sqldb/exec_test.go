@@ -207,6 +207,31 @@ func TestNotNullEnforced(t *testing.T) {
 	}
 }
 
+// TestDMLNamesFailWithoutRows: an UPDATE or DELETE resolves every name it
+// holds when it is planned, so a bad one fails whether or not a row
+// matches its WHERE — here none does, and nothing is evaluated.
+func TestDMLNamesFailWithoutRows(t *testing.T) {
+	db := New()
+	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER)`)
+	mustExec(t, db, `INSERT INTO t VALUES (1, 10)`)
+	for _, sql := range []string{
+		`UPDATE t SET a = nosuch WHERE id = 5`,
+		`UPDATE t SET a = 1 WHERE id = 5 AND nosuch = 1`,
+		`DELETE FROM t WHERE id = 5 AND nosuch = 1`,
+	} {
+		_, err := db.Exec(sql)
+		if err == nil || !strings.Contains(err.Error(), `unknown column "nosuch"`) {
+			t.Errorf("%s: err = %v, want unknown column \"nosuch\"", sql, err)
+		}
+	}
+	if _, err := db.Exec(`INSERT INTO t VALUES (2, id)`); err == nil {
+		t.Error("INSERT VALUES naming a column succeeded")
+	}
+	if rows := mustQuery(t, db, `SELECT a FROM t`); rows.Len() != 1 || rows.Data[0][0].Int64() != 10 {
+		t.Fatalf("table changed: %v", rows.Data)
+	}
+}
+
 func TestOrderByLimitOffset(t *testing.T) {
 	db := newJobsDB(t)
 	for _, o := range []string{"c", "a", "d", "b", "e"} {

@@ -105,10 +105,7 @@ type aggInstr struct {
 	op       aggOp
 	star     bool
 	distinct bool
-	// bind/col locate a bare column-reference argument; bind = -1 means
-	// the argument needs the full expression evaluator.
-	bind, col int
-	fc        *FuncCall
+	fc       *FuncCall
 }
 
 // collectAggCalls gathers the distinct aggregate calls across the output
@@ -134,46 +131,21 @@ func (q *query) collectAggCalls(outs []Expr) []*FuncCall {
 	return calls
 }
 
-// outputAliasIdx maps output aliases (lowercased) to output positions so
-// HAVING can reference them (`count(*) AS n ... HAVING n >= 2`). Star
-// items shift positions unpredictably, so alias resolution is disabled
-// when the SELECT list contains one.
-func (q *query) outputAliasIdx() map[string]int {
-	var m map[string]int
-	for i, se := range q.stmt.Exprs {
-		if se.Star {
-			return nil
-		}
-		if se.Alias != "" {
-			if m == nil {
-				m = make(map[string]int, len(q.stmt.Exprs))
-			}
-			m[strings.ToLower(se.Alias)] = i
-		}
-	}
-	return m
-}
-
 // aggPlan is the compiled, shareable half of aggregation: the
-// deduplicated aggregate calls, the opcode program, the group key, and
-// the finish phase's alias resolution. Everything here is immutable after
-// compileAgg returns — cached plans share one aggPlan across concurrent
-// executions (the maps are read-only after compile); the groups of one
-// execution live in runAggregate.
+// deduplicated aggregate calls, the opcode program and the group key.
+// Everything here is immutable after compileAgg returns — cached plans
+// share one aggPlan across concurrent executions (the map is read-only
+// after compile); the groups of one execution live in runAggregate.
 type aggPlan struct {
 	aggCalls []*FuncCall
 	// instrs is the compiled accumulation program: one instruction per
-	// aggregate call, with the call's name resolved to an opcode and a
-	// bare column-reference argument resolved to a binding/column pair, so
-	// the per-row loop never touches strings or the expression evaluator
-	// on the common shapes.
+	// aggregate call, with the call's name resolved to an opcode, so the
+	// per-row loop never touches strings.
 	instrs []aggInstr
 	// keys is the group key, one part per GROUP BY item; none for a
 	// global aggregate, whose one group has the empty key.
 	keys     []keyPart
-	onlyStar bool // the only aggregate is COUNT(*)
-
-	aliasIdx map[string]int    // read-only after compile
+	onlyStar bool              // the only aggregate is COUNT(*)
 	aggIdx   map[*FuncCall]int // read-only after compile
 }
 
@@ -184,26 +156,15 @@ func (q *query) compileAgg(outs []Expr) (*aggPlan, error) {
 	ap.instrs = make([]aggInstr, len(ap.aggCalls))
 	for i, fc := range ap.aggCalls {
 		in := &ap.instrs[i]
-		in.op, in.star, in.distinct, in.bind, in.fc = aggOpOf(fc.Name), fc.Star, fc.Distinct, -1, fc
-		if fc.Star {
-			continue
-		}
-		if len(fc.Args) != 1 {
+		in.op, in.star, in.distinct, in.fc = aggOpOf(fc.Name), fc.Star, fc.Distinct, fc
+		if !fc.Star && len(fc.Args) != 1 {
 			return nil, fmt.Errorf("sqldb: %s expects one argument", strings.ToUpper(fc.Name))
-		}
-		if cr, ok := fc.Args[0].(*ColRef); ok {
-			if pos, err := q.bindingPos(cr); err == nil {
-				if ci := q.bindings[pos].tbl.schema.ColumnIndex(cr.Name); ci >= 0 {
-					in.bind, in.col = pos, ci
-				}
-			}
 		}
 	}
 	for _, e := range q.stmt.GroupBy {
 		ap.keys = append(ap.keys, q.keyPart(e))
 	}
 	ap.onlyStar = len(ap.instrs) == 1 && ap.instrs[0].star
-	ap.aliasIdx = q.outputAliasIdx()
 	ap.aggIdx = make(map[*FuncCall]int, len(ap.aggCalls))
 	for i, fc := range ap.aggCalls {
 		ap.aggIdx[fc] = i
@@ -235,10 +196,7 @@ func (gl *groupList) find(key string) *aggGroup {
 // the image of the row bound to each binding in q.env. Images are
 // immutable, so holding them is safe and no row is copied.
 func (gl *groupList) add(q *query, key string) *aggGroup {
-	g := &aggGroup{key: key, aggs: make([]aggState, len(q.agg.aggCalls)), rep: make([]rowImage, len(q.env.bindings))}
-	for i := range q.env.bindings {
-		g.rep[i] = q.env.bindings[i].row
-	}
+	g := &aggGroup{key: key, aggs: make([]aggState, len(q.agg.aggCalls)), rep: append([]rowImage(nil), q.env.rows...)}
 	gl.list = append(gl.list, g)
 	switch {
 	case gl.index != nil:
@@ -280,9 +238,7 @@ func (q *query) runAggregate(outs []Expr, sl *sortLimit) error {
 	// Global aggregation over zero rows still yields one row (count(*)=0,
 	// sum/avg/min/max NULL) over an all-NULL-padded environment.
 	if len(groups.list) == 0 && len(ap.keys) == 0 {
-		for i := range q.env.bindings {
-			q.env.bindings[i].row = noRow
-		}
+		clear(q.env.rows)
 		groups.add(q, "")
 	}
 	q.aggGroups += uint64(len(groups.list))
@@ -291,14 +247,12 @@ func (q *query) runAggregate(outs []Expr, sl *sortLimit) error {
 	}
 
 	env := q.env
-	env.aliasIdx, env.aggIdx, env.aggVals = ap.aliasIdx, ap.aggIdx, make([]Value, len(ap.aggCalls))
+	env.aggIdx, env.aggVals = ap.aggIdx, make([]Value, len(ap.aggCalls))
 	for _, g := range groups.list {
 		if err := q.cancel.check(); err != nil {
 			return err
 		}
-		for i := range env.bindings {
-			env.bindings[i].row = g.rep[i]
-		}
+		copy(env.rows, g.rep)
 		for i, fc := range ap.aggCalls {
 			env.aggVals[i] = finishAgg(fc, &g.aggs[i])
 		}
@@ -310,8 +264,8 @@ func (q *query) runAggregate(outs []Expr, sl *sortLimit) error {
 }
 
 // fold accumulates the row bound in q.env into g. It runs once per input
-// row, so the compiled instruction loop reads bare-column arguments by
-// index.
+// row; an argument that is a bare column is read through its pick, like
+// any column reference.
 func (q *query) fold(ap *aggPlan, g *aggGroup) error {
 	if ap.onlyStar {
 		g.aggs[0].count++
@@ -325,16 +279,9 @@ func (q *query) fold(ap *aggPlan, g *aggGroup) error {
 			st.count++
 			continue
 		}
-		var v Value
-		if in.bind >= 0 {
-			if row := env.bindings[in.bind].row; row != noRow {
-				v = row.col(in.col)
-			}
-		} else {
-			var err error
-			if v, err = env.eval(in.fc.Args[0]); err != nil {
-				return err
-			}
+		v, err := env.eval(in.fc.Args[0])
+		if err != nil {
+			return err
 		}
 		if v.typ == Null {
 			continue // aggregates ignore NULL inputs

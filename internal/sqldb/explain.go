@@ -20,10 +20,8 @@ func (tx *Tx) execExplain(s *ExplainStmt) (*Rows, error) {
 	switch inner := s.Stmt.(type) {
 	case *SelectStmt:
 		sel = inner
-	case *UpdateStmt:
-		sel = &SelectStmt{From: []TableRef{{Table: inner.Table, Alias: inner.Table}}, Where: inner.Where}
-	case *DeleteStmt:
-		sel = &SelectStmt{From: []TableRef{{Table: inner.Table, Alias: inner.Table}}, Where: inner.Where}
+	case *UpdateStmt, *DeleteStmt:
+		sel = targetSelect(inner)
 	default:
 		return nil, fmt.Errorf("sqldb: EXPLAIN supports SELECT, UPDATE and DELETE")
 	}
@@ -55,9 +53,9 @@ func (tx *Tx) execExplain(s *ExplainStmt) (*Rows, error) {
 	case *SelectStmt:
 		plan, hit, err = tx.planSelect(inner)
 	case *UpdateStmt:
-		plan, hit, err = tx.planTargetPlan(inner.Table, inner.Where, &inner.plan)
+		plan, hit, err = tx.planTargetPlan(inner, &inner.plan)
 	case *DeleteStmt:
-		plan, hit, err = tx.planTargetPlan(inner.Table, inner.Where, &inner.plan)
+		plan, hit, err = tx.planTargetPlan(inner, &inner.plan)
 	}
 	if err != nil {
 		return nil, err

@@ -10,82 +10,22 @@ import (
 // current (possibly joined) row, statement parameters, the clock for NOW(),
 // and — after aggregation — a group's finished aggregate values.
 type evalEnv struct {
-	bindings []binding
-	params   []Value
-	now      time.Time
+	// rows is the row bound to each binding of the plan, noRow on the
+	// padded side of a LEFT JOIN; cols is the plan's slot table, where
+	// each column reference's slot says which of them it reads.
+	rows   []rowImage
+	cols   []pick
+	params []Value
+	now    time.Time
 
 	// A group's finished aggregate values (executor.go), one per aggregate
 	// call, at the call's aggIdx position: one env serves every group.
 	aggIdx  map[*FuncCall]int
 	aggVals []Value
 
-	// HAVING may refer to output-column aliases; aliasRow holds the
-	// already-projected output row while HAVING is evaluated.
-	aliasIdx map[string]int
+	// aliasRow is the output row being finished, which an ORDER BY or
+	// HAVING reference to an output alias reads (a pick with bind -1).
 	aliasRow []Value
-}
-
-// binding associates a table alias with the schema and current row.
-type binding struct {
-	alias  string
-	schema *TableSchema
-	row    rowImage // noRow for the padded side of a LEFT JOIN
-}
-
-// errNotFound distinguishes "column not bound here" during outer-reference
-// checks in the planner.
-type errColumn struct{ msg string }
-
-func (e *errColumn) Error() string { return e.msg }
-
-func (env *evalEnv) resolve(table, name string) (Value, error) {
-	name = strings.ToLower(name)
-	if table != "" {
-		table = strings.ToLower(table)
-		for i := range env.bindings {
-			b := &env.bindings[i]
-			if b.alias == table {
-				ci := b.schema.ColumnIndex(name)
-				if ci < 0 {
-					return Value{}, &errColumn{fmt.Sprintf("sqldb: no column %s in %s", name, table)}
-				}
-				if b.row == noRow {
-					return NullValue(), nil
-				}
-				return b.row.col(ci), nil
-			}
-		}
-		return Value{}, &errColumn{fmt.Sprintf("sqldb: unknown table or alias %q", table)}
-	}
-	found := -1
-	var val Value
-	for i := range env.bindings {
-		b := &env.bindings[i]
-		ci := b.schema.ColumnIndex(name)
-		if ci < 0 {
-			continue
-		}
-		if found >= 0 {
-			return Value{}, &errColumn{fmt.Sprintf("sqldb: ambiguous column %q", name)}
-		}
-		found = i
-		if b.row == noRow {
-			val = NullValue()
-		} else {
-			val = b.row.col(ci)
-		}
-	}
-	if found < 0 {
-		// HAVING over an output alias: fall back to the projected row
-		// only when no table column claims the unqualified name.
-		if env.aliasIdx != nil && env.aliasRow != nil {
-			if i, ok := env.aliasIdx[name]; ok {
-				return env.aliasRow[i], nil
-			}
-		}
-		return Value{}, &errColumn{fmt.Sprintf("sqldb: unknown column %q", name)}
-	}
-	return val, nil
 }
 
 // eval evaluates an expression with SQL NULL semantics: any operand NULL
@@ -100,7 +40,11 @@ func (env *evalEnv) eval(e Expr) (Value, error) {
 		}
 		return env.params[x.Index], nil
 	case *ColRef:
-		return env.resolve(x.Table, x.Name)
+		p := env.cols[x.Slot]
+		if p.bind < 0 {
+			return env.aliasRow[p.col], nil
+		}
+		return p.of(env.rows), nil
 	case *Unary:
 		return env.evalUnary(x)
 	case *Binary:

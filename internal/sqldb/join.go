@@ -105,26 +105,16 @@ type joinConj struct {
 	refs uint64
 }
 
-// conjRefs computes the binding-reference bitmask of an expression,
-// surfacing unknown/ambiguous column errors at plan time.
-func (q *query) conjRefs(e Expr) (uint64, error) {
+// conjRefs computes the binding-reference bitmask of an expression from
+// the picks the binder gave its column references.
+func (q *query) conjRefs(e Expr) uint64 {
 	var mask uint64
-	var firstErr error
 	walkExpr(e, func(x Expr) {
-		cr, ok := x.(*ColRef)
-		if !ok {
-			return
+		if cr, ok := x.(*ColRef); ok {
+			mask |= uint64(1) << uint(q.cols[cr.Slot].bind)
 		}
-		p, err := q.bindingPos(cr)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			return
-		}
-		mask |= uint64(1) << uint(p)
 	})
-	return mask, firstErr
+	return mask
 }
 
 // planJoin plans the statement's steps: conjunct classification, join
@@ -150,29 +140,17 @@ func (q *query) planJoin() error {
 	// references.
 	var pool []joinConj
 	leftOn := make([][]joinConj, n)
-	add := func(dst *[]joinConj, e Expr) error {
-		refs, err := q.conjRefs(e)
-		if err != nil {
-			return err
-		}
-		*dst = append(*dst, joinConj{e: e, refs: refs})
-		return nil
-	}
 	for i := 1; i < n; i++ {
 		for _, c := range conjuncts(q.stmt.From[i].On) {
 			dst := &pool
 			if q.stmt.From[i].Join == JoinLeft {
 				dst = &leftOn[i]
 			}
-			if err := add(dst, c); err != nil {
-				return err
-			}
+			*dst = append(*dst, joinConj{e: c, refs: q.conjRefs(c)})
 		}
 	}
 	for _, c := range conjuncts(q.stmt.Where) {
-		if err := add(&pool, c); err != nil {
-			return err
-		}
+		pool = append(pool, joinConj{e: c, refs: q.conjRefs(c)})
 	}
 
 	// build instantiates the steps for one complete order, returning the
@@ -383,11 +361,7 @@ func (q *query) makeStep(placed uint64, est float64, b int, leftOuter bool, pool
 		if !ok || bin.Op != "=" {
 			continue
 		}
-		lr, el := q.conjRefs(bin.L)
-		rr, er := q.conjRefs(bin.R)
-		if el != nil || er != nil {
-			continue
-		}
+		lr, rr := q.conjRefs(bin.L), q.conjRefs(bin.R)
 		switch {
 		case lr&^placed == 0 && lr != 0 && rr&^bbit == 0 && rr != 0:
 			edges = append(edges, edge{outer: bin.L, inner: bin.R, innerCol: q.colOn(b, bin.R)})
@@ -424,14 +398,8 @@ func (q *query) makeStep(placed uint64, est float64, b int, leftOuter bool, pool
 	// NL); accessLocal uses only outer-independent predicates (build scan
 	// and plain scans). With nothing placed every usable conjunct is local
 	// and only constants are computable, so the two are one call.
-	canEvalOuter := func(e Expr) bool {
-		r, err := q.conjRefs(e)
-		return err == nil && r&^placed == 0
-	}
-	canEvalConst := func(e Expr) bool {
-		r, err := q.conjRefs(e)
-		return err == nil && r == 0
-	}
+	canEvalOuter := func(e Expr) bool { return q.conjRefs(e)&^placed == 0 }
+	canEvalConst := func(e Expr) bool { return q.conjRefs(e) == 0 }
 	usable := make([]Expr, 0, len(matchCs))
 	for _, c := range matchCs {
 		usable = append(usable, c.e)
@@ -512,18 +480,12 @@ func (q *query) makeStep(placed uint64, est float64, b int, leftOuter bool, pool
 	return st, cost + estMatched
 }
 
-// colOn resolves e to a column index of binding b when e is a plain
-// column reference on b; -1 otherwise.
+// colOn is the column of binding b that e is a bare reference to, or -1.
 func (q *query) colOn(b int, e Expr) int {
-	cr, ok := e.(*ColRef)
-	if !ok {
-		return -1
+	if cr, ok := e.(*ColRef); ok && q.cols[cr.Slot].bind == b {
+		return q.cols[cr.Slot].col
 	}
-	p, err := q.bindingPos(cr)
-	if err != nil || p != b {
-		return -1
-	}
-	return q.bindings[b].tbl.schema.ColumnIndex(cr.Name)
+	return -1
 }
 
 // localSelectivity estimates the fraction of b's rows passing one
@@ -535,10 +497,10 @@ func (q *query) localSelectivity(b int, e Expr) float64 {
 	case *Binary:
 		switch x.Op {
 		case "=":
-			if ci := q.colOn(b, x.L); ci >= 0 && !refsColumns(x.R) {
+			if ci := q.colOn(b, x.L); ci >= 0 && q.conjRefs(x.R) == 0 {
 				return 1 / math.Max(tbl.distinctOfCol(ci), 1)
 			}
-			if ci := q.colOn(b, x.R); ci >= 0 && !refsColumns(x.L) {
+			if ci := q.colOn(b, x.R); ci >= 0 && q.conjRefs(x.L) == 0 {
 				return 1 / math.Max(tbl.distinctOfCol(ci), 1)
 			}
 			return 0.1
@@ -615,7 +577,7 @@ func (q *query) evalConjs(cs []Expr) (bool, error) {
 func (q *query) nestedProbe(st *stepPlan, emit func() error) error {
 	matched := false
 	err := q.scanPlan(st.bind, st.access, func(rid int64, row rowImage) error {
-		q.env.bindings[st.bind].row = row
+		q.env.rows[st.bind] = row
 		if ok, err := q.evalConjs(st.match); err != nil || !ok {
 			return err
 		}
@@ -636,7 +598,7 @@ func (q *query) nestedProbe(st *stepPlan, emit func() error) error {
 
 // padAndEmit emits the NULL-padded row of a LEFT JOIN step.
 func (q *query) padAndEmit(st *stepPlan, emit func() error) error {
-	q.env.bindings[st.bind].row = noRow
+	q.env.rows[st.bind] = noRow
 	if ok, err := q.evalConjs(st.post); err != nil || !ok {
 		return err
 	}
@@ -653,16 +615,11 @@ type keyPart struct {
 	bind, col int
 }
 
-// keyPart compiles e into a key part at plan time. A reference evaluation
-// would refuse (unknown, ambiguous) stays an expression, which reports it
-// for the first row.
+// keyPart compiles e into a key part at plan time.
 func (q *query) keyPart(e Expr) keyPart {
 	if cr, ok := e.(*ColRef); ok {
-		if pos, err := q.bindingPos(cr); err == nil {
-			schema := &q.bindings[pos].tbl.schema
-			if ci := schema.ColumnIndex(cr.Name); ci >= 0 && schema.Columns[ci].Type != Float {
-				return keyPart{e: e, bind: pos, col: ci}
-			}
+		if p := q.cols[cr.Slot]; p.bind >= 0 && q.bindings[p.bind].tbl.schema.Columns[p.col].Type != Float {
+			return keyPart{e: e, bind: p.bind, col: p.col}
 		}
 	}
 	return keyPart{e: e, bind: -1}
@@ -718,7 +675,7 @@ func (q *query) equalKey(parts []keyPart, join bool) (key string, null bool, err
 
 // keyCell is part p's cell in the row bound in q.env.
 func (q *query) keyCell(p keyPart) string {
-	if row := q.env.bindings[p.bind].row; row != noRow {
+	if row := q.env.rows[p.bind]; row != noRow {
 		return row.cell(p.col)
 	}
 	return nullCell
@@ -764,13 +721,9 @@ func (q *query) driveHash(k int, st *stepPlan, emit func() error) error {
 
 	// Build on the outer side: collect the outer stream (with its key and
 	// a match bit per tuple), hash it, probe it with one scan of st's table.
-	nb := len(q.env.bindings)
 	var outs []outerTuple
 	err := q.driveStep(k-1, func() error {
-		t := outerTuple{rows: make([]rowImage, nb)}
-		for i := range q.env.bindings {
-			t.rows[i] = q.env.bindings[i].row
-		}
+		t := outerTuple{rows: append([]rowImage(nil), q.env.rows...)}
 		key, null, err := q.equalKey(st.hashOuter, true)
 		if err != nil {
 			return err
@@ -782,11 +735,7 @@ func (q *query) driveHash(k int, st *stepPlan, emit func() error) error {
 	if err != nil {
 		return err
 	}
-	restore := func(t *outerTuple) {
-		for i := range q.env.bindings {
-			q.env.bindings[i].row = t.rows[i]
-		}
-	}
+	restore := func(t *outerTuple) { copy(q.env.rows, t.rows) }
 
 	if err := q.probeBuildOuter(st, outs, restore, emit); err != nil {
 		return err
@@ -822,7 +771,7 @@ func (q *query) buildHashInner(k int, st *stepPlan) (*hashState, error) {
 	hj := &hashState{}
 	q.hjs[k] = hj
 	err := q.scanPlan(st.bind, st.access, func(rid int64, row rowImage) error {
-		q.env.bindings[st.bind].row = row
+		q.env.rows[st.bind] = row
 		ok, err := q.evalConjs(st.local)
 		if ok {
 			hj.rows = append(hj.rows, row)
@@ -838,7 +787,7 @@ func (q *query) buildHashInner(k int, st *stepPlan) (*hashState, error) {
 		if err := q.cancel.check(); err != nil {
 			return nil, err
 		}
-		q.env.bindings[st.bind].row = row
+		q.env.rows[st.bind] = row
 		key, null, err := q.equalKey(st.hashInner, true)
 		if err != nil {
 			return nil, err
@@ -863,7 +812,7 @@ func (q *query) probeHashInner(st *stepPlan, hj *hashState, emit func() error) e
 	matched := false
 	if !null {
 		for _, ri := range hj.table[key] {
-			q.env.bindings[st.bind].row = hj.rows[ri]
+			q.env.rows[st.bind] = hj.rows[ri]
 			pass, err := q.evalConjs(st.match)
 			if err != nil {
 				return err
@@ -905,7 +854,7 @@ func (q *query) probeBuildOuter(st *stepPlan, outs []outerTuple, restore func(*o
 	}
 	return q.scanPlan(st.bind, st.access, func(rid int64, row rowImage) error {
 		q.probeRows++
-		q.env.bindings[st.bind].row = row
+		q.env.rows[st.bind] = row
 		if ok, err := q.evalConjs(st.local); err != nil || !ok {
 			return err
 		}
@@ -916,7 +865,7 @@ func (q *query) probeBuildOuter(st *stepPlan, outs []outerTuple, restore func(*o
 		for _, oi := range table[key] {
 			t := &outs[oi]
 			restore(t)
-			q.env.bindings[st.bind].row = row
+			q.env.rows[st.bind] = row
 			pass, err := q.evalConjs(st.match)
 			if err != nil {
 				return err

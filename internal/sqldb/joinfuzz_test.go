@@ -12,9 +12,11 @@ package sqldb
 // of writes and schema or cardinality churn — once in a snapshot opened
 // before the round, whose rows the oracle reads at that snapshot's
 // timestamp.
-// About a quarter of the queries end in ORDER BY over every output and a
-// LIMIT with an OFFSET: the top-K over joins and aggregated rows, compared
-// in order against the oracle's sorted and sliced result. A one-table
+// About a quarter of the queries end in ORDER BY over every output, in a
+// shuffled order, and a LIMIT with an OFFSET: the top-K over joins and
+// aggregated rows, compared in order against the oracle's sorted and
+// sliced result. About a third of the outputs carry an alias — beside a
+// star too —, which ORDER BY then names, and so do some HAVING clauses. A one-table
 // case's WHERE also targets an UPDATE, rolled back, whose affected-row
 // count must be the oracle's count(*) under the same WHERE.
 //
@@ -454,6 +456,28 @@ func buildFuzzQuery(rng *rand.Rand, tables []fuzzTable) (query, where string, or
 	// sortBy names each output for ORDER BY: its expression or alias, or
 	// "" where only its ordinal names it.
 	var sortBy []string
+	var outs []string
+	isAlias := map[string]bool{"cnt": true}
+	// as adds an output under an alias: a fresh name, or — where a column
+	// name is safe, in ORDER BY alone — one a column carries too, which
+	// the alias shadows there.
+	as := func(e string, shadow bool) {
+		name := fmt.Sprintf("x%d", len(outs))
+		if shadow && rng.Intn(2) == 0 {
+			name = fuzzCols[1+rng.Intn(len(fuzzCols)-1)].name
+		}
+		outs, sortBy = append(outs, e+" AS "+name), append(sortBy, name)
+		isAlias[name] = true
+	}
+	// out adds an output, under an alias about a third of the time.
+	out := func(e string, shadow bool) {
+		if rng.Intn(3) == 0 {
+			as(e, shadow)
+			return
+		}
+		outs, sortBy = append(outs, e), append(sortBy, e)
+	}
+	var aliased []string // grouping keys' aliases, for HAVING
 	aggregate := rng.Intn(3) == 0
 	if aggregate {
 		nk := 1 + rng.Intn(2)
@@ -461,42 +485,42 @@ func buildFuzzQuery(rng *rand.Rand, tables []fuzzTable) (query, where string, or
 			ti := rng.Intn(n)
 			c := fuzzCols[rng.Intn(len(fuzzCols))] // any type, incl. FLOAT f
 			groupKeys = append(groupKeys, fmt.Sprintf("r%d.%s", ti, c.name))
+			out(groupKeys[k], false)
+			if isAlias[sortBy[k]] {
+				aliased = append(aliased, sortBy[k])
+			}
 		}
-		outs := append([]string{}, groupKeys...)
-		outs = append(outs, "count(*) AS cnt")
+		outs, sortBy = append(outs, "count(*) AS cnt"), append(sortBy, "cnt")
 		for i := 0; i < 1+rng.Intn(3); i++ {
 			ti := rng.Intn(n)
 			switch rng.Intn(4) {
 			case 0:
-				outs = append(outs, fmt.Sprintf("sum(r%d.%s)", ti, fuzzIntCols[rng.Intn(len(fuzzIntCols))]))
+				out(fmt.Sprintf("sum(r%d.%s)", ti, fuzzIntCols[rng.Intn(len(fuzzIntCols))]), false)
 			case 1:
-				outs = append(outs, fmt.Sprintf("avg(r%d.%s)", ti, fuzzIntCols[rng.Intn(len(fuzzIntCols))]))
+				out(fmt.Sprintf("avg(r%d.%s)", ti, fuzzIntCols[rng.Intn(len(fuzzIntCols))]), false)
 			case 2:
 				fn := []string{"min", "max"}[rng.Intn(2)]
 				c := fuzzCols[rng.Intn(len(fuzzCols))]
-				outs = append(outs, fmt.Sprintf("%s(r%d.%s)", fn, ti, c.name))
+				out(fmt.Sprintf("%s(r%d.%s)", fn, ti, c.name), false)
 			default:
 				c := fuzzCols[rng.Intn(len(fuzzCols))]
-				outs = append(outs, fmt.Sprintf("count(DISTINCT r%d.%s)", ti, c.name))
+				out(fmt.Sprintf("count(DISTINCT r%d.%s)", ti, c.name), false)
 			}
 		}
-		sb.WriteString(strings.Join(outs, ", "))
-		for _, o := range outs {
-			sortBy = append(sortBy, strings.TrimPrefix(o, "count(*) AS "))
-		}
 	} else if rng.Intn(5) == 0 {
-		sb.WriteString("*")
-		sortBy = make([]string, n*len(fuzzCols))
+		// A star, and sometimes an output beside it that its alias names.
+		outs, sortBy = []string{"*"}, make([]string, n*len(fuzzCols))
+		if rng.Intn(2) == 0 {
+			as(fmt.Sprintf("r%d.%s", rng.Intn(n), fuzzCols[rng.Intn(len(fuzzCols))].name), true)
+		}
 	} else {
-		var outs []string
 		for i := 0; i < 2+rng.Intn(3); i++ {
 			ti := rng.Intn(n)
 			c := fuzzCols[rng.Intn(len(fuzzCols))]
-			outs = append(outs, fmt.Sprintf("r%d.%s", ti, c.name))
+			out(fmt.Sprintf("r%d.%s", ti, c.name), true)
 		}
-		sb.WriteString(strings.Join(outs, ", "))
-		sortBy = outs
 	}
+	sb.WriteString(strings.Join(outs, ", "))
 	sb.WriteString(" FROM ")
 	for i := 0; i < n; i++ {
 		aliases[i] = fmt.Sprintf("r%d", i)
@@ -537,13 +561,18 @@ func buildFuzzQuery(rng *rand.Rand, tables []fuzzTable) (query, where string, or
 			sb.WriteString(" HAVING count(*) >= 2")
 		case 1:
 			sb.WriteString(" HAVING cnt >= 2") // output alias in HAVING
+		case 2:
+			if len(aliased) > 0 { // a grouping key's alias
+				fmt.Fprintf(&sb, " HAVING %s IS NOT NULL OR cnt > 1", aliased[rng.Intn(len(aliased))])
+			}
 		}
 	}
 	if rng.Intn(4) == 0 {
-		// Every output a key, so ties are equal rows and the order is one.
+		// Every output a key, so ties are equal rows and the order is one;
+		// in any order, so that the key an alias names can lead.
 		items := make([]string, len(sortBy))
 		for i, name := range sortBy {
-			if name == "" || rng.Intn(2) == 0 {
+			if name == "" || !isAlias[name] && rng.Intn(2) == 0 {
 				name = strconv.Itoa(i + 1)
 			}
 			if rng.Intn(2) == 0 {
@@ -551,6 +580,7 @@ func buildFuzzQuery(rng *rand.Rand, tables []fuzzTable) (query, where string, or
 			}
 			items[i] = name
 		}
+		rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
 		fmt.Fprintf(&sb, " ORDER BY %s LIMIT %d OFFSET %d", strings.Join(items, ", "), rng.Intn(12), rng.Intn(4))
 		ordered = true
 	}

@@ -30,6 +30,7 @@ type parser struct {
 	pos    int
 	src    string
 	params int
+	slots  int // column references numbered so far (ColRef.Slot)
 }
 
 func (p *parser) cur() token { return p.toks[p.pos] }
@@ -487,6 +488,7 @@ func (p *parser) parseInsert() (Statement, error) {
 		}
 		break
 	}
+	stmt.Slots = p.slots
 	return stmt, nil
 }
 
@@ -581,6 +583,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		}
 		stmt.Offset = e
 	}
+	stmt.Slots = p.slots
 	return stmt, nil
 }
 
@@ -731,6 +734,7 @@ func (p *parser) parseUpdate() (Statement, error) {
 		}
 		stmt.Where = e
 	}
+	stmt.Slots = p.slots
 	return stmt, nil
 }
 
@@ -751,6 +755,7 @@ func (p *parser) parseDelete() (Statement, error) {
 		}
 		stmt.Where = e
 	}
+	stmt.Slots = p.slots
 	return stmt, nil
 }
 
@@ -1004,14 +1009,16 @@ func (p *parser) parsePrimary() (Expr, error) {
 			return fc, nil
 		}
 		// Qualified column reference?
+		cr := &ColRef{Name: name, Slot: p.slots}
 		if p.accept(tkSym, ".") {
 			col, err := p.ident()
 			if err != nil {
 				return nil, err
 			}
-			return &ColRef{Table: name, Name: col}, nil
+			cr.Table, cr.Name = name, col
 		}
-		return &ColRef{Name: name}, nil
+		p.slots++
+		return cr, nil
 	}
 	return nil, p.errf("unexpected token %q in expression", t.text)
 }

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -247,4 +248,75 @@ func TestPropertyLexerTotal(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzParse holds the parser to the slot contract the binder relies on:
+// parsing never panics, every column reference of an accepted statement
+// carries its own slot below the statement's count, every slot is carried,
+// and the same text parses to the same slots. Inputs are capped at 4 KiB.
+func FuzzParse(f *testing.F) {
+	for _, src := range []string{
+		`SELECT a, b AS x, count(*) FROM t JOIN u ON t.id = u.id WHERE a > ? GROUP BY a, b HAVING x > 1 ORDER BY x DESC, 2 LIMIT 3 OFFSET 1`,
+		`SELECT *, t.* FROM t LEFT JOIN u ON u.a = t.a AND u.b IS NOT NULL`,
+		`UPDATE t SET a = a + 1, b = coalesce(b, c) WHERE id IN (1, 2) AND s LIKE 'x%'`,
+		`DELETE FROM t WHERE a BETWEEN b AND c OR NOT d`,
+		`INSERT INTO t (a, b) VALUES (1, x), (2, -y)`,
+		`EXPLAIN SELECT sum(DISTINCT a) FROM t WHERE b = ?`,
+		`SELECT 1`,
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > 4096 {
+			t.Skip("over 4 KiB")
+		}
+		stmt, err := Parse(src)
+		if err != nil {
+			return
+		}
+		n, slots := parsedSlots(stmt)
+		seen := make([]bool, n)
+		for _, s := range slots {
+			if s < 0 || s >= n || seen[s] {
+				t.Fatalf("%q: slots %v over a count of %d", src, slots, n)
+			}
+			seen[s] = true
+		}
+		if len(slots) != n {
+			t.Fatalf("%q: %d column references, count %d", src, len(slots), n)
+		}
+		again, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%q parses once, then fails: %v", src, err)
+		}
+		if n2, slots2 := parsedSlots(again); n2 != n || !slices.Equal(slots, slots2) {
+			t.Fatalf("%q: slots %v (count %d), then %v (count %d)", src, slots, n, slots2, n2)
+		}
+	})
+}
+
+// parsedSlots is a statement's column-reference count and the slot of each
+// reference, in walk order.
+func parsedSlots(stmt Statement) (int, []int) {
+	if e, ok := stmt.(*ExplainStmt); ok {
+		return parsedSlots(e.Stmt)
+	}
+	var n int
+	switch s := stmt.(type) {
+	case *SelectStmt:
+		n = s.Slots
+	case *UpdateStmt:
+		n = s.Slots
+	case *DeleteStmt:
+		n = s.Slots
+	case *InsertStmt:
+		n = s.Slots
+	}
+	var slots []int
+	walkStatement(stmt, func(e Expr) {
+		if cr, ok := e.(*ColRef); ok {
+			slots = append(slots, cr.Slot)
+		}
+	})
+	return n, slots
 }

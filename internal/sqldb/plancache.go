@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -97,29 +98,26 @@ type selectPlan struct {
 	// none for a SELECT without FROM. Per-step hash tables live on
 	// query.hjs, not here.
 	steps []stepPlan
+	// cols is the slot table the binder (bindNames) fills: what each
+	// column reference of the statement — and each a star expands into —
+	// reads, at its ColRef.Slot. Nothing after planning reads a name.
+	cols []pick
 	// orderable marks a single-table, non-aggregated, non-DISTINCT
 	// SELECT whose ORDER BY the access path may (partially) provide.
 	orderable bool
-	// orderAliased[i] marks ORDER BY items that orderKeys resolves to an
-	// output alias: they sort by the output expression, not the
-	// same-named table column, so an index can never provide their order.
-	orderAliased []bool
-	// outs/cols are the star-expanded output expressions and their
+	// outs/names are the star-expanded output expressions and their
 	// column names; aggregated marks GROUP BY/HAVING/aggregate SELECTs
 	// and agg carries their compiled aggregation program (executor.go).
 	// picks is set when every output of a non-aggregated SELECT is a bare
 	// column: where each is read from, one (binding, column) per output.
 	// The result is then the images of the rows read, not computed rows.
 	outs       []Expr
-	cols       []string
+	names      []string
 	picks      []pick
 	aggregated bool
 	agg        *aggPlan
-	// orderExprs/orderAlias are the resolved ORDER BY items of a
-	// non-aggregated SELECT (orderKeys): the expression per item, and the
-	// output position it sorts by when it names an alias or an ordinal.
-	orderExprs []Expr
-	orderAlias []int
+	// order is the ORDER BY keys, an ordinal replaced by its output.
+	order []Expr
 	// usedIndex mirrors into StmtStats.UsedIndex per execution.
 	usedIndex bool
 	// locks is the statement's table-lock footprint: one entry per
@@ -201,17 +199,31 @@ func (tx *Tx) planSelect(s *SelectStmt) (*selectPlan, bool, error) {
 	return tx.storePlan(&s.plan, s)
 }
 
-// planTargetPlan is planSelect for UPDATE/DELETE targets: the slot lives
-// on the DML statement and the plan compiles a synthesized single-table
-// SELECT over its WHERE clause.
-func (tx *Tx) planTargetPlan(tableName string, where Expr, slot *planSlot) (*selectPlan, bool, error) {
+// planTargetPlan is planSelect for an UPDATE or DELETE target: the slot
+// lives on the DML statement, and the plan compiles the single-table
+// SELECT targetSelect synthesizes.
+func (tx *Tx) planTargetPlan(s Statement, slot *planSlot) (*selectPlan, bool, error) {
 	if p := tx.db.cachedPlan(slot); p != nil {
 		return p, true, nil
 	}
-	return tx.storePlan(slot, &SelectStmt{
-		From:  []TableRef{{Table: tableName, Alias: tableName}},
-		Where: where,
-	})
+	return tx.storePlan(slot, targetSelect(s))
+}
+
+// targetSelect is the SELECT an UPDATE or DELETE target plans as: its
+// table and WHERE, and an UPDATE's SET values as the outputs, so that the
+// binder resolves every name the statement holds.
+func targetSelect(s Statement) *SelectStmt {
+	switch s := s.(type) {
+	case *UpdateStmt:
+		sel := &SelectStmt{From: []TableRef{{Table: s.Table, Alias: s.Table}}, Where: s.Where, Slots: s.Slots}
+		for _, set := range s.Sets {
+			sel.Exprs = append(sel.Exprs, SelectExpr{Expr: set.Value})
+		}
+		return sel
+	case *DeleteStmt:
+		return &SelectStmt{From: []TableRef{{Table: s.Table, Alias: s.Table}}, Where: s.Where, Slots: s.Slots}
+	}
+	panic(fmt.Sprintf("sqldb: %T has no target", s))
 }
 
 // cachedPlan is the one slot lookup: the slot's plan when it validates,
@@ -242,9 +254,10 @@ func (tx *Tx) storePlan(slot *planSlot, s *SelectStmt) (*selectPlan, bool, error
 	return p, false, nil
 }
 
-// buildSelectPlan compiles s from scratch: conjunct classification,
-// cost-based join ordering, access-path selection, output expansion,
-// and — for aggregated statements — the opcode-compiled aggregation
+// buildSelectPlan compiles s from scratch: name binding and output
+// expansion, conjunct classification, cost-based join ordering,
+// access-path selection, and — for aggregated statements — the
+// opcode-compiled aggregation
 // program. The returned plan is immutable; a throwaway planning query
 // carries the transient state the planner threads through.
 func (tx *Tx) buildSelectPlan(s *SelectStmt) (*selectPlan, error) {
@@ -270,33 +283,24 @@ func (tx *Tx) buildSelectPlan(s *SelectStmt) (*selectPlan, error) {
 	}
 	var scratch StmtStats
 	pq := &query{tx: tx, selectPlan: p, stats: &scratch, cancel: cancelCheck{ctx: tx.ctx}}
-	pq.env = &evalEnv{now: tx.db.nowFn()}
-	pq.env.bindings = make([]binding, len(p.bindings))
-	for i, b := range p.bindings {
-		pq.env.bindings[i] = binding{alias: b.alias, schema: &b.tbl.schema}
+	if err := pq.bindNames(); err != nil {
+		return nil, err
+	}
+	p.aggregated = len(s.GroupBy) > 0 || s.Having != nil
+	for _, o := range p.outs {
+		p.aggregated = p.aggregated || hasAggregate(o)
 	}
 	if err := pq.plan(); err != nil {
 		return nil, err
 	}
 	p.locks = p.lockFootprint()
-	outs, cols, err := pq.expandOutputs()
-	if err != nil {
-		return nil, err
-	}
-	p.outs, p.cols = outs, cols
-	p.orderExprs, p.orderAlias = pq.orderKeys(outs)
-	p.aggregated = len(s.GroupBy) > 0 || s.Having != nil
-	for _, o := range outs {
-		if hasAggregate(o) {
-			p.aggregated = true
-		}
-	}
+	var err error
 	if p.aggregated {
-		if p.agg, err = pq.compileAgg(outs); err != nil {
+		if p.agg, err = pq.compileAgg(p.outs); err != nil {
 			return nil, err
 		}
 	} else {
-		p.picks = pq.compilePicks(outs)
+		p.picks = pq.compilePicks(p.outs)
 	}
 	return p, nil
 }

@@ -84,7 +84,7 @@ func BenchmarkPlanCacheHotPath(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer tx.Rollback()
-		if _, _, err := tx.planTargetPlan(upd.Table, upd.Where, &upd.plan); err != nil {
+		if _, _, err := tx.planTargetPlan(upd, &upd.plan); err != nil {
 			b.Fatal(err) // warm
 		}
 		b.ReportAllocs()
@@ -93,7 +93,7 @@ func BenchmarkPlanCacheHotPath(b *testing.B) {
 			if !cached {
 				upd.plan.p.Store(nil)
 			}
-			if _, _, err := tx.planTargetPlan(upd.Table, upd.Where, &upd.plan); err != nil {
+			if _, _, err := tx.planTargetPlan(upd, &upd.plan); err != nil {
 				b.Fatal(err)
 			}
 		}

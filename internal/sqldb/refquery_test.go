@@ -5,10 +5,16 @@ package sqldb
 // the top-K differential and every query block of the logictest goldens.
 // It evaluates a SELECT the naive way and shares nothing with the engine's
 // read path but the expression evaluator, the equality-key encoding of a
-// value (appendEqual) and finishAgg; its grouping, taking every key part
-// as an evaluated value, and its accumulator (aggState.add, at the end of
-// this file) are its own:
+// value (appendEqual) and finishAgg; its name resolution (refBinder), its
+// grouping, taking every key part as an evaluated value, and its
+// accumulator (aggState.add, at the end of this file) are its own:
 //
+//   - every name is resolved before any row is read: a qualified one to
+//     the column of the FROM table its qualifier names, an unqualified one
+//     to the one FROM table's column that carries it — or, in ORDER BY and
+//     HAVING outside an aggregate's arguments, to the output carrying it as
+//     its alias, read from the finished output row; LIMIT and OFFSET
+//     name nothing;
 //   - base rows come straight from each slot's version chain: the version
 //     visible at the snapshot timestamp refQueryAt is given (refQuery's is
 //     the current commit clock), so callers must not race it with writers;
@@ -20,8 +26,9 @@ package sqldb
 //   - groups are keyed by appendEqual over the GROUP BY values and
 //     accumulate through aggState.add/finishAgg, the first row of a group
 //     standing for it;
-//   - HAVING sees output aliases; ORDER BY is a stable sort by Compare over
-//     every result row, then DISTINCT, OFFSET and LIMIT.
+//   - ORDER BY is a stable sort by Compare over every result row, an
+//     ordinal sorting by the output it numbers, then DISTINCT, OFFSET and
+//     LIMIT.
 //
 // No planner, access path, plan cache or aggregation stage runs here.
 
@@ -62,6 +69,21 @@ func refQueryAt(db *DB, ts uint64, sql string, args ...any) (*Rows, error) {
 			return nil, err
 		}
 	}
+	base := make([][]rowImage, len(s.From))
+	b := &refBinder{cols: make([]pick, s.Slots), aliases: map[string]int{}}
+	for i, ref := range s.From {
+		tbl, err := db.lookupTable(ref.Table)
+		if err != nil {
+			return nil, err
+		}
+		b.from = append(b.from, refTable{alias: strings.ToLower(ref.Alias), schema: &tbl.schema})
+		base[i] = visibleRows(tbl, ts)
+	}
+	outs, err := b.outputs(s)
+	if err != nil {
+		return nil, err
+	}
+	env.cols, env.rows = b.cols, make([]rowImage, len(s.From))
 	limit, err := refCount(env, s.Limit, "LIMIT", -1)
 	if err != nil {
 		return nil, err
@@ -70,30 +92,11 @@ func refQueryAt(db *DB, ts uint64, sql string, args ...any) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	base := make([][]rowImage, len(s.From))
-	for i, ref := range s.From {
-		tbl, err := db.lookupTable(ref.Table)
-		if err != nil {
-			return nil, err
-		}
-		env.bindings = append(env.bindings, binding{alias: strings.ToLower(ref.Alias), schema: &tbl.schema})
-		base[i] = visibleRows(tbl, ts)
-	}
-	outs, aliases, err := refOutputs(s, env.bindings)
-	if err != nil {
-		return nil, err
-	}
-	// ORDER BY items naming an output — an alias, or an ordinal — sort by
-	// that output; the rest are evaluated.
+	// ORDER BY ordinals sort by the output they number; every other item
+	// is evaluated, an alias in it reading the output row.
 	orderPos := make([]int, len(s.OrderBy))
 	for i, item := range s.OrderBy {
 		orderPos[i] = -1
-		if cr, ok := item.Expr.(*ColRef); ok && cr.Table == "" {
-			if p, ok := aliases[strings.ToLower(cr.Name)]; ok {
-				orderPos[i] = p
-			}
-		}
 		if lit, ok := item.Expr.(*Literal); ok && lit.Val.Type() == Int {
 			if n := int(lit.Val.Int64()); n >= 1 && n <= len(outs) {
 				orderPos[i] = n - 1
@@ -112,11 +115,9 @@ func refQueryAt(db *DB, ts uint64, sql string, args ...any) (*Rows, error) {
 			}
 			r.out[i] = v
 		}
+		env.aliasRow = r.out
 		if having != nil {
-			env.aliasIdx, env.aliasRow = aliases, r.out
-			ok, err := truthy(env.eval(having))
-			env.aliasIdx, env.aliasRow = nil, nil
-			if err != nil || !ok {
+			if ok, err := truthy(env.eval(having)); err != nil || !ok {
 				return err
 			}
 		}
@@ -170,10 +171,7 @@ func refQueryAt(db *DB, ts uint64, sql string, args ...any) (*Rows, error) {
 			}
 			g := groups[string(key)]
 			if g == nil {
-				g = &refGroup{rows: make([]rowImage, len(env.bindings)), aggs: make([]aggState, len(calls))}
-				for i := range g.rows {
-					g.rows[i] = env.bindings[i].row
-				}
+				g = &refGroup{rows: append([]rowImage(nil), env.rows...), aggs: make([]aggState, len(calls))}
 				groups[string(key)] = g
 				order = append(order, g)
 			}
@@ -209,7 +207,7 @@ func refQueryAt(db *DB, ts uint64, sql string, args ...any) (*Rows, error) {
 		}
 		matched := false
 		for _, row := range base[i] {
-			env.bindings[i].row = row
+			env.rows[i] = row
 			if on := s.From[i].On; i > 0 && on != nil {
 				ok, err := truthy(env.eval(on))
 				if err != nil {
@@ -224,7 +222,7 @@ func refQueryAt(db *DB, ts uint64, sql string, args ...any) (*Rows, error) {
 				return err
 			}
 		}
-		env.bindings[i].row = noRow
+		env.rows[i] = noRow
 		if !matched && i > 0 && s.From[i].Join == JoinLeft {
 			return product(i + 1)
 		}
@@ -244,11 +242,7 @@ func refQueryAt(db *DB, ts uint64, sql string, args ...any) (*Rows, error) {
 			aggIdx[fc] = i
 		}
 		for _, g := range order {
-			genv := &evalEnv{params: env.params, now: env.now, aggIdx: aggIdx, aggVals: make([]Value, len(calls))}
-			genv.bindings = append([]binding(nil), env.bindings...)
-			for i := range genv.bindings {
-				genv.bindings[i].row = g.rows[i]
-			}
+			genv := &evalEnv{rows: g.rows, cols: env.cols, params: env.params, now: env.now, aggIdx: aggIdx, aggVals: make([]Value, len(calls))}
 			for i, fc := range calls {
 				genv.aggVals[i] = finishAgg(fc, &g.aggs[i])
 			}
@@ -309,33 +303,170 @@ func visibleRows(tbl *table, ts uint64) []rowImage {
 	return rows
 }
 
-// refOutputs expands the SELECT list over the FROM bindings — a star to
-// every column of every table, t.* to t's — and maps each output alias to
-// its position.
-func refOutputs(s *SelectStmt, bindings []binding) ([]Expr, map[string]int, error) {
+// refTable is one FROM table as the oracle sees it.
+type refTable struct {
+	alias  string
+	schema *TableSchema
+}
+
+// refBinder is the oracle's name resolution, written apart from the
+// engine's binder so that the differential suites check that one: it
+// fills cols, one pick per column reference the statement holds, and one
+// per column a star expands into, numbered after them.
+type refBinder struct {
+	from    []refTable
+	cols    []pick
+	aliases map[string]int // output alias → output position; the last wins
+}
+
+// outputs expands the SELECT list over the FROM tables — a star to every
+// column of every table, t.* to t's —, records each output alias, and
+// resolves every name of the statement.
+func (b *refBinder) outputs(s *SelectStmt) ([]Expr, error) {
 	var outs []Expr
-	aliases := map[string]int{}
 	for _, se := range s.Exprs {
 		if !se.Star {
 			if se.Alias != "" {
-				aliases[strings.ToLower(se.Alias)] = len(outs)
+				b.aliases[strings.ToLower(se.Alias)] = len(outs)
 			}
 			outs = append(outs, se.Expr)
+			if err := b.bind(se.Expr, false); err != nil {
+				return nil, err
+			}
 			continue
 		}
 		n := len(outs)
-		for _, b := range bindings {
-			if se.Table == "" || strings.EqualFold(se.Table, b.alias) {
-				for _, c := range b.schema.Columns {
-					outs = append(outs, &ColRef{Table: b.alias, Name: c.Name})
-				}
+		for ti, t := range b.from {
+			if se.Table != "" && !strings.EqualFold(se.Table, t.alias) {
+				continue
+			}
+			for ci, c := range t.schema.Columns {
+				outs = append(outs, &ColRef{Table: t.alias, Name: c.Name, Slot: len(b.cols)})
+				b.cols = append(b.cols, pick{bind: ti, col: ci})
 			}
 		}
 		if len(outs) == n {
-			return nil, nil, fmt.Errorf("sqldb: %s.* matches no table", se.Table)
+			if len(b.from) == 0 {
+				return nil, fmt.Errorf("sqldb: SELECT * requires a FROM clause")
+			}
+			return nil, fmt.Errorf("sqldb: %s.* matches no table", se.Table)
 		}
 	}
-	return outs, aliases, nil
+	plain := []Expr{s.Where}
+	for _, ref := range s.From {
+		plain = append(plain, ref.On)
+	}
+	plain = append(plain, s.GroupBy...)
+	for _, e := range plain {
+		if err := b.bind(e, false); err != nil {
+			return nil, err
+		}
+	}
+	aliased := []Expr{s.Having}
+	for _, item := range s.OrderBy {
+		// An item that is nothing but an output's alias sorts by that
+		// output, whatever column shares its name.
+		if cr, ok := item.Expr.(*ColRef); ok && cr.Table == "" {
+			if at, ok := b.aliases[cr.Name]; ok {
+				b.cols[cr.Slot] = pick{bind: -1, col: at}
+				continue
+			}
+		}
+		aliased = append(aliased, item.Expr)
+	}
+	for _, e := range aliased {
+		if err := b.bind(e, true); err != nil {
+			return nil, err
+		}
+	}
+	var err error
+	for _, e := range []Expr{s.Limit, s.Offset} {
+		walkExpr(e, func(x Expr) {
+			if _, ok := x.(*ColRef); ok {
+				err = fmt.Errorf("refQuery: a column in LIMIT or OFFSET")
+			}
+		})
+	}
+	return outs, err
+}
+
+// bind resolves the names in e. aliased lets an unqualified name that no
+// FROM table's column carries be an output alias, except inside an
+// aggregate's arguments.
+func (b *refBinder) bind(e Expr, aliased bool) error {
+	switch x := e.(type) {
+	case nil, *Literal, *Param:
+		return nil
+	case *ColRef:
+		err := b.column(x)
+		if at, ok := b.aliases[x.Name]; ok && aliased && x.Table == "" && b.unclaimed(x.Name) {
+			b.cols[x.Slot], err = pick{bind: -1, col: at}, nil
+		}
+		return err
+	case *FuncCall:
+		return b.bindAll(x.Args, aliased && !isAggregate(x))
+	case *Unary:
+		return b.bind(x.X, aliased)
+	case *Binary:
+		return b.bindAll([]Expr{x.L, x.R}, aliased)
+	case *InExpr:
+		return b.bindAll(append([]Expr{x.X}, x.List...), aliased)
+	case *BetweenExpr:
+		return b.bindAll([]Expr{x.X, x.Lo, x.Hi}, aliased)
+	case *IsNullExpr:
+		return b.bind(x.X, aliased)
+	case *LikeExpr:
+		return b.bindAll([]Expr{x.X, x.Pattern}, aliased)
+	}
+	return fmt.Errorf("refQuery: cannot bind %T", e)
+}
+
+func (b *refBinder) bindAll(es []Expr, aliased bool) error {
+	for _, e := range es {
+		if err := b.bind(e, aliased); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// unclaimed reports whether no FROM table has a column called name.
+func (b *refBinder) unclaimed(name string) bool {
+	for _, t := range b.from {
+		for _, c := range t.schema.Columns {
+			if strings.EqualFold(c.Name, name) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// column resolves a column reference against the FROM tables.
+func (b *refBinder) column(cr *ColRef) error {
+	hits := 0
+	for ti, t := range b.from {
+		if cr.Table != "" && !strings.EqualFold(cr.Table, t.alias) {
+			continue
+		}
+		for ci, c := range t.schema.Columns {
+			if strings.EqualFold(c.Name, cr.Name) {
+				if hits++; hits == 1 {
+					b.cols[cr.Slot] = pick{bind: ti, col: ci}
+				}
+			}
+		}
+		if cr.Table != "" {
+			break // the first table of that alias
+		}
+	}
+	switch {
+	case hits == 0:
+		return fmt.Errorf("refQuery: unknown column %s", exprString(cr))
+	case hits > 1:
+		return fmt.Errorf("refQuery: ambiguous column %s", cr.Name)
+	}
+	return nil
 }
 
 // refCount evaluates a LIMIT or OFFSET against the parameters, def when

@@ -46,7 +46,7 @@ type txScratch struct {
 	q          query
 	env        evalEnv
 	stats      StmtStats
-	bindings   []binding
+	rows       []rowImage // the row bound to each binding (evalEnv.rows)
 	params     []Value
 	scans      []scanOp
 	sorter     sortLimit    // SELECT's rows awaiting sort and limit, and their arenas
@@ -107,7 +107,7 @@ func (tx *Tx) releaseScratch() {
 
 	sc.q = query{}
 	sc.env = evalEnv{}
-	sc.bindings = keep(sc.bindings)
+	sc.rows = keep(sc.rows)
 	sc.params = keep(sc.params)
 	sc.scans = sc.scans[:cap(sc.scans)] // an earlier statement may have used more
 	for i := range sc.scans {
@@ -163,17 +163,15 @@ func (sc *txScratch) beginQuery(tx *Tx, params []Value, kind string, rowLock loc
 	return &sc.q
 }
 
-// bind attaches the compiled plan: the evaluation environment gets one
-// binding per FROM table, and each gets its reusable scan operator.
+// bind attaches the compiled plan: the evaluation environment gets its slot
+// table and one row per FROM table, and each table its reusable scan
+// operator.
 func (q *query) bind(plan *selectPlan) {
 	q.selectPlan = plan
 	sc := q.sc
 	n := len(plan.bindings)
-	sc.bindings = reuse(sc.bindings)
-	for _, b := range plan.bindings {
-		sc.bindings = append(sc.bindings, binding{alias: b.alias, schema: &b.tbl.schema})
-	}
-	q.env.bindings = sc.bindings
+	sc.rows = append(reuse(sc.rows), make([]rowImage, n)...)
+	q.env.rows, q.env.cols = sc.rows, plan.cols
 	if cap(sc.scans) < n {
 		// No scan is open between statements, so regrowing moves nothing
 		// anyone points at.

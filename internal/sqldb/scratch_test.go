@@ -277,7 +277,7 @@ func TestPooledScratchPinsNothing(t *testing.T) {
 	if !reflect.DeepEqual(sc.q, query{}) || !reflect.DeepEqual(sc.env, evalEnv{}) {
 		t.Error("pooled scratch still holds its last statement's query or environment")
 	}
-	checkEmpty(t, "bindings", sc.bindings)
+	checkEmpty(t, "rows", sc.rows)
 	checkEmpty(t, "params", sc.params)
 	if sl := &sc.sorter; sl.q != nil || sl.items != nil {
 		t.Error("pooled scratch's sort unit still points at its last statement")
