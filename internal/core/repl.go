@@ -3,8 +3,11 @@ package core
 // WAL-shipping replication and lease-based failover. The paper's thesis —
 // cluster state is just data in a DBMS — extends naturally to
 // availability: the CAS's failover story is a database failover story.
-// A leader streams its committed WAL groups to followers (sqldb's
-// ReplicationTap + CommittedSince), each follower applies them through
+// A leader streams its committed WAL groups to followers — sqldb's
+// ReplicationTap signals each durable commit, and CommittedSince cuts the
+// groups above a follower's acked LSN out of the log file itself, read
+// from an indexed offset, with no copy of the log kept in memory — each
+// follower applies them through
 // its own MVCC commit clock, and every read-only service (pool status,
 // queue listings, accounting, the web site) works on the follower from a
 // transactionally consistent replicated snapshot.
@@ -383,8 +386,9 @@ func (r *Replicator) shipTo(ctx context.Context, f *replFollower) {
 		f.mu.Unlock()
 		batches, durable, err := r.cas.Engine.CommittedSince(acked, replMaxShipBytes)
 		if errors.Is(err, sqldb.ErrLogTruncated) {
-			// A follower further behind than the last checkpoint is not
-			// shipped a log with a hole.
+			// A follower further behind than the log reaches — the last
+			// checkpoint, or the recent tail a shipping leader keeps across
+			// it — is not shipped a log with a hole.
 			r.shipTruncated.Add(1)
 			return
 		}

@@ -561,6 +561,43 @@ func TestReplTruncatedJoinIsCounted(t *testing.T) {
 	}
 }
 
+// TestReplFollowerBehindACheckpointIsShipped: a paged leader checkpoints
+// while a follower has not yet acked its latest commits — the housekeeping
+// tick commits and checkpoints back to back, so under load some follower
+// always is. The shipping leader's log keeps its recent tail across the
+// cut, so the follower catches up from the file and is never refused.
+func TestReplFollowerBehindACheckpointIsShipped(t *testing.T) {
+	net := newReplNet()
+	leader := openReplNode(t, net, "a", sqldb.NewMemVFS(), 64, false, ReplConfig{Retry: &wire.RetryPolicy{MaxAttempts: 1}})
+	defer leader.close()
+	follower := newReplNode(t, net, "b", true, ReplConfig{})
+	defer follower.close()
+	startPair(t, leader, follower)
+	drain(t, leader, follower)
+
+	follower.sc.set(nil) // ships to the follower fail from here on
+	if _, err := leader.cas.Service.Submit(context.Background(), &SubmitRequest{Owner: "u", Count: 5, LengthSec: 60}); err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.eng.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if cut, acked := leader.eng.BufferPoolStats().CheckpointLSN, follower.eng.AppliedLSN(); cut <= acked {
+		t.Fatalf("checkpoint through LSN %d, follower at %d: the follower is not behind the checkpoint", cut, acked)
+	}
+	follower.sc.set(&wire.Local{Mux: follower.cas.Mux})
+	follower.tick() // its join wakes the shipper
+	waitFor(t, 5*time.Second, "the follower to catch up or be refused", func() bool {
+		return follower.eng.AppliedLSN() >= leader.eng.DurableLSN() || leader.repl.Stats().ShipTruncated > 0
+	})
+	if n := leader.repl.Stats().ShipTruncated; n != 0 {
+		t.Fatalf("the follower behind the checkpoint was refused %d times, want shipped", n)
+	}
+	if jobs := countOf(t, follower.cas.Pool, `SELECT count(*) FROM jobs`); jobs != 5 {
+		t.Fatalf("follower shows %d jobs, want 5", jobs)
+	}
+}
+
 // TestReplShipAppliesAsOneRun: a ship of several committed groups is one
 // run on the follower — one append to its log and one fsync — not one per
 // group.

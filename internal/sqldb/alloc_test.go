@@ -62,13 +62,13 @@ func allocDB(t *testing.T, poolPages int) *DB {
 // its first decode after a reload), the record is encoded into the heap's
 // buffer, compaction works in the heap's scratch page and a pruned
 // version's page location stays on the stack, so pages add nothing to a
-// statement: 1 / 7 / 19 / 24 → 1 / 4 / 7 / 10, the in-memory figures. The
-// UPDATE's budget there is the 12 its issue set.
+// statement: 1 / 7 / 19 / 24 → 1 / 4 / 7 / 8, the in-memory figures, and
+// the UPDATE's budget is theirs.
 func TestStatementAllocs(t *testing.T) {
-	t.Run("in-memory", func(t *testing.T) { statementAllocs(t, allocDB(t, 0), 16) })
+	t.Run("in-memory", func(t *testing.T) { statementAllocs(t, allocDB(t, 0), 8) })
 	t.Run("paged", func(t *testing.T) {
 		db := allocDB(t, 64)
-		statementAllocs(t, db, 12)
+		statementAllocs(t, db, 8)
 		if st := db.BufferPoolStats(); st.Evictions != 0 || st.Failed != "" {
 			t.Fatalf("the pages were meant to stay resident: %+v", st)
 		}
@@ -102,8 +102,8 @@ func statementAllocs(t *testing.T, db *DB, updateBudget float64) {
 			}
 		}},
 		// Tx, the new row image, its version, the commit's batch and two
-		// channels, the flush's write buffer and published-batch list, the
-		// device's amortized append. 48 → 10.
+		// channels, the device's amortized append. 48 → 10 → 8, since the
+		// log's write buffer is reused.
 		{"one-row UPDATE + group commit", updateBudget, func(tx *Tx) {
 			res, err := tx.Exec(`UPDATE machines SET state = 'up', beats = beats + ? WHERE name = ?`, one, name)
 			if err != nil || res.RowsAffected != 1 {

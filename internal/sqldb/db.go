@@ -217,7 +217,7 @@ func Open(opts Options) (*DB, error) {
 		}
 		// Redo the log: all of it for a log-only store, the tail above the
 		// checkpoint once the page image is loaded for a paged one.
-		var good int
+		var marks []walMark
 		if meta != nil || opts.PoolPages > 0 {
 			rvfs, ok := opts.VFS.(RandomAccessVFS)
 			if !ok {
@@ -235,10 +235,10 @@ func Open(opts Options) (*DB, error) {
 				return nil, err
 			}
 			db.store = st
-			if good, err = db.recoverPaged(meta, data); err != nil {
+			if marks, err = db.recoverPaged(meta, data); err != nil {
 				return fail(err)
 			}
-		} else if good, err = db.redoLog(data, 0, false); err != nil {
+		} else if marks, err = db.redoLog(data, 0, false); err != nil {
 			return nil, err
 		}
 		// Cut the log back to its last committed group boundary — where the
@@ -246,20 +246,15 @@ func Open(opts Options) (*DB, error) {
 		// crash's torn tail (a partial group, a group failing its CRC): the
 		// redo ignored it, but left in place it would strand every future
 		// commit behind garbage.
-		if good < len(data) {
+		if good := int(marks[len(marks)-1].off); good < len(data) {
 			if err := repairWALFile(opts.VFS, opts.Path, data[:good]); err != nil {
 				return fail(fmt.Errorf("sqldb: repairing torn WAL tail: %w", err))
 			}
 		}
-		w, err := openWAL(opts.VFS, opts.Path, opts.Sync)
+		w, err := openWAL(opts.VFS, opts.Path, opts.Sync, db.replApplied.Load(), marks)
 		if err != nil {
 			return fail(err)
 		}
-		// Resume the LSN horizon past everything the log already holds,
-		// whether this node wrote those groups itself or applied them as
-		// a replication follower — and, under paged storage, past the
-		// truncated prefix the checkpoint LSN covers.
-		w.setRecoveredLSN(db.replApplied.Load())
 		if db.store != nil {
 			w.truncLSN.Store(db.store.ckptLSN.Load())
 		}
@@ -336,21 +331,24 @@ func (db *DB) emit(s StmtStats) {
 // the last — the order their locks let them commit in before the crash.
 // The GC queue is drained group by group, so with no snapshot to pin
 // anything chains stay short and the queue never grows with the log. It
-// returns the length of the log's committed prefix: what Open repairs the
-// file to before the first append.
-func (db *DB) redoLog(data []byte, ckptLSN uint64, mayContain bool) (int, error) {
+// returns the index of the log's committed prefix, every group it read
+// marked, redone or not; the last mark is where the prefix ends, what Open
+// repairs the file to before the first append.
+func (db *DB) redoLog(data []byte, ckptLSN uint64, mayContain bool) ([]walMark, error) {
+	marks := []walMark{{}}
 	rd := logReader{data: data}
 	for rd.next() {
+		marks = addMark(marks, rd.lsn, int64(rd.end))
 		if rd.lsn <= ckptLSN {
 			continue
 		}
 		if err := db.applyGroup(rd.lsn, rd.recs, mayContain); err != nil {
-			return 0, fmt.Errorf("sqldb: recovery: %w", err)
+			return nil, fmt.Errorf("sqldb: recovery: %w", err)
 		}
 		db.runGC(0)
 	}
 	db.RebuildAfterReplication()
-	return rd.end, nil
+	return marks, nil
 }
 
 // TxOptions configures BeginTx.

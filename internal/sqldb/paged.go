@@ -530,12 +530,12 @@ func (db *DB) fuzzyCheckpoint(final bool) error {
 }
 
 // recoverPaged rebuilds the database from checkpoint meta, the page
-// file, and the WAL tail, and returns the length of the log's committed
+// file, and the WAL tail, and returns the index of the log's committed
 // prefix (see redoLog). meta == nil means no checkpoint ever completed:
 // the page file was cleared at open and the whole WAL is redone (with
 // write-through, so the pages repopulate) exactly as a log-only store
 // redoes it.
-func (db *DB) recoverPaged(meta *pagedMeta, data []byte) (int, error) {
+func (db *DB) recoverPaged(meta *pagedMeta, data []byte) ([]walMark, error) {
 	st := db.store
 
 	// 1. Catalog from meta: every table under its checkpointed id, and
@@ -546,21 +546,21 @@ func (db *DB) recoverPaged(meta *pagedMeta, data []byte) (int, error) {
 			mt := &meta.tables[i]
 			stmt, err := Parse(mt.ddl)
 			if err != nil {
-				return 0, fmt.Errorf("sqldb: recovery: bad meta DDL %q: %w", mt.ddl, err)
+				return nil, fmt.Errorf("sqldb: recovery: bad meta DDL %q: %w", mt.ddl, err)
 			}
 			if _, ok := stmt.(*CreateTableStmt); !ok || mt.tableID == 0 {
-				return 0, fmt.Errorf("sqldb: recovery: meta entry %q (table id %d) is not a CREATE TABLE with an id", mt.ddl, mt.tableID)
+				return nil, fmt.Errorf("sqldb: recovery: meta entry %q (table id %d) is not a CREATE TABLE with an id", mt.ddl, mt.tableID)
 			}
 			if err := db.applyDDL(stmt, mt.tableID, nil); err != nil {
-				return 0, fmt.Errorf("sqldb: recovery: %w", err)
+				return nil, fmt.Errorf("sqldb: recovery: %w", err)
 			}
 			for _, ddl := range mt.indexes {
 				istmt, err := Parse(ddl)
 				if err != nil {
-					return 0, fmt.Errorf("sqldb: recovery: bad meta index DDL %q: %w", ddl, err)
+					return nil, fmt.Errorf("sqldb: recovery: bad meta index DDL %q: %w", ddl, err)
 				}
 				if err := db.applyDDL(istmt, mt.tableID, nil); err != nil {
-					return 0, fmt.Errorf("sqldb: recovery: %w", err)
+					return nil, fmt.Errorf("sqldb: recovery: %w", err)
 				}
 			}
 		}
@@ -588,7 +588,7 @@ func (db *DB) recoverPaged(meta *pagedMeta, data []byte) (int, error) {
 	for pid := pager.PageID(1); pid <= extent; pid++ {
 		empty, err := st.pager.ReadPage(pid, buf)
 		if err != nil {
-			return 0, fmt.Errorf("sqldb: recovery: %w", err)
+			return nil, fmt.Errorf("sqldb: recovery: %w", err)
 		}
 		if empty {
 			emptyPids = append(emptyPids, pid)
@@ -623,7 +623,7 @@ func (db *DB) recoverPaged(meta *pagedMeta, data []byte) (int, error) {
 			}
 		})
 		if err != nil {
-			return 0, fmt.Errorf("sqldb: recovery: corrupt page %d: %w", pid, err)
+			return nil, fmt.Errorf("sqldb: recovery: corrupt page %d: %w", pid, err)
 		}
 		dirEnd := pageHdrSize + pageSlots(buf)*slotDirEntry
 		tbl.heap.adoptPage(pid, pageFreeHigh(buf)-dirEnd >= 64)
@@ -644,7 +644,7 @@ func (db *DB) recoverPaged(meta *pagedMeta, data []byte) (int, error) {
 			batch = append(batch, pager.BatchPage{PID: pid, Data: make([]byte, st.pager.PageSize())})
 		}
 		if err := st.pager.WriteBatch(batch); err != nil {
-			return 0, fmt.Errorf("sqldb: recovery: clearing garbage pages: %w", err)
+			return nil, fmt.Errorf("sqldb: recovery: clearing garbage pages: %w", err)
 		}
 	}
 
@@ -657,7 +657,7 @@ func (db *DB) recoverPaged(meta *pagedMeta, data []byte) (int, error) {
 		l.tbl.heap.erase(l.loc)
 	}
 	if _, err := st.pool.FlushAll(); err != nil {
-		return 0, fmt.Errorf("sqldb: recovery: %w", err)
+		return nil, fmt.Errorf("sqldb: recovery: %w", err)
 	}
 	for tid, m := range winners {
 		tbl := db.tableByID(uint64(tid))
@@ -669,7 +669,7 @@ func (db *DB) recoverPaged(meta *pagedMeta, data []byte) (int, error) {
 		}
 	}
 	if _, err := st.pool.FlushAll(); err != nil {
-		return 0, fmt.Errorf("sqldb: recovery: %w", err)
+		return nil, fmt.Errorf("sqldb: recovery: %w", err)
 	}
 
 	// 4. Base placement: every surviving winner becomes a single paged
@@ -683,7 +683,7 @@ func (db *DB) recoverPaged(meta *pagedMeta, data []byte) (int, error) {
 		}
 	}
 	if err := st.Err(); err != nil {
-		return 0, fmt.Errorf("sqldb: recovery: %w", err)
+		return nil, fmt.Errorf("sqldb: recovery: %w", err)
 	}
 	db.clock.Store(clock)
 	db.watermark.Store(clock)
@@ -696,14 +696,14 @@ func (db *DB) recoverPaged(meta *pagedMeta, data []byte) (int, error) {
 	// prefix — so new commits never reuse a checkpointed LSN.
 	ckptLSN := st.ckptLSN.Load()
 	db.replApplied.Store(ckptLSN)
-	good, err := db.redoLog(data, ckptLSN, meta != nil)
+	marks, err := db.redoLog(data, ckptLSN, meta != nil)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	if err := st.Err(); err != nil {
-		return 0, fmt.Errorf("sqldb: recovery: %w", err)
+		return nil, fmt.Errorf("sqldb: recovery: %w", err)
 	}
-	return good, nil
+	return marks, nil
 }
 
 // BufferPoolStats snapshots the paged-storage counters: buffer-pool

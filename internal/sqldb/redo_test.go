@@ -118,8 +118,8 @@ func (h *redoHistory) fail(format string, args ...any) {
 }
 
 // collect drains the leader's newly committed groups, as a shipping loop
-// would; called after every step, so the ring always covers them and a
-// checkpoint's truncation never gets ahead of the follower.
+// would; called after every step, so a checkpoint's truncation never gets
+// ahead of the follower.
 func (h *redoHistory) collect() {
 	after := uint64(0)
 	if n := len(h.shipped); n > 0 {

@@ -1,19 +1,19 @@
 package sqldb
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 )
 
 // Replication treats the WAL as the replication stream (the paper's
 // thesis — cluster state is just data — extended to availability: the
 // schedd's failover story is a database failover story). A leader's
 // committed groups are addressable by the LSN on their commit markers;
-// CommittedSince reads them back (from an in-memory ring of recent
-// batches, kept while a ReplicationTap is registered, or the log file for
-// a follower further behind), and
+// CommittedSince reads them back from the log file itself, seeking by a
+// sparse index of (LSN, offset) marks to the last mark at or below the
+// caller's LSN, and
 // ApplyCommitted replays them on a follower, re-stamping every version
 // through the follower's own MVCC commit clock so its snapshot readers
 // are always transactionally consistent — a group is invisible until the
@@ -85,9 +85,9 @@ func (db *DB) AppliedLSN() uint64 { return db.replApplied.Load() }
 // CommittedSince returns committed groups with LSN > afterLSN in log
 // order, plus the current durable LSN. maxBytes caps the returned batch
 // bytes (0 = unlimited; at least one batch is always returned when any
-// qualifies). Batches committed while a ReplicationTap was registered are
-// served from memory; a reader further behind is served from the log file
-// itself.
+// qualifies). The batches are cut from one read of the log file, from the
+// indexed mark at or below afterLSN; the file is read through
+// RandomAccessVFS.OpenRandom.
 func (db *DB) CommittedSince(afterLSN uint64, maxBytes int) ([]CommittedBatch, uint64, error) {
 	if db.wal == nil {
 		return nil, 0, ErrNoWAL
@@ -95,48 +95,10 @@ func (db *DB) CommittedSince(afterLSN uint64, maxBytes int) ([]CommittedBatch, u
 	return db.wal.committedSince(afterLSN, maxBytes)
 }
 
-// setRecoveredLSN seats the LSN horizon after recovery: numbering resumes
-// past everything the log holds, and the ring starts empty with the file
-// covering all older batches.
-func (w *wal) setRecoveredLSN(lsn uint64) {
-	w.mu.Lock()
-	w.nextLSN = lsn
-	w.durableLSN.Store(lsn)
-	w.mu.Unlock()
-	w.tapMu.Lock()
-	w.ringBase = lsn
-	w.tapMu.Unlock()
-}
-
-// publishCommitted hands freshly durable batches to the shipping side: with
-// a tap registered they join the ring, trimmed to walRingBytes, and every
-// tap is signaled. With none, nobody can ship them, so nothing is kept —
-// the ring is dropped and ringBase moves to the last LSN, which sends a
-// later joiner to the log file exactly as after a restart.
-func (w *wal) publishCommitted(batches []CommittedBatch) {
-	if len(batches) == 0 {
-		return
-	}
+// notifyTaps signals every registered tap that more of the log is durable.
+func (w *wal) notifyTaps() {
 	w.tapMu.Lock()
 	defer w.tapMu.Unlock()
-	if len(w.taps) == 0 {
-		w.ring, w.ringSize = nil, 0
-		w.ringBase = batches[len(batches)-1].LSN
-		return
-	}
-	for _, b := range batches {
-		w.ring = append(w.ring, b)
-		w.ringSize += len(b.Data)
-	}
-	for w.ringSize > walRingBytes && len(w.ring) > 1 {
-		w.ringBase = w.ring[0].LSN
-		w.ringSize -= len(w.ring[0].Data)
-		w.ring[0] = CommittedBatch{}
-		w.ring = w.ring[1:]
-	}
-	if cap(w.ring) > 4*len(w.ring)+16 {
-		w.ring = append(make([]CommittedBatch, 0, len(w.ring)), w.ring...)
-	}
 	for t := range w.taps {
 		select {
 		case t.ch <- struct{}{}:
@@ -150,39 +112,40 @@ func (w *wal) committedSince(afterLSN uint64, maxBytes int) ([]CommittedBatch, u
 	if afterLSN >= durable {
 		return nil, durable, nil
 	}
-	w.tapMu.Lock()
-	if afterLSN >= w.ringBase {
-		var out []CommittedBatch
-		total := 0
-		for _, b := range w.ring {
-			if b.LSN <= afterLSN {
-				continue
-			}
-			if maxBytes > 0 && total > 0 && total+len(b.Data) > maxBytes {
-				break
-			}
-			out = append(out, b)
-			total += len(b.Data)
-		}
-		w.tapMu.Unlock()
-		if n := len(out); n > 0 {
-			w.noteServed(out[n-1].LSN)
-		}
-		return out, durable, nil
+	rvfs, ok := w.vfs.(RandomAccessVFS)
+	if !ok {
+		return nil, durable, fmt.Errorf("sqldb: replication read: %T has no random access", w.vfs)
 	}
-	w.tapMu.Unlock()
-	// Far behind the ring: cut batches straight out of the log file.
-	// No lock is needed — appends are sequential, so every byte at or
-	// below the durable LSN is already whole in the file, and anything
-	// past it is filtered out below.
-	data, err := w.vfs.ReadFile(w.name)
+	// The marks and the file are taken together under idxMu, which every
+	// swap of the file renames under: the handle keeps reading the file it
+	// opened, whatever is renamed over its name later, and these are that
+	// file's marks. Appends only extend the file, and every byte at or
+	// below the durable LSN was marked before that LSN was published.
+	w.idxMu.Lock()
+	// truncateThrough publishes its cut before it swaps the file, so a
+	// read that would meet the cut file is refused here.
+	if trunc := w.truncLSN.Load(); afterLSN < trunc {
+		w.idxMu.Unlock()
+		return nil, durable, fmt.Errorf("%w (asked after LSN %d, checkpointed through %d)", ErrLogTruncated, afterLSN, trunc)
+	}
+	// The first mark above afterLSN ends a group above it, so the first
+	// group to ship ends by that mark: with maxBytes set, nothing past the
+	// mark plus maxBytes ships.
+	i := sort.Search(len(w.marks), func(i int) bool { return w.marks[i].lsn > afterLSN })
+	from, end := w.marks[max(i-1, 0)].off, w.marks[len(w.marks)-1].off
+	to := end
+	if maxBytes > 0 && i < len(w.marks) {
+		to = min(end, w.marks[i].off+int64(maxBytes))
+	}
+	f, err := rvfs.OpenRandom(w.name)
+	w.idxMu.Unlock()
 	if err != nil {
 		return nil, durable, fmt.Errorf("sqldb: replication read: %w", err)
 	}
-	// Loaded after the read: truncateThrough publishes its cut before it
-	// swaps the file, so a file read that saw the cut sees it here.
-	if trunc := w.truncLSN.Load(); afterLSN < trunc {
-		return nil, durable, fmt.Errorf("%w (asked after LSN %d, checkpointed through %d)", ErrLogTruncated, afterLSN, trunc)
+	defer f.Close()
+	data := make([]byte, to-from)
+	if n, err := f.ReadAt(data, from); n < len(data) {
+		return nil, durable, fmt.Errorf("sqldb: replication read: %d of %d bytes at offset %d: %w", n, len(data), from, err)
 	}
 	out := splitBatches(data, afterLSN, maxBytes, durable)
 	if n := len(out); n > 0 {
@@ -202,7 +165,7 @@ func (w *wal) noteServed(lsn uint64) {
 
 // splitBatches cuts the whole committed groups with afterLSN < LSN <=
 // durable out of raw log bytes, honoring maxBytes (always at least one
-// qualifying batch).
+// qualifying batch). The batches are views of data.
 func splitBatches(data []byte, afterLSN uint64, maxBytes int, durable uint64) []CommittedBatch {
 	var out []CommittedBatch
 	total := 0
@@ -213,39 +176,26 @@ func splitBatches(data []byte, afterLSN uint64, maxBytes int, durable uint64) []
 		if total += rd.end - rd.start; maxBytes > 0 && len(out) > 0 && total > maxBytes {
 			break
 		}
-		out = append(out, CommittedBatch{LSN: rd.lsn, Data: append([]byte(nil), data[rd.start:rd.end]...)})
+		out = append(out, CommittedBatch{LSN: rd.lsn, Data: data[rd.start:rd.end:rd.end]})
 	}
 	return out
 }
 
-// appendRaw appends verbatim leader-sealed batch bytes to the follower's
-// log (honoring the sync policy) and advances the LSN horizon to
-// lastLSN. Called with batches validated by decodeBatch.
-func (w *wal) appendRaw(data []byte, lastLSN uint64) error {
+// appendRaw appends verbatim leader-sealed batches, validated by
+// decodeBatch, to the follower's log through the log's one write, and
+// advances the LSN horizon to the last of them.
+func (w *wal) appendRaw(batches []CommittedBatch) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.dirty {
-		if err := w.repairLocked(); err != nil {
-			return err
-		}
+	w.wbuf.Reset()
+	for _, b := range batches {
+		w.wbuf.Write(b.Data)
 	}
-	if _, err := w.file.Write(data); err != nil {
-		w.dirty = true
+	last := batches[len(batches)-1].LSN
+	if _, err := w.appendLocked(w.wbuf.Bytes(), last); err != nil {
 		return err
 	}
-	w.bytes.Add(uint64(len(data)))
-	if w.policy != SyncNever {
-		w.syncs.Add(1)
-		if err := w.file.Sync(); err != nil {
-			return err
-		}
-	}
-	if lastLSN > w.nextLSN {
-		w.nextLSN = lastLSN
-	}
-	if lastLSN > w.durableLSN.Load() {
-		w.durableLSN.Store(lastLSN)
-	}
+	w.nextLSN = max(w.nextLSN, last)
 	return nil
 }
 
@@ -292,15 +242,10 @@ func (db *DB) ApplyCommitted(batches []CommittedBatch) error {
 		for _, b := range todo {
 			db.wal.registerInflight(b.LSN)
 		}
-		var buf bytes.Buffer
-		for _, b := range todo {
-			buf.Write(b.Data)
-		}
-		if err := db.wal.appendRaw(buf.Bytes(), todo[len(todo)-1].LSN); err != nil {
+		if err := db.wal.appendRaw(todo); err != nil {
 			db.replApplyErrors.Add(1)
 			return fmt.Errorf("sqldb: follower apply: %w", err)
 		}
-		db.wal.publishCommitted(todo)
 	}
 	for i, b := range todo {
 		if err := db.applyGroup(b.LSN, groups[i], false); err != nil {

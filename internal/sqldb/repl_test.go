@@ -2,8 +2,11 @@ package sqldb
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // pump drains every committed group from leader to follower, returning
@@ -320,85 +323,320 @@ func TestReplApplyRejectsCorruptBatch(t *testing.T) {
 	}
 }
 
-// TestReplRingAndFileFallback: committed batches stay in memory only while
-// someone can ship them. With a tap registered CommittedSince is served
-// from the ring; with none the ring stays empty and the same call is served
-// from the log file — both paths must produce byte-identical batches. A tap
-// registered late keeps what commits after it and leaves the rest to the
-// file.
-func TestReplRingAndFileFallback(t *testing.T) {
-	ring := func(db *DB) (n int, base uint64) {
-		db.wal.tapMu.Lock()
-		defer db.wal.tapMu.Unlock()
-		return len(db.wal.ring), db.wal.ringBase
-	}
-	load := func(tapped bool) (*DB, []CommittedBatch) {
-		db, err := Open(Options{VFS: NewMemVFS(), Path: "l.wal"})
+// TestReplReadsRaceCheckpoints: a shipping read and a checkpoint's cut
+// of the log race freely. Each read pairs one file with that file's marks,
+// so with no LSN ever skipped a read is refused (ErrLogTruncated) or
+// returns the groups right after the asked LSN, in order, whole — never a
+// run cut from one file at the other's offsets.
+func TestReplReadsRaceCheckpoints(t *testing.T) {
+	db := openPaged(t, NewMemVFS())
+	defer db.Close()
+	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT NOT NULL)`)
+	payload := strings.Repeat("y", 200)
+	stop := make(chan struct{})
+	errs := make(chan error, 2) // one per goroutine
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				errs <- nil
+				return
+			default:
+			}
+			if _, err := db.Exec(`INSERT INTO t (id, v) VALUES (?, ?)`, i, payload); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	go func() {
+		for {
+			select {
+			case <-stop:
+				errs <- nil
+				return
+			case <-time.After(time.Millisecond):
+			}
+			if err := db.Checkpoint(); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	after, served := uint64(0), 0
+	for deadline := time.Now().Add(300 * time.Millisecond); time.Now().Before(deadline); {
+		batches, _, err := db.CommittedSince(after, 4<<10)
+		if errors.Is(err, ErrLogTruncated) {
+			after = db.wal.truncLSN.Load()
+			continue
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { db.Close() })
-		if tapped {
-			tap, err := db.ReplicationTap()
+		served += len(batches)
+		for _, b := range batches {
+			if b.LSN != after+1 {
+				t.Fatalf("read after LSN %d: batch at LSN %d", after, b.LSN)
+			}
+			if _, err := decodeBatch(b); err != nil {
+				t.Fatal(err)
+			}
+			after = b.LSN
+		}
+	}
+	close(stop)
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if trunc := db.wal.truncLSN.Load(); served == 0 || trunc == 0 {
+		t.Fatalf("%d batches served, the log cut through LSN %d: the race was not run", served, trunc)
+	}
+}
+
+// TestReplCommittedSinceMatchesTheFile: CommittedSince has one read path,
+// the log file from the indexed mark at or below the caller's LSN, so what
+// it returns from every LSN the log can serve is exactly what splitting the
+// whole file returns — with maxBytes or without, on a log spanning several
+// marks, after a reopen (marks seeded by Open's log pass), after a
+// checkpoint's cut (marks rebased), after a torn write's repair (marks
+// trimmed to what it kept), and on a follower's own log, written by
+// ApplyCommitted.
+func TestReplCommittedSinceMatchesTheFile(t *testing.T) {
+	const ddl = `CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT NOT NULL)`
+	payload := strings.Repeat("x", 900) // a group fits a 1 KiB page's record
+	fill := func(t *testing.T, db *DB, from, n int) {
+		t.Helper()
+		for i := from; i < from+n; i++ {
+			mustExec(t, db, `INSERT INTO t (id, v) VALUES (?, ?)`, i, payload)
+		}
+	}
+	check := func(t *testing.T, what string, db *DB, minMarks int) {
+		t.Helper()
+		db.wal.idxMu.Lock()
+		marks := len(db.wal.marks)
+		db.wal.idxMu.Unlock()
+		if marks < minMarks {
+			t.Fatalf("%s: %d marks, want at least %d", what, marks, minMarks)
+		}
+		data, err := db.wal.vfs.ReadFile(db.wal.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		durable := db.DurableLSN()
+		for _, maxBytes := range []int{0, 1, 8 << 10} {
+			for x := db.wal.truncLSN.Load(); x <= durable; x++ {
+				got, d, err := db.CommittedSince(x, maxBytes)
+				if err != nil || d != durable {
+					t.Fatalf("%s: CommittedSince(%d, %d): durable %d, err %v", what, x, maxBytes, d, err)
+				}
+				want := splitBatches(data, x, maxBytes, durable)
+				if len(got) != len(want) || (x < durable && len(got) == 0) {
+					t.Fatalf("%s: CommittedSince(%d, %d): %d batches, the file splits into %d", what, x, maxBytes, len(got), len(want))
+				}
+				for i := range got {
+					if got[i].LSN != want[i].LSN || !bytes.Equal(got[i].Data, want[i].Data) {
+						t.Fatalf("%s: CommittedSince(%d, %d): batch %d differs from the file's", what, x, maxBytes, i)
+					}
+				}
+			}
+		}
+	}
+
+	t.Run("log-only, reopened", func(t *testing.T) {
+		vfs := NewMemVFS()
+		db, err := Open(Options{VFS: vfs, Path: "l.wal"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, db, ddl)
+		fill(t, db, 0, 200)
+		check(t, "written", db, 4)
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		db, err = Open(Options{VFS: vfs, Path: "l.wal"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		check(t, "reopened", db, 4)
+		fill(t, db, 200, 20)
+		check(t, "reopened and written", db, 4)
+	})
+
+	t.Run("paged, checkpointed", func(t *testing.T) {
+		db := openPaged(t, NewMemVFS())
+		defer db.Close()
+		mustExec(t, db, ddl)
+		fill(t, db, 0, 50)
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		fill(t, db, 50, 200)
+		check(t, "after a checkpoint", db, 4)
+		// A barrier held below the durable LSN by an unapplied commit cuts
+		// the log mid-file: the marks past the cut survive, rebased.
+		if err := db.wal.truncateThrough(db.DurableLSN() - 120); err != nil {
+			t.Fatal(err)
+		}
+		check(t, "after a cut mid-file", db, 3)
+		fill(t, db, 250, 20)
+		check(t, "after a cut, written", db, 3)
+	})
+
+	t.Run("torn write repaired", func(t *testing.T) {
+		vfs := NewFaultVFS(NewMemVFS())
+		db, err := Open(Options{VFS: vfs, Path: "l.wal"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		mustExec(t, db, ddl)
+		fill(t, db, 0, 100)
+		size := func() int {
+			data, err := vfs.ReadFile("l.wal")
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(tap.Close)
+			return len(data)
 		}
-		mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER NOT NULL)`)
-		for i := 1; i <= 25; i++ {
-			mustExec(t, db, `INSERT INTO t (id, v) VALUES (?, ?)`, i, i)
+		before := size()
+		fill(t, db, 100, 1)
+		group := size() - before
+		// Hold the log while one committer drains its group and two more
+		// queue behind it, so the next flush writes two groups at once;
+		// the device then has room for the first flush, the first of the
+		// two groups and half the second. The whole group the torn write
+		// left stays in the log, past the mark its flush never made.
+		db.wal.mu.Lock()
+		errs := make(chan error, 3)
+		insert := func(id int) {
+			_, err := db.Exec(`INSERT INTO t (id, v) VALUES (?, ?)`, id, payload)
+			errs <- err
 		}
-		got, _, err := db.CommittedSince(0, 0)
+		waitQueue := func(n int) {
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				db.wal.gmu.Lock()
+				ok := db.wal.flushing && len(db.wal.queue) == n
+				db.wal.gmu.Unlock()
+				if ok {
+					return
+				}
+				if time.Now().After(deadline) {
+					db.wal.mu.Unlock()
+					t.Fatalf("the group-commit queue never held %d batches", n)
+				}
+			}
+		}
+		go insert(101)
+		waitQueue(0)
+		go insert(102)
+		go insert(103)
+		waitQueue(2)
+		vfs.SetWriteBudget(int64(2*group + group/2))
+		db.wal.mu.Unlock()
+		failed := 0
+		for range 3 {
+			if err := <-errs; errors.Is(err, ErrNoSpace) {
+				failed++
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if failed != 2 {
+			t.Fatalf("%d commits failed on the full device, want the two flushed together", failed)
+		}
+		vfs.SetWriteBudget(-1)
+		fill(t, db, 104, 100)
+		check(t, "repaired", db, 3)
+	})
+
+	t.Run("follower", func(t *testing.T) {
+		leader, err := Open(Options{VFS: NewMemVFS(), Path: "lead.wal"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return db, got
-	}
-	same := func(what string, a, b []CommittedBatch) {
-		t.Helper()
-		if len(a) != len(b) {
-			t.Fatalf("%s: %d batches against %d", what, len(a), len(b))
+		defer leader.Close()
+		follower, err := Open(Options{VFS: NewMemVFS(), Path: "follow.wal"})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range a {
-			if a[i].LSN != b[i].LSN || !bytes.Equal(a[i].Data, b[i].Data) {
-				t.Fatalf("%s: batch %d differs", what, i)
+		defer follower.Close()
+		mustExec(t, leader, ddl)
+		fill(t, leader, 0, 200)
+		for follower.AppliedLSN() < leader.DurableLSN() {
+			batches, _, err := leader.CommittedSince(follower.AppliedLSN(), 8<<10)
+			if err != nil || len(batches) == 0 {
+				t.Fatalf("ship from LSN %d: %d batches, err %v", follower.AppliedLSN(), len(batches), err)
+			}
+			if err := follower.ApplyCommitted(batches); err != nil {
+				t.Fatal(err)
 			}
 		}
-	}
+		check(t, "the follower's log", follower, 4)
+	})
+}
 
-	tapped, fromRing := load(true)
-	if n, base := ring(tapped); n != 26 || base != 0 {
-		t.Fatalf("tapped leader's ring holds %d batches above LSN %d, want all 26 above 0", n, base)
-	}
-	data, err := tapped.wal.vfs.ReadFile("l.wal")
+// TestReplTapKeepsRecentLogAcrossCheckpoint: while a replication tap is
+// registered, a checkpoint leaves the fewest whole groups holding
+// walTapRetain bytes in the file, so a follower behind the checkpoint by
+// less than that is still shipped from the file; one behind what is kept
+// is refused. With no tap the checkpoint cuts through its LSN.
+func TestReplTapKeepsRecentLogAcrossCheckpoint(t *testing.T) {
+	vfs := NewMemVFS()
+	db := openPagedOpts(t, vfs, 16, 8192)
+	defer db.Close()
+	tap, err := db.ReplicationTap()
 	if err != nil {
 		t.Fatal(err)
 	}
-	same("ring against its own file", fromRing, splitBatches(data, 0, 0, tapped.DurableLSN()))
-
-	untapped, fromFile := load(false)
-	if n, base := ring(untapped); n != 0 || base != untapped.DurableLSN() {
-		t.Fatalf("untapped leader's ring holds %d batches above LSN %d, want none above %d", n, base, untapped.DurableLSN())
+	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT NOT NULL)`)
+	payload := strings.Repeat("x", 7000)
+	insert := func(from, n int) {
+		t.Helper()
+		for i := from; i < from+n; i++ {
+			mustExec(t, db, `INSERT INTO t (id, v) VALUES (?, ?)`, i, payload)
+		}
 	}
-	same("file of an untapped leader against the ring of a tapped one", fromFile, fromRing)
-
-	// A tap registered now: what commits from here on is kept, what came
-	// before is still the file's to serve.
-	joined := untapped.DurableLSN()
-	tap, err := untapped.ReplicationTap()
+	insert(0, 700) // ≈ 4.9 MB of log
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	trunc, ckpt := db.wal.truncLSN.Load(), db.BufferPoolStats().CheckpointLSN
+	if trunc == 0 || trunc >= ckpt {
+		t.Fatalf("the log cut through LSN %d, checkpointed through %d: want a cut below the checkpoint", trunc, ckpt)
+	}
+	data, err := vfs.ReadFile("test.db")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tap.Close()
-	mustExec(t, untapped, `INSERT INTO t (id, v) VALUES (26, 26)`)
-	if n, base := ring(untapped); n != 1 || base != joined {
-		t.Fatalf("after a late tap the ring holds %d batches above LSN %d, want 1 above %d", n, base, joined)
+	rd := logReader{data: data}
+	if !rd.next() || len(data) < walTapRetain || len(data)-rd.end >= walTapRetain {
+		t.Fatalf("kept %d bytes, the first group ending at %d: want the fewest whole groups holding %d", len(data), rd.end, walTapRetain)
 	}
-	if got, _, err := untapped.CommittedSince(joined, 0); err != nil || len(got) != 1 || got[0].LSN != joined+1 {
-		t.Fatalf("from the ring after the late tap: %v, err %v", got, err)
+	durable := db.DurableLSN()
+	got, _, err := db.CommittedSince(trunc, 0)
+	want := splitBatches(data, trunc, 0, durable)
+	if err != nil || len(got) != len(want) || len(got) == 0 || got[0].LSN != trunc+1 || got[len(got)-1].LSN != durable {
+		t.Fatalf("resume from the kept tail's start (LSN %d): %d batches, err %v; want the file's %d, LSN %d to %d", trunc, len(got), err, len(want), trunc+1, durable)
 	}
-	if got, _, err := untapped.CommittedSince(0, 0); err != nil || len(got) != 27 {
-		t.Fatalf("from the file after the late tap: %d batches, err %v; want 27", len(got), err)
+	for i := range got {
+		if !bytes.Equal(got[i].Data, want[i].Data) {
+			t.Fatalf("batch %d (LSN %d) differs from the file's", i, got[i].LSN)
+		}
+	}
+	if _, _, err := db.CommittedSince(trunc-1, 0); !errors.Is(err, ErrLogTruncated) {
+		t.Fatalf("resume below the kept tail: err = %v, want ErrLogTruncated", err)
+	}
+
+	tap.Close()
+	insert(700, 1)
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if trunc, ckpt := db.wal.truncLSN.Load(), db.BufferPoolStats().CheckpointLSN; trunc != ckpt {
+		t.Fatalf("with no tap the log cut through LSN %d, want the checkpoint's %d", trunc, ckpt)
 	}
 }

@@ -422,10 +422,36 @@ type CommittedBatch struct {
 	Data []byte
 }
 
-// walRingBytes bounds the in-memory ring of recently committed batches
-// kept while a replication tap is registered; followers further behind are
-// served from the log file itself.
-const walRingBytes = 4 << 20
+// walMark is one entry of the log file's sparse index: every group at or
+// below lsn ends at or before byte off of the file, and every group from
+// off on is above lsn.
+type walMark struct {
+	lsn uint64
+	off int64
+}
+
+// walMarkEvery spaces the index's marks: a read seeking afterLSN starts at
+// most this far, plus one flush, before the first group it ships.
+const walMarkEvery = 64 << 10
+
+// walTapRetain is how much of the log's tail a checkpoint leaves in the
+// file while a replication tap is registered, whatever its LSN: a
+// follower a little behind when the checkpoint runs is then still shipped
+// from the file instead of refused.
+const walTapRetain = 4 << 20
+
+// addMark extends an index over whole groups now ending at byte end, the
+// last of them committed at lsn. The last mark always sits at the end of
+// the file's whole groups: it moves forward until it is walMarkEvery past
+// the mark before it, then stays, and the next group opens a new last
+// mark. The first mark never moves.
+func addMark(marks []walMark, lsn uint64, end int64) []walMark {
+	if n := len(marks); n > 1 && marks[n-1].off-marks[n-2].off < walMarkEvery {
+		marks[n-1] = walMark{lsn, end}
+		return marks
+	}
+	return append(marks, walMark{lsn, end})
+}
 
 type wal struct {
 	// mu guards the file handle: group flushes, follower appends,
@@ -457,15 +483,21 @@ type wal struct {
 	nextLSN    uint64
 	durableLSN atomic.Uint64
 
-	// Replication tap state: a bounded ring of recently committed batches
-	// plus notification channels. ringBase is the newest LSN NOT covered
-	// by the ring (evicted, committed with no tap registered, or written
-	// before this process opened the log); readers behind it fall back to
-	// the file.
+	// wbuf (guarded by mu) is the one write buffer: a flush seals its
+	// group into it, a follower lays its shipped batches into it, and it
+	// is reused, append after append. Nothing keeps a view of it.
+	wbuf bytes.Buffer
+
+	// marks is the log file's sparse index (see walMark), ascending in LSN
+	// and offset: the first at the file's start, then one per walMarkEvery
+	// bytes, the last at the end of the file's whole groups. Appends and
+	// file swaps change it holding both mu and idxMu; committedSince reads
+	// it under idxMu alone.
+	idxMu sync.Mutex
+	marks []walMark
+
+	// Replication taps to signal after every durable append.
 	tapMu     sync.Mutex
-	ring      []CommittedBatch
-	ringSize  int
-	ringBase  uint64
 	taps      map[*ReplicationTap]struct{}
 	servedLSN atomic.Uint64 // newest LSN handed to CommittedSince callers
 
@@ -482,7 +514,8 @@ type wal struct {
 	inflight map[uint64]struct{}
 
 	// truncLSN is the newest LSN removed from the log file by a fuzzy
-	// checkpoint's tail truncation (at open: the checkpoint LSN). Followers
+	// checkpoint's tail truncation (at open: the checkpoint LSN, whatever
+	// older groups the file still holds). Followers
 	// this far behind can no longer be served from the file and must
 	// re-seed: committedSince refuses them with ErrLogTruncated.
 	truncLSN atomic.Uint64
@@ -497,12 +530,18 @@ type wal struct {
 	commitWait atomic.Int64
 }
 
-func openWAL(vfs VFS, name string, policy SyncPolicy) (*wal, error) {
+// openWAL opens the log for appending after recovery. LSN numbering
+// resumes past lsn, everything the log holds — groups this node wrote or
+// applied as a follower, and under paged storage the truncated prefix the
+// checkpoint covers — and marks is the index Open's log pass built.
+func openWAL(vfs VFS, name string, policy SyncPolicy, lsn uint64, marks []walMark) (*wal, error) {
 	f, err := vfs.Open(name)
 	if err != nil {
 		return nil, err
 	}
-	return &wal{vfs: vfs, name: name, file: f, policy: policy, inflight: make(map[uint64]struct{})}, nil
+	w := &wal{vfs: vfs, name: name, file: f, policy: policy, inflight: make(map[uint64]struct{}), nextLSN: lsn, marks: marks}
+	w.durableLSN.Store(lsn)
+	return w, nil
 }
 
 // registerInflight marks lsn durable-but-unapplied. Called with w.mu
@@ -547,7 +586,8 @@ func (w *wal) checkpointBarrier() uint64 {
 // pages). LSN numbering continues uninterrupted — only file content
 // shrinks. Groups are whole: the cut lands exactly after the last
 // commit marker at or below ckptLSN, which file order guarantees is
-// before any marker above it.
+// before any marker above it — or earlier, while a tap is registered, so
+// that at least walTapRetain bytes stay behind it.
 func (w *wal) truncateThrough(ckptLSN uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -560,8 +600,14 @@ func (w *wal) truncateThrough(ckptLSN uint64) error {
 	if err != nil {
 		return fmt.Errorf("sqldb: wal truncate: %w", err)
 	}
+	keep := 0
+	w.tapMu.Lock()
+	if len(w.taps) > 0 {
+		keep = walTapRetain
+	}
+	w.tapMu.Unlock()
 	cut, truncated := 0, uint64(0)
-	for rd := (logReader{data: data}); rd.next() && rd.lsn <= ckptLSN; {
+	for rd := (logReader{data: data}); rd.next() && rd.lsn <= ckptLSN && len(data)-rd.end >= keep; {
 		cut, truncated = rd.end, rd.lsn
 	}
 	if cut == 0 {
@@ -572,7 +618,13 @@ func (w *wal) truncateThrough(ckptLSN uint64) error {
 	if truncated > w.truncLSN.Load() {
 		w.truncLSN.Store(truncated)
 	}
-	if err := w.replaceLocked(append([]byte(nil), data[cut:]...)); err != nil {
+	marks := []walMark{{lsn: truncated}}
+	for _, m := range w.marks {
+		if m.off > int64(cut) {
+			marks = append(marks, walMark{m.lsn, m.off - int64(cut)})
+		}
+	}
+	if err := w.replaceLocked(append([]byte(nil), data[cut:]...), marks); err != nil {
 		return fmt.Errorf("sqldb: wal truncate: %w", err)
 	}
 	return nil
@@ -631,7 +683,7 @@ func (w *wal) observeGroup(n int) {
 //
 // buf is the committer's encode buffer (the transaction's scratch): the
 // records are laid out there and it is the committer's again when commit
-// returns — a flush copies queued batches into its own write buffer.
+// returns — a flush copies queued batches into the log's write buffer.
 func (w *wal) commit(ctx context.Context, recs []walRecord, buf *bytes.Buffer) (uint64, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -741,10 +793,10 @@ func (w *wal) retractBatch(b *walBatch, ctx context.Context) error {
 	return mapCtxErr(ctx.Err())
 }
 
-// flushGroup drains the queue, writes the group with a single buffered
-// write, issues one fsync (unless the policy is SyncNever), and delivers the
-// outcome to every batch in the group. It holds the only write of this
-// node's own commits to the log.
+// flushGroup drains the queue, seals the group into the log's write buffer
+// and appends it (appendLocked), then delivers the outcome to every batch
+// in the group. It holds the only write of this node's own commits to the
+// log.
 func (w *wal) flushGroup() {
 	w.gmu.Lock()
 	group := w.queue
@@ -755,77 +807,84 @@ func (w *wal) flushGroup() {
 	}
 
 	// Seal and write under w.mu: each batch's commit marker receives the
-	// next LSN as it is laid into the flush buffer, so LSNs increase in
+	// next LSN as it is laid into the write buffer, so LSNs increase in
 	// exactly file order and every committed group is addressable for
 	// replication. Framing a batch costs its length word, its few marker
 	// bytes and a CRC extended over just those: nothing here checksums a
 	// record.
 	w.mu.Lock()
-	var werr error
-	if w.dirty {
-		werr = w.repairLocked()
+	w.wbuf.Reset()
+	for _, qb := range group {
+		w.nextLSN++
+		qb.lsn = w.nextLSN
+		w.registerInflight(qb.lsn)
+		appendGroup(&w.wbuf, qb.data, qb.crc, qb.lsn)
 	}
-	var err error
-	var published []CommittedBatch
-	if werr == nil {
-		// The write buffer may outlive the flush — with a tap registered
-		// the replication ring keeps each batch's slice of it — so size it
-		// to the group, not by doubling: what the ring pins is then log
-		// bytes, not slack.
-		size := 0
-		for i, qb := range group {
-			size += len(qb.data) + markerLen(w.nextLSN+uint64(i)+1)
-		}
-		buf := bytes.NewBuffer(make([]byte, 0, size))
-		published = make([]CommittedBatch, 0, len(group))
-		for _, qb := range group {
-			start := buf.Len()
-			w.nextLSN++
-			qb.lsn = w.nextLSN
-			w.registerInflight(qb.lsn)
-			appendGroup(buf, qb.data, qb.crc, qb.lsn)
-			published = append(published, CommittedBatch{LSN: qb.lsn, Data: buf.Bytes()[start:]})
-		}
-		if _, werr = w.file.Write(buf.Bytes()); werr != nil {
-			w.dirty = true
-		}
-		err = werr
-		if werr == nil {
-			w.bytes.Add(uint64(buf.Len()))
-			if w.policy != SyncNever {
-				w.syncs.Add(1)
-				err = w.file.Sync()
-			}
-		}
-		if err == nil {
-			w.durableLSN.Store(w.nextLSN)
-		}
-	} else {
-		err = werr
-	}
+	wrote, err := w.appendLocked(w.wbuf.Bytes(), w.nextLSN)
 	w.mu.Unlock()
-	if werr == nil {
+	if wrote {
 		w.observeGroup(len(group))
 	}
 	if err == nil {
 		w.commits.Add(uint64(len(group)))
-		w.publishCommitted(published)
 	}
 	for _, qb := range group {
 		qb.done <- err
 	}
 }
 
+// appendLocked is the log's one write, shared by this node's group flushes
+// and a follower's shipped batches; the caller holds w.mu. It repairs a
+// tail a failed write left torn, writes data — whole groups, the last
+// committed at lsn — counts its bytes, marks the index and syncs per the
+// policy; only when all of that succeeded is lsn published durable and
+// every replication tap signaled. wrote reports whether data reached the
+// file.
+func (w *wal) appendLocked(data []byte, lsn uint64) (wrote bool, err error) {
+	if w.dirty {
+		if err := w.repairLocked(); err != nil {
+			return false, err
+		}
+	}
+	if _, err := w.file.Write(data); err != nil {
+		w.dirty = true
+		return false, err
+	}
+	w.bytes.Add(uint64(len(data)))
+	w.idxMu.Lock()
+	w.marks = addMark(w.marks, lsn, w.marks[len(w.marks)-1].off+int64(len(data)))
+	w.idxMu.Unlock()
+	if w.policy != SyncNever {
+		w.syncs.Add(1)
+		if err := w.file.Sync(); err != nil {
+			return true, err
+		}
+	}
+	if lsn > w.durableLSN.Load() {
+		w.durableLSN.Store(lsn)
+	}
+	w.notifyTaps()
+	return true, nil
+}
+
 // replaceLocked swaps the log content under w.mu via the crash-safe
-// tmp+sync+rename dance, then reopens the handle for appending.
-func (w *wal) replaceLocked(content []byte) error {
+// tmp+sync+rename dance, then reopens the handle for appending. marks,
+// content's index, replaces the log's in one step with the rename, under
+// idxMu: a reader holding idxMu opens one file and seeks by its marks.
+func (w *wal) replaceLocked(content []byte, marks []walMark) error {
 	if err := writeWALFile(w.vfs, w.name, content); err != nil {
 		return err
 	}
 	if err := w.file.Close(); err != nil {
 		return err
 	}
-	if err := w.vfs.Rename(w.name+".tmp", w.name); err != nil {
+	w.idxMu.Lock()
+	err := w.vfs.Rename(w.name+".tmp", w.name)
+	if err == nil {
+		w.marks = marks
+	}
+	w.idxMu.Unlock()
+	if err != nil {
 		return err
 	}
 	nf, err := w.vfs.Open(w.name)
@@ -867,17 +926,27 @@ func repairWALFile(vfs VFS, name string, content []byte) error {
 // repairLocked heals a tail torn by a failed or partial append: reread
 // the file, keep its whole committed groups, and atomically swap them
 // into place. Called under w.mu before the next write: a torn frame left
-// behind would strand every group appended after it.
+// behind would strand every group appended after it. The index is trimmed
+// to what is kept by indexing it again: a torn write may have landed whole
+// groups before its tear.
 func (w *wal) repairLocked() error {
 	data, err := w.vfs.ReadFile(w.name)
 	if err != nil {
 		return fmt.Errorf("sqldb: wal repair: %w", err)
 	}
-	good := committedLen(data)
-	if good < len(data) {
-		if err := w.replaceLocked(data[:good]); err != nil {
+	marks := w.marks[:1:1]
+	rd := logReader{data: data}
+	for rd.next() {
+		marks = addMark(marks, rd.lsn, int64(rd.end))
+	}
+	if rd.end < len(data) {
+		if err := w.replaceLocked(data[:rd.end], marks); err != nil {
 			return fmt.Errorf("sqldb: wal repair: %w", err)
 		}
+	} else {
+		w.idxMu.Lock()
+		w.marks = marks
+		w.idxMu.Unlock()
 	}
 	w.dirty = false
 	return nil
@@ -1024,15 +1093,6 @@ func foreignLog(data []byte) bool {
 	return !group
 }
 
-// committedLen reports how many leading bytes of a log form whole
-// committed groups — the boundary every repair cuts to.
-func committedLen(data []byte) int {
-	rd := logReader{data: data}
-	for rd.next() {
-	}
-	return rd.end
-}
-
 // decodeRecord parses the record at rd into r. The bytes come from disk or
 // from the network (a shipped batch), so every count and length is bounded
 // by the bytes that remain, and a record has one byte form: what decodes
@@ -1074,12 +1134,6 @@ func writeUvarint(buf *bytes.Buffer, v uint64) {
 	var tmp [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(tmp[:], v)
 	buf.Write(tmp[:n])
-}
-
-// markerLen is what framing adds to a group's records at lsn: the length
-// word, the commit marker (op byte, LSN) and the CRC.
-func markerLen(lsn uint64) int {
-	return 4 + 1 + uvarintLen(lsn) + 4
 }
 
 // uvarintLen is how many bytes writeUvarint emits for v.

@@ -27,6 +27,15 @@ func readGroups(data []byte) []logGroup {
 	return out
 }
 
+// committedLen reports how many leading bytes of a log form whole
+// committed groups — the boundary every repair cuts to.
+func committedLen(data []byte) int {
+	rd := logReader{data: data}
+	for rd.next() {
+	}
+	return rd.end
+}
+
 // sealFrame frames a raw payload as the log frames a group — length word,
 // payload, CRC32C — without going through appendGroup, so a test can seal
 // bytes the encoder would never produce.
