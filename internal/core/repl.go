@@ -168,7 +168,6 @@ func (r *Replicator) newCaller(addr string) wire.Caller {
 		ret.Policy.MaxAttempts = p.MaxAttempts
 		ret.Policy.BaseDelay = p.BaseDelay
 		ret.Policy.MaxDelay = p.MaxDelay
-		ret.Policy.Classify = p.Classify
 		ret.Policy.Rand = p.Rand
 		ret.Policy.Sleep = p.Sleep
 	}

@@ -312,10 +312,3 @@ func (g *Gauge) Series(start, end time.Time, interval time.Duration) []Point {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -4,17 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// catalogTable is the pseudo-table name DDL statements lock exclusively so
-// schema changes serialize against everything else.
-const catalogTable = "\x00catalog"
 
 // StmtStats summarizes one executed statement. Experiments register a
 // StatsHook to translate these counts into simulated CPU cost (the paper's
@@ -73,15 +70,14 @@ type Options struct {
 // consistent snapshot from the multi-version store without taking any
 // locks.
 type DB struct {
-	mu     sync.Mutex // guards tables map and schema changes
-	tables map[string]*table
-	// byID holds the same tables keyed by their permanent ids, the names
-	// the log gives them: rebuilt whole under mu at every CREATE and DROP
-	// TABLE, read without a lock (tableByID). nextTableID, written under
-	// mu, is the last id assigned; ids are never reused, so an id names one
-	// table for the store's whole life — in the log, the checkpoint meta
-	// and the pages.
-	byID        atomic.Pointer[map[uint32]*table]
+	// mu serializes the catalog's writers: DDL, on the statement path and
+	// in redo. Readers take no lock: they load cat, the immutable catalog
+	// published whole at every CREATE and DROP TABLE. nextTableID, written
+	// under mu, is the last id assigned; ids are never reused, so an id
+	// names one table for the store's whole life — in the log, the lock
+	// manager, the checkpoint meta and the pages.
+	mu          sync.Mutex
+	cat         atomic.Pointer[catalog]
 	nextTableID atomic.Uint32
 	locks       *lockManager
 	wal         *wal
@@ -179,13 +175,12 @@ func New() *DB {
 // Open creates or recovers a database according to opts.
 func Open(opts Options) (*DB, error) {
 	db := &DB{
-		tables: make(map[string]*table),
-		locks:  newLockManager(),
-		nowFn:  time.Now,
-		stmts:  make(map[string]*cachedStmt),
-		snaps:  make(map[uint64]int),
+		locks: newLockManager(),
+		nowFn: time.Now,
+		stmts: make(map[string]*cachedStmt),
+		snaps: make(map[uint64]int),
 	}
-	db.byID.Store(&map[uint32]*table{})
+	db.cat.Store(&catalog{})
 	if opts.VFS != nil {
 		if opts.Path == "" {
 			return nil, fmt.Errorf("sqldb: Options.Path required with a VFS")
@@ -434,6 +429,40 @@ func (db *DB) advanceWatermark() uint64 {
 	}
 	db.snapMu.Unlock()
 	return db.watermark.Load()
+}
+
+// stamp makes a committed group visible: under commitMu each version is
+// stamped with the next commit timestamp and gcs are queued at it before
+// the clock advances to it, so no snapshot observes part of the group. A
+// redone group also moves the applied LSN to its lsn (0 for a local
+// commit, which moves nothing).
+func (db *DB) stamp(versions []stampEntry, gcs []gcRecord, lsn uint64) {
+	db.commitMu.Lock()
+	ts := db.clock.Load() + 1
+	for _, e := range versions {
+		e.v.begin.Store(ts)
+	}
+	db.queueGC(gcs, ts)
+	db.clock.Store(ts)
+	if lsn > db.replApplied.Load() {
+		db.replApplied.Store(lsn)
+	}
+	db.commitMu.Unlock()
+	db.versionsCreated.Add(uint64(len(versions)))
+}
+
+// queueGC queues recs for reclamation once no snapshot older than ts is
+// live. Caller holds commitMu.
+func (db *DB) queueGC(recs []gcRecord, ts uint64) {
+	if len(recs) == 0 {
+		return
+	}
+	for i := range recs {
+		recs[i].ts = ts
+	}
+	db.gcMu.Lock()
+	db.gcQueue = append(db.gcQueue, recs...)
+	db.gcMu.Unlock()
 }
 
 // gcBatch caps how many deferred-reclamation records one commit-time GC
@@ -955,13 +984,23 @@ func (tx *Tx) execStmt(stmt Statement, params []Value) (Result, *Rows, error) {
 		if !tx.implicit {
 			return Result{}, nil, fmt.Errorf("sqldb: DDL is not allowed inside an explicit transaction")
 		}
-		if err := tx.lock(catalogTable, lockExclusive); err != nil {
+		if err := tx.lockTable(nil, lockExclusive); err != nil {
 			return Result{}, nil, err
 		}
+		// Under the catalog's X lock the table a statement names stays put.
 		// An index build waits out the table's in-flight writers, so every
-		// version it enters is committed (addIndexLocked).
-		if ci, ok := s.(*CreateIndexStmt); ok {
-			if err := tx.lock(strings.ToLower(ci.Index.Table), lockShared); err != nil {
+		// version it enters is committed (addIndexLocked); a drop waits them
+		// out too, so their records precede its own in the log.
+		var tbl *table
+		mode := lockShared
+		switch s := s.(type) {
+		case *CreateIndexStmt:
+			tbl = tx.db.table(s.Index.Table)
+		case *DropTableStmt:
+			tbl, mode = tx.db.table(s.Name), lockExclusive
+		}
+		if tbl != nil {
+			if err := tx.lockTable(tbl, mode); err != nil {
 				return Result{}, nil, err
 			}
 		}
@@ -987,7 +1026,7 @@ func (db *DB) applyDDL(stmt Statement, id uint32, tx *Tx) error {
 	switch s := stmt.(type) {
 	case *CreateTableStmt:
 		name := strings.ToLower(s.Schema.Name)
-		if _, exists := db.tables[name]; exists {
+		if db.table(name) != nil {
 			if s.IfNotExists {
 				return nil
 			}
@@ -1006,8 +1045,7 @@ func (db *DB) applyDDL(stmt Statement, id uint32, tx *Tx) error {
 		if db.store != nil {
 			tbl.heap = newPagedHeap(db.store, id)
 		}
-		db.tables[name] = tbl
-		db.publishIDs()
+		db.publish(tbl, false)
 		if tx != nil {
 			tx.recordDDL(id, schema.DDL())
 		}
@@ -1027,29 +1065,21 @@ func (db *DB) applyDDL(stmt Statement, id uint32, tx *Tx) error {
 		// Entries only older snapshots can reach are reclaimed once every
 		// snapshot from before the build has ended.
 		db.commitMu.Lock()
-		ts := db.clock.Load()
-		for i := range history {
-			history[i].ts = ts
-		}
-		db.gcMu.Lock()
-		db.gcQueue = append(db.gcQueue, history...)
-		db.gcMu.Unlock()
+		db.queueGC(history, db.clock.Load())
 		db.commitMu.Unlock()
 		if tx != nil {
 			tx.recordDDL(tbl.tableID, s.Index.DDL())
 		}
 		return nil
 	case *DropTableStmt:
-		name := strings.ToLower(s.Name)
-		if _, exists := db.tables[name]; !exists && s.IfExists {
+		if db.table(s.Name) == nil && s.IfExists {
 			return nil
 		}
-		tbl, err := db.ddlTarget(name, id)
+		tbl, err := db.ddlTarget(s.Name, id)
 		if err != nil {
 			return err
 		}
-		delete(db.tables, name)
-		db.publishIDs()
+		db.publish(tbl, true)
 		// Cached plans hold the *table pointer directly; a recreate under
 		// the same name builds a fresh table, so the only way stale plans
 		// notice the drop is through the dropped table's own epoch.
@@ -1058,11 +1088,11 @@ func (db *DB) applyDDL(stmt Statement, id uint32, tx *Tx) error {
 			tbl.heap.drop()
 		}
 		if tx != nil {
-			tx.recordDDL(tbl.tableID, "DROP TABLE "+name)
+			tx.recordDDL(tbl.tableID, "DROP TABLE "+tbl.schema.Name)
 		}
 		return nil
 	case *DropIndexStmt:
-		for _, tbl := range db.tables {
+		for _, tbl := range db.cat.Load().byName {
 			if (id == 0 || tbl.tableID == id) && tbl.dropIndex(s.Name) {
 				if tx != nil {
 					tx.recordDDL(tbl.tableID, "DROP INDEX "+s.Name)
@@ -1082,9 +1112,9 @@ func (db *DB) applyDDL(stmt Statement, id uint32, tx *Tx) error {
 // ddlTarget is the table a DDL statement names, which must be id's when id
 // is not 0. Caller holds db.mu.
 func (db *DB) ddlTarget(name string, id uint32) (*table, error) {
-	tbl := db.tables[strings.ToLower(name)]
-	if tbl == nil {
-		return nil, fmt.Errorf("sqldb: no table %s", name)
+	tbl, err := db.lookupTable(name)
+	if err != nil {
+		return nil, err
 	}
 	if id != 0 && tbl.tableID != id {
 		return nil, fmt.Errorf("sqldb: table %s has id %d, not %d", tbl.schema.Name, tbl.tableID, id)
@@ -1092,30 +1122,47 @@ func (db *DB) ddlTarget(name string, id uint32) (*table, error) {
 	return tbl, nil
 }
 
-// publishIDs rebuilds byID from tables after a CREATE or DROP TABLE.
-// Caller holds db.mu.
-func (db *DB) publishIDs() {
-	m := make(map[uint32]*table, len(db.tables))
-	for _, tbl := range db.tables {
-		m[tbl.tableID] = tbl
-	}
-	db.byID.Store(&m)
+// catalog is the set of live tables by name and by permanent id. It is
+// immutable: a CREATE or DROP TABLE publishes a new one whole, so a reader
+// holds one consistent catalog for as long as it looks.
+type catalog struct {
+	byName map[string]*table
+	byID   map[uint32]*table
 }
 
-// tableByID is the live table with id, or nil. It takes no lock: the redo
-// resolves every record through it.
+// publish replaces the catalog with a copy that adds tbl or, with drop,
+// leaves it out. Caller holds db.mu.
+func (db *DB) publish(tbl *table, drop bool) {
+	old := db.cat.Load()
+	c := &catalog{byName: make(map[string]*table, len(old.byName)+1), byID: make(map[uint32]*table, len(old.byID)+1)}
+	for _, t := range old.byID {
+		if t != tbl {
+			c.byName[t.schema.Name], c.byID[t.tableID] = t, t
+		}
+	}
+	if !drop {
+		c.byName[tbl.schema.Name], c.byID[tbl.tableID] = tbl, tbl
+	}
+	db.cat.Store(c)
+}
+
+// tableByID is the live table with id, or nil: how the redo resolves every
+// record, and how a table lock is validated after its grant (lockTable).
 func (db *DB) tableByID(id uint64) *table {
 	if id > math.MaxUint32 {
 		return nil
 	}
-	return (*db.byID.Load())[uint32(id)]
+	return db.cat.Load().byID[uint32(id)]
 }
 
-// lookupTable fetches a table by name under db.mu.
+// table is the live table named name, or nil.
+func (db *DB) table(name string) *table {
+	return db.cat.Load().byName[strings.ToLower(name)]
+}
+
+// lookupTable is the live table named name, or the error naming none.
 func (db *DB) lookupTable(name string) (*table, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	tbl := db.tables[strings.ToLower(name)]
+	tbl := db.table(name)
 	if tbl == nil {
 		return nil, fmt.Errorf("sqldb: no table %s", name)
 	}
@@ -1124,22 +1171,13 @@ func (db *DB) lookupTable(name string) (*table, error) {
 
 // TableNames lists tables in sorted order (for the SQL shell and tools).
 func (db *DB) TableNames() []string {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	names := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(db.cat.Load().byName))
 }
 
 // Schema returns a copy of the named table's schema.
 func (db *DB) Schema(name string) (TableSchema, bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	tbl, ok := db.tables[strings.ToLower(name)]
-	if !ok {
+	tbl := db.table(name)
+	if tbl == nil {
 		return TableSchema{}, false
 	}
 	return tbl.schema, true

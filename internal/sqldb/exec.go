@@ -146,14 +146,8 @@ func (tx *Tx) execSelect(s *SelectStmt, params []Value) (*Rows, error) {
 	// transactions). Snapshot reads take nothing at all — visibility is by
 	// timestamp.
 	if !q.snapRead {
-		for _, pl := range plan.locks {
-			mode := lockShared
-			if pl.indexed {
-				mode = lockIntentShared
-			}
-			if err := tx.lock(pl.table, mode); err != nil {
-				return nil, err
-			}
+		if err := tx.lockPlan(plan, lockIntentShared, lockShared); err != nil {
+			return nil, err
 		}
 	}
 
@@ -1013,11 +1007,11 @@ func (tx *Tx) execInsert(s *InsertStmt, params []Value) (Result, error) {
 	// Inserts touch only their own fresh rows: intention-exclusive on the
 	// table plus an X lock per inserted rid (taken inside tx.insertRow,
 	// before the row becomes visible to index scans).
-	if err := tx.lock(strings.ToLower(s.Table), lockIntentExclusive); err != nil {
-		return Result{}, err
-	}
 	tbl, err := tx.db.lookupTable(s.Table)
 	if err != nil {
+		return Result{}, err
+	}
+	if err := tx.lockTable(tbl, lockIntentExclusive); err != nil {
 		return Result{}, err
 	}
 	ncol := len(tbl.schema.Columns)
@@ -1103,14 +1097,25 @@ func (tx *Tx) planTarget(kind string, s Statement, tableName string, slot *planS
 	}
 	q.bind(plan)
 	q.stats.UsedIndex = plan.usedIndex
-	mode := lockExclusive
-	if plan.locks[0].indexed {
-		mode = lockIntentExclusive
-	}
-	if err := tx.lock(plan.locks[0].table, mode); err != nil {
+	if err := tx.lockPlan(plan, lockIntentExclusive, lockExclusive); err != nil {
 		return q, nil, err
 	}
 	return q, plan.bindings[0].tbl, nil
+}
+
+// lockPlan takes the plan's table-lock footprint, in its order: narrow on
+// a table every scan of which an index narrows, whole on the others.
+func (tx *Tx) lockPlan(plan *selectPlan, narrow, whole lockMode) error {
+	for _, pl := range plan.locks {
+		mode := whole
+		if pl.indexed {
+			mode = narrow
+		}
+		if err := tx.lockTable(pl.tbl, mode); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // matchTarget collects row ids matching WHERE into the scratch's rid list

@@ -16,30 +16,11 @@ func (*ExplainStmt) stmtNode() {}
 
 // execExplain plans the wrapped statement and renders one row per step.
 func (tx *Tx) execExplain(s *ExplainStmt) (*Rows, error) {
-	var sel *SelectStmt
-	switch inner := s.Stmt.(type) {
-	case *SelectStmt:
-		sel = inner
-	case *UpdateStmt, *DeleteStmt:
-		sel = targetSelect(inner)
-	default:
-		return nil, fmt.Errorf("sqldb: EXPLAIN supports SELECT, UPDATE and DELETE")
-	}
 	// A SELECT explained from a read-only transaction will execute as a
 	// snapshot read (the plan is the same either way; the read column says
 	// which). UPDATE/DELETE targets always read locked.
 	_, isSelect := s.Stmt.(*SelectStmt)
 	snap := tx.readOnly && isSelect
-	for _, ref := range sel.From {
-		// EXPLAIN reads only the catalog and plan, never rows: intention-
-		// shared keeps it from blocking behind row-level writers, and a
-		// read-only transaction takes nothing at all.
-		if !tx.readOnly {
-			if err := tx.lock(strings.ToLower(ref.Table), lockIntentShared); err != nil {
-				return nil, err
-			}
-		}
-	}
 	// EXPLAIN goes through the plan cache like execution does (its inner
 	// AST is interned by the statement cache, so repeated EXPLAINs of the
 	// same text share a slot); a hit is rendered with a [CACHED] marker
@@ -56,9 +37,19 @@ func (tx *Tx) execExplain(s *ExplainStmt) (*Rows, error) {
 		plan, hit, err = tx.planTargetPlan(inner, &inner.plan)
 	case *DeleteStmt:
 		plan, hit, err = tx.planTargetPlan(inner, &inner.plan)
+	default:
+		return nil, fmt.Errorf("sqldb: EXPLAIN supports SELECT, UPDATE and DELETE")
 	}
 	if err != nil {
 		return nil, err
+	}
+	// EXPLAIN reads only the catalog and plan, never rows: intention-
+	// shared keeps it from blocking behind row-level writers, and a
+	// read-only transaction takes nothing at all.
+	if !tx.readOnly {
+		if err := tx.lockPlan(plan, lockIntentShared, lockIntentShared); err != nil {
+			return nil, err
+		}
 	}
 	// The read column renders the concurrency mode per table: SNAPSHOT
 	// READ never touches the lock manager; LOCKED READ takes the 2PL
@@ -99,7 +90,7 @@ func (tx *Tx) execExplain(s *ExplainStmt) (*Rows, error) {
 	if plan.aggregated {
 		rows.Data = append(rows.Data, []Value{
 			NewText("-"),
-			NewText(describeAggregate(sel)),
+			NewText(describeAggregate(plan.stmt)),
 			NewText("-"),
 			NewText("-"),
 			NewInt(estGroups(plan, inputEst)),

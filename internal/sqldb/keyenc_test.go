@@ -205,7 +205,7 @@ func TestKeyEncodingNaN(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Vacuum()
-	tbl := db.tables["f"]
+	tbl := db.table("f")
 	if n := tbl.findIndex("f_x").tree.size; n != 2 {
 		t.Fatalf("f_x holds %d entries after the NaN rows left, want 2", n)
 	}
@@ -269,9 +269,10 @@ func TestKeyLockTargetsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %s: %v", c.typ, stmt, err)
 			}
+			uq := db.table("t").findIndex("uq_t_0")
 			var got []lockTarget
 			for _, l := range tx.locked {
-				if strings.HasPrefix(l.table, "\x00key:t:uq_t_") {
+				if l.index == uq.num {
 					got = append(got, l)
 				}
 			}

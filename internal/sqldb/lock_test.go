@@ -3,6 +3,7 @@ package sqldb
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -546,5 +547,206 @@ func TestLockStatsCounters(t *testing.T) {
 	}
 	if end.WaitTime <= 0 {
 		t.Fatal("WaitTime not accumulated for the blocked writer")
+	}
+}
+
+// lockWaitsReach reports whether db's lock manager counts n lock waits
+// within the deadline.
+func lockWaitsReach(db *DB, n uint64) bool {
+	for deadline := time.Now().Add(5 * time.Second); db.LockStats().Waited < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// dropBesideWriter runs DROP TABLE t beside an open transaction that has
+// inserted into t and returns the drop's outcome: the drop must wait for
+// the writer, and stmt (when set) is started once it does and must queue
+// behind it. The writer then commits.
+func dropBesideWriter(t *testing.T, db *DB, stmt func() error) (drop, queued error) {
+	t.Helper()
+	w, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Exec(`INSERT INTO t VALUES (1, 'written')`); err != nil {
+		t.Fatal(err)
+	}
+	waited := db.LockStats().Waited
+	dropped, ran := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, err := db.Exec(`DROP TABLE t`)
+		dropped <- err
+	}()
+	if !lockWaitsReach(db, waited+1) {
+		w.Rollback()
+		t.Fatalf("DROP TABLE did not wait for an open writer: %v", <-dropped)
+	}
+	if stmt != nil {
+		go func() { ran <- stmt() }()
+		if !lockWaitsReach(db, waited+2) {
+			w.Rollback()
+			t.Fatalf("a statement on t did not queue behind a pending DROP TABLE: %v", <-ran)
+		}
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if drop = <-dropped; stmt != nil {
+		queued = <-ran
+	}
+	return drop, queued
+}
+
+// tableRecords counts the log's insert, update and delete records of
+// table id, and reports whether any comes after the DROP TABLE of it.
+func tableRecords(data []byte, id uint64) (n int, afterDrop bool) {
+	dropped := false
+	for _, g := range readGroups(data) {
+		for _, r := range g.recs {
+			switch {
+			case r.tableID != id:
+			case r.op == walDDL:
+				dropped = dropped || strings.HasPrefix(r.sql, "DROP TABLE")
+			default:
+				n++
+				afterDrop = afterDrop || dropped
+			}
+		}
+	}
+	return n, afterDrop
+}
+
+// TestLockDropTableWaitsForOpenWriter: DROP TABLE takes the table's X lock
+// after the catalog's, so it waits out a transaction that wrote the table
+// and is still open. The writer's commit then precedes the drop in the
+// log, and the store opens again: a log-only store, a paged one reopened
+// before any checkpoint, and a follower fed the leader's log.
+func TestLockDropTableWaitsForOpenWriter(t *testing.T) {
+	history := func(t *testing.T, db *DB, vfs VFS, path string) {
+		t.Helper()
+		mustExec(t, db, `CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT)`)
+		mustExec(t, db, `CREATE TABLE keep (k INTEGER PRIMARY KEY)`)
+		mustExec(t, db, `INSERT INTO keep VALUES (7)`)
+		if drop, _ := dropBesideWriter(t, db, nil); drop != nil {
+			t.Fatal(drop)
+		}
+		data, err := vfs.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, afterDrop := tableRecords(data, 1); n != 1 || afterDrop {
+			t.Fatalf("the log holds %d writes of t (want 1), one after its drop: %v", n, afterDrop)
+		}
+	}
+	check := func(t *testing.T, who string, db *DB) {
+		t.Helper()
+		if _, ok := db.Schema("t"); ok {
+			t.Fatalf("%s: t survived its drop", who)
+		}
+		if got := fmt.Sprint(mustQuery(t, db, `SELECT k FROM keep`).Data); got != "[[7]]" {
+			t.Fatalf("%s: keep holds %s", who, got)
+		}
+	}
+	reopen := func(t *testing.T, vfs VFS, opts Options) {
+		t.Helper()
+		opts.VFS = vfs
+		db, err := Open(opts)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer db.Close()
+		check(t, "reopened", db)
+	}
+
+	t.Run("log-only", func(t *testing.T) {
+		vfs := NewMemVFS()
+		history(t, openVFS(t, vfs), vfs, "test.wal") // abandoned: a crash
+		reopen(t, vfs, Options{Path: "test.wal"})
+	})
+	t.Run("paged", func(t *testing.T) {
+		vfs := NewMemVFS()
+		history(t, openPaged(t, vfs), vfs, "test.db") // abandoned before any checkpoint
+		if m, err := readPagedMeta(vfs, "test.db"); err != nil || m != nil {
+			t.Fatalf("the store checkpointed (meta %v, %v)", m, err)
+		}
+		reopen(t, vfs, Options{Path: "test.db", PoolPages: 16, PageSize: 1024})
+	})
+	t.Run("follower", func(t *testing.T) {
+		lvfs := NewMemVFS()
+		leader := openVFS(t, lvfs)
+		defer leader.Close()
+		history(t, leader, lvfs, "test.wal")
+		shipped, _, err := leader.CommittedSince(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fvfs := NewMemVFS()
+		follower, err := Open(Options{VFS: fvfs, Path: "f.wal"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := follower.ApplyCommitted(shipped); err != nil {
+			t.Fatal(err)
+		}
+		check(t, "follower", follower)
+		reopen(t, fvfs, Options{Path: "f.wal"}) // abandoned: a crash
+	})
+}
+
+// TestLockStatementQueuedBehindDropIsRefused: a statement on t that queues
+// behind a DROP of t — which itself waits for an open writer — is granted
+// its table lock only once the drop has committed. It resolved or planned
+// t before the drop, and the grant's check against the catalog then
+// refuses it as naming no table: it logs nothing, and the store reopens.
+func TestLockStatementQueuedBehindDropIsRefused(t *testing.T) {
+	for _, c := range []struct {
+		name, sql string
+		locked    bool // run as a locked read in an explicit transaction
+	}{
+		{"insert", `INSERT INTO t VALUES (2, 'queued')`, false},
+		{"update by key", `UPDATE t SET v = 'queued' WHERE k = 1`, false},
+		{"delete all", `DELETE FROM t`, false},
+		{"locked select", `SELECT v FROM t WHERE k = 1`, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			vfs := NewMemVFS()
+			db := openVFS(t, vfs)
+			mustExec(t, db, `CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT)`)
+			stmt := func() error {
+				if !c.locked {
+					_, err := db.Exec(c.sql)
+					return err
+				}
+				tx, err := db.Begin()
+				if err != nil {
+					return err
+				}
+				defer tx.Rollback()
+				_, err = tx.Query(c.sql)
+				return err
+			}
+			drop, queued := dropBesideWriter(t, db, stmt)
+			if drop != nil {
+				t.Fatal(drop)
+			}
+			if queued == nil || !strings.Contains(queued.Error(), "no table t") {
+				t.Fatalf("%s behind the drop: %v, want no table t", c.sql, queued)
+			}
+			data, err := vfs.ReadFile("test.wal")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, afterDrop := tableRecords(data, 1); afterDrop {
+				t.Fatalf("%s logged a write of t after its drop", c.sql)
+			}
+			db2 := openVFS(t, vfs)
+			defer db2.Close()
+			if names := db2.TableNames(); len(names) != 0 {
+				t.Fatalf("reopened store holds %v", names)
+			}
+		})
 	}
 }

@@ -5,7 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -439,9 +440,11 @@ func (db *DB) pageWriteThrough(entries []stampEntry) {
 	}
 }
 
-// buildPagedMeta snapshots checkpoint meta under db.mu. The caller
-// serializes against DDL (shared catalog lock) or runs with writers
-// drained (final checkpoint).
+// buildPagedMeta snapshots checkpoint meta from the published catalog,
+// each table's indexes under its latch. The caller serializes against DDL
+// (shared catalog lock) or runs with writers drained (final checkpoint);
+// a follower's redo of DDL may still run beside it, which is why the id
+// counter is read after the catalog: it then covers every id there.
 func (db *DB) buildPagedMeta(ckptLSN uint64) *pagedMeta {
 	st := db.store
 	m := &pagedMeta{
@@ -450,25 +453,21 @@ func (db *DB) buildPagedMeta(ckptLSN uint64) *pagedMeta {
 		nextSeq:  st.nextSeq.Load(),
 		pageSize: st.pager.PageSize(),
 	}
-	db.mu.Lock()
+	c := db.cat.Load()
 	m.nextTableID = db.nextTableID.Load()
-	names := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		tbl := db.tables[n]
+	for _, n := range slices.Sorted(maps.Keys(c.byName)) {
+		tbl := c.byName[n]
 		mt := metaTable{tableID: tbl.tableID, ddl: tbl.schema.DDL()}
+		tbl.latch.RLock()
 		for _, ix := range tbl.indexes {
 			if strings.HasPrefix(ix.schema.Name, "pk_") || strings.HasPrefix(ix.schema.Name, "uq_") {
 				continue // implied by the table DDL
 			}
 			mt.indexes = append(mt.indexes, ix.schema.DDL())
 		}
+		tbl.latch.RUnlock()
 		m.tables = append(m.tables, mt)
 	}
-	db.mu.Unlock()
 	return m
 }
 
@@ -504,7 +503,7 @@ func (db *DB) fuzzyCheckpoint(final bool) error {
 			st.ckptErrors.Add(1)
 			return err
 		}
-		if err := tx.lock(catalogTable, lockShared); err != nil {
+		if err := tx.lockTable(nil, lockShared); err != nil {
 			tx.Rollback()
 			st.ckptErrors.Add(1)
 			return err

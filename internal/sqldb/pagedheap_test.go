@@ -333,7 +333,7 @@ func TestPagedCorruptPageImages(t *testing.T) {
 					}
 				}},
 				{"erase", "corrupt page 1", func(t *testing.T, db *DB) {
-					db.tables["t"].heap.erase(pageLoc{pid: 1, slot: 0})
+					db.table("t").heap.erase(pageLoc{pid: 1, slot: 0})
 				}},
 				{"writeRow", "corrupt page 1", func(t *testing.T, db *DB) {
 					mustExec(t, db, `INSERT INTO t VALUES (100, 'lands on a fresh page')`)
@@ -452,7 +452,7 @@ func resealMeta(data []byte) []byte {
 // heapOf returns table name's paged heap.
 func heapOf(t *testing.T, db *DB, name string) *pagedHeap {
 	t.Helper()
-	tbl := db.tables[name]
+	tbl := db.table(name)
 	if tbl == nil || tbl.heap == nil {
 		t.Fatalf("no paged table %q", name)
 	}

@@ -121,7 +121,7 @@ type selectPlan struct {
 	// usedIndex mirrors into StmtStats.UsedIndex per execution.
 	usedIndex bool
 	// locks is the statement's table-lock footprint: one entry per
-	// distinct table, sorted by name so every transaction acquires in the
+	// distinct table, sorted by id so every transaction acquires in the
 	// same order. The mode follows from the entry and the statement kind
 	// at execution (IS/S for a read, IX/X for an UPDATE/DELETE target).
 	locks []planLock
@@ -136,7 +136,7 @@ type selectPlan struct {
 // intention lock on the table plus row locks suffice; one full scan of it,
 // in slot or index order, and the whole-table mode is needed.
 type planLock struct {
-	table   string
+	tbl     *table
 	indexed bool
 }
 
@@ -147,17 +147,17 @@ func (p *selectPlan) lockFootprint() []planLock {
 steps:
 	for i := range p.steps {
 		st := &p.steps[i]
-		name := strings.ToLower(p.bindings[st.bind].tbl.schema.Name)
+		tbl := p.bindings[st.bind].tbl
 		indexed := st.access.narrows()
 		for j := range locks {
-			if locks[j].table == name {
+			if locks[j].tbl == tbl {
 				locks[j].indexed = locks[j].indexed && indexed
 				continue steps
 			}
 		}
-		locks = append(locks, planLock{table: name, indexed: indexed})
+		locks = append(locks, planLock{tbl: tbl, indexed: indexed})
 	}
-	sort.Slice(locks, func(i, j int) bool { return locks[i].table < locks[j].table })
+	sort.Slice(locks, func(i, j int) bool { return locks[i].tbl.tableID < locks[j].tbl.tableID })
 	return locks
 }
 

@@ -46,9 +46,7 @@ func engineState(t *testing.T, who string, db *DB) map[string]tableState {
 	t.Helper()
 	out := make(map[string]tableState)
 	snap := db.clock.Load()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for name, tbl := range db.tables {
+	for name, tbl := range db.cat.Load().byName {
 		st := tableState{
 			id:       tbl.tableID,
 			ddl:      []string{tbl.schema.DDL()},
@@ -358,9 +356,7 @@ func runRedoCase(t *testing.T, seed int64, paged bool) {
 // liveNextAuto is what rebuilding a table's autoincrement counter from its
 // live rows yields: one past the largest value any of them holds.
 func liveNextAuto(db *DB, name string) int64 {
-	db.mu.Lock()
-	tbl := db.tables[name]
-	db.mu.Unlock()
+	tbl := db.table(name)
 	next := int64(1)
 	for _, row := range visibleRows(tbl, db.clock.Load()) {
 		for ci, c := range tbl.schema.Columns {

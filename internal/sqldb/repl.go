@@ -183,15 +183,26 @@ func splitBatches(data []byte, afterLSN uint64, maxBytes int, durable uint64) []
 
 // appendRaw appends verbatim leader-sealed batches, validated by
 // decodeBatch, to the follower's log through the log's one write, and
-// advances the LSN horizon to the last of them.
+// advances the LSN horizon to the last of them. A torn append may have
+// landed whole groups before its tear, which the repair keeps: so only the
+// batches above the log's last whole group are written, or a retried run
+// would put those groups in the log twice.
 func (w *wal) appendRaw(batches []CommittedBatch) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.dirty {
+		if err := w.repairLocked(); err != nil {
+			return err
+		}
+	}
+	logged := w.marks[len(w.marks)-1].lsn
 	w.wbuf.Reset()
 	for _, b := range batches {
-		w.wbuf.Write(b.Data)
+		if b.LSN > logged {
+			w.wbuf.Write(b.Data)
+		}
 	}
-	last := batches[len(batches)-1].LSN
+	last := max(batches[len(batches)-1].LSN, logged)
 	if _, err := w.appendLocked(w.wbuf.Bytes(), last); err != nil {
 		return err
 	}
@@ -414,25 +425,7 @@ func (db *DB) applyGroup(lsn uint64, recs []walRecord, mayContain bool) error {
 	// before stamping (same ordering argument as the leader commit path;
 	// groups apply in LSN order, so same-rid records land in commit order).
 	db.pageWriteThrough(versions)
-	db.commitMu.Lock()
-	ts := db.clock.Load() + 1
-	for _, e := range versions {
-		e.v.begin.Store(ts)
-	}
-	if len(gcs) > 0 {
-		for i := range gcs {
-			gcs[i].ts = ts
-		}
-		db.gcMu.Lock()
-		db.gcQueue = append(db.gcQueue, gcs...)
-		db.gcMu.Unlock()
-	}
-	db.clock.Store(ts)
-	if lsn > db.replApplied.Load() {
-		db.replApplied.Store(lsn)
-	}
-	db.commitMu.Unlock()
-	db.versionsCreated.Add(uint64(len(versions)))
+	db.stamp(versions, gcs, lsn)
 	return nil
 }
 
@@ -508,9 +501,7 @@ func (db *DB) redoDDL(r *walRecord, stmt Statement, mayContain bool) error {
 func (db *DB) RebuildAfterReplication() {
 	db.Vacuum()
 	wm := db.watermark.Load()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for _, tbl := range db.tables {
+	for _, tbl := range db.cat.Load().byID {
 		tbl.rebuildAfterReplay(wm)
 	}
 }

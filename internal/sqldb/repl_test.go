@@ -3,6 +3,7 @@ package sqldb
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -638,5 +639,69 @@ func TestReplTapKeepsRecentLogAcrossCheckpoint(t *testing.T) {
 	}
 	if trunc, ckpt := db.wal.truncLSN.Load(), db.BufferPoolStats().CheckpointLSN; trunc != ckpt {
 		t.Fatalf("with no tap the log cut through LSN %d, want the checkpoint's %d", trunc, ckpt)
+	}
+}
+
+// TestRedoFollowerTornAppendRetried: a follower's append of a shipped run
+// tears after two whole groups, so ApplyCommitted fails and its applied
+// LSN stays put. The retry of the same run must not put the two groups the
+// torn write landed in the log a second time: the follower then holds
+// each row once, its log each LSN once, and it reopens.
+func TestRedoFollowerTornAppendRetried(t *testing.T) {
+	leader := openVFS(t, NewMemVFS())
+	defer leader.Close()
+	mustExec(t, leader, `CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)`)
+	for i := 1; i <= 4; i++ {
+		mustExec(t, leader, `INSERT INTO t VALUES (?, 'row')`, i)
+	}
+	shipped, _, err := leader.CommittedSince(0, 0)
+	if err != nil || len(shipped) != 5 {
+		t.Fatalf("shipped %d batches (%v), want CREATE and four inserts", len(shipped), err)
+	}
+	vfs := NewFaultVFS(NewMemVFS())
+	follower, err := Open(Options{VFS: vfs, Path: "f.wal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := follower.ApplyCommitted(shipped[:1]); err != nil {
+		t.Fatal(err)
+	}
+	applied := follower.AppliedLSN()
+	inserts := shipped[1:]
+	vfs.SetWriteBudget(int64(len(inserts[0].Data) + len(inserts[1].Data) + 3))
+	if err := follower.ApplyCommitted(inserts); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("apply on a full device: %v, want ErrNoSpace", err)
+	}
+	if got := follower.AppliedLSN(); got != applied {
+		t.Fatalf("a failed apply moved the applied LSN %d -> %d", applied, got)
+	}
+	vfs.SetWriteBudget(-1)
+	if err := follower.ApplyCommitted(inserts); err != nil {
+		t.Fatal(err)
+	}
+	want := "[[1] [2] [3] [4]]"
+	if got := fmt.Sprint(mustQuery(t, follower, `SELECT id FROM t ORDER BY id`).Data); got != want {
+		t.Fatalf("follower holds %s, want %s", got, want)
+	}
+	data, err := vfs.ReadFile("f.wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lsns []uint64
+	for _, g := range readGroups(data) {
+		lsns = append(lsns, g.lsn)
+	}
+	for i := 1; i < len(lsns); i++ {
+		if lsns[i] <= lsns[i-1] {
+			t.Fatalf("the follower's log holds LSNs %v, not each once in order", lsns)
+		}
+	}
+	reopened, err := Open(Options{VFS: vfs, Path: "f.wal"}) // the follower abandoned: a crash
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer reopened.Close()
+	if got := fmt.Sprint(mustQuery(t, reopened, `SELECT id FROM t ORDER BY id`).Data); got != want {
+		t.Fatalf("reopened follower holds %s, want %s", got, want)
 	}
 }

@@ -23,10 +23,9 @@ const maxScanBatch = 256
 const fullScanBatch = 512
 
 type scanOp struct {
-	q         *query
-	ap        accessPlan
-	tbl       *table
-	tableName string // the index path's row-lock target
+	q   *query
+	ap  accessPlan
+	tbl *table
 	// done marks the scan finished: bounds proved no row can match, or
 	// the cursor ran off the end.
 	done bool
@@ -114,7 +113,6 @@ func (op *scanOp) release() {
 func (op *scanOp) seek() error {
 	q := op.q
 	ap := op.ap
-	op.tableName = strings.ToLower(op.tbl.schema.Name)
 	op.prefix = op.prefix[:0]
 	for j, e := range ap.eqExprs {
 		v, err := q.env.eval(e)
@@ -153,7 +151,7 @@ func (op *scanOp) seek() error {
 	// record-locked only (no next-key locking). Snapshot reads need no
 	// guard: they re-read the same timestamp no matter who writes.
 	if !q.snapRead && ap.index.schema.Unique && op.kpos == len(ap.index.cols) {
-		if err := q.tx.db.locks.acquire(q.tx.ctx, q.tx, ap.index.keyLockTarget(op.prefix), q.rowLock); err != nil {
+		if err := q.tx.db.locks.acquire(q.tx.ctx, q.tx, op.tbl.keyLockTarget(ap.index, op.prefix), q.rowLock); err != nil {
 			return err
 		}
 	}
@@ -353,7 +351,7 @@ func (op *scanOp) indexWindow(visit func(rid int64, row rowImage) error) error {
 	// writer shares), so the rows it locks are the entries it counts.
 	if !q.snapRead && ap.narrows() {
 		for _, rid := range op.rids {
-			if err := q.tx.lockRow(op.tableName, rid, q.rowLock); err != nil {
+			if err := q.tx.lockRow(op.tbl, rid, q.rowLock); err != nil {
 				return err
 			}
 		}

@@ -368,7 +368,7 @@ func mustValues(t *testing.T, tx *Tx, args []any) []Value {
 // equality prefix) and a writer's (hashed from the row) must name the same
 // resource, FNV-1a over appendKeyValue's bytes.
 func TestKeyLockHashMatchesEncoding(t *testing.T) {
-	ix := &index{cols: []int{2, 0}, keyLock: "\x00key:t:ix"}
+	tbl, ix := &table{tableID: 3}, &index{cols: []int{2, 0}, num: 2}
 	rows := [][]Value{
 		{NewInt(7), NewText("skip"), NewText("node-0417")},
 		{NewInt(-1), NullValue(), NewText("")},
@@ -383,11 +383,11 @@ func TestKeyLockHashMatchesEncoding(t *testing.T) {
 		for _, b := range enc {
 			h = (h ^ uint64(b)) * fnvPrime
 		}
-		want := lockTarget{table: ix.keyLock, rid: int64(h >> 1)}
-		if got := ix.keyLockTarget(enc); got != want {
+		want := lockTarget{table: 3, index: 2, rid: int64(h >> 1)}
+		if got := tbl.keyLockTarget(ix, enc); got != want {
 			t.Errorf("keyLockTarget(%x) = %+v, want %+v", enc, got, want)
 		}
-		if got := ix.rowKeyLockTarget(imageOf(row)); got != want {
+		if got := tbl.rowKeyLockTarget(ix, imageOf(row)); got != want {
 			t.Errorf("rowKeyLockTarget(%v) = %+v, want %+v", row, got, want)
 		}
 	}

@@ -34,6 +34,9 @@ type table struct {
 	liveRows atomic.Int64
 	nextAuto int64
 	indexes  []*index
+	// lastIndex is the number the newest index was given: each index of
+	// the table gets the next, never reused, under the exclusive latch.
+	lastIndex uint32
 
 	// tableID is the table's permanent, never-reused id: what the log, the
 	// checkpoint meta and its pages name it by. Paged storage: committed
@@ -59,9 +62,9 @@ type index struct {
 	schema IndexSchema
 	cols   []int // column positions in key order
 	tree   *ordIndex
-	// keyLock names the lock-manager resource family guarding this index's
-	// unique key values (see keyLockTarget); fixed when the index is built.
-	keyLock string
+	// num is the index's permanent number within its table, from 1: what
+	// its key-value locks (keyLockTarget) and GC entries name it by.
+	num uint32
 }
 
 func newTable(schema TableSchema) *table {
@@ -149,8 +152,8 @@ func (t *table) addIndexLocked(is IndexSchema) ([]gcRecord, error) {
 		}
 		cols[i] = ci
 	}
-	ix := &index{schema: is, cols: cols, tree: newOrdIndex(),
-		keyLock: "\x00key:" + t.schema.Name + ":" + is.Name}
+	t.lastIndex++
+	ix := &index{schema: is, cols: cols, tree: newOrdIndex(), num: t.lastIndex}
 	var history []gcRecord
 	for i, slot := range t.rows {
 		rid := int64(i)
@@ -169,7 +172,7 @@ func (t *table) addIndexLocked(is IndexSchema) ([]gcRecord, error) {
 			}
 			k := ix.entryKey(row, rid)
 			if v != head && (live == noRow || !ix.sameKey(live, row)) {
-				orphans = append(orphans, gcEntry{index: is.Name, key: k})
+				orphans = append(orphans, gcEntry{index: ix.num, key: k})
 			}
 			ix.tree.insert(k)
 		}
@@ -198,6 +201,17 @@ func (t *table) dropIndex(name string) bool {
 func (t *table) findIndex(name string) *index {
 	for _, ix := range t.indexes {
 		if ix.schema.Name == name {
+			return ix
+		}
+	}
+	return nil
+}
+
+// indexNumbered is t's index numbered num, or nil once it is dropped.
+// Caller holds the latch.
+func (t *table) indexNumbered(num uint32) *index {
+	for _, ix := range t.indexes {
+		if ix.num == num {
 			return ix
 		}
 	}
@@ -282,57 +296,43 @@ const (
 )
 
 // keyLockTarget names the lock-manager resource guarding one unique key
-// value of ix, given as its encoded columns (appendKey's bytes). Index
-// entries outlive their versions under MVCC, so the entry itself cannot
-// serialize writers of the same key; these logical key locks do. The key
-// is hashed — collisions only over-block (a spurious wait or deadlock
-// retry), never under-block. The shift keeps the rid non-negative, so it
-// can never collide with the tableRID sentinel.
-func (ix *index) keyLockTarget(k []byte) lockTarget {
+// value of t's index ix, given as its encoded columns (appendKey's bytes):
+// the table's id, the index's number, and the key's hash. Index entries
+// outlive their versions under MVCC, so the entry itself cannot serialize
+// writers of the same key; these logical key locks do. The key is hashed —
+// collisions only over-block (a spurious wait or deadlock retry), never
+// under-block. The shift keeps the rid off the tableRID sentinel, which
+// the held-lock gauges read.
+func (t *table) keyLockTarget(ix *index, k []byte) lockTarget {
 	h := fnvOffset
 	for _, b := range k {
 		h = (h ^ uint64(b)) * fnvPrime
 	}
-	return lockTarget{table: ix.keyLock, rid: int64(h >> 1)}
+	return lockTarget{table: t.tableID, index: ix.num, rid: int64(h >> 1)}
 }
 
 // rowKeyLockTarget is keyLockTarget for the key row occupies under ix.
-func (ix *index) rowKeyLockTarget(row rowImage) lockTarget {
+func (t *table) rowKeyLockTarget(ix *index, row rowImage) lockTarget {
 	var buf keyBuf
-	return ix.keyLockTarget(ix.appendKey(buf[:0], row))
+	return t.keyLockTarget(ix, ix.appendKey(buf[:0], row))
 }
 
-// uniqueKeyTargets appends to dst the key-lock resources for every
-// enforced unique key value the row occupies.
-func (t *table) uniqueKeyTargets(dst []lockTarget, row rowImage) []lockTarget {
+// uniqueKeyTargets appends to dst the key-lock resources of the enforced
+// unique key values entering or leaving occupancy when old is replaced by
+// newRow — with newRow noRow, of every one old occupies.
+func (t *table) uniqueKeyTargets(dst []lockTarget, old, newRow rowImage) []lockTarget {
 	t.latch.RLock()
 	defer t.latch.RUnlock()
 	for _, ix := range t.indexes {
-		if ix.enforces(row) {
-			dst = append(dst, ix.rowKeyLockTarget(row))
-		}
-	}
-	return dst
-}
-
-// changedUniqueKeyTargets appends to dst the key-lock resources entering
-// or leaving occupancy when old is replaced by newRow.
-func (t *table) changedUniqueKeyTargets(dst []lockTarget, old, newRow rowImage) []lockTarget {
-	t.latch.RLock()
-	defer t.latch.RUnlock()
-	for _, ix := range t.indexes {
-		if !ix.schema.Unique {
-			continue
-		}
-		eo, en := ix.enforces(old), ix.enforces(newRow)
+		eo, en := ix.enforces(old), newRow != noRow && ix.enforces(newRow)
 		if eo && en && ix.sameKey(old, newRow) {
 			continue
 		}
 		if eo {
-			dst = append(dst, ix.rowKeyLockTarget(old))
+			dst = append(dst, t.rowKeyLockTarget(ix, old))
 		}
 		if en {
-			dst = append(dst, ix.rowKeyLockTarget(newRow))
+			dst = append(dst, t.rowKeyLockTarget(ix, newRow))
 		}
 	}
 	return dst
@@ -536,7 +536,7 @@ func (t *table) write(rid int64, row rowImage, insert bool, txn, watermark uint6
 			}
 		}
 		if old != noRow {
-			orphaned = append(orphaned, gcEntry{index: ix.schema.Name, key: ix.entryKey(old, rid)})
+			orphaned = append(orphaned, gcEntry{index: ix.num, key: ix.entryKey(old, rid)})
 		}
 	}
 	for _, ix := range t.indexes {
@@ -570,7 +570,7 @@ func (t *table) remove(rid int64, txn, watermark uint64, mayContain bool) (*rowV
 	}
 	entries := make([]gcEntry, 0, len(t.indexes))
 	for _, ix := range t.indexes {
-		entries = append(entries, gcEntry{index: ix.schema.Name, key: ix.entryKey(old, rid)})
+		entries = append(entries, gcEntry{index: ix.num, key: ix.entryKey(old, rid)})
 	}
 	t.liveRows.Add(-1)
 	return t.push(s, &rowVersion{txn: txn, flags: verTomb}, watermark), entries, nil
@@ -689,7 +689,7 @@ func (t *table) gcProcess(rec *gcRecord, watermark uint64) (pruned, entriesRemov
 	s := t.rows[rec.rid]
 	pruned = t.prune(s, watermark)
 	for _, e := range rec.entries {
-		ix := t.findIndex(e.index)
+		ix := t.indexNumbered(e.index)
 		if ix == nil {
 			continue
 		}

@@ -1,9 +1,11 @@
 package sqldb
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,10 +85,13 @@ func mergeMode(a, b lockMode) lockMode {
 // tableRID is the rid pseudo-value keying a table-granularity lock.
 const tableRID int64 = -1
 
-// lockTarget names one lockable resource: a table (rid == tableRID) or a
-// single row of it.
+// lockTarget names one lockable resource by numbers alone: a table (rid
+// == tableRID), one row of it, or — index not 0 — one hashed key value of
+// the table's index numbered index (see keyLockTarget). table is the
+// table's permanent id; table 0 is the catalog, which DDL locks.
 type lockTarget struct {
-	table string
+	table uint32
+	index uint32
 	rid   int64
 }
 
@@ -241,15 +246,12 @@ func newLockManager() *lockManager {
 	return lm
 }
 
-// shard picks the partition for a target (FNV-1a over table name, mixed
-// with the rid so a hot table's rows still spread across shards).
+// shard picks the partition for a target: its numbers mixed by
+// multiplication, the partition read from the top six bits, which every
+// input bit reaches — so a hot table's rows, and its tables, spread.
 func (lm *lockManager) shard(t lockTarget) *lockShard {
-	h := fnvOffset
-	for i := 0; i < len(t.table); i++ {
-		h = (h ^ uint64(t.table[i])) * fnvPrime
-	}
-	h ^= uint64(t.rid) * 0x9E3779B97F4A7C15
-	return &lm.shards[h%lockShards]
+	h := (uint64(t.table)<<32 | uint64(t.index)) ^ uint64(t.rid)*0x9E3779B97F4A7C15
+	return &lm.shards[(h*0xBF58476D1CE4E5B9)>>58]
 }
 
 // stats snapshots the counters.
@@ -616,52 +618,50 @@ type Tx struct {
 // observe.
 func (tx *Tx) Snapshot() uint64 { return tx.snap }
 
-func (tx *Tx) lock(table string, mode lockMode) error {
-	return tx.db.locks.acquire(tx.ctx, tx, lockTarget{table: table, rid: tableRID}, mode)
+// lockTable takes every table-granularity lock: mode on tbl, or on the
+// catalog (table 0) when tbl is nil. A statement finds or plans its tables
+// before it locks them, and a DROP TABLE holds the table's X lock to its
+// commit, so a grant that comes after a drop committed finds the catalog
+// no longer mapping the id to tbl: the statement then fails as if it had
+// named no table, and nothing of it reaches the log.
+func (tx *Tx) lockTable(tbl *table, mode lockMode) error {
+	var id uint32
+	if tbl != nil {
+		id = tbl.tableID
+	}
+	if err := tx.db.locks.acquire(tx.ctx, tx, lockTarget{table: id, rid: tableRID}, mode); err != nil {
+		return err
+	}
+	if tbl != nil && tx.db.tableByID(uint64(id)) != tbl {
+		return fmt.Errorf("sqldb: no table %s", tbl.schema.Name)
+	}
+	return nil
 }
 
 // lockRow locks one row. The caller must already hold the matching
 // intention (or stronger) lock on the table.
-func (tx *Tx) lockRow(table string, rid int64, mode lockMode) error {
-	return tx.db.locks.acquire(tx.ctx, tx, lockTarget{table: table, rid: rid}, mode)
+func (tx *Tx) lockRow(tbl *table, rid int64, mode lockMode) error {
+	return tx.db.locks.acquire(tx.ctx, tx, lockTarget{table: tbl.tableID, rid: rid}, mode)
 }
 
-// lockTables takes mode on each named table. names must be sorted: one
-// acquisition order across transactions keeps multi-table statements from
-// deadlocking each other.
-func (tx *Tx) lockTables(names []string, mode lockMode) error {
-	for _, n := range names {
-		if err := tx.lock(n, mode); err != nil {
+// lockKeys X-locks the unique-key resources a write must hold: every
+// enforced key row occupies, or — with newRow — only those entering or
+// leaving occupancy when newRow replaces it. They are collected in the
+// scratch's buffer — a row has a handful — and taken in sorted order
+// (consistent order keeps same-statement acquisitions from deadlocking
+// each other).
+func (tx *Tx) lockKeys(tbl *table, row, newRow rowImage) error {
+	sc := tx.scratch()
+	sc.keyTargets = tbl.uniqueKeyTargets(reuse(sc.keyTargets), row, newRow)
+	slices.SortFunc(sc.keyTargets, func(a, b lockTarget) int {
+		return cmp.Or(cmp.Compare(a.table, b.table), cmp.Compare(a.index, b.index), cmp.Compare(a.rid, b.rid))
+	})
+	for _, t := range sc.keyTargets {
+		if err := tx.db.locks.acquire(tx.ctx, tx, t, lockExclusive); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// lockKeyTargets X-locks unique-key resources in sorted order (consistent
-// order keeps same-statement acquisitions from deadlocking each other).
-// targets is the scratch's buffer — a row has a handful of unique keys —
-// and is sorted in place.
-func (tx *Tx) lockKeyTargets(targets []lockTarget, mode lockMode) error {
-	for i := 1; i < len(targets); i++ {
-		for j := i; j > 0 && targets[j].before(targets[j-1]); j-- {
-			targets[j], targets[j-1] = targets[j-1], targets[j]
-		}
-	}
-	for _, t := range targets {
-		if err := tx.db.locks.acquire(tx.ctx, tx, t, mode); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// before orders lock targets by resource name, then rid.
-func (t lockTarget) before(u lockTarget) bool {
-	if t.table != u.table {
-		return t.table < u.table
-	}
-	return t.rid < u.rid
 }
 
 // Commit makes the transaction's effects durable and visible: WAL first
@@ -707,22 +707,7 @@ func (tx *Tx) CommitContext(ctx context.Context) error {
 	db.pageWriteThrough(tx.versions)
 	wrote := len(tx.versions) > 0
 	if wrote {
-		db.commitMu.Lock()
-		ts := db.clock.Load() + 1
-		for _, e := range tx.versions {
-			e.v.begin.Store(ts)
-		}
-		if len(tx.gcPend) > 0 {
-			for i := range tx.gcPend {
-				tx.gcPend[i].ts = ts
-			}
-			db.gcMu.Lock()
-			db.gcQueue = append(db.gcQueue, tx.gcPend...)
-			db.gcMu.Unlock()
-		}
-		db.clock.Store(ts)
-		db.commitMu.Unlock()
-		db.versionsCreated.Add(uint64(len(tx.versions)))
+		db.stamp(tx.versions, tx.gcPend, 0)
 	}
 	tx.finish()
 	if db.wal != nil {
@@ -778,20 +763,6 @@ func (tx *Tx) popVersions() {
 // Mutation helpers used by the executor: they perform the table operation
 // and record its redo.
 
-// keyTargets collects, in the scratch's buffer, the unique-key lock
-// resources a write must hold: every enforced key row occupies, or — with
-// newRow — only those entering or leaving occupancy when newRow replaces
-// it.
-func (tx *Tx) keyTargets(tbl *table, row, newRow rowImage) []lockTarget {
-	sc := tx.scratch()
-	if newRow == noRow {
-		sc.keyTargets = tbl.uniqueKeyTargets(reuse(sc.keyTargets), row)
-	} else {
-		sc.keyTargets = tbl.changedUniqueKeyTargets(reuse(sc.keyTargets), row, newRow)
-	}
-	return sc.keyTargets
-}
-
 // insertRow X-locks the row's unique key values, reserves a heap slot,
 // X-locks it, and only then publishes the row. The key locks serialize
 // this insert against uncommitted deletes/updates of the same keys (index
@@ -801,11 +772,11 @@ func (tx *Tx) keyTargets(tbl *table, row, newRow rowImage) []lockTarget {
 // uncommitted insert. Snapshot readers need no such care — the
 // uncommitted version is unstamped and invisible to them.
 func (tx *Tx) insertRow(tbl *table, row rowImage) (int64, error) {
-	if err := tx.lockKeyTargets(tx.keyTargets(tbl, row, noRow), lockExclusive); err != nil {
+	if err := tx.lockKeys(tbl, row, noRow); err != nil {
 		return 0, err
 	}
 	rid := tbl.allocSlot()
-	if err := tx.lockRow(tbl.schema.Name, rid, lockExclusive); err != nil {
+	if err := tx.lockRow(tbl, rid, lockExclusive); err != nil {
 		tbl.releaseSlot(rid)
 		return 0, err
 	}
@@ -824,7 +795,7 @@ func (tx *Tx) deleteRow(tbl *table, rid int64) error {
 	// an insert reclaiming one of them must block (a rollback would pop the
 	// tombstone and the key would be occupied again).
 	if cur := tbl.currentRow(rid, tx.id); cur != noRow {
-		if err := tx.lockKeyTargets(tx.keyTargets(tbl, cur, noRow), lockExclusive); err != nil {
+		if err := tx.lockKeys(tbl, cur, noRow); err != nil {
 			return err
 		}
 	}
@@ -842,7 +813,7 @@ func (tx *Tx) updateRow(tbl *table, rid int64, newRow rowImage) error {
 	// X-lock unique key values this update vacates or claims, for the same
 	// reason deletes do (the vacated key becomes claimable at commit).
 	if cur := tbl.currentRow(rid, tx.id); cur != noRow {
-		if err := tx.lockKeyTargets(tx.keyTargets(tbl, cur, newRow), lockExclusive); err != nil {
+		if err := tx.lockKeys(tbl, cur, newRow); err != nil {
 			return err
 		}
 	}

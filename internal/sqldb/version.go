@@ -122,9 +122,10 @@ func (s *rowSlot) pruneBelow(watermark uint64, freed []pageLoc) (uint64, []pageL
 }
 
 // gcEntry names one index entry (full entry key, rid tiebreaker
-// included) that became garbage when its version was superseded.
+// included) that became garbage when its version was superseded. index is
+// the index's number in its table (index.num).
 type gcEntry struct {
-	index string
+	index uint32
 	key   string
 }
 

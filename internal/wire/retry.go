@@ -13,7 +13,7 @@ import (
 	"time"
 )
 
-// Client-side fault tolerance: a RetryPolicy classifies errors into
+// Client-side fault tolerance: Retryable classifies errors into
 // retryable (transport failures, HTTP 5xx, server Overloaded) and
 // terminal (service faults, the caller's own cancellation), and Retryer
 // wraps any Caller with exponential backoff + full jitter. The policy is
@@ -112,9 +112,6 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the backoff ceiling; <=0 means 2s.
 	MaxDelay time.Duration
-	// Classify overrides the retryable/terminal decision (nil =
-	// Retryable).
-	Classify func(error) bool
 	// Rand supplies jitter; nil uses a process-wide seeded source. Tests
 	// inject a fixed-seed source for reproducible schedules.
 	Rand *mrand.Rand
@@ -256,11 +253,7 @@ func (r *Retryer) Call(ctx context.Context, action string, req, resp any) error 
 		if err == nil {
 			return nil
 		}
-		classify := r.Policy.Classify
-		if classify == nil {
-			classify = Retryable
-		}
-		if !classify(err) {
+		if !Retryable(err) {
 			r.terminal.Add(1)
 			return err
 		}
