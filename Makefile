@@ -75,7 +75,10 @@ flagdoc:
 # The fuzzed decoders of bytes from the network or the disk. The wire
 # codec's two against encoding/xml as the oracle: never panic, never reach
 # outside the input, agree on accept/reject and on the decoded value. The
-# packed-reply decoder (the reply store's, read back from the log, page
+# frame reader of a framed connection (uvarint length, then the envelope):
+# never panic, never accept a frame over the envelope bound, hand back
+# each envelope as it arrived, and grow with the bytes that arrived, not
+# with the length a frame declares. The packed-reply decoder (the reply store's, read back from the log, page
 # images and shipped groups): never panic, allocation bounded by the
 # input, and every accepted input packs again to the same bytes. The
 # WAL reader — one CRC32C frame per committed group, updates as
@@ -98,6 +101,7 @@ flagdoc:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 30s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzFrame$$' -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzUnpackPayload$$' -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzLogReader$$' -fuzztime 30s ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzPageImage$$' -fuzztime 30s ./internal/sqldb

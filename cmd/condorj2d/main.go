@@ -10,10 +10,12 @@
 // browser.
 //
 // Shutdown is graceful and deadline-bounded: the first interrupt stops
-// accepting connections and drains in-flight requests for -shutdown-grace;
-// when the grace expires (or on a second interrupt) the server cancels
-// every in-flight statement through the engine's context plumbing and
-// closes. A wedged query can therefore never hold the daemon hostage.
+// accepting connections and drains in-flight requests for -shutdown-grace
+// — a node's framed connection at its frame boundary, answering the
+// envelope in hand and then closing; when the grace expires (or on a
+// second interrupt) the server cancels every in-flight statement through
+// the engine's context plumbing and closes. A wedged query can therefore
+// never hold the daemon hostage.
 package main
 
 import (
@@ -25,6 +27,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"time"
 
 	"condorj2/internal/core"
@@ -35,7 +38,7 @@ import (
 func main() {
 	listen := flag.String("listen", ":8642", "HTTP listen address")
 	data := flag.String("data", "", "WAL file path for durability (empty = in-memory)")
-	sync := flag.String("sync", "group", "WAL sync policy: group (commits wait for their group's fsync) or never (same pipeline, no fsync)")
+	syncPolicy := flag.String("sync", "group", "WAL sync policy: group (commits wait for their group's fsync) or never (same pipeline, no fsync)")
 	poolPages := flag.Int("pool-pages", 0, "paged storage: buffer-pool capacity in pages; rows live in a page file, the housekeeping tick checkpoints it, and restart replays only the WAL tail past the last checkpoint. A store that has checkpointed is paged whatever this says (0 = the engine's default pool); on a new or log-only store 0 keeps rows in the WAL-replayed heap")
 	grace := flag.Duration("shutdown-grace", 10*time.Second, "how long shutdown drains in-flight requests before cancelling their statements")
 	maxInFlight := flag.Int("max-inflight", 256, "admission control: max concurrently dispatched requests")
@@ -52,7 +55,7 @@ func main() {
 
 	var engine *sqldb.DB
 	if *data != "" {
-		policy, err := sqldb.ParseSyncPolicy(*sync)
+		policy, err := sqldb.ParseSyncPolicy(*syncPolicy)
 		if err != nil {
 			log.Fatalf("condorj2d: %v", err)
 		}
@@ -74,9 +77,9 @@ func main() {
 		}()
 		if bs := engine.BufferPoolStats(); bs.Frames > 0 {
 			log.Printf("recovered database from %s (sync=%s, paged: %d-page pool, checkpoint LSN %d)",
-				*data, *sync, bs.Frames, bs.CheckpointLSN)
+				*data, *syncPolicy, bs.Frames, bs.CheckpointLSN)
 		} else {
-			log.Printf("recovered database from %s (sync=%s)", *data, *sync)
+			log.Printf("recovered database from %s (sync=%s)", *data, *syncPolicy)
 		}
 	}
 	cas, err := core.New(core.Options{Engine: engine, Follower: *follow != ""})
@@ -116,10 +119,21 @@ func main() {
 	// to whoever joins.
 	var repl *core.Replicator
 	if *advertise != "" {
+		// One Client per peer, so a peer's calls share its connections
+		// instead of each dial leaving one idle behind.
+		var peersMu sync.Mutex
+		peers := make(map[string]*wire.Client)
 		repl, err = core.NewReplicator(cas, core.ReplConfig{
 			Self:     *advertise,
 			LeaseTTL: *leaseTTL,
-			Dial:     func(addr string) wire.Caller { return &wire.Client{URL: addr} },
+			Dial: func(addr string) wire.Caller {
+				peersMu.Lock()
+				defer peersMu.Unlock()
+				if peers[addr] == nil {
+					peers[addr] = &wire.Client{URL: addr}
+				}
+				return peers[addr]
+			},
 		})
 		if err != nil {
 			log.Fatalf("condorj2d: %v", err)
@@ -172,7 +186,14 @@ func main() {
 		cancelDrain()
 	}()
 	log.Printf("draining in-flight requests (grace %s)", *grace)
-	if err := srv.Shutdown(drainCtx); err != nil {
+	// The server lets go of the connections it upgrades to frames, so the
+	// web services' mux drains those beside it, under the same grace.
+	srv.RegisterOnShutdown(func() { cas.Mux.Shutdown(drainCtx) })
+	err = srv.Shutdown(drainCtx)
+	if err == nil {
+		err = cas.Mux.Shutdown(drainCtx)
+	}
+	if err != nil {
 		log.Print("drain grace expired: cancelling in-flight statements")
 		cancelInFlight()
 		srv.Close()

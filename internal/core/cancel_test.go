@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"net"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -96,5 +98,53 @@ func TestWebsiteRequestContext(t *testing.T) {
 	_, err = cas.Service.PoolStatus(ctx, &PoolStatusRequest{})
 	if err == nil || !strings.Contains(err.Error(), "cancel") {
 		t.Fatalf("PoolStatus under cancelled ctx returned %v", err)
+	}
+}
+
+// TestBaseContextCancelReachesFramedStatement serves the CAS as condorj2d
+// does, every request context descending from one base context, and
+// parks a framed call's statement on a row lock: cancelling the base
+// context cancels the lock wait, and the call fails with Canceled.
+func TestBaseContextCancelReachesFramedStatement(t *testing.T) {
+	cas, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cas.Close()
+	baseCtx, cancelInFlight := context.WithCancel(context.Background())
+	defer cancelInFlight()
+	srv := httptest.NewUnstartedServer(cas.HTTPHandler())
+	srv.Config.BaseContext = func(net.Listener) context.Context { return baseCtx }
+	srv.Start()
+	defer srv.Close()
+	client := &wire.Client{URL: srv.URL + "/services"}
+	ctx := context.Background()
+	if err := client.Call(ctx, ActionConfigSet, &ConfigSetRequest{Name: "probe", Value: "1"}, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	tx, err := cas.Engine.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Rollback()
+	if _, err := tx.Exec(`UPDATE config SET value = '2' WHERE name = 'probe'`); err != nil {
+		t.Fatal(err)
+	}
+	waited := cas.Engine.LockStats().Waited
+	called := make(chan error, 1)
+	go func() {
+		called <- client.Call(ctx, ActionConfigSet, &ConfigSetRequest{Name: "probe", Value: "3"}, nil)
+	}()
+	for cas.Engine.LockStats().Waited == waited {
+		time.Sleep(time.Millisecond)
+	}
+	cancelInFlight()
+	err = <-called
+	if f, ok := wire.AsFault(err); !ok || f.Code != "Canceled" {
+		t.Fatalf("framed statement after the base context's cancel: %v, want a Canceled fault", err)
+	}
+	if n := cas.Engine.CancelStats().LockWaitCancels; n != 1 {
+		t.Fatalf("lock-wait cancels = %d, want 1", n)
 	}
 }

@@ -264,9 +264,12 @@ func (c *CAS) HTTPHandler() http.Handler {
 	return mux
 }
 
-// Close stops the housekeeping goroutine and releases the edge pool (and
-// the engine when the CAS created it).
+// Close severs the web services' framed connections (an http.Server does
+// not track them, so nothing else would), stops the housekeeping
+// goroutine and releases the edge pool (and the engine when the CAS
+// created it).
 func (c *CAS) Close() error {
+	c.Mux.Close()
 	c.StopScheduler()
 	err := c.Pool.Close()
 	if c.ownEng {

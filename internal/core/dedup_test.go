@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -267,10 +268,13 @@ func TestKeyedConfigSetDeduplicates(t *testing.T) {
 	}
 }
 
-// replyRecorder is an HTTP transport that keeps every reply body.
+// replyRecorder is an HTTP transport that keeps every reply envelope: it
+// tees the upgraded connection its round trip hands over and splits the
+// frames read from it.
 type replyRecorder struct {
-	mu     sync.Mutex
-	bodies [][]byte
+	mu      sync.Mutex
+	pending []byte // read, not yet a whole frame
+	bodies  [][]byte
 }
 
 func (r *replyRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -278,16 +282,38 @@ func (r *replyRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return nil, err
+	if rwc, ok := resp.Body.(io.ReadWriteCloser); ok && resp.StatusCode == http.StatusSwitchingProtocols {
+		resp.Body = &teeConn{ReadWriteCloser: rwc, rec: r}
 	}
-	r.mu.Lock()
-	r.bodies = append(r.bodies, body)
-	r.mu.Unlock()
-	resp.Body = io.NopCloser(bytes.NewReader(body))
 	return resp, nil
+}
+
+// record appends what a framed connection read and files each frame it
+// completes, uvarint(len) ‖ envelope, as one reply body.
+func (r *replyRecorder) record(p []byte) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.pending = append(r.pending, p...)
+	for {
+		n, k := binary.Uvarint(r.pending)
+		if k <= 0 || uint64(len(r.pending)-k) < n {
+			return
+		}
+		r.bodies = append(r.bodies, bytes.Clone(r.pending[k:k+int(n)]))
+		r.pending = r.pending[k+int(n):]
+	}
+}
+
+// teeConn is an upgraded connection whose reads a replyRecorder sees.
+type teeConn struct {
+	io.ReadWriteCloser
+	rec *replyRecorder
+}
+
+func (c *teeConn) Read(p []byte) (int, error) {
+	n, err := c.ReadWriteCloser.Read(p)
+	c.rec.record(p[:n])
+	return n, err
 }
 
 // TestKeyedReplayIsByteIdentical sends every keyed action twice under one
@@ -309,6 +335,9 @@ func TestKeyedReplayIsByteIdentical(t *testing.T) {
 			t.Fatalf("%s replayed: %v", action, err)
 		}
 		n := len(rec.bodies)
+		if n < 2 {
+			t.Fatalf("%s: recorded %d reply frames, want at least 2", action, n)
+		}
 		first, err := wire.Decode(rec.bodies[n-2])
 		if err != nil {
 			t.Fatal(err)

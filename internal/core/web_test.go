@@ -6,8 +6,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"condorj2/internal/wire"
 )
@@ -291,4 +293,43 @@ func TestStartStopScheduler(t *testing.T) {
 	cas.StartScheduler() // idempotent
 	cas.StopScheduler()
 	cas.StopScheduler() // idempotent
+}
+
+// TestCASCloseSeversFramedConnections: an http.Server does not track the
+// connections it hands over, so closing the CAS must close them: after
+// Close no goroutine still serves one — nothing keeps the closed CAS
+// reachable — and its clients' next calls fail instead of reaching it.
+// Earlier tests' connections may outlive them, so the count is against
+// the test's start.
+func TestCASCloseSeversFramedConnections(t *testing.T) {
+	served := func() int {
+		buf := make([]byte, 1<<20)
+		return strings.Count(string(buf[:runtime.Stack(buf, true)]), "wire.(*Mux).serveFrames")
+	}
+	before := served()
+	cas, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(cas.HTTPHandler())
+	defer srv.Close()
+	clients := []*wire.Client{{URL: srv.URL + "/services"}, {URL: srv.URL + "/services"}}
+	for _, c := range clients {
+		if err := c.Call(context.Background(), ActionPoolStatus, &PoolStatusRequest{}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cas.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); served() > before; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d framed connections served after Close, %d before the test", served(), before)
+		}
+	}
+	for _, c := range clients {
+		if err := c.Call(context.Background(), ActionPoolStatus, &PoolStatusRequest{}, nil); err == nil {
+			t.Fatal("a call reached the closed CAS")
+		}
+	}
 }

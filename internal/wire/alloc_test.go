@@ -7,6 +7,7 @@ package wire_test
 
 import (
 	"context"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
@@ -15,13 +16,16 @@ import (
 )
 
 // TestHeartbeatRoundTripAllocs guards the heartbeat path's allocation
-// count: one 4-VM heartbeat request and its 4-command response through
-// wire.Local (encode, decode, dispatch, encode, decode) with a stub
-// handler. Measured 570 allocations and 41 KB per round trip on
-// encoding/xml, 17 and 0.8 KB on the compiled codec: the two envelopes,
-// the request struct, its and the response's item slices, one string per
-// Machine, State and Command, and the "heartbeatResponse" action. The
-// budget leaves room for a field or two, not for a reflective encoder.
+// count: one 4-VM heartbeat request and its 4-command response (encode,
+// decode, dispatch, encode, decode) with a stub handler, through
+// wire.Local and through a Client on a framed loopback connection, both
+// ends counted. Measured 570 allocations and 41 KB per round trip on
+// encoding/xml, 17 and 0.8 KB on the compiled codec, and 15 since the two
+// envelopes decode into their pooled buffers: the request struct, its
+// and the response's item slices, one string per Machine, State and
+// Command, and the "heartbeatResponse" action. A net/http request per
+// call cost 107. The budget leaves room for a field or two, not for a
+// reflective encoder or a per-call HTTP exchange.
 func TestHeartbeatRoundTripAllocs(t *testing.T) {
 	const budget = 24
 	reply := &core.HeartbeatResponse{}
@@ -34,18 +38,26 @@ func TestHeartbeatRoundTripAllocs(t *testing.T) {
 	mux.Handle(core.ActionHeartbeat, wire.Typed(func(context.Context, *core.HeartbeatRequest) (*core.HeartbeatResponse, error) {
 		return reply, nil
 	}))
-	local := &wire.Local{Mux: mux}
-	var resp core.HeartbeatResponse
-	allocs := testing.AllocsPerRun(200, func() {
-		resp = core.HeartbeatResponse{}
-		if err := local.Call(context.Background(), core.ActionHeartbeat, req, &resp); err != nil {
-			t.Fatal(err)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	defer mux.Close()
+	for name, caller := range map[string]wire.Caller{
+		"local":  &wire.Local{Mux: mux},
+		"framed": &wire.Client{URL: srv.URL},
+	} {
+		var resp core.HeartbeatResponse
+		allocs := testing.AllocsPerRun(200, func() {
+			resp = core.HeartbeatResponse{}
+			if err := caller.Call(context.Background(), core.ActionHeartbeat, req, &resp); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !reflect.DeepEqual(&resp, reply) {
+			t.Fatalf("%s: response %+v, want %+v", name, resp, reply)
 		}
-	})
-	if !reflect.DeepEqual(&resp, reply) {
-		t.Fatalf("response %+v, want %+v", resp, reply)
-	}
-	if allocs > budget {
-		t.Fatalf("%v allocations per heartbeat round trip, budget %d", allocs, budget)
+		if allocs > budget {
+			t.Fatalf("%s: %v allocations per heartbeat round trip, budget %d", name, allocs, budget)
+		}
+		t.Logf("%s: %v allocations per heartbeat round trip", name, allocs)
 	}
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -35,8 +36,8 @@ func sleepMux() *Mux {
 }
 
 // TestClientDeadlinePropagates proves the wire contract end to end over
-// HTTP: the client's context deadline rides the deadline header, the
-// server re-arms it on the handler context, and the handler's
+// HTTP: the client's context deadline rides the envelope as its budget,
+// the server re-arms it on the handler context, and the handler's
 // cancellation comes back as a typed fault.
 func TestClientDeadlinePropagates(t *testing.T) {
 	srv := httptest.NewServer(sleepMux())
@@ -60,37 +61,68 @@ func TestClientDeadlinePropagates(t *testing.T) {
 	}
 }
 
-// TestServerHonorsDeadlineHeader drives the header path directly: the
-// server must fail the handler within the declared budget even though
-// the HTTP client itself would wait forever.
-func TestServerHonorsDeadlineHeader(t *testing.T) {
+// TestServerHonorsDeadlineBudget drives the budget attribute directly,
+// over a plain POST and over a frame: the server must fail the handler
+// within the declared budget even though the caller itself would wait
+// forever.
+func TestServerHonorsDeadlineBudget(t *testing.T) {
 	mux := sleepMux()
+	data := rawEnvelope(t, Envelope{Action: "sleep", Budget: 30}, &sleepReq{Ms: 5000})
+	wantDeadlineFault := func(how string, reply []byte, took time.Duration) {
+		t.Helper()
+		if took > 3*time.Second {
+			t.Fatalf("%s: server ignored the budget (took %v)", how, took)
+		}
+		env, err := Decode(reply)
+		if err != nil {
+			t.Fatalf("%s: %v", how, err)
+		}
+		if env.Action != "Fault" {
+			t.Fatalf("%s: expected a Fault envelope, got %s", how, env.Action)
+		}
+		var f Fault
+		if err := DecodePayload(env, &f); err != nil {
+			t.Fatal(err)
+		}
+		if f.Code != "DeadlineExceeded" {
+			t.Fatalf("%s: fault code = %q, want DeadlineExceeded", how, f.Code)
+		}
+	}
+
 	rec := httptest.NewRecorder()
-	data, err := Encode("sleep", &sleepReq{Ms: 5000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req := httptest.NewRequest(http.MethodPost, "/services", bytes.NewReader(data))
-	req.Header.Set(DeadlineHeader, "30")
 	start := time.Now()
-	mux.ServeHTTP(rec, req)
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Fatalf("server ignored the deadline header (took %v)", elapsed)
-	}
-	env, err := Decode(rec.Body.Bytes())
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/services", bytes.NewReader(data)))
+	wantDeadlineFault("plain POST", rec.Body.Bytes(), time.Since(start))
+
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	defer mux.Close()
+	cc, err := (&Client{URL: srv.URL}).take(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.Action != "Fault" {
-		t.Fatalf("expected a Fault envelope, got %s", env.Action)
-	}
-	var f Fault
-	if err := DecodePayload(env, &f); err != nil {
+	defer cc.rwc.Close()
+	start = time.Now()
+	if _, err := cc.rwc.Write(append(binary.AppendUvarint(nil, uint64(len(data))), data...)); err != nil {
 		t.Fatal(err)
 	}
-	if f.Code != "DeadlineExceeded" {
-		t.Fatalf("fault code = %q, want DeadlineExceeded", f.Code)
+	in := newBuffer()
+	defer in.release()
+	if err := in.readFrame(cc.br); err != nil {
+		t.Fatal(err)
 	}
+	wantDeadlineFault("frame", in.b, time.Since(start))
+}
+
+// rawEnvelope encodes an envelope with hdr's attributes as they are.
+func rawEnvelope(t *testing.T, hdr Envelope, payload any) []byte {
+	t.Helper()
+	b := newBuffer()
+	defer b.release()
+	if err := b.encode(hdr, payload); err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Clone(b.b)
 }
 
 // TestLocalPropagatesContext requires the sim transport to deliver the

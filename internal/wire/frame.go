@@ -1,0 +1,199 @@
+package wire
+
+import (
+	"bufio"
+	"context"
+	"encoding/binary"
+	"io"
+	"net"
+	"net/http"
+	"slices"
+	"time"
+)
+
+// Framed connections. A Client's first POST to a Mux carries no body and
+// asks to upgrade (Connection: Upgrade, Upgrade: frameProto); the Mux
+// hijacks the connection and answers 101. From then on both directions
+// carry frames, uvarint(len) ‖ envelope, one call in flight per
+// connection, so replies come back in order and need no request id. The
+// envelopes are the ones a plain POST carries: key, send stamp and budget
+// included, so dedup, admission and deadlines work on them unchanged.
+
+// frameProto is the Upgrade token that asks for frames.
+const frameProto = "condorj2-frames"
+
+// switchedToFrames is the Mux's answer to an upgrade.
+var switchedToFrames = []byte("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + frameProto + "\r\n\r\n")
+
+// frameHeader is the room startFrame keeps ahead of an envelope: the
+// longest uvarint.
+const frameHeader = binary.MaxVarintLen64
+
+// startFrame empties the buffer and keeps room for a frame header ahead
+// of the envelope encoded into it next.
+func (b *buffer) startFrame() {
+	b.b = slices.Grow(b.b[:0], frameHeader)[:frameHeader]
+}
+
+// frame returns the envelope encoded since startFrame behind its length:
+// one frame, ready for one Write.
+func (b *buffer) frame() []byte {
+	var hdr [frameHeader]byte
+	n := binary.PutUvarint(hdr[:], uint64(len(b.b)-frameHeader))
+	start := frameHeader - n
+	copy(b.b[start:], hdr[:n])
+	return b.b[start:]
+}
+
+// frameReader is what reads frames: the length byte by byte, the
+// envelope in bulk.
+type frameReader interface {
+	io.Reader
+	io.ByteReader
+}
+
+// readFrame replaces the buffer's contents with the next frame's
+// envelope. A declared length over maxBody is refused with
+// errBodyTooLarge before any of the envelope is read.
+func (b *buffer) readFrame(r frameReader) error {
+	n, err := binary.ReadUvarint(r)
+	if err != nil {
+		return err
+	}
+	if n > maxBody {
+		return errBodyTooLarge
+	}
+	return b.read(r, int64(n))
+}
+
+// A framedConn is one connection a Mux serves frames on. cancel ends the
+// context its envelopes run under. busy is set from the moment a whole
+// frame has arrived until its reply is written; draining asks the
+// connection to close at its next frame boundary. The Mux's connMu
+// guards both.
+type framedConn struct {
+	net.Conn
+	cancel         context.CancelFunc
+	busy, draining bool
+}
+
+// serveFrames upgrades the request's connection and dispatches the frames
+// it carries until the caller closes it, a frame is malformed or over
+// maxBody, or the Mux drains or closes it. Each envelope runs under the
+// request's context (narrowed by its budget in dispatch), which Close
+// also cancels.
+func (m *Mux) serveFrames(w http.ResponseWriter, r *http.Request) {
+	hj, ok := w.(http.Hijacker)
+	if !ok {
+		http.Error(w, "wire: this server cannot upgrade a connection", http.StatusNotImplemented)
+		return
+	}
+	conn, rw, err := hj.Hijack()
+	if err != nil {
+		return
+	}
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	c := &framedConn{Conn: conn, cancel: cancel}
+	if !m.track(c) {
+		conn.Close()
+		return
+	}
+	defer m.untrack(c)
+	defer conn.Close()
+	if _, err := conn.Write(switchedToFrames); err != nil {
+		return
+	}
+	for m.serveFrame(ctx, c, rw.Reader) {
+	}
+}
+
+// serveFrame reads one frame from c, dispatches its envelope under ctx and
+// writes the reply; false when c is to close instead.
+func (m *Mux) serveFrame(ctx context.Context, c *framedConn, br *bufio.Reader) bool {
+	in, out := newBuffer(), newBuffer()
+	defer in.release()
+	defer out.release()
+	if in.readFrame(br) != nil || !m.setBusy(c, true) {
+		return false
+	}
+	out.startFrame()
+	m.dispatch(ctx, in, out)
+	_, err := c.Write(out.frame())
+	return err == nil && m.setBusy(c, false)
+}
+
+// track adds c to the Mux's framed connections; false once Close ran.
+func (m *Mux) track(c *framedConn) bool {
+	m.connMu.Lock()
+	defer m.connMu.Unlock()
+	if m.closed {
+		return false
+	}
+	if m.conns == nil {
+		m.conns = make(map[*framedConn]struct{})
+	}
+	m.conns[c] = struct{}{}
+	m.served.Add(1)
+	return true
+}
+
+func (m *Mux) untrack(c *framedConn) {
+	m.connMu.Lock()
+	delete(m.conns, c)
+	m.connMu.Unlock()
+	m.served.Done()
+}
+
+// setBusy marks c busy or idle; false when c is to close instead.
+func (m *Mux) setBusy(c *framedConn, busy bool) bool {
+	m.connMu.Lock()
+	defer m.connMu.Unlock()
+	c.busy = busy
+	return !c.draining
+}
+
+// Shutdown drains the Mux's framed connections: an idle one closes now,
+// a busy one once the reply to the envelope in hand is written. It
+// returns once none is left, or with ctx's error when ctx ends first. An
+// http.Server's Shutdown does not reach connections it has handed over,
+// so a daemon registers this beside it (RegisterOnShutdown); Close
+// severs whatever a drain leaves.
+func (m *Mux) Shutdown(ctx context.Context) error {
+	for wait := time.Millisecond; ; wait = min(2*wait, 100*time.Millisecond) {
+		m.connMu.Lock()
+		for c := range m.conns {
+			c.draining = true
+			if !c.busy {
+				c.Close()
+			}
+		}
+		left := len(m.conns)
+		m.connMu.Unlock()
+		if left == 0 {
+			return nil
+		}
+		t := time.NewTimer(wait)
+		select {
+		case <-ctx.Done():
+			t.Stop()
+			return ctx.Err()
+		case <-t.C:
+		}
+	}
+}
+
+// Close severs every framed connection, busy or not, cancelling the
+// envelopes in hand, refuses new upgrades, and returns once no goroutine
+// serves a framed connection: the Mux's owner is going away.
+func (m *Mux) Close() {
+	m.connMu.Lock()
+	m.closed = true
+	for c := range m.conns {
+		c.draining = true
+		c.cancel()
+		c.Close()
+	}
+	m.connMu.Unlock()
+	m.served.Wait()
+}

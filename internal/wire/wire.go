@@ -6,13 +6,18 @@
 // Requests and responses are XML envelopes carrying a named action and a
 // typed payload. Two transports share the same envelope encoding:
 //
-//   - Client/Mux over net/http for live deployments, and
+//   - Client/Mux for live deployments: a caller's first POST asks to
+//     upgrade its HTTP connection, and from then on both directions carry
+//     uvarint(len) ‖ envelope frames on it, one call in flight per
+//     connection (frame.go). The web site and plain POST callers stay on
+//     ordinary HTTP exchanges with the same Mux.
 //   - Local, an in-process transport for discrete-event simulations that
 //     still marshals every message through XML so byte counts and code
 //     paths match the real thing.
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -23,7 +28,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -33,7 +37,11 @@ import (
 // with a reply store answers a repeated key by replaying the original
 // response instead of re-executing the action. Sent is the client's send
 // timestamp (Unix milliseconds); admission control uses it to shed
-// requests that aged out in flight rather than queue them.
+// requests that aged out in flight rather than queue them. Budget, when
+// positive, is the time in milliseconds the caller had left when it sent
+// the envelope: dispatch narrows the handler's context to it, so the
+// statement work stops when the caller stops waiting, whatever carried
+// the envelope.
 //
 // A decoded Envelope's Payload aliases the bytes it was decoded from. On
 // the server those are a pooled request buffer: the envelope and its
@@ -44,6 +52,7 @@ type Envelope struct {
 	Action  string   `xml:"action,attr"`
 	Key     string   `xml:"idem,attr,omitempty"`
 	Sent    int64    `xml:"sent,attr,omitempty"`
+	Budget  int64    `xml:"budget,attr,omitempty"`
 	Payload []byte   `xml:",innerxml"`
 }
 
@@ -78,17 +87,17 @@ func AsFault(err error) (*Fault, bool) {
 	return nil, false
 }
 
-// maxBody bounds an envelope in either direction. A larger body is
-// refused whole (HTTP 413) rather than cut short and mis-decoded.
+// maxBody bounds an envelope in either direction. A larger one is refused
+// whole (HTTP 413, or a frame closed unread) rather than cut short and
+// mis-decoded.
 const maxBody = 16 << 20
 
 // A buffer is a pooled byte buffer that envelopes are encoded into and
-// bodies read into. Whoever takes one releases it once nothing — no
-// decoded Envelope, no HTTP transport — can still be looking at its bytes.
+// bodies read into. Whoever takes one releases it once no decoded
+// Envelope can still be looking at its bytes.
 type buffer struct {
-	b    []byte
-	env  Envelope     // frame header scratch, so encoding one allocates nothing
-	refs atomic.Int32 // holders; the last release pools the buffer
+	b   []byte
+	env Envelope // the envelope encoded or decoded last, so neither allocates one
 }
 
 var buffers = sync.Pool{New: func() any { return new(buffer) }}
@@ -96,27 +105,23 @@ var buffers = sync.Pool{New: func() any { return new(buffer) }}
 // maxPooledBuffer keeps the odd huge envelope from pinning its buffer.
 const maxPooledBuffer = 1 << 20
 
-func newBuffer() *buffer {
-	b := buffers.Get().(*buffer)
-	b.refs.Store(1)
-	return b
-}
+func newBuffer() *buffer { return buffers.Get().(*buffer) }
 
 func (b *buffer) release() {
-	if b.refs.Add(-1) == 0 && cap(b.b) <= maxPooledBuffer {
-		b.b = b.b[:0]
+	if cap(b.b) <= maxPooledBuffer {
+		b.b, b.env = b.b[:0], Envelope{}
 		buffers.Put(b)
 	}
 }
 
-// encode appends the envelope framing payload.
-func (b *buffer) encode(action, key string, sent int64, payload any) error {
-	b.env = Envelope{Action: action, Key: key, Sent: sent}
+// encode appends an envelope with hdr's attributes around payload.
+func (b *buffer) encode(hdr Envelope, payload any) error {
+	b.env = hdr
 	b.b = envelopeCodec.appendStart(b.b, envelopeCodec.name, reflect.ValueOf(&b.env).Elem())
 	b.env = Envelope{}
 	var err error
 	if b.b, err = appendPayload(b.b, payload); err != nil {
-		return fmt.Errorf("wire: encode %s: %w", action, err)
+		return fmt.Errorf("wire: encode %s: %w", hdr.Action, err)
 	}
 	b.b = appendTag(b.b, "</", envelopeCodec.name)
 	return nil
@@ -124,50 +129,36 @@ func (b *buffer) encode(action, key string, sent int64, payload any) error {
 
 // encodeFault appends a Fault envelope.
 func (b *buffer) encodeFault(f *Fault) {
-	_ = b.encode("Fault", "", 0, f) // cannot fail: Fault's codec compiled when the package loaded
+	_ = b.encode(Envelope{Action: "Fault"}, f) // cannot fail: Fault's codec compiled when the package loaded
 }
 
 // read replaces the buffer's contents with r's: exactly n bytes when the
-// length is known, everything up to EOF when n is negative.
+// length is known, everything up to EOF when n is negative. The buffer
+// grows as bytes arrive, at most doubling what it holds, so a peer that
+// declares a length and sends less costs what it sent, not what it
+// declared.
 func (b *buffer) read(r io.Reader, n int64) error {
-	if n >= 0 {
-		b.b = slices.Grow(b.b[:0], int(n))[:n]
-		_, err := io.ReadFull(r, b.b)
-		return err
-	}
 	b.b = b.b[:0]
-	for {
-		b.b = slices.Grow(b.b, 512)
-		m, err := r.Read(b.b[len(b.b):cap(b.b)])
-		b.b = b.b[:len(b.b)+m]
-		if err == io.EOF {
-			return nil
+	for int64(len(b.b)) != n {
+		if len(b.b) == cap(b.b) {
+			b.b = slices.Grow(b.b, max(len(b.b), 512))
 		}
-		if err != nil {
+		end := cap(b.b)
+		if n >= 0 {
+			end = min(end, int(n))
+		}
+		m, err := r.Read(b.b[len(b.b):end])
+		b.b = b.b[:len(b.b)+m]
+		switch {
+		case int64(len(b.b)) == n:
+			return nil
+		case err == io.EOF && n < 0:
+			return nil
+		case err == io.EOF:
+			return io.ErrUnexpectedEOF
+		case err != nil:
 			return err
 		}
-	}
-}
-
-// body returns an HTTP request body reading the buffer, and holding it
-// until closed: net/http promises only that the transport closes a
-// request body when it is done with it, which can be after Do returns.
-func (b *buffer) body() io.ReadCloser {
-	b.refs.Add(1)
-	rb := &requestBody{buf: b}
-	rb.Reset(b.b)
-	return rb
-}
-
-type requestBody struct {
-	bytes.Reader
-	buf    *buffer
-	closed atomic.Bool
-}
-
-func (r *requestBody) Close() error {
-	if !r.closed.Swap(true) {
-		r.buf.release()
 	}
 	return nil
 }
@@ -192,22 +183,26 @@ func mustCodec(t reflect.Type) *codec {
 func Encode(action string, payload any) ([]byte, error) {
 	b := newBuffer()
 	defer b.release()
-	if err := b.encode(action, "", 0, payload); err != nil {
+	if err := b.encode(Envelope{Action: action}, payload); err != nil {
 		return nil, err
 	}
 	return bytes.Clone(b.b), nil
 }
 
 // Decode unmarshals envelope bytes. The envelope's Payload aliases data.
-func Decode(data []byte) (*Envelope, error) {
-	var env Envelope
-	if err := decodeElement(data, &env); err != nil {
+func Decode(data []byte) (*Envelope, error) { return (&buffer{b: data}).decode() }
+
+// decode is Decode of the buffer's bytes into its own envelope, valid
+// until the buffer is reused or released.
+func (b *buffer) decode() (*Envelope, error) {
+	b.env = Envelope{}
+	if err := decodeElement(b.b, &b.env); err != nil {
 		return nil, fmt.Errorf("wire: bad envelope: %w", err)
 	}
-	if env.Action == "" {
+	if b.env.Action == "" {
 		return nil, fmt.Errorf("wire: envelope missing action")
 	}
-	return &env, nil
+	return &b.env, nil
 }
 
 // DecodePayload unmarshals an envelope's payload into out, a pointer to
@@ -220,14 +215,6 @@ func DecodePayload(env *Envelope, out any) error {
 	return nil
 }
 
-// DeadlineHeader carries the caller's remaining time budget, in
-// milliseconds, on HTTP exchanges. The server re-arms the same deadline
-// on the handler's context, so a client-side timeout bounds the
-// server-side statement work too — cancellation propagates from wire to
-// engine instead of leaving the server grinding on an answer nobody is
-// waiting for.
-const DeadlineHeader = "X-Wire-Deadline-Ms"
-
 // Handler processes one decoded request envelope under the exchange's
 // context and returns the response payload (marshalled by the mux) or an
 // error (returned as a Fault).
@@ -236,11 +223,18 @@ type Handler func(ctx context.Context, env *Envelope) (any, error)
 // Mux routes actions to handlers. It implements http.Handler and is also
 // the dispatch target of the Local transport. An optional admission gate
 // (SetAdmission) bounds concurrent dispatches and sheds stale, sheddable
-// requests instead of queueing them.
+// requests instead of queueing them. The connections it serves framed are
+// its own to drain (Shutdown) and sever (Close): an http.Server lets go
+// of a connection once it is upgraded.
 type Mux struct {
 	mu       sync.RWMutex
 	handlers map[string]Handler
 	gate     *gate
+
+	connMu sync.Mutex
+	conns  map[*framedConn]struct{}
+	closed bool           // Close ran: upgrades are refused
+	served sync.WaitGroup // one per tracked connection
 }
 
 // NewMux creates an empty mux.
@@ -271,21 +265,30 @@ func (m *Mux) Actions() []string {
 func (m *Mux) Dispatch(ctx context.Context, data []byte) []byte {
 	out := newBuffer()
 	defer out.release()
-	m.dispatch(ctx, data, out)
+	m.dispatch(ctx, &buffer{b: data}, out)
 	return bytes.Clone(out.b)
 }
 
-// dispatch is Dispatch with the response envelope appended to out. The
-// request envelope aliases data, which must stay untouched until
-// dispatch returns.
-func (m *Mux) dispatch(ctx context.Context, data []byte, out *buffer) {
+// dispatch is Dispatch of the envelope in in, with the response envelope
+// appended to out. The request envelope lives in in, which must stay
+// untouched until dispatch returns. The handler runs under ctx narrowed
+// to the envelope's budget, when that is the nearer deadline.
+func (m *Mux) dispatch(ctx context.Context, in, out *buffer) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	env, err := Decode(data)
+	env, err := in.decode()
 	if err != nil {
 		out.encodeFault(&Fault{Code: "BadEnvelope", Message: err.Error()})
 		return
+	}
+	if env.Budget > 0 {
+		dl := time.Now().Add(time.Duration(env.Budget) * time.Millisecond)
+		if cur, has := ctx.Deadline(); !has || cur.After(dl) {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithDeadline(ctx, dl)
+			defer cancel()
+		}
 	}
 	m.mu.RLock()
 	h, ok := m.handlers[env.Action]
@@ -306,7 +309,7 @@ func (m *Mux) dispatch(ctx context.Context, data []byte, out *buffer) {
 	resp, err := h(ctx, env)
 	if err == nil {
 		mark := len(out.b)
-		if err = out.encode(env.Action+"Response", "", 0, resp); err == nil {
+		if err = out.encode(Envelope{Action: env.Action + "Response"}, resp); err == nil {
 			return
 		}
 		out.b = out.b[:mark]
@@ -331,24 +334,18 @@ func faultCode(err error) string {
 	return "ServiceError"
 }
 
-// ServeHTTP implements http.Handler: POST an envelope, receive an
-// envelope. The handler context is the request's, narrowed by the
-// caller's deadline header when present — the server honors whichever
-// budget the client declared, so in-flight statements are cancelled the
-// moment the caller stops waiting. A body over maxBody is refused with
-// 413 before it is read.
+// ServeHTTP implements http.Handler. A POST asking to upgrade to frames
+// becomes a framed connection (serveFrames); any other POST carries one
+// envelope and receives one, under the request's context. A body over
+// maxBody is refused with 413 before it is read.
 func (m *Mux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "wire endpoint accepts POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	ctx := r.Context()
-	if hdr := r.Header.Get(DeadlineHeader); hdr != "" {
-		if ms, err := strconv.ParseInt(hdr, 10, 64); err == nil && ms > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
-			defer cancel()
-		}
+	if r.Header.Get("Upgrade") == frameProto {
+		m.serveFrames(w, r)
+		return
 	}
 	if r.ContentLength > maxBody {
 		http.Error(w, errBodyTooLarge.Error(), http.StatusRequestEntityTooLarge)
@@ -370,7 +367,7 @@ func (m *Mux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := newBuffer()
 	defer resp.release()
-	m.dispatch(ctx, req.b, resp)
+	m.dispatch(r.Context(), req, resp)
 	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
 	w.Header().Set("Content-Length", strconv.Itoa(len(resp.b)))
 	w.Write(resp.b)
@@ -401,15 +398,15 @@ func Typed[Req any, Resp any](fn func(context.Context, *Req) (*Resp, error)) Han
 type Caller interface {
 	// Call sends action+req under ctx and decodes the response payload
 	// into resp (ignored when resp is nil). Service faults come back as
-	// *Fault. Cancelling ctx abandons the exchange; its deadline is
-	// forwarded to the server so both sides stop at the same instant.
+	// *Fault. Cancelling ctx abandons the exchange; its deadline rides
+	// the envelope as its budget, so both sides stop at the same instant.
 	Call(ctx context.Context, action string, req, resp any) error
 }
 
-// decodeResponse handles the shared fault/response branching. Nothing it
-// returns or fills in refers to data afterwards.
-func decodeResponse(action string, data []byte, resp any) error {
-	env, err := Decode(data)
+// decodeResponse handles the shared fault/response branching on in's
+// envelope. Nothing it returns or fills in refers to in afterwards.
+func decodeResponse(action string, in *buffer, resp any) error {
+	env, err := in.decode()
 	if err != nil {
 		return err
 	}
@@ -429,106 +426,168 @@ func decodeResponse(action string, data []byte, resp any) error {
 	return DecodePayload(env, resp)
 }
 
-// pooledClient is the shared HTTP client behind every wire.Client that
-// does not bring its own: keep-alive connection pooling sized for a
-// daemon fleet hammering one CAS endpoint, instead of
-// http.DefaultClient's general-purpose defaults. Request lifetimes are
-// governed per call by ctx (plus Client.Timeout), never by a global
-// client timeout that would cap long administrative calls.
-var pooledClient = &http.Client{
-	Transport: &http.Transport{
-		MaxIdleConns:        256,
-		MaxIdleConnsPerHost: 64,
-		IdleConnTimeout:     90 * time.Second,
-	},
+// request is the envelope header a call under ctx sends: the action, the
+// idempotency key, the send time and the budget, rounded up to whole
+// milliseconds.
+func request(ctx context.Context, action string) Envelope {
+	now := time.Now()
+	hdr := Envelope{Action: action, Key: IdempotencyKeyFromContext(ctx), Sent: now.UnixMilli()}
+	if dl, has := ctx.Deadline(); has && dl.After(now) {
+		hdr.Budget = int64((dl.Sub(now) + time.Millisecond - 1) / time.Millisecond)
+	}
+	return hdr
 }
 
-// Client is an HTTP Caller.
+// Client is the HTTP Caller: it carries its calls as frames on upgraded
+// connections to URL, one call in flight per connection, and keeps a few
+// idle ones between calls. A connection that fails, or whose call's
+// context ends, is closed, never reused: the call fails with a transport
+// error, which Retryable counts retryable, and a Retryer re-sends it
+// under the same key on a fresh connection.
 type Client struct {
 	// URL is the service endpoint (e.g. http://cas:8080/services).
 	URL string
-	// HTTP is the underlying client; nil means the package's pooled
-	// keep-alive client.
+	// HTTP opens the connections: a POST whose 101 answer hands the
+	// connection over. nil means http.DefaultClient. It must not set a
+	// Timeout, which would make the upgraded connection unwritable;
+	// Client.Timeout bounds calls.
 	HTTP *http.Client
-	// Timeout is the default per-request budget applied when the call
+	// Timeout is the default per-call budget applied when the call
 	// context carries no deadline of its own (0 = none). The effective
-	// deadline — from ctx or from here — is forwarded to the server in
-	// the deadline header.
+	// deadline — from ctx or from here — rides the envelope as its
+	// budget.
 	Timeout time.Duration
+
+	mu   sync.Mutex
+	idle []*clientConn
 }
 
-// Call implements Caller over HTTP POST. Non-2xx statuses surface as
-// typed *Fault values (code "HTTP<status>") rather than opaque errors,
-// so callers branch on them exactly like service faults; so does a reply
+// maxIdleConns bounds the connections a Client keeps between calls.
+const maxIdleConns = 4
+
+// A clientConn is one upgraded connection of a Client.
+type clientConn struct {
+	rwc io.ReadWriteCloser
+	br  *bufio.Reader
+}
+
+// Call implements Caller. A status other than 101 to the upgrade, or a
+// request over maxBody, surfaces as a typed *Fault (code "HTTP<status>";
+// "HTTP413" for the oversize request, refused before it is sent), so
+// callers branch on it exactly like a service fault; so does a reply
 // over maxBody ("ReplyTooLarge"), which is not retried.
 func (c *Client) Call(ctx context.Context, action string, req, resp any) error {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	out := newBuffer()
-	defer out.release()
-	if err := out.encode(action, IdempotencyKeyFromContext(ctx), time.Now().UnixMilli(), req); err != nil {
-		return err
 	}
 	if _, has := ctx.Deadline(); !has && c.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.Timeout)
 		defer cancel()
 	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.URL, nil)
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("wire: %s: %w", c.URL, err)
+	}
+	out := newBuffer()
+	defer out.release()
+	out.startFrame()
+	if err := out.encode(request(ctx, action), req); err != nil {
+		return err
+	}
+	if len(out.b)-frameHeader > maxBody {
+		return &Fault{Code: "HTTP413", Message: fmt.Sprintf("%s: request: %v", c.URL, errBodyTooLarge)}
+	}
+	cc, err := c.take(ctx)
 	if err != nil {
-		return fmt.Errorf("wire: POST %s: %w", c.URL, err)
+		return err
 	}
-	httpReq.Body = out.body()
-	httpReq.GetBody = func() (io.ReadCloser, error) { return out.body(), nil }
-	httpReq.ContentLength = int64(len(out.b))
-	httpReq.Header.Set("Content-Type", "text/xml; charset=utf-8")
-	if dl, has := ctx.Deadline(); has {
-		if ms := time.Until(dl).Milliseconds(); ms > 0 {
-			httpReq.Header.Set(DeadlineHeader, strconv.FormatInt(ms, 10))
-		}
+	var stop func() bool
+	if ctx.Done() != nil {
+		stop = context.AfterFunc(ctx, func() { cc.rwc.Close() })
 	}
-	hc := c.HTTP
-	if hc == nil {
-		hc = pooledClient
-	}
-	httpResp, err := hc.Do(httpReq)
-	if err != nil {
-		return fmt.Errorf("wire: POST %s: %w", c.URL, err)
-	}
-	defer httpResp.Body.Close()
 	in := newBuffer()
 	defer in.release()
-	if httpResp.StatusCode < 200 || httpResp.StatusCode > 299 {
-		in.read(io.LimitReader(httpResp.Body, 512), -1) // best effort: whatever arrived words the fault
-		return &Fault{
-			Code:    fmt.Sprintf("HTTP%d", httpResp.StatusCode),
-			Message: fmt.Sprintf("POST %s: %s: %s", c.URL, httpResp.Status, in.b),
+	_, err = cc.rwc.Write(out.frame())
+	if err == nil {
+		err = in.readFrame(cc.br)
+	}
+	cut := stop != nil && !stop() // ctx ended: the connection is closed
+	switch {
+	case err != nil && cut:
+		return fmt.Errorf("wire: %s: %w", c.URL, ctx.Err())
+	case err != nil:
+		cc.rwc.Close()
+		if errors.Is(err, errBodyTooLarge) {
+			return &Fault{Code: "ReplyTooLarge", Message: fmt.Sprintf("%s: reply: %v", c.URL, err)}
+		}
+		return fmt.Errorf("wire: %s: %w", c.URL, err)
+	case !cut:
+		c.put(cc)
+	}
+	return decodeResponse(action, in, resp)
+}
+
+// take returns an idle connection, or upgrades a new one under ctx.
+func (c *Client) take(ctx context.Context) (*clientConn, error) {
+	c.mu.Lock()
+	if n := len(c.idle); n > 0 {
+		cc := c.idle[n-1]
+		c.idle[n-1] = nil
+		c.idle = c.idle[:n-1]
+		c.mu.Unlock()
+		return cc, nil
+	}
+	c.mu.Unlock()
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.URL, nil)
+	if err != nil {
+		return nil, fmt.Errorf("wire: POST %s: %w", c.URL, err)
+	}
+	hreq.Header.Set("Connection", "Upgrade")
+	hreq.Header.Set("Upgrade", frameProto)
+	hc := c.HTTP
+	if hc == nil {
+		hc = http.DefaultClient
+	}
+	hresp, err := hc.Do(hreq)
+	if err != nil {
+		return nil, fmt.Errorf("wire: POST %s: %w", c.URL, err)
+	}
+	if hresp.StatusCode != http.StatusSwitchingProtocols {
+		defer hresp.Body.Close()
+		msg := newBuffer()
+		defer msg.release()
+		msg.read(io.LimitReader(hresp.Body, 512), -1) // best effort: whatever arrived words the fault
+		return nil, &Fault{
+			Code:    fmt.Sprintf("HTTP%d", hresp.StatusCode),
+			Message: fmt.Sprintf("POST %s: %s: %s", c.URL, hresp.Status, msg.b),
 		}
 	}
-	n := httpResp.ContentLength
-	tooLarge := n > maxBody
-	if !tooLarge {
-		body := io.Reader(httpResp.Body)
-		if n < 0 { // chunked: one byte past the bound tells too large from just fits
-			body = io.LimitReader(body, maxBody+1)
-		}
-		if err := in.read(body, n); err != nil {
-			return fmt.Errorf("wire: POST %s: reading reply: %w", c.URL, err)
-		}
-		tooLarge = len(in.b) > maxBody
+	rwc, ok := hresp.Body.(io.ReadWriteCloser)
+	if !ok {
+		hresp.Body.Close()
+		return nil, fmt.Errorf("wire: POST %s: the upgraded connection is not writable", c.URL)
 	}
-	if tooLarge {
-		return &Fault{Code: "ReplyTooLarge", Message: fmt.Sprintf("POST %s: reply: %v", c.URL, errBodyTooLarge)}
+	return &clientConn{rwc: rwc, br: bufio.NewReader(rwc)}, nil
+}
+
+// put keeps cc for the next call, or closes it when enough are idle.
+func (c *Client) put(cc *clientConn) {
+	c.mu.Lock()
+	keep := len(c.idle) < maxIdleConns
+	if keep {
+		c.idle = append(c.idle, cc)
 	}
-	return decodeResponse(action, in.b, resp)
+	c.mu.Unlock()
+	if !keep {
+		cc.rwc.Close()
+	}
 }
 
 // Local is an in-process Caller that still round-trips every message
 // through the XML envelope encoding, so simulations exercise the same
 // serialization path and can meter realistic message sizes. The call
-// context reaches the handler directly — cancellation semantics are
-// identical to the HTTP transport, minus the millisecond re-encoding.
+// context reaches the handler directly — cancellation and deadlines act
+// as over HTTP, to the instant rather than to the budget's millisecond.
 type Local struct {
 	// Mux is the dispatch target.
 	Mux *Mux
@@ -539,16 +598,19 @@ type Local struct {
 
 // Call implements Caller.
 func (l *Local) Call(ctx context.Context, action string, req, resp any) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	out := newBuffer()
 	defer out.release()
-	if err := out.encode(action, IdempotencyKeyFromContext(ctx), time.Now().UnixMilli(), req); err != nil {
+	if err := out.encode(request(ctx, action), req); err != nil {
 		return err
 	}
 	in := newBuffer()
 	defer in.release()
-	l.Mux.dispatch(ctx, out.b, in)
+	l.Mux.dispatch(ctx, out, in)
 	if l.OnCall != nil {
 		l.OnCall(action, len(out.b), len(in.b))
 	}
-	return decodeResponse(action, in.b, resp)
+	return decodeResponse(action, in, resp)
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net/http"
@@ -226,19 +227,29 @@ func TestOversizeRequestRejected(t *testing.T) {
 	}
 }
 
+// A reply over maxBody is refused from its declared length: whether the
+// mux encoded it, or a peer declares one byte more than maxBody and sends
+// nothing after.
 func TestOversizeReplyRejected(t *testing.T) {
 	mux := NewMux()
 	mux.Handle("ping", Typed(func(_ context.Context, req *pingReq) (*pingResp, error) {
 		return &pingResp{Greeting: strings.Repeat("y", maxBody)}, nil
 	}))
+	defer mux.Close()
 	for name, h := range map[string]http.Handler{
-		"content-length": mux,
-		"chunked": http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			rec := httptest.NewRecorder()
-			mux.ServeHTTP(rec, r)
-			w.Write(rec.Body.Bytes()[:1<<20])
-			w.(http.Flusher).Flush() // commits to chunked encoding
-			w.Write(rec.Body.Bytes()[1<<20:])
+		"encoded": mux,
+		"declared": http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			conn, rw, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			conn.Write(switchedToFrames)
+			var req buffer
+			if req.readFrame(rw.Reader) == nil {
+				conn.Write(binary.AppendUvarint(nil, maxBody+1))
+				io.Copy(io.Discard, rw) // until the client hangs up
+			}
 		}),
 	} {
 		srv := httptest.NewServer(h)
