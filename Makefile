@@ -83,9 +83,10 @@ flagdoc:
 # input, and every accepted input packs again to the same bytes. The
 # WAL reader — one CRC32C frame per committed group, updates as
 # changed-column bitmaps plus values — and the redo behind it (shipped
-# batches, the node's own log): never panic, allocation bounded by the
-# input, and every accepted group re-encodes to the same bytes, frame and
-# CRC included. Page and checkpoint-meta images (the
+# runs, the node's own log): never panic, allocation bounded by the
+# input, every accepted group re-encodes to the same bytes, frame and CRC
+# included, and a shipped run that is not whole groups in rising LSN order
+# is refused with the follower's log left byte-identical. Page and checkpoint-meta images (the
 # validator, recovery's page scan, decodeMeta): never panic, allocation
 # bounded by the input, and a page the validator accepts stays valid and
 # in bounds through insert, erase and compaction. Index keys: two values

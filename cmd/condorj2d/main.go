@@ -238,8 +238,8 @@ func main() {
 		ds.Replays, ds.RepliesDeleted)
 	if repl != nil {
 		rs := repl.Stats()
-		log.Printf("repl: role %s term %d, %d followers, %d ships (%d batches, %d errors, %d truncated), %d fenced, %d promotions, %d demotions, lag %d LSNs / %d ms; engine applied %d (%d batches, %d skipped, %d apply errors)",
-			rs.Role, rs.Term, rs.Followers, rs.ShipCalls, rs.ShipBatches, rs.ShipErrors, rs.ShipTruncated, rs.Fenced, rs.Promotions, rs.Demotions, rs.LagLSN, rs.LagMs,
+		log.Printf("repl: role %s term %d, %d followers, %d ships (%d bytes, %d errors, %d truncated), %d fenced, %d promotions, %d demotions, lag %d LSNs / %d ms; engine applied %d (%d groups, %d skipped, %d apply errors)",
+			rs.Role, rs.Term, rs.Followers, rs.ShipCalls, rs.ShipBytes, rs.ShipErrors, rs.ShipTruncated, rs.Fenced, rs.Promotions, rs.Demotions, rs.LagLSN, rs.LagMs,
 			rs.Engine.AppliedLSN, rs.Engine.BatchesApplied, rs.Engine.BatchesSkipped, rs.Engine.ApplyErrors)
 	}
 }

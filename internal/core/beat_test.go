@@ -86,8 +86,8 @@ func TestIdleBeatCommitsNothing(t *testing.T) {
 	if got := commits() - c; got != 1 {
 		t.Fatalf("the poll a window after the stamp committed %d groups, want 1", got)
 	}
-	if batches, _, err := eng.CommittedSince(lsn, 0); err != nil || len(batches) != 1 {
-		t.Fatalf("%d groups logged (%v), want 1", len(batches), err)
+	if run, durable, err := eng.CommittedSince(lsn, 0); err != nil || len(run) == 0 || durable != lsn+1 {
+		t.Fatalf("LSNs %d to %d logged (a %d-byte run, %v), want one group", lsn+1, durable, len(run), err)
 	}
 	wrote("the poll a window after the stamp", c)
 	if got := tablesExcept(t, eng, "machines"); got != others {

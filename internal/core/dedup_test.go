@@ -452,11 +452,11 @@ func TestKeyedReplyRecordSize(t *testing.T) {
 		if err != nil || len(resp.Commands) != 4 || resp.Commands[3].Command != CmdOK {
 			t.Fatalf("completion beat: %+v, %v", resp, err)
 		}
-		batches, _, err := cas.Engine.CommittedSince(from, 0)
-		if err != nil || len(batches) != 1 {
-			t.Fatalf("%d groups committed by one beat, %v", len(batches), err)
+		run, durable, err := cas.Engine.CommittedSince(from, 0)
+		if err != nil || len(run) == 0 || durable != from+1 {
+			t.Fatalf("one beat committed LSNs %d to %d (a %d-byte run), want one group; %v", from+1, durable, len(run), err)
 		}
-		return len(batches[0].Data)
+		return len(run)
 	}
 	key := wire.NewIdempotencyKey()
 	record := group(key) - group("")

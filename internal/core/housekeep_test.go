@@ -259,6 +259,40 @@ func TestHousekeepAfterDemotion(t *testing.T) {
 	}
 }
 
+// TestTapFollowsTheLead: the shipper's replication tap is the leading
+// role's, opened by StartLeader and closed by Demote before either returns.
+// So a checkpoint right after StartLeader keeps the log's recent tail in
+// the file, and one right after Demote keeps none of it, round after round
+// on one paged engine.
+func TestTapFollowsTheLead(t *testing.T) {
+	cas, vfs, _ := pagedCAS(t)
+	ctx := context.Background()
+	r, err := NewReplicator(cas, ReplConfig{Self: "a", Dial: func(string) wire.Caller { return &wire.Local{Mux: cas.Mux} }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	checkpoint := func() int {
+		t.Helper()
+		if err := cas.Engine.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		return walSize(t, vfs)
+	}
+	for round := range 50 {
+		if err := r.StartLeader(ctx); err != nil { // its lease write is in the log
+			t.Fatal(err)
+		}
+		if n := checkpoint(); n == 0 {
+			t.Fatalf("round %d: a checkpoint right after StartLeader emptied the WAL: no tap kept its tail", round)
+		}
+		r.Demote("")
+		if n := checkpoint(); n != 0 {
+			t.Fatalf("round %d: the WAL holds %d bytes after a checkpoint right after Demote: a tap kept its tail", round, n)
+		}
+	}
+}
+
 // TestBootstrapIsDeterministic: two fresh CASes under the same clock that
 // bootstrap and take the same boot heartbeat write byte-identical logs — no
 // map iteration decides a row's rid or a record's position.

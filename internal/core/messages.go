@@ -30,31 +30,25 @@ const (
 	ActionReplJoin = "replJoin"
 )
 
-// ReplBatch is one committed WAL group on the wire. Data is the group's
-// verbatim log bytes (redo records plus the commit marker carrying LSN),
-// base64-encoded — WAL bytes are binary and XML character data is not.
-type ReplBatch struct {
-	LSN  uint64 `xml:"LSN"`
-	Data string `xml:"Data"`
-}
-
-// ReplShipRequest pushes committed groups to a follower. Term fences
-// deposed leaders: a receiver whose term is newer answers StaleTerm and
-// the sender demotes itself, so a partitioned ex-leader can never
-// overwrite a promoted follower. LeaderLSN is the leader's durable
-// horizon, letting the follower measure its own lag.
+// ReplShipRequest pushes a run of committed groups to a follower. Log is
+// the run: the log bytes of whole groups, cut from the leader's log file
+// exactly as they lie, each group's LSN in its commit marker. It is
+// base64-encoded once, since WAL bytes are binary and XML character data
+// is not. Term fences deposed leaders: a receiver whose term is newer
+// answers StaleTerm and the sender demotes itself, so a partitioned
+// ex-leader can never overwrite a promoted follower. LeaderLSN is the
+// leader's durable horizon, letting the follower measure its own lag.
 type ReplShipRequest struct {
-	Term      uint64      `xml:"Term"`
-	Leader    string      `xml:"Leader"`
-	LeaderLSN uint64      `xml:"LeaderLSN"`
-	Batches   []ReplBatch `xml:"Batches>Batch"`
+	Term      uint64 `xml:"Term"`
+	Leader    string `xml:"Leader"`
+	LeaderLSN uint64 `xml:"LeaderLSN"`
+	Log       string `xml:"Log"`
 }
 
 // ReplShipResponse acknowledges a ship with the follower's new durable
 // applied LSN — the leader's resume point for the next ship.
 type ReplShipResponse struct {
 	AppliedLSN uint64 `xml:"AppliedLSN"`
-	Term       uint64 `xml:"Term"`
 }
 
 // ReplJoinRequest announces a follower to the leader. Addr is the

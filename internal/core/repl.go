@@ -6,8 +6,9 @@ package core
 // A leader streams its committed WAL groups to followers — sqldb's
 // ReplicationTap signals each durable commit, and CommittedSince cuts the
 // groups above a follower's acked LSN out of the log file itself, read
-// from an indexed offset, with no copy of the log kept in memory — each
-// follower applies them through
+// from an indexed offset, with no copy of the log kept in memory. A ship
+// carries that run as it lies in the file; each follower checks it with
+// the log's own reader, appends it to its own log and applies it through
 // its own MVCC commit clock, and every read-only service (pool status,
 // queue listings, accounting, the web site) works on the follower from a
 // transactionally consistent replicated snapshot.
@@ -67,7 +68,7 @@ func (c *ReplConfig) leaseTTL() time.Duration {
 const (
 	// replCallTimeout bounds one replication RPC, retries included.
 	replCallTimeout = 2 * time.Second
-	// replMaxShipBytes caps the batch bytes of one repl.Ship.
+	// replMaxShipBytes caps the log bytes of one repl.Ship.
 	replMaxShipBytes = 1 << 20
 )
 
@@ -101,9 +102,9 @@ type Replicator struct {
 	cas *CAS
 	cfg ReplConfig
 
-	// applyMu serializes shipped-batch apply against promotion: a
+	// applyMu serializes shipped-run apply against promotion: a
 	// promotion waits out any in-flight apply, and every apply re-checks
-	// the term after acquiring it, so no old-leader batch lands after the
+	// the term after acquiring it, so no old-leader run lands after the
 	// node has claimed a new term.
 	applyMu sync.Mutex
 
@@ -112,7 +113,7 @@ type Replicator struct {
 	term      uint64
 	leader    string // current known leader endpoint ("" = unknown)
 	followers map[string]*replFollower
-	stopShip  context.CancelFunc // the running shipper's; nil when none runs
+	stopShip  func() // cancels the running shipper, closes its tap; nil when none runs
 	closed    bool
 
 	wg   sync.WaitGroup
@@ -124,7 +125,7 @@ type Replicator struct {
 	lastShipMs atomic.Int64
 
 	shipCalls     atomic.Uint64
-	shipBatches   atomic.Uint64
+	shipBytes     atomic.Uint64
 	shipErrors    atomic.Uint64
 	shipTruncated atomic.Uint64
 	fenced        atomic.Uint64
@@ -175,14 +176,22 @@ func (r *Replicator) newCaller(addr string) wire.Caller {
 }
 
 // leadLocked makes this node the leader at term: the role, the open write
-// gate and a running shipper together. Callers hold r.mu.
+// gate and a running shipper together. The shipper's tap is the role's,
+// open exactly while it lasts, so a checkpoint keeps the log's recent tail
+// for followers only while this node leads. Without a WAL the node leads
+// with nothing to ship. Callers hold r.mu.
 func (r *Replicator) leadLocked(term uint64) {
+	r.stopShipperLocked()
 	r.role, r.term, r.leader = roleLeader, term, r.cfg.Self
 	r.cas.Service.ClearNotLeader()
+	tap, err := r.cas.Engine.ReplicationTap()
+	if err != nil {
+		return
+	}
 	ctx, cancel := context.WithCancel(context.Background())
-	r.stopShip = cancel
+	r.stopShip = func() { cancel(); tap.Close() }
 	r.wg.Add(1)
-	go r.ship(ctx)
+	go r.ship(ctx, tap)
 }
 
 // gateLocked gives this node a role that does not lead — follower or
@@ -351,15 +360,8 @@ func (r *Replicator) wake() {
 // ship is the leader's one replication goroutine, from taking the lead to
 // demotion or Close. Woken by a commit (the tap), a join or the tick, it
 // drains the committed log to every follower.
-func (r *Replicator) ship(ctx context.Context) {
+func (r *Replicator) ship(ctx context.Context, tap *sqldb.ReplicationTap) {
 	defer r.wg.Done()
-	tap, err := r.cas.Engine.ReplicationTap()
-	if err != nil {
-		// No WAL, nothing to ship: stay leader (single-node durable-less
-		// deployments), just without replication.
-		return
-	}
-	defer tap.Close()
 	for {
 		select {
 		case <-ctx.Done():
@@ -376,14 +378,16 @@ func (r *Replicator) ship(ctx context.Context) {
 	}
 }
 
-// shipTo drains committed groups to one follower until it is caught up
-// or an RPC fails (the next wakeup retries from the acked LSN).
+// shipTo drains committed groups to one follower, a run per call, until
+// it is caught up, an RPC fails or an ack does not advance (a peer that
+// applied nothing, as one of another build would); the next wakeup
+// retries from the acked LSN.
 func (r *Replicator) shipTo(ctx context.Context, f *replFollower) {
 	for ctx.Err() == nil {
 		f.mu.Lock()
 		acked := f.acked
 		f.mu.Unlock()
-		batches, durable, err := r.cas.Engine.CommittedSince(acked, replMaxShipBytes)
+		run, durable, err := r.cas.Engine.CommittedSince(acked, replMaxShipBytes)
 		if errors.Is(err, sqldb.ErrLogTruncated) {
 			// A follower further behind than the log reaches — the last
 			// checkpoint, or the recent tail a shipping leader keeps across
@@ -395,19 +399,13 @@ func (r *Replicator) shipTo(ctx context.Context, f *replFollower) {
 			r.shipErrors.Add(1)
 			return
 		}
-		if len(batches) == 0 {
+		if len(run) == 0 {
 			return
 		}
 		r.mu.Lock()
 		term := r.term // a demotion since has cancelled ctx, and with it the call
 		r.mu.Unlock()
-		req := &ReplShipRequest{Term: term, Leader: r.cfg.Self, LeaderLSN: durable}
-		for _, b := range batches {
-			req.Batches = append(req.Batches, ReplBatch{
-				LSN:  b.LSN,
-				Data: base64.StdEncoding.EncodeToString(b.Data),
-			})
-		}
+		req := &ReplShipRequest{Term: term, Leader: r.cfg.Self, LeaderLSN: durable, Log: base64.StdEncoding.EncodeToString(run)}
 		var resp ReplShipResponse
 		cctx, cancel := context.WithTimeout(ctx, replCallTimeout)
 		err = f.caller.Call(cctx, ActionReplShip, req, &resp)
@@ -422,15 +420,16 @@ func (r *Replicator) shipTo(ctx context.Context, f *replFollower) {
 			r.shipErrors.Add(1)
 			return
 		}
-		r.shipBatches.Add(uint64(len(batches)))
+		r.shipBytes.Add(uint64(len(run)))
 		f.mu.Lock()
-		if resp.AppliedLSN > f.acked {
+		advanced := resp.AppliedLSN > f.acked
+		if advanced {
 			f.acked = resp.AppliedLSN
 		}
 		f.ackedAt = r.now()
-		caughtUp := f.acked >= durable
+		done := f.acked >= durable || !advanced
 		f.mu.Unlock()
-		if caughtUp {
+		if done {
 			return
 		}
 	}
@@ -563,7 +562,7 @@ func (r *Replicator) Demote(newLeader string) {
 // ---------------------------------------------------------------------
 // Handlers.
 
-// handleShip applies a leader's batch of committed groups. Term fencing
+// handleShip applies a leader's run of committed groups. Term fencing
 // first: an older term is answered StaleTerm (with our own address when
 // we lead — the redirect doubles as leader discovery for the deposed
 // sender). Apply is idempotent by LSN, making retried keyed ships safe.
@@ -598,22 +597,21 @@ func (r *Replicator) handleShip(ctx context.Context, req *ReplShipRequest) (*Rep
 		}
 		r.mu.Unlock()
 	}
-	// The ship is one run: decoded whole before any of it is applied, then
-	// checked, appended with one sync and redone by the engine in one call.
-	run := make([]sqldb.CommittedBatch, len(req.Batches))
-	for i, b := range req.Batches {
-		data, err := base64.StdEncoding.DecodeString(b.Data)
-		if err != nil {
-			return nil, fmt.Errorf("core: repl: batch %d: bad base64: %w", b.LSN, err)
-		}
-		run[i] = sqldb.CommittedBatch{LSN: b.LSN, Data: data}
+	// The ship is one run: checked whole before any of it is applied, then
+	// appended with one sync and redone by the engine in one call.
+	run, err := base64.StdEncoding.DecodeString(req.Log)
+	if err != nil {
+		return nil, fmt.Errorf("core: repl: ship at term %d: bad base64: %w", req.Term, err)
+	}
+	if len(run) == 0 { // what a leader of another build sends: its groups in elements this one does not read
+		return nil, fmt.Errorf("core: repl: ship at term %d carries no log", req.Term)
 	}
 	if err := r.cas.Engine.ApplyCommitted(run); err != nil {
 		return nil, err
 	}
 	r.leaderLSN.Store(req.LeaderLSN)
 	r.lastShipMs.Store(r.now().UnixMilli())
-	return &ReplShipResponse{AppliedLSN: r.cas.Engine.AppliedLSN(), Term: req.Term}, nil
+	return &ReplShipResponse{AppliedLSN: r.cas.Engine.AppliedLSN()}, nil
 }
 
 // handleJoin registers (or refreshes) a follower on the leader. The
@@ -662,10 +660,12 @@ type ReplStats struct {
 	// Followers is the leader's registered-follower count: those that
 	// joined or acked within a lease TTL.
 	Followers int
-	// ShipCalls / ShipBatches / ShipErrors count leader-side shipping.
-	ShipCalls   uint64
-	ShipBatches uint64
-	ShipErrors  uint64
+	// ShipCalls / ShipBytes / ShipErrors count leader-side shipping: the
+	// ships sent, the log bytes of the runs followers acked, and the ships
+	// that failed.
+	ShipCalls  uint64
+	ShipBytes  uint64
+	ShipErrors uint64
 	// ShipTruncated counts the ships refused because the follower resumes
 	// from below where this node's log now begins (ErrLogTruncated).
 	ShipTruncated uint64
@@ -690,7 +690,7 @@ type ReplStats struct {
 func (r *Replicator) Stats() ReplStats {
 	s := ReplStats{
 		ShipCalls:     r.shipCalls.Load(),
-		ShipBatches:   r.shipBatches.Load(),
+		ShipBytes:     r.shipBytes.Load(),
 		ShipErrors:    r.shipErrors.Load(),
 		ShipTruncated: r.shipTruncated.Load(),
 		Fenced:        r.fenced.Load(),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/base64"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -223,7 +224,7 @@ func TestReplFollowerServesReadsRejectsWrites(t *testing.T) {
 	}
 
 	rs := leader.repl.Stats()
-	if rs.Role != "leader" || rs.Followers != 1 || rs.ShipBatches == 0 {
+	if rs.Role != "leader" || rs.Followers != 1 || rs.ShipBytes == 0 {
 		t.Fatalf("leader stats %+v", rs)
 	}
 	fs := follower.repl.Stats()
@@ -607,25 +608,23 @@ func TestReplShipAppliesAsOneRun(t *testing.T) {
 	defer leader.close()
 	follower := newReplNode(t, net, "follow", true, ReplConfig{})
 	defer follower.close()
-	ship := func(batches []sqldb.CommittedBatch) {
+	ship := func(run []byte) {
 		t.Helper()
-		req := &ReplShipRequest{Term: 1, Leader: "lead", LeaderLSN: leader.eng.DurableLSN()}
-		for _, b := range batches {
-			req.Batches = append(req.Batches, ReplBatch{LSN: b.LSN, Data: base64.StdEncoding.EncodeToString(b.Data)})
-		}
+		req := &ReplShipRequest{Term: 1, Leader: "lead", LeaderLSN: leader.eng.DurableLSN(), Log: base64.StdEncoding.EncodeToString(run)}
 		if err := net.dial("follow").Call(context.Background(), ActionReplShip, req, &ReplShipResponse{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	since := func(lsn uint64) []sqldb.CommittedBatch {
+	since := func(lsn uint64) ([]byte, uint64) {
 		t.Helper()
-		batches, _, err := leader.eng.CommittedSince(lsn, 0)
+		run, durable, err := leader.eng.CommittedSince(lsn, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return batches
+		return run, durable
 	}
-	ship(since(0)) // the leader's bootstrap
+	bootstrap, _ := since(0)
+	ship(bootstrap)
 
 	for _, sql := range []string{
 		`CREATE TABLE probe (id INTEGER PRIMARY KEY)`,
@@ -636,12 +635,16 @@ func TestReplShipAppliesAsOneRun(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run := since(follower.eng.AppliedLSN())
-	if len(run) != 3 {
-		t.Fatalf("leader logged %d groups past the follower, want 3", len(run))
+	applied := follower.eng.AppliedLSN()
+	run, durable := since(applied)
+	if len(run) == 0 || durable-applied != 3 {
+		t.Fatalf("leader logged LSNs %d to %d past the follower (a %d-byte run), want 3 groups", applied+1, durable, len(run))
 	}
-	syncs := follower.eng.WALStats().Syncs
+	syncs, groups := follower.eng.WALStats().Syncs, follower.eng.ReplStats().BatchesApplied
 	ship(run)
+	if got := follower.eng.ReplStats().BatchesApplied - groups; got != 3 {
+		t.Fatalf("the ship applied %d groups on the follower, want 3", got)
+	}
 	if got := follower.eng.WALStats().Syncs - syncs; got != 1 {
 		t.Fatalf("a 3-group ship cost the follower %d syncs, want 1", got)
 	}
@@ -654,5 +657,38 @@ func TestReplShipAppliesAsOneRun(t *testing.T) {
 	}
 	if n := rows.Data[0][0].Int64(); n != 2 {
 		t.Fatalf("follower holds %d probe rows, want 2", n)
+	}
+	// A ship carrying no run, as a leader of another build sends one, is
+	// refused rather than acked.
+	if err := net.dial("follow").Call(context.Background(), ActionReplShip, &ReplShipRequest{Term: 1, Leader: "lead"}, &ReplShipResponse{}); err == nil {
+		t.Fatal("a ship with no log was acked")
+	}
+}
+
+// TestReplShipWaitsWhenAnAckDoesNotAdvance: a follower that acks a ship
+// without its applied LSN moving — a peer of another build, which reads
+// this build's ship as empty — is shipped the run once per wakeup, not in
+// a tight loop: the shipper waits for the next commit, join or tick.
+func TestReplShipWaitsWhenAnAckDoesNotAdvance(t *testing.T) {
+	net := newReplNet()
+	leader := newReplNode(t, net, "lead", false, ReplConfig{})
+	defer leader.close()
+	var ships atomic.Int64
+	mux := wire.NewMux()
+	mux.Handle(ActionReplShip, wire.Typed(func(context.Context, *ReplShipRequest) (*ReplShipResponse, error) {
+		ships.Add(1)
+		return &ReplShipResponse{}, nil
+	}))
+	net.register("stale").set(&wire.Local{Mux: mux})
+	if err := leader.repl.StartLeader(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.dial("lead").Call(context.Background(), ActionReplJoin, &ReplJoinRequest{Addr: "stale"}, &ReplJoinResponse{}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "the first ship", func() bool { return ships.Load() > 0 })
+	time.Sleep(100 * time.Millisecond)
+	if n := ships.Load(); n > 2 {
+		t.Fatalf("one join woke %d ships to a follower whose ack never advanced, want one", n)
 	}
 }

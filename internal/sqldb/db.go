@@ -250,9 +250,6 @@ func Open(opts Options) (*DB, error) {
 		if err != nil {
 			return fail(err)
 		}
-		if db.store != nil {
-			w.truncLSN.Store(db.store.ckptLSN.Load())
-		}
 		db.wal = w
 	}
 	return db, nil
@@ -328,11 +325,17 @@ func (db *DB) emit(s StmtStats) {
 // anything chains stay short and the queue never grows with the log. It
 // returns the index of the log's committed prefix, every group it read
 // marked, redone or not; the last mark is where the prefix ends, what Open
-// repairs the file to before the first append.
+// repairs the file to before the first append. The first mark's LSN is
+// where the file reaches back to: the checkpoint's, or the LSN before the
+// file's first group when a checkpoint kept older groups in it, as one
+// does while a follower is shipped.
 func (db *DB) redoLog(data []byte, ckptLSN uint64, mayContain bool) ([]walMark, error) {
-	marks := []walMark{{}}
+	marks := []walMark{{lsn: ckptLSN}}
 	rd := logReader{data: data}
 	for rd.next() {
+		if rd.start == 0 {
+			marks[0].lsn = min(ckptLSN, rd.lsn-1)
+		}
 		marks = addMark(marks, rd.lsn, int64(rd.end))
 		if rd.lsn <= ckptLSN {
 			continue

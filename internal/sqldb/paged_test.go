@@ -261,8 +261,8 @@ func TestCheckpointWithoutPagesIsANoOp(t *testing.T) {
 	if st := db.BufferPoolStats(); st.Checkpoints != 0 {
 		t.Fatalf("log-only Checkpoint counted: %+v", st)
 	}
-	if got, _, err := db.CommittedSince(0, 0); err != nil || len(got) != 41 {
-		t.Fatalf("log after Checkpoint ships %d groups, err %v; want all 41", len(got), err)
+	if got, _, err := db.CommittedSince(0, 0); err != nil || len(readGroups(got)) != 41 {
+		t.Fatalf("log after Checkpoint ships %d groups, err %v; want all 41", len(readGroups(got)), err)
 	}
 	mem := New()
 	defer mem.Close()
@@ -662,13 +662,13 @@ func TestPagedFollowerApply(t *testing.T) {
 	}
 	ship := func(f *DB) {
 		t.Helper()
-		batches, _, err := leader.CommittedSince(f.AppliedLSN(), 0)
+		run, _, err := leader.CommittedSince(f.AppliedLSN(), 0)
 		if err != nil {
 			t.Fatalf("CommittedSince: %v", err)
 		}
-		for _, b := range batches {
-			if err := f.ApplyCommitted([]CommittedBatch{b}); err != nil {
-				t.Fatalf("ApplyCommitted(%d): %v", b.LSN, err)
+		for _, g := range readGroups(run) {
+			if err := f.ApplyCommitted(run[g.start:g.end]); err != nil {
+				t.Fatalf("ApplyCommitted(%d): %v", g.lsn, err)
 			}
 		}
 	}
@@ -705,7 +705,7 @@ func TestPagedFollowerApply(t *testing.T) {
 func TestPagedTruncatedLogRefusesFarBehindFollower(t *testing.T) {
 	vfs := NewMemVFS()
 	leader := openPaged(t, vfs)
-	// A shipping leader: its tap is what keeps committed batches in memory.
+	// A shipping leader: its tap is what keeps the recent log in the file.
 	tap, err := leader.ReplicationTap()
 	if err != nil {
 		t.Fatal(err)
@@ -718,21 +718,29 @@ func TestPagedTruncatedLogRefusesFarBehindFollower(t *testing.T) {
 	if err := leader.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	cut := leader.BufferPoolStats().CheckpointLSN
-	// Everything this process committed is still in its ring: no hole yet.
-	if got, _, err := leader.CommittedSince(0, 0); err != nil || len(got) != 11 {
-		t.Fatalf("from the ring: %d batches, err %v; want all 11", len(got), err)
+	// Everything this process committed is still in the file: no hole yet.
+	if got, _, err := leader.CommittedSince(0, 0); err != nil || len(readGroups(got)) != 11 {
+		t.Fatalf("from the kept tail: %d groups, err %v; want all 11", len(readGroups(got)), err)
 	}
-	// A restarted leader has only the file, and the file starts after the cut.
+	// A restarted leader serves what its file kept, until a checkpoint with
+	// no tap registered cuts the file, which then starts after the cut.
 	leader = openPaged(t, vfs)
 	defer leader.Close()
+	if got, _, err := leader.CommittedSince(0, 0); err != nil || len(readGroups(got)) != 11 {
+		t.Fatalf("restarted, from the kept tail: %d groups, err %v; want all 11", len(readGroups(got)), err)
+	}
+	if err := leader.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	cut := leader.BufferPoolStats().CheckpointLSN
 	mustExec(t, leader, `INSERT INTO t VALUES (100)`)
 	if _, _, err := leader.CommittedSince(cut-1, 0); !errors.Is(err, ErrLogTruncated) {
 		t.Fatalf("resume below the cut: err = %v, want ErrLogTruncated", err)
 	}
-	got, _, err := leader.CommittedSince(cut, 0)
-	if err != nil || len(got) != 1 || got[0].LSN <= cut {
-		t.Fatalf("resume at the cut: %d batches, err %v; want the one commit after it", len(got), err)
+	run, _, err := leader.CommittedSince(cut, 0)
+	got := readGroups(run)
+	if err != nil || len(got) != 1 || got[0].lsn <= cut {
+		t.Fatalf("resume at the cut: %d groups, err %v; want the one commit after it", len(got), err)
 	}
 }
 

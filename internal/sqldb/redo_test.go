@@ -7,7 +7,7 @@ package sqldb
 // would receive them. Then the same groups go through the redo twice: a
 // reopen from the leader's crash image (Open → redoLog, over a page image
 // when the leader is paged and checkpointed at random points), and an empty
-// follower that applies the shipped batches and promotes. The three engines
+// follower that applies the shipped runs and promotes. The three engines
 // must describe the same database. This is "follower equals leader at equal
 // LSN" stated once, for recovery too.
 
@@ -107,7 +107,8 @@ type redoHistory struct {
 	dropped []string // names free for a CREATE TABLE to take again
 	made    int      // names ever made
 	script  []string
-	shipped []CommittedBatch
+	shipped []byte // every group committed, as a run
+	last    uint64 // the LSN of shipped's last group
 }
 
 func (h *redoHistory) fail(format string, args ...any) {
@@ -119,15 +120,13 @@ func (h *redoHistory) fail(format string, args ...any) {
 // would; called after every step, so a checkpoint's truncation never gets
 // ahead of the follower.
 func (h *redoHistory) collect() {
-	after := uint64(0)
-	if n := len(h.shipped); n > 0 {
-		after = h.shipped[n-1].LSN
-	}
-	bs, _, err := h.db.CommittedSince(after, 0)
+	run, _, err := h.db.CommittedSince(h.last, 0)
 	if err != nil {
-		h.fail("CommittedSince(%d): %v", after, err)
+		h.fail("CommittedSince(%d): %v", h.last, err)
 	}
-	h.shipped = append(h.shipped, bs...)
+	if gs := readGroups(run); len(gs) > 0 {
+		h.shipped, h.last = append(h.shipped, run...), gs[len(gs)-1].lsn
+	}
 }
 
 type execer interface {
@@ -325,12 +324,12 @@ func runRedoCase(t *testing.T, seed int64, paged bool) {
 	// (b) The shipped groups, in runs as a shipping loop delivers them.
 	follower := open(NewMemVFS())
 	defer follower.Close()
-	for rest := h.shipped; len(rest) > 0; {
+	for rest := readGroups(h.shipped); len(rest) > 0; {
 		n := 1 + h.rng.Intn(8)
 		if n > len(rest) {
 			n = len(rest)
 		}
-		if err := follower.ApplyCommitted(rest[:n]); err != nil {
+		if err := follower.ApplyCommitted(h.shipped[rest[0].start:rest[n-1].end]); err != nil {
 			h.fail("ApplyCommitted: %v", err)
 		}
 		rest = rest[n:]

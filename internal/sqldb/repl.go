@@ -11,20 +11,21 @@ import (
 // thesis — cluster state is just data — extended to availability: the
 // schedd's failover story is a database failover story). A leader's
 // committed groups are addressable by the LSN on their commit markers;
-// CommittedSince reads them back from the log file itself, seeking by a
-// sparse index of (LSN, offset) marks to the last mark at or below the
-// caller's LSN, and
-// ApplyCommitted replays them on a follower, re-stamping every version
+// CommittedSince cuts a run — the bytes of whole groups, exactly as they
+// lie in the log file — reading the file itself, from the sparse index's
+// last (LSN, offset) mark at or below the caller's LSN, and
+// ApplyCommitted replays a run on a follower, re-stamping every version
 // through the follower's own MVCC commit clock so its snapshot readers
 // are always transactionally consistent — a group is invisible until the
-// instant its stamp publishes, exactly like a local commit.
+// instant its stamp publishes, exactly like a local commit. A group's LSN
+// is stated once, in its commit marker.
 //
-// Apply is idempotent by LSN (a batch at or below the applied horizon is
+// Apply is idempotent by LSN (a group at or below the applied horizon is
 // skipped), which is what makes shipping safe to retry over a lossy link
-// with duplicating middleware. Applied batches are appended verbatim to
-// the follower's own log before they become visible, so the applied LSN
-// is durable: after a restart the follower resumes shipping from exactly
-// where its log ends.
+// with duplicating middleware. The groups applied are appended verbatim
+// to the follower's own log before they become visible, so the applied
+// LSN is durable: after a restart the follower resumes shipping from
+// exactly where its log ends.
 
 // ErrNoWAL reports a replication call on a database without a log.
 var ErrNoWAL = fmt.Errorf("sqldb: replication requires a WAL-backed database")
@@ -34,9 +35,9 @@ var ErrNoWAL = fmt.Errorf("sqldb: replication requires a WAL-backed database")
 // follower that far behind must be re-seeded instead.
 var ErrLogTruncated = errors.New("sqldb: replication: the log no longer reaches back that far")
 
-// ReplicationTap notifies a shipping loop that new committed batches are
+// ReplicationTap notifies a shipping loop that new committed groups are
 // available. The channel carries no data — consume it, then drain new
-// batches with CommittedSince.
+// groups with CommittedSince.
 type ReplicationTap struct {
 	w  *wal
 	ch chan struct{}
@@ -82,13 +83,13 @@ func (db *DB) DurableLSN() uint64 {
 // ApplyCommitted, or recovered from its own log at open.
 func (db *DB) AppliedLSN() uint64 { return db.replApplied.Load() }
 
-// CommittedSince returns committed groups with LSN > afterLSN in log
-// order, plus the current durable LSN. maxBytes caps the returned batch
-// bytes (0 = unlimited; at least one batch is always returned when any
-// qualifies). The batches are cut from one read of the log file, from the
-// indexed mark at or below afterLSN; the file is read through
-// RandomAccessVFS.OpenRandom.
-func (db *DB) CommittedSince(afterLSN uint64, maxBytes int) ([]CommittedBatch, uint64, error) {
+// CommittedSince returns the run of whole committed groups with afterLSN
+// < LSN ≤ durable, plus the durable LSN: the groups' log bytes as they lie
+// in the file, in log order. maxBytes caps the run (0 = unlimited; it
+// always holds at least one group when any qualifies). The run is cut from
+// one read of the log file, from the indexed mark at or below afterLSN;
+// the file is read through RandomAccessVFS.OpenRandom.
+func (db *DB) CommittedSince(afterLSN uint64, maxBytes int) ([]byte, uint64, error) {
 	if db.wal == nil {
 		return nil, 0, ErrNoWAL
 	}
@@ -107,7 +108,7 @@ func (w *wal) notifyTaps() {
 	}
 }
 
-func (w *wal) committedSince(afterLSN uint64, maxBytes int) ([]CommittedBatch, uint64, error) {
+func (w *wal) committedSince(afterLSN uint64, maxBytes int) ([]byte, uint64, error) {
 	durable := w.durableLSN.Load()
 	if afterLSN >= durable {
 		return nil, durable, nil
@@ -147,11 +148,11 @@ func (w *wal) committedSince(afterLSN uint64, maxBytes int) ([]CommittedBatch, u
 	if n, err := f.ReadAt(data, from); n < len(data) {
 		return nil, durable, fmt.Errorf("sqldb: replication read: %d of %d bytes at offset %d: %w", n, len(data), from, err)
 	}
-	out := splitBatches(data, afterLSN, maxBytes, durable)
-	if n := len(out); n > 0 {
-		w.noteServed(out[n-1].LSN)
+	run, last := cutRun(data, afterLSN, maxBytes, durable)
+	if len(run) > 0 {
+		w.noteServed(last)
 	}
-	return out, durable, nil
+	return run, durable, nil
 }
 
 func (w *wal) noteServed(lsn uint64) {
@@ -163,31 +164,33 @@ func (w *wal) noteServed(lsn uint64) {
 	}
 }
 
-// splitBatches cuts the whole committed groups with afterLSN < LSN <=
+// cutRun cuts the run of whole committed groups with afterLSN < LSN <=
 // durable out of raw log bytes, honoring maxBytes (always at least one
-// qualifying batch). The batches are views of data.
-func splitBatches(data []byte, afterLSN uint64, maxBytes int, durable uint64) []CommittedBatch {
-	var out []CommittedBatch
-	total := 0
-	for rd := (logReader{data: data}); rd.next(); {
-		if rd.lsn <= afterLSN || rd.lsn > durable {
+// qualifying group), and reports the LSN of its last group. Groups lie in
+// LSN order, so the run is one view of data.
+func cutRun(data []byte, afterLSN uint64, maxBytes int, durable uint64) (run []byte, last uint64) {
+	start := -1
+	for rd := (logReader{data: data}); rd.next() && rd.lsn <= durable; {
+		if rd.lsn <= afterLSN {
 			continue
 		}
-		if total += rd.end - rd.start; maxBytes > 0 && len(out) > 0 && total > maxBytes {
+		if start < 0 {
+			start = rd.start
+		} else if maxBytes > 0 && rd.end-start > maxBytes {
 			break
 		}
-		out = append(out, CommittedBatch{LSN: rd.lsn, Data: data[rd.start:rd.end:rd.end]})
+		run, last = data[start:rd.end:rd.end], rd.lsn
 	}
-	return out
+	return run, last
 }
 
-// appendRaw appends verbatim leader-sealed batches, validated by
-// decodeBatch, to the follower's log through the log's one write, and
-// advances the LSN horizon to the last of them. A torn append may have
-// landed whole groups before its tear, which the repair keeps: so only the
-// batches above the log's last whole group are written, or a retried run
-// would put those groups in the log twice.
-func (w *wal) appendRaw(batches []CommittedBatch) error {
+// appendRaw appends a verbatim leader-sealed run, validated by
+// ApplyCommitted and ending in the group at LSN last, to the follower's
+// log through the log's one write, and advances the LSN horizon to last.
+// A torn append may have landed whole groups before its tear, which the
+// repair keeps: so only the groups above the log's last whole group are
+// written, or a retried run would put those groups in the log twice.
+func (w *wal) appendRaw(run []byte, last uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.dirty {
@@ -196,14 +199,12 @@ func (w *wal) appendRaw(batches []CommittedBatch) error {
 		}
 	}
 	logged := w.marks[len(w.marks)-1].lsn
-	w.wbuf.Reset()
-	for _, b := range batches {
-		if b.LSN > logged {
-			w.wbuf.Write(b.Data)
-		}
+	from := 0
+	for rd := (logReader{data: run}); rd.next() && rd.lsn <= logged; {
+		from = rd.end
 	}
-	last := max(batches[len(batches)-1].LSN, logged)
-	if _, err := w.appendLocked(w.wbuf.Bytes(), last); err != nil {
+	last = max(last, logged)
+	if _, err := w.appendLocked(run[from:], last); err != nil {
 		return err
 	}
 	w.nextLSN = max(w.nextLSN, last)
@@ -211,36 +212,42 @@ func (w *wal) appendRaw(batches []CommittedBatch) error {
 }
 
 // ApplyCommitted applies a run of committed groups shipped from a leader:
-// validate every batch, append them all to this node's own log with one
-// sync (durability first — the applied LSN must survive a restart), then
-// redo each group in order. It is idempotent: a batch at or below the
-// applied horizon is skipped, which is what makes shipping safe to retry.
-// Batches must arrive in LSN order (the shipping loop reads them in log
-// order; LSNs may have gaps).
-func (db *DB) ApplyCommitted(batches []CommittedBatch) error {
+// read and check the whole run, append the groups it applies to this
+// node's own log with one sync (durability first — the applied LSN must
+// survive a restart), then redo each group in order. A run is whole groups
+// in strictly rising LSN order, gaps allowed. It is idempotent: groups at
+// or below the applied horizon, which can only lead a run, are skipped,
+// which is what makes shipping safe to retry. Anything else — a torn or
+// garbage tail, a group whose LSN does not exceed the one before it —
+// refuses the whole run before any of it reaches the log.
+func (db *DB) ApplyCommitted(run []byte) error {
 	applied := db.replApplied.Load()
-	todo := batches[:0:0]
-	for _, b := range batches {
-		if b.LSN <= applied {
-			db.replBatchesSkipped.Add(1)
+	var lsns []uint64
+	var groups [][]walRecord
+	from, skipped, prev := 0, 0, uint64(0)
+	rd := logReader{data: run}
+	for rd.next() {
+		if rd.start > 0 && rd.lsn <= prev {
+			db.replApplyErrors.Add(1)
+			return fmt.Errorf("sqldb: follower apply: group at lsn %d follows lsn %d in a shipped run", rd.lsn, prev)
+		}
+		prev = rd.lsn
+		if rd.lsn <= applied {
+			from, skipped = rd.end, skipped+1
 			continue
 		}
-		applied = b.LSN
-		todo = append(todo, b)
+		lsns, groups = append(lsns, rd.lsn), append(groups, rd.recs)
+		rd.recs = nil // the group keeps its records; the next is read into its own
 	}
-	if len(todo) == 0 {
+	if rd.end != len(run) {
+		// A group the reader rejects must never reach this node's log,
+		// where every later Open would meet it.
+		db.replApplyErrors.Add(1)
+		return fmt.Errorf("sqldb: follower apply: %d bytes of a %d-byte run after lsn %d are not whole committed groups", len(run)-rd.end, len(run), prev)
+	}
+	db.replBatchesSkipped.Add(uint64(skipped))
+	if len(groups) == 0 {
 		return nil
-	}
-	// Decode before anything is written: a batch the reader rejects must
-	// never reach this node's log, where every later Open would meet it.
-	groups := make([][]walRecord, len(todo))
-	for i, b := range todo {
-		recs, err := decodeBatch(b)
-		if err != nil {
-			db.replApplyErrors.Add(1)
-			return err
-		}
-		groups[i] = recs
 	}
 	if err := db.checkRun(groups); err != nil {
 		db.replApplyErrors.Add(1)
@@ -250,16 +257,16 @@ func (db *DB) ApplyCommitted(batches []CommittedBatch) error {
 		// Register every LSN as in-flight BEFORE appendRaw advances the
 		// durable LSN: a fuzzy checkpoint must not pass an LSN that is
 		// durable in the log but not yet applied to pages.
-		for _, b := range todo {
-			db.wal.registerInflight(b.LSN)
+		for _, lsn := range lsns {
+			db.wal.registerInflight(lsn)
 		}
-		if err := db.wal.appendRaw(todo); err != nil {
+		if err := db.wal.appendRaw(run[from:], prev); err != nil {
 			db.replApplyErrors.Add(1)
 			return fmt.Errorf("sqldb: follower apply: %w", err)
 		}
 	}
-	for i, b := range todo {
-		if err := db.applyGroup(b.LSN, groups[i], false); err != nil {
+	for i, lsn := range lsns {
+		if err := db.applyGroup(lsn, groups[i], false); err != nil {
 			// Leave the failed group (and any after it) registered: a
 			// checkpoint wedging below an unapplied durable LSN is safe;
 			// truncating its records away would not be.
@@ -267,7 +274,7 @@ func (db *DB) ApplyCommitted(batches []CommittedBatch) error {
 			return fmt.Errorf("sqldb: follower apply: %w", err)
 		}
 		if db.wal != nil {
-			db.wal.unregisterInflight(b.LSN)
+			db.wal.unregisterInflight(lsn)
 		}
 		db.replBatchesApplied.Add(1)
 		db.replRecordsApplied.Add(uint64(len(groups[i])))
@@ -332,20 +339,6 @@ func (db *DB) checkRun(groups [][]walRecord) error {
 		}
 	}
 	return nil
-}
-
-// decodeBatch validates one shipped batch and returns its redo records:
-// the bytes must be exactly one whole group — CRC-valid, decodable, nothing
-// before or after it — whose commit marker carries the batch's LSN.
-func decodeBatch(b CommittedBatch) ([]walRecord, error) {
-	rd := logReader{data: b.Data}
-	if !rd.next() || rd.end != len(b.Data) {
-		return nil, fmt.Errorf("sqldb: follower apply: batch at lsn %d is not one whole committed group", b.LSN)
-	}
-	if rd.lsn != b.LSN {
-		return nil, fmt.Errorf("sqldb: follower apply: batch at lsn %d ends in the commit marker of lsn %d", b.LSN, rd.lsn)
-	}
-	return rd.recs, nil
 }
 
 // applyGroup is the redo: the one place a logged group becomes heap rows,
@@ -507,7 +500,7 @@ func (db *DB) RebuildAfterReplication() {
 }
 
 // ReplStats snapshots the engine-level replication counters. Shipped-side
-// numbers describe this node as a leader (batches served to followers);
+// numbers describe this node as a leader (runs served to followers);
 // applied-side numbers describe it as a follower.
 type ReplStats struct {
 	// DurableLSN is the newest LSN stable in this node's own log.
@@ -517,12 +510,13 @@ type ReplStats struct {
 	// AppliedLSN is the newest LSN applied through ApplyCommitted (or
 	// recovered from the node's own log).
 	AppliedLSN uint64
-	// BatchesApplied / RecordsApplied count follower-apply work.
+	// BatchesApplied / RecordsApplied count follower-apply work: the
+	// groups redone and their records.
 	BatchesApplied uint64
 	RecordsApplied uint64
-	// BatchesSkipped counts idempotent re-deliveries dropped by LSN.
+	// BatchesSkipped counts re-delivered groups dropped by LSN.
 	BatchesSkipped uint64
-	// ApplyErrors counts batches rejected by validation or apply.
+	// ApplyErrors counts runs rejected by validation or apply.
 	ApplyErrors uint64
 }
 

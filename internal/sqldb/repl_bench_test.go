@@ -4,7 +4,7 @@ package sqldb
 //
 // BenchmarkReplShipping measures steady-state log shipping: 16
 // concurrent committers on the leader while a pump drains
-// CommittedSince batches into a follower's ApplyCommitted; an op is one
+// CommittedSince runs into a follower's ApplyCommitted; an op is one
 // leader insert fully applied on the follower (the timer stops only
 // after the follower has caught up, so apply lag is inside the
 // measurement). BenchmarkFailover measures the promotion-critical path
@@ -55,11 +55,11 @@ func BenchmarkReplShipping(b *testing.B) {
 		defer pumpWG.Done()
 		drain := func() {
 			for {
-				batches, _, err := leader.CommittedSince(follower.AppliedLSN(), 1<<20)
-				if err != nil || len(batches) == 0 {
+				run, _, err := leader.CommittedSince(follower.AppliedLSN(), 1<<20)
+				if err != nil || len(run) == 0 {
 					return
 				}
-				if err := follower.ApplyCommitted(batches); err != nil {
+				if err := follower.ApplyCommitted(run); err != nil {
 					b.Errorf("apply: %v", err)
 					return
 				}

@@ -10,24 +10,24 @@ import (
 	"time"
 )
 
-// pump drains every committed group from leader to follower, returning
-// the number of batches applied.
+// pump drains every committed group from leader to follower, each group
+// a run of its own, returning the number of groups applied.
 func pump(t *testing.T, leader, follower *DB) int {
 	t.Helper()
 	n := 0
 	for {
-		batches, durable, err := leader.CommittedSince(follower.AppliedLSN(), 0)
+		run, durable, err := leader.CommittedSince(follower.AppliedLSN(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(batches) == 0 {
+		if len(run) == 0 {
 			if follower.AppliedLSN() < durable {
-				t.Fatalf("no batches but follower %d < durable %d", follower.AppliedLSN(), durable)
+				t.Fatalf("no groups but follower %d < durable %d", follower.AppliedLSN(), durable)
 			}
 			return n
 		}
-		for _, b := range batches {
-			if err := follower.ApplyCommitted([]CommittedBatch{b}); err != nil {
+		for _, g := range readGroups(run) {
+			if err := follower.ApplyCommitted(run[g.start:g.end]); err != nil {
 				t.Fatal(err)
 			}
 			n++
@@ -113,23 +113,23 @@ func TestReplIdempotentReapply(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		mustExec(t, leader, `INSERT INTO t (id, v) VALUES (?, ?)`, i, i*7)
 	}
-	batches, _, err := leader.CommittedSince(0, 0)
+	run, _, err := leader.CommittedSince(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := follower.ApplyCommitted(batches); err != nil {
+	if err := follower.ApplyCommitted(run); err != nil {
 		t.Fatal(err)
 	}
 	before := follower.ReplStats()
-	if err := follower.ApplyCommitted(batches); err != nil {
+	if err := follower.ApplyCommitted(run); err != nil {
 		t.Fatal(err)
 	}
 	after := follower.ReplStats()
 	if after.BatchesApplied != before.BatchesApplied {
-		t.Fatalf("re-delivery applied batches: %d -> %d", before.BatchesApplied, after.BatchesApplied)
+		t.Fatalf("re-delivery applied groups: %d -> %d", before.BatchesApplied, after.BatchesApplied)
 	}
-	if skipped := after.BatchesSkipped - before.BatchesSkipped; skipped != uint64(len(batches)) {
-		t.Fatalf("skipped %d of %d re-delivered batches", skipped, len(batches))
+	if skipped, n := after.BatchesSkipped-before.BatchesSkipped, len(readGroups(run)); skipped != uint64(n) {
+		t.Fatalf("skipped %d of %d re-delivered groups", skipped, n)
 	}
 	rows := mustQuery(t, follower, `SELECT count(*), sum(v) FROM t`)
 	if rows.Data[0][0].Int64() != 10 || rows.Data[0][1].Int64() != 7*55 {
@@ -151,11 +151,12 @@ func TestReplFollowerRestartResume(t *testing.T) {
 		mustExec(t, leader, `INSERT INTO t (id, v) VALUES (?, ?)`, i, i)
 	}
 	// Ship roughly half.
-	batches, _, err := leader.CommittedSince(0, 0)
+	run, _, err := leader.CommittedSince(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	half := batches[:len(batches)/2]
+	groups := readGroups(run)
+	half := run[:groups[len(groups)/2].start]
 	if err := follower.ApplyCommitted(half); err != nil {
 		t.Fatal(err)
 	}
@@ -206,13 +207,14 @@ func TestReplSnapshotConsistencyDuringApply(t *testing.T) {
 		mustExec(t, leader, `UPDATE acct SET bal = bal + 1`)
 	}
 
-	batches, _, err := leader.CommittedSince(0, 0)
+	run, _, err := leader.CommittedSince(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	groups := readGroups(run)
 	// Seed the schema + initial rows so readers have a table.
-	seed := 4 // DDL, insert, insert batches at minimum
-	if err := follower.ApplyCommitted(batches[:seed]); err != nil {
+	seed := 4 // DDL, insert, insert groups at minimum
+	if err := follower.ApplyCommitted(run[:groups[seed].start]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -244,8 +246,8 @@ func TestReplSnapshotConsistencyDuringApply(t *testing.T) {
 			}
 		}()
 	}
-	for _, b := range batches[seed:] {
-		if err := follower.ApplyCommitted([]CommittedBatch{b}); err != nil {
+	for _, g := range groups[seed:] {
+		if err := follower.ApplyCommitted(run[g.start:g.end]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -289,7 +291,7 @@ func TestReplRecycledSlotApply(t *testing.T) {
 	}
 }
 
-// TestReplApplyRejectsCorruptBatch flips one byte in a shipped batch:
+// TestReplApplyRejectsCorruptBatch flips one byte in a shipped group:
 // validation must reject it before anything mutates, counting an apply
 // error and leaving the applied horizon unmoved.
 func TestReplApplyRejectsCorruptBatch(t *testing.T) {
@@ -299,18 +301,20 @@ func TestReplApplyRejectsCorruptBatch(t *testing.T) {
 	defer follower.Close()
 	mustExec(t, leader, `CREATE TABLE t (x INTEGER)`)
 	mustExec(t, leader, `INSERT INTO t (x) VALUES (1)`)
-	batches, _, err := leader.CommittedSince(0, 0)
+	run, _, err := leader.CommittedSince(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := follower.ApplyCommitted(batches[:1]); err != nil {
+	groups := readGroups(run)
+	if err := follower.ApplyCommitted(run[:groups[0].end]); err != nil {
 		t.Fatal(err)
 	}
 	mark := follower.AppliedLSN()
-	bad := append([]byte(nil), batches[1].Data...)
+	second := run[groups[1].start:groups[1].end]
+	bad := append([]byte(nil), second...)
 	bad[len(bad)/2] ^= 0x01
-	if err := follower.ApplyCommitted([]CommittedBatch{{LSN: batches[1].LSN, Data: bad}}); err == nil {
-		t.Fatal("corrupt batch accepted")
+	if err := follower.ApplyCommitted(bad); err == nil {
+		t.Fatal("corrupt group accepted")
 	}
 	if follower.AppliedLSN() != mark {
 		t.Fatal("applied horizon moved past a rejected batch")
@@ -318,8 +322,8 @@ func TestReplApplyRejectsCorruptBatch(t *testing.T) {
 	if follower.ReplStats().ApplyErrors == 0 {
 		t.Fatal("apply error not counted")
 	}
-	// The pristine batch must still apply afterwards.
-	if err := follower.ApplyCommitted(batches[1:2]); err != nil {
+	// The pristine group must still apply afterwards.
+	if err := follower.ApplyCommitted(second); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -366,7 +370,7 @@ func TestReplReadsRaceCheckpoints(t *testing.T) {
 	}()
 	after, served := uint64(0), 0
 	for deadline := time.Now().Add(300 * time.Millisecond); time.Now().Before(deadline); {
-		batches, _, err := db.CommittedSince(after, 4<<10)
+		run, _, err := db.CommittedSince(after, 4<<10)
 		if errors.Is(err, ErrLogTruncated) {
 			after = db.wal.truncLSN.Load()
 			continue
@@ -374,15 +378,15 @@ func TestReplReadsRaceCheckpoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		served += len(batches)
-		for _, b := range batches {
-			if b.LSN != after+1 {
-				t.Fatalf("read after LSN %d: batch at LSN %d", after, b.LSN)
+		if n := committedLen(run); n != len(run) {
+			t.Fatalf("read after LSN %d: %d of the run's %d bytes are whole groups", after, n, len(run))
+		}
+		for _, g := range readGroups(run) {
+			if g.lsn != after+1 {
+				t.Fatalf("read after LSN %d: group at LSN %d", after, g.lsn)
 			}
-			if _, err := decodeBatch(b); err != nil {
-				t.Fatal(err)
-			}
-			after = b.LSN
+			after = g.lsn
+			served++
 		}
 	}
 	close(stop)
@@ -392,14 +396,14 @@ func TestReplReadsRaceCheckpoints(t *testing.T) {
 		}
 	}
 	if trunc := db.wal.truncLSN.Load(); served == 0 || trunc == 0 {
-		t.Fatalf("%d batches served, the log cut through LSN %d: the race was not run", served, trunc)
+		t.Fatalf("%d groups served, the log cut through LSN %d: the race was not run", served, trunc)
 	}
 }
 
 // TestReplCommittedSinceMatchesTheFile: CommittedSince has one read path,
 // the log file from the indexed mark at or below the caller's LSN, so what
-// it returns from every LSN the log can serve is exactly what splitting the
-// whole file returns — with maxBytes or without, on a log spanning several
+// it returns from every LSN the log can serve is exactly the run cut from
+// the whole file — with maxBytes or without, on a log spanning several
 // marks, after a reopen (marks seeded by Open's log pass), after a
 // checkpoint's cut (marks rebased), after a torn write's repair (marks
 // trimmed to what it kept), and on a follower's own log, written by
@@ -432,14 +436,12 @@ func TestReplCommittedSinceMatchesTheFile(t *testing.T) {
 				if err != nil || d != durable {
 					t.Fatalf("%s: CommittedSince(%d, %d): durable %d, err %v", what, x, maxBytes, d, err)
 				}
-				want := splitBatches(data, x, maxBytes, durable)
-				if len(got) != len(want) || (x < durable && len(got) == 0) {
-					t.Fatalf("%s: CommittedSince(%d, %d): %d batches, the file splits into %d", what, x, maxBytes, len(got), len(want))
+				want, _ := cutRun(data, x, maxBytes, durable)
+				if x < durable && len(got) == 0 {
+					t.Fatalf("%s: CommittedSince(%d, %d): an empty run below the durable LSN", what, x, maxBytes)
 				}
-				for i := range got {
-					if got[i].LSN != want[i].LSN || !bytes.Equal(got[i].Data, want[i].Data) {
-						t.Fatalf("%s: CommittedSince(%d, %d): batch %d differs from the file's", what, x, maxBytes, i)
-					}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s: CommittedSince(%d, %d): a %d-byte run, the file's is %d bytes or differs", what, x, maxBytes, len(got), len(want))
 				}
 			}
 		}
@@ -568,11 +570,11 @@ func TestReplCommittedSinceMatchesTheFile(t *testing.T) {
 		mustExec(t, leader, ddl)
 		fill(t, leader, 0, 200)
 		for follower.AppliedLSN() < leader.DurableLSN() {
-			batches, _, err := leader.CommittedSince(follower.AppliedLSN(), 8<<10)
-			if err != nil || len(batches) == 0 {
-				t.Fatalf("ship from LSN %d: %d batches, err %v", follower.AppliedLSN(), len(batches), err)
+			run, _, err := leader.CommittedSince(follower.AppliedLSN(), 8<<10)
+			if err != nil || len(run) == 0 {
+				t.Fatalf("ship from LSN %d: a %d-byte run, err %v", follower.AppliedLSN(), len(run), err)
 			}
-			if err := follower.ApplyCommitted(batches); err != nil {
+			if err := follower.ApplyCommitted(run); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -618,15 +620,14 @@ func TestReplTapKeepsRecentLogAcrossCheckpoint(t *testing.T) {
 		t.Fatalf("kept %d bytes, the first group ending at %d: want the fewest whole groups holding %d", len(data), rd.end, walTapRetain)
 	}
 	durable := db.DurableLSN()
-	got, _, err := db.CommittedSince(trunc, 0)
-	want := splitBatches(data, trunc, 0, durable)
-	if err != nil || len(got) != len(want) || len(got) == 0 || got[0].LSN != trunc+1 || got[len(got)-1].LSN != durable {
-		t.Fatalf("resume from the kept tail's start (LSN %d): %d batches, err %v; want the file's %d, LSN %d to %d", trunc, len(got), err, len(want), trunc+1, durable)
+	run, _, err := db.CommittedSince(trunc, 0)
+	want, _ := cutRun(data, trunc, 0, durable)
+	got := readGroups(run)
+	if err != nil || len(got) != len(readGroups(want)) || len(got) == 0 || got[0].lsn != trunc+1 || got[len(got)-1].lsn != durable {
+		t.Fatalf("resume from the kept tail's start (LSN %d): %d groups, err %v; want the file's %d, LSN %d to %d", trunc, len(got), err, len(readGroups(want)), trunc+1, durable)
 	}
-	for i := range got {
-		if !bytes.Equal(got[i].Data, want[i].Data) {
-			t.Fatalf("batch %d (LSN %d) differs from the file's", i, got[i].LSN)
-		}
+	if !bytes.Equal(run, want) {
+		t.Fatal("the run differs from the file's")
 	}
 	if _, _, err := db.CommittedSince(trunc-1, 0); !errors.Is(err, ErrLogTruncated) {
 		t.Fatalf("resume below the kept tail: err = %v, want ErrLogTruncated", err)
@@ -655,20 +656,21 @@ func TestRedoFollowerTornAppendRetried(t *testing.T) {
 		mustExec(t, leader, `INSERT INTO t VALUES (?, 'row')`, i)
 	}
 	shipped, _, err := leader.CommittedSince(0, 0)
-	if err != nil || len(shipped) != 5 {
-		t.Fatalf("shipped %d batches (%v), want CREATE and four inserts", len(shipped), err)
+	groups := readGroups(shipped)
+	if err != nil || len(groups) != 5 {
+		t.Fatalf("shipped %d groups (%v), want CREATE and four inserts", len(groups), err)
 	}
 	vfs := NewFaultVFS(NewMemVFS())
 	follower, err := Open(Options{VFS: vfs, Path: "f.wal"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := follower.ApplyCommitted(shipped[:1]); err != nil {
+	if err := follower.ApplyCommitted(shipped[:groups[0].end]); err != nil {
 		t.Fatal(err)
 	}
 	applied := follower.AppliedLSN()
-	inserts := shipped[1:]
-	vfs.SetWriteBudget(int64(len(inserts[0].Data) + len(inserts[1].Data) + 3))
+	inserts := shipped[groups[1].start:]
+	vfs.SetWriteBudget(int64(groups[3].start - groups[1].start + 3))
 	if err := follower.ApplyCommitted(inserts); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("apply on a full device: %v, want ErrNoSpace", err)
 	}
@@ -703,5 +705,127 @@ func TestRedoFollowerTornAppendRetried(t *testing.T) {
 	defer reopened.Close()
 	if got := fmt.Sprint(mustQuery(t, reopened, `SELECT id FROM t ORDER BY id`).Data); got != want {
 		t.Fatalf("reopened follower holds %s, want %s", got, want)
+	}
+}
+
+// TestReplRunRule: a shipped run is whole groups in strictly rising LSN
+// order, and the groups at or below the applied horizon may only lead it.
+// A run breaking the rule anywhere — in its middle, in its last group, in
+// bytes after its last whole group — is refused whole: counted, the
+// applied LSN unmoved, the follower's log byte-identical. A run whose
+// prefix is already applied applies only its suffix.
+func TestReplRunRule(t *testing.T) {
+	leader := openVFS(t, NewMemVFS())
+	defer leader.Close()
+	mustExec(t, leader, `CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER NOT NULL)`)
+	for i := 1; i <= 5; i++ {
+		mustExec(t, leader, `INSERT INTO t (id, v) VALUES (?, ?)`, i, i)
+	}
+	run, _, err := leader.CommittedSince(0, 0)
+	groups := readGroups(run)
+	if err != nil || len(groups) != 6 {
+		t.Fatalf("shipped %d groups (%v), want CREATE and five inserts", len(groups), err)
+	}
+	group := func(i int) []byte { return run[groups[i].start:groups[i].end] }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+
+	vfs := NewMemVFS()
+	follower, err := Open(Options{VFS: vfs, Path: "f.wal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	if err := follower.ApplyCommitted(run[:groups[2].end]); err != nil { // CREATE and two inserts
+		t.Fatal(err)
+	}
+	applied := follower.AppliedLSN()
+	for _, tc := range []struct {
+		name string
+		run  []byte
+	}{
+		{"an out-of-order group in the middle", cat(group(4), group(3), group(5))},
+		{"an out-of-order last group", cat(group(3), group(5), group(4))},
+		{"a repeated last group", cat(group(3), group(4), group(4))},
+		{"an applied group after one to apply", cat(group(3), group(2))},
+		{"trailing garbage", cat(group(3), group(4), []byte{9, 0, 0, 0, 1})},
+		{"a torn last group", cat(group(3), group(4)[:len(group(4))-1])},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before, _ := vfs.ReadFile("f.wal")
+			errs := follower.ReplStats().ApplyErrors
+			if err := follower.ApplyCommitted(tc.run); err == nil {
+				t.Fatal("the run was applied")
+			}
+			if after, _ := vfs.ReadFile("f.wal"); !bytes.Equal(before, after) {
+				t.Fatalf("the refused run changed the follower's log: %d bytes → %d", len(before), len(after))
+			}
+			if got := follower.AppliedLSN(); got != applied {
+				t.Fatalf("AppliedLSN %d after the refusal, want %d", got, applied)
+			}
+			if got := follower.ReplStats().ApplyErrors - errs; got != 1 {
+				t.Fatalf("the refusal counted %d apply errors, want 1", got)
+			}
+		})
+	}
+
+	// Groups 1 and 2 are applied; the run from 1 on applies 3 to 5 only.
+	before := follower.ReplStats()
+	if err := follower.ApplyCommitted(run[groups[1].start:]); err != nil {
+		t.Fatal(err)
+	}
+	after := follower.ReplStats()
+	if skipped, done := after.BatchesSkipped-before.BatchesSkipped, after.BatchesApplied-before.BatchesApplied; skipped != 2 || done != 3 {
+		t.Fatalf("a run with 2 groups applied and 3 new: %d skipped, %d applied", skipped, done)
+	}
+	if got, want := follower.AppliedLSN(), leader.DurableLSN(); got != want {
+		t.Fatalf("follower applied LSN %d, leader durable %d", got, want)
+	}
+	if log, _ := vfs.ReadFile("f.wal"); !bytes.Equal(log, run) {
+		t.Fatalf("the follower's log (%d bytes) is not the leader's run (%d bytes) as it lies", len(log), len(run))
+	}
+	rows := mustQuery(t, follower, `SELECT count(*), sum(v) FROM t`)
+	if rows.Data[0][0].Int64() != 5 || rows.Data[0][1].Int64() != 15 {
+		t.Fatalf("follower holds %v, want 5 rows summing to 15", rows.Data[0])
+	}
+}
+
+// TestReplRestartServesTheKeptTail: a paged leader that checkpointed while
+// shipping kept its log's recent tail in the file, and after a crash it
+// still serves it. Open takes how far back the file reaches from the
+// file's first group, not from the checkpoint's LSN, so a follower whose
+// ack lies inside the kept tail is shipped from the file, and one below
+// it is still refused.
+func TestReplRestartServesTheKeptTail(t *testing.T) {
+	vfs := NewMemVFS()
+	db := openPagedOpts(t, vfs, 16, 8192)
+	if _, err := db.ReplicationTap(); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT NOT NULL)`)
+	payload := strings.Repeat("x", 7000)
+	for i := 0; i < 700; i++ { // ≈ 4.9 MB of log, more than the tap keeps
+		mustExec(t, db, `INSERT INTO t (id, v) VALUES (?, ?)`, i, payload)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	trunc, ckpt, durable := db.wal.truncLSN.Load(), db.BufferPoolStats().CheckpointLSN, db.DurableLSN()
+	if trunc == 0 || trunc+2 >= ckpt {
+		t.Fatalf("the log cut through LSN %d, checkpointed through %d: want a kept tail below the checkpoint", trunc, ckpt)
+	}
+	crash := snapshotVFS(t, vfs) // the leader is abandoned, not closed
+	db.Close()
+
+	reopened := openPagedOpts(t, restoreVFS(t, crash), 16, 8192)
+	defer reopened.Close()
+	for _, from := range []uint64{trunc, (trunc + ckpt) / 2, ckpt - 1} {
+		run, d, err := reopened.CommittedSince(from, 0)
+		got := readGroups(run)
+		if err != nil || d != durable || len(got) == 0 || committedLen(run) != len(run) || got[0].lsn != from+1 || got[len(got)-1].lsn != durable {
+			t.Fatalf("restarted, resume from LSN %d inside the kept tail: %d groups, durable %d, err %v; want LSN %d to %d", from, len(got), d, err, from+1, durable)
+		}
+	}
+	if _, _, err := reopened.CommittedSince(trunc-1, 0); !errors.Is(err, ErrLogTruncated) {
+		t.Fatalf("restarted, resume below the kept tail: err = %v, want ErrLogTruncated", err)
 	}
 }

@@ -50,7 +50,7 @@ func TestRedoRowRules(t *testing.T) {
 			group := groupBytes(lsn+1, tc.rec)
 			t.Run(tc.name+"/ApplyCommitted", func(t *testing.T) {
 				before, _ := follower.wal.vfs.ReadFile("test.wal")
-				err := follower.ApplyCommitted([]CommittedBatch{{LSN: lsn + 1, Data: group}})
+				err := follower.ApplyCommitted(group)
 				if !errors.Is(err, tc.want) {
 					t.Fatalf("ApplyCommitted = %v, want %q", err, tc.want)
 				}
@@ -118,7 +118,8 @@ func redoOverImage(t *testing.T, after []string, want error) {
 	for _, sql := range after {
 		mustExec(t, leader, sql)
 	}
-	tail, _, err := leader.CommittedSince(ckpt, 0)
+	run, _, err := leader.CommittedSince(ckpt, 0)
+	tail := readGroups(run)
 	if err != nil || len(tail) != len(after) {
 		t.Fatalf("the tail above the checkpoint: %d groups, err %v", len(tail), err)
 	}
@@ -139,8 +140,7 @@ func redoOverImage(t *testing.T, after []string, want error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := readGroups(tail[0].Data)[0].recs
-	if err := image.applyGroup(tail[0].LSN, recs, false); !errors.Is(err, want) {
+	if err := image.applyGroup(tail[0].lsn, tail[0].recs, false); !errors.Is(err, want) {
 		t.Fatalf("the tail's first group redone strictly over the image = %v, want %q", err, want)
 	}
 	image.Close()
@@ -203,8 +203,8 @@ func TestSharedLatchNonKeyWrites(t *testing.T) {
 		return err
 	})
 	update, _, err := leader.CommittedSince(lsn, 0)
-	if err != nil || len(update) != 1 {
-		t.Fatalf("the update's group: %d groups, err %v", len(update), err)
+	if n := len(readGroups(update)); err != nil || n != 1 {
+		t.Fatalf("the update's group: %d groups, err %v", n, err)
 	}
 	underSharedLatch(follower, "the redo of the shipped update", func() error {
 		return follower.ApplyCommitted(update)

@@ -413,15 +413,6 @@ type walBatch struct {
 	lead chan struct{}
 }
 
-// CommittedBatch is one committed group as it sits in the log: the frame
-// holding the transaction's redo records and its commit marker, verbatim
-// log bytes. LSN is the commit marker's sequence number. Batches stream to
-// followers through CommittedSince and apply through ApplyCommitted.
-type CommittedBatch struct {
-	LSN  uint64
-	Data []byte
-}
-
 // walMark is one entry of the log file's sparse index: every group at or
 // below lsn ends at or before byte off of the file, and every group from
 // off on is above lsn.
@@ -483,9 +474,8 @@ type wal struct {
 	nextLSN    uint64
 	durableLSN atomic.Uint64
 
-	// wbuf (guarded by mu) is the one write buffer: a flush seals its
-	// group into it, a follower lays its shipped batches into it, and it
-	// is reused, append after append. Nothing keeps a view of it.
+	// wbuf (guarded by mu) is the write buffer of this node's own flushes,
+	// reused flush after flush; nothing keeps a view of it.
 	wbuf bytes.Buffer
 
 	// marks is the log file's sparse index (see walMark), ascending in LSN
@@ -513,11 +503,11 @@ type wal struct {
 	inflMu   sync.Mutex
 	inflight map[uint64]struct{}
 
-	// truncLSN is the newest LSN removed from the log file by a fuzzy
-	// checkpoint's tail truncation (at open: the checkpoint LSN, whatever
-	// older groups the file still holds). Followers
-	// this far behind can no longer be served from the file and must
-	// re-seed: committedSince refuses them with ErrLogTruncated.
+	// truncLSN is the newest LSN the log file may no longer hold: the
+	// newest one a fuzzy checkpoint's tail truncation removed, and at open
+	// the first mark's LSN (see DB.redoLog). Followers this far behind can
+	// no longer be served from the file and must re-seed: committedSince
+	// refuses them with ErrLogTruncated.
 	truncLSN atomic.Uint64
 
 	// Pipeline counters (see WALStats).
@@ -533,7 +523,8 @@ type wal struct {
 // openWAL opens the log for appending after recovery. LSN numbering
 // resumes past lsn, everything the log holds — groups this node wrote or
 // applied as a follower, and under paged storage the truncated prefix the
-// checkpoint covers — and marks is the index Open's log pass built.
+// checkpoint covers — and marks is the index Open's log pass built. The
+// file reaches back to the first mark's LSN.
 func openWAL(vfs VFS, name string, policy SyncPolicy, lsn uint64, marks []walMark) (*wal, error) {
 	f, err := vfs.Open(name)
 	if err != nil {
@@ -541,6 +532,7 @@ func openWAL(vfs VFS, name string, policy SyncPolicy, lsn uint64, marks []walMar
 	}
 	w := &wal{vfs: vfs, name: name, file: f, policy: policy, inflight: make(map[uint64]struct{}), nextLSN: lsn, marks: marks}
 	w.durableLSN.Store(lsn)
+	w.truncLSN.Store(marks[0].lsn)
 	return w, nil
 }
 
@@ -834,7 +826,7 @@ func (w *wal) flushGroup() {
 }
 
 // appendLocked is the log's one write, shared by this node's group flushes
-// and a follower's shipped batches; the caller holds w.mu. It repairs a
+// and a follower's shipped runs; the caller holds w.mu. It repairs a
 // tail a failed write left torn, writes data — whole groups, the last
 // committed at lsn — counts its bytes, marks the index and syncs per the
 // policy; only when all of that succeeded is lsn published durable and
@@ -1094,7 +1086,7 @@ func foreignLog(data []byte) bool {
 }
 
 // decodeRecord parses the record at rd into r. The bytes come from disk or
-// from the network (a shipped batch), so every count and length is bounded
+// from the network (a shipped run), so every count and length is bounded
 // by the bytes that remain, and a record has one byte form: what decodes
 // is exactly what appendRecord would write.
 func decodeRecord(rd *byteReader, r *walRecord) bool {

@@ -295,7 +295,7 @@ func TestShippedBadDDLNeverReachesTheLog(t *testing.T) {
 			follower := openVFS(t, vfs)
 			mustExec(t, follower, `CREATE TABLE t (x INTEGER)`) // lsn 1
 			before, _ := vfs.ReadFile("test.wal")
-			if err := follower.ApplyCommitted([]CommittedBatch{{LSN: 2, Data: groupBytes(2, recs...)}}); err == nil {
+			if err := follower.ApplyCommitted(groupBytes(2, recs...)); err == nil {
 				t.Fatal("the bad DDL was applied")
 			}
 			if after, _ := vfs.ReadFile("test.wal"); !bytes.Equal(before, after) {
@@ -305,7 +305,7 @@ func TestShippedBadDDLNeverReachesTheLog(t *testing.T) {
 			reopened := openVFS(t, vfs)
 			defer reopened.Close()
 			good := walRecord{op: walInsert, tableID: 1, rid: 0, img: imageOf([]Value{NewInt(7)})}
-			if err := reopened.ApplyCommitted([]CommittedBatch{{LSN: 2, Data: groupBytes(2, good)}}); err != nil {
+			if err := reopened.ApplyCommitted(groupBytes(2, good)); err != nil {
 				t.Fatalf("a good group at the same LSN: %v", err)
 			}
 			if rows := mustQuery(t, reopened, `SELECT x FROM t`); rows.Len() != 1 || rows.Data[0][0].Int64() != 7 {
@@ -383,9 +383,11 @@ func TestDeltaRedoLeniency(t *testing.T) {
 	mustExec(t, leader, `UPDATE d SET c = 99 WHERE id = 7`)
 	mustExec(t, leader, `UPDATE d SET b = 'kept' WHERE id = 8`)
 	mustExec(t, leader, `DELETE FROM d WHERE id = 7`)
-	tail, _, err := leader.CommittedSince(shipped[len(shipped)-1].LSN, 0)
-	if err != nil || len(tail) != 3 {
-		t.Fatalf("the tail above the checkpoint: %d groups, err %v", len(tail), err)
+	shippedGroups := readGroups(shipped)
+	tail, _, err := leader.CommittedSince(shippedGroups[len(shippedGroups)-1].lsn, 0)
+	tailGroups := readGroups(tail)
+	if err != nil || len(tailGroups) != 3 {
+		t.Fatalf("the tail above the checkpoint: %d groups, err %v", len(tailGroups), err)
 	}
 	if _, err := leader.store.pool.FlushAll(); err != nil {
 		t.Fatal(err)
@@ -396,10 +398,7 @@ func TestDeltaRedoLeniency(t *testing.T) {
 
 	// The crash: the leader is abandoned, not closed. The delete is in the
 	// page image, the update of the row it removed in the log tail.
-	var update walRecord
-	for _, g := range readGroups(tail[0].Data) {
-		update = g.recs[0]
-	}
+	update := tailGroups[0].recs[0]
 	if _, vals := deltaValues(update); update.op != walUpdate || len(vals) != 1 {
 		t.Fatalf("the first tail group holds %+v, want a one-column update", update)
 	}
@@ -411,11 +410,11 @@ func TestDeltaRedoLeniency(t *testing.T) {
 
 	follower := openVFS(t, NewMemVFS())
 	defer follower.Close()
-	if err := follower.ApplyCommitted(shipped[:1]); err != nil { // the CREATE TABLE alone
+	if err := follower.ApplyCommitted(shipped[:shippedGroups[0].end]); err != nil { // the CREATE TABLE alone
 		t.Fatal(err)
 	}
 	before, _ := follower.wal.vfs.ReadFile("test.wal")
-	err = follower.ApplyCommitted(tail[:1])
+	err = follower.ApplyCommitted(tail[:tailGroups[0].end])
 	if err == nil || !strings.Contains(err.Error(), "update of missing row") {
 		t.Fatalf("ApplyCommitted of an update of a missing row = %v, want it refused", err)
 	}

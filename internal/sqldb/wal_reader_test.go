@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -65,14 +66,14 @@ func groupBytes(lsn uint64, recs ...walRecord) []byte {
 
 // TestRedoRejectsHostileRecords sends CRC-valid records no encoder writes
 // through both doors a log group comes in by. Three of them do not decode —
-// each used to panic the decoder or the redo. A shipped batch (core's
+// each used to panic the decoder or the redo. A shipped run (core's
 // handleShip hands a request's bytes straight to ApplyCommitted) must be
 // refused before it reaches the follower's own log; a log that already
 // holds one must open, the group treated like any other undecodable tail:
 // cut, never applied. The others decode but name a table id no live table
 // has — 0, one never assigned, one whose table was dropped, one past
 // uint32 that a truncating cast would turn into t's — and the strict redo
-// refuses them by that id: a shipped batch before it reaches the log, a
+// refuses them by that id: a shipped run before it reaches the log, a
 // logged one by failing Open, the log left as it was. Either way the
 // engine keeps working.
 func TestRedoRejectsHostileRecords(t *testing.T) {
@@ -116,16 +117,16 @@ func TestRedoRejectsHostileRecords(t *testing.T) {
 			mustExec(t, follower, `CREATE TABLE gone (y INTEGER)`) // lsn 2, table id 2
 			mustExec(t, follower, `DROP TABLE gone`)               // lsn 3
 			before, _ := vfs.ReadFile("test.wal")
-			err := follower.ApplyCommitted([]CommittedBatch{{LSN: 4, Data: sealGroup(4, tc.payload)}})
+			err := follower.ApplyCommitted(sealGroup(4, tc.payload))
 			if err == nil || tc.byID && !refusedByID(err, tc.id) {
-				t.Fatalf("hostile batch: ApplyCommitted = %v", err)
+				t.Fatalf("hostile run: ApplyCommitted = %v", err)
 			}
 			if after, _ := vfs.ReadFile("test.wal"); !bytes.Equal(before, after) {
-				t.Fatal("rejected batch reached the follower's log")
+				t.Fatal("rejected run reached the follower's log")
 			}
 			// The same LSN still applies, and the node still restarts.
-			if err := follower.ApplyCommitted([]CommittedBatch{{LSN: 4, Data: groupBytes(4, insert7)}}); err != nil {
-				t.Fatalf("good batch after the hostile one: %v", err)
+			if err := follower.ApplyCommitted(groupBytes(4, insert7)); err != nil {
+				t.Fatalf("good run after the hostile one: %v", err)
 			}
 			follower.Close()
 			reopened := openVFS(t, vfs)
@@ -282,8 +283,10 @@ const fuzzMaxRid = 1 << 12
 
 // FuzzLogReader feeds arbitrary bytes — as given, and with their frames'
 // CRCs resealed so mutated payloads get past the checksum — to the log
-// reader and then, group by group, to ApplyCommitted on an engine holding
-// the three tables the seed logs write to. Neither may panic; the reader
+// reader and then to ApplyCommitted on an engine holding the three tables
+// the seed logs write to, as one run and group by group. Neither may
+// panic; a run that is not whole groups in rising LSN order is refused,
+// the follower's log left byte-identical; the reader
 // may not allocate more than a small multiple of its input; and what the
 // reader accepts must be exactly what appendGroup writes: re-encoding the
 // decoded groups reproduces the accepted prefix byte for byte, frames,
@@ -348,8 +351,9 @@ func fuzzReader(t *testing.T, data []byte) {
 	}
 }
 
-// fuzzApply ships the input to a follower whole and group by
-// group, then restarts the follower from whatever reached its log.
+// fuzzApply ships the input to a follower as one run and then each group
+// the reader accepts as a run of its own, then restarts the follower from
+// whatever reached its log.
 func fuzzApply(t *testing.T, data []byte) {
 	// The follower starts from a three-table log whose markers carry LSN 0,
 	// so every LSN the input can name is still ahead of it.
@@ -364,14 +368,36 @@ func fuzzApply(t *testing.T, data []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = db.ApplyCommitted([]CommittedBatch{{LSN: 1, Data: data}}) // almost always refused; must not panic
-	for _, g := range readGroups(data) {
-		tooSparse := false
-		for _, r := range g.recs {
-			tooSparse = tooSparse || r.rid > fuzzMaxRid
+	// ship applies a run; one the run rule refuses — a torn or garbage
+	// tail, an LSN not above the one before it — must leave the follower's
+	// log as it was.
+	ship := func(run []byte, groups []logGroup) {
+		broken := committedLen(run) != len(run)
+		for i := 1; i < len(groups); i++ {
+			broken = broken || groups[i].lsn <= groups[i-1].lsn
 		}
-		if !tooSparse {
-			_ = db.ApplyCommitted([]CommittedBatch{{LSN: g.lsn, Data: data[g.start:g.end]}})
+		before, _ := vfs.ReadFile("test.wal")
+		err := db.ApplyCommitted(run)
+		if !broken {
+			return
+		}
+		if err == nil {
+			t.Fatal("a run breaking the run rule was applied")
+		}
+		if after, _ := vfs.ReadFile("test.wal"); !bytes.Equal(before, after) {
+			t.Fatalf("a refused run changed the follower's log: %d bytes → %d", len(before), len(after))
+		}
+	}
+	tooSparse := func(g logGroup) bool {
+		return slices.ContainsFunc(g.recs, func(r walRecord) bool { return r.rid > fuzzMaxRid })
+	}
+	groups := readGroups(data)
+	if !slices.ContainsFunc(groups, tooSparse) {
+		ship(data, groups)
+	}
+	for _, g := range groups {
+		if !tooSparse(g) {
+			ship(data[g.start:g.end], []logGroup{g})
 		}
 	}
 	for _, name := range db.TableNames() {

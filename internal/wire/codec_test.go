@@ -28,7 +28,7 @@ import (
 // messages lists every struct type of core/messages.go plus the wire
 // frame types; TestMessagesListIsComplete keeps it honest.
 var messages = []any{
-	core.ReplBatch{}, core.ReplShipRequest{}, core.ReplShipResponse{},
+	core.ReplShipRequest{}, core.ReplShipResponse{},
 	core.ReplJoinRequest{}, core.ReplJoinResponse{},
 	core.SubmitRequest{}, core.SubmitResponse{},
 	core.VMStatus{}, core.HeartbeatRequest{}, core.VMCommand{}, core.HeartbeatResponse{},
@@ -211,8 +211,7 @@ func TestCodecMatchesEncodingXML(t *testing.T) {
 
 func TestCodecLargeBatch(t *testing.T) {
 	data := strings.Repeat("QUJDRA+/", 1<<17) // 1 MiB of base64
-	checkValue(t, &core.ReplShipRequest{Term: 3, Leader: "http://a/services", LeaderLSN: 9,
-		Batches: []core.ReplBatch{{LSN: 8, Data: data}, {LSN: 9, Data: data[:5]}}}, true)
+	checkValue(t, &core.ReplShipRequest{Term: 3, Leader: "http://a/services", LeaderLSN: 9, Log: data}, true)
 }
 
 func TestCodecNilPayloads(t *testing.T) {
@@ -253,6 +252,10 @@ var documents = []string{
 	`<AcceptMatchResponse><OK>1</OK></AcceptMatchResponse>`,
 	`<AcceptMatchResponse><OK>T</OK><OK></OK></AcceptMatchResponse>`,
 	`<ReplShipRequest><Term>18446744073709551615</Term></ReplShipRequest>`,
+	// A ship carrying a run, then one in the per-group form of earlier
+	// builds, which reads as a ship carrying no log.
+	`<ReplShipRequest><Term>2</Term><Leader>l</Leader><LeaderLSN>9</LeaderLSN><Log>QUJDRA+/</Log></ReplShipRequest>`,
+	`<ReplShipRequest><Term>2</Term><Batches><Batch><LSN>8</LSN><Data>QUJD</Data></Batch></Batches></ReplShipRequest>`,
 	`<Envelope action="ping" idem='k"1' sent="12" extra="x"><P><Q/></P>tail</Envelope>`,
 	`<Envelope action="a" action="b" sent=" 7 "/>`,
 	`<Envelope action="a&amp;b&#10;" x:sent="5" sent=""><![CDATA[<raw>]]></Envelope>`,

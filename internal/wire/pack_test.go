@@ -64,7 +64,7 @@ func TestPackRoundTrip(t *testing.T) {
 		{},
 	}})
 	checkPacked(t, &core.HeartbeatResponse{Commands: []core.VMCommand{}})
-	checkPacked(t, &core.ReplShipResponse{AppliedLSN: math.MaxUint64, Term: 1 << 63})
+	checkPacked(t, &core.ReplShipResponse{AppliedLSN: math.MaxUint64})
 	checkPacked(t, &core.SubmitRequest{Priority: math.NaN(), InputDatasets: []int64{0, math.MinInt64}})
 }
 
