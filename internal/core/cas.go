@@ -4,7 +4,6 @@ import (
 	"context"
 	"database/sql"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -89,31 +88,14 @@ func New(opts Options) (*CAS, error) {
 	pool.SetMaxOpenConns(size)
 	pool.SetMaxIdleConns(size)
 	svc := NewService(engine, clock)
-	c := &CAS{
+	return &CAS{
 		Engine:  engine,
 		Pool:    pool,
 		Service: svc,
 		Mux:     NewMux(svc),
 		clock:   clock,
 		ownEng:  own,
-	}
-	// Engine timeout knobs follow the config table and nothing else:
-	// applied at assembly from any persisted values, and re-applied live on
-	// every ConfigSet.
-	svc.SetConfigHook(c.applyEngineConfig)
-	c.applyStoredEngineConfig(context.Background())
-	return c, nil
-}
-
-// applyStoredEngineConfig applies the engine knobs the config table holds:
-// at assembly, and at a follower's promotion, when the table it was shipped
-// becomes this node's own to obey.
-func (c *CAS) applyStoredEngineConfig(ctx context.Context) {
-	for _, name := range []string{ConfigStmtTimeoutMs, ConfigLockTimeoutMs} {
-		if resp, err := c.Service.ConfigGet(ctx, &ConfigGetRequest{Name: name}); err == nil {
-			c.applyEngineConfig(name, resp.Value)
-		}
-	}
+	}, nil
 }
 
 // SetAdmission installs overload protection on the web services endpoint:
@@ -130,41 +112,10 @@ func (c *CAS) SetAdmission(cfg wire.AdmissionConfig) {
 // no gate is installed).
 func (c *CAS) AdmissionStats() wire.AdmissionStats { return c.Mux.AdmissionStats() }
 
-// Config keys the CAS applies to the embedded engine at assembly and on
-// live ConfigSet calls.
-const (
-	// ConfigStmtTimeoutMs is the default per-statement deadline in
-	// milliseconds (0 disables).
-	ConfigStmtTimeoutMs = "stmt_timeout_ms"
-	// ConfigLockTimeoutMs is the lock-wait timeout in milliseconds
-	// (0 = wait forever).
-	ConfigLockTimeoutMs = "lock_timeout_ms"
-)
-
-// applyEngineConfig maps config-table entries onto live engine knobs.
-func (c *CAS) applyEngineConfig(name, value string) {
-	ms, err := strconv.ParseInt(value, 10, 64)
-	if err != nil || ms < 0 {
-		return
-	}
-	switch name {
-	case ConfigStmtTimeoutMs:
-		c.Engine.SetStmtTimeout(time.Duration(ms) * time.Millisecond)
-	case ConfigLockTimeoutMs:
-		c.Engine.SetLockTimeout(time.Duration(ms) * time.Millisecond)
-	}
-}
-
-// tickPeriod is the housekeeping tick's period: schedule_interval_sec,
-// whole seconds, at least one.
-func (c *CAS) tickPeriod(ctx context.Context) time.Duration {
-	return time.Duration(max(1, c.Service.configInt(ctx, "schedule_interval_sec", 1))) * time.Second
-}
-
 // StartScheduler launches the CAS's one periodic goroutine: a ticker of
-// tickPeriod (read once, here) whose every tick runs housekeep (live
-// deployments; simulations drive ScheduleCycle from virtual time
-// instead). Stop with StopScheduler.
+// the published tick period (read once, here) whose every tick runs
+// housekeep (live deployments; simulations drive ScheduleCycle from
+// virtual time instead). Stop with StopScheduler.
 func (c *CAS) StartScheduler() {
 	c.schedMu.Lock()
 	defer c.schedMu.Unlock()
@@ -174,7 +125,7 @@ func (c *CAS) StartScheduler() {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	c.schedCancel, c.schedDone = cancel, done
-	interval := c.tickPeriod(ctx)
+	interval := c.Service.conf.Load().tick
 	go func() {
 		defer close(done)
 		t := time.NewTicker(interval)
@@ -201,11 +152,13 @@ const (
 	reapAfterBeats = 3
 )
 
-// housekeep is tick n (from 1) of the CAS's periodic work, five steps:
+// housekeep is tick n (from 1) of the CAS's periodic work, six steps:
 //
 //   - every tick first, replication when a Replicator is attached
 //     (Replicator.step: a leader renews its lease, a follower joins and
 //     watches it), so a leader it deposes is gated before the rest;
+//   - every tick, the settings load (loadSettings), the tick's one read
+//     of the config table, whose values the steps after it follow;
 //   - every tick, one matchmaking cycle;
 //   - once per heartbeat_interval_sec, the dead-machine sweep — the paper's
 //     footnote 5: a node that stops reporting has its matched and running
@@ -216,25 +169,26 @@ const (
 //     truncated while the daemon runs and a crash replays only a tail; on
 //     any other engine Checkpoint does nothing.
 //
-// The cycle, the sweep and the reply GC write cluster state and are
-// skipped while this node is gated NotLeader; the checkpoint is about this
-// node's own files and runs on a follower or a demoted leader too. Errors
-// are dropped: every step is retried by a later tick, and the engine
-// counts failed checkpoints (BufferPoolStats).
+// The load, the cycle, the sweep and the reply GC are skipped while this
+// node is gated NotLeader (a follower's settings stay what assembly loaded
+// until it promotes); the checkpoint is about this node's own files and
+// runs on a follower or a demoted leader too. Errors are dropped: every
+// step is retried by a later tick, and the engine counts failed
+// checkpoints (BufferPoolStats).
 func (c *CAS) housekeep(ctx context.Context, n int) {
 	if c.repl != nil {
 		c.repl.step(ctx)
 	}
 	svc := c.Service
 	if _, gated := svc.NotLeader(); !gated {
+		svc.loadSettings(ctx)
+		set := svc.conf.Load()
 		_, _ = svc.ScheduleCycle(ctx)
-		beat := svc.loadBeatWindow(ctx)
-		if every := max(1, beat/c.tickPeriod(ctx)); n%int(every) == 0 {
-			_, _ = svc.ReapDeadMachines(ctx, reapAfterBeats*beat)
+		if every := max(1, set.beatWindow/set.tick); n%int(every) == 0 {
+			_, _ = svc.ReapDeadMachines(ctx, reapAfterBeats*set.beatWindow)
 		}
 		if n%replyGCTicks == 0 {
-			retention := time.Duration(svc.configInt(ctx, "reply_retention_sec", 3600)) * time.Second
-			_, _ = svc.GCReplies(ctx, retention)
+			_, _ = svc.GCReplies(ctx, set.replyRetention)
 		}
 	}
 	if n%checkpointTicks == 0 {

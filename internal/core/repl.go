@@ -17,15 +17,17 @@ package core
 // itself: the leader transactionally renews a single repl_lease row on
 // every housekeeping tick, the renewal ships like any other write, and a
 // follower promotes itself when its local copy of the row goes stale for
-// longer than the TTL. Split brain is prevented by term fencing: a
+// longer than the TTL, and the leader has either gone silent or been
+// caught up with (mayPromote). Split brain is prevented by term fencing: a
 // promotion bumps the lease term, and every repl.Ship carries the sender's
 // term — a deposed leader's ship is answered with a StaleTerm fault and
 // the sender demotes itself to read-only.
 //
-// Shipping rides the PR 7 wire fault-tolerance stack: each repl.Ship is
-// issued through a Retryer with an idempotency key, and the follower's
-// apply is idempotent by LSN, so a lossy or duplicating link between the
-// nodes can at worst delay replication, never corrupt it.
+// A ship is one call, not retried in place: a failed one is cut again
+// from the follower's acked LSN on the shipper's next wakeup (a commit, a
+// join or the tick), and the follower's apply is idempotent by LSN, so a
+// lossy or duplicating link between the nodes can at worst delay
+// replication, never corrupt it.
 
 import (
 	"context"
@@ -54,8 +56,6 @@ type ReplConfig struct {
 	// Dial returns a Caller for a peer's endpoint. Tests inject loopback
 	// transports; condorj2d dials wire.Client over HTTP.
 	Dial func(addr string) wire.Caller
-	// Retry tunes the shipping Retryer (nil = wire defaults).
-	Retry *wire.RetryPolicy
 }
 
 func (c *ReplConfig) leaseTTL() time.Duration {
@@ -66,7 +66,7 @@ func (c *ReplConfig) leaseTTL() time.Duration {
 }
 
 const (
-	// replCallTimeout bounds one replication RPC, retries included.
+	// replCallTimeout bounds one replication RPC.
 	replCallTimeout = 2 * time.Second
 	// replMaxShipBytes caps the log bytes of one repl.Ship.
 	replMaxShipBytes = 1 << 20
@@ -75,7 +75,7 @@ const (
 // replFollower is the leader's view of one follower.
 type replFollower struct {
 	addr   string
-	caller wire.Caller // Retryer-wrapped
+	caller wire.Caller
 
 	mu      sync.Mutex
 	acked   uint64    // follower's durable applied LSN, from join/ship acks
@@ -119,6 +119,12 @@ type Replicator struct {
 	wg   sync.WaitGroup
 	kick chan struct{} // wakes the shipper (a join, the tick)
 
+	// Follower-side promotion inputs, under mu: heard is the later of
+	// StartFollower and the last answered join or accepted ship, and
+	// answered whether any came since StartFollower.
+	heard    time.Time
+	answered bool
+
 	// Follower-side lag inputs: the leader's durable horizon and the
 	// local clock at the last accepted ship.
 	leaderLSN  atomic.Uint64
@@ -139,7 +145,7 @@ type Replicator struct {
 // StartFollower gives it a role. A lease shorter than three tick periods is
 // refused: a follower must not promote past a renewal one slow tick delayed.
 func NewReplicator(cas *CAS, cfg ReplConfig) (*Replicator, error) {
-	if ttl, tick := cfg.leaseTTL(), cas.tickPeriod(context.Background()); ttl < 3*tick {
+	if ttl, tick := cfg.leaseTTL(), cas.Service.conf.Load().tick; ttl < 3*tick {
 		return nil, fmt.Errorf("core: repl: lease TTL %s is shorter than three housekeeping ticks of %s (schedule_interval_sec)", ttl, tick)
 	}
 	r := &Replicator{
@@ -155,25 +161,6 @@ func NewReplicator(cas *CAS, cfg ReplConfig) (*Replicator, error) {
 }
 
 func (r *Replicator) now() time.Time { return r.cas.clock.Now() }
-
-// newCaller wraps a dialed peer in the retrying, idempotency-keyed
-// client stack ships ride on. The policy is copied field-wise —
-// RetryPolicy carries its own jitter mutex and must not be copied as a
-// value.
-func (r *Replicator) newCaller(addr string) wire.Caller {
-	ret := &wire.Retryer{
-		Caller: r.cfg.Dial(addr),
-		Keyed:  func(action string) bool { return action == ActionReplShip },
-	}
-	if p := r.cfg.Retry; p != nil {
-		ret.Policy.MaxAttempts = p.MaxAttempts
-		ret.Policy.BaseDelay = p.BaseDelay
-		ret.Policy.MaxDelay = p.MaxDelay
-		ret.Policy.Rand = p.Rand
-		ret.Policy.Sleep = p.Sleep
-	}
-	return ret
-}
 
 // leadLocked makes this node the leader at term: the role, the open write
 // gate and a running shipper together. The shipper's tap is the role's,
@@ -232,6 +219,7 @@ func (r *Replicator) StartLeader(ctx context.Context) error {
 func (r *Replicator) StartFollower(leaderAddr string) {
 	r.mu.Lock()
 	r.gateLocked(roleFollower, leaderAddr)
+	r.heard, r.answered = r.now(), false
 	r.mu.Unlock()
 }
 
@@ -305,8 +293,8 @@ func (r *Replicator) renewLease(ctx context.Context, term uint64) (bool, error) 
 // leader-only steps run. A leader renews its lease (demoting when another
 // term holds it), forgets followers silent for a lease TTL, and kicks the
 // shipper, which retries whatever a failed ship left behind. A follower
-// joins its leader and promotes once the replicated lease has gone stale.
-// A parked node does nothing.
+// joins its leader and promotes when mayPromote allows. A parked node does
+// nothing.
 func (r *Replicator) step(ctx context.Context) {
 	r.mu.Lock()
 	role, term := r.role, r.term
@@ -322,7 +310,7 @@ func (r *Replicator) step(ctx context.Context) {
 		r.wake()
 	case roleFollower:
 		r.joinLeader(ctx)
-		if r.leaseExpired(ctx) {
+		if r.mayPromote(ctx) {
 			_ = r.Promote(ctx) // a failed promotion is retried by the next tick
 		}
 	}
@@ -465,6 +453,7 @@ func (r *Replicator) joinLeader(ctx context.Context) {
 		}
 		return
 	}
+	r.leaderLSN.Store(resp.DurableLSN)
 	r.mu.Lock()
 	if resp.Term > r.term {
 		r.term = resp.Term
@@ -472,8 +461,26 @@ func (r *Replicator) joinLeader(ctx context.Context) {
 	if resp.Leader != "" {
 		r.leader = resp.Leader
 	}
+	r.heard, r.answered = r.now(), true
 	r.mu.Unlock()
-	r.leaderLSN.Store(resp.DurableLSN)
+}
+
+// mayPromote reports whether this follower should depose its leader: its
+// copy of the lease is stale, and the staleness is the leader's, not this
+// node's lag (a follower back from a long absence, or one behind the
+// leader's truncated log) — no join or ship answered for a TTL since
+// StartFollower, or one answered since and everything the leader last
+// advertised as durable applied. AppliedLSN is read before the lease.
+func (r *Replicator) mayPromote(ctx context.Context) bool {
+	applied := r.cas.Engine.AppliedLSN()
+	if !r.leaseExpired(ctx) {
+		return false
+	}
+	r.mu.Lock()
+	heard, answered := r.heard, r.answered
+	r.mu.Unlock()
+	silent := r.now().Sub(heard) > r.cfg.leaseTTL()
+	return silent || (answered && applied >= r.leaderLSN.Load())
 }
 
 func (r *Replicator) leaseExpired(ctx context.Context) bool {
@@ -498,7 +505,7 @@ func (r *Replicator) leaseExpired(ctx context.Context) bool {
 
 // Promote turns this follower into the leader: wait out any in-flight
 // shipped apply, rebuild the engine's allocator state from the
-// replicated heap, take the engine timeouts and the beat window the
+// replicated heap, load the settings (the engine timeouts among them) the
 // replicated config table names, claim the lease at a bumped term
 // (fencing the old leader), reconcile in-flight cluster state exactly like a restart
 // (the PR 7 heartbeat reconciliation then re-adopts or re-runs whatever
@@ -516,8 +523,8 @@ func (r *Replicator) Promote(ctx context.Context) error {
 	r.mu.Unlock()
 
 	r.cas.Engine.RebuildAfterReplication()
-	r.cas.applyStoredEngineConfig(ctx)
-	r.cas.Service.loadBeatWindow(ctx)
+	svc := r.cas.Service
+	svc.loadSettings(ctx)
 	if lease, ok := r.readLease(ctx); ok && lease.term > knownTerm {
 		knownTerm = lease.term
 	}
@@ -525,14 +532,13 @@ func (r *Replicator) Promote(ctx context.Context) error {
 	if err := r.writeLease(ctx, newTerm); err != nil {
 		return fmt.Errorf("core: repl: promote: claim lease: %w", err)
 	}
-	if _, err := r.cas.Service.RecoverInFlight(ctx); err != nil {
+	if _, err := svc.RecoverInFlight(ctx); err != nil {
 		return fmt.Errorf("core: repl: promote: recover in-flight: %w", err)
 	}
 	// The dedup reply store replicated along with everything else; GC it
 	// immediately so a long-lived follower doesn't start its leadership
 	// with an unbounded backlog, then let the tick's cadence take over.
-	retention := time.Duration(r.cas.Service.configInt(ctx, "reply_retention_sec", 3600)) * time.Second
-	if _, err := r.cas.Service.GCReplies(ctx, retention); err != nil {
+	if _, err := svc.GCReplies(ctx, svc.conf.Load().replyRetention); err != nil {
 		return fmt.Errorf("core: repl: promote: gc replies: %w", err)
 	}
 
@@ -565,7 +571,8 @@ func (r *Replicator) Demote(newLeader string) {
 // handleShip applies a leader's run of committed groups. Term fencing
 // first: an older term is answered StaleTerm (with our own address when
 // we lead — the redirect doubles as leader discovery for the deposed
-// sender). Apply is idempotent by LSN, making retried keyed ships safe.
+// sender). Apply is idempotent by LSN, making a re-sent or duplicated ship
+// safe.
 func (r *Replicator) handleShip(ctx context.Context, req *ReplShipRequest) (*ReplShipResponse, error) {
 	r.applyMu.Lock()
 	defer r.applyMu.Unlock()
@@ -611,6 +618,9 @@ func (r *Replicator) handleShip(ctx context.Context, req *ReplShipRequest) (*Rep
 	}
 	r.leaderLSN.Store(req.LeaderLSN)
 	r.lastShipMs.Store(r.now().UnixMilli())
+	r.mu.Lock()
+	r.heard, r.answered = r.now(), true
+	r.mu.Unlock()
 	return &ReplShipResponse{AppliedLSN: r.cas.Engine.AppliedLSN()}, nil
 }
 
@@ -631,7 +641,7 @@ func (r *Replicator) handleJoin(ctx context.Context, req *ReplJoinRequest) (*Rep
 	}
 	f := r.followers[req.Addr]
 	if f == nil {
-		f = &replFollower{addr: req.Addr, caller: r.newCaller(req.Addr)}
+		f = &replFollower{addr: req.Addr, caller: r.cfg.Dial(req.Addr)}
 		r.followers[req.Addr] = f
 	}
 	term := r.term

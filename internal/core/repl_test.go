@@ -454,6 +454,99 @@ func TestReplLeasePromotionOnLeaderDeath(t *testing.T) {
 	}
 }
 
+// TestReplRestartedFollowerWaitsForItsLeader: a follower that was down for
+// longer than the lease TTL while its leader lived restarts with its own
+// stale copy of the lease. The leader answers its first join and
+// advertises commits the follower has not applied, so the staleness is the
+// follower's lag, not the leader's death: it must keep following, be
+// shipped the leader's renewals, and leave the leader leading.
+func TestReplRestartedFollowerWaitsForItsLeader(t *testing.T) {
+	net := newReplNet()
+	leader := newReplNode(t, net, "a", false, ReplConfig{})
+	defer leader.close()
+	follower := newReplNode(t, net, "b", true, ReplConfig{})
+	startPair(t, leader, follower)
+	submit := func(n int) {
+		t.Helper()
+		if err := net.dial("a").Call(context.Background(), ActionSubmitJob,
+			&SubmitRequest{Owner: "u", Count: n, LengthSec: 60}, &SubmitResponse{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submit(2)
+	drain(t, leader, follower)
+
+	follower.kill()
+	for i := 0; i < 10; i++ { // down well past the 3 s TTL; the leader renews all along
+		net.clock.step(time.Second)
+		leader.tick()
+	}
+	submit(3) // commits the restarted follower has yet to apply
+	follower = openReplNode(t, net, "b", follower.vfs, 0, true, ReplConfig{})
+	defer follower.close()
+	follower.repl.StartFollower("a")
+	for i := 0; i < 5; i++ {
+		follower.tick()
+		if rs := follower.repl.Stats(); rs.Role != "follower" || rs.Promotions != 0 {
+			t.Fatalf("restarted follower's tick %d: role %s, %d promotions, beside a live leader", i+1, rs.Role, rs.Promotions)
+		}
+		drain(t, leader, follower)
+		net.clock.step(time.Second)
+		leader.tick()
+	}
+	if rs := leader.repl.Stats(); rs.Role != "leader" || rs.Demotions != 0 {
+		t.Fatalf("live leader: role %s, %d demotions; want leader, 0", rs.Role, rs.Demotions)
+	}
+	if jobs := countOf(t, follower.cas.Pool, `SELECT count(*) FROM jobs`); jobs != 5 {
+		t.Fatalf("restarted follower shows %d jobs, want 5", jobs)
+	}
+}
+
+// TestReplTruncatedFollowerDoesNotPromote: a follower that applied the
+// lease row, then fell behind a clean restart of its paged leader, acks
+// below where the leader's log now begins, so every ship to it is refused
+// and its copy of the lease only ages. The leader still answers its joins
+// and advertises a durable LSN the follower has not reached: the follower
+// must keep following, not promote beside a leader whose ships, never
+// sent, could never fence it.
+func TestReplTruncatedFollowerDoesNotPromote(t *testing.T) {
+	net := newReplNet()
+	leader := openReplNode(t, net, "a", sqldb.NewMemVFS(), 64, false, ReplConfig{})
+	follower := newReplNode(t, net, "b", true, ReplConfig{})
+	defer follower.close()
+	startPair(t, leader, follower)
+	drain(t, leader, follower)
+	if rows := countOf(t, follower.cas.Pool, `SELECT count(*) FROM repl_lease`); rows != 1 {
+		t.Fatalf("follower holds %d lease rows, want 1", rows)
+	}
+
+	follower.sc.set(nil) // ships to the follower fail from here on
+	if _, err := leader.cas.Service.Submit(context.Background(), &SubmitRequest{Owner: "u", Count: 5, LengthSec: 60}); err != nil {
+		t.Fatal(err)
+	}
+	leader.close() // a clean close checkpoints: the log now begins past the follower
+	leader = openReplNode(t, net, "a", leader.vfs, 64, false, ReplConfig{})
+	defer leader.close()
+	if err := leader.repl.StartLeader(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	follower.sc.set(&wire.Local{Mux: follower.cas.Mux})
+	for i := 0; i < 10; i++ {
+		net.clock.step(time.Second)
+		leader.tick()
+		follower.tick()
+		if rs := follower.repl.Stats(); rs.Role != "follower" || rs.Promotions != 0 {
+			t.Fatalf("tick %d: truncated follower is %s with %d promotions beside a live leader", i+1, rs.Role, rs.Promotions)
+		}
+	}
+	waitFor(t, 5*time.Second, "the leader to refuse the truncated follower", func() bool {
+		return leader.repl.Stats().ShipTruncated > 0
+	})
+	if rs := leader.repl.Stats(); rs.Role != "leader" || rs.Demotions != 0 {
+		t.Fatalf("live leader: role %s, %d demotions; want leader, 0", rs.Role, rs.Demotions)
+	}
+}
+
 // TestReplForgetsSilentFollower: a leader ships to two followers and one
 // dies. The leader keeps the dead one for a lease TTL — a live follower
 // joins every tick, so that is three missed joins — and drops it on the
@@ -461,9 +554,7 @@ func TestReplLeasePromotionOnLeaderDeath(t *testing.T) {
 // the survivor still replicates.
 func TestReplForgetsSilentFollower(t *testing.T) {
 	net := newReplNet()
-	// One attempt per ship: the dead link then fails at once, not after
-	// the backoff a flaky one earns.
-	leader := newReplNode(t, net, "a", false, ReplConfig{Retry: &wire.RetryPolicy{MaxAttempts: 1}})
+	leader := newReplNode(t, net, "a", false, ReplConfig{})
 	defer leader.close()
 	live := newReplNode(t, net, "b", true, ReplConfig{})
 	defer live.close()
@@ -569,7 +660,7 @@ func TestReplTruncatedJoinIsCounted(t *testing.T) {
 // cut, so the follower catches up from the file and is never refused.
 func TestReplFollowerBehindACheckpointIsShipped(t *testing.T) {
 	net := newReplNet()
-	leader := openReplNode(t, net, "a", sqldb.NewMemVFS(), 64, false, ReplConfig{Retry: &wire.RetryPolicy{MaxAttempts: 1}})
+	leader := openReplNode(t, net, "a", sqldb.NewMemVFS(), 64, false, ReplConfig{})
 	defer leader.close()
 	follower := newReplNode(t, net, "b", true, ReplConfig{})
 	defer follower.close()

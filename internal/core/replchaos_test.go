@@ -37,7 +37,8 @@ func TestReplChaosLeaderKillPromote(t *testing.T) {
 	jobs := int(chaosEnvInt("CHAOS_CASES", 30))
 
 	// The shipping link (replShip + replJoin between the nodes) drops a
-	// fifth of everything; the replicator's keyed retries must hide it.
+	// fifth of everything; the shipper's next wakeup re-ships from the
+	// acked LSN, and that must hide it.
 	// The agents and the links run in real time, and so does the lease.
 	net := newReplNet()
 	net.clock = nil
@@ -59,16 +60,8 @@ func TestReplChaosLeaderKillPromote(t *testing.T) {
 
 	// The default lease, 3 s, is the shortest the 1 s tick period allows,
 	// although the loop below ticks far more often.
-	cfg := ReplConfig{
-		Retry: &wire.RetryPolicy{
-			MaxAttempts: 8,
-			BaseDelay:   time.Millisecond,
-			MaxDelay:    50 * time.Millisecond,
-			Rand:        mrand.New(mrand.NewSource(seed + 100)),
-		},
-	}
-	leader := newReplNode(t, net, "cas-a", false, cfg)
-	follower := newReplNode(t, net, "cas-b", true, cfg)
+	leader := newReplNode(t, net, "cas-a", false, ReplConfig{})
+	follower := newReplNode(t, net, "cas-b", true, ReplConfig{})
 	defer follower.close()
 	for _, n := range []*replNode{leader, follower} {
 		n.cas.SetAdmission(wire.AdmissionConfig{

@@ -68,10 +68,10 @@ func pairJobsToVMs(jobs []Job, vms []VM) []matchPair {
 	return pairs
 }
 
-// ScheduleCycle runs one matchmaking pass, pairing up to the configured
+// ScheduleCycle runs one matchmaking pass, pairing up to the published
 // batch of idle jobs with idle VMs.
 func (s *Service) ScheduleCycle(ctx context.Context) (ScheduleStats, error) {
-	batch := s.configInt(ctx, "schedule_batch", 500)
+	batch := s.conf.Load().batch
 	var stats ScheduleStats
 	err := s.c.InTx(ctx, func(tx *sqldb.Tx) error {
 		stats = ScheduleStats{}

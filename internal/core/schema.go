@@ -188,11 +188,14 @@ var Schema = []string{
 	)`,
 }
 
-// DefaultConfig seeds the operational configuration table. Values are kept
-// in the database (not process flags) so administrators change behaviour
-// with an UPDATE — the paper's "configure system behavior from anywhere".
-// A slice, not a map: Bootstrap seeds the rows in this order on every run,
-// so their rids and log records do not depend on map iteration.
+// DefaultConfig is the one list of the service's config keys and their
+// defaults: Bootstrap seeds the table from it, and a value the settings
+// load (loadSettings) finds absent or not an integer falls back on it.
+// Values are kept in the database (not process flags) so administrators
+// change behaviour with an UPDATE — the paper's "configure system
+// behavior from anywhere". A slice, not a map: Bootstrap seeds the rows in
+// this order on every run, so their rids and log records do not depend on
+// map iteration.
 var DefaultConfig = []struct{ Name, Value string }{
 	{"schedule_interval_sec", "1"},
 	{"schedule_batch", "500"},

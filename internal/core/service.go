@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -22,10 +23,11 @@ import (
 type Service struct {
 	c     *beans.Engine
 	clock vtime.Clock
-	// onConfigSet, when set (by the CAS), observes committed ConfigSet
-	// calls so engine-level knobs (statement/lock timeouts) apply to the
-	// live server without a restart.
-	onConfigSet func(name, value string)
+	// conf is the published settings, the config table as loadSettings
+	// last read it; loadMu serializes the loads, so the last one to run
+	// publishes the latest committed table.
+	conf   atomic.Pointer[settings]
+	loadMu sync.Mutex
 	// replays / replyGCed count idempotency-key dedup activity (dedup.go).
 	replays   atomic.Uint64
 	replyGCed atomic.Uint64
@@ -36,12 +38,6 @@ type Service struct {
 	notLeader atomic.Pointer[string]
 	// notLeaderRejects counts writes bounced by the gate.
 	notLeaderRejects atomic.Uint64
-	// beatWindow is heartbeat_interval_sec as a time.Duration: how stale a
-	// machine's liveness stamp may get before a beat rewrites it
-	// (Machine.Beat). Set from the config table at assembly, on every
-	// leader tick and at promotion, and after each committed ConfigSet of
-	// the key, so the beat itself reads no config.
-	beatWindow atomic.Int64
 }
 
 // SetNotLeader gates mutating web services with a NotLeader fault
@@ -59,10 +55,6 @@ func (s *Service) NotLeader() (string, bool) {
 	return "", false
 }
 
-// SetConfigHook installs an observer invoked after every committed
-// ConfigSet with the new name/value pair.
-func (s *Service) SetConfigHook(fn func(name, value string)) { s.onConfigSet = fn }
-
 // NewService builds the application logic layer on the engine's own
 // transactions (beans' native transport). clock supplies timestamps
 // (virtual in simulations).
@@ -71,34 +63,82 @@ func NewService(engine *sqldb.DB, clock vtime.Clock) *Service {
 		clock = vtime.Real{}
 	}
 	s := &Service{c: &beans.Engine{DB: engine}, clock: clock}
-	s.loadBeatWindow(context.Background())
+	s.loadSettings(context.Background())
 	return s
 }
 
-// ConfigHeartbeatIntervalSec is the config key naming the heartbeat
-// interval in seconds: the beat window and the dead-machine sweep's period.
-const ConfigHeartbeatIntervalSec = "heartbeat_interval_sec"
+// Config keys named outside DefaultConfig. The engine's two timeouts have
+// no default: while the key is absent the engine keeps its own.
+const (
+	// ConfigHeartbeatIntervalSec names the heartbeat interval in seconds:
+	// the beat window and the dead-machine sweep's period.
+	ConfigHeartbeatIntervalSec = "heartbeat_interval_sec"
+	// ConfigStmtTimeoutMs is the engine's default per-statement deadline
+	// in milliseconds (0 disables).
+	ConfigStmtTimeoutMs = "stmt_timeout_ms"
+	// ConfigLockTimeoutMs is the engine's lock-wait timeout in
+	// milliseconds (0 = wait forever).
+	ConfigLockTimeoutMs = "lock_timeout_ms"
+)
 
-// defaultHeartbeatIntervalSec is the interval when the key is absent (a
-// follower before its first shipped group) or no integer.
-const defaultHeartbeatIntervalSec = 60
-
-// loadBeatWindow reads the heartbeat interval from the config table into
-// the beat window and returns it.
-func (s *Service) loadBeatWindow(ctx context.Context) time.Duration {
-	w := time.Duration(s.configInt(ctx, ConfigHeartbeatIntervalSec, defaultHeartbeatIntervalSec)) * time.Second
-	s.beatWindow.Store(int64(w))
-	return w
+// settings is the config table as one immutable value, read instead of
+// the table by everything in the service that follows a key.
+type settings struct {
+	tick           time.Duration // schedule_interval_sec, at least 1 s: the housekeeping tick's period
+	batch          int64         // schedule_batch: the most idle VMs one scheduling cycle pairs
+	beatWindow     time.Duration // heartbeat_interval_sec: the beat window (Machine.Beat) and the sweep's period
+	replyRetention time.Duration // reply_retention_sec: how long an idempotency reply is kept
 }
 
-// beatWindowOf is the beat window a heartbeat_interval_sec value names,
-// read as configInt reads it.
-func beatWindowOf(value string) time.Duration {
-	sec, err := strconv.ParseInt(value, 10, 64)
-	if err != nil {
-		sec = defaultHeartbeatIntervalSec
+// loadSettings reads the config table in one read-only transaction, not
+// cut short by ctx, and publishes it as the service's settings: each key
+// as configNum parses it, and every one at its default when the read
+// fails, as on a follower before its first shipped group. A non-negative
+// stmt_timeout_ms or lock_timeout_ms goes to the engine. It runs at
+// assembly, at the top of each leader tick's gated steps, after each
+// committed ConfigSet and at promotion.
+func (s *Service) loadSettings(ctx context.Context) {
+	s.loadMu.Lock()
+	defer s.loadMu.Unlock()
+	table := make(map[string]string)
+	if err := s.c.InReadTx(context.WithoutCancel(ctx), func(tx *sqldb.Tx) error {
+		rows, err := txQuery(tx, `SELECT name, value FROM config`)
+		for err == nil && rows.Next() {
+			table[rows.Col(0).Text()] = rows.Col(1).Text()
+		}
+		return err
+	}); err != nil {
+		clear(table)
 	}
-	return time.Duration(sec) * time.Second
+	sec := func(name string) time.Duration { return time.Duration(configNum(name, table[name])) * time.Second }
+	s.conf.Store(&settings{
+		tick:           max(time.Second, sec("schedule_interval_sec")),
+		batch:          configNum("schedule_batch", table["schedule_batch"]),
+		beatWindow:     sec(ConfigHeartbeatIntervalSec),
+		replyRetention: sec("reply_retention_sec"),
+	})
+	engine := func(name string, set func(time.Duration)) {
+		if ms, err := strconv.ParseInt(table[name], 10, 64); err == nil && ms >= 0 {
+			set(time.Duration(ms) * time.Millisecond)
+		}
+	}
+	engine(ConfigStmtTimeoutMs, s.c.DB.SetStmtTimeout)
+	engine(ConfigLockTimeoutMs, s.c.DB.SetLockTimeout)
+}
+
+// configNum is the integer a config value names, or, when it names none,
+// the key's DefaultConfig value.
+func configNum(name, value string) int64 {
+	if v, err := strconv.ParseInt(value, 10, 64); err == nil {
+		return v
+	}
+	for _, c := range DefaultConfig {
+		if c.Name == name {
+			v, _ := strconv.ParseInt(c.Value, 10, 64)
+			return v
+		}
+	}
+	return 0
 }
 
 func (s *Service) now() time.Time { return s.clock.Now() }
@@ -278,7 +318,7 @@ func (s *Service) Heartbeat(ctx context.Context, req *HeartbeatRequest) (*Heartb
 					return err
 				}
 			}
-			if err := m.Beat(tx, now, req.Boot, time.Duration(s.beatWindow.Load())); err != nil {
+			if err := m.Beat(tx, now, req.Boot, s.conf.Load().beatWindow); err != nil {
 				return err
 			}
 		}
@@ -951,19 +991,21 @@ func (s *Service) ConfigGet(ctx context.Context, req *ConfigGetRequest) (*Config
 	return resp, nil
 }
 
-// ConfigSet updates a configuration value, keeping history. Lowering the
-// heartbeat interval re-stamps, in the same transaction, every up machine
-// that may have beaten within old+new of now without writing its stamp:
-// such a beat lands in the old window after the stamp, so the stamp is
-// younger than old+new, and without the re-stamp the shorter sweep timeout
-// could reap a machine that beat a moment ago.
+// ConfigSet updates a configuration value, keeping history, and loads the
+// settings once it has committed, so the value takes hold at once.
+// Lowering the heartbeat interval re-stamps, in the same transaction,
+// every up machine that may have beaten within old+new of now without
+// writing its stamp: such a beat lands in the old window after the stamp,
+// so the stamp is younger than old+new, and without the re-stamp the
+// shorter sweep timeout could reap a machine that beat a moment ago.
 func (s *Service) ConfigSet(ctx context.Context, req *ConfigSetRequest) (*ConfigSetResponse, error) {
 	resp := &ConfigSetResponse{OK: true}
 	err := s.c.InTx(ctx, func(tx *sqldb.Tx) error {
 		at := s.now()
 		name, value, now := sqldb.NewText(req.Name), sqldb.NewText(req.Value), sqldb.NewTime(at)
 		if req.Name == ConfigHeartbeatIntervalSec {
-			if old, next := time.Duration(s.beatWindow.Load()), beatWindowOf(req.Value); next < old {
+			old := s.conf.Load().beatWindow
+			if next := time.Duration(configNum(req.Name, req.Value)) * time.Second; next < old {
 				cutoff := sqldb.NewTime(at.Add(-old - max(0, next)))
 				if _, err := txExec(tx, `UPDATE machines SET last_heartbeat = ? WHERE state = ? AND last_heartbeat > ?`, now, sqldb.NewText(MachineUp), cutoff); err != nil {
 					return err
@@ -987,26 +1029,8 @@ func (s *Service) ConfigSet(ctx context.Context, req *ConfigSetRequest) (*Config
 	if err != nil {
 		return nil, err
 	}
-	if req.Name == ConfigHeartbeatIntervalSec {
-		s.beatWindow.Store(int64(beatWindowOf(req.Value)))
-	}
-	if s.onConfigSet != nil {
-		s.onConfigSet(req.Name, req.Value)
-	}
+	s.loadSettings(ctx)
 	return resp, nil
-}
-
-// configInt reads an integer config value with a default.
-func (s *Service) configInt(ctx context.Context, name string, def int64) int64 {
-	resp, err := s.ConfigGet(ctx, &ConfigGetRequest{Name: name})
-	if err != nil {
-		return def
-	}
-	v, err := strconv.ParseInt(resp.Value, 10, 64)
-	if err != nil {
-		return def
-	}
-	return v
 }
 
 // RegisterDataset declares an external dataset (provenance extension).

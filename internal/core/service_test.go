@@ -406,10 +406,14 @@ func TestConfigRoundTripAndHistory(t *testing.T) {
 	if _, err := s.ConfigGet(context.Background(), &ConfigGetRequest{Name: "no_such_key"}); err == nil {
 		t.Fatal("missing config read succeeded")
 	}
-	// configInt falls back on defaults for bad values.
+	// The published settings follow each ConfigSet, and a value that is no
+	// integer falls back on the key's DefaultConfig value.
+	if v := s.conf.Load().batch; v != 64 {
+		t.Fatalf("published batch after set = %d, want 64", v)
+	}
 	s.ConfigSet(context.Background(), &ConfigSetRequest{Name: "schedule_batch", Value: "not-a-number"})
-	if v := s.configInt(context.Background(), "schedule_batch", 123); v != 123 {
-		t.Fatalf("configInt fallback = %d", v)
+	if v := s.conf.Load().batch; v != 500 {
+		t.Fatalf("published batch for a bad value = %d, want the default 500", v)
 	}
 }
 

@@ -154,11 +154,13 @@ func (m *Mux) AdmissionStats() AdmissionStats {
 }
 
 // enter acquires an in-flight slot or returns the fault to answer with.
-// The returned release function must be called once when dispatch ends.
-func (g *gate) enter(ctx context.Context, env *Envelope) (release func(), fault *Fault) {
+// An admitted envelope (nil fault) must be followed by exactly one leave
+// when its dispatch ends.
+func (g *gate) enter(ctx context.Context, env *Envelope) *Fault {
 	select {
 	case g.slot <- struct{}{}:
-		return g.admit(), nil
+		g.admit()
+		return nil
 	default:
 	}
 
@@ -166,7 +168,7 @@ func (g *gate) enter(ctx context.Context, env *Envelope) (release func(), fault 
 	// aged out in flight and the sender will produce a fresh one.
 	if g.isStaleSheddable(env) {
 		g.shed.Add(1)
-		return nil, &Fault{
+		return &Fault{
 			Code:         FaultOverloaded,
 			Message:      fmt.Sprintf("wire: stale %s shed under load", env.Action),
 			RetryAfterMs: g.cfg.RetryAfter.Milliseconds(),
@@ -177,7 +179,7 @@ func (g *gate) enter(ctx context.Context, env *Envelope) (release func(), fault 
 	if g.queued[env.Action] >= g.cfg.MaxQueued {
 		g.mu.Unlock()
 		g.rejected.Add(1)
-		return nil, &Fault{
+		return &Fault{
 			Code:         FaultOverloaded,
 			Message:      fmt.Sprintf("wire: %s queue full (%d waiting)", env.Action, g.cfg.MaxQueued),
 			RetryAfterMs: g.cfg.RetryAfter.Milliseconds(),
@@ -200,10 +202,11 @@ func (g *gate) enter(ctx context.Context, env *Envelope) (release func(), fault 
 	}
 	select {
 	case g.slot <- struct{}{}:
-		return g.admit(), nil
+		g.admit()
+		return nil
 	case <-timer.C:
 		g.timeouts.Add(1)
-		return nil, &Fault{
+		return &Fault{
 			Code:         FaultOverloaded,
 			Message:      fmt.Sprintf("wire: %s waited %s for capacity", env.Action, g.cfg.QueueWait),
 			RetryAfterMs: g.cfg.RetryAfter.Milliseconds(),
@@ -212,11 +215,12 @@ func (g *gate) enter(ctx context.Context, env *Envelope) (release func(), fault 
 		// The caller stopped waiting; answer with its own context error
 		// code rather than Overloaded so it is not retried.
 		g.timeouts.Add(1)
-		return nil, &Fault{Code: faultCode(ctx.Err()), Message: ctx.Err().Error()}
+		return &Fault{Code: faultCode(ctx.Err()), Message: ctx.Err().Error()}
 	}
 }
 
-func (g *gate) admit() func() {
+// admit counts an envelope that took a slot.
+func (g *gate) admit() {
 	g.admitted.Add(1)
 	n := g.inFlight.Add(1)
 	for {
@@ -225,13 +229,12 @@ func (g *gate) admit() func() {
 			break
 		}
 	}
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			g.inFlight.Add(-1)
-			<-g.slot
-		})
-	}
+}
+
+// leave gives back the slot an admitted envelope took.
+func (g *gate) leave() {
+	g.inFlight.Add(-1)
+	<-g.slot
 }
 
 func (g *gate) isStaleSheddable(env *Envelope) bool {

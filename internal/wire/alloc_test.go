@@ -61,3 +61,33 @@ func TestHeartbeatRoundTripAllocs(t *testing.T) {
 		t.Logf("%s: %v allocations per heartbeat round trip", name, allocs)
 	}
 }
+
+// TestAdmittedRoundTripAllocs: an envelope the admission gate admits
+// allocates exactly what one on an ungated mux does — taking and giving
+// back its slot builds nothing per call.
+func TestAdmittedRoundTripAllocs(t *testing.T) {
+	req := &core.HeartbeatRequest{Machine: "node-0417"}
+	reply := &core.HeartbeatResponse{}
+	roundTrip := func(mux *wire.Mux) float64 {
+		mux.Handle(core.ActionHeartbeat, wire.Typed(func(context.Context, *core.HeartbeatRequest) (*core.HeartbeatResponse, error) {
+			return reply, nil
+		}))
+		caller := &wire.Local{Mux: mux}
+		return testing.AllocsPerRun(200, func() {
+			var resp core.HeartbeatResponse
+			if err := caller.Call(context.Background(), core.ActionHeartbeat, req, &resp); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	ungated := roundTrip(wire.NewMux())
+	mux := wire.NewMux()
+	mux.SetAdmission(wire.AdmissionConfig{})
+	admitted := roundTrip(mux)
+	if n := mux.AdmissionStats().Admitted; n == 0 {
+		t.Fatal("the gate admitted nothing")
+	}
+	if admitted != ungated {
+		t.Fatalf("an admitted round trip allocates %v times, an ungated one %v", admitted, ungated)
+	}
+}

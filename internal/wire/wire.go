@@ -299,12 +299,11 @@ func (m *Mux) dispatch(ctx context.Context, in, out *buffer) {
 		return
 	}
 	if g != nil {
-		release, fault := g.enter(ctx, env)
-		if fault != nil {
+		if fault := g.enter(ctx, env); fault != nil {
 			out.encodeFault(fault)
 			return
 		}
-		defer release()
+		defer g.leave()
 	}
 	resp, err := h(ctx, env)
 	if err == nil {
