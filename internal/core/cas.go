@@ -31,6 +31,11 @@ type CAS struct {
 
 	clock  vtime.Clock
 	ownEng bool
+	// tick is the housekeeping period: schedule_interval_sec as assembly
+	// loaded it. The ticker runs at it, and the sweep's cadence and a
+	// lease's three-tick floor are counted in it, so all three agree; a
+	// changed key takes effect at the next start.
+	tick time.Duration
 	// repl, once NewReplicator attached one (before the tick starts), is
 	// the tick's first step.
 	repl *Replicator
@@ -95,6 +100,7 @@ func New(opts Options) (*CAS, error) {
 		Mux:     NewMux(svc),
 		clock:   clock,
 		ownEng:  own,
+		tick:    svc.conf.Load().tick,
 	}, nil
 }
 
@@ -113,9 +119,9 @@ func (c *CAS) SetAdmission(cfg wire.AdmissionConfig) {
 func (c *CAS) AdmissionStats() wire.AdmissionStats { return c.Mux.AdmissionStats() }
 
 // StartScheduler launches the CAS's one periodic goroutine: a ticker of
-// the published tick period (read once, here) whose every tick runs
-// housekeep (live deployments; simulations drive ScheduleCycle from
-// virtual time instead). Stop with StopScheduler.
+// the housekeeping period (c.tick) whose every tick runs housekeep (live
+// deployments; simulations drive ScheduleCycle from virtual time instead).
+// Stop with StopScheduler.
 func (c *CAS) StartScheduler() {
 	c.schedMu.Lock()
 	defer c.schedMu.Unlock()
@@ -125,10 +131,9 @@ func (c *CAS) StartScheduler() {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	c.schedCancel, c.schedDone = cancel, done
-	interval := c.Service.conf.Load().tick
 	go func() {
 		defer close(done)
-		t := time.NewTicker(interval)
+		t := time.NewTicker(c.tick)
 		defer t.Stop()
 		for n := 1; ; n++ {
 			select {
@@ -160,9 +165,10 @@ const (
 //   - every tick, the settings load (loadSettings), the tick's one read
 //     of the config table, whose values the steps after it follow;
 //   - every tick, one matchmaking cycle;
-//   - once per heartbeat_interval_sec, the dead-machine sweep — the paper's
-//     footnote 5: a node that stops reporting has its matched and running
-//     jobs returned to the queue (timeout: reapAfterBeats intervals);
+//   - once per heartbeat_interval_sec, counted in ticks of c.tick, the
+//     dead-machine sweep — the paper's footnote 5: a node that stops
+//     reporting has its matched and running jobs returned to the queue
+//     (timeout: reapAfterBeats intervals);
 //   - every replyGCTicks, age out idempotency replies no client will retry
 //     anymore;
 //   - every checkpointTicks, a checkpoint: on a paged engine the WAL is
@@ -184,7 +190,7 @@ func (c *CAS) housekeep(ctx context.Context, n int) {
 		svc.loadSettings(ctx)
 		set := svc.conf.Load()
 		_, _ = svc.ScheduleCycle(ctx)
-		if every := max(1, set.beatWindow/set.tick); n%int(every) == 0 {
+		if every := max(1, set.beatWindow/c.tick); n%int(every) == 0 {
 			_, _ = svc.ReapDeadMachines(ctx, reapAfterBeats*set.beatWindow)
 		}
 		if n%replyGCTicks == 0 {

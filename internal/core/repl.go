@@ -145,7 +145,7 @@ type Replicator struct {
 // StartFollower gives it a role. A lease shorter than three tick periods is
 // refused: a follower must not promote past a renewal one slow tick delayed.
 func NewReplicator(cas *CAS, cfg ReplConfig) (*Replicator, error) {
-	if ttl, tick := cfg.leaseTTL(), cas.Service.conf.Load().tick; ttl < 3*tick {
+	if ttl, tick := cfg.leaseTTL(), cas.tick; ttl < 3*tick {
 		return nil, fmt.Errorf("core: repl: lease TTL %s is shorter than three housekeeping ticks of %s (schedule_interval_sec)", ttl, tick)
 	}
 	r := &Replicator{

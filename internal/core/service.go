@@ -84,7 +84,7 @@ const (
 // settings is the config table as one immutable value, read instead of
 // the table by everything in the service that follows a key.
 type settings struct {
-	tick           time.Duration // schedule_interval_sec, at least 1 s: the housekeeping tick's period
+	tick           time.Duration // schedule_interval_sec, at least 1 s: the housekeeping period a CAS assembles with (CAS.tick)
 	batch          int64         // schedule_batch: the most idle VMs one scheduling cycle pairs
 	beatWindow     time.Duration // heartbeat_interval_sec: the beat window (Machine.Beat) and the sweep's period
 	replyRetention time.Duration // reply_retention_sec: how long an idempotency reply is kept

@@ -12,12 +12,12 @@ import (
 	"condorj2/internal/sqldb"
 )
 
-// configSelects counts the SELECT statements on the config table the
-// engine runs from here on.
-func configSelects(eng *sqldb.DB) *atomic.Int64 {
+// selectsOn counts the SELECT statements on table the engine runs from
+// here on.
+func selectsOn(eng *sqldb.DB, table string) *atomic.Int64 {
 	var n atomic.Int64
 	eng.SetStatsHook(func(s sqldb.StmtStats) {
-		if s.Kind == "SELECT" && s.Table == "config" {
+		if s.Kind == "SELECT" && s.Table == table {
 			n.Add(1)
 		}
 	})
@@ -34,7 +34,7 @@ func TestSettingsOneReadPerTick(t *testing.T) {
 		t.Fatal(err)
 	}
 	beat(t, cas.Service, "node1", true, idleVMs(2)...)
-	selects := configSelects(cas.Engine)
+	selects := selectsOn(cas.Engine, "config")
 	defer cas.Engine.SetStatsHook(nil)
 	for _, n := range []int{1, replyGCTicks} {
 		selects.Store(0)
@@ -113,5 +113,28 @@ func TestConfigSetsConvergeOnTheTable(t *testing.T) {
 		if got, want := fmt.Sprint(s.conf.Load().batch), row[0].Text(); got != want {
 			t.Fatalf("round %d: published batch %s, table holds %s", round, got, want)
 		}
+	}
+}
+
+// TestSweepCadenceFollowsTheTicker: the dead-machine sweep is counted in
+// ticks of the period the scheduler runs at, the one assembly loaded, so a
+// schedule_interval_sec changed on a running CAS does not make the sweep
+// run more often: at the default 1 s tick and 60 s heartbeat interval,
+// ticks 1..60 sweep once even after the key is set to 10.
+func TestSweepCadenceFollowsTheTicker(t *testing.T) {
+	cas, clk := newTestCAS(t)
+	ctx := context.Background()
+	if _, err := cas.Service.ConfigSet(ctx, &ConfigSetRequest{Name: "schedule_interval_sec", Value: "10"}); err != nil {
+		t.Fatal(err)
+	}
+	beat(t, cas.Service, "node1", true, idleVMs(2)...)
+	sweeps := selectsOn(cas.Engine, "machines")
+	defer cas.Engine.SetStatsHook(nil)
+	for n := 1; n <= 60; n++ {
+		clk.advance(time.Second)
+		cas.housekeep(ctx, n)
+	}
+	if got := sweeps.Load(); got != 1 {
+		t.Fatalf("ticks 1..60 of a 1 s ticker ran %d sweeps after schedule_interval_sec was set to 10, want 1", got)
 	}
 }

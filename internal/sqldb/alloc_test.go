@@ -62,13 +62,13 @@ func allocDB(t *testing.T, poolPages int) *DB {
 // its first decode after a reload), the record is encoded into the heap's
 // buffer, compaction works in the heap's scratch page and a pruned
 // version's page location stays on the stack, so pages add nothing to a
-// statement: 1 / 7 / 19 / 24 → 1 / 4 / 7 / 8, the in-memory figures, and
+// statement: 1 / 7 / 19 / 24 → 1 / 4 / 7 / 7, the in-memory figures, and
 // the UPDATE's budget is theirs.
 func TestStatementAllocs(t *testing.T) {
-	t.Run("in-memory", func(t *testing.T) { statementAllocs(t, allocDB(t, 0), 8) })
+	t.Run("in-memory", func(t *testing.T) { statementAllocs(t, allocDB(t, 0), 7) })
 	t.Run("paged", func(t *testing.T) {
 		db := allocDB(t, 64)
-		statementAllocs(t, db, 8)
+		statementAllocs(t, db, 7)
 		if st := db.BufferPoolStats(); st.Evictions != 0 || st.Failed != "" {
 			t.Fatalf("the pages were meant to stay resident: %+v", st)
 		}
@@ -101,9 +101,10 @@ func statementAllocs(t *testing.T, db *DB, updateBudget float64) {
 				t.Fatalf("rows %v, err %v", rows, err)
 			}
 		}},
-		// Tx, the new row image, its version, the commit's batch and two
-		// channels, the device's amortized append. 48 → 10 → 8, since the
-		// log's write buffer is reused.
+		// Tx, the new row image, its version, the commit's batch and its
+		// done channel, the device's amortized append. 48 → 10 → 8, since
+		// the log's write buffer is reused, → 7 with no channel to appoint
+		// a flusher.
 		{"one-row UPDATE + group commit", updateBudget, func(tx *Tx) {
 			res, err := tx.Exec(`UPDATE machines SET state = 'up', beats = beats + ? WHERE name = ?`, one, name)
 			if err != nil || res.RowsAffected != 1 {

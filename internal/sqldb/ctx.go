@@ -27,10 +27,10 @@ import (
 //     The uncancelled hot path pays one counter increment and a branch
 //     per row.
 //   - Group-commit syncs: a committer whose batch is still queued (no
-//     leader has drained it into a flush) retracts it and aborts the
-//     transaction — nothing reached the log. Once a batch is in flight
-//     the wait is no longer cancellable: the commit record may already be
-//     durable, so the only honest answer is the flush's real outcome.
+//     flush has drained it) retracts it and aborts the transaction —
+//     nothing reached the log. Once a batch is in flight the wait is no
+//     longer cancellable: the commit record may already be durable, so
+//     the only honest answer is the flush's real outcome.
 
 // ErrCanceled is returned when a statement's context is cancelled. It
 // wraps context.Canceled, so errors.Is(err, context.Canceled) holds.

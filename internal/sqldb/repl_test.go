@@ -522,7 +522,7 @@ func TestReplCommittedSinceMatchesTheFile(t *testing.T) {
 		waitQueue := func(n int) {
 			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 				db.wal.gmu.Lock()
-				ok := db.wal.flushing && len(db.wal.queue) == n
+				ok := len(db.wal.flush) == 1 && len(db.wal.queue) == n
 				db.wal.gmu.Unlock()
 				if ok {
 					return

@@ -332,11 +332,11 @@ type SyncPolicy int
 
 const (
 	// SyncGroup, the zero value, makes every commit durable before it
-	// returns: committers enqueue their record batches and block; the first
-	// unserved committer becomes the group leader, drains the queue, writes
-	// all pending batches with one buffered write, issues a single fsync,
-	// and wakes the whole group. N concurrent commits cost ~1 fsync instead
-	// of N; a lone committer leads its own flush — one write, one fsync.
+	// returns: committers enqueue their record batches and block; whichever
+	// unserved committer takes the flush token drains the queue, writes all
+	// pending batches with one buffered write, issues a single fsync, and
+	// wakes the whole group. N concurrent commits cost ~1 fsync instead of
+	// N; a lone committer flushes its own batch — one write, one fsync.
 	// Each transaction holds its locks until its own commit record is
 	// durable.
 	SyncGroup SyncPolicy = iota
@@ -399,18 +399,16 @@ func (s WALStats) FsyncsPerCommit() float64 {
 // walBatch is one transaction's encoded redo records and their CRC32C
 // (the group not yet framed — the flusher seals it with the next LSN at
 // write time, so LSN order always equals file order) waiting in the
-// group-commit queue.
-// done delivers the flush outcome; lead (buffered, at most one send ever)
-// appoints the batch's committer as the next group leader. Both are
-// selectable alongside ctx.Done(), so a committer whose context fires
-// while its batch is still queued can retract it instead of sleeping on a
-// condition variable.
+// group-commit queue. done (buffered, one send) delivers the outcome of
+// the flush that carried the batch; it is selectable alongside the flush
+// token and ctx.Done(), so a committer whose context fires while its batch
+// is still queued can retract it instead of sleeping on a condition
+// variable.
 type walBatch struct {
 	data []byte
 	crc  uint32 // CRC32C of data; the flusher extends it over the marker
 	lsn  uint64 // sealed by the flusher under w.mu, before done is signalled
 	done chan error
-	lead chan struct{}
 }
 
 // walMark is one entry of the log file's sparse index: every group at or
@@ -462,11 +460,12 @@ type wal struct {
 	dirty bool
 
 	// Group-commit state: queue of encoded, unflushed batches. gmu is held
-	// only for queue manipulation and leader appointment, never across
-	// I/O.
-	gmu      sync.Mutex
-	queue    []*walBatch
-	flushing bool
+	// only for queue manipulation, never across I/O. flush is the flush
+	// token (capacity one): a committer holds it — sends into it — while it
+	// writes the queue, so at most one group is in flight.
+	gmu   sync.Mutex
+	queue []*walBatch
+	flush chan struct{}
 
 	// nextLSN (guarded by mu, since every append path writes under mu) is
 	// the last LSN handed out; durableLSN publishes the newest LSN whose
@@ -530,7 +529,7 @@ func openWAL(vfs VFS, name string, policy SyncPolicy, lsn uint64, marks []walMar
 	if err != nil {
 		return nil, err
 	}
-	w := &wal{vfs: vfs, name: name, file: f, policy: policy, inflight: make(map[uint64]struct{}), nextLSN: lsn, marks: marks}
+	w := &wal{vfs: vfs, name: name, file: f, policy: policy, flush: make(chan struct{}, 1), inflight: make(map[uint64]struct{}), nextLSN: lsn, marks: marks}
 	w.durableLSN.Store(lsn)
 	w.truncLSN.Store(marks[0].lsn)
 	return w, nil
@@ -656,16 +655,17 @@ func (w *wal) observeGroup(n int) {
 
 // commit enqueues the transaction's records on the group pipeline and
 // blocks until a flush containing them has been written and, per the sync
-// policy, made durable — or the batch is retracted by ctx, or leadership is
-// handed to this committer. The first committer to find no flush in progress
-// leads a flush (normally the one carrying its own batch); followers
-// arriving while that flush's fsync is in flight accumulate in the queue and
-// ride the next flush together — that overlap is what amortizes the fsync
-// across concurrent transactions. Leadership passes batch to batch: a
-// finishing leader appoints the head of the remaining queue, whose committer
-// wakes and flushes the next group. A batch still queued when ctx fires is
-// retracted (nothing written) and the mapped context error returned; a batch
-// already drained into a flush rides it to the real outcome.
+// policy, made durable — or the batch is retracted by ctx. A waiting
+// committer whose batch is unanswered takes the flush token and writes the
+// whole queue, its own batch with it; committers arriving while that
+// flush's fsync is in flight accumulate in the queue and ride the next
+// flush together — that overlap is what amortizes the fsync across
+// concurrent transactions. flushGroup answers every batch it wrote before
+// its caller gives the token back, so a committer that takes the token
+// finds its batch either answered or still queued. A batch still queued
+// when ctx fires is retracted (nothing written) and the mapped context
+// error returned; a batch already drained into a flush rides it to the
+// real outcome.
 //
 // On success the group's LSN is returned, registered in the in-flight
 // registry; the caller MUST unregisterInflight it once the commit's
@@ -691,32 +691,27 @@ func (w *wal) commit(ctx context.Context, recs []walRecord, buf *bytes.Buffer) (
 		appendRecord(buf, &recs[i])
 	}
 	start := time.Now()
-	b := &walBatch{data: buf.Bytes(), crc: crc32.Checksum(buf.Bytes(), walCRC), done: make(chan error, 1), lead: make(chan struct{}, 1)}
+	b := &walBatch{data: buf.Bytes(), crc: crc32.Checksum(buf.Bytes(), walCRC), done: make(chan error, 1)}
 	w.gmu.Lock()
 	w.queue = append(w.queue, b)
-	leader := !w.flushing
-	if leader {
-		w.flushing = true
-	}
 	w.gmu.Unlock()
-	if leader {
-		w.lead()
-	}
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
 	}
 	var err error
-	for {
+	select {
+	case err = <-b.done:
+	case w.flush <- struct{}{}:
 		select {
-		case err = <-b.done:
-		case <-b.lead:
-			w.lead()
-			continue // our own batch was in the group just flushed
-		case <-done:
-			err = w.retractBatch(b, ctx)
+		case err = <-b.done: // carried by the flush that gave the token back
+		default:
+			w.flushGroup()
+			err = <-b.done
 		}
-		break
+		<-w.flush
+	case <-done:
+		err = w.retractBatch(b, ctx)
 	}
 	w.commitWait.Add(time.Since(start).Nanoseconds())
 	// b.lsn was sealed (and registered in-flight) by the flusher before
@@ -724,79 +719,34 @@ func (w *wal) commit(ctx context.Context, recs []walRecord, buf *bytes.Buffer) (
 	return b.lsn, err
 }
 
-// lead flushes one group off the queue, then appoints the next queued
-// batch's committer as leader (or clears the flushing flag when the
-// queue drained). The appointment and the queue read happen under gmu so
-// a concurrent retraction cannot orphan leadership.
-func (w *wal) lead() {
-	w.flushGroup()
-	w.gmu.Lock()
-	if len(w.queue) == 0 {
-		w.flushing = false
-	} else {
-		w.queue[0].lead <- struct{}{}
-	}
-	w.gmu.Unlock()
-}
-
 // retractBatch withdraws a cancelled committer's batch. If it is still
-// queued nothing of it was written: remove it, hand off any leadership
-// appointment that raced in, and report the mapped context error. If a
-// leader already drained it into a flush, the write may be durable — the
-// only honest outcome is the flush's own, so wait for it (the wait is
+// queued nothing of it was written: remove it and report the mapped
+// context error. If a flush already drained it, the write may be durable —
+// the only honest outcome is the flush's own, so wait for it (the wait is
 // bounded by one group write + fsync).
 func (w *wal) retractBatch(b *walBatch, ctx context.Context) error {
 	w.gmu.Lock()
-	removed := false
 	for i, qb := range w.queue {
 		if qb == b {
 			w.queue = append(w.queue[:i], w.queue[i+1:]...)
-			removed = true
-			break
-		}
-	}
-	appointed := false
-	if removed {
-		select {
-		case <-b.lead:
-			appointed = true
-		default:
+			w.gmu.Unlock()
+			return mapCtxErr(ctx.Err())
 		}
 	}
 	w.gmu.Unlock()
-	if !removed {
-		for {
-			select {
-			case err := <-b.done:
-				return err
-			case <-b.lead:
-				// Appointed while in a flushed group is impossible (the
-				// leader only appoints still-queued batches), but drain
-				// defensively and keep the pipeline moving.
-				w.lead()
-			}
-		}
-	}
-	if appointed {
-		// We were appointed leader in the instant we retracted: pass the
-		// torch by flushing the remaining queue ourselves.
-		w.lead()
-	}
-	return mapCtxErr(ctx.Err())
+	return <-b.done
 }
 
 // flushGroup drains the queue, seals the group into the log's write buffer
 // and appends it (appendLocked), then delivers the outcome to every batch
 // in the group. It holds the only write of this node's own commits to the
-// log.
+// log. Its caller holds the flush token and has its own batch queued, so
+// the group is never empty.
 func (w *wal) flushGroup() {
 	w.gmu.Lock()
 	group := w.queue
 	w.queue = w.queue[len(group):]
 	w.gmu.Unlock()
-	if len(group) == 0 {
-		return // every queued batch was retracted while we acquired gmu
-	}
 
 	// Seal and write under w.mu: each batch's commit marker receives the
 	// next LSN as it is laid into the write buffer, so LSNs increase in

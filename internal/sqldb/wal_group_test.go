@@ -312,6 +312,74 @@ func TestZeroValuePolicyCancelRetractsQueuedCommit(t *testing.T) {
 	}
 }
 
+// TestGroupCommitCarriesQueuedBatches: two commits that queue behind a
+// flush whose fsync is held ride one flush together once it completes —
+// whichever of them takes the flush token writes both, and the other finds
+// its batch answered and writes nothing. Each round is exactly two flushes,
+// groups of one and two, and every commit survives a reopen.
+func TestGroupCommitCarriesQueuedBatches(t *testing.T) {
+	vfs := &gateSyncVFS{MemVFS: NewMemVFS(), entered: make(chan struct{}, 1)}
+	db, err := Open(Options{VFS: vfs, Path: "c.wal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustExec(t, db, `CREATE TABLE c (id INTEGER PRIMARY KEY)`)
+	queued := func(n int) bool {
+		db.wal.gmu.Lock()
+		defer db.wal.gmu.Unlock()
+		return len(db.wal.queue) == n
+	}
+	const rounds = 100
+	for r := 0; r < rounds; r++ {
+		gate := make(chan struct{})
+		vfs.mu.Lock()
+		vfs.gate = gate
+		vfs.mu.Unlock()
+		errs := make(chan error, 3)
+		insert := func(id int) {
+			_, err := db.Exec(`INSERT INTO c VALUES (?)`, id)
+			errs <- err
+		}
+		before := db.WALStats()
+		go insert(3*r + 1)
+		<-vfs.entered // the first flush's fsync is held
+		vfs.mu.Lock()
+		vfs.gate = nil
+		vfs.mu.Unlock()
+		go insert(3*r + 2)
+		go insert(3*r + 3)
+		for deadline := time.Now().Add(5 * time.Second); !queued(2); time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				close(gate)
+				t.Fatalf("round %d: the two commits never queued behind the held flush", r)
+			}
+		}
+		close(gate)
+		for range 3 {
+			if err := <-errs; err != nil {
+				t.Fatalf("round %d: %v", r, err)
+			}
+		}
+		after := db.WALStats()
+		if got := after.Flushes - before.Flushes; got != 2 {
+			t.Fatalf("round %d: %d flushes, want 2", r, got)
+		}
+		if one, two := after.GroupSizeHist[0]-before.GroupSizeHist[0], after.GroupSizeHist[1]-before.GroupSizeHist[1]; one != 1 || two != 1 {
+			t.Fatalf("round %d: %d groups of one and %d of two, want one of each", r, one, two)
+		}
+	}
+	// Durable without Close: reopen the file as a crash would leave it.
+	db2, err := Open(Options{VFS: vfs.MemVFS, Path: "c.wal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if got := mustQuery(t, db2, `SELECT count(*) FROM c`).Data[0][0].Int64(); got != 3*rounds {
+		t.Fatalf("recovered %d rows, want %d", got, 3*rounds)
+	}
+}
+
 // TestWALSyncNeverSkipsOnlyTheFsync: SyncNever is the same pipeline —
 // batches queue, flushes are counted, groups form — minus the fsync, and
 // what it wrote is what a reopen recovers.
