@@ -41,9 +41,10 @@ func main() {
 	syncPolicy := flag.String("sync", "group", "WAL sync policy: group (commits wait for their group's fsync) or never (same pipeline, no fsync)")
 	poolPages := flag.Int("pool-pages", 0, "paged storage: buffer-pool capacity in pages; rows live in a page file, the housekeeping tick checkpoints it, and restart replays only the WAL tail past the last checkpoint. A store that has checkpointed is paged whatever this says (0 = the engine's default pool); on a new or log-only store 0 keeps rows in the WAL-replayed heap")
 	grace := flag.Duration("shutdown-grace", 10*time.Second, "how long shutdown drains in-flight requests before cancelling their statements")
-	maxInFlight := flag.Int("max-inflight", 256, "admission control: max concurrently dispatched requests")
-	queueWait := flag.Duration("queue-wait", 500*time.Millisecond, "admission control: max time a request waits for an in-flight slot before a typed Overloaded fault")
-	freshFor := flag.Duration("hb-fresh-for", 10*time.Second, "admission control: delta-free heartbeats older than this are shed under load")
+	admission := wire.AdmissionConfig{}.WithDefaults()
+	maxInFlight := flag.Int("max-inflight", admission.MaxInFlight, "admission control: max concurrently dispatched requests (twice that may wait per action)")
+	queueWait := flag.Duration("queue-wait", admission.QueueWait, "admission control: max time a request waits for an in-flight slot before a typed Overloaded fault (also the fault's RetryAfterMs hint)")
+	freshFor := flag.Duration("hb-fresh-for", admission.FreshFor, "admission control: delta-free heartbeats older than this are shed under load")
 	follow := flag.String("follow", "", "replication: run as a read-only follower of this leader /services URL (writes answer NotLeader; promotes on lease expiry)")
 	advertise := flag.String("advertise", "", "replication: this node's own /services URL as dialable by peers (required with -follow; on a leader, enables follower shipping)")
 	leaseTTL := flag.Duration("lease-ttl", 3*time.Second, "replication: leader lease TTL, at least three housekeeping ticks; the tick renews it on the leader and checks it on a follower, which promotes when the replicated lease goes this stale")
@@ -104,8 +105,9 @@ func main() {
 	// Admission control: bound in-flight work and per-action queues so an
 	// overloaded CAS answers typed Overloaded faults (with a RetryAfterMs
 	// the clients honor) instead of queueing without limit; stale
-	// delta-free heartbeats are shed outright under load. The per-action
-	// queue bound and the RetryAfterMs hint derive from these three.
+	// delta-free heartbeats are shed outright under load. These three are
+	// all the gate takes: each action queues at most 2 × -max-inflight
+	// waiters, and the RetryAfterMs hint is -queue-wait.
 	cas.SetAdmission(wire.AdmissionConfig{
 		MaxInFlight: *maxInFlight,
 		QueueWait:   *queueWait,

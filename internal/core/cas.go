@@ -105,13 +105,12 @@ func New(opts Options) (*CAS, error) {
 }
 
 // SetAdmission installs overload protection on the web services endpoint:
-// a bounded in-flight gate with typed Overloaded faults, plus a shed
-// classifier that drops stale delta-free heartbeats first — the one
-// request class whose loss costs nothing (the next heartbeat re-reports
-// the same state).
+// a bounded in-flight gate with typed Overloaded faults, installed with
+// its shed classifier, HeartbeatSheddable, which drops stale delta-free
+// heartbeats — the one request class whose loss costs nothing (the next
+// heartbeat re-reports the same state).
 func (c *CAS) SetAdmission(cfg wire.AdmissionConfig) {
-	c.Mux.SetAdmission(cfg)
-	c.Mux.SetSheddable(ActionHeartbeat, HeartbeatSheddable)
+	c.Mux.SetAdmission(cfg, HeartbeatSheddable)
 }
 
 // AdmissionStats snapshots the web services gate's counters (zeros when

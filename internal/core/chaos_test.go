@@ -116,8 +116,7 @@ func TestChaosTortureExactlyOnce(t *testing.T) {
 			t.Fatalf("seed=%d: assemble CAS: %v", seed, err)
 		}
 		cas.SetAdmission(wire.AdmissionConfig{
-			MaxInFlight: 8, MaxQueued: 32,
-			QueueWait: 200 * time.Millisecond, FreshFor: 5 * time.Second,
+			MaxInFlight: 8, QueueWait: 200 * time.Millisecond, FreshFor: 5 * time.Second,
 		})
 		return eng, cas
 	}

@@ -158,12 +158,14 @@ func (s *Service) GCReplies(ctx context.Context, maxAge time.Duration) (int64, e
 	return n, nil
 }
 
-// HeartbeatSheddable classifies a heartbeat envelope as safe to drop
-// under overload: periodic, delta-free reports (no boot registration, no
-// completion or drop to deliver, no idempotency key) carry no state the
-// next fresh heartbeat won't re-report.
+// HeartbeatSheddable is the CAS's shed classifier: it reports an envelope
+// safe to drop under overload only when it is a periodic, delta-free
+// heartbeat (no boot registration, no completion or drop to deliver, no
+// idempotency key), which carries no state the next fresh heartbeat won't
+// re-report. Every other action is never shed, and is told apart before
+// any payload is decoded.
 func HeartbeatSheddable(env *wire.Envelope) bool {
-	if env.Key != "" {
+	if env.Action != ActionHeartbeat || env.Key != "" {
 		return false
 	}
 	var req HeartbeatRequest

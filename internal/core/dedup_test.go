@@ -495,6 +495,13 @@ func TestHeartbeatSheddableClassifier(t *testing.T) {
 	if HeartbeatSheddable(&wire.Envelope{Action: ActionHeartbeat, Payload: []byte("<garbage")}) {
 		t.Fatal("undecodable heartbeat must not be shed")
 	}
+	// The classifier sees every contended envelope: another action is
+	// never shed, even one whose payload would pass for a delta-free beat.
+	submit := env("", plain)
+	submit.Action, submit.Sent = ActionSubmitJob, time.Now().Add(-time.Hour).UnixMilli()
+	if HeartbeatSheddable(submit) {
+		t.Fatal("a stale, unkeyed submitJob must not be shed")
+	}
 }
 
 type parked struct {
@@ -508,9 +515,7 @@ func TestMuxShedsStaleHeartbeats(t *testing.T) {
 	cas, _ := newTestCAS(t)
 	beat(t, cas.Service, "node1", true, idleVMs(1)...)
 	cas.SetAdmission(wire.AdmissionConfig{
-		MaxInFlight: 1, MaxQueued: 4,
-		QueueWait: 2 * time.Second, RetryAfter: 250 * time.Millisecond,
-		FreshFor: time.Minute,
+		MaxInFlight: 1, QueueWait: 2 * time.Second, FreshFor: time.Minute,
 	})
 
 	// Occupy the single in-flight slot with a parked call.
@@ -562,8 +567,8 @@ func TestMuxShedsStaleHeartbeats(t *testing.T) {
 	if fault.Code != wire.FaultOverloaded {
 		t.Fatalf("fault code %q, want %q", fault.Code, wire.FaultOverloaded)
 	}
-	if fault.RetryAfterMs != 250 {
-		t.Fatalf("RetryAfterMs = %d, want 250", fault.RetryAfterMs)
+	if fault.RetryAfterMs != 2000 {
+		t.Fatalf("RetryAfterMs = %d, want the QueueWait, 2000", fault.RetryAfterMs)
 	}
 	if got := cas.AdmissionStats().ShedStale; got != 1 {
 		t.Fatalf("ShedStale = %d, want 1", got)

@@ -62,10 +62,9 @@ func BenchmarkHeartbeatOverload(b *testing.B) {
 
 	cas := benchCAS(b, workers, vmsPer)
 	cas.SetAdmission(wire.AdmissionConfig{
-		MaxInFlight: capacity, MaxQueued: capacity,
-		QueueWait:  2 * time.Millisecond,
-		RetryAfter: 5 * time.Millisecond,
-		FreshFor:   time.Second,
+		MaxInFlight: capacity,
+		QueueWait:   2 * time.Millisecond,
+		FreshFor:    time.Second,
 	})
 
 	// Stale traffic is framed by hand: the envelope's Sent stamp aged far

@@ -65,8 +65,7 @@ func TestReplChaosLeaderKillPromote(t *testing.T) {
 	defer follower.close()
 	for _, n := range []*replNode{leader, follower} {
 		n.cas.SetAdmission(wire.AdmissionConfig{
-			MaxInFlight: 8, MaxQueued: 32,
-			QueueWait: 200 * time.Millisecond, FreshFor: 5 * time.Second,
+			MaxInFlight: 8, QueueWait: 200 * time.Millisecond, FreshFor: 5 * time.Second,
 		})
 	}
 	startPair(t, leader, follower)

@@ -236,19 +236,23 @@ func Open(opts Options) (*DB, error) {
 		} else if marks, err = db.redoLog(data, 0, false); err != nil {
 			return nil, err
 		}
+		w, err := openWAL(opts.VFS, opts.Path, opts.Sync, db.replApplied.Load(), marks)
+		if err != nil {
+			return fail(err)
+		}
 		// Cut the log back to its last committed group boundary — where the
 		// reader stopped — before it is appended to again. This removes a
 		// crash's torn tail (a partial group, a group failing its CRC): the
 		// redo ignored it, but left in place it would strand every future
 		// commit behind garbage.
-		if good := int(marks[len(marks)-1].off); good < len(data) {
-			if err := repairWALFile(opts.VFS, opts.Path, data[:good]); err != nil {
-				return fail(fmt.Errorf("sqldb: repairing torn WAL tail: %w", err))
+		if int(marks[len(marks)-1].off) < len(data) {
+			w.mu.Lock()
+			err = w.repairLocked()
+			w.mu.Unlock()
+			if err != nil {
+				w.close()
+				return fail(err)
 			}
-		}
-		w, err := openWAL(opts.VFS, opts.Path, opts.Sync, db.replApplied.Load(), marks)
-		if err != nil {
-			return fail(err)
 		}
 		db.wal = w
 	}

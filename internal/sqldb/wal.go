@@ -814,14 +814,26 @@ func (w *wal) appendLocked(data []byte, lsn uint64) (wrote bool, err error) {
 // content's index, replaces the log's in one step with the rename, under
 // idxMu: a reader holding idxMu opens one file and seeks by its marks.
 func (w *wal) replaceLocked(content []byte, marks []walMark) error {
-	if err := writeWALFile(w.vfs, w.name, content); err != nil {
+	tmp, err := w.vfs.Create(w.name + ".tmp")
+	if err != nil {
+		return err
+	}
+	if _, err := tmp.Write(content); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
 		return err
 	}
 	if err := w.file.Close(); err != nil {
 		return err
 	}
 	w.idxMu.Lock()
-	err := w.vfs.Rename(w.name+".tmp", w.name)
+	err = w.vfs.Rename(w.name+".tmp", w.name)
 	if err == nil {
 		w.marks = marks
 	}
@@ -837,40 +849,13 @@ func (w *wal) replaceLocked(content []byte, marks []walMark) error {
 	return nil
 }
 
-// writeWALFile stages content into name's temp file, synced. The caller
-// renames it into place so the swap is atomic.
-func writeWALFile(vfs VFS, name string, content []byte) error {
-	f, err := vfs.Create(name + ".tmp")
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(content); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// repairWALFile rewrites name to exactly content (its consistent prefix),
-// used at open time to cut a crash's torn tail before new commits append
-// behind it.
-func repairWALFile(vfs VFS, name string, content []byte) error {
-	if err := writeWALFile(vfs, name, content); err != nil {
-		return err
-	}
-	return vfs.Rename(name+".tmp", name)
-}
-
-// repairLocked heals a tail torn by a failed or partial append: reread
-// the file, keep its whole committed groups, and atomically swap them
-// into place. Called under w.mu before the next write: a torn frame left
-// behind would strand every group appended after it. The index is trimmed
-// to what is kept by indexing it again: a torn write may have landed whole
-// groups before its tear.
+// repairLocked heals a tail torn by a crash or by a failed or partial
+// append: reread the file, keep its whole committed groups, and
+// atomically swap them into place. Called under w.mu, by Open and before
+// the next write after a failed one: a torn frame left behind would
+// strand every group appended after it. The index is trimmed to what is
+// kept by indexing it again: a torn write may have landed whole groups
+// before its tear.
 func (w *wal) repairLocked() error {
 	data, err := w.vfs.ReadFile(w.name)
 	if err != nil {

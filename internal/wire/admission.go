@@ -18,36 +18,28 @@ import (
 // outright: a stale heartbeat's information is worthless, and the node
 // will send a fresh one anyway.
 
-// AdmissionConfig tunes the Mux's gate.
+// AdmissionConfig tunes the Mux's gate. Its three values are all the gate
+// takes: at most 2×MaxInFlight requests wait per action, and every
+// Overloaded fault carries RetryAfterMs = QueueWait.
 type AdmissionConfig struct {
 	// MaxInFlight bounds concurrently dispatched requests (<=0: 256).
 	MaxInFlight int
-	// MaxQueued bounds waiters per action (<=0: 2*MaxInFlight).
-	MaxQueued int
 	// QueueWait bounds how long one request may wait for an in-flight
 	// slot before being rejected (<=0: 500ms).
 	QueueWait time.Duration
-	// RetryAfter is the backoff hint attached to Overloaded faults
-	// (<=0: QueueWait).
-	RetryAfter time.Duration
 	// FreshFor is the staleness window for sheddable requests: one whose
 	// envelope Sent timestamp is older than this is shed rather than
 	// queued (<=0: 10s). Only consulted when the gate is contended.
 	FreshFor time.Duration
 }
 
-func (c AdmissionConfig) withDefaults() AdmissionConfig {
+// WithDefaults returns c with each value <= 0 replaced by its default.
+func (c AdmissionConfig) WithDefaults() AdmissionConfig {
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 256
 	}
-	if c.MaxQueued <= 0 {
-		c.MaxQueued = 2 * c.MaxInFlight
-	}
 	if c.QueueWait <= 0 {
 		c.QueueWait = 500 * time.Millisecond
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = c.QueueWait
 	}
 	if c.FreshFor <= 0 {
 		c.FreshFor = 10 * time.Second
@@ -81,8 +73,9 @@ type gate struct {
 	mu     sync.Mutex
 	queued map[string]int // per-action waiters
 
-	shedMu    sync.RWMutex
-	sheddable map[string]func(*Envelope) bool
+	// canShed, when non-nil, reports that a contended envelope carries
+	// no state change, so it may be shed once older than FreshFor.
+	canShed func(*Envelope) bool
 
 	admitted, enqueued, rejected, timeouts, shed atomic.Uint64
 	inFlight, peak                               atomic.Int64
@@ -91,46 +84,23 @@ type gate struct {
 	now func() time.Time
 }
 
-// SetAdmission installs (or, with a zero MaxInFlight and all-zero config,
-// replaces) the admission gate. Call before serving traffic.
-func (m *Mux) SetAdmission(cfg AdmissionConfig) {
-	cfg = cfg.withDefaults()
+// SetAdmission installs the admission gate, replacing any installed
+// before; call it before serving traffic. canShed is the gate's one shed
+// classifier, consulted only when the gate is contended: when it reports
+// that an envelope carries no state change, a request older than FreshFor
+// is shed instead of queued. A nil canShed sheds nothing.
+func (m *Mux) SetAdmission(cfg AdmissionConfig, canShed func(*Envelope) bool) {
+	cfg = cfg.WithDefaults()
 	g := &gate{
-		cfg:       cfg,
-		slot:      make(chan struct{}, cfg.MaxInFlight),
-		queued:    make(map[string]int),
-		sheddable: make(map[string]func(*Envelope) bool),
-		now:       time.Now,
+		cfg:     cfg,
+		slot:    make(chan struct{}, cfg.MaxInFlight),
+		queued:  make(map[string]int),
+		canShed: canShed,
+		now:     time.Now,
 	}
 	m.mu.Lock()
-	if m.gate != nil {
-		// Preserve shed classifiers across reconfiguration.
-		m.gate.shedMu.RLock()
-		for a, fn := range m.gate.sheddable {
-			g.sheddable[a] = fn
-		}
-		m.gate.shedMu.RUnlock()
-	}
 	m.gate = g
 	m.mu.Unlock()
-}
-
-// SetSheddable registers a classifier for one action: when the gate is
-// contended and fn reports the decoded envelope carries no state change,
-// a request older than the freshness window is shed instead of queued.
-func (m *Mux) SetSheddable(action string, fn func(*Envelope) bool) {
-	m.mu.RLock()
-	g := m.gate
-	m.mu.RUnlock()
-	if g == nil {
-		m.SetAdmission(AdmissionConfig{})
-		m.mu.RLock()
-		g = m.gate
-		m.mu.RUnlock()
-	}
-	g.shedMu.Lock()
-	g.sheddable[action] = fn
-	g.shedMu.Unlock()
 }
 
 // AdmissionStats snapshots the gate's counters (zero value when no gate
@@ -168,22 +138,16 @@ func (g *gate) enter(ctx context.Context, env *Envelope) *Fault {
 	// aged out in flight and the sender will produce a fresh one.
 	if g.isStaleSheddable(env) {
 		g.shed.Add(1)
-		return &Fault{
-			Code:         FaultOverloaded,
-			Message:      fmt.Sprintf("wire: stale %s shed under load", env.Action),
-			RetryAfterMs: g.cfg.RetryAfter.Milliseconds(),
-		}
+		return g.overloaded("wire: stale %s shed under load", env.Action)
 	}
 
+	// Each action may queue twice as many waiters as can dispatch at once.
+	maxQueued := 2 * g.cfg.MaxInFlight
 	g.mu.Lock()
-	if g.queued[env.Action] >= g.cfg.MaxQueued {
+	if g.queued[env.Action] >= maxQueued {
 		g.mu.Unlock()
 		g.rejected.Add(1)
-		return &Fault{
-			Code:         FaultOverloaded,
-			Message:      fmt.Sprintf("wire: %s queue full (%d waiting)", env.Action, g.cfg.MaxQueued),
-			RetryAfterMs: g.cfg.RetryAfter.Milliseconds(),
-		}
+		return g.overloaded("wire: %s queue full (%d waiting)", env.Action, maxQueued)
 	}
 	g.queued[env.Action]++
 	g.mu.Unlock()
@@ -196,26 +160,28 @@ func (g *gate) enter(ctx context.Context, env *Envelope) *Fault {
 
 	timer := time.NewTimer(g.cfg.QueueWait)
 	defer timer.Stop()
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
 	select {
 	case g.slot <- struct{}{}:
 		g.admit()
 		return nil
 	case <-timer.C:
 		g.timeouts.Add(1)
-		return &Fault{
-			Code:         FaultOverloaded,
-			Message:      fmt.Sprintf("wire: %s waited %s for capacity", env.Action, g.cfg.QueueWait),
-			RetryAfterMs: g.cfg.RetryAfter.Milliseconds(),
-		}
-	case <-done:
+		return g.overloaded("wire: %s waited %s for capacity", env.Action, g.cfg.QueueWait)
+	case <-ctx.Done():
 		// The caller stopped waiting; answer with its own context error
 		// code rather than Overloaded so it is not retried.
 		g.timeouts.Add(1)
 		return &Fault{Code: faultCode(ctx.Err()), Message: ctx.Err().Error()}
+	}
+}
+
+// overloaded is the fault of a turned-away envelope; every one carries
+// the same backoff hint, QueueWait.
+func (g *gate) overloaded(format string, args ...any) *Fault {
+	return &Fault{
+		Code:         FaultOverloaded,
+		Message:      fmt.Sprintf(format, args...),
+		RetryAfterMs: g.cfg.QueueWait.Milliseconds(),
 	}
 }
 
@@ -238,15 +204,9 @@ func (g *gate) leave() {
 }
 
 func (g *gate) isStaleSheddable(env *Envelope) bool {
-	if env.Sent <= 0 {
+	if g.canShed == nil || env.Sent <= 0 {
 		return false
 	}
 	age := g.now().Sub(time.UnixMilli(env.Sent))
-	if age <= g.cfg.FreshFor {
-		return false
-	}
-	g.shedMu.RLock()
-	fn := g.sheddable[env.Action]
-	g.shedMu.RUnlock()
-	return fn != nil && fn(env)
+	return age > g.cfg.FreshFor && g.canShed(env)
 }

@@ -9,13 +9,13 @@ import (
 	"time"
 )
 
-// blockMux returns a mux whose "work" handler parks until release is
-// closed, so tests can hold in-flight slots at will.
+// blockMux returns a mux whose "work" and "other" handlers park until
+// release is closed, so tests can hold in-flight slots at will.
 func blockMux() (mux *Mux, entered chan struct{}, release chan struct{}) {
 	mux = NewMux()
 	entered = make(chan struct{}, 1024)
 	release = make(chan struct{})
-	mux.Handle("work", func(ctx context.Context, env *Envelope) (any, error) {
+	h := func(ctx context.Context, env *Envelope) (any, error) {
 		entered <- struct{}{}
 		select {
 		case <-release:
@@ -23,39 +23,39 @@ func blockMux() (mux *Mux, entered chan struct{}, release chan struct{}) {
 			return nil, ctx.Err()
 		}
 		return &pingResp{Greeting: "done"}, nil
-	})
+	}
+	mux.Handle("work", h)
+	mux.Handle("other", h)
 	return mux, entered, release
 }
 
 func TestAdmissionOverloadedFaultWhenQueueFull(t *testing.T) {
 	mux, entered, release := blockMux()
-	mux.SetAdmission(AdmissionConfig{
-		MaxInFlight: 1,
-		MaxQueued:   1,
-		QueueWait:   50 * time.Millisecond,
-		RetryAfter:  123 * time.Millisecond,
-	})
+	const wait = 1234 * time.Millisecond
+	mux.SetAdmission(AdmissionConfig{MaxInFlight: 1, QueueWait: wait}, nil)
 	local := &Local{Mux: mux}
 
 	// Occupy the single in-flight slot.
 	go local.Call(context.Background(), "work", &pingReq{}, nil)
 	<-entered
 
-	// Fill the single queue slot.
-	queuedErr := make(chan error, 1)
-	go func() {
-		queuedErr <- local.Call(context.Background(), "work", &pingReq{}, nil)
-	}()
-	waitFor(t, func() bool { return mux.AdmissionStats().Queued == 1 })
+	// Fill the action's two queue slots (2 × MaxInFlight).
+	queuedErr := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			queuedErr <- local.Call(context.Background(), "work", &pingReq{}, nil)
+		}()
+	}
+	waitFor(t, func() bool { return mux.AdmissionStats().Queued == 2 })
 
-	// Third concurrent request must be rejected with a typed Overloaded
-	// fault carrying the configured RetryAfterMs.
+	// The next concurrent request must be rejected with a typed Overloaded
+	// fault whose RetryAfterMs is the QueueWait.
 	err := local.Call(context.Background(), "work", &pingReq{}, nil)
 	var f *Fault
 	if !errors.As(err, &f) {
 		t.Fatalf("err = %v, want *Fault", err)
 	}
-	if f.Code != FaultOverloaded || f.RetryAfterMs != 123 {
+	if f.Code != FaultOverloaded || f.RetryAfterMs != wait.Milliseconds() {
 		t.Fatalf("fault = %+v", f)
 	}
 	if !Retryable(err) {
@@ -63,12 +63,54 @@ func TestAdmissionOverloadedFaultWhenQueueFull(t *testing.T) {
 	}
 
 	close(release)
-	if err := <-queuedErr; err != nil {
-		t.Fatalf("queued call: %v", err)
+	for i := 0; i < 2; i++ {
+		if err := <-queuedErr; err != nil {
+			t.Fatalf("queued call: %v", err)
+		}
 	}
 	st := mux.AdmissionStats()
-	if st.Rejected != 1 || st.Admitted < 2 {
+	if st.Rejected != 1 || st.Admitted < 3 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestAdmissionDerivedBounds checks the bounds the gate derives from
+// MaxInFlight and QueueWait: each action queues 2 × MaxInFlight waiters,
+// the next is rejected with RetryAfterMs = QueueWait, and the cap is per
+// action, so another action still queues.
+func TestAdmissionDerivedBounds(t *testing.T) {
+	mux, entered, release := blockMux()
+	const wait = 3 * time.Second
+	mux.SetAdmission(AdmissionConfig{MaxInFlight: 1, QueueWait: wait}, nil)
+	local := &Local{Mux: mux}
+	done := make(chan error, 4)
+	call := func(action string) {
+		go func() { done <- local.Call(context.Background(), action, &pingReq{}, nil) }()
+	}
+	call("work")
+	<-entered
+
+	call("work")
+	call("work")
+	waitFor(t, func() bool { return mux.AdmissionStats().Queued == 2 })
+
+	err := local.Call(context.Background(), "work", &pingReq{}, nil)
+	var f *Fault
+	if !errors.As(err, &f) || f.Code != FaultOverloaded || f.RetryAfterMs != wait.Milliseconds() {
+		t.Fatalf("third waiter: err = %v, want Overloaded with RetryAfterMs %d", err, wait.Milliseconds())
+	}
+
+	call("other")
+	waitFor(t, func() bool { return mux.AdmissionStats().Queued == 3 })
+	if st := mux.AdmissionStats(); st.Rejected != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+
+	close(release)
+	for i := 0; i < 4; i++ {
+		if err := <-done; err != nil {
+			t.Fatalf("admitted or queued call: %v", err)
+		}
 	}
 }
 
@@ -77,9 +119,8 @@ func TestAdmissionQueueWaitTimesOut(t *testing.T) {
 	defer close(release)
 	mux.SetAdmission(AdmissionConfig{
 		MaxInFlight: 1,
-		MaxQueued:   4,
 		QueueWait:   30 * time.Millisecond,
-	})
+	}, nil)
 	local := &Local{Mux: mux}
 	go local.Call(context.Background(), "work", &pingReq{}, nil)
 	<-entered
@@ -103,13 +144,9 @@ func TestAdmissionShedsStaleSheddable(t *testing.T) {
 	defer close(release)
 	mux.SetAdmission(AdmissionConfig{
 		MaxInFlight: 1,
-		MaxQueued:   8,
 		QueueWait:   time.Second,
 		FreshFor:    50 * time.Millisecond,
-		RetryAfter:  200 * time.Millisecond,
-	})
-	// Heartbeats whose payload contains no delta are sheddable.
-	mux.SetSheddable("work", func(env *Envelope) bool { return true })
+	}, func(env *Envelope) bool { return env.Action == "work" })
 	local := &Local{Mux: mux}
 	go local.Call(context.Background(), "work", &pingReq{}, nil)
 	<-entered
@@ -126,7 +163,7 @@ func TestAdmissionShedsStaleSheddable(t *testing.T) {
 	if !errors.As(err, &f) || f.Code != FaultOverloaded {
 		t.Fatalf("err = %v, want shed Overloaded", err)
 	}
-	if f.RetryAfterMs != 200 {
+	if f.RetryAfterMs != 1000 {
 		t.Fatalf("RetryAfterMs = %d", f.RetryAfterMs)
 	}
 	if st := mux.AdmissionStats(); st.ShedStale != 1 {
@@ -158,31 +195,36 @@ func TestAdmissionBoundsConcurrency(t *testing.T) {
 	})
 	mux.SetAdmission(AdmissionConfig{
 		MaxInFlight: maxInFlight,
-		MaxQueued:   64,
 		QueueWait:   5 * time.Second,
-	})
+	}, nil)
 	local := &Local{Mux: mux}
 
+	// Twice as many callers as slots: the gate is contended throughout,
+	// yet however the callers interleave, fewer than the action's queue
+	// cap (2 × MaxInFlight) can be waiting, so no call may be turned away.
+	const callers, calls = 2 * maxInFlight, 4
 	var wg sync.WaitGroup
 	var failed atomic.Uint64
-	for i := 0; i < 32; i++ {
+	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := local.Call(context.Background(), "work", &pingReq{}, nil); err != nil {
-				failed.Add(1)
+			for j := 0; j < calls; j++ {
+				if err := local.Call(context.Background(), "work", &pingReq{}, nil); err != nil {
+					failed.Add(1)
+				}
 			}
 		}()
 	}
 	wg.Wait()
 	if failed.Load() != 0 {
-		t.Fatalf("%d calls failed under a generous queue", failed.Load())
+		t.Fatalf("%d calls failed within the queue cap", failed.Load())
 	}
 	if p := peak.Load(); p > maxInFlight {
 		t.Fatalf("observed concurrency %d > MaxInFlight %d", p, maxInFlight)
 	}
 	st := mux.AdmissionStats()
-	if st.Admitted != 32 || st.InFlight != 0 {
+	if st.Admitted != callers*calls || st.InFlight != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.PeakInFlight > maxInFlight {
@@ -195,9 +237,8 @@ func TestAdmissionCallerCancelWhileQueued(t *testing.T) {
 	defer close(release)
 	mux.SetAdmission(AdmissionConfig{
 		MaxInFlight: 1,
-		MaxQueued:   8,
 		QueueWait:   10 * time.Second,
-	})
+	}, nil)
 	local := &Local{Mux: mux}
 	go local.Call(context.Background(), "work", &pingReq{}, nil)
 	<-entered

@@ -82,7 +82,7 @@ func TestAdmittedRoundTripAllocs(t *testing.T) {
 	}
 	ungated := roundTrip(wire.NewMux())
 	mux := wire.NewMux()
-	mux.SetAdmission(wire.AdmissionConfig{})
+	mux.SetAdmission(wire.AdmissionConfig{}, nil)
 	admitted := roundTrip(mux)
 	if n := mux.AdmissionStats().Admitted; n == 0 {
 		t.Fatal("the gate admitted nothing")
