@@ -91,7 +91,10 @@ flagdoc:
 # bounded by the input, and a page the validator accepts stays valid and
 # in bounds through insert, erase and compaction. Index keys: two values
 # of one column type encode in the order Compare gives them, neither
-# encoding a prefix of the other. Row images (a counted row from the log or
+# encoding a prefix of the other. The index tree (operation runs decoded
+# from the input, against a sorted-slice reference): every insert, delete,
+# seek and scan in either direction agrees with the reference, and the
+# tree keeps its shape through splits, merges and root collapse. Row images (a counted row from the log or
 # a page record, as the engine keeps it): never panic, allocation bounded
 # by the input, every column reads what the value decoder reads, and the
 # cells write back to the same bytes. SQL text (the parser, up to 4 KiB):
@@ -107,6 +110,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLogReader$$' -fuzztime 30s ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzPageImage$$' -fuzztime 30s ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyOrder$$' -fuzztime 30s ./internal/sqldb
+	$(GO) test -run '^$$' -fuzz '^FuzzOrdIndex$$' -fuzztime 30s ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzRowImage$$' -fuzztime 30s ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/sqldb
 

@@ -3,7 +3,9 @@ package sqldb
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -208,6 +210,208 @@ func TestPropertyOrdIndexMatchesReference(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+
+	// Three levels and more (≫ fanout² keys): inserted in random order,
+	// then thinned, every walk and seek agrees with the reference.
+	ix := newOrdIndex()
+	var ref refIndex
+	rng := rand.New(rand.NewSource(5))
+	const n = 12 * fanout * fanout
+	for _, v := range rng.Perm(n) {
+		k := pairKey(int64(v))
+		if ix.insert(k) != ref.insert(k) {
+			t.Fatalf("insert %d disagrees with the reference", v)
+		}
+	}
+	if _, depth := checkTree(t, ix); depth < 3 {
+		t.Fatalf("%d keys built a tree of %d levels, want 3 or more", n, depth)
+	}
+	for _, v := range rng.Perm(n)[:n/3] {
+		k := pairKey(int64(v))
+		if ix.delete(k) != ref.delete(k) {
+			t.Fatalf("delete %d disagrees with the reference", v)
+		}
+	}
+	if _, depth := checkTree(t, ix); depth < 3 {
+		t.Fatalf("after deletes the tree has %d levels, want 3 or more", depth)
+	}
+	walksMatch(t, ix, ref)
+	for _, v := range rng.Perm(n + 32)[:300] {
+		matchesReference(t, ix, ref, int64(v)-16, 40)
+	}
+}
+
+// pairKey is the two-column entry (v/16, v%16) at rid v: runs of 16 entries
+// share a one-column prefix.
+func pairKey(v int64) string { return entry(v, NewInt(v>>4), NewInt(v&15)) }
+
+// refIndex is the reference an ordIndex is held to: its keys, sorted.
+type refIndex []string
+
+func (r *refIndex) insert(k string) bool {
+	i, found := slices.BinarySearch(*r, k)
+	if !found {
+		*r = slices.Insert(*r, i, k)
+	}
+	return !found
+}
+
+func (r *refIndex) delete(k string) bool {
+	i, found := slices.BinarySearch(*r, k)
+	if found {
+		*r = slices.Delete(*r, i, i+1)
+	}
+	return found
+}
+
+// lastWhere is the position of the last key below holds for, -1 if none.
+func (r refIndex) lastWhere(below func(string) bool) int {
+	return sort.Search(len(r), func(i int) bool { return !below(r[i]) }) - 1
+}
+
+// upTo collects at most limit keys from a scan.
+func upTo(limit int, scan func(func(string, int64) bool)) []string {
+	var got []string
+	scan(func(k string, rid int64) bool {
+		if rid != keyRid(k) {
+			panic("a scan handed a rid that is not its key's")
+		}
+		got = append(got, k)
+		return len(got) < limit
+	})
+	return got
+}
+
+// walksMatch holds both whole walks of ix, forward and reverse, to ref.
+func walksMatch(t testing.TB, ix *ordIndex, ref refIndex) {
+	t.Helper()
+	fwd := upTo(len(ref)+1, func(fn func(string, int64) bool) { ix.scanRange("", "", fn) })
+	rev := upTo(len(ref)+1, func(fn func(string, int64) bool) { ix.scanReverseLE("", fn) })
+	if !slices.Equal(fwd, ref) || !slices.Equal(rev, reversed(ref)) {
+		t.Fatalf("walks of %d and %d keys, reference %d", len(fwd), len(rev), len(ref))
+	}
+}
+
+func reversed(keys []string) []string {
+	r := slices.Clone(keys)
+	slices.Reverse(r)
+	return r
+}
+
+// matchesReference holds every read of ix at probes around pairKey(v) —
+// the key, the key one rid on, and v's one-column prefix — to ref: get,
+// findLastLE, findLastLT, forward range and prefix scans, and both reverse
+// scans, each taking at most limit entries.
+func matchesReference(t testing.TB, ix *ordIndex, ref refIndex, v int64, limit int) {
+	t.Helper()
+	key, prefix := pairKey(v), probe(NewInt(v>>4))
+	for _, p := range []string{key, entry(v+1, NewInt(v>>4), NewInt(v&15)), prefix} {
+		_, found := slices.BinarySearch(ref, p)
+		if _, ok := ix.get(p); ok != found {
+			t.Fatalf("get(v=%d) = %v, reference %v", v, ok, found)
+		}
+		le := ref.lastWhere(func(k string) bool { return comparePrefix(k, p) <= 0 })
+		lt := ref.lastWhere(func(k string) bool { return k < p })
+		for _, c := range []struct {
+			name string
+			at   int
+			find func(string) (string, bool)
+		}{{"findLastLE", le, ix.findLastLE}, {"findLastLT", lt, ix.findLastLT}} {
+			k, ok := c.find(p)
+			if ok != (c.at >= 0) || ok && k != ref[c.at] {
+				t.Fatalf("%s(v=%d) = %x %v, reference position %d", c.name, v, k, ok, c.at)
+			}
+		}
+		bound := pairKey(v + int64(limit)/2)
+		lo, hi := sort.SearchStrings(ref, p), sort.SearchStrings(ref, bound)
+		end := lo
+		for end < len(ref) && strings.HasPrefix(ref[end], p) {
+			end++
+		}
+		for _, c := range []struct {
+			name      string
+			got, want []string
+		}{
+			{"scanRange to the end", upTo(limit, func(fn func(string, int64) bool) { ix.scanRange(p, "", fn) }), ref[lo:min(len(ref), lo+limit)]},
+			{"scanRange to a bound", upTo(limit, func(fn func(string, int64) bool) { ix.scanRange(p, bound, fn) }), ref[lo:max(lo, min(hi, lo+limit))]},
+			{"scanPrefix", upTo(limit, func(fn func(string, int64) bool) { ix.scanPrefix(p, fn) }), ref[lo:min(end, lo+limit)]},
+			{"scanReverseLE", upTo(limit, func(fn func(string, int64) bool) { ix.scanReverseLE(p, fn) }), reversed(ref[max(0, le+1-limit) : le+1])},
+			{"scanReverseLT", upTo(limit, func(fn func(string, int64) bool) { ix.scanReverseLT(p, fn) }), reversed(ref[max(0, lt+1-limit) : lt+1])},
+		} {
+			if !slices.Equal(c.got, c.want) {
+				t.Fatalf("%s(v=%d): %d keys, reference %d", c.name, v, len(c.got), len(c.want))
+			}
+		}
+	}
+}
+
+// checkTree holds ix to the B+tree's shape and returns its leaf count and
+// depth: every leaf at one depth; keys ascending and inside the bounds
+// the separators above them set; every array at the one capacity it was
+// made with; no empty node below the root and a root with two children or
+// none; the leaf chain linking the leaves in key order both ways; size
+// counting the keys.
+func checkTree(t testing.TB, ix *ordIndex) (leaves, depth int) {
+	t.Helper()
+	var chain []*bnode
+	var walk func(n *bnode, lo, hi string, d int) // "" bounds nothing: no key is empty
+	walk = func(n *bnode, lo, hi string, d int) {
+		for i, k := range n.keys {
+			if i > 0 && n.keys[i-1] >= k || lo != "" && k < lo || hi != "" && k >= hi {
+				t.Fatalf("level %d: key %d of %d out of order or out of bounds", d, i, len(n.keys))
+			}
+		}
+		if cap(n.keys) != fanout {
+			t.Fatalf("level %d: key array of capacity %d, want %d", d, cap(n.keys), fanout)
+		}
+		if n.kids == nil {
+			if len(n.keys) == 0 && n != ix.root {
+				t.Fatalf("an empty leaf at level %d", d)
+			}
+			if depth == 0 {
+				depth = d
+			} else if d != depth {
+				t.Fatalf("leaves at levels %d and %d", depth, d)
+			}
+			chain = append(chain, n)
+			return
+		}
+		if len(n.kids) != len(n.keys)+1 || len(n.kids) > fanout || cap(n.kids) != fanout+1 {
+			t.Fatalf("level %d: %d children (capacity %d) under %d separators", d, len(n.kids), cap(n.kids), len(n.keys))
+		}
+		if n == ix.root && len(n.kids) < 2 {
+			t.Fatalf("an inner root with %d children", len(n.kids))
+		}
+		for i, c := range n.kids {
+			clo, chi := lo, hi
+			if i > 0 {
+				clo = n.keys[i-1]
+			}
+			if i < len(n.keys) {
+				chi = n.keys[i]
+			}
+			walk(c, clo, chi, d+1)
+		}
+	}
+	walk(ix.root, "", "", 1)
+	size := 0
+	for i, l := range chain {
+		size += len(l.keys)
+		var prev, next *bnode
+		if i > 0 {
+			prev = chain[i-1]
+		}
+		if i+1 < len(chain) {
+			next = chain[i+1]
+		}
+		if l.prev != prev || l.next != next {
+			t.Fatalf("leaf %d of %d is chained out of order", i, len(chain))
+		}
+	}
+	if size != ix.size {
+		t.Fatalf("the leaves hold %d keys, size says %d", size, ix.size)
+	}
+	return len(chain), depth
 }
 
 func TestOrdIndexLargeSequential(t *testing.T) {
@@ -320,40 +524,161 @@ func TestOrdIndexReversePrefixRun(t *testing.T) {
 	}
 }
 
-func TestOrdIndexPrevPointersSurviveDeletes(t *testing.T) {
+// TestOrdIndexLeafChainSurvivesDeletes walks the leaf chain both ways as
+// leaves split, thin out, merge and go: after every-other-key deletes,
+// after whole leaves' worth of keys are deleted from the middle, and after
+// everything is inserted again. Keys inserted in rising order fill every
+// leaf full.
+func TestOrdIndexLeafChainSurvivesDeletes(t *testing.T) {
 	ix := newOrdIndex()
-	for i := int64(0); i < 50; i++ {
+	const n = 50 * fanout
+	for i := int64(0); i < n; i++ {
 		ix.insert(intKey(i))
 	}
-	for i := int64(0); i < 50; i += 2 {
+	if leaves, _ := checkTree(t, ix); leaves != n/fanout {
+		t.Fatalf("%d keys appended fill %d leaves, want %d", n, leaves, n/fanout)
+	}
+	for i := int64(0); i < n; i += 2 {
 		ix.delete(intKey(i))
 	}
+	checkTree(t, ix)
 	got := collectReverse(func(fn func(string, int64) bool) { ix.scanReverseLE("", fn) })
-	if len(got) != 25 {
+	if len(got) != n/2 {
 		t.Fatalf("got %d keys", len(got))
 	}
 	for i, v := range got {
-		if want := int64(49 - 2*i); v != want {
+		if want := int64(n - 1 - 2*i); v != want {
 			t.Fatalf("reverse after deletes: got[%d] = %d, want %d", i, v, want)
 		}
 	}
-	// Reinsert into the gaps and re-check full ordering both ways.
-	for i := int64(0); i < 50; i += 2 {
+	leaves, _ := checkTree(t, ix)
+	for i := int64(n / 2); i < n/2+12*fanout; i++ {
+		ix.delete(intKey(i))
+	}
+	if after, _ := checkTree(t, ix); after >= leaves {
+		t.Fatalf("deleting a run of %d keys left %d leaves of %d", 6*fanout, after, leaves)
+	}
+	for i := int64(0); i < n; i++ {
 		ix.insert(intKey(i))
 	}
+	checkTree(t, ix)
 	got = collectReverse(func(fn func(string, int64) bool) { ix.scanReverseLE("", fn) })
-	if len(got) != 50 || got[0] != 49 || got[49] != 0 {
-		t.Fatalf("reverse after reinsert = %v", got)
+	if len(got) != n || got[0] != n-1 || got[n-1] != 0 {
+		t.Fatalf("reverse after reinsert: %d keys, %d..%d", len(got), got[0], got[len(got)-1])
 	}
 	var fwd []int64
 	ix.scanRange("", "", func(k string, rid int64) bool {
 		fwd = append(fwd, keyInt(k, 0))
 		return true
 	})
-	sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
-	for i := range fwd {
-		if fwd[i] != got[i] {
-			t.Fatalf("forward/reverse disagree at %d", i)
-		}
+	slices.Reverse(got)
+	if !slices.Equal(fwd, got) {
+		t.Fatal("forward and reverse walks disagree")
 	}
+}
+
+// TestOrdIndexChurnKeepsLeavesFull inserts keys in random order, deletes
+// nine in ten of them at random and inserts them again, and holds both
+// walk orders to the reference throughout. Thinned leaves must merge: a
+// leaf under a quarter full merges into a neighbour it fits beside, so
+// the leaves left average well above an eighth full, where without merges
+// each would keep a tenth of what it held. Deleting every key collapses
+// the tree to an empty root leaf.
+func TestOrdIndexChurnKeepsLeavesFull(t *testing.T) {
+	const n = 20 * fanout * fanout / 4
+	ix := newOrdIndex()
+	var ref refIndex
+	rng := rand.New(rand.NewSource(11))
+	keys := make([]string, n)
+	for i, v := range rng.Perm(n) {
+		keys[i] = intKey(int64(v))
+	}
+	for _, k := range keys {
+		ix.insert(k)
+		ref.insert(k)
+	}
+	walksMatch(t, ix, ref)
+	full, _ := checkTree(t, ix)
+	rng.Shuffle(n, func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	for _, k := range keys[:n*9/10] {
+		ix.delete(k)
+		ref.delete(k)
+	}
+	walksMatch(t, ix, ref)
+	leaves, _ := checkTree(t, ix)
+	t.Logf("%d keys in %d leaves; after deleting nine in ten, %d in %d", n, full, ix.size, leaves)
+	if leaves*fanout/8 > ix.size {
+		t.Errorf("%d keys in %d leaves: thinned leaves did not merge", ix.size, leaves)
+	}
+	for _, k := range keys[:n*9/10] {
+		ix.insert(k)
+		ref.insert(k)
+	}
+	walksMatch(t, ix, ref)
+	checkTree(t, ix)
+	for _, k := range keys {
+		ix.delete(k)
+	}
+	if ix.root.kids != nil || len(ix.root.keys) != 0 || ix.size != 0 {
+		t.Fatalf("deleting every key left a root of %d children, %d keys", len(ix.root.kids), len(ix.root.keys))
+	}
+}
+
+// FuzzOrdIndex runs index operations decoded from its input against
+// refIndex. An operation is four bytes: kind, count, and a 12-bit key
+// number v (the entry pairKey(v)). Inserts and deletes come in runs of
+// count+1 keys — consecutive, which appends, or spread by a stride — so a
+// few dozen bytes grow the tree past fanout² keys and thin it again: leaf
+// and inner splits, merges, dropped leaves and root collapse all happen.
+// Reads are get, findLastLE/LT, forward range and prefix scans and both
+// reverse scans around v; the tree's shape is checked after every insert
+// or delete run, its whole walks in both directions at the end.
+func FuzzOrdIndex(f *testing.F) {
+	run := func(kind, count byte, v uint16) []byte { return []byte{kind, count, byte(v >> 8), byte(v)} }
+	var grow, shrink []byte
+	for v := uint16(0); v < 4096; v += 256 {
+		grow = append(grow, run(1, 255, v)...) // strided: leaves split in the middle
+	}
+	grow = append(grow, run(4, 9, 1000)...)
+	for v := uint16(0); v < 4096; v += 256 {
+		shrink = append(shrink, run(2, 255, v)...)
+		shrink = append(shrink, run(5+byte(v>>8)%3, 40, v+100)...)
+	}
+	f.Add(append(append([]byte{}, grow...), shrink...))
+	f.Add(append(run(0, 255, 0), append(run(0, 255, 256), append(run(3, 200, 7), run(6, 80, 300)...)...)...))
+	f.Add(append(run(0, 3, 1), run(7, 5, 2)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const domain = 1 << 12
+		ix := newOrdIndex()
+		var ref refIndex
+		for ; len(data) >= 4; data = data[4:] {
+			kind, count := data[0]%8, int(data[1])+1
+			v := int64(binary.BigEndian.Uint16(data[2:4]) % domain)
+			stride := int64(1)
+			if kind == 1 || kind == 3 {
+				stride = 37 // coprime to the domain: a run of 256 touches 256 keys
+			}
+			switch kind {
+			case 0, 1:
+				for j := range int64(count) {
+					k := pairKey((v + j*stride) % domain)
+					if ix.insert(k) != ref.insert(k) {
+						t.Fatal("insert disagrees with the reference")
+					}
+				}
+			case 2, 3:
+				for j := range int64(count) {
+					k := pairKey((v + j*stride) % domain)
+					if ix.delete(k) != ref.delete(k) {
+						t.Fatal("delete disagrees with the reference")
+					}
+				}
+			default:
+				matchesReference(t, ix, ref, v, count)
+				continue
+			}
+			checkTree(t, ix)
+		}
+		walksMatch(t, ix, ref)
+	})
 }

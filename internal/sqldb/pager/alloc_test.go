@@ -59,3 +59,45 @@ func TestEvictionCycleAllocs(t *testing.T) {
 		t.Errorf("%d bytes a cycle: a page-sized allocation is back", perCycle)
 	}
 }
+
+// TestPoolHoldsOnlyResidentPages holds a pool to memory for the pages it
+// has held, not for its size: a 65,536-frame pool over a 16-page store,
+// every page read in, holds about 16 page buffers beside one pointer per
+// frame — where a pool that made every frame up front held 512 MiB.
+func TestPoolHoldsOnlyResidentPages(t *testing.T) {
+	p, _, _ := newTestPager(t, DefaultPageSize)
+	const pages, frames = 16, 1 << 16
+	batch := make([]BatchPage, pages)
+	for i := range batch {
+		batch[i] = BatchPage{PID: p.Allocate(), Data: fillPage(p, byte(i+1))}
+	}
+	if err := p.WriteBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	batch = nil
+	heap := func() int64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := heap()
+	bp := NewPool(p, frames)
+	for pid := PageID(1); pid <= pages; pid++ {
+		f, err := bp.Fetch(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bp.Unpin(f, false)
+	}
+	held := heap() - before
+	if got := bp.Stats().Resident; got != pages {
+		t.Fatalf("%d pages resident, want %d", got, pages)
+	}
+	runtime.KeepAlive(bp)
+	limit := int64(pages*DefaultPageSize + frames*8 + 256<<10)
+	t.Logf("a %d-frame pool holding %d pages: %d KiB (limit %d KiB)", frames, pages, held>>10, limit>>10)
+	if held > limit {
+		t.Errorf("the pool holds %d KiB, over %d KiB: frames are made before they hold a page", held>>10, limit>>10)
+	}
+}

@@ -420,7 +420,9 @@ func checkImageOwners(t *testing.T, bp *Pool, tracked ...*writeBack) {
 	}
 	var owners []owner
 	for i, f := range bp.frames {
-		owners = append(owners, owner{fmt.Sprintf("frame %d", i), f.data})
+		if f != nil { // a frame never made holds no buffer
+			owners = append(owners, owner{fmt.Sprintf("frame %d", i), f.data})
+		}
 	}
 	for i, img := range bp.spare {
 		owners = append(owners, owner{fmt.Sprintf("spare %d", i), img})

@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// Pool is the buffer-pool manager: a fixed set of page-size frames, a
-// page table mapping PageID → frame, pin/unpin reference counting,
-// dirty tracking, and scan-resistant CLOCK eviction.
+// Pool is the buffer-pool manager: a fixed number of page-size frames,
+// each made on first use, a page table mapping PageID → frame, pin/unpin
+// reference counting, dirty tracking, and scan-resistant CLOCK eviction.
 //
 // Pin protocol: Fetch and NewPage return a pinned frame; the caller
 // reads or mutates frame bytes under the frame latch (RLock for reads,
@@ -35,7 +35,7 @@ type Pool struct {
 	pager *Pager
 
 	mu      sync.Mutex
-	frames  []*Frame
+	frames  []*Frame // nil where the CLOCK hand has not yet been
 	table   map[PageID]*Frame
 	writing map[PageID]*writeBack // eviction write-back in flight
 	spare   [][]byte              // page buffers owned by no frame and no write-back
@@ -146,7 +146,10 @@ type PoolStats struct {
 	Repaired    uint64
 }
 
-// NewPool creates a pool of frameCount frames over the pager.
+// NewPool creates a pool of frameCount frames over the pager. A frame
+// and its page buffer come into being the first time the CLOCK hand
+// reaches it, so a pool holds memory for the pages it has held, not for
+// its size.
 func NewPool(p *Pager, frameCount int) *Pool {
 	if frameCount < 2 {
 		frameCount = 2
@@ -154,12 +157,9 @@ func NewPool(p *Pager, frameCount int) *Pool {
 	bp := &Pool{
 		pager:    p,
 		frames:   make([]*Frame, frameCount),
-		table:    make(map[PageID]*Frame, frameCount),
+		table:    make(map[PageID]*Frame),
 		writing:  make(map[PageID]*writeBack),
 		unpinned: make(chan struct{}, 1),
-	}
-	for i := range bp.frames {
-		bp.frames[i] = &Frame{data: make([]byte, p.PageSize())}
 	}
 	return bp
 }
@@ -242,9 +242,9 @@ func (bp *Pool) Fetch(pid PageID) (*Frame, error) {
 // claimLocked picks a victim frame for pid and configures it pinned and
 // loading. Returns the victim's previous page (0 = none) and its
 // write-back record if the victim was dirty — the record takes the
-// victim's buffer, the frame a spare one — plus any write-back already
-// in flight for pid itself, which the caller now holds and must release.
-// Called with bp.mu held.
+// victim's buffer, the frame a spare one, as does a frame that never held
+// a page — plus any write-back already in flight for pid itself, which
+// the caller now holds and must release. Called with bp.mu held.
 func (bp *Pool) claimLocked(pid PageID) (f *Frame, oldPID PageID, oldWB, ownWB *writeBack, err error) {
 	f = bp.victimLocked()
 	if f == nil {
@@ -255,9 +255,12 @@ func (bp *Pool) claimLocked(pid PageID) (f *Frame, oldPID PageID, oldWB, ownWB *
 		delete(bp.table, oldPID)
 		if f.dirty.Load() {
 			oldWB = bp.parkLocked(oldPID, f.data)
-			f.data = bp.spareLocked()
+			f.data = nil
 		}
 		bp.evictions.Add(1)
+	}
+	if f.data == nil {
+		f.data = bp.spareLocked()
 	}
 	if ownWB = bp.writing[pid]; ownWB != nil {
 		ownWB.holders++
@@ -431,11 +434,16 @@ func (bp *Pool) NewPage() (PageID, *Frame, error) {
 
 // victimLocked runs the CLOCK hand: skip pinned frames and frames whose
 // reference bit it clears this pass; take the first unpinned,
-// unreferenced frame. Returns nil when every frame is pinned.
+// unreferenced frame — a slot the hand has not reached before gets its
+// frame now. Returns nil when every frame is pinned.
 func (bp *Pool) victimLocked() *Frame {
 	n := len(bp.frames)
 	for i := 0; i < 2*n+1; i++ {
 		f := bp.frames[bp.hand]
+		if f == nil {
+			f = &Frame{}
+			bp.frames[bp.hand] = f
+		}
 		bp.hand = (bp.hand + 1) % n
 		if f.pins.Load() > 0 {
 			continue

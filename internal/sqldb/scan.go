@@ -241,23 +241,24 @@ func (op *scanOp) fullWindow(visit func(rid int64, row rowImage) error) error {
 // index (eq…, a, b). Each next group is found by seeking, with keys: the
 // one holding the last entry under the prefix, then the one holding the
 // last entry below the group just finished. The cursor between windows is
-// keys too (group, resume), never a node, so a writer between two windows
-// cannot strand it. collect stops the walk when the window is full.
+// keys too (group, resume), never a leaf position, so a writer between two
+// windows cannot strand it. collect stops the walk when the window is full.
 func (op *scanOp) walkGroups(collect func(string, int64) bool) {
 	tree := op.ap.index.tree
 	prefix := view(op.prefix)
 	for len(op.rids) < op.window {
 		if !op.inGroup {
-			var n *slNode
+			var k string
+			var ok bool
 			if op.group == "" {
-				n = tree.findLastLE(prefix)
+				k, ok = tree.findLastLE(prefix)
 			} else {
-				n = tree.findLastLT(op.group)
+				k, ok = tree.findLastLT(op.group)
 			}
-			if n == nil || !strings.HasPrefix(n.key, prefix) {
+			if !ok || !strings.HasPrefix(k, prefix) {
 				return // ran off the prefix: the scan is exhausted
 			}
-			op.group = n.key[:len(prefix)+keyValueLen(n.key[len(prefix):], op.keyType(op.kpos))]
+			op.group = k[:len(prefix)+keyValueLen(k[len(prefix):], op.keyType(op.kpos))]
 			op.resume, op.skipResume, op.inGroup = op.group, false, true
 		}
 		tree.scanRange(op.resume, "", func(k string, rid int64) bool {
@@ -320,7 +321,7 @@ func (op *scanOp) indexWindow(visit func(rid int64, row rowImage) error) error {
 		}
 		q.stats.RowsScanned++
 		op.rids = append(op.rids, rid)
-		op.keys = append(op.keys, k) // node keys are immutable: safe to hold
+		op.keys = append(op.keys, k) // index keys are immutable: safe to hold
 		if len(op.rids) >= op.window {
 			exhausted = false
 			return false

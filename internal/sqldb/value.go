@@ -1,7 +1,7 @@
 // Package sqldb is an embedded relational database engine written from
 // scratch on the Go standard library. It stands in for the IBM DB2 instance
 // the CondorJ2 paper ran against: SQL parsing, planning and execution,
-// ordered (skiplist) indexes with point, prefix and range scans, strict
+// ordered (B+tree) indexes with point, prefix and range scans, strict
 // two-phase-locking transactions with deadlock detection, a write-ahead
 // log with crash recovery, and a database/sql driver (the paper's "any
 // data storage application that provides a JDBC interface").
@@ -311,7 +311,7 @@ func coerce(v Value, t Type) (Value, error) {
 }
 
 // Index keys are byte strings whose order is the index's order, so the
-// skiplist compares them with a plain byte compare and a paged tree can
+// B+tree compares them with a plain byte compare and a paged tree could
 // store them as they are. An entry's key is its indexed columns, each
 // encoded by appendKeyValue, then the rid in 8 bytes (appendKeyRid). An
 // index column holds one type — every stored value is coerced to its
@@ -415,5 +415,5 @@ func comparePrefix(k, p string) int {
 
 // view is b as a string, not copied: a probe key built in a reused buffer.
 // It is valid while b is not written, and nothing may keep it — the
-// skiplist keeps only the keys insert is given, which are owned strings.
+// B+tree keeps only the keys insert is given, which are owned strings.
 func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
