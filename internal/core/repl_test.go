@@ -151,11 +151,18 @@ func startPair(t *testing.T, leader, follower *replNode) {
 }
 
 // drain waits for the leader's shipper to bring the follower level with
-// the leader's log.
+// the leader's log. A leader with this one follower must also have counted
+// the catch-up: the follower applies a run before the leader adds its
+// bytes to ShipBytes and then advances the follower's acknowledged LSN, so
+// a leader showing its one follower at no lag has done both.
 func drain(t *testing.T, leader, follower *replNode) {
 	t.Helper()
 	waitFor(t, 5*time.Second, follower.addr+" to catch up with "+leader.addr, func() bool {
-		return follower.eng.AppliedLSN() >= leader.eng.DurableLSN()
+		if follower.eng.AppliedLSN() < leader.eng.DurableLSN() {
+			return false
+		}
+		rs := leader.repl.Stats()
+		return rs.Followers != 1 || rs.LagLSN == 0
 	})
 }
 

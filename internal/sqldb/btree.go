@@ -1,55 +1,83 @@
 package sqldb
 
 import (
+	"encoding/binary"
 	"slices"
 	"strings"
 )
 
 // ordIndex is the ordered structure backing every index in the engine: an
 // in-memory B+tree of entry keys, each an order-preserving byte string
-// ending in its row id (see appendKeyValue). Leaves hold the keys in
-// sorted arrays allocated once at fanout capacity and chained both ways
-// for forward and reverse walks; inner nodes hold separators and
-// children. An entry costs its key string and a 16-byte slot in a leaf,
-// no node of its own: indexes are the largest thing the CAS holds.
+// ending in its row id (see appendKeyValue). Inner nodes hold separators
+// and children; leaves are byte blocks chained both ways for forward and
+// reverse walks. Indexes are the largest thing the CAS holds, so an entry
+// has no allocation of its own: it is its key's bytes in its leaf's block
+// and a two-byte offset.
+//
+// A leaf's block is slotted, like a page:
+//
+//	[prefix: plen bytes][offset 0]…[offset n-1]  free  [suffix n-1]…[suffix 0]
+//
+// The prefix is one every key of the leaf starts with, stored once (not
+// always the longest: a split or the first key of a leaf sets it, an
+// insert that does not share it shortens it, nothing lengthens it in
+// place). Each key's remaining suffix is packed back to back from the
+// block's end down, in key order; offset i, a little-endian uint16, is how
+// far suffix i starts from that end, so suffix i runs to where suffix i-1
+// starts and the offsets rise with i. An insert or delete moves the
+// suffixes and offsets after its position, so an append moves nothing. A
+// block is blockSize bytes, or what one long key needs; the suffixes of
+// one block total at most maxData bytes, which their offsets can reach.
 //
 // Every entry key ends in the row id, a final tiebreaker, so duplicate
 // user keys occupy distinct entries, and a leaf stores nothing but keys:
 // the rid is read back from the key's last 8 bytes. Keys compare as bytes;
-// probes are byte strings too — a key, or the leading columns of one. The
-// tree keeps only keys insert was given (separators are such keys too),
-// never a probe, and never changes a key, so a scan may hold the keys it
-// visits.
+// probes are byte strings too — a key, or the leading columns of one.
+// insert copies its key into a block and keeps nothing it is given, so a
+// probe or a key may be a view of a reused buffer. What a read hands back
+// is the key assembled (prefix + suffix) in a buffer its caller owns and
+// passes in, never the tree: readers share the table latch, so the tree
+// has no scratch of its own. A key handed back is valid until the walk
+// hands back the next one, and the tree's contents only under the latch:
+// whatever a caller keeps past either it copies.
 //
 // Row ids rise, so the (state, id) and primary-key indexes mostly append:
 // a full leaf given a key past its last keeps its entries and starts its
 // new right sibling with that key alone, so appended runs fill leaves
-// full; any other overflow splits a node at its middle. A node left under
-// a quarter full merges into a neighbour under the same parent when the
-// two fit; an emptied node is dropped; a root with one child gives way to
-// it. Writers hold the table latch exclusively, scans share it.
+// full; any other overflow splits a leaf at the middle of its bytes (an
+// inner node at its middle child). A node left under a quarter full
+// merges into a neighbour under the same parent when the two fit; an
+// emptied node is dropped; a root with one child gives way to it. Writers
+// hold the table latch exclusively, scans share it.
 type ordIndex struct {
 	root *bnode
 	size int
 }
 
-// fanout is a leaf's key capacity and an inner node's child capacity.
+// fanout is an inner node's child capacity.
 const fanout = 64
 
-// bnode is a leaf (kids nil: keys are entry keys, chained through prev
-// and next) or an inner node, where keys[i] is a lower bound of every key
-// under kids[i+1] and above every key under kids[i]. An inner node's
-// arrays have room for one child over fanout, which it holds only until
-// it splits.
+// blockSize is a leaf block's size in bytes, unless one key needs more.
+const blockSize = 1024
+
+// maxData bounds the suffix bytes of one block: what a uint16 offset
+// reaches.
+const maxData = 1<<16 - 1
+
+// bnode is a leaf (kids nil: blk holds n entry keys under a prefix of plen
+// bytes, chained through prev and next) or an inner node, where keys[i] is
+// a lower bound of every key under kids[i+1] and above every key under
+// kids[i]. An inner node's arrays have room for one child over fanout,
+// which it holds only until it splits.
 type bnode struct {
+	blk        []byte
+	n, plen    int32
 	keys       []string
 	kids       []*bnode
 	prev, next *bnode
 }
 
-func newOrdIndex() *ordIndex { return &ordIndex{root: newLeaf()} }
-
-func newLeaf() *bnode { return &bnode{keys: make([]string, 0, fanout)} }
+func newOrdIndex() *ordIndex { return &ordIndex{root: &bnode{blk: make([]byte, blockSize)}} }
 
 func newInner() *bnode {
 	return &bnode{keys: make([]string, 0, fanout), kids: make([]*bnode, 0, fanout+1)}
@@ -75,17 +103,247 @@ func (n *bnode) child(k string) int {
 	return search(n.keys, func(s string) bool { return s <= k })
 }
 
-// lower returns the position of the first key of leaf n that is >= k.
-func (n *bnode) lower(k string) int {
-	return search(n.keys, func(s string) bool { return s < k })
+// below reports whether k is below probe p: k < p, or with le, k's
+// truncation to len(p) is <= p — p and every key it prefixes. Either holds
+// for a leading run of the key order.
+func below(k, p string, le bool) bool {
+	if le {
+		return k[:min(len(k), len(p))] <= p
+	}
+	return k < p
 }
 
-// entries is a leaf's key count or an inner node's child count.
-func (n *bnode) entries() int {
-	if n.kids == nil {
-		return len(n.keys)
+// prefix is the leaf's shared key prefix.
+func (n *bnode) prefix() string { return view(n.blk[:n.plen]) }
+
+// dist is offset i: how far suffix i starts from the block's end; 0 for
+// i = -1, where suffix 0 ends.
+func (n *bnode) dist(i int) int {
+	if i < 0 {
+		return 0
 	}
-	return len(n.kids)
+	return int(binary.LittleEndian.Uint16(n.blk[int(n.plen)+2*i:]))
+}
+
+func (n *bnode) setDist(i, d int) {
+	binary.LittleEndian.PutUint16(n.blk[int(n.plen)+2*i:], uint16(d))
+}
+
+// suffix is what key i of the leaf holds past the prefix.
+func (n *bnode) suffix(i int) string {
+	e := len(n.blk)
+	return view(n.blk[e-n.dist(i) : e-n.dist(i-1)])
+}
+
+// data is the leaf's suffix bytes.
+func (n *bnode) data() int { return n.dist(int(n.n) - 1) }
+
+// appendKey appends key i of the leaf to b.
+func (n *bnode) appendKey(b []byte, i int) []byte {
+	return append(append(b, n.prefix()...), n.suffix(i)...)
+}
+
+// common is the length of the longest common prefix of keys i and j of
+// the leaf.
+func (n *bnode) common(i, j int) int {
+	return int(n.plen) + commonLen(n.suffix(i), n.suffix(j))
+}
+
+// shared is the length of the longest common prefix of key i of the leaf
+// and k.
+func (n *bnode) shared(i int, k string) int {
+	if c := commonLen(n.prefix(), k); c < int(n.plen) {
+		return c
+	}
+	return int(n.plen) + commonLen(n.suffix(i), k[n.plen:])
+}
+
+func commonLen(a, b string) int {
+	m := min(len(a), len(b))
+	for i := range m {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return m
+}
+
+// used is the bytes of the leaf's block in use.
+func (n *bnode) used() int { return int(n.plen) + 2*int(n.n) + n.data() }
+
+// rank returns how many keys of leaf n are below p (see below): the
+// prefix settles it for every key at once unless p extends the prefix,
+// and then the suffixes are searched against the rest of p.
+func (n *bnode) rank(p string, le bool) int {
+	pre := n.prefix()
+	m := min(len(pre), len(p))
+	if a, b := pre[:m], p[:m]; a != b {
+		if a < b {
+			return int(n.n)
+		}
+		return 0
+	}
+	if len(p) <= len(pre) {
+		// Every key extends p: none is below it, or with le all are.
+		if le {
+			return int(n.n)
+		}
+		return 0
+	}
+	q := p[len(pre):]
+	lo, hi := 0, int(n.n)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if below(n.suffix(m), q, le) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// is reports whether key i of the leaf is k.
+func (n *bnode) is(i int, k string) bool {
+	return i < int(n.n) && strings.HasPrefix(k, n.prefix()) && n.suffix(i) == k[n.plen:]
+}
+
+// span is the keys from..to-1 of a leaf.
+type span struct {
+	n        *bnode
+	from, to int
+}
+
+// pack refills leaf n with the keys of spans in order under their shared
+// prefix of plen bytes — shorter than a span's prefix, which moves its
+// tail into the suffixes, or longer, which moves the suffixes' heads into
+// it — in blk, or in a new block when blk is too short. No span may read
+// blk: one refilling its own block reads a snapshot of it.
+func (n *bnode) pack(blk []byte, plen int, spans ...span) {
+	need, count := plen, 0
+	for _, s := range spans {
+		c := s.to - s.from
+		need += c*(2+int(s.n.plen)-plen) + s.n.dist(s.to-1) - s.n.dist(s.from-1)
+		count += c
+	}
+	if len(blk) < need {
+		blk = make([]byte, max(blockSize, need))
+	}
+	if s := spans[0]; plen > 0 {
+		if c := copy(blk[:plen], s.n.prefix()); c < plen {
+			copy(blk[c:plen], s.n.suffix(s.from))
+		}
+	}
+	d, j := 0, 0
+	for _, s := range spans {
+		pre := s.n.prefix()
+		for i := s.from; i < s.to; i++ {
+			suf := s.n.suffix(i)
+			if plen >= len(pre) {
+				suf = suf[plen-len(pre):]
+			}
+			d += len(suf)
+			copy(blk[len(blk)-d:], suf)
+			if plen < len(pre) {
+				d += len(pre) - plen
+				copy(blk[len(blk)-d:], pre[plen:])
+			}
+			binary.LittleEndian.PutUint16(blk[plen+2*j:], uint16(d))
+			j++
+		}
+	}
+	n.blk, n.n, n.plen = blk, int32(count), int32(plen)
+}
+
+// snapshot is leaf n reading from a copy of its block, in buf when it
+// fits there: what n's block is refilled from.
+func (n *bnode) snapshot(buf []byte) bnode {
+	c := *n
+	if len(n.blk) > len(buf) {
+		buf = make([]byte, len(n.blk))
+	}
+	c.blk = buf[:copy(buf, n.blk)]
+	return c
+}
+
+// start makes n, empty, a leaf holding k alone under its first p bytes —
+// all of k when the rest would overflow a block's suffix bytes.
+func (n *bnode) start(k string, p int) {
+	if len(k)-p > maxData {
+		p = len(k)
+	}
+	if len(n.blk) < len(k)+2 {
+		n.blk = make([]byte, max(blockSize, len(k)+2))
+	}
+	n.plen = int32(copy(n.blk, k[:p]))
+	n.n = 0
+	n.place(0, k[p:])
+}
+
+// room returns the prefix length leaf n keeps when k joins it, what its
+// block then needs, and its suffix bytes then.
+func (n *bnode) room(k string) (p, need, data int) {
+	p = commonLen(n.prefix(), k)
+	data = n.data() + int(n.n)*(int(n.plen)-p) + len(k) - p
+	return p, p + 2*(int(n.n)+1) + data, data
+}
+
+// put inserts k at position i of non-empty leaf n under a prefix of p
+// bytes in a block of need bytes, as room gave them: it repacks the leaf
+// first when the block grows or the prefix shortens.
+func (n *bnode) put(i int, k string, p, need int) {
+	switch {
+	case need > len(n.blk):
+		n.pack(make([]byte, need), p, span{n, 0, int(n.n)})
+	case p < int(n.plen):
+		var buf [blockSize]byte
+		old := n.snapshot(buf[:])
+		n.pack(n.blk, p, span{&old, 0, int(old.n)})
+	}
+	n.place(i, k[n.plen:])
+}
+
+// place inserts suffix s at position i of leaf n, which has room: the
+// suffixes from i on move down by len(s) and their offsets up by two.
+func (n *bnode) place(i int, s string) {
+	e, d := len(n.blk), n.dist(i-1)
+	lo := e - n.data()
+	copy(n.blk[lo-len(s):], n.blk[lo:e-d])
+	copy(n.blk[e-d-len(s):], s)
+	base := int(n.plen)
+	copy(n.blk[base+2*i+2:], n.blk[base+2*i:base+2*int(n.n)])
+	n.n++
+	n.setDist(i, d+len(s))
+	for j := i + 1; j < int(n.n); j++ {
+		n.setDist(j, n.dist(j)+len(s))
+	}
+}
+
+// remove deletes key i of leaf n: the suffixes after it move up over it
+// and their offsets down by two.
+func (n *bnode) remove(i int) {
+	e, d := len(n.blk), n.dist(i)
+	l := d - n.dist(i-1)
+	lo := e - n.data()
+	copy(n.blk[lo+l:], n.blk[lo:e-d])
+	for j := i + 1; j < int(n.n); j++ {
+		n.setDist(j, n.dist(j)-l)
+	}
+	base := int(n.plen)
+	copy(n.blk[base+2*i:], n.blk[base+2*i+2:base+2*int(n.n)])
+	n.n--
+}
+
+// middle is where leaf n splits: the first key at or past half its bytes,
+// leaving a key on each side; 0 when n holds one key.
+func (n *bnode) middle() int {
+	c := int(n.n)
+	half := (n.data() + 2*c) / 2
+	m := 1
+	for m < c-1 && n.dist(m-1)+2*m < half {
+		m++
+	}
+	return min(m, c-1)
 }
 
 // leaf returns the leaf whose range holds k.
@@ -97,47 +355,54 @@ func (s *ordIndex) leaf(k string) *bnode {
 	return n
 }
 
-// insert adds entry key k, which the tree keeps; it reports false if k is
-// already present (unchanged).
+// insert adds entry key k, copying it; it reports false if k is already
+// present (unchanged).
 func (s *ordIndex) insert(k string) bool {
-	sep, right, ok := s.root.insert(k)
-	if !ok {
-		return false
+	for {
+		sep, right, ok, again := s.root.insert(k)
+		if right != nil {
+			root := newInner()
+			root.keys = append(root.keys, sep)
+			root.kids = append(root.kids, s.root, right)
+			s.root = root
+		}
+		if !again {
+			if ok {
+				s.size++
+			}
+			return ok
+		}
 	}
-	if right != nil {
-		root := newInner()
-		root.keys = append(root.keys, sep)
-		root.kids = append(root.kids, s.root, right)
-		s.root = root
-	}
-	s.size++
-	return true
 }
 
 // insert adds k under n, reporting false if it is present. A node that
 // overflows splits and returns its new right sibling with the sibling's
-// lower bound, for the parent to take in.
-func (n *bnode) insert(k string) (sep string, right *bnode, ok bool) {
+// lower bound, for the parent to take in. again reports a split that only
+// made room: a key that would overflow a block's suffix bytes beside the
+// keys of its half goes in on a later descent, each halving its leaf.
+func (n *bnode) insert(k string) (sep string, right *bnode, ok, again bool) {
 	if n.kids == nil {
-		i := n.lower(k)
-		if i < len(n.keys) && n.keys[i] == k {
-			return "", nil, false
+		i := n.rank(k, false)
+		if n.is(i, k) {
+			return "", nil, false, false
 		}
-		if len(n.keys) < fanout {
-			n.keys = slices.Insert(n.keys, i, k)
-			return "", nil, true
+		right, again = n.insertLeaf(i, k)
+		if right != nil {
+			// A copy: a concatenation with an empty suffix would be a view
+			// of the block, which a later repack rewrites in place.
+			var kb keyBuf
+			sep = string(right.appendKey(kb[:0], 0))
 		}
-		r := n.splitLeaf(i, k)
-		return r.keys[0], r, true
+		return sep, right, !again, again
 	}
 	i := n.child(k)
-	if sep, right, ok = n.kids[i].insert(k); right == nil {
-		return "", nil, ok
+	if sep, right, ok, again = n.kids[i].insert(k); right == nil {
+		return "", nil, ok, again
 	}
 	n.keys = slices.Insert(n.keys, i, sep)
 	n.kids = slices.Insert(n.kids, i+1, right)
 	if len(n.kids) <= fanout {
-		return "", nil, true
+		return "", nil, ok, again
 	}
 	m := len(n.kids) / 2
 	r := newInner()
@@ -147,39 +412,61 @@ func (n *bnode) insert(k string) (sep string, right *bnode, ok bool) {
 	clear(n.keys[m-1:])
 	clear(n.kids[m:])
 	n.keys, n.kids = n.keys[:m-1], n.kids[:m]
-	return sep, r, true
+	return sep, r, ok, again
 }
 
-// splitLeaf moves half of full leaf n into a new right sibling and puts k
-// at position i of the pair. An insert past n's last key moves nothing:
-// n stays full and the sibling starts with k alone.
-func (n *bnode) splitLeaf(i int, k string) *bnode {
-	r := newLeaf()
-	r.prev, r.next = n, n.next
+// insertLeaf puts k at position i of leaf n, splitting it when k does not
+// fit its block: a key past the last starts the new right sibling alone,
+// keeping n as it is; otherwise the keys split at the middle of their
+// bytes, each half repacked under its own prefix, and k goes into its
+// half unless the suffix bytes would overflow there (again).
+func (n *bnode) insertLeaf(i int, k string) (right *bnode, again bool) {
+	if n.n == 0 {
+		n.start(k, len(k))
+		return nil, false
+	}
+	if p, need, data := n.room(k); need <= len(n.blk) && data <= maxData {
+		n.put(i, k, p, need)
+		return nil, false
+	}
+	r := &bnode{prev: n, next: n.next}
 	if n.next != nil {
 		n.next.prev = r
 	}
 	n.next = r
-	if i == fanout {
-		r.keys = append(r.keys, k)
-		return r
+	c := int(n.n)
+	if i == c {
+		r.start(k, n.shared(c-1, k))
+		return r, false
 	}
-	const m = fanout / 2
-	r.keys = append(r.keys, n.keys[m:]...)
-	clear(n.keys[m:])
-	n.keys = n.keys[:m]
-	if i <= m {
-		n.keys = slices.Insert(n.keys, i, k)
+	m := n.middle()
+	var buf [blockSize]byte
+	old := n.snapshot(buf[:])
+	r.pack(nil, old.common(m, c-1), span{&old, m, c})
+	if m > 0 {
+		n.pack(n.blk, old.common(0, m-1), span{&old, 0, m})
 	} else {
-		r.keys = slices.Insert(r.keys, i-m, k)
+		n.n, n.plen = 0, 0
 	}
-	return r
+	t := n
+	if i > m {
+		t, i = r, i-m
+	}
+	if t.n == 0 {
+		t.start(k, len(k))
+		return r, false
+	}
+	p, need, data := t.room(k)
+	if data > maxData {
+		return r, true
+	}
+	t.put(i, k, p, need)
+	return r, false
 }
 
 // get returns the row id of entry key k, if present.
 func (s *ordIndex) get(k string) (int64, bool) {
-	n := s.leaf(k)
-	if i := n.lower(k); i < len(n.keys) && n.keys[i] == k {
+	if n := s.leaf(k); n.is(n.rank(k, false), k) {
 		return keyRid(k), true
 	}
 	return 0, false
@@ -202,11 +489,11 @@ func (s *ordIndex) delete(k string) bool {
 // neighbour when the two fit in one node.
 func (n *bnode) delete(k string) bool {
 	if n.kids == nil {
-		i := n.lower(k)
-		if i == len(n.keys) || n.keys[i] != k {
+		i := n.rank(k, false)
+		if !n.is(i, k) {
 			return false
 		}
-		n.keys = slices.Delete(n.keys, i, i+1)
+		n.remove(i)
 		return true
 	}
 	i := n.child(k)
@@ -214,16 +501,51 @@ func (n *bnode) delete(k string) bool {
 	if !c.delete(k) {
 		return false
 	}
-	switch e := c.entries(); {
-	case e == 0:
+	switch {
+	case c.empty():
 		n.drop(i)
-	case e >= fanout/4:
-	case i > 0 && n.kids[i-1].entries()+e <= fanout:
+	case !c.thin():
+	case i > 0 && n.fit(i-1):
 		n.merge(i - 1)
-	case i+1 < len(n.kids) && e+n.kids[i+1].entries() <= fanout:
+	case i+1 < len(n.kids) && n.fit(i):
 		n.merge(i)
 	}
 	return true
+}
+
+// empty reports a leaf with no key or an inner node with no child.
+func (n *bnode) empty() bool {
+	if n.kids == nil {
+		return n.n == 0
+	}
+	return len(n.kids) == 0
+}
+
+// thin reports a node under a quarter full: a leaf's block by bytes, an
+// inner node by children.
+func (n *bnode) thin() bool {
+	if n.kids == nil {
+		return n.used() < blockSize/4
+	}
+	return len(n.kids) < fanout/4
+}
+
+// merged is the prefix length of leaves l and r merged, and the bytes
+// they then need.
+func merged(l, r *bnode) (p, need int) {
+	p = commonLen(l.prefix(), r.prefix())
+	need = p + int(l.n)*(2+int(l.plen)-p) + l.data() + int(r.n)*(2+int(r.plen)-p) + r.data()
+	return p, need
+}
+
+// fit reports whether kids[i] and kids[i+1] fit in one node.
+func (n *bnode) fit(i int) bool {
+	l, r := n.kids[i], n.kids[i+1]
+	if l.kids != nil {
+		return len(l.kids)+len(r.kids) <= fanout
+	}
+	_, need := merged(l, r)
+	return need <= blockSize
 }
 
 // merge moves everything under kids[i+1] into kids[i] and drops kids[i+1].
@@ -231,9 +553,14 @@ func (n *bnode) merge(i int) {
 	l, r := n.kids[i], n.kids[i+1]
 	if l.kids != nil {
 		l.keys = append(l.keys, n.keys[i])
+		l.keys = append(l.keys, r.keys...)
 		l.kids = append(l.kids, r.kids...)
+	} else {
+		var buf [blockSize]byte
+		old := l.snapshot(buf[:])
+		p, _ := merged(l, r)
+		l.pack(l.blk, p, span{&old, 0, int(old.n)}, span{r, 0, int(r.n)})
 	}
-	l.keys = append(l.keys, r.keys...)
 	n.drop(i + 1)
 }
 
@@ -257,101 +584,101 @@ func (n *bnode) drop(i int) {
 
 // scanRange calls fn for each (key, rid) with lo <= key < hi in key order.
 // An empty lo starts at the smallest key; an empty hi runs through the
-// largest. fn returning false stops the scan.
-func (s *ordIndex) scanRange(lo, hi string, fn func(string, int64) bool) {
+// largest. Each key is assembled in *kb: valid until fn returns. fn
+// returning false stops the scan.
+func (s *ordIndex) scanRange(lo, hi string, kb *[]byte, fn func(string, int64) bool) {
 	n := s.leaf(lo)
-	for i := n.lower(lo); n != nil; n, i = n.next, 0 {
-		for _, k := range n.keys[i:] {
-			if hi != "" && k >= hi {
-				return
-			}
-			if !fn(k, keyRid(k)) {
+	for i := n.rank(lo, false); n != nil; n, i = n.next, 0 {
+		*kb = append((*kb)[:0], n.prefix()...)
+		for ; i < int(n.n); i++ {
+			*kb = append((*kb)[:n.plen], n.suffix(i)...)
+			k := view(*kb)
+			if hi != "" && k >= hi || !fn(k, keyRid(k)) {
 				return
 			}
 		}
 	}
 }
 
-// last returns the leaf and position of the last key for which below
-// holds, below holding for a leading run of the key order; nil when it
-// holds for none. Every key left of a subtree is below the bound the
-// descent passed, so a leaf where below holds for nothing leaves the
+// last returns the leaf and position of the last key below p (see
+// below); nil when there is none. Every key left of a subtree is below the
+// bound the descent passed, so a leaf where nothing is below p leaves the
 // answer at the end of the previous leaf.
-func (s *ordIndex) last(below func(string) bool) (*bnode, int) {
+func (s *ordIndex) last(p string, le bool) (*bnode, int) {
 	n := s.root
 	for n.kids != nil {
-		n = n.kids[search(n.keys, below)]
+		n = n.kids[search(n.keys, func(k string) bool { return below(k, p, le) })]
 	}
-	i := search(n.keys, below)
+	i := n.rank(p, le)
 	if i == 0 {
 		if n = n.prev; n == nil {
 			return nil, 0
 		}
-		i = len(n.keys)
+		i = int(n.n)
 	}
 	return n, i - 1
 }
 
 // findLastLE returns the last key whose truncation to len(start) compares
-// <= start — the last entry of start's prefix run. An empty start yields
-// the overall last key. ok is false when no key qualifies.
-func (s *ordIndex) findLastLE(start string) (string, bool) {
-	return keyAt(s.lastLE(start))
+// <= start — the last entry of start's prefix run — assembled in *kb. An
+// empty start yields the overall last key. ok is false when no key
+// qualifies.
+func (s *ordIndex) findLastLE(start string, kb *[]byte) (string, bool) {
+	n, i := s.last(start, true)
+	return keyAt(n, i, kb)
 }
 
 // findLastLT returns the last key that compares strictly below k
-// (reverse-scan resumption point).
-func (s *ordIndex) findLastLT(k string) (string, bool) {
-	return keyAt(s.lastLT(k))
+// (reverse-scan resumption point), assembled in *kb.
+func (s *ordIndex) findLastLT(k string, kb *[]byte) (string, bool) {
+	n, i := s.last(k, false)
+	return keyAt(n, i, kb)
 }
 
-func (s *ordIndex) lastLE(start string) (*bnode, int) {
-	return s.last(func(k string) bool { return comparePrefix(k, start) <= 0 })
-}
-
-func (s *ordIndex) lastLT(k string) (*bnode, int) {
-	return s.last(func(x string) bool { return x < k })
-}
-
-func keyAt(n *bnode, i int) (string, bool) {
+func keyAt(n *bnode, i int, kb *[]byte) (string, bool) {
 	if n == nil {
 		return "", false
 	}
-	return n.keys[i], true
+	*kb = n.appendKey((*kb)[:0], i)
+	return view(*kb), true
 }
 
 // scanReverseLE visits keys in descending order starting from the largest
 // key whose truncation to len(start) is <= start (the whole index when
-// start is empty). fn returning false stops the scan.
-func (s *ordIndex) scanReverseLE(start string, fn func(string, int64) bool) {
-	n, i := s.lastLE(start)
-	walkBack(n, i, fn)
+// start is empty), each assembled in *kb. fn returning false stops the
+// scan.
+func (s *ordIndex) scanReverseLE(start string, kb *[]byte, fn func(string, int64) bool) {
+	n, i := s.last(start, true)
+	walkBack(n, i, kb, fn)
 }
 
 // scanReverseLT visits keys in descending order starting from the largest
-// key strictly below k (full-key comparison).
-func (s *ordIndex) scanReverseLT(k string, fn func(string, int64) bool) {
-	n, i := s.lastLT(k)
-	walkBack(n, i, fn)
+// key strictly below k (full-key comparison), each assembled in *kb.
+func (s *ordIndex) scanReverseLT(k string, kb *[]byte, fn func(string, int64) bool) {
+	n, i := s.last(k, false)
+	walkBack(n, i, kb, fn)
 }
 
 // walkBack visits keys in descending order from position i of leaf n.
-func walkBack(n *bnode, i int, fn func(string, int64) bool) {
-	for n != nil {
+func walkBack(n *bnode, i int, kb *[]byte, fn func(string, int64) bool) {
+	for ; n != nil; n = n.prev {
+		*kb = append((*kb)[:0], n.prefix()...)
 		for ; i >= 0; i-- {
-			if k := n.keys[i]; !fn(k, keyRid(k)) {
+			*kb = append((*kb)[:n.plen], n.suffix(i)...)
+			if k := view(*kb); !fn(k, keyRid(k)) {
 				return
 			}
 		}
-		if n = n.prev; n != nil {
-			i = len(n.keys) - 1
+		if n.prev != nil {
+			i = int(n.prev.n) - 1
 		}
 	}
 }
 
-// scanPrefix visits all keys that begin with prefix, in order.
-func (s *ordIndex) scanPrefix(prefix string, fn func(string, int64) bool) {
-	s.scanRange(prefix, "", func(k string, rid int64) bool {
+// scanPrefix visits all keys that begin with prefix, in order, each
+// assembled in *kb.
+func (s *ordIndex) scanPrefix(prefix string, kb *[]byte, fn func(string, int64) bool) {
+	s.scanRange(prefix, "", kb, func(k string, rid int64) bool {
 		return strings.HasPrefix(k, prefix) && fn(k, rid)
 	})
 }

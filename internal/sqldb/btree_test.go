@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -64,7 +65,8 @@ func TestOrdIndexScanRange(t *testing.T) {
 		ix.insert(intKey(i))
 	}
 	var got []int64
-	ix.scanRange(intKey(10), intKey(20), func(k string, rid int64) bool {
+	var kb []byte
+	ix.scanRange(intKey(10), intKey(20), &kb, func(k string, rid int64) bool {
 		got = append(got, rid)
 		return true
 	})
@@ -85,17 +87,18 @@ func TestOrdIndexScanRangeOpenEnds(t *testing.T) {
 		ix.insert(intKey(i))
 	}
 	count := 0
-	ix.scanRange("", "", func(string, int64) bool { count++; return true })
+	var kb []byte
+	ix.scanRange("", "", &kb, func(string, int64) bool { count++; return true })
 	if count != 10 {
 		t.Fatalf("full scan visited %d", count)
 	}
 	count = 0
-	ix.scanRange(intKey(7), "", func(string, int64) bool { count++; return true })
+	ix.scanRange(intKey(7), "", &kb, func(string, int64) bool { count++; return true })
 	if count != 3 {
 		t.Fatalf("open-high scan visited %d", count)
 	}
 	count = 0
-	ix.scanRange("", intKey(3), func(string, int64) bool { count++; return true })
+	ix.scanRange("", intKey(3), &kb, func(string, int64) bool { count++; return true })
 	if count != 3 {
 		t.Fatalf("open-low scan visited %d", count)
 	}
@@ -107,7 +110,8 @@ func TestOrdIndexScanEarlyStop(t *testing.T) {
 		ix.insert(intKey(i))
 	}
 	count := 0
-	ix.scanRange("", "", func(string, int64) bool {
+	var kb []byte
+	ix.scanRange("", "", &kb, func(string, int64) bool {
 		count++
 		return count < 3
 	})
@@ -125,7 +129,8 @@ func TestOrdIndexScanPrefix(t *testing.T) {
 		}
 	}
 	var got []int64
-	ix.scanPrefix(probe(NewInt(2)), func(k string, rid int64) bool {
+	var kb []byte
+	ix.scanPrefix(probe(NewInt(2)), &kb, func(k string, rid int64) bool {
 		got = append(got, rid)
 		return true
 	})
@@ -147,7 +152,8 @@ func TestOrdIndexTextKeys(t *testing.T) {
 		ix.insert(entry(int64(i), NewText(w)))
 	}
 	var order []string
-	ix.scanRange("", "", func(k string, rid int64) bool {
+	var kb []byte
+	ix.scanRange("", "", &kb, func(k string, rid int64) bool {
 		order = append(order, words[rid])
 		return true
 	})
@@ -189,7 +195,8 @@ func TestPropertyOrdIndexMatchesReference(t *testing.T) {
 		}
 		var keys []int64
 		ok := true
-		ix.scanRange("", "", func(k string, rid int64) bool {
+		var kb []byte
+		ix.scanRange("", "", &kb, func(k string, rid int64) bool {
 			kv := keyInt(k, 0)
 			keys = append(keys, kv)
 			if ref[kv] != rid {
@@ -237,13 +244,27 @@ func TestPropertyOrdIndexMatchesReference(t *testing.T) {
 	}
 	walksMatch(t, ix, ref)
 	for _, v := range rng.Perm(n + 32)[:300] {
-		matchesReference(t, ix, ref, int64(v)-16, 40)
+		matchesReference(t, ix, ref, pairKey, int64(v)-16, 40)
 	}
 }
 
 // pairKey is the two-column entry (v/16, v%16) at rid v: runs of 16 entries
 // share a one-column prefix.
 func pairKey(v int64) string { return entry(v, NewInt(v>>4), NewInt(v&15)) }
+
+// textKey is the two-column (INTEGER, TEXT) entry at rid v, keys of every
+// length: a run of 64 entries shares its INTEGER and a TEXT head of 24 to
+// 84 bytes, the TEXT's tail is 0 to 30 bytes long, and one entry in 61 has
+// a tail longer than a default block.
+func textKey(v int64) string {
+	g := v >> 6
+	head := strings.Repeat(string(rune('a'+g%26)), 24+int(g*7%61))
+	tail := strings.Repeat("m", int(v*13%31))
+	if v%61 == 0 {
+		tail = strings.Repeat("w", blockSize+int(v%512))
+	}
+	return entry(v, NewInt(g), NewText(head+fmt.Sprintf("%02d", v%64)+tail))
+}
 
 // refIndex is the reference an ordIndex is held to: its keys, sorted.
 type refIndex []string
@@ -269,14 +290,16 @@ func (r refIndex) lastWhere(below func(string) bool) int {
 	return sort.Search(len(r), func(i int) bool { return !below(r[i]) }) - 1
 }
 
-// upTo collects at most limit keys from a scan.
-func upTo(limit int, scan func(func(string, int64) bool)) []string {
+// upTo collects at most limit keys from a scan, copying each: a key the
+// tree hands back is valid only until the next.
+func upTo(limit int, scan func(*[]byte, func(string, int64) bool)) []string {
 	var got []string
-	scan(func(k string, rid int64) bool {
+	var kb []byte
+	scan(&kb, func(k string, rid int64) bool {
 		if rid != keyRid(k) {
 			panic("a scan handed a rid that is not its key's")
 		}
-		got = append(got, k)
+		got = append(got, strings.Clone(k))
 		return len(got) < limit
 	})
 	return got
@@ -285,8 +308,8 @@ func upTo(limit int, scan func(func(string, int64) bool)) []string {
 // walksMatch holds both whole walks of ix, forward and reverse, to ref.
 func walksMatch(t testing.TB, ix *ordIndex, ref refIndex) {
 	t.Helper()
-	fwd := upTo(len(ref)+1, func(fn func(string, int64) bool) { ix.scanRange("", "", fn) })
-	rev := upTo(len(ref)+1, func(fn func(string, int64) bool) { ix.scanReverseLE("", fn) })
+	fwd := upTo(len(ref)+1, func(kb *[]byte, fn func(string, int64) bool) { ix.scanRange("", "", kb, fn) })
+	rev := upTo(len(ref)+1, func(kb *[]byte, fn func(string, int64) bool) { ix.scanReverseLE("", kb, fn) })
 	if !slices.Equal(fwd, ref) || !slices.Equal(rev, reversed(ref)) {
 		t.Fatalf("walks of %d and %d keys, reference %d", len(fwd), len(rev), len(ref))
 	}
@@ -298,31 +321,35 @@ func reversed(keys []string) []string {
 	return r
 }
 
-// matchesReference holds every read of ix at probes around pairKey(v) —
-// the key, the key one rid on, and v's one-column prefix — to ref: get,
-// findLastLE, findLastLT, forward range and prefix scans, and both reverse
-// scans, each taking at most limit entries.
-func matchesReference(t testing.TB, ix *ordIndex, ref refIndex, v int64, limit int) {
+// matchesReference holds every read of ix at probes around keyOf(v) — the
+// key, the key one rid on, and three prefixes of the key: its first
+// column, all its columns, and its first half, which may end inside a
+// column — to ref: get, findLastLE, findLastLT, forward range and prefix
+// scans, and both reverse scans, each taking at most limit entries.
+func matchesReference(t testing.TB, ix *ordIndex, ref refIndex, keyOf func(int64) string, v int64, limit int) {
 	t.Helper()
-	key, prefix := pairKey(v), probe(NewInt(v>>4))
-	for _, p := range []string{key, entry(v+1, NewInt(v>>4), NewInt(v&15)), prefix} {
+	key := keyOf(v)
+	cols := key[:len(key)-8]
+	next := string(appendKeyRid([]byte(cols), v+1))
+	for _, p := range []string{key, next, key[:9], cols, key[:len(key)/2]} {
 		_, found := slices.BinarySearch(ref, p)
 		if _, ok := ix.get(p); ok != found {
 			t.Fatalf("get(v=%d) = %v, reference %v", v, ok, found)
 		}
 		le := ref.lastWhere(func(k string) bool { return comparePrefix(k, p) <= 0 })
 		lt := ref.lastWhere(func(k string) bool { return k < p })
+		var kb []byte
 		for _, c := range []struct {
 			name string
 			at   int
-			find func(string) (string, bool)
+			find func(string, *[]byte) (string, bool)
 		}{{"findLastLE", le, ix.findLastLE}, {"findLastLT", lt, ix.findLastLT}} {
-			k, ok := c.find(p)
+			k, ok := c.find(p, &kb)
 			if ok != (c.at >= 0) || ok && k != ref[c.at] {
 				t.Fatalf("%s(v=%d) = %x %v, reference position %d", c.name, v, k, ok, c.at)
 			}
 		}
-		bound := pairKey(v + int64(limit)/2)
+		bound := keyOf(v + int64(limit)/2)
 		lo, hi := sort.SearchStrings(ref, p), sort.SearchStrings(ref, bound)
 		end := lo
 		for end < len(ref) && strings.HasPrefix(ref[end], p) {
@@ -332,11 +359,11 @@ func matchesReference(t testing.TB, ix *ordIndex, ref refIndex, v int64, limit i
 			name      string
 			got, want []string
 		}{
-			{"scanRange to the end", upTo(limit, func(fn func(string, int64) bool) { ix.scanRange(p, "", fn) }), ref[lo:min(len(ref), lo+limit)]},
-			{"scanRange to a bound", upTo(limit, func(fn func(string, int64) bool) { ix.scanRange(p, bound, fn) }), ref[lo:max(lo, min(hi, lo+limit))]},
-			{"scanPrefix", upTo(limit, func(fn func(string, int64) bool) { ix.scanPrefix(p, fn) }), ref[lo:min(end, lo+limit)]},
-			{"scanReverseLE", upTo(limit, func(fn func(string, int64) bool) { ix.scanReverseLE(p, fn) }), reversed(ref[max(0, le+1-limit) : le+1])},
-			{"scanReverseLT", upTo(limit, func(fn func(string, int64) bool) { ix.scanReverseLT(p, fn) }), reversed(ref[max(0, lt+1-limit) : lt+1])},
+			{"scanRange to the end", upTo(limit, func(kb *[]byte, fn func(string, int64) bool) { ix.scanRange(p, "", kb, fn) }), ref[lo:min(len(ref), lo+limit)]},
+			{"scanRange to a bound", upTo(limit, func(kb *[]byte, fn func(string, int64) bool) { ix.scanRange(p, bound, kb, fn) }), ref[lo:max(lo, min(hi, lo+limit))]},
+			{"scanPrefix", upTo(limit, func(kb *[]byte, fn func(string, int64) bool) { ix.scanPrefix(p, kb, fn) }), ref[lo:min(end, lo+limit)]},
+			{"scanReverseLE", upTo(limit, func(kb *[]byte, fn func(string, int64) bool) { ix.scanReverseLE(p, kb, fn) }), reversed(ref[max(0, le+1-limit) : le+1])},
+			{"scanReverseLT", upTo(limit, func(kb *[]byte, fn func(string, int64) bool) { ix.scanReverseLT(p, kb, fn) }), reversed(ref[max(0, lt+1-limit) : lt+1])},
 		} {
 			if !slices.Equal(c.got, c.want) {
 				t.Fatalf("%s(v=%d): %d keys, reference %d", c.name, v, len(c.got), len(c.want))
@@ -346,26 +373,27 @@ func matchesReference(t testing.TB, ix *ordIndex, ref refIndex, v int64, limit i
 }
 
 // checkTree holds ix to the B+tree's shape and returns its leaf count and
-// depth: every leaf at one depth; keys ascending and inside the bounds
-// the separators above them set; every array at the one capacity it was
-// made with; no empty node below the root and a root with two children or
-// none; the leaf chain linking the leaves in key order both ways; size
-// counting the keys.
+// depth: every leaf at one depth and its block in its layout (leafKeys);
+// keys ascending and inside the bounds the separators above them set;
+// every inner array at the one capacity it was made with; no empty node
+// below the root and a root with two children or none; the leaf chain
+// linking the leaves in key order both ways; size counting the keys.
 func checkTree(t testing.TB, ix *ordIndex) (leaves, depth int) {
 	t.Helper()
 	var chain []*bnode
 	var walk func(n *bnode, lo, hi string, d int) // "" bounds nothing: no key is empty
 	walk = func(n *bnode, lo, hi string, d int) {
-		for i, k := range n.keys {
-			if i > 0 && n.keys[i-1] >= k || lo != "" && k < lo || hi != "" && k >= hi {
-				t.Fatalf("level %d: key %d of %d out of order or out of bounds", d, i, len(n.keys))
+		keys := n.keys
+		if n.kids == nil {
+			keys = leafKeys(t, n)
+		}
+		for i, k := range keys {
+			if i > 0 && keys[i-1] >= k || lo != "" && k < lo || hi != "" && k >= hi {
+				t.Fatalf("level %d: key %d of %d out of order or out of bounds", d, i, len(keys))
 			}
 		}
-		if cap(n.keys) != fanout {
-			t.Fatalf("level %d: key array of capacity %d, want %d", d, cap(n.keys), fanout)
-		}
 		if n.kids == nil {
-			if len(n.keys) == 0 && n != ix.root {
+			if n.n == 0 && n != ix.root {
 				t.Fatalf("an empty leaf at level %d", d)
 			}
 			if depth == 0 {
@@ -376,8 +404,8 @@ func checkTree(t testing.TB, ix *ordIndex) (leaves, depth int) {
 			chain = append(chain, n)
 			return
 		}
-		if len(n.kids) != len(n.keys)+1 || len(n.kids) > fanout || cap(n.kids) != fanout+1 {
-			t.Fatalf("level %d: %d children (capacity %d) under %d separators", d, len(n.kids), cap(n.kids), len(n.keys))
+		if cap(n.keys) != fanout || len(n.kids) != len(n.keys)+1 || len(n.kids) > fanout || cap(n.kids) != fanout+1 {
+			t.Fatalf("level %d: %d children (capacity %d) under %d separators (capacity %d)", d, len(n.kids), cap(n.kids), len(n.keys), cap(n.keys))
 		}
 		if n == ix.root && len(n.kids) < 2 {
 			t.Fatalf("an inner root with %d children", len(n.kids))
@@ -396,7 +424,7 @@ func checkTree(t testing.TB, ix *ordIndex) (leaves, depth int) {
 	walk(ix.root, "", "", 1)
 	size := 0
 	for i, l := range chain {
-		size += len(l.keys)
+		size += int(l.n)
 		var prev, next *bnode
 		if i > 0 {
 			prev = chain[i-1]
@@ -412,6 +440,32 @@ func checkTree(t testing.TB, ix *ordIndex) (leaves, depth int) {
 		t.Fatalf("the leaves hold %d keys, size says %d", size, ix.size)
 	}
 	return len(chain), depth
+}
+
+// leafKeys holds leaf n's block to its layout and returns its keys: a
+// block of at least blockSize bytes; the prefix, the offsets and the
+// suffixes apart in it, the suffixes within maxData bytes; offsets that
+// never fall, the first suffix ending at the block's end; every key, the
+// prefix and its suffix, at least a row id long.
+func leafKeys(t testing.TB, n *bnode) []string {
+	t.Helper()
+	c, p := int(n.n), int(n.plen)
+	if len(n.blk) < blockSize || c < 0 || p < 0 || p > len(n.blk) {
+		t.Fatalf("a leaf of %d keys under a %d-byte prefix in a %d-byte block", c, p, len(n.blk))
+	}
+	if data := n.data(); data > maxData || p+2*c+data > len(n.blk) {
+		t.Fatalf("a %d-byte prefix, %d offsets and %d suffix bytes overlap in a %d-byte block", p, c, data, len(n.blk))
+	}
+	keys := make([]string, c)
+	for i := range keys {
+		if n.dist(i) < n.dist(i-1) {
+			t.Fatalf("offset %d of %d is %d, below the one before, %d", i, c, n.dist(i), n.dist(i-1))
+		}
+		if keys[i] = string(n.appendKey(nil, i)); len(keys[i]) < 8 {
+			t.Fatalf("key %d of %d is %d bytes, shorter than a row id", i, c, len(keys[i]))
+		}
+	}
+	return keys
 }
 
 func TestOrdIndexLargeSequential(t *testing.T) {
@@ -459,9 +513,10 @@ func BenchmarkOrdIndexGet(b *testing.B) {
 	}
 }
 
-func collectReverse(scan func(func(string, int64) bool)) []int64 {
+func collectReverse(scan func(*[]byte, func(string, int64) bool)) []int64 {
 	var got []int64
-	scan(func(k string, rid int64) bool {
+	var kb []byte
+	scan(&kb, func(k string, rid int64) bool {
 		got = append(got, keyInt(k, 0))
 		return true
 	})
@@ -475,7 +530,7 @@ func TestOrdIndexScanReverse(t *testing.T) {
 		ix.insert(intKey(int64(v)))
 	}
 	// Whole-index reverse walk: 99..0.
-	got := collectReverse(func(fn func(string, int64) bool) { ix.scanReverseLE("", fn) })
+	got := collectReverse(func(kb *[]byte, fn func(string, int64) bool) { ix.scanReverseLE("", kb, fn) })
 	if len(got) != 100 || got[0] != 99 || got[99] != 0 {
 		t.Fatalf("reverse full scan = %v", got)
 	}
@@ -485,18 +540,19 @@ func TestOrdIndexScanReverse(t *testing.T) {
 		}
 	}
 	// LE start mid-range: begins at the start key itself.
-	got = collectReverse(func(fn func(string, int64) bool) { ix.scanReverseLE(intKey(50), fn) })
+	got = collectReverse(func(kb *[]byte, fn func(string, int64) bool) { ix.scanReverseLE(intKey(50), kb, fn) })
 	if got[0] != 50 || got[len(got)-1] != 0 {
 		t.Fatalf("reverse LE 50 = %v...%v", got[0], got[len(got)-1])
 	}
 	// LT start: strictly below.
-	got = collectReverse(func(fn func(string, int64) bool) { ix.scanReverseLT(intKey(50), fn) })
+	got = collectReverse(func(kb *[]byte, fn func(string, int64) bool) { ix.scanReverseLT(intKey(50), kb, fn) })
 	if got[0] != 49 {
 		t.Fatalf("reverse LT 50 starts at %v", got[0])
 	}
 	// Early stop.
 	n := 0
-	ix.scanReverseLE("", func(string, int64) bool { n++; return n < 5 })
+	var kb []byte
+	ix.scanReverseLE("", &kb, func(string, int64) bool { n++; return n < 5 })
 	if n != 5 {
 		t.Fatalf("early stop visited %d", n)
 	}
@@ -512,7 +568,8 @@ func TestOrdIndexReversePrefixRun(t *testing.T) {
 		}
 	}
 	var got []int64
-	ix.scanReverseLE(probe(NewInt(2)), func(k string, rid int64) bool {
+	var kb []byte
+	ix.scanReverseLE(probe(NewInt(2)), &kb, func(k string, rid int64) bool {
 		if keyInt(k, 0) != 2 {
 			return false
 		}
@@ -528,21 +585,27 @@ func TestOrdIndexReversePrefixRun(t *testing.T) {
 // leaves split, thin out, merge and go: after every-other-key deletes,
 // after whole leaves' worth of keys are deleted from the middle, and after
 // everything is inserted again. Keys inserted in rising order fill every
-// leaf full.
+// leaf full: no leaf but the last has room for the first key of the next.
 func TestOrdIndexLeafChainSurvivesDeletes(t *testing.T) {
 	ix := newOrdIndex()
 	const n = 50 * fanout
 	for i := int64(0); i < n; i++ {
 		ix.insert(intKey(i))
 	}
-	if leaves, _ := checkTree(t, ix); leaves != n/fanout {
-		t.Fatalf("%d keys appended fill %d leaves, want %d", n, leaves, n/fanout)
+	leaves, _ := checkTree(t, ix)
+	for l := firstLeaf(ix); l.next != nil; l = l.next {
+		if _, need, _ := l.room(l.next.prefix() + l.next.suffix(0)); need <= len(l.blk) {
+			t.Fatalf("an appended leaf of %d keys has room for the next key", l.n)
+		}
+	}
+	if leaves != appendedLeaves {
+		t.Fatalf("%d keys appended fill %d leaves, want %d", n, leaves, appendedLeaves)
 	}
 	for i := int64(0); i < n; i += 2 {
 		ix.delete(intKey(i))
 	}
 	checkTree(t, ix)
-	got := collectReverse(func(fn func(string, int64) bool) { ix.scanReverseLE("", fn) })
+	got := collectReverse(func(kb *[]byte, fn func(string, int64) bool) { ix.scanReverseLE("", kb, fn) })
 	if len(got) != n/2 {
 		t.Fatalf("got %d keys", len(got))
 	}
@@ -551,7 +614,7 @@ func TestOrdIndexLeafChainSurvivesDeletes(t *testing.T) {
 			t.Fatalf("reverse after deletes: got[%d] = %d, want %d", i, v, want)
 		}
 	}
-	leaves, _ := checkTree(t, ix)
+	leaves, _ = checkTree(t, ix)
 	for i := int64(n / 2); i < n/2+12*fanout; i++ {
 		ix.delete(intKey(i))
 	}
@@ -562,12 +625,13 @@ func TestOrdIndexLeafChainSurvivesDeletes(t *testing.T) {
 		ix.insert(intKey(i))
 	}
 	checkTree(t, ix)
-	got = collectReverse(func(fn func(string, int64) bool) { ix.scanReverseLE("", fn) })
+	got = collectReverse(func(kb *[]byte, fn func(string, int64) bool) { ix.scanReverseLE("", kb, fn) })
 	if len(got) != n || got[0] != n-1 || got[n-1] != 0 {
 		t.Fatalf("reverse after reinsert: %d keys, %d..%d", len(got), got[0], got[len(got)-1])
 	}
 	var fwd []int64
-	ix.scanRange("", "", func(k string, rid int64) bool {
+	var kb []byte
+	ix.scanRange("", "", &kb, func(k string, rid int64) bool {
 		fwd = append(fwd, keyInt(k, 0))
 		return true
 	})
@@ -577,13 +641,33 @@ func TestOrdIndexLeafChainSurvivesDeletes(t *testing.T) {
 	}
 }
 
+// appendedLeaves is how many leaves the intKeys 0..3199 fill when
+// inserted in rising order. A key is 17 bytes: a tag byte and eight bytes
+// of value, then the eight of its rid. A run of 256 keys shares the tag and
+// the value's seven high bytes, so a leaf whose keys stay within one run
+// holds them under an 8-byte prefix as 9-byte suffixes, 11 bytes an entry:
+// 92 keys in a block. A leaf that straddles two runs has a 7-byte prefix
+// and 12 bytes an entry, 84 keys. The root takes the first 92, every
+// later leaf starts under its first key's prefix with its left neighbour,
+// and shortens it once it takes in a run's end and the next run's start.
+const appendedLeaves = 36
+
+// firstLeaf is the leftmost leaf of ix.
+func firstLeaf(ix *ordIndex) *bnode {
+	n := ix.root
+	for n.kids != nil {
+		n = n.kids[0]
+	}
+	return n
+}
+
 // TestOrdIndexChurnKeepsLeavesFull inserts keys in random order, deletes
 // nine in ten of them at random and inserts them again, and holds both
 // walk orders to the reference throughout. Thinned leaves must merge: a
-// leaf under a quarter full merges into a neighbour it fits beside, so
-// the leaves left average well above an eighth full, where without merges
-// each would keep a tenth of what it held. Deleting every key collapses
-// the tree to an empty root leaf.
+// leaf under a quarter of a block in use merges into a neighbour it fits
+// beside, so the leaves left average well above an eighth of a block in
+// use, where without merges each would keep a tenth of what it held.
+// Deleting every key collapses the tree to an empty root leaf.
 func TestOrdIndexChurnKeepsLeavesFull(t *testing.T) {
 	const n = 20 * fanout * fanout / 4
 	ix := newOrdIndex()
@@ -606,9 +690,13 @@ func TestOrdIndexChurnKeepsLeavesFull(t *testing.T) {
 	}
 	walksMatch(t, ix, ref)
 	leaves, _ := checkTree(t, ix)
-	t.Logf("%d keys in %d leaves; after deleting nine in ten, %d in %d", n, full, ix.size, leaves)
-	if leaves*fanout/8 > ix.size {
-		t.Errorf("%d keys in %d leaves: thinned leaves did not merge", ix.size, leaves)
+	used := 0
+	for l := firstLeaf(ix); l != nil; l = l.next {
+		used += l.used()
+	}
+	t.Logf("%d keys in %d leaves; after deleting nine in ten, %d in %d, %d bytes in use", n, full, ix.size, leaves, used)
+	if used < leaves*blockSize/8 {
+		t.Errorf("%d bytes in use in %d leaves: thinned leaves did not merge", used, leaves)
 	}
 	for _, k := range keys[:n*9/10] {
 		ix.insert(k)
@@ -619,20 +707,61 @@ func TestOrdIndexChurnKeepsLeavesFull(t *testing.T) {
 	for _, k := range keys {
 		ix.delete(k)
 	}
-	if ix.root.kids != nil || len(ix.root.keys) != 0 || ix.size != 0 {
-		t.Fatalf("deleting every key left a root of %d children, %d keys", len(ix.root.kids), len(ix.root.keys))
+	if ix.root.kids != nil || ix.root.n != 0 || ix.size != 0 {
+		t.Fatalf("deleting every key left a root of %d children, %d keys", len(ix.root.kids), ix.root.n)
 	}
+}
+
+// TestOrdIndexKeysPastAnOffset inserts, among short keys, keys whose
+// suffixes alone pass what a block's uint16 offsets reach: such a key
+// ends up alone in a leaf, all of it the leaf's prefix, after as many
+// splits as it takes, and every walk and seek still agrees with the
+// reference, through deletes that bring the short keys back together.
+func TestOrdIndexKeysPastAnOffset(t *testing.T) {
+	ix := newOrdIndex()
+	var ref refIndex
+	key := func(v int64) string {
+		n := int(v % 7)
+		if v%5 == 0 {
+			n = maxData/2 + int(v)*1000 // 32 KiB and up: two fill a leaf's offsets
+		}
+		return entry(v, NewText(fmt.Sprintf("%03d", v%13)+strings.Repeat("x", n)))
+	}
+	rng := rand.New(rand.NewSource(9))
+	for _, v := range rng.Perm(120) {
+		k := key(int64(v))
+		if ix.insert(k) != ref.insert(k) {
+			t.Fatalf("insert %d disagrees with the reference", v)
+		}
+		checkTree(t, ix)
+	}
+	walksMatch(t, ix, ref)
+	for v := range int64(120) {
+		matchesReference(t, ix, ref, key, v, 8)
+	}
+	for _, v := range rng.Perm(120)[:80] {
+		k := key(int64(v))
+		if ix.delete(k) != ref.delete(k) {
+			t.Fatalf("delete %d disagrees with the reference", v)
+		}
+		checkTree(t, ix)
+	}
+	walksMatch(t, ix, ref)
 }
 
 // FuzzOrdIndex runs index operations decoded from its input against
 // refIndex. An operation is four bytes: kind, count, and a 12-bit key
-// number v (the entry pairKey(v)). Inserts and deletes come in runs of
-// count+1 keys — consecutive, which appends, or spread by a stride — so a
-// few dozen bytes grow the tree past fanout² keys and thin it again: leaf
-// and inner splits, merges, dropped leaves and root collapse all happen.
-// Reads are get, findLastLE/LT, forward range and prefix scans and both
-// reverse scans around v; the tree's shape is checked after every insert
-// or delete run, its whole walks in both directions at the end.
+// number v. The kind's top bit picks the key family — pairKey(v), 26-byte
+// keys, or textKey(v), keys of every length sharing long prefixes, some
+// longer than a default block — and its low three bits the operation.
+// Inserts and deletes come in runs of count+1 keys — consecutive, which
+// appends, or spread by a stride — so a few dozen bytes grow the tree past
+// fanout² keys and thin it again: leaf and inner splits, prefixes
+// shortened and re-derived, merges, dropped leaves and root collapse all
+// happen. Reads are get, findLastLE/LT, forward range and prefix scans and
+// both reverse scans around v; the tree's shape, each block's layout
+// included, is checked after every insert or delete run, its whole walks
+// in both directions at the end.
 func FuzzOrdIndex(f *testing.F) {
 	run := func(kind, count byte, v uint16) []byte { return []byte{kind, count, byte(v >> 8), byte(v)} }
 	var grow, shrink []byte
@@ -647,12 +776,28 @@ func FuzzOrdIndex(f *testing.F) {
 	f.Add(append(append([]byte{}, grow...), shrink...))
 	f.Add(append(run(0, 255, 0), append(run(0, 255, 256), append(run(3, 200, 7), run(6, 80, 300)...)...)...))
 	f.Add(append(run(0, 3, 1), run(7, 5, 2)...))
+	var text []byte
+	for v := uint16(0); v < 4096; v += 512 {
+		text = append(text, run(0x81, 255, v)...)
+		text = append(text, run(0x80, 200, v+300)...)
+	}
+	text = append(text, run(0x84, 30, 61)...)
+	for v := uint16(0); v < 4096; v += 512 {
+		text = append(text, run(0x83, 255, v)...)
+		text = append(text, run(0x85+byte(v>>9)%3, 40, v+122)...)
+	}
+	f.Add(text)
+	f.Add(append(append(run(0x80, 255, 0), run(0, 255, 0)...), append(run(0x82, 250, 3), run(0x87, 60, 5)...)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const domain = 1 << 12
 		ix := newOrdIndex()
 		var ref refIndex
 		for ; len(data) >= 4; data = data[4:] {
-			kind, count := data[0]%8, int(data[1])+1
+			kind, count := data[0]&7, int(data[1])+1
+			keyOf := pairKey
+			if data[0]&0x80 != 0 {
+				keyOf = textKey
+			}
 			v := int64(binary.BigEndian.Uint16(data[2:4]) % domain)
 			stride := int64(1)
 			if kind == 1 || kind == 3 {
@@ -661,20 +806,20 @@ func FuzzOrdIndex(f *testing.F) {
 			switch kind {
 			case 0, 1:
 				for j := range int64(count) {
-					k := pairKey((v + j*stride) % domain)
+					k := keyOf((v + j*stride) % domain)
 					if ix.insert(k) != ref.insert(k) {
 						t.Fatal("insert disagrees with the reference")
 					}
 				}
 			case 2, 3:
 				for j := range int64(count) {
-					k := pairKey((v + j*stride) % domain)
+					k := keyOf((v + j*stride) % domain)
 					if ix.delete(k) != ref.delete(k) {
 						t.Fatal("delete disagrees with the reference")
 					}
 				}
 			default:
-				matchesReference(t, ix, ref, v, count)
+				matchesReference(t, ix, ref, keyOf, v, count)
 				continue
 			}
 			checkTree(t, ix)

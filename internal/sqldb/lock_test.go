@@ -3,6 +3,7 @@ package sqldb
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -748,5 +749,41 @@ func TestLockStatementQueuedBehindDropIsRefused(t *testing.T) {
 				t.Fatalf("reopened store holds %v", names)
 			}
 		})
+	}
+}
+
+// TestLockTableGivesBackABurst row-locks 20,000 rows in one transaction
+// and commits: once the locks are released the lock table's shard maps,
+// grown to hold them, are remade, so the live heap returns to near where
+// it stood before the transaction instead of keeping the burst's map
+// buckets for the life of the process (about 0.9 MB here).
+func TestLockTableGivesBackABurst(t *testing.T) {
+	const n = 20000
+	db := lockFixture(t, n) // one row lock at a time
+	defer db.Close()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := tx.Query(`SELECT id FROM kv WHERE id >= 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows.Len() != n || db.LockStats().HeldRow < n {
+		t.Fatalf("the read returned %d rows and holds %d row locks, want %d of each", rows.Len(), db.LockStats().HeldRow, n)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	rows = nil
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("the live heap moved by %d bytes over a burst of %d row locks", grew, n)
+	if grew > 128<<10 {
+		t.Errorf("the live heap grew by %d bytes over a burst of %d row locks, budget 128 KiB", grew, n)
 	}
 }

@@ -431,7 +431,8 @@ func assertOneEntryPerLiveRow(t *testing.T, db *DB, tbl, ix string) {
 	defer tb.latch.RUnlock()
 	index := tb.findIndex(ix)
 	entries := 0
-	index.tree.scanRange("", "", func(k string, rid int64) bool {
+	var kb []byte
+	index.tree.scanRange("", "", &kb, func(k string, rid int64) bool {
 		entries++
 		if row := tb.resolve(tb.rows[rid].currentVersion(0)); row == noRow || !index.entryMatches(k, row, rid) {
 			t.Errorf("%s: entry %v names no live row %d", ix, k, rid)

@@ -2,6 +2,8 @@ package sqldb
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
 	"strings"
@@ -521,5 +523,125 @@ func TestOrderedScanDoesNotBeatSelectiveIndex(t *testing.T) {
 		if r[0].Int64() != want[i] {
 			t.Fatalf("row %d = %d, want %d", i, r[0].Int64(), want[i])
 		}
+	}
+}
+
+// TestOrderedScansCrossConcurrentLeafSplits runs windowed ordered scans
+// over an index of long keys that share long prefixes — a forward walk,
+// and a grouped walk (ORDER BY label DESC, id, which a LIMIT makes worth
+// stopping early) — in read-only snapshots
+// while a writer inserts and deletes rows under the same index, splitting,
+// repacking and merging its leaves between the scans' windows. The scans'
+// cursor keys are their own copies, never views of a leaf, so each scan
+// returns exactly what a full scan of its snapshot holds, sorted.
+func TestOrderedScansCrossConcurrentLeafSplits(t *testing.T) {
+	db := New()
+	defer db.Close()
+	mustExec(t, db, `CREATE TABLE items (id INTEGER PRIMARY KEY, state TEXT NOT NULL, label TEXT NOT NULL)`)
+	mustExec(t, db, `CREATE INDEX items_sl ON items (state, label, id)`)
+	label := func(id int64) string {
+		return strings.Repeat("l", 40+int(id%5)*30) + fmt.Sprintf("%02d", id%37)
+	}
+	const rows = 1200
+	for id := int64(1); id <= rows; id++ {
+		mustExec(t, db, `INSERT INTO items VALUES (?, 'open', ?)`, id, label(id))
+	}
+	for _, c := range []struct{ order, plan string }{
+		{"label, id", " ORDER"},
+		{"label DESC, id", " ORDER REVERSE BY label"},
+	} {
+		ex := mustQuery(t, db, `EXPLAIN SELECT id FROM items WHERE state = 'open' ORDER BY `+c.order+` LIMIT 100000`)
+		if access := ex.Data[0][1].Text(); !strings.Contains(access, "items_sl") || !strings.HasSuffix(access, c.plan) {
+			t.Fatalf("ORDER BY %s: access %q, want an items_sl scan ending %q", c.order, access, c.plan)
+		}
+	}
+	stop := make(chan struct{})
+	writerDone := make(chan error, 1)
+	go func() {
+		rng := rand.New(rand.NewSource(3))
+		next := int64(rows + 1)
+		for {
+			select {
+			case <-stop:
+				writerDone <- nil
+				return
+			default:
+			}
+			tx, err := db.Begin()
+			if err != nil {
+				writerDone <- err
+				return
+			}
+			for range 40 {
+				if _, err = tx.Exec(`INSERT INTO items VALUES (?, 'open', ?)`, next, label(next)); err != nil {
+					break
+				}
+				next++
+			}
+			if err == nil {
+				lo := rng.Int63n(next)
+				_, err = tx.Exec(`DELETE FROM items WHERE id >= ? AND id < ?`, lo, lo+40)
+			}
+			if err == nil {
+				err = tx.Commit()
+			} else {
+				tx.Rollback()
+			}
+			if err != nil {
+				writerDone <- err
+				return
+			}
+		}
+	}()
+	for round := 0; round < 12; round++ {
+		tx, err := db.BeginReadOnly()
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, err := tx.Query(`SELECT id, label, state FROM items`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type item struct {
+			id    int64
+			label string
+		}
+		var open []item
+		for _, r := range all.Data {
+			if r[2].Text() == "open" {
+				open = append(open, item{r[0].Int64(), r[1].Text()})
+			}
+		}
+		for _, desc := range []bool{false, true} {
+			order := "label, id"
+			if desc {
+				order = "label DESC, id"
+			}
+			got, err := tx.Query(`SELECT id FROM items WHERE state = 'open' ORDER BY ` + order + ` LIMIT 100000`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sort.Slice(open, func(a, b int) bool {
+				if open[a].label != open[b].label {
+					return (open[a].label < open[b].label) != desc
+				}
+				return open[a].id < open[b].id
+			})
+			if got.Len() != len(open) {
+				t.Fatalf("round %d, ORDER BY %s: %d rows, the snapshot holds %d", round, order, got.Len(), len(open))
+			}
+			for i, r := range got.Data {
+				if r[0].Int64() != open[i].id {
+					t.Fatalf("round %d, ORDER BY %s: row %d is %d, want %d", round, order, i, r[0].Int64(), open[i].id)
+				}
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if err := <-writerDone; err != nil {
+		t.Fatal(err)
 	}
 }

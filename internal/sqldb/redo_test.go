@@ -78,7 +78,8 @@ func engineState(t *testing.T, who string, db *DB) map[string]tableState {
 		for _, ix := range tbl.indexes {
 			st.ddl = append(st.ddl, ix.schema.DDL())
 			ents := []string{}
-			ix.tree.scanRange("", "", func(k string, rid int64) bool {
+			var kb []byte
+			ix.tree.scanRange("", "", &kb, func(k string, rid int64) bool {
 				if row := tbl.resolve(tbl.rows[rid].visibleVersion(snap)); row != noRow && ix.entryMatches(k, row, rid) {
 					ents = append(ents, canonValues(append(ix.keyValues(row), NewInt(rid))))
 				}

@@ -303,7 +303,8 @@ func TestRowImageSpecialValues(t *testing.T) {
 	}
 	tbl, _ := db.lookupTable("f")
 	entries := 0
-	tbl.findIndex("f_x").tree.scanRange("", "", func(string, int64) bool { entries++; return true })
+	var kb []byte
+	tbl.findIndex("f_x").tree.scanRange("", "", &kb, func(string, int64) bool { entries++; return true })
 	if entries != 3 {
 		t.Errorf("the index on x holds %d entries after −0 → +0, want 3", entries)
 	}

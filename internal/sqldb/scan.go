@@ -38,15 +38,15 @@ type scanOp struct {
 	// O(log n) seek) per handful of rows.
 	window int
 
-	// Index-scan cursor, all in encoded keys. The optional range bounds
-	// (haveLo, haveHi) apply to index column kpos, which starts at byte
-	// len(prefix) of every entry under the prefix. Forward scans resume from the last
-	// collected key (unique thanks to the rid tiebreaker; a node's key is
-	// an immutable string, so holding it costs nothing); reverse scans
-	// start at revStart and walk down; a grouped walk (accessPlan.grouped)
-	// is inGroup while the entries under group — the prefix and one value
-	// of column kpos, a leading part of a node's key — remain, and resumes
-	// among them as a forward scan does.
+	// Index-scan cursor, all in encoded keys, each a view of one of the
+	// scan's own buffers. The optional range bounds (haveLo, haveHi) apply
+	// to index column kpos, which starts at byte len(prefix) of every entry
+	// under the prefix. Forward scans resume from the last collected key
+	// (unique thanks to the rid tiebreaker), copied out of the window;
+	// reverse scans start at revStart and walk down; a grouped walk
+	// (accessPlan.grouped) is inGroup while the entries under group — the
+	// prefix and one value of column kpos, a leading part of an entry's
+	// key — remain, and resumes among them as a forward scan does.
 	kpos           int
 	haveLo, haveHi bool
 	resume         string
@@ -68,13 +68,22 @@ type scanBufs struct {
 	// bounds on column kpos; bound backs the seek key (prefix + one range
 	// bound). The cursor's probe keys are views of them.
 	prefix, lo, hi, bound []byte
+	// The tree hands back each key it visits assembled in walk, valid only
+	// until the next; resumeKey and groupKey back the cursor keys kept
+	// between windows.
+	walk, resumeKey, groupKey []byte
 	// One window's candidates, refilled by every window: their row ids,
-	// and the index keys (index path) or row images (full scan) beside
-	// them.
+	// and the index keys (index path: back to back in keys, key j ending
+	// at ends[j]) or row images (full scan) beside them.
 	rids []int64
-	keys []string
+	keys []byte
+	ends []int32
 	rows []rowImage
 }
+
+// keyBytesKeep bounds the key bytes a pooled scan keeps: a full index
+// window of keys as long as a keyBuf holds.
+const keyBytesKeep = maxScanBatch * len(keyBuf{})
 
 // scanFor returns binding i's scan operator, reset for one pass over ap.
 // At most one scan per binding is open at a time — a join step re-opens
@@ -91,8 +100,9 @@ func (q *query) scanFor(i int, ap accessPlan) *scanOp {
 // row, index key or parameter — for the binding's next pass.
 func (op *scanOp) empty() {
 	op.prefix, op.lo, op.hi, op.bound = op.prefix[:0], op.lo[:0], op.hi[:0], op.bound[:0]
-	op.rids = op.rids[:0]
-	op.keys, op.rows = reuse(op.keys), reuse(op.rows)
+	op.walk, op.resumeKey, op.groupKey = op.walk[:0], op.resumeKey[:0], op.groupKey[:0]
+	op.rids, op.keys, op.ends = op.rids[:0], op.keys[:0], op.ends[:0]
+	op.rows = reuse(op.rows)
 	op.resume, op.revStart, op.group = "", "", ""
 }
 
@@ -101,7 +111,8 @@ func (op *scanOp) empty() {
 func (op *scanOp) release() {
 	*op = scanOp{scanBufs: scanBufs{
 		prefix: keep(op.prefix), lo: keep(op.lo), hi: keep(op.hi), bound: keep(op.bound),
-		rids: keep(op.rids), keys: keep(op.keys), rows: keep(op.rows),
+		walk: keep(op.walk), resumeKey: keep(op.resumeKey), groupKey: keep(op.groupKey),
+		rids: keep(op.rids), keys: keepUpTo(op.keys, keyBytesKeep), ends: keep(op.ends), rows: keep(op.rows),
 	}}
 }
 
@@ -251,17 +262,18 @@ func (op *scanOp) walkGroups(collect func(string, int64) bool) {
 			var k string
 			var ok bool
 			if op.group == "" {
-				k, ok = tree.findLastLE(prefix)
+				k, ok = tree.findLastLE(prefix, &op.walk)
 			} else {
-				k, ok = tree.findLastLT(op.group)
+				k, ok = tree.findLastLT(op.group, &op.walk)
 			}
 			if !ok || !strings.HasPrefix(k, prefix) {
 				return // ran off the prefix: the scan is exhausted
 			}
-			op.group = k[:len(prefix)+keyValueLen(k[len(prefix):], op.keyType(op.kpos))]
+			op.groupKey = append(op.groupKey[:0], k[:len(prefix)+keyValueLen(k[len(prefix):], op.keyType(op.kpos))]...)
+			op.group = view(op.groupKey)
 			op.resume, op.skipResume, op.inGroup = op.group, false, true
 		}
-		tree.scanRange(op.resume, "", func(k string, rid int64) bool {
+		tree.scanRange(op.resume, "", &op.walk, func(k string, rid int64) bool {
 			return strings.HasPrefix(k, op.group) && collect(k, rid)
 		})
 		if len(op.rids) < op.window {
@@ -281,8 +293,7 @@ func (op *scanOp) indexWindow(visit func(rid int64, row rowImage) error) error {
 	q := op.q
 	ap := op.ap
 	tbl := op.tbl
-	op.rids = op.rids[:0]
-	op.keys = reuse(op.keys)
+	op.rids, op.keys, op.ends = op.rids[:0], op.keys[:0], op.ends[:0]
 	exhausted := true
 	prefix := view(op.prefix)
 	lo, hi := view(op.lo), view(op.hi)
@@ -321,7 +332,8 @@ func (op *scanOp) indexWindow(visit func(rid int64, row rowImage) error) error {
 		}
 		q.stats.RowsScanned++
 		op.rids = append(op.rids, rid)
-		op.keys = append(op.keys, k) // index keys are immutable: safe to hold
+		op.keys = append(op.keys, k...) // k is the walk's: copied to outlive the latch
+		op.ends = append(op.ends, int32(len(op.keys)))
 		if len(op.rids) >= op.window {
 			exhausted = false
 			return false
@@ -333,19 +345,19 @@ func (op *scanOp) indexWindow(visit func(rid int64, row rowImage) error) error {
 	case ap.grouped:
 		op.walkGroups(collect)
 	case !ap.reverse:
-		ap.index.tree.scanRange(op.resume, "", collect)
+		ap.index.tree.scanRange(op.resume, "", &op.walk, collect)
 	case op.skipResume:
-		ap.index.tree.scanReverseLT(op.resume, collect)
+		ap.index.tree.scanReverseLT(op.resume, &op.walk, collect)
 	default:
-		ap.index.tree.scanReverseLE(op.revStart, collect)
+		ap.index.tree.scanReverseLE(op.revStart, &op.walk, collect)
 	}
 	tbl.latch.RUnlock()
 	// Advance the cursor before resolving rows, so an error mid-window
 	// leaves the operator consistent.
 	op.done = exhausted
 	if !exhausted {
-		op.resume = op.keys[len(op.keys)-1]
-		op.skipResume = true
+		op.resumeKey = append(op.resumeKey[:0], op.key(len(op.ends)-1)...)
+		op.resume, op.skipResume = view(op.resumeKey), true
 	}
 	// A narrowed locked read locks every entry the window collected before
 	// it visits any (a whole-index scan holds the table lock, which no
@@ -370,7 +382,7 @@ func (op *scanOp) indexWindow(visit func(rid int64, row rowImage) error) error {
 		} else {
 			row = tbl.currentRow(rid, q.tx.id)
 		}
-		if row == noRow || !ap.index.entryMatches(op.keys[j], row, rid) {
+		if row == noRow || !ap.index.entryMatches(op.key(j), row, rid) {
 			continue
 		}
 		if err := visit(rid, row); err != nil {
@@ -378,4 +390,13 @@ func (op *scanOp) indexWindow(visit func(rid int64, row rowImage) error) error {
 		}
 	}
 	return nil
+}
+
+// key is the window's index key j.
+func (op *scanOp) key(j int) string {
+	var from int32
+	if j > 0 {
+		from = op.ends[j-1]
+	}
+	return view(op.keys[from:op.ends[j]])
 }

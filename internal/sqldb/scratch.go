@@ -137,8 +137,11 @@ func reuse[T any](s []T) []T {
 
 // keep is reuse for a buffer going back to the pool: one grown past
 // scratchKeep is dropped instead.
-func keep[T any](s []T) []T {
-	if cap(s) > scratchKeep {
+func keep[T any](s []T) []T { return keepUpTo(s, scratchKeep) }
+
+// keepUpTo is keep with a bound of its own.
+func keepUpTo[T any](s []T, bound int) []T {
+	if cap(s) > bound {
 		return nil
 	}
 	return reuse(s)

@@ -305,8 +305,15 @@ func TestPooledScratchPinsNothing(t *testing.T) {
 		checkPooled(t, name+"lo", op.lo, false)
 		checkPooled(t, name+"hi", op.hi, false)
 		checkPooled(t, name+"bound", op.bound, false)
+		checkPooled(t, name+"walk", op.walk, false)
+		checkPooled(t, name+"resumeKey", op.resumeKey, false)
+		checkPooled(t, name+"groupKey", op.groupKey, false)
 		checkPooled(t, name+"rids", op.rids, false)
-		checkEmpty(t, name+"keys", op.keys)
+		checkPooled(t, name+"ends", op.ends, false)
+		// Key bytes pin nothing; they are bounded by a window's worth.
+		if len(op.keys) != 0 || cap(op.keys) > keyBytesKeep {
+			t.Errorf("%skeys: length %d, capacity %d in the pool, cap %d", name, len(op.keys), cap(op.keys), keyBytesKeep)
+		}
 		checkEmpty(t, name+"rows", op.rows)
 	}
 	if c := sc.walBuf.Cap(); c > 64*scratchKeep {

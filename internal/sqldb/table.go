@@ -37,6 +37,9 @@ type table struct {
 	// lastIndex is the number the newest index was given: each index of
 	// the table gets the next, never reused, under the exclusive latch.
 	lastIndex uint32
+	// walk is where the index walks writers make under the exclusive
+	// latch (checkUnique's) assemble the keys they visit.
+	walk []byte
 
 	// tableID is the table's permanent, never-reused id: what the log, the
 	// checkpoint meta and its pages name it by. Paged storage: committed
@@ -155,6 +158,7 @@ func (t *table) addIndexLocked(is IndexSchema) ([]gcRecord, error) {
 	t.lastIndex++
 	ix := &index{schema: is, cols: cols, tree: newOrdIndex(), num: t.lastIndex}
 	var history []gcRecord
+	var buf keyBuf
 	for i, slot := range t.rows {
 		rid := int64(i)
 		head := slot.head.Load()
@@ -170,11 +174,11 @@ func (t *table) addIndexLocked(is IndexSchema) ([]gcRecord, error) {
 			if row == noRow {
 				continue
 			}
-			k := ix.entryKey(row, rid)
+			k := ix.appendEntry(buf[:0], row, rid)
 			if v != head && (live == noRow || !ix.sameKey(live, row)) {
-				orphans = append(orphans, gcEntry{index: ix.num, key: k})
+				orphans = append(orphans, gcEntry{index: ix.num, key: string(k)})
 			}
-			ix.tree.insert(k)
+			ix.tree.insert(view(k))
 		}
 		if len(orphans) > 0 {
 			history = append(history, gcRecord{tableID: t.tableID, rid: rid, entries: orphans})
@@ -223,7 +227,9 @@ func (t *table) indexNumbered(num uint32) *index {
 type keyBuf [64]byte
 
 // entryKey builds the physical index key for a row: the indexed columns
-// followed by the rowid tiebreaker, one string. Every index — unique ones
+// followed by the rowid tiebreaker, one owned string, for a key kept past
+// the latch (a GC record's); an insert, which the tree copies, encodes
+// into a keyBuf with appendEntry instead. Every index — unique ones
 // included — carries the tiebreaker, because under multi-versioning two
 // rids may legitimately hold entries for the same logical key at once (a
 // committed-deleted row awaiting GC and its replacement). Uniqueness is
@@ -361,7 +367,7 @@ func (t *table) checkUnique(ix *index, row rowImage, rid int64) error {
 	// lives on the stack; only a reported violation builds the key's values.
 	var buf keyBuf
 	var conflict bool
-	ix.tree.scanPrefix(view(ix.appendKey(buf[:0], row)), func(_ string, rid2 int64) bool {
+	ix.tree.scanPrefix(view(ix.appendKey(buf[:0], row)), &t.walk, func(_ string, rid2 int64) bool {
 		if rid2 == rid {
 			return true
 		}
@@ -539,9 +545,10 @@ func (t *table) write(rid int64, row rowImage, insert bool, txn, watermark uint6
 			orphaned = append(orphaned, gcEntry{index: ix.num, key: ix.entryKey(old, rid)})
 		}
 	}
+	var buf keyBuf
 	for _, ix := range t.indexes {
 		if old == noRow || !ix.sameKey(old, row) {
-			ix.tree.insert(ix.entryKey(row, rid)) // idempotent when re-claiming a pending-GC entry
+			ix.tree.insert(view(ix.appendEntry(buf[:0], row, rid))) // idempotent when re-claiming a pending-GC entry
 		}
 	}
 	if s == nil {
@@ -733,8 +740,9 @@ func (t *table) pagedPlace(rid int64, row rowImage, loc pageLoc, ts uint64) {
 	v.begin.Store(ts)
 	t.rows[rid].head.Store(v)
 	t.liveRows.Add(1)
+	var buf keyBuf
 	for _, ix := range t.indexes {
-		ix.tree.insert(ix.entryKey(row, rid))
+		ix.tree.insert(view(ix.appendEntry(buf[:0], row, rid)))
 	}
 }
 

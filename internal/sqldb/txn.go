@@ -152,9 +152,20 @@ const lockShards = 64
 // entries on the heap for the life of the process.
 const lockFreeMax = 16
 
+// lockShardShrink bounds the targets a shard's map may have held before
+// it is remade once it drains: a Go map never gives back the buckets a
+// burst grew (a scan that row-locked a whole table), so the drained map is
+// dropped instead of kept at its high-water mark. What a shard keeps is
+// then at most a 128-target map, about 6 KiB; a scheduler cycle's row
+// locks stay under it, so a steady workload does not remake and regrow
+// its maps every cycle.
+const lockShardShrink = 128
+
 type lockShard struct {
 	mu  sync.Mutex
 	res map[lockTarget]*resLock
+	// peak is the most targets res has held since it was made.
+	peak int
 	// free holds entries unlinked from res with no holder and no queued
 	// request, ready to serve the next new target. Guarded by mu.
 	free []*resLock
@@ -178,18 +189,23 @@ func (sh *lockShard) resource(t lockTarget) *resLock {
 			rl = &resLock{}
 		}
 		sh.res[t] = rl
+		sh.peak = max(sh.peak, len(sh.res))
 	}
 	return rl
 }
 
 // unlinkIfIdle removes the target's entry from the table once nothing
-// holds or waits for it — the table stays proportional to contention —
-// and keeps the entry for reuse while the freelist has room.
+// holds or waits for it — the table stays proportional to contention, its
+// map remade when it drains after a burst — and keeps the entry for reuse
+// while the freelist has room.
 func (sh *lockShard) unlinkIfIdle(t lockTarget, rl *resLock) {
 	if len(rl.holders) != 0 || len(rl.queue) != 0 {
 		return
 	}
 	delete(sh.res, t)
+	if len(sh.res) == 0 && sh.peak > lockShardShrink {
+		sh.res, sh.peak = make(map[lockTarget]*resLock), 0
+	}
 	if len(sh.free) < lockFreeMax {
 		// A drained queue's backing array still points at its old requests;
 		// only contended resources ever have one, so drop it rather than

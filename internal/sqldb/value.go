@@ -413,7 +413,8 @@ func comparePrefix(k, p string) int {
 	return strings.Compare(k[:min(len(k), len(p))], p)
 }
 
-// view is b as a string, not copied: a probe key built in a reused buffer.
-// It is valid while b is not written, and nothing may keep it — the
-// B+tree keeps only the keys insert is given, which are owned strings.
+// view is b as a string, not copied: a probe key built in a reused buffer,
+// or a key the B+tree assembled in a caller's buffer. It is valid while b
+// is not written, and nothing may keep it — the B+tree copies the keys
+// insert is given into its leaves.
 func view(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
