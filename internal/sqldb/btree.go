@@ -44,8 +44,16 @@ import (
 // Row ids rise, so the (state, id) and primary-key indexes mostly append:
 // a full leaf given a key past its last keeps its entries and starts its
 // new right sibling with that key alone, so appended runs fill leaves
-// full; any other overflow splits a leaf at the middle of its bytes (an
-// inner node at its middle child). A node left under a quarter full
+// full. An index appended to at several places at once — (state,
+// priority, id), its jobs cycling through a few priorities — appends
+// inside its leaves, so a leaf keeps where its last insert went, and an
+// overflowing insert at or past the leaf's middle that extends a run —
+// it lands right after the last insert, which landed right after the one
+// before — splits the leaf there (InnoDB's sequential-insert rule): the
+// left part keeps the run and the key, and fills as the run goes on.
+// Random inserts rarely make a run, so they still split evenly. Any other
+// overflow splits a leaf at the middle of its bytes (an inner node at its
+// middle child). A node left under a quarter full
 // merges into a neighbour under the same parent when the two fit; an
 // emptied node is dropped; a root with one child gives way to it. Writers
 // hold the table latch exclusively, scans share it.
@@ -64,14 +72,25 @@ const blockSize = 1024
 // reaches.
 const maxData = 1<<16 - 1
 
+// maxKeys bounds the keys of one leaf: what a hint's position holds.
+const maxKeys = 1<<15 - 1
+
+// hintRun is the bit of a leaf's hint marking a run of inserts.
+const hintRun = 1 << 15
+
 // bnode is a leaf (kids nil: blk holds n entry keys under a prefix of plen
-// bytes, chained through prev and next) or an inner node, where keys[i] is
-// a lower bound of every key under kids[i+1] and above every key under
-// kids[i]. An inner node's arrays have room for one child over fanout,
-// which it holds only until it splits.
+// bytes, chained through prev and next; hint's low 15 bits are the
+// position right after its last insert, 0 when a split or merge repacked
+// it since, and its hintRun bit says that insert landed right after the
+// one before) or an inner node, where keys[i] is a lower bound of every
+// key under kids[i+1] and above every key under kids[i]. An inner node's
+// arrays have room for one child over fanout, which it holds only until it
+// splits. A leaf holds at most maxKeys keys, so that n and hint fit in 16
+// bits each and the node in 96 bytes.
 type bnode struct {
 	blk        []byte
-	n, plen    int32
+	n, hint    uint16
+	plen       int32
 	keys       []string
 	kids       []*bnode
 	prev, next *bnode
@@ -252,7 +271,7 @@ func (n *bnode) pack(blk []byte, plen int, spans ...span) {
 			j++
 		}
 	}
-	n.blk, n.n, n.plen = blk, int32(count), int32(plen)
+	n.blk, n.n, n.hint, n.plen = blk, uint16(count), 0, int32(plen)
 }
 
 // snapshot is leaf n reading from a copy of its block, in buf when it
@@ -305,6 +324,7 @@ func (n *bnode) put(i int, k string, p, need int) {
 
 // place inserts suffix s at position i of leaf n, which has room: the
 // suffixes from i on move down by len(s) and their offsets up by two.
+// The insert is the leaf's last.
 func (n *bnode) place(i int, s string) {
 	e, d := len(n.blk), n.dist(i-1)
 	lo := e - n.data()
@@ -313,6 +333,11 @@ func (n *bnode) place(i int, s string) {
 	base := int(n.plen)
 	copy(n.blk[base+2*i+2:], n.blk[base+2*i:base+2*int(n.n)])
 	n.n++
+	run := uint16(0)
+	if i == int(n.hint&^hintRun) {
+		run = hintRun
+	}
+	n.hint = uint16(i+1) | run
 	n.setDist(i, d+len(s))
 	for j := i + 1; j < int(n.n); j++ {
 		n.setDist(j, n.dist(j)+len(s))
@@ -332,6 +357,9 @@ func (n *bnode) remove(i int) {
 	base := int(n.plen)
 	copy(n.blk[base+2*i:], n.blk[base+2*i+2:base+2*int(n.n)])
 	n.n--
+	if i < int(n.hint&^hintRun) {
+		n.hint--
+	}
 }
 
 // middle is where leaf n splits: the first key at or past half its bytes,
@@ -417,15 +445,17 @@ func (n *bnode) insert(k string) (sep string, right *bnode, ok, again bool) {
 
 // insertLeaf puts k at position i of leaf n, splitting it when k does not
 // fit its block: a key past the last starts the new right sibling alone,
-// keeping n as it is; otherwise the keys split at the middle of their
-// bytes, each half repacked under its own prefix, and k goes into its
-// half unless the suffix bytes would overflow there (again).
+// keeping n as it is; otherwise the keys split — at i when k extends a
+// run of inserts at or past the middle, else at the middle of their bytes
+// — each half repacked under its own prefix, and k goes into its half (the
+// left one when it splits at i) unless the suffix bytes would overflow
+// there (again).
 func (n *bnode) insertLeaf(i int, k string) (right *bnode, again bool) {
 	if n.n == 0 {
 		n.start(k, len(k))
 		return nil, false
 	}
-	if p, need, data := n.room(k); need <= len(n.blk) && data <= maxData {
+	if p, need, data := n.room(k); need <= len(n.blk) && data <= maxData && n.n < maxKeys {
 		n.put(i, k, p, need)
 		return nil, false
 	}
@@ -440,6 +470,9 @@ func (n *bnode) insertLeaf(i int, k string) (right *bnode, again bool) {
 		return r, false
 	}
 	m := n.middle()
+	if i >= m && n.hint == uint16(i)|hintRun {
+		m = i
+	}
 	var buf [blockSize]byte
 	old := n.snapshot(buf[:])
 	r.pack(nil, old.common(m, c-1), span{&old, m, c})

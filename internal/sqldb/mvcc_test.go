@@ -434,7 +434,7 @@ func assertOneEntryPerLiveRow(t *testing.T, db *DB, tbl, ix string) {
 	var kb []byte
 	index.tree.scanRange("", "", &kb, func(k string, rid int64) bool {
 		entries++
-		if row := tb.resolve(tb.rows[rid].currentVersion(0)); row == noRow || !index.entryMatches(k, row, rid) {
+		if row := tb.resolve(tb.rows.at(rid).currentVersion(0)); row == noRow || !index.entryMatches(k, row, rid) {
 			t.Errorf("%s: entry %v names no live row %d", ix, k, rid)
 		}
 		return true

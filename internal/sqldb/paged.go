@@ -421,21 +421,21 @@ func (db *DB) pageWriteThrough(entries []stampEntry) {
 	}
 	for _, e := range entries {
 		h := e.tbl.heap
-		if h == nil || e.v.loc.pid != 0 {
+		if h == nil || e.v.loc.pid() != 0 {
 			continue
 		}
 		tomb := e.v.isTomb()
 		loc, err := h.writeRow(e.rid, e.v.data, tomb)
 		if err != nil {
-			// Sticky: the version keeps its in-memory data (loc stays 0),
+			// Sticky: the version keeps its in-memory data (no page in loc),
 			// readers are unaffected, checkpoints refuse from here on.
 			st.fail(err)
 			return
 		}
-		if loc.pid == 0 {
+		if loc == 0 {
 			continue // table dropped mid-commit
 		}
-		e.v.loc = loc
+		e.v.loc |= loc // a tombstone keeps its bit
 		e.v.data = noRow
 	}
 }
@@ -569,10 +569,9 @@ func (db *DB) recoverPaged(meta *pagedMeta, data []byte) ([]walMark, error) {
 	// per-rid seq order equal commit order); older records and records of
 	// unknown tables are garbage.
 	type diskRec struct {
-		loc  pageLoc
-		seq  uint64
-		tomb bool
-		img  rowImage
+		loc pageLoc // with the tombstone bit for a tombstone record
+		seq uint64
+		img rowImage
 	}
 	type loserRec struct {
 		tbl *table
@@ -611,12 +610,15 @@ func (db *DB) recoverPaged(meta *pagedMeta, data []byte) ([]walMark, error) {
 			if rec.seq > maxSeq {
 				maxSeq = rec.seq
 			}
-			loc := pageLoc{pid: pid, slot: uint16(slot)}
+			loc := makeLoc(pid, slot)
 			if best, seen := m[rec.rid]; !seen || rec.seq > best.seq {
 				if seen {
 					losers = append(losers, loserRec{tbl: tbl, loc: best.loc})
 				}
-				m[rec.rid] = diskRec{loc: loc, seq: rec.seq, tomb: rec.tomb, img: rec.img}
+				if rec.tomb {
+					loc |= locTomb
+				}
+				m[rec.rid] = diskRec{loc: loc, seq: rec.seq, img: rec.img}
 			} else {
 				losers = append(losers, loserRec{tbl: tbl, loc: loc})
 			}
@@ -661,7 +663,7 @@ func (db *DB) recoverPaged(meta *pagedMeta, data []byte) ([]walMark, error) {
 	for tid, m := range winners {
 		tbl := db.tableByID(uint64(tid))
 		for rid, rec := range m {
-			if rec.tomb {
+			if rec.loc.tomb() {
 				tbl.heap.erase(rec.loc)
 				delete(m, rid)
 			}

@@ -56,16 +56,33 @@ const (
 	slotDirEntry   = 4
 )
 
-// pageLoc names one record: a page and its slot-directory index. Slot
-// indexes are stable across in-page compaction, so locs held by
-// in-memory versions survive page reorganization. The zero value (pid
-// 0) means "not paged".
-type pageLoc struct {
-	pid  pager.PageID
-	slot uint16
+// pageLoc names one record in one word: its page id in bits 16–62, its
+// slot-directory index in bits 0–15, and in the top bit a version's
+// tombstone flag (rowVersion.isTomb), which names no record and which the
+// page id and slot ignore. Slot indexes are stable across in-page
+// compaction, so locs held by in-memory versions survive page
+// reorganization. Page id 0 means "not paged", with or without the
+// tombstone bit. A pageLoc lives only in memory; no format holds one.
+type pageLoc uint64
+
+const (
+	locSlotBits         = 16
+	locTomb     pageLoc = 1 << 63
+	// maxLocPID is the highest page id a pageLoc holds: 2^47 pages, an
+	// exbibyte of 8 KiB pages.
+	maxLocPID = pager.PageID(locTomb>>locSlotBits - 1)
+)
+
+// makeLoc is the location of slot of page pid, pid at most maxLocPID.
+func makeLoc(pid pager.PageID, slot int) pageLoc {
+	return pageLoc(pid)<<locSlotBits | pageLoc(uint16(slot))
 }
 
-// recFlagTomb marks a tombstone record (mirrors verTomb on versions).
+func (l pageLoc) pid() pager.PageID { return pager.PageID(l&^locTomb) >> locSlotBits }
+func (l pageLoc) slot() int         { return int(uint16(l)) }
+func (l pageLoc) tomb() bool        { return l&locTomb != 0 }
+
+// recFlagTomb marks a tombstone record (mirrors locTomb on versions).
 const recFlagTomb = 1 << 0
 
 // pageRecord is one decoded record (recovery scan and reads).
@@ -389,7 +406,7 @@ func (h *pagedHeap) insert(f *pager.Frame, rec []byte, row rowImage) (slot int, 
 // tables proceed in parallel.
 func (h *pagedHeap) writeRow(rid int64, row rowImage, tomb bool) (pageLoc, error) {
 	if h.dropped.Load() {
-		return pageLoc{}, nil // table dropped mid-commit: version is unreachable anyway
+		return 0, nil // table dropped mid-commit: version is unreachable anyway
 	}
 	ps := h.store.pool
 	pageSize := h.store.pager.PageSize()
@@ -402,7 +419,7 @@ func (h *pagedHeap) writeRow(rid int64, row rowImage, tomb bool) (pageLoc, error
 	encodeRecord(&h.enc, h.store.nextSeq.Add(1), rid, tomb, row)
 	rec := h.enc.Bytes()
 	if maxRec := pageSize - pageHdrSize - slotDirEntry; len(rec) > maxRec {
-		return pageLoc{}, fmt.Errorf("sqldb: row %d of table id %d encodes to %d bytes, exceeding the %d-byte page record limit", rid, h.tableID, len(rec), maxRec)
+		return 0, fmt.Errorf("sqldb: row %d of table id %d encodes to %d bytes, exceeding the %d-byte page record limit", rid, h.tableID, len(rec), maxRec)
 	}
 	if h.scratch == nil {
 		h.scratch = make([]byte, pageSize)
@@ -411,7 +428,7 @@ func (h *pagedHeap) writeRow(rid int64, row rowImage, tomb bool) (pageLoc, error
 		pid := h.fill[len(h.fill)-1]
 		f, err := ps.Fetch(pid)
 		if err != nil {
-			return pageLoc{}, err
+			return 0, err
 		}
 		f.Lock()
 		if img := f.Data(); pageTableID(img) == 0 {
@@ -421,14 +438,14 @@ func (h *pagedHeap) writeRow(rid int64, row rowImage, tomb bool) (pageLoc, error
 		f.Unlock()
 		ps.Unpin(f, ok)
 		if ok {
-			return pageLoc{pid: pid, slot: uint16(slot)}, nil
+			return makeLoc(pid, slot), nil
 		}
 		h.fill = h.fill[:len(h.fill)-1]
 		delete(h.inFill, pid)
 	}
 	pid, f, err := ps.NewPage()
 	if err != nil {
-		return pageLoc{}, err
+		return 0, err
 	}
 	f.Lock()
 	pageInit(f.Data(), h.tableID)
@@ -436,12 +453,12 @@ func (h *pagedHeap) writeRow(rid int64, row rowImage, tomb bool) (pageLoc, error
 	f.Unlock()
 	ps.Unpin(f, true)
 	if !ok {
-		return pageLoc{}, fmt.Errorf("sqldb: record of %d bytes does not fit a fresh page", len(rec))
+		return 0, fmt.Errorf("sqldb: record of %d bytes does not fit a fresh page", len(rec))
 	}
 	h.pages = append(h.pages, pid)
 	h.fill = append(h.fill, pid)
 	h.inFill[pid] = true
-	return pageLoc{pid: pid, slot: uint16(slot)}, nil
+	return makeLoc(pid, slot), nil
 }
 
 // liveRecord returns the bytes of the live record at slot of a latched
@@ -464,15 +481,15 @@ func (h *pagedHeap) liveRecord(img []byte, pr *pageRows, slot int) []byte {
 // so a read that finds it there allocates nothing; the checks of table
 // ID, slot bound and live length are made on the page either way.
 func (h *pagedHeap) readRow(loc pageLoc) rowImage {
-	if loc.pid == 0 || h.dropped.Load() {
+	if loc.pid() == 0 || h.dropped.Load() {
 		return noRow
 	}
-	f, err := h.store.pool.Fetch(loc.pid)
+	f, err := h.store.pool.Fetch(loc.pid())
 	if err != nil {
 		h.store.fail(err)
 		return noRow
 	}
-	slot := int(loc.slot)
+	slot := loc.slot()
 	var row rowImage
 	f.RLock()
 	if pr, _ := f.Attachment().(*pageRows); pr != nil && pr.checked && len(h.liveRecord(f.Data(), pr, slot)) > 0 {
@@ -496,7 +513,7 @@ func (h *pagedHeap) readRow(loc pageLoc) rowImage {
 	}
 	h.store.pool.Unpin(f, false)
 	if row == noRow {
-		h.store.fail(fmt.Errorf("sqldb: paged heap: no record at page %d slot %d for table id %d", loc.pid, loc.slot, h.tableID))
+		h.store.fail(fmt.Errorf("sqldb: paged heap: no record at page %d slot %d for table id %d", loc.pid(), slot, h.tableID))
 	}
 	return row
 }
@@ -504,15 +521,16 @@ func (h *pagedHeap) readRow(loc pageLoc) rowImage {
 // erase kills the record at loc (pruned version, recovery-proven loser,
 // or reclaimed tombstone past its checkpoint barrier).
 func (h *pagedHeap) erase(loc pageLoc) {
-	if loc.pid == 0 || h.dropped.Load() {
+	pid := loc.pid()
+	if pid == 0 || h.dropped.Load() {
 		return
 	}
-	f, err := h.store.pool.Fetch(loc.pid)
+	f, err := h.store.pool.Fetch(pid)
 	if err != nil {
 		h.store.fail(err)
 		return
 	}
-	slot := int(loc.slot)
+	slot := loc.slot()
 	f.Lock()
 	img := f.Data()
 	pr := rowsOf(f)
@@ -521,15 +539,15 @@ func (h *pagedHeap) erase(loc pageLoc) {
 		pageErase(img, slot)
 		pr.put(slot, noRow)
 	} else if pr.bad {
-		h.store.fail(fmt.Errorf("sqldb: paged heap: corrupt page %d of table id %d", loc.pid, h.tableID))
+		h.store.fail(fmt.Errorf("sqldb: paged heap: corrupt page %d of table id %d", pid, h.tableID))
 	}
 	f.Unlock()
 	h.store.pool.Unpin(f, dirty)
 	if dirty {
 		h.mu.Lock()
-		if !h.inFill[loc.pid] && !h.dropped.Load() {
-			h.fill = append(h.fill, loc.pid)
-			h.inFill[loc.pid] = true
+		if !h.inFill[pid] && !h.dropped.Load() {
+			h.fill = append(h.fill, pid)
+			h.inFill[pid] = true
 		}
 		h.mu.Unlock()
 	}

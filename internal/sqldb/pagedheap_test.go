@@ -333,7 +333,7 @@ func TestPagedCorruptPageImages(t *testing.T) {
 					}
 				}},
 				{"erase", "corrupt page 1", func(t *testing.T, db *DB) {
-					db.table("t").heap.erase(pageLoc{pid: 1, slot: 0})
+					db.table("t").heap.erase(makeLoc(1, 0))
 				}},
 				{"writeRow", "corrupt page 1", func(t *testing.T, db *DB) {
 					mustExec(t, db, `INSERT INTO t VALUES (100, 'lands on a fresh page')`)
@@ -524,7 +524,7 @@ func TestPagedSlotReuseServesNewRow(t *testing.T) {
 		t.Fatal("a second read of a resident row copied it again")
 	}
 	h.erase(locs[1])
-	if _, pr := frameRows(t, db, locs[1].pid); pr.get(int(locs[1].slot)) != noRow {
+	if _, pr := frameRows(t, db, locs[1].pid()); pr.get(locs[1].slot()) != noRow {
 		t.Fatal("the erased slot's row still rides the frame")
 	}
 	// A tombstone takes the slot next: it must not be served as a row, nor
@@ -533,7 +533,7 @@ func TestPagedSlotReuseServesNewRow(t *testing.T) {
 	if err != nil || loc != locs[1] {
 		t.Fatalf("tombstone landed at %+v (err %v), want the freed %+v", loc, err, locs[1])
 	}
-	if _, pr := frameRows(t, db, loc.pid); pr.get(int(loc.slot)) != noRow {
+	if _, pr := frameRows(t, db, loc.pid()); pr.get(loc.slot()) != noRow {
 		t.Fatal("a tombstone's slot carries a row")
 	}
 	h.erase(loc)

@@ -57,12 +57,13 @@ func engineState(t *testing.T, who string, db *DB) map[string]tableState {
 		}
 		tbl.latch.RLock()
 		var empty []int64
-		for rid, s := range tbl.rows {
+		for rid := range tbl.rows.n {
+			s := tbl.rows.at(rid)
 			if row := tbl.resolve(s.visibleVersion(snap)); row != noRow {
-				st.rows[int64(rid)] = canonValues(row.values())
+				st.rows[rid] = canonValues(row.values())
 				st.holes = append(st.holes, empty[len(st.holes):]...)
 			} else if s.head.Load() == nil {
-				empty = append(empty, int64(rid))
+				empty = append(empty, rid)
 			} else {
 				t.Errorf("%s: %s slot %d holds versions but no live row after the GC drained", who, name, rid)
 			}
@@ -80,7 +81,7 @@ func engineState(t *testing.T, who string, db *DB) map[string]tableState {
 			ents := []string{}
 			var kb []byte
 			ix.tree.scanRange("", "", &kb, func(k string, rid int64) bool {
-				if row := tbl.resolve(tbl.rows[rid].visibleVersion(snap)); row != noRow && ix.entryMatches(k, row, rid) {
+				if row := tbl.resolve(tbl.rows.at(rid).visibleVersion(snap)); row != noRow && ix.entryMatches(k, row, rid) {
 					ents = append(ents, canonValues(append(ix.keyValues(row), NewInt(rid))))
 				}
 				return true

@@ -295,8 +295,8 @@ func visibleRows(tbl *table, ts uint64) []rowImage {
 	tbl.latch.RLock()
 	defer tbl.latch.RUnlock()
 	var rows []rowImage
-	for _, slot := range tbl.rows {
-		if row := tbl.resolve(slot.visibleVersion(ts)); row != noRow {
+	for rid := range tbl.rows.n {
+		if row := tbl.resolve(tbl.rows.at(rid).visibleVersion(ts)); row != noRow {
 			rows = append(rows, row)
 		}
 	}

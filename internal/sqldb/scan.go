@@ -216,15 +216,15 @@ func (op *scanOp) fullWindow(visit func(rid int64, row rowImage) error) error {
 	op.rids = op.rids[:0]
 	op.rows = reuse(op.rows)
 	tbl.latch.RLock()
-	n := int64(len(tbl.rows))
+	n := tbl.rows.n
 	end := min(op.base+fullScanBatch, n)
 	rid := op.base
 	for ; rid < end && len(op.rows) < op.window; rid++ {
 		var row rowImage
-		if q.snapRead {
-			row = tbl.resolve(tbl.rows[rid].visibleVersion(q.snapTS))
+		if s := tbl.rows.at(rid); q.snapRead {
+			row = tbl.resolve(s.visibleVersion(q.snapTS))
 		} else {
-			row = tbl.resolve(tbl.rows[rid].currentVersion(q.tx.id))
+			row = tbl.resolve(s.currentVersion(q.tx.id))
 		}
 		if row != noRow {
 			op.rids = append(op.rids, rid)

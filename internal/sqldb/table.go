@@ -3,33 +3,34 @@ package sqldb
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
 
 // table is the in-memory heap storage for one table plus its indexes.
-// Row ids are slot positions in the rows slice; each slot holds a version
-// chain (see version.go). Emptied slots are recycled through a free list
-// once GC proves no snapshot can still see them, which keeps scan order
+// Row ids are slot positions in rows; each slot holds a version chain (see
+// version.go). Emptied slots are recycled through a free list once GC
+// proves no snapshot can still see them, which keeps scan order
 // deterministic (slot order) — important for reproducible simulations.
 //
 // Logical isolation is provided by the engine's two-phase locking
 // protocol for writers and by snapshot visibility for read-only
 // transactions. Because transactions holding only intention locks mutate
 // disjoint rows of the same table concurrently — and snapshot readers
-// take no lock-manager locks at all — the physical structures (the rows
-// slice, free list, autoincrement counter, and index trees) are
+// take no lock-manager locks at all — the physical structures (the slot
+// chunks, free list, autoincrement counter, and index trees) are
 // additionally protected by a short-held latch. Slot heads, version
 // stamps, and chain links are atomic, so the hot paths (version push on
 // update/delete, chain walks on read) need only the shared latch; the
-// exclusive latch guards structural changes: slice growth, index-entry
+// exclusive latch guards structural changes: heap growth, index-entry
 // mutation, and index builds. The latch is never held while blocking on a
 // lock-manager lock (that would deadlock invisibly to the waits-for
 // graph).
 type table struct {
 	schema   TableSchema
 	latch    sync.RWMutex
-	rows     []*rowSlot
+	rows     slots
 	free     []int64
 	liveRows atomic.Int64
 	nextAuto int64
@@ -58,6 +59,64 @@ type table struct {
 	// build time and is discarded when either moves.
 	schemaEpoch atomic.Uint64
 	statsEpoch  atomic.Uint64
+}
+
+// Slot chunk sizes: a table's first chunk holds slotChunkMin slots, and
+// from the second on each chunk doubles the slots before it, up to
+// slotChunkMax; every chunk past that holds slotChunkMax. A table of a few
+// rows costs one 128-byte chunk, and a large one wastes less than one
+// 32 KiB chunk at its end.
+const (
+	slotChunkMinBits = 4
+	slotChunkMaxBits = 12
+	slotChunkMin     = 1 << slotChunkMinBits
+	slotChunkMax     = 1 << slotChunkMaxBits
+)
+
+// slots is a table's heap: its rowSlot values, rid i the i-th, held inline
+// in chunks that are never moved or freed, so a slot's address stays valid
+// while later inserts add chunks — table.slot hands it out past the latch
+// it was found under. n is the slots in use; the rest of the last chunk is
+// zero, empty slots for the next rids.
+type slots struct {
+	chunks [][]rowSlot
+	n      int64
+}
+
+// slotChunk is the chunk holding rid and rid's position in it.
+func slotChunk(rid int64) (c int, off int64) {
+	switch {
+	case rid < slotChunkMin:
+		return 0, rid
+	case rid < slotChunkMax:
+		c = bits.Len64(uint64(rid) >> slotChunkMinBits)
+		return c, rid - slotChunkMin<<(c-1)
+	}
+	return int(rid>>slotChunkMaxBits) + slotChunkMaxBits - slotChunkMinBits, rid & (slotChunkMax - 1)
+}
+
+// at is slot rid, which is in use.
+func (s *slots) at(rid int64) *rowSlot {
+	c, off := slotChunk(rid)
+	return &s.chunks[c][off]
+}
+
+// get is slot rid, or nil past the heap's end.
+func (s *slots) get(rid int64) *rowSlot {
+	if rid < 0 || rid >= s.n {
+		return nil
+	}
+	return s.at(rid)
+}
+
+// grow puts n slots in use, adding chunks as the new ones need.
+func (s *slots) grow(n int64) {
+	for ; s.n < n; s.n++ {
+		if c, _ := slotChunk(s.n); c == len(s.chunks) {
+			size := min(slotChunkMin<<max(c-1, 0), slotChunkMax)
+			s.chunks = append(s.chunks, make([]rowSlot, size))
+		}
+	}
 }
 
 // index is one secondary (or primary) index over a table.
@@ -159,9 +218,8 @@ func (t *table) addIndexLocked(is IndexSchema) ([]gcRecord, error) {
 	ix := &index{schema: is, cols: cols, tree: newOrdIndex(), num: t.lastIndex}
 	var history []gcRecord
 	var buf keyBuf
-	for i, slot := range t.rows {
-		rid := int64(i)
-		head := slot.head.Load()
+	for rid := range t.rows.n {
+		head := t.rows.at(rid).head.Load()
 		live := t.resolve(head)
 		if live != noRow {
 			if err := t.checkUnique(ix, live, rid); err != nil {
@@ -371,7 +429,7 @@ func (t *table) checkUnique(ix *index, row rowImage, rid int64) error {
 		if rid2 == rid {
 			return true
 		}
-		headRow := t.resolve(t.rows[rid2].head.Load())
+		headRow := t.resolve(t.rows.at(rid2).head.Load())
 		if headRow == noRow {
 			return true // reclaimed slot or tombstoned row: key is free
 		}
@@ -398,8 +456,9 @@ func (t *table) allocSlot() int64 {
 		t.free = t.free[:n-1]
 		return rid
 	}
-	t.rows = append(t.rows, &rowSlot{})
-	return int64(len(t.rows) - 1)
+	rid := t.rows.n
+	t.rows.grow(rid + 1)
+	return rid
 }
 
 // releaseSlot returns an allocated-but-unpublished slot to the free list.
@@ -450,8 +509,7 @@ func (t *table) refused(err error, rid int64) error {
 // a write with nothing to do. Caller holds the latch.
 func (t *table) find(op walOp, rid int64, txn uint64, mayContain bool) (s *rowSlot, old rowImage, apply bool, err error) {
 	var cur *rowVersion
-	if rid >= 0 && rid < int64(len(t.rows)) {
-		s = t.rows[rid]
+	if s = t.rows.get(rid); s != nil {
 		cur = s.currentVersion(txn)
 	}
 	live := cur != nil && !cur.isTomb()
@@ -552,10 +610,8 @@ func (t *table) write(rid int64, row rowImage, insert bool, txn, watermark uint6
 		}
 	}
 	if s == nil {
-		for int64(len(t.rows)) <= rid {
-			t.rows = append(t.rows, &rowSlot{})
-		}
-		s = t.rows[rid]
+		t.rows.grow(rid + 1)
+		s = t.rows.at(rid)
 	}
 	if old == noRow {
 		t.liveRows.Add(1)
@@ -580,18 +636,16 @@ func (t *table) remove(rid int64, txn, watermark uint64, mayContain bool) (*rowV
 		entries = append(entries, gcEntry{index: ix.num, key: ix.entryKey(old, rid)})
 	}
 	t.liveRows.Add(-1)
-	return t.push(s, &rowVersion{txn: txn, flags: verTomb}, watermark), entries, nil
+	return t.push(s, &rowVersion{txn: txn, loc: locTomb}, watermark), entries, nil
 }
 
-// slot fetches a heap slot under the shared latch (the slice header may
-// be growing concurrently under another transaction's insert).
+// slot fetches a heap slot under the shared latch (the chunk list may be
+// growing concurrently under another transaction's insert). The slot
+// itself never moves, so it stays valid past the latch.
 func (t *table) slot(rid int64) *rowSlot {
 	t.latch.RLock()
 	defer t.latch.RUnlock()
-	if rid < 0 || rid >= int64(len(t.rows)) {
-		return nil
-	}
-	return t.rows[rid]
+	return t.rows.get(rid)
 }
 
 // currentRow is the 2PL read of a row: the transaction's own uncommitted
@@ -639,8 +693,8 @@ func (ix *index) entryMatches(k string, row rowImage, rid int64) bool {
 // again before the orphaned entry was reclaimed. Caller holds the
 // exclusive latch.
 func (t *table) removeEntryIfUnclaimed(ix *index, k string, rid int64) bool {
-	if rid >= 0 && rid < int64(len(t.rows)) {
-		for v := t.rows[rid].head.Load(); v != nil; v = v.prev.Load() {
+	if s := t.rows.get(rid); s != nil {
+		for v := s.head.Load(); v != nil; v = v.prev.Load() {
 			if row := t.resolve(v); row != noRow && ix.entryMatches(k, row, rid) {
 				return false
 			}
@@ -659,7 +713,7 @@ func (t *table) removeEntryIfUnclaimed(ix *index, k string, rid int64) bool {
 func (t *table) rollback(op walOp, rid int64, txn uint64) {
 	t.latch.Lock()
 	defer t.latch.Unlock()
-	s := t.rows[rid]
+	s := t.rows.at(rid)
 	head := s.head.Load()
 	if head == nil || head.begin.Load() != 0 || head.txn != txn || head.isTomb() != (op == walDelete) {
 		return
@@ -690,10 +744,10 @@ func (t *table) rollback(op walOp, rid int64, txn uint64) {
 func (t *table) gcProcess(rec *gcRecord, watermark uint64) (pruned, entriesRemoved, slotsFreed uint64) {
 	t.latch.Lock()
 	defer t.latch.Unlock()
-	if rec.rid < 0 || rec.rid >= int64(len(t.rows)) {
+	s := t.rows.get(rec.rid)
+	if s == nil {
 		return 0, 0, 0
 	}
-	s := t.rows[rec.rid]
 	pruned = t.prune(s, watermark)
 	for _, e := range rec.entries {
 		ix := t.indexNumbered(e.index)
@@ -707,15 +761,16 @@ func (t *table) gcProcess(rec *gcRecord, watermark uint64) (pruned, entriesRemov
 	if rec.tombstone {
 		// The slot dies only when the tombstone is the whole chain and is
 		// itself below the watermark (re-check: a rollback or unprocessed
-		// newer record may have changed the picture since enqueue).
-		head := s.head.Load()
-		if head != nil && head.isTomb() && head.prev.Load() == nil {
-			if b := head.begin.Load(); b != 0 && b <= watermark {
+		// newer record may have changed the picture since enqueue). begin
+		// is read first: the commit path may still be writing an unstamped
+		// head's loc.
+		if head := s.head.Load(); head != nil {
+			if b := head.begin.Load(); b != 0 && b <= watermark && head.isTomb() && head.prev.Load() == nil {
 				s.head.Store(nil)
 				// The tombstone's own page record may only be erased once
 				// the erasure of the data records it shadows is durable —
 				// defer it past the next checkpoint (resurrection hazard).
-				if head.loc.pid != 0 && t.heap != nil {
+				if head.loc.pid() != 0 && t.heap != nil {
 					t.heap.store.queueTombErase(t.heap, head.loc)
 				}
 				t.free = append(t.free, rec.rid)
@@ -733,12 +788,10 @@ func (t *table) gcProcess(rec *gcRecord, watermark uint64) (pruned, entriesRemov
 func (t *table) pagedPlace(rid int64, row rowImage, loc pageLoc, ts uint64) {
 	t.latch.Lock()
 	defer t.latch.Unlock()
-	for int64(len(t.rows)) <= rid {
-		t.rows = append(t.rows, &rowSlot{})
-	}
+	t.rows.grow(rid + 1)
 	v := &rowVersion{loc: loc}
 	v.begin.Store(ts)
-	t.rows[rid].head.Store(v)
+	t.rows.at(rid).head.Store(v)
 	t.liveRows.Add(1)
 	var buf keyBuf
 	for _, ix := range t.indexes {
@@ -792,11 +845,12 @@ func (t *table) rebuildAfterReplay(watermark uint64) {
 		}
 	}
 	t.free = t.free[:0]
-	for rid, s := range t.rows {
+	for rid := range t.rows.n {
+		s := t.rows.at(rid)
 		t.prune(s, watermark)
 		head := s.head.Load()
 		if head == nil {
-			t.free = append(t.free, int64(rid))
+			t.free = append(t.free, rid)
 			continue
 		}
 		if len(auto) == 0 {

@@ -23,45 +23,43 @@ import (
 // fast path; index entries orphaned by deletes and key-changing updates
 // drain through a commit-ordered GC queue (see db.runGC).
 
-// verTomb marks a delete tombstone version.
-const verTomb = 1 << 0
-
-// rowVersion is one version of one row. data is the row's image
-// (rowimage.go): an immutable string, so a version is never written by an
-// update (which pushes a new version with its own image), a rollback
-// (which unlinks the version) or GC (which clips the chain), and readers
-// rely on it past the statement: a SELECT's result holds the images it
-// read, not copies (Rows.refs), and a value read out of one is a view of
-// it — both keep the image alive for as long as the caller holds them,
-// whatever happens to the version. The verTomb flag marks a delete
-// tombstone (no data, ever). begin is the creator's commit timestamp (0
+// rowVersion is one version of one row: 48 bytes, a Go size class. data
+// is the row's image (rowimage.go): an immutable string, so a version is
+// never written by an update (which pushes a new version with its own
+// image), a rollback (which unlinks the version) or GC (which clips the
+// chain), and readers rely on it past the statement: a SELECT's result
+// holds the images it read, not copies (Rows.refs), and a value read out
+// of one is a view of it — both keep the image alive for as long as the
+// caller holds them, whatever happens to the version. loc's tombstone bit
+// marks a delete tombstone (no data, ever); it is set when the version is
+// made and never changes. begin is the creator's commit timestamp (0
 // while uncommitted).
 //
 // Under paged storage a committed version's row bytes live in a page
 // record named by loc, and data is empty: the commit path writes the
-// record, hands the image to the page's frame (pageRows) and clears data
-// before stamping begin, so the release/acquire pair on begin orders the
-// loc publication for every snapshot reader (a reader only dereferences a
-// version it observed stamped, or its own — same goroutine). Readers
-// materialize through table.resolve. In the default in-memory mode loc
-// stays zero and data is authoritative. After publication the only
-// mutable fields are begin, prev (GC may clip it), and the commit path's
-// one-time data/loc handoff described above.
+// record, hands the image to the page's frame (pageRows), ors the record's
+// page and slot into loc and clears data before stamping begin, so the
+// release/acquire pair on begin orders the loc publication for every
+// snapshot reader (a reader only looks into a version it observed
+// stamped, or its own — same goroutine). Readers materialize through
+// table.resolve. In the default in-memory mode loc holds at most the
+// tombstone bit, its page id stays 0 and data is authoritative. After
+// publication the only mutable fields are begin, prev (GC may clip it),
+// and the commit path's one-time data/loc handoff described above.
 type rowVersion struct {
 	data  rowImage
 	loc   pageLoc
 	txn   uint64 // creating transaction (self-visibility before commit)
-	flags uint8
 	begin atomic.Uint64
 	prev  atomic.Pointer[rowVersion]
 }
 
 // isTomb reports whether the version is a delete tombstone.
-func (v *rowVersion) isTomb() bool { return v.flags&verTomb != 0 }
+func (v *rowVersion) isTomb() bool { return v.loc.tomb() }
 
-// rowSlot is one heap slot: an atomically replaceable version-chain head.
-// Slots are allocated once and recycled through the table free list after
-// GC empties them.
+// rowSlot is one heap slot: an atomically replaceable version-chain head,
+// held inline in its table's slot chunks (slots) and recycled through the
+// table free list after GC empties it.
 type rowSlot struct {
 	head atomic.Pointer[rowVersion]
 }
@@ -108,7 +106,7 @@ func (s *rowSlot) pruneBelow(watermark uint64, freed []pageLoc) (uint64, []pageL
 		if b := v.begin.Load(); b != 0 && b <= watermark {
 			for old := v.prev.Load(); old != nil; old = old.prev.Load() {
 				pruned++
-				if old.loc.pid != 0 {
+				if old.loc.pid() != 0 {
 					freed = append(freed, old.loc)
 				}
 			}
