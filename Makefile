@@ -38,9 +38,11 @@ alloc:
 # and its one retry loop (an engine deadlock victim on each), the wire
 # codec and transports, the execute-node agent and the event engine ride
 # along: the packages where goroutines share state (internal/vtime keeps
-# no concurrent code).
+# no concurrent code). So do the two HTTP clients, cj2node (the agent on
+# the wall clock, one exchange per retry step) and cj2sub (a whole call's
+# deadline over its retries).
 race:
-	$(GO) test -race -count=1 ./internal/sqldb ./internal/beans ./internal/core ./internal/wire ./internal/cluster ./internal/sim
+	$(GO) test -race -count=1 ./internal/sqldb ./internal/beans ./internal/core ./internal/wire ./internal/cluster ./internal/sim ./cmd/cj2node ./cmd/cj2sub
 
 vet:
 	$(GO) vet ./...

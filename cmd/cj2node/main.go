@@ -9,8 +9,9 @@
 // its defences against a lossy wire and a restarting CAS are documented
 // there. The node Kernel stands in for the starter: a job takes its setup,
 // its length and its teardown in real time (plug real execution in there).
-// Calls go through a Retryer (exponential backoff + full jitter, honoring
-// the server's RetryAfterMs hints).
+// The agent calls the CAS through a wire.Client and retries on its own
+// chain, one exchange per step, honoring the server's RetryAfterMs hints;
+// each failed exchange is logged.
 package main
 
 import (
@@ -53,25 +54,26 @@ func main() {
 // until ctx is done. Transport trouble at boot does not end it — the agent
 // keeps re-sending the registration; only an explicit refusal does.
 func run(ctx context.Context, casURL string, node cluster.NodeConfig, cfg cluster.StartdConfig) error {
-	retryer := &wire.Retryer{
-		Caller: &wire.Client{URL: casURL, Timeout: cfg.CallTimeout},
-		Policy: wire.RetryPolicy{
-			MaxAttempts: 5,
-			BaseDelay:   200 * time.Millisecond,
-			MaxDelay:    5 * time.Second,
-		},
-		OnRetry: func(action string, attempt int, delay time.Duration, err error) {
-			log.Printf("%s: attempt %d failed (%v); retrying in %s", action, attempt, err, delay.Round(time.Millisecond))
-		},
-	}
 	eng := sim.NewAt(time.Now(), 1)
-	agent := cluster.NewStartd(eng, cluster.NewKernel(eng, node), retryer, cfg)
+	cas := loggedCaller{&wire.Client{URL: casURL}}
+	agent := cluster.NewStartd(eng, cluster.NewKernel(eng, node), cas, cfg)
 	agent.OnComplete = func(jobID int64, _ time.Time) { log.Printf("job %d completed", jobID) }
 	agent.OnDrop = func(jobID int64, _ time.Time) { log.Printf("job %d dropped: setup timed out", jobID) }
 	if err := agent.Boot(); err != nil {
 		return fmt.Errorf("registration refused: %w", err)
 	}
 	return eng.RunRealtime(ctx)
+}
+
+// loggedCaller logs each failed exchange; the agent's chain retries it.
+type loggedCaller struct{ wire.Caller }
+
+func (c loggedCaller) Call(ctx context.Context, action string, req, resp any) error {
+	err := c.Caller.Call(ctx, action, req, resp)
+	if err != nil {
+		log.Printf("%s failed: %v", action, err)
+	}
+	return err
 }
 
 func hostnameOr(def string) string {

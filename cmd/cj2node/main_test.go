@@ -1,9 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"log"
+	"net/http"
 	"net/http/httptest"
+	"os"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,9 +19,10 @@ import (
 )
 
 // TestRunCompletesAJobInRealTime is the smoke test of this command's
-// wiring — HTTP client, Retryer, wall-clock engine, agent: an in-process
-// CAS behind httptest, one 1-second job submitted, matched, run and
-// completed, then the agent cancelled through its context.
+// wiring — HTTP client, the wrapper that logs its failures, wall-clock
+// engine, agent: an in-process CAS behind httptest, one 1-second job
+// submitted, matched, run and completed, then the agent cancelled through
+// its context.
 func TestRunCompletesAJobInRealTime(t *testing.T) {
 	cas, err := core.New(core.Options{})
 	if err != nil {
@@ -62,4 +70,51 @@ func TestRunCompletesAJobInRealTime(t *testing.T) {
 	if n := completed(); n != 1 || left != 0 {
 		t.Fatalf("%d completed history rows, %d jobs left; want 1 and 0", n, left)
 	}
+}
+
+// TestRunSendsOneRequestPerChainStep: against a CAS that answers every
+// POST with 503, the agent's chain is its only retry. Over a few idle
+// polls each step sends one request, which the agent logs as one failed
+// exchange; a retrying wrapper under the agent would send several.
+func TestRunSendsOneRequestPerChainStep(t *testing.T) {
+	var requests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		http.Error(w, "down", http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+	var logged lockedBuffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+
+	const poll = 100 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 5*poll+poll/2)
+	defer cancel()
+	err := run(ctx, srv.URL+"/services", cluster.NodeConfig{Name: "down1", VMs: 1},
+		cluster.StartdConfig{HeartbeatInterval: time.Hour, IdlePoll: poll, CallTimeout: 5 * time.Second})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("run returned %v, want its context's deadline", err)
+	}
+	sent, steps := requests.Load(), int64(strings.Count(logged.String(), " failed: "))
+	if sent < 3 || sent != steps {
+		t.Fatalf("%d requests for %d failed exchanges, want one each and at least 3; log:\n%s", sent, steps, logged.String())
+	}
+}
+
+// lockedBuffer is a log destination safe for concurrent writers.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
 }

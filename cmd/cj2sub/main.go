@@ -25,27 +25,9 @@ import (
 
 func main() {
 	casURL := flag.String("cas", "http://localhost:8642/services", "CAS web services URL")
-	timeout := flag.Duration("call-timeout", 30*time.Second, "per-request deadline, forwarded to the CAS so server-side work is cancelled with the call (0 = none)")
+	timeout := flag.Duration("call-timeout", 30*time.Second, "deadline of a whole call, retries included, forwarded to the CAS so server-side work is cancelled with the call (0 = none)")
 	flag.Parse()
-	// Calls ride a retrying wire: transient transport failures, 5xx, and
-	// Overloaded faults back off and retry inside the deadline. Mutating
-	// actions carry an idempotency key, so a retried submit can never
-	// enqueue a batch twice.
-	client := &wire.Retryer{
-		Caller: &wire.Client{URL: *casURL, Timeout: *timeout},
-		Policy: wire.RetryPolicy{
-			MaxAttempts: 5,
-			BaseDelay:   200 * time.Millisecond,
-			MaxDelay:    5 * time.Second,
-		},
-		Keyed: func(action string) bool {
-			switch action {
-			case core.ActionSubmitJob, core.ActionRegisterData, core.ActionConfigSet:
-				return true
-			}
-			return false
-		},
-	}
+	client := newClient(*casURL, *timeout)
 	args := flag.Args()
 	if len(args) == 0 {
 		usage()
@@ -71,6 +53,39 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cj2sub:", err)
 		os.Exit(1)
 	}
+}
+
+// newClient is the CAS at url behind a retrying wire: transient transport
+// failures, 5xx, and Overloaded faults back off and retry inside the
+// call's deadline, timeout from its start (0 = none). Mutating actions
+// carry an idempotency key, so a retried submit can never enqueue a batch
+// twice.
+func newClient(url string, timeout time.Duration) wire.Caller {
+	return timedCaller{&wire.Retryer{
+		Caller: &wire.Client{URL: url},
+		Keyed: func(action string) bool {
+			switch action {
+			case core.ActionSubmitJob, core.ActionRegisterData, core.ActionConfigSet:
+				return true
+			}
+			return false
+		},
+	}, timeout}
+}
+
+// timedCaller puts its timeout on each call's context.
+type timedCaller struct {
+	wire.Caller
+	timeout time.Duration
+}
+
+func (c timedCaller) Call(ctx context.Context, action string, req, resp any) error {
+	if c.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.timeout)
+		defer cancel()
+	}
+	return c.Caller.Call(ctx, action, req, resp)
 }
 
 func usage() {

@@ -38,7 +38,12 @@ const (
 	deliver fate = iota
 	loseRequest
 	loseReply
+	shed // refused unsent with an Overloaded fault carrying shedHint
 )
+
+// shedHint is the backoff a shed exchange's fault asks for: longer than
+// the default idle poll, so the chain's own delay cannot hide it.
+const shedHint = 7 * time.Second
 
 // scriptedWire is the agent's caller: it logs every exchange, lets script
 // pick its fate and tamper edit a delivered heartbeat reply.
@@ -62,15 +67,21 @@ func (w *scriptedWire) Call(ctx context.Context, action string, req, resp any) e
 		x.accept = &c
 	}
 	w.ft.DropRequest, w.ft.DropReply = 0, 0
+	f := deliver
 	if w.script != nil {
-		switch w.script(x) {
-		case loseRequest:
-			w.ft.DropRequest = 1
-		case loseReply:
-			w.ft.DropReply = 1
-		}
+		f = w.script(x)
 	}
-	x.err = w.ft.Call(ctx, action, req, resp)
+	switch f {
+	case loseRequest:
+		w.ft.DropRequest = 1
+	case loseReply:
+		w.ft.DropReply = 1
+	}
+	if f == shed {
+		x.err = &wire.Fault{Code: wire.FaultOverloaded, Message: "shed", RetryAfterMs: shedHint.Milliseconds()}
+	} else {
+		x.err = w.ft.Call(ctx, action, req, resp)
+	}
 	if hr, ok := resp.(*core.HeartbeatResponse); ok && x.err == nil && w.tamper != nil {
 		w.tamper(x, hr)
 	}
@@ -248,6 +259,22 @@ func TestStartdProtocol(t *testing.T) {
 				beats := p.wire.matching(reportsCompleted)
 				if len(beats) != 2 || beats[1].at.Sub(beats[0].at) != 2*time.Second {
 					t.Fatalf("completion beats %+v, want the retry one idle-poll interval after the failure", beats)
+				}
+			},
+		},
+		{
+			// The CAS sheds the completion beat and asks for a backoff
+			// longer than the idle poll: nothing goes out before it ends.
+			name: "overload_hint_delays_the_retry", vms: 1, jobs: 1, length: time.Minute,
+			script: once(shed, reportsCompleted),
+			check: func(t *testing.T, p *protoRig) {
+				beats := p.wire.matching(reportsCompleted)
+				if len(beats) != 2 || beats[1].err != nil {
+					t.Fatalf("completion beats %+v, want a shed one and its retry", beats)
+				}
+				next := p.wire.matching(func(x *wireCall) bool { return x.at.After(beats[0].at) })
+				if gap := next[0].at.Sub(beats[0].at); gap < shedHint {
+					t.Fatalf("next exchange %v after the shed beat, want at least the server's %v hint", gap, shedHint)
 				}
 			},
 		},

@@ -48,6 +48,9 @@ import (
 //   - A failed exchange is retried on a chain that doubles from IdlePoll
 //     to HeartbeatInterval, one retry armed at a time
 //     (TestStartdProtocol/completion_retried_on_the_chain, TestStartdBackoffIsBounded).
+//     The chain is the agent's only retry: each step is one exchange.
+//   - A retry waits at least the server's RetryAfterMs hint, so an
+//     overloaded CAS paces its nodes (TestStartdProtocol/overload_hint_delays_the_retry).
 //   - At most MaxStartsPerExchange matches are acted on per heartbeat, the
 //     rest once the worker's backlog drains (TestLongJobsDoNotDrop).
 type Startd struct {
@@ -156,7 +159,7 @@ func (s *Startd) Boot() error {
 		if !wire.Retryable(err) {
 			return err
 		}
-		s.scheduleRetry()
+		s.scheduleRetry(err)
 	}
 	s.hbTicker = s.eng.Every(s.cfg.HeartbeatInterval, s.kernel.Config().Name+".hb", s.exchange)
 	s.armPoll()
@@ -186,15 +189,16 @@ func (s *Startd) exchange() {
 		return
 	}
 	if err := s.heartbeat(); err != nil && wire.Retryable(err) {
-		s.scheduleRetry()
+		s.scheduleRetry(err)
 	}
 }
 
-// scheduleRetry arms one backoff retry of the exchange: exponential from
-// the idle-poll cadence, capped at the periodic interval (the steady
-// heartbeat is itself the last-resort retry, so the chain is bounded
-// rather than compounding).
-func (s *Startd) scheduleRetry() {
+// scheduleRetry arms one backoff retry of the exchange that failed with
+// err: exponential from the idle-poll cadence, capped at the periodic
+// interval (the steady heartbeat is itself the last-resort retry, so the
+// chain is bounded rather than compounding), and never sooner than the
+// server's RetryAfterMs hint in err.
+func (s *Startd) scheduleRetry(err error) {
 	if s.retryArm || s.stopped {
 		return
 	}
@@ -203,9 +207,7 @@ func (s *Startd) scheduleRetry() {
 	for i := 1; i < s.hbFails && delay < s.cfg.HeartbeatInterval; i++ {
 		delay *= 2
 	}
-	if delay > s.cfg.HeartbeatInterval {
-		delay = s.cfg.HeartbeatInterval
-	}
+	delay = max(min(delay, s.cfg.HeartbeatInterval), wire.RetryAfterHint(err))
 	s.retryArm = true
 	s.eng.After(delay, s.kernel.Config().Name+".hb-retry", func() {
 		s.retryArm = false

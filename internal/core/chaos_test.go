@@ -20,7 +20,7 @@ import (
 
 // Chaos-injection torture test: a small pool of execute nodes — the
 // shipped agent, cluster.Startd, which imports this package: hence the
-// external test package — drives jobs to completion through a FaultTransport that drops, delays,
+// external test package — drives jobs to completion through a FaultTransport that drops,
 // duplicates and 5xx-faults 20%+ of the wire traffic, while the CAS is
 // killed and restarted mid-run from its WAL. The invariant under all of
 // it: every submitted job completes EXACTLY once — never lost, never
@@ -64,17 +64,21 @@ func (s *swapCaller) Call(ctx context.Context, action string, req, resp any) err
 }
 
 // startAgents boots n two-VM execute nodes and returns the function that
-// stops them. Each is a cluster.Startd — the agent cmd/cj2node runs — on
-// its own virtual-time engine, stepped by its own goroutine: virtual, so a
-// 60-second job costs no wall time; one engine each, so the nodes really
-// are concurrent clients of the CAS. All of them call through caller.
-func startAgents(t *testing.T, n int, caller wire.Caller) (stop func()) {
+// stops them and counts their failed exchanges. Each is a cluster.Startd —
+// the agent cmd/cj2node runs — on its own virtual-time engine, stepped by
+// its own goroutine: virtual, so a 60-second job costs no wall time; one
+// engine each, so the nodes really are concurrent clients of the CAS. All
+// of them call through caller directly, as cmd/cj2node calls its HTTP
+// client: the agent's own chain is their only retry.
+func startAgents(t *testing.T, n int, caller wire.Caller) (stop func() (failed int)) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	agents := make([]*cluster.Startd, n)
+	for i := range agents {
 		eng := sim.New(int64(i))
 		kernel := cluster.NewKernel(eng, cluster.NodeConfig{Name: fmt.Sprintf("node%d", i), VMs: 2})
 		agent := cluster.NewStartd(eng, kernel, caller, cluster.StartdConfig{CallTimeout: 2 * time.Second})
+		agents[i] = agent
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -92,9 +96,13 @@ func startAgents(t *testing.T, n int, caller wire.Caller) (stop func()) {
 			}
 		}()
 	}
-	return func() {
+	return func() (failed int) {
 		close(done)
 		wg.Wait()
+		for _, a := range agents {
+			failed += a.HeartbeatFailures + a.AcceptFailures
+		}
+		return failed
 	}
 }
 
@@ -129,19 +137,17 @@ func TestChaosTortureExactlyOnce(t *testing.T) {
 	ft.DropReply = 0.10
 	ft.Duplicate = 0.05
 	ft.Inject5xx = 0.05
+	// Submit through the lossy wire too, behind a Retryer that does not
+	// sleep out its backoff: the driver-level loop reuses one explicit key,
+	// so a lost reply cannot double the workload.
 	retryer := &wire.Retryer{
 		Caller: ft,
 		Policy: wire.RetryPolicy{
-			MaxAttempts: 8,
-			BaseDelay:   time.Millisecond,
-			MaxDelay:    50 * time.Millisecond,
-			Rand:        mrand.New(mrand.NewSource(seed)),
+			Rand:  mrand.New(mrand.NewSource(seed)),
+			Sleep: func(ctx context.Context, _ time.Duration) error { return ctx.Err() },
 		},
 		Keyed: func(action string) bool { return action == ActionSubmitJob },
 	}
-
-	// Submit through the lossy wire too: the driver-level loop reuses one
-	// explicit key, so a lost reply cannot double the workload.
 	submitCtx := wire.WithIdempotencyKey(context.Background(), "chaos-submit")
 	for {
 		ctx, cancel := context.WithTimeout(submitCtx, 2*time.Second)
@@ -155,7 +161,7 @@ func TestChaosTortureExactlyOnce(t *testing.T) {
 	}
 
 	// Three nodes, two VMs each, stepping concurrently.
-	stopAgents := startAgents(t, 3, retryer)
+	stopAgents := startAgents(t, 3, ft)
 
 	completedCount := func() int {
 		return countOf(t, cas.Pool, `SELECT count(*) FROM job_history WHERE outcome = 'completed'`)
@@ -195,7 +201,7 @@ func TestChaosTortureExactlyOnce(t *testing.T) {
 			t.Logf("vms: %s", dump(`SELECT machine, seq, state FROM vms`))
 			t.Logf("matches: %s", dump(`SELECT id, job_id, vm_id FROM matches`))
 			t.Logf("runs: %s", dump(`SELECT id, job_id, vm_id FROM runs`))
-			t.Fatalf("seed=%d: torture did not converge: %d/%d completed (retry stats %+v, faults %+v)",
+			t.Fatalf("seed=%d: torture did not converge: %d/%d completed (submit retry stats %+v, faults %+v)",
 				seed, completedCount(), jobs, retryer.Stats(), ft.Stats())
 		}
 		cas.Service.ScheduleCycle(context.Background())
@@ -224,7 +230,7 @@ func TestChaosTortureExactlyOnce(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	stopAgents()
+	failed := stopAgents()
 
 	// Exactly once: every job has one completed history row, no job was
 	// double-completed, the queue drained, and accounting agrees.
@@ -252,21 +258,21 @@ func TestChaosTortureExactlyOnce(t *testing.T) {
 	}
 
 	// The fault injector really was in the path, and the resilient wire
-	// machinery really did the saving.
+	// machinery really did the saving: the agents' chains retried failed
+	// exchanges, and the reply store answered retried keys.
 	fs := ft.Stats()
 	if fs.DroppedRequests == 0 || fs.DroppedReplies == 0 {
 		t.Fatalf("seed=%d: fault injector idle: %+v", seed, fs)
 	}
-	rs := retryer.Stats()
-	if rs.Retries == 0 {
-		t.Fatalf("seed=%d: no retries recorded: %+v", seed, rs)
+	if failed == 0 {
+		t.Fatalf("seed=%d: no agent exchange failed, so none was retried: faults %+v", seed, fs)
 	}
 	replays += cas.Service.DedupStats().Replays
 	if replays == 0 {
 		t.Fatalf("seed=%d: no idempotent replays recorded (drop-reply on keyed calls should force some)", seed)
 	}
-	t.Logf("seed=%d: %d jobs exactly-once through %d attempts (%d retries, %d replays); faults %+v",
-		seed, jobs, rs.Attempts, rs.Retries, replays, fs)
+	t.Logf("seed=%d: %d jobs exactly-once through %d failed agent exchanges, retried on their chains (%d replays; submit retry stats %+v); faults %+v",
+		seed, jobs, failed, replays, retryer.Stats(), fs)
 
 	cas.Close()
 	eng.Close()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -338,12 +339,11 @@ func TestKeyedReplayIsByteIdentical(t *testing.T) {
 		if n < 2 {
 			t.Fatalf("%s: recorded %d reply frames, want at least 2", action, n)
 		}
-		first, err := wire.Decode(rec.bodies[n-2])
-		if err != nil {
+		var first, replay wire.Envelope
+		if err := xml.Unmarshal(rec.bodies[n-2], &first); err != nil {
 			t.Fatal(err)
 		}
-		replay, err := wire.Decode(rec.bodies[n-1])
-		if err != nil {
+		if err := xml.Unmarshal(rec.bodies[n-1], &replay); err != nil {
 			t.Fatal(err)
 		}
 		if replay.Action != action+"Response" || !bytes.Equal(replay.Payload, first.Payload) {
@@ -508,6 +508,52 @@ type parked struct {
 	XMLName xml.Name `xml:"Parked"`
 }
 
+// rawFrames is one connection to a CAS upgraded to frames, carrying
+// envelopes framed by hand: with the attributes a test sets, not the ones
+// a wire.Caller would stamp.
+type rawFrames struct {
+	rwc io.ReadWriteCloser
+	br  *bufio.Reader
+}
+
+func dialFrames(tb testing.TB, url string) *rawFrames {
+	tb.Helper()
+	req, err := http.NewRequest(http.MethodPost, url, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	req.Header.Set("Connection", "Upgrade")
+	req.Header.Set("Upgrade", "condorj2-frames")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rwc, ok := resp.Body.(io.ReadWriteCloser)
+	if resp.StatusCode != http.StatusSwitchingProtocols || !ok {
+		resp.Body.Close()
+		tb.Fatalf("upgrade answered %s", resp.Status)
+	}
+	tb.Cleanup(func() { rwc.Close() })
+	return &rawFrames{rwc: rwc, br: bufio.NewReader(rwc)}
+}
+
+// exchange sends raw as one frame and decodes the reply envelope.
+func (f *rawFrames) exchange(raw []byte) (*wire.Envelope, error) {
+	if _, err := f.rwc.Write(append(binary.AppendUvarint(nil, uint64(len(raw))), raw...)); err != nil {
+		return nil, err
+	}
+	n, err := binary.ReadUvarint(f.br)
+	if err != nil {
+		return nil, err
+	}
+	reply := make([]byte, n)
+	if _, err := io.ReadFull(f.br, reply); err != nil {
+		return nil, err
+	}
+	var env wire.Envelope
+	return &env, xml.Unmarshal(reply, &env)
+}
+
 // TestMuxShedsStaleHeartbeats wires classifier + gate end to end: with
 // the server saturated, an aged delta-free heartbeat is answered with a
 // typed Overloaded fault carrying RetryAfterMs instead of being queued.
@@ -537,7 +583,7 @@ func TestMuxShedsStaleHeartbeats(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// A delta-free heartbeat whose Sent stamp aged past FreshFor. Local
+	// A delta-free heartbeat whose Sent stamp aged past FreshFor. A Caller
 	// stamps Sent with the current time, so frame the envelope by hand.
 	payload, err := xml.Marshal(&HeartbeatRequest{
 		Machine: "node1", VMs: []VMStatus{{Seq: 0, State: "idle"}},
@@ -553,7 +599,9 @@ func TestMuxShedsStaleHeartbeats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reply, err := wire.Decode(cas.Mux.Dispatch(context.Background(), raw))
+	srv := httptest.NewServer(cas.Mux)
+	defer srv.Close()
+	reply, err := dialFrames(t, srv.URL).exchange(raw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"encoding/xml"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -86,6 +87,12 @@ func BenchmarkHeartbeatOverload(b *testing.B) {
 		stale[i] = raw
 	}
 	local := &wire.Local{Mux: cas.Mux}
+	srv := httptest.NewServer(cas.Mux)
+	defer srv.Close()
+	conns := make([]*rawFrames, workers)
+	for w := 0; w < workers; w += 2 {
+		conns[w] = dialFrames(b, srv.URL)
+	}
 
 	var served, overloaded, malformed atomic.Int64
 	noteFault := func(f *wire.Fault) {
@@ -123,7 +130,7 @@ func BenchmarkHeartbeatOverload(b *testing.B) {
 					}
 					continue
 				}
-				reply, err := wire.Decode(cas.Mux.Dispatch(context.Background(), stale[w]))
+				reply, err := conns[w].exchange(stale[w])
 				if err != nil {
 					malformed.Add(1)
 					continue
@@ -175,14 +182,7 @@ func BenchmarkRetryHappyPath(b *testing.B) {
 		}
 	})
 	b.Run("retryer", func(b *testing.B) {
-		r := &wire.Retryer{
-			Caller: local,
-			Policy: wire.RetryPolicy{
-				MaxAttempts: 8,
-				BaseDelay:   time.Millisecond,
-				MaxDelay:    50 * time.Millisecond,
-			},
-		}
+		r := &wire.Retryer{Caller: local}
 		for i := 0; i < b.N; i++ {
 			var resp HeartbeatResponse
 			if err := r.Call(context.Background(), ActionHeartbeat, req, &resp); err != nil {

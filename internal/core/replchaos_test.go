@@ -89,13 +89,12 @@ func TestReplChaosLeaderKillPromote(t *testing.T) {
 	ft.DropReply = 0.10
 	ft.Duplicate = 0.05
 	ft.Inject5xx = 0.05
+	// The submit driver's Retryer does not sleep out its backoff.
 	retryer := &wire.Retryer{
 		Caller: ft,
 		Policy: wire.RetryPolicy{
-			MaxAttempts: 8,
-			BaseDelay:   time.Millisecond,
-			MaxDelay:    50 * time.Millisecond,
-			Rand:        mrand.New(mrand.NewSource(seed)),
+			Rand:  mrand.New(mrand.NewSource(seed)),
+			Sleep: func(ctx context.Context, _ time.Duration) error { return ctx.Err() },
 		},
 		Keyed: func(action string) bool { return action == ActionSubmitJob },
 	}
@@ -120,7 +119,7 @@ func TestReplChaosLeaderKillPromote(t *testing.T) {
 		return follower.eng.AppliedLSN() >= leader.eng.DurableLSN()
 	})
 
-	stopAgents := startAgents(t, 3, retryer)
+	stopAgents := startAgents(t, 3, ft)
 
 	primary := leader
 	completedCount := func() int {
@@ -171,7 +170,7 @@ func TestReplChaosLeaderKillPromote(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	stopAgents()
+	failed := stopAgents()
 
 	if !killed {
 		t.Fatalf("seed=%d: converged before the kill point — raise CHAOS_CASES", seed)
@@ -202,7 +201,8 @@ func TestReplChaosLeaderKillPromote(t *testing.T) {
 	}
 
 	// The machinery really was exercised: the shipping link dropped
-	// traffic, batches still applied, and exactly one promotion happened.
+	// traffic, batches still applied, exactly one promotion happened, and
+	// the agents' chains retried failed exchanges.
 	rs := follower.repl.Stats()
 	if rs.Promotions != 1 {
 		t.Fatalf("seed=%d: promotions = %d, want 1", seed, rs.Promotions)
@@ -222,5 +222,8 @@ func TestReplChaosLeaderKillPromote(t *testing.T) {
 	}
 	if fs := ft.Stats(); fs.DroppedRequests == 0 || fs.DroppedReplies == 0 {
 		t.Fatalf("seed=%d: client fault injector idle: %+v", seed, fs)
+	}
+	if failed == 0 {
+		t.Fatalf("seed=%d: no agent exchange failed, so none was retried", seed)
 	}
 }

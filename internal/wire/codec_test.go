@@ -420,11 +420,12 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		if !checkDecode(t, data, wire.Envelope{}) {
 			return
 		}
-		// Decode adds one rule on top: an envelope names its action.
+		// The envelope decoder adds one rule on top: an envelope names
+		// its action.
 		var ref wire.Envelope
 		wantErr := xml.Unmarshal(data, &ref) != nil || ref.Action == ""
-		if _, err := wire.Decode(data); (err != nil) != wantErr {
-			t.Fatalf("Decode(%q) err = %v, want error: %v", data, err, wantErr)
+		if _, err := wire.DecodeEnvelope(data); (err != nil) != wantErr {
+			t.Fatalf("DecodeEnvelope(%q) err = %v, want error: %v", data, err, wantErr)
 		}
 	})
 }

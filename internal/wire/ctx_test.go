@@ -62,9 +62,9 @@ func TestClientDeadlinePropagates(t *testing.T) {
 }
 
 // TestServerHonorsDeadlineBudget drives the budget attribute directly,
-// over a plain POST and over a frame: the server must fail the handler
-// within the declared budget even though the caller itself would wait
-// forever.
+// through dispatch under a context with no deadline and over a frame: the
+// server must fail the handler within the declared budget even though the
+// caller itself would wait forever.
 func TestServerHonorsDeadlineBudget(t *testing.T) {
 	mux := sleepMux()
 	data := rawEnvelope(t, Envelope{Action: "sleep", Budget: 30}, &sleepReq{Ms: 5000})
@@ -73,7 +73,7 @@ func TestServerHonorsDeadlineBudget(t *testing.T) {
 		if took > 3*time.Second {
 			t.Fatalf("%s: server ignored the budget (took %v)", how, took)
 		}
-		env, err := Decode(reply)
+		env, err := DecodeEnvelope(reply)
 		if err != nil {
 			t.Fatalf("%s: %v", how, err)
 		}
@@ -89,10 +89,9 @@ func TestServerHonorsDeadlineBudget(t *testing.T) {
 		}
 	}
 
-	rec := httptest.NewRecorder()
 	start := time.Now()
-	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/services", bytes.NewReader(data)))
-	wantDeadlineFault("plain POST", rec.Body.Bytes(), time.Since(start))
+	reply := dispatchBytes(mux, data)
+	wantDeadlineFault("dispatch", reply, time.Since(start))
 
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
@@ -159,18 +158,44 @@ func TestClientMapsHTTPStatusToFault(t *testing.T) {
 	}
 }
 
-// TestClientDefaultTimeout applies Client.Timeout when the caller's
-// context has no deadline of its own.
-func TestClientDefaultTimeout(t *testing.T) {
-	srv := httptest.NewServer(sleepMux())
+// TestClientBudgetIsTheContextDeadline: a call's context is its only
+// deadline. Without one the envelope carries no budget; with one it
+// carries what is left of it, and the call ends with it.
+func TestClientBudgetIsTheContextDeadline(t *testing.T) {
+	mux := sleepMux()
+	budgets := make(chan int64, 1)
+	mux.Handle("budget", func(_ context.Context, env *Envelope) (any, error) {
+		budgets <- env.Budget
+		return &sleepResp{OK: true}, nil
+	})
+	srv := httptest.NewServer(mux)
 	defer srv.Close()
-	client := &Client{URL: srv.URL, Timeout: 50 * time.Millisecond}
+	defer mux.Close()
+	client := &Client{URL: srv.URL}
+
+	if err := client.Call(context.Background(), "budget", &sleepReq{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if b := <-budgets; b != 0 {
+		t.Fatalf("a call without a deadline sent a %d ms budget", b)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := client.Call(ctx, "budget", &sleepReq{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if b := <-budgets; b <= 0 || b > 2000 {
+		t.Fatalf("a call with 2 s left sent a %d ms budget", b)
+	}
+
+	ctx, cancel = context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	err := client.Call(context.Background(), "sleep", &sleepReq{Ms: 5000}, &sleepResp{})
-	if err == nil {
-		t.Fatal("call exceeding the client default timeout succeeded")
+	err := client.Call(ctx, "sleep", &sleepReq{Ms: 5000}, &sleepResp{})
+	if f, ok := AsFault(err); !errors.Is(err, context.DeadlineExceeded) && !(ok && f.Code == "DeadlineExceeded") {
+		t.Fatalf("a call past its context's deadline: err = %v, want the deadline", err)
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Fatalf("default-timeout call took %v", elapsed)
+		t.Fatalf("a call with a 50 ms deadline took %v", elapsed)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // countMux counts handler executions of "bump" — server-side ground truth
@@ -108,33 +107,40 @@ func TestFaultTransportInject5xxIsRetryableFault(t *testing.T) {
 }
 
 func TestRetryerDefeatsFaultTransport(t *testing.T) {
-	// End-to-end: a 30% drop/dup/5xx transport under a Retryer still
-	// completes every logical call, and the server-side execution count
-	// stays >= logical calls (duplicates happen; dedup is core's job).
+	// End-to-end: a 30% drop/dup/5xx transport under a Retryer completes
+	// all but the rare call whose every attempt failed. Such a call ends
+	// exhausted with a retryable error, never as a terminal one, and the
+	// server-side execution count stays >= completed calls (duplicates
+	// happen; dedup is core's job).
 	mux, execs := countMux()
 	ft := NewFaultTransport(&Local{Mux: mux}, 7)
 	ft.DropRequest = 0.15
 	ft.DropReply = 0.1
 	ft.Duplicate = 0.05
 	ft.Inject5xx = 0.05
-	r := &Retryer{
-		Caller: ft,
-		Policy: RetryPolicy{MaxAttempts: 12, BaseDelay: time.Microsecond, MaxDelay: time.Millisecond},
-	}
+	r := &Retryer{Caller: ft, Policy: RetryPolicy{Sleep: instantSleep}}
 	const calls = 200
+	var failed uint64
 	for i := 0; i < calls; i++ {
 		var resp pingResp
 		if err := r.Call(context.Background(), "bump", &pingReq{N: i}, &resp); err != nil {
-			t.Fatalf("call %d: %v", i, err)
+			if !Retryable(err) {
+				t.Fatalf("call %d: %v", i, err)
+			}
+			failed++
+			continue
 		}
 		if resp.Doubled != i*2 {
 			t.Fatalf("call %d: resp = %+v", i, resp)
 		}
 	}
-	if execs.Load() < calls {
-		t.Fatalf("execs = %d < %d logical calls", execs.Load(), calls)
-	}
 	st := r.Stats()
+	if failed != st.Exhausted || st.Terminal != 0 || failed > calls/50 {
+		t.Fatalf("%d of %d calls failed: stats %+v", failed, calls, st)
+	}
+	if execs.Load() < calls-failed {
+		t.Fatalf("execs = %d < %d completed calls", execs.Load(), calls-failed)
+	}
 	if st.Retries == 0 {
 		t.Fatalf("expected retries at these fault rates: %+v", st)
 	}

@@ -6,14 +6,13 @@ import (
 	mrand "math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // FaultTransport is chaos-injection middleware for any Caller: it drops
 // requests before they reach the server, drops replies after the server
 // executed (the pair that makes idempotency keys load-bearing — a dropped
 // reply means the retry re-presents an already-applied mutation),
-// duplicates calls, injects synthetic HTTP 5xx faults, and adds delay.
+// duplicates calls, and injects synthetic HTTP 5xx faults.
 // All randomness flows from one seeded source, so a failing schedule is
 // reproducible from its seed alone (CHAOS_SEED, like joinfuzz).
 type FaultTransport struct {
@@ -33,16 +32,11 @@ type FaultTransport struct {
 	// Inject5xx is the probability a synthetic HTTP 503 fault is
 	// returned without calling Inner.
 	Inject5xx float64
-	// DelayProb is the probability a call is delayed by up to MaxDelay
-	// before being issued.
-	DelayProb float64
-	// MaxDelay bounds injected delay (default 10ms when DelayProb > 0).
-	MaxDelay time.Duration
 
 	mu   sync.Mutex
 	rand *mrand.Rand
 
-	droppedReq, droppedReply, duplicated, injected, delayed, passed atomic.Uint64
+	droppedReq, droppedReply, duplicated, injected, passed atomic.Uint64
 }
 
 // NewFaultTransport wraps inner with a fault injector seeded for
@@ -57,7 +51,6 @@ type FaultTransportStats struct {
 	DroppedReplies  uint64
 	Duplicated      uint64
 	Injected5xx     uint64
-	Delayed         uint64
 	Passed          uint64
 }
 
@@ -68,14 +61,13 @@ func (f *FaultTransport) Stats() FaultTransportStats {
 		DroppedReplies:  f.droppedReply.Load(),
 		Duplicated:      f.duplicated.Load(),
 		Injected5xx:     f.injected.Load(),
-		Delayed:         f.delayed.Load(),
 		Passed:          f.passed.Load(),
 	}
 }
 
 // roll draws the independent fault decisions for one call under the lock,
 // keeping the schedule a pure function of the seed and call order.
-func (f *FaultTransport) roll() (dropReq, dropReply, dup, inject bool, delay time.Duration) {
+func (f *FaultTransport) roll() (dropReq, dropReply, dup, inject bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.rand == nil {
@@ -85,30 +77,12 @@ func (f *FaultTransport) roll() (dropReq, dropReply, dup, inject bool, delay tim
 	dropReply = f.DropReply > 0 && f.rand.Float64() < f.DropReply
 	dup = f.Duplicate > 0 && f.rand.Float64() < f.Duplicate
 	inject = f.Inject5xx > 0 && f.rand.Float64() < f.Inject5xx
-	if f.DelayProb > 0 && f.rand.Float64() < f.DelayProb {
-		max := f.MaxDelay
-		if max <= 0 {
-			max = 10 * time.Millisecond
-		}
-		delay = time.Duration(f.rand.Int63n(int64(max) + 1))
-	}
 	return
 }
 
 // Call implements Caller with fault injection around Inner.Call.
 func (f *FaultTransport) Call(ctx context.Context, action string, req, resp any) error {
-	dropReq, dropReply, dup, inject, delay := f.roll()
-
-	if delay > 0 {
-		f.delayed.Add(1)
-		t := time.NewTimer(delay)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return ctx.Err()
-		}
-	}
+	dropReq, dropReply, dup, inject := f.roll()
 	if inject {
 		f.injected.Add(1)
 		return &Fault{Code: "HTTP503", Message: "faulttransport: injected 503"}

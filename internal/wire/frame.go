@@ -15,9 +15,9 @@ import (
 // asks to upgrade (Connection: Upgrade, Upgrade: frameProto); the Mux
 // hijacks the connection and answers 101. From then on both directions
 // carry frames, uvarint(len) ‖ envelope, one call in flight per
-// connection, so replies come back in order and need no request id. The
-// envelopes are the ones a plain POST carries: key, send stamp and budget
-// included, so dedup, admission and deadlines work on them unchanged.
+// connection, so replies come back in order and need no request id. An
+// envelope carries its key, send stamp and budget, so dedup, admission and
+// deadlines work on it as they do on Local's.
 
 // frameProto is the Upgrade token that asks for frames.
 const frameProto = "condorj2-frames"
@@ -63,7 +63,7 @@ func (b *buffer) readFrame(r frameReader) error {
 	if n > maxBody {
 		return errBodyTooLarge
 	}
-	return b.read(r, int64(n))
+	return b.read(r, int(n))
 }
 
 // A framedConn is one connection a Mux serves frames on. cancel ends the

@@ -102,16 +102,18 @@ func RetryAfterHint(err error) time.Duration {
 	return 0
 }
 
-// RetryPolicy tunes Retryer's backoff. The zero value is usable: 4
-// attempts, 25ms base, 2s cap, full jitter from a process-wide source.
+// A Retryer makes at most retryAttempts tries of a call, the first
+// included. The jitter ceiling of the first retry is retryBaseDelay and
+// doubles per retry up to retryMaxDelay.
+const (
+	retryAttempts  = 5
+	retryBaseDelay = 200 * time.Millisecond
+	retryMaxDelay  = 5 * time.Second
+)
+
+// RetryPolicy holds a Retryer's test seams; the zero value draws jitter
+// from a process-wide source and sleeps on a timer.
 type RetryPolicy struct {
-	// MaxAttempts bounds total tries (first call included); <=0 means 4.
-	MaxAttempts int
-	// BaseDelay is the first backoff ceiling; doubles per retry. <=0
-	// means 25ms.
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff ceiling; <=0 means 2s.
-	MaxDelay time.Duration
 	// Rand supplies jitter; nil uses a process-wide seeded source. Tests
 	// inject a fixed-seed source for reproducible schedules.
 	Rand *mrand.Rand
@@ -123,13 +125,6 @@ type RetryPolicy struct {
 	mu sync.Mutex // guards Rand (mrand.Rand is not concurrency-safe)
 }
 
-func (p *RetryPolicy) attempts() int {
-	if p.MaxAttempts > 0 {
-		return p.MaxAttempts
-	}
-	return 4
-}
-
 // jitterRand is the process-wide fallback jitter source.
 var jitterRand = struct {
 	mu sync.Mutex
@@ -137,21 +132,10 @@ var jitterRand = struct {
 }{r: mrand.New(mrand.NewSource(time.Now().UnixNano()))}
 
 // Delay computes the backoff before retry number retry (1-based), using
-// full jitter: uniform in [0, min(MaxDelay, BaseDelay<<retry-1)], floored
-// by the server's RetryAfter hint when present.
+// full jitter: uniform in [0, min(retryMaxDelay, retryBaseDelay<<retry-1)],
+// floored by the server's RetryAfter hint when present.
 func (p *RetryPolicy) Delay(retry int, hint time.Duration) time.Duration {
-	base := p.BaseDelay
-	if base <= 0 {
-		base = 25 * time.Millisecond
-	}
-	max := p.MaxDelay
-	if max <= 0 {
-		max = 2 * time.Second
-	}
-	ceil := float64(base) * math.Pow(2, float64(retry-1))
-	if ceil > float64(max) {
-		ceil = float64(max)
-	}
+	ceil := min(float64(retryBaseDelay)*math.Pow(2, float64(retry-1)), float64(retryMaxDelay))
 	var f float64
 	if p.Rand != nil {
 		p.mu.Lock()
@@ -210,14 +194,12 @@ type RetryStats struct {
 type Retryer struct {
 	// Caller issues the actual exchanges.
 	Caller Caller
-	// Policy tunes backoff; the zero value is usable.
+	// Policy holds the test seams; the zero value is usable.
 	Policy RetryPolicy
 	// Keyed reports whether an action mutates state and must carry an
 	// idempotency key so retries are exactly-once. nil = no auto keys
 	// (callers may still install one via WithIdempotencyKey).
 	Keyed func(action string) bool
-	// OnRetry, when set, observes each scheduled retry (logging hook).
-	OnRetry func(action string, attempt int, delay time.Duration, err error)
 
 	calls, attempts, retries, exhausted, terminal, hinted atomic.Uint64
 }
@@ -245,7 +227,6 @@ func (r *Retryer) Call(ctx context.Context, action string, req, resp any) error 
 	if IdempotencyKeyFromContext(ctx) == "" && r.Keyed != nil && r.Keyed(action) {
 		ctx = WithIdempotencyKey(ctx, NewIdempotencyKey())
 	}
-	attempts := r.Policy.attempts()
 	var err error
 	for attempt := 1; ; attempt++ {
 		r.attempts.Add(1)
@@ -257,7 +238,7 @@ func (r *Retryer) Call(ctx context.Context, action string, req, resp any) error 
 			r.terminal.Add(1)
 			return err
 		}
-		if attempt >= attempts {
+		if attempt >= retryAttempts {
 			r.exhausted.Add(1)
 			return err
 		}
@@ -270,9 +251,6 @@ func (r *Retryer) Call(ctx context.Context, action string, req, resp any) error 
 		if dl, has := ctx.Deadline(); has && time.Now().Add(delay).After(dl) {
 			r.exhausted.Add(1)
 			return err
-		}
-		if r.OnRetry != nil {
-			r.OnRetry(action, attempt, delay, err)
 		}
 		r.retries.Add(1)
 		if serr := r.Policy.sleep(ctx, delay); serr != nil {

@@ -61,7 +61,7 @@ func TestRetryerRecoversFromTransportErrors(t *testing.T) {
 	c := &flakyCaller{fail: 2, err: errors.New("connection reset")}
 	r := &Retryer{
 		Caller: c,
-		Policy: RetryPolicy{MaxAttempts: 4, Sleep: instantSleep, Rand: mrand.New(mrand.NewSource(1))},
+		Policy: RetryPolicy{Sleep: instantSleep, Rand: mrand.New(mrand.NewSource(1))},
 	}
 	if err := r.Call(context.Background(), "ping", nil, nil); err != nil {
 		t.Fatalf("Call: %v", err)
@@ -77,7 +77,7 @@ func TestRetryerRecoversFromTransportErrors(t *testing.T) {
 
 func TestRetryerTerminalFaultNotRetried(t *testing.T) {
 	c := &flakyCaller{fail: 10, err: &Fault{Code: "ServiceError", Message: "no such job"}}
-	r := &Retryer{Caller: c, Policy: RetryPolicy{MaxAttempts: 5, Sleep: instantSleep}}
+	r := &Retryer{Caller: c, Policy: RetryPolicy{Sleep: instantSleep}}
 	err := r.Call(context.Background(), "ping", nil, nil)
 	var f *Fault
 	if !errors.As(err, &f) || f.Code != "ServiceError" {
@@ -93,12 +93,12 @@ func TestRetryerTerminalFaultNotRetried(t *testing.T) {
 
 func TestRetryerExhaustsAttemptBudget(t *testing.T) {
 	c := &flakyCaller{fail: 100, err: errors.New("down")}
-	r := &Retryer{Caller: c, Policy: RetryPolicy{MaxAttempts: 3, Sleep: instantSleep}}
+	r := &Retryer{Caller: c, Policy: RetryPolicy{Sleep: instantSleep}}
 	if err := r.Call(context.Background(), "ping", nil, nil); err == nil {
 		t.Fatal("expected error after exhausting attempts")
 	}
-	if c.calls != 3 {
-		t.Fatalf("calls = %d, want 3", c.calls)
+	if c.calls != retryAttempts {
+		t.Fatalf("calls = %d, want %d", c.calls, retryAttempts)
 	}
 	if st := r.Stats(); st.Exhausted != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -106,13 +106,16 @@ func TestRetryerExhaustsAttemptBudget(t *testing.T) {
 }
 
 func TestRetryerBudgetAwareNeverSleepsPastDeadline(t *testing.T) {
-	c := &flakyCaller{fail: 100, err: errors.New("down")}
+	// A server hint far beyond the ctx budget: the first retry would land
+	// past the deadline, so the retryer must give up immediately instead
+	// of sleeping.
+	c := &flakyCaller{fail: 100, err: &Fault{Code: FaultOverloaded, RetryAfterMs: int64(time.Hour / time.Millisecond)}}
 	r := &Retryer{
 		Caller: c,
-		// Base delay far beyond the ctx budget: the first retry would land
-		// past the deadline, so the retryer must give up immediately
-		// instead of sleeping.
-		Policy: RetryPolicy{MaxAttempts: 10, BaseDelay: time.Hour, MaxDelay: time.Hour},
+		Policy: RetryPolicy{Sleep: func(ctx context.Context, d time.Duration) error {
+			t.Errorf("slept %v with 50ms of budget", d)
+			return ctx.Err()
+		}},
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -130,13 +133,13 @@ func TestRetryerBudgetAwareNeverSleepsPastDeadline(t *testing.T) {
 }
 
 func TestRetryerHonorsRetryAfterHint(t *testing.T) {
-	c := &flakyCaller{fail: 1, err: &Fault{Code: FaultOverloaded, RetryAfterMs: 40}}
+	// The hint is past the first retry's jitter ceiling, so it decides.
+	hint := 2 * retryBaseDelay
+	c := &flakyCaller{fail: 1, err: &Fault{Code: FaultOverloaded, RetryAfterMs: int64(hint / time.Millisecond)}}
 	var slept []time.Duration
 	r := &Retryer{
 		Caller: c,
 		Policy: RetryPolicy{
-			MaxAttempts: 4,
-			BaseDelay:   time.Nanosecond, // jitter ceiling ≈ 0: hint must floor it
 			Sleep: func(ctx context.Context, d time.Duration) error {
 				slept = append(slept, d)
 				return nil
@@ -146,8 +149,8 @@ func TestRetryerHonorsRetryAfterHint(t *testing.T) {
 	if err := r.Call(context.Background(), "ping", nil, nil); err != nil {
 		t.Fatalf("Call: %v", err)
 	}
-	if len(slept) != 1 || slept[0] < 40*time.Millisecond {
-		t.Fatalf("slept = %v, want one delay >= 40ms (server hint)", slept)
+	if len(slept) != 1 || slept[0] != hint {
+		t.Fatalf("slept = %v, want one delay of the server hint, %v", slept, hint)
 	}
 	if st := r.Stats(); st.RetryAfterWaits != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -158,7 +161,7 @@ func TestRetryerAutoKeyStableAcrossRetries(t *testing.T) {
 	c := &flakyCaller{fail: 2, err: errors.New("flap")}
 	r := &Retryer{
 		Caller: c,
-		Policy: RetryPolicy{MaxAttempts: 4, Sleep: instantSleep},
+		Policy: RetryPolicy{Sleep: instantSleep},
 		Keyed:  func(action string) bool { return action == "submitJob" },
 	}
 	if err := r.Call(context.Background(), "submitJob", nil, nil); err != nil {
@@ -208,13 +211,9 @@ func TestRetryerRespectsCallerProvidedKey(t *testing.T) {
 }
 
 func TestDelayFullJitterBounds(t *testing.T) {
-	p := &RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond,
-		Rand: mrand.New(mrand.NewSource(7))}
+	p := &RetryPolicy{Rand: mrand.New(mrand.NewSource(7))}
 	for retry := 1; retry <= 8; retry++ {
-		ceil := 10 * time.Millisecond << (retry - 1)
-		if ceil > 80*time.Millisecond {
-			ceil = 80 * time.Millisecond
-		}
+		ceil := min(retryBaseDelay<<(retry-1), retryMaxDelay)
 		for i := 0; i < 50; i++ {
 			d := p.Delay(retry, 0)
 			if d < 0 || d > ceil {
@@ -266,8 +265,8 @@ func TestReplayedReplyFramedVerbatim(t *testing.T) {
 	})
 	fresh, _ := Encode("fresh", &pingReq{})
 	replay, _ := Encode("replay", &pingReq{})
-	want := mux.Dispatch(context.Background(), fresh)
-	got := mux.Dispatch(context.Background(), replay)
+	want := dispatchBytes(mux, fresh)
+	got := dispatchBytes(mux, replay)
 	want = bytes.Replace(want, []byte(`"freshResponse"`), []byte(`"replayResponse"`), 1)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("replayed envelope\n %q\nfresh envelope\n %q", got, want)

@@ -9,8 +9,7 @@
 //   - Client/Mux for live deployments: a caller's first POST asks to
 //     upgrade its HTTP connection, and from then on both directions carry
 //     uvarint(len) ‖ envelope frames on it, one call in flight per
-//     connection (frame.go). The web site and plain POST callers stay on
-//     ordinary HTTP exchanges with the same Mux.
+//     connection (frame.go). A POST that does not ask is refused.
 //   - Local, an in-process transport for discrete-event simulations that
 //     still marshals every message through XML so byte counts and code
 //     paths match the real thing.
@@ -26,7 +25,6 @@ import (
 	"net/http"
 	"reflect"
 	"slices"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -88,12 +86,12 @@ func AsFault(err error) (*Fault, bool) {
 }
 
 // maxBody bounds an envelope in either direction. A larger one is refused
-// whole (HTTP 413, or a frame closed unread) rather than cut short and
-// mis-decoded.
+// whole (a request before it is sent, a frame closed unread) rather than
+// cut short and mis-decoded.
 const maxBody = 16 << 20
 
 // A buffer is a pooled byte buffer that envelopes are encoded into and
-// bodies read into. Whoever takes one releases it once no decoded
+// frames read into. Whoever takes one releases it once no decoded
 // Envelope can still be looking at its bytes.
 type buffer struct {
 	b   []byte
@@ -132,27 +130,20 @@ func (b *buffer) encodeFault(f *Fault) {
 	_ = b.encode(Envelope{Action: "Fault"}, f) // cannot fail: Fault's codec compiled when the package loaded
 }
 
-// read replaces the buffer's contents with r's: exactly n bytes when the
-// length is known, everything up to EOF when n is negative. The buffer
-// grows as bytes arrive, at most doubling what it holds, so a peer that
-// declares a length and sends less costs what it sent, not what it
+// read replaces the buffer's contents with exactly n bytes from r. The
+// buffer grows as bytes arrive, at most doubling what it holds, so a peer
+// that declares a length and sends less costs what it sent, not what it
 // declared.
-func (b *buffer) read(r io.Reader, n int64) error {
+func (b *buffer) read(r io.Reader, n int) error {
 	b.b = b.b[:0]
-	for int64(len(b.b)) != n {
+	for len(b.b) != n {
 		if len(b.b) == cap(b.b) {
 			b.b = slices.Grow(b.b, max(len(b.b), 512))
 		}
-		end := cap(b.b)
-		if n >= 0 {
-			end = min(end, int(n))
-		}
-		m, err := r.Read(b.b[len(b.b):end])
+		m, err := r.Read(b.b[len(b.b):min(cap(b.b), n)])
 		b.b = b.b[:len(b.b)+m]
 		switch {
-		case int64(len(b.b)) == n:
-			return nil
-		case err == io.EOF && n < 0:
+		case len(b.b) == n:
 			return nil
 		case err == io.EOF:
 			return io.ErrUnexpectedEOF
@@ -189,11 +180,8 @@ func Encode(action string, payload any) ([]byte, error) {
 	return bytes.Clone(b.b), nil
 }
 
-// Decode unmarshals envelope bytes. The envelope's Payload aliases data.
-func Decode(data []byte) (*Envelope, error) { return (&buffer{b: data}).decode() }
-
-// decode is Decode of the buffer's bytes into its own envelope, valid
-// until the buffer is reused or released.
+// decode unmarshals the buffer's bytes into its own envelope, valid
+// until the buffer is reused or released. Its Payload aliases the bytes.
 func (b *buffer) decode() (*Envelope, error) {
 	b.env = Envelope{}
 	if err := decodeElement(b.b, &b.env); err != nil {
@@ -258,21 +246,13 @@ func (m *Mux) Actions() []string {
 	return out
 }
 
-// Dispatch decodes raw envelope bytes, runs the handler under ctx, and
-// encodes the response envelope (action suffixed "Response", or "Fault"
-// on error). Cancellation and deadline faults carry their own codes so
-// clients can tell a timed-out call from a failed one.
-func (m *Mux) Dispatch(ctx context.Context, data []byte) []byte {
-	out := newBuffer()
-	defer out.release()
-	m.dispatch(ctx, &buffer{b: data}, out)
-	return bytes.Clone(out.b)
-}
-
-// dispatch is Dispatch of the envelope in in, with the response envelope
-// appended to out. The request envelope lives in in, which must stay
-// untouched until dispatch returns. The handler runs under ctx narrowed
-// to the envelope's budget, when that is the nearer deadline.
+// dispatch decodes the envelope in in, runs its handler and appends the
+// response envelope to out (action suffixed "Response", or "Fault" on
+// error). Cancellation and deadline faults carry their own codes so
+// clients can tell a timed-out call from a failed one. The request
+// envelope lives in in, which must stay untouched until dispatch returns.
+// The handler runs under ctx narrowed to the envelope's budget, when that
+// is the nearer deadline.
 func (m *Mux) dispatch(ctx context.Context, in, out *buffer) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -334,42 +314,19 @@ func faultCode(err error) string {
 }
 
 // ServeHTTP implements http.Handler. A POST asking to upgrade to frames
-// becomes a framed connection (serveFrames); any other POST carries one
-// envelope and receives one, under the request's context. A body over
-// maxBody is refused with 413 before it is read.
+// becomes a framed connection (serveFrames); any other POST is refused
+// with 426, naming the protocol to ask for, and any other method with 405.
 func (m *Mux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "wire endpoint accepts POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	if r.Header.Get("Upgrade") == frameProto {
-		m.serveFrames(w, r)
+	if r.Header.Get("Upgrade") != frameProto {
+		w.Header().Set("Upgrade", frameProto)
+		http.Error(w, "wire endpoint carries frames only: upgrade to "+frameProto, http.StatusUpgradeRequired)
 		return
 	}
-	if r.ContentLength > maxBody {
-		http.Error(w, errBodyTooLarge.Error(), http.StatusRequestEntityTooLarge)
-		return
-	}
-	req := newBuffer()
-	defer req.release()
-	body := io.Reader(r.Body)
-	if r.ContentLength < 0 { // chunked: the length shows only as it arrives
-		body = http.MaxBytesReader(w, r.Body, maxBody)
-	}
-	if err := req.read(body, r.ContentLength); err != nil {
-		status := http.StatusBadRequest
-		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		http.Error(w, err.Error(), status)
-		return
-	}
-	resp := newBuffer()
-	defer resp.release()
-	m.dispatch(r.Context(), req, resp)
-	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
-	w.Header().Set("Content-Length", strconv.Itoa(len(resp.b)))
-	w.Write(resp.b)
+	m.serveFrames(w, r)
 }
 
 var errBodyTooLarge = fmt.Errorf("wire: body exceeds %d bytes", maxBody)
@@ -439,23 +396,20 @@ func request(ctx context.Context, action string) Envelope {
 
 // Client is the HTTP Caller: it carries its calls as frames on upgraded
 // connections to URL, one call in flight per connection, and keeps a few
-// idle ones between calls. A connection that fails, or whose call's
-// context ends, is closed, never reused: the call fails with a transport
-// error, which Retryable counts retryable, and a Retryer re-sends it
-// under the same key on a fresh connection.
+// idle ones between calls. A call's context is its only deadline, and the
+// deadline rides the envelope as its budget. A connection that fails, or
+// whose call's context ends, is closed, never reused: the call fails with
+// a transport error, which Retryable counts retryable, and the caller's
+// retry (a Retryer, or the node agent's own chain) re-sends it under the
+// same key on a fresh connection.
 type Client struct {
 	// URL is the service endpoint (e.g. http://cas:8080/services).
 	URL string
 	// HTTP opens the connections: a POST whose 101 answer hands the
 	// connection over. nil means http.DefaultClient. It must not set a
-	// Timeout, which would make the upgraded connection unwritable;
-	// Client.Timeout bounds calls.
+	// Timeout, which would make the upgraded connection unwritable; a
+	// call's context bounds the call.
 	HTTP *http.Client
-	// Timeout is the default per-call budget applied when the call
-	// context carries no deadline of its own (0 = none). The effective
-	// deadline — from ctx or from here — rides the envelope as its
-	// budget.
-	Timeout time.Duration
 
 	mu   sync.Mutex
 	idle []*clientConn
@@ -478,11 +432,6 @@ type clientConn struct {
 func (c *Client) Call(ctx context.Context, action string, req, resp any) error {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if _, has := ctx.Deadline(); !has && c.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.Timeout)
-		defer cancel()
 	}
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("wire: %s: %w", c.URL, err)
@@ -553,12 +502,10 @@ func (c *Client) take(ctx context.Context) (*clientConn, error) {
 	}
 	if hresp.StatusCode != http.StatusSwitchingProtocols {
 		defer hresp.Body.Close()
-		msg := newBuffer()
-		defer msg.release()
-		msg.read(io.LimitReader(hresp.Body, 512), -1) // best effort: whatever arrived words the fault
+		msg, _ := io.ReadAll(io.LimitReader(hresp.Body, 512)) // best effort: whatever arrived words the fault
 		return nil, &Fault{
 			Code:    fmt.Sprintf("HTTP%d", hresp.StatusCode),
-			Message: fmt.Sprintf("POST %s: %s: %s", c.URL, hresp.Status, msg.b),
+			Message: fmt.Sprintf("POST %s: %s: %s", c.URL, hresp.Status, msg),
 		}
 	}
 	rwc, ok := hresp.Body.(io.ReadWriteCloser)

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -38,7 +39,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := Decode(data)
+	env, err := DecodeEnvelope(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,15 +129,44 @@ func TestHTTPRejectsGet(t *testing.T) {
 	}
 }
 
-func TestBadEnvelope(t *testing.T) {
-	mux := pingMux()
-	out := mux.Dispatch(context.Background(), []byte("this is not xml"))
-	env, err := Decode(out)
+// TestPostWithoutUpgradeRefused: the Mux serves frames only. A POST that
+// does not ask to upgrade gets 426 naming the protocol to ask for, and no
+// handler runs.
+func TestPostWithoutUpgradeRefused(t *testing.T) {
+	mux, execs := countMux()
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	env, _ := Encode("bump", &pingReq{N: 1})
+	resp, err := srv.Client().Post(srv.URL, "text/xml", bytes.NewReader(env))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.Action != "Fault" {
-		t.Fatalf("action = %s", env.Action)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUpgradeRequired || resp.Header.Get("Upgrade") != frameProto {
+		t.Fatalf("plain POST: status %d, Upgrade %q; want 426 and %q", resp.StatusCode, resp.Header.Get("Upgrade"), frameProto)
+	}
+	if n := execs.Load(); n != 0 {
+		t.Fatalf("the handler ran %d times for a refused POST", n)
+	}
+}
+
+// dispatchBytes runs the envelope in data through the Mux's dispatch and
+// returns the response envelope.
+func dispatchBytes(m *Mux, data []byte) []byte {
+	out := newBuffer()
+	defer out.release()
+	m.dispatch(context.Background(), &buffer{b: data}, out)
+	return bytes.Clone(out.b)
+}
+
+func TestBadEnvelope(t *testing.T) {
+	env, err := DecodeEnvelope(dispatchBytes(pingMux(), []byte("this is not xml")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f Fault
+	if env.Action != "Fault" || DecodePayload(env, &f) != nil || f.Code != "BadEnvelope" {
+		t.Fatalf("reply %s %+v, want a BadEnvelope fault", env.Action, f)
 	}
 }
 
@@ -172,7 +202,7 @@ func TestPropertyEnvelopeRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		env, err := Decode(data)
+		env, err := DecodeEnvelope(data)
 		if err != nil {
 			return false
 		}
@@ -202,17 +232,6 @@ func TestOversizeRequestRejected(t *testing.T) {
 	err := client.Call(context.Background(), "ping", &pingReq{Name: big}, &pingResp{})
 	if f, ok := AsFault(err); !ok || f.Code != "HTTP413" || Retryable(err) {
 		t.Fatalf("oversize request: err = %.200v, want a terminal HTTP413 fault", err)
-	}
-
-	// Chunked: no Content-Length to refuse by, so the read itself is bounded.
-	body := io.MultiReader(strings.NewReader(`<Envelope action="ping"><pingReq><Name>`), strings.NewReader(big))
-	resp, err := srv.Client().Post(srv.URL, "text/xml", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversize chunked request: status %d, want 413", resp.StatusCode)
 	}
 
 	// The bound is inclusive: an envelope of exactly maxBody goes through.
