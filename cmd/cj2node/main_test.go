@@ -101,6 +101,46 @@ func TestRunSendsOneRequestPerChainStep(t *testing.T) {
 	}
 }
 
+// TestRunPollWaitsOutTheChain: an idle node against a CAS that answers
+// every POST with 503 sends one request per step of its retry chain and
+// nothing beside it — the idle poll waits while a retry is armed. Over
+// 2.05 s at a 100 ms poll the steps fall at 0, 0.1, 0.3, 0.7 and 1.5 s:
+// five requests, where an idle poll re-armed after every failed exchange
+// adds one per poll (25 in all). Each failed exchange logs one line.
+func TestRunPollWaitsOutTheChain(t *testing.T) {
+	var requests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		http.Error(w, "down", http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+	var logged lockedBuffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+
+	const poll = 100 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 2050*time.Millisecond)
+	defer cancel()
+	err := run(ctx, srv.URL+"/services", cluster.NodeConfig{Name: "down1", VMs: 1},
+		cluster.StartdConfig{HeartbeatInterval: time.Hour, IdlePoll: poll, CallTimeout: 5 * time.Second})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("run returned %v, want its context's deadline", err)
+	}
+	out := logged.String()
+	sent, lines := requests.Load(), strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if sent < 4 || sent > 6 {
+		t.Fatalf("%d requests in 2.05 s, want the chain's 5; log:\n%s", sent, out)
+	}
+	if int64(len(lines)) != sent {
+		t.Fatalf("%d requests logged on %d lines, want one line each; log:\n%s", sent, len(lines), out)
+	}
+	for _, l := range lines {
+		if !strings.Contains(l, " failed: ") || !strings.HasSuffix(l, ": down") {
+			t.Fatalf("log line %q is not one whole failed exchange; log:\n%s", l, out)
+		}
+	}
+}
+
 // lockedBuffer is a log destination safe for concurrent writers.
 type lockedBuffer struct {
 	mu sync.Mutex

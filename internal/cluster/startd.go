@@ -48,7 +48,9 @@ import (
 //   - A failed exchange is retried on a chain that doubles from IdlePoll
 //     to HeartbeatInterval, one retry armed at a time
 //     (TestStartdProtocol/completion_retried_on_the_chain, TestStartdBackoffIsBounded).
-//     The chain is the agent's only retry: each step is one exchange.
+//     The chain is the agent's only retry: each step is one exchange, and
+//     the idle poll waits while a step is armed (TestRunPollWaitsOutTheChain
+//     in cmd/cj2node).
 //   - A retry waits at least the server's RetryAfterMs hint, so an
 //     overloaded CAS paces its nodes (TestStartdProtocol/overload_hint_delays_the_retry).
 //   - At most MaxStartsPerExchange matches are acted on per heartbeat, the
@@ -222,13 +224,18 @@ func (s *Startd) armPoll() {
 
 // armPollAfter schedules the idle-VM poll with a custom delay (used to
 // claim remaining matches quickly, paced by the local worker's backlog).
+// While a retry is armed the poll is neither armed nor sent: the chain
+// carries the exchange, and the heartbeat that ends it re-arms the poll.
 func (s *Startd) armPollAfter(d time.Duration) {
-	if s.pollArm || s.stopped || s.IdleVMs() == 0 {
+	if s.pollArm || s.stopped || s.retryArm || s.IdleVMs() == 0 {
 		return
 	}
 	s.pollArm = true
 	s.eng.After(d, s.kernel.Config().Name+".poll", func() {
 		s.pollArm = false
+		if s.retryArm {
+			return
+		}
 		s.exchange()
 		s.armPoll()
 	})

@@ -7,10 +7,10 @@ import (
 	"strings"
 )
 
-// tableCensus is what one table's heap holds: the slots in use and the row
-// versions on their chains.
+// tableCensus is what one table's heap holds: the slots in use, the row
+// versions on their chains and the bases below them.
 type tableCensus struct {
-	slots, versions int
+	slots, versions, bases int
 }
 
 // leafCensus is what one index's leaves hold: how many there are, their
@@ -20,8 +20,8 @@ type leafCensus struct {
 	leaves, blockBytes, usedBytes int
 }
 
-// census is a heap census of a DB: per table (by name) its slots and
-// versions, per index (by name) its leaves.
+// census is a heap census of a DB: per table (by name) its slots,
+// versions and bases, per index (by name) its leaves.
 type census struct {
 	tables  map[string]tableCensus
 	indexes map[string]leafCensus
@@ -35,8 +35,12 @@ func heapCensus(db *DB) census {
 		tbl.latch.RLock()
 		tc := tableCensus{slots: int(tbl.rows.n)}
 		for rid := range tbl.rows.n {
-			for v := tbl.rows.at(rid).head.Load(); v != nil; v = v.prev.Load() {
+			s := tbl.rows.at(rid)
+			for v := s.head.Load(); v != nil; v = v.prev.Load() {
 				tc.versions++
+			}
+			if s.loadBase() != 0 {
+				tc.bases++
 			}
 		}
 		c.tables[name] = tc
@@ -64,7 +68,7 @@ func (c census) String() string {
 	var b strings.Builder
 	for _, name := range slices.Sorted(maps.Keys(c.tables)) {
 		t := c.tables[name]
-		fmt.Fprintf(&b, "table %s: %d slots, %d versions\n", name, t.slots, t.versions)
+		fmt.Fprintf(&b, "table %s: %d slots, %d versions, %d bases\n", name, t.slots, t.versions, t.bases)
 	}
 	for _, name := range slices.Sorted(maps.Keys(c.indexes)) {
 		ix := c.indexes[name]

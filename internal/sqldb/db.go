@@ -442,7 +442,10 @@ func (db *DB) advanceWatermark() uint64 {
 // stamped with the next commit timestamp and gcs are queued at it before
 // the clock advances to it, so no snapshot observes part of the group. A
 // redone group also moves the applied LSN to its lsn (0 for a local
-// commit, which moves nothing).
+// commit, which moves nothing). On a paged store the group's rows are then
+// absorbed into their slots' bases where they may be (absorb): the one
+// path both a local commit, whose X locks are still held, and the redo go
+// through.
 func (db *DB) stamp(versions []stampEntry, gcs []gcRecord, lsn uint64) {
 	db.commitMu.Lock()
 	ts := db.clock.Load() + 1
@@ -456,6 +459,33 @@ func (db *DB) stamp(versions []stampEntry, gcs []gcRecord, lsn uint64) {
 	}
 	db.commitMu.Unlock()
 	db.versionsCreated.Add(uint64(len(versions)))
+	if db.store != nil {
+		db.absorb(versions, ts)
+	}
+}
+
+// absorb makes the versions of a group stamped at ts their slots' bases
+// where that frees nothing (table.absorb): a version that is not a
+// tombstone, names a page record and is its row's whole chain over no
+// base, once a freshly computed watermark has reached ts. One stamped
+// while an older snapshot was live is queued for GC, as a record with
+// neither entries nor a tombstone, to be absorbed once that snapshot is
+// gone: a row inserted and never written again is reached by no prune.
+func (db *DB) absorb(versions []stampEntry, ts uint64) {
+	wm := db.advanceWatermark()
+	for _, e := range versions {
+		if e.tbl.heap == nil || e.v.isTomb() || e.v.loc.pid() == 0 {
+			continue
+		}
+		if e.tbl.absorb(e.rid, e.v, wm) {
+			// Queued after commitMu, so it may sit behind a later commit's
+			// record; runGC takes the queue's due prefix, so it waits for
+			// that one, which is harmless.
+			db.gcMu.Lock()
+			db.gcQueue = append(db.gcQueue, gcRecord{tableID: e.tbl.tableID, rid: e.rid, ts: ts})
+			db.gcMu.Unlock()
+		}
+	}
 }
 
 // queueGC queues recs for reclamation once no snapshot older than ts is
@@ -1051,6 +1081,7 @@ func (db *DB) applyDDL(stmt Statement, id uint32, tx *Tx) error {
 		tbl.tableID = id
 		if db.store != nil {
 			tbl.heap = newPagedHeap(db.store, id)
+			tbl.rows.paged = true
 		}
 		db.publish(tbl, false)
 		if tx != nil {

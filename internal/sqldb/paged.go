@@ -43,9 +43,10 @@ import (
 //
 // Recovery scans the page file for the newest record per (table, rid) —
 // strict 2PL made per-rid sequence order equal commit order — places
-// those as base rows, then hands the WAL tail above the checkpoint LSN to
-// the same redo every other log goes through (applyGroup), told that the
-// state it applies onto may already contain the group.
+// each as its slot's base (version.go), then hands the WAL tail above the
+// checkpoint LSN to the same redo every other log goes through
+// (applyGroup), told that the state it applies onto may already contain
+// the group.
 
 // ckptFlushBatch is how many pages one checkpoint WriteBatch carries.
 const ckptFlushBatch = 32
@@ -673,21 +674,17 @@ func (db *DB) recoverPaged(meta *pagedMeta, data []byte) ([]walMark, error) {
 		return nil, fmt.Errorf("sqldb: recovery: %w", err)
 	}
 
-	// 4. Base placement: every surviving winner becomes a single paged
-	// version stamped at timestamp 1, and the commit clock starts there.
-	var clock uint64
+	// 4. Base placement: every surviving winner becomes its slot's base,
+	// which every snapshot sees, with no version object.
 	for tid, m := range winners {
 		tbl := db.tableByID(uint64(tid))
 		for rid, rec := range m {
-			tbl.pagedPlace(rid, rec.img, rec.loc, 1)
-			clock = 1
+			tbl.pagedPlace(rid, rec.img, rec.loc)
 		}
 	}
 	if err := st.Err(); err != nil {
 		return nil, fmt.Errorf("sqldb: recovery: %w", err)
 	}
-	db.clock.Store(clock)
-	db.watermark.Store(clock)
 
 	// 5. WAL tail: groups at or below the checkpoint LSN are already in
 	// the pages; later ones are redone over them (written through, fresh

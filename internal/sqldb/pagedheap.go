@@ -42,7 +42,10 @@ import (
 //
 // A record is erased (slot freed) only when nothing can ever need it
 // again: its in-memory version was pruned below the GC watermark, its
-// table was dropped, or recovery proved it superseded. Erasures of
+// table was dropped, or recovery proved it superseded. A heap slot's base
+// (version.go) is erased exactly like a pruned version — by the prune that
+// finds a newer committed version at or below the watermark above it, the
+// deleting tombstone's included — and never when it is set. Erasures of
 // slot-freeing tombstones are additionally deferred past the next
 // checkpoint (see pageStore.queueTombErase): the tombstone may only
 // leave the disk after the erasure of the data records it shadows is

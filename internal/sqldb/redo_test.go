@@ -62,7 +62,7 @@ func engineState(t *testing.T, who string, db *DB) map[string]tableState {
 			if row := tbl.resolve(s.visibleVersion(snap)); row != noRow {
 				st.rows[rid] = canonValues(row.values())
 				st.holes = append(st.holes, empty[len(st.holes):]...)
-			} else if s.head.Load() == nil {
+			} else if s.head.Load() == nil && s.loadBase() == 0 {
 				empty = append(empty, rid)
 			} else {
 				t.Errorf("%s: %s slot %d holds versions but no live row after the GC drained", who, name, rid)

@@ -210,7 +210,7 @@ func headImage(t *testing.T, db *DB, name string, rid int64) rowImage {
 		t.Fatal(err)
 	}
 	s := tbl.slot(rid)
-	if s == nil {
+	if s.chainHead == nil {
 		t.Fatalf("%s has no slot %d", name, rid)
 	}
 	return s.head.Load().data

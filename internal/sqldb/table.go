@@ -73,13 +73,17 @@ const (
 	slotChunkMax     = 1 << slotChunkMaxBits
 )
 
-// slots is a table's heap: its rowSlot values, rid i the i-th, held inline
+// slots is a table's heap: its chain heads, rid i the i-th, held inline
 // in chunks that are never moved or freed, so a slot's address stays valid
 // while later inserts add chunks — table.slot hands it out past the latch
-// it was found under. n is the slots in use; the rest of the last chunk is
+// it was found under. A paged table keeps its slots' bases in chunks of
+// the same sizes beside them (bases; nil, and paged false, for a table
+// without pages). n is the slots in use; the rest of the last chunk is
 // zero, empty slots for the next rids.
 type slots struct {
-	chunks [][]rowSlot
+	chunks [][]chainHead
+	bases  [][]baseLoc
+	paged  bool
 	n      int64
 }
 
@@ -96,15 +100,19 @@ func slotChunk(rid int64) (c int, off int64) {
 }
 
 // at is slot rid, which is in use.
-func (s *slots) at(rid int64) *rowSlot {
+func (s *slots) at(rid int64) rowSlot {
 	c, off := slotChunk(rid)
-	return &s.chunks[c][off]
+	r := rowSlot{chainHead: &s.chunks[c][off]}
+	if s.paged {
+		r.base = &s.bases[c][off]
+	}
+	return r
 }
 
-// get is slot rid, or nil past the heap's end.
-func (s *slots) get(rid int64) *rowSlot {
+// get is slot rid, or past the heap's end no slot (a nil chainHead).
+func (s *slots) get(rid int64) rowSlot {
 	if rid < 0 || rid >= s.n {
-		return nil
+		return rowSlot{}
 	}
 	return s.at(rid)
 }
@@ -114,7 +122,10 @@ func (s *slots) grow(n int64) {
 	for ; s.n < n; s.n++ {
 		if c, _ := slotChunk(s.n); c == len(s.chunks) {
 			size := min(slotChunkMin<<max(c-1, 0), slotChunkMax)
-			s.chunks = append(s.chunks, make([]rowSlot, size))
+			s.chunks = append(s.chunks, make([]chainHead, size))
+			if s.paged {
+				s.bases = append(s.bases, make([]baseLoc, size))
+			}
 		}
 	}
 }
@@ -150,13 +161,20 @@ func newTable(schema TableSchema) *table {
 	return t
 }
 
-// resolve materializes a version's row: noRow for "no row" (no version,
-// or a delete tombstone), the in-memory image when present (default mode,
-// and uncommitted versions in paged mode), else the page record named by
-// v.loc. A paged read failure also yields noRow — and records a sticky
+// resolve materializes what a slot read found, a version or else the
+// slot's base: noRow for "no row" (neither, or a delete tombstone), the
+// version's in-memory image when present (default mode, and uncommitted
+// versions in paged mode), else the page record named by v.loc or by the
+// base. A paged read failure also yields noRow — and records a sticky
 // error on the store (readRow does both).
-func (t *table) resolve(v *rowVersion) rowImage {
-	if v == nil || v.isTomb() {
+func (t *table) resolve(v *rowVersion, base pageLoc) rowImage {
+	if v == nil {
+		if base == 0 {
+			return noRow
+		}
+		return t.heap.readRow(base)
+	}
+	if v.isTomb() {
 		return noRow
 	}
 	if v.data != noRow {
@@ -169,12 +187,13 @@ func (t *table) resolve(v *rowVersion) rowImage {
 }
 
 // prune clips s's chain below the watermark (rowSlot.pruneBelow) and
-// erases the page records of the versions it unlinked — a chain rarely
-// sheds more than one at a time, so their locations stay on the stack.
+// erases the page records of the versions and the base it freed — a chain
+// rarely sheds more than one at a time, so their locations stay on the
+// stack.
 // Safe to call with the table latch held: the pool layer never acquires
 // table latches, so no lock cycle — just potential page I/O under the
 // latch, which only GC and chain pruning pay.
-func (t *table) prune(s *rowSlot, watermark uint64) (pruned uint64) {
+func (t *table) prune(s rowSlot, watermark uint64) (pruned uint64) {
 	var buf [2]pageLoc
 	pruned, freed := s.pruneBelow(watermark, buf[:0])
 	if t.heap != nil {
@@ -191,13 +210,14 @@ func colNames(s TableSchema, idxs []int) []string {
 	return names
 }
 
-// addIndexLocked builds an index over every version of every row, so a
-// snapshot of any age finds through it what a seq scan would. No writer of
-// the table is in flight (CREATE INDEX holds the table's S lock; redo and
-// table creation have none), so every version is committed. The keys only
-// history holds — a shadowed version's the live row does not share, and
-// every version's of a chain headed by a tombstone — are returned as GC
-// records for the caller to queue, exactly like an update's orphans.
+// addIndexLocked builds an index over every version of every row, its base
+// included, so a snapshot of any age finds through it what a seq scan
+// would. No writer of the table is in flight (CREATE INDEX holds the
+// table's S lock; redo and table creation have none), so every version is
+// committed. The keys only history holds — a shadowed version's or base's
+// the live row does not share, and every one of a chain headed by a
+// tombstone — are returned as GC records for the caller to queue, exactly
+// like an update's orphans.
 func (t *table) addIndexLocked(is IndexSchema) ([]gcRecord, error) {
 	t.latch.Lock()
 	defer t.latch.Unlock()
@@ -219,25 +239,26 @@ func (t *table) addIndexLocked(is IndexSchema) ([]gcRecord, error) {
 	var history []gcRecord
 	var buf keyBuf
 	for rid := range t.rows.n {
-		head := t.rows.at(rid).head.Load()
-		live := t.resolve(head)
+		s := t.rows.at(rid)
+		live := t.resolve(s.newest())
 		if live != noRow {
 			if err := t.checkUnique(ix, live, rid); err != nil {
 				return nil, err
 			}
 		}
 		var orphans []gcEntry
-		for v := head; v != nil; v = v.prev.Load() {
-			row := t.resolve(v)
-			if row == noRow {
-				continue
+		newest := true
+		t.history(s, func(row rowImage) bool {
+			if row != noRow {
+				k := ix.appendEntry(buf[:0], row, rid)
+				if !newest && (live == noRow || !ix.sameKey(live, row)) {
+					orphans = append(orphans, gcEntry{index: ix.num, key: string(k)})
+				}
+				ix.tree.insert(view(k))
 			}
-			k := ix.appendEntry(buf[:0], row, rid)
-			if v != head && (live == noRow || !ix.sameKey(live, row)) {
-				orphans = append(orphans, gcEntry{index: ix.num, key: string(k)})
-			}
-			ix.tree.insert(view(k))
-		}
+			newest = false
+			return true
+		})
 		if len(orphans) > 0 {
 			history = append(history, gcRecord{tableID: t.tableID, rid: rid, entries: orphans})
 		}
@@ -429,7 +450,7 @@ func (t *table) checkUnique(ix *index, row rowImage, rid int64) error {
 		if rid2 == rid {
 			return true
 		}
-		headRow := t.resolve(t.rows.at(rid2).head.Load())
+		headRow := t.resolve(t.rows.at(rid2).newest())
 		if headRow == noRow {
 			return true // reclaimed slot or tombstoned row: key is free
 		}
@@ -503,16 +524,18 @@ func (t *table) refused(err error, rid int64) error {
 }
 
 // find reads what a write of op finds at rid — txn's own version, else the
-// newest committed one (the redo's txn is 0, the id its versions carry) —
-// and holds it to rowRule. It returns rid's slot (nil past the heap's end)
-// and its live row (noRow when there is none); apply false with no error is
-// a write with nothing to do. Caller holds the latch.
-func (t *table) find(op walOp, rid int64, txn uint64, mayContain bool) (s *rowSlot, old rowImage, apply bool, err error) {
+// newest committed one, else the base (the redo's txn is 0, the id its
+// versions carry) — and holds it to rowRule. It returns rid's slot (no
+// chain head past the heap's end) and its live row (noRow when there is
+// none); apply false with no error is a write with nothing to do. Caller
+// holds the latch.
+func (t *table) find(op walOp, rid int64, txn uint64, mayContain bool) (s rowSlot, old rowImage, apply bool, err error) {
 	var cur *rowVersion
-	if s = t.rows.get(rid); s != nil {
-		cur = s.currentVersion(txn)
+	var base pageLoc
+	if s = t.rows.get(rid); s.chainHead != nil {
+		cur, base = s.currentVersion(txn)
 	}
-	live := cur != nil && !cur.isTomb()
+	live := holdsRow(cur, base)
 	if apply, err = rowRule(op, live, mayContain); !apply {
 		if err != nil {
 			err = t.refused(err, rid)
@@ -520,7 +543,7 @@ func (t *table) find(op walOp, rid int64, txn uint64, mayContain bool) (s *rowSl
 		return s, noRow, false, err
 	}
 	if live {
-		if old = t.resolve(cur); old == noRow {
+		if old = t.resolve(cur, base); old == noRow {
 			return s, noRow, false, fmt.Errorf("row %d of %s is unreadable", rid, t.schema.Name)
 		}
 	}
@@ -539,7 +562,7 @@ func (t *table) keysMove(old, row rowImage) bool {
 }
 
 // push puts v on top of s's chain and clips what the watermark shadows.
-func (t *table) push(s *rowSlot, v *rowVersion, watermark uint64) *rowVersion {
+func (t *table) push(s rowSlot, v *rowVersion, watermark uint64) *rowVersion {
 	v.prev.Store(s.head.Load())
 	s.head.Store(v)
 	t.prune(s, watermark)
@@ -609,7 +632,7 @@ func (t *table) write(rid int64, row rowImage, insert bool, txn, watermark uint6
 			ix.tree.insert(view(ix.appendEntry(buf[:0], row, rid))) // idempotent when re-claiming a pending-GC entry
 		}
 	}
-	if s == nil {
+	if s.chainHead == nil {
 		t.rows.grow(rid + 1)
 		s = t.rows.at(rid)
 	}
@@ -642,17 +665,18 @@ func (t *table) remove(rid int64, txn, watermark uint64, mayContain bool) (*rowV
 // slot fetches a heap slot under the shared latch (the chunk list may be
 // growing concurrently under another transaction's insert). The slot
 // itself never moves, so it stays valid past the latch.
-func (t *table) slot(rid int64) *rowSlot {
+func (t *table) slot(rid int64) rowSlot {
 	t.latch.RLock()
 	defer t.latch.RUnlock()
 	return t.rows.get(rid)
 }
 
 // currentRow is the 2PL read of a row: the transaction's own uncommitted
-// version if any, else the newest committed one; noRow when absent.
+// version if any, else the newest committed one, else the base; noRow when
+// absent.
 func (t *table) currentRow(rid int64, txn uint64) rowImage {
 	s := t.slot(rid)
-	if s == nil {
+	if s.chainHead == nil {
 		return noRow
 	}
 	return t.resolve(s.currentVersion(txn))
@@ -662,17 +686,13 @@ func (t *table) currentRow(rid int64, txn uint64) rowImage {
 // test of the strict redo's rules.
 func (t *table) isLive(rid int64) bool {
 	s := t.slot(rid)
-	if s == nil {
-		return false
-	}
-	v := s.currentVersion(0)
-	return v != nil && !v.isTomb()
+	return s.chainHead != nil && holdsRow(s.currentVersion(0))
 }
 
 // visibleRow is the snapshot read of a row as of commit timestamp ts.
 func (t *table) visibleRow(rid int64, ts uint64) rowImage {
 	s := t.slot(rid)
-	if s == nil {
+	if s.chainHead == nil {
 		return noRow
 	}
 	return t.resolve(s.visibleVersion(ts))
@@ -687,20 +707,34 @@ func (ix *index) entryMatches(k string, row rowImage, rid int64) bool {
 	return k == string(ix.appendEntry(buf[:0], row, rid))
 }
 
-// removeEntryIfUnclaimed deletes index entry k for rid unless some
-// surviving version in rid's chain (committed or uncommitted) still
-// carries that exact key — which happens when a key changed away and back
-// again before the orphaned entry was reclaimed. Caller holds the
-// exclusive latch.
-func (t *table) removeEntryIfUnclaimed(ix *index, k string, rid int64) bool {
-	if s := t.rows.get(rid); s != nil {
-		for v := s.head.Load(); v != nil; v = v.prev.Load() {
-			if row := t.resolve(v); row != noRow && ix.entryMatches(k, row, rid) {
-				return false
-			}
+// history calls visit with every row s holds, newest first: each
+// version's (noRow for a tombstone), then the base's. It stops when visit
+// returns false.
+func (t *table) history(s rowSlot, visit func(row rowImage) bool) {
+	for v := s.head.Load(); v != nil; v = v.prev.Load() {
+		if !visit(t.resolve(v, 0)) {
+			return
 		}
 	}
-	return ix.tree.delete(k)
+	if base := s.loadBase(); base != 0 {
+		visit(t.resolve(nil, base))
+	}
+}
+
+// removeEntryIfUnclaimed deletes index entry k for rid unless some
+// surviving version in rid's chain (committed or uncommitted), or its base,
+// still carries that exact key — which happens when a key changed away and
+// back again before the orphaned entry was reclaimed. Caller holds the
+// exclusive latch.
+func (t *table) removeEntryIfUnclaimed(ix *index, k string, rid int64) bool {
+	claimed := false
+	if s := t.rows.get(rid); s.chainHead != nil {
+		t.history(s, func(row rowImage) bool {
+			claimed = row != noRow && ix.entryMatches(k, row, rid)
+			return !claimed
+		})
+	}
+	return !claimed && ix.tree.delete(k)
 }
 
 // rollback undoes txn's write of op at rid — one record of its redo list —
@@ -708,8 +742,9 @@ func (t *table) removeEntryIfUnclaimed(ix *index, k string, rid int64) bool {
 // linked below, so nothing is re-applied. What the write did beside the
 // push is undone with it: the entries an insert or an update put in go
 // (claim-checked — a same-transaction key dance may have re-claimed one),
-// and the live-row count moves back, an insert whose chain emptied giving
-// back its slot too. A head that is not txn's version of op is left alone.
+// and the live-row count moves back, an insert that leaves neither a chain
+// nor a base giving back its slot too. A head that is not txn's version of
+// op is left alone.
 func (t *table) rollback(op walOp, rid int64, txn uint64) {
 	t.latch.Lock()
 	defer t.latch.Unlock()
@@ -725,7 +760,7 @@ func (t *table) rollback(op walOp, rid int64, txn uint64) {
 		return // a delete put in no entries
 	case walInsert:
 		t.liveRows.Add(-1)
-		if s.head.Load() == nil {
+		if s.head.Load() == nil && s.loadBase() == 0 {
 			t.free = append(t.free, rid)
 		}
 	}
@@ -745,7 +780,15 @@ func (t *table) gcProcess(rec *gcRecord, watermark uint64) (pruned, entriesRemov
 	t.latch.Lock()
 	defer t.latch.Unlock()
 	s := t.rows.get(rec.rid)
-	if s == nil {
+	if s.chainHead == nil {
+		return 0, 0, 0
+	}
+	if !rec.tombstone && len(rec.entries) == 0 {
+		// A version committed above the watermark (DB.absorb): absorbing it
+		// frees nothing, and nothing else is owed.
+		if v := s.head.Load(); v != nil {
+			s.absorbSole(v, watermark)
+		}
 		return 0, 0, 0
 	}
 	pruned = t.prune(s, watermark)
@@ -759,13 +802,13 @@ func (t *table) gcProcess(rec *gcRecord, watermark uint64) (pruned, entriesRemov
 		}
 	}
 	if rec.tombstone {
-		// The slot dies only when the tombstone is the whole chain and is
-		// itself below the watermark (re-check: a rollback or unprocessed
-		// newer record may have changed the picture since enqueue). begin
-		// is read first: the commit path may still be writing an unstamped
-		// head's loc.
+		// The slot dies only when the tombstone is the whole chain, over no
+		// base, and is itself below the watermark (re-check: a rollback or
+		// unprocessed newer record may have changed the picture since
+		// enqueue). begin is read first: the commit path may still be
+		// writing an unstamped head's loc.
 		if head := s.head.Load(); head != nil {
-			if b := head.begin.Load(); b != 0 && b <= watermark && head.isTomb() && head.prev.Load() == nil {
+			if b := head.begin.Load(); b != 0 && b <= watermark && head.isTomb() && head.prev.Load() == nil && s.loadBase() == 0 {
 				s.head.Store(nil)
 				// The tombstone's own page record may only be erased once
 				// the erasure of the data records it shadows is durable —
@@ -781,17 +824,28 @@ func (t *table) gcProcess(rec *gcRecord, watermark uint64) (pruned, entriesRemov
 	return pruned, entriesRemoved, slotsFreed
 }
 
-// pagedPlace publishes a base row recovered from the page scan: a single
-// committed version whose bytes stay on the page (paged recovery only;
-// single-threaded). Base rows are stamped with ts so the commit clock can
-// start just above them. The redo of the log tail then runs over them.
-func (t *table) pagedPlace(rid int64, row rowImage, loc pageLoc, ts uint64) {
+// absorb makes v, the version a commit just stamped at rid, the slot's base
+// when that frees nothing (rowSlot.absorbSole). It reports whether v, a
+// paged row's version that is not a tombstone, is left its row's whole
+// chain over no base because it was stamped above the watermark: for GC to
+// absorb once the snapshots older than it are gone. The caller holds the
+// row's X lock, or is the redo, so no other writer touches the slot; the
+// shared latch keeps GC out.
+func (t *table) absorb(rid int64, v *rowVersion, watermark uint64) (late bool) {
+	t.latch.RLock()
+	defer t.latch.RUnlock()
+	s := t.rows.at(rid)
+	return !s.absorbSole(v, watermark) && s.sole(v)
+}
+
+// pagedPlace publishes a row recovered from the page scan as its slot's
+// base: no version object, its bytes stay on the page (paged recovery only;
+// single-threaded). The redo of the log tail then runs over it.
+func (t *table) pagedPlace(rid int64, row rowImage, loc pageLoc) {
 	t.latch.Lock()
 	defer t.latch.Unlock()
 	t.rows.grow(rid + 1)
-	v := &rowVersion{loc: loc}
-	v.begin.Store(ts)
-	t.rows.at(rid).head.Store(v)
+	t.rows.at(rid).storeBase(loc)
 	t.liveRows.Add(1)
 	var buf keyBuf
 	for _, ix := range t.indexes {
@@ -848,15 +902,15 @@ func (t *table) rebuildAfterReplay(watermark uint64) {
 	for rid := range t.rows.n {
 		s := t.rows.at(rid)
 		t.prune(s, watermark)
-		head := s.head.Load()
-		if head == nil {
+		head, base := s.newest()
+		if head == nil && base == 0 {
 			t.free = append(t.free, rid)
 			continue
 		}
 		if len(auto) == 0 {
 			continue // no counter to rebuild: leave paged rows on their pages
 		}
-		if row := t.resolve(head); row != noRow {
+		if row := t.resolve(head, base); row != noRow {
 			for _, ci := range auto {
 				if v := row.col(ci); !v.IsNull() && v.Int64() >= t.nextAuto {
 					t.nextAuto = v.Int64() + 1

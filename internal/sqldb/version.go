@@ -22,6 +22,27 @@ import (
 // the watermark can never be seen again. Chains self-prune on the write
 // fast path; index entries orphaned by deletes and key-changing updates
 // drain through a commit-ordered GC queue (see db.runGC).
+//
+// A paged table's slot also has a base: the page record of the row every
+// present and future snapshot sees, so the version that wrote it is no
+// longer needed. The chain sits above the base and holds only what some
+// snapshot may not see yet, or what a prune has not reached: a version
+// becomes the base when it is committed at or below the watermark, is not
+// a tombstone and names a page record. That happens in two places. At its
+// commit (DB.absorb), a version that is its row's whole chain over no
+// base becomes the base when the watermark has reached its stamp; one
+// stamped while an older snapshot was live is queued for GC to absorb
+// once the snapshot is gone. And every prune (rowSlot.pruneBelow) makes
+// the newest committed version at or below the watermark the base and
+// frees everything below it, the old base included. A commit absorbs only
+// a version whose absorption frees nothing, so a record is erased at the
+// same moment with bases as it would be without — by a prune, never by a
+// commit — and an updated row keeps its newest version until its next
+// write or GC. A row recovered from the
+// pages is a base alone (table.pagedPlace), with no version object.
+// Either way the base is stored before the version is unlinked, and a
+// reader that walks off the chain's end loads the base after the link
+// that ended it: it finds the version or its base, never neither.
 
 // rowVersion is one version of one row: 48 bytes, a Go size class. data
 // is the row's image (rowimage.go): an immutable string, so a version is
@@ -45,7 +66,10 @@ import (
 // table.resolve. In the default in-memory mode loc holds at most the
 // tombstone bit, its page id stays 0 and data is authoritative. After
 // publication the only mutable fields are begin, prev (GC may clip it),
-// and the commit path's one-time data/loc handoff described above.
+// and the commit path's one-time data/loc handoff described above. A
+// version absorbed into its slot's base is unlinked whole; its loc is the
+// base from then on, so a reader still holding the version reads the same
+// record.
 type rowVersion struct {
 	data  rowImage
 	loc   pageLoc
@@ -57,64 +81,160 @@ type rowVersion struct {
 // isTomb reports whether the version is a delete tombstone.
 func (v *rowVersion) isTomb() bool { return v.loc.tomb() }
 
-// rowSlot is one heap slot: an atomically replaceable version-chain head,
-// held inline in its table's slot chunks (slots) and recycled through the
-// table free list after GC empties it.
-type rowSlot struct {
+// chainHead is a heap slot's version chain as its table's slot chunks hold
+// it, inline: an atomically replaceable head, 8 bytes. The slot is
+// recycled through the table free list after GC empties it.
+type chainHead struct {
 	head atomic.Pointer[rowVersion]
 }
 
-// visibleVersion returns the version visible to a snapshot taken at ts,
-// or nil when none is (never inserted, or inserted later). The returned
-// version may be a tombstone — the row was deleted at or before ts.
-// Versions are stamped before the commit clock advances, so any version
-// with begin == 0 was committed — if at all — after every snapshot that
-// could be probing this chain.
-func (s *rowSlot) visibleVersion(ts uint64) *rowVersion {
-	for v := s.head.Load(); v != nil; v = v.prev.Load() {
-		if b := v.begin.Load(); b != 0 && b <= ts {
-			return v
-		}
-	}
-	return nil
+// baseLoc is a paged heap slot's base, inline in its table's base chunks:
+// the location of the page record below the chain (pageLoc; 0 for none,
+// never a tombstone). Only a table with pages has base chunks, so a slot
+// of one without costs its chain head alone.
+type baseLoc struct {
+	w atomic.Uint64
 }
 
-// currentVersion returns the version a 2PL transaction reads: its own
-// uncommitted version if it has one, else the newest committed one. The
-// returned version may be a tombstone.
-func (s *rowSlot) currentVersion(txn uint64) *rowVersion {
+// rowSlot is one row's heap slot: its chain head and, in a paged table,
+// its base (nil in a table without pages, which reads as no base). Both
+// live in chunks that never move, so a rowSlot stays valid past the latch
+// it was found under.
+type rowSlot struct {
+	*chainHead
+	base *baseLoc
+}
+
+// loadBase is the slot's base, 0 for none.
+func (s rowSlot) loadBase() pageLoc {
+	if s.base == nil {
+		return 0
+	}
+	return pageLoc(s.base.w.Load())
+}
+
+// storeBase makes loc the slot's base (0: none). Only a paged table's slot
+// has a base to store.
+func (s rowSlot) storeBase(loc pageLoc) { s.base.w.Store(uint64(loc)) }
+
+// visibleVersion returns what a snapshot taken at ts sees: the version
+// visible to it, or — when the walk leaves the chain without one — nil and
+// the slot's base, which every snapshot sees (0: never inserted, or
+// inserted later). The returned version may be a tombstone — the row was
+// deleted at or before ts. Versions are stamped before the commit clock
+// advances, so any version with begin == 0 was committed — if at all —
+// after every snapshot that could be probing this chain.
+func (s rowSlot) visibleVersion(ts uint64) (*rowVersion, pageLoc) {
 	for v := s.head.Load(); v != nil; v = v.prev.Load() {
-		if v.begin.Load() != 0 || v.txn == txn {
-			return v
+		if b := v.begin.Load(); b != 0 && b <= ts {
+			return v, 0
 		}
 	}
-	return nil
+	return nil, s.loadBase()
+}
+
+// currentVersion returns what a 2PL transaction reads: its own
+// uncommitted version if it has one, else the newest committed one, else
+// (nil and) the slot's base. The returned version may be a tombstone.
+func (s rowSlot) currentVersion(txn uint64) (*rowVersion, pageLoc) {
+	for v := s.head.Load(); v != nil; v = v.prev.Load() {
+		if v.begin.Load() != 0 || v.txn == txn {
+			return v, 0
+		}
+	}
+	return nil, s.loadBase()
+}
+
+// newest returns the slot's newest row, committed or not: its head
+// version, or with an empty chain its base.
+func (s rowSlot) newest() (*rowVersion, pageLoc) {
+	if v := s.head.Load(); v != nil {
+		return v, 0
+	}
+	return nil, s.loadBase()
+}
+
+// holdsRow reports whether what a read of a slot found — a version, or nil
+// and the base — is a row.
+func holdsRow(v *rowVersion, base pageLoc) bool {
+	if v != nil {
+		return !v.isTomb()
+	}
+	return base != 0
+}
+
+// absorbable reports whether v may become its slot's base: it is
+// committed at or below the watermark, not a tombstone, and names a page
+// record (a version whose write-through failed, or whose table was dropped
+// mid-commit, names none).
+func (s rowSlot) absorbable(v *rowVersion, watermark uint64) bool {
+	b := v.begin.Load()
+	return s.base != nil && b != 0 && b <= watermark && !v.isTomb() && v.loc.pid() != 0
+}
+
+// sole reports whether v is the slot's whole chain, over no base.
+func (s rowSlot) sole(v *rowVersion) bool {
+	return s.head.Load() == v && v.prev.Load() == nil && s.loadBase() == 0
+}
+
+// absorbSole makes v the slot's base when v is the slot's whole chain,
+// over no base, and absorbable: the one absorption that frees nothing.
+// It reports whether it did. The caller excludes every other writer of
+// the slot (the row's X lock under the shared latch, or the exclusive
+// latch).
+func (s rowSlot) absorbSole(v *rowVersion, watermark uint64) bool {
+	if !s.sole(v) || !s.absorbable(v, watermark) {
+		return false
+	}
+	s.storeBase(v.loc)
+	s.head.Store(nil)
+	return true
 }
 
 // pruneBelow clips the chain right after the newest committed version
-// stamped at or below the watermark: every older version is shadowed by
-// it for all current and future snapshots. Safe under the shared latch —
-// prev is atomic and concurrent readers that already walked past the clip
-// point keep their references alive through ordinary GC. Under paged
-// storage the unlinked versions' page records are dead too (no version
-// references them, and the surviving newer record — on disk or covered
-// by the WAL tail — shadows them at recovery); their locations are
-// appended to freed and returned for the caller to erase (table.prune).
-func (s *rowSlot) pruneBelow(watermark uint64, freed []pageLoc) (uint64, []pageLoc) {
-	var pruned uint64
-	for v := s.head.Load(); v != nil; v = v.prev.Load() {
-		if b := v.begin.Load(); b != 0 && b <= watermark {
-			for old := v.prev.Load(); old != nil; old = old.prev.Load() {
-				pruned++
-				if old.loc.pid() != 0 {
-					freed = append(freed, old.loc)
-				}
+// stamped at or below the watermark: every older version, and the base,
+// is shadowed by it for all current and future snapshots. That version
+// becomes the base itself when it is absorbable, unlinked from the chain
+// after the base is stored; otherwise (a tombstone, or a version with no
+// page record) it stays, with no base below it. Safe under the shared
+// latch — links are atomic and concurrent readers that already walked
+// past the clip point keep their references alive through ordinary GC.
+// Under paged storage the unlinked versions' page records, and the old
+// base's, are dead too (nothing references them, and the surviving newer
+// record — on disk or covered by the WAL tail — shadows them at
+// recovery); their locations are appended to freed and returned for the
+// caller to erase (table.prune). pruned counts them, the base as one
+// version.
+func (s rowSlot) pruneBelow(watermark uint64, freed []pageLoc) (uint64, []pageLoc) {
+	link := &s.head
+	for v := link.Load(); v != nil; link, v = &v.prev, v.prev.Load() {
+		if b := v.begin.Load(); b == 0 || b > watermark {
+			continue
+		}
+		var pruned uint64
+		for old := v.prev.Load(); old != nil; old = old.prev.Load() {
+			pruned++
+			if old.loc.pid() != 0 {
+				freed = append(freed, old.loc)
 			}
-			if pruned > 0 {
-				v.prev.Store(nil)
-			}
+		}
+		base := s.loadBase()
+		if base != 0 {
+			pruned++
+			freed = append(freed, base)
+		}
+		if s.absorbable(v, watermark) {
+			s.storeBase(v.loc)
+			link.Store(nil)
 			return pruned, freed
 		}
+		if base != 0 {
+			s.storeBase(0)
+		}
+		if v.prev.Load() != nil {
+			v.prev.Store(nil)
+		}
+		return pruned, freed
 	}
 	return 0, freed
 }
@@ -133,7 +253,10 @@ type gcEntry struct {
 // timestamp; the record is processed once the oldest active snapshot
 // reaches it. Entry removal is claim-checked against the live chain, so
 // records may be processed in any order and entries re-claimed by later
-// writes (a key changed away and back) are never dropped.
+// writes (a key changed away and back) are never dropped. A record with
+// neither entries nor a tombstone names a paged row's version committed
+// while an older snapshot was live (DB.absorb): processing it absorbs the
+// version into its slot's base if it is still the row's whole chain.
 type gcRecord struct {
 	tableID   uint32
 	tombstone bool

@@ -9,15 +9,26 @@ import (
 
 // TestVersionHeaderLayout pins what a row costs before its image: a
 // version is 48 bytes, a Go size class, and a slot one pointer held inline
-// in its table's chunk. A version's location packs page id, slot and
-// tombstone flag into one word, each read back whole at its bounds, and a
-// tombstone that was never paged names page 0.
+// in its table's chunk, with one more word beside it, the base, only in a
+// paged table. A version's location packs page id, slot and tombstone flag
+// into one word, each read back whole at its bounds, and a tombstone that
+// was never paged names page 0.
 func TestVersionHeaderLayout(t *testing.T) {
 	if size := unsafe.Sizeof(rowVersion{}); size != 48 {
 		t.Errorf("a rowVersion is %d bytes, want 48", size)
 	}
-	if size := unsafe.Sizeof(rowSlot{}); size != 8 {
-		t.Errorf("a rowSlot is %d bytes, want 8", size)
+	if size := unsafe.Sizeof(chainHead{}); size != 8 {
+		t.Errorf("a slot's chain head is %d bytes, want 8", size)
+	}
+	if size := unsafe.Sizeof(baseLoc{}); size != 8 {
+		t.Errorf("a slot's base is %d bytes, want 8", size)
+	}
+	var logOnly, paged slots
+	paged.paged = true
+	logOnly.grow(1)
+	paged.grow(1)
+	if logOnly.bases != nil || len(paged.bases) != len(paged.chunks) || len(paged.bases[0]) != len(paged.chunks[0]) {
+		t.Errorf("base chunks: %d without pages, %d of %d chunks with", len(logOnly.bases), len(paged.bases), len(paged.chunks))
 	}
 	for _, pid := range []pager.PageID{1, 2, maxLocPID - 1, maxLocPID} {
 		for _, slot := range []int{0, 1, 65534, 65535} {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -141,7 +142,9 @@ func TestLocalPropagatesContext(t *testing.T) {
 }
 
 // TestClientMapsHTTPStatusToFault turns a non-200 response into a typed
-// fault carrying the status code.
+// fault carrying the status code, and the body, without the newline
+// http.Error ends it with, into its message: a log line quoting the fault
+// stays one line.
 func TestClientMapsHTTPStatusToFault(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "overloaded", http.StatusServiceUnavailable)
@@ -155,6 +158,9 @@ func TestClientMapsHTTPStatusToFault(t *testing.T) {
 	}
 	if f.Code != "HTTP503" {
 		t.Fatalf("fault code = %q, want HTTP503", f.Code)
+	}
+	if !strings.HasSuffix(f.Message, ": overloaded") || strings.ContainsAny(f.Message, "\r\n") {
+		t.Fatalf("fault message %q, want it to end in the body's one line", f.Message)
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 	"slices"
 	"sync"
 	"time"
+	"unicode"
 )
 
 // Envelope is the on-the-wire frame: an action name plus the payload
@@ -502,10 +503,13 @@ func (c *Client) take(ctx context.Context) (*clientConn, error) {
 	}
 	if hresp.StatusCode != http.StatusSwitchingProtocols {
 		defer hresp.Body.Close()
-		msg, _ := io.ReadAll(io.LimitReader(hresp.Body, 512)) // best effort: whatever arrived words the fault
+		// Best effort: whatever arrived words the fault, without the
+		// trailing newline http.Error ends a body with, so a log line that
+		// quotes the fault stays one line.
+		msg, _ := io.ReadAll(io.LimitReader(hresp.Body, 512))
 		return nil, &Fault{
 			Code:    fmt.Sprintf("HTTP%d", hresp.StatusCode),
-			Message: fmt.Sprintf("POST %s: %s: %s", c.URL, hresp.Status, msg),
+			Message: fmt.Sprintf("POST %s: %s: %s", c.URL, hresp.Status, bytes.TrimRightFunc(msg, unicode.IsSpace)),
 		}
 	}
 	rwc, ok := hresp.Body.(io.ReadWriteCloser)
