@@ -254,7 +254,7 @@ func TestCancelMidAggregation(t *testing.T) {
 // never becomes visible or durable), the leader's commit survives, and
 // the retraction is counted.
 func TestCancelDuringGroupCommit(t *testing.T) {
-	vfs := &SlowVFS{Inner: NewMemVFS(), SyncDelay: 150 * time.Millisecond}
+	vfs := &FaultVFS{Inner: NewMemVFS(), SyncDelay: 150 * time.Millisecond}
 	db, err := Open(Options{VFS: vfs, Path: "wal", Sync: SyncGroup})
 	if err != nil {
 		t.Fatal(err)

@@ -54,7 +54,6 @@ type Options struct {
 	// meaning defaultPoolPages. A positive value on a store that has never
 	// checkpointed (a new one, or a log-only one, whose whole log is redone
 	// onto pages) makes it paged; zero there keeps the log-only layout.
-	// A paged store requires a RandomAccessVFS in VFS.
 	PoolPages int
 	// PageSize is the page size in bytes for a newly created page file
 	// (0 = pager.DefaultPageSize). An existing store's own page size is
@@ -214,18 +213,11 @@ func Open(opts Options) (*DB, error) {
 		// checkpoint once the page image is loaded for a paged one.
 		var marks []walMark
 		if meta != nil || opts.PoolPages > 0 {
-			rvfs, ok := opts.VFS.(RandomAccessVFS)
-			if !ok {
-				if meta != nil {
-					return nil, fmt.Errorf("sqldb: %s is a paged store (it has checkpointed, so its log alone is not its state) and cannot be opened on a VFS without random access", opts.Path)
-				}
-				return nil, fmt.Errorf("sqldb: Options.PoolPages requires a RandomAccessVFS")
-			}
 			poolPages := opts.PoolPages
 			if poolPages <= 0 {
 				poolPages = defaultPoolPages
 			}
-			st, err := openPageStore(rvfs, opts.Path, meta, opts.PageSize, poolPages)
+			st, err := openPageStore(opts.VFS, opts.Path, meta, opts.PageSize, poolPages)
 			if err != nil {
 				return nil, err
 			}
@@ -531,8 +523,7 @@ func (db *DB) runGC(budget int) int {
 		if tbl == nil {
 			continue // dropped since
 		}
-		pruned, removed, freed := tbl.gcProcess(&recs[i], wm)
-		db.versionsPruned.Add(pruned)
+		removed, freed := tbl.gcProcess(&recs[i], wm)
 		db.entriesRemoved.Add(removed)
 		db.slotsReclaimed.Add(freed)
 	}
@@ -1077,7 +1068,7 @@ func (db *DB) applyDDL(stmt Statement, id uint32, tx *Tx) error {
 		db.nextTableID.Store(max(db.nextTableID.Load(), id))
 		schema := s.Schema
 		schema.Name = name
-		tbl := newTable(schema)
+		tbl := newTable(schema, &db.versionsPruned)
 		tbl.tableID = id
 		if db.store != nil {
 			tbl.heap = newPagedHeap(db.store, id)

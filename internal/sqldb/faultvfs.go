@@ -2,9 +2,9 @@ package sqldb
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // ErrNoSpace is the error FaultVFS returns once its write budget runs
@@ -15,37 +15,45 @@ var ErrNoSpace = errors.New("faultvfs: no space left on device")
 // modelling a transient fsync error (dying disk, NFS hiccup).
 var ErrSyncFailed = errors.New("faultvfs: fsync failed")
 
-// FaultVFS wraps another VFS with deterministic storage-fault injection
-// for crash-recovery tests: armed fsync failures (the next N Syncs fail),
-// a byte write budget after which writes tear — a partial prefix lands,
-// the rest is lost to ENOSPC — and short writes. Faults are armed
-// explicitly rather than drawn randomly, so every torture case states
-// exactly which I/O dies. Construct once and share the pointer.
+// FaultVFS wraps another VFS with the behaviour of real storage that the
+// in-memory VFS lacks: a fixed fsync latency (SyncDelay) and deterministic
+// fault injection for crash-recovery tests — armed fsync failures (the
+// next N Syncs fail) and a byte write budget after which writes tear: a
+// partial prefix lands, the rest is lost to ENOSPC. Both file kinds, the
+// WAL's appends and the page files' random access, see the same latency
+// and the same faults. Faults are armed explicitly rather than drawn
+// randomly, so every torture case states exactly which I/O dies.
+//
+// The zero value with Inner set injects nothing. With a 1ms SyncDelay, N
+// transactions sharing one group-commit flush pay ~1ms total instead of
+// N×1ms. Construct once and share the pointer.
 type FaultVFS struct {
 	// Inner is the file system actually storing the data.
 	Inner VFS
+	// SyncDelay is slept before every Sync of either file kind.
+	SyncDelay time.Duration
 
-	mu sync.Mutex
+	// armed says a sync failure or a write budget is set; while it is
+	// not, I/O takes no mutex.
+	armed atomic.Bool
+	mu    sync.Mutex
 	// failSyncs: the next N Sync calls return ErrSyncFailed.
 	failSyncs int
-	// writeBudget: bytes that may still be written before ENOSPC; -1
-	// means unlimited. A write crossing the boundary is torn: the prefix
+	// budgeted says writeBudget holds the bytes that may still be written
+	// before ENOSPC. A write crossing the boundary is torn: the prefix
 	// that fits is written through, the remainder vanishes.
+	budgeted    bool
 	writeBudget int64
 
 	syncs, syncFails, writes, writeFails, tornWrites atomic.Int64
 	pageReads, pageWrites                            atomic.Int64
 }
 
-// NewFaultVFS wraps inner with no faults armed.
-func NewFaultVFS(inner VFS) *FaultVFS {
-	return &FaultVFS{Inner: inner, writeBudget: -1}
-}
-
 // FailNextSyncs arms the next n Sync calls (across all files) to fail.
 func (v *FaultVFS) FailNextSyncs(n int) {
 	v.mu.Lock()
 	v.failSyncs = n
+	v.rearmLocked()
 	v.mu.Unlock()
 }
 
@@ -53,9 +61,12 @@ func (v *FaultVFS) FailNextSyncs(n int) {
 // that crosses the boundary is torn. Negative n disarms.
 func (v *FaultVFS) SetWriteBudget(n int64) {
 	v.mu.Lock()
-	v.writeBudget = n
+	v.budgeted, v.writeBudget = n >= 0, n
+	v.rearmLocked()
 	v.mu.Unlock()
 }
+
+func (v *FaultVFS) rearmLocked() { v.armed.Store(v.failSyncs > 0 || v.budgeted) }
 
 // FaultVFSStats snapshots injection counters.
 type FaultVFSStats struct {
@@ -83,61 +94,65 @@ func (v *FaultVFS) Stats() FaultVFSStats {
 	}
 }
 
+// write passes p to write whole, or — when the armed budget has less room
+// than p — tears it: the prefix that fits reaches the file, then ENOSPC.
+func (v *FaultVFS) write(p []byte, write func([]byte) (int, error)) (int, error) {
+	v.writes.Add(1)
+	if !v.armed.Load() {
+		return write(p)
+	}
+	v.mu.Lock()
+	keep := int64(len(p))
+	if v.budgeted {
+		keep = min(keep, v.writeBudget)
+		v.writeBudget -= keep
+	}
+	v.mu.Unlock()
+	if keep == int64(len(p)) {
+		return write(p)
+	}
+	if keep > 0 {
+		v.tornWrites.Add(1)
+		if n, err := write(p[:keep]); err != nil {
+			return n, err
+		}
+	}
+	v.writeFails.Add(1)
+	return int(keep), ErrNoSpace
+}
+
+// sync sleeps SyncDelay, then fails if a sync failure is armed, else runs
+// sync.
+func (v *FaultVFS) sync(sync func() error) error {
+	if v.SyncDelay > 0 {
+		time.Sleep(v.SyncDelay)
+	}
+	v.syncs.Add(1)
+	if v.armed.Load() {
+		v.mu.Lock()
+		fail := v.failSyncs > 0
+		if fail {
+			v.failSyncs--
+			v.rearmLocked()
+		}
+		v.mu.Unlock()
+		if fail {
+			v.syncFails.Add(1)
+			return ErrSyncFailed
+		}
+	}
+	return sync()
+}
+
 type faultFile struct {
 	vfs   *FaultVFS
 	inner File
 }
 
-func (f faultFile) Write(p []byte) (int, error) {
-	v := f.vfs
-	v.writes.Add(1)
-	v.mu.Lock()
-	budget := v.writeBudget
-	if budget >= 0 {
-		if int64(len(p)) <= budget {
-			v.writeBudget = budget - int64(len(p))
-			budget = -1 // fits, write through
-		} else {
-			v.writeBudget = 0
-		}
-	}
-	v.mu.Unlock()
-	if budget < 0 {
-		return f.inner.Write(p)
-	}
-	// Torn write: the prefix that fits reaches the disk, then ENOSPC.
-	if budget > 0 {
-		v.tornWrites.Add(1)
-		if n, err := f.inner.Write(p[:budget]); err != nil {
-			return n, err
-		}
-	}
-	v.writeFails.Add(1)
-	return int(budget), ErrNoSpace
-}
+func (f faultFile) Write(p []byte) (int, error) { return f.vfs.write(p, f.inner.Write) }
+func (f faultFile) Sync() error                 { return f.vfs.sync(f.inner.Sync) }
+func (f faultFile) Close() error                { return f.inner.Close() }
 
-func (f faultFile) Sync() error {
-	v := f.vfs
-	v.syncs.Add(1)
-	v.mu.Lock()
-	fail := v.failSyncs > 0
-	if fail {
-		v.failSyncs--
-	}
-	v.mu.Unlock()
-	if fail {
-		v.syncFails.Add(1)
-		return ErrSyncFailed
-	}
-	return f.inner.Sync()
-}
-
-func (f faultFile) Close() error { return f.inner.Close() }
-
-// faultRandomFile injects the same write-budget tearing and armed sync
-// failures into random-access page files, so eviction write-backs,
-// checkpoint flushes, and the double-write buffer are all torturable
-// exactly like the WAL's append path.
 type faultRandomFile struct {
 	vfs   *FaultVFS
 	inner RandomFile
@@ -149,50 +164,11 @@ func (f faultRandomFile) ReadAt(p []byte, off int64) (int, error) {
 }
 
 func (f faultRandomFile) WriteAt(p []byte, off int64) (int, error) {
-	v := f.vfs
-	v.writes.Add(1)
-	v.pageWrites.Add(1)
-	v.mu.Lock()
-	budget := v.writeBudget
-	if budget >= 0 {
-		if int64(len(p)) <= budget {
-			v.writeBudget = budget - int64(len(p))
-			budget = -1 // fits, write through
-		} else {
-			v.writeBudget = 0
-		}
-	}
-	v.mu.Unlock()
-	if budget < 0 {
-		return f.inner.WriteAt(p, off)
-	}
-	// Torn page write: the prefix that fits lands, then ENOSPC.
-	if budget > 0 {
-		v.tornWrites.Add(1)
-		if n, err := f.inner.WriteAt(p[:budget], off); err != nil {
-			return n, err
-		}
-	}
-	v.writeFails.Add(1)
-	return int(budget), ErrNoSpace
+	f.vfs.pageWrites.Add(1)
+	return f.vfs.write(p, func(b []byte) (int, error) { return f.inner.WriteAt(b, off) })
 }
 
-func (f faultRandomFile) Sync() error {
-	v := f.vfs
-	v.syncs.Add(1)
-	v.mu.Lock()
-	fail := v.failSyncs > 0
-	if fail {
-		v.failSyncs--
-	}
-	v.mu.Unlock()
-	if fail {
-		v.syncFails.Add(1)
-		return ErrSyncFailed
-	}
-	return f.inner.Sync()
-}
-
+func (f faultRandomFile) Sync() error  { return f.vfs.sync(f.inner.Sync) }
 func (f faultRandomFile) Close() error { return f.inner.Close() }
 
 // Create implements VFS.
@@ -204,20 +180,6 @@ func (v *FaultVFS) Create(name string) (File, error) {
 	return faultFile{vfs: v, inner: f}, nil
 }
 
-// OpenRandom implements RandomAccessVFS when the inner VFS does,
-// wrapping page files with the same fault injection.
-func (v *FaultVFS) OpenRandom(name string) (RandomFile, error) {
-	ra, ok := v.Inner.(RandomAccessVFS)
-	if !ok {
-		return nil, fmt.Errorf("faultvfs: inner VFS %T has no random access", v.Inner)
-	}
-	f, err := ra.OpenRandom(name)
-	if err != nil {
-		return nil, err
-	}
-	return faultRandomFile{vfs: v, inner: f}, nil
-}
-
 // Open implements VFS.
 func (v *FaultVFS) Open(name string) (File, error) {
 	f, err := v.Inner.Open(name)
@@ -225,6 +187,15 @@ func (v *FaultVFS) Open(name string) (File, error) {
 		return nil, err
 	}
 	return faultFile{vfs: v, inner: f}, nil
+}
+
+// OpenRandom implements VFS.
+func (v *FaultVFS) OpenRandom(name string) (RandomFile, error) {
+	f, err := v.Inner.OpenRandom(name)
+	if err != nil {
+		return nil, err
+	}
+	return faultRandomFile{vfs: v, inner: f}, nil
 }
 
 // ReadFile implements VFS.
@@ -235,3 +206,7 @@ func (v *FaultVFS) Rename(oldname, newname string) error { return v.Inner.Rename
 
 // Remove implements VFS.
 func (v *FaultVFS) Remove(name string) error { return v.Inner.Remove(name) }
+
+// SlowVFS is FaultVFS under the name the benchmark harness's device still
+// builds its 1ms-sync storage with; a [benchmark] change removes it.
+type SlowVFS = FaultVFS

@@ -666,3 +666,30 @@ func TestFullScanWindowsUnderConcurrentWriters(t *testing.T) {
 		})
 	}
 }
+
+// TestVersionStatsCountEveryPrune: a write that clips its row's chain
+// counts what it unlinked. With no snapshot open, a non-key UPDATE of a row
+// whose previous update is committed unlinks that update's predecessor, so
+// a second UPDATE over 100 rows prunes 100 versions — in the write itself,
+// not in GC, which a non-key update gives no record.
+func TestVersionStatsCountEveryPrune(t *testing.T) {
+	for _, pool := range []int{0, 8} {
+		t.Run(fmt.Sprintf("pool=%d", pool), func(t *testing.T) {
+			db, err := Open(Options{VFS: NewMemVFS(), Path: "test.db", PoolPages: pool})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			mustExec(t, db, `CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER)`)
+			for k := 0; k < 100; k++ {
+				mustExec(t, db, `INSERT INTO t VALUES (?, 0)`, k)
+			}
+			mustExec(t, db, `UPDATE t SET v = 1`)
+			before := db.VersionStats().VersionsPruned
+			mustExec(t, db, `UPDATE t SET v = 2`)
+			if got := db.VersionStats().VersionsPruned - before; got != 100 {
+				t.Fatalf("the second UPDATE over 100 rows moved VersionsPruned by %d, want 100", got)
+			}
+		})
+	}
+}

@@ -68,7 +68,7 @@ type tombErase struct {
 // buffer pool, the record sequence generator, checkpoint state, and the
 // deferred tombstone-erasure queue.
 type pageStore struct {
-	vfs  RandomAccessVFS
+	vfs  VFS
 	path string
 
 	pager *pager.Pager
@@ -170,14 +170,16 @@ type pagedMeta struct {
 
 // metaTable is one table's catalog entry in checkpoint meta.
 type metaTable struct {
-	tableID uint32
-	ddl     string
-	indexes []string // secondary index DDLs (pk_/uq_ implied by table DDL)
+	tableID  uint32
+	autoHigh int64 // table.autoHigh
+	ddl      string
+	indexes  []string // secondary index DDLs (pk_/uq_ implied by table DDL)
 }
 
-// metaMagic names the meta layout. A sealed meta with any other magic —
-// "cj2m" was a layout with a statistics byte per table — is refused.
-var metaMagic = []byte("cj2n")
+// metaMagic names the meta layout. A sealed meta with any other magic is
+// refused: "cj2m" was a layout with a statistics byte per table, "cj2n"
+// one without each table's autoincrement mark.
+var metaMagic = []byte("cj2o")
 var metaCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // metaSealed reports whether p is a whole meta write: long enough for a
@@ -203,6 +205,7 @@ func encodeMeta(m *pagedMeta) []byte {
 	for i := range m.tables {
 		mt := &m.tables[i]
 		writeUvarint(&buf, uint64(mt.tableID))
+		writeUvarint(&buf, uint64(mt.autoHigh))
 		writeString(&buf, mt.ddl)
 		writeUvarint(&buf, uint64(len(mt.indexes)))
 		for _, ix := range mt.indexes {
@@ -219,7 +222,7 @@ func encodeMeta(m *pagedMeta) []byte {
 // decodeMeta parses a checkpoint-meta image: sealed, this layout's magic,
 // and a body that parses to its last byte. Its bytes come from disk, so
 // like decodeRecord it bounds every count by the bytes that remain — a
-// table entry takes at least three, an index DDL at least one.
+// table entry takes at least four, an index DDL at least one.
 func decodeMeta(p []byte) (*pagedMeta, bool) {
 	if !metaSealed(p) || !bytes.Equal(p[:len(metaMagic)], metaMagic) {
 		return nil, false
@@ -258,6 +261,11 @@ func decodeMeta(p []byte) (*pagedMeta, bool) {
 			return nil, false
 		}
 		mt.tableID = uint32(id)
+		high, ok := rd.uvarint()
+		if !ok {
+			return nil, false
+		}
+		mt.autoHigh = int64(high)
 		if mt.ddl, ok = rd.str(); !ok {
 			return nil, false
 		}
@@ -344,7 +352,7 @@ func (st *pageStore) writeMeta(m *pagedMeta) error {
 // for path, repairs torn page writes, and seeds the allocator from the
 // file extent and the counters from meta, the checkpoint image recovery
 // starts from (nil = full WAL replay).
-func openPageStore(vfs RandomAccessVFS, path string, meta *pagedMeta, pageSize, poolPages int) (*pageStore, error) {
+func openPageStore(vfs VFS, path string, meta *pagedMeta, pageSize, poolPages int) (*pageStore, error) {
 	if pageSize == 0 {
 		pageSize = pager.DefaultPageSize
 	}
@@ -458,7 +466,7 @@ func (db *DB) buildPagedMeta(ckptLSN uint64) *pagedMeta {
 	m.nextTableID = db.nextTableID.Load()
 	for _, n := range slices.Sorted(maps.Keys(c.byName)) {
 		tbl := c.byName[n]
-		mt := metaTable{tableID: tbl.tableID, ddl: tbl.schema.DDL()}
+		mt := metaTable{tableID: tbl.tableID, autoHigh: tbl.autoHigh.Load(), ddl: tbl.schema.DDL()}
 		tbl.latch.RLock()
 		for _, ix := range tbl.indexes {
 			if strings.HasPrefix(ix.schema.Name, "pk_") || strings.HasPrefix(ix.schema.Name, "uq_") {
@@ -538,8 +546,8 @@ func (db *DB) fuzzyCheckpoint(final bool) error {
 func (db *DB) recoverPaged(meta *pagedMeta, data []byte) ([]walMark, error) {
 	st := db.store
 
-	// 1. Catalog from meta: every table under its checkpointed id, and
-	// the id counter where the checkpoint left it.
+	// 1. Catalog from meta: every table under its checkpointed id and
+	// autoincrement mark, and the id counter where the checkpoint left it.
 	if meta != nil {
 		db.nextTableID.Store(meta.nextTableID)
 		for i := range meta.tables {
@@ -554,6 +562,7 @@ func (db *DB) recoverPaged(meta *pagedMeta, data []byte) ([]walMark, error) {
 			if err := db.applyDDL(stmt, mt.tableID, nil); err != nil {
 				return nil, fmt.Errorf("sqldb: recovery: %w", err)
 			}
+			db.tableByID(uint64(mt.tableID)).autoHigh.Store(mt.autoHigh)
 			for _, ddl := range mt.indexes {
 				istmt, err := Parse(ddl)
 				if err != nil {

@@ -216,17 +216,6 @@ func TestOpenReadsLayoutFromStore(t *testing.T) {
 			t.Fatalf("Open with an unreadable meta file: err = %v, want it refused", err)
 		}
 	})
-	t.Run("no random access", func(t *testing.T) {
-		vfs, db := paged40(t)
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// Its log is empty now; opening it log-only would be an empty database.
-		_, err := Open(Options{VFS: struct{ VFS }{vfs}, Path: "test.db"})
-		if err == nil || !strings.Contains(err.Error(), "paged store") || !strings.Contains(err.Error(), "random access") {
-			t.Fatalf("paged store on a VFS without OpenRandom: err = %v, want a refusal naming the reason", err)
-		}
-	})
 }
 
 // unreadableMeta fails every read of a checkpoint-meta file.
@@ -576,7 +565,7 @@ func TestPagedCrashMidCheckpointSweep(t *testing.T) {
 		budget := budget
 		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
 			inner := NewMemVFS()
-			fv := NewFaultVFS(inner)
+			fv := &FaultVFS{Inner: inner}
 			db, err := Open(Options{VFS: fv, Path: "test.db", PoolPages: 8, PageSize: 1024})
 			if err != nil {
 				t.Fatalf("Open: %v", err)
@@ -623,7 +612,7 @@ func TestPagedCrashMidCheckpointSweep(t *testing.T) {
 func TestPagedCheckpointSyncFailure(t *testing.T) {
 	for fails := 1; fails <= 4; fails++ {
 		inner := NewMemVFS()
-		fv := NewFaultVFS(inner)
+		fv := &FaultVFS{Inner: inner}
 		db, err := Open(Options{VFS: fv, Path: "test.db", PoolPages: 8, PageSize: 1024})
 		if err != nil {
 			t.Fatalf("Open: %v", err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -388,16 +389,21 @@ func FuzzPageImage(f *testing.F) {
 		f.Add(h.img)
 	}
 	meta := &pagedMeta{gen: 3, ckptLSN: 41, nextSeq: 900, nextTableID: 2, pageSize: 512, tables: []metaTable{
-		{tableID: 1, ddl: "CREATE TABLE t (k INTEGER PRIMARY KEY, v TEXT)", indexes: []string{"CREATE INDEX byv ON t (v)"}},
-		{tableID: 2, ddl: "CREATE TABLE u (x INTEGER)"},
+		{tableID: 1, autoHigh: 1 << 40, ddl: "CREATE TABLE t (k INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)", indexes: []string{"CREATE INDEX byv ON t (v)"}},
+		{tableID: 2, ddl: "CREATE TABLE u (x INTEGER)", indexes: []string{}},
 	}}
-	f.Add(encodeMeta(meta))
-	// The older layout is sealed but foreign: refused, not misread.
-	old := oldLayoutMeta(meta)
-	if _, ok := decodeMeta(old); ok || !metaSealed(old) {
-		f.Fatal("the older meta layout is not a sealed, refused image")
+	metaImg := encodeMeta(meta)
+	if got, ok := decodeMeta(metaImg); !ok || !reflect.DeepEqual(got, meta) {
+		f.Fatalf("the meta round trip gives %+v, want %+v", got, meta)
 	}
-	f.Add(old)
+	f.Add(metaImg)
+	// The older layouts are sealed but foreign: refused, not misread.
+	for _, old := range [][]byte{oldLayoutMeta(meta), unmarkedLayoutMeta(meta)} {
+		if _, ok := decodeMeta(old); ok || !metaSealed(old) {
+			f.Fatalf("the older meta layout %q is not a sealed, refused image", old[:4])
+		}
+		f.Add(old)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -408,7 +414,7 @@ func FuzzPageImage(f *testing.F) {
 		decodeMeta(resealMeta(data))
 		runtime.ReadMemStats(&after)
 		// A decoded value costs 32 bytes for at least one of input, a meta
-		// table entry 48 for at least three; live records cannot add up to
+		// table entry 56 for at least four; live records cannot add up to
 		// more than the page. The constant is room for the fuzz worker's
 		// own goroutines (see fuzzReader).
 		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(128*len(data)+(64<<10)); alloc > limit {

@@ -29,7 +29,7 @@ type tableState struct {
 	rows     map[int64]string    // rid → row
 	entries  map[string][]string // index → the entries a fresh snapshot emits, sorted
 	liveRows int64
-	nextAuto int64
+	autoHigh int64
 	// holes are the free rids below the highest live one. Free slots past
 	// it are representation, not state: a slot that only a rolled-back
 	// insert or a since-reclaimed row ever touched exists on the engine
@@ -53,7 +53,7 @@ func engineState(t *testing.T, who string, db *DB) map[string]tableState {
 			rows:     make(map[int64]string),
 			entries:  make(map[string][]string),
 			liveRows: tbl.liveRows.Load(),
-			nextAuto: tbl.nextAuto,
+			autoHigh: tbl.autoHigh.Load(),
 		}
 		tbl.latch.RLock()
 		var empty []int64
@@ -309,16 +309,10 @@ func runRedoCase(t *testing.T, seed int64, paged bool) {
 
 	leader := h.db
 	leader.Vacuum()
+	// The state includes each table's autoincrement mark: the largest value
+	// a committed write stored, which every redo must reach from the log —
+	// the leader's own, though a delete removed the row holding it.
 	want := engineState(t, "leader", leader)
-	// A redo rebuilds the autoincrement counter from the rows that are live
-	// — which is also what a restart of the leader itself would do — so that
-	// is what both must reach: one past the largest live value. The leader's
-	// running counter is a high-water mark of the values it assigned, which
-	// a delete leaves above that and an UPDATE of the column can leave below.
-	for name, w := range want {
-		w.nextAuto = liveNextAuto(leader, name)
-		want[name] = w
-	}
 
 	// (a) The crash image: the leader is abandoned, not closed.
 	reopened := open(vfs)
@@ -352,21 +346,6 @@ func runRedoCase(t *testing.T, seed int64, paged bool) {
 			h.fail("%s applied through lsn %d, the leader's log ends at %d", who, db.AppliedLSN(), leader.DurableLSN())
 		}
 	}
-}
-
-// liveNextAuto is what rebuilding a table's autoincrement counter from its
-// live rows yields: one past the largest value any of them holds.
-func liveNextAuto(db *DB, name string) int64 {
-	tbl := db.table(name)
-	next := int64(1)
-	for _, row := range visibleRows(tbl, db.clock.Load()) {
-		for ci, c := range tbl.schema.Columns {
-			if v := row.col(ci); c.AutoIncrement && !v.IsNull() && v.Int64() >= next {
-				next = v.Int64() + 1
-			}
-		}
-	}
-	return next
 }
 
 // TestRedoDropRecreateSameName: a table dropped and created again under its
@@ -479,5 +458,91 @@ func TestRedoDropRecreateSameName(t *testing.T) {
 		}
 		check(t, "leader", leader)
 		check(t, "follower", follower)
+	})
+}
+
+// TestRedoNeverReissuesAutoIncrement: an AUTOINCREMENT id a committed write
+// stored is never issued again, though no row holds it any longer — not by
+// the leader, not after a crash or a clean reopen of either store kind, and
+// not by a promoted follower. A job's id names it in job_history and in a
+// stored submit reply; a reissued one would name two jobs. The counter is a
+// high-water mark that the redo and the checkpoint meta carry, not one past
+// the largest live value.
+func TestRedoNeverReissuesAutoIncrement(t *testing.T) {
+	// Ids 1–3 are issued, 2 moves to 10, and everything above 1 is deleted:
+	// the next id is 11.
+	history := func(t *testing.T, db *DB) {
+		t.Helper()
+		mustExec(t, db, `CREATE TABLE jobs (id INTEGER PRIMARY KEY AUTOINCREMENT, owner TEXT)`)
+		for i := 0; i < 3; i++ {
+			mustExec(t, db, `INSERT INTO jobs (owner) VALUES ('alice')`)
+		}
+		mustExec(t, db, `UPDATE jobs SET id = 10 WHERE id = 2`)
+		mustExec(t, db, `DELETE FROM jobs WHERE id > 1`)
+	}
+	next := func(t *testing.T, who string, db *DB) {
+		t.Helper()
+		if id := mustExec(t, db, `INSERT INTO jobs (owner) VALUES ('bob')`).LastInsertID; id != 11 {
+			t.Errorf("%s: the next job got id %d, want 11", who, id)
+		}
+	}
+	open := func(t *testing.T, vfs VFS, pool int) *DB {
+		t.Helper()
+		db, err := Open(Options{VFS: vfs, Path: "test.db", PoolPages: pool})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		return db
+	}
+
+	leader := New()
+	history(t, leader)
+	next(t, "leader", leader)
+
+	for _, pool := range []int{0, 8} {
+		kind := "log-only"
+		if pool > 0 {
+			kind = "paged"
+		}
+		for _, end := range []string{"crash", "checkpoint and crash", "close"} {
+			if pool == 0 && end == "checkpoint and crash" {
+				continue
+			}
+			t.Run(kind+"/"+end, func(t *testing.T) {
+				vfs := NewMemVFS()
+				db := open(t, vfs, pool)
+				history(t, db)
+				switch end {
+				case "checkpoint and crash":
+					if err := db.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+				case "close":
+					if err := db.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				reopened := open(t, vfs, pool)
+				defer reopened.Close()
+				next(t, "reopened", reopened)
+			})
+		}
+	}
+
+	t.Run("promoted follower", func(t *testing.T) {
+		leader := openVFS(t, NewMemVFS())
+		defer leader.Close()
+		history(t, leader)
+		shipped, _, err := leader.CommittedSince(0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		follower := openVFS(t, NewMemVFS())
+		defer follower.Close()
+		if err := follower.ApplyCommitted(shipped); err != nil {
+			t.Fatal(err)
+		}
+		follower.RebuildAfterReplication()
+		next(t, "promoted follower", follower)
 	})
 }

@@ -88,7 +88,7 @@ func (db *DB) AppliedLSN() uint64 { return db.replApplied.Load() }
 // in the file, in log order. maxBytes caps the run (0 = unlimited; it
 // always holds at least one group when any qualifies). The run is cut from
 // one read of the log file, from the indexed mark at or below afterLSN;
-// the file is read through RandomAccessVFS.OpenRandom.
+// the file is read through VFS.OpenRandom.
 func (db *DB) CommittedSince(afterLSN uint64, maxBytes int) ([]byte, uint64, error) {
 	if db.wal == nil {
 		return nil, 0, ErrNoWAL
@@ -113,10 +113,6 @@ func (w *wal) committedSince(afterLSN uint64, maxBytes int) ([]byte, uint64, err
 	if afterLSN >= durable {
 		return nil, durable, nil
 	}
-	rvfs, ok := w.vfs.(RandomAccessVFS)
-	if !ok {
-		return nil, durable, fmt.Errorf("sqldb: replication read: %T has no random access", w.vfs)
-	}
 	// The marks and the file are taken together under idxMu, which every
 	// swap of the file renames under: the handle keeps reading the file it
 	// opened, whatever is renamed over its name later, and these are that
@@ -138,7 +134,7 @@ func (w *wal) committedSince(afterLSN uint64, maxBytes int) ([]byte, uint64, err
 	if maxBytes > 0 && i < len(w.marks) {
 		to = min(end, w.marks[i].off+int64(maxBytes))
 	}
-	f, err := rvfs.OpenRandom(w.name)
+	f, err := w.vfs.OpenRandom(w.name)
 	w.idxMu.Unlock()
 	if err != nil {
 		return nil, durable, fmt.Errorf("sqldb: replication read: %w", err)
@@ -489,8 +485,8 @@ func (db *DB) redoDDL(r *walRecord, stmt Statement, mayContain bool) error {
 // apply stream at promotion — by making the engine fit to allocate again:
 // the reclamation queue is drained as far as live snapshots allow (so
 // tombstoned slots are free), then every table flattens its chains and
-// rebuilds its free list and autoincrement counters from the heap. The
-// redo itself leaves both alone, since a replaying node allocates nothing.
+// rebuilds its free list from the heap. The redo itself leaves the free
+// lists alone, since a replaying node allocates no slot.
 func (db *DB) RebuildAfterReplication() {
 	db.Vacuum()
 	wm := db.watermark.Load()

@@ -490,7 +490,7 @@ func TestReplCommittedSinceMatchesTheFile(t *testing.T) {
 	})
 
 	t.Run("torn write repaired", func(t *testing.T) {
-		vfs := NewFaultVFS(NewMemVFS())
+		vfs := &FaultVFS{Inner: NewMemVFS()}
 		db, err := Open(Options{VFS: vfs, Path: "l.wal"})
 		if err != nil {
 			t.Fatal(err)
@@ -660,7 +660,7 @@ func TestRedoFollowerTornAppendRetried(t *testing.T) {
 	if err != nil || len(groups) != 5 {
 		t.Fatalf("shipped %d groups (%v), want CREATE and four inserts", len(groups), err)
 	}
-	vfs := NewFaultVFS(NewMemVFS())
+	vfs := &FaultVFS{Inner: NewMemVFS()}
 	follower, err := Open(Options{VFS: vfs, Path: "f.wal"})
 	if err != nil {
 		t.Fatal(err)

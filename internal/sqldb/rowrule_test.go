@@ -129,7 +129,6 @@ func redoOverImage(t *testing.T, after []string, want error) {
 	crash := snapshotVFS(t, vfs) // the leader is abandoned, not closed
 	leader.Vacuum()
 	wantState := engineState(t, "leader", leader)["r"]
-	wantState.nextAuto = liveNextAuto(leader, "r")
 
 	imageOnly := make(map[string][]byte)
 	for name, data := range crash {

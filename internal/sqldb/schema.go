@@ -10,7 +10,6 @@ type Column struct {
 	Name          string
 	Type          Type
 	NotNull       bool
-	PrimaryKey    bool
 	AutoIncrement bool
 	HasDefault    bool
 	Default       Value

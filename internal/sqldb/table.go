@@ -19,7 +19,7 @@ import (
 // transactions. Because transactions holding only intention locks mutate
 // disjoint rows of the same table concurrently — and snapshot readers
 // take no lock-manager locks at all — the physical structures (the slot
-// chunks, free list, autoincrement counter, and index trees) are
+// chunks, free list, and index trees) are
 // additionally protected by a short-held latch. Slot heads, version
 // stamps, and chain links are atomic, so the hot paths (version push on
 // update/delete, chain walks on read) need only the shared latch; the
@@ -33,8 +33,18 @@ type table struct {
 	rows     slots
 	free     []int64
 	liveRows atomic.Int64
-	nextAuto int64
 	indexes  []*index
+	// autoCols are the AUTOINCREMENT columns' positions. autoHigh is the
+	// largest value of theirs a committed write stored — a transaction's as
+	// it commits, the redo's as it applies — whether or not a row still
+	// holds it: the mark a restart or a promotion resumes above, so no id
+	// is issued twice. The checkpoint meta carries it. autoIssued is the
+	// largest value buildRow issued or any write stored, committed or not,
+	// which a concurrent insert must not be issued either.
+	autoCols             []int
+	autoHigh, autoIssued atomic.Int64
+	// pruned is the DB's count of versions pruned off chains.
+	pruned *atomic.Uint64
 	// lastIndex is the number the newest index was given: each index of
 	// the table gets the next, never reused, under the exclusive latch.
 	lastIndex uint32
@@ -140,8 +150,13 @@ type index struct {
 	num uint32
 }
 
-func newTable(schema TableSchema) *table {
-	t := &table{schema: schema, nextAuto: 1}
+func newTable(schema TableSchema, pruned *atomic.Uint64) *table {
+	t := &table{schema: schema, pruned: pruned}
+	for ci, c := range schema.Columns {
+		if c.AutoIncrement {
+			t.autoCols = append(t.autoCols, ci)
+		}
+	}
 	if len(schema.PKCols) > 0 {
 		t.addIndexLocked(IndexSchema{
 			Name:    "pk_" + schema.Name,
@@ -186,20 +201,22 @@ func (t *table) resolve(v *rowVersion, base pageLoc) rowImage {
 	return noRow
 }
 
-// prune clips s's chain below the watermark (rowSlot.pruneBelow) and
-// erases the page records of the versions and the base it freed — a chain
-// rarely sheds more than one at a time, so their locations stay on the
-// stack.
+// prune clips s's chain below the watermark (rowSlot.pruneBelow), counts
+// the versions it unlinked, and erases the page records of the versions
+// and the base it freed — a chain rarely sheds more than one at a time, so
+// their locations stay on the stack.
 // Safe to call with the table latch held: the pool layer never acquires
 // table latches, so no lock cycle — just potential page I/O under the
 // latch, which only GC and chain pruning pay.
-func (t *table) prune(s rowSlot, watermark uint64) (pruned uint64) {
+func (t *table) prune(s rowSlot, watermark uint64) {
 	var buf [2]pageLoc
 	pruned, freed := s.pruneBelow(watermark, buf[:0])
+	if pruned > 0 {
+		t.pruned.Add(pruned)
+	}
 	if t.heap != nil {
 		t.heap.eraseAll(freed)
 	}
-	return pruned
 }
 
 func colNames(s TableSchema, idxs []int) []string {
@@ -594,6 +611,7 @@ func (t *table) write(rid int64, row rowImage, insert bool, txn, watermark uint6
 		t.latch.RLock()
 		s, old, apply, err := t.find(op, rid, txn, mayContain)
 		if apply && !t.keysMove(old, row) {
+			t.raiseAuto(&t.autoIssued, row)
 			v := t.push(s, &rowVersion{data: row, txn: txn}, watermark)
 			t.latch.RUnlock()
 			return old, v, nil, nil
@@ -639,6 +657,7 @@ func (t *table) write(rid int64, row rowImage, insert bool, txn, watermark uint6
 	if old == noRow {
 		t.liveRows.Add(1)
 	}
+	t.raiseAuto(&t.autoIssued, row)
 	return old, t.push(s, &rowVersion{data: row, txn: txn}, watermark), orphaned, nil
 }
 
@@ -776,12 +795,12 @@ func (t *table) rollback(op walOp, rid int64, txn uint64) {
 // watermark, drop orphaned index entries that no surviving version
 // claims, and — for a delete whose tombstone has passed below the
 // watermark — clear and recycle the slot. Returns counter deltas.
-func (t *table) gcProcess(rec *gcRecord, watermark uint64) (pruned, entriesRemoved, slotsFreed uint64) {
+func (t *table) gcProcess(rec *gcRecord, watermark uint64) (entriesRemoved, slotsFreed uint64) {
 	t.latch.Lock()
 	defer t.latch.Unlock()
 	s := t.rows.get(rec.rid)
 	if s.chainHead == nil {
-		return 0, 0, 0
+		return 0, 0
 	}
 	if !rec.tombstone && len(rec.entries) == 0 {
 		// A version committed above the watermark (DB.absorb): absorbing it
@@ -789,9 +808,9 @@ func (t *table) gcProcess(rec *gcRecord, watermark uint64) (pruned, entriesRemov
 		if v := s.head.Load(); v != nil {
 			s.absorbSole(v, watermark)
 		}
-		return 0, 0, 0
+		return 0, 0
 	}
-	pruned = t.prune(s, watermark)
+	t.prune(s, watermark)
 	for _, e := range rec.entries {
 		ix := t.indexNumbered(e.index)
 		if ix == nil {
@@ -821,7 +840,7 @@ func (t *table) gcProcess(rec *gcRecord, watermark uint64) (pruned, entriesRemov
 			}
 		}
 	}
-	return pruned, entriesRemoved, slotsFreed
+	return entriesRemoved, slotsFreed
 }
 
 // absorb makes v, the version a commit just stamped at rid, the slot's base
@@ -858,7 +877,9 @@ func (t *table) pagedPlace(rid int64, row rowImage, loc pageLoc) {
 // record's changed columns laid over it; a missing or unreadable row is for
 // write to judge. A recycled slot still holding a tombstone chain gets the
 // new version pushed on top, so an old snapshot keeps seeing its
-// tombstoned past.
+// tombstoned past. Every logged write was committed, so its AUTOINCREMENT
+// values raise autoHigh even where write has nothing to do: an update of a
+// row a later delete removed from a page image still stored its values.
 func (t *table) applyWrite(r *walRecord, watermark uint64, mayContain bool) (*rowVersion, []gcEntry, error) {
 	width := r.img.width()
 	if r.op == walUpdate {
@@ -871,10 +892,13 @@ func (t *table) applyWrite(r *walRecord, watermark uint64, mayContain bool) (*ro
 	}
 	row := r.img
 	if r.op == walUpdate {
-		if old := t.currentRow(r.rid, 0); old != noRow {
-			row = applyDelta(old, r)
+		old := t.currentRow(r.rid, 0)
+		if old == noRow {
+			old = imageOf(make([]Value, width)) // its changed columns over NULLs
 		}
+		row = applyDelta(old, r)
 	}
+	t.raiseAuto(&t.autoHigh, row)
 	_, v, orphaned, err := t.write(r.rid, row, r.op == walInsert, 0, watermark, mayContain)
 	return v, orphaned, err
 }
@@ -887,33 +911,41 @@ func applyDelta(old rowImage, r *walRecord) rowImage {
 }
 
 // rebuildAfterReplay ends a redo for one table: chains are flattened below
-// the watermark, and the free list and autoincrement counters — which the
-// redo leaves alone — are reconstructed from the heap as it now stands.
+// the watermark and the free list — which the redo leaves alone — is
+// rebuilt from the slots as they now stand. The autoincrement mark needs
+// nothing: the redo raised it past every value the log holds.
 func (t *table) rebuildAfterReplay(watermark uint64) {
 	t.latch.Lock()
 	defer t.latch.Unlock()
-	var auto []int
-	for ci := range t.schema.Columns {
-		if t.schema.Columns[ci].AutoIncrement {
-			auto = append(auto, ci)
-		}
-	}
 	t.free = t.free[:0]
 	for rid := range t.rows.n {
 		s := t.rows.at(rid)
 		t.prune(s, watermark)
-		head, base := s.newest()
-		if head == nil && base == 0 {
+		if head, base := s.newest(); head == nil && base == 0 {
 			t.free = append(t.free, rid)
-			continue
 		}
-		if len(auto) == 0 {
-			continue // no counter to rebuild: leave paged rows on their pages
+	}
+}
+
+// issueAuto issues the next AUTOINCREMENT value: above every one a
+// committed write stored and every one issued or written before.
+func (t *table) issueAuto() int64 {
+	for {
+		i := t.autoIssued.Load()
+		n := max(i, t.autoHigh.Load()) + 1
+		if t.autoIssued.CompareAndSwap(i, n) {
+			return n
 		}
-		if row := t.resolve(head, base); row != noRow {
-			for _, ci := range auto {
-				if v := row.col(ci); !v.IsNull() && v.Int64() >= t.nextAuto {
-					t.nextAuto = v.Int64() + 1
+	}
+}
+
+// raiseAuto raises mark to the largest AUTOINCREMENT value row holds.
+func (t *table) raiseAuto(mark *atomic.Int64, row rowImage) {
+	for _, ci := range t.autoCols {
+		if v := row.col(ci); !v.IsNull() {
+			for n := v.Int64(); ; {
+				if m := mark.Load(); m >= n || mark.CompareAndSwap(m, n) {
+					break
 				}
 			}
 		}
@@ -926,12 +958,8 @@ func (t *table) rebuildAfterReplay(watermark uint64) {
 // has[i] is set; buildRow leaves the row's final values there.
 func (t *table) buildRow(vals []Value, has []bool) (rowImage, error) {
 	s := &t.schema
-	hasAuto := false
 	for i := range s.Columns {
 		c := &s.Columns[i]
-		if c.AutoIncrement {
-			hasAuto = true
-		}
 		var v Value
 		switch {
 		case has[i]:
@@ -946,33 +974,21 @@ func (t *table) buildRow(vals []Value, has []bool) (rowImage, error) {
 			}
 			v = cv
 		}
+		// NOT NULL on an AUTOINCREMENT column is satisfied by the issue below.
 		if v.IsNull() && c.NotNull && !c.AutoIncrement {
 			return noRow, fmt.Errorf("sqldb: column %s.%s is NOT NULL", s.Name, c.Name)
 		}
 		vals[i] = v
 	}
-	if hasAuto {
-		// Only the autoincrement counter is shared state; validation and
-		// coercion above run latch-free so concurrent inserts stay parallel.
-		t.latch.Lock()
-		for i := range s.Columns {
-			if s.Columns[i].AutoIncrement && vals[i].IsNull() {
-				vals[i] = NewInt(t.nextAuto)
+	// The AUTOINCREMENT columns left NULL share one newly issued value;
+	// the write of the row raises the marks past explicit ones.
+	var issued Value
+	for _, ci := range t.autoCols {
+		if vals[ci].IsNull() {
+			if issued.IsNull() {
+				issued = NewInt(t.issueAuto())
 			}
-		}
-		// Advance the counter past any assigned or explicit value.
-		for i := range s.Columns {
-			if s.Columns[i].AutoIncrement && !vals[i].IsNull() && vals[i].Int64() >= t.nextAuto {
-				t.nextAuto = vals[i].Int64() + 1
-			}
-		}
-		t.latch.Unlock()
-	}
-	// NOT NULL on an autoincrement column is satisfied by the assignment.
-	for i := range s.Columns {
-		c := &s.Columns[i]
-		if vals[i].IsNull() && c.NotNull {
-			return noRow, fmt.Errorf("sqldb: column %s.%s is NOT NULL", s.Name, c.Name)
+			vals[ci] = issued
 		}
 	}
 	return imageOf(vals[:len(s.Columns)]), nil

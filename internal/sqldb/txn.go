@@ -714,6 +714,13 @@ func (tx *Tx) CommitContext(ctx context.Context) error {
 			return fmt.Errorf("sqldb: commit: %w", err)
 		}
 	}
+	// The committed rows raise their tables' autoincrement marks, read
+	// before the write-through below releases their bytes.
+	for _, e := range tx.versions {
+		if !e.v.isTomb() {
+			e.tbl.raiseAuto(&e.tbl.autoHigh, e.v.data)
+		}
+	}
 	// Paged storage: write each version's row through to its table's heap
 	// pages before stamping. The transaction still holds its row X locks,
 	// so same-rid record sequence order equals commit order; the stamp's

@@ -97,6 +97,10 @@ type VFS interface {
 	Create(name string) (File, error)
 	// Open opens name for appending, creating it if absent.
 	Open(name string) (File, error)
+	// OpenRandom opens name for random-access reads and writes, creating
+	// it if absent: a paged store's page files, and the log as a
+	// replication read cuts runs from it.
+	OpenRandom(name string) (RandomFile, error)
 	// ReadFile reads the whole named file; a missing file yields (nil, nil).
 	ReadFile(name string) ([]byte, error)
 	// Rename atomically replaces newname with oldname's content.
@@ -123,19 +127,12 @@ type RandomFile interface {
 	Sync() error
 }
 
-// RandomAccessVFS is implemented by VFSes that can open random-access
-// files. A paged store requires one; the built-in MemVFS, OSVFS,
-// FaultVFS, and SlowVFS all qualify.
-type RandomAccessVFS interface {
-	VFS
-	// OpenRandom opens name for random-access reads and writes,
-	// creating it if absent.
-	OpenRandom(name string) (RandomFile, error)
-}
+// RandomAccessVFS is VFS under the name the benchmark harness's device
+// still asserts to; a [benchmark] change removes it.
+type RandomAccessVFS = VFS
 
 // MemVFS is an in-memory VFS for tests and simulations. Files are byte
-// blobs supporting both the append-only WAL interface and the
-// random-access page-file interface (OpenRandom).
+// blobs that both file kinds open.
 type MemVFS struct {
 	mu    sync.Mutex
 	files map[string]*memBlob
@@ -218,8 +215,8 @@ func (m *MemVFS) Open(name string) (File, error) {
 	return &memFile{vfs: m, name: name}, nil
 }
 
-// OpenRandom implements RandomAccessVFS: a read-write random-access
-// handle, creating the file if absent.
+// OpenRandom implements VFS: a read-write random-access handle, creating
+// the file if absent.
 func (m *MemVFS) OpenRandom(name string) (RandomFile, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -263,14 +260,9 @@ func (m *MemVFS) Remove(name string) error {
 	return nil
 }
 
-// OSVFS is the operating-system file system.
+// OSVFS is the operating-system file system. Its files are the *os.File
+// itself; a failed open returns a nil file, not a nil *os.File in one.
 type OSVFS struct{}
-
-type osFile struct{ f *os.File }
-
-func (f osFile) Write(p []byte) (int, error) { return f.f.Write(p) }
-func (f osFile) Sync() error                 { return f.f.Sync() }
-func (f osFile) Close() error                { return f.f.Close() }
 
 // Create implements VFS.
 func (OSVFS) Create(name string) (File, error) {
@@ -281,7 +273,7 @@ func (OSVFS) Create(name string) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return osFile{f}, nil
+	return f, nil
 }
 
 // Open implements VFS.
@@ -293,15 +285,19 @@ func (OSVFS) Open(name string) (File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return osFile{f}, nil
+	return f, nil
 }
 
-// OpenRandom implements RandomAccessVFS.
+// OpenRandom implements VFS.
 func (OSVFS) OpenRandom(name string) (RandomFile, error) {
 	if err := os.MkdirAll(filepath.Dir(name), 0o755); err != nil {
 		return nil, err
 	}
-	return os.OpenFile(name, os.O_CREATE|os.O_RDWR, 0o644)
+	f, err := os.OpenFile(name, os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // ReadFile implements VFS.

@@ -214,8 +214,27 @@ func oldLayoutMeta(m *pagedMeta) []byte {
 	return sealMeta(buf.Bytes())
 }
 
+// unmarkedLayoutMeta encodes m in the meta layout before each table carried
+// its autoincrement mark, under that layout's magic.
+func unmarkedLayoutMeta(m *pagedMeta) []byte {
+	var buf bytes.Buffer
+	buf.WriteString("cj2n")
+	for _, u := range []uint64{m.gen, m.ckptLSN, m.nextSeq, uint64(m.nextTableID), uint64(m.pageSize), uint64(len(m.tables))} {
+		writeUvarint(&buf, u)
+	}
+	for _, mt := range m.tables {
+		writeUvarint(&buf, uint64(mt.tableID))
+		writeString(&buf, mt.ddl)
+		writeUvarint(&buf, uint64(len(mt.indexes)))
+		for _, ix := range mt.indexes {
+			writeString(&buf, ix)
+		}
+	}
+	return sealMeta(buf.Bytes())
+}
+
 // TestForeignCheckpointMetaIsRefused: a checkpoint meta that is sealed but
-// not this engine's layout — a garbage body, or the older layout with its
+// not this engine's layout — a garbage body, or an older layout with its
 // own magic — is refused by name on both pool settings, and every file of
 // the store is left as it was. Read as absent, it would open the store as
 // one that never checkpointed: its pages cleared, or its truncated log
@@ -250,6 +269,13 @@ func TestForeignCheckpointMetaIsRefused(t *testing.T) {
 				t.Fatal("the engine's own meta does not decode")
 			}
 			return oldLayoutMeta(m)
+		},
+		"layout without autoincrement marks": func(img []byte) []byte {
+			m, ok := decodeMeta(img)
+			if !ok {
+				t.Fatal("the engine's own meta does not decode")
+			}
+			return unmarkedLayoutMeta(m)
 		},
 	} {
 		for _, pages := range []int{0, 64} {
@@ -394,7 +420,6 @@ func TestDeltaRedoLeniency(t *testing.T) {
 	}
 	leader.Vacuum()
 	want := engineState(t, "leader", leader)["d"]
-	want.nextAuto = liveNextAuto(leader, "d")
 
 	// The crash: the leader is abandoned, not closed. The delete is in the
 	// page image, the update of the row it removed in the log tail.

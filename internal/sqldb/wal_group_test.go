@@ -14,7 +14,7 @@ import (
 // across commits (strictly fewer syncs than commits, groups larger than 1).
 func TestGroupCommitConcurrentDurableAndGrouped(t *testing.T) {
 	mem := NewMemVFS()
-	vfs := &SlowVFS{Inner: mem, SyncDelay: 200 * time.Microsecond}
+	vfs := &FaultVFS{Inner: mem, SyncDelay: 200 * time.Microsecond}
 	db, err := Open(Options{VFS: vfs, Path: "g.wal", Sync: SyncGroup})
 	if err != nil {
 		t.Fatal(err)
@@ -385,7 +385,7 @@ func TestGroupCommitCarriesQueuedBatches(t *testing.T) {
 // what it wrote is what a reopen recovers.
 func TestWALSyncNeverSkipsOnlyTheFsync(t *testing.T) {
 	mem := NewMemVFS()
-	vfs := NewFaultVFS(mem) // no fault armed: it is here to count the file's syncs
+	vfs := &FaultVFS{Inner: mem} // no fault armed: it is here to count the file's syncs
 	db, err := Open(Options{VFS: vfs, Path: "n.wal", Sync: SyncNever})
 	if err != nil {
 		t.Fatal(err)
@@ -485,7 +485,7 @@ func TestGroupTornTailSweep(t *testing.T) {
 // transactions.
 func TestGroupTornTailSweepLiveLog(t *testing.T) {
 	mem := NewMemVFS()
-	vfs := &SlowVFS{Inner: mem, SyncDelay: 100 * time.Microsecond}
+	vfs := &FaultVFS{Inner: mem, SyncDelay: 100 * time.Microsecond}
 	db, err := Open(Options{VFS: vfs, Path: "live.wal", Sync: SyncGroup})
 	if err != nil {
 		t.Fatal(err)
@@ -569,7 +569,7 @@ func TestGroupTornTailSweepLiveLog(t *testing.T) {
 // set may be ones whose commit reported failure.
 func TestGroupCommitFaultVFSFsyncFailsOnce(t *testing.T) {
 	mem := NewMemVFS()
-	vfs := NewFaultVFS(mem)
+	vfs := &FaultVFS{Inner: mem}
 	db, err := Open(Options{VFS: vfs, Path: "ff.wal", Sync: SyncGroup})
 	if err != nil {
 		t.Fatal(err)
@@ -623,7 +623,7 @@ func TestGroupCommitFaultVFSFsyncFailsOnce(t *testing.T) {
 // stranded behind the garbage, and no torn transaction resurrects.
 func TestGroupCommitENOSPCMidGroup(t *testing.T) {
 	mem := NewMemVFS()
-	vfs := NewFaultVFS(mem)
+	vfs := &FaultVFS{Inner: mem}
 	db, err := Open(Options{VFS: vfs, Path: "ns.wal", Sync: SyncGroup})
 	if err != nil {
 		t.Fatal(err)
@@ -735,7 +735,7 @@ func TestWALTornTailRepairedAtOpen(t *testing.T) {
 // mixed inserts and updates, then full recovery audit. Run with -race.
 func TestGroupCommitHammer(t *testing.T) {
 	mem := NewMemVFS()
-	vfs := &SlowVFS{Inner: mem, SyncDelay: 50 * time.Microsecond}
+	vfs := &FaultVFS{Inner: mem, SyncDelay: 50 * time.Microsecond}
 	db, err := Open(Options{VFS: vfs, Path: "h.wal", Sync: SyncGroup})
 	if err != nil {
 		t.Fatal(err)
