@@ -22,19 +22,26 @@ test:
 	$(GO) test ./...
 
 # The allocation budgets, level by level: a wire round trip, a bare
-# statement (in memory and on resident pages), a hash join's probe, a
-# grouped aggregation, the index entries of an insert, a stored row and
-# its update, a page compaction, a dirty eviction and reload, a bean call,
-# a steady Service.Heartbeat. They are compiled out under -race (sync.Pool
-# sheds there), so they get their own uncached run.
+# statement (in memory and on resident pages; a read whose result the
+# transaction lends costs the Tx alone), a hash join's probe, a grouped
+# aggregation, the index entries of an insert, a stored row and its
+# update, a page compaction, a dirty eviction and reload, a bean call, a
+# steady Service.Heartbeat. They are compiled out under -race (sync.Pool
+# sheds there), so they get their own uncached run. What keeps the lending
+# honest runs with the race suites: TestLentRowsLiveUntilTheTransactionEnds
+# (a lent result intact until its transaction ends) and
+# TestPooledScratchPinsNothing (every result taken back, the arena emptied).
 alloc:
 	$(GO) test -count=1 -run Allocs ./internal/sqldb ./internal/sqldb/pager ./internal/beans ./internal/core ./internal/wire
 
 # Whole packages, so the statement path's borrowed-memory suites ride
 # along: results never alias the executor scratch (TestRowsDoNotAliasScratch,
-# TestSQLRowsDoNotAliasScratch) and the lock table is empty, its freelists
-# capped, after a stress of cancels, timeouts and deadlock victims
-# (TestLockTableHygieneUnderStress). The bean container's two transports
+# TestSQLRowsDoNotAliasScratch), a result the transaction lends stays
+# intact until it ends and is poisoned after — reading it then panics
+# under -race (TestLentRowsLiveUntilTheTransactionEnds), a pooled scratch
+# pins nothing (TestPooledScratchPinsNothing), and the lock table is
+# empty, its freelists capped, after a stress of cancels, timeouts and
+# deadlock victims (TestLockTableHygieneUnderStress). The bean container's two transports
 # and its one retry loop (an engine deadlock victim on each), the wire
 # codec and transports, the execute-node agent and the event engine ride
 # along: the packages where goroutines share state (internal/vtime keeps

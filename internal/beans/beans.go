@@ -438,13 +438,29 @@ func affected(res sqldb.Result, err error) error {
 }
 
 // Select loads all entities matching an arbitrary suffix clause (e.g.
-// "WHERE state = ? ORDER BY id LIMIT 10") into a slice of T.
+// "WHERE state = ? ORDER BY id LIMIT 10") into a slice of T, in result
+// order; nil when none match. On the engine's own transactions the result
+// says how many rows it holds, so the slice is allocated once at that
+// length; through database/sql it grows as the rows arrive. Each row is
+// loaded in place, into its element. The slice is the caller's: it
+// outlives the transaction, as the result it was read from does not.
 func Select[T any, Q Querier](q Q, suffix string, args ...any) ([]T, error) {
+	m, cur, err := selectRows[T](q, suffix, args)
+	if err != nil {
+		return nil, err
+	}
 	var out []T
-	err := Each(q, func(item *T) error {
-		out = append(out, *item)
-		return nil
-	}, suffix, args...)
+	if n := cur.len(); n > 0 {
+		out = make([]T, 0, n)
+	}
+	for err == nil && cur.next() {
+		var zero T
+		out = append(out, zero)
+		err = m.load(cur, reflect.ValueOf(&out[len(out)-1]).Elem())
+	}
+	if cerr := cur.close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -454,22 +470,11 @@ func Select[T any, Q Querier](q Q, suffix string, args ...any) ([]T, error) {
 // Each calls fn for every entity matching the suffix clause, in result
 // order, stopping at the first error. All rows are visited through one
 // entity, loaded afresh for each call: fn may keep a copy of *item, not the
-// pointer.
+// pointer. fn may run statements of its own on q: on the engine's own
+// transactions the result being visited is the transaction's until it
+// ends, and no later statement of it touches that result.
 func Each[T any, Q Querier](q Q, fn func(item *T) error, suffix string, args ...any) error {
-	m, err := MetaOf((*T)(nil))
-	if err != nil {
-		return err
-	}
-	a := borrowArgs()
-	defer a.release()
-	for _, x := range args {
-		val, err := sqldb.FromGo(x)
-		if err != nil {
-			return err
-		}
-		a.vals = append(a.vals, val)
-	}
-	cur, err := transportOf(q).query(m.selectSQL+suffix, a.vals)
+	m, cur, err := selectRows[T](q, suffix, args)
 	if err != nil {
 		return err
 	}
@@ -486,6 +491,26 @@ func Each[T any, Q Querier](q Q, fn func(item *T) error, suffix string, args ...
 		err = cerr
 	}
 	return err
+}
+
+// selectRows runs T's SELECT with the suffix clause on q, its arguments
+// bound as engine values for the call.
+func selectRows[T any, Q Querier](q Q, suffix string, args []any) (*Meta, cursor, error) {
+	m, err := MetaOf((*T)(nil))
+	if err != nil {
+		return nil, nil, err
+	}
+	a := borrowArgs()
+	defer a.release()
+	for _, x := range args {
+		val, err := sqldb.FromGo(x)
+		if err != nil {
+			return nil, nil, err
+		}
+		a.vals = append(a.vals, val)
+	}
+	cur, err := transportOf(q).query(m.selectSQL+suffix, a.vals)
+	return m, cur, err
 }
 
 func metaAndValue(entity any) (*Meta, reflect.Value, error) {

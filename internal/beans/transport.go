@@ -18,6 +18,9 @@ type transport interface {
 
 // cursor is a query's result, read a row at a time and a cell at a time.
 type cursor interface {
+	// len is the number of rows, or -1 when the transport cannot tell
+	// before they are read.
+	len() int
 	next() bool
 	col(i int) sqldb.Value
 	// close ends the read and reports what it failed with, if anything.
@@ -53,9 +56,10 @@ func (t *native) query(query string, args []sqldb.Value) (cursor, error) {
 }
 
 // nativeRows is the engine's result as a cursor: its cells are read where
-// the statement left them.
+// the statement left them, in the result the transaction lent it.
 type nativeRows sqldb.Rows
 
+func (r *nativeRows) len() int              { return (*sqldb.Rows)(r).Len() }
 func (r *nativeRows) next() bool            { return (*sqldb.Rows)(r).Next() }
 func (r *nativeRows) col(i int) sqldb.Value { return (*sqldb.Rows)(r).Col(i) }
 func (r *nativeRows) close() error          { return nil }
@@ -114,6 +118,8 @@ type sqlRows struct {
 	vals  []sqldb.Value
 	err   error
 }
+
+func (r *sqlRows) len() int { return -1 }
 
 func (r *sqlRows) next() bool {
 	if r.err != nil || !r.rows.Next() {

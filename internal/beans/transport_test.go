@@ -113,6 +113,27 @@ func transportScenario[Q beans.Querier](t *testing.T, inTx func(func(Q) error) e
 		return seen, err
 	})
 
+	// Select at the three sizes that take different paths: no row (nil,
+	// not an empty slice), one, and more than any first guess of a
+	// growing slice, in result order.
+	do("insert a rack of vms", func(q Q) (any, error) {
+		for seq := int64(0); seq < 200; seq++ {
+			if err := beans.Insert(q, &core.VM{Machine: "rack", Seq: seq, State: core.VMIdle, MemoryMB: 256}); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	})
+	do("select of 0 rows", func(q Q) (any, error) {
+		return beans.Select[core.VM](q, "WHERE machine = ?", "nowhere")
+	})
+	do("select of 1 row", func(q Q) (any, error) {
+		return beans.Select[core.VM](q, "WHERE machine = ? AND seq = ?", "rack", 17)
+	})
+	do("select of 200 rows", func(q Q) (any, error) {
+		return beans.Select[core.VM](q, "WHERE machine = ? ORDER BY seq DESC", "rack")
+	})
+
 	do("insert composite key", func(q Q) (any, error) { return nil, beans.Insert(q, &hostSlot{Host: "h1", Slot: 2, Val: "a"}) })
 	do("update composite key", func(q Q) (any, error) { return nil, beans.Update(q, &hostSlot{Host: "h1", Slot: 2, Val: "b"}) })
 	do("find composite key", find(&hostSlot{Host: "h1", Slot: 2}))
@@ -198,6 +219,22 @@ func TestBeanTransportsAgree(t *testing.T) {
 	}
 	if vms := byOp["select"].got.([]core.VM); len(vms) != 3 || vms[0].Seq != 2 || vms[0].ID == 0 {
 		t.Errorf("select: %+v", vms)
+	}
+	if vms := byOp["select of 0 rows"].got.([]core.VM); vms != nil {
+		t.Errorf("select of 0 rows: %#v, want nil", vms)
+	}
+	if vms := byOp["select of 1 row"].got.([]core.VM); len(vms) != 1 || vms[0].Seq != 17 || vms[0].Machine != "rack" {
+		t.Errorf("select of 1 row: %+v", vms)
+	}
+	if vms := byOp["select of 200 rows"].got.([]core.VM); len(vms) != 200 {
+		t.Errorf("select of 200 rows: %d rows", len(vms))
+	} else {
+		for i, vm := range vms {
+			if vm.Seq != int64(199-i) || vm.MemoryMB != 256 || vm.ID == 0 {
+				t.Errorf("select of 200 rows: row %d is %+v, want seq %d", i, vm, 199-i)
+				break
+			}
+		}
 	}
 	if jobs := byOp["each"].got.([]core.Job); len(jobs) != 2 {
 		t.Errorf("each: %+v", jobs)

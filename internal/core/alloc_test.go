@@ -47,24 +47,28 @@ func steadyPool(t testing.TB, nodes int) (*CAS, []*HeartbeatRequest) {
 // the heartbeat interval left the machine's stamp alone and an all-idle
 // beat skipped the two pairing joins. That beat is now a pure read: the
 // machine Find and the VM Select in a transaction that commits nothing.
-// What remains is the engine's Tx; each SELECT's Rows and row references;
-// the Machine entity, the VM slice's doublings, the statement text the
-// Select appends and the map by slot; the response and its commands. The
-// budgets keep the slack they had over the measurement before (22
-// allocations, 2.7 KB), for a toolchain where any of that differs.
+// 17 / 1.7 KB → 8 / 968 B once each SELECT's Rows and row references were
+// lent by the transaction's scratch instead of allocated, the VM slice
+// was allocated once at the result's length and the commands once at the
+// report's. What remains is the engine's Tx; the Machine entity, the VM
+// slice, the statement text the Select appends and the map by slot; the
+// response and its commands. The budgets keep the slack they had over the
+// measurement before (22 allocations, 2.7 KB), for a toolchain where any
+// of that differs: 39 / 4,480 B → 30 / 3,712 B.
 //
 // A beat a whole interval after its machine's stamp takes the write path:
 // the Beat UPDATE's new row image, its version and index entries, and the
-// commit's batch, channels and flush: measured 26 / 2.3 KB. It keeps the
-// budgets every beat had while every beat wrote.
+// commit's batch, channels and flush: measured 26 / 2.3 KB, 23 / 2.0 KB
+// before results were lent, 14 / 1.3 KB after. Its budgets keep the same
+// slack: 52 / 5,632 B → 36 / 4,025 B.
 func TestHeartbeatSteadyAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name                      string
 		advance                   time.Duration // the clock's step before each beat
 		budgetAllocs, budgetBytes float64
 	}{
-		{"inside the interval", 0, 39, 4480},
-		{"past the interval", 60 * time.Second, 52, 5632},
+		{"inside the interval", 0, 30, 3712},
+		{"past the interval", 60 * time.Second, 36, 4025},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cas, reqs := steadyPool(t, 1000)
@@ -119,12 +123,16 @@ func TestHeartbeatSteadyAllocs(t *testing.T) {
 // 220 allocations / 28.5 KB per beat while the reply was stored as its XML
 // (the 271-byte encoding cloned, then converted to a string), 220 /
 // 27.8 KB once it was stored packed (33 bytes, packed into a buffer, then
-// converted). The budgets keep the slack of TestHeartbeatSteadyAllocs.
+// converted), 171 / 17.9 KB before and 131 / 14.3 KB after each query's
+// Rows and row references were lent by the transaction and the VM slice
+// and the commands were allocated at their final size. The budgets keep
+// the slack of TestHeartbeatSteadyAllocs (22 allocations, 2.7 KB): 242 /
+// 30,208 B → 153 / 17,040 B.
 func TestKeyedCompletionBeatAllocs(t *testing.T) {
 	const (
 		warm, runs   = 50, 200
-		budgetAllocs = 242
-		budgetBytes  = 30208
+		budgetAllocs = 153
+		budgetBytes  = 17040
 	)
 	cas := walCAS(t)
 	reqs := runningPool(t, cas.Service, warm+1+2*runs)

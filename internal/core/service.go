@@ -146,7 +146,8 @@ func (s *Service) now() time.Time { return s.clock.Now() }
 // txExec and txQuery run one of the service layer's own statements in a
 // container transaction, under the transaction's context, with its
 // arguments as engine values; txQuery's result is read through its cursor
-// (Rows.Next, Rows.Col), never materialized.
+// (Rows.Next, Rows.Col), never materialized, and is the transaction's:
+// read it before the transaction ends. A value read out of it stays valid.
 func txExec(tx *sqldb.Tx, sql string, args ...sqldb.Value) (sqldb.Result, error) {
 	return tx.ExecValues(context.Background(), sql, args...)
 }
@@ -280,7 +281,8 @@ func (s *Service) registerOutput(tx *sqldb.Tx, name string, jobID int64, now tim
 // (beat carrying completion, triggering post-execution processing) are all
 // this one service.
 func (s *Service) Heartbeat(ctx context.Context, req *HeartbeatRequest) (*HeartbeatResponse, error) {
-	resp := &HeartbeatResponse{}
+	// One command per VM status, so the list is allocated once at that size.
+	resp := &HeartbeatResponse{Commands: make([]VMCommand, 0, len(req.VMs))}
 	err := s.c.InTx(ctx, func(tx *sqldb.Tx) error {
 		resp.Commands = resp.Commands[:0]
 		now := s.now()

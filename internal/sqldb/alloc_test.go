@@ -51,13 +51,14 @@ func allocDB(t *testing.T, poolPages int) *DB {
 }
 
 // TestStatementAllocs holds the statement path to its rule: a statement
-// allocates what it hands back and borrows the rest. Each budget records
+// allocates what outlives its transaction and borrows the rest, its
+// result included (scratch.go). Each budget records
 // what the case measured before the executor scratch, the plan-time lock
 // footprint, in-place index-entry comparison and the lock-table freelist →
 // after; the slack is a field or two, not a per-statement query object.
 // Arguments are pre-boxed (the caller's cost, not the engine's).
 //
-// The paged engine runs the same four cases with every page resident. A
+// The paged engine runs the same cases with every page resident. A
 // committed row rides its page's frame from the write-through on (or from
 // its first decode after a reload), the record is encoded into the heap's
 // buffer, compaction works in the heap's scratch page and a pruned
@@ -86,7 +87,9 @@ func statementAllocs(t *testing.T, db *DB, updateBudget float64) {
 		// The Tx itself. 1 → 1.
 		{"empty read-write transaction", 1, func(tx *Tx) {}},
 		// Tx, Rows, its one row reference, Data, the row's cells. 32 → 4, 5
-		// since the native call fills Data from the references.
+		// since the native call fills Data from the references, 4 since
+		// the transaction lends the statement its Rows and references and
+		// Query allocates only the materialized copy.
 		{"point SELECT by unique key", 8, func(tx *Tx) {
 			rows, err := tx.Query(`SELECT name, state, beats FROM machines WHERE name = ?`, name)
 			if err != nil || rows.Len() != 1 {
@@ -94,9 +97,18 @@ func statementAllocs(t *testing.T, db *DB, updateBudget float64) {
 			}
 		}},
 		// Tx, Rows, its four row references, Data, one array of cells (four
-		// row locks and a table lock, all from the freelist). 53 → 7 → 5.
+		// row locks and a table lock, all from the freelist). 53 → 7 → 5 →
+		// 4 with the result lent, as above.
 		{"4-row index-range SELECT", 12, func(tx *Tx) {
 			rows, err := tx.Query(`SELECT id, machine, seq, state, memory_mb FROM vms WHERE machine = ?`, name)
+			if err != nil || rows.Len() != 4 {
+				t.Fatalf("rows %v, err %v", rows, err)
+			}
+		}},
+		// The same read as the service layer runs it: the result lent by
+		// the transaction and read in place. The Tx alone.
+		{"4-row index-range SELECT, lent (QueryValues)", 2, func(tx *Tx) {
+			rows, err := tx.QueryValues(ctx, `SELECT id, machine, seq, state, memory_mb FROM vms WHERE machine = ?`, NewText("node-b"))
 			if err != nil || rows.Len() != 4 {
 				t.Fatalf("rows %v, err %v", rows, err)
 			}

@@ -686,7 +686,10 @@ type Result struct {
 }
 
 // Rows is a query result and its cursor: Next steps through the rows and
-// Col reads a cell of the current one.
+// Col reads a cell of the current one. A result QueryValues hands over is
+// lent by its transaction and valid until the transaction ends (scratch.go);
+// one Query, QueryContext or QueryRow hands over is materialized and the
+// caller's for good.
 type Rows struct {
 	// Columns names the result columns in order.
 	Columns []string
@@ -702,32 +705,55 @@ type Rows struct {
 	// it over: per result row, the width images of the rows it read (one
 	// per FROM table, noRow for a LEFT JOIN's padded side), and where in
 	// them each output column is. An image is immutable, so the result
-	// reads what the statement saw however long it is held, whatever
-	// becomes of the version or page slot it came from; refs is this
-	// result's own array. Col reads through it; the materializing Query
-	// calls fill Data from it (materialize).
+	// reads what the statement saw whatever becomes of the version or page
+	// slot it came from; refs is cut from the transaction's arena and no
+	// other result's. Col reads through it; materialize fills Data from
+	// it.
 	refs  []rowImage
 	picks []pick
 	width int
 }
 
-// materialize fills Data from a result of row images: fresh slices.
-func (r *Rows) materialize() {
-	if r.picks == nil {
-		return
+// released is the cursor position of a result its transaction took back,
+// under the race detector: reading it panics.
+const released = -1
+
+// release empties a lent result as its transaction ends. Under the race
+// detector it is poisoned too, so that a holder past the transaction
+// panics on its next read instead of finding the result empty.
+func (r *Rows) release() {
+	*r = Rows{}
+	if raceEnabled {
+		r.pos = released
 	}
-	if n, ncol := len(r.refs)/r.width, len(r.picks); n > 0 {
+}
+
+// materialize returns the result as Query hands it over, the caller's for
+// good: a fresh *Rows whose Data, filled from the row images of a result
+// of picks, is fresh slices. Computed rows were allocated for the result
+// and pass as they are.
+func (r *Rows) materialize() *Rows {
+	out := &Rows{Columns: r.Columns, Data: r.Data}
+	if n, ncol := r.Len(), len(r.picks); r.picks != nil && n > 0 {
 		cells := make([]Value, n*ncol)
-		r.Data = make([][]Value, n)
-		for i := range r.Data {
+		out.Data = make([][]Value, n)
+		for i := range out.Data {
 			row := cells[i*ncol : (i+1)*ncol : (i+1)*ncol]
 			for c, p := range r.picks {
 				row[c] = p.of(r.refs[i*r.width : (i+1)*r.width])
 			}
-			r.Data[i] = row
+			out.Data[i] = row
 		}
 	}
-	r.refs, r.picks = nil, nil
+	return out
+}
+
+// own returns the result as the database/sql driver holds it past its
+// transaction: a fresh *Rows with its own copy of the array of row images
+// (the images themselves are immutable and shared), read through Col as
+// the statement handed it over.
+func (r *Rows) own() *Rows {
+	return &Rows{Columns: r.Columns, Data: r.Data, refs: slices.Clone(r.refs), picks: r.picks, width: r.width}
 }
 
 // Next advances the cursor, reporting whether a row is available.
@@ -754,6 +780,9 @@ func (r *Rows) Row() []Value { return r.Data[r.pos-1] }
 
 // Len reports the number of rows.
 func (r *Rows) Len() int {
+	if r.pos == released {
+		panic("sqldb: a result read after its transaction ended")
+	}
 	if r.picks != nil {
 		return len(r.refs) / r.width
 	}
@@ -773,7 +802,7 @@ func (db *DB) ExecContext(ctx context.Context, sql string, args ...any) (Result,
 	if err != nil {
 		return Result{}, err
 	}
-	res, _, err := db.autocommit(ctx, stmt, func(tx *Tx) ([]Value, error) { return tx.toValues(args) })
+	res, _, err := db.autocommit(ctx, stmt, func(tx *Tx) ([]Value, error) { return tx.toValues(args) }, (*Rows).own)
 	return res, err
 }
 
@@ -794,12 +823,8 @@ func (db *DB) QueryContext(ctx context.Context, sql string, args ...any) (*Rows,
 	if !isQuery(stmt) {
 		return nil, errNotQuery
 	}
-	_, rows, err := db.autocommit(ctx, stmt, func(tx *Tx) ([]Value, error) { return tx.toValues(args) })
-	if err != nil {
-		return nil, err
-	}
-	rows.materialize()
-	return rows, nil
+	_, rows, err := db.autocommit(ctx, stmt, func(tx *Tx) ([]Value, error) { return tx.toValues(args) }, (*Rows).materialize)
+	return rows, err
 }
 
 // autocommit runs one statement outside any transaction: the one path
@@ -808,8 +833,10 @@ func (db *DB) QueryContext(ctx context.Context, sql string, args ...any) (*Rows,
 // under ctx (default statement timeout applied) — a lock-free snapshot for
 // SELECT/EXPLAIN, read-write otherwise — committed if the statement succeeds
 // and rolled back if not. bind converts the caller's arguments, in the
-// transaction's parameter buffer.
-func (db *DB) autocommit(ctx context.Context, stmt Statement, bind func(*Tx) ([]Value, error)) (Result, *Rows, error) {
+// transaction's parameter buffer. The result outlives the transaction, so
+// keep turns it into one the caller owns before the commit takes it back:
+// Rows.materialize for DB.Query, Rows.own for the driver.
+func (db *DB) autocommit(ctx context.Context, stmt Statement, bind func(*Tx) ([]Value, error), keep func(*Rows) *Rows) (Result, *Rows, error) {
 	ctx, cancel := db.stmtCtx(ctx)
 	defer cancel()
 	tx, err := db.BeginTx(ctx, TxOptions{ReadOnly: isQuery(stmt)})
@@ -822,6 +849,9 @@ func (db *DB) autocommit(ctx context.Context, stmt Statement, bind func(*Tx) ([]
 		var res Result
 		var rows *Rows
 		if res, rows, err = tx.execStmtCtx(ctx, stmt, params); err == nil {
+			if rows != nil {
+				rows = keep(rows)
+			}
 			return res, rows, tx.Commit()
 		}
 	}
@@ -882,9 +912,11 @@ func (tx *Tx) ExecValues(ctx context.Context, sql string, args ...Value) (Result
 }
 
 // QueryValues is QueryContext with engine-value arguments (see
-// ExecValues), and hands the result over as the statement produced it: a
-// result of row images is read through Next and Col where it lies, never
-// materialized into Data.
+// ExecValues), and hands the result over as the statement produced it,
+// lent by the transaction: valid until the transaction ends, whatever
+// statements it runs meanwhile, and taken back then. A result of row
+// images is read through Next and Col where it lies, never materialized
+// into Data; a value read out of it stays valid after the transaction.
 func (tx *Tx) QueryValues(ctx context.Context, sql string, args ...Value) (*Rows, error) {
 	_, rows, err := tx.run(ctx, sql, true, func(tx *Tx) ([]Value, error) { return tx.copyParams(args), nil })
 	return rows, err
@@ -918,14 +950,14 @@ func (tx *Tx) Query(sql string, args ...any) (*Rows, error) {
 }
 
 // QueryContext runs a SELECT inside the transaction (see ExecContext for
-// the context semantics).
+// the context semantics). The result is materialized: the caller's for
+// good.
 func (tx *Tx) QueryContext(ctx context.Context, sql string, args ...any) (*Rows, error) {
 	_, rows, err := tx.run(ctx, sql, true, func(tx *Tx) ([]Value, error) { return tx.toValues(args) })
 	if err != nil {
 		return nil, err
 	}
-	rows.materialize()
-	return rows, nil
+	return rows.materialize(), nil
 }
 
 // QueryRow runs a single-row SELECT inside the transaction; nil when empty.

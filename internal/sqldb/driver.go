@@ -97,15 +97,21 @@ func (c *conn) IsValid() bool { return !c.db.closed.Load() }
 // ExecContext/QueryContext thread it through unmodified, so cancellation
 // reaches every engine blocking point). Transactions open and resolve
 // through BeginTx and the driver.Tx it returns, never through SQL text.
+// database/sql may hold a result past the statement's transaction, so it
+// gets one of its own (Rows.own).
 func (c *conn) run(ctx context.Context, ast Statement, bind func(*Tx) ([]Value, error)) (Result, *Rows, error) {
 	if c.tx == nil {
-		return c.db.autocommit(ctx, ast, bind)
+		return c.db.autocommit(ctx, ast, bind, (*Rows).own)
 	}
 	params, err := bind(c.tx)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	return c.tx.execStmtCtx(ctx, ast, params)
+	res, rows, err := c.tx.execStmtCtx(ctx, ast, params)
+	if rows != nil {
+		rows = rows.own()
+	}
+	return res, rows, err
 }
 
 // ExecContext implements driver.ExecerContext.

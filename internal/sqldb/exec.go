@@ -153,8 +153,9 @@ func (tx *Tx) execSelect(s *SelectStmt, params []Value) (*Rows, error) {
 
 	// Outputs were star-expanded and named at plan time; so was whether
 	// they are all bare columns (plan.picks), and the result then row
-	// references instead of computed rows.
-	rows := &Rows{Columns: plan.names}
+	// references instead of computed rows. The result is the
+	// transaction's to lend.
+	rows := q.sc.lendRows(plan.names)
 	sl := &q.sc.sorter
 	defer sl.end()
 	if err := sl.begin(q); err != nil {
@@ -859,8 +860,8 @@ func (s *sortLimit) value(e sortEntry, col int) Value {
 
 // result sorts the kept entries, applies DISTINCT, OFFSET and LIMIT, and
 // hands the rows to r: computed rows as Data, row images as one exact-size
-// array r owns with the plan's picks to read them by. It
-// returns their number.
+// array cut from the transaction's arena, with the plan's picks to read
+// them by. It returns their number.
 func (s *sortLimit) result(r *Rows) int {
 	if s.nkey > 0 {
 		sort.Sort(s)
@@ -880,9 +881,9 @@ func (s *sortLimit) result(r *Rows) int {
 		return len(out)
 	}
 	r.picks, r.width = s.q.picks, s.width
-	r.refs = make([]rowImage, 0, len(out)*s.width)
-	for _, e := range out {
-		r.refs = append(r.refs, s.refs[e.slot*s.width:(e.slot+1)*s.width]...)
+	r.refs = s.q.sc.lendRefs(len(out) * s.width)
+	for i, e := range out {
+		copy(r.refs[i*s.width:], s.refs[e.slot*s.width:(e.slot+1)*s.width])
 	}
 	return len(out)
 }

@@ -63,7 +63,7 @@ func (tx *Tx) execExplain(s *ExplainStmt) (*Rows, error) {
 	if hit {
 		cached = " [CACHED]"
 	}
-	rows := &Rows{Columns: []string{"table", "access", "read", "join", "rows"}}
+	rows := tx.scratch().lendRows([]string{"table", "access", "read", "join", "rows"})
 	// One row per step, in the chosen execution order: the row order IS the
 	// join order; the join column is the per-edge strategy (- for a lone
 	// table); the rows column is the estimated cumulative cardinality after

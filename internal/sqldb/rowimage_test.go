@@ -346,10 +346,11 @@ func TestRowImageLeftJoinPadded(t *testing.T) {
 	}
 }
 
-// TestRowImageOutlivesVersion: a result holds the images it read, not the
-// versions — so after its transaction ended, the row was updated, the old
-// version was pruned off its chain and the heap collected, the result
-// still reads the row as its statement saw it, on both engines.
+// TestRowImageOutlivesVersion: a value read out of a result holds the
+// image it was read from, not the version — so after its transaction ended
+// (taking the result back), the row was updated, the old version was
+// pruned off its chain and the heap collected, the values read inside the
+// transaction still read the row as its statement saw it, on both engines.
 func TestRowImageOutlivesVersion(t *testing.T) {
 	for name, opts := range map[string]Options{
 		"memory":  {},
@@ -373,6 +374,13 @@ func TestRowImageOutlivesVersion(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var tags []Value
+			for rows.Next() {
+				tags = append(tags, rows.Col(0))
+			}
+			if len(tags) != 10 {
+				t.Fatalf("read %d rows, want 10", len(tags))
+			}
 			if err := tx.Commit(); err != nil {
 				t.Fatal(err)
 			}
@@ -381,9 +389,9 @@ func TestRowImageOutlivesVersion(t *testing.T) {
 			}
 			db.Vacuum()
 			runtime.GC()
-			for i := 1; rows.Next(); i++ {
-				if got, want := rows.Col(0).Text(), fmt.Sprintf("old-%02d", i); got != want {
-					t.Fatalf("row %d reads %q, want %q", i, got, want)
+			for i, v := range tags {
+				if got, want := v.Text(), fmt.Sprintf("old-%02d", i+1); got != want {
+					t.Fatalf("row %d reads %q, want %q", i+1, got, want)
 				}
 			}
 		})

@@ -4,35 +4,45 @@ import "bytes"
 
 // Borrowed working memory for the statement path.
 //
-// The rule: a statement allocates what it hands back — the *Rows and its
-// rows or its array of row images, an inserted or updated row image (the
-// version store keeps it), the WAL bytes a flush publishes — and borrows
-// everything else. The lender is txScratch: one per transaction, taken from
-// a pool on the DB at the transaction's first statement and returned in
+// The rule: a statement allocates what outlives its transaction — an
+// inserted or updated row image (the version store keeps it), the WAL
+// bytes a flush publishes — and borrows everything else, its result
+// included. The lender is txScratch: one per transaction, taken from a
+// pool on the DB at the transaction's first statement and returned in
 // Tx.finish, the one place a transaction becomes done. It carries the
 // per-statement state (the query, its evaluation environment, one scan
 // operator per plan step with its window buffers, the sort unit's entries
 // and arenas, the DML rid list, an UPDATE's SET cells, the bound
-// parameters, the key-lock and WAL encode buffers) and the per-transaction
+// parameters, the key-lock and WAL encode buffers), the per-transaction
 // footprint (locks taken, redo — which rollback reads backward — and the
-// arena of its update records, versions to stamp).
+// arena of its update records, versions to stamp) and the transaction's
+// results: each statement's *Rows and its array of row images.
 //
 // Lifetimes: statement state is valid until the next statement on the same
 // Tx — a Tx runs one statement at a time, so nothing else can be reading
-// it; transaction state until finish. Nothing reachable from a *Rows or a
-// Result may point into a scratch. A row the statement read is an image
-// (rowimage.go): an immutable string, the version's own (rowVersion.data)
-// or one copied once out of a resident page (pageRows), and never a view
-// of a page buffer or a scratch. A result whose outputs are all bare
-// columns is an array the *Rows owns of the images of the rows the
-// statement read, read through the plan's picks; it holds no pin and no
-// version, and the images stay what the statement saw however the rows
-// change after. Computed output rows are allocated for the result;
-// Rows.Data, which the native Query calls fill from the images, is fresh
-// slices and the caller's own. Column names and picks belong to the
+// it; transaction state until finish. A result is transaction state: the
+// scratch lends each statement a *Rows no earlier statement of the
+// transaction was lent, and its row images out of an arena that only grows
+// until finish, so a result stays intact while later statements of its
+// transaction run — the same statement again, a write of the rows it read,
+// statements issued while it is being iterated — and is taken back, with
+// the arena, when the transaction ends. Under the race detector a result
+// taken back is poisoned: reading it panics instead of reading as empty.
+// Query, QueryContext, autocommit and the database/sql driver hand their
+// results past the transaction, so they hand over a fresh *Rows the caller
+// owns: Query's with Data filled, fresh slices (Rows.materialize), the
+// driver's with its own copy of the array of images (Rows.own). Nothing
+// else reachable from a *Rows or a Result points into a scratch. A row the statement read is an image (rowimage.go): an
+// immutable string, the version's own (rowVersion.data) or one copied once
+// out of a resident page (pageRows), and never a view of a page buffer or
+// a scratch. A result whose outputs are all bare columns is an array of
+// the images of the rows the statement read, read through the plan's
+// picks; it holds no pin and no version, and the images stay what the
+// statement saw however the rows change after. Computed output rows are
+// allocated for the result. Column names and picks belong to the
 // immutable plan. Values are copied by value; the strings they reference
 // are immutable and owned elsewhere — a TEXT value read out of a row is a
-// substring of its image.
+// substring of its image, and stays valid after the result is taken back.
 
 // scratchKeep bounds, in elements, the buffers a scratch takes back to the
 // pool. A statement that scanned or returned far more than the usual
@@ -40,6 +50,11 @@ import "bytes"
 // that one statement's high-water mark on the heap behind every pooled
 // scratch (heap_live_mb is a gated cost).
 const scratchKeep = 1024
+
+// resultsKeep bounds the *Rows a pooled scratch keeps to lend: more than a
+// heartbeat's or a completion's transaction runs queries. A transaction
+// that ran more allocates the rest for itself.
+const resultsKeep = 32
 
 type txScratch struct {
 	// Statement state, reset by beginQuery.
@@ -68,6 +83,12 @@ type txScratch struct {
 	// The arena redo's update records point into: each one's changed-column
 	// bitmap and changed cells.
 	deltas []byte
+	// The transaction's results: results[:lent] are the *Rows lent so far,
+	// the rest spares for the next; refs is the arena their arrays of row
+	// images are cut from, appended to and never overwritten until finish.
+	results []*Rows
+	lent    int
+	refs    []rowImage
 }
 
 // scratch returns the transaction's working memory, attaching one from
@@ -104,6 +125,7 @@ func (tx *Tx) releaseScratch() {
 	sc.gcPend = keep(tx.gcPend)
 	tx.locked, tx.redo, tx.versions, tx.gcPend = nil, nil, nil, nil
 	sc.deltas = keep(sc.deltas)
+	sc.releaseResults()
 
 	sc.q = query{}
 	sc.env = evalEnv{}
@@ -124,6 +146,41 @@ func (tx *Tx) releaseScratch() {
 	}
 	sc.eqKey = keep(sc.eqKey)
 	tx.db.scratchPool.Put(sc)
+}
+
+// lendRows lends the statement the *Rows its result is handed over in,
+// one no earlier statement of the transaction was lent.
+func (sc *txScratch) lendRows(cols []string) *Rows {
+	if sc.lent == len(sc.results) {
+		sc.results = append(sc.results, new(Rows))
+	}
+	r := sc.results[sc.lent]
+	sc.lent++
+	*r = Rows{Columns: cols}
+	return r
+}
+
+// lendRefs lends n row images out of the arena, past every earlier
+// result's. Growing the arena moves none of them: the earlier arrays stay
+// where their results point.
+func (sc *txScratch) lendRefs(n int) []rowImage {
+	start := len(sc.refs)
+	sc.refs = growTo(sc.refs, start+n, 0)
+	return sc.refs[start : start+n : start+n]
+}
+
+// releaseResults takes back every result the transaction was lent and
+// keeps at most resultsKeep of them, and the arena within scratchKeep, for
+// the next transaction.
+func (sc *txScratch) releaseResults() {
+	for _, r := range sc.results[:sc.lent] {
+		r.release()
+	}
+	sc.lent = 0
+	if len(sc.results) > resultsKeep {
+		sc.results = append(make([]*Rows, 0, resultsKeep), sc.results[:resultsKeep]...)
+	}
+	sc.refs = keep(sc.refs)
 }
 
 // reuse empties a scratch buffer for its next use, zeroing what was in

@@ -13,9 +13,11 @@ import (
 	"time"
 )
 
-// Borrowed working memory must never leak: not into a result (a *Rows is
-// the caller's for good), not into the next statement's view of the world,
-// and not — through the lock table's recycled entries — across owners.
+// Borrowed working memory must never leak: not into a result before its
+// time (a *Rows QueryValues hands over is the transaction's until it ends,
+// one Query hands over the caller's for good), not into the next
+// statement's view of the world, and not — through the lock table's
+// recycled entries — across owners.
 
 // scratchFixture is the heartbeat's schema in miniature: machines read by
 // unique key, vms four to a machine behind a secondary index, matches
@@ -226,12 +228,109 @@ func TestSQLRowsDoNotAliasScratch(t *testing.T) {
 	}
 }
 
+// TestLentRowsLiveUntilTheTransactionEnds: a result QueryValues hands over
+// is lent by its transaction, and stays what its statement produced while
+// later statements of the transaction run — the same statement again, an
+// UPDATE of the rows it read, a join and a write issued between two of its
+// rows, as a beans.Each callback issues them — until the transaction ends.
+// Then it is taken back: under the race detector reading it panics,
+// otherwise it reads as empty. On both engines.
+func TestLentRowsLiveUntilTheTransactionEnds(t *testing.T) {
+	for name, opts := range map[string]Options{
+		"memory":  {},
+		"paged-2": {VFS: NewMemVFS(), Path: "lent.db", PoolPages: 2, PageSize: 1024},
+	} {
+		t.Run(name, func(t *testing.T) {
+			db, err := Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			scratchFixture(t, db)
+			ctx := context.Background()
+			vms := func(machine string, first int64) [][]Value {
+				var rows [][]Value
+				for seq := int64(0); seq < 4; seq++ {
+					rows = append(rows, []Value{NewInt(first + seq), NewText(machine), NewInt(seq), NewText("idle")})
+				}
+				return rows
+			}
+			next := func(rows *Rows) []Value {
+				t.Helper()
+				if !rows.Next() {
+					return nil
+				}
+				return []Value{rows.Col(0), rows.Col(1), rows.Col(2), rows.Col(3)}
+			}
+
+			tx, err := db.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tx.Rollback() // a failure mid-way must not leave Close waiting on it
+			a, err := tx.QueryValues(ctx, scratchSmall, NewText("node-2"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := [][]Value{next(a)}
+			b, err := tx.QueryValues(ctx, scratchSmall, NewText("node-5"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res, err := tx.ExecValues(ctx, scratchUpdate, NewText("node-2")); err != nil || res.RowsAffected != 4 {
+				t.Fatalf("UPDATE of the rows A read: %+v, err %v", res, err)
+			}
+			for row := next(a); row != nil && len(got) < 8; row = next(a) { // bounded: a result reused underneath need not end
+				got = append(got, row)
+				j, err := tx.QueryValues(ctx, scratchJoin, NewInt(0))
+				if err != nil || j.Len() != 24 {
+					t.Fatalf("join between two of A's rows: %v rows, err %v", j, err)
+				}
+				if _, err := tx.ExecValues(ctx, `UPDATE machines SET beats = beats + 1 WHERE name = ?`, NewText("node-2")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if want := vms("node-2", 9); !reflect.DeepEqual(got, want) {
+				t.Errorf("A read around later statements:\n got %v\nwant %v", got, want)
+			}
+			got = nil
+			for row := next(b); row != nil && len(got) < 8; row = next(b) {
+				got = append(got, row)
+			}
+			if want := vms("node-5", 21); !reflect.DeepEqual(got, want) {
+				t.Errorf("the second run of A's statement:\n got %v\nwant %v", got, want)
+			}
+			if now, err := tx.Query(scratchSmall, "node-2"); err != nil || now.Len() != 4 || now.Data[0][3].Text() != "claimed" {
+				t.Fatalf("the UPDATE did not reach the table: %v, err %v", now, err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+
+			if !raceEnabled {
+				if a.Next() || b.Len() != 0 {
+					t.Error("a result taken back by its transaction still reads rows")
+				}
+				return
+			}
+			defer func() {
+				if recover() == nil {
+					t.Error("reading a result its transaction took back did not panic")
+				}
+			}()
+			a.Next()
+		})
+	}
+}
+
 // TestPooledScratchPinsNothing looks at a scratch after its transaction
 // has finished — it is in the pool, possibly for a long time — and
 // requires every buffer empty, zeroed to its capacity (no row, version,
 // index key or parameter string stays reachable through it) and no larger
 // than a pooled scratch may keep, even after a statement that scanned and
-// returned far more than that.
+// returned far more than that and a transaction that ran more queries than
+// a pooled scratch keeps results for: every result taken back, the arena
+// of their row images emptied.
 func TestPooledScratchPinsNothing(t *testing.T) {
 	db, err := Open(Options{VFS: NewMemVFS(), Path: "pin.wal", Sync: SyncGroup})
 	if err != nil {
@@ -262,6 +361,11 @@ func TestPooledScratchPinsNothing(t *testing.T) {
 	} {
 		if _, _, err := tx.execStmtCtx(context.Background(), mustParse(t, db, stmt.sql), mustValues(t, tx, stmt.args)); err != nil {
 			t.Fatalf("%s: %v", stmt.sql, err)
+		}
+	}
+	for i := 0; i < 2*resultsKeep; i++ {
+		if _, err := tx.QueryValues(context.Background(), scratchSmall, NewText("node-1")); err != nil {
+			t.Fatal(err)
 		}
 	}
 	sc := tx.sc
@@ -320,6 +424,24 @@ func TestPooledScratchPinsNothing(t *testing.T) {
 		t.Errorf("walBuf kept %d bytes", c)
 	}
 	checkPooled(t, "eqKey", sc.eqKey, false)
+	if sc.lent != 0 {
+		t.Errorf("%d results still lent in the pool", sc.lent)
+	}
+	if len(sc.results) > resultsKeep || cap(sc.results) > resultsKeep {
+		t.Errorf("results: length %d, capacity %d in the pool, cap %d", len(sc.results), cap(sc.results), resultsKeep)
+	}
+	var taken Rows
+	taken.release()
+	for i, r := range sc.results[:cap(sc.results)] {
+		if i >= len(sc.results) {
+			if r != nil {
+				t.Errorf("results[%d] past the length still points at a result", i)
+			}
+		} else if !reflect.DeepEqual(*r, taken) {
+			t.Errorf("results[%d] was not taken back: %+v", i, *r)
+		}
+	}
+	checkEmpty(t, "refs", sc.refs)
 }
 
 // checkEmpty requires a pooled, pointer-bearing scratch buffer to be
@@ -567,8 +689,8 @@ func TestLockTableHygieneUnderStress(t *testing.T) {
 	db.locks.wfMu.Unlock()
 }
 
-// TestResultOutlivesItsRows: a result of row references — held raw, as the
-// statement hands it to the database/sql cursor; held open in a *sql.Rows;
+// TestResultOutlivesItsRows: a result of row references — held raw, in the
+// copy the database/sql driver owns (Rows.own); held open in a *sql.Rows;
 // and materialized into Rows.Data — keeps reading what its statement saw
 // after everything that can happen to the rows it references: its own
 // transaction's uncommitted write rolled back, every row updated, half of
@@ -622,10 +744,11 @@ func TestResultOutlivesItsRows(t *testing.T) {
 		if _, err := tx.Exec(`UPDATE r SET tag = 'mine' WHERE id = 3`); err != nil {
 			t.Fatal(err)
 		}
-		_, raw, err := tx.execStmtCtx(context.Background(), mustParse(t, db, sel), mustValues(t, tx, []any{20}))
+		_, lent, err := tx.execStmtCtx(context.Background(), mustParse(t, db, sel), mustValues(t, tx, []any{20}))
 		if err != nil {
 			t.Fatal(err)
 		}
+		raw := lent.own()
 		if raw.picks == nil || raw.Data != nil || len(raw.refs) != 20 {
 			t.Fatalf("%s: the column-only result is not row references: %d refs, picks %v, data %v", name, len(raw.refs), raw.picks, raw.Data)
 		}
@@ -670,7 +793,7 @@ func TestResultOutlivesItsRows(t *testing.T) {
 		if !reflect.DeepEqual(got, want(false)) {
 			t.Errorf("%s: through database/sql:\n got %v\nwant %v", name, got, want(false))
 		}
-		raw.materialize()
+		raw = raw.materialize()
 		if !reflect.DeepEqual(raw.Data, want(true)) {
 			t.Errorf("%s: the raw references:\n got %v\nwant %v", name, raw.Data, want(true))
 		}
