@@ -36,8 +36,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"condorj2/internal/sqldb"
@@ -180,6 +182,11 @@ type Meta struct {
 	findSQL, updateSQL, deleteSQL string
 	// selectSQL is "SELECT cols FROM table " — Select appends its suffix.
 	selectSQL string
+	// selects holds selectSQL+suffix for the suffixes Select and Each were
+	// called with, up to maxSelectTexts of them (selectText); selectMu
+	// serializes the copies that add one.
+	selects  atomic.Pointer[[]keptSelect]
+	selectMu sync.Mutex
 	// insertSQL[0] names every column, insertSQL[1] leaves the auto
 	// columns to the database (their fields are zero).
 	insertSQL [2]string
@@ -493,6 +500,41 @@ func Each[T any, Q Querier](q Q, fn func(item *T) error, suffix string, args ...
 	return err
 }
 
+// maxSelectTexts bounds the SELECT texts a Meta keeps. Every caller passes
+// a literal suffix, a handful per entity type; past the bound a text is
+// built per call.
+const maxSelectTexts = 16
+
+// keptSelect is one SELECT text a Meta keeps: selectSQL with suffix.
+type keptSelect struct{ suffix, sql string }
+
+// selectText is T's SELECT with suffix, built once per suffix: a lookup in
+// a list that is replaced whole, never written in place, so a reader needs
+// no lock. Two first calls with one suffix may both add it, which costs a
+// slot and nothing else.
+func (m *Meta) selectText(suffix string) string {
+	var texts []keptSelect
+	if p := m.selects.Load(); p != nil {
+		texts = *p
+	}
+	for _, t := range texts {
+		if t.suffix == suffix {
+			return t.sql
+		}
+	}
+	sql := m.selectSQL + suffix
+	m.selectMu.Lock()
+	defer m.selectMu.Unlock()
+	if p := m.selects.Load(); p != nil {
+		texts = *p
+	}
+	if len(texts) < maxSelectTexts {
+		kept := append(slices.Clip(texts), keptSelect{suffix, sql})
+		m.selects.Store(&kept)
+	}
+	return sql
+}
+
 // selectRows runs T's SELECT with the suffix clause on q, its arguments
 // bound as engine values for the call.
 func selectRows[T any, Q Querier](q Q, suffix string, args []any) (*Meta, cursor, error) {
@@ -509,7 +551,7 @@ func selectRows[T any, Q Querier](q Q, suffix string, args []any) (*Meta, cursor
 		}
 		a.vals = append(a.vals, val)
 	}
-	cur, err := transportOf(q).query(m.selectSQL+suffix, a.vals)
+	cur, err := transportOf(q).query(m.selectText(suffix), a.vals)
 	return m, cur, err
 }
 

@@ -612,7 +612,7 @@ func TestLogReaderAllocs(t *testing.T) {
 
 	db.mu.Lock()
 	done := make(chan error, 1)
-	go func() { done <- db.applyGroup(1, rd.recs, false) }()
+	go func() { done <- db.applyGroup(1, rd.recs, nil) }()
 	select {
 	case err = <-done:
 	case <-time.After(10 * time.Second):

@@ -29,11 +29,11 @@ func recordAt(t *testing.T, db *DB, tbl *table, loc pageLoc) (rec pageRecord, ok
 }
 
 // recordLive reports whether the page record at loc of tbl's heap is the
-// one it was: still there, with sequence number seq.
-func recordLive(t *testing.T, db *DB, tbl *table, loc pageLoc, seq uint64) bool {
+// one it was: still there, written by the commit of group lsn.
+func recordLive(t *testing.T, db *DB, tbl *table, loc pageLoc, lsn uint64) bool {
 	t.Helper()
 	rec, ok := recordAt(t, db, tbl, loc)
-	return ok && rec.seq == seq
+	return ok && rec.lsn == lsn
 }
 
 // begin starts a transaction on db that is rolled back when the test ends,
@@ -110,7 +110,7 @@ func TestPagedBaseAbsorbsSoleVersions(t *testing.T) {
 	wantCensus(t, db, "t", "two updates", n, n, n)
 	// The old base's record is erased (its page slot may hold a record
 	// written since).
-	if tbl.slot(0).loadBase() != kept || recordLive(t, db, tbl, oldBase, oldRec.seq) {
+	if tbl.slot(0).loadBase() != kept || recordLive(t, db, tbl, oldBase, oldRec.lsn) {
 		t.Fatal("the next write did not make the kept version the base and erase the old one")
 	}
 	r, err = db.Query(`SELECT count(*), sum(v) FROM t`)
@@ -207,12 +207,12 @@ func TestVersionBaseVisibility(t *testing.T) {
 		if got := count(t, db, `SELECT count(*) FROM t WHERE k = 1`); got != 0 {
 			t.Fatalf("a new read finds %d deleted rows", got)
 		}
-		if !recordLive(t, db, tbl, base, baseRec.seq) || tbl.slot(1).loadBase() != base {
+		if !recordLive(t, db, tbl, base, baseRec.lsn) || tbl.slot(1).loadBase() != base {
 			t.Fatal("the base went while a snapshot could see it")
 		}
 		snap.Rollback()
 		db.Vacuum()
-		if recordLive(t, db, tbl, base, baseRec.seq) {
+		if recordLive(t, db, tbl, base, baseRec.lsn) {
 			t.Fatal("GC left the deleted row's base record on its page")
 		}
 		if s := tbl.slot(1); s.head.Load() != nil || s.loadBase() != 0 || len(tbl.free) != 1 || tbl.free[0] != 1 {

@@ -225,7 +225,7 @@ func Open(opts Options) (*DB, error) {
 			if marks, err = db.recoverPaged(meta, data); err != nil {
 				return fail(err)
 			}
-		} else if marks, err = db.redoLog(data, 0, false); err != nil {
+		} else if marks, err = db.redoLog(data, 0, nil); err != nil {
 			return nil, err
 		}
 		w, err := openWAL(opts.VFS, opts.Path, opts.Sync, db.replApplied.Load(), marks)
@@ -325,7 +325,7 @@ func (db *DB) emit(s StmtStats) {
 // where the file reaches back to: the checkpoint's, or the LSN before the
 // file's first group when a checkpoint kept older groups in it, as one
 // does while a follower is shipped.
-func (db *DB) redoLog(data []byte, ckptLSN uint64, mayContain bool) ([]walMark, error) {
+func (db *DB) redoLog(data []byte, ckptLSN uint64, im *redoImage) ([]walMark, error) {
 	marks := []walMark{{lsn: ckptLSN}}
 	rd := logReader{data: data}
 	for rd.next() {
@@ -336,10 +336,13 @@ func (db *DB) redoLog(data []byte, ckptLSN uint64, mayContain bool) ([]walMark, 
 		if rd.lsn <= ckptLSN {
 			continue
 		}
-		if err := db.applyGroup(rd.lsn, rd.recs, mayContain); err != nil {
+		if err := db.applyGroup(rd.lsn, rd.recs, im); err != nil {
 			return nil, fmt.Errorf("sqldb: recovery: %w", err)
 		}
 		db.runGC(0)
+	}
+	if err := im.lost(); err != nil {
+		return nil, err
 	}
 	db.RebuildAfterReplication()
 	return marks, nil

@@ -29,8 +29,8 @@ import (
 //     shadowed data-record erasures are already in the pool, so this
 //     flush makes those erasures durable.
 //  3. FlushPages(DirtyPages()) — every page effect of commits ≤ barrier
-//     reaches disk (effects of later commits may leak too; the redo of
-//     the tail converges over them, so that is harmless).
+//     reaches disk (effects of later commits may leak too: their records
+//     carry their LSNs, so the redo of the tail skips what they hold).
 //  4. Write checkpoint meta (ckptLSN = barrier, catalog snapshot,
 //     counters) to the alternating meta files.
 //  5. wal.truncateThrough(barrier) — drop the covered log prefix.
@@ -41,12 +41,11 @@ import (
 // the longer WAL tail replays; between 4 and 5 the tail still holds
 // groups ≤ barrier, which the redo skips (lsn ≤ ckptLSN).
 //
-// Recovery scans the page file for the newest record per (table, rid) —
-// strict 2PL made per-rid sequence order equal commit order — places
-// each as its slot's base (version.go), then hands the WAL tail above the
-// checkpoint LSN to the same redo every other log goes through
-// (applyGroup), told that the state it applies onto may already contain
-// the group.
+// Recovery scans the page file for the highest-LSN record per (table,
+// rid), places each live one as its slot's base (version.go), then hands
+// the WAL tail above the checkpoint LSN to the same redo every other log
+// goes through (applyGroup), which skips what those records already hold
+// (redoImage.skips) and refuses a row the crash lost (ErrLostRow).
 
 // ckptFlushBatch is how many pages one checkpoint WriteBatch carries.
 const ckptFlushBatch = 32
@@ -65,19 +64,15 @@ type tombErase struct {
 }
 
 // pageStore owns the paged-storage machinery of one DB: the pager, the
-// buffer pool, the record sequence generator, checkpoint state, and the
-// deferred tombstone-erasure queue.
+// buffer pool, checkpoint state, and the deferred tombstone-erasure queue.
+// A page names its table by the table's permanent id (DB.nextTableID);
+// ids are never reused, so recovery can discard pages of dropped tables.
 type pageStore struct {
 	vfs  VFS
 	path string
 
 	pager *pager.Pager
 	pool  *pager.Pool
-
-	// nextSeq stamps page records (monotone, store-global). A page names
-	// its table by the table's permanent id (DB.nextTableID); ids are never
-	// reused, so recovery can discard pages of dropped tables.
-	nextSeq atomic.Uint64
 
 	// ckptLSN is the newest checkpointed LSN: recovery replays only WAL
 	// groups above it. metaGen counts meta generations (the alternating
@@ -91,10 +86,11 @@ type pageStore struct {
 	// in Close).
 	ckptMu sync.Mutex
 
-	// tombQ holds slot-freeing tombstone erasures deferred past the next
-	// checkpoint: a tombstone record may only leave the disk after the
-	// erasure of the data records it shadows is durable, or a crash
-	// in between could resurrect the deleted row.
+	// tombQ holds the erasures of slot-freeing tombstones, and of those
+	// recovery found winning, deferred past the next checkpoint: a
+	// tombstone record may only leave the disk after the erasure of the
+	// data records it shadows is durable, or a crash in between could
+	// resurrect the deleted row.
 	tombMu sync.Mutex
 	tombQ  []tombErase
 
@@ -125,8 +121,8 @@ func (st *pageStore) Err() error {
 	return st.err
 }
 
-// queueTombErase defers the erasure of a slot-freeing tombstone's page
-// record past the next completed checkpoint.
+// queueTombErase defers the erasure of a tombstone's page record past the
+// next completed checkpoint.
 func (st *pageStore) queueTombErase(h *pagedHeap, loc pageLoc) {
 	st.tombMu.Lock()
 	st.tombQ = append(st.tombQ, tombErase{heap: h, loc: loc})
@@ -162,7 +158,6 @@ func (st *pageStore) close() error {
 type pagedMeta struct {
 	gen         uint64
 	ckptLSN     uint64
-	nextSeq     uint64
 	nextTableID uint32
 	pageSize    int
 	tables      []metaTable
@@ -178,8 +173,9 @@ type metaTable struct {
 
 // metaMagic names the meta layout. A sealed meta with any other magic is
 // refused: "cj2m" was a layout with a statistics byte per table, "cj2n"
-// one without each table's autoincrement mark.
-var metaMagic = []byte("cj2o")
+// one without each table's autoincrement mark, "cj2o" one whose page
+// records carried a store-global sequence number, not their commit's LSN.
+var metaMagic = []byte("cj2p")
 var metaCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // metaSealed reports whether p is a whole meta write: long enough for a
@@ -196,12 +192,9 @@ func metaSealed(p []byte) bool {
 func encodeMeta(m *pagedMeta) []byte {
 	var buf bytes.Buffer
 	buf.Write(metaMagic)
-	writeUvarint(&buf, m.gen)
-	writeUvarint(&buf, m.ckptLSN)
-	writeUvarint(&buf, m.nextSeq)
-	writeUvarint(&buf, uint64(m.nextTableID))
-	writeUvarint(&buf, uint64(m.pageSize))
-	writeUvarint(&buf, uint64(len(m.tables)))
+	for _, u := range []uint64{m.gen, m.ckptLSN, uint64(m.nextTableID), uint64(m.pageSize), uint64(len(m.tables))} {
+		writeUvarint(&buf, u)
+	}
 	for i := range m.tables {
 		mt := &m.tables[i]
 		writeUvarint(&buf, uint64(mt.tableID))
@@ -229,28 +222,15 @@ func decodeMeta(p []byte) (*pagedMeta, bool) {
 	}
 	rd := &byteReader{b: p[len(metaMagic) : len(p)-4]}
 	m := &pagedMeta{}
-	var ok bool
-	if m.gen, ok = rd.uvarint(); !ok {
-		return nil, false
+	var tid, ps, n uint64
+	for _, u := range []*uint64{&m.gen, &m.ckptLSN, &tid, &ps, &n} {
+		var ok bool
+		if *u, ok = rd.uvarint(); !ok {
+			return nil, false
+		}
 	}
-	if m.ckptLSN, ok = rd.uvarint(); !ok {
-		return nil, false
-	}
-	if m.nextSeq, ok = rd.uvarint(); !ok {
-		return nil, false
-	}
-	tid, ok := rd.uvarint()
-	if !ok {
-		return nil, false
-	}
-	m.nextTableID = uint32(tid)
-	ps, ok := rd.uvarint()
-	if !ok {
-		return nil, false
-	}
-	m.pageSize = int(ps)
-	n, ok := rd.uvarint()
-	if !ok || n > uint64(len(rd.b)-rd.off) {
+	m.nextTableID, m.pageSize = uint32(tid), int(ps)
+	if n > uint64(len(rd.b)-rd.off) {
 		return nil, false
 	}
 	m.tables = make([]metaTable, n)
@@ -408,7 +388,6 @@ func openPageStore(vfs VFS, path string, meta *pagedMeta, pageSize, poolPages in
 		pool:  pager.NewPool(pgr, poolPages),
 	}
 	if meta != nil {
-		st.nextSeq.Store(meta.nextSeq)
 		st.ckptLSN.Store(meta.ckptLSN)
 		st.metaGen = meta.gen
 	}
@@ -416,25 +395,27 @@ func openPageStore(vfs VFS, path string, meta *pagedMeta, pageSize, poolPages in
 }
 
 // pageWriteThrough writes each to-be-stamped version's row (or
-// tombstone) through to its table's heap pages, publishing the record
-// location on the version and releasing the in-memory row bytes. Runs
-// on the commit path after the WAL write, while the transaction still
-// holds its row X locks (leader) or in LSN order (follower apply), so
-// per-rid record sequence order equals commit order. The subsequent
+// tombstone) through to its table's heap pages as a record carrying lsn,
+// its commit's, publishing the record location on the version and
+// releasing the in-memory row bytes. Runs on the commit path after the WAL
+// write, while the transaction still holds its row X locks (leader) or in
+// LSN order (follower apply), so per-rid record LSN order is commit order.
+// Of a rid written twice in the commit only its chain's head is written:
+// recovery could not tell two records of one LSN apart. The subsequent
 // begin-stamp's release/acquire pair publishes loc to readers. No-op
 // without paged storage.
-func (db *DB) pageWriteThrough(entries []stampEntry) {
+func (db *DB) pageWriteThrough(entries []stampEntry, lsn uint64) {
 	st := db.store
 	if st == nil {
 		return
 	}
 	for _, e := range entries {
 		h := e.tbl.heap
-		if h == nil || e.v.loc.pid() != 0 {
+		if h == nil || e.v.loc.pid() != 0 || e.tbl.slot(e.rid).head.Load() != e.v {
 			continue
 		}
 		tomb := e.v.isTomb()
-		loc, err := h.writeRow(e.rid, e.v.data, tomb)
+		loc, err := h.writeRow(e.rid, e.v.data, tomb, lsn)
 		if err != nil {
 			// Sticky: the version keeps its in-memory data (no page in loc),
 			// readers are unaffected, checkpoints refuse from here on.
@@ -459,7 +440,6 @@ func (db *DB) buildPagedMeta(ckptLSN uint64) *pagedMeta {
 	m := &pagedMeta{
 		gen:      st.metaGen + 1,
 		ckptLSN:  ckptLSN,
-		nextSeq:  st.nextSeq.Load(),
 		pageSize: st.pager.PageSize(),
 	}
 	c := db.cat.Load()
@@ -537,6 +517,14 @@ func (db *DB) fuzzyCheckpoint(final bool) error {
 	return nil
 }
 
+// diskRec is a rid's winning page record at recovery: its location (with
+// the tombstone bit for a tombstone), its LSN, and its row until placed.
+type diskRec struct {
+	loc pageLoc
+	lsn uint64
+	img rowImage
+}
+
 // recoverPaged rebuilds the database from checkpoint meta, the page
 // file, and the WAL tail, and returns the index of the log's committed
 // prefix (see redoLog). meta == nil means no checkpoint ever completed:
@@ -552,47 +540,30 @@ func (db *DB) recoverPaged(meta *pagedMeta, data []byte) ([]walMark, error) {
 		db.nextTableID.Store(meta.nextTableID)
 		for i := range meta.tables {
 			mt := &meta.tables[i]
-			stmt, err := Parse(mt.ddl)
-			if err != nil {
-				return nil, fmt.Errorf("sqldb: recovery: bad meta DDL %q: %w", mt.ddl, err)
-			}
-			if _, ok := stmt.(*CreateTableStmt); !ok || mt.tableID == 0 {
-				return nil, fmt.Errorf("sqldb: recovery: meta entry %q (table id %d) is not a CREATE TABLE with an id", mt.ddl, mt.tableID)
-			}
-			if err := db.applyDDL(stmt, mt.tableID, nil); err != nil {
-				return nil, fmt.Errorf("sqldb: recovery: %w", err)
-			}
-			db.tableByID(uint64(mt.tableID)).autoHigh.Store(mt.autoHigh)
-			for _, ddl := range mt.indexes {
-				istmt, err := Parse(ddl)
+			for j, ddl := range append([]string{mt.ddl}, mt.indexes...) {
+				stmt, err := Parse(ddl)
 				if err != nil {
-					return nil, fmt.Errorf("sqldb: recovery: bad meta index DDL %q: %w", ddl, err)
+					return nil, fmt.Errorf("sqldb: recovery: bad meta DDL %q: %w", ddl, err)
 				}
-				if err := db.applyDDL(istmt, mt.tableID, nil); err != nil {
+				if _, ok := stmt.(*CreateTableStmt); ok != (j == 0) || mt.tableID == 0 {
+					return nil, fmt.Errorf("sqldb: recovery: meta entry %q (table id %d) is not a CREATE TABLE with an id and its indexes", ddl, mt.tableID)
+				}
+				if err := db.applyDDL(stmt, mt.tableID, nil); err != nil {
 					return nil, fmt.Errorf("sqldb: recovery: %w", err)
 				}
 			}
+			db.tableByID(uint64(mt.tableID)).autoHigh.Store(mt.autoHigh)
 		}
 	}
 
-	// 2. Page scan: newest record per (table, rid) wins (strict 2PL made
-	// per-rid seq order equal commit order); older records and records of
-	// unknown tables are garbage.
-	type diskRec struct {
-		loc pageLoc // with the tombstone bit for a tombstone record
-		seq uint64
-		img rowImage
-	}
-	type loserRec struct {
-		tbl *table
-		loc pageLoc
-	}
+	// 2. Page scan: the highest-LSN record per (table, rid) wins (strict
+	// 2PL orders one rid's commits by LSN, and a commit writes one record
+	// per rid); older records are erased as they lose, through the pool,
+	// and records of unknown tables are garbage.
 	winners := make(map[uint32]map[int64]diskRec)
-	var losers []loserRec
 	var emptyPids, garbagePids []pager.PageID
 	extent := st.pager.Allocated()
 	buf := make([]byte, st.pager.PageSize())
-	maxSeq := st.nextSeq.Load()
 	for pid := pager.PageID(1); pid <= extent; pid++ {
 		empty, err := st.pager.ReadPage(pid, buf)
 		if err != nil {
@@ -617,21 +588,18 @@ func (db *DB) recoverPaged(meta *pagedMeta, data []byte) ([]walMark, error) {
 			winners[tid] = m
 		}
 		err = scanPage(buf, func(slot int, rec pageRecord) {
-			if rec.seq > maxSeq {
-				maxSeq = rec.seq
-			}
 			loc := makeLoc(pid, slot)
-			if best, seen := m[rec.rid]; !seen || rec.seq > best.seq {
-				if seen {
-					losers = append(losers, loserRec{tbl: tbl, loc: best.loc})
+			if best, seen := m[rec.rid]; seen {
+				if rec.lsn <= best.lsn {
+					tbl.heap.erase(loc)
+					return
 				}
-				if rec.tomb {
-					loc |= locTomb
-				}
-				m[rec.rid] = diskRec{loc: loc, seq: rec.seq, img: rec.img}
-			} else {
-				losers = append(losers, loserRec{tbl: tbl, loc: loc})
+				tbl.heap.erase(best.loc)
 			}
+			if rec.tomb {
+				loc |= locTomb
+			}
+			m[rec.rid] = diskRec{loc: loc, lsn: rec.lsn, img: rec.img}
 		})
 		if err != nil {
 			return nil, fmt.Errorf("sqldb: recovery: corrupt page %d: %w", pid, err)
@@ -639,71 +607,54 @@ func (db *DB) recoverPaged(meta *pagedMeta, data []byte) ([]walMark, error) {
 		dirEnd := pageHdrSize + pageSlots(buf)*slotDirEntry
 		tbl.heap.adoptPage(pid, pageFreeHigh(buf)-dirEnd >= 64)
 	}
-	st.nextSeq.Store(maxSeq)
 	st.pager.SetAllocState(extent+1, append(append([]pager.PageID(nil), emptyPids...), garbagePids...))
 
 	// Physically zero the garbage pages: their on-disk table IDs could
 	// collide with IDs the tail replay assigns to recreated tables, and a
 	// second crash would then attribute the stale records to them.
-	for i := 0; i < len(garbagePids); i += ckptFlushBatch {
-		end := i + ckptFlushBatch
-		if end > len(garbagePids) {
-			end = len(garbagePids)
-		}
-		batch := make([]pager.BatchPage, 0, end-i)
-		for _, pid := range garbagePids[i:end] {
-			batch = append(batch, pager.BatchPage{PID: pid, Data: make([]byte, st.pager.PageSize())})
+	for chunk := range slices.Chunk(garbagePids, ckptFlushBatch) {
+		batch := make([]pager.BatchPage, len(chunk))
+		for i, pid := range chunk {
+			batch[i] = pager.BatchPage{PID: pid, Data: make([]byte, st.pager.PageSize())}
 		}
 		if err := st.pager.WriteBatch(batch); err != nil {
 			return nil, fmt.Errorf("sqldb: recovery: clearing garbage pages: %w", err)
 		}
 	}
 
-	// 3. Two-phase erase. Phase one: superseded records (including data
-	// records shadowed by tombstone winners), flushed durable before any
-	// tombstone is touched. Phase two: the winning tombstones themselves
-	// — only safe once phase one is durable, or a crash between the two
-	// could resurrect a deleted row.
-	for _, l := range losers {
-		l.tbl.heap.erase(l.loc)
-	}
-	if _, err := st.pool.FlushAll(); err != nil {
-		return nil, fmt.Errorf("sqldb: recovery: %w", err)
-	}
+	// 3. Base placement: every winner but a tombstone becomes its slot's
+	// base, which every snapshot sees, with no version object. A winning
+	// tombstone's own erasure waits for the next checkpoint, which makes
+	// the erasures of the records it shadows durable (queueTombErase). The
+	// winners keep their LSNs for the redo.
 	for tid, m := range winners {
 		tbl := db.tableByID(uint64(tid))
 		for rid, rec := range m {
 			if rec.loc.tomb() {
-				tbl.heap.erase(rec.loc)
-				delete(m, rid)
+				st.queueTombErase(tbl.heap, rec.loc)
+				continue
 			}
-		}
-	}
-	if _, err := st.pool.FlushAll(); err != nil {
-		return nil, fmt.Errorf("sqldb: recovery: %w", err)
-	}
-
-	// 4. Base placement: every surviving winner becomes its slot's base,
-	// which every snapshot sees, with no version object.
-	for tid, m := range winners {
-		tbl := db.tableByID(uint64(tid))
-		for rid, rec := range m {
 			tbl.pagedPlace(rid, rec.img, rec.loc)
+			m[rid] = diskRec{loc: rec.loc, lsn: rec.lsn}
 		}
 	}
 	if err := st.Err(); err != nil {
 		return nil, fmt.Errorf("sqldb: recovery: %w", err)
 	}
 
-	// 5. WAL tail: groups at or below the checkpoint LSN are already in
-	// the pages; later ones are redone over them (written through, fresh
-	// sequence numbers). The pages may hold effects of those later groups
-	// too — but only when there was an image to load. The LSN horizon
-	// resumes past everything ever logged — including the truncated
-	// prefix — so new commits never reuse a checkpointed LSN.
+	// 4. WAL tail: groups at or below the checkpoint LSN are already in
+	// the pages; later ones are redone over them, written through with
+	// their own LSNs. Over a loaded image the winners' LSNs say which of
+	// their effects it holds already (redoImage). The LSN horizon resumes
+	// past everything ever logged — including the truncated prefix — so
+	// new commits never reuse a checkpointed LSN.
+	var im *redoImage
+	if meta != nil {
+		im = &redoImage{nextTableID: meta.nextTableID, winners: winners, held: make(map[rowKey]uint64)}
+	}
 	ckptLSN := st.ckptLSN.Load()
 	db.replApplied.Store(ckptLSN)
-	marks, err := db.redoLog(data, ckptLSN, meta != nil)
+	marks, err := db.redoLog(data, ckptLSN, im)
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"condorj2/internal/sqldb/pager"
 )
 
 // openPagedOpts opens a paged-storage database on vfs with the given
@@ -370,6 +372,194 @@ func TestPagedDeleteNoResurrection(t *testing.T) {
 		db = openPaged(t, vfs)
 	}
 	db.Close()
+}
+
+// TestPagedLostRowRefusedAtOpen: an UPDATE that moves an index key queues
+// the old version for GC, and the prune that makes the new version the
+// row's base erases the old base's record at once. When the page holding
+// that erasure reaches the disk and the page holding the new record does
+// not, the crash image has no record of the row, and the tail's update —
+// a delta of one column — cannot make it again. Open must refuse such an
+// image with ErrLostRow, naming the table and the rid, never open it one
+// row short. Flushing every page instead leaves nothing to lose.
+func TestPagedLostRowRefusedAtOpen(t *testing.T) {
+	for _, flushAll := range []bool{false, true} {
+		t.Run(fmt.Sprintf("flushAll=%v", flushAll), func(t *testing.T) {
+			vfs := NewMemVFS()
+			db := openPagedOpts(t, vfs, 8, 1024)
+			mustExec(t, db, `CREATE TABLE r (id INTEGER PRIMARY KEY, v INTEGER, s TEXT)`)
+			mustExec(t, db, `CREATE INDEX r_v ON r (v)`)
+			for i := 1; i <= 40; i++ {
+				mustExec(t, db, `INSERT INTO r VALUES (?, ?, ?)`, i, i*10, strings.Repeat("s", 20))
+			}
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			tbl, err := db.lookupTable("r")
+			if err != nil {
+				t.Fatal(err)
+			}
+			oldBase := tbl.slot(0).loadBase()
+			mustExec(t, db, `UPDATE r SET v = 99 WHERE id = 1`)
+			db.Vacuum()
+			newBase := tbl.slot(0).loadBase()
+			if oldBase.pid() == 0 || newBase.pid() == 0 || oldBase.pid() == newBase.pid() {
+				t.Fatalf("row 1's base moved from page %d to page %d, want two different pages", oldBase.pid(), newBase.pid())
+			}
+			if _, ok := recordAt(t, db, tbl, oldBase); ok {
+				t.Fatal("the prune left the old base's record in place")
+			}
+			flush := []pager.PageID{oldBase.pid()}
+			if flushAll {
+				flush = db.store.pool.DirtyPages()
+			}
+			if _, err := db.store.pool.FlushPages(flush, ckptFlushBatch); err != nil {
+				t.Fatal(err)
+			}
+			crash := restoreVFS(t, snapshotVFS(t, vfs)) // db is abandoned, not closed
+
+			reopened, err := Open(Options{VFS: crash, Path: "test.db", PoolPages: 8, PageSize: 1024})
+			if !flushAll {
+				if reopened != nil {
+					n := mustQuery(t, reopened, `SELECT count(*) FROM r`).Data[0][0].Int64()
+					reopened.Close()
+					t.Fatalf("Open over an image that lost row 1 succeeded with %d rows, want ErrLostRow", n)
+				}
+				if !errors.Is(err, ErrLostRow) || !strings.Contains(err.Error(), "rid 0 of r") {
+					t.Fatalf("Open = %v, want ErrLostRow naming rid 0 of r", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Open over a whole image: %v", err)
+			}
+			defer reopened.Close()
+			rows := mustQuery(t, reopened, `SELECT count(*), sum(v) FROM r`)
+			if n, sum := rows.Data[0][0].Int64(), rows.Data[0][1].Int64(); n != 40 || sum != 8200-10+99 {
+				t.Fatalf("reopened over a whole image: %d rows summing to %d, want 40 and %d", n, sum, 8200-10+99)
+			}
+		})
+	}
+}
+
+// TestPagedRidWrittenTwiceInOneCommit: a commit that writes one rid more
+// than once writes one page record for it, its last write, since recovery
+// tells a rid's records apart by their commit's LSN alone. Each case is
+// one transaction, committed on a paged leader and applied through
+// ApplyCommitted on a paged follower; the store checkpoints before it,
+// flushes every page after it and crashes, and must reopen with the
+// transaction's last write. A snapshot older than the commit stays open
+// meanwhile, so no prune erases a record the commit wrote.
+func TestPagedRidWrittenTwiceInOneCommit(t *testing.T) {
+	open := func(t *testing.T, vfs VFS) *DB { return openPagedOpts(t, vfs, 8, 1024) }
+	for _, tc := range []struct {
+		name  string
+		stmts []string
+		id    int64
+		v     int64
+		s     string
+	}{
+		{"insert then update", []string{`INSERT INTO r VALUES (100, 1000, 'inserted')`, `UPDATE r SET s = 'updated' WHERE id = 100`}, 100, 1000, "updated"},
+		{"two non-key updates", []string{`UPDATE r SET s = 'first' WHERE id = 1`, `UPDATE r SET s = 'second' WHERE id = 1`}, 1, 10, "second"},
+		{"two key-moving updates", []string{`UPDATE r SET v = 1001 WHERE id = 2`, `UPDATE r SET v = 1002 WHERE id = 2`}, 2, 1002, "row"},
+	} {
+		for _, via := range []string{"local commit", "ApplyCommitted"} {
+			t.Run(tc.name+"/"+via, func(t *testing.T) {
+				vfs := NewMemVFS()
+				leader := open(t, vfs)
+				defer leader.Close()
+				mustExec(t, leader, `CREATE TABLE r (id INTEGER PRIMARY KEY, v INTEGER, s TEXT)`)
+				mustExec(t, leader, `CREATE INDEX r_v ON r (v)`)
+				for i := 1; i <= 20; i++ {
+					mustExec(t, leader, `INSERT INTO r VALUES (?, ?, 'row')`, i, i*10)
+				}
+				db := leader
+				if via == "ApplyCommitted" {
+					vfs = NewMemVFS()
+					db = open(t, vfs)
+					defer db.Close()
+					shipped, _, err := leader.CommittedSince(0, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := db.ApplyCommitted(shipped); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := db.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				snap, err := db.BeginReadOnly()
+				if err != nil {
+					t.Fatal(err)
+				}
+				lsn := leader.DurableLSN()
+				tx, err := leader.Begin()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, sql := range tc.stmts {
+					if _, err := tx.Exec(sql); err != nil {
+						t.Fatalf("%s: %v", sql, err)
+					}
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				if db != leader {
+					group, _, err := leader.CommittedSince(lsn, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := db.ApplyCommitted(group); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := db.store.pool.FlushAll(); err != nil {
+					t.Fatal(err)
+				}
+				n := recordsOfCommit(t, db, lsn+1)
+				snap.Rollback()
+				if n != 1 {
+					t.Fatalf("the commit wrote %d page records, want 1", n)
+				}
+				reopened := open(t, restoreVFS(t, snapshotVFS(t, vfs))) // db is abandoned, not closed
+				defer reopened.Close()
+				rows := mustQuery(t, reopened, `SELECT v, s FROM r WHERE id = ?`, tc.id)
+				if rows.Len() != 1 || rows.Data[0][0].Int64() != tc.v || rows.Data[0][1].Text() != tc.s {
+					t.Fatalf("reopened row %d = %v, want [%d %s]", tc.id, rows.Data, tc.v, tc.s)
+				}
+				if rows := mustQuery(t, reopened, `SELECT id FROM r WHERE v = ?`, tc.v); rows.Len() != 1 || rows.Data[0][0].Int64() != tc.id {
+					t.Fatalf("the index on v finds %v under %d, want row %d", rows.Data, tc.v, tc.id)
+				}
+			})
+		}
+	}
+}
+
+// recordsOfCommit counts the live records of the commit of group lsn in
+// db's page file, as recovery would read it.
+func recordsOfCommit(t *testing.T, db *DB, lsn uint64) int {
+	t.Helper()
+	n := 0
+	buf := make([]byte, db.store.pager.PageSize())
+	for pid := pager.PageID(1); pid <= db.store.pager.Allocated(); pid++ {
+		empty, err := db.store.pager.ReadPage(pid, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if empty || pageTableID(buf) == 0 {
+			continue
+		}
+		if err := scanPage(buf, func(_ int, rec pageRecord) {
+			if rec.lsn == lsn {
+				n++
+			}
+		}); err != nil {
+			t.Fatalf("page %d: %v", pid, err)
+		}
+	}
+	return n
 }
 
 func TestPagedDropTableRecovery(t *testing.T) {

@@ -30,15 +30,15 @@ import (
 //
 // Record encoding (immutable once written):
 //
-//	[seq uvarint][flags u8][rid uvarint][ncols uvarint][values...]
+//	[lsn uvarint][flags u8][rid uvarint][ncols uvarint][values...]
 //
-// seq is a store-global monotone sequence stamped at write time. Strict
-// 2PL serializes conflicting writers of one rid, so per-rid seq order
-// equals commit order and recovery keeps the highest-seq record per rid
-// — no timestamps on disk. flags bit0 marks a delete tombstone (no
-// values follow): the record that keeps a delete durable after the WAL
-// records covering it are truncated, while the deleted row's data
-// record must remain for older snapshots.
+// lsn is the LSN of the commit that wrote the record, ARIES's page LSN
+// taken to record level. Strict 2PL orders one rid's commits by LSN and a
+// commit writes one record per rid (pageWriteThrough), so recovery keeps
+// the highest-LSN record per rid and redoes only what lies above it.
+// flags bit0 marks a delete tombstone (no values follow): the record that
+// keeps a delete durable after the WAL records covering it are truncated,
+// while the deleted row's data record must remain for older snapshots.
 //
 // A record is erased (slot freed) only when nothing can ever need it
 // again: its in-memory version was pruned below the GC watermark, its
@@ -90,7 +90,7 @@ const recFlagTomb = 1 << 0
 
 // pageRecord is one decoded record (recovery scan and reads).
 type pageRecord struct {
-	seq  uint64
+	lsn  uint64
 	rid  int64
 	tomb bool
 	img  rowImage
@@ -98,8 +98,8 @@ type pageRecord struct {
 
 // encodeRecord serializes one record onto buf: a row's values are its
 // image's cells, as they are.
-func encodeRecord(buf *bytes.Buffer, seq uint64, rid int64, tomb bool, row rowImage) {
-	writeUvarint(buf, seq)
+func encodeRecord(buf *bytes.Buffer, lsn uint64, rid int64, tomb bool, row rowImage) {
+	writeUvarint(buf, lsn)
 	flags := byte(0)
 	if tomb {
 		flags |= recFlagTomb
@@ -118,7 +118,7 @@ func decodeRecordBytes(p []byte) (pageRecord, bool) {
 	var rec pageRecord
 	rd := byteReader{b: p}
 	var ok bool
-	if rec.seq, ok = rd.uvarint(); !ok {
+	if rec.lsn, ok = rd.uvarint(); !ok {
 		return rec, false
 	}
 	flags, ok := rd.u8()
@@ -402,12 +402,12 @@ func (h *pagedHeap) insert(f *pager.Frame, rec []byte, row rowImage) (slot int, 
 	return slot, ok
 }
 
-// writeRow appends one record for rid (row data, or a tombstone) and
-// returns its location. The heap lock is held across the encoding and the
-// page search, so concurrent committers of the same table serialize on
+// writeRow appends one record for rid (row data, or a tombstone) of the
+// commit of group lsn and returns its location. The heap lock is held
+// across the encoding and the page search, so concurrent committers of the same table serialize on
 // page choice and share the encode and compaction buffers — different
 // tables proceed in parallel.
-func (h *pagedHeap) writeRow(rid int64, row rowImage, tomb bool) (pageLoc, error) {
+func (h *pagedHeap) writeRow(rid int64, row rowImage, tomb bool, lsn uint64) (pageLoc, error) {
 	if h.dropped.Load() {
 		return 0, nil // table dropped mid-commit: version is unreachable anyway
 	}
@@ -419,7 +419,7 @@ func (h *pagedHeap) writeRow(rid int64, row rowImage, tomb bool) (pageLoc, error
 	if tomb {
 		row = noRow
 	}
-	encodeRecord(&h.enc, h.store.nextSeq.Add(1), rid, tomb, row)
+	encodeRecord(&h.enc, lsn, rid, tomb, row)
 	rec := h.enc.Bytes()
 	if maxRec := pageSize - pageHdrSize - slotDirEntry; len(rec) > maxRec {
 		return 0, fmt.Errorf("sqldb: row %d of table id %d encodes to %d bytes, exceeding the %d-byte page record limit", rid, h.tableID, len(rec), maxRec)
@@ -553,13 +553,6 @@ func (h *pagedHeap) erase(loc pageLoc) {
 			h.inFill[pid] = true
 		}
 		h.mu.Unlock()
-	}
-}
-
-// eraseAll erases a batch of locations (GC prune output).
-func (h *pagedHeap) eraseAll(locs []pageLoc) {
-	for _, loc := range locs {
-		h.erase(loc)
 	}
 }
 

@@ -388,7 +388,7 @@ func FuzzPageImage(f *testing.F) {
 	for _, h := range hostilePages(img) {
 		f.Add(h.img)
 	}
-	meta := &pagedMeta{gen: 3, ckptLSN: 41, nextSeq: 900, nextTableID: 2, pageSize: 512, tables: []metaTable{
+	meta := &pagedMeta{gen: 3, ckptLSN: 41, nextTableID: 2, pageSize: 512, tables: []metaTable{
 		{tableID: 1, autoHigh: 1 << 40, ddl: "CREATE TABLE t (k INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)", indexes: []string{"CREATE INDEX byv ON t (v)"}},
 		{tableID: 2, ddl: "CREATE TABLE u (x INTEGER)", indexes: []string{}},
 	}}
@@ -398,7 +398,7 @@ func FuzzPageImage(f *testing.F) {
 	}
 	f.Add(metaImg)
 	// The older layouts are sealed but foreign: refused, not misread.
-	for _, old := range [][]byte{oldLayoutMeta(meta), unmarkedLayoutMeta(meta)} {
+	for _, old := range [][]byte{oldLayoutMeta(meta), unmarkedLayoutMeta(meta), seqLayoutMeta(meta)} {
 		if _, ok := decodeMeta(old); ok || !metaSealed(old) {
 			f.Fatalf("the older meta layout %q is not a sealed, refused image", old[:4])
 		}
@@ -516,7 +516,7 @@ func TestPagedSlotReuseServesNewRow(t *testing.T) {
 	h := heapOf(t, db, "t")
 	var locs []pageLoc
 	for i := int64(0); i < 3; i++ {
-		loc, err := h.writeRow(i, imageOf(allTypesRow(i)), false)
+		loc, err := h.writeRow(i, imageOf(allTypesRow(i)), false, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -535,7 +535,7 @@ func TestPagedSlotReuseServesNewRow(t *testing.T) {
 	}
 	// A tombstone takes the slot next: it must not be served as a row, nor
 	// leave the old one behind.
-	loc, err := h.writeRow(7, noRow, true)
+	loc, err := h.writeRow(7, noRow, true, 1)
 	if err != nil || loc != locs[1] {
 		t.Fatalf("tombstone landed at %+v (err %v), want the freed %+v", loc, err, locs[1])
 	}
@@ -543,7 +543,7 @@ func TestPagedSlotReuseServesNewRow(t *testing.T) {
 		t.Fatal("a tombstone's slot carries a row")
 	}
 	h.erase(loc)
-	loc, err = h.writeRow(8, imageOf(allTypesRow(8)), false)
+	loc, err = h.writeRow(8, imageOf(allTypesRow(8)), false, 1)
 	if err != nil || loc != locs[1] {
 		t.Fatalf("new row landed at %+v (err %v), want the freed %+v", loc, err, locs[1])
 	}
@@ -575,7 +575,7 @@ func TestPagedEvictReloadDecodesEqualRow(t *testing.T) {
 	written := make([]rowImage, rows)
 	for i := range locs {
 		written[i] = imageOf(allTypesRow(int64(i)))
-		loc, err := h.writeRow(int64(i), written[i], false)
+		loc, err := h.writeRow(int64(i), written[i], false, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -262,7 +262,7 @@ func (db *DB) ApplyCommitted(run []byte) error {
 		}
 	}
 	for i, lsn := range lsns {
-		if err := db.applyGroup(lsn, groups[i], false); err != nil {
+		if err := db.applyGroup(lsn, groups[i], nil); err != nil {
 			// Leave the failed group (and any after it) registered: a
 			// checkpoint wedging below an unapplied durable LSN is safe;
 			// truncating its records away would not be.
@@ -288,11 +288,7 @@ func (db *DB) ApplyCommitted(run []byte) error {
 // catalog is applyDDL's to say, so the first one ends the row checks, and
 // past it the redo's own checks, after the append, are what stand.
 func (db *DB) checkRun(groups [][]walRecord) error {
-	type slot struct {
-		tbl *table
-		rid int64
-	}
-	var live map[slot]bool
+	live := make(map[rowKey]bool)
 	ddl := false
 	for _, recs := range groups {
 		for i := range recs {
@@ -316,20 +312,17 @@ func (db *DB) checkRun(groups [][]walRecord) error {
 			if ddl {
 				continue
 			}
-			tbl, err := db.redoTable(r.tableID, false)
+			tbl, err := db.redoTable(r.tableID)
 			if err != nil {
 				return err
 			}
-			k := slot{tbl, r.rid}
+			k := rowKey{tbl, r.rid}
 			was, seen := live[k]
 			if !seen {
 				was = tbl.isLive(r.rid)
 			}
-			if _, err := rowRule(r.op, was, false); err != nil {
+			if err := rowRule(r.op, was); err != nil {
 				return tbl.refused(err, r.rid)
-			}
-			if live == nil {
-				live = make(map[slot]bool)
 			}
 			live[k] = r.op != walDelete
 		}
@@ -349,27 +342,11 @@ func (db *DB) checkRun(groups [][]walRecord) error {
 // epochs — cached plans are invalidated by redone CREATE/DROP INDEX/TABLE
 // exactly as they are by local DDL (plancache.go).
 //
-// mayContain says the state being applied onto may already hold some of
-// the group's effects. That is true of exactly one input — a log tail redone
-// over a page image, because a fuzzy checkpoint also flushes pages dirtied
-// by commits above its LSN — and there every record converges (rowRule): an
-// insert onto a live row is an upsert; an update or a delete of a missing
-// row, a record of a table a DROP removed (redoTable) and DDL whose effect
-// is present are no-ops. Everywhere else (a log-only recovery, a follower)
-// the log is the whole history and those same situations are errors.
-//
-// An update logs only the columns it changed, so it cannot upsert; why
-// skipping it is right: a delta is a set of blind column writes, so
-// replaying deltas in log order over any image at or after the checkpoint
-// leaves each column with its last logged write — the right value. At redo
-// time a row can be missing from such an image only if a later logged
-// delete removed it: a row inserted before the checkpoint is in every
-// state from the checkpoint on until it is deleted, and if the row's insert
-// came after the checkpoint, that insert is earlier in the log than the
-// update and recreates the row first. Whatever the skipped update would
-// have written, that delete removes. Neither page LSNs nor full row images
-// after the checkpoint are needed.
-func (db *DB) applyGroup(lsn uint64, recs []walRecord, mayContain bool) error {
+// Every record is held to the strict rules (redoTable, redoDDL, rowRule):
+// the log is the whole history. im is the one exception, a log tail
+// redone over a loaded page image (nil everywhere else): what the image
+// already holds is skipped, by the rule in im.skips.
+func (db *DB) applyGroup(lsn uint64, recs []walRecord, im *redoImage) error {
 	var versions []stampEntry
 	var gcs []gcRecord
 	wm := db.watermark.Load()
@@ -378,6 +355,7 @@ func (db *DB) applyGroup(lsn uint64, recs []walRecord, mayContain bool) error {
 		var tbl *table
 		var v *rowVersion
 		var orphaned []gcEntry
+		var skip bool
 		var err error
 		switch r.op {
 		case walDDL:
@@ -386,15 +364,21 @@ func (db *DB) applyGroup(lsn uint64, recs []walRecord, mayContain bool) error {
 				return fmt.Errorf("bad DDL %q at lsn %d: %w", r.sql, lsn, err)
 			}
 			db.mu.Lock()
-			err = db.redoDDL(r, stmt, mayContain)
-			db.mu.Unlock()
-		case walInsert, walUpdate:
-			if tbl, err = db.redoTable(r.tableID, mayContain); tbl != nil {
-				v, orphaned, err = tbl.applyWrite(r, wm, mayContain)
+			if skip, err = im.skips(db, r, stmt, lsn); !skip && err == nil {
+				err = db.redoDDL(r, stmt)
 			}
-		case walDelete:
-			if tbl, err = db.redoTable(r.tableID, mayContain); tbl != nil {
-				v, orphaned, err = tbl.remove(r.rid, 0, wm, mayContain)
+			db.mu.Unlock()
+		case walInsert, walUpdate, walDelete:
+			if skip, err = im.skips(db, r, nil, lsn); skip || err != nil {
+				break
+			}
+			if tbl, err = db.redoTable(r.tableID); err != nil {
+				break
+			}
+			if r.op == walDelete {
+				v, orphaned, err = tbl.remove(r.rid, 0, wm)
+			} else {
+				v, orphaned, err = tbl.applyWrite(r, wm)
 			}
 		default:
 			err = fmt.Errorf("unexpected record op %d at lsn %d", r.op, lsn)
@@ -403,7 +387,7 @@ func (db *DB) applyGroup(lsn uint64, recs []walRecord, mayContain bool) error {
 			return err
 		}
 		if v == nil {
-			continue // DDL, a dropped table's record, or an update or delete of a row the image no longer holds
+			continue // DDL, or a record the image already holds
 		}
 		versions = append(versions, stampEntry{v: v, tbl: tbl, rid: r.rid})
 		if v.isTomb() || len(orphaned) > 0 {
@@ -413,21 +397,104 @@ func (db *DB) applyGroup(lsn uint64, recs []walRecord, mayContain bool) error {
 	// Paged storage: write the group's versions through to heap pages
 	// before stamping (same ordering argument as the leader commit path;
 	// groups apply in LSN order, so same-rid records land in commit order).
-	db.pageWriteThrough(versions)
+	db.pageWriteThrough(versions, lsn)
 	db.stamp(versions, gcs, lsn)
 	return nil
 }
 
-// redoTable resolves the table id of a logged insert, update or delete.
-// Under mayContain an id assigned before but gone names a table a DROP
-// removed — in the image, or further down the tail — so the record is
-// skipped (nil, nil); everywhere else the log names only live tables.
-func (db *DB) redoTable(id uint64, mayContain bool) (*table, error) {
+// ErrLostRow refuses to open a paged store whose crash image lost a
+// committed row: the tail updates a row no page record holds and no earlier
+// tail write made, and an update logs only the columns it changed.
+var ErrLostRow = errors.New("sqldb: recovery: a committed row is missing from the page image")
+
+// redoImage is what a log tail redone over a loaded page image knows of
+// it: the checkpoint's table id counter, each rid's winning record, and
+// the updates skips held, with their LSNs.
+type redoImage struct {
+	nextTableID uint32
+	winners     map[uint32]map[int64]diskRec
+	held        map[rowKey]uint64
+}
+
+// rowKey names a row by its table and rid.
+type rowKey struct {
+	tbl *table
+	rid int64
+}
+
+// skips reports whether record r of group lsn is already in the image, so
+// the redo passes it by; a nil im never skips. stmt is a DDL record's
+// statement, and the caller then holds db.mu. The image holds:
+//   - a row write at or below its rid's winning record's LSN: that record
+//     is the row as this commit or a later one left it;
+//   - a delete that finds no row: its data record's erasure reached the
+//     disk before its tombstone;
+//   - a record on a table id the checkpoint's catalog covers (at most
+//     nextTableID) whose effect is there: the catalog changes before a
+//     DDL's commit record lands, and a checkpoint may fall in between.
+//
+// An update that finds no row is skipped and held: a later delete of the
+// rid clears it, and one held at the end is a lost row (lost). The rest
+// apply strictly. A skipped write still raises the autoincrement mark.
+func (im *redoImage) skips(db *DB, r *walRecord, stmt Statement, lsn uint64) (bool, error) {
+	if im == nil {
+		return false, nil
+	}
+	tbl := db.tableByID(r.tableID)
+	covered := r.tableID != 0 && r.tableID <= uint64(im.nextTableID)
+	switch s := stmt.(type) {
+	case nil:
+	case *CreateTableStmt:
+		return covered, nil
+	case *CreateIndexStmt:
+		return covered && (tbl == nil || tbl.findIndex(s.Index.Name) != nil), nil
+	case *DropTableStmt:
+		return covered && tbl == nil, nil
+	case *DropIndexStmt:
+		return covered && (tbl == nil || tbl.findIndex(s.Name) == nil), nil
+	default:
+		return false, nil
+	}
+	if tbl == nil {
+		return covered, nil
+	}
+	winner := im.winners[tbl.tableID][r.rid].lsn
+	k := rowKey{tbl, r.rid}
+	switch {
+	case r.op == walDelete:
+		delete(im.held, k)
+		return lsn <= winner || !tbl.isLive(r.rid), nil
+	case lsn <= winner:
+	case r.op == walUpdate && !tbl.isLive(r.rid):
+		im.held[k] = lsn
+	default:
+		return false, nil
+	}
+	_, err := tbl.loggedRow(r, noRow)
+	return err == nil, err
+}
+
+// lost refuses a redo that ends with an update held, naming the held row
+// of the lowest LSN (and rid).
+func (im *redoImage) lost() error {
+	if im == nil || len(im.held) == 0 {
+		return nil
+	}
+	var first rowKey
+	for k, lsn := range im.held {
+		if first.tbl == nil || lsn < im.held[first] || lsn == im.held[first] && k.rid < first.rid {
+			first = k
+		}
+	}
+	return fmt.Errorf("%w: rid %d of %s, updated at lsn %d (rows lost: %d)",
+		ErrLostRow, first.rid, first.tbl.schema.Name, im.held[first], len(im.held))
+}
+
+// redoTable resolves the table id of a logged insert, update or delete:
+// the log names only live tables.
+func (db *DB) redoTable(id uint64) (*table, error) {
 	if tbl := db.tableByID(id); tbl != nil {
 		return tbl, nil
-	}
-	if mayContain && id != 0 && id <= uint64(db.nextTableID.Load()) {
-		return nil, nil
 	}
 	return nil, fmt.Errorf("sqldb: no table with id %d", id)
 }
@@ -442,41 +509,16 @@ func ddlID(r *walRecord) (uint32, error) {
 
 // redoDDL applies a logged DDL record, stmt parsed from its text. Caller
 // holds db.mu. The record's table id, never the statement's names, says
-// what is present. Strictly, a CREATE TABLE must bring an id never
-// assigned — ids are assigned in log order — and every statement applies
-// as logged. Under mayContain a statement whose effect is present is
-// skipped: the tail overlaps the checkpoint (DDL mutates the catalog before
-// its commit record lands, so a checkpoint between the two snapshots the
-// new schema while the record survives truncation). There a CREATE TABLE
-// whose id was assigned before has made its table (which may since be
-// dropped), and a statement on a table id that is gone has nothing to act
-// on.
-func (db *DB) redoDDL(r *walRecord, stmt Statement, mayContain bool) error {
+// what is present. A CREATE TABLE must bring an id never assigned — ids
+// are assigned in log order — and every statement applies as logged; what
+// a page image already holds was skipped before (redoImage.skips).
+func (db *DB) redoDDL(r *walRecord, stmt Statement) error {
 	id, err := ddlID(r)
 	if err != nil {
 		return err
 	}
-	tbl := db.tableByID(uint64(id))
-	switch s := stmt.(type) {
-	case *CreateTableStmt:
-		if id <= db.nextTableID.Load() {
-			if mayContain {
-				return nil
-			}
-			return fmt.Errorf("sqldb: CREATE TABLE reuses table id %d", id)
-		}
-	case *CreateIndexStmt:
-		if mayContain && (tbl == nil || tbl.findIndex(s.Index.Name) != nil) {
-			return nil
-		}
-	case *DropTableStmt:
-		if mayContain && tbl == nil {
-			return nil
-		}
-	case *DropIndexStmt:
-		if mayContain && (tbl == nil || tbl.findIndex(s.Name) == nil) {
-			return nil
-		}
+	if _, ok := stmt.(*CreateTableStmt); ok && id <= db.nextTableID.Load() {
+		return fmt.Errorf("sqldb: CREATE TABLE reuses table id %d", id)
 	}
 	return db.applyDDL(stmt, id, nil)
 }

@@ -14,9 +14,9 @@ import (
 // of a missing row are refused wherever the log is the whole history — a
 // follower's ApplyCommitted refuses the group before it reaches the log
 // (checkRun), and a log-only Open refuses to start over it (the redo's own
-// write and remove) — and converge over a checkpointed page image, which
-// may already hold the write's effect: the insert is an upsert, the update
-// and the delete do nothing, and the reopened store equals the leader.
+// write and remove). Over a checkpointed page image that already holds the
+// write — its own record, or a later commit's record of the rid — the write
+// is skipped by its LSN, and the reopened store equals the leader.
 func TestRedoRowRules(t *testing.T) {
 	t.Run("strict", func(t *testing.T) {
 		vfs := NewMemVFS()
@@ -83,7 +83,7 @@ func TestRedoRowRules(t *testing.T) {
 			after []string // the statements past the checkpoint
 			want  error    // what the first of them breaks, redone strictly over the image
 		}{
-			{"insert becomes an upsert", []string{`INSERT INTO r VALUES (41, 410, 'new')`}, errInsertLive},
+			{"insert already in the image is skipped", []string{`INSERT INTO r VALUES (41, 410, 'new')`}, errInsertLive},
 			{"update of a missing row does nothing", []string{`UPDATE r SET v = 99 WHERE id = 7`, `DELETE FROM r WHERE id = 7`}, errUpdateMissing},
 			{"delete of a missing row does nothing", []string{`DELETE FROM r WHERE id = 9`}, errDeleteMissing},
 		} {
@@ -95,8 +95,9 @@ func TestRedoRowRules(t *testing.T) {
 // redoOverImage runs after past a checkpoint on a paged leader, flushes
 // every page and crashes it, so the page image holds the tail's effects. It
 // checks that the image is what makes the tail's first group break want —
-// redone strictly over the image alone, the group is refused — and that the
-// crash image reopens, redoing the tail leniently, equal to the leader.
+// redone over the image alone with no record LSNs to skip by, the group is
+// refused — and that the crash image reopens, redoing the tail over the
+// image, equal to the leader.
 func redoOverImage(t *testing.T, after []string, want error) {
 	t.Helper()
 	open := func(vfs *MemVFS) (*DB, error) {
@@ -139,7 +140,7 @@ func redoOverImage(t *testing.T, after []string, want error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := image.applyGroup(tail[0].lsn, tail[0].recs, false); !errors.Is(err, want) {
+	if err := image.applyGroup(tail[0].lsn, tail[0].recs, nil); !errors.Is(err, want) {
 		t.Fatalf("the tail's first group redone strictly over the image = %v, want %q", err, want)
 	}
 	image.Close()

@@ -214,8 +214,8 @@ func (t *table) prune(s rowSlot, watermark uint64) {
 	if pruned > 0 {
 		t.pruned.Add(pruned)
 	}
-	if t.heap != nil {
-		t.heap.eraseAll(freed)
+	for _, loc := range freed {
+		t.heap.erase(loc)
 	}
 }
 
@@ -516,23 +516,20 @@ var (
 
 // rowRule is what a write of op may find in its slot, live saying whether
 // a row is there: an insert no row, an update or a delete a live one. A
-// write that finds otherwise is refused, unless mayContain (see applyGroup)
-// says the state may already hold the write's effect: then an insert onto a
-// live row is an upsert, and an update or a delete of a missing row has
-// nothing to do (apply false, no error). For the redo this is the check that
-// the log and the state it is applied onto agree; a transaction only writes
-// rows it found under their X locks, into slots it reserved.
-func rowRule(op walOp, live, mayContain bool) (apply bool, err error) {
+// write that finds otherwise is refused. For the redo this is the check
+// that the log and the state it is applied onto agree (what a page image
+// already holds never gets here: redoImage.skips); a transaction only
+// writes rows it found under their X locks, into slots it reserved.
+func rowRule(op walOp, live bool) error {
 	switch {
-	case mayContain:
 	case op == walInsert && live:
-		return false, errInsertLive
+		return errInsertLive
 	case op == walUpdate && !live:
-		return false, errUpdateMissing
+		return errUpdateMissing
 	case op == walDelete && !live:
-		return false, errDeleteMissing
+		return errDeleteMissing
 	}
-	return live || op == walInsert, nil
+	return nil
 }
 
 // refused names the row a rowRule refusal is about.
@@ -544,27 +541,23 @@ func (t *table) refused(err error, rid int64) error {
 // newest committed one, else the base (the redo's txn is 0, the id its
 // versions carry) — and holds it to rowRule. It returns rid's slot (no
 // chain head past the heap's end) and its live row (noRow when there is
-// none); apply false with no error is a write with nothing to do. Caller
-// holds the latch.
-func (t *table) find(op walOp, rid int64, txn uint64, mayContain bool) (s rowSlot, old rowImage, apply bool, err error) {
+// none). Caller holds the latch.
+func (t *table) find(op walOp, rid int64, txn uint64) (s rowSlot, old rowImage, err error) {
 	var cur *rowVersion
 	var base pageLoc
 	if s = t.rows.get(rid); s.chainHead != nil {
 		cur, base = s.currentVersion(txn)
 	}
 	live := holdsRow(cur, base)
-	if apply, err = rowRule(op, live, mayContain); !apply {
-		if err != nil {
-			err = t.refused(err, rid)
-		}
-		return s, noRow, false, err
+	if err = rowRule(op, live); err != nil {
+		return s, noRow, t.refused(err, rid)
 	}
 	if live {
 		if old = t.resolve(cur, base); old == noRow {
-			return s, noRow, false, fmt.Errorf("row %d of %s is unreadable", rid, t.schema.Name)
+			return s, noRow, fmt.Errorf("row %d of %s is unreadable", rid, t.schema.Name)
 		}
 	}
-	return s, old, true, nil
+	return s, old, nil
 }
 
 // keysMove reports whether writing row over old moves its entry under
@@ -590,8 +583,8 @@ func (t *table) push(s rowSlot, v *rowVersion, watermark uint64) *rowVersion {
 // at commit: a transaction's insert or update (txn its id; an insert's slot
 // comes from allocSlot) or the redo's (txn 0). insert says the row is new,
 // and find holds the write to rowRule. write returns the row it replaced
-// (noRow when there was none), the version (nil when there is nothing to
-// do) and the entries it orphans — the replaced row's, under every index
+// (noRow when there was none), the version and the entries it orphans —
+// the replaced row's, under every index
 // whose key moved — for commit-ordered GC, since older snapshots still
 // need them. A transaction's unique checks run here, under the same
 // exclusive latch as the entry inserts; the redo's writer already passed
@@ -604,20 +597,20 @@ func (t *table) push(s rowSlot, v *rowVersion, watermark uint64) *rowVersion {
 // structural changes (slice growth, index entries and builds), which take
 // it exclusively. Concurrent disjoint-row writers never serialize on the
 // table.
-func (t *table) write(rid int64, row rowImage, insert bool, txn, watermark uint64, mayContain bool) (rowImage, *rowVersion, []gcEntry, error) {
+func (t *table) write(rid int64, row rowImage, insert bool, txn, watermark uint64) (rowImage, *rowVersion, []gcEntry, error) {
 	op := walInsert
 	if !insert {
 		op = walUpdate
 		t.latch.RLock()
-		s, old, apply, err := t.find(op, rid, txn, mayContain)
-		if apply && !t.keysMove(old, row) {
+		s, old, err := t.find(op, rid, txn)
+		if err == nil && !t.keysMove(old, row) {
 			t.raiseAuto(&t.autoIssued, row)
 			v := t.push(s, &rowVersion{data: row, txn: txn}, watermark)
 			t.latch.RUnlock()
 			return old, v, nil, nil
 		}
 		t.latch.RUnlock()
-		if !apply {
+		if err != nil {
 			return noRow, nil, nil, err
 		}
 	}
@@ -626,8 +619,8 @@ func (t *table) write(rid int64, row rowImage, insert bool, txn, watermark uint6
 	// update's first look: an index could have come or gone in between).
 	t.latch.Lock()
 	defer t.latch.Unlock()
-	s, old, apply, err := t.find(op, rid, txn, mayContain)
-	if !apply {
+	s, old, err := t.find(op, rid, txn)
+	if err != nil {
 		return noRow, nil, nil, err
 	}
 	var orphaned []gcEntry
@@ -663,14 +656,14 @@ func (t *table) write(rid int64, row rowImage, insert bool, txn, watermark uint6
 
 // remove pushes a delete tombstone onto rid's chain — a transaction's (txn
 // its id) or the redo's (txn 0) — held to rowRule like write. It returns the
-// tombstone (nil when there is nothing to delete) and the row's entry under
-// every index, for GC once no snapshot can see the row: the entries and the
+// tombstone and the row's entry under every index, for GC once no
+// snapshot can see the row: the entries and the
 // slot stay until then, and a rollback simply pops the tombstone.
-func (t *table) remove(rid int64, txn, watermark uint64, mayContain bool) (*rowVersion, []gcEntry, error) {
+func (t *table) remove(rid int64, txn, watermark uint64) (*rowVersion, []gcEntry, error) {
 	t.latch.RLock()
 	defer t.latch.RUnlock()
-	s, old, apply, err := t.find(walDelete, rid, txn, mayContain)
-	if !apply {
+	s, old, err := t.find(walDelete, rid, txn)
+	if err != nil {
 		return nil, nil, err
 	}
 	entries := make([]gcEntry, 0, len(t.indexes))
@@ -872,35 +865,43 @@ func (t *table) pagedPlace(rid int64, row rowImage, loc pageLoc) {
 	}
 }
 
-// applyWrite redoes one logged insert or update as write with txn 0. The
-// row image is the record's, or for an update the current row with the
-// record's changed columns laid over it; a missing or unreadable row is for
-// write to judge. A recycled slot still holding a tombstone chain gets the
-// new version pushed on top, so an old snapshot keeps seeing its
-// tombstoned past. Every logged write was committed, so its AUTOINCREMENT
-// values raise autoHigh even where write has nothing to do: an update of a
-// row a later delete removed from a page image still stored its values.
-func (t *table) applyWrite(r *walRecord, watermark uint64, mayContain bool) (*rowVersion, []gcEntry, error) {
+// applyWrite redoes one logged insert or update as write with txn 0, the
+// row loggedRow makes of the record over the current row; a missing or
+// unreadable row is for write to judge. A recycled slot still holding a
+// tombstone chain gets the new version pushed on top, so an old snapshot
+// keeps seeing its tombstoned past.
+func (t *table) applyWrite(r *walRecord, watermark uint64) (*rowVersion, []gcEntry, error) {
+	row, err := t.loggedRow(r, t.currentRow(r.rid, 0))
+	if err != nil {
+		return nil, nil, err
+	}
+	_, v, orphaned, err := t.write(r.rid, row, r.op == walInsert, 0, watermark)
+	return v, orphaned, err
+}
+
+// loggedRow is the row a logged insert or update writes: an insert's
+// image, or an update's changed columns over old (over NULLs if noRow).
+// The row raises autoHigh, whether or not the redo writes it: every
+// logged write was committed. A width not the table's is refused: the
+// index code reads a row by column position, and a shipped record is
+// input from outside.
+func (t *table) loggedRow(r *walRecord, old rowImage) (rowImage, error) {
 	width := r.img.width()
 	if r.op == walUpdate {
 		width = r.cols
 	}
 	if width != len(t.schema.Columns) {
-		// The index code reads a row by column position, and a shipped
-		// record is input from outside.
-		return nil, nil, fmt.Errorf("redo: row %d of %s has %d values, the table has %d columns", r.rid, t.schema.Name, width, len(t.schema.Columns))
+		return noRow, fmt.Errorf("redo: row %d of %s has %d values, the table has %d columns", r.rid, t.schema.Name, width, len(t.schema.Columns))
 	}
 	row := r.img
 	if r.op == walUpdate {
-		old := t.currentRow(r.rid, 0)
 		if old == noRow {
-			old = imageOf(make([]Value, width)) // its changed columns over NULLs
+			old = imageOf(make([]Value, width))
 		}
 		row = applyDelta(old, r)
 	}
 	t.raiseAuto(&t.autoHigh, row)
-	_, v, orphaned, err := t.write(r.rid, row, r.op == walInsert, 0, watermark, mayContain)
-	return v, orphaned, err
+	return row, nil
 }
 
 // applyDelta is the row an update record makes of old: old with each

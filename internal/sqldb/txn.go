@@ -722,12 +722,12 @@ func (tx *Tx) CommitContext(ctx context.Context) error {
 		}
 	}
 	// Paged storage: write each version's row through to its table's heap
-	// pages before stamping. The transaction still holds its row X locks,
-	// so same-rid record sequence order equals commit order; the stamp's
-	// release/acquire on begin publishes loc to every future reader. This
-	// runs even when the WAL sync failed (the engine stamps such commits —
-	// the group may be durable), keeping pages coherent with memory.
-	db.pageWriteThrough(tx.versions)
+	// pages, as a record carrying the group's LSN, before stamping. The
+	// transaction still holds its row X locks, so same-rid record LSN order
+	// is commit order; the stamp's release/acquire on begin publishes loc to
+	// every future reader. This runs even when the WAL sync failed (the
+	// engine stamps such commits — the group may be durable).
+	db.pageWriteThrough(tx.versions, lsn)
 	wrote := len(tx.versions) > 0
 	if wrote {
 		db.stamp(tx.versions, tx.gcPend, 0)
@@ -803,7 +803,7 @@ func (tx *Tx) insertRow(tbl *table, row rowImage) (int64, error) {
 		tbl.releaseSlot(rid)
 		return 0, err
 	}
-	_, ver, _, err := tbl.write(rid, row, true, tx.id, tx.db.watermark.Load(), false)
+	_, ver, _, err := tbl.write(rid, row, true, tx.id, tx.db.watermark.Load())
 	if err != nil {
 		tbl.releaseSlot(rid)
 		return 0, err
@@ -822,7 +822,7 @@ func (tx *Tx) deleteRow(tbl *table, rid int64) error {
 			return err
 		}
 	}
-	tomb, orphans, err := tbl.remove(rid, tx.id, tx.db.watermark.Load(), false)
+	tomb, orphans, err := tbl.remove(rid, tx.id, tx.db.watermark.Load())
 	if err != nil {
 		return err
 	}
@@ -840,7 +840,7 @@ func (tx *Tx) updateRow(tbl *table, rid int64, newRow rowImage) error {
 			return err
 		}
 	}
-	old, ver, orphans, err := tbl.write(rid, newRow, false, tx.id, tx.db.watermark.Load(), false)
+	old, ver, orphans, err := tbl.write(rid, newRow, false, tx.id, tx.db.watermark.Load())
 	if err != nil {
 		return err
 	}

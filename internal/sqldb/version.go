@@ -201,9 +201,11 @@ func (s rowSlot) absorbSole(v *rowVersion, watermark uint64) bool {
 // past the clip point keep their references alive through ordinary GC.
 // Under paged storage the unlinked versions' page records, and the old
 // base's, are dead too (nothing references them, and the surviving newer
-// record — on disk or covered by the WAL tail — shadows them at
-// recovery); their locations are appended to freed and returned for the
-// caller to erase (table.prune). pruned counts them, the base as one
+// record shadows them at recovery once its page is on disk: an update
+// logs a delta, so a crash image with the erasure and without the
+// survivor has lost the row, and Open refuses it with ErrLostRow); their
+// locations are appended to freed and returned for the caller to erase
+// (table.prune). pruned counts them, the base as one
 // version.
 func (s rowSlot) pruneBelow(watermark uint64, freed []pageLoc) (uint64, []pageLoc) {
 	link := &s.head

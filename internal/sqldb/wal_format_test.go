@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"condorj2/internal/sqldb/pager"
 )
 
 // goldenLog is the log TestLogGoldenBytes has the engine write: a DDL, an
@@ -193,13 +195,38 @@ func sealMeta(body []byte) []byte {
 	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, metaCRC))
 }
 
+// oldLayoutSeq stands in the older meta layouts for the record sequence
+// counter they carried, which no layout since has.
+const oldLayoutSeq = 900
+
+// seqLayoutMeta encodes m in the meta layout whose page records carried a
+// store-global sequence number where they carry their commit's LSN now,
+// under that layout's magic: a store written before that change holds it.
+func seqLayoutMeta(m *pagedMeta) []byte {
+	var buf bytes.Buffer
+	buf.WriteString("cj2o")
+	for _, u := range []uint64{m.gen, m.ckptLSN, oldLayoutSeq, uint64(m.nextTableID), uint64(m.pageSize), uint64(len(m.tables))} {
+		writeUvarint(&buf, u)
+	}
+	for _, mt := range m.tables {
+		writeUvarint(&buf, uint64(mt.tableID))
+		writeUvarint(&buf, uint64(mt.autoHigh))
+		writeString(&buf, mt.ddl)
+		writeUvarint(&buf, uint64(len(mt.indexes)))
+		for _, ix := range mt.indexes {
+			writeString(&buf, ix)
+		}
+	}
+	return sealMeta(buf.Bytes())
+}
+
 // oldLayoutMeta encodes m in the meta layout that carried a statistics
 // byte per table, under that layout's magic: the image a store written
 // before the planner dropped stored statistics holds.
 func oldLayoutMeta(m *pagedMeta) []byte {
 	var buf bytes.Buffer
 	buf.WriteString("cj2m")
-	for _, u := range []uint64{m.gen, m.ckptLSN, m.nextSeq, uint64(m.nextTableID), uint64(m.pageSize), uint64(len(m.tables))} {
+	for _, u := range []uint64{m.gen, m.ckptLSN, oldLayoutSeq, uint64(m.nextTableID), uint64(m.pageSize), uint64(len(m.tables))} {
 		writeUvarint(&buf, u)
 	}
 	for _, mt := range m.tables {
@@ -219,7 +246,7 @@ func oldLayoutMeta(m *pagedMeta) []byte {
 func unmarkedLayoutMeta(m *pagedMeta) []byte {
 	var buf bytes.Buffer
 	buf.WriteString("cj2n")
-	for _, u := range []uint64{m.gen, m.ckptLSN, m.nextSeq, uint64(m.nextTableID), uint64(m.pageSize), uint64(len(m.tables))} {
+	for _, u := range []uint64{m.gen, m.ckptLSN, oldLayoutSeq, uint64(m.nextTableID), uint64(m.pageSize), uint64(len(m.tables))} {
 		writeUvarint(&buf, u)
 	}
 	for _, mt := range m.tables {
@@ -276,6 +303,13 @@ func TestForeignCheckpointMetaIsRefused(t *testing.T) {
 				t.Fatal("the engine's own meta does not decode")
 			}
 			return unmarkedLayoutMeta(m)
+		},
+		"layout with a record sequence counter": func(img []byte) []byte {
+			m, ok := decodeMeta(img)
+			if !ok {
+				t.Fatal("the engine's own meta does not decode")
+			}
+			return seqLayoutMeta(m)
 		},
 	} {
 		for _, pages := range []int{0, 64} {
@@ -381,10 +415,13 @@ func TestOpenTornFirstGroup(t *testing.T) {
 // lenient and what it leaves strict. A paged leader checkpoints, updates a
 // row and deletes it; the pages holding the delete reach the disk, the
 // checkpoint meta does not move, and the leader crashes. The reopen redoes
-// the tail over that image: the update finds its row gone and is skipped,
-// and the store matches the leader. A follower, whose log is the whole
+// the tail over that image: the update lies below the tombstone's LSN and
+// is skipped, and the store matches the leader. A follower, whose log is the whole
 // history, must refuse the same update of a row it never had — and leave
-// its log as it was.
+// its log as it was. The order a delete's page effects reach the disk in is
+// harmless too: when a row is updated and deleted, and the erasures of its
+// data records are written while its tombstone is not, the reopen finds no
+// row to update or delete, and it matches the leader.
 func TestDeltaRedoLeniency(t *testing.T) {
 	vfs := NewMemVFS()
 	open := func() *DB {
@@ -446,4 +483,42 @@ func TestDeltaRedoLeniency(t *testing.T) {
 	if after, _ := follower.wal.vfs.ReadFile("test.wal"); !bytes.Equal(before, after) {
 		t.Fatal("the refused group reached the follower's log")
 	}
+
+	t.Run("erasures on disk, tombstone not", func(t *testing.T) {
+		vfs := NewMemVFS()
+		leader := openPagedOpts(t, vfs, 8, 1024)
+		mustExec(t, leader, `CREATE TABLE d (id INTEGER PRIMARY KEY, a INTEGER, b TEXT)`)
+		for i := 1; i <= 40; i++ {
+			mustExec(t, leader, `INSERT INTO d VALUES (?, ?, ?)`, i, i*10, strings.Repeat("v", 20))
+		}
+		if err := leader.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := leader.lookupTable("d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := tbl.slot(6).loadBase()
+		snap, err := leader.BeginReadOnly() // no prune until the tombstone is read
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, leader, `UPDATE d SET a = 71 WHERE id = 7`)
+		mustExec(t, leader, `DELETE FROM d WHERE id = 7`)
+		tomb, _ := tbl.slot(6).newest()
+		snap.Rollback()
+		leader.Vacuum() // erases the data records; the tombstone's waits for a checkpoint
+		if _, ok := recordAt(t, leader, tbl, data); ok || tomb == nil || tomb.loc.pid() == data.pid() {
+			t.Fatalf("want the data record of page %d erased and the tombstone on another page", data.pid())
+		}
+		if _, err := leader.store.pool.FlushPages([]pager.PageID{data.pid()}, ckptFlushBatch); err != nil {
+			t.Fatal(err)
+		}
+		want := engineState(t, "leader", leader)["d"]
+		reopened := openPagedOpts(t, restoreVFS(t, snapshotVFS(t, vfs)), 8, 1024) // the leader is abandoned
+		defer reopened.Close()
+		if got := engineState(t, "reopened", reopened)["d"]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("reopened store differs from the leader\n got: %+v\nwant: %+v", got, want)
+		}
+	})
 }
