@@ -81,10 +81,14 @@ flagdoc:
 	fi; \
 	exit $$fail
 
-# The fuzzed decoders of bytes from the network or the disk. The wire
-# codec's two against encoding/xml as the oracle: never panic, never reach
-# outside the input, agree on accept/reject and on the decoded value. The
-# frame reader of a framed connection (uvarint length, then the envelope):
+# The fuzzed decoders of bytes from the network or the disk. The wire's
+# envelope header (action, key, send stamp, budget): never panic, and an
+# accepted header names an action, encodes again to its own bytes and
+# leaves the payload aliasing the input. The payload codec, one way
+# against encoding/xml as the oracle: never panic, whatever it accepts
+# xml.Unmarshal accepts with the same value, and a value generated from
+# each input encodes as xml.Marshal does and decodes back. The frame
+# reader of a framed connection (uvarint length, then the envelope):
 # never panic, never accept a frame over the envelope bound, hand back
 # each envelope as it arrived, and grow with the bytes that arrived, not
 # with the length a frame declares. The packed-reply decoder (the reply store's, read back from the log, page

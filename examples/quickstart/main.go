@@ -31,8 +31,9 @@ func main() {
 	}
 	defer cas.Close()
 
-	// The in-process transport still serializes every exchange through
-	// XML envelopes, exactly like the HTTP path.
+	// The in-process transport still serializes every exchange as a
+	// frame's envelope (header, then XML payload), exactly like the HTTP
+	// path.
 	transport := &wire.Local{Mux: cas.Mux}
 
 	// Matchmaking is a periodic set-oriented query over the database.

@@ -1,8 +1,9 @@
 // Web services: run the real thing — a CAS HTTP server, two execute-node
-// agents speaking SOAP-style envelopes over localhost, short real jobs,
-// plus a user client querying pool state and a browser-equivalent fetch of
-// the pool web site. Everything happens in wall-clock time and finishes in
-// a few seconds.
+// agents speaking SOAP-style envelopes over localhost (each one an action
+// header and an XML payload, framed on one upgraded connection per
+// caller), short real jobs, plus a user client querying pool state and a
+// browser-equivalent fetch of the pool web site. Everything happens in
+// wall-clock time and finishes in a few seconds.
 //
 //	go run ./examples/webservices
 package main

@@ -161,14 +161,27 @@ func (e *Engine) InTx(ctx context.Context, fn func(tx *sqldb.Tx) error) error {
 	return inTx(ctx, e, fn)
 }
 
-// InReadTx runs fn inside a read-only snapshot transaction under ctx
-// (inReadTx).
+// InReadTx runs fn in one read-only snapshot transaction under ctx: every
+// query fn issues sees one consistent commit timestamp, takes no locks,
+// and never blocks — or is blocked by — concurrent writers. Deadlock
+// retry is unnecessary by construction. Writes inside fn fail.
 func (e *Engine) InReadTx(ctx context.Context, fn func(tx *sqldb.Tx) error) error {
-	return inReadTx(ctx, e, fn)
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	tx, err := e.DB.BeginTx(ctx, sqldb.TxOptions{ReadOnly: true})
+	if err != nil {
+		return err
+	}
+	defer tx.Rollback()
+	if err := fn(tx); err != nil {
+		return err
+	}
+	return tx.Commit()
 }
 
-func (e *Engine) begin(ctx context.Context, readOnly bool) (*sqldb.Tx, error) {
-	return e.DB.BeginTx(ctx, sqldb.TxOptions{ReadOnly: readOnly})
+func (e *Engine) begin(ctx context.Context) (*sqldb.Tx, error) {
+	return e.DB.BeginTx(ctx, sqldb.TxOptions{})
 }
 
 // Container supplies container-managed transactions over a pooled
@@ -184,15 +197,7 @@ func (c *Container) InTx(ctx context.Context, fn func(tx *sql.Tx) error) error {
 	return inTx(ctx, c, fn)
 }
 
-// InReadTx is Engine.InReadTx on a database/sql transaction.
-func (c *Container) InReadTx(ctx context.Context, fn func(tx *sql.Tx) error) error {
-	return inReadTx(ctx, c, fn)
-}
-
-func (c *Container) begin(ctx context.Context, readOnly bool) (*sql.Tx, error) {
-	if readOnly {
-		return c.DB.BeginTx(ctx, &sql.TxOptions{ReadOnly: true})
-	}
+func (c *Container) begin(ctx context.Context) (*sql.Tx, error) {
 	return c.DB.BeginTx(ctx, nil)
 }
 
@@ -202,9 +207,10 @@ type txn interface {
 	Rollback() error
 }
 
-// container is what both transports' containers begin transactions with.
+// container is what both transports' containers begin read-write
+// transactions with.
 type container[T txn] interface {
-	begin(ctx context.Context, readOnly bool) (T, error)
+	begin(ctx context.Context) (T, error)
 }
 
 // maxRetries bounds the deadlock retries of one InTx transaction.
@@ -223,7 +229,7 @@ func inTx[T txn](ctx context.Context, c container[T], fn func(T) error) error {
 	}
 	var lastErr error
 	for attempt := 0; attempt <= maxRetries; attempt++ {
-		tx, err := c.begin(ctx, false)
+		tx, err := c.begin(ctx)
 		if err != nil {
 			return err
 		}
@@ -242,23 +248,4 @@ func inTx[T txn](ctx context.Context, c container[T], fn func(T) error) error {
 		lastErr = err
 	}
 	return fmt.Errorf("beans: transaction retries exhausted: %w", lastErr)
-}
-
-// inReadTx runs fn in one read-only snapshot transaction: every query fn
-// issues sees one consistent commit timestamp, takes no locks, and never
-// blocks — or is blocked by — concurrent writers. Deadlock retry is
-// unnecessary by construction. Writes inside fn fail.
-func inReadTx[T txn](ctx context.Context, c container[T], fn func(T) error) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	tx, err := c.begin(ctx, true)
-	if err != nil {
-		return err
-	}
-	defer tx.Rollback()
-	if err := fn(tx); err != nil {
-		return err
-	}
-	return tx.Commit()
 }

@@ -339,11 +339,12 @@ func TestKeyedReplayIsByteIdentical(t *testing.T) {
 		if n < 2 {
 			t.Fatalf("%s: recorded %d reply frames, want at least 2", action, n)
 		}
-		var first, replay wire.Envelope
-		if err := xml.Unmarshal(rec.bodies[n-2], &first); err != nil {
+		first, err := readEnvelope(rec.bodies[n-2])
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := xml.Unmarshal(rec.bodies[n-1], &replay); err != nil {
+		replay, err := readEnvelope(rec.bodies[n-1])
+		if err != nil {
 			t.Fatal(err)
 		}
 		if replay.Action != action+"Response" || !bytes.Equal(replay.Payload, first.Payload) {
@@ -504,13 +505,52 @@ func TestHeartbeatSheddableClassifier(t *testing.T) {
 	}
 }
 
-type parked struct {
-	XMLName xml.Name `xml:"Parked"`
+type parked struct{}
+
+// frameEnvelope lays env out by hand as a frame carries it: the action and
+// the key, each uvarint(len) ‖ bytes, then Sent and Budget as uvarints,
+// then the payload.
+func frameEnvelope(env wire.Envelope) []byte {
+	b := binary.AppendUvarint(nil, uint64(len(env.Action)))
+	b = append(b, env.Action...)
+	b = binary.AppendUvarint(b, uint64(len(env.Key)))
+	b = append(b, env.Key...)
+	b = binary.AppendUvarint(b, uint64(env.Sent))
+	b = binary.AppendUvarint(b, uint64(env.Budget))
+	return append(b, env.Payload...)
+}
+
+// readEnvelope reads back what frameEnvelope lays out. The Payload
+// aliases body.
+func readEnvelope(body []byte) (*wire.Envelope, error) {
+	rest, whole := body, true
+	number := func() uint64 {
+		x, n := binary.Uvarint(rest)
+		whole = whole && n > 0
+		rest = rest[max(n, 0):]
+		return x
+	}
+	text := func() string {
+		n := number()
+		if !whole || n > uint64(len(rest)) {
+			whole = false
+			return ""
+		}
+		s := string(rest[:n])
+		rest = rest[n:]
+		return s
+	}
+	env := &wire.Envelope{Action: text(), Key: text(), Sent: int64(number()), Budget: int64(number())}
+	if !whole {
+		return nil, fmt.Errorf("envelope %q: cut short", body)
+	}
+	env.Payload = rest
+	return env, nil
 }
 
 // rawFrames is one connection to a CAS upgraded to frames, carrying
-// envelopes framed by hand: with the attributes a test sets, not the ones
-// a wire.Caller would stamp.
+// envelopes framed by hand: with the header a test sets, not the one a
+// wire.Caller would stamp.
 type rawFrames struct {
 	rwc io.ReadWriteCloser
 	br  *bufio.Reader
@@ -523,7 +563,7 @@ func dialFrames(tb testing.TB, url string) *rawFrames {
 		tb.Fatal(err)
 	}
 	req.Header.Set("Connection", "Upgrade")
-	req.Header.Set("Upgrade", "condorj2-frames")
+	req.Header.Set("Upgrade", "condorj2-frames/2")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		tb.Fatal(err)
@@ -550,8 +590,7 @@ func (f *rawFrames) exchange(raw []byte) (*wire.Envelope, error) {
 	if _, err := io.ReadFull(f.br, reply); err != nil {
 		return nil, err
 	}
-	var env wire.Envelope
-	return &env, xml.Unmarshal(reply, &env)
+	return readEnvelope(reply)
 }
 
 // TestMuxShedsStaleHeartbeats wires classifier + gate end to end: with
@@ -591,14 +630,11 @@ func TestMuxShedsStaleHeartbeats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := xml.Marshal(wire.Envelope{
+	raw := frameEnvelope(wire.Envelope{
 		Action:  ActionHeartbeat,
 		Sent:    time.Now().Add(-time.Hour).UnixMilli(),
 		Payload: payload,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	srv := httptest.NewServer(cas.Mux)
 	defer srv.Close()
 	reply, err := dialFrames(t, srv.URL).exchange(raw)

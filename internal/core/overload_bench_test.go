@@ -76,15 +76,11 @@ func BenchmarkHeartbeatOverload(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		raw, err := xml.Marshal(wire.Envelope{
+		stale[i] = frameEnvelope(wire.Envelope{
 			Action:  ActionHeartbeat,
 			Sent:    time.Now().Add(-time.Minute).UnixMilli(),
 			Payload: payload,
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		stale[i] = raw
 	}
 	local := &wire.Local{Mux: cas.Mux}
 	srv := httptest.NewServer(cas.Mux)

@@ -91,3 +91,95 @@ func TestReapSparesHealthyMachines(t *testing.T) {
 		t.Fatal("healthy machine reaped")
 	}
 }
+
+// TestReturningNodeReconciles: a machine is reaped while its node keeps
+// running a job, then the node beats again reporting the slot claimed by
+// that job. If the job is idle again, the execution is re-adopted: the
+// reply is OK, the run row is rebuilt, the job runs and the VM is claimed.
+// If the job was rematched elsewhere or is gone, the reply is RELEASE with
+// the job's id and the VM is idle.
+func TestReturningNodeReconciles(t *testing.T) {
+	ctx := context.Background()
+	// reaped returns a CAS whose machine n1 ran job 1 until it was reaped.
+	reaped := func(t *testing.T) (*CAS, *Service) {
+		cas, clk := newTestCAS(t)
+		s := cas.Service
+		if _, err := s.Submit(ctx, &SubmitRequest{Owner: "u", Count: 1, LengthSec: 600}); err != nil {
+			t.Fatal(err)
+		}
+		beat(t, s, "n1", true, idleVMs(1)...)
+		if _, err := s.ScheduleCycle(ctx); err != nil {
+			t.Fatal(err)
+		}
+		cmd := beat(t, s, "n1", false, idleVMs(1)...).Commands[0]
+		if cmd.Command != CmdMatchInfo || cmd.JobID != 1 {
+			t.Fatalf("n1 was told %+v, want MATCHINFO for job 1", cmd)
+		}
+		if _, err := s.AcceptMatch(ctx, &AcceptMatchRequest{Machine: "n1", Seq: 0, MatchID: cmd.MatchID, JobID: 1}); err != nil {
+			t.Fatal(err)
+		}
+		clk.advance(10 * time.Minute)
+		if st, err := s.ReapDeadMachines(ctx, 5*time.Minute); err != nil || st.MachinesReaped != 1 || st.JobsReleased != 1 {
+			t.Fatalf("reap: %+v, %v", st, err)
+		}
+		return cas, s
+	}
+	state := func(cas *CAS, query string) string {
+		var v string
+		if err := cas.Pool.QueryRow(query).Scan(&v); err != nil {
+			return "none: " + err.Error()
+		}
+		return v
+	}
+	running := VMStatus{Seq: 0, State: "claimed", JobID: 1}
+
+	t.Run("readopted", func(t *testing.T) {
+		cas, s := reaped(t)
+		if got := state(cas, `SELECT state FROM jobs WHERE id = 1`); got != JobIdle {
+			t.Fatalf("job after the reap: %s, want idle", got)
+		}
+		cmd := beat(t, s, "n1", false, running).Commands[0]
+		if cmd.Command != CmdOK {
+			t.Fatalf("returning node told %+v, want OK", cmd)
+		}
+		if got := state(cas, `SELECT state FROM jobs WHERE id = 1`); got != JobRunning {
+			t.Fatalf("job: %s, want running", got)
+		}
+		if got := state(cas, `SELECT vms.state FROM runs JOIN vms ON vms.id = runs.vm_id WHERE runs.job_id = 1 AND vms.machine = 'n1'`); got != VMClaimed {
+			t.Fatalf("n1's VM under the rebuilt run: %s, want claimed", got)
+		}
+	})
+	t.Run("rematched", func(t *testing.T) {
+		cas, s := reaped(t)
+		beat(t, s, "n2", true, idleVMs(1)...)
+		if _, err := s.ScheduleCycle(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := state(cas, `SELECT state FROM jobs WHERE id = 1`); got != JobMatched {
+			t.Fatalf("job after the cycle: %s, want matched to n2", got)
+		}
+		cmd := beat(t, s, "n1", false, running).Commands[0]
+		if cmd.Command != CmdRelease || cmd.JobID != 1 {
+			t.Fatalf("returning node told %+v, want RELEASE of job 1", cmd)
+		}
+		if got := state(cas, `SELECT state FROM vms WHERE machine = 'n1'`); got != VMIdle {
+			t.Fatalf("n1's VM: %s, want idle", got)
+		}
+		if got := state(cas, `SELECT state FROM jobs WHERE id = 1`); got != JobMatched {
+			t.Fatalf("job: %s, want still matched to n2", got)
+		}
+	})
+	t.Run("gone", func(t *testing.T) {
+		cas, s := reaped(t)
+		if _, err := cas.Pool.Exec(`DELETE FROM jobs WHERE id = 1`); err != nil {
+			t.Fatal(err)
+		}
+		cmd := beat(t, s, "n1", false, running).Commands[0]
+		if cmd.Command != CmdRelease || cmd.JobID != 1 {
+			t.Fatalf("returning node told %+v, want RELEASE of job 1", cmd)
+		}
+		if got := state(cas, `SELECT state FROM vms WHERE machine = 'n1'`); got != VMIdle {
+			t.Fatalf("n1's VM: %s, want idle", got)
+		}
+	})
+}

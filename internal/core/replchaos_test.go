@@ -114,10 +114,22 @@ func TestReplChaosLeaderKillPromote(t *testing.T) {
 	// The workload must exist on the follower before the leader may die,
 	// or "complete every job" is unsatisfiable. Real deployments express
 	// the same requirement as a synchronous-ack or max-lag policy.
-	waitFor(t, 15*time.Second, "submit batch to replicate", func() bool {
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		tick()
-		return follower.eng.AppliedLSN() >= leader.eng.DurableLSN()
-	})
+		if follower.eng.AppliedLSN() >= leader.eng.DurableLSN() {
+			break
+		}
+		if time.Now().After(deadline) {
+			shipMu.Lock()
+			ships := make(map[string]wire.FaultTransportStats, len(shipFaults))
+			for addr, sf := range shipFaults {
+				ships[addr] = sf.Stats()
+			}
+			shipMu.Unlock()
+			t.Fatalf("seed=%d: timed out waiting for submit batch to replicate: follower applied %d, leader durable %d (leader repl %+v, follower repl %+v, faults %+v, shipping faults %+v)",
+				seed, follower.eng.AppliedLSN(), leader.eng.DurableLSN(), leader.repl.Stats(), follower.repl.Stats(), ft.Stats(), ships)
+		}
+	}
 
 	stopAgents := startAgents(t, 3, ft)
 

@@ -396,6 +396,26 @@ func TestExpressionsAndFunctions(t *testing.T) {
 			t.Fatalf("expr %d = %v, want %v", c.i, r[c.i].Go(), c.want)
 		}
 	}
+
+	// Unary minus over a column, which the parser cannot fold: an INTEGER,
+	// a FLOAT and a NULL.
+	jobs := newJobsDB(t)
+	mustExec(t, jobs, `INSERT INTO jobs (owner, runtime, priority) VALUES ('a', 7, 2.5), ('b', NULL, 0.5)`)
+	rows = mustQuery(t, jobs, `SELECT -runtime, -priority FROM jobs ORDER BY owner`)
+	if got := fmt.Sprint(rows.Data[0][0].Go(), rows.Data[0][1].Go()); got != "-7 -2.5" {
+		t.Fatalf("-runtime, -priority of a = %s, want -7 -2.5", got)
+	}
+	if !rows.Data[1][0].IsNull() {
+		t.Fatalf("-runtime of NULL = %v, want NULL", rows.Data[1][0].Go())
+	}
+	for sql, want := range map[string]string{
+		`SELECT -'a'`:  "cannot negate",
+		`SELECT NOT 1`: "NOT requires BOOLEAN",
+	} {
+		if _, err := db.Query(sql); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want %q", sql, err, want)
+		}
+	}
 }
 
 func TestNowUsesInjectedClock(t *testing.T) {
@@ -423,6 +443,16 @@ func TestNullThreeValuedLogic(t *testing.T) {
 	rows = mustQuery(t, db, `SELECT owner FROM jobs WHERE runtime IS NOT NULL`)
 	if rows.Len() != 1 || rows.Data[0][0].Text() != "b" {
 		t.Fatalf("IS NOT NULL = %v", rows.Data)
+	}
+	// NOT of NULL is NULL: the NULL row matches neither the comparison nor
+	// its negation.
+	rows = mustQuery(t, db, `SELECT owner, NOT (runtime > 5) FROM jobs ORDER BY owner`)
+	if !rows.Data[0][1].IsNull() || rows.Data[1][1].Go() != false {
+		t.Fatalf("NOT (runtime > 5) = %v", rows.Data)
+	}
+	rows = mustQuery(t, db, `SELECT owner FROM jobs WHERE NOT (runtime > 5)`)
+	if rows.Len() != 0 {
+		t.Fatalf("WHERE NOT (runtime > 5) = %v, want no row", rows.Data)
 	}
 }
 

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -14,52 +12,44 @@ import (
 
 // The XML codec. Every message type is compiled once, from its `xml:"…"`
 // struct tags, into a codec that appends the element straight into a
-// caller-supplied buffer and decodes it with a pull scanner over the
-// request bytes. The bytes written are those encoding/xml's Marshal
-// writes for the same value, and depend on the value alone: a stored
-// reply is kept packed (pack.go) and encoded again when it is replayed,
-// and the replay must repeat the first answer byte for byte. The decoder
-// accepts what encoding/xml's Unmarshal accepts
-// for these types: an XML declaration, comments, processing instructions,
-// CDATA, the five named and all numeric entities, self-closing and
-// unknown elements, prefixed names (matched on their local part), and
-// anything at all after the root element's end tag.
+// caller-supplied buffer and decodes it in one pass over the request
+// bytes. The bytes written are those encoding/xml's Marshal writes for
+// the same value, and depend on the value alone: a stored reply is kept
+// packed (pack.go) and encoded again when it is replayed, and the replay
+// must repeat the first answer byte for byte.
 //
-// The tag vocabulary is the one the message types use:
+// The decoder reads exactly what the encoder writes, since every payload
+// it sees was written by this package's encoder: the root element named
+// after the type, each field's element in declaration order with no space
+// between tags, and text holding only the eight character references
+// appendEscaped writes. Anything else — an XML declaration, a comment, a
+// processing instruction, CDATA, a prefixed name, a self-closing tag, an
+// attribute, an unknown or repeated element, bytes after the root — is
+// refused. What it accepts, encoding/xml's Unmarshal accepts too, with
+// the same value.
+//
+// The tag vocabulary is:
 //
 //	xml:"Name"            element (a bare field uses its own name)
 //	xml:"Name,omitempty"  element, left out when zero or empty
 //	xml:"A>B"             one <B> per item, all inside a single <A>
-//	xml:"name,attr"       attribute (also with ,omitempty)
-//	xml:",innerxml"       a []byte holding the element's raw content
-//	XMLName … xml:"Name"  names the element and makes decode insist on it
 //
 // on fields of string, bool, integer and float kinds, structs of these,
-// and slices of either. Anything else — another flag, a deeper path, a
-// pointer or map field, a type with its own XML or text marshalling —
-// fails to compile, which Typed reports when the handler is registered.
-//
-// Two things are narrower than encoding/xml: a <!DOCTYPE …> or other
-// directive is rejected rather than skipped, and characters above ASCII
-// in element and attribute names are accepted when well-formed UTF-8
-// without consulting XML's letter tables.
+// and slices of either. An element is named by its type. Anything else —
+// another flag (,attr and ,innerxml among them), an XMLName field, a
+// deeper path, a pointer or map field, a type with its own XML or text
+// marshalling — fails to compile, which Typed reports when the handler is
+// registered.
 
 // A codec encodes and decodes one struct type.
 type codec struct {
-	name   string  // element name: the XMLName tag, else the type's name
-	strict bool    // named by an XMLName tag: decode rejects any other root
-	attrs  []field // ,attr fields in declaration order
-	elems  []field // element fields in declaration order
-	inner  int     // index of the ,innerxml field, -1 if none
+	name  string  // element name: the type's name
+	elems []field // in declaration order: also the layout of the packed form (pack.go)
 
-	// packed is every field in declaration order, the ,innerxml one as a
-	// string: the layout of the packed form (pack.go). minPacked is the
-	// fewest bytes a packed value takes.
-	packed    []field
-	minPacked int
+	minPacked int // the fewest bytes a packed value takes
 }
 
-// A field is one attribute or child element of a codec's struct.
+// A field is one child element of a codec's struct.
 type field struct {
 	index  int
 	name   string
@@ -101,7 +91,7 @@ func compile(t reflect.Type, outer []reflect.Type) (*codec, error) {
 	if m := ownMarshalling(t); m != "" {
 		return bad("type has its own %s", m)
 	}
-	c := &codec{name: t.Name(), inner: -1}
+	c := &codec{name: t.Name()}
 	paths := map[string]bool{} // "parent>name" of every element, "parent>" of every parent
 	for i := 0; i < t.NumField(); i++ {
 		sf := t.Field(i)
@@ -112,43 +102,19 @@ func compile(t reflect.Type, outer []reflect.Type) (*codec, error) {
 		if sf.Anonymous {
 			return bad("embedded field %s", sf.Name)
 		}
-		name, flags, _ := strings.Cut(tag, ",")
-		if sf.Name == "XMLName" {
-			if flags != "" || !asciiName(name) {
-				return bad("XMLName tag %q is not a plain element name", tag)
-			}
-			c.name, c.strict = name, true
-			continue
+		if sf.Name == "XMLName" { // encoding/xml would name the element by it
+			return bad("field XMLName: an element is named by its type")
 		}
-		f := field{index: i, name: name}
-		var attr, inner bool
-		for flags != "" {
-			var flag string
-			flag, flags, _ = strings.Cut(flags, ",")
-			switch flag {
-			case "attr":
-				attr = true
-			case "omitempty":
-				f.omit = true
-			case "innerxml":
-				inner = true
-			default:
-				return bad("field %s: tag flag %q", sf.Name, flag)
-			}
-		}
-		ft := sf.Type
-		if inner {
-			if name != "" || attr || f.omit || c.inner >= 0 || ft != reflect.TypeFor[[]byte]() {
-				return bad("field %s: ,innerxml must stand alone on a single []byte field", sf.Name)
-			}
-			c.inner = i
-			continue
+		name, flag, _ := strings.Cut(tag, ",")
+		f := field{index: i, name: name, omit: flag == "omitempty"}
+		if flag != "" && !f.omit {
+			return bad("field %s: tag flag %q", sf.Name, flag)
 		}
 		if parent, leaf, ok := strings.Cut(name, ">"); ok {
 			if parent == "" {
 				parent = sf.Name
 			}
-			if attr || !asciiName(parent) {
+			if !asciiName(parent) {
 				return bad("field %s: path %q", sf.Name, name)
 			}
 			f.parent, f.name = parent, leaf
@@ -158,7 +124,8 @@ func compile(t reflect.Type, outer []reflect.Type) (*codec, error) {
 		if !asciiName(f.name) {
 			return bad("field %s: name %q (paths go one level deep, names are ASCII)", sf.Name, f.name)
 		}
-		if ft.Kind() == reflect.Slice && !attr {
+		ft := sf.Type
+		if ft.Kind() == reflect.Slice {
 			f.slice = true
 			ft = ft.Elem()
 		}
@@ -175,27 +142,13 @@ func compile(t reflect.Type, outer []reflect.Type) (*codec, error) {
 		case reflect.Float32, reflect.Float64:
 			f.kind, f.bits = reflect.Float64, ft.Bits()
 		case reflect.Struct:
-			if attr {
-				return bad("field %s: struct as an attribute", sf.Name)
-			}
 			elem, err := compile(ft, append(outer, t))
 			if err != nil {
 				return nil, err
 			}
-			if elem.strict {
-				return bad("field %s: XMLName on a nested element", sf.Name)
-			}
 			f.kind, f.elem = reflect.Struct, elem
 		default: // uint8 too: encoding/xml treats []byte as text, not as items
 			return bad("field %s: unsupported type %s", sf.Name, sf.Type)
-		}
-		if attr {
-			if paths["@"+f.name] {
-				return bad("field %s: duplicate attribute %q", sf.Name, f.name)
-			}
-			paths["@"+f.name] = true
-			c.attrs = append(c.attrs, f)
-			continue
 		}
 		// A name may be an element or a parent at its level, never both,
 		// and an element only once.
@@ -211,20 +164,10 @@ func compile(t reflect.Type, outer []reflect.Type) (*codec, error) {
 		}
 		paths[f.parent+">"+f.name] = true
 		c.elems = append(c.elems, f)
+		c.minPacked += f.minPacked()
 	}
 	if !asciiName(c.name) {
 		return bad("no usable element name (%q)", c.name)
-	}
-	if c.inner >= 0 && len(c.elems) > 0 {
-		return bad(",innerxml beside element fields")
-	}
-	c.packed = slices.Concat(c.attrs, c.elems)
-	if c.inner >= 0 {
-		c.packed = append(c.packed, field{index: c.inner, kind: reflect.String})
-	}
-	slices.SortFunc(c.packed, func(a, b field) int { return a.index - b.index })
-	for i := range c.packed {
-		c.minPacked += c.packed[i].minPacked()
 	}
 	return c, nil
 }
@@ -244,19 +187,13 @@ func ownMarshalling(t reflect.Type) string {
 // digits, '_', '-' and '.', not starting with a digit, '-' or '.'.
 func asciiName(s string) bool {
 	for i := 0; i < len(s); i++ {
-		if c := s[i]; c == ':' || !isNameByte(c) || i == 0 && !isNameStart(c) {
+		c := s[i]
+		letter := 'A' <= c && c <= 'Z' || 'a' <= c && c <= 'z' || c == '_'
+		if !letter && (i == 0 || !('0' <= c && c <= '9' || c == '.' || c == '-')) {
 			return false
 		}
 	}
 	return s != ""
-}
-
-func isNameStart(c byte) bool {
-	return 'A' <= c && c <= 'Z' || 'a' <= c && c <= 'z' || c == '_' || c == ':'
-}
-
-func isNameByte(c byte) bool {
-	return isNameStart(c) || '0' <= c && c <= '9' || c == '.' || c == '-'
 }
 
 // ---- encoding ----
@@ -281,31 +218,9 @@ func appendPayload(dst []byte, payload any) ([]byte, error) {
 	return c.appendElement(dst, c.name, v), nil
 }
 
-// appendStart appends the start tag of v's element, attributes included.
-func (c *codec) appendStart(dst []byte, name string, v reflect.Value) []byte {
-	dst = append(dst, '<')
-	dst = append(dst, name...)
-	for i := range c.attrs {
-		f := &c.attrs[i]
-		fv := v.Field(f.index)
-		if f.omit && isEmpty(fv) {
-			continue
-		}
-		dst = append(dst, ' ')
-		dst = append(dst, f.name...)
-		dst = append(dst, '=', '"')
-		dst = f.appendValue(dst, fv)
-		dst = append(dst, '"')
-	}
-	return append(dst, '>')
-}
-
 // appendElement appends v as an element called name.
 func (c *codec) appendElement(dst []byte, name string, v reflect.Value) []byte {
-	dst = c.appendStart(dst, name, v)
-	if c.inner >= 0 {
-		dst = append(dst, v.Field(c.inner).Bytes()...)
-	}
+	dst = appendTag(dst, "<", name)
 	open := "" // the parent element currently open, shared by adjacent fields that name it
 	for i := range c.elems {
 		f := &c.elems[i]
@@ -383,10 +298,28 @@ func isEmpty(v reflect.Value) bool {
 	return false
 }
 
-// appendEscaped appends s as XML text the way encoding/xml escapes both
-// character data and attribute values: quotes, tab, newline and carriage
-// return as numeric references, and anything outside XML's character
-// range (invalid UTF-8 included) as U+FFFD.
+// escapes are the characters encoding/xml escapes in text, each with the
+// reference it writes: the only references text holds.
+var escapes = [...]struct {
+	c   byte
+	ref string
+}{
+	{'"', "&#34;"}, {'\'', "&#39;"}, {'&', "&amp;"}, {'<', "&lt;"},
+	{'>', "&gt;"}, {'\t', "&#x9;"}, {'\n', "&#xA;"}, {'\r', "&#xD;"},
+}
+
+// escapeOf maps each ASCII byte to its reference in escapes, "" if none.
+var escapeOf = func() (m [utf8.RuneSelf]string) {
+	for _, e := range escapes {
+		m[e.c] = e.ref
+	}
+	return m
+}()
+
+// appendEscaped appends s as XML text the way encoding/xml escapes
+// character data: the characters in escapes as their references, and
+// anything outside XML's character range (invalid UTF-8 included) as
+// U+FFFD.
 func appendEscaped(dst []byte, s string) []byte {
 	last := 0
 	for i := 0; i < len(s); {
@@ -394,25 +327,11 @@ func appendEscaped(dst []byte, s string) []byte {
 		if r >= utf8.RuneSelf {
 			r, width = utf8.DecodeRuneInString(s[i:])
 		}
-		var esc string
-		switch r {
-		case '"':
-			esc = "&#34;"
-		case '\'':
-			esc = "&#39;"
-		case '&':
-			esc = "&amp;"
-		case '<':
-			esc = "&lt;"
-		case '>':
-			esc = "&gt;"
-		case '\t':
-			esc = "&#x9;"
-		case '\n':
-			esc = "&#xA;"
-		case '\r':
-			esc = "&#xD;"
-		default:
+		esc := ""
+		if r < utf8.RuneSelf {
+			esc = escapeOf[r]
+		}
+		if esc == "" {
 			if inCharacterRange(r) && (r != utf8.RuneError || width != 1) {
 				i += width
 				continue
@@ -437,8 +356,8 @@ func inCharacterRange(r rune) bool {
 
 // ---- decoding ----
 
-// decodeElement decodes the first element in data into the struct out
-// points to. A []byte ,innerxml field is left aliasing data.
+// decodeElement decodes data, one element exactly as appendPayload writes
+// it, into the struct out points to.
 func decodeElement(data []byte, out any) error {
 	v := reflect.ValueOf(out)
 	if v.Kind() != reflect.Pointer || v.IsNil() || v.Elem().Kind() != reflect.Struct {
@@ -448,606 +367,169 @@ func decodeElement(data []byte, out any) error {
 	if err != nil {
 		return err
 	}
-	s := scanners.Get().(*scanner)
-	s.in = data
-	err = s.decodeRoot(c, v.Elem())
-	s.reset()
-	scanners.Put(s)
-	return err
+	d := decoder{in: data}
+	if err := d.expect("<", c.name); err != nil {
+		return err
+	}
+	if err := d.fields(c, v.Elem()); err != nil {
+		return err
+	}
+	if err := d.expect("</", c.name); err != nil {
+		return err
+	}
+	if d.pos < len(d.in) {
+		return d.errorf("bytes after </%s>", c.name)
+	}
+	return nil
 }
 
-var scanners = sync.Pool{New: func() any { return new(scanner) }}
-
-// maxPooledScratch bounds the text scratch a pooled scanner keeps.
-const maxPooledScratch = 64 << 10
-
-type token int
-
-const (
-	tokStart token = iota // name, attrs, selfClose are set
-	tokEnd                // name is set
-	tokText               // data is set
-	tokOther              // comment or processing instruction
-)
-
-// A scanner pulls XML tokens off in. It checks what encoding/xml's strict
-// decoder checks — names, quoting, entities, the character range, "]]>"
-// in text, the XML declaration — except that matching an end tag to its
-// start tag is left to the caller, which knows the open element.
-type scanner struct {
+// A decoder reads an element from the front of in.
+type decoder struct {
 	in  []byte
 	pos int
-
-	name      []byte // of the current start or end tag, as written
-	attrs     []attr // of the current start tag
-	selfClose bool   // the start tag ended "/>": the next token is its end
-	data      []byte // of the current text token
-
-	// buf receives text that cannot alias in (entities expanded, \r\n
-	// folded). It only grows during one decode, so everything handed out
-	// stays valid until the decode returns.
-	buf  []byte
-	acc  []byte   // a scalar's text when it arrives in several pieces
-	open [][]byte // names of the elements skip is inside of
+	buf []byte // text with its references replaced
 }
 
-type attr struct{ name, val []byte }
-
-// reset lets go of the input, and of scratch grown past what is worth
-// pooling.
-func (s *scanner) reset() {
-	if cap(s.buf)+cap(s.acc) > maxPooledScratch || cap(s.attrs)+cap(s.open) > 256 {
-		*s = scanner{}
-		return
-	}
-	clear(s.attrs[:cap(s.attrs)])
-	clear(s.open[:cap(s.open)])
-	*s = scanner{attrs: s.attrs[:0], open: s.open[:0], buf: s.buf[:0], acc: s.acc[:0]}
+func (d *decoder) errorf(format string, args ...any) error {
+	return fmt.Errorf("wire: xml: %s at offset %d", fmt.Sprintf(format, args...), d.pos)
 }
 
-var errUnexpectedEOF = errors.New("wire: xml: unexpected EOF")
-
-func (s *scanner) errorf(format string, args ...any) error {
-	return fmt.Errorf("wire: xml: %s at offset %d", fmt.Sprintf(format, args...), s.pos)
+// tag consumes open+name+">" when it comes next.
+func (d *decoder) tag(open, name string) bool {
+	rest := d.in[d.pos:]
+	n := len(open) + len(name)
+	if !hasPrefix(rest, open) || !hasPrefix(rest[len(open):], name) || len(rest) == n || rest[n] != '>' {
+		return false
+	}
+	d.pos += n + 1
+	return true
 }
 
-// next reads one token.
-func (s *scanner) next() (token, error) {
-	if s.selfClose {
-		s.selfClose = false
-		return tokEnd, nil
-	}
-	if s.pos >= len(s.in) {
-		return 0, errUnexpectedEOF
-	}
-	if s.in[s.pos] != '<' {
-		var err error
-		s.data, err = s.text(-1, false)
-		return tokText, err
-	}
-	s.pos++
-	switch s.peek() {
-	case '/':
-		s.pos++
-		if err := s.readName("element name after </"); err != nil {
-			return 0, err
-		}
-		s.space()
-		if s.peek() != '>' {
-			return 0, s.errorf("invalid characters between </%s and >", s.name)
-		}
-		s.pos++
-		return tokEnd, nil
-	case '?':
-		s.pos++
-		return tokOther, s.procInst()
-	case '!':
-		s.pos++
-		switch rest := s.in[s.pos:]; {
-		case bytes.HasPrefix(rest, []byte("--")):
-			s.pos += 2
-			return tokOther, s.comment()
-		case bytes.HasPrefix(rest, []byte("[CDATA[")):
-			s.pos += 7
-			var err error
-			s.data, err = s.text(-1, true)
-			return tokText, err
-		case bytes.HasPrefix(rest, []byte("-")), bytes.HasPrefix(rest, []byte("[")):
-			return 0, s.errorf("invalid <! sequence")
-		}
-		return 0, s.errorf("directives (<!…>) are not supported")
-	}
-	return tokStart, s.startTag()
+func hasPrefix(b []byte, prefix string) bool {
+	return len(b) >= len(prefix) && string(b[:len(prefix)]) == prefix
 }
 
-// peek returns the byte at pos, or 0 at the end of input; 0 is never a
-// byte any caller is looking for.
-func (s *scanner) peek() byte {
-	if s.pos < len(s.in) {
-		return s.in[s.pos]
-	}
-	return 0
-}
-
-func (s *scanner) space() {
-	for s.pos < len(s.in) {
-		switch s.in[s.pos] {
-		case ' ', '\r', '\n', '\t':
-			s.pos++
-		default:
-			return
-		}
-	}
-}
-
-// readName reads a name into s.name: ASCII name characters checked
-// against XML's rules, anything above ASCII taken as a name character
-// when it is well-formed UTF-8.
-func (s *scanner) readName(what string) error {
-	start := s.pos
-	for s.pos < len(s.in) && (s.in[s.pos] >= utf8.RuneSelf || isNameByte(s.in[s.pos])) {
-		s.pos++
-	}
-	s.name = s.in[start:s.pos]
-	if len(s.name) == 0 {
-		return s.errorf("expected %s", what)
-	}
-	if s.name[0] < utf8.RuneSelf && !isNameStart(s.name[0]) || !utf8.Valid(s.name) {
-		return s.errorf("invalid XML name %q", s.name)
+// expect consumes open+name+">", which must come next; for no name, as
+// appendTag writes nothing, nothing.
+func (d *decoder) expect(open, name string) error {
+	if name != "" && !d.tag(open, name) {
+		return d.errorf("expected %s%s>", open, name)
 	}
 	return nil
 }
 
-// localName returns the part of a name after its namespace prefix, which is
-// all of it unless exactly one ':' splits it into two non-empty halves.
-func localName(name []byte) []byte {
-	if i := bytes.IndexByte(name, ':'); i > 0 && i < len(name)-1 {
-		return name[i+1:]
-	}
-	return name
-}
-
-// startTag reads a start tag from just after its '<'.
-func (s *scanner) startTag() error {
-	if err := s.readName("element name after <"); err != nil {
-		return err
-	}
-	name := s.name
-	if bytes.Count(name, []byte(":")) > 1 {
-		return s.errorf("expected element name after <")
-	}
-	s.attrs = s.attrs[:0]
-	for {
-		s.space()
-		switch s.peek() {
-		case '/':
-			s.pos++
-			if s.peek() != '>' {
-				return s.errorf("expected /> in element")
-			}
-			s.pos++
-			s.selfClose = true
-			s.name = name
-			return nil
-		case '>':
-			s.pos++
-			s.name = name
-			return nil
-		}
-		if s.pos >= len(s.in) {
-			return errUnexpectedEOF
-		}
-		if err := s.readName("attribute name in element"); err != nil {
-			return err
-		}
-		a := attr{name: s.name}
-		if bytes.Count(a.name, []byte(":")) > 1 {
-			return s.errorf("expected attribute name in element")
-		}
-		s.space()
-		if s.peek() != '=' {
-			return s.errorf("attribute name without = in element")
-		}
-		s.pos++
-		s.space()
-		quote := s.peek()
-		if quote != '"' && quote != '\'' {
-			return s.errorf("unquoted or missing attribute value in element")
-		}
-		s.pos++
-		var err error
-		if a.val, err = s.text(int(quote), false); err != nil {
-			return err
-		}
-		if s.peek() != quote {
-			return errUnexpectedEOF
-		}
-		s.pos++
-		s.attrs = append(s.attrs, a)
-	}
-}
-
-// comment skips a comment from just after its "<!--".
-func (s *scanner) comment() error {
-	i := bytes.Index(s.in[s.pos:], []byte("--"))
-	if i < 0 || s.pos+i+2 >= len(s.in) {
-		return errUnexpectedEOF
-	}
-	s.pos += i + 2
-	if s.in[s.pos] != '>' {
-		return s.errorf(`invalid sequence "--" not allowed in comments`)
-	}
-	s.pos++
-	return nil
-}
-
-// procInst skips a processing instruction from just after its "<?". An
-// XML declaration may only say version 1.0 and encoding UTF-8.
-func (s *scanner) procInst() error {
-	if err := s.readName("target name after <?"); err != nil {
-		return err
-	}
-	s.space()
-	i := bytes.Index(s.in[s.pos:], []byte("?>"))
-	if i < 0 {
-		return errUnexpectedEOF
-	}
-	content := s.in[s.pos : s.pos+i]
-	s.pos += i + 2
-	if string(s.name) != "xml" {
-		return nil
-	}
-	if ver := pseudoAttr("version", content); ver != "" && ver != "1.0" {
-		return s.errorf("unsupported version %q; only version 1.0 is supported", ver)
-	}
-	if enc := pseudoAttr("encoding", content); enc != "" && !strings.EqualFold(enc, "utf-8") {
-		return s.errorf("unsupported encoding %q; only UTF-8 is supported", enc)
-	}
-	return nil
-}
-
-// pseudoAttr finds param="value" (either quote) in an XML declaration the
-// loose way encoding/xml does: the first occurrence of `param=` that is
-// followed by a quote.
-func pseudoAttr(param string, content []byte) string {
-	s := string(content)
-	for {
-		_, rest, ok := strings.Cut(s, param+"=")
-		if !ok || rest == "" {
-			return ""
-		}
-		if q := rest[0]; q == '\'' || q == '"' {
-			val, _, closed := strings.Cut(rest[1:], string(q))
-			if !closed {
-				return ""
-			}
-			return val
-		}
-		s = rest[1:]
-	}
-}
-
-// text reads character data up to the next '<' or the end of input
-// (quote < 0), an attribute value up to its closing quote (left unread),
-// or a CDATA section through its "]]>". The result aliases in unless it
-// had to be rewritten.
-func (s *scanner) text(quote int, cdata bool) ([]byte, error) {
-	// Most text is plain ASCII with nothing to expand, fold or check.
-	start := s.pos
-	for i := start; ; i++ {
-		if i == len(s.in) {
-			if quote >= 0 || cdata {
-				break // the slow path words the error
-			}
-			s.pos = i
-			return s.in[start:i], nil
-		}
-		c := s.in[i]
-		if c == '<' && !cdata && quote < 0 || int(c) == quote {
-			s.pos = i
-			return s.in[start:i], nil
-		}
-		if c < 0x20 && c != '\n' && c != '\t' || c >= utf8.RuneSelf || c == '&' || c == '<' || c == ']' {
-			break
-		}
-	}
-
-	mark := len(s.buf)
-	var b0, b1 byte
-	trunc := 0
-Input:
-	for {
-		if s.pos >= len(s.in) {
-			if cdata {
-				return nil, s.errorf("unexpected EOF in CDATA section")
-			}
-			break
-		}
-		b := s.in[s.pos]
-		s.pos++
-		switch {
-		case quote < 0 && b0 == ']' && b1 == ']' && b == '>':
-			if !cdata {
-				return nil, s.errorf("unescaped ]]> not in CDATA section")
-			}
-			trunc = 2
-			break Input
-		case b == '<' && !cdata:
-			if quote >= 0 {
-				return nil, s.errorf("unescaped < inside quoted string")
-			}
-			s.pos--
-			break Input
-		case quote >= 0 && b == byte(quote):
-			s.pos--
-			break Input
-		case b == '&' && !cdata:
-			r, err := s.entity()
-			if err != nil {
-				return nil, err
-			}
-			s.buf = utf8.AppendRune(s.buf, r)
-			b0, b1 = 0, 0
-			continue
-		case b == '\r':
-			s.buf = append(s.buf, '\n')
-		case b1 == '\r' && b == '\n':
-			// \r\n: the \r already became the \n.
-		default:
-			s.buf = append(s.buf, b)
-		}
-		b0, b1 = b1, b
-	}
-	data := s.buf[mark : len(s.buf)-trunc]
-	for rest := data; len(rest) > 0; {
-		r, size := utf8.DecodeRune(rest)
-		if r == utf8.RuneError && size == 1 {
-			return nil, s.errorf("invalid UTF-8")
-		}
-		if !inCharacterRange(r) {
-			return nil, s.errorf("illegal character code %U", r)
-		}
-		rest = rest[size:]
-	}
-	return data, nil
-}
-
-// entity reads a character or entity reference from just after its '&'.
-// Only the five predefined entities are known.
-func (s *scanner) entity() (rune, error) {
-	start := s.pos
-	bad := func() (rune, error) {
-		return 0, s.errorf("invalid character entity &%s", s.in[start:min(s.pos+1, len(s.in))])
-	}
-	if s.peek() != '#' {
-		for s.pos < len(s.in) && (s.in[s.pos] >= utf8.RuneSelf || isNameByte(s.in[s.pos])) {
-			s.pos++
-		}
-		if s.peek() != ';' {
-			return bad()
-		}
-		s.pos++
-		switch string(s.in[start : s.pos-1]) {
-		case "lt":
-			return '<', nil
-		case "gt":
-			return '>', nil
-		case "amp":
-			return '&', nil
-		case "apos":
-			return '\'', nil
-		case "quot":
-			return '"', nil
-		}
-		s.pos--
-		return bad()
-	}
-	s.pos++
-	base := 10
-	if s.peek() == 'x' {
-		base = 16
-		s.pos++
-	}
-	digits := s.pos
-	for c := s.peek(); '0' <= c && c <= '9' || base == 16 && ('a' <= c && c <= 'f' || 'A' <= c && c <= 'F'); c = s.peek() {
-		s.pos++
-	}
-	if s.peek() != ';' {
-		return bad()
-	}
-	n, err := strconv.ParseUint(string(s.in[digits:s.pos]), base, 64)
-	if err != nil || n > utf8.MaxRune {
-		return bad()
-	}
-	s.pos++
-	return rune(n), nil
-}
-
-// skip reads through the end tag of the element whose start tag was just
-// read, checking everything inside it and keeping nothing.
-func (s *scanner) skip() error {
-	mark := len(s.buf)
-	s.open = append(s.open[:0], s.name)
-	for len(s.open) > 0 {
-		tok, err := s.next()
-		if err != nil {
-			return err
-		}
-		switch tok {
-		case tokStart:
-			s.open = append(s.open, s.name)
-		case tokEnd:
-			if err := s.closes(s.open[len(s.open)-1]); err != nil {
-				return err
-			}
-			s.open = s.open[:len(s.open)-1]
-		}
-	}
-	s.buf = s.buf[:mark]
-	return nil
-}
-
-// closes checks that the end tag just read closes the element opened as
-// name.
-func (s *scanner) closes(name []byte) error {
-	if !bytes.Equal(s.name, name) {
-		return s.errorf("element <%s> closed by </%s>", name, s.name)
-	}
-	return nil
-}
-
-// decodeRoot finds the first element — whatever precedes it is checked
-// and ignored — and decodes it into v. Nothing after its end tag is read.
-func (s *scanner) decodeRoot(c *codec, v reflect.Value) error {
-	for {
-		tok, err := s.next()
-		if err != nil {
-			return err
-		}
-		switch tok {
-		case tokStart:
-			if c.strict && string(localName(s.name)) != c.name {
-				return fmt.Errorf("wire: xml: expected element <%s> but have <%s>", c.name, localName(s.name))
-			}
-			return s.decodeStruct(c, v)
-		case tokEnd:
-			return s.errorf("unexpected end element </%s>", s.name)
-		}
-	}
-}
-
-// decodeStruct decodes the element whose start tag was just read into v.
-func (s *scanner) decodeStruct(c *codec, v reflect.Value) error {
-	name := s.name
-	for _, a := range s.attrs {
-		for i := range c.attrs {
-			if f := &c.attrs[i]; string(localName(a.name)) == f.name {
-				if err := f.set(v.Field(f.index), a.val); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	body := s.pos
-	for {
-		end := s.pos
-		tok, err := s.next()
-		if err != nil {
-			return err
-		}
-		switch tok {
-		case tokStart:
-			if err := s.decodeChild(c, v, ""); err != nil {
-				return err
-			}
-		case tokEnd:
-			if c.inner >= 0 {
-				v.Field(c.inner).SetBytes(s.in[body:end:end])
-			}
-			return s.closes(name)
-		}
-	}
-}
-
-// decodeChild handles the child element whose start tag was just read:
-// into the field of v named so under parent, into the fields under it if
-// it is itself a parent, else skipped.
-func (s *scanner) decodeChild(c *codec, v reflect.Value, parent string) error {
-	name := s.name
-	child := localName(name)
-	under := "" // child, when fields name it as their parent
+// fields decodes c's child elements, as appendElement writes them, into v.
+func (d *decoder) fields(c *codec, v reflect.Value) error {
+	open := ""
 	for i := range c.elems {
 		f := &c.elems[i]
-		if f.parent == parent && f.name == string(child) {
-			return s.decodeField(f, v.Field(f.index))
-		}
-		if parent == "" && f.parent == string(child) {
-			under = f.parent
-		}
-	}
-	if under == "" {
-		return s.skip()
-	}
-	for {
-		tok, err := s.next()
-		if err != nil {
-			return err
-		}
-		switch tok {
-		case tokStart:
-			if err := s.decodeChild(c, v, under); err != nil {
+		if f.parent != open {
+			if err := d.expect("</", open); err != nil {
 				return err
 			}
-		case tokEnd:
-			return s.closes(name)
+			if err := d.expect("<", f.parent); err != nil {
+				return err
+			}
+			open = f.parent
+		}
+		fv := v.Field(f.index)
+		if !f.slice {
+			if d.tag("<", f.name) {
+				if err := d.value(f, fv); err != nil {
+					return err
+				}
+			} else if !f.omit {
+				return d.errorf("expected <%s>", f.name)
+			}
+			continue
+		}
+		for d.tag("<", f.name) {
+			n := fv.Len()
+			if n == 0 {
+				fv.Grow(4) // most lists here have a few items; skip the 1-2-4 climb
+			} else {
+				fv.Grow(1)
+			}
+			fv.SetLen(n + 1)
+			item := fv.Index(n)
+			item.SetZero()
+			if err := d.value(f, item); err != nil {
+				return err
+			}
 		}
 	}
+	return d.expect("</", open)
 }
 
-// decodeField decodes the element whose start tag was just read into
-// field value v, or into a new last item when v is a slice.
-func (s *scanner) decodeField(f *field, v reflect.Value) error {
-	if f.slice {
-		n := v.Len()
-		if n == 0 {
-			v.Grow(4) // most lists here have a few items; skip the 1-2-4 climb
-		} else {
-			v.Grow(1)
-		}
-		v.SetLen(n + 1)
-		v = v.Index(n)
-		v.SetZero()
-	}
+// value decodes the content and end tag of one element of f, whose start
+// tag was just read, into v.
+func (d *decoder) value(f *field, v reflect.Value) error {
 	if f.kind == reflect.Struct {
-		return s.decodeStruct(f.elem, v)
-	}
-	// A scalar's value is all the character data directly inside it;
-	// child elements are checked and ignored.
-	name := s.name
-	var text []byte
-	pieces := 0
-	for {
-		tok, err := s.next()
+		if err := d.fields(f.elem, v); err != nil {
+			return err
+		}
+	} else {
+		text, err := d.text()
 		if err != nil {
 			return err
 		}
-		switch tok {
-		case tokStart:
-			if err := s.skip(); err != nil {
-				return err
-			}
-		case tokText:
-			if pieces++; pieces == 1 {
-				text = s.data
-				break
-			}
-			if pieces == 2 {
-				s.acc = append(s.acc[:0], text...)
-			}
-			s.acc = append(s.acc, s.data...)
-			text = s.acc
-		case tokEnd:
-			if err := s.closes(name); err != nil {
-				return err
-			}
-			return f.set(v, text)
+		if err := f.set(v, text); err != nil {
+			return d.errorf("<%s>: %v", f.name, err)
 		}
 	}
+	return d.expect("</", f.name)
 }
 
-// set parses text into scalar v the way encoding/xml does: numbers and
-// booleans trimmed of surrounding space, empty meaning zero.
+// text reads character data up to the next '<': characters in XML's
+// range, those in escapes only as their references. The result aliases
+// in unless it held a reference.
+func (d *decoder) text() ([]byte, error) {
+	start, from := d.pos, d.pos // from: the first byte not yet copied to buf
+	d.buf = d.buf[:0]
+	for d.pos < len(d.in) {
+		c := d.in[d.pos]
+		switch {
+		case c == '<':
+			if from == start {
+				return d.in[start:d.pos], nil
+			}
+			d.buf = append(d.buf, d.in[from:d.pos]...)
+			return d.buf, nil
+		case c == '&':
+			d.buf = append(d.buf, d.in[from:d.pos]...)
+			i := 0
+			for i < len(escapes) && !hasPrefix(d.in[d.pos:], escapes[i].ref) {
+				i++
+			}
+			if i == len(escapes) {
+				return nil, d.errorf("character reference not among the encoder's")
+			}
+			d.buf = append(d.buf, escapes[i].c)
+			d.pos += len(escapes[i].ref)
+			from = d.pos
+		case c >= utf8.RuneSelf:
+			r, width := utf8.DecodeRune(d.in[d.pos:])
+			if r == utf8.RuneError && width == 1 || !inCharacterRange(r) {
+				return nil, d.errorf("character %q outside XML's range", d.in[d.pos:d.pos+width])
+			}
+			d.pos += width
+		case c < 0x20 || escapeOf[c] != "":
+			return nil, d.errorf("unescaped %q", c)
+		default:
+			d.pos++
+		}
+	}
+	return nil, d.errorf("text runs to the end")
+}
+
+// set parses text into scalar v with the strconv call encoding/xml
+// makes, but on the text as it stands: encoding/xml trims the space
+// around a number or bool and reads an empty one as zero, and the encoder
+// writes neither, so here both are refused.
 func (f *field) set(v reflect.Value, text []byte) error {
-	if f.kind == reflect.String {
-		v.SetString(string(text))
-		return nil
-	}
-	if len(text) == 0 {
-		v.SetZero()
-		return nil
-	}
-	text = bytes.TrimSpace(text)
 	switch f.kind {
+	case reflect.String:
+		v.SetString(string(text))
 	case reflect.Bool:
 		b, err := strconv.ParseBool(string(text))
 		if err != nil {

@@ -62,7 +62,7 @@ func TestClientDeadlinePropagates(t *testing.T) {
 	}
 }
 
-// TestServerHonorsDeadlineBudget drives the budget attribute directly,
+// TestServerHonorsDeadlineBudget drives the header's budget directly,
 // through dispatch under a context with no deadline and over a frame: the
 // server must fail the handler within the declared budget even though the
 // caller itself would wait forever.
@@ -114,7 +114,7 @@ func TestServerHonorsDeadlineBudget(t *testing.T) {
 	wantDeadlineFault("frame", in.b, time.Since(start))
 }
 
-// rawEnvelope encodes an envelope with hdr's attributes as they are.
+// rawEnvelope encodes an envelope with hdr's header as it is.
 func rawEnvelope(t *testing.T, hdr Envelope, payload any) []byte {
 	t.Helper()
 	b := newBuffer()

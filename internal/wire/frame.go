@@ -4,23 +4,38 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"slices"
 	"time"
+	"unicode/utf8"
 )
 
 // Framed connections. A Client's first POST to a Mux carries no body and
 // asks to upgrade (Connection: Upgrade, Upgrade: frameProto); the Mux
 // hijacks the connection and answers 101. From then on both directions
-// carry frames, uvarint(len) ‖ envelope, one call in flight per
-// connection, so replies come back in order and need no request id. An
-// envelope carries its key, send stamp and budget, so dedup, admission and
-// deadlines work on it as they do on Local's.
+// carry frames, uvarint(len) ‖ header ‖ payload, one call in flight per
+// connection, so replies come back in order and need no request id.
+//
+// The header holds all of the envelope but its payload, outside the body,
+// where SOAP over HTTP gives its action: the action and the idempotency
+// key, each uvarint(len) ‖ bytes, then Sent and Budget as uvarints. The
+// payload is the rest of the frame: the payload's element (codec.go), or
+// nothing. A header has one byte form and the decoder accepts nothing
+// else — varints minimal, lengths within the frame, a non-empty action,
+// both strings UTF-8, both numbers within int64 — so an accepted header
+// encodes again to the same bytes. The key, send stamp and budget ride
+// every frame, so dedup, admission and deadlines work on it as they do on
+// Local's.
 
-// frameProto is the Upgrade token that asks for frames.
-const frameProto = "condorj2-frames"
+// frameProto is the Upgrade token that asks for frames. Its version names
+// the header's layout: a peer that asks for another is refused at the
+// upgrade, with 426 naming this one.
+const frameProto = "condorj2-frames/2"
 
 // switchedToFrames is the Mux's answer to an upgrade.
 var switchedToFrames = []byte("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + frameProto + "\r\n\r\n")
@@ -43,6 +58,49 @@ func (b *buffer) frame() []byte {
 	start := frameHeader - n
 	copy(b.b[start:], hdr[:n])
 	return b.b[start:]
+}
+
+// appendHeader appends env's header. A negative Sent or Budget is written
+// as 0: none.
+func appendHeader(dst []byte, env *Envelope) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(env.Action)))
+	dst = append(dst, env.Action...)
+	dst = binary.AppendUvarint(dst, uint64(len(env.Key)))
+	dst = append(dst, env.Key...)
+	dst = binary.AppendUvarint(dst, uint64(max(env.Sent, 0)))
+	return binary.AppendUvarint(dst, uint64(max(env.Budget, 0)))
+}
+
+// decodeHeader decodes the envelope in data, a frame's bytes after its
+// length, into env. Its Payload aliases data.
+func decodeHeader(data []byte, env *Envelope) error {
+	u := unpacker{in: data}
+	action, err := u.bytes()
+	var key []byte
+	var sent, budget uint64
+	if err == nil {
+		key, err = u.bytes()
+	}
+	if err == nil {
+		sent, err = u.uvarint()
+	}
+	if err == nil {
+		budget, err = u.uvarint()
+	}
+	switch {
+	case err != nil:
+	case len(action) == 0:
+		err = errors.New("no action")
+	case !utf8.Valid(action) || !utf8.Valid(key):
+		err = errors.New("action or key not UTF-8")
+	case sent > math.MaxInt64 || budget > math.MaxInt64:
+		err = errPackedRange
+	}
+	if err != nil {
+		return fmt.Errorf("header: %w at offset %d", err, len(data)-len(u.in))
+	}
+	*env = Envelope{Action: string(action), Key: string(key), Sent: int64(sent), Budget: int64(budget), Payload: u.in[:len(u.in):len(u.in)]}
+	return nil
 }
 
 // frameReader is what reads frames: the length byte by byte, the

@@ -19,20 +19,23 @@ import (
 // lengths and envelopes, lengths at and past maxBody, frames back to
 // back. It must never panic, never accept a frame over maxBody, hand back
 // each accepted envelope exactly as it arrived, and grow its buffer with
-// the bytes that arrived, not with the length a frame declares.
+// the bytes that arrived, not with the length a frame declares. An
+// envelope whose header decodes names an action and encodes again to
+// exactly the frame's bytes.
 func FuzzFrame(f *testing.F) {
-	frame := func(body string) []byte { return append(binary.AppendUvarint(nil, uint64(len(body))), body...) }
-	env := `<Envelope action="ping"><pingReq><Name>x</Name></pingReq></Envelope>`
+	frame := func(body []byte) []byte { return append(binary.AppendUvarint(nil, uint64(len(body))), body...) }
+	env := append(appendHeader(nil, &Envelope{Action: "ping", Key: "k", Sent: 1_700_000_000_000, Budget: 250}), "<pingReq><Name>x</Name><N>1</N></pingReq>"...)
 	f.Add(frame(env))
-	f.Add(append(frame(env), frame(`<Envelope action="b"></Envelope>`)...))
-	f.Add(frame(""))
+	f.Add(append(frame(env), frame(appendHeader(nil, &Envelope{Action: "b"}))...))
+	f.Add(frame(nil))
 	f.Add([]byte{0x80})                                                       // truncated length
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}) // overflowing length
 	f.Add(frame(env)[:20])                                                    // truncated envelope
 	f.Add(binary.AppendUvarint(nil, maxBody))                                 // declares maxBody, sends nothing
-	f.Add(append(binary.AppendUvarint(nil, maxBody), "<Envelope"...))
+	f.Add(append(binary.AppendUvarint(nil, maxBody), env...))
 	f.Add(binary.AppendUvarint(nil, maxBody+1))
 	f.Add(append(frame(env), binary.AppendUvarint(nil, maxBody+1)...))
+	f.Add(frame([]byte("\x01a\x80\x00\x00"))) // a header cut short
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		var b buffer
@@ -50,6 +53,13 @@ func FuzzFrame(f *testing.F) {
 			end := len(data) - r.Len()
 			if !bytes.Equal(b.b, data[end-len(b.b):end]) {
 				t.Fatalf("frame read back %q, sent %q", b.b, data[end-len(b.b):end])
+			}
+			env, err := b.decode()
+			if err != nil {
+				continue
+			}
+			if again := append(appendHeader(nil, env), env.Payload...); env.Action == "" || !bytes.Equal(again, b.b) {
+				t.Fatalf("frame %q decoded as %+v, which encodes to %q", b.b, env, again)
 			}
 		}
 		if arrived := len(data); cap(b.b) > 2*arrived+1024 {

@@ -12,15 +12,15 @@ import (
 // rather than sending it — the reply store keeps each keyed reply packed
 // and encodes it as XML again when it replays it. It is laid out by the
 // same compiled codec as the XML, so a type either has both forms or
-// neither. Fields come in declaration order (XMLName has none):
+// neither. Fields come in declaration order:
 //
-//	string, ,innerxml []byte  uvarint length, then the bytes
-//	bool                      one byte, 0 or 1
-//	signed integer            zigzag varint
-//	unsigned integer          uvarint
-//	float                     IEEE 754 bits, little-endian, 4 or 8 bytes
-//	struct                    its fields
-//	slice                     uvarint count, then the items
+//	string            uvarint length, then the bytes
+//	bool              one byte, 0 or 1
+//	signed integer    zigzag varint
+//	unsigned integer  uvarint
+//	float             IEEE 754 bits, little-endian, 4 or 8 bytes
+//	struct            its fields
+//	slice             uvarint count, then the items
 //
 // There is exactly one byte form per value, and Unpack accepts nothing
 // else: varints are minimal, a bool is 0 or 1, every number fits its
@@ -46,8 +46,8 @@ func Pack(dst []byte, v any) ([]byte, error) {
 }
 
 func (c *codec) pack(dst []byte, v reflect.Value) []byte {
-	for i := range c.packed {
-		f := &c.packed[i]
+	for i := range c.elems {
+		f := &c.elems[i]
 		fv := v.Field(f.index)
 		if !f.slice {
 			dst = f.packItem(dst, fv)
@@ -67,10 +67,6 @@ func (f *field) packItem(dst []byte, v reflect.Value) []byte {
 	case reflect.Struct:
 		return f.elem.pack(dst, v)
 	case reflect.String:
-		if v.Kind() == reflect.Slice { // the ,innerxml field
-			dst = binary.AppendUvarint(dst, uint64(v.Len()))
-			return append(dst, v.Bytes()...)
-		}
 		s := v.String()
 		dst = binary.AppendUvarint(dst, uint64(len(s)))
 		return append(dst, s...)
@@ -147,8 +143,8 @@ var (
 type unpacker struct{ in []byte }
 
 func (u *unpacker) unpack(c *codec, v reflect.Value) error {
-	for i := range c.packed {
-		f := &c.packed[i]
+	for i := range c.elems {
+		f := &c.elems[i]
 		fv := v.Field(f.index)
 		if !f.slice {
 			if err := u.item(f, fv); err != nil {
@@ -181,21 +177,11 @@ func (u *unpacker) item(f *field, v reflect.Value) error {
 	case reflect.Struct:
 		return u.unpack(f.elem, v)
 	case reflect.String:
-		n, err := u.uvarint()
+		s, err := u.bytes()
 		if err != nil {
 			return err
 		}
-		if n > uint64(len(u.in)) {
-			return errPackedShort
-		}
-		if v.Kind() == reflect.Slice { // the ,innerxml field
-			if n > 0 {
-				v.SetBytes(append([]byte(nil), u.in[:n]...))
-			}
-		} else {
-			v.SetString(string(u.in[:n]))
-		}
-		u.in = u.in[n:]
+		v.SetString(string(s))
 	case reflect.Bool:
 		if len(u.in) == 0 {
 			return errPackedShort
@@ -246,6 +232,20 @@ func (u *unpacker) item(f *field, v reflect.Value) error {
 		u.in = u.in[size:]
 	}
 	return nil
+}
+
+// bytes reads a uvarint length and that many bytes, which alias the input.
+func (u *unpacker) bytes() ([]byte, error) {
+	n, err := u.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(len(u.in)) {
+		return nil, errPackedShort
+	}
+	b := u.in[:n]
+	u.in = u.in[n:]
+	return b, nil
 }
 
 // uvarint reads a uvarint written in its shortest form.

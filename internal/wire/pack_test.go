@@ -95,10 +95,10 @@ func TestPackedSizes(t *testing.T) {
 }
 
 // narrow has the field kinds the message types lack: numbers narrower
-// than 64 bits, an attribute and a float32.
+// than 64 bits and a float32.
 type narrow struct {
 	I8  int8     `xml:"I8"`
-	U16 uint16   `xml:"u16,attr"`
+	U16 uint16   `xml:"U16"`
 	F32 float32  `xml:"F32"`
 	OK  bool     `xml:"OK"`
 	S   []string `xml:"L>S"`

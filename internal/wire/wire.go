@@ -3,16 +3,17 @@
 // paper's prototype ("the Condor 6.7.x startd and starter modified to
 // communicate with the CAS using the gSOAP library").
 //
-// Requests and responses are XML envelopes carrying a named action and a
-// typed payload. Two transports share the same envelope encoding:
+// Requests and responses are envelopes: a header naming the action, then
+// a typed payload as XML (frame.go, codec.go). Two transports share the
+// same envelope encoding:
 //
 //   - Client/Mux for live deployments: a caller's first POST asks to
 //     upgrade its HTTP connection, and from then on both directions carry
-//     uvarint(len) ‖ envelope frames on it, one call in flight per
+//     uvarint(len) ‖ header ‖ payload frames on it, one call in flight per
 //     connection (frame.go). A POST that does not ask is refused.
 //   - Local, an in-process transport for discrete-event simulations that
-//     still marshals every message through XML so byte counts and code
-//     paths match the real thing.
+//     still encodes every envelope as a frame carries it, so byte counts
+//     and code paths match the real thing.
 package wire
 
 import (
@@ -30,8 +31,8 @@ import (
 	"unicode"
 )
 
-// Envelope is the on-the-wire frame: an action name plus the payload
-// element's raw XML. Key, when present, is the caller's idempotency key:
+// Envelope is one request or reply: an action name plus the payload
+// element's XML. Key, when present, is the caller's idempotency key:
 // retries of one logical mutating exchange reuse the key, and a server
 // with a reply store answers a repeated key by replaying the original
 // response instead of re-executing the action. Sent is the client's send
@@ -42,17 +43,17 @@ import (
 // statement work stops when the caller stops waiting, whatever carried
 // the envelope.
 //
-// A decoded Envelope's Payload aliases the bytes it was decoded from. On
-// the server those are a pooled request buffer: the envelope and its
-// payload are valid until the handler returns, and a handler that keeps
-// either copies it.
+// All but the payload travel in the frame's header (frame.go). A decoded
+// Envelope's Payload aliases the bytes it was decoded from. On the server
+// those are a pooled request buffer: the envelope and its payload are
+// valid until the handler returns, and a handler that keeps either copies
+// it.
 type Envelope struct {
-	XMLName struct{} `xml:"Envelope"`
-	Action  string   `xml:"action,attr"`
-	Key     string   `xml:"idem,attr,omitempty"`
-	Sent    int64    `xml:"sent,attr,omitempty"`
-	Budget  int64    `xml:"budget,attr,omitempty"`
-	Payload []byte   `xml:",innerxml"`
+	Action  string
+	Key     string
+	Sent    int64
+	Budget  int64
+	Payload []byte
 }
 
 // Fault is the error payload carried by failed calls. RetryAfterMs,
@@ -63,11 +64,10 @@ type Envelope struct {
 // should redirect writes to (empty when the rejecting follower does not
 // currently know a leader).
 type Fault struct {
-	XMLName      struct{} `xml:"Fault"`
-	Code         string   `xml:"Code"`
-	Message      string   `xml:"Message"`
-	RetryAfterMs int64    `xml:"RetryAfterMs,omitempty"`
-	Leader       string   `xml:"Leader,omitempty"`
+	Code         string `xml:"Code"`
+	Message      string `xml:"Message"`
+	RetryAfterMs int64  `xml:"RetryAfterMs,omitempty"`
+	Leader       string `xml:"Leader,omitempty"`
 }
 
 // Error implements error.
@@ -96,7 +96,7 @@ const maxBody = 16 << 20
 // Envelope can still be looking at its bytes.
 type buffer struct {
 	b   []byte
-	env Envelope // the envelope encoded or decoded last, so neither allocates one
+	env Envelope // the envelope decoded last, so decoding allocates none
 }
 
 var buffers = sync.Pool{New: func() any { return new(buffer) }}
@@ -113,16 +113,13 @@ func (b *buffer) release() {
 	}
 }
 
-// encode appends an envelope with hdr's attributes around payload.
+// encode appends an envelope: hdr's header, then payload's element.
 func (b *buffer) encode(hdr Envelope, payload any) error {
-	b.env = hdr
-	b.b = envelopeCodec.appendStart(b.b, envelopeCodec.name, reflect.ValueOf(&b.env).Elem())
-	b.env = Envelope{}
+	b.b = appendHeader(b.b, &hdr)
 	var err error
 	if b.b, err = appendPayload(b.b, payload); err != nil {
 		return fmt.Errorf("wire: encode %s: %w", hdr.Action, err)
 	}
-	b.b = appendTag(b.b, "</", envelopeCodec.name)
 	return nil
 }
 
@@ -155,10 +152,7 @@ func (b *buffer) read(r io.Reader, n int) error {
 	return nil
 }
 
-var (
-	envelopeCodec = mustCodec(reflect.TypeFor[Envelope]())
-	_             = mustCodec(reflect.TypeFor[Fault]())
-)
+var _ = mustCodec(reflect.TypeFor[Fault]())
 
 // mustCodec compiles t's codec, panicking when its tags are outside the
 // codec's vocabulary — a programming error that should stop the process
@@ -171,25 +165,11 @@ func mustCodec(t reflect.Type) *codec {
 	return c
 }
 
-// Encode marshals an action and payload into envelope bytes.
-func Encode(action string, payload any) ([]byte, error) {
-	b := newBuffer()
-	defer b.release()
-	if err := b.encode(Envelope{Action: action}, payload); err != nil {
-		return nil, err
-	}
-	return bytes.Clone(b.b), nil
-}
-
-// decode unmarshals the buffer's bytes into its own envelope, valid
-// until the buffer is reused or released. Its Payload aliases the bytes.
+// decode decodes the buffer's bytes into its own envelope, valid until
+// the buffer is reused or released. Its Payload aliases the bytes.
 func (b *buffer) decode() (*Envelope, error) {
-	b.env = Envelope{}
-	if err := decodeElement(b.b, &b.env); err != nil {
+	if err := decodeHeader(b.b, &b.env); err != nil {
 		return nil, fmt.Errorf("wire: bad envelope: %w", err)
-	}
-	if b.env.Action == "" {
-		return nil, fmt.Errorf("wire: envelope missing action")
 	}
 	return &b.env, nil
 }
@@ -534,8 +514,10 @@ func (c *Client) put(cc *clientConn) {
 }
 
 // Local is an in-process Caller that still round-trips every message
-// through the XML envelope encoding, so simulations exercise the same
-// serialization path and can meter realistic message sizes. The call
+// through the envelope encoding a frame carries — the header, then the
+// payload's XML — so simulations exercise the same serialization path and
+// can meter realistic message sizes (OnCall's byte counts are those of
+// the frames' envelopes, without the length prefix). The call
 // context reaches the handler directly — cancellation and deadlines act
 // as over HTTP, to the instant rather than to the budget's millisecond.
 type Local struct {

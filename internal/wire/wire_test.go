@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 type pingReq struct {
@@ -150,6 +151,34 @@ func TestPostWithoutUpgradeRefused(t *testing.T) {
 	}
 }
 
+// TestOldFrameProtocolRefused: a peer built when envelopes were XML asks
+// to upgrade to the frames of that layout. It is refused before any frame
+// is read, with 426 naming the protocol to ask for in the Upgrade header
+// and in the body its Client words the HTTP426 fault with.
+func TestOldFrameProtocolRefused(t *testing.T) {
+	mux, execs := countMux()
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	req, err := http.NewRequest(http.MethodPost, srv.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Connection", "Upgrade")
+	req.Header.Set("Upgrade", "condorj2-frames")
+	resp, err := srv.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUpgradeRequired || resp.Header.Get("Upgrade") != "condorj2-frames/2" || !strings.Contains(string(body), "condorj2-frames/2") {
+		t.Fatalf("old upgrade: status %d, Upgrade %q, body %q; want 426 naming condorj2-frames/2", resp.StatusCode, resp.Header.Get("Upgrade"), body)
+	}
+	if n := execs.Load(); n != 0 {
+		t.Fatalf("the handler ran %d times for a refused upgrade", n)
+	}
+}
+
 // dispatchBytes runs the envelope in data through the Mux's dispatch and
 // returns the response envelope.
 func dispatchBytes(m *Mux, data []byte) []byte {
@@ -235,8 +264,10 @@ func TestOversizeRequestRejected(t *testing.T) {
 	}
 
 	// The bound is inclusive: an envelope of exactly maxBody goes through.
+	// The call's header adds its send stamp, a uvarint of this many bytes.
 	frame, _ := Encode("ping", &pingReq{})
-	fits := maxBody - len(frame) - len(` sent="1234567890123"`)
+	sent := len(binary.AppendUvarint(nil, uint64(time.Now().UnixMilli())))
+	fits := maxBody - len(frame) - (sent - 1)
 	var got pingResp
 	if err := client.Call(context.Background(), "ping", &pingReq{Name: big[:fits]}, &got); err != nil || got.Doubled != fits {
 		t.Fatalf("request of exactly maxBody: err = %.200v, server saw a %d-byte name, want %d", err, got.Doubled, fits)
