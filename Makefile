@@ -85,9 +85,11 @@ flagdoc:
 # envelope header (action, key, send stamp, budget): never panic, and an
 # accepted header names an action, encodes again to its own bytes and
 # leaves the payload aliasing the input. The payload codec, one way
-# against encoding/xml as the oracle: never panic, whatever it accepts
-# xml.Unmarshal accepts with the same value, and a value generated from
-# each input encodes as xml.Marshal does and decodes back. The frame
+# against encoding/xml as the oracle: never panic, allocation bounded by
+# the input (a list's count, taken before its slice is made, bounded by
+# the bytes), whatever it accepts xml.Unmarshal accepts with the same
+# value, and a value generated from each input encodes as xml.Marshal
+# does and decodes back. The frame
 # reader of a framed connection (uvarint length, then the envelope):
 # never panic, never accept a frame over the envelope bound, hand back
 # each envelope as it arrived, and grow with the bytes that arrived, not
@@ -98,7 +100,9 @@ flagdoc:
 # changed-column bitmaps plus values — and the redo behind it (shipped
 # runs, the node's own log): never panic, allocation bounded by the
 # input, every accepted group re-encodes to the same bytes, frame and CRC
-# included, and a shipped run that is not whole groups in rising LSN order
+# included, the walk that decodes no record (truncation, repair,
+# shipping) steps through the same groups and stops where the decoding
+# walk stops, and a shipped run that is not whole groups in rising LSN order
 # is refused with the follower's log left byte-identical. Page and checkpoint-meta images (the
 # validator, recovery's page scan, decodeMeta): never panic, allocation
 # bounded by the input, and a page the validator accepts stays valid and

@@ -166,7 +166,7 @@ func (w *wal) noteServed(lsn uint64) {
 // LSN order, so the run is one view of data.
 func cutRun(data []byte, afterLSN uint64, maxBytes int, durable uint64) (run []byte, last uint64) {
 	start := -1
-	for rd := (logReader{data: data}); rd.next() && rd.lsn <= durable; {
+	for rd := (logReader{data: data}); rd.skip() && rd.lsn <= durable; {
 		if rd.lsn <= afterLSN {
 			continue
 		}
@@ -196,7 +196,7 @@ func (w *wal) appendRaw(run []byte, last uint64) error {
 	}
 	logged := w.marks[len(w.marks)-1].lsn
 	from := 0
-	for rd := (logReader{data: run}); rd.next() && rd.lsn <= logged; {
+	for rd := (logReader{data: run}); rd.skip() && rd.lsn <= logged; {
 		from = rd.end
 	}
 	last = max(last, logged)

@@ -594,7 +594,7 @@ func (w *wal) truncateThrough(ckptLSN uint64) error {
 	}
 	w.tapMu.Unlock()
 	cut, truncated := 0, uint64(0)
-	for rd := (logReader{data: data}); rd.next() && rd.lsn <= ckptLSN && len(data)-rd.end >= keep; {
+	for rd := (logReader{data: data}); rd.skip() && rd.lsn <= ckptLSN && len(data)-rd.end >= keep; {
 		cut, truncated = rd.end, rd.lsn
 	}
 	if cut == 0 {
@@ -859,7 +859,7 @@ func (w *wal) repairLocked() error {
 	}
 	marks := w.marks[:1:1]
 	rd := logReader{data: data}
-	for rd.next() {
+	for rd.skip() {
 		marks = addMark(marks, rd.lsn, int64(rd.end))
 	}
 	if rd.end < len(data) {
@@ -925,16 +925,17 @@ func appendGroup(buf *bytes.Buffer, recs []byte, crc uint32, lsn uint64) {
 // flushGroup and appendRaw lay it down — and it is the unit of everything
 // done with the log: repair keeps whole groups, recovery and follower
 // apply redo whole groups, truncation and shipping cut at group
-// boundaries. Every consumer is a loop over next; this is the only place
-// log framing is parsed and the only place a CRC is checked.
+// boundaries. Every consumer is a loop over next, or over skip when it
+// needs only the boundaries; this is the only place log framing is
+// parsed and the only place a CRC is checked.
 type logReader struct {
 	data []byte
-	// recs, lsn, start and end describe the group the last successful next
-	// yielded: its redo records (commit marker stripped; the slice is reused
-	// by the following call, an insert's image is its own, and an update's
-	// delta points into data), the marker's LSN, and its
-	// verbatim bytes data[start:end]. Once next reports false, end is the
-	// length of the log's committed prefix.
+	// recs, lsn, start and end describe the group the last successful step
+	// yielded: its redo records (commit marker stripped; next only — skip
+	// leaves it empty; the slice is reused by the following call, an
+	// insert's image is its own, and an update's delta points into data),
+	// the marker's LSN, and its verbatim bytes data[start:end]. Once a step
+	// reports false, end is the length of the log's committed prefix.
 	recs       []walRecord
 	lsn        uint64
 	start, end int
@@ -947,16 +948,11 @@ type logReader struct {
 // consumer the log ends there.
 //
 // A group is parsed twice: once allocating nothing, to validate it and
-// count its records, then into an array of exactly that many. So what
-// reading a group costs is bounded by its bytes, however small its
+// count its records (step), then into an array of exactly that many. So
+// what reading a group costs is bounded by its bytes, however small its
 // records.
 func (r *logReader) next() bool {
-	r.recs = r.recs[:0]
-	payload, ok := frameAt(r.data, r.end)
-	if !ok {
-		return false
-	}
-	n, lsn, ok := scanGroup(payload)
+	payload, n, ok := r.step()
 	if !ok {
 		return false
 	}
@@ -969,9 +965,32 @@ func (r *logReader) next() bool {
 		r.recs[i] = walRecord{}
 		decodeRecord(&rd, &r.recs[i]) // cannot fail: scanGroup accepted these bytes
 	}
+	return true
+}
+
+// skip advances as next does, to the same group and stopping at the same
+// offset, but decodes no record: a walk that needs only group boundaries
+// and LSNs — truncation, repair, shipping — allocates nothing.
+func (r *logReader) skip() bool {
+	_, _, ok := r.step()
+	return ok
+}
+
+// step validates the frame at end without allocating and moves past it,
+// returning its payload and its count of records.
+func (r *logReader) step() (payload []byte, n int, ok bool) {
+	r.recs = r.recs[:0]
+	payload, ok = frameAt(r.data, r.end)
+	if !ok {
+		return nil, 0, false
+	}
+	n, lsn, ok := scanGroup(payload)
+	if !ok {
+		return nil, 0, false
+	}
 	r.lsn = lsn
 	r.start, r.end = r.end, r.end+8+len(payload)
-	return true
+	return payload, n, true
 }
 
 // frameAt returns the payload of the frame at data[off:], and whether its

@@ -290,7 +290,9 @@ const fuzzMaxRid = 1 << 12
 // may not allocate more than a small multiple of its input; and what the
 // reader accepts must be exactly what appendGroup writes: re-encoding the
 // decoded groups reproduces the accepted prefix byte for byte, frames,
-// markers and CRCs included.
+// markers and CRCs included. The walk that decodes no record (skip, which
+// truncation, repair and shipping take) must step through the same
+// groups and stop at the same offset, so that no cut moves.
 func FuzzLogReader(f *testing.F) {
 	torn, _, _ := tornSweepLog(2, 6)
 	for _, log := range [][]byte{torn, flipSweepLog(f), deltaSeedLog(f)} {
@@ -333,7 +335,8 @@ func fuzzReader(t *testing.T, data []byte) {
 	}
 	var re bytes.Buffer
 	pos := 0
-	for _, g := range readGroups(data) {
+	groups := readGroups(data)
+	for _, g := range groups {
 		if g.start != pos {
 			t.Fatalf("group at lsn %d starts at %d, the previous one ended at %d", g.lsn, g.start, pos)
 		}
@@ -348,6 +351,18 @@ func fuzzReader(t *testing.T, data []byte) {
 	}
 	if !bytes.Equal(re.Bytes(), data[:end]) {
 		t.Fatalf("accepted prefix of %d bytes does not re-encode to itself", end)
+	}
+	rd := logReader{data: data}
+	for i := 0; rd.skip(); i++ {
+		if i == len(groups) {
+			t.Fatalf("skip stepped past the %d groups next reads, to lsn %d at %d", i, rd.lsn, rd.start)
+		}
+		if g := groups[i]; rd.lsn != g.lsn || rd.start != g.start || rd.end != g.end || len(rd.recs) != 0 {
+			t.Fatalf("group %d: skip yields lsn %d at [%d, %d) with %d records, next lsn %d at [%d, %d)", i, rd.lsn, rd.start, rd.end, len(rd.recs), g.lsn, g.start, g.end)
+		}
+	}
+	if rd.end != end {
+		t.Fatalf("skip stops at %d, next at %d", rd.end, end)
 	}
 }
 

@@ -22,8 +22,9 @@ import (
 // ends counted. Measured 570 allocations and 41 KB per round trip on
 // encoding/xml, 17 and 0.8 KB on the compiled codec, and 15 since the two
 // envelopes decode into their pooled buffers: the request struct, its
-// and the response's item slices, one string per Machine, State and
-// Command, and the "heartbeatResponse" action. A net/http request per
+// and the response's item slices (each made once, at its item count),
+// one string per Machine, State and Command, and the "heartbeatResponse"
+// action. A net/http request per
 // call cost 107. The budget leaves room for a field or two, not for a
 // reflective encoder or a per-call HTTP exchange.
 func TestHeartbeatRoundTripAllocs(t *testing.T) {
@@ -59,6 +60,60 @@ func TestHeartbeatRoundTripAllocs(t *testing.T) {
 			t.Fatalf("%s: %v allocations per heartbeat round trip, budget %d", name, allocs, budget)
 		}
 		t.Logf("%s: %v allocations per heartbeat round trip", name, allocs)
+	}
+}
+
+// TestListDecodeAllocs: a decoded list is allocated once, at its final
+// length. A 1,000-job queue listing costs the Jobs slice, of capacity
+// 1,000, and its two strings per job; a submit naming 1,000 input
+// datasets costs the ID slice and the owner string. Grown one item at a
+// time the listing climbed through about a dozen capacities.
+func TestListDecodeAllocs(t *testing.T) {
+	const n = 1000
+	var queue core.QueueStatusResponse
+	sub := core.SubmitRequest{Owner: "alice", Count: 1, LengthSec: 60}
+	for i := int64(1); i <= n; i++ {
+		queue.Jobs = append(queue.Jobs, core.QueueJob{ID: i, Owner: "alice", State: "idle", LengthSec: 30})
+		sub.InputDatasets = append(sub.InputDatasets, i)
+	}
+	for _, c := range []struct {
+		name   string
+		in     any
+		out    func() any
+		list   func(any) (length, capacity int)
+		allocs float64
+	}{
+		{"QueueStatusResponse", &queue, func() any { return &core.QueueStatusResponse{} },
+			func(v any) (int, int) { jobs := v.(*core.QueueStatusResponse).Jobs; return len(jobs), cap(jobs) }, 1 + 2*n},
+		{"SubmitRequest", &sub, func() any { return &core.SubmitRequest{} },
+			func(v any) (int, int) { ids := v.(*core.SubmitRequest).InputDatasets; return len(ids), cap(ids) }, 2},
+	} {
+		raw, err := wire.Encode("list", c.in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := wire.DecodeEnvelope(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out any
+		allocs := testing.AllocsPerRun(20, func() {
+			out = c.out()
+			if err := wire.DecodePayload(env, out); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !reflect.DeepEqual(out, c.in) {
+			t.Fatalf("%s: decoded a different value", c.name)
+		}
+		if length, capacity := c.list(out); length != n || capacity != n {
+			t.Fatalf("%s: list of length %d, capacity %d; want %d, %d", c.name, length, capacity, n, n)
+		}
+		// The target itself is one more allocation.
+		if allocs > c.allocs+1 {
+			t.Fatalf("%s: %v allocations to decode, want %v", c.name, allocs, c.allocs+1)
+		}
+		t.Logf("%s: %v allocations to decode", c.name, allocs)
 	}
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"slices"
@@ -47,6 +48,7 @@ type codec struct {
 	elems []field // in declaration order: also the layout of the packed form (pack.go)
 
 	minPacked int // the fewest bytes a packed value takes
+	minXML    int // the fewest bytes of child elements the decoder accepts
 }
 
 // A field is one child element of a codec's struct.
@@ -93,6 +95,7 @@ func compile(t reflect.Type, outer []reflect.Type) (*codec, error) {
 	}
 	c := &codec{name: t.Name()}
 	paths := map[string]bool{} // "parent>name" of every element, "parent>" of every parent
+	open := ""                 // the parent of the previous field, as appendElement opens it
 	for i := 0; i < t.NumField(); i++ {
 		sf := t.Field(i)
 		tag := sf.Tag.Get("xml")
@@ -165,11 +168,39 @@ func compile(t reflect.Type, outer []reflect.Type) (*codec, error) {
 		paths[f.parent+">"+f.name] = true
 		c.elems = append(c.elems, f)
 		c.minPacked += f.minPacked()
+		if f.parent != open {
+			c.minXML += tagsLen(f.parent)
+			open = f.parent
+		}
+		if !f.slice && !f.omit {
+			c.minXML += f.minXMLItem()
+		}
 	}
 	if !asciiName(c.name) {
 		return bad("no usable element name (%q)", c.name)
 	}
 	return c, nil
+}
+
+// minXMLItem is the fewest bytes one element of f takes as the decoder
+// reads it: its tags around an empty string, one digit of a number or a
+// bool ("1"), or the shortest children of a struct.
+func (f *field) minXMLItem() int {
+	switch f.kind {
+	case reflect.Struct:
+		return tagsLen(f.name) + f.elem.minXML
+	case reflect.String:
+		return tagsLen(f.name)
+	}
+	return tagsLen(f.name) + 1
+}
+
+// tagsLen is the length of <name></name>; nothing when there is no name.
+func tagsLen(name string) int {
+	if name == "" {
+		return 0
+	}
+	return 2*len(name) + 5
 }
 
 // ownMarshalling names the first custom XML or text marshalling method t
@@ -396,13 +427,17 @@ func (d *decoder) errorf(format string, args ...any) error {
 
 // tag consumes open+name+">" when it comes next.
 func (d *decoder) tag(open, name string) bool {
-	rest := d.in[d.pos:]
-	n := len(open) + len(name)
-	if !hasPrefix(rest, open) || !hasPrefix(rest[len(open):], name) || len(rest) == n || rest[n] != '>' {
+	if !isTag(d.in[d.pos:], open, name) {
 		return false
 	}
-	d.pos += n + 1
+	d.pos += len(open) + len(name) + 1
 	return true
+}
+
+// isTag reports whether b starts with open+name+">".
+func isTag(b []byte, open, name string) bool {
+	n := len(open) + len(name)
+	return hasPrefix(b, open) && hasPrefix(b[len(open):], name) && len(b) > n && b[n] == '>'
 }
 
 func hasPrefix(b []byte, prefix string) bool {
@@ -419,6 +454,16 @@ func (d *decoder) expect(open, name string) error {
 }
 
 // fields decodes c's child elements, as appendElement writes them, into v.
+//
+// A list is allocated once, at its final length: before its first item
+// is decoded, its items are counted (count), and a count the bytes left
+// cannot hold at the shortest item the decoder accepts refuses the
+// payload — the rule the packed form's count keeps (pack.go), so what a
+// list costs is bounded by its bytes. The slice's capacity is then its
+// length plus the count: a target that already holds items is appended
+// to, as xml.Unmarshal does. No more items are decoded than that: an
+// input whose items the count misjudged is refused by the tag that
+// follows them.
 func (d *decoder) fields(c *codec, v reflect.Value) error {
 	open := ""
 	for i := range c.elems {
@@ -443,22 +488,60 @@ func (d *decoder) fields(c *codec, v reflect.Value) error {
 			}
 			continue
 		}
-		for d.tag("<", f.name) {
-			n := fv.Len()
-			if n == 0 {
-				fv.Grow(4) // most lists here have a few items; skip the 1-2-4 climb
-			} else {
-				fv.Grow(1)
-			}
+		k := d.count(f.name)
+		if k == 0 {
+			continue // an empty list stays nil, as xml.Unmarshal leaves it
+		}
+		if left := len(d.in) - d.pos; k > left/f.minXMLItem() {
+			return d.errorf("%d <%s> items cannot fit in the %d bytes left", k, f.name, left)
+		}
+		// Grow allocates into the field itself, where MakeSlice would add
+		// a slice header; SetCap trims its size-class slack.
+		fv.Grow(k)
+		fv.SetCap(fv.Len() + k)
+		for n := fv.Len(); n < fv.Cap() && d.tag("<", f.name); n++ {
 			fv.SetLen(n + 1)
 			item := fv.Index(n)
-			item.SetZero()
+			item.SetZero() // capacity an appended-to target brought may hold old items
 			if err := d.value(f, item); err != nil {
 				return err
 			}
 		}
 	}
 	return d.expect("</", open)
+}
+
+// count reports how many <name> elements follow one another from the
+// read position, consuming nothing. It goes by tag depth alone: the
+// encoder's text never holds '<', so every '<' starts a tag, and an item
+// ends at the end tag that takes the depth back to zero — an element
+// inside it that shares its name is not counted. On input the decoder
+// refuses, the count may be off, but never below the items decoded
+// before the refusal.
+func (d *decoder) count(name string) int {
+	k := 0
+	for p := d.pos; isTag(d.in[p:], "<", name); {
+		k++
+		p += len(name) + 2
+		for depth := 1; depth > 0; {
+			i := bytes.IndexByte(d.in[p:], '<')
+			if i < 0 || p+i+1 == len(d.in) {
+				return k
+			}
+			p += i + 1
+			if d.in[p] == '/' {
+				depth--
+			} else {
+				depth++
+			}
+		}
+		i := bytes.IndexByte(d.in[p:], '>')
+		if i < 0 {
+			return k
+		}
+		p += i + 1
+	}
+	return k
 }
 
 // value decodes the content and end tag of one element of f, whose start

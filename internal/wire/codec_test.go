@@ -20,6 +20,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -225,6 +226,66 @@ func TestCodecNilPayloads(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("Encode(%#v) = %q, want %q", payload, got, want)
 		}
+	}
+}
+
+// TestListAllocatedAtItsLength: the decoder counts a list's items before
+// it fills it, so the slice is made once with exactly that capacity — an
+// item whose child shares the item's element name counted once — an
+// empty list stays nil, and a target that already holds items is
+// appended to, as xml.Unmarshal does.
+func TestListAllocatedAtItsLength(t *testing.T) {
+	doc := `<HeartbeatResponse><Commands><Command><Seq>0</Seq><Command>OK</Command></Command>` +
+		`<Command><Seq>1</Seq><Command>MATCHINFO</Command><MatchID>7</MatchID></Command>` +
+		`<Command><Seq>2</Seq><Command>Command</Command></Command></Commands></HeartbeatResponse>`
+	var hb core.HeartbeatResponse
+	if err := codecDecode([]byte(doc), &hb); err != nil {
+		t.Fatal(err)
+	}
+	if len(hb.Commands) != 3 || cap(hb.Commands) != 3 || hb.Commands[2].Command != "Command" {
+		t.Fatalf("decoded %d commands into capacity %d: %+v", len(hb.Commands), cap(hb.Commands), hb.Commands)
+	}
+	checkDecode(t, []byte(doc), core.HeartbeatResponse{})
+
+	var empty core.HeartbeatResponse
+	if err := codecDecode([]byte(`<HeartbeatResponse><Commands></Commands></HeartbeatResponse>`), &empty); err != nil {
+		t.Fatal(err)
+	}
+	if empty.Commands != nil {
+		t.Fatalf("<Commands></Commands> decoded to %#v, want nil", empty.Commands)
+	}
+
+	jobs := `<QueueStatusResponse><Jobs><Job><ID>2</ID><Owner>b</Owner><State>idle</State><LengthSec>5</LengthSec></Job>` +
+		`<Job><ID>3</ID><Owner>c</Owner><State>running</State><LengthSec>6</LengthSec></Job></Jobs></QueueStatusResponse>`
+	held := []core.QueueJob{{ID: 1, Owner: "a", State: "completed", LengthSec: 4}}
+	viaCodec := core.QueueStatusResponse{Jobs: slices.Clone(held)}
+	viaXML := core.QueueStatusResponse{Jobs: slices.Clone(held)}
+	if err := codecDecode([]byte(jobs), &viaCodec); err != nil {
+		t.Fatal(err)
+	}
+	if err := xml.Unmarshal([]byte(jobs), &viaXML); err != nil {
+		t.Fatal(err)
+	}
+	if len(viaCodec.Jobs) != 3 || !reflect.DeepEqual(viaCodec, viaXML) {
+		t.Fatalf("appended to %v:\n codec %+v\n   xml %+v", held, viaCodec.Jobs, viaXML.Jobs)
+	}
+}
+
+// TestListCountBoundedByBytes: a list whose items are shorter than any
+// the decoder accepts is refused on its count, before its slice is made —
+// 1 MiB of <Job></Job> would otherwise promise 95,325 QueueJobs, 4.6 MB.
+func TestListCountBoundedByBytes(t *testing.T) {
+	data := []byte(`<QueueStatusResponse><Jobs>` + strings.Repeat(`<Job></Job>`, (1<<20)/len(`<Job></Job>`)) + `</Jobs></QueueStatusResponse>`)
+	var out core.QueueStatusResponse
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := codecDecode(data, &out)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a list of empty items was accepted")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 2<<20 {
+		t.Fatalf("refusing %d bytes allocated %d", len(data), alloc)
 	}
 }
 
@@ -520,8 +581,10 @@ func FuzzDecodeEnvelope(f *testing.F) {
 }
 
 // FuzzDecodePayload holds the payload decoder to xml.Unmarshal one way
-// (checkDecode) on arbitrary bytes, and on the side encodes a value of a
-// message type generated from them: it must decode, as xml.Unmarshal
+// (checkDecode) on arbitrary bytes, and to allocation bounded by its
+// input: a list's count, taken before its slice is made, must not promise
+// more items than the bytes can hold. On the side it encodes a value of a
+// message type generated from the bytes: it must decode, as xml.Unmarshal
 // decodes it, to the value itself when the value is clean (checkValue).
 func FuzzDecodePayload(f *testing.F) {
 	fuzzSeeds(f, func(data []byte) {
@@ -529,8 +592,30 @@ func FuzzDecodePayload(f *testing.F) {
 			f.Add(data, uint8(i))
 		}
 	})
+	queue := slices.IndexFunc(decodeTargets, func(v any) bool { _, ok := v.(core.QueueStatusResponse); return ok })
+	var listing core.QueueStatusResponse
+	for id := int64(1); id <= 1000; id++ {
+		listing.Jobs = append(listing.Jobs, core.QueueJob{ID: id, Owner: "alice", State: "idle", LengthSec: 30})
+	}
+	data, err := codecEncode(&listing)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data, uint8(queue))
+	f.Add([]byte(`<QueueStatusResponse><Jobs>`+strings.Repeat(`<Job></Job>`, 1000)+`</Jobs></QueueStatusResponse>`), uint8(queue))
 	f.Fuzz(func(t *testing.T, data []byte, which uint8) {
-		checkDecode(t, data, decodeTargets[int(which)%len(decodeTargets)])
+		target := decodeTargets[int(which)%len(decodeTargets)]
+		out := reflect.New(reflect.TypeOf(target)).Interface()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		codecDecode(data, out)
+		runtime.ReadMemStats(&after)
+		// TotalAlloc is the whole process's: the constant leaves room for
+		// the fuzz worker's own goroutines.
+		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+(64<<10)); alloc > limit {
+			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), alloc, limit)
+		}
+		checkDecode(t, data, target)
 		rng := rand.New(rand.NewSource(int64(crc32.ChecksumIEEE(data))))
 		ptr := reflect.New(reflect.TypeOf(messages[int(which)%len(messages)]))
 		clean := rng.Intn(2) == 0
