@@ -21,16 +21,23 @@ build:
 test:
 	$(GO) test ./...
 
-# The allocation budgets, level by level: a wire round trip, a bare
-# statement (in memory and on resident pages; a read whose result the
-# transaction lends costs the Tx alone), a hash join's probe, a grouped
-# aggregation, the index entries of an insert, a stored row and its
-# update, a page compaction, a dirty eviction and reload, a bean call, a
-# steady Service.Heartbeat. They are compiled out under -race (sync.Pool
-# sheds there), so they get their own uncached run. What keeps the lending
-# honest runs with the race suites: TestLentRowsLiveUntilTheTransactionEnds
-# (a lent result intact until its transaction ends) and
-# TestPooledScratchPinsNothing (every result taken back, the arena emptied).
+# The allocation budgets, level by level: a wire round trip (the request
+# and reply values recycled by wire.Typed, the action names built once per
+# route), a bare statement (in memory and on resident pages; a read whose
+# result the transaction lends costs the Tx alone), a hash join's probe, a
+# grouped aggregation, the index entries of an insert, a stored row and
+# its update, a page compaction, a dirty eviction and reload, a bean call,
+# a steady Service.Heartbeat, and the same beat as an exchange through
+# wire.Local into the CAS mux, both ends counted
+# (TestHeartbeatExchangeAllocs). They are compiled out under -race
+# (sync.Pool sheds there), so they get their own uncached run. What keeps
+# the lending honest runs with the race suites:
+# TestLentRowsLiveUntilTheTransactionEnds (a lent result intact until its
+# transaction ends), TestPooledScratchPinsNothing (every result taken
+# back, the arena emptied), TestTypedRecyclesCleanly and
+# TestExchangeRecyclesCleanly (no exchange sees a recycled message's old
+# values) and TestRecycledMessagesArePoisoned (a request or reply kept
+# past its exchange reads poison).
 alloc:
 	$(GO) test -count=1 -run Allocs ./internal/sqldb ./internal/sqldb/pager ./internal/beans ./internal/core ./internal/wire
 
@@ -41,7 +48,12 @@ alloc:
 # under -race (TestLentRowsLiveUntilTheTransactionEnds), a pooled scratch
 # pins nothing (TestPooledScratchPinsNothing), and the lock table is
 # empty, its freelists capped, after a stress of cancels, timeouts and
-# deadlock victims (TestLockTableHygieneUnderStress). The bean container's two transports
+# deadlock victims (TestLockTableHygieneUnderStress). A wire exchange's
+# request and reply values are recycled by wire.Typed: under -race each
+# one taken back is poisoned, so a handler that keeps one past its
+# exchange reads poison (TestRecycledMessagesArePoisoned), and the CAS's
+# exchanges run with their messages poisoned after every call
+# (TestExchangeRecyclesCleanly). The bean container's two transports
 # and its one retry loop (an engine deadlock victim on each), the wire
 # codec and transports, the execute-node agent and the event engine ride
 # along: the packages where goroutines share state (internal/vtime keeps
@@ -87,9 +99,11 @@ flagdoc:
 # leaves the payload aliasing the input. The payload codec, one way
 # against encoding/xml as the oracle: never panic, allocation bounded by
 # the input (a list's count, taken before its slice is made, bounded by
-# the bytes), whatever it accepts xml.Unmarshal accepts with the same
-# value, and a value generated from each input encodes as xml.Marshal
-# does and decodes back. The frame
+# the bytes; the bound per target is its list items' Go size over their
+# shortest encoding), whatever it accepts xml.Unmarshal accepts with the
+# same value, a value recycled as wire.Typed recycles one decodes every
+# input as a fresh one does, and a value generated from each input
+# encodes as xml.Marshal does and decodes back. The frame
 # reader of a framed connection (uvarint length, then the envelope):
 # never panic, never accept a frame over the envelope bound, hand back
 # each envelope as it arrived, and grow with the bytes that arrived, not

@@ -11,6 +11,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"condorj2/internal/wire"
 )
 
 // steadyPool assembles a WAL-backed CAS with nodes × 4 registered, idle
@@ -171,5 +173,56 @@ func TestKeyedCompletionBeatAllocs(t *testing.T) {
 	}
 	if bytes > budgetBytes {
 		t.Errorf("%.0f bytes per keyed completion beat, budget %d", bytes, budgetBytes)
+	}
+}
+
+// TestHeartbeatExchangeAllocs guards what one steady 4-VM heartbeat costs
+// as an exchange, both ends counted: through wire.Local into NewMux(s) on
+// a 1000-node pool, every VM idle, the caller decoding each reply into the
+// one it keeps. Measured 23 allocations / 1,321 B while the server built
+// each request value and its VM list, the reply and its commands, and
+// named both actions per exchange; 16 / 657 B once Typed lent recycled
+// request and reply values and the mux named the actions by its route.
+// What remains is the service's own below the wire (the Tx, the Machine,
+// the VM slice and its map: TestHeartbeatSteadyAllocs, less the reply it
+// allocates) and the decoded strings: the request's Machine and States
+// on the server, the reply's Commands on the caller. The budgets leave
+// room for a field or two, not for the per-exchange messages again.
+func TestHeartbeatExchangeAllocs(t *testing.T) {
+	const budgetAllocs, budgetBytes = 20, 1000
+	cas, reqs := steadyPool(t, 1000)
+	caller := &wire.Local{Mux: NewMux(cas.Service)}
+	ctx := context.Background()
+	var resp HeartbeatResponse
+	next := 0
+	beatOnce := func() {
+		req := reqs[next%len(reqs)]
+		next++
+		resp.Commands = resp.Commands[:0]
+		if err := caller.Call(ctx, ActionHeartbeat, req, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Commands) != 4 {
+			t.Fatalf("%d commands, want 4", len(resp.Commands))
+		}
+	}
+	for i := 0; i < 2*len(reqs); i++ {
+		beatOnce() // warm the plan cache, the pools and every node's rows
+	}
+	allocs := testing.AllocsPerRun(2000, beatOnce)
+	const runs = 2000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		beatOnce()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("steady heartbeat exchange: %.0f allocations, %.0f bytes", allocs, bytes)
+	if allocs > budgetAllocs {
+		t.Errorf("%v allocations per steady heartbeat exchange, budget %v", allocs, budgetAllocs)
+	}
+	if bytes > budgetBytes {
+		t.Errorf("%.0f bytes per steady heartbeat exchange, budget %v", bytes, budgetBytes)
 	}
 }

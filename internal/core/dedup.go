@@ -15,9 +15,9 @@ import (
 // key plus a durable reply store close that window:
 //
 //   - the handler first checks wire_replies for the key; a hit unpacks the
-//     stored reply and answers with it (no re-execution) — the mux encodes
-//     it like a fresh one, and the codec is deterministic, so the replay is
-//     the original reply byte for byte,
+//     stored reply into the exchange's reply and answers with it (no
+//     re-execution) — the mux encodes it like a fresh one, and the codec
+//     is deterministic, so the replay is the original reply byte for byte,
 //   - on a miss it runs the service method, whose transaction inserts
 //     the reply row, packed (wire.Pack), as its LAST statement — mutation
 //     and reply commit atomically, so a crash between "applied" and
@@ -79,48 +79,57 @@ func (s *Service) lookupReply(ctx context.Context, key string) (action string, p
 // key again.
 const FaultKeyReused = "KeyReused"
 
-// keyedHandler wraps a typed service method with idempotency-key dedup.
-// Unkeyed envelopes dispatch exactly like wire.Typed, which also compiles
-// both message types' codecs when the handler is built.
-func keyedHandler[Req any, Resp any](s *Service, fn func(context.Context, *Req) (*Resp, error)) wire.Handler {
-	typed := wire.Typed(fn)
-	// replay answers env from the reply store; hit is false when the key
-	// has no reply stored or the store could not be read.
-	replay := func(ctx context.Context, env *wire.Envelope) (reply any, hit bool, err error) {
-		action, payload, hit, err := s.lookupReply(ctx, env.Key)
-		if err != nil || !hit {
-			return nil, false, nil
+// keyedHandler wraps a fill-form service method with idempotency-key
+// dedup. It is one wire.Typed handler: a keyed envelope carries its key
+// and action into the method's context (withPendingReply), and the
+// stored reply of a repeated key is unpacked into the reply Typed lends,
+// which the mux encodes like a fresh one. Unkeyed envelopes dispatch
+// exactly like wire.Typed(fn).
+func keyedHandler[Req any, Resp any](s *Service, fn func(context.Context, *Req, *Resp) error) wire.Handler {
+	typed := wire.Typed(func(ctx context.Context, req *Req, resp *Resp) error {
+		pr, keyed := ctx.Value(pendingReplyCtx{}).(pendingReply)
+		if !keyed {
+			return fn(ctx, req, resp)
 		}
-		if action != env.Action {
-			return nil, true, &wire.Fault{Code: FaultKeyReused,
-				Message: fmt.Sprintf("core: idempotency key %q was used for %s, not %s", env.Key, action, env.Action)}
+		if hit, err := s.replay(ctx, pr, resp); hit {
+			return err
 		}
-		resp := new(Resp)
-		if err := wire.Unpack(payload, resp); err != nil {
-			return nil, true, fmt.Errorf("core: stored %s reply for key %q: %w", action, env.Key, err)
-		}
-		s.replays.Add(1)
-		return resp, true, nil
-	}
-	return func(ctx context.Context, env *wire.Envelope) (any, error) {
-		if env.Key == "" {
-			return typed(ctx, env)
-		}
-		if reply, hit, err := replay(ctx, env); hit {
-			return reply, err
-		}
-		resp, err := typed(withPendingReply(ctx, env.Key, env.Action), env)
+		err := fn(ctx, req, resp)
 		if err != nil {
 			// A concurrent or prior execution of this key may have won the
 			// reply row's unique constraint, rolling this execution back:
 			// its stored answer is the exchange's one true response.
-			if reply, hit, rerr := replay(ctx, env); hit {
-				return reply, rerr
+			if hit, rerr := s.replay(ctx, pr, resp); hit {
+				return rerr
 			}
-			return nil, err
 		}
-		return resp, nil
+		return err
+	})
+	return func(ctx context.Context, env *wire.Envelope, reply *wire.Reply) error {
+		if env.Key != "" {
+			ctx = withPendingReply(ctx, env.Key, env.Action)
+		}
+		return typed(ctx, env, reply)
 	}
+}
+
+// replay answers a keyed exchange from the reply store, unpacking the
+// stored reply into resp (wire.Unpack replaces all of it); hit is false
+// when the key has no reply stored or the store could not be read.
+func (s *Service) replay(ctx context.Context, pr pendingReply, resp any) (hit bool, err error) {
+	action, payload, hit, err := s.lookupReply(ctx, pr.key)
+	if err != nil || !hit {
+		return false, nil
+	}
+	if action != pr.action {
+		return true, &wire.Fault{Code: FaultKeyReused,
+			Message: fmt.Sprintf("core: idempotency key %q was used for %s, not %s", pr.key, action, pr.action)}
+	}
+	if err := wire.Unpack(payload, resp); err != nil {
+		return true, fmt.Errorf("core: stored %s reply for key %q: %w", action, pr.key, err)
+	}
+	s.replays.Add(1)
+	return true, nil
 }
 
 // DedupStats snapshots the reply store's counters.

@@ -606,9 +606,9 @@ func TestMuxShedsStaleHeartbeats(t *testing.T) {
 	// Occupy the single in-flight slot with a parked call.
 	release := make(chan struct{})
 	done := make(chan struct{})
-	cas.Mux.Handle("park", func(ctx context.Context, env *wire.Envelope) (any, error) {
+	cas.Mux.Handle("park", func(ctx context.Context, env *wire.Envelope, reply *wire.Reply) error {
 		<-release
-		return &parked{}, nil
+		return reply.Encode(&parked{})
 	})
 	go func() {
 		defer close(done)

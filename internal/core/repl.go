@@ -573,7 +573,7 @@ func (r *Replicator) Demote(newLeader string) {
 // we lead — the redirect doubles as leader discovery for the deposed
 // sender). Apply is idempotent by LSN, making a re-sent or duplicated ship
 // safe.
-func (r *Replicator) handleShip(ctx context.Context, req *ReplShipRequest) (*ReplShipResponse, error) {
+func (r *Replicator) handleShip(ctx context.Context, req *ReplShipRequest, resp *ReplShipResponse) error {
 	r.applyMu.Lock()
 	defer r.applyMu.Unlock()
 	r.mu.Lock()
@@ -588,13 +588,13 @@ func (r *Replicator) handleShip(ctx context.Context, req *ReplShipRequest) (*Rep
 		if leading {
 			f.Leader = r.cfg.Self
 		}
-		return nil, f
+		return f
 	}
 	if leading && req.Term > term {
 		// Deposed by a newer leader shipping at us. Our log may hold
 		// commits the new timeline never saw; park rather than apply.
 		r.Demote(req.Leader)
-		return nil, fmt.Errorf("core: repl: deposed by term %d; local log diverged, node requires re-seed", req.Term)
+		return fmt.Errorf("core: repl: deposed by term %d; local log diverged, node requires re-seed", req.Term)
 	}
 	if req.Term > term {
 		r.mu.Lock()
@@ -608,32 +608,33 @@ func (r *Replicator) handleShip(ctx context.Context, req *ReplShipRequest) (*Rep
 	// appended with one sync and redone by the engine in one call.
 	run, err := base64.StdEncoding.DecodeString(req.Log)
 	if err != nil {
-		return nil, fmt.Errorf("core: repl: ship at term %d: bad base64: %w", req.Term, err)
+		return fmt.Errorf("core: repl: ship at term %d: bad base64: %w", req.Term, err)
 	}
 	if len(run) == 0 { // what a leader of another build sends: its groups in elements this one does not read
-		return nil, fmt.Errorf("core: repl: ship at term %d carries no log", req.Term)
+		return fmt.Errorf("core: repl: ship at term %d carries no log", req.Term)
 	}
 	if err := r.cas.Engine.ApplyCommitted(run); err != nil {
-		return nil, err
+		return err
 	}
 	r.leaderLSN.Store(req.LeaderLSN)
 	r.lastShipMs.Store(r.now().UnixMilli())
 	r.mu.Lock()
 	r.heard, r.answered = r.now(), true
 	r.mu.Unlock()
-	return &ReplShipResponse{AppliedLSN: r.cas.Engine.AppliedLSN()}, nil
+	resp.AppliedLSN = r.cas.Engine.AppliedLSN()
+	return nil
 }
 
 // handleJoin registers (or refreshes) a follower on the leader. The
 // follower's reported applied LSN is authoritative — it comes from the
 // follower's own durable log, so a follower restart rewinds the resume
 // point exactly to what survived.
-func (r *Replicator) handleJoin(ctx context.Context, req *ReplJoinRequest) (*ReplJoinResponse, error) {
+func (r *Replicator) handleJoin(ctx context.Context, req *ReplJoinRequest, resp *ReplJoinResponse) error {
 	r.mu.Lock()
 	if r.role != roleLeader {
 		leader := r.leader
 		r.mu.Unlock()
-		return nil, &wire.Fault{
+		return &wire.Fault{
 			Code:    wire.FaultNotLeader,
 			Message: "core: repl: join addressed to a non-leader",
 			Leader:  leader,
@@ -651,7 +652,8 @@ func (r *Replicator) handleJoin(ctx context.Context, req *ReplJoinRequest) (*Rep
 	f.ackedAt = r.now()
 	f.mu.Unlock()
 	r.wake()
-	return &ReplJoinResponse{Term: term, Leader: r.cfg.Self, DurableLSN: r.cas.Engine.DurableLSN()}, nil
+	*resp = ReplJoinResponse{Term: term, Leader: r.cfg.Self, DurableLSN: r.cas.Engine.DurableLSN()}
+	return nil
 }
 
 // ---------------------------------------------------------------------

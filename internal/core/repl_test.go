@@ -773,9 +773,9 @@ func TestReplShipWaitsWhenAnAckDoesNotAdvance(t *testing.T) {
 	defer leader.close()
 	var ships atomic.Int64
 	mux := wire.NewMux()
-	mux.Handle(ActionReplShip, wire.Typed(func(context.Context, *ReplShipRequest) (*ReplShipResponse, error) {
+	mux.Handle(ActionReplShip, wire.Typed(func(context.Context, *ReplShipRequest, *ReplShipResponse) error {
 		ships.Add(1)
-		return &ReplShipResponse{}, nil
+		return nil
 	}))
 	net.register("stale").set(&wire.Local{Mux: mux})
 	if err := leader.repl.StartLeader(context.Background()); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -159,17 +160,35 @@ func txQuery(tx *sqldb.Tx, sql string, args ...sqldb.Value) (*sqldb.Rows, error)
 // Submit enqueues req.Count identical jobs and returns their id range
 // (Table 2 steps 1-2: "CAS inserts a job tuple into database").
 func (s *Service) Submit(ctx context.Context, req *SubmitRequest) (*SubmitResponse, error) {
+	return fill(ctx, req, s.submit)
+}
+
+// fill runs a service method of the fill form — the form the web
+// services register (wire.Typed) — on a reply of the caller's own: the
+// in-process call, as simulations, the web site and the tests make it.
+func fill[Req, Resp any](ctx context.Context, req *Req, fn func(context.Context, *Req, *Resp) error) (*Resp, error) {
+	resp := new(Resp)
+	if err := fn(ctx, req, resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// submit is Submit in the fill form. Like every fill-form method that
+// writes, it starts its reply again in each attempt of its transaction:
+// a deadlock victim's retry must not report what the aborted attempt set.
+func (s *Service) submit(ctx context.Context, req *SubmitRequest, resp *SubmitResponse) error {
 	if req.Count <= 0 {
-		return nil, fmt.Errorf("core: submit: Count must be positive, got %d", req.Count)
+		return fmt.Errorf("core: submit: Count must be positive, got %d", req.Count)
 	}
 	if req.Owner == "" {
-		return nil, fmt.Errorf("core: submit: Owner required")
+		return fmt.Errorf("core: submit: Owner required")
 	}
 	if req.LengthSec <= 0 {
-		return nil, fmt.Errorf("core: submit: LengthSec must be positive")
+		return fmt.Errorf("core: submit: LengthSec must be positive")
 	}
-	resp := &SubmitResponse{}
-	err := s.c.InTx(ctx, func(tx *sqldb.Tx) error {
+	return s.c.InTx(ctx, func(tx *sqldb.Tx) error {
+		*resp = SubmitResponse{}
 		now := s.now()
 		if err := s.ensureUser(tx, req.Owner, now); err != nil {
 			return err
@@ -235,10 +254,6 @@ func (s *Service) Submit(ctx context.Context, req *SubmitRequest) (*SubmitRespon
 		resp.WorkflowID = wfID
 		return s.saveReply(ctx, tx, resp)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
 }
 
 func (s *Service) ensureUser(tx *sqldb.Tx, name string, now time.Time) error {
@@ -281,9 +296,15 @@ func (s *Service) registerOutput(tx *sqldb.Tx, name string, jobID int64, now tim
 // (beat carrying completion, triggering post-execution processing) are all
 // this one service.
 func (s *Service) Heartbeat(ctx context.Context, req *HeartbeatRequest) (*HeartbeatResponse, error) {
-	// One command per VM status, so the list is allocated once at that size.
-	resp := &HeartbeatResponse{Commands: make([]VMCommand, 0, len(req.VMs))}
-	err := s.c.InTx(ctx, func(tx *sqldb.Tx) error {
+	return fill(ctx, req, s.heartbeat)
+}
+
+// heartbeat is Heartbeat in the fill form.
+func (s *Service) heartbeat(ctx context.Context, req *HeartbeatRequest, resp *HeartbeatResponse) error {
+	// One command per VM status, so the list is allocated once at that
+	// size, or not at all when the reply's recycled list holds as many.
+	resp.Commands = slices.Grow(resp.Commands[:0], len(req.VMs))
+	return s.c.InTx(ctx, func(tx *sqldb.Tx) error {
 		resp.Commands = resp.Commands[:0]
 		now := s.now()
 		m := &Machine{Name: req.Machine}
@@ -364,10 +385,6 @@ func (s *Service) Heartbeat(ctx context.Context, req *HeartbeatRequest) (*Heartb
 		}
 		return s.saveReply(ctx, tx, resp)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
 }
 
 // allIdle reports whether every stored VM is idle and every report an idle
@@ -781,8 +798,13 @@ func (s *Service) credit(tx *sqldb.Tx, owner string, runtimeSec int64, dropped b
 // AcceptMatch commits a match: Table 2 step 10 — "CAS deletes match tuple,
 // inserts run tuple, updates related job tuple, responds OK".
 func (s *Service) AcceptMatch(ctx context.Context, req *AcceptMatchRequest) (*AcceptMatchResponse, error) {
-	resp := &AcceptMatchResponse{}
-	err := s.c.InTx(ctx, func(tx *sqldb.Tx) error {
+	return fill(ctx, req, s.acceptMatch)
+}
+
+// acceptMatch is AcceptMatch in the fill form.
+func (s *Service) acceptMatch(ctx context.Context, req *AcceptMatchRequest, resp *AcceptMatchResponse) error {
+	return s.c.InTx(ctx, func(tx *sqldb.Tx) error {
+		*resp = AcceptMatchResponse{}
 		match := &Match{ID: req.MatchID}
 		err := beans.Find(tx, match)
 		if errors.Is(err, beans.ErrNotFound) {
@@ -827,16 +849,17 @@ func (s *Service) AcceptMatch(ctx context.Context, req *AcceptMatchRequest) (*Ac
 		resp.OK = true
 		return s.saveReply(ctx, tx, resp)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
 }
 
 // ReleaseJob removes an idle or blocked job from the queue (user abort).
 func (s *Service) ReleaseJob(ctx context.Context, req *ReleaseJobRequest) (*ReleaseJobResponse, error) {
-	resp := &ReleaseJobResponse{}
-	err := s.c.InTx(ctx, func(tx *sqldb.Tx) error {
+	return fill(ctx, req, s.releaseJob)
+}
+
+// releaseJob is ReleaseJob in the fill form.
+func (s *Service) releaseJob(ctx context.Context, req *ReleaseJobRequest, resp *ReleaseJobResponse) error {
+	return s.c.InTx(ctx, func(tx *sqldb.Tx) error {
+		*resp = ReleaseJobResponse{}
 		job := &Job{ID: req.JobID}
 		err := beans.Find(tx, job)
 		if errors.Is(err, beans.ErrNotFound) {
@@ -865,10 +888,6 @@ func (s *Service) ReleaseJob(ctx context.Context, req *ReleaseJobRequest) (*Rele
 		resp.OK = true
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
 }
 
 // PoolStatus answers pool-level queries with set-oriented SQL. The three
@@ -876,42 +895,46 @@ func (s *Service) ReleaseJob(ctx context.Context, req *ReleaseJobRequest) (*Rele
 // machine/VM/job numbers are mutually consistent, and the monitoring scan
 // takes no locks — it neither stalls behind nor stalls the heartbeat and
 // submit writers.
-func (s *Service) PoolStatus(ctx context.Context, _ *PoolStatusRequest) (*PoolStatusResponse, error) {
-	resp := &PoolStatusResponse{}
+func (s *Service) PoolStatus(ctx context.Context, req *PoolStatusRequest) (*PoolStatusResponse, error) {
+	return fill(ctx, req, s.poolStatus)
+}
+
+// poolStatus is PoolStatus in the fill form. Each count is appended to
+// the reply's list, recycled with it.
+func (s *Service) poolStatus(ctx context.Context, _ *PoolStatusRequest, resp *PoolStatusResponse) error {
 	err := s.c.InReadTx(ctx, func(tx *sqldb.Tx) error {
-		count := func(table string) ([]StateCount, error) {
+		count := func(table string, out []StateCount) ([]StateCount, error) {
 			rows, err := txQuery(tx, fmt.Sprintf(
 				`SELECT state, count(*) FROM %s GROUP BY state ORDER BY state`, table))
 			if err != nil {
 				return nil, err
 			}
-			var out []StateCount
-			for rows.Next() {
+			for out = out[:0]; rows.Next(); {
 				out = append(out, StateCount{State: rows.Col(0).Text(), Count: rows.Col(1).Int64()})
 			}
 			return out, nil
 		}
 		var err error
-		if resp.Machines, err = count("machines"); err != nil {
+		if resp.Machines, err = count("machines", resp.Machines); err != nil {
 			return err
 		}
-		if resp.VMs, err = count("vms"); err != nil {
+		if resp.VMs, err = count("vms", resp.VMs); err != nil {
 			return err
 		}
-		if resp.Jobs, err = count("jobs"); err != nil {
+		if resp.Jobs, err = count("jobs", resp.Jobs); err != nil {
 			return err
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, sc := range resp.Jobs {
 		if sc.State == JobRunning {
 			resp.RunningJobs = sc.Count
 		}
 	}
-	return resp, nil
+	return nil
 }
 
 // Queue listing sizes: what a request that names no Limit gets, and the
@@ -924,16 +947,21 @@ const (
 // QueueStatus lists queued jobs, optionally for one owner, from a
 // read-only snapshot.
 func (s *Service) QueueStatus(ctx context.Context, req *QueueStatusRequest) (*QueueStatusResponse, error) {
+	return fill(ctx, req, s.queueStatus)
+}
+
+// queueStatus is QueueStatus in the fill form.
+func (s *Service) queueStatus(ctx context.Context, req *QueueStatusRequest, resp *QueueStatusResponse) error {
 	limit := req.Limit
 	if limit <= 0 {
 		limit = queueStatusDefault
 	}
 	limit = min(limit, queueStatusMax)
-	resp := &QueueStatusResponse{}
-	err := s.c.InReadTx(ctx, func(tx *sqldb.Tx) error {
+	return s.c.InReadTx(ctx, func(tx *sqldb.Tx) error {
 		// The reply is built row by row through one reused Job, in a slice
-		// sized once for the most the query can return.
-		resp.Jobs = make([]QueueJob, 0, limit)
+		// sized once for the most the query can return — the reply's
+		// recycled list, when that holds as many.
+		resp.Jobs = slices.Grow(resp.Jobs[:0], limit)
 		add := func(j *Job) error {
 			resp.Jobs = append(resp.Jobs, QueueJob{ID: j.ID, Owner: j.Owner, State: j.State, LengthSec: j.LengthSec})
 			return nil
@@ -943,16 +971,17 @@ func (s *Service) QueueStatus(ctx context.Context, req *QueueStatusRequest) (*Qu
 		}
 		return beans.Each(tx, add, "ORDER BY id LIMIT ?", limit)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
 }
 
 // UserStats returns one owner's accounting record.
 func (s *Service) UserStats(ctx context.Context, req *UserStatsRequest) (*UserStatsResponse, error) {
-	resp := &UserStatsResponse{Owner: req.Owner}
-	err := s.c.InReadTx(ctx, func(tx *sqldb.Tx) error {
+	return fill(ctx, req, s.userStats)
+}
+
+// userStats is UserStats in the fill form.
+func (s *Service) userStats(ctx context.Context, req *UserStatsRequest, resp *UserStatsResponse) error {
+	resp.Owner = req.Owner
+	return s.c.InReadTx(ctx, func(tx *sqldb.Tx) error {
 		acct := &Accounting{Owner: req.Owner}
 		err := beans.Find(tx, acct)
 		if errors.Is(err, beans.ErrNotFound) {
@@ -966,17 +995,17 @@ func (s *Service) UserStats(ctx context.Context, req *UserStatsRequest) (*UserSt
 		resp.TotalRuntimeSec = acct.TotalRuntimeSec
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
 }
 
 // ConfigGet reads an operational configuration value from a read-only
 // snapshot.
 func (s *Service) ConfigGet(ctx context.Context, req *ConfigGetRequest) (*ConfigGetResponse, error) {
-	var resp *ConfigGetResponse
-	err := s.c.InReadTx(ctx, func(tx *sqldb.Tx) error {
+	return fill(ctx, req, s.configGet)
+}
+
+// configGet is ConfigGet in the fill form.
+func (s *Service) configGet(ctx context.Context, req *ConfigGetRequest, resp *ConfigGetResponse) error {
+	return s.c.InReadTx(ctx, func(tx *sqldb.Tx) error {
 		rows, err := txQuery(tx, `SELECT value FROM config WHERE name = ?`, sqldb.NewText(req.Name))
 		if err != nil {
 			return err
@@ -984,13 +1013,9 @@ func (s *Service) ConfigGet(ctx context.Context, req *ConfigGetRequest) (*Config
 		if !rows.Next() {
 			return fmt.Errorf("core: no config entry %q", req.Name)
 		}
-		resp = &ConfigGetResponse{Name: req.Name, Value: rows.Col(0).Text()}
+		resp.Name, resp.Value = req.Name, rows.Col(0).Text()
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
 }
 
 // ConfigSet updates a configuration value, keeping history, and loads the
@@ -1001,7 +1026,12 @@ func (s *Service) ConfigGet(ctx context.Context, req *ConfigGetRequest) (*Config
 // so the stamp is younger than old+new, and without the re-stamp the
 // shorter sweep timeout could reap a machine that beat a moment ago.
 func (s *Service) ConfigSet(ctx context.Context, req *ConfigSetRequest) (*ConfigSetResponse, error) {
-	resp := &ConfigSetResponse{OK: true}
+	return fill(ctx, req, s.configSet)
+}
+
+// configSet is ConfigSet in the fill form.
+func (s *Service) configSet(ctx context.Context, req *ConfigSetRequest, resp *ConfigSetResponse) error {
+	resp.OK = true
 	err := s.c.InTx(ctx, func(tx *sqldb.Tx) error {
 		at := s.now()
 		name, value, now := sqldb.NewText(req.Name), sqldb.NewText(req.Value), sqldb.NewTime(at)
@@ -1029,21 +1059,25 @@ func (s *Service) ConfigSet(ctx context.Context, req *ConfigSetRequest) (*Config
 		return s.saveReply(ctx, tx, resp)
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.loadSettings(ctx)
-	return resp, nil
+	return nil
 }
 
 // RegisterDataset declares an external dataset (provenance extension).
 func (s *Service) RegisterDataset(ctx context.Context, req *RegisterDatasetRequest) (*RegisterDatasetResponse, error) {
+	return fill(ctx, req, s.registerDataset)
+}
+
+// registerDataset is RegisterDataset in the fill form.
+func (s *Service) registerDataset(ctx context.Context, req *RegisterDatasetRequest, resp *RegisterDatasetResponse) error {
 	ver := req.Version
 	if ver == 0 {
 		ver = 1
 	}
 	ds := &Dataset{Name: req.Name, Version: ver, CreatedAt: s.now()}
-	resp := &RegisterDatasetResponse{}
-	err := s.c.InTx(ctx, func(tx *sqldb.Tx) error {
+	return s.c.InTx(ctx, func(tx *sqldb.Tx) error {
 		ds.ID = 0
 		if err := beans.Insert(tx, ds); err != nil {
 			return err
@@ -1051,20 +1085,21 @@ func (s *Service) RegisterDataset(ctx context.Context, req *RegisterDatasetReque
 		resp.ID = ds.ID
 		return s.saveReply(ctx, tx, resp)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
 }
 
 // Provenance answers "what executable and input data generated this output
 // data set, and which versions were used?" (paper §6).
 func (s *Service) Provenance(ctx context.Context, req *ProvenanceRequest) (*ProvenanceResponse, error) {
+	return fill(ctx, req, s.provenance)
+}
+
+// provenance is Provenance in the fill form.
+func (s *Service) provenance(ctx context.Context, req *ProvenanceRequest, resp *ProvenanceResponse) error {
 	// One read-only snapshot covers the whole lineage walk: the dataset,
 	// its producing job, the executable and the inputs are mutually
 	// consistent, and the walk takes no locks.
-	var resp *ProvenanceResponse
-	err := s.c.InReadTx(ctx, func(tx *sqldb.Tx) error {
+	return s.c.InReadTx(ctx, func(tx *sqldb.Tx) error {
+		*resp = ProvenanceResponse{Inputs: resp.Inputs[:0]}
 		var ds []Dataset
 		var err error
 		if req.Version > 0 {
@@ -1079,7 +1114,7 @@ func (s *Service) Provenance(ctx context.Context, req *ProvenanceRequest) (*Prov
 			return fmt.Errorf("core: no dataset %q", req.Dataset)
 		}
 		d := ds[0]
-		resp = &ProvenanceResponse{Dataset: d.Name, Version: d.Version, ProducedByJob: d.ProducedBy}
+		resp.Dataset, resp.Version, resp.ProducedByJob = d.Name, d.Version, d.ProducedBy
 		if d.ProducedBy == 0 {
 			return nil
 		}
@@ -1123,8 +1158,4 @@ func (s *Service) Provenance(ctx context.Context, req *ProvenanceRequest) (*Prov
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
 }

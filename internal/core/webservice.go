@@ -30,11 +30,11 @@ func (s *Service) writeGate(action string) *wire.Fault {
 
 // writeGated wraps a mutating web-service action in the write gate.
 func writeGated(s *Service, h wire.Handler) wire.Handler {
-	return func(ctx context.Context, env *wire.Envelope) (any, error) {
+	return func(ctx context.Context, env *wire.Envelope, reply *wire.Reply) error {
 		if f := s.writeGate(env.Action); f != nil {
-			return nil, f
+			return f
 		}
-		return h(ctx, env)
+		return h(ctx, env, reply)
 	}
 }
 
@@ -52,17 +52,19 @@ func NewMux(s *Service) *wire.Mux {
 	// writing a second config history row or registering a dataset twice.
 	// Mutating actions are additionally write-gated: a replication
 	// follower answers them with a NotLeader redirect instead of
-	// diverging from the leader's log.
-	mux.Handle(ActionSubmitJob, writeGated(s, keyedHandler(s, s.Submit)))
-	mux.Handle(ActionHeartbeat, writeGated(s, keyedHandler(s, s.Heartbeat)))
-	mux.Handle(ActionAcceptMatch, writeGated(s, keyedHandler(s, s.AcceptMatch)))
-	mux.Handle(ActionReleaseJob, writeGated(s, wire.Typed(s.ReleaseJob)))
-	mux.Handle(ActionPoolStatus, wire.Typed(s.PoolStatus))
-	mux.Handle(ActionQueueStatus, wire.Typed(s.QueueStatus))
-	mux.Handle(ActionUserStats, wire.Typed(s.UserStats))
-	mux.Handle(ActionConfigGet, wire.Typed(s.ConfigGet))
-	mux.Handle(ActionConfigSet, writeGated(s, keyedHandler(s, s.ConfigSet)))
-	mux.Handle(ActionRegisterData, writeGated(s, keyedHandler(s, s.RegisterDataset)))
-	mux.Handle(ActionProvenance, wire.Typed(s.Provenance))
+	// diverging from the leader's log. Each action registers its service
+	// method's fill form: the request and the reply are values the
+	// exchange lends (wire.Typed), recycled once the reply is encoded.
+	mux.Handle(ActionSubmitJob, writeGated(s, keyedHandler(s, s.submit)))
+	mux.Handle(ActionHeartbeat, writeGated(s, keyedHandler(s, s.heartbeat)))
+	mux.Handle(ActionAcceptMatch, writeGated(s, keyedHandler(s, s.acceptMatch)))
+	mux.Handle(ActionReleaseJob, writeGated(s, wire.Typed(s.releaseJob)))
+	mux.Handle(ActionPoolStatus, wire.Typed(s.poolStatus))
+	mux.Handle(ActionQueueStatus, wire.Typed(s.queueStatus))
+	mux.Handle(ActionUserStats, wire.Typed(s.userStats))
+	mux.Handle(ActionConfigGet, wire.Typed(s.configGet))
+	mux.Handle(ActionConfigSet, writeGated(s, keyedHandler(s, s.configSet)))
+	mux.Handle(ActionRegisterData, writeGated(s, keyedHandler(s, s.registerDataset)))
+	mux.Handle(ActionProvenance, wire.Typed(s.provenance))
 	return mux
 }

@@ -140,9 +140,9 @@ func (w *wal) committedSince(afterLSN uint64, maxBytes int) ([]byte, uint64, err
 		return nil, durable, fmt.Errorf("sqldb: replication read: %w", err)
 	}
 	defer f.Close()
-	data := make([]byte, to-from)
-	if n, err := f.ReadAt(data, from); n < len(data) {
-		return nil, durable, fmt.Errorf("sqldb: replication read: %d of %d bytes at offset %d: %w", n, len(data), from, err)
+	data, err := readRange(f, from, to)
+	if err != nil {
+		return nil, durable, fmt.Errorf("sqldb: replication read: %w", err)
 	}
 	run, last := cutRun(data, afterLSN, maxBytes, durable)
 	if len(run) > 0 {

@@ -12,6 +12,7 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -575,6 +576,12 @@ func (w *wal) checkpointBarrier() uint64 {
 // commit marker at or below ckptLSN, which file order guarantees is
 // before any marker above it — or earlier, while a tap is registered, so
 // that at least walTapRetain bytes stay behind it.
+//
+// It reads only what it keeps, and the little before it it must scan:
+// from the last index mark the cut cannot land before — the last at or
+// below ckptLSN with the retained bytes behind it — to the end, one
+// ReadAt through VFS.OpenRandom. Every group before that mark is cut
+// unread, and the tail read is written to the new file as it lies.
 func (w *wal) truncateThrough(ckptLSN uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -583,21 +590,39 @@ func (w *wal) truncateThrough(ckptLSN uint64) error {
 			return err
 		}
 	}
-	data, err := w.vfs.ReadFile(w.name)
-	if err != nil {
-		return fmt.Errorf("sqldb: wal truncate: %w", err)
-	}
-	keep := 0
+	keep := int64(0)
 	w.tapMu.Lock()
 	if len(w.taps) > 0 {
 		keep = walTapRetain
 	}
 	w.tapMu.Unlock()
-	cut, truncated := 0, uint64(0)
-	for rd := (logReader{data: data}); rd.skip() && rd.lsn <= ckptLSN && len(data)-rd.end >= keep; {
+	// The file is its whole groups, ending at the last mark: it was
+	// repaired above, and every append holds mu. Marks change under mu.
+	size := w.marks[len(w.marks)-1].off
+	i := sort.Search(len(w.marks), func(i int) bool {
+		return w.marks[i].lsn > ckptLSN || size-w.marks[i].off < keep
+	}) - 1
+	if i < 0 {
+		return nil
+	}
+	// Past the first mark, a mark's LSN is that of the group ending at its
+	// offset: the cut is at least there.
+	from := w.marks[i]
+	f, err := w.vfs.OpenRandom(w.name)
+	if err != nil {
+		return fmt.Errorf("sqldb: wal truncate: %w", err)
+	}
+	tail, err := readRange(f, from.off, size)
+	f.Close()
+	if err != nil {
+		return fmt.Errorf("sqldb: wal truncate: %w", err)
+	}
+	cut, truncated := 0, from.lsn
+	for rd := (logReader{data: tail}); rd.skip() && rd.lsn <= ckptLSN && int64(len(tail)-rd.end) >= keep; {
 		cut, truncated = rd.end, rd.lsn
 	}
-	if cut == 0 {
+	at := from.off + int64(cut)
+	if at == 0 {
 		return nil
 	}
 	// Published before the swap (see committedSince); only this function,
@@ -607,14 +632,23 @@ func (w *wal) truncateThrough(ckptLSN uint64) error {
 	}
 	marks := []walMark{{lsn: truncated}}
 	for _, m := range w.marks {
-		if m.off > int64(cut) {
-			marks = append(marks, walMark{m.lsn, m.off - int64(cut)})
+		if m.off > at {
+			marks = append(marks, walMark{m.lsn, m.off - at})
 		}
 	}
-	if err := w.replaceLocked(append([]byte(nil), data[cut:]...), marks); err != nil {
+	if err := w.replaceLocked(tail[cut:], marks); err != nil {
 		return fmt.Errorf("sqldb: wal truncate: %w", err)
 	}
 	return nil
+}
+
+// readRange reads bytes [from, to) of f.
+func readRange(f RandomFile, from, to int64) ([]byte, error) {
+	data := make([]byte, to-from)
+	if n, err := f.ReadAt(data, from); n < len(data) {
+		return nil, fmt.Errorf("%d of %d bytes at offset %d: %w", n, len(data), from, err)
+	}
+	return data, nil
 }
 
 // stats snapshots the pipeline counters.

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -145,5 +146,117 @@ func TestOSVFSEndToEnd(t *testing.T) {
 	rows := mustQuery(t, db2, `SELECT x FROM t`)
 	if rows.Len() != 1 || rows.Data[0][0].Int64() != 7 {
 		t.Fatalf("recovered = %v", rows.Data)
+	}
+}
+
+// readCountingVFS counts whole-file reads of its MemVFS.
+type readCountingVFS struct {
+	*MemVFS
+	reads int
+}
+
+func (v *readCountingVFS) ReadFile(name string) ([]byte, error) {
+	v.reads++
+	return v.MemVFS.ReadFile(name)
+}
+
+// wholeLogCut is the cut a truncation to ckptLSN makes, computed the way
+// truncateThrough once did: the whole log read and scanned from byte 0.
+func wholeLogCut(data []byte, ckptLSN uint64, keep int) []byte {
+	cut := 0
+	for rd := (logReader{data: data}); rd.skip() && rd.lsn <= ckptLSN && len(data)-rd.end >= keep; {
+		cut = rd.end
+	}
+	return data[cut:]
+}
+
+// TestWALTruncateReadsOnlyWhatItCuts: a truncation starts at the last
+// index mark at or below its LSN, reads from there with one ReadAt and
+// never the whole log, and leaves the file byte for byte as the
+// whole-log scan did — with no cut, cuts mid-file one after another (the
+// index rebased by the one before), a cut held back by a registered
+// replication tap (walTapRetain), and a cut of the whole log. After each,
+// every mark past the first sits at the end of a group with the mark's
+// LSN, the last at the file's end, and the log takes appends again.
+func TestWALTruncateReadsOnlyWhatItCuts(t *testing.T) {
+	vfs := &readCountingVFS{MemVFS: NewMemVFS()}
+	db := openVFS(t, vfs)
+	defer db.Close()
+	mustExec(t, db, `CREATE TABLE blobs (id INTEGER PRIMARY KEY, v TEXT NOT NULL)`)
+	pad := string(make([]byte, 8<<10))
+	insert := func(from, n int) {
+		for id := from; id < from+n; id++ {
+			mustExec(t, db, `INSERT INTO blobs (id, v) VALUES (?, ?)`, id, pad)
+		}
+	}
+	insert(0, 900) // about 7.4 MB of log: a third cut leaves more than walTapRetain
+	file := func() []byte {
+		data, err := vfs.MemVFS.ReadFile("test.wal")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	durable := db.DurableLSN()
+	var tap *ReplicationTap
+	for _, step := range []struct {
+		name    string
+		ckptLSN uint64
+		tap     bool
+	}{
+		{"below the first group", 0, false},
+		{"a third", durable / 3, false},
+		{"all, a tap registered, after a cut", durable, true},
+		{"all", durable, false},
+	} {
+		if step.tap && tap == nil {
+			var err error
+			if tap, err = db.ReplicationTap(); err != nil {
+				t.Fatal(err)
+			}
+		} else if !step.tap && tap != nil {
+			tap.Close()
+			tap = nil
+		}
+		keep := 0
+		if step.tap {
+			keep = walTapRetain
+		}
+		before := file()
+		want := wholeLogCut(before, step.ckptLSN, keep)
+		reads := vfs.reads
+		if err := db.wal.truncateThrough(step.ckptLSN); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		got := file()
+		if vfs.reads != reads {
+			t.Errorf("%s: the truncation read the whole log", step.name)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: %d bytes left of %d, the whole-log cut leaves %d", step.name, len(got), len(before), len(want))
+		}
+		if step.tap && (len(got) < walTapRetain || len(got) == len(before)) {
+			t.Fatalf("%s: %d bytes of %d left behind a tap", step.name, len(got), len(before))
+		}
+		ends := map[int64]uint64{}
+		for rd := (logReader{data: got}); rd.skip(); {
+			ends[int64(rd.end)] = rd.lsn
+		}
+		marks := db.wal.marks
+		for _, m := range marks[1:] {
+			if lsn, ok := ends[m.off]; !ok || lsn != m.lsn {
+				t.Fatalf("%s: mark %+v is not the end of group %d", step.name, m, m.lsn)
+			}
+		}
+		if last := marks[len(marks)-1].off; last != int64(len(got)) {
+			t.Fatalf("%s: the last mark is at %d of %d bytes", step.name, last, len(got))
+		}
+	}
+	if len(file()) != 0 {
+		t.Fatalf("%d bytes left after a cut of the whole log", len(file()))
+	}
+	insert(900, 3)
+	if n := mustQuery(t, db, `SELECT count(*) FROM blobs`).Data[0][0].Int64(); n != 903 {
+		t.Fatalf("%d rows after the cuts and three more inserts, want 903", n)
 	}
 }

@@ -15,14 +15,14 @@ func blockMux() (mux *Mux, entered chan struct{}, release chan struct{}) {
 	mux = NewMux()
 	entered = make(chan struct{}, 1024)
 	release = make(chan struct{})
-	h := func(ctx context.Context, env *Envelope) (any, error) {
+	h := func(ctx context.Context, env *Envelope, reply *Reply) error {
 		entered <- struct{}{}
 		select {
 		case <-release:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
-		return &pingResp{Greeting: "done"}, nil
+		return reply.Encode(&pingResp{Greeting: "done"})
 	}
 	mux.Handle("work", h)
 	mux.Handle("other", h)
@@ -181,7 +181,7 @@ func TestAdmissionBoundsConcurrency(t *testing.T) {
 	const maxInFlight = 4
 	mux := NewMux()
 	var cur, peak atomic.Int64
-	mux.Handle("work", func(ctx context.Context, env *Envelope) (any, error) {
+	mux.Handle("work", func(ctx context.Context, env *Envelope, reply *Reply) error {
 		n := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -191,7 +191,7 @@ func TestAdmissionBoundsConcurrency(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 		cur.Add(-1)
-		return &pingResp{}, nil
+		return reply.Encode(&pingResp{})
 	})
 	mux.SetAdmission(AdmissionConfig{
 		MaxInFlight: maxInFlight,

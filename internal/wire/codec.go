@@ -459,11 +459,13 @@ func (d *decoder) expect(open, name string) error {
 // is decoded, its items are counted (count), and a count the bytes left
 // cannot hold at the shortest item the decoder accepts refuses the
 // payload — the rule the packed form's count keeps (pack.go), so what a
-// list costs is bounded by its bytes. The slice's capacity is then its
-// length plus the count: a target that already holds items is appended
-// to, as xml.Unmarshal does. No more items are decoded than that: an
-// input whose items the count misjudged is refused by the tag that
-// follows them.
+// list costs is bounded by its bytes. A target that already holds items
+// is appended to, as xml.Unmarshal does. When the slice's capacity holds
+// the count past its length — a recycled value's list (recycle.go) — the
+// items are decoded into it and the capacity is kept; otherwise the slice
+// is reallocated at exactly its length plus the count. No more items are
+// decoded than the count: an input whose items the count misjudged is
+// refused by the tag that follows them.
 func (d *decoder) fields(c *codec, v reflect.Value) error {
 	open := ""
 	for i := range c.elems {
@@ -495,11 +497,14 @@ func (d *decoder) fields(c *codec, v reflect.Value) error {
 		if left := len(d.in) - d.pos; k > left/f.minXMLItem() {
 			return d.errorf("%d <%s> items cannot fit in the %d bytes left", k, f.name, left)
 		}
-		// Grow allocates into the field itself, where MakeSlice would add
-		// a slice header; SetCap trims its size-class slack.
-		fv.Grow(k)
-		fv.SetCap(fv.Len() + k)
-		for n := fv.Len(); n < fv.Cap() && d.tag("<", f.name); n++ {
+		n := fv.Len()
+		if fv.Cap()-n < k {
+			// Grow allocates into the field itself, where MakeSlice would
+			// add a slice header; SetCap trims its size-class slack.
+			fv.Grow(k)
+			fv.SetCap(n + k)
+		}
+		for end := n + k; n < end && d.tag("<", f.name); n++ {
 			fv.SetLen(n + 1)
 			item := fv.Index(n)
 			item.SetZero() // capacity an appended-to target brought may hold old items

@@ -583,16 +583,25 @@ func FuzzDecodeEnvelope(f *testing.F) {
 // FuzzDecodePayload holds the payload decoder to xml.Unmarshal one way
 // (checkDecode) on arbitrary bytes, and to allocation bounded by its
 // input: a list's count, taken before its slice is made, must not promise
-// more items than the bytes can hold. On the side it encodes a value of a
-// message type generated from the bytes: it must decode, as xml.Unmarshal
-// decodes it, to the value itself when the value is clean (checkValue).
+// more items than the bytes can hold. The bound is the target's: strings
+// and unescaped text take at most twice the input, and each list at most
+// its Go item size over the shortest item the decoder accepts, per byte
+// (wire.ListBytesPerByte) — so a decoder that made a list at a count the
+// bytes do not bound fails on the long lists of empty items among the
+// seeds. A value recycled the way Typed recycles one — it held another
+// value and was reset — must decode every input as a fresh value does.
+// On the side it encodes a value of a message type generated from the
+// bytes: it must decode, as xml.Unmarshal decodes it, to the value itself
+// when the value is clean (checkValue).
 func FuzzDecodePayload(f *testing.F) {
 	fuzzSeeds(f, func(data []byte) {
 		for i := range decodeTargets {
 			f.Add(data, uint8(i))
 		}
 	})
-	queue := slices.IndexFunc(decodeTargets, func(v any) bool { _, ok := v.(core.QueueStatusResponse); return ok })
+	index := func(target any) uint8 {
+		return uint8(slices.IndexFunc(decodeTargets, func(v any) bool { return reflect.TypeOf(v) == reflect.TypeOf(target) }))
+	}
 	var listing core.QueueStatusResponse
 	for id := int64(1); id <= 1000; id++ {
 		listing.Jobs = append(listing.Jobs, core.QueueJob{ID: id, Owner: "alice", State: "idle", LengthSec: 30})
@@ -601,22 +610,37 @@ func FuzzDecodePayload(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(data, uint8(queue))
-	f.Add([]byte(`<QueueStatusResponse><Jobs>`+strings.Repeat(`<Job></Job>`, 1000)+`</Jobs></QueueStatusResponse>`), uint8(queue))
+	f.Add(data, index(listing))
+	f.Add([]byte(`<QueueStatusResponse><Jobs>`+strings.Repeat(`<Job></Job>`, 10000)+`</Jobs></QueueStatusResponse>`), index(core.QueueStatusResponse{}))
+	f.Add([]byte(`<HeartbeatRequest><Machine></Machine><VMs>`+strings.Repeat(`<VM></VM>`, 10000)+`</VMs></HeartbeatRequest>`), index(core.HeartbeatRequest{}))
 	f.Fuzz(func(t *testing.T, data []byte, which uint8) {
 		target := decodeTargets[int(which)%len(decodeTargets)]
-		out := reflect.New(reflect.TypeOf(target)).Interface()
+		typ := reflect.TypeOf(target)
+		out := reflect.New(typ).Interface()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		codecDecode(data, out)
+		err := codecDecode(data, out)
 		runtime.ReadMemStats(&after)
 		// TotalAlloc is the whole process's: the constant leaves room for
 		// the fuzz worker's own goroutines.
-		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+(64<<10)); alloc > limit {
-			t.Fatalf("decoding %d bytes allocated %d, limit %d", len(data), alloc, limit)
+		limit := uint64(float64(len(data))*(2+1.25*wire.ListBytesPerByte(typ))) + 64<<10
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > limit {
+			t.Fatalf("decoding %d bytes into %s allocated %d, limit %d", len(data), typ, alloc, limit)
 		}
 		checkDecode(t, data, target)
 		rng := rand.New(rand.NewSource(int64(crc32.ChecksumIEEE(data))))
+		held := reflect.New(typ)
+		fill(rng, held.Elem(), false)
+		wire.ResetMessage(held.Interface())
+		if herr := codecDecode(data, held.Interface()); (herr == nil) != (err == nil) {
+			t.Fatalf("decode %q: into a fresh %s: %v; into a recycled one: %v", data, typ, err, herr)
+		} else if err == nil {
+			fresh, _ := wire.Pack(nil, out)
+			recycled, _ := wire.Pack(nil, held.Interface())
+			if !bytes.Equal(fresh, recycled) {
+				t.Fatalf("decode %q\n    fresh %#v\n recycled %#v", data, out, held.Interface())
+			}
+		}
 		ptr := reflect.New(reflect.TypeOf(messages[int(which)%len(messages)]))
 		clean := rng.Intn(2) == 0
 		fill(rng, ptr.Elem(), clean)
@@ -671,34 +695,34 @@ func TestUnsupportedTagsFailAtRegistration(t *testing.T) {
 	}
 	mux := wire.NewMux()
 	mustPanic("chardata", func() {
-		mux.Handle("a", wire.Typed(func(context.Context, *chardata) (*ok, error) { return nil, nil }))
+		mux.Handle("a", wire.Typed(func(context.Context, *chardata, *ok) error { return nil }))
 	})
 	mustPanic("deep path", func() {
-		mux.Handle("a", wire.Typed(func(context.Context, *deepPath) (*ok, error) { return nil, nil }))
+		mux.Handle("a", wire.Typed(func(context.Context, *deepPath, *ok) error { return nil }))
 	})
 	mustPanic("pointer field", func() {
-		mux.Handle("a", wire.Typed(func(context.Context, *ok) (*pointer, error) { return nil, nil }))
+		mux.Handle("a", wire.Typed(func(context.Context, *ok, *pointer) error { return nil }))
 	})
 	mustPanic("[]byte element", func() {
-		mux.Handle("a", wire.Typed(func(context.Context, *rawBytes) (*ok, error) { return nil, nil }))
+		mux.Handle("a", wire.Typed(func(context.Context, *rawBytes, *ok) error { return nil }))
 	})
 	mustPanic("element and parent share a name", func() {
-		mux.Handle("a", wire.Typed(func(context.Context, *clash) (*ok, error) { return nil, nil }))
+		mux.Handle("a", wire.Typed(func(context.Context, *clash, *ok) error { return nil }))
 	})
 	mustPanic("TextMarshaler field", func() {
-		mux.Handle("a", wire.Typed(func(context.Context, *stamped) (*ok, error) { return nil, nil }))
+		mux.Handle("a", wire.Typed(func(context.Context, *stamped, *ok) error { return nil }))
 	})
 	mustPanic(",attr", func() {
-		mux.Handle("a", wire.Typed(func(context.Context, *attr) (*ok, error) { return nil, nil }))
+		mux.Handle("a", wire.Typed(func(context.Context, *attr, *ok) error { return nil }))
 	})
 	mustPanic(",innerxml", func() {
-		mux.Handle("a", wire.Typed(func(context.Context, *ok) (*inner, error) { return nil, nil }))
+		mux.Handle("a", wire.Typed(func(context.Context, *ok, *inner) error { return nil }))
 	})
 	mustPanic("XMLName struct{}", func() {
-		mux.Handle("a", wire.Typed(func(context.Context, *named) (*ok, error) { return nil, nil }))
+		mux.Handle("a", wire.Typed(func(context.Context, *named, *ok) error { return nil }))
 	})
 	mustPanic("XMLName xml.Name", func() {
-		mux.Handle("a", wire.Typed(func(context.Context, *ok) (*xmlNamed, error) { return nil, nil }))
+		mux.Handle("a", wire.Typed(func(context.Context, *ok, *xmlNamed) error { return nil }))
 	})
 	if len(mux.Actions()) != 0 {
 		t.Fatalf("actions registered: %v", mux.Actions())

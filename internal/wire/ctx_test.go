@@ -25,12 +25,13 @@ type sleepResp struct {
 // engine.
 func sleepMux() *Mux {
 	mux := NewMux()
-	mux.Handle("sleep", Typed(func(ctx context.Context, req *sleepReq) (*sleepResp, error) {
+	mux.Handle("sleep", Typed(func(ctx context.Context, req *sleepReq, resp *sleepResp) error {
 		select {
 		case <-time.After(time.Duration(req.Ms) * time.Millisecond):
-			return &sleepResp{OK: true}, nil
+			resp.OK = true
+			return nil
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 	}))
 	return mux
@@ -170,9 +171,9 @@ func TestClientMapsHTTPStatusToFault(t *testing.T) {
 func TestClientBudgetIsTheContextDeadline(t *testing.T) {
 	mux := sleepMux()
 	budgets := make(chan int64, 1)
-	mux.Handle("budget", func(_ context.Context, env *Envelope) (any, error) {
+	mux.Handle("budget", func(_ context.Context, env *Envelope, reply *Reply) error {
 		budgets <- env.Budget
-		return &sleepResp{OK: true}, nil
+		return reply.Encode(&sleepResp{OK: true})
 	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()

@@ -1,6 +1,9 @@
 package wire
 
-import "bytes"
+import (
+	"bytes"
+	"reflect"
+)
 
 // Encode encodes an action and payload as a frame's envelope, with no
 // key, send stamp or budget.
@@ -13,9 +16,57 @@ func Encode(action string, payload any) ([]byte, error) {
 	return bytes.Clone(b.b), nil
 }
 
-// DecodeEnvelope decodes envelope bytes as the Mux decodes a frame's. The
-// envelope's Payload aliases data.
-func DecodeEnvelope(data []byte) (*Envelope, error) { return (&buffer{b: data}).decode() }
+// DecodeEnvelope decodes envelope bytes as the Mux decodes a frame's,
+// naming the action by a string of its own. The envelope's Payload
+// aliases data.
+func DecodeEnvelope(data []byte) (*Envelope, error) {
+	env := new(Envelope)
+	action, err := decodeHeader(data, env)
+	if err != nil {
+		return nil, err
+	}
+	env.Action = string(action)
+	return env, nil
+}
 
 // AppendHeader is appendHeader, for the tests outside the package.
 func AppendHeader(dst []byte, env *Envelope) []byte { return appendHeader(dst, env) }
+
+// RaceEnabled reports a build under the race detector, where a recycled
+// message is poisoned instead of emptied.
+const RaceEnabled = raceEnabled
+
+// PoisonText is what every string of a poisoned message reads.
+const PoisonText = poisonText
+
+// ResetMessage empties *v, a message struct, as its pool does before
+// lending it again: every field zero, every list empty with its backing
+// array kept.
+func ResetMessage(v any) {
+	rv := reflect.ValueOf(v).Elem()
+	mustCodec(rv.Type()).reset(rv)
+}
+
+// ListBytesPerByte bounds the bytes of list items decoding one byte of
+// a t payload can allocate: for each list, reachable through struct
+// fields, its Go item size over the shortest encoding of one item the
+// decoder accepts (minXMLItem), summed.
+func ListBytesPerByte(t reflect.Type) float64 {
+	return mustCodec(t).listBytesPerByte(t)
+}
+
+func (c *codec) listBytesPerByte(t reflect.Type) float64 {
+	r := 0.0
+	for i := range c.elems {
+		f := &c.elems[i]
+		ft := t.Field(f.index).Type
+		if f.slice {
+			ft = ft.Elem()
+			r += float64(ft.Size()) / float64(f.minXMLItem())
+		}
+		if f.kind == reflect.Struct {
+			r += f.elem.listBytesPerByte(ft)
+		}
+	}
+	return r
+}

@@ -12,9 +12,10 @@ import (
 func countMux() (*Mux, *atomic.Uint64) {
 	mux := NewMux()
 	var execs atomic.Uint64
-	mux.Handle("bump", Typed(func(_ context.Context, req *pingReq) (*pingResp, error) {
+	mux.Handle("bump", Typed(func(_ context.Context, req *pingReq, resp *pingResp) error {
 		execs.Add(1)
-		return &pingResp{Doubled: req.N * 2}, nil
+		resp.Doubled = req.N * 2
+		return nil
 	}))
 	return mux, &execs
 }

@@ -72,10 +72,12 @@ func appendHeader(dst []byte, env *Envelope) []byte {
 }
 
 // decodeHeader decodes the envelope in data, a frame's bytes after its
-// length, into env. Its Payload aliases data.
-func decodeHeader(data []byte, env *Envelope) error {
+// length, into env, all but its Action: it returns the action's bytes,
+// which alias data, for the caller to name (a Mux by its route, a client
+// by the reply it expects). env's Payload aliases data.
+func decodeHeader(data []byte, env *Envelope) (action []byte, err error) {
 	u := unpacker{in: data}
-	action, err := u.bytes()
+	action, err = u.bytes()
 	var key []byte
 	var sent, budget uint64
 	if err == nil {
@@ -97,10 +99,10 @@ func decodeHeader(data []byte, env *Envelope) error {
 		err = errPackedRange
 	}
 	if err != nil {
-		return fmt.Errorf("header: %w at offset %d", err, len(data)-len(u.in))
+		return nil, fmt.Errorf("header: %w at offset %d", err, len(data)-len(u.in))
 	}
-	*env = Envelope{Action: string(action), Key: string(key), Sent: int64(sent), Budget: int64(budget), Payload: u.in[:len(u.in):len(u.in)]}
-	return nil
+	*env = Envelope{Key: string(key), Sent: int64(sent), Budget: int64(budget), Payload: u.in[:len(u.in):len(u.in)]}
+	return action, nil
 }
 
 // frameReader is what reads frames: the length byte by byte, the

@@ -54,7 +54,7 @@ func FuzzFrame(f *testing.F) {
 			if !bytes.Equal(b.b, data[end-len(b.b):end]) {
 				t.Fatalf("frame read back %q, sent %q", b.b, data[end-len(b.b):end])
 			}
-			env, err := b.decode()
+			env, err := DecodeEnvelope(b.b)
 			if err != nil {
 				continue
 			}
@@ -95,10 +95,11 @@ func TestMuxShutdownDrainsFramedConnections(t *testing.T) {
 	before := framedServers()
 	mux := pingMux()
 	entered, release := make(chan struct{}), make(chan struct{})
-	mux.Handle("hold", Typed(func(_ context.Context, req *pingReq) (*pingResp, error) {
+	mux.Handle("hold", Typed(func(_ context.Context, req *pingReq, resp *pingResp) error {
 		close(entered)
 		<-release
-		return &pingResp{Doubled: req.N * 2}, nil
+		resp.Doubled = req.N * 2
+		return nil
 	}))
 	srv := httptest.NewServer(mux)
 	defer srv.Close()

@@ -231,9 +231,9 @@ func TestEnvelopeCarriesKeyAndSent(t *testing.T) {
 	mux := NewMux()
 	var gotKey string
 	var gotSent int64
-	mux.Handle("poke", func(ctx context.Context, env *Envelope) (any, error) {
+	mux.Handle("poke", func(ctx context.Context, env *Envelope, reply *Reply) error {
 		gotKey, gotSent = env.Key, env.Sent
-		return &pingResp{}, nil
+		return reply.Encode(&pingResp{})
 	})
 	local := &Local{Mux: mux}
 	ctx := WithIdempotencyKey(context.Background(), "k-123")
@@ -258,11 +258,10 @@ func TestReplayedReplyFramedVerbatim(t *testing.T) {
 		t.Fatal(err)
 	}
 	mux := NewMux()
-	mux.Handle("fresh", func(ctx context.Context, env *Envelope) (any, error) { return orig, nil })
-	mux.Handle("replay", func(ctx context.Context, env *Envelope) (any, error) {
-		var resp pingResp
-		return &resp, Unpack(packed, &resp)
-	})
+	mux.Handle("fresh", func(ctx context.Context, env *Envelope, reply *Reply) error { return reply.Encode(orig) })
+	mux.Handle("replay", Typed(func(ctx context.Context, _ *pingReq, resp *pingResp) error {
+		return Unpack(packed, resp)
+	}))
 	fresh, _ := Encode("fresh", &pingReq{})
 	replay, _ := Encode("replay", &pingReq{})
 	want := dispatchBytes(mux, fresh)
@@ -275,8 +274,8 @@ func TestReplayedReplyFramedVerbatim(t *testing.T) {
 
 func TestHandlerFaultPassthrough(t *testing.T) {
 	mux := NewMux()
-	mux.Handle("ping", func(ctx context.Context, env *Envelope) (any, error) {
-		return nil, &Fault{Code: FaultOverloaded, Message: "busy", RetryAfterMs: 77}
+	mux.Handle("ping", func(ctx context.Context, env *Envelope, reply *Reply) error {
+		return &Fault{Code: FaultOverloaded, Message: "busy", RetryAfterMs: 77}
 	})
 	err := (&Local{Mux: mux}).Call(context.Background(), "ping", &pingReq{}, nil)
 	var f *Fault

@@ -14,6 +14,12 @@
 //   - Local, an in-process transport for discrete-event simulations that
 //     still encodes every envelope as a frame carries it, so byte counts
 //     and code paths match the real thing.
+//
+// An exchange owns its messages. On the server the request envelope lives
+// in a pooled buffer, its typed request in a value Typed lends, and the
+// reply is filled in a value Typed lends: a request lives until its
+// handler returns; a reply until it is encoded; copy what you keep. Under
+// the race detector a message taken back is poisoned (recycle.go).
 package wire
 
 import (
@@ -95,8 +101,9 @@ const maxBody = 16 << 20
 // frames read into. Whoever takes one releases it once no decoded
 // Envelope can still be looking at its bytes.
 type buffer struct {
-	b   []byte
-	env Envelope // the envelope decoded last, so decoding allocates none
+	b     []byte
+	env   Envelope // the envelope decoded last, so decoding allocates none
+	reply Reply    // the handler's way into b, when the Mux encodes a reply into it
 }
 
 var buffers = sync.Pool{New: func() any { return new(buffer) }}
@@ -108,7 +115,7 @@ func newBuffer() *buffer { return buffers.Get().(*buffer) }
 
 func (b *buffer) release() {
 	if cap(b.b) <= maxPooledBuffer {
-		b.b, b.env = b.b[:0], Envelope{}
+		b.b, b.env, b.reply = b.b[:0], Envelope{}, Reply{}
 		buffers.Put(b)
 	}
 }
@@ -165,15 +172,6 @@ func mustCodec(t reflect.Type) *codec {
 	return c
 }
 
-// decode decodes the buffer's bytes into its own envelope, valid until
-// the buffer is reused or released. Its Payload aliases the bytes.
-func (b *buffer) decode() (*Envelope, error) {
-	if err := decodeHeader(b.b, &b.env); err != nil {
-		return nil, fmt.Errorf("wire: bad envelope: %w", err)
-	}
-	return &b.env, nil
-}
-
 // DecodePayload unmarshals an envelope's payload into out, a pointer to
 // a message struct. Decoded strings are copies; nothing in out refers to
 // the envelope afterwards.
@@ -185,9 +183,42 @@ func DecodePayload(env *Envelope, out any) error {
 }
 
 // Handler processes one decoded request envelope under the exchange's
-// context and returns the response payload (marshalled by the mux) or an
-// error (returned as a Fault).
-type Handler func(ctx context.Context, env *Envelope) (any, error)
+// context. It answers with reply.Encode, or returns an error, which the
+// mux answers with a Fault instead (whether or not the reply was encoded).
+// A handler that returns nil without encoding answers with no payload.
+//
+// A request lives until its handler returns; a reply until it is encoded;
+// copy what you keep. The envelope, its payload and the reply are the
+// exchange's: none of them may be used once the handler has returned.
+type Handler func(ctx context.Context, env *Envelope, reply *Reply) error
+
+// A Reply is the reply half of one exchange: the outgoing frame the
+// handler's answer is encoded into, under the reply action ("heartbeat"
+// is answered with "heartbeatResponse").
+type Reply struct {
+	out    *buffer
+	action string
+	done   bool
+	err    error // Encode's failure: the mux answers EncodeError
+}
+
+var errEncodedTwice = errors.New("wire: reply encoded twice")
+
+// Encode encodes payload, a message struct or a pointer to one (nil: no
+// payload), as the exchange's reply. Once it returns, the reply's bytes
+// are in the outgoing frame and payload is the handler's again. A reply
+// is encoded once; a second Encode fails.
+func (r *Reply) Encode(payload any) error {
+	if r.done {
+		return errEncodedTwice
+	}
+	r.done = true
+	mark := len(r.out.b)
+	if r.err = r.out.encode(Envelope{Action: r.action}, payload); r.err != nil {
+		r.out.b = r.out.b[:mark]
+	}
+	return r.err
+}
 
 // Mux routes actions to handlers. It implements http.Handler and is also
 // the dispatch target of the Local transport. An optional admission gate
@@ -196,9 +227,9 @@ type Handler func(ctx context.Context, env *Envelope) (any, error)
 // its own to drain (Shutdown) and sever (Close): an http.Server lets go
 // of a connection once it is upgraded.
 type Mux struct {
-	mu       sync.RWMutex
-	handlers map[string]Handler
-	gate     *gate
+	mu     sync.RWMutex
+	routes map[string]route
+	gate   *gate
 
 	connMu sync.Mutex
 	conns  map[*framedConn]struct{}
@@ -206,43 +237,63 @@ type Mux struct {
 	served sync.WaitGroup // one per tracked connection
 }
 
+// A route is one registered action: its handler, and the action names a
+// request and its reply carry, built once so that dispatch allocates
+// neither.
+type route struct {
+	action, reply string
+	h             Handler
+}
+
 // NewMux creates an empty mux.
-func NewMux() *Mux { return &Mux{handlers: make(map[string]Handler)} }
+func NewMux() *Mux { return &Mux{routes: make(map[string]route)} }
 
 // Handle registers a handler for an action name.
 func (m *Mux) Handle(action string, h Handler) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.handlers[action] = h
+	m.routes[action] = route{action: action, reply: action + "Response", h: h}
 }
 
 // Actions lists registered action names (unsorted).
 func (m *Mux) Actions() []string {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make([]string, 0, len(m.handlers))
-	for a := range m.handlers {
+	out := make([]string, 0, len(m.routes))
+	for a := range m.routes {
 		out = append(out, a)
 	}
 	return out
 }
 
 // dispatch decodes the envelope in in, runs its handler and appends the
-// response envelope to out (action suffixed "Response", or "Fault" on
-// error). Cancellation and deadline faults carry their own codes so
-// clients can tell a timed-out call from a failed one. The request
-// envelope lives in in, which must stay untouched until dispatch returns.
-// The handler runs under ctx narrowed to the envelope's budget, when that
-// is the nearer deadline.
+// response envelope to out (the route's reply action, or "Fault" on
+// error). The header's action is looked up in the route table as it lies
+// in in, and the envelope is named by the route's own string.
+// Cancellation and deadline faults carry their own codes so clients can
+// tell a timed-out call from a failed one. The request envelope lives in
+// in, which must stay untouched until dispatch returns. The handler runs
+// under ctx narrowed to the envelope's budget, when that is the nearer
+// deadline.
 func (m *Mux) dispatch(ctx context.Context, in, out *buffer) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	env, err := in.decode()
+	env := &in.env
+	action, err := decodeHeader(in.b, env)
 	if err != nil {
-		out.encodeFault(&Fault{Code: "BadEnvelope", Message: err.Error()})
+		out.encodeFault(&Fault{Code: "BadEnvelope", Message: fmt.Sprintf("wire: bad envelope: %v", err)})
 		return
 	}
+	m.mu.RLock()
+	rt, ok := m.routes[string(action)]
+	g := m.gate
+	m.mu.RUnlock()
+	if !ok {
+		out.encodeFault(&Fault{Code: "UnknownAction", Message: fmt.Sprintf("wire: no handler for action %q", action)})
+		return
+	}
+	env.Action = rt.action
 	if env.Budget > 0 {
 		dl := time.Now().Add(time.Duration(env.Budget) * time.Millisecond)
 		if cur, has := ctx.Deadline(); !has || cur.After(dl) {
@@ -251,14 +302,6 @@ func (m *Mux) dispatch(ctx context.Context, in, out *buffer) {
 			defer cancel()
 		}
 	}
-	m.mu.RLock()
-	h, ok := m.handlers[env.Action]
-	g := m.gate
-	m.mu.RUnlock()
-	if !ok {
-		out.encodeFault(&Fault{Code: "UnknownAction", Message: fmt.Sprintf("wire: no handler for action %q", env.Action)})
-		return
-	}
 	if g != nil {
 		if fault := g.enter(ctx, env); fault != nil {
 			out.encodeFault(fault)
@@ -266,16 +309,20 @@ func (m *Mux) dispatch(ctx context.Context, in, out *buffer) {
 		}
 		defer g.leave()
 	}
-	resp, err := h(ctx, env)
+	mark := len(out.b)
+	reply := &out.reply
+	*reply = Reply{out: out, action: rt.reply}
+	err = rt.h(ctx, env, reply)
+	switch {
+	case reply.err != nil:
+		err = &Fault{Code: "EncodeError", Message: reply.err.Error()}
+	case err == nil && !reply.done:
+		err = reply.Encode(nil)
+	}
 	if err == nil {
-		mark := len(out.b)
-		if err = out.encode(Envelope{Action: env.Action + "Response"}, resp); err == nil {
-			return
-		}
-		out.b = out.b[:mark]
-		out.encodeFault(&Fault{Code: "EncodeError", Message: err.Error()})
 		return
 	}
+	out.b = out.b[:mark]
 	var f *Fault
 	if !errors.As(err, &f) {
 		f = &Fault{Code: faultCode(err), Message: err.Error()}
@@ -312,21 +359,31 @@ func (m *Mux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 var errBodyTooLarge = fmt.Errorf("wire: body exceeds %d bytes", maxBody)
 
-// Typed adapts a strongly typed handler function to a Handler. Req is
-// decoded from the payload; the response is marshalled by the mux. The
-// exchange context flows through to the service method, which threads it
-// into its container transaction. Both message types are compiled here,
-// so one with a tag the codec does not support panics when the handler
-// is registered, not when the first request arrives.
-func Typed[Req any, Resp any](fn func(context.Context, *Req) (*Resp, error)) Handler {
-	mustCodec(reflect.TypeFor[Req]())
-	mustCodec(reflect.TypeFor[Resp]())
-	return func(ctx context.Context, env *Envelope) (any, error) {
-		req := new(Req)
+// Typed adapts a handler function of the fill form to a Handler: fn
+// reads the request and fills the reply it is given. Both are values
+// Typed lends from its own pools (recycle.go): the request is decoded
+// into a value whose fields are zero and whose lists are empty, and goes
+// back when the handler returns; the reply starts out the same way and
+// goes back once it is encoded. So fn keeps neither: a request lives until
+// fn returns, a reply until it is encoded, and fn copies what it keeps.
+// The exchange context flows through to the service method, which threads
+// it into its container transaction. Both message types are compiled
+// here, so one with a tag the codec does not support panics when the
+// handler is registered, not when the first request arrives.
+func Typed[Req any, Resp any](fn func(context.Context, *Req, *Resp) error) Handler {
+	reqs, resps := newMessagePool[Req](), newMessagePool[Resp]()
+	return func(ctx context.Context, env *Envelope, reply *Reply) error {
+		req := reqs.get()
+		defer reqs.put(req)
 		if err := DecodePayload(env, req); err != nil {
-			return nil, err
+			return err
 		}
-		return fn(ctx, req)
+		resp := resps.get()
+		defer resps.put(resp)
+		if err := fn(ctx, req, resp); err != nil {
+			return err
+		}
+		return reply.Encode(resp)
 	}
 }
 
@@ -341,26 +398,32 @@ type Caller interface {
 }
 
 // decodeResponse handles the shared fault/response branching on in's
-// envelope. Nothing it returns or fills in refers to in afterwards.
+// envelope, whose action is compared as it lies in in: a reply names one
+// of two actions, so naming it allocates nothing. Nothing it returns or
+// fills in refers to in afterwards.
 func decodeResponse(action string, in *buffer, resp any) error {
-	env, err := in.decode()
+	env := &in.env
+	name, err := decodeHeader(in.b, env)
 	if err != nil {
-		return err
+		return fmt.Errorf("wire: bad envelope: %w", err)
 	}
-	if env.Action == "Fault" {
+	if string(name) == "Fault" {
 		var f Fault
-		if err := DecodePayload(env, &f); err != nil {
-			return err
+		if err := decodeElement(env.Payload, &f); err != nil {
+			return fmt.Errorf("wire: bad Fault payload: %w", err)
 		}
 		return &f
 	}
-	if env.Action != action+"Response" {
-		return fmt.Errorf("wire: expected %sResponse, got %s", action, env.Action)
+	if len(name) != len(action)+len("Response") || string(name[:len(action)]) != action || string(name[len(action):]) != "Response" {
+		return fmt.Errorf("wire: expected %sResponse, got %s", action, name)
 	}
 	if resp == nil {
 		return nil
 	}
-	return DecodePayload(env, resp)
+	if err := decodeElement(env.Payload, resp); err != nil {
+		return fmt.Errorf("wire: bad %sResponse payload: %w", action, err)
+	}
+	return nil
 }
 
 // request is the envelope header a call under ctx sends: the action, the

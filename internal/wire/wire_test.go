@@ -26,11 +26,12 @@ type pingResp struct {
 
 func pingMux() *Mux {
 	mux := NewMux()
-	mux.Handle("ping", Typed(func(_ context.Context, req *pingReq) (*pingResp, error) {
+	mux.Handle("ping", Typed(func(_ context.Context, req *pingReq, resp *pingResp) error {
 		if req.Name == "boom" {
-			return nil, errors.New("simulated service failure")
+			return errors.New("simulated service failure")
 		}
-		return &pingResp{Greeting: "hello " + req.Name, Doubled: req.N * 2}, nil
+		resp.Greeting, resp.Doubled = "hello "+req.Name, req.N*2
+		return nil
 	}))
 	return mux
 }
@@ -201,7 +202,7 @@ func TestBadEnvelope(t *testing.T) {
 
 func TestMuxActions(t *testing.T) {
 	mux := pingMux()
-	mux.Handle("other", Typed(func(_ context.Context, req *pingReq) (*pingResp, error) { return &pingResp{}, nil }))
+	mux.Handle("other", Typed(func(context.Context, *pingReq, *pingResp) error { return nil }))
 	if got := len(mux.Actions()); got != 2 {
 		t.Fatalf("actions = %d", got)
 	}
@@ -250,8 +251,9 @@ func TestPropertyEnvelopeRoundTrip(t *testing.T) {
 // typed fault that is not retried — not cut to size and mis-decoded.
 func TestOversizeRequestRejected(t *testing.T) {
 	mux := NewMux()
-	mux.Handle("ping", Typed(func(_ context.Context, req *pingReq) (*pingResp, error) {
-		return &pingResp{Doubled: len(req.Name)}, nil
+	mux.Handle("ping", Typed(func(_ context.Context, req *pingReq, resp *pingResp) error {
+		resp.Doubled = len(req.Name)
+		return nil
 	}))
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
@@ -282,8 +284,9 @@ func TestOversizeRequestRejected(t *testing.T) {
 // nothing after.
 func TestOversizeReplyRejected(t *testing.T) {
 	mux := NewMux()
-	mux.Handle("ping", Typed(func(_ context.Context, req *pingReq) (*pingResp, error) {
-		return &pingResp{Greeting: strings.Repeat("y", maxBody)}, nil
+	mux.Handle("ping", Typed(func(_ context.Context, _ *pingReq, resp *pingResp) error {
+		resp.Greeting = strings.Repeat("y", maxBody)
+		return nil
 	}))
 	defer mux.Close()
 	for name, h := range map[string]http.Handler{
