@@ -226,3 +226,76 @@ func TestHeartbeatExchangeAllocs(t *testing.T) {
 		t.Errorf("%.0f bytes per steady heartbeat exchange, budget %v", bytes, budgetBytes)
 	}
 }
+
+// TestBusyHeartbeatExchangeAllocs guards what a busy 4-VM heartbeat costs
+// as an exchange, both ends counted, on the 1000-node pool of
+// TestHeartbeatExchangeAllocs: one machine whose first VM holds a pending
+// match (the node reports it idle and is answered MATCHINFO) and whose
+// second runs a job the node reports executing, beating over and over,
+// so each beat reads its pairings and writes nothing. Measured 20
+// allocations / 1,393 B while the pairings were two joins read into two
+// maps (at these sizes each join was driven by a seq scan of its one-row
+// matches or runs table); 16 / 673 B — the steady beat's count — once
+// they were one statement, driven from the machine's VMs by index and
+// read into a slice on the stack. The budgets leave room for a field or
+// two, not for the maps again.
+func TestBusyHeartbeatExchangeAllocs(t *testing.T) {
+	const budgetAllocs, budgetBytes = 18, 960
+	cas, reqs := steadyPool(t, 1000)
+	ctx := context.Background()
+	if _, err := cas.Service.Submit(ctx, &SubmitRequest{Owner: "u", Count: 2, LengthSec: 60}); err != nil {
+		t.Fatal(err)
+	}
+	busy := reqs[0]
+	for _, sql := range []string{
+		`INSERT INTO matches (job_id, vm_id) VALUES (1, 1)`,
+		`UPDATE jobs SET state = 'matched' WHERE id = 1`,
+		`UPDATE vms SET state = 'matched' WHERE id = 1`,
+		`INSERT INTO runs (job_id, vm_id) VALUES (2, 2)`,
+		`UPDATE jobs SET state = 'running' WHERE id = 2`,
+		`UPDATE vms SET state = 'claimed' WHERE id = 2`,
+	} {
+		if _, err := cas.Engine.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	busy.VMs[1] = VMStatus{Seq: 1, State: "claimed", JobID: 2}
+	caller := &wire.Local{Mux: NewMux(cas.Service)}
+	var resp HeartbeatResponse
+	beatOnce := func() {
+		resp.Commands = resp.Commands[:0]
+		if err := caller.Call(ctx, ActionHeartbeat, busy, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Commands) != 4 || resp.Commands[0].Command != CmdMatchInfo || resp.Commands[1].Command != CmdOK {
+			t.Fatalf("commands %+v, want MATCHINFO then OKs", resp.Commands)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		beatOnce() // warm the plan cache and the pools
+	}
+	builds := cas.Engine.PlannerStats().HashBuilds
+	commits := cas.Engine.WALStats().Commits
+	allocs := testing.AllocsPerRun(2000, beatOnce)
+	const runs = 2000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		beatOnce()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("busy heartbeat exchange: %.0f allocations, %.0f bytes", allocs, bytes)
+	if n := cas.Engine.PlannerStats().HashBuilds - builds; n != 0 {
+		t.Errorf("%d hash tables built over the measured beats, want 0", n)
+	}
+	if n := cas.Engine.WALStats().Commits - commits; n != 0 {
+		t.Errorf("%d commits over the measured beats, want 0", n)
+	}
+	if allocs > budgetAllocs {
+		t.Errorf("%v allocations per busy heartbeat exchange, budget %v", allocs, budgetAllocs)
+	}
+	if bytes > budgetBytes {
+		t.Errorf("%.0f bytes per busy heartbeat exchange, budget %v", bytes, budgetBytes)
+	}
+}

@@ -241,7 +241,7 @@ func TestReapBoundLoweredInterval(t *testing.T) {
 
 // TestAllIdleReportOnMatchedVMGetsMatchInfo: a node reporting every slot
 // idle while one of its VMs is stored matched is no all-idle beat — the
-// pairing joins run and that slot gets its MATCHINFO.
+// pairing join runs and that slot gets its MATCHINFO.
 func TestAllIdleReportOnMatchedVMGetsMatchInfo(t *testing.T) {
 	cas, _ := newTestCAS(t)
 	s, ctx := cas.Service, context.Background()
@@ -265,5 +265,100 @@ func TestAllIdleReportOnMatchedVMGetsMatchInfo(t *testing.T) {
 	}
 	if len(offers) != 1 || offers[0].JobID != sub.FirstJobID {
 		t.Fatalf("commands %+v, want one MATCHINFO for job %d", resp.Commands, sub.FirstJobID)
+	}
+}
+
+// TestBeatPairingsEachCombination holds the beat's pairing join to what
+// the two joins it replaced answered (one over matches and jobs, one over
+// runs, each an inner join). One machine's five VMs hold every pairing a
+// VM can: a match only, a run only, both, neither, and a match whose job
+// row is gone, which pairs nothing. The node reports them three ways —
+// every slot idle, each slot executing the job the database pairs it with,
+// each executing one other job — and each report's commands (MATCHINFO,
+// RELEASE, re-adoption) and the pairings and states it leaves are pinned.
+func TestBeatPairingsEachCombination(t *testing.T) {
+	claimed := func(jobs ...int64) []VMStatus {
+		out := make([]VMStatus, len(jobs))
+		for i, j := range jobs {
+			out[i] = VMStatus{Seq: int64(i), State: "claimed", JobID: j}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name     string
+		report   []VMStatus
+		commands string
+		after    string
+	}{
+		{
+			"every slot idle", idleVMs(5),
+			"[{0 MATCHINFO 1 1 u 60} {1 OK 0 0  0} {2 OK 0 0  0} {3 OK 0 0  0} {4 OK 0 0  0}]",
+			"matches [[1 1 1] [3 99 5]]; runs []; jobs [[1 'matched'] [2 'idle'] [3 'idle'] [4 'idle'] [5 'idle'] [6 'idle']]; vms [[1 'matched'] [2 'idle'] [3 'idle'] [4 'idle'] [5 'matched']]",
+		},
+		{
+			"each slot on its paired job", claimed(1, 2, 4, 5, 99),
+			"[{0 RELEASE 0 1  0} {1 OK 0 0  0} {2 OK 0 0  0} {3 OK 0 0  0} {4 RELEASE 0 99  0}]",
+			"matches [[2 3 3]]; runs [[1 2 2] [2 4 3] [3 5 4]]; jobs [[1 'idle'] [2 'running'] [3 'matched'] [4 'running'] [5 'running'] [6 'idle']]; vms [[1 'idle'] [2 'claimed'] [3 'claimed'] [4 'claimed'] [5 'idle']]",
+		},
+		{
+			"each slot on another job", claimed(6, 6, 6, 6, 6),
+			"[{0 OK 0 0  0} {1 RELEASE 0 6  0} {2 RELEASE 0 6  0} {3 RELEASE 0 6  0} {4 RELEASE 0 6  0}]",
+			"matches []; runs [[3 6 1]]; jobs [[1 'idle'] [2 'idle'] [3 'idle'] [4 'idle'] [5 'idle'] [6 'running']]; vms [[1 'claimed'] [2 'idle'] [3 'idle'] [4 'idle'] [5 'idle']]",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cas, _ := newTestCAS(t)
+			s, eng, ctx := cas.Service, cas.Engine, context.Background()
+			if _, err := s.Submit(ctx, &SubmitRequest{Owner: "u", Count: 6, LengthSec: 60}); err != nil {
+				t.Fatal(err)
+			}
+			beat(t, s, "node", true, idleVMs(5)...)
+			for _, sql := range []string{
+				// VM 1 (seq 0): a match only.
+				`INSERT INTO matches (job_id, vm_id) VALUES (1, 1)`,
+				`UPDATE jobs SET state = 'matched' WHERE id = 1`,
+				`UPDATE vms SET state = 'matched' WHERE id = 1`,
+				// VM 2: a run only.
+				`INSERT INTO runs (job_id, vm_id) VALUES (2, 2)`,
+				`UPDATE jobs SET state = 'running' WHERE id = 2`,
+				`UPDATE vms SET state = 'claimed' WHERE id = 2`,
+				// VM 3: a match of job 3 beside a run of job 4.
+				`INSERT INTO matches (job_id, vm_id) VALUES (3, 3)`,
+				`INSERT INTO runs (job_id, vm_id) VALUES (4, 3)`,
+				`UPDATE jobs SET state = 'matched' WHERE id = 3`,
+				`UPDATE jobs SET state = 'running' WHERE id = 4`,
+				`UPDATE vms SET state = 'claimed' WHERE id = 3`,
+				// VM 4: neither. VM 5: a match of a job that is gone.
+				`INSERT INTO matches (job_id, vm_id) VALUES (99, 5)`,
+				`UPDATE vms SET state = 'matched' WHERE id = 5`,
+			} {
+				if _, err := eng.Exec(sql); err != nil {
+					t.Fatalf("%s: %v", sql, err)
+				}
+			}
+			resp := beat(t, s, "node", false, tc.report...)
+			if got := fmt.Sprint(resp.Commands); got != tc.commands {
+				t.Errorf("commands\n  %s\nwant\n  %s", got, tc.commands)
+			}
+			var b strings.Builder
+			for i, sql := range []string{
+				`SELECT id, job_id, vm_id FROM matches ORDER BY id`,
+				`SELECT id, job_id, vm_id FROM runs ORDER BY id`,
+				`SELECT id, state FROM jobs ORDER BY id`,
+				`SELECT id, state FROM vms ORDER BY id`,
+			} {
+				rows, err := eng.Query(sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i > 0 {
+					b.WriteString("; ")
+				}
+				fmt.Fprintf(&b, "%s %v", [...]string{"matches", "runs", "jobs", "vms"}[i], rows.Data)
+			}
+			if got := b.String(); got != tc.after {
+				t.Errorf("after the beat\n  %s\nwant\n  %s", got, tc.after)
+			}
+		})
 	}
 }

@@ -281,7 +281,7 @@ func TestChaosTortureExactlyOnce(t *testing.T) {
 // strayPairings counts the match and run rows on an idle or offline VM.
 // There must be none: the cycle marks a VM matched with its match, every
 // way back to idle or offline deletes the VM's pairings first, and a
-// heartbeat relies on it to skip its pairing joins when every VM is idle.
+// heartbeat relies on it to skip its pairing join when every VM is idle.
 func strayPairings(t *testing.T, db *sql.DB) int {
 	t.Helper()
 	const stray = ` p, vms v WHERE p.vm_id = v.id AND (v.state = 'idle' OR v.state = 'offline')`

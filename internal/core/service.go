@@ -347,7 +347,7 @@ func (s *Service) heartbeat(ctx context.Context, req *HeartbeatRequest, resp *He
 		}
 
 		// Set-oriented preload: one query for the machine's VMs and one
-		// join for their pending matches, instead of per-VM lookups — the
+		// join for their pairings, instead of per-VM lookups — the
 		// "efficient transformations" §4.2.3 calls the key to scalability.
 		// A 200-VM heartbeat costs a handful of statements, not hundreds.
 		vms, err := beans.Select[VM](tx, "WHERE machine = ?", m.Name)
@@ -362,13 +362,10 @@ func (s *Service) heartbeat(ctx context.Context, req *HeartbeatRequest, resp *He
 		// cycle marks the VM in the match's transaction, and every way back
 		// to idle or offline deletes the pairings first. A beat finding
 		// every VM idle and reporting only idle slots has nothing to join.
-		var pending map[int64]matchInfo
-		var running map[int64]runInfo
+		var buf [8]pairing // a machine's VMs, without a heap slice up to 8
+		pairs := buf[:0]
 		if !allIdle(vms, req.VMs) {
-			if pending, err = s.pendingMatches(tx, m.Name); err != nil {
-				return err
-			}
-			if running, err = s.activeRuns(tx, m.Name); err != nil {
+			if pairs, err = vmPairings(tx, m.Name, pairs); err != nil {
 				return err
 			}
 		}
@@ -377,7 +374,8 @@ func (s *Service) heartbeat(ctx context.Context, req *HeartbeatRequest, resp *He
 			if !ok {
 				return &wire.Fault{Code: FaultUnknownVM, Message: fmt.Sprintf("core: heartbeat from unknown VM %s/%d", m.Name, st.Seq)}
 			}
-			cmd, err := s.handleVMStatus(tx, m, vm, pending[vm.ID], running[vm.ID], st, now)
+			p := pairingOf(pairs, vm.ID)
+			cmd, err := s.handleVMStatus(tx, m, vm, p.match, p.run, st, now)
 			if err != nil {
 				return err
 			}
@@ -411,52 +409,63 @@ type matchInfo struct {
 	lengthSec int64
 }
 
-// pendingMatches loads all pending matches for one machine's VMs, keyed by
-// VM id.
-func (s *Service) pendingMatches(tx *sqldb.Tx, machine string) (map[int64]matchInfo, error) {
-	rows, err := txQuery(tx, `
-		SELECT m.id, m.job_id, v.id, j.owner, j.length_sec
-		FROM vms v
-		JOIN matches m ON m.vm_id = v.id
-		JOIN jobs j ON j.id = m.job_id
-		WHERE v.machine = ?`, sqldb.NewText(machine))
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int64]matchInfo)
-	for rows.Next() {
-		out[rows.Col(2).Int64()] = matchInfo{
-			matchID: rows.Col(0).Int64(), jobID: rows.Col(1).Int64(),
-			owner: rows.Col(3).Text(), lengthSec: rows.Col(4).Int64(),
-		}
-	}
-	return out, nil
-}
-
 // runInfo is an active run joined for one VM (zero runID when none).
 type runInfo struct {
 	runID int64
 	jobID int64
 }
 
-// activeRuns loads all runs on one machine's VMs, keyed by VM id. The
-// heartbeat uses it to reconcile what the node reports executing against
-// what the database says is executing — the two can diverge across CAS
-// restarts and machine reaps.
-func (s *Service) activeRuns(tx *sqldb.Tx, machine string) (map[int64]runInfo, error) {
-	rows, err := txQuery(tx, `
-		SELECT r.id, r.job_id, v.id
-		FROM vms v
-		JOIN runs r ON r.vm_id = v.id
-		WHERE v.machine = ?`, sqldb.NewText(machine))
+// pairing is one VM's pending match and active run, zero where it has
+// none. The heartbeat reconciles the run against what the node reports
+// executing — the two can diverge across CAS restarts and machine reaps —
+// and answers a pending match with MATCHINFO.
+type pairing struct {
+	vmID  int64
+	match matchInfo
+	run   runInfo
+}
+
+// pairingSQL reads a machine's pairings in one statement: every VM of the
+// machine, probed into matches, the match's job and runs by unique index.
+// A VM holds at most one match and one run (UNIQUE (vm_id) on both), so
+// each VM is one row.
+const pairingSQL = `
+	SELECT v.id, m.id, m.job_id, j.owner, j.length_sec, r.id, r.job_id
+	FROM vms v
+	LEFT JOIN matches m ON m.vm_id = v.id
+	LEFT JOIN jobs j ON j.id = m.job_id
+	LEFT JOIN runs r ON r.vm_id = v.id
+	WHERE v.machine = ?`
+
+// vmPairings appends the pairings of machine's VMs to out. A match whose
+// job row is gone pairs nothing: there is no MATCHINFO to answer with.
+func vmPairings(tx *sqldb.Tx, machine string, out []pairing) ([]pairing, error) {
+	rows, err := txQuery(tx, pairingSQL, sqldb.NewText(machine))
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[int64]runInfo)
 	for rows.Next() {
-		out[rows.Col(2).Int64()] = runInfo{runID: rows.Col(0).Int64(), jobID: rows.Col(1).Int64()}
+		p := pairing{vmID: rows.Col(0).Int64()}
+		if !rows.Col(3).IsNull() { // j.owner is NOT NULL: NULL means no job
+			p.match = matchInfo{
+				matchID: rows.Col(1).Int64(), jobID: rows.Col(2).Int64(),
+				owner: rows.Col(3).Text(), lengthSec: rows.Col(4).Int64(),
+			}
+		}
+		p.run = runInfo{runID: rows.Col(5).Int64(), jobID: rows.Col(6).Int64()}
+		out = append(out, p)
 	}
 	return out, nil
+}
+
+// pairingOf is the pairing of VM vmID, zero when ps holds none.
+func pairingOf(ps []pairing, vmID int64) pairing {
+	for _, p := range ps {
+		if p.vmID == vmID {
+			return p
+		}
+	}
+	return pairing{}
 }
 
 func (s *Service) recordBootHistory(tx *sqldb.Tx, m *Machine, now time.Time) error {

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"condorj2/internal/beans"
+	"condorj2/internal/sqldb"
 )
 
 // statusPlanFixture loads a realistically-shaped cluster (machines with
@@ -65,39 +66,106 @@ func planRows(t *testing.T, cas *CAS, sql string, args ...any) [][4]string {
 	return out
 }
 
-func TestPendingMatchesJoinPlan(t *testing.T) {
-	cas := statusPlanFixture(t)
-	// Service.pendingMatches: the heartbeat-path vm→matches→jobs join.
-	plan := planRows(t, cas, `
-		SELECT m.id, m.job_id, v.id, j.owner, j.length_sec
-		FROM vms v
-		JOIN matches m ON m.vm_id = v.id
-		JOIN jobs j ON j.id = m.job_id
-		WHERE v.machine = ?`, "mach07")
-	if len(plan) != 3 {
-		t.Fatalf("plan rows = %d: %v", len(plan), plan)
-	}
-	// Statistics drive from the machine-filtered vms table (4 of 100
-	// rows), not from FROM order luck: the machine filter rides the
-	// UNIQUE (machine, seq) index.
-	if plan[0][0] != "vms" || !strings.Contains(plan[0][1], "INDEX SCAN USING uq_vms") {
-		t.Fatalf("driver = %v, want vms via uq_vms index", plan[0])
-	}
-	// Both probes must be index nested-loops over the unique indexes.
-	if plan[1][0] != "matches" || plan[1][3] != "INDEX NL" || !strings.Contains(plan[1][1], "INDEX SCAN USING uq_matches") {
-		t.Fatalf("matches edge = %v, want INDEX NL via uq_matches", plan[1])
-	}
-	if plan[2][0] != "jobs" || plan[2][3] != "INDEX NL" || !strings.Contains(plan[2][1], "INDEX SCAN USING pk_jobs") {
-		t.Fatalf("jobs edge = %v, want INDEX NL via pk_jobs", plan[2])
-	}
-	// Monitoring joins stay lock-free snapshot reads end to end.
-	for _, p := range plan {
-		if p[2] != "SNAPSHOT READ" {
-			t.Fatalf("step %v not a snapshot read", p)
+// TestPairingJoinPlan pins the plan of the heartbeat's pairing join
+// (pairingSQL) at every size a pool passes through: 4 VMs per machine
+// over 25 and then 1,000 machines, and matches and runs each filling from
+// 0 to 5,000 rows and emptying again, as lifecycle waves do. At each size
+// the statement is executed, then explained: the plan is driven from the
+// machine's VMs and every later step probes a unique index by the outer
+// row. The executed statement's replans pick nothing but index probes
+// (the planner's strategy counters), it builds no hash table, and it
+// visits tens of rows — the 4 VMs, their 3 probes each and the deleted
+// pairings' versions until GC takes them — never the 500 or 5,000 a scan
+// of matches or runs would.
+func TestPairingJoinPlan(t *testing.T) {
+	cas, _ := newTestCAS(t)
+	eng := cas.Engine
+	exec := func(sql string) {
+		t.Helper()
+		if _, err := eng.Exec(sql); err != nil {
+			t.Fatalf("fixture %.60q: %v", sql, err)
 		}
 	}
-	if s := cas.Engine.PlannerStats(); s.JoinQueries == 0 {
-		t.Fatal("planner stats not wired through CAS")
+	// insertRows inserts rows lo..hi-1 of one table, 500 to a statement.
+	insertRows := func(head string, lo, hi int, row func(i int) string) {
+		t.Helper()
+		for lo < hi {
+			var b strings.Builder
+			b.WriteString(head)
+			for n := 0; n < 500 && lo < hi; n, lo = n+1, lo+1 {
+				if n > 0 {
+					b.WriteByte(',')
+				}
+				b.WriteString(row(lo))
+			}
+			exec(b.String())
+		}
+	}
+	insertRows(`INSERT INTO jobs (owner, state, length_sec) VALUES `, 0, 300, func(int) string {
+		return `('alice', 'matched', 60)`
+	})
+	machines, pairs := 0, 0
+	addMachines := func(n int) {
+		insertRows(`INSERT INTO machines (name, state) VALUES `, machines, n, func(i int) string {
+			return fmt.Sprintf(`('m%04d', 'up')`, i)
+		})
+		insertRows(`INSERT INTO vms (machine, seq, state) VALUES `, 4*machines, 4*n, func(i int) string {
+			return fmt.Sprintf(`('m%04d', %d, 'claimed')`, i/4, i%4)
+		})
+		machines = n
+	}
+	// setPairs leaves n matches and n runs, on VMs and jobs 1..n.
+	setPairs := func(n int) {
+		pair := func(i int) string { return fmt.Sprintf(`(%d, %d)`, i+1, i+1) }
+		insertRows(`INSERT INTO matches (job_id, vm_id) VALUES `, pairs, n, pair)
+		insertRows(`INSERT INTO runs (job_id, vm_id) VALUES `, pairs, n, pair)
+		if n < pairs {
+			exec(fmt.Sprintf(`DELETE FROM matches WHERE vm_id > %d`, n))
+			exec(fmt.Sprintf(`DELETE FROM runs WHERE vm_id > %d`, n))
+		}
+		pairs = n
+	}
+	want := [][4]string{
+		{"vms", "INDEX SCAN USING uq_vms_0 (machine = ?1)", "SNAPSHOT READ", "DRIVER"},
+		{"matches", "INDEX SCAN USING uq_matches_1 (vm_id = v.id)", "SNAPSHOT READ", "INDEX NL"},
+		{"jobs", "INDEX SCAN USING pk_jobs (id = m.job_id)", "SNAPSHOT READ", "INDEX NL"},
+		{"runs", "INDEX SCAN USING uq_runs_1 (vm_id = v.id)", "SNAPSHOT READ", "INDEX NL"},
+	}
+	scanned := -1
+	eng.SetStatsHook(func(s sqldb.StmtStats) {
+		if s.Kind == "SELECT" && s.Table == "vms" {
+			scanned = s.RowsScanned
+		}
+	})
+	defer eng.SetStatsHook(nil)
+	before := eng.PlannerStats()
+	for _, nm := range []int{25, 1000} {
+		addMachines(nm)
+		for _, n := range []int{0, 1, 8, 500, 5000, 500, 8, 1, 0} {
+			setPairs(n)
+			rows, err := eng.Query(pairingSQL, "m0000")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows.Len() != 4 || scanned > 64 {
+				t.Errorf("%d machines, %d pairs: %d rows, %d scanned; want 4 rows, at most 64 scanned", nm, n, rows.Len(), scanned)
+			}
+			var got [][4]string
+			for _, p := range planRows(t, cas, pairingSQL, "m0000") {
+				p[1] = strings.TrimSuffix(p[1], " [CACHED]")
+				got = append(got, p)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%d machines, %d pairs: plan\n  %v\nwant\n  %v", nm, n, got, want)
+			}
+		}
+	}
+	after := eng.PlannerStats()
+	if after.HashJoins != before.HashJoins || after.NestedLoops != before.NestedLoops || after.HashBuilds != before.HashBuilds {
+		t.Errorf("planner stats moved from %+v to %+v: a plan picked a hash join or a nested loop, or a run built a table", before, after)
+	}
+	if after.IndexNLJoins == before.IndexNLJoins {
+		t.Error("no join plan was built: the sizes never reached the planner")
 	}
 }
 
@@ -165,24 +233,30 @@ func TestPoolStatusAggregatePlan(t *testing.T) {
 	}
 }
 
-// TestStatusJoinResultsMatchReference checks the heartbeat path's status
+// TestStatusJoinResultsMatchReference checks the heartbeat path's pairing
 // join row for row against an expectation built with no join at all:
-// single-table reads of the machine's VMs, the matches and the jobs,
-// stitched together here.
+// single-table reads of the machine's VMs, the matches, the jobs and the
+// runs, stitched together here. mach07's four VMs are given a match only,
+// a match whose job is gone, a match and a run, and a run only.
 func TestStatusJoinResultsMatchReference(t *testing.T) {
 	cas := statusPlanFixture(t)
-	planned, err := cas.Engine.Query(`
-		SELECT m.id, m.job_id, v.id, j.owner, j.length_sec
-		FROM vms v
-		JOIN matches m ON m.vm_id = v.id
-		JOIN jobs j ON j.id = m.job_id
-		WHERE v.machine = ?`, "mach07")
+	for _, sql := range []string{
+		`DELETE FROM jobs WHERE id = 30`,
+		`DELETE FROM matches WHERE vm_id = 32`,
+		`INSERT INTO runs (job_id, vm_id) VALUES (131, 31)`,
+		`INSERT INTO runs (job_id, vm_id) VALUES (132, 32)`,
+	} {
+		if _, err := cas.Engine.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	planned, err := cas.Engine.Query(pairingSQL, "mach07")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []string
 	for _, r := range planned.Data {
-		got = append(got, fmt.Sprint(r[0].Int64(), r[1].Int64(), r[2].Int64(), r[3].Text(), r[4].Int64()))
+		got = append(got, fmt.Sprint(r))
 	}
 
 	vms, err := beans.Select[VM](cas.Pool, "WHERE machine = ?", "mach07")
@@ -197,24 +271,39 @@ func TestStatusJoinResultsMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	runs, err := beans.Select[Run](cas.Pool, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 	jobByID := make(map[int64]Job, len(jobs))
 	for _, j := range jobs {
 		jobByID[j.ID] = j
 	}
+	null := sqldb.Value{}
 	var want []string
 	for _, v := range vms {
+		row := []sqldb.Value{sqldb.NewInt(v.ID), null, null, null, null, null, null}
 		for _, m := range matches {
-			if j, ok := jobByID[m.JobID]; ok && m.VMID == v.ID {
-				want = append(want, fmt.Sprint(m.ID, m.JobID, v.ID, j.Owner, j.LengthSec))
+			if m.VMID == v.ID {
+				row[1], row[2] = sqldb.NewInt(m.ID), sqldb.NewInt(m.JobID)
+				if j, ok := jobByID[m.JobID]; ok {
+					row[3], row[4] = sqldb.NewText(j.Owner), sqldb.NewInt(j.LengthSec)
+				}
 			}
 		}
+		for _, r := range runs {
+			if r.VMID == v.ID {
+				row[5], row[6] = sqldb.NewInt(r.ID), sqldb.NewInt(r.JobID)
+			}
+		}
+		want = append(want, fmt.Sprint(row))
 	}
-	if len(want) == 0 {
-		t.Fatal("fixture gives mach07 no matched job")
+	if len(want) != 4 {
+		t.Fatalf("fixture gives mach07 %d VMs, want 4", len(want))
 	}
 	sort.Strings(got)
 	sort.Strings(want)
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Fatalf("status join rows:\n  %s\nwant:\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+		t.Fatalf("pairing join rows:\n  %s\nwant:\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
 	}
 }

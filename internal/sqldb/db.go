@@ -94,12 +94,22 @@ type DB struct {
 	// stmtHand. Both are guarded by stmtMu's write half.
 	stmtClock []*cachedStmt
 	stmtHand  int
-	// closeMu makes a transaction's registration in txLive and the closed
-	// test one step: BeginTx holds it shared across both, Close exclusively
-	// while it sets closed — so a BeginTx is either waited for or refused.
-	closeMu sync.RWMutex
+	// liveMu makes a transaction's registration among the open ones and
+	// the closed test one step: BeginTx holds it across both, Close while
+	// it sets closed — so a BeginTx is either waited for or refused. live
+	// is the newest open transaction, the others linked through
+	// Tx.prev/next; drained, made by a Close that finds any open, is closed
+	// by the finish that leaves none.
+	liveMu  sync.Mutex
 	closed  atomic.Bool
-	txLive  sync.WaitGroup
+	live    *Tx
+	drained chan struct{}
+	// shutMu serializes Close; shut records that one released the files.
+	// closeWait bounds how long a Close waits for open transactions:
+	// closeWaitBound, which tests shorten.
+	shutMu    sync.Mutex
+	shut      bool
+	closeWait time.Duration
 	// scratchPool lends each transaction its statements' working memory
 	// (scratch.go).
 	scratchPool sync.Pool
@@ -145,6 +155,7 @@ type DB struct {
 	plannerHashJoins   atomic.Uint64
 	plannerIndexNL     atomic.Uint64
 	plannerNestedLoops atomic.Uint64
+	plannerHashBuilds  atomic.Uint64
 	plannerBuildRows   atomic.Uint64
 	plannerProbeRows   atomic.Uint64
 
@@ -178,6 +189,8 @@ func Open(opts Options) (*DB, error) {
 		nowFn: time.Now,
 		stmts: make(map[string]*cachedStmt),
 		snaps: make(map[uint64]int),
+
+		closeWait: closeWaitBound,
 	}
 	db.cat.Store(&catalog{})
 	if opts.VFS != nil {
@@ -251,17 +264,41 @@ func Open(opts Options) (*DB, error) {
 	return db, nil
 }
 
-// Close shuts the database down. In-flight transactions are waited for.
-// Under paged storage a final fuzzy checkpoint runs first, so a clean
-// shutdown leaves an empty WAL tail and the next open replays nothing.
+// closeWaitBound is how long Close waits for the transactions still open.
+const closeWaitBound = 10 * time.Second
+
+// Close shuts the database down. New transactions are refused from the
+// first call on, and the open ones are waited for, for closeWaitBound at most:
+// past it Close returns an error naming each (id, read-only or not, how
+// long it has been open) and leaves the files open, so those
+// transactions can still finish; a later Close waits again. Under paged
+// storage a final fuzzy checkpoint runs first, so a clean shutdown leaves
+// an empty WAL tail and the next open replays nothing.
 func (db *DB) Close() error {
-	db.closeMu.Lock()
-	first := db.closed.CompareAndSwap(false, true)
-	db.closeMu.Unlock()
-	if !first {
+	db.shutMu.Lock()
+	defer db.shutMu.Unlock()
+	if db.shut {
 		return nil
 	}
-	db.txLive.Wait()
+	db.liveMu.Lock()
+	db.closed.Store(true)
+	if db.live != nil && db.drained == nil {
+		db.drained = make(chan struct{})
+	}
+	drained := db.drained
+	db.liveMu.Unlock()
+	if drained != nil {
+		timer := time.NewTimer(db.closeWait)
+		select {
+		case <-drained:
+			timer.Stop()
+		case <-timer.C:
+			if err := db.openTxError(); err != nil {
+				return err
+			}
+		}
+	}
+	db.shut = true
 	var err error
 	if db.store != nil {
 		if cerr := db.fuzzyCheckpoint(true); cerr != nil {
@@ -277,6 +314,28 @@ func (db *DB) Close() error {
 		}
 	}
 	return err
+}
+
+// openTxError is Close's answer when transactions outlast its wait: each
+// one still open, the oldest first; nil when the last one has finished.
+func (db *DB) openTxError() error {
+	db.liveMu.Lock()
+	var open []string
+	for tx := db.live; tx != nil; tx = tx.next {
+		mode := "read-write"
+		if tx.readOnly {
+			mode = "read-only"
+		}
+		age := time.Duration(time.Now().UnixNano() - tx.began).Round(time.Millisecond)
+		open = append(open, fmt.Sprintf("tx %d (%s, open %v)", tx.id, mode, age))
+	}
+	db.liveMu.Unlock()
+	if len(open) == 0 {
+		return nil
+	}
+	slices.Reverse(open)
+	return fmt.Errorf("sqldb: close: %d transactions still open after %v, files left open: %s",
+		len(open), db.closeWait, strings.Join(open, ", "))
 }
 
 // SetStatsHook installs a hook observing every executed statement.
@@ -380,14 +439,17 @@ func (db *DB) BeginTx(ctx context.Context, opts TxOptions) (*Tx, error) {
 		return nil, mapCtxErr(err)
 	}
 	readOnly := opts.ReadOnly
-	db.closeMu.RLock()
+	tx := &Tx{db: db, id: db.nextTx.Add(1), readOnly: readOnly, base: ctx, ctx: ctx, began: time.Now().UnixNano()}
+	db.liveMu.Lock()
 	if db.closed.Load() {
-		db.closeMu.RUnlock()
+		db.liveMu.Unlock()
 		return nil, fmt.Errorf("sqldb: database is closed")
 	}
-	db.txLive.Add(1)
-	db.closeMu.RUnlock()
-	tx := &Tx{db: db, id: db.nextTx.Add(1), readOnly: readOnly, base: ctx, ctx: ctx}
+	if tx.next = db.live; tx.next != nil {
+		tx.next.prev = tx
+	}
+	db.live = tx
+	db.liveMu.Unlock()
 	if readOnly {
 		// Snapshot capture and registration are one critical section with
 		// watermark computation, so GC can never sneak past a snapshot that
@@ -412,7 +474,21 @@ func (db *DB) finishTx(tx *Tx) {
 		}
 		db.snapMu.Unlock()
 	}
-	db.txLive.Done()
+	db.liveMu.Lock()
+	if tx.prev != nil {
+		tx.prev.next = tx.next
+	} else {
+		db.live = tx.next
+	}
+	if tx.next != nil {
+		tx.next.prev = tx.prev
+	}
+	tx.prev, tx.next = nil, nil
+	if db.live == nil && db.drained != nil {
+		close(db.drained)
+		db.drained = nil
+	}
+	db.liveMu.Unlock()
 }
 
 // advanceWatermark recomputes the oldest-active-snapshot watermark: the

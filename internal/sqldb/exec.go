@@ -95,8 +95,9 @@ type query struct {
 	cancel cancelCheck
 	// Hash-join volume counters, flushed to the DB's planner counters once
 	// per statement (keeps atomics off the per-row hot path).
-	buildRows uint64
-	probeRows uint64
+	hashBuilds uint64
+	buildRows  uint64
+	probeRows  uint64
 	// Aggregation counters (executor.go), flushed once per statement like
 	// the hash-join volumes above.
 	aggQueries   uint64
@@ -113,7 +114,8 @@ func (tx *Tx) execSelect(s *SelectStmt, params []Value) (*Rows, error) {
 	stats := q.stats
 	// Deferred so failing statements still report their volumes.
 	defer func() {
-		if q.buildRows > 0 || q.probeRows > 0 {
+		if q.hashBuilds > 0 || q.probeRows > 0 {
+			tx.db.plannerHashBuilds.Add(q.hashBuilds)
 			tx.db.plannerBuildRows.Add(q.buildRows)
 			tx.db.plannerProbeRows.Add(q.probeRows)
 		}

@@ -9,7 +9,9 @@ package sqldb
 //     ≤5 tables, greedy beyond), using the statistics in stats.go;
 //   - picks a per-edge strategy: hash join for equi-join conjuncts, index
 //     nested-loop when an index covers the join keys, plain nested loop
-//     otherwise;
+//     otherwise; where an index probes by the outer row, never a plain
+//     nested loop, nor a hash build while the outer stream is estimated
+//     small (probeOuterMax);
 //   - builds hash tables on the estimated-smaller input (the new table or
 //     the accumulated outer stream), with match-bit tracking so LEFT JOIN
 //     NULL-padding stays correct in both modes.
@@ -420,15 +422,23 @@ func (q *query) makeStep(placed uint64, est float64, b int, leftOuter bool, pool
 	if accessLocal.index != nil {
 		scanB = estBase*1.5 + logB
 	}
+	// An index probe keyed by the outer row reads a part of what a re-scan
+	// reads, so it rules the plain nested loop out at every size, and the
+	// hash build up to probeOuterMax outer rows.
+	probes := q.probesOuter(accessAll)
 	costNL := est * math.Max(rowsB, 0.5)
+	if probes {
+		costNL = math.Inf(1)
+	}
 	costIdx := math.Inf(1)
 	if accessAll.index != nil {
 		costIdx = est * (logB + 1)
 	}
 	costHash := math.Inf(1)
-	if len(edges) > 0 {
-		// Fixed setup overhead plus a per-row hashing constant keep hash
-		// joins from beating index probes on tiny inputs.
+	if len(edges) > 0 && !(probes && est <= probeOuterMax) {
+		// Fixed setup overhead plus a per-row hashing constant: what a
+		// build costs against a nested loop, or against an index probe
+		// over a large outer stream.
 		costHash = 4 + scanB + est + 2*math.Min(estBase, est)
 	}
 
@@ -478,6 +488,26 @@ func (q *query) makeStep(placed uint64, est float64, b int, leftOuter bool, pool
 		st.post = append(st.post, c.e)
 	}
 	return st, cost + estMatched
+}
+
+// probeOuterMax is the largest estimated outer stream for which a step an
+// index probes by the outer row never hashes. Up to it the probes are a
+// few B+tree descents, where a build scans and hashes the whole inner
+// input. The costs cannot tell the two apart there: they differ by a few
+// units, and the distinct estimates behind est and estBase are coarse
+// enough (a tenth of the rows for a non-unique key prefix) to flip the
+// pick, and a cached plan with it, as a table fills and empties.
+const probeOuterMax = 64
+
+// probesOuter reports whether ap is an index probe keyed by the outer row:
+// an equality prefix part that reads a placed table.
+func (q *query) probesOuter(ap accessPlan) bool {
+	for _, e := range ap.eqExprs {
+		if q.conjRefs(e) != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // colOn is the column of binding b that e is a bare reference to, or -1.
@@ -782,6 +812,7 @@ func (q *query) buildHashInner(k int, st *stepPlan) (*hashState, error) {
 		return nil, err
 	}
 	q.buildRows += uint64(len(hj.rows))
+	q.hashBuilds++
 	hj.table = make(map[string][]int32, len(hj.rows))
 	for i, row := range hj.rows {
 		if err := q.cancel.check(); err != nil {
@@ -843,6 +874,7 @@ func (q *query) probeHashInner(st *stepPlan, hj *hashState, emit func() error) e
 // with one scan of st's table.
 func (q *query) probeBuildOuter(st *stepPlan, outs []outerTuple, restore func(*outerTuple), emit func() error) error {
 	q.buildRows += uint64(len(outs))
+	q.hashBuilds++
 	table := make(map[string][]int32, len(outs))
 	for i := range outs {
 		if err := q.cancel.check(); err != nil {

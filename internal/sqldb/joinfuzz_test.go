@@ -76,18 +76,20 @@ func TestJoinFuzz(t *testing.T) {
 			oneTable++
 		}
 		agg.HashJoins += s.HashJoins
+		agg.HashBuilds += s.HashBuilds
 		agg.IndexNLJoins += s.IndexNLJoins
 		agg.NestedLoops += s.NestedLoops
 		agg.Reordered += s.Reordered
 	}
-	t.Logf("joinfuzz coverage over %d cases: hash=%d indexNL=%d nestedLoop=%d reordered=%d ordered=%d oneTable=%d drift=%d",
-		cases, agg.HashJoins, agg.IndexNLJoins, agg.NestedLoops, agg.Reordered, ordered, oneTable, drifts)
+	t.Logf("joinfuzz coverage over %d cases: hash=%d builds=%d indexNL=%d nestedLoop=%d reordered=%d ordered=%d oneTable=%d drift=%d",
+		cases, agg.HashJoins, agg.HashBuilds, agg.IndexNLJoins, agg.NestedLoops, agg.Reordered, ordered, oneTable, drifts)
 	// The corpus must actually exercise every strategy — a fuzzer that
-	// only ever plans nested loops proves nothing about hash joins —, the
+	// only ever plans nested loops proves nothing about hash joins, and one
+	// whose hash picks never run proves nothing about the build —, the
 	// one-step plan single-table statements and DML targets run, and the
 	// replan of a plan whose row counts drifted.
 	if cases >= 100 {
-		if agg.HashJoins == 0 || agg.IndexNLJoins == 0 || agg.NestedLoops == 0 || agg.Reordered == 0 || oneTable == 0 || drifts == 0 {
+		if agg.HashJoins == 0 || agg.HashBuilds == 0 || agg.IndexNLJoins == 0 || agg.NestedLoops == 0 || agg.Reordered == 0 || oneTable == 0 || drifts == 0 {
 			t.Fatalf("joinfuzz corpus missed a strategy: %+v, %d one-table cases, %d drift replans", agg, oneTable, drifts)
 		}
 	}

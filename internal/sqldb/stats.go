@@ -15,6 +15,14 @@ package sqldb
 // A cached plan remembers the row counts it was costed at and replans when
 // they drift past a factor of two (plancache.go), so estimates follow the
 // data with no statistics to refresh or log.
+//
+// The tenth is coarse: it reads vms (machine) as 10 VMs a machine where a
+// pool has 4. It stays, because every plan a prefix feeds moves with it —
+// counting that one prefix exactly raised job_lifecycle's rows scanned
+// per operation from 200 to 1,642. Where it decided between an index probe
+// and a hash build over a handful of rows, flipping the heartbeat's
+// pairing join as matches and runs filled and emptied, a rule in the cost
+// model decides instead (probeOuterMax, join.go).
 
 // estRows is the planner's cardinality estimate for the table: the live
 // row count (incrementally maintained, so always current). Empty tables
@@ -77,10 +85,14 @@ type PlannerStats struct {
 	JoinQueries uint64
 	// Reordered counts plans whose join order differs from FROM order.
 	Reordered uint64
-	// HashJoins / IndexNLJoins / NestedLoops count per-edge strategy picks.
+	// HashJoins / IndexNLJoins / NestedLoops count per-edge strategy picks,
+	// once per plan built: a cached plan runs again uncounted.
 	HashJoins    uint64
 	IndexNLJoins uint64
 	NestedLoops  uint64
+	// HashBuilds counts hash tables built, once per hash step a statement
+	// executes: what the picks cost at run time.
+	HashBuilds uint64
 	// HashBuildRows / HashProbeRows count rows hashed and probed.
 	HashBuildRows uint64
 	HashProbeRows uint64
@@ -94,6 +106,7 @@ func (db *DB) PlannerStats() PlannerStats {
 		HashJoins:     db.plannerHashJoins.Load(),
 		IndexNLJoins:  db.plannerIndexNL.Load(),
 		NestedLoops:   db.plannerNestedLoops.Load(),
+		HashBuilds:    db.plannerHashBuilds.Load(),
 		HashBuildRows: db.plannerBuildRows.Load(),
 		HashProbeRows: db.plannerProbeRows.Load(),
 	}

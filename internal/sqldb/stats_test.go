@@ -40,4 +40,12 @@ func TestPlannerStatsStrategyCounters(t *testing.T) {
 	if after.IndexNLJoins <= before.IndexNLJoins {
 		t.Fatal("IndexNLJoins did not advance for the pk-joined query")
 	}
+	// A pick is counted once per plan built, a build once per execution:
+	// the cached plan runs again uncounted and builds its table again.
+	mustQuery(t, db, `SELECT o.id FROM outer_t o JOIN inner_t i ON i.k = o.k`)
+	again := db.PlannerStats()
+	if again.HashJoins != after.HashJoins || again.HashBuilds != after.HashBuilds+1 {
+		t.Fatalf("cached hash join rerun: picks %d → %d, builds %d → %d; want the picks still, one build more",
+			after.HashJoins, again.HashJoins, after.HashBuilds, again.HashBuilds)
+	}
 }

@@ -615,15 +615,20 @@ type Tx struct {
 	db       *DB
 	id       uint64
 	snap     uint64          // commit clock at Begin (snapshot reads)
-	readOnly bool            // snapshot reads, writes rejected, no locks taken
 	base     context.Context // BeginTx context: bounds the whole transaction
 	ctx      context.Context // effective context of the running statement
+	readOnly bool            // snapshot reads, writes rejected, no locks taken
 	done     bool
+	implicit bool         // autocommit wrapper
 	redo     []walRecord  // the log records of its writes, read backward on rollback
 	locked   []lockTarget // resources this txn holds or queues on
 	versions []stampEntry // versions to stamp at commit
 	gcPend   []gcRecord   // reclamation work to queue at commit
-	implicit bool         // autocommit wrapper
+	// began is when BeginTx ran, in Unix nanoseconds; prev/next link the
+	// open transactions (DB.live), so a Close that waits too long can name
+	// them.
+	began      int64
+	prev, next *Tx
 	// sc is the working memory the transaction's statements borrow
 	// (scratch.go): attached at the first statement, returned in finish.
 	// While attached, the four slices above are backed by it.

@@ -3,11 +3,13 @@ package sqldb
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestExplicitCommitVisible(t *testing.T) {
@@ -254,6 +256,79 @@ func TestLockUpgrade(t *testing.T) {
 // for: when Close returns, no transaction that began is still open, and —
 // under the race detector — registering in the WaitGroup never runs
 // concurrently with Close waiting on it from zero.
+// TestCloseWaitIsBounded: transactions that never finish hold Close for
+// closeWait, no longer. Close then names each of them and leaves the files
+// open: new transactions are refused, but the open ones can still finish,
+// a writer's commit reaching the log; a later Close waits again, and once
+// none is open it shuts the store.
+func TestCloseWaitIsBounded(t *testing.T) {
+	vfs := NewMemVFS()
+	db, err := Open(Options{VFS: vfs, Path: "t.wal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.closeWait = 50 * time.Millisecond
+	mustExec(t, db, `CREATE TABLE t (id INTEGER PRIMARY KEY)`)
+	ctx := context.Background()
+	w, err := db.BeginTx(ctx, TxOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Exec(`INSERT INTO t VALUES (1)`); err != nil {
+		t.Fatal(err)
+	}
+	r, err := db.BeginTx(ctx, TxOptions{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer := fmt.Sprintf("tx %d (read-write, open ", w.id)
+	reader := fmt.Sprintf("tx %d (read-only, open ", r.id)
+
+	start := time.Now()
+	err = db.Close()
+	if err == nil {
+		t.Fatal("Close returned nil with two transactions open")
+	}
+	if waited := time.Since(start); waited < db.closeWait {
+		t.Errorf("Close gave up after %v, before its %v wait", waited, db.closeWait)
+	}
+	for _, want := range []string{"2 transactions still open", writer, reader, "files left open"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Close: %v; want it to name %q", err, want)
+		}
+	}
+	if strings.Index(err.Error(), writer) > strings.Index(err.Error(), reader) {
+		t.Errorf("Close: %v; want the oldest transaction first", err)
+	}
+	if _, err := db.BeginTx(ctx, TxOptions{}); err == nil || !strings.Contains(err.Error(), "database is closed") {
+		t.Fatalf("BeginTx after a Close that timed out: %v; want refused", err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatalf("a writer commits after Close left the files open: %v", err)
+	}
+	if err := db.Close(); err == nil || strings.Contains(err.Error(), writer) || !strings.Contains(err.Error(), reader) {
+		t.Fatalf("second Close: %v; want it to wait again and name the reader alone", err)
+	}
+	if err := r.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatalf("Close with nothing open: %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatalf("Close after the store shut: %v", err)
+	}
+
+	db, err = Open(Options{VFS: vfs, Path: "t.wal"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if n := mustQuery(t, db, `SELECT count(*) FROM t`).Data[0][0].Int64(); n != 1 {
+		t.Fatalf("%d rows after reopening, want the writer's 1", n)
+	}
+}
+
 func TestCloseRacesBegin(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		db := New()
