@@ -26,7 +26,8 @@ test:
 # route), a bare statement (in memory and on resident pages; a read whose
 # result the transaction lends costs the Tx alone), a hash join's probe, a
 # grouped aggregation, the index entries of an insert, a stored row and
-# its update, a page compaction, a dirty eviction and reload, a bean call,
+# its update, a page compaction, a dirty eviction and reload, an in-memory
+# log and page file grown to 4 MiB (TestMemVFSAppendAllocs), a bean call,
 # a steady Service.Heartbeat, and the same beat as an exchange through
 # wire.Local into the CAS mux, both ends counted
 # (TestHeartbeatExchangeAllocs). They are compiled out under -race
@@ -48,10 +49,12 @@ alloc:
 # under -race (TestLentRowsLiveUntilTheTransactionEnds), a pooled scratch
 # pins nothing (TestPooledScratchPinsNothing), and the lock table is
 # empty, its freelists capped, after a stress of cancels, timeouts and
-# deadlock victims (TestLockTableHygieneUnderStress). A wire exchange's
-# request and reply values are recycled by wire.Typed: under -race each
-# one taken back is poisoned, so a handler that keeps one past its
-# exchange reads poison (TestRecycledMessagesArePoisoned), and the CAS's
+# deadlock victims (TestLockTableHygieneUnderStress). In-memory files
+# lock one by one: two writers and a reader on three files run while a
+# fourth file's lock is held (TestMemVFSFilesDoNotSerialize). A wire
+# exchange's request and reply values are recycled by wire.Typed: under
+# -race each one taken back is poisoned, so a handler that keeps one past
+# its exchange reads poison (TestRecycledMessagesArePoisoned), and the CAS's
 # exchanges run with their messages poisoned after every call
 # (TestExchangeRecyclesCleanly). The bean container's two transports
 # and its one retry loop (an engine deadlock victim on each), the wire
@@ -131,8 +134,11 @@ flagdoc:
 # cells write back to the same bytes. SQL text (the parser, up to 4 KiB):
 # never panic, and every column reference of an accepted statement carries
 # its own slot below the statement's count, the same on every parse — the
-# binder resolves names by those slots. go test -fuzz takes one target per
-# run.
+# binder resolves names by those slots. The in-memory file system (not a
+# decoder; operation streams from the input against a flat slice per
+# file): every append, positioned write and read, across extent
+# boundaries and past the end, ReadFile, Rename and Remove agree with the
+# reference. go test -fuzz takes one target per run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime 30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 30s ./internal/wire
@@ -144,6 +150,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzOrdIndex$$' -fuzztime 30s ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzRowImage$$' -fuzztime 30s ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/sqldb
+	$(GO) test -run '^$$' -fuzz '^FuzzMemVFS$$' -fuzztime 30s ./internal/sqldb
 
 # Differential join-fuzzer acceptance run: 1000 seeded schema/query
 # combinations through the engine (planner, plan cache, batched operators;

@@ -908,13 +908,19 @@ func (s *Service) PoolStatus(ctx context.Context, req *PoolStatusRequest) (*Pool
 	return fill(ctx, req, s.poolStatus)
 }
 
+// The per-table counts PoolStatus reads, one constant text each.
+const (
+	machineStatesSQL = `SELECT state, count(*) FROM machines GROUP BY state ORDER BY state`
+	vmStatesSQL      = `SELECT state, count(*) FROM vms GROUP BY state ORDER BY state`
+	jobStatesSQL     = `SELECT state, count(*) FROM jobs GROUP BY state ORDER BY state`
+)
+
 // poolStatus is PoolStatus in the fill form. Each count is appended to
 // the reply's list, recycled with it.
 func (s *Service) poolStatus(ctx context.Context, _ *PoolStatusRequest, resp *PoolStatusResponse) error {
 	err := s.c.InReadTx(ctx, func(tx *sqldb.Tx) error {
-		count := func(table string, out []StateCount) ([]StateCount, error) {
-			rows, err := txQuery(tx, fmt.Sprintf(
-				`SELECT state, count(*) FROM %s GROUP BY state ORDER BY state`, table))
+		count := func(sql string, out []StateCount) ([]StateCount, error) {
+			rows, err := txQuery(tx, sql)
 			if err != nil {
 				return nil, err
 			}
@@ -924,13 +930,13 @@ func (s *Service) poolStatus(ctx context.Context, _ *PoolStatusRequest, resp *Po
 			return out, nil
 		}
 		var err error
-		if resp.Machines, err = count("machines", resp.Machines); err != nil {
+		if resp.Machines, err = count(machineStatesSQL, resp.Machines); err != nil {
 			return err
 		}
-		if resp.VMs, err = count("vms", resp.VMs); err != nil {
+		if resp.VMs, err = count(vmStatesSQL, resp.VMs); err != nil {
 			return err
 		}
-		if resp.Jobs, err = count("jobs", resp.Jobs); err != nil {
+		if resp.Jobs, err = count(jobStatesSQL, resp.Jobs); err != nil {
 			return err
 		}
 		return nil

@@ -199,11 +199,36 @@ func TestProvenanceJoinPlan(t *testing.T) {
 	}
 }
 
+// TestExplainShowsTheExecutedPlan: EXPLAIN of a statement that has run
+// plans through that statement's own plan-cache slot, so it shows the
+// plan that ran, every step marked [CACHED], and builds no plan of its
+// own: the planner's counters hold still.
+func TestExplainShowsTheExecutedPlan(t *testing.T) {
+	cas := statusPlanFixture(t)
+	if _, err := cas.Engine.Query(pairingSQL, "mach07"); err != nil {
+		t.Fatal(err)
+	}
+	before := cas.Engine.PlannerStats()
+	got := planRows(t, cas, pairingSQL, "mach07")
+	if after := cas.Engine.PlannerStats(); after != before {
+		t.Errorf("EXPLAIN moved the planner stats from %+v to %+v: it planned afresh", before, after)
+	}
+	want := [][4]string{
+		{"vms", "INDEX SCAN USING uq_vms_0 (machine = ?1) [CACHED]", "SNAPSHOT READ", "DRIVER"},
+		{"matches", "INDEX SCAN USING uq_matches_1 (vm_id = v.id) [CACHED]", "SNAPSHOT READ", "INDEX NL"},
+		{"jobs", "INDEX SCAN USING pk_jobs (id = m.job_id) [CACHED]", "SNAPSHOT READ", "INDEX NL"},
+		{"runs", "INDEX SCAN USING uq_runs_1 (vm_id = v.id) [CACHED]", "SNAPSHOT READ", "INDEX NL"},
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("EXPLAIN after the statement ran:\n  %v\nwant\n  %v", got, want)
+	}
+}
+
 func TestPoolStatusAggregatePlan(t *testing.T) {
 	cas := statusPlanFixture(t)
 	// Service.PoolStatus: the monitoring tier's hot rollup. The plan must
 	// stay a lock-free snapshot scan feeding the aggregation stage.
-	plan := planRows(t, cas, `SELECT state, count(*) FROM machines GROUP BY state ORDER BY state`)
+	plan := planRows(t, cas, machineStatesSQL)
 	if len(plan) != 2 {
 		t.Fatalf("plan rows = %d: %v", len(plan), plan)
 	}
@@ -217,7 +242,7 @@ func TestPoolStatusAggregatePlan(t *testing.T) {
 	// The executed statement is keyed by a cell (one TEXT grouping column,
 	// read in place), visible through the CAS stats bridge.
 	base := cas.Engine.ExecStats()
-	if _, err := cas.Engine.Query(`SELECT state, count(*) FROM machines GROUP BY state ORDER BY state`); err != nil {
+	if _, err := cas.Engine.Query(machineStatesSQL); err != nil {
 		t.Fatal(err)
 	}
 	s := cas.Engine.ExecStats()

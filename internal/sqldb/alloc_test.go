@@ -6,6 +6,7 @@ package sqldb
 // allocation counts there say nothing about the statement path.
 
 import (
+	"bytes"
 	"context"
 	"database/sql"
 	"fmt"
@@ -624,5 +625,39 @@ func TestLogReaderAllocs(t *testing.T) {
 	}
 	if rows := mustQuery(t, db, `SELECT count(*) FROM machines WHERE beats = 1`); rows.Data[0][0].Int64() != n {
 		t.Fatalf("%v rows redone, want %d", rows.Data[0][0], n)
+	}
+}
+
+// TestMemVFSAppendAllocs budgets what a growing file allocates: a log
+// appended in 128-byte writes, and a page file grown by WriteAt a page
+// at a time, each to 4 MiB, allocate at most their bytes plus one
+// extent. A file kept in one slice grown by append allocates about five
+// times its bytes.
+func TestMemVFSAppendAllocs(t *testing.T) {
+	const size = 4 << 20
+	for _, c := range []struct {
+		name  string
+		chunk int
+		grow  func(vfs *MemVFS, p []byte)
+	}{
+		{"append", 128, func(vfs *MemVFS, p []byte) {
+			f, _ := vfs.Create("log")
+			for n := 0; n < size; n += len(p) {
+				f.Write(p)
+			}
+		}},
+		{"writeAt", 4096, func(vfs *MemVFS, p []byte) {
+			f, _ := vfs.OpenRandom("pages")
+			for n := 0; n < size; n += len(p) {
+				f.WriteAt(p, int64(n))
+			}
+		}},
+	} {
+		p := bytes.Repeat([]byte{7}, c.chunk)
+		got := bytesPerRun(3, func() { c.grow(NewMemVFS(), p) })
+		t.Logf("%s: %.0f bytes for a %d-byte file", c.name, got, size)
+		if limit := float64(size + memExtent); got > limit {
+			t.Errorf("%s: %.0f bytes allocated for a %d-byte file, budget %.0f", c.name, got, size, limit)
+		}
 	}
 }

@@ -678,8 +678,11 @@ type cachedStmt struct {
 // must never hand out two ASTs for one live text. On overflow the cache
 // evicts a small batch of entries not referenced since the hand last
 // passed — never the whole map, which would throw away the hot CAS
-// statements along with the cold ones.
+// statements along with the cold ones. A text is cached without the
+// white space around it, so a statement and the same text explained
+// (EXPLAIN's inner text starts past the keyword) share an entry.
 func (db *DB) parse(sql string) (Statement, error) {
+	sql = strings.TrimSpace(sql)
 	db.stmtMu.RLock()
 	c, ok := db.stmts[sql]
 	db.stmtMu.RUnlock()

@@ -10,27 +10,34 @@ import (
 // access path per table instead of executing the statement.
 type ExplainStmt struct {
 	Stmt Statement
+	// SQL is the explained statement's own text, from the token after
+	// EXPLAIN to the end.
+	SQL string
 }
 
 func (*ExplainStmt) stmtNode() {}
 
 // execExplain plans the wrapped statement and renders one row per step.
 func (tx *Tx) execExplain(s *ExplainStmt) (*Rows, error) {
+	// EXPLAIN goes through the plan cache like execution does: the
+	// explained statement is interned by the statement cache under its own
+	// text, so EXPLAIN <sql> and <sql> share one AST and one plan slot, and
+	// the plan shown is the one <sql> runs. A hit is rendered with a
+	// [CACHED] marker on the access column.
+	stmt, err := tx.db.parse(s.SQL)
+	if err != nil {
+		return nil, err
+	}
 	// A SELECT explained from a read-only transaction will execute as a
 	// snapshot read (the plan is the same either way; the read column says
 	// which). UPDATE/DELETE targets always read locked.
-	_, isSelect := s.Stmt.(*SelectStmt)
+	_, isSelect := stmt.(*SelectStmt)
 	snap := tx.readOnly && isSelect
-	// EXPLAIN goes through the plan cache like execution does (its inner
-	// AST is interned by the statement cache, so repeated EXPLAINs of the
-	// same text share a slot); a hit is rendered with a [CACHED] marker
-	// on the access column.
 	var (
 		plan *selectPlan
 		hit  bool
-		err  error
 	)
-	switch inner := s.Stmt.(type) {
+	switch inner := stmt.(type) {
 	case *SelectStmt:
 		plan, hit, err = tx.planSelect(inner)
 	case *UpdateStmt:

@@ -113,11 +113,12 @@ func (p *parser) parseStatement() (Statement, error) {
 		return p.parseDelete()
 	case p.atKeyword("explain"):
 		p.advance()
+		start := p.cur().pos
 		inner, err := p.parseStatement()
 		if err != nil {
 			return nil, err
 		}
-		return &ExplainStmt{Stmt: inner}, nil
+		return &ExplainStmt{Stmt: inner, SQL: p.src[start:]}, nil
 	case p.atKeyword("begin"):
 		p.advance()
 		p.accept(tkIdent, "transaction")

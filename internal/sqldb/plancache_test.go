@@ -14,7 +14,7 @@ func cachedPlanOf(t testing.TB, db *DB, sql string) *selectPlan {
 	t.Helper()
 	db.stmtMu.RLock()
 	defer db.stmtMu.RUnlock()
-	c, ok := db.stmts[sql]
+	c, ok := db.stmts[strings.TrimSpace(sql)]
 	if !ok {
 		return nil
 	}

@@ -31,7 +31,7 @@ running|2
 explain
 SELECT state, count(*) FROM jobs GROUP BY state ORDER BY state
 ----
-jobs|SEQ SCAN|SNAPSHOT READ|-|7
+jobs|SEQ SCAN [CACHED]|SNAPSHOT READ|-|7
 -|HASH AGGREGATE (state)|-|-|1
 
 -- Accounting shape: per-owner rollup; NULL owner is its own group, and

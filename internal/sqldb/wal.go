@@ -132,135 +132,6 @@ type RandomFile interface {
 // still asserts to; a [benchmark] change removes it.
 type RandomAccessVFS = VFS
 
-// MemVFS is an in-memory VFS for tests and simulations. Files are byte
-// blobs that both file kinds open.
-type MemVFS struct {
-	mu    sync.Mutex
-	files map[string]*memBlob
-}
-
-// memBlob is one in-memory file's contents. The blob pointer is shared
-// by every open handle; MemVFS.mu guards the byte slice.
-type memBlob struct{ data []byte }
-
-// NewMemVFS creates an empty in-memory file system.
-func NewMemVFS() *MemVFS { return &MemVFS{files: make(map[string]*memBlob)} }
-
-type memFile struct {
-	vfs  *MemVFS
-	name string
-}
-
-func (f *memFile) Write(p []byte) (int, error) {
-	f.vfs.mu.Lock()
-	defer f.vfs.mu.Unlock()
-	blob, ok := f.vfs.files[f.name]
-	if !ok {
-		return 0, fmt.Errorf("sqldb: write to removed file %s", f.name)
-	}
-	blob.data = append(blob.data, p...)
-	return len(p), nil
-}
-
-func (f *memFile) Sync() error  { return nil }
-func (f *memFile) Close() error { return nil }
-
-// memRandomFile is a random-access handle onto a MemVFS blob.
-type memRandomFile struct {
-	vfs  *MemVFS
-	blob *memBlob
-}
-
-func (f *memRandomFile) ReadAt(p []byte, off int64) (int, error) {
-	f.vfs.mu.Lock()
-	defer f.vfs.mu.Unlock()
-	if off >= int64(len(f.blob.data)) {
-		return 0, io.EOF
-	}
-	n := copy(p, f.blob.data[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-func (f *memRandomFile) WriteAt(p []byte, off int64) (int, error) {
-	f.vfs.mu.Lock()
-	defer f.vfs.mu.Unlock()
-	end := off + int64(len(p))
-	if int64(len(f.blob.data)) < end {
-		f.blob.data = append(f.blob.data, make([]byte, end-int64(len(f.blob.data)))...)
-	}
-	copy(f.blob.data[off:end], p)
-	return len(p), nil
-}
-
-func (f *memRandomFile) Sync() error  { return nil }
-func (f *memRandomFile) Close() error { return nil }
-
-// Create implements VFS.
-func (m *MemVFS) Create(name string) (File, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.files[name] = &memBlob{}
-	return &memFile{vfs: m, name: name}, nil
-}
-
-// Open implements VFS.
-func (m *MemVFS) Open(name string) (File, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.files[name]; !ok {
-		m.files[name] = &memBlob{}
-	}
-	return &memFile{vfs: m, name: name}, nil
-}
-
-// OpenRandom implements VFS: a read-write random-access handle, creating
-// the file if absent.
-func (m *MemVFS) OpenRandom(name string) (RandomFile, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	blob, ok := m.files[name]
-	if !ok {
-		blob = &memBlob{}
-		m.files[name] = blob
-	}
-	return &memRandomFile{vfs: m, blob: blob}, nil
-}
-
-// ReadFile implements VFS.
-func (m *MemVFS) ReadFile(name string) ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	blob, ok := m.files[name]
-	if !ok {
-		return nil, nil
-	}
-	return append([]byte(nil), blob.data...), nil
-}
-
-// Rename implements VFS.
-func (m *MemVFS) Rename(oldname, newname string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	blob, ok := m.files[oldname]
-	if !ok {
-		return fmt.Errorf("sqldb: rename: no file %s", oldname)
-	}
-	m.files[newname] = blob
-	delete(m.files, oldname)
-	return nil
-}
-
-// Remove implements VFS.
-func (m *MemVFS) Remove(name string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.files, name)
-	return nil
-}
-
 // OSVFS is the operating-system file system. Its files are the *os.File
 // itself; a failed open returns a nil file, not a nil *os.File in one.
 type OSVFS struct{}

@@ -182,10 +182,15 @@ func TestOpenRefusesForeignLog(t *testing.T) {
 // memFiles copies every file vfs holds, by name.
 func memFiles(vfs *MemVFS) map[string]string {
 	vfs.mu.Lock()
-	defer vfs.mu.Unlock()
-	out := make(map[string]string, len(vfs.files))
-	for name, blob := range vfs.files {
-		out[name] = string(blob.data)
+	names := make([]string, 0, len(vfs.files))
+	for name := range vfs.files {
+		names = append(names, name)
+	}
+	vfs.mu.Unlock()
+	out := make(map[string]string, len(names))
+	for _, name := range names {
+		data, _ := vfs.ReadFile(name) // MemVFS.ReadFile never fails
+		out[name] = string(data)
 	}
 	return out
 }
