@@ -99,20 +99,21 @@ flagdoc:
 # The fuzzed decoders of bytes from the network or the disk. The wire's
 # envelope header (action, key, send stamp, budget): never panic, and an
 # accepted header names an action, encodes again to its own bytes and
-# leaves the payload aliasing the input. The payload codec, one way
-# against encoding/xml as the oracle: never panic, allocation bounded by
-# the input (a list's count, taken before its slice is made, bounded by
-# the bytes; the bound per target is its list items' Go size over their
-# shortest encoding), whatever it accepts xml.Unmarshal accepts with the
-# same value, a value recycled as wire.Typed recycles one decodes every
-# input as a fresh one does, and a value generated from each input
-# encodes as xml.Marshal does and decodes back. The frame
-# reader of a framed connection (uvarint length, then the envelope):
-# never panic, never accept a frame over the envelope bound, hand back
-# each envelope as it arrived, and grow with the bytes that arrived, not
-# with the length a frame declares. The packed-reply decoder (the reply store's, read back from the log, page
-# images and shipped groups): never panic, allocation bounded by the
-# input, and every accepted input packs again to the same bytes. The
+# leaves the payload aliasing the input. The payload decoder (the packed
+# form: every message type, as a peer sends it and as the reply store
+# reads it back from the log and page images): never panic, allocation
+# bounded by the input (a list's count, taken before its slice is made,
+# bounded by the bytes; the bound per target is its list items' Go size
+# over their shortest encoding), every accepted input packs again to the
+# same bytes, and a recycled value, reset as wire.Typed resets one or
+# not, decodes every input as a fresh one does. Unpack itself, into
+# each keyed reply type (a replay hands the stored bytes to the client
+# as they lie): never panic, allocation bounded by the input, and every
+# accepted input packs again to the same bytes. The frame reader of a
+# framed connection (uvarint length, then the envelope): never panic,
+# never accept a frame over the envelope bound, hand back each envelope
+# as it arrived, and grow with the bytes that arrived, not with the
+# length a frame declares. The
 # WAL reader — one CRC32C frame per committed group, updates as
 # changed-column bitmaps plus values — and the redo behind it (shipped
 # runs, the node's own log): never panic, allocation bounded by the

@@ -32,8 +32,8 @@ func main() {
 	defer cas.Close()
 
 	// The in-process transport still serializes every exchange as a
-	// frame's envelope (header, then XML payload), exactly like the HTTP
-	// path.
+	// frame's envelope (header, then packed payload), exactly like the
+	// HTTP path.
 	transport := &wire.Local{Mux: cas.Mux}
 
 	// Matchmaking is a periodic set-oriented query over the database.

@@ -1,7 +1,7 @@
 // Web services: run the real thing — a CAS HTTP server, two execute-node
-// agents speaking SOAP-style envelopes over localhost (each one an action
-// header and an XML payload, framed on one upgraded connection per
-// caller), short real jobs, plus a user client querying pool state and a
+// agents exchanging envelopes over localhost (each one an action header
+// and a packed payload, framed on one upgraded connection per caller),
+// short real jobs, plus a user client querying pool state and a
 // browser-equivalent fetch of the pool web site. Everything happens in
 // wall-clock time and finishes in a few seconds.
 //

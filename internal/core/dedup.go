@@ -14,10 +14,10 @@ import (
 // may re-present an already-applied mutation. The envelope's idempotency
 // key plus a durable reply store close that window:
 //
-//   - the handler first checks wire_replies for the key; a hit unpacks the
-//     stored reply into the exchange's reply and answers with it (no
-//     re-execution) — the mux encodes it like a fresh one, and the codec
-//     is deterministic, so the replay is the original reply byte for byte,
+//   - the handler first checks wire_replies for the key; a hit answers
+//     with the stored reply's bytes as they lie (no re-execution) — the
+//     row holds the reply packed, the payload's one encoding, so the
+//     replay is the original reply byte for byte,
 //   - on a miss it runs the service method, whose transaction inserts
 //     the reply row, packed (wire.Pack), as its LAST statement — mutation
 //     and reply commit atomically, so a crash between "applied" and
@@ -80,43 +80,37 @@ func (s *Service) lookupReply(ctx context.Context, key string) (action string, p
 const FaultKeyReused = "KeyReused"
 
 // keyedHandler wraps a fill-form service method with idempotency-key
-// dedup. It is one wire.Typed handler: a keyed envelope carries its key
-// and action into the method's context (withPendingReply), and the
-// stored reply of a repeated key is unpacked into the reply Typed lends,
-// which the mux encodes like a fresh one. Unkeyed envelopes dispatch
-// exactly like wire.Typed(fn).
+// dedup. Unkeyed envelopes dispatch exactly like wire.Typed(fn). A keyed
+// one whose key has a stored reply is answered with that reply's bytes;
+// otherwise it carries its key and action into the method's context
+// (withPendingReply) and runs as wire.Typed(fn) does.
 func keyedHandler[Req any, Resp any](s *Service, fn func(context.Context, *Req, *Resp) error) wire.Handler {
-	typed := wire.Typed(func(ctx context.Context, req *Req, resp *Resp) error {
-		pr, keyed := ctx.Value(pendingReplyCtx{}).(pendingReply)
-		if !keyed {
-			return fn(ctx, req, resp)
+	typed := wire.Typed(fn)
+	return func(ctx context.Context, env *wire.Envelope, reply *wire.Reply) error {
+		if env.Key == "" {
+			return typed(ctx, env, reply)
 		}
-		if hit, err := s.replay(ctx, pr, resp); hit {
+		pr := pendingReply{key: env.Key, action: env.Action}
+		if hit, err := s.replay(ctx, pr, reply); hit {
 			return err
 		}
-		err := fn(ctx, req, resp)
+		err := typed(withPendingReply(ctx, pr.key, pr.action), env, reply)
 		if err != nil {
 			// A concurrent or prior execution of this key may have won the
 			// reply row's unique constraint, rolling this execution back:
 			// its stored answer is the exchange's one true response.
-			if hit, rerr := s.replay(ctx, pr, resp); hit {
+			if hit, rerr := s.replay(ctx, pr, reply); hit {
 				return rerr
 			}
 		}
 		return err
-	})
-	return func(ctx context.Context, env *wire.Envelope, reply *wire.Reply) error {
-		if env.Key != "" {
-			ctx = withPendingReply(ctx, env.Key, env.Action)
-		}
-		return typed(ctx, env, reply)
 	}
 }
 
-// replay answers a keyed exchange from the reply store, unpacking the
-// stored reply into resp (wire.Unpack replaces all of it); hit is false
-// when the key has no reply stored or the store could not be read.
-func (s *Service) replay(ctx context.Context, pr pendingReply, resp any) (hit bool, err error) {
+// replay answers a keyed exchange from the reply store with the stored
+// reply as it lies; hit is false when the key has no reply stored or the
+// store could not be read.
+func (s *Service) replay(ctx context.Context, pr pendingReply, reply *wire.Reply) (hit bool, err error) {
 	action, payload, hit, err := s.lookupReply(ctx, pr.key)
 	if err != nil || !hit {
 		return false, nil
@@ -125,8 +119,8 @@ func (s *Service) replay(ctx context.Context, pr pendingReply, resp any) (hit bo
 		return true, &wire.Fault{Code: FaultKeyReused,
 			Message: fmt.Sprintf("core: idempotency key %q was used for %s, not %s", pr.key, action, pr.action)}
 	}
-	if err := wire.Unpack(payload, resp); err != nil {
-		return true, fmt.Errorf("core: stored %s reply for key %q: %w", action, pr.key, err)
+	if err := reply.EncodePacked(payload); err != nil {
+		return true, err
 	}
 	s.replays.Add(1)
 	return true, nil

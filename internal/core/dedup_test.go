@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/xml"
 	"fmt"
 	"io"
 	"net/http"
@@ -318,8 +317,8 @@ func (c *teeConn) Read(p []byte) (int, error) {
 }
 
 // TestKeyedReplayIsByteIdentical sends every keyed action twice under one
-// key over HTTP: the replay, unpacked from the reply store and encoded
-// again, must carry the original reply's payload byte for byte.
+// key over HTTP: the replay, answered from the reply store, must carry the
+// original reply's payload byte for byte.
 func TestKeyedReplayIsByteIdentical(t *testing.T) {
 	cas, _ := newTestCAS(t)
 	srv := httptest.NewServer(cas.HTTPHandler())
@@ -368,6 +367,45 @@ func TestKeyedReplayIsByteIdentical(t *testing.T) {
 	twice("k-ds", ActionRegisterData, &RegisterDatasetRequest{Name: "d", Version: 1}, &RegisterDatasetResponse{})
 	if got := cas.Service.DedupStats().Replays; got != 6 {
 		t.Fatalf("replays = %d, want 6", got)
+	}
+}
+
+// TestReplayAnswersWithTheStoredBytes: the reply store keeps a keyed
+// reply as the payload its first answer carried, and a replay answers with
+// that row as it lies — no unpack and no encode between the store and the
+// frame. The first answer's payload, the stored row and the replay's
+// payload are one byte string.
+func TestReplayAnswersWithTheStoredBytes(t *testing.T) {
+	cas, _ := newTestCAS(t)
+	srv := httptest.NewServer(cas.HTTPHandler())
+	defer srv.Close()
+	rec := &replyRecorder{}
+	client := &wire.Client{URL: srv.URL + "/services", HTTP: &http.Client{Transport: rec}}
+	ctx := wire.WithIdempotencyKey(context.Background(), "k-stored")
+	req := &HeartbeatRequest{Machine: "n1", Boot: true, TotalMemoryMB: 1024, VMs: idleVMs(4)}
+	for range 2 {
+		if err := client.Call(ctx, ActionHeartbeat, req, &HeartbeatResponse{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(rec.bodies) != 2 {
+		t.Fatalf("recorded %d reply frames, want 2", len(rec.bodies))
+	}
+	_, stored, hit, err := cas.Service.lookupReply(context.Background(), "k-stored")
+	if err != nil || !hit {
+		t.Fatalf("stored reply: hit %v, %v", hit, err)
+	}
+	for i, body := range rec.bodies {
+		env, err := readEnvelope(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(env.Payload, stored) {
+			t.Fatalf("answer %d carried %x; the store holds %x", i, env.Payload, stored)
+		}
+	}
+	if got := cas.Service.DedupStats().Replays; got != 1 {
+		t.Fatalf("replays = %d, want 1", got)
 	}
 }
 
@@ -469,7 +507,7 @@ func TestKeyedReplyRecordSize(t *testing.T) {
 
 func TestHeartbeatSheddableClassifier(t *testing.T) {
 	env := func(key string, req *HeartbeatRequest) *wire.Envelope {
-		payload, err := xml.Marshal(req)
+		payload, err := wire.Pack(nil, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -563,7 +601,7 @@ func dialFrames(tb testing.TB, url string) *rawFrames {
 		tb.Fatal(err)
 	}
 	req.Header.Set("Connection", "Upgrade")
-	req.Header.Set("Upgrade", "condorj2-frames/2")
+	req.Header.Set("Upgrade", "condorj2-frames/3")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		tb.Fatal(err)
@@ -624,7 +662,7 @@ func TestMuxShedsStaleHeartbeats(t *testing.T) {
 
 	// A delta-free heartbeat whose Sent stamp aged past FreshFor. A Caller
 	// stamps Sent with the current time, so frame the envelope by hand.
-	payload, err := xml.Marshal(&HeartbeatRequest{
+	payload, err := wire.Pack(nil, &HeartbeatRequest{
 		Machine: "node1", VMs: []VMStatus{{Seq: 0, State: "idle"}},
 	})
 	if err != nil {

@@ -12,12 +12,12 @@ import (
 // TestExchangeRecyclesCleanly: the web services decode each request into
 // a value recycled from an earlier exchange and fill each reply in one
 // (wire.Typed), and no exchange sees what an earlier one left. A boot
-// beat carries Arch, OpSys and TotalMemoryMB (all ,omitempty); the
-// first beat of an unknown machine after it, without them, registers the
+// beat carries Arch, OpSys and TotalMemoryMB (left zero by a plain
+// beat); the first beat of an unknown machine after it, without them, registers the
 // machine from what it carries alone. Lists of 4 and 2 VMs alternate, and
 // each reply holds one command per VM. A keyed beat repeated is answered
-// from the reply store, unpacked into the recycled reply, and an
-// unkeyed beat after the replay gets a reply of its own. Under the race
+// from the reply store as its stored bytes, and an unkeyed beat after the
+// replay gets a reply of its own. Under the race
 // detector every value taken back is poisoned, so a service method that
 // kept one past its exchange would read poison.
 func TestExchangeRecyclesCleanly(t *testing.T) {

@@ -14,7 +14,6 @@ package core
 
 import (
 	"context"
-	"encoding/xml"
 	"errors"
 	"fmt"
 	"net/http/httptest"
@@ -72,7 +71,7 @@ func BenchmarkHeartbeatOverload(b *testing.B) {
 	// past FreshFor, so a contended gate sheds it instead of queueing.
 	stale := make([][]byte, workers)
 	for i := range stale {
-		payload, err := xml.Marshal(benchHeartbeat(i, vmsPer))
+		payload, err := wire.Pack(nil, benchHeartbeat(i, vmsPer))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -31,7 +31,6 @@ package core
 
 import (
 	"context"
-	"encoding/base64"
 	"errors"
 	"fmt"
 	"maps"
@@ -393,7 +392,7 @@ func (r *Replicator) shipTo(ctx context.Context, f *replFollower) {
 		r.mu.Lock()
 		term := r.term // a demotion since has cancelled ctx, and with it the call
 		r.mu.Unlock()
-		req := &ReplShipRequest{Term: term, Leader: r.cfg.Self, LeaderLSN: durable, Log: base64.StdEncoding.EncodeToString(run)}
+		req := &ReplShipRequest{Term: term, Leader: r.cfg.Self, LeaderLSN: durable, Log: run}
 		var resp ReplShipResponse
 		cctx, cancel := context.WithTimeout(ctx, replCallTimeout)
 		err = f.caller.Call(cctx, ActionReplShip, req, &resp)
@@ -605,15 +604,12 @@ func (r *Replicator) handleShip(ctx context.Context, req *ReplShipRequest, resp 
 		r.mu.Unlock()
 	}
 	// The ship is one run: checked whole before any of it is applied, then
-	// appended with one sync and redone by the engine in one call.
-	run, err := base64.StdEncoding.DecodeString(req.Log)
-	if err != nil {
-		return fmt.Errorf("core: repl: ship at term %d: bad base64: %w", req.Term, err)
-	}
-	if len(run) == 0 { // what a leader of another build sends: its groups in elements this one does not read
+	// appended with one sync and redone by the engine in one call, which
+	// keeps none of it — the request is the exchange's, recycled after.
+	if len(req.Log) == 0 {
 		return fmt.Errorf("core: repl: ship at term %d carries no log", req.Term)
 	}
-	if err := r.cas.Engine.ApplyCommitted(run); err != nil {
+	if err := r.cas.Engine.ApplyCommitted(req.Log); err != nil {
 		return err
 	}
 	r.leaderLSN.Store(req.LeaderLSN)

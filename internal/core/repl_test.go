@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"context"
-	"encoding/base64"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -708,7 +707,7 @@ func TestReplShipAppliesAsOneRun(t *testing.T) {
 	defer follower.close()
 	ship := func(run []byte) {
 		t.Helper()
-		req := &ReplShipRequest{Term: 1, Leader: "lead", LeaderLSN: leader.eng.DurableLSN(), Log: base64.StdEncoding.EncodeToString(run)}
+		req := &ReplShipRequest{Term: 1, Leader: "lead", LeaderLSN: leader.eng.DurableLSN(), Log: run}
 		if err := net.dial("follow").Call(context.Background(), ActionReplShip, req, &ReplShipResponse{}); err != nil {
 			t.Fatal(err)
 		}

@@ -36,7 +36,11 @@ type CostModel struct {
 	// dispatch).
 	MsgUser   time.Duration
 	MsgSystem time.Duration
-	// Per 1 KiB of message body in either direction (socket + XML volume).
+	// Per 1 KiB of message body in either direction (socket volume). The
+	// bytes are what the transport carried — header and packed payload —
+	// so this term prices the daemon's own frames, while MsgUser and
+	// MsgSystem model the paper's SOAP tier, which the daemon does not
+	// speak.
 	MsgPerKBSystem time.Duration
 
 	// Per SQL statement (DB2: parse/plan amortized by the statement cache,

@@ -13,11 +13,11 @@ import (
 )
 
 type sleepReq struct {
-	Ms int `xml:"Ms"`
+	Ms int
 }
 
 type sleepResp struct {
-	OK bool `xml:"OK"`
+	OK bool
 }
 
 // sleepMux answers "sleep" by waiting the requested time or returning the

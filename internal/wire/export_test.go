@@ -47,22 +47,22 @@ func ResetMessage(v any) {
 	mustCodec(rv.Type()).reset(rv)
 }
 
-// ListBytesPerByte bounds the bytes of list items decoding one byte of
+// ListBytesPerByte bounds the bytes of list items unpacking one byte of
 // a t payload can allocate: for each list, reachable through struct
-// fields, its Go item size over the shortest encoding of one item the
-// decoder accepts (minXMLItem), summed.
+// fields, its Go item size over the fewest bytes one item packs into
+// (minItem), summed.
 func ListBytesPerByte(t reflect.Type) float64 {
 	return mustCodec(t).listBytesPerByte(t)
 }
 
 func (c *codec) listBytesPerByte(t reflect.Type) float64 {
 	r := 0.0
-	for i := range c.elems {
-		f := &c.elems[i]
+	for i := range c.fields {
+		f := &c.fields[i]
 		ft := t.Field(f.index).Type
 		if f.slice {
 			ft = ft.Elem()
-			r += float64(ft.Size()) / float64(f.minXMLItem())
+			r += float64(ft.Size()) / float64(max(f.minItem(), 1))
 		}
 		if f.kind == reflect.Struct {
 			r += f.elem.listBytesPerByte(ft)

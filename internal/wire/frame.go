@@ -21,21 +21,21 @@ import (
 // carry frames, uvarint(len) ‖ header ‖ payload, one call in flight per
 // connection, so replies come back in order and need no request id.
 //
-// The header holds all of the envelope but its payload, outside the body,
-// where SOAP over HTTP gives its action: the action and the idempotency
-// key, each uvarint(len) ‖ bytes, then Sent and Budget as uvarints. The
-// payload is the rest of the frame: the payload's element (codec.go), or
-// nothing. A header has one byte form and the decoder accepts nothing
-// else — varints minimal, lengths within the frame, a non-empty action,
-// both strings UTF-8, both numbers within int64 — so an accepted header
-// encodes again to the same bytes. The key, send stamp and budget ride
-// every frame, so dedup, admission and deadlines work on it as they do on
-// Local's.
+// The header holds all of the envelope but its payload: the action and
+// the idempotency key, each uvarint(len) ‖ bytes, then Sent and Budget as
+// uvarints. The payload is the rest of the frame: the message packed
+// (pack.go), or nothing. Both have one byte form and their decoders
+// accept nothing else — varints minimal, lengths within the frame, a
+// non-empty action, the header's strings UTF-8, its numbers within int64
+// — so an accepted envelope encodes again to the same bytes. The key,
+// send stamp and budget ride every frame, so dedup, admission and
+// deadlines work on it as they do on Local's.
 
 // frameProto is the Upgrade token that asks for frames. Its version names
-// the header's layout: a peer that asks for another is refused at the
-// upgrade, with 426 naming this one.
-const frameProto = "condorj2-frames/2"
+// the frame's layout — /2 carried an XML payload, /3 a packed one — and a
+// peer that asks for another is refused at the upgrade, with 426 naming
+// this one.
+const frameProto = "condorj2-frames/3"
 
 // switchedToFrames is the Mux's answer to an upgrade.
 var switchedToFrames = []byte("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + frameProto + "\r\n\r\n")

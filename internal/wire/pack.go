@@ -6,15 +6,18 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
+	"sync"
 )
 
-// The packed form: a message value as compact bytes, for keeping a value
-// rather than sending it — the reply store keeps each keyed reply packed
-// and encodes it as XML again when it replays it. It is laid out by the
-// same compiled codec as the XML, so a type either has both forms or
-// neither. Fields come in declaration order:
+// The packed form: the one encoding of a message value, whether it rides
+// a frame as its payload, waits in the reply store to be replayed, or
+// carries a replication run. Every message type is compiled once into a
+// codec that packs a value straight into a caller-supplied buffer and
+// unpacks it in one pass. Its exported fields come in declaration order:
 //
 //	string            uvarint length, then the bytes
+//	[]byte            uvarint length, then the bytes
 //	bool              one byte, 0 or 1
 //	signed integer    zigzag varint
 //	unsigned integer  uvarint
@@ -26,7 +29,129 @@ import (
 // else: varints are minimal, a bool is 0 or 1, every number fits its
 // field, a length or count cannot promise more than the bytes left, and
 // no byte follows the value. So Pack(Unpack(b)) == b for every b Unpack
-// accepts, and a value's XML after the trip is the XML it had before.
+// accepts, and a stored reply replays as the bytes it was first sent as.
+//
+// A field of another type — a pointer, a map, an interface, an array, a
+// slice of slices other than [][]byte — and an embedded, unexported or
+// recursive field fail to compile, which Typed reports when the handler
+// is registered: the packed form carries every field or refuses the type.
+
+// A codec packs and unpacks one struct type.
+type codec struct {
+	fields    []field // in declaration order
+	minPacked int     // the fewest bytes a packed value takes
+}
+
+// A field is one field of a codec's struct.
+type field struct {
+	index int
+	slice bool         // []T: a count, then the items
+	kind  reflect.Kind // of T: String, Bool, Int64, Uint64, Float64, Struct, or Slice for []byte
+	bits  int          // size of a numeric T
+	elem  *codec       // codec of a struct T
+}
+
+var codecs sync.Map // reflect.Type → *codec
+
+// codecFor returns t's codec, compiling it on first use.
+func codecFor(t reflect.Type) (*codec, error) {
+	if c, ok := codecs.Load(t); ok {
+		return c.(*codec), nil
+	}
+	c, err := compile(t, nil)
+	if err != nil {
+		return nil, err
+	}
+	actual, _ := codecs.LoadOrStore(t, c)
+	return actual.(*codec), nil
+}
+
+// mustCodec compiles t's codec, panicking when t is outside the packed
+// form — a programming error that should stop the process at start-up,
+// not surface per request.
+func mustCodec(t reflect.Type) *codec {
+	c, err := codecFor(t)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// compile builds the codec of struct type t; outer lists the struct
+// types being compiled around it.
+func compile(t reflect.Type, outer []reflect.Type) (*codec, error) {
+	bad := func(format string, args ...any) (*codec, error) {
+		return nil, fmt.Errorf("wire: codec for %s: %s", t, fmt.Sprintf(format, args...))
+	}
+	if t.Kind() != reflect.Struct {
+		return bad("not a struct")
+	}
+	if slices.Contains(outer, t) {
+		return bad("recursive type")
+	}
+	c := &codec{}
+	for i := 0; i < t.NumField(); i++ {
+		sf := t.Field(i)
+		switch {
+		case sf.Anonymous:
+			return bad("embedded field %s", sf.Name)
+		case !sf.IsExported():
+			return bad("unexported field %s", sf.Name)
+		}
+		f := field{index: i}
+		ft := sf.Type
+		if ft.Kind() == reflect.Slice && ft.Elem().Kind() != reflect.Uint8 {
+			f.slice, ft = true, ft.Elem()
+		}
+		switch ft.Kind() {
+		case reflect.String, reflect.Bool:
+			f.kind = ft.Kind()
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			f.kind, f.bits = reflect.Int64, ft.Bits()
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+			f.kind, f.bits = reflect.Uint64, ft.Bits()
+		case reflect.Float32, reflect.Float64:
+			f.kind, f.bits = reflect.Float64, ft.Bits()
+		case reflect.Slice:
+			if ft.Elem().Kind() != reflect.Uint8 {
+				return bad("field %s: unsupported type %s", sf.Name, sf.Type)
+			}
+			f.kind = reflect.Slice
+		case reflect.Struct:
+			elem, err := compile(ft, append(outer, t))
+			if err != nil {
+				return nil, err
+			}
+			f.kind, f.elem = reflect.Struct, elem
+		default:
+			return bad("field %s: unsupported type %s", sf.Name, sf.Type)
+		}
+		c.fields = append(c.fields, f)
+		c.minPacked += f.minPacked()
+	}
+	return c, nil
+}
+
+// minPacked is the fewest bytes f's value packs into.
+func (f *field) minPacked() int {
+	if f.slice {
+		return 1
+	}
+	return f.minItem()
+}
+
+// minItem is the fewest bytes one item of f packs into.
+func (f *field) minItem() int {
+	switch f.kind {
+	case reflect.Struct:
+		return f.elem.minPacked
+	case reflect.Float64:
+		return f.bits / 8
+	}
+	return 1
+}
+
+// ---- packing ----
 
 // Pack appends v's packed form to dst; v is a message struct or a
 // pointer to one.
@@ -45,9 +170,18 @@ func Pack(dst []byte, v any) ([]byte, error) {
 	return c.pack(dst, rv), nil
 }
 
+// appendPayload appends payload packed, as a frame carries it: a message
+// struct or a pointer to one, where nil, typed or not, is no payload.
+func appendPayload(dst []byte, payload any) ([]byte, error) {
+	if rv := reflect.ValueOf(payload); !rv.IsValid() || rv.Kind() == reflect.Pointer && rv.IsNil() {
+		return dst, nil
+	}
+	return Pack(dst, payload)
+}
+
 func (c *codec) pack(dst []byte, v reflect.Value) []byte {
-	for i := range c.elems {
-		f := &c.elems[i]
+	for i := range c.fields {
+		f := &c.fields[i]
 		fv := v.Field(f.index)
 		if !f.slice {
 			dst = f.packItem(dst, fv)
@@ -70,6 +204,10 @@ func (f *field) packItem(dst []byte, v reflect.Value) []byte {
 		s := v.String()
 		dst = binary.AppendUvarint(dst, uint64(len(s)))
 		return append(dst, s...)
+	case reflect.Slice:
+		b := v.Bytes()
+		dst = binary.AppendUvarint(dst, uint64(len(b)))
+		return append(dst, b...)
 	case reflect.Bool:
 		if v.Bool() {
 			return append(dst, 1)
@@ -87,27 +225,15 @@ func (f *field) packItem(dst []byte, v reflect.Value) []byte {
 	}
 }
 
-// minPacked is the fewest bytes f's value packs into.
-func (f *field) minPacked() int {
-	if f.slice {
-		return 1
-	}
-	return f.minItem()
-}
-
-// minItem is the fewest bytes one item of f packs into.
-func (f *field) minItem() int {
-	switch f.kind {
-	case reflect.Struct:
-		return f.elem.minPacked
-	case reflect.Float64:
-		return f.bits / 8
-	}
-	return 1
-}
+// ---- unpacking ----
 
 // Unpack decodes data, one value as Pack writes it, into the struct out
-// points to, replacing all of it. Nothing in out refers to data
+// points to, replacing every field; on an error, out holds part of the
+// value. It fills out in place: a list whose capacity holds its count
+// keeps its backing array, and one that does not is allocated once, at
+// exactly the count; a []byte likewise. A count or length the bytes left
+// cannot hold refuses data before anything is allocated for it, so what
+// unpacking costs is bounded by the input. Nothing in out refers to data
 // afterwards.
 func Unpack(data []byte, out any) error {
 	v := reflect.ValueOf(out)
@@ -119,7 +245,6 @@ func Unpack(data []byte, out any) error {
 		return err
 	}
 	v = v.Elem()
-	v.SetZero()
 	u := unpacker{in: data}
 	if err := u.unpack(c, v); err != nil {
 		return fmt.Errorf("wire: unpack %s: %w at offset %d", v.Type(), err, len(data)-len(u.in))
@@ -143,8 +268,8 @@ var (
 type unpacker struct{ in []byte }
 
 func (u *unpacker) unpack(c *codec, v reflect.Value) error {
-	for i := range c.elems {
-		f := &c.elems[i]
+	for i := range c.fields {
+		f := &c.fields[i]
 		fv := v.Field(f.index)
 		if !f.slice {
 			if err := u.item(f, fv); err != nil {
@@ -152,18 +277,27 @@ func (u *unpacker) unpack(c *codec, v reflect.Value) error {
 			}
 			continue
 		}
-		n, err := u.uvarint()
+		n64, err := u.uvarint()
 		if err != nil {
 			return err
 		}
-		if n > uint64(len(u.in)/max(f.minItem(), 1)) {
+		if n64 > uint64(len(u.in)/max(f.minItem(), 1)) {
 			return errPackedTooMany
 		}
-		if n == 0 {
-			continue // nil, as a value with no items decodes from XML
+		n := int(n64)
+		if fv.Cap() < n {
+			// Grow allocates into the field itself, where MakeSlice would
+			// add a slice header; from nil it allocates the count alone,
+			// and SetCap trims its size-class slack.
+			fv.SetZero()
+			fv.Grow(n)
+			fv.SetCap(n)
 		}
-		fv.Set(reflect.MakeSlice(fv.Type(), int(n), int(n)))
-		for j := 0; j < int(n); j++ {
+		for j := n; j < fv.Len(); j++ {
+			fv.Index(j).SetZero() // items past the count pin nothing
+		}
+		fv.SetLen(n)
+		for j := 0; j < n; j++ {
 			if err := u.item(f, fv.Index(j)); err != nil {
 				return err
 			}
@@ -182,6 +316,16 @@ func (u *unpacker) item(f *field, v reflect.Value) error {
 			return err
 		}
 		v.SetString(string(s))
+	case reflect.Slice:
+		s, err := u.bytes()
+		if err != nil {
+			return err
+		}
+		b := v.Bytes()
+		if cap(b) < len(s) {
+			b = make([]byte, 0, len(s))
+		}
+		v.SetBytes(append(b[:0], s...))
 	case reflect.Bool:
 		if len(u.in) == 0 {
 			return errPackedShort

@@ -28,8 +28,8 @@ type messagePool[T any] struct {
 	pool sync.Pool
 }
 
-// newMessagePool compiles T's codec, panicking when its tags are outside
-// the codec's vocabulary, and returns an empty pool.
+// newMessagePool compiles T's codec, panicking when T is outside the
+// packed form, and returns an empty pool.
 func newMessagePool[T any]() *messagePool[T] {
 	return &messagePool[T]{c: mustCodec(reflect.TypeFor[T]()), pool: sync.Pool{New: func() any { return new(T) }}}
 }
@@ -59,10 +59,11 @@ func (p *messagePool[T]) put(v *T) {
 }
 
 // reset zeroes v, a value of c's struct, but keeps each list's backing
-// array, emptied and cleared to its capacity so that it pins nothing.
+// array, emptied and cleared to its capacity so that it pins nothing, and
+// each []byte's, emptied.
 func (c *codec) reset(v reflect.Value) {
-	for i := range c.elems {
-		f := &c.elems[i]
+	for i := range c.fields {
+		f := &c.fields[i]
 		fv := v.Field(f.index)
 		switch {
 		case f.slice:
@@ -71,23 +72,27 @@ func (c *codec) reset(v reflect.Value) {
 			fv.SetLen(0)
 		case f.kind == reflect.Struct:
 			f.elem.reset(fv)
+		case f.kind == reflect.Slice:
+			fv.SetLen(0)
 		default:
 			fv.SetZero()
 		}
 	}
 }
 
-// listBytes is the size of the backing arrays of v's lists.
+// listBytes is the size of the backing arrays of v's lists and []bytes.
 func (c *codec) listBytes(v reflect.Value) int {
 	n := 0
-	for i := range c.elems {
-		f := &c.elems[i]
+	for i := range c.fields {
+		f := &c.fields[i]
 		fv := v.Field(f.index)
 		switch {
 		case f.slice:
 			n += fv.Cap() * int(fv.Type().Elem().Size())
 		case f.kind == reflect.Struct:
 			n += f.elem.listBytes(fv)
+		case f.kind == reflect.Slice:
+			n += fv.Cap()
 		}
 	}
 	return n
@@ -95,14 +100,15 @@ func (c *codec) listBytes(v reflect.Value) int {
 
 // poisonText is what every string of a poisoned value reads. Its numbers
 // read the least value of their type (the greatest when unsigned), its
-// bools true, its floats NaN, and each list runs to its capacity, every
-// item poisoned.
+// bools true, its floats NaN, each []byte runs to its capacity, filled
+// with poisonText over and over, and each list runs to its capacity,
+// every item poisoned.
 const poisonText = "wire: recycled message"
 
 // poison overwrites v, a value of c's struct, with poison.
 func (c *codec) poison(v reflect.Value) {
-	for i := range c.elems {
-		f := &c.elems[i]
+	for i := range c.fields {
+		f := &c.fields[i]
 		fv := v.Field(f.index)
 		if !f.slice {
 			f.poison(fv)
@@ -122,6 +128,10 @@ func (f *field) poison(v reflect.Value) {
 		f.elem.poison(v)
 	case reflect.String:
 		v.SetString(poisonText)
+	case reflect.Slice:
+		v.SetLen(v.Cap())
+		for b, i := v.Bytes(), 0; i < len(b); i += copy(b[i:], poisonText) {
+		}
 	case reflect.Bool:
 		v.SetBool(true)
 	case reflect.Int64:

@@ -26,9 +26,9 @@ func vmList(n int, state string) []core.VMStatus {
 
 // TestTypedRecyclesCleanly: Typed lends each exchange a request and a
 // reply recycled from the one before, and neither shows any of it. A
-// boot beat sets Arch, OpSys, Boot and TotalMemoryMB (all ,omitempty) and
-// claimed VMs with every field; the plain beat after it must read them
-// all as zero, and its reply must start out empty. Lists of 4, 2, then 4
+// boot beat sets Arch, OpSys, Boot and TotalMemoryMB (zero on a plain
+// beat) and claimed VMs with every field; the plain beat after it must
+// read them all as zero, and its reply must start out empty. Lists of 4, 2, then 4
 // VMs decode into one backing array: the 2-VM list does not shrink its
 // capacity for good.
 func TestTypedRecyclesCleanly(t *testing.T) {

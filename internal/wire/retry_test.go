@@ -249,8 +249,9 @@ func TestEnvelopeCarriesKeyAndSent(t *testing.T) {
 	}
 }
 
-// TestReplayedReplyFramedVerbatim: a reply kept packed and unpacked again
-// frames into the same response envelope, byte for byte, as the original.
+// TestReplayedReplyFramedVerbatim: a reply kept packed and answered with
+// EncodePacked frames into the same response envelope, byte for byte, as
+// the original; a second answer to the exchange is refused.
 func TestReplayedReplyFramedVerbatim(t *testing.T) {
 	orig := &pingResp{Greeting: "replayed <&> \xff", Doubled: -42}
 	packed, err := Pack(nil, orig)
@@ -259,9 +260,15 @@ func TestReplayedReplyFramedVerbatim(t *testing.T) {
 	}
 	mux := NewMux()
 	mux.Handle("fresh", func(ctx context.Context, env *Envelope, reply *Reply) error { return reply.Encode(orig) })
-	mux.Handle("replay", Typed(func(ctx context.Context, _ *pingReq, resp *pingResp) error {
-		return Unpack(packed, resp)
-	}))
+	mux.Handle("replay", func(ctx context.Context, env *Envelope, reply *Reply) error {
+		if err := reply.EncodePacked(packed); err != nil {
+			return err
+		}
+		if reply.EncodePacked(packed) == nil || reply.Encode(orig) == nil {
+			t.Error("a replayed reply was answered twice")
+		}
+		return nil
+	})
 	fresh, _ := Encode("fresh", &pingReq{})
 	replay, _ := Encode("replay", &pingReq{})
 	want := dispatchBytes(mux, fresh)

@@ -4,8 +4,8 @@
 // communicate with the CAS using the gSOAP library").
 //
 // Requests and responses are envelopes: a header naming the action, then
-// a typed payload as XML (frame.go, codec.go). Two transports share the
-// same envelope encoding:
+// a typed payload in its packed form (frame.go, pack.go). Two transports
+// share the same envelope encoding:
 //
 //   - Client/Mux for live deployments: a caller's first POST asks to
 //     upgrade its HTTP connection, and from then on both directions carry
@@ -31,14 +31,13 @@ import (
 	"io"
 	"net/http"
 	"reflect"
-	"slices"
 	"sync"
 	"time"
 	"unicode"
 )
 
-// Envelope is one request or reply: an action name plus the payload
-// element's XML. Key, when present, is the caller's idempotency key:
+// Envelope is one request or reply: an action name plus the packed
+// payload. Key, when present, is the caller's idempotency key:
 // retries of one logical mutating exchange reuse the key, and a server
 // with a reply store answers a repeated key by replaying the original
 // response instead of re-executing the action. Sent is the client's send
@@ -70,10 +69,10 @@ type Envelope struct {
 // should redirect writes to (empty when the rejecting follower does not
 // currently know a leader).
 type Fault struct {
-	Code         string `xml:"Code"`
-	Message      string `xml:"Message"`
-	RetryAfterMs int64  `xml:"RetryAfterMs,omitempty"`
-	Leader       string `xml:"Leader,omitempty"`
+	Code         string
+	Message      string
+	RetryAfterMs int64
+	Leader       string
 }
 
 // Error implements error.
@@ -120,7 +119,7 @@ func (b *buffer) release() {
 	}
 }
 
-// encode appends an envelope: hdr's header, then payload's element.
+// encode appends an envelope: hdr's header, then payload packed.
 func (b *buffer) encode(hdr Envelope, payload any) error {
 	b.b = appendHeader(b.b, &hdr)
 	var err error
@@ -136,14 +135,15 @@ func (b *buffer) encodeFault(f *Fault) {
 }
 
 // read replaces the buffer's contents with exactly n bytes from r. The
-// buffer grows as bytes arrive, at most doubling what it holds, so a peer
-// that declares a length and sends less costs what it sent, not what it
-// declared.
+// buffer grows as bytes arrive, to exactly twice what it holds (512 bytes
+// at first) or n if that is less, so a peer that declares a length and
+// sends less costs what it sent, not what it declared: an append would
+// round the capacity up past twice the bytes.
 func (b *buffer) read(r io.Reader, n int) error {
 	b.b = b.b[:0]
 	for len(b.b) != n {
 		if len(b.b) == cap(b.b) {
-			b.b = slices.Grow(b.b, max(len(b.b), 512))
+			b.b = append(make([]byte, 0, min(n, len(b.b)+max(len(b.b), 512))), b.b...)
 		}
 		m, err := r.Read(b.b[len(b.b):min(cap(b.b), n)])
 		b.b = b.b[:len(b.b)+m]
@@ -161,22 +161,11 @@ func (b *buffer) read(r io.Reader, n int) error {
 
 var _ = mustCodec(reflect.TypeFor[Fault]())
 
-// mustCodec compiles t's codec, panicking when its tags are outside the
-// codec's vocabulary — a programming error that should stop the process
-// at start-up, not surface per request.
-func mustCodec(t reflect.Type) *codec {
-	c, err := codecFor(t)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// DecodePayload unmarshals an envelope's payload into out, a pointer to
-// a message struct. Decoded strings are copies; nothing in out refers to
-// the envelope afterwards.
+// DecodePayload unpacks an envelope's payload into out, a pointer to a
+// message struct, in place (Unpack). Nothing in out refers to the
+// envelope afterwards.
 func DecodePayload(env *Envelope, out any) error {
-	if err := decodeElement(env.Payload, out); err != nil {
+	if err := Unpack(env.Payload, out); err != nil {
 		return fmt.Errorf("wire: bad %s payload: %w", env.Action, err)
 	}
 	return nil
@@ -218,6 +207,19 @@ func (r *Reply) Encode(payload any) error {
 		r.out.b = r.out.b[:mark]
 	}
 	return r.err
+}
+
+// EncodePacked answers with payload, a reply already in its packed form
+// (Pack), as it lies: a stored reply replayed as the bytes it was first
+// sent as. Like Encode, it answers once.
+func (r *Reply) EncodePacked(payload []byte) error {
+	if r.done {
+		return errEncodedTwice
+	}
+	r.done = true
+	r.out.b = appendHeader(r.out.b, &Envelope{Action: r.action})
+	r.out.b = append(r.out.b, payload...)
+	return nil
 }
 
 // Mux routes actions to handlers. It implements http.Handler and is also
@@ -368,8 +370,8 @@ var errBodyTooLarge = fmt.Errorf("wire: body exceeds %d bytes", maxBody)
 // fn returns, a reply until it is encoded, and fn copies what it keeps.
 // The exchange context flows through to the service method, which threads
 // it into its container transaction. Both message types are compiled
-// here, so one with a tag the codec does not support panics when the
-// handler is registered, not when the first request arrives.
+// here, so one with a field the packed form does not carry panics when
+// the handler is registered, not when the first request arrives.
 func Typed[Req any, Resp any](fn func(context.Context, *Req, *Resp) error) Handler {
 	reqs, resps := newMessagePool[Req](), newMessagePool[Resp]()
 	return func(ctx context.Context, env *Envelope, reply *Reply) error {
@@ -409,7 +411,7 @@ func decodeResponse(action string, in *buffer, resp any) error {
 	}
 	if string(name) == "Fault" {
 		var f Fault
-		if err := decodeElement(env.Payload, &f); err != nil {
+		if err := Unpack(env.Payload, &f); err != nil {
 			return fmt.Errorf("wire: bad Fault payload: %w", err)
 		}
 		return &f
@@ -420,7 +422,7 @@ func decodeResponse(action string, in *buffer, resp any) error {
 	if resp == nil {
 		return nil
 	}
-	if err := decodeElement(env.Payload, resp); err != nil {
+	if err := Unpack(env.Payload, resp); err != nil {
 		return fmt.Errorf("wire: bad %sResponse payload: %w", action, err)
 	}
 	return nil
@@ -578,7 +580,7 @@ func (c *Client) put(cc *clientConn) {
 
 // Local is an in-process Caller that still round-trips every message
 // through the envelope encoding a frame carries — the header, then the
-// payload's XML — so simulations exercise the same serialization path and
+// packed payload — so simulations exercise the same serialization path and
 // can meter realistic message sizes (OnCall's byte counts are those of
 // the frames' envelopes, without the length prefix). The call
 // context reaches the handler directly — cancellation and deadlines act

@@ -15,13 +15,13 @@ import (
 )
 
 type pingReq struct {
-	Name string `xml:"Name"`
-	N    int    `xml:"N"`
+	Name string
+	N    int
 }
 
 type pingResp struct {
-	Greeting string `xml:"Greeting"`
-	Doubled  int    `xml:"Doubled"`
+	Greeting string
+	Doubled  int
 }
 
 func pingMux() *Mux {
@@ -139,7 +139,7 @@ func TestPostWithoutUpgradeRefused(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 	env, _ := Encode("bump", &pingReq{N: 1})
-	resp, err := srv.Client().Post(srv.URL, "text/xml", bytes.NewReader(env))
+	resp, err := srv.Client().Post(srv.URL, "application/octet-stream", bytes.NewReader(env))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,10 +152,11 @@ func TestPostWithoutUpgradeRefused(t *testing.T) {
 	}
 }
 
-// TestOldFrameProtocolRefused: a peer built when envelopes were XML asks
-// to upgrade to the frames of that layout. It is refused before any frame
-// is read, with 426 naming the protocol to ask for in the Upgrade header
-// and in the body its Client words the HTTP426 fault with.
+// TestOldFrameProtocolRefused: a peer built when payloads were XML asks
+// to upgrade to the frames of that layout, condorj2-frames/2. It is
+// refused before any frame is read, with 426 naming the protocol to ask
+// for in the Upgrade header and in the body its Client words the HTTP426
+// fault with.
 func TestOldFrameProtocolRefused(t *testing.T) {
 	mux, execs := countMux()
 	srv := httptest.NewServer(mux)
@@ -165,15 +166,15 @@ func TestOldFrameProtocolRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set("Connection", "Upgrade")
-	req.Header.Set("Upgrade", "condorj2-frames")
+	req.Header.Set("Upgrade", "condorj2-frames/2")
 	resp, err := srv.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusUpgradeRequired || resp.Header.Get("Upgrade") != "condorj2-frames/2" || !strings.Contains(string(body), "condorj2-frames/2") {
-		t.Fatalf("old upgrade: status %d, Upgrade %q, body %q; want 426 naming condorj2-frames/2", resp.StatusCode, resp.Header.Get("Upgrade"), body)
+	if resp.StatusCode != http.StatusUpgradeRequired || resp.Header.Get("Upgrade") != "condorj2-frames/3" || !strings.Contains(string(body), "condorj2-frames/3") {
+		t.Fatalf("old upgrade: status %d, Upgrade %q, body %q; want 426 naming condorj2-frames/3", resp.StatusCode, resp.Header.Get("Upgrade"), body)
 	}
 	if n := execs.Load(); n != 0 {
 		t.Fatalf("the handler ran %d times for a refused upgrade", n)
@@ -190,7 +191,7 @@ func dispatchBytes(m *Mux, data []byte) []byte {
 }
 
 func TestBadEnvelope(t *testing.T) {
-	env, err := DecodeEnvelope(dispatchBytes(pingMux(), []byte("this is not xml")))
+	env, err := DecodeEnvelope(dispatchBytes(pingMux(), []byte("this is not an envelope")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,27 +209,13 @@ func TestMuxActions(t *testing.T) {
 	}
 }
 
-// Property: any XML-encodable name/N round-trips through envelope
-// encoding. XML 1.0 forbids some valid UTF-8 code points (controls,
-// U+FFFE/U+FFFF), so the generator filters to the XML character range.
+// Property: any name and N round-trip through envelope encoding, byte
+// for byte: the packed payload carries a string's bytes as they are,
+// invalid UTF-8 and control characters included.
 func TestPropertyEnvelopeRoundTrip(t *testing.T) {
-	f := func(name string, n int) bool {
-		clean := strings.ToValidUTF8(name, "")
-		clean = strings.Map(func(r rune) rune {
-			switch {
-			// \t, \n and \r are XML-legal but subject to whitespace
-			// normalization (\r becomes \n on parse), so they cannot
-			// round-trip byte-exactly; exclude them with the controls.
-			case r >= 0x20 && r <= 0xD7FF:
-				return r
-			case r >= 0xE000 && r <= 0xFFFD:
-				return r
-			case r >= 0x10000 && r <= 0x10FFFF:
-				return r
-			}
-			return -1
-		}, clean)
-		data, err := Encode("ping", &pingReq{Name: clean, N: n})
+	f := func(raw []byte, n int) bool {
+		name := string(raw)
+		data, err := Encode("ping", &pingReq{Name: name, N: n})
 		if err != nil {
 			return false
 		}
@@ -240,7 +227,7 @@ func TestPropertyEnvelopeRoundTrip(t *testing.T) {
 		if err := DecodePayload(env, &req); err != nil {
 			return false
 		}
-		return req.Name == clean && req.N == n
+		return req.Name == name && req.N == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -266,10 +253,12 @@ func TestOversizeRequestRejected(t *testing.T) {
 	}
 
 	// The bound is inclusive: an envelope of exactly maxBody goes through.
-	// The call's header adds its send stamp, a uvarint of this many bytes.
+	// The call's header adds its send stamp, a uvarint of this many bytes,
+	// and the name's length grows from one byte to a uvarint of this many.
 	frame, _ := Encode("ping", &pingReq{})
 	sent := len(binary.AppendUvarint(nil, uint64(time.Now().UnixMilli())))
-	fits := maxBody - len(frame) - (sent - 1)
+	length := len(binary.AppendUvarint(nil, maxBody))
+	fits := maxBody - len(frame) - (sent - 1) - (length - 1)
 	var got pingResp
 	if err := client.Call(context.Background(), "ping", &pingReq{Name: big[:fits]}, &got); err != nil || got.Doubled != fits {
 		t.Fatalf("request of exactly maxBody: err = %.200v, server saw a %d-byte name, want %d", err, got.Doubled, fits)
